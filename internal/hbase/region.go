@@ -199,8 +199,18 @@ func (r *Region) put(key string, cells []Cell) {
 	defer r.mu.Unlock()
 	r.recordWrite(1)
 	rd := r.mem.upsert(key)
+	if rd.cells == nil {
+		rd.cells = make([]Cell, 0, len(cells)) // a row written whole, as BulkLoad sizes it
+	}
 	for _, c := range cells {
 		rd.apply(c, r.spec.MaxVersions)
+	}
+	// Memstore rows are resident until the next flush, and most are a few
+	// cells written by two or three puts: drop the slack append's doubling
+	// left so a row holds exactly its cells, as a compacted store file row
+	// does.
+	if cap(rd.cells) > len(rd.cells) {
+		rd.cells = append(make([]Cell, 0, len(rd.cells)), rd.cells...)
 	}
 }
 

@@ -256,140 +256,101 @@ func DrainCursor(ctx *sim.Ctx, cur RowCursor) (*ResultSet, error) {
 
 // tryStream opens a streaming cursor when the statement is a non-blocking
 // single-binding shape: scan → filter → project → limit with no joins,
-// aggregates or ORDER BY. ok=false means "not streamable, run the
-// materialized executor" (including shapes buildResult would reject — the
-// fallback reproduces the error); a non-nil error means the stream was
-// eligible but opening it failed.
-func (q *query) tryStream(ctx *sim.Ctx) (RowCursor, bool, error) {
+// aggregates or ORDER BY. A nil cursor with a nil error means "not
+// streamable, run the materialized executor"; a non-nil error means the
+// stream was eligible but opening it failed.
+func (q *query) tryStream(ctx *sim.Ctx) (*streamCursor, error) {
 	sel := q.sel
-	if len(q.bindings) != 1 || len(q.joins) > 0 || len(q.residual) > 0 {
-		return nil, false, nil
+	if len(q.bindings) != 1 || q.aggregated || len(sel.OrderBy) > 0 {
+		return nil, nil
 	}
 	b := q.bindings[0]
 	if b.info == nil {
-		return nil, false, nil // derived tables are pre-materialized
-	}
-	if sel.GroupBy != nil || len(sel.OrderBy) > 0 || q.hasAggregates() {
-		return nil, false, nil
+		return nil, nil // derived tables are pre-materialized
 	}
 	if q.opts.DirtyCheck && b.info.IsView {
 		// The §VIII-C dirty-restart loop re-scans from the top; once rows
 		// have been handed out a cursor cannot restart.
-		return nil, false, nil
+		return nil, nil
 	}
 
-	// Resolve the projection. Single binding means every unambiguous
-	// output name is the bare column name, exactly like buildResult.
-	var cols, quals []string
-	var types []schema.ColType
-	if sel.Star {
-		for _, c := range b.cols {
-			t, _ := b.info.Col(c)
-			cols = append(cols, c)
-			quals = append(quals, c)
-			types = append(types, t)
-		}
-	} else {
-		for _, it := range sel.Items {
-			switch x := it.Expr.(type) {
-			case sqlparser.ColumnRef:
-				if _, err := q.resolveColumn(x); err != nil {
-					return nil, false, nil
-				}
-				name := it.Alias
-				if name == "" {
-					name = x.Column
-				}
-				t, _ := b.info.Col(x.Column)
-				cols = append(cols, name)
-				quals = append(quals, x.Column)
-				types = append(types, t)
-			case sqlparser.Literal:
-				cols = append(cols, it.Expr.String())
-				quals = append(quals, "")
-				types = append(types, schema.TString)
-			default:
-				return nil, false, nil
-			}
+	// The projection is the statement's output plan read off the cells
+	// instead of off tuples.
+	n := len(q.out)
+	c := &streamCursor{
+		limit: sel.Limit,
+		cols:  make([]string, n),
+		quals: make([]string, n),
+		types: make([]schema.ColType, n),
+		raw:   make([][]byte, n),
+	}
+	for i, o := range q.out {
+		c.cols[i], c.types[i] = o.name, schema.TString
+		if !o.literal {
+			c.quals[i] = b.refs[o.src.i]
+			c.types[i], _ = b.info.Col(c.quals[i])
 		}
 	}
 
-	// Build the scan spec exactly as the materialized scanBinding does,
-	// plus limit pushdown: the scanner stops examining rows once the
-	// post-filter row budget is met.
-	plan := q.chooseAccess(b, nil)
-	spec := hbase.ScanSpec{Read: q.opts.Read}
-	tableName := b.info.Name
-	switch plan.kind {
-	case accessPKPrefix:
-		vals := make([]schema.Value, 0, len(plan.eqCols))
-		for _, c := range plan.eqCols {
-			v, ok := q.localEqValue(b, c)
-			if !ok {
-				return nil, false, nil
-			}
-			vals = append(vals, v)
-		}
-		if len(plan.eqCols) == len(b.info.Key) {
-			spec.Start = schema.EncodeKey(vals...)
-			spec.Stop = spec.Start + "\x00"
-			spec.Sequential = true // single-row point lookup
-		} else {
-			spec.Prefix = schema.KeyPrefix(vals...)
-		}
-	case accessIndexPrefix:
-		tableName = plan.index.Name
-		vals := make([]schema.Value, 0, len(plan.eqCols))
-		for _, c := range plan.eqCols {
-			v, ok := q.localEqValue(b, c)
-			if !ok {
-				return nil, false, nil
-			}
-			vals = append(vals, v)
-		}
-		spec.Prefix = schema.KeyPrefix(vals...)
-		if len(plan.eqCols) == len(plan.index.On)+len(b.info.Key) {
-			spec.Prefix = ""
-			spec.Start = schema.EncodeKey(vals...)
-			spec.Stop = spec.Start + "\x00"
-			spec.Sequential = true // single-row point lookup
-		}
+	// The scan is the materialized scanBinding's plus limit pushdown: the
+	// scanner stops examining rows once the post-filter row budget is met.
+	tableName, spec, err := q.scanSpec(b, q.chooseAccess(b, nil))
+	if err != nil {
+		return nil, err
 	}
-	if sel.Limit > 0 {
-		spec.Limit = sel.Limit
-	}
-
-	// No local predicates → no filter, matching scanBinding: the region
-	// skips the per-row decode an accept-all closure would pay.
-	if local := q.local[b.name]; len(local) > 0 {
-		spec.Filter = func(r hbase.RowResult) bool {
-			row := CellsToRow(r)
-			for _, p := range local {
-				if !p.evalLocal(row) {
-					return false
-				}
-			}
-			return true
-		}
-	}
+	spec.Limit = sel.Limit
 
 	if b.info.IsView && q.opts.OnViewScan != nil {
 		if err := q.opts.OnViewScan(ctx, b.info.Name); err != nil {
-			return nil, true, err
+			return nil, err
 		}
 	}
-	sc, err := q.openScan(ctx, tableName, spec)
-	if err != nil {
-		return nil, true, err
+	if c.stream, err = q.openScan(ctx, tableName, spec); err != nil {
+		return nil, err
 	}
-	return &streamCursor{
-		stream: sc,
-		cols:   cols,
-		quals:  quals,
-		types:  types,
-		raw:    make([][]byte, len(cols)),
-		limit:  sel.Limit,
-	}, true, nil
+	return c, nil
+}
+
+// drain reads the rest of the stream into positional rows and closes the
+// cursor — how a streamable derived table reaches the enclosing query.
+func (c *streamCursor) drain(ctx *sim.Ctx) *projected {
+	res := &projected{out: make([]outCol, len(c.cols))}
+	for i, name := range c.cols {
+		res.out[i] = outCol{name: name, src: colRef{i: i}, literal: c.quals[i] == ""}
+	}
+	for c.Next(ctx) {
+		vals := make([]schema.Value, len(c.raw))
+		for i, raw := range c.raw {
+			vals[i] = DecodeValue(raw)
+		}
+		res.rows = append(res.rows, tuple{vals: vals})
+	}
+	c.Close(ctx)
+	return res
+}
+
+// execute runs a statement to completion without keying its rows by column
+// name: streamed when the shape allows (so a LIMIT still stops the scan
+// early), through the materialized executor otherwise.
+func (e *Engine) execute(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []schema.Value, opts QueryOpts) (*projected, error) {
+	q, err := e.analyzeStmt(ctx, sel, params, opts)
+	if err != nil {
+		return nil, err
+	}
+	if cur, err := q.tryStream(ctx); err != nil {
+		return nil, err
+	} else if cur != nil {
+		return cur.drain(ctx), nil
+	}
+	return q.execute(ctx)
+}
+
+func (q *query) execute(ctx *sim.Ctx) (*projected, error) {
+	tuples, err := q.run(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return q.project(ctx, tuples), nil
 }
 
 // QueryStream plans and executes a SELECT, returning its rows as a cursor.
@@ -407,18 +368,14 @@ func (e *Engine) QueryStreamOpts(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params
 	if err != nil {
 		return nil, err
 	}
-	if cur, ok, err := q.tryStream(ctx); err != nil {
+	if cur, err := q.tryStream(ctx); err != nil {
 		return nil, err
-	} else if ok {
+	} else if cur != nil {
 		return cur, nil
 	}
-	tuples, err := q.run(ctx)
+	res, err := q.execute(ctx)
 	if err != nil {
 		return nil, err
 	}
-	rs, err := q.project(ctx, tuples)
-	if err != nil {
-		return nil, err
-	}
-	return newMaterializedCursor(rs), nil
+	return newMaterializedCursor(res.resultSet()), nil
 }

@@ -292,12 +292,13 @@ func (e *Engine) putRowInto(ctx *sim.Ctx, b *WriteBatch, t *TableInfo, row schem
 	if err != nil {
 		return err
 	}
-	if err := b.Put(ctx, t.Name, key, StampCells(RowToCells(row), b.opts.TS)); err != nil {
+	cells := StampCells(RowToCells(row), b.opts.TS)
+	if err := b.Put(ctx, t.Name, key, cells); err != nil {
 		return err
 	}
 	for _, idx := range t.Indexes {
 		ikey := IndexKey(t, idx, row)
-		icells := StampCells(RowToCells(IndexRowContent(t, idx, row)), b.opts.TS)
+		icells := StampCells(IndexCells(t, idx, row, cells), b.opts.TS)
 		if err := b.Put(ctx, idx.Name, ikey, icells); err != nil {
 			return err
 		}

@@ -39,7 +39,12 @@ func (e *Engine) Client() *hbase.Client { return e.client }
 // Catalog exposes the engine's catalog.
 func (e *Engine) Catalog() *Catalog { return e.cat }
 
-// QueryOpts control read execution.
+// QueryOpts control read execution: which versions a statement sees and which
+// reader serves its scans. They never change how rows are represented — every
+// option runs the same executor (see tuple), and every scan it opens carries
+// the same compiled pushdown filter, a pure predicate over a row's encoded
+// cells that View and Reader may evaluate over pooled rows on either side of
+// their merge (see scanFilter).
 type QueryOpts struct {
 	// Read applies MVCC visibility filters to every scan and get.
 	Read hbase.ReadOpts
@@ -98,10 +103,6 @@ func (rs *ResultSet) ColumnTypes() []schema.ColType {
 	return out
 }
 
-// tuple is the executor's internal row representation, keyed
-// "binding.column".
-type tuple map[string]schema.Value
-
 // Query plans and executes a SELECT.
 func (e *Engine) Query(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []schema.Value) (*ResultSet, error) {
 	return e.QueryOpts(ctx, sel, params, QueryOpts{})
@@ -122,40 +123,129 @@ func (e *Engine) QueryOpts(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []sch
 // ---------------------------------------------------------------------------
 // Analysis
 
+// tuple is the executor's internal row: one decoded value per slot of the
+// statement's layout. Only columns the statement reads get a slot (select
+// list, join, residual, group and order keys; every column for SELECT *), and
+// only those are ever decoded from a scanned row's cells. Binding b's
+// referenced column b.refs[i] lives at slot b.off+i of a joined tuple, so a
+// join's output is the outer tuple with the inner binding's segment copied
+// in. Aggregate output and derived-table rows are positional in their output
+// columns instead (see aggregate and projected).
+//
+// size is the encoded footprint of the full source rows the tuple was built
+// from — every stored cell, not only the referenced ones — which is what a
+// join stage carrying the tuple forward spills (SpillPerByte). Pruning
+// columns therefore cannot move the simulated clock. It is maintained only
+// for statements that can spill (query.spills).
+type tuple struct {
+	vals []schema.Value
+	size int
+}
+
 type binding struct {
 	name    string
-	info    *TableInfo // nil for derived tables
-	derived []tuple    // materialized derived-table rows (plain col keys)
-	cols    []string   // column names this binding exposes
+	info    *TableInfo  // nil for derived tables
+	derived *projected  // materialized derived-table rows, positional in cols
+	cols    []string    // column names this binding exposes
+	local   []localPred // single-binding predicates, pushed into the scan
+	refs    []string    // columns the statement reads, in slot order
+	off     int         // slot of refs[0] in a joined tuple
 }
 
 func (b *binding) hasColumn(col string) bool {
 	if b.info != nil {
 		return b.info.HasColumn(col)
 	}
-	for _, c := range b.cols {
-		if c == col {
-			return true
+	return b.colPos(col) >= 0
+}
+
+// colPos returns the position of col in the binding's exposed columns — the
+// output column of a derived row — or -1. Of two derived columns with one
+// name the later shadows the earlier, as it does in a ResultSet row.
+func (b *binding) colPos(col string) int {
+	for i := len(b.cols) - 1; i >= 0; i-- {
+		if b.cols[i] == col {
+			return i
 		}
 	}
-	return false
+	return -1
 }
 
-// boundPred is a predicate with column refs resolved to bindings and
-// params/literals resolved to values.
-type boundPred struct {
-	lBind, lCol string // left column (always set)
-	op          sqlparser.CompareOp
-	rBind, rCol string       // right column when join
-	value       schema.Value // right value when not a join
-	isJoin      bool
-}
-
-func (p boundPred) String() string {
-	if p.isJoin {
-		return fmt.Sprintf("%s.%s %s %s.%s", p.lBind, p.lCol, p.op, p.rBind, p.rCol)
+// ref gives col a slot in the binding's segment (once) and returns its index
+// there.
+func (b *binding) ref(col string) int {
+	for i, c := range b.refs {
+		if c == col {
+			return i
+		}
 	}
-	return fmt.Sprintf("%s.%s %s %v", p.lBind, p.lCol, p.op, p.value)
+	b.refs = append(b.refs, col)
+	return len(b.refs) - 1
+}
+
+// colRef locates a value in the rows a stage consumes: column b.refs[i] of a
+// joined tuple (slot b.off+i, final once analyzeStmt has laid the bindings
+// out) or, with b == nil, position i of an aggregate output row.
+type colRef struct {
+	b *binding
+	i int
+}
+
+func (c colRef) slot() int {
+	if c.b == nil {
+		return c.i
+	}
+	return c.b.off + c.i
+}
+
+// localPred is a single-binding WHERE conjunct: a column against a constant,
+// or against another column of the same binding.
+type localPred struct {
+	col      string
+	op       sqlparser.CompareOp
+	rcol     string       // right column when colVsCol
+	value    schema.Value // right constant otherwise
+	colVsCol bool
+}
+
+// holds evaluates the predicate over decoded values: l is the left column's
+// value, r the right column's (ignored for a constant comparison). A NULL
+// never satisfies a comparison against a constant; two columns compare under
+// schema.CompareValues, NULLs included. scanFilter compiles exactly this over
+// encoded cells.
+func (p localPred) holds(l, r schema.Value) bool {
+	if p.colVsCol {
+		return compareOK(schema.CompareValues(l, r), p.op)
+	}
+	return l != nil && compareOK(schema.CompareValues(l, p.value), p.op)
+}
+
+// crossPred compares columns of two different bindings: an equi-join when op
+// is "=", a residual condition otherwise.
+type crossPred struct {
+	l, r colRef
+	op   sqlparser.CompareOp
+}
+
+// outCol is one result column.
+type outCol struct {
+	name    string
+	src     colRef
+	literal bool // literal select item: no source, the key stays absent from result rows
+}
+
+// aggItem is one select item of an aggregated statement: an aggregate call
+// over arg, or (fn == "") a plain column riding along from the group's
+// representative row.
+type aggItem struct {
+	fn   string
+	star bool
+	arg  colRef
+}
+
+type orderKey struct {
+	src  colRef
+	desc bool
 }
 
 type query struct {
@@ -165,14 +255,26 @@ type query struct {
 	opts     QueryOpts
 	bindings []*binding
 	byName   map[string]*binding
-	local    map[string][]boundPred // binding -> single-binding predicates
-	joins    []boundPred            // cross-binding equi-joins
-	residual []boundPred            // everything else cross-binding
+	joins    []crossPred // cross-binding equi-joins
+	residual []crossPred // everything else cross-binding
+	width    int         // slots of a joined tuple
+	spills   bool        // a hash-join stage may carry its output into another
+
+	// Output plan. A plain statement sorts and projects joined tuples; an
+	// aggregated one sorts and projects aggregate output rows, laid out as
+	// one slot per select item followed by one per GROUP BY column.
+	aggregated bool
+	groupBy    []colRef
+	aggs       []aggItem // parallel to sel.Items when aggregated
+	orderBy    []orderKey
+	out        []outCol
 }
 
 // analyzeStmt resolves FROM bindings (executing derived tables against the
-// caller's ctx so their cost lands on the request) and classifies WHERE
-// predicates into per-binding filters, equi-joins and residual conditions.
+// caller's ctx so their cost lands on the request), classifies WHERE
+// predicates into per-binding filters, equi-joins and residual conditions,
+// resolves the select list, GROUP BY and ORDER BY, and lays the referenced
+// columns out into tuple slots.
 func (e *Engine) analyzeStmt(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []schema.Value, opts QueryOpts) (*query, error) {
 	q := &query{
 		eng:    e,
@@ -180,24 +282,16 @@ func (e *Engine) analyzeStmt(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []s
 		params: params,
 		opts:   opts,
 		byName: map[string]*binding{},
-		local:  map[string][]boundPred{},
 	}
 	for _, ref := range sel.From {
 		b := &binding{name: ref.Binding()}
 		if ref.Sub != nil {
-			rs, err := e.QueryOpts(ctx, ref.Sub, params, opts)
+			sub, err := e.execute(ctx, ref.Sub, params, opts)
 			if err != nil {
 				return nil, fmt.Errorf("phoenix: derived table %s: %w", b.name, err)
 			}
-			b.cols = rs.Columns
-			b.derived = make([]tuple, len(rs.Rows))
-			for i, row := range rs.Rows {
-				t := make(tuple, len(row))
-				for k, v := range row {
-					t[b.name+"."+k] = v
-				}
-				b.derived[i] = t
-			}
+			b.derived = sub
+			b.cols = sub.columns()
 		} else {
 			info, err := e.cat.Table(ref.Name)
 			if err != nil {
@@ -212,10 +306,18 @@ func (e *Engine) analyzeStmt(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []s
 		q.bindings = append(q.bindings, b)
 		q.byName[b.name] = b
 	}
+	q.spills = len(q.bindings) >= 3
 	for _, pred := range sel.Where {
 		if err := q.bindPredicate(pred); err != nil {
 			return nil, err
 		}
+	}
+	if err := q.planOutput(); err != nil {
+		return nil, err
+	}
+	for _, b := range q.bindings {
+		b.off = q.width
+		q.width += len(b.refs)
 	}
 	return q, nil
 }
@@ -247,6 +349,16 @@ func (q *query) resolveColumn(c sqlparser.ColumnRef) (*binding, error) {
 	return owner, nil
 }
 
+// column resolves a reference the executor will read from tuples, giving it a
+// slot.
+func (q *query) column(c sqlparser.ColumnRef) (colRef, error) {
+	b, err := q.resolveColumn(c)
+	if err != nil {
+		return colRef{}, err
+	}
+	return colRef{b: b, i: b.ref(c.Column)}, nil
+}
+
 func (q *query) evalOperand(e sqlparser.Expr) (schema.Value, error) {
 	switch x := e.(type) {
 	case sqlparser.Literal:
@@ -274,19 +386,16 @@ func (q *query) bindPredicate(p sqlparser.Predicate) error {
 		if err != nil {
 			return err
 		}
-		bp := boundPred{
-			lBind: lb.name, lCol: lcol.Column, op: p.Op,
-			rBind: rb.name, rCol: rcol.Column, isJoin: true,
-		}
 		if lb == rb {
 			// Same-binding column comparison: a local filter.
-			q.local[lb.name] = append(q.local[lb.name], bp)
+			lb.local = append(lb.local, localPred{col: lcol.Column, op: p.Op, rcol: rcol.Column, colVsCol: true})
 			return nil
 		}
+		cp := crossPred{l: colRef{lb, lb.ref(lcol.Column)}, r: colRef{rb, rb.ref(rcol.Column)}, op: p.Op}
 		if p.Op == sqlparser.OpEq {
-			q.joins = append(q.joins, bp)
+			q.joins = append(q.joins, cp)
 		} else {
-			q.residual = append(q.residual, bp)
+			q.residual = append(q.residual, cp)
 		}
 		return nil
 	case lIsCol:
@@ -298,7 +407,7 @@ func (q *query) bindPredicate(p sqlparser.Predicate) error {
 		if err != nil {
 			return err
 		}
-		q.local[lb.name] = append(q.local[lb.name], boundPred{lBind: lb.name, lCol: lcol.Column, op: p.Op, value: v})
+		lb.local = append(lb.local, localPred{col: lcol.Column, op: p.Op, value: v})
 		return nil
 	case rIsCol:
 		rb, err := q.resolveColumn(rcol)
@@ -309,7 +418,7 @@ func (q *query) bindPredicate(p sqlparser.Predicate) error {
 		if err != nil {
 			return err
 		}
-		q.local[rb.name] = append(q.local[rb.name], boundPred{lBind: rb.name, lCol: rcol.Column, op: flipOp(p.Op), value: v})
+		rb.local = append(rb.local, localPred{col: rcol.Column, op: flipOp(p.Op), value: v})
 		return nil
 	default:
 		return fmt.Errorf("phoenix: predicate %s compares two constants", p)
@@ -350,21 +459,153 @@ func compareOK(cmp int, op sqlparser.CompareOp) bool {
 	}
 }
 
-func (p boundPred) evalLocal(row schema.Row) bool {
-	if p.isJoin { // same-binding column comparison
-		return compareOK(schema.CompareValues(row[p.lCol], row[p.rCol]), p.op)
+func hasAggregates(sel *sqlparser.SelectStmt) bool {
+	for _, it := range sel.Items {
+		if _, ok := it.Expr.(sqlparser.AggExpr); ok {
+			return true
+		}
 	}
-	v, ok := row[p.lCol]
-	if !ok || v == nil {
-		return false
-	}
-	return compareOK(schema.CompareValues(v, p.value), p.op)
+	return false
 }
 
-func (p boundPred) evalTuple(t tuple) bool {
-	l := t[p.lBind+"."+p.lCol]
-	if p.isJoin {
-		return compareOK(schema.CompareValues(l, t[p.rBind+"."+p.rCol]), p.op)
+func aggOutputName(it sqlparser.SelectItem) string {
+	if it.Alias != "" {
+		return it.Alias
 	}
-	return compareOK(schema.CompareValues(l, p.value), p.op)
+	return it.Expr.String()
+}
+
+// planOutput resolves the select list, GROUP BY and ORDER BY against the
+// bindings, registering every column they read. Result columns get friendly
+// names: unqualified when unambiguous, binding-qualified otherwise.
+func (q *query) planOutput() error {
+	sel := q.sel
+	q.aggregated = len(sel.GroupBy) > 0 || hasAggregates(sel)
+
+	owners := map[string]int{}
+	for _, b := range q.bindings {
+		for _, c := range b.cols {
+			owners[c]++
+		}
+	}
+	outName := func(bind, col string) string {
+		if owners[col] > 1 {
+			return bind + "." + col
+		}
+		return col
+	}
+
+	switch {
+	case q.aggregated:
+		for _, c := range sel.GroupBy {
+			r, err := q.column(c)
+			if err != nil {
+				return err
+			}
+			q.groupBy = append(q.groupBy, r)
+		}
+		for i, it := range sel.Items {
+			switch x := it.Expr.(type) {
+			case sqlparser.AggExpr:
+				switch x.Fn {
+				case "COUNT", "SUM", "AVG", "MIN", "MAX":
+				default:
+					return fmt.Errorf("phoenix: unknown aggregate %q", x.Fn)
+				}
+				agg := aggItem{fn: x.Fn, star: x.Star}
+				if !x.Star {
+					r, err := q.column(*x.Arg)
+					if err != nil {
+						return err
+					}
+					agg.arg = r
+				}
+				q.aggs = append(q.aggs, agg)
+				q.out = append(q.out, outCol{name: aggOutputName(it), src: colRef{i: i}})
+			case sqlparser.ColumnRef:
+				// Non-aggregate items ride along from the group's
+				// representative row (TPC-W queries select columns
+				// functionally dependent on the group key, e.g. i_title
+				// with GROUP BY i_id).
+				r, err := q.column(x)
+				if err != nil {
+					return err
+				}
+				name := it.Alias
+				if name == "" {
+					name = x.Column
+				}
+				q.aggs = append(q.aggs, aggItem{arg: r})
+				q.out = append(q.out, outCol{name: name, src: colRef{i: i}})
+			default:
+				return fmt.Errorf("phoenix: unsupported select item %s", it)
+			}
+		}
+	case sel.Star:
+		for _, b := range q.bindings {
+			for _, c := range b.cols {
+				q.out = append(q.out, outCol{name: outName(b.name, c), src: colRef{b, b.ref(c)}})
+			}
+		}
+	default:
+		for _, it := range sel.Items {
+			switch x := it.Expr.(type) {
+			case sqlparser.ColumnRef:
+				r, err := q.column(x)
+				if err != nil {
+					return err
+				}
+				name := it.Alias
+				if name == "" {
+					name = outName(r.b.name, x.Column)
+				}
+				q.out = append(q.out, outCol{name: name, src: r})
+			case sqlparser.Literal:
+				q.out = append(q.out, outCol{name: it.Expr.String(), literal: true})
+			default:
+				return fmt.Errorf("phoenix: unsupported select item %s", it)
+			}
+		}
+	}
+
+	for _, o := range sel.OrderBy {
+		src, constant, err := q.orderSource(o.Col)
+		if err != nil {
+			return err
+		}
+		if !constant {
+			q.orderBy = append(q.orderBy, orderKey{src: src, desc: o.Desc})
+		}
+	}
+	return nil
+}
+
+// orderSource resolves an ORDER BY key: a select item's alias names that
+// item's output; anything else is a column — of the joined tuple for a plain
+// statement, and for an aggregated one a column the aggregate output carries
+// (a GROUP BY key or a selected column). constant reports a key that cannot
+// reorder rows (the alias of a literal item).
+func (q *query) orderSource(c sqlparser.ColumnRef) (src colRef, constant bool, err error) {
+	if c.Table == "" && !q.sel.Star { // q.out parallels sel.Items
+		for i, it := range q.sel.Items {
+			if it.Alias == c.Column {
+				return q.out[i].src, q.out[i].literal, nil
+			}
+		}
+	}
+	r, err := q.column(c)
+	if err != nil || !q.aggregated {
+		return r, false, err
+	}
+	for g, k := range q.groupBy {
+		if k == r {
+			return colRef{i: len(q.aggs) + g}, false, nil
+		}
+	}
+	for i, a := range q.aggs {
+		if a.fn == "" && a.arg == r {
+			return colRef{i: i}, false, nil
+		}
+	}
+	return colRef{}, false, fmt.Errorf("%w: ORDER BY %s is neither grouped nor selected", ErrUnsupported, c)
 }

@@ -1,10 +1,11 @@
 package phoenix
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
-	"sort"
-	"strings"
+	"slices"
 
 	"synergy/internal/hbase"
 	"synergy/internal/schema"
@@ -37,9 +38,9 @@ type accessPlan struct {
 // probes).
 func (q *query) chooseAccess(b *binding, extraEqCols []string) accessPlan {
 	eq := map[string]bool{}
-	for _, p := range q.local[b.name] {
-		if !p.isJoin && p.op == sqlparser.OpEq {
-			eq[p.lCol] = true
+	for _, p := range b.local {
+		if !p.colVsCol && p.op == sqlparser.OpEq {
+			eq[p.col] = true
 		}
 	}
 	for _, c := range extraEqCols {
@@ -96,13 +97,39 @@ func (q *query) chooseAccess(b *binding, extraEqCols []string) accessPlan {
 }
 
 // localEqValue returns the value bound to col by a local equality predicate.
-func (q *query) localEqValue(b *binding, col string) (schema.Value, bool) {
-	for _, p := range q.local[b.name] {
-		if !p.isJoin && p.op == sqlparser.OpEq && p.lCol == col {
+func (b *binding) localEqValue(col string) (schema.Value, bool) {
+	for _, p := range b.local {
+		if !p.colVsCol && p.op == sqlparser.OpEq && p.col == col {
 			return p.value, true
 		}
 	}
 	return nil, false
+}
+
+// table names the store table the plan reads: the covered index for an index
+// prefix, the binding's own table otherwise.
+func (p accessPlan) table(b *binding) string {
+	if p.kind == accessIndexPrefix {
+		return p.index.Name
+	}
+	return b.info.Name
+}
+
+// keyRange restricts spec to the rows under the plan's bound key prefix and
+// reports whether that prefix is the whole row key — then the range is the
+// single row [key, key+\x00), otherwise a prefix scan.
+func (p accessPlan) keyRange(b *binding, vals []schema.Value, spec *hbase.ScanSpec) (point bool) {
+	keyLen := len(b.info.Key)
+	if p.kind == accessIndexPrefix {
+		keyLen += len(p.index.On)
+	}
+	if len(p.eqCols) == keyLen {
+		spec.Start = schema.EncodeKey(vals...)
+		spec.Stop = spec.Start + "\x00"
+		return true
+	}
+	spec.Prefix = schema.KeyPrefix(vals...)
+	return false
 }
 
 // openScan opens a binding scan through the query's reader: an explicit
@@ -120,85 +147,99 @@ func (q *query) openScan(ctx *sim.Ctx, tbl string, spec hbase.ScanSpec) (hbase.R
 	return q.eng.client.Scan(ctx, tbl, spec)
 }
 
+// scanSpec builds the store scan of a table binding under its access plan:
+// the key range its local equalities bind and its local predicates as the
+// pushed-down filter. Full table and index-range scans scatter-gather across
+// regions (Phoenix intra-query parallelism); single-row lookups opt out.
+func (q *query) scanSpec(b *binding, plan accessPlan) (string, hbase.ScanSpec, error) {
+	spec := hbase.ScanSpec{Read: q.opts.Read, Filter: scanFilter(b.local)}
+	if plan.kind != accessFullScan {
+		vals := make([]schema.Value, 0, len(plan.eqCols))
+		for _, c := range plan.eqCols {
+			v, ok := b.localEqValue(c)
+			if !ok {
+				return "", spec, fmt.Errorf("phoenix: internal: missing eq value for %s.%s", b.name, c)
+			}
+			vals = append(vals, v)
+		}
+		spec.Sequential = plan.keyRange(b, vals, &spec)
+	}
+	return plan.table(b), spec, nil
+}
+
+// decodeRefs decodes the referenced columns of a stored row into dst, one
+// value per entry of refs; every other cell stays encoded.
+func decodeRefs(refs []string, cells hbase.Cells, dst []schema.Value) {
+	for i, c := range refs {
+		dst[i] = DecodeValue(cellOf(cells, c))
+	}
+}
+
+// valueSize is a value's share of a tuple's spill footprint.
+func valueSize(v schema.Value) int {
+	if s, ok := v.(string); ok {
+		return len(s)
+	}
+	return 9
+}
+
+// rowSize is the spill footprint of a full stored row under binding bind:
+// per column its "bind.column" name plus the value (string payload bytes, 9
+// for anything else), read off the encoded cells so no column needs decoding.
+func rowSize(bind string, cells hbase.Cells) int {
+	n := 0
+	for i := range cells {
+		q := cells[i].Qualifier
+		if len(q) > 0 && q[0] == '_' {
+			continue
+		}
+		n += len(bind) + 1 + len(q)
+		if v := cells[i].Value; RawCellKind(v) == CellString {
+			n += len(v) - 1
+		} else {
+			n += 9
+		}
+	}
+	return n
+}
+
+// spillSize is rowSize for statements that can spill, 0 for the rest.
+func (q *query) spillSize(b *binding, r hbase.RowResult) int {
+	if !q.spills {
+		return 0
+	}
+	return rowSize(b.name, r.Cells)
+}
+
+// newVals allocates the values of a tuple read from binding b and returns
+// them with b's segment: wide for the statement's first binding (the full
+// joined layout), narrow — just the segment — for a join's inner side.
+func (q *query) newVals(b *binding, wide bool) (vals, seg []schema.Value) {
+	if !wide {
+		vals = make([]schema.Value, len(b.refs))
+		return vals, vals
+	}
+	vals = make([]schema.Value, q.width)
+	return vals, vals[b.off:]
+}
+
+// scanTuple turns a scanned row into a tuple.
+func (q *query) scanTuple(b *binding, r hbase.RowResult, wide bool) tuple {
+	vals, seg := q.newVals(b, wide)
+	decodeRefs(b.refs, r.Cells, seg)
+	return tuple{vals: vals, size: q.spillSize(b, r)}
+}
+
 // scanBinding fetches a binding's rows via its access plan, applying all
 // local predicates (pushed down server-side) and converting to tuples.
-func (q *query) scanBinding(ctx *sim.Ctx, b *binding, plan accessPlan) ([]tuple, error) {
+func (q *query) scanBinding(ctx *sim.Ctx, b *binding, plan accessPlan, wide bool) ([]tuple, error) {
 	if b.derived != nil {
-		out := make([]tuple, 0, len(b.derived))
-		for _, t := range b.derived {
-			ok := true
-			for _, p := range q.local[b.name] {
-				row := make(schema.Row, len(t))
-				for k, v := range t {
-					row[strings.TrimPrefix(k, b.name+".")] = v
-				}
-				if !p.evalLocal(row) {
-					ok = false
-					break
-				}
-			}
-			if ok {
-				out = append(out, t)
-			}
-		}
-		return out, nil
+		return q.scanDerived(b, wide), nil
 	}
-
-	spec := hbase.ScanSpec{Read: q.opts.Read}
-	tableName := b.info.Name
-	switch plan.kind {
-	case accessPKPrefix:
-		vals := make([]schema.Value, 0, len(plan.eqCols))
-		for _, c := range plan.eqCols {
-			v, ok := q.localEqValue(b, c)
-			if !ok {
-				return nil, fmt.Errorf("phoenix: internal: missing eq value for %s.%s", b.name, c)
-			}
-			vals = append(vals, v)
-		}
-		if len(plan.eqCols) == len(b.info.Key) {
-			spec.Start = schema.EncodeKey(vals...)
-			spec.Stop = spec.Start + "\x00"
-			spec.Sequential = true // single-row point lookup
-		} else {
-			spec.Prefix = schema.KeyPrefix(vals...)
-		}
-	case accessIndexPrefix:
-		tableName = plan.index.Name
-		vals := make([]schema.Value, 0, len(plan.eqCols))
-		for _, c := range plan.eqCols {
-			v, ok := q.localEqValue(b, c)
-			if !ok {
-				return nil, fmt.Errorf("phoenix: internal: missing eq value for %s.%s", b.name, c)
-			}
-			vals = append(vals, v)
-		}
-		spec.Prefix = schema.KeyPrefix(vals...)
-		if len(plan.eqCols) == len(plan.index.On)+len(b.info.Key) {
-			spec.Prefix = ""
-			spec.Start = schema.EncodeKey(vals...)
-			spec.Stop = spec.Start + "\x00"
-			spec.Sequential = true // single-row point lookup
-		}
+	tableName, spec, err := q.scanSpec(b, plan)
+	if err != nil {
+		return nil, err
 	}
-	// Full table and index-range scans scatter-gather across regions
-	// (Phoenix intra-query parallelism); point lookups above opt out.
-
-	// A scan with no local predicates ships no filter at all: the region
-	// returns every visible row without the per-row decode an accept-all
-	// closure would pay.
-	if local := q.local[b.name]; len(local) > 0 {
-		spec.Filter = func(r hbase.RowResult) bool {
-			row := CellsToRow(r)
-			for _, p := range local {
-				if !p.evalLocal(row) {
-					return false
-				}
-			}
-			return true
-		}
-	}
-
 	if b.info.IsView && q.opts.OnViewScan != nil {
 		if err := q.opts.OnViewScan(ctx, b.info.Name); err != nil {
 			return nil, err
@@ -227,12 +268,7 @@ func (q *query) scanBinding(ctx *sim.Ctx, b *binding, plan accessPlan) ([]tuple,
 				sc.Close(ctx) // abandon in-flight region fetches
 				break
 			}
-			row := CellsToRow(r)
-			t := make(tuple, len(row))
-			for k, v := range row {
-				t[b.name+"."+k] = v
-			}
-			out = append(out, t)
+			out = append(out, q.scanTuple(b, r, wide))
 		}
 		if !dirty {
 			return out, nil
@@ -246,6 +282,62 @@ func (q *query) scanBinding(ctx *sim.Ctx, b *binding, plan accessPlan) ([]tuple,
 	}
 }
 
+// scanDerived filters a derived table's materialized rows by the binding's
+// local predicates and re-slots the referenced columns into tuples.
+func (q *query) scanDerived(b *binding, wide bool) []tuple {
+	sub := b.derived
+	type posPred struct {
+		localPred
+		l, r int // positions of col and rcol in a derived row
+	}
+	preds := make([]posPred, len(b.local))
+	for i, p := range b.local {
+		preds[i] = posPred{localPred: p, l: b.colPos(p.col)}
+		if p.colVsCol {
+			preds[i].r = b.colPos(p.rcol)
+		}
+	}
+	src := make([]int, len(b.refs))
+	for i, c := range b.refs {
+		src[i] = b.colPos(c)
+	}
+	// The spill footprint counts each distinct non-literal column once.
+	var sized []int
+	nameBytes := 0
+	if q.spills {
+		for j, c := range b.cols {
+			if !sub.out[j].literal && b.colPos(c) == j {
+				sized = append(sized, j)
+				nameBytes += len(b.name) + 1 + len(c)
+			}
+		}
+	}
+
+	out := make([]tuple, 0, len(sub.rows))
+rows:
+	for _, d := range sub.rows {
+		for _, p := range preds {
+			var r schema.Value
+			if p.colVsCol {
+				r = sub.value(d, p.r)
+			}
+			if !p.holds(sub.value(d, p.l), r) {
+				continue rows
+			}
+		}
+		vals, seg := q.newVals(b, wide)
+		t := tuple{vals: vals, size: nameBytes}
+		for i, j := range src {
+			seg[i] = sub.value(d, j)
+		}
+		for _, j := range sized {
+			t.size += valueSize(sub.value(d, j))
+		}
+		out = append(out, t)
+	}
+	return out
+}
+
 // ---------------------------------------------------------------------------
 // Join execution
 
@@ -254,30 +346,22 @@ func (q *query) run(ctx *sim.Ctx) ([]tuple, error) {
 		return nil, fmt.Errorf("phoenix: no FROM bindings")
 	}
 	// Pick the start binding: cheapest access.
-	type cand struct {
-		b    *binding
-		plan accessPlan
-	}
-	var start cand
+	var start *binding
+	var startPlan accessPlan
 	for i, b := range q.bindings {
-		var plan accessPlan
-		if b.derived != nil {
-			plan = accessPlan{kind: accessFullScan, rowsEst: len(b.derived)}
-		} else {
-			plan = q.chooseAccess(b, nil)
-		}
-		if i == 0 || plan.rowsEst < start.plan.rowsEst {
-			start = cand{b: b, plan: plan}
+		plan := q.fullPlan(b)
+		if i == 0 || plan.rowsEst < startPlan.rowsEst {
+			start, startPlan = b, plan
 		}
 	}
-	current, err := q.scanBinding(ctx, start.b, start.plan)
+	current, err := q.scanBinding(ctx, start, startPlan, true)
 	if err != nil {
 		return nil, err
 	}
-	joined := map[string]bool{start.b.name: true}
+	joined := map[*binding]bool{start: true}
 	remaining := make([]*binding, 0, len(q.bindings)-1)
 	for _, b := range q.bindings {
-		if b != start.b {
+		if b != start {
 			remaining = append(remaining, b)
 		}
 	}
@@ -286,7 +370,7 @@ func (q *query) run(ctx *sim.Ctx) ([]tuple, error) {
 		// Prefer a binding connected to the joined set by equi-joins.
 		picked := -1
 		for i, b := range remaining {
-			if len(q.joinCols(joined, b)) > 0 {
+			if outer, _ := q.joinCols(joined, b); len(outer) > 0 {
 				picked = i
 				break
 			}
@@ -307,93 +391,114 @@ func (q *query) run(ctx *sim.Ctx) ([]tuple, error) {
 		if err != nil {
 			return nil, err
 		}
-		joined[b.name] = true
+		joined[b] = true
 	}
 
 	// Residual cross-binding predicates.
 	if len(q.residual) > 0 {
 		kept := current[:0]
+	tuples:
 		for _, t := range current {
-			ok := true
 			for _, p := range q.residual {
-				if !p.evalTuple(t) {
-					ok = false
-					break
+				if !compareOK(schema.CompareValues(t.vals[p.l.slot()], t.vals[p.r.slot()]), p.op) {
+					continue tuples
 				}
 			}
-			if ok {
-				kept = append(kept, t)
-			}
+			kept = append(kept, t)
 		}
 		current = kept
 	}
 	return current, nil
 }
 
-// joinCols returns pairs (outerKey, innerCol) of equi-join conditions
-// linking the joined set to binding b.
-func (q *query) joinCols(joined map[string]bool, b *binding) (pairs [][2]string) {
+// fullPlan is a binding's access plan from its local predicates alone (no
+// join-derived equalities): what a start scan or a hash join's build side
+// uses.
+func (q *query) fullPlan(b *binding) accessPlan {
+	if b.derived != nil {
+		return accessPlan{kind: accessFullScan, rowsEst: len(b.derived.rows)}
+	}
+	return q.chooseAccess(b, nil)
+}
+
+// joinCols returns the equi-join conditions linking the joined set to
+// binding b as parallel column lists: outer[i] (in the joined tuple) must
+// equal inner[i] (a column of b).
+func (q *query) joinCols(joined map[*binding]bool, b *binding) (outer, inner []colRef) {
 	for _, j := range q.joins {
 		switch {
-		case joined[j.lBind] && j.rBind == b.name:
-			pairs = append(pairs, [2]string{j.lBind + "." + j.lCol, j.rCol})
-		case joined[j.rBind] && j.lBind == b.name:
-			pairs = append(pairs, [2]string{j.rBind + "." + j.rCol, j.lCol})
+		case joined[j.l.b] && j.r.b == b:
+			outer, inner = append(outer, j.l), append(inner, j.r)
+		case joined[j.r.b] && j.l.b == b:
+			outer, inner = append(outer, j.r), append(inner, j.l)
 		}
 	}
-	return pairs
+	return outer, inner
+}
+
+// merge builds a join's output tuple: the outer tuple with the inner
+// binding's segment copied in.
+func merge(o tuple, b *binding, in tuple) tuple {
+	vals := make([]schema.Value, len(o.vals))
+	copy(vals, o.vals)
+	copy(vals[b.off:], in.vals)
+	return tuple{vals: vals, size: o.size + in.size}
 }
 
 // joinBinding joins the current intermediate result with binding b. It uses
 // an index nested-loop when the outer side is small and the inner side has a
 // usable key; otherwise a client hash join over a full (filtered) scan, which
 // is where the Phoenix join-algorithm cost of Figure 10 comes from.
-func (q *query) joinBinding(ctx *sim.Ctx, outer []tuple, b *binding, joined map[string]bool, moreStages bool) ([]tuple, error) {
-	pairs := q.joinCols(joined, b)
-	innerCols := make([]string, len(pairs))
-	outerKeys := make([]string, len(pairs))
-	for i, p := range pairs {
-		outerKeys[i], innerCols[i] = p[0], p[1]
-	}
+func (q *query) joinBinding(ctx *sim.Ctx, outer []tuple, b *binding, joined map[*binding]bool, moreStages bool) ([]tuple, error) {
+	outerCols, innerCols := q.joinCols(joined, b)
 
 	if b.derived == nil && len(outer) > 0 && len(outer) <= q.eng.costs.INLThreshold {
-		if plan, ok := q.inlPlan(b, innerCols); ok {
-			return q.indexNestedLoop(ctx, outer, b, plan, outerKeys, innerCols)
+		names := make([]string, len(innerCols))
+		for i, c := range innerCols {
+			names[i] = b.refs[c.i]
+		}
+		if plan, ok := q.inlPlan(b, names); ok {
+			return q.indexNestedLoop(ctx, outer, b, plan, outerCols, innerCols)
 		}
 	}
 
 	// Hash join: scan inner fully (with local filters pushed down), build
-	// hash on inner, probe with outer.
-	var innerPlan accessPlan
-	if b.derived != nil {
-		innerPlan = accessPlan{kind: accessFullScan, rowsEst: len(b.derived)}
-	} else {
-		innerPlan = q.chooseAccess(b, nil)
-	}
-	inner, err := q.scanBinding(ctx, b, innerPlan)
+	// hash on inner, probe with outer. Rows sharing a key chain through
+	// next in scan order, so matches come out in the order they were read.
+	inner, err := q.scanBinding(ctx, b, q.fullPlan(b), false)
 	if err != nil {
 		return nil, err
 	}
 	costs := q.eng.costs
-	build := make(map[string][]tuple, len(inner))
-	for _, t := range inner {
-		key := joinKey(t, b.name, innerCols)
-		build[key] = append(build[key], t)
+	innerSlots := make([]int, len(innerCols))
+	outerSlots := make([]int, len(outerCols))
+	for i := range innerCols {
+		innerSlots[i], outerSlots[i] = innerCols[i].i, outerCols[i].slot()
+	}
+	heads := make(map[string]int32, len(inner))
+	next := make([]int32, len(inner))
+	last := make([]int32, len(inner))
+	var key []byte
+	for i, t := range inner {
+		key = appendKey(key[:0], t.vals, innerSlots)
+		next[i] = -1
+		if h, ok := heads[string(key)]; ok {
+			next[last[h]] = int32(i)
+			last[h] = int32(i)
+		} else {
+			heads[string(key)] = int32(i)
+			last[i] = int32(i)
+		}
 	}
 	ctx.Charge(sim.Micros(int64(len(inner)) * int64(costs.JoinBuildRow)))
 
 	var out []tuple
 	for _, o := range outer {
-		key := joinKeyQualified(o, outerKeys)
-		for _, in := range build[key] {
-			merged := make(tuple, len(o)+len(in))
-			for k, v := range o {
-				merged[k] = v
+		key = appendKey(key[:0], o.vals, outerSlots)
+		if h, ok := heads[string(key)]; ok {
+			for i := h; i >= 0; i = next[i] {
+				out = append(out, merge(o, b, inner[i]))
 			}
-			for k, v := range in {
-				merged[k] = v
-			}
-			out = append(out, merged)
 		}
 	}
 	ctx.Charge(sim.Micros(int64(len(outer)) * int64(costs.JoinProbeRow)))
@@ -403,7 +508,7 @@ func (q *query) joinBinding(ctx *sim.Ctx, outer []tuple, b *binding, joined map[
 		// and spill (§III: joins are expensive in the NoSQL store).
 		var bytes int
 		for _, t := range out {
-			bytes += tupleBytes(t)
+			bytes += t.size
 		}
 		ctx.Charge(sim.Micros(int64(len(out)) * int64(costs.IntermediateRow)))
 		ctx.Charge(costs.SpillPerByte.Mul(bytes))
@@ -435,388 +540,313 @@ func (q *query) inlPlan(b *binding, joinCols []string) (accessPlan, bool) {
 
 // indexNestedLoop probes the inner table once per outer tuple using point
 // gets / prefix scans.
-func (q *query) indexNestedLoop(ctx *sim.Ctx, outer []tuple, b *binding, plan accessPlan, outerKeys, innerCols []string) ([]tuple, error) {
-	joinVal := map[string]int{} // inner col -> index into outerKeys
-	for i, c := range innerCols {
-		joinVal[c] = i
-	}
+func (q *query) indexNestedLoop(ctx *sim.Ctx, outer []tuple, b *binding, plan accessPlan, outerCols, innerCols []colRef) ([]tuple, error) {
 	if b.info.IsView && q.opts.OnViewScan != nil {
 		if err := q.opts.OnViewScan(ctx, b.info.Name); err != nil {
 			return nil, err
 		}
 	}
-	tableName := b.info.Name
-	if plan.kind == accessIndexPrefix {
-		tableName = plan.index.Name
-	}
-	local := q.local[b.name]
-	var out []tuple
-	for _, o := range outer {
-		vals := make([]schema.Value, 0, len(plan.eqCols))
-		ok := true
-		for _, c := range plan.eqCols {
-			if i, isJoin := joinVal[c]; isJoin {
-				vals = append(vals, o[outerKeys[i]])
-				continue
+	// Each key column of the probe takes its value from the outer tuple
+	// (probeSlot >= 0) or from a local equality (probeConst).
+	probeSlot := make([]int, len(plan.eqCols))
+	probeConst := make([]schema.Value, len(plan.eqCols))
+	for k, c := range plan.eqCols {
+		probeSlot[k] = -1
+		for i, in := range innerCols {
+			if b.refs[in.i] == c {
+				probeSlot[k] = outerCols[i].slot()
 			}
-			v, has := q.localEqValue(b, c)
-			if !has {
-				ok = false
-				break
-			}
-			vals = append(vals, v)
 		}
+		if probeSlot[k] >= 0 {
+			continue
+		}
+		v, ok := b.localEqValue(c)
 		if !ok {
 			return nil, fmt.Errorf("phoenix: internal: INL probe missing values")
 		}
-		// INL probes are per-outer-row point/short-prefix reads; the
-		// scatter-gather fan-out would cost more than it overlaps.
-		spec := hbase.ScanSpec{Prefix: schema.KeyPrefix(vals...), Read: q.opts.Read, Sequential: true}
-		fullKey := (plan.kind == accessPKPrefix && len(plan.eqCols) == len(b.info.Key)) ||
-			(plan.kind == accessIndexPrefix && len(plan.eqCols) == len(plan.index.On)+len(b.info.Key))
-		if fullKey {
-			spec.Prefix = ""
-			spec.Start = schema.EncodeKey(vals...)
-			spec.Stop = spec.Start + "\x00"
-		}
-		if len(local) > 0 {
-			spec.Filter = func(r hbase.RowResult) bool {
-				row := CellsToRow(r)
-				for _, p := range local {
-					if !p.evalLocal(row) {
-						return false
-					}
-				}
-				return true
+		probeConst[k] = v
+	}
+	tableName := plan.table(b)
+	filter := scanFilter(b.local)
+	dirtyChecked := q.opts.DirtyCheck && b.info.IsView
+	vals := make([]schema.Value, len(plan.eqCols))
+	var out []tuple
+	for _, o := range outer {
+		for k, s := range probeSlot {
+			if s >= 0 {
+				vals[k] = o.vals[s]
+			} else {
+				vals[k] = probeConst[k]
 			}
 		}
+		// INL probes are per-outer-row point/short-prefix reads; the
+		// scatter-gather fan-out would cost more than it overlaps.
+		spec := hbase.ScanSpec{Read: q.opts.Read, Sequential: true, Filter: filter}
+		plan.keyRange(b, vals, &spec)
 		sc, err := q.openScan(ctx, tableName, spec)
 		if err != nil {
 			return nil, err
 		}
+	rows:
 		for {
-			r, scanOK := sc.Next(ctx)
-			if !scanOK {
+			r, ok := sc.Next(ctx)
+			if !ok {
 				break
 			}
-			if q.opts.DirtyCheck && b.info.IsView && IsDirty(r) {
+			if dirtyChecked && IsDirty(r) {
 				// Point probes re-read the row rather than
 				// restarting the whole join.
 				ctx.CountRestart()
 				ctx.Charge(q.eng.costs.DirtyRestartPenalty)
 				continue
 			}
-			row := CellsToRow(r)
-			merged := make(tuple, len(o)+len(row))
-			for k, v := range o {
-				merged[k] = v
-			}
-			for k, v := range row {
-				merged[b.name+"."+k] = v
-			}
+			row := make([]schema.Value, q.width)
+			copy(row, o.vals)
+			decodeRefs(b.refs, r.Cells, row[b.off:])
 			// Re-check join equality (defensive; prefix probes
 			// guarantee it).
-			match := true
-			for i, c := range innerCols {
-				if !schema.ValuesEqual(merged[b.name+"."+c], o[outerKeys[i]]) {
-					match = false
-					break
+			for i, in := range innerCols {
+				if !schema.ValuesEqual(row[in.slot()], o.vals[outerCols[i].slot()]) {
+					continue rows
 				}
 			}
-			if match {
-				out = append(out, merged)
-			}
+			out = append(out, tuple{vals: row, size: o.size + q.spillSize(b, r)})
 		}
 	}
 	return out, nil
 }
 
 func (q *query) cartesianJoin(ctx *sim.Ctx, outer []tuple, b *binding) ([]tuple, error) {
-	var plan accessPlan
-	if b.derived != nil {
-		plan = accessPlan{kind: accessFullScan, rowsEst: len(b.derived)}
-	} else {
-		plan = q.chooseAccess(b, nil)
-	}
-	inner, err := q.scanBinding(ctx, b, plan)
+	inner, err := q.scanBinding(ctx, b, q.fullPlan(b), false)
 	if err != nil {
 		return nil, err
 	}
-	costs := q.eng.costs
 	var out []tuple
 	for _, o := range outer {
 		for _, in := range inner {
-			merged := make(tuple, len(o)+len(in))
-			for k, v := range o {
-				merged[k] = v
-			}
-			for k, v := range in {
-				merged[k] = v
-			}
-			out = append(out, merged)
+			out = append(out, merge(o, b, in))
 		}
 	}
-	ctx.Charge(sim.Micros(int64(len(out)) * int64(costs.JoinProbeRow)))
+	ctx.Charge(sim.Micros(int64(len(out)) * int64(q.eng.costs.JoinProbeRow)))
 	return out, nil
 }
 
-func joinKey(t tuple, bind string, cols []string) string {
-	var b strings.Builder
-	for i, c := range cols {
-		if i > 0 {
-			b.WriteByte(0)
-		}
-		b.WriteString(canonValue(t[bind+"."+c]))
-	}
-	return b.String()
-}
+// Key tags: every component of a join or group key is self-delimiting — a
+// tag byte, then a fixed 8-byte payload or a length-prefixed one — so
+// distinct value lists can never encode alike.
+const (
+	keyNull   = 0
+	keyInt    = 1 // any number with an exact int64 value, int64(5) ≡ float64(5)
+	keyFloat  = 2
+	keyString = 3
+	keyOther  = 4
+)
 
-func joinKeyQualified(t tuple, keys []string) string {
-	var b strings.Builder
-	for i, k := range keys {
-		if i > 0 {
-			b.WriteByte(0)
-		}
-		b.WriteString(canonValue(t[k]))
-	}
-	return b.String()
-}
-
-// canonValue renders a value so that int64(5) and float64(5) hash equal.
-func canonValue(v schema.Value) string {
-	switch x := v.(type) {
-	case nil:
-		return "\x00nil"
-	case int64:
-		return fmt.Sprintf("n%d", x)
-	case float64:
-		if x == float64(int64(x)) {
-			return fmt.Sprintf("n%d", int64(x))
-		}
-		return fmt.Sprintf("f%g", x)
-	default:
-		return fmt.Sprint(x)
-	}
-}
-
-func tupleBytes(t tuple) int {
-	n := 0
-	for k, v := range t {
-		n += len(k)
-		switch x := v.(type) {
+// appendKey appends the hash key of vals[slots...] to buf: values of
+// different types, or different values of one type, never share a key, except
+// that a number keys alike as int64 and as float64. Callers reuse buf across
+// rows and look maps up with string(buf), which does not allocate.
+func appendKey(buf []byte, vals []schema.Value, slots []int) []byte {
+	for _, s := range slots {
+		switch x := vals[s].(type) {
+		case nil:
+			buf = append(buf, keyNull)
+		case int64:
+			buf = binary.BigEndian.AppendUint64(append(buf, keyInt), uint64(x))
+		case int:
+			buf = binary.BigEndian.AppendUint64(append(buf, keyInt), uint64(x))
+		case float64:
+			if i := int64(x); float64(i) == x {
+				buf = binary.BigEndian.AppendUint64(append(buf, keyInt), uint64(i))
+			} else {
+				buf = binary.BigEndian.AppendUint64(append(buf, keyFloat), math.Float64bits(x))
+			}
 		case string:
-			n += len(x)
+			buf = append(binary.AppendUvarint(append(buf, keyString), uint64(len(x))), x...)
 		default:
-			n += 9
+			s := fmt.Sprint(x)
+			buf = append(binary.AppendUvarint(append(buf, keyOther), uint64(len(s))), s...)
 		}
 	}
-	return n
+	return buf
 }
 
 // ---------------------------------------------------------------------------
 // Aggregation, ordering, projection
 
-func (q *query) project(ctx *sim.Ctx, tuples []tuple) (*ResultSet, error) {
+// projected is a statement's result before it is keyed by column name: rows
+// in result order, each still in the layout of the stage that produced it,
+// and the output columns saying where in a row each one reads. The outermost
+// statement turns it into a ResultSet; a derived table hands it to the
+// enclosing query as is.
+type projected struct {
+	out  []outCol
+	rows []tuple
+}
+
+func (p *projected) columns() []string {
+	cols := make([]string, len(p.out))
+	for i, c := range p.out {
+		cols[i] = c.name
+	}
+	return cols
+}
+
+// value reads output column j of row t (nil for a literal item).
+func (p *projected) value(t tuple, j int) schema.Value {
+	if p.out[j].literal {
+		return nil
+	}
+	return t.vals[p.out[j].src.slot()]
+}
+
+func (p *projected) resultSet() *ResultSet {
+	rows := make([]schema.Row, len(p.rows))
+	for i, t := range p.rows {
+		row := make(schema.Row, len(p.out))
+		for _, c := range p.out {
+			if !c.literal {
+				row[c.name] = t.vals[c.src.slot()]
+			}
+		}
+		rows[i] = row
+	}
+	return &ResultSet{Columns: p.columns(), Rows: rows}
+}
+
+// project runs the post-join stages: aggregation, ORDER BY, LIMIT.
+func (q *query) project(ctx *sim.Ctx, tuples []tuple) *projected {
 	costs := q.eng.costs
 	sel := q.sel
 
-	if len(sel.GroupBy) > 0 || q.hasAggregates() {
-		var err error
-		tuples, err = q.aggregate(ctx, tuples)
-		if err != nil {
-			return nil, err
-		}
+	if q.aggregated {
+		tuples = q.aggregate(ctx, tuples)
 	}
 
 	if len(sel.OrderBy) > 0 {
-		keys := make([]string, len(sel.OrderBy))
-		for i, o := range sel.OrderBy {
-			k, err := q.outputKey(o.Col, tuples)
-			if err != nil {
-				return nil, err
-			}
-			keys[i] = k
-		}
 		n := len(tuples)
 		if n > 1 {
 			ctx.Charge(sim.Micros(int64(n) * int64(bits.Len(uint(n))) * int64(costs.SortRow)))
 		}
-		sort.SliceStable(tuples, func(i, j int) bool {
-			for k, key := range keys {
-				cmp := schema.CompareValues(tuples[i][key], tuples[j][key])
-				if cmp == 0 {
-					continue
+		slots := make([]int, len(q.orderBy))
+		for i, k := range q.orderBy {
+			slots[i] = k.src.slot()
+		}
+		slices.SortStableFunc(tuples, func(a, b tuple) int {
+			for k, s := range slots {
+				if cmp := schema.CompareValues(a.vals[s], b.vals[s]); cmp != 0 {
+					if q.orderBy[k].desc {
+						return -cmp
+					}
+					return cmp
 				}
-				if sel.OrderBy[k].Desc {
-					return cmp > 0
-				}
-				return cmp < 0
 			}
-			return false
+			return 0
 		})
 	}
 
 	if sel.Limit > 0 && len(tuples) > sel.Limit {
 		tuples = tuples[:sel.Limit]
 	}
-
-	return q.buildResult(tuples)
+	return &projected{out: q.out, rows: tuples}
 }
 
-func (q *query) hasAggregates() bool {
-	for _, it := range q.sel.Items {
-		if _, ok := it.Expr.(sqlparser.AggExpr); ok {
-			return true
-		}
-	}
-	return false
+// aggState is one aggregate's running state within one group.
+type aggState struct {
+	count    int64
+	sum      float64
+	min, max schema.Value
 }
 
-// outputKey resolves a column reference against tuple keys. For aggregated
-// tuples the key may be an output alias.
-func (q *query) outputKey(c sqlparser.ColumnRef, tuples []tuple) (string, error) {
-	if c.Table != "" {
-		return c.Table + "." + c.Column, nil
+// aggregate evaluates GROUP BY + aggregate select items. Each output row
+// holds one slot per select item — the aggregate's value, or a plain column
+// carried over from the group's first row — followed by the GROUP BY key
+// values.
+func (q *query) aggregate(ctx *sim.Ctx, tuples []tuple) []tuple {
+	groupSlots := make([]int, len(q.groupBy))
+	for i, c := range q.groupBy {
+		groupSlots[i] = c.slot()
 	}
-	// Alias of a select item?
-	for _, it := range q.sel.Items {
-		if it.Alias == c.Column {
-			return c.Column, nil
+	argSlots := make([]int, len(q.aggs))
+	for i, a := range q.aggs {
+		if !a.star {
+			argSlots[i] = a.arg.slot()
 		}
-	}
-	b, err := q.resolveColumn(c)
-	if err != nil {
-		// Fall back to a bare key (post-aggregation columns).
-		if len(tuples) > 0 {
-			if _, ok := tuples[0][c.Column]; ok {
-				return c.Column, nil
-			}
-		}
-		return "", err
-	}
-	return b.name + "." + c.Column, nil
-}
-
-// aggregate evaluates GROUP BY + aggregate select items. The output tuples
-// carry group-by columns under their qualified keys and aggregates under
-// their alias (or rendered expression).
-func (q *query) aggregate(ctx *sim.Ctx, tuples []tuple) ([]tuple, error) {
-	sel := q.sel
-	costs := q.eng.costs
-	groupKeys := make([]string, len(sel.GroupBy))
-	for i, c := range sel.GroupBy {
-		k, err := q.outputKey(c, tuples)
-		if err != nil {
-			return nil, err
-		}
-		groupKeys[i] = k
 	}
 
-	type aggState struct {
+	type group struct {
 		rep    tuple
-		counts map[string]int64
-		sums   map[string]float64
-		mins   map[string]schema.Value
-		maxs   map[string]schema.Value
+		states []aggState
 	}
-	groups := map[string]*aggState{}
-	var order []string
-
-	aggItems := map[string]sqlparser.AggExpr{}
-	for _, it := range sel.Items {
-		agg, ok := it.Expr.(sqlparser.AggExpr)
-		if !ok {
-			continue
-		}
-		aggItems[q.aggOutputName(it)] = agg
-	}
-
+	index := map[string]int{}
+	var groups []group // in first-seen order
+	var key []byte
 	for _, t := range tuples {
-		var kb strings.Builder
-		for _, gk := range groupKeys {
-			kb.WriteString(canonValue(t[gk]))
-			kb.WriteByte(0)
+		key = appendKey(key[:0], t.vals, groupSlots)
+		gi, ok := index[string(key)]
+		if !ok {
+			gi = len(groups)
+			index[string(key)] = gi
+			groups = append(groups, group{rep: t, states: make([]aggState, len(q.aggs))})
 		}
-		key := kb.String()
-		st := groups[key]
-		if st == nil {
-			st = &aggState{
-				rep:    t,
-				counts: map[string]int64{},
-				sums:   map[string]float64{},
-				mins:   map[string]schema.Value{},
-				maxs:   map[string]schema.Value{},
-			}
-			groups[key] = st
-			order = append(order, key)
-		}
-		for name, agg := range aggItems {
-			if agg.Star {
-				st.counts[name]++
+		states := groups[gi].states
+		for i, a := range q.aggs {
+			st := &states[i]
+			switch {
+			case a.fn == "":
+				continue
+			case a.star:
+				st.count++
 				continue
 			}
-			akey, err := q.outputKey(*agg.Arg, tuples)
-			if err != nil {
-				return nil, err
-			}
-			v := t[akey]
+			v := t.vals[argSlots[i]]
 			if v == nil {
 				continue
 			}
-			st.counts[name]++
+			st.count++
 			if f, ok := toFloat(v); ok {
-				st.sums[name] += f
+				st.sum += f
 			}
-			if cur, ok := st.mins[name]; !ok || schema.CompareValues(v, cur) < 0 {
-				st.mins[name] = v
+			if st.count == 1 || schema.CompareValues(v, st.min) < 0 {
+				st.min = v
 			}
-			if cur, ok := st.maxs[name]; !ok || schema.CompareValues(v, cur) > 0 {
-				st.maxs[name] = v
+			if st.count == 1 || schema.CompareValues(v, st.max) > 0 {
+				st.max = v
 			}
 		}
 	}
-	ctx.Charge(sim.Micros(int64(len(tuples)) * int64(costs.AggRow)))
+	ctx.Charge(sim.Micros(int64(len(tuples)) * int64(q.eng.costs.AggRow)))
 
-	out := make([]tuple, 0, len(groups))
-	for _, key := range order {
-		st := groups[key]
-		t := make(tuple)
-		for _, gk := range groupKeys {
-			t[gk] = st.rep[gk]
-		}
-		// Non-aggregate select items ride along from the group's
-		// representative row (TPC-W queries select columns functionally
-		// dependent on the group key, e.g. i_title with GROUP BY i_id).
-		for _, it := range sel.Items {
-			if c, ok := it.Expr.(sqlparser.ColumnRef); ok {
-				if k, err := q.outputKey(c, tuples); err == nil {
-					t[k] = st.rep[k]
-				}
-			}
-		}
-		for name, agg := range aggItems {
-			switch agg.Fn {
+	out := make([]tuple, len(groups))
+	for gi, g := range groups {
+		vals := make([]schema.Value, len(q.aggs)+len(groupSlots))
+		for i, a := range q.aggs {
+			st := g.states[i]
+			switch a.fn {
+			case "":
+				vals[i] = g.rep.vals[argSlots[i]]
 			case "COUNT":
-				t[name] = st.counts[name]
+				vals[i] = st.count
 			case "SUM":
-				if st.counts[name] > 0 {
-					t[name] = normalizeSum(st.sums[name])
+				if st.count > 0 {
+					vals[i] = normalizeSum(st.sum)
 				}
 			case "AVG":
-				if st.counts[name] > 0 {
-					t[name] = st.sums[name] / float64(st.counts[name])
+				if st.count > 0 {
+					vals[i] = st.sum / float64(st.count)
 				}
 			case "MIN":
-				t[name] = st.mins[name]
+				vals[i] = st.min
 			case "MAX":
-				t[name] = st.maxs[name]
-			default:
-				return nil, fmt.Errorf("phoenix: unknown aggregate %q", agg.Fn)
+				vals[i] = st.max
 			}
 		}
-		out = append(out, t)
+		for i, s := range groupSlots {
+			vals[len(q.aggs)+i] = g.rep.vals[s]
+		}
+		out[gi] = tuple{vals: vals}
 	}
-	return out, nil
+	return out
 }
 
 func normalizeSum(f float64) schema.Value {
@@ -835,103 +865,4 @@ func toFloat(v schema.Value) (float64, bool) {
 	default:
 		return 0, false
 	}
-}
-
-func (q *query) aggOutputName(it sqlparser.SelectItem) string {
-	if it.Alias != "" {
-		return it.Alias
-	}
-	return it.Expr.String()
-}
-
-// buildResult converts internal tuples to the client result set with
-// friendly column names: unqualified when unambiguous, binding-qualified
-// otherwise.
-func (q *query) buildResult(tuples []tuple) (*ResultSet, error) {
-	sel := q.sel
-	aggregated := len(sel.GroupBy) > 0 || q.hasAggregates()
-
-	// Count column ownership for ambiguity detection.
-	owners := map[string]int{}
-	for _, b := range q.bindings {
-		for _, c := range b.cols {
-			owners[c]++
-		}
-	}
-	outName := func(bind, col string) string {
-		if owners[col] > 1 {
-			return bind + "." + col
-		}
-		return col
-	}
-
-	var cols []string
-	type mapping struct {
-		out string
-		in  string
-	}
-	var maps []mapping
-
-	if sel.Star && !aggregated {
-		for _, b := range q.bindings {
-			for _, c := range b.cols {
-				maps = append(maps, mapping{out: outName(b.name, c), in: b.name + "." + c})
-			}
-		}
-	} else if aggregated {
-		for _, it := range sel.Items {
-			switch x := it.Expr.(type) {
-			case sqlparser.AggExpr:
-				name := q.aggOutputName(it)
-				maps = append(maps, mapping{out: name, in: name})
-			case sqlparser.ColumnRef:
-				key, err := q.outputKey(x, tuples)
-				if err != nil {
-					return nil, err
-				}
-				name := it.Alias
-				if name == "" {
-					name = x.Column
-				}
-				maps = append(maps, mapping{out: name, in: key})
-			default:
-				return nil, fmt.Errorf("phoenix: unsupported select item %s", it)
-			}
-		}
-	} else {
-		for _, it := range sel.Items {
-			switch x := it.Expr.(type) {
-			case sqlparser.ColumnRef:
-				b, err := q.resolveColumn(x)
-				if err != nil {
-					return nil, err
-				}
-				name := it.Alias
-				if name == "" {
-					name = outName(b.name, x.Column)
-				}
-				maps = append(maps, mapping{out: name, in: b.name + "." + x.Column})
-			case sqlparser.Literal:
-				maps = append(maps, mapping{out: it.Expr.String(), in: ""})
-			default:
-				return nil, fmt.Errorf("phoenix: unsupported select item %s", it)
-			}
-		}
-	}
-
-	for _, m := range maps {
-		cols = append(cols, m.out)
-	}
-	rows := make([]schema.Row, len(tuples))
-	for i, t := range tuples {
-		row := make(schema.Row, len(maps))
-		for _, m := range maps {
-			if m.in == "" {
-				continue
-			}
-			row[m.out] = t[m.in]
-		}
-		rows[i] = row
-	}
-	return &ResultSet{Columns: cols, Rows: rows}, nil
 }

@@ -211,6 +211,29 @@ func TestOrderByAscMultiKey(t *testing.T) {
 	}
 }
 
+// TestOrderByAlias: an ORDER BY key naming a select item's alias sorts by
+// that item — a plain column of a plain statement, or a column riding along
+// in an aggregated one — and an aggregated statement rejects a key its output
+// does not carry instead of silently not sorting.
+func TestOrderByAlias(t *testing.T) {
+	e, ctx := testDB(t)
+	rs := runQuery(t, e, ctx, "SELECT c_uname AS u FROM Customer ORDER BY u DESC LIMIT 1")
+	if len(rs.Rows) != 1 || rs.Rows[0]["u"] != "user10" {
+		t.Fatalf("ORDER BY alias of a column: %v", rs.Rows)
+	}
+	rs = runQuery(t, e, ctx, "SELECT o_c_id AS cust, COUNT(*) AS n FROM Orders GROUP BY o_c_id ORDER BY cust DESC LIMIT 1")
+	if len(rs.Rows) != 1 || rs.Rows[0]["cust"] != int64(10) {
+		t.Fatalf("ORDER BY alias of a grouped column: %v", rs.Rows)
+	}
+	sel, err := sqlparser.ParseSelect("SELECT o_c_id, COUNT(*) AS n FROM Orders GROUP BY o_c_id ORDER BY o_date")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Query(ctx, sel, nil); !errors.Is(err, ErrUnsupported) {
+		t.Fatalf("ORDER BY on an ungrouped, unselected column: err = %v, want ErrUnsupported", err)
+	}
+}
+
 func TestGroupByAggregates(t *testing.T) {
 	e, ctx := testDB(t)
 	rs := runQuery(t, e, ctx, `SELECT o_c_id, COUNT(*) AS n, SUM(o_total) AS tot
@@ -453,5 +476,44 @@ func TestCellsToRowSkipsMarkers(t *testing.T) {
 	}
 	if !IsDirty(res) {
 		t.Fatal("IsDirty should report the marker")
+	}
+}
+
+// TestRowToCellsPacksAndIndexCellsShare: a row's values are windows into one
+// buffer, each clipped so an append can never reach a neighbor, and a covered
+// index entry reuses those bytes while a key-only one stores only its key.
+func TestRowToCellsPacksAndIndexCellsShare(t *testing.T) {
+	info := buildInfo("T", []schema.Column{
+		{Name: "id", Type: schema.TInt}, {Name: "name", Type: schema.TString}, {Name: "score", Type: schema.TFloat},
+	}, []string{"id"})
+	row := schema.Row{"id": int64(7), "name": "seven", "score": 7.5, "absent": nil}
+	cells := RowToCells(row)
+	if len(cells) != 3 {
+		t.Fatalf("cells = %v, want the three non-nil attributes", cells)
+	}
+	for _, c := range cells {
+		if !schema.ValuesEqual(DecodeValue(c.Value), row[c.Qualifier]) {
+			t.Errorf("%s decodes to %v, want %v", c.Qualifier, DecodeValue(c.Value), row[c.Qualifier])
+		}
+		if cap(c.Value) != len(c.Value) {
+			t.Errorf("%s: value window not clipped (len %d cap %d)", c.Qualifier, len(c.Value), cap(c.Value))
+		}
+	}
+
+	covered := IndexCells(info, &IndexInfo{Name: "ix", On: []string{"name"}}, row, cells)
+	if len(covered) != len(cells) {
+		t.Fatalf("covered index stores %d cells, want %d", len(covered), len(cells))
+	}
+	for i := range cells {
+		if &covered[i] == &cells[i] {
+			t.Fatal("covered index must own its cell slice (each put is stamped separately)")
+		}
+		if covered[i].Qualifier != cells[i].Qualifier || &covered[i].Value[0] != &cells[i].Value[0] {
+			t.Errorf("covered index re-encoded %s instead of sharing its bytes", cells[i].Qualifier)
+		}
+	}
+	keyOnly := IndexCells(info, &IndexInfo{Name: "mx", On: []string{"name"}, KeyOnly: true}, row, cells)
+	if len(keyOnly) != 2 {
+		t.Fatalf("key-only index stores %v, want name and id", keyOnly)
 	}
 }

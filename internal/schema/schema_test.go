@@ -176,11 +176,44 @@ func TestCompareValues(t *testing.T) {
 		{nil, int64(0), -1},
 		{nil, nil, 0},
 		{int64(5), "5", -1}, // numbers before strings
+		// Equal across representations.
+		{int64(2), float64(2), 0},
+		{int(2), int64(2), 0},
+		{"true", true, 0}, // other types order by their printed form
+		{"", "", 0},
+		{"ab", "a", 1},
+	}
+	// Every ordered pair of types: nil < numbers (numerically, whatever the
+	// representation) < everything else by printed form.
+	ascending := []Value{nil, int64(2), 2.5, int(3), "b", true}
+	for i, a := range ascending {
+		for j, b := range ascending {
+			want := 0
+			switch {
+			case i < j:
+				want = -1
+			case i > j:
+				want = 1
+			}
+			cases = append(cases, struct {
+				a, b Value
+				want int
+			}{a, b, want})
+		}
 	}
 	for _, c := range cases {
 		if got := CompareValues(c.a, c.b); got != c.want {
-			t.Errorf("CompareValues(%v, %v) = %d, want %d", c.a, c.b, got, c.want)
+			t.Errorf("CompareValues(%#v, %#v) = %d, want %d", c.a, c.b, got, c.want)
 		}
+	}
+}
+
+// TestCompareStringsNoAlloc pins the string/string fast path: an ORDER BY on
+// a string column compares without formatting either side.
+func TestCompareStringsNoAlloc(t *testing.T) {
+	var a, b Value = "alpha", "beta"
+	if n := testing.AllocsPerRun(100, func() { CompareValues(a, b) }); n != 0 {
+		t.Fatalf("CompareValues(string, string) allocates %v per call", n)
 	}
 }
 

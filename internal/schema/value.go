@@ -35,6 +35,13 @@ func CompareValues(a, b Value) int {
 			return 1
 		}
 	}
+	if as, ok := a.(string); ok {
+		// Two strings order bytewise — the common ORDER BY case, kept off
+		// the fmt.Sprint path below.
+		if bs, ok := b.(string); ok {
+			return strings.Compare(as, bs)
+		}
+	}
 	af, aNum := toFloat(a)
 	bf, bNum := toFloat(b)
 	if aNum && bNum {

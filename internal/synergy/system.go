@@ -263,27 +263,9 @@ func (sys *System) LoadBase(table string, rows []schema.Row) error {
 	if err != nil {
 		return err
 	}
-	bulk := make([]hbase.BulkRow, 0, len(rows))
-	for _, r := range rows {
-		key, err := phoenix.PrimaryKey(info, r)
-		if err != nil {
-			return err
-		}
-		bulk = append(bulk, hbase.BulkRow{Key: key, Cells: phoenix.RowToCells(r)})
-	}
-	sort.Slice(bulk, func(i, j int) bool { return bulk[i].Key < bulk[j].Key })
-	if err := sys.Store.BulkLoad(table, bulk); err != nil {
+	bulk, err := sys.bulkLoad(info, rows)
+	if err != nil {
 		return err
-	}
-	for _, idx := range info.Indexes {
-		ibulk := make([]hbase.BulkRow, 0, len(rows))
-		for _, r := range rows {
-			ibulk = append(ibulk, hbase.BulkRow{Key: phoenix.IndexKey(info, idx, r), Cells: phoenix.RowToCells(phoenix.IndexRowContent(info, idx, r))})
-		}
-		sort.Slice(ibulk, func(i, j int) bool { return ibulk[i].Key < ibulk[j].Key })
-		if err := sys.Store.BulkLoad(idx.Name, ibulk); err != nil {
-			return err
-		}
 	}
 	// §VIII-A: "a lock table entry is created when a tuple is inserted
 	// into the root relation".
@@ -369,29 +351,39 @@ func (sys *System) buildView(ctx *sim.Ctx, v *core.View) error {
 	for _, r := range acc {
 		rows = append(rows, r)
 	}
+	_, err = sys.bulkLoad(info, rows)
+	return err
+}
+
+// bulkLoad writes rows into a table and every index on it as sorted store
+// files, returning the table's own bulk rows (sorted by key). Each row is
+// encoded once: a covered index entry shares the value bytes.
+func (sys *System) bulkLoad(info *phoenix.TableInfo, rows []schema.Row) ([]hbase.BulkRow, error) {
 	bulk := make([]hbase.BulkRow, 0, len(rows))
-	for _, r := range rows {
+	cells := make([][]hbase.Cell, len(rows))
+	for i, r := range rows {
 		key, err := phoenix.PrimaryKey(info, r)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		bulk = append(bulk, hbase.BulkRow{Key: key, Cells: phoenix.RowToCells(r)})
+		cells[i] = phoenix.RowToCells(r)
+		bulk = append(bulk, hbase.BulkRow{Key: key, Cells: cells[i]})
 	}
 	sort.Slice(bulk, func(i, j int) bool { return bulk[i].Key < bulk[j].Key })
-	if err := sys.Store.BulkLoad(v.Name(), bulk); err != nil {
-		return err
+	if err := sys.Store.BulkLoad(info.Name, bulk); err != nil {
+		return nil, err
 	}
 	for _, idx := range info.Indexes {
 		ibulk := make([]hbase.BulkRow, 0, len(rows))
-		for _, r := range rows {
-			ibulk = append(ibulk, hbase.BulkRow{Key: phoenix.IndexKey(info, idx, r), Cells: phoenix.RowToCells(phoenix.IndexRowContent(info, idx, r))})
+		for i, r := range rows {
+			ibulk = append(ibulk, hbase.BulkRow{Key: phoenix.IndexKey(info, idx, r), Cells: phoenix.IndexCells(info, idx, r, cells[i])})
 		}
 		sort.Slice(ibulk, func(i, j int) bool { return ibulk[i].Key < ibulk[j].Key })
 		if err := sys.Store.BulkLoad(idx.Name, ibulk); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return nil
+	return bulk, nil
 }
 
 func rowKeyOf(cols []string, r schema.Row) string {
