@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"synergy/internal/cluster"
 	"synergy/internal/sim"
 )
 
@@ -118,4 +119,79 @@ func BenchmarkScanChunkMerge(b *testing.B) {
 			b.Fatalf("rows = %d, want %d", len(buf.rows), rows)
 		}
 	}
+}
+
+// compactedWideTable is a table whose rows live only in one compacted store
+// file, 25 columns each — the shape of a materialized view, which is what a
+// TPC-W browse statement scans.
+func compactedWideTable(b *testing.B, rows int) *Client {
+	hc := NewHCluster(cluster.NewDefault(nil), nil, nil)
+	if err := hc.CreateTable(TableSpec{Name: "t"}); err != nil {
+		b.Fatal(err)
+	}
+	bulk := make([]BulkRow, rows)
+	for i := range bulk {
+		bulk[i] = BulkRow{Key: scanKey(i), Cells: wideCells(i, 0)}
+	}
+	if err := hc.BulkLoad("t", bulk); err != nil {
+		b.Fatal(err)
+	}
+	if err := hc.MajorCompact("t"); err != nil {
+		b.Fatal(err)
+	}
+	return hc.NewWarmClient()
+}
+
+// BenchmarkScanCompactedWide is the store file read kernel on its home
+// ground: a client scan over file-only wide rows, no memstore part to merge.
+// sim-ms/op pins the charged work; allocs/op pins the per-chunk (never
+// per-row) allocation profile.
+func BenchmarkScanCompactedWide(b *testing.B) {
+	const rows = 8_000
+	c := compactedWideTable(b, rows)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var simTotal sim.Micros
+	for i := 0; i < b.N; i++ {
+		ctx := sim.NewCtx()
+		sc, err := c.Scan(ctx, "t", ScanSpec{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := 0
+		for {
+			row, ok := sc.Next(ctx)
+			if !ok {
+				break
+			}
+			if len(row.Cells) != 25 {
+				b.Fatalf("row %s has %d cells", row.Key, len(row.Cells))
+			}
+			n++
+		}
+		if n != rows {
+			b.Fatalf("scan returned %d rows, want %d", n, rows)
+		}
+		simTotal += ctx.Elapsed()
+	}
+	b.ReportMetric(simTotal.Milliseconds()/float64(b.N), "sim-ms/op")
+}
+
+// BenchmarkGetCompacted is a point read served from a compacted store file:
+// key seek, block lookup and one packed row read into a fresh result.
+func BenchmarkGetCompacted(b *testing.B) {
+	const rows = 8_000
+	c := compactedWideTable(b, rows)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var simTotal sim.Micros
+	for i := 0; i < b.N; i++ {
+		ctx := sim.NewCtx()
+		row, err := c.Get(ctx, "t", scanKey(i*7919%rows), ReadOpts{})
+		if err != nil || len(row.Cells) != 25 {
+			b.Fatalf("get: %d cells, err %v", len(row.Cells), err)
+		}
+		simTotal += ctx.Elapsed()
+	}
+	b.ReportMetric(simTotal.Milliseconds()/float64(b.N), "sim-ms/op")
 }

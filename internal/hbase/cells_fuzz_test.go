@@ -17,8 +17,8 @@ import (
 //   - precedence/stability: on identical (qualifier, ts, type) coordinates
 //     the earlier (higher-precedence) part's cell wins;
 //   - last-write-wins + tombstone handling: the slice read matches the
-//     reference map read under plain, snapshot, excluded-version and
-//     projected options, and binary-search Get agrees pair for pair.
+//     reference map read under plain, snapshot and excluded-version
+//     options, and binary-search Get agrees pair for pair.
 //
 // CI runs this for a short -fuzztime as a smoke step; run it longer
 // locally when touching rowdata.go or merge.go.
@@ -73,7 +73,6 @@ func FuzzCellsMerge(f *testing.F) {
 			{},
 			{ReadTS: 9},
 			{Excluded: func(ts int64) bool { return ts%3 == 0 }},
-			{Columns: []string{"q1", "q4"}},
 		}
 		for oi, opts := range optsList {
 			got := m.read(opts)
@@ -119,7 +118,7 @@ func FuzzCellsMerge(f *testing.F) {
 		// for the plain view it is defined over (latest versions survive,
 		// tombstoned data does not return).
 		before := m.read(ReadOpts{})
-		mc := m.clone()
+		mc := merged(m)
 		mc.compact(1)
 		if !sortedByCellLess(mc.cells) {
 			t.Fatalf("compacted cells unsorted: %+v", mc.cells)

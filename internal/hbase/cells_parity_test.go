@@ -34,7 +34,7 @@ func readRefMap(r *rowData, opts ReadOpts) map[string][]byte {
 		for j < len(r.cells) && r.cells[j].Qualifier == q {
 			j++
 		}
-		if q != "" && opts.wantsColumn(q) {
+		if q != "" {
 			for k := i; k < j; k++ {
 				c := r.cells[k]
 				if !opts.visible(c.TS) {
@@ -75,63 +75,91 @@ func requireCellsMatchRef(t testing.TB, where string, got Cells, want map[string
 	}
 }
 
+// storedRow returns every stored cell of a row, merged across the memstore
+// and the store files in cellLess order (nil when the row is absent) — the
+// cell-level view the reference read is defined over.
+func (r *Region) storedRow(key string) *rowData {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	m, parts := lookupRow(r.mem, r.files, key)
+	defer m.release()
+	if len(parts) == 0 {
+		return nil
+	}
+	return merged(m.fold(parts))
+}
+
 // TestSliceMapParityStoreDump sweeps the whole scan fixture — multi-region,
 // multi-file, memstore overlays, tombstones — and checks every row the
 // store can materialize against the reference map read, under plain,
-// snapshot and column-projected options.
+// snapshot and excluded-version options: first as built (packed files under
+// a live memstore), then with everything flushed into packed files, then
+// major-compacted into one file per region.
 func TestSliceMapParityStoreDump(t *testing.T) {
 	hc, c := buildScanFixture(t, 2000, 5)
 	optsList := map[string]ReadOpts{
-		"plain":     {},
-		"snapshot":  {ReadTS: 3},
-		"projected": {Columns: []string{"v"}},
-		"excluded":  {Excluded: func(ts int64) bool { return ts%2 == 0 }},
+		"plain":    {},
+		"snapshot": {ReadTS: 3},
+		"excluded": {Excluded: func(ts int64) bool { return ts%2 == 0 }},
 	}
 	t1, err := hc.lookup("t")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, opts := range optsList {
-		// Every key ever written lives at k%06d for i in [0, 2000).
-		for i := 0; i < 2000; i++ {
-			key := scanKey(i)
-			r := t1.regionFor(key)
-			r.mu.RLock()
-			rd := r.lookupLocked(key)
-			var want map[string][]byte
-			if rd != nil {
-				want = readRefMap(rd, opts)
-			}
-			r.mu.RUnlock()
-			got, err := c.Get(sim.NewCtx(), "t", key, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireCellsMatchRef(t, fmt.Sprintf("%s %s", name, key), got.Cells, want)
-		}
+	stages := []struct {
+		name    string
+		advance func() error
+	}{
+		{"built", func() error { return nil }},
+		{"flushed", func() error { return hc.FlushTable("t") }},
+		{"compacted", func() error { return hc.MajorCompact("t") }},
 	}
-	// The scan path must materialize the same rows as the point-get path.
-	sc, err := c.Scan(sim.NewCtx(), "t", ScanSpec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := sim.NewCtx()
-	for {
-		row, ok := sc.Next(ctx)
-		if !ok {
-			break
+	for _, stage := range stages {
+		if err := stage.advance(); err != nil {
+			t.Fatal(err)
 		}
-		point, err := c.Get(sim.NewCtx(), "t", row.Key, ReadOpts{})
+		for name, opts := range optsList {
+			// Every key ever written lives at k%06d for i in [0, 2000).
+			for i := 0; i < 2000; i++ {
+				key := scanKey(i)
+				var want map[string][]byte
+				if rd := t1.regionFor(key).storedRow(key); rd != nil {
+					want = readRefMap(rd, opts)
+				}
+				got, err := c.Get(sim.NewCtx(), "t", key, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				where := fmt.Sprintf("%s %s %s", stage.name, name, key)
+				requireCellsMatchRef(t, where, got.Cells, want)
+				for _, q := range []string{"v", "w"} {
+					if !bytes.Equal(got.Cells.Get(q), want[q]) {
+						t.Fatalf("%s: Get(%s) = %q, reference %q", where, q, got.Cells.Get(q), want[q])
+					}
+				}
+			}
+		}
+		// The scan path must materialize the same rows as the point-get path.
+		sc, err := c.Scan(sim.NewCtx(), "t", ScanSpec{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(row.Cells) != len(point.Cells) {
-			t.Fatalf("scan row %q has %d pairs, point get %d", row.Key, len(row.Cells), len(point.Cells))
-		}
-		for j := range row.Cells {
-			if row.Cells[j].Qualifier != point.Cells[j].Qualifier || !bytes.Equal(row.Cells[j].Value, point.Cells[j].Value) {
-				t.Fatalf("scan/get divergence at %q pair %d", row.Key, j)
+		ctx := sim.NewCtx()
+		rows := 0
+		for {
+			row, ok := sc.Next(ctx)
+			if !ok {
+				break
 			}
+			rows++
+			point, err := c.Get(sim.NewCtx(), "t", row.Key, ReadOpts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameCells(t, fmt.Sprintf("%s scan vs get %q", stage.name, row.Key), row.Cells, point.Cells)
+		}
+		if rows == 0 {
+			t.Fatalf("%s: scan returned no rows", stage.name)
 		}
 	}
 }

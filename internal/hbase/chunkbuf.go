@@ -4,7 +4,7 @@ package hbase
 // materialized rows plus the single []Pair arena every row's Cells is a
 // window into. The pair is what turns the read path's per-row allocations
 // into per-chunk ones — Region.scanChunk fills one chunkBuf per scanner RPC
-// (rowData.readInto appends each row's visible pairs to the shared arena),
+// (the row read kernels append each row's visible pairs to the shared arena),
 // and the buffer cycles through a Client-owned sync.Pool once the consumer
 // releases it.
 //

@@ -458,25 +458,36 @@ func (hc *HCluster) BulkLoad(name string, rows []BulkRow) error {
 		}
 		chunk := rows[idx:end]
 		idx = end
-		hrows := make([]hrow, 0, len(chunk))
-		var prev *hrow
-		for _, br := range chunk {
-			rd := &rowData{cells: make([]Cell, 0, len(br.Cells))}
+		keyBytes := 0
+		for i := range chunk {
+			keyBytes += len(chunk[i].Key)
+		}
+		b := newHFileBuilder(len(chunk), keyBytes)
+		// row assembles the cells of the key being loaded; a repeated key
+		// builds in dup and merges behind what row already holds.
+		var row, dup rowData
+		for i, br := range chunk {
+			dst := &row
+			repeat := i > 0 && chunk[i-1].Key == br.Key
+			if repeat {
+				dst = &dup
+			} else if i > 0 {
+				b.add(chunk[i-1].Key, row.cells)
+			}
+			dst.cells = dst.cells[:0]
 			for _, c := range br.Cells {
 				if c.TS == 0 {
 					c.TS = ts
 				}
-				rd.apply(c, t.spec.MaxVersions)
+				dst.apply(c, t.spec.MaxVersions)
 			}
-			if prev != nil && prev.key == br.Key {
-				prev.data = merged(prev.data, rd)
-				continue
+			if repeat {
+				row.cells = mergeCellsInto(nil, [][]Cell{row.cells, dup.cells})
 			}
-			hrows = append(hrows, hrow{key: br.Key, data: rd})
-			prev = &hrows[len(hrows)-1]
 		}
+		b.add(chunk[len(chunk)-1].Key, row.cells)
 		r.mu.Lock()
-		r.files = append([]*hfile{{rows: hrows}}, r.files...)
+		r.files = append([]*hfile{b.finish()}, r.files...)
 		r.mu.Unlock()
 	}
 	hc.splitIfNeeded(t)

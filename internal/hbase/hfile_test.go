@@ -1,0 +1,562 @@
+package hbase
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"sort"
+	"testing"
+
+	"synergy/internal/cluster"
+	"synergy/internal/sim"
+)
+
+// packRows encodes rows (ascending keys) into one store file the way every
+// producer does.
+func packRows(keys []string, rows [][]Cell) *hfile {
+	b := newHFileBuilder(len(keys), 0)
+	for i, k := range keys {
+		b.add(k, rows[i])
+	}
+	return b.finish()
+}
+
+// fillerCells is a row of n distinct qualifiers: loading it first pushes the
+// dictionary ids of whatever follows past the one-byte varint range.
+func fillerCells(n int) []Cell {
+	cells := make([]Cell, n)
+	for i := range cells {
+		cells[i] = put(fmt.Sprintf("fill%03d", i), "x", 1)
+	}
+	return cells
+}
+
+// isUniform is the fast-path predicate, restated independently of the
+// encoder: one put per non-empty qualifier, all at one non-negative stamp.
+func isUniform(cells []Cell) bool {
+	if len(cells) == 0 || cells[0].TS < 0 {
+		return false
+	}
+	for i, c := range cells {
+		if c.Type != TypePut || c.TS != cells[0].TS || c.Qualifier == "" || (i > 0 && c.Qualifier == cells[i-1].Qualifier) {
+			return false
+		}
+	}
+	return true
+}
+
+var fuzzTimestamps = []int64{math.MinInt64, -7, -1, 0, 1, 2, 3, 9, 1 << 40, overlayTSBase + 1, math.MaxInt64}
+
+// FuzzPackedRow holds the packed store file format to the []Cell rowData it
+// replaced. Fuzz bytes become a cell tape for one row — puts with nil, empty
+// and non-empty values, column tombstones, row tombstones at the empty
+// qualifier, several versions per qualifier, timestamps from the extremes of
+// int64, spread over two parts so merges leave same-coordinate duplicates —
+// or, when the first byte is odd, a uniform row (one put per qualifier at
+// one timestamp). The row is encoded behind a 130-qualifier filler row, so
+// its dictionary ids need two bytes, and checked three ways:
+//
+//   - decode(encode(cells)) == cells, nil-versus-empty values included, and
+//     the file's recorded size is the KVSize sum;
+//   - the packed read kernel equals rowData.read on the same cells under
+//     plain, snapshot and excluded-version options, into a nil arena and
+//     behind an occupied one;
+//   - compaction parity: compacting the decoded row equals compacting the
+//     reference, and the re-encoded compacted row reads the same.
+func FuzzPackedRow(f *testing.F) {
+	f.Add([]byte{0x00, 0x01, 0x22, 0x43, 0x10, 0x05, 0x77, 0x31, 0x02})
+	f.Add([]byte{0x01, 0x05, 0x01, 0x00, 0x03, 0x06, 0x02, 0x00, 0x04})
+	f.Add([]byte{0x02, 0xff, 0x00, 0x80, 0x7f, 0x33, 0x9a, 0x02, 0x41, 0x01, 0x01, 0x01, 0x01})
+	f.Add(bytes.Repeat([]byte{0x42, 0x13, 0x07, 0x21}, 40))
+	f.Fuzz(func(t *testing.T, tape []byte) {
+		if len(tape) == 0 {
+			return
+		}
+		uniform := tape[0]&1 == 1
+		maxVersions := int(tape[0]>>1)%4 + 1
+		parts := [2]*rowData{{}, {}}
+		for off := 1; off+3 < len(tape); off += 4 {
+			c := Cell{
+				Qualifier: fmt.Sprintf("q%d", tape[off]%12),
+				TS:        fuzzTimestamps[int(tape[off+1])%len(fuzzTimestamps)],
+				Type:      CellType(tape[off+2] % 3),
+			}
+			part := int(tape[off+3]) % len(parts)
+			if uniform {
+				c.TS, c.Type, part = fuzzTimestamps[3+int(tape[1])%8], TypePut, 0
+			}
+			switch c.Type {
+			case TypePut:
+				switch tape[off+3] % 5 {
+				case 0: // nil value
+				case 1:
+					c.Value = []byte{}
+				default:
+					c.Value = bytes.Repeat([]byte{tape[off+3]}, int(tape[off+3])%300)
+				}
+			case TypeDeleteRow:
+				if tape[off+3]%4 != 0 {
+					c.Qualifier = "" // where row tombstones normally live
+				}
+			}
+			parts[part].apply(c, maxVersions)
+		}
+		ref := merged(parts[0], parts[1])
+		if !sortedByCellLess(ref.cells) {
+			t.Fatalf("reference cells unsorted: %+v", ref.cells)
+		}
+
+		keys := []string{"a", "k", "z"}
+		rows := [][]Cell{fillerCells(130), ref.cells, {put("tail", "t", 5)}}
+		file := packRows(keys, rows)
+		var wantSize int64
+		for i, cells := range rows {
+			for _, c := range cells {
+				wantSize += KVSize(keys[i], c)
+			}
+		}
+		if file.size != wantSize {
+			t.Fatalf("recorded size %d, KVSize sum %d", file.size, wantSize)
+		}
+		row, ok := file.find("k")
+		if !ok {
+			t.Fatal("row k not found")
+		}
+		if _, ok := file.find("j"); ok {
+			t.Fatal("found a key that was never stored")
+		}
+		if got := row.body[0]&rowUniform != 0; got != isUniform(ref.cells) {
+			t.Fatalf("uniform flag %v, want %v for %+v", got, !got, ref.cells)
+		}
+		if uniform && len(ref.cells) > 0 && !isUniform(ref.cells) {
+			t.Fatalf("uniform tape built a non-uniform row: %+v", ref.cells)
+		}
+
+		decoded := row.appendCells(nil)
+		if len(decoded) != len(ref.cells) || (len(decoded) > 0 && !reflect.DeepEqual(decoded, ref.cells)) {
+			t.Fatalf("decode(encode(cells)) diverges:\n got %+v\nwant %+v", decoded, ref.cells)
+		}
+
+		occupied := Cells{{Qualifier: "kept", Value: []byte("kept")}}
+		for oi, opts := range []ReadOpts{
+			{},
+			{ReadTS: 3},
+			{ReadTS: 1 << 41},
+			{Excluded: func(ts int64) bool { return ts%3 == 0 }},
+		} {
+			want := ref.read(opts)
+			_, got := row.readInto(nil, opts)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("opts %d: packed read %v, reference %v (cells %+v)", oi, got, want, ref.cells)
+			}
+			requireCellsMatchRef(t, fmt.Sprintf("opts %d", oi), got, readRefMap(ref, opts))
+			arena, window := row.readInto(occupied, opts)
+			if !reflect.DeepEqual(window, want) || arena[0].Qualifier != "kept" || len(arena) != 1+len(want) {
+				t.Fatalf("opts %d: read behind an occupied arena: arena %v window %v want %v", oi, arena, window, want)
+			}
+			if len(window) > 0 && cap(window) != len(window) {
+				t.Fatalf("opts %d: row window not capacity-clipped", oi)
+			}
+		}
+
+		for _, keep := range []int{1, 3} {
+			want := merged(ref)
+			want.compact(keep)
+			got := &rowData{cells: row.appendCells(nil)}
+			got.compact(keep)
+			if len(got.cells) != len(want.cells) || (len(want.cells) > 0 && !reflect.DeepEqual(got.cells, want.cells)) {
+				t.Fatalf("compact(%d) diverges:\n got %+v\nwant %+v", keep, got.cells, want.cells)
+			}
+			if len(want.cells) == 0 {
+				continue
+			}
+			re, _ := packRows([]string{"k"}, [][]Cell{got.cells}).find("k")
+			if _, cells := re.readInto(nil, ReadOpts{}); !reflect.DeepEqual(cells, want.read(ReadOpts{})) {
+				t.Fatalf("compact(%d): re-encoded row reads %v, reference %v", keep, cells, want.read(ReadOpts{}))
+			}
+		}
+	})
+}
+
+// TestPackedBlocksBoundedAndSeekable loads rows of mixed sizes — including
+// one larger than a block — and checks the block invariants the read path
+// leans on: no block but an oversized row's exceeds blockSize, every row is
+// found by key through the (keyOff, blockRow, rowOff) indexes, and a cursor
+// walking the file visits the same rows in order.
+func TestPackedBlocksBoundedAndSeekable(t *testing.T) {
+	const rows = 3000
+	keys := make([]string, rows)
+	cells := make([][]Cell, rows)
+	for i := range keys {
+		keys[i] = scanKey(i)
+		size := 40 + (i*37)%900
+		if i == 1234 {
+			size = 3 * blockSize
+		}
+		cells[i] = []Cell{put("pad", string(bytes.Repeat([]byte{byte('a' + i%26)}, size)), 7), put("v", fmt.Sprint(i), 7)}
+	}
+	f := packRows(keys, cells)
+	if len(f.blocks) < 10 {
+		t.Fatalf("fixture fits %d blocks; want a multi-block file", len(f.blocks))
+	}
+	oversized := 0
+	for _, b := range f.blocks {
+		if len(b) > blockSize {
+			oversized++
+		}
+	}
+	if oversized != 1 {
+		t.Fatalf("%d blocks exceed blockSize, want exactly the oversized row's", oversized)
+	}
+	for i, k := range keys {
+		row, ok := f.find(k)
+		if !ok {
+			t.Fatalf("row %s not found", k)
+		}
+		if _, got := row.readInto(nil, ReadOpts{}); string(got.Get("v")) != fmt.Sprint(i) || len(got.Get("pad")) != len(cells[i][0].Value) {
+			t.Fatalf("row %s decoded wrong: v=%q pad=%d bytes", k, got.Get("v"), len(got.Get("pad")))
+		}
+	}
+	m := newRowMerger(nil, []*hfile{f}, scanKey(100))
+	defer m.release()
+	for i := 100; i < rows; i++ {
+		key, parts, ok := m.next()
+		if !ok || key != keys[i] || len(parts) != 1 {
+			t.Fatalf("cursor at %d: key %q ok=%v parts=%d", i, key, ok, len(parts))
+		}
+		if _, got := parts[0].readInto(nil, ReadOpts{}); string(got.Get("v")) != fmt.Sprint(i) {
+			t.Fatalf("cursor row %s: v=%q", key, got.Get("v"))
+		}
+	}
+	if _, _, ok := m.next(); ok {
+		t.Fatal("cursor ran past the file")
+	}
+}
+
+// refStore is the reference model of one table: the []Cell-per-row store
+// files this package used before the packed format, reduced to what reads
+// and size accounting depend on — a memstore part and a newest-first list
+// of file parts per table, every part a map of rowDatas.
+type refStore struct {
+	maxVersions int
+	mem         map[string]*rowData
+	files       []map[string]*rowData
+}
+
+func (s *refStore) row(key string) *rowData {
+	rd := s.mem[key]
+	if rd == nil {
+		rd = &rowData{}
+		s.mem[key] = rd
+	}
+	return rd
+}
+
+func (s *refStore) parts(key string) []*rowData {
+	var parts []*rowData
+	if rd := s.mem[key]; rd != nil {
+		parts = append(parts, rd)
+	}
+	for _, f := range s.files {
+		if rd := f[key]; rd != nil {
+			parts = append(parts, rd)
+		}
+	}
+	return parts
+}
+
+func (s *refStore) read(key string, opts ReadOpts) Cells {
+	return merged(s.parts(key)...).read(opts)
+}
+
+func (s *refStore) flush() {
+	if len(s.mem) > 0 {
+		s.files = append([]map[string]*rowData{s.mem}, s.files...)
+		s.mem = map[string]*rowData{}
+	}
+}
+
+func (s *refStore) majorCompact() {
+	s.flush()
+	out := map[string]*rowData{}
+	for _, k := range s.keys() {
+		rd := merged(s.parts(k)...)
+		rd.compact(s.maxVersions)
+		if !rd.empty() {
+			out[k] = rd
+		}
+	}
+	s.files = []map[string]*rowData{out}
+}
+
+func (s *refStore) keys() []string {
+	seen := map[string]bool{}
+	for k := range s.mem {
+		seen[k] = true
+	}
+	for _, f := range s.files {
+		for k := range f {
+			seen[k] = true
+		}
+	}
+	keys := make([]string, 0, len(seen))
+	for k := range seen {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// bytes is the brute-force KeyValue footprint: KVSize of every stored cell.
+func (s *refStore) bytes() int64 {
+	var n int64
+	for _, part := range append([]map[string]*rowData{s.mem}, s.files...) {
+		for k, rd := range part {
+			n += rd.sizeBytes(k)
+		}
+	}
+	return n
+}
+
+func (s *refStore) scan(opts ReadOpts) []RowResult {
+	var rows []RowResult
+	for _, k := range s.keys() {
+		if cells := s.read(k, opts); len(cells) > 0 {
+			rows = append(rows, RowResult{Key: k, Cells: cells})
+		}
+	}
+	return rows
+}
+
+// TestRegionModelRandomized drives one table with a random interleaving of
+// put, delete (row and column), checkAndPut, increment, flush and major
+// compaction — with a split threshold low enough that flushes and
+// compactions keep splitting regions — and after every step that rewrites
+// store files compares the table against refStore: TableBytes against the
+// brute-force KVSize sum, every Get, full scans under plain, snapshot and
+// excluded-version options, and region scanChunks resumed seven rows at a
+// time.
+func TestRegionModelRandomized(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) { runRegionModel(t, seed) })
+	}
+}
+
+func runRegionModel(t *testing.T, seed int64) {
+	const keySpace, maxVersions = 160, 3
+	rng := rand.New(rand.NewSource(seed))
+	hc := NewHCluster(cluster.NewDefault(nil), nil, nil)
+	mustCreate(t, hc, TableSpec{Name: "t", MaxVersions: maxVersions, SplitThreshold: 30})
+	c := hc.NewWarmClient()
+	ctx := sim.NewCtx()
+	model := &refStore{maxVersions: maxVersions, mem: map[string]*rowData{}}
+	quals := []string{"a", "b", "c", "n"}
+	optsList := []ReadOpts{{}, {ReadTS: 400}, {Excluded: func(ts int64) bool { return ts%5 == 0 }}}
+
+	// A bulk-loaded base (every third key), so the first store file is a
+	// BulkLoad product like a populated database's.
+	var bulk []BulkRow
+	for i := 0; i < keySpace; i += 3 {
+		cells := []Cell{put("a", fmt.Sprint("base", i), 1), put("b", "", 1)}
+		bulk = append(bulk, BulkRow{Key: scanKey(i), Cells: cells})
+		model.row(scanKey(i)).cells = append([]Cell(nil), cells...)
+	}
+	if err := hc.BulkLoad("t", bulk); err != nil {
+		t.Fatal(err)
+	}
+	model.flush()
+
+	check := func(step int, what string) {
+		t.Helper()
+		where := fmt.Sprintf("seed %d step %d after %s", seed, step, what)
+		if got, want := hc.TableBytes("t"), model.bytes(); got != want {
+			t.Fatalf("%s: TableBytes %d, brute-force KVSize sum %d", where, got, want)
+		}
+		for i := 0; i < keySpace; i++ {
+			for oi, opts := range optsList {
+				got, err := c.Get(sim.NewCtx(), "t", scanKey(i), opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireSameCells(t, fmt.Sprintf("%s: Get %s opts %d", where, scanKey(i), oi), got.Cells, model.read(scanKey(i), opts))
+			}
+		}
+		tbl, err := hc.lookup("t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for oi, opts := range optsList {
+			want := model.scan(opts)
+			for _, sequential := range []bool{true, false} {
+				got, _ := drainSpec(t, c, ScanSpec{Read: opts, Sequential: sequential})
+				requireSameRows(t, want, got)
+			}
+			// Resumed region chunks: each region seven rows at a time, the
+			// regions in key order, must concatenate to the same rows.
+			var chunked []RowResult
+			buf := &chunkBuf{}
+			for _, r := range tbl.regionsInRange("", "") {
+				for next := r.start; ; {
+					buf.reset()
+					_, next = r.scanChunk(buf, next, 7, opts, nil)
+					for _, row := range buf.rows {
+						chunked = append(chunked, row.Clone())
+					}
+					if next == "" {
+						break
+					}
+				}
+			}
+			if len(chunked) != len(want) {
+				t.Fatalf("%s opts %d: resumed chunks gave %d rows, model %d", where, oi, len(chunked), len(want))
+			}
+			requireSameRows(t, want, chunked)
+		}
+	}
+
+	check(0, "bulk load")
+	for step := 1; step <= 700; step++ {
+		key := scanKey(rng.Intn(keySpace))
+		ts := int64(rng.Intn(800) + 2)
+		switch op := rng.Intn(100); {
+		case op < 45:
+			var cells []Cell
+			for _, q := range quals[:3] {
+				if rng.Intn(2) == 0 {
+					cells = append(cells, put(q, fmt.Sprint(q, step), ts))
+				}
+			}
+			if len(cells) == 0 {
+				cells = []Cell{{Qualifier: "a", TS: ts}} // nil value
+			}
+			if err := c.Put(ctx, "t", key, cells); err != nil {
+				t.Fatal(err)
+			}
+			rd := model.row(key)
+			for _, cell := range cells {
+				rd.apply(cell, maxVersions)
+			}
+		case op < 55:
+			if err := c.DeleteAt(ctx, "t", key, ts); err != nil {
+				t.Fatal(err)
+			}
+			model.row(key).apply(Cell{TS: ts, Type: TypeDeleteRow}, maxVersions)
+		case op < 65:
+			q := quals[rng.Intn(3)]
+			if err := c.DeleteAt(ctx, "t", key, ts, q); err != nil {
+				t.Fatal(err)
+			}
+			model.row(key).apply(Cell{Qualifier: q, TS: ts, Type: TypeDeleteCol}, maxVersions)
+		case op < 75:
+			q := quals[rng.Intn(3)]
+			var expected []byte
+			if rng.Intn(2) == 0 {
+				expected = model.read(key, ReadOpts{}).Get(q) // half the time a matching guess
+			}
+			cell := put(q, fmt.Sprint("cas", step), ts)
+			ok, err := c.CheckAndPut(ctx, "t", key, q, expected, cell)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := bytes.Equal(model.read(key, ReadOpts{}).Get(q), expected)
+			if ok != want {
+				t.Fatalf("step %d: CheckAndPut applied=%v, model %v", step, ok, want)
+			}
+			if want {
+				model.row(key).apply(cell, maxVersions)
+			}
+		case op < 85:
+			var cur int64
+			if v := model.read(key, ReadOpts{}).Get("n"); len(v) == 8 {
+				cur = int64(binary.BigEndian.Uint64(v))
+			}
+			incTS := hc.CurrentTS() + 1
+			got, err := c.Increment(ctx, "t", key, "n", 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != cur+3 {
+				t.Fatalf("step %d: Increment = %d, model %d", step, got, cur+3)
+			}
+			buf := binary.BigEndian.AppendUint64(nil, uint64(got))
+			model.row(key).apply(Cell{Qualifier: "n", Value: buf, TS: incTS}, maxVersions)
+		case op < 95:
+			if err := hc.FlushTable("t"); err != nil {
+				t.Fatal(err)
+			}
+			model.flush()
+			check(step, "flush")
+		default:
+			if err := hc.MajorCompact("t"); err != nil {
+				t.Fatal(err)
+			}
+			model.majorCompact()
+			check(step, "major compaction")
+		}
+	}
+	check(701, "the last write")
+	if n := hc.RegionCount("t"); n < 3 {
+		t.Fatalf("table ended with %d regions; the run was meant to split", n)
+	}
+}
+
+// wideCells is a 25-column row — the shape of a materialized view row.
+func wideCells(i int, ts int64) []Cell {
+	cells := make([]Cell, 25)
+	for q := range cells {
+		cells[q] = put(fmt.Sprintf("c%02d", q), fmt.Sprintf("value-%d-%d", i, q), ts)
+	}
+	return cells
+}
+
+// compactedWideRegion is a region of rows wide rows held only in one
+// compacted store file.
+func compactedWideRegion(rows int) *Region {
+	r := newRegion(&TableSpec{Name: "t", MaxVersions: 1, SplitThreshold: 1 << 30}, "", "")
+	for i := 0; i < rows; i++ {
+		r.put(scanKey(i), wideCells(i, 1))
+	}
+	r.majorCompact()
+	return r
+}
+
+// TestResidentBytesPerCell pins what a compacted store file costs in RAM: the
+// heap a loaded, major-compacted region retains, less its key and value
+// bytes, divided by its cells. The []Cell files this format replaced paid
+// about 60 bytes per cell (a 56-byte struct plus per-row headers).
+func TestResidentBytesPerCell(t *testing.T) {
+	const rows = 20_000
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	spec := &TableSpec{Name: "t", MaxVersions: 1, SplitThreshold: 1 << 30}
+	before := heap()
+	r := newRegion(spec, "", "")
+	var payload, cells int
+	for i := 0; i < rows; i++ {
+		row := wideCells(i, 1)
+		r.put(scanKey(i), row)
+		payload += len(scanKey(i))
+		for _, c := range row {
+			payload += len(c.Value)
+		}
+		cells += len(row)
+	}
+	r.majorCompact()
+	after := heap()
+	overhead := (float64(after) - float64(before) - float64(payload)) / float64(cells)
+	t.Logf("%d cells: %.1f MiB resident for %.1f MiB of keys and values, %.2f B/cell overhead",
+		cells, float64(after-before)/(1<<20), float64(payload)/(1<<20), overhead)
+	if overhead > 12 {
+		t.Fatalf("%.2f bytes of overhead per cell beyond key and value bytes, want <= 12", overhead)
+	}
+	runtime.KeepAlive(r)
+}

@@ -5,34 +5,64 @@ import (
 	"sync"
 )
 
-// mergeSource is one sorted (key, *rowData) stream feeding a rowMerger:
-// either a region's memstore or one immutable store file. rank orders
+// rowPart is one source's share of a row: a memstore row (mem non-nil) or a
+// packed row body inside a store file.
+type rowPart struct {
+	mem  *rowData
+	file packedRow
+}
+
+// readInto materializes the part's visible pairs onto dst (the
+// rowData.readInto contract) without decoding a file part into cells.
+//
+//cellsvet:owner
+func (p rowPart) readInto(dst Cells, opts ReadOpts) (arena, row Cells) {
+	if p.mem != nil {
+		return p.mem.readInto(dst, opts)
+	}
+	return p.file.readInto(dst, opts)
+}
+
+// appendCells appends every cell of the part to dst in cellLess order.
+func (p rowPart) appendCells(dst []Cell) []Cell {
+	if p.mem != nil {
+		return append(dst, p.mem.cells...)
+	}
+	return p.file.appendCells(dst)
+}
+
+// mergeSource is one sorted row stream feeding a rowMerger: either a
+// region's memstore or a cursor over one immutable store file. rank orders
 // sources on key ties — memstore first, then store files newest-first — so
 // a merged row's parts keep the same precedence the write path established.
 type mergeSource struct {
 	rank int
 	key  string // current key; valid while the source is on the heap
 	pos  int
-	rows []hrow              // store-file source (nil for a memstore source)
+	f    *hfile              // store-file source (nil for a memstore source)
+	blk  int                 // store-file source: the block holding row pos
 	keys []string            // memstore key list
 	mem  map[string]*rowData // memstore rows
 }
 
-func (s *mergeSource) data() *rowData {
-	if s.rows != nil {
-		return s.rows[s.pos].data
+func (s *mergeSource) part() rowPart {
+	if s.f != nil {
+		return rowPart{file: s.f.row(s.pos, s.blk)}
 	}
-	return s.mem[s.key]
+	return rowPart{mem: s.mem[s.key]}
 }
 
 // advance moves to the next row, reporting false when the source is drained.
 func (s *mergeSource) advance() bool {
 	s.pos++
-	if s.rows != nil {
-		if s.pos >= len(s.rows) {
+	if f := s.f; f != nil {
+		if s.pos >= f.hi {
 			return false
 		}
-		s.key = s.rows[s.pos].key
+		if s.pos >= int(f.blockRow[s.blk+1]) {
+			s.blk++
+		}
+		s.key = f.key(s.pos)
 		return true
 	}
 	if s.pos >= len(s.keys) {
@@ -43,8 +73,8 @@ func (s *mergeSource) advance() bool {
 }
 
 func (s *mergeSource) left() int {
-	if s.rows != nil {
-		return len(s.rows) - s.pos
+	if s.f != nil {
+		return s.f.hi - s.pos
 	}
 	return len(s.keys) - s.pos
 }
@@ -58,13 +88,16 @@ func (s *mergeSource) left() int {
 // allocate a fresh heap, source set and parts scratch, which made the merger
 // the read path's second allocation hot spot after row materialization.
 // newRowMerger draws from the package pool and release returns the merger;
-// the heap, the source backing array, the parts scratch and the multi-part
-// cell scratch all keep their capacity across folds.
+// the heap, the source backing array, the parts scratch and the cell scratch
+// a multi-part row decodes and merges into all keep their capacity across
+// folds. Point reads borrow the same scratch through lookupRow.
 type rowMerger struct {
 	heap    []*mergeSource
-	parts   []*rowData    // scratch, reused across next calls
+	parts   []rowPart     // scratch, reused across next/lookup calls
 	srcs    []mergeSource // backing storage for heap entries, reused across folds
-	scratch rowData       // reusable output row for multi-part cell merges
+	decoded [][]Cell      // per-part scratch: file parts decode here before a merge
+	lists   [][]Cell      // scratch: the cell lists of the row being folded
+	scratch rowData       // reusable output row of fold
 }
 
 var mergerPool = sync.Pool{New: func() any { return new(rowMerger) }}
@@ -90,8 +123,8 @@ func newRowMerger(mem *memStore, files []*hfile, start string) *rowMerger {
 		}
 	}
 	for fi, f := range files {
-		if i := f.seek(start); i < len(f.rows) {
-			m.srcs = append(m.srcs, mergeSource{rank: fi + 1, key: f.rows[i].key, pos: i, rows: f.rows})
+		if i := f.seek(start); i < f.hi {
+			m.srcs = append(m.srcs, mergeSource{rank: fi + 1, key: f.key(i), pos: i, f: f, blk: f.blockOf(i)})
 			m.heap = append(m.heap, &m.srcs[len(m.srcs)-1])
 		}
 	}
@@ -101,13 +134,31 @@ func newRowMerger(mem *memStore, files []*hfile, start string) *rowMerger {
 	return m
 }
 
-// release returns the merger to the package pool for the next chunk or
-// compaction fold. Every reference into region data (memstore maps, store
-// file rows, part rowDatas) is dropped first so an idle pooled merger never
-// pins a store. The scratch row's cells are NOT cleared — rows handed out
-// via foldParts are dead by release time (scanChunk has copied the visible
-// pairs out; compaction clones multi-part rows), and keeping the capacity is
-// the point of pooling.
+// lookupRow draws a pooled merger and gathers the parts stored under one key
+// in precedence order (memstore first, then store files newest-first) — the
+// point-read counterpart of newRowMerger + next, with the same release
+// obligation. The parts live in the merger's scratch.
+func lookupRow(mem *memStore, files []*hfile, key string) (*rowMerger, []rowPart) {
+	m := mergerPool.Get().(*rowMerger)
+	if rd := mem.rows[key]; rd != nil {
+		m.parts = append(m.parts, rowPart{mem: rd})
+	}
+	for _, f := range files {
+		if row, ok := f.find(key); ok {
+			m.parts = append(m.parts, rowPart{file: row})
+		}
+	}
+	return m, m.parts
+}
+
+// release returns the merger to the package pool for the next chunk, lookup
+// or compaction fold. Every reference into region data (memstore maps, store
+// files, parts) is dropped first so an idle pooled merger never pins a
+// store. The cell scratch is NOT cleared — rows handed out via fold are dead
+// by release time (reads have copied the visible pairs out; compaction has
+// encoded the row), and keeping the capacity is the point of pooling; what
+// its stale cells can still pin is a few store file blocks until the pool's
+// next GC-driven drain.
 func (m *rowMerger) release() {
 	clear(m.srcs[:cap(m.srcs)])
 	m.srcs = m.srcs[:0]
@@ -118,11 +169,48 @@ func (m *rowMerger) release() {
 	mergerPool.Put(m)
 }
 
-// foldParts merges a multi-part row into the merger's reusable scratch row.
-// The returned row is valid only until the next foldParts or release call.
-func (m *rowMerger) foldParts(parts []*rowData) *rowData {
-	m.scratch.cells = mergeCellsInto(m.scratch.cells, parts)
+// fold returns every cell of a row in cellLess order, merged across its
+// parts, in the merger's reusable scratch row: file parts decode into pooled
+// per-part scratch, memstore parts are merged straight from their cell
+// index. The returned row is the caller's to mutate (compaction compacts it
+// in place) and valid only until the next fold or release call.
+func (m *rowMerger) fold(parts []rowPart) *rowData {
+	if len(parts) == 1 {
+		m.scratch.cells = parts[0].appendCells(m.scratch.cells[:0])
+		return &m.scratch
+	}
+	m.lists = m.lists[:0]
+	for i, p := range parts {
+		if p.mem != nil {
+			m.lists = append(m.lists, p.mem.cells)
+			continue
+		}
+		if i >= len(m.decoded) {
+			m.decoded = append(m.decoded, make([][]Cell, i+1-len(m.decoded))...)
+		}
+		m.decoded[i] = p.file.appendCells(m.decoded[i][:0])
+		m.lists = append(m.lists, m.decoded[i])
+	}
+	m.scratch.cells = mergeCellsInto(m.scratch.cells, m.lists)
+	clear(m.lists) // memstore cell indexes must not outlive the region lock
 	return &m.scratch
+}
+
+// read materializes the visible pairs of a row from its parts onto dst (the
+// rowData.readInto contract). A lone part — the common case by far — is read
+// in place: a memstore row from its cell index, a file row straight from its
+// block through the packed read kernel. Only a row spread over several parts
+// pays a decode and merge, into pooled scratch.
+//
+//cellsvet:owner
+func (m *rowMerger) read(parts []rowPart, dst Cells, opts ReadOpts) (arena, row Cells) {
+	switch len(parts) {
+	case 0:
+		return dst, nil
+	case 1:
+		return parts[0].readInto(dst, opts)
+	}
+	return m.fold(parts).readInto(dst, opts)
 }
 
 // remaining upper-bounds the number of distinct keys left (sources may share
@@ -137,7 +225,7 @@ func (m *rowMerger) remaining() int {
 
 // next pops the smallest key and every source part carrying it, in rank
 // order. The returned parts slice is reused by the following next call.
-func (m *rowMerger) next() (key string, parts []*rowData, ok bool) {
+func (m *rowMerger) next() (key string, parts []rowPart, ok bool) {
 	if len(m.heap) == 0 {
 		return "", nil, false
 	}
@@ -145,7 +233,7 @@ func (m *rowMerger) next() (key string, parts []*rowData, ok bool) {
 	m.parts = m.parts[:0]
 	for len(m.heap) > 0 && m.heap[0].key == key {
 		src := m.heap[0]
-		m.parts = append(m.parts, src.data())
+		m.parts = append(m.parts, src.part())
 		if src.advance() {
 			m.siftDown(0)
 		} else {
@@ -188,10 +276,10 @@ func (m *rowMerger) siftDown(i int) {
 // dst's capacity. The merge is stable across parts — on coordinate ties the
 // earlier (higher-precedence) part wins — unlike the unstable sort the old
 // merged() relied on.
-func mergeCellsInto(dst []Cell, parts []*rowData) []Cell {
+func mergeCellsInto(dst []Cell, parts [][]Cell) []Cell {
 	total := 0
 	for _, p := range parts {
-		total += len(p.cells)
+		total += len(p)
 	}
 	if cap(dst) < total {
 		dst = make([]Cell, 0, total)
@@ -202,9 +290,9 @@ func mergeCellsInto(dst []Cell, parts []*rowData) []Cell {
 	case 0:
 		return dst
 	case 1:
-		return append(dst, parts[0].cells...)
+		return append(dst, parts[0]...)
 	case 2:
-		a, b := parts[0].cells, parts[1].cells
+		a, b := parts[0], parts[1]
 		i, j := 0, 0
 		for i < len(a) && j < len(b) {
 			if cellLess(b[j], a[i]) {
@@ -224,17 +312,17 @@ func mergeCellsInto(dst []Cell, parts []*rowData) []Cell {
 		for {
 			min := -1
 			for pi, p := range parts {
-				if idx[pi] >= len(p.cells) {
+				if idx[pi] >= len(p) {
 					continue
 				}
-				if min < 0 || cellLess(p.cells[idx[pi]], parts[min].cells[idx[min]]) {
+				if min < 0 || cellLess(p[idx[pi]], parts[min][idx[min]]) {
 					min = pi
 				}
 			}
 			if min < 0 {
 				return dst
 			}
-			dst = append(dst, parts[min].cells[idx[min]])
+			dst = append(dst, parts[min][idx[min]])
 			idx[min]++
 		}
 	}

@@ -8,30 +8,6 @@ import (
 	"sync/atomic"
 )
 
-// hrow is one row inside an immutable store file.
-type hrow struct {
-	key  string
-	data *rowData
-}
-
-// hfile is an immutable, sorted store file produced by a memstore flush,
-// a bulk load or a compaction.
-type hfile struct {
-	rows []hrow
-}
-
-func (f *hfile) seek(key string) int {
-	return sort.Search(len(f.rows), func(i int) bool { return f.rows[i].key >= key })
-}
-
-func (f *hfile) find(key string) *rowData {
-	i := f.seek(key)
-	if i < len(f.rows) && f.rows[i].key == key {
-		return f.rows[i].data
-	}
-	return nil
-}
-
 // memStore is the in-memory write buffer of a region.
 type memStore struct {
 	rows map[string]*rowData
@@ -144,25 +120,14 @@ func (r *Region) contains(key string) bool {
 	return r.end == "" || key < r.end
 }
 
-// getLocked assembles the merged rowData for a key. Caller holds r.mu.
-func (r *Region) lookupLocked(key string) *rowData {
-	var parts []*rowData
-	if rd := r.mem.rows[key]; rd != nil {
-		parts = append(parts, rd)
-	}
-	for _, f := range r.files {
-		if rd := f.find(key); rd != nil {
-			parts = append(parts, rd)
-		}
-	}
-	switch len(parts) {
-	case 0:
-		return nil
-	case 1:
-		return parts[0]
-	default:
-		return merged(parts...)
-	}
+// readLocked materializes the visible pairs of one row as a fresh,
+// caller-stable Cells (nil when the row is absent or invisible). Caller
+// holds r.mu.
+func (r *Region) readLocked(key string, opts ReadOpts) Cells {
+	m, parts := lookupRow(r.mem, r.files, key)
+	defer m.release()
+	_, cells := m.read(parts, nil, opts)
+	return cells
 }
 
 // get reads one row.
@@ -170,11 +135,7 @@ func (r *Region) get(key string, opts ReadOpts) RowResult {
 	r.recordRead(1)
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	rd := r.lookupLocked(key)
-	if rd == nil {
-		return RowResult{Key: key}
-	}
-	return RowResult{Key: key, Cells: rd.read(opts)}
+	return RowResult{Key: key, Cells: r.readLocked(key, opts)}
 }
 
 // daughterFor returns the daughter owning key when the region has split, or
@@ -246,11 +207,7 @@ func (r *Region) checkAndPut(key, qualifier string, expected []byte, c Cell) boo
 	}
 	defer r.mu.Unlock()
 	r.recordWrite(1)
-	var current []byte
-	if rd := r.lookupLocked(key); rd != nil {
-		current = rd.read(ReadOpts{}).Get(qualifier)
-	}
-	if !bytes.Equal(current, expected) {
+	if current := r.readLocked(key, ReadOpts{}).Get(qualifier); !bytes.Equal(current, expected) {
 		return false
 	}
 	rd := r.mem.upsert(key)
@@ -269,10 +226,8 @@ func (r *Region) increment(key, qualifier string, delta int64, ts int64) int64 {
 	defer r.mu.Unlock()
 	r.recordWrite(1)
 	var cur int64
-	if rd := r.lookupLocked(key); rd != nil {
-		if v := rd.read(ReadOpts{}).Get(qualifier); len(v) == 8 {
-			cur = int64(binary.BigEndian.Uint64(v))
-		}
+	if v := r.readLocked(key, ReadOpts{}).Get(qualifier); len(v) == 8 {
+		cur = int64(binary.BigEndian.Uint64(v))
 	}
 	cur += delta
 	buf := make([]byte, 8)
@@ -308,15 +263,9 @@ func (r *Region) scanChunk(buf *chunkBuf, start string, limit int, opts ReadOpts
 		if !ok || (r.end != "" && key >= r.end) {
 			return examined, ""
 		}
-		var rd *rowData
-		if len(parts) == 1 {
-			rd = parts[0]
-		} else {
-			rd = m.foldParts(parts)
-		}
 		examined++
 		var cells Cells
-		buf.arena, cells = rd.readInto(buf.arena, opts)
+		buf.arena, cells = m.read(parts, buf.arena, opts)
 		if len(cells) == 0 {
 			continue // deleted or invisible row
 		}
@@ -344,14 +293,18 @@ func (r *Region) flushLocked() {
 	if r.mem.len() == 0 {
 		return
 	}
-	keys := append([]string(nil), r.mem.sortedKeys()...)
-	rows := make([]hrow, 0, len(keys))
+	keys := r.mem.sortedKeys()
+	keyBytes := 0
 	for _, k := range keys {
-		rows = append(rows, hrow{key: k, data: r.mem.rows[k]})
+		keyBytes += len(k)
+	}
+	b := newHFileBuilder(len(keys), keyBytes)
+	for _, k := range keys {
+		b.add(k, r.mem.rows[k].cells)
 	}
 	// Newest file first so same-coordinate duplicates resolve toward
 	// recent data.
-	r.files = append([]*hfile{{rows: rows}}, r.files...)
+	r.files = append([]*hfile{b.finish()}, r.files...)
 	r.mem = newMemStore()
 }
 
@@ -365,27 +318,30 @@ func (r *Region) majorCompact() {
 	if len(r.files) == 0 {
 		return
 	}
-	// Heap-based k-way merge of the sorted store files.
+	// Heap-based k-way merge of the sorted store files: each row's cells are
+	// folded into the merger's scratch, compacted there and re-encoded.
 	m := newRowMerger(nil, r.files, "")
 	defer m.release()
-	out := make([]hrow, 0, m.remaining())
+	keyBytes := 0
+	for _, f := range r.files {
+		keyBytes += f.keyBytes()
+	}
+	b := newHFileBuilder(m.remaining(), keyBytes)
 	for {
 		key, parts, ok := m.next()
 		if !ok {
 			break
 		}
-		var rd *rowData
-		if len(parts) == 1 {
-			rd = parts[0].clone()
-		} else {
-			rd = &rowData{cells: mergeCellsInto(nil, parts)}
-		}
+		rd := m.fold(parts)
 		rd.compact(r.spec.MaxVersions)
 		if !rd.empty() {
-			out = append(out, hrow{key: key, data: rd})
+			b.add(key, rd.cells)
 		}
 	}
-	r.files = []*hfile{{rows: out}}
+	r.files = nil
+	if f := b.finish(); f.len() > 0 {
+		r.files = []*hfile{f}
+	}
 }
 
 // rowCount estimates the number of distinct row keys (memstore rows may
@@ -396,12 +352,14 @@ func (r *Region) rowCount() int {
 	defer r.mu.RUnlock()
 	n := r.mem.len()
 	for _, f := range r.files {
-		n += len(f.rows)
+		n += f.len()
 	}
 	return n
 }
 
 // sizeBytes reports the KeyValue-format storage footprint of the region.
+// Store files recorded theirs when they were built, so only the memstore is
+// walked.
 func (r *Region) sizeBytes() int64 {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -410,9 +368,7 @@ func (r *Region) sizeBytes() int64 {
 		total += rd.sizeBytes(k)
 	}
 	for _, f := range r.files {
-		for _, hr := range f.rows {
-			total += hr.data.sizeBytes(hr.key)
-		}
+		total += f.size
 	}
 	return total
 }
@@ -425,11 +381,11 @@ func (r *Region) midKey() string {
 	// Use the largest store file for the estimate, as HBase does.
 	var biggest *hfile
 	for _, f := range r.files {
-		if biggest == nil || len(f.rows) > len(biggest.rows) {
+		if biggest == nil || f.len() > biggest.len() {
 			biggest = f
 		}
 	}
-	if biggest == nil || len(biggest.rows) < 2 {
+	if biggest == nil || biggest.len() < 2 {
 		// No (usable) store file yet. Load-triggered splits arrive before the
 		// first flush on write-hot regions, so fall back to the memstore's
 		// sorted keys rather than refusing to split.
@@ -439,13 +395,14 @@ func (r *Region) midKey() string {
 		keys := r.mem.sortedKeys()
 		return keys[len(keys)/2]
 	}
-	return biggest.rows[len(biggest.rows)/2].key
+	return biggest.key(biggest.lo + biggest.len()/2)
 }
 
 // split divides the region at key, returning the two halves. The receiver
 // becomes a forwarding shell: readers still holding it drain against its
-// flushed store files (shared with the daughters), and late writes forward
-// to the daughter owning the key.
+// flushed store files, and late writes forward to the daughter owning the
+// key. Each daughter gets a row window over the parent's files; the blocks
+// themselves are shared, not copied.
 func (r *Region) split(key string) (*Region, *Region) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -453,12 +410,12 @@ func (r *Region) split(key string) (*Region, *Region) {
 	left := newRegion(r.spec, r.start, key)
 	right := newRegion(r.spec, key, r.end)
 	for _, f := range r.files {
-		cut := f.seek(key)
-		if cut > 0 {
-			left.files = append(left.files, &hfile{rows: f.rows[:cut]})
+		lf, rf := f.split(key)
+		if lf != nil {
+			left.files = append(left.files, lf)
 		}
-		if cut < len(f.rows) {
-			right.files = append(right.files, &hfile{rows: f.rows[cut:]})
+		if rf != nil {
+			right.files = append(right.files, rf)
 		}
 	}
 	// Each daughter inherits half the parent's load history, so a split hot

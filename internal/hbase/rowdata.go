@@ -5,7 +5,9 @@ import "sort"
 // rowData holds every retained cell version of one row, sorted by
 // (qualifier ascending, timestamp descending, tombstones before puts at equal
 // timestamps) — the HBase KeyValue sort order. Row-wide delete tombstones use
-// the empty qualifier so they sort first.
+// the empty qualifier so they sort first. It is the mutable form of a row:
+// memstore rows, a transaction's pending rows and the merge scratch are
+// rowDatas; store files hold the same cells packed (hfile.go).
 type rowData struct {
 	cells []Cell
 }
@@ -100,7 +102,7 @@ func (r *rowData) readInto(dst Cells, opts ReadOpts) (arena, row Cells) {
 		for j < len(r.cells) && r.cells[j].Qualifier == q {
 			j++
 		}
-		if q != "" && opts.wantsColumn(q) {
+		if q != "" {
 			for k := i; k < j; k++ {
 				c := r.cells[k]
 				if !opts.visible(c.TS) {
@@ -199,22 +201,14 @@ func (r *rowData) sizeBytes(key string) int64 {
 // empty reports whether no cells remain.
 func (r *rowData) empty() bool { return len(r.cells) == 0 }
 
-// clone deep-copies the cell index (values are immutable by convention and
-// shared).
-func (r *rowData) clone() *rowData {
-	return &rowData{cells: append([]Cell(nil), r.cells...)}
-}
-
 // merged returns a rowData combining the parts' cells in sort order. Parts
-// must be given in precedence order (memstore first, then files newest
-// first); the underlying merge is linear over the already-sorted parts
-// rather than a re-sort, and stable, so earlier parts win coordinate ties.
+// must be given in precedence order (pending cells before store cells); the
+// underlying merge is linear over the already-sorted parts rather than a
+// re-sort, and stable, so earlier parts win coordinate ties.
 func merged(parts ...*rowData) *rowData {
-	live := make([]*rowData, 0, len(parts))
-	for _, p := range parts {
-		if p != nil {
-			live = append(live, p)
-		}
+	lists := make([][]Cell, len(parts))
+	for i, p := range parts {
+		lists[i] = p.cells
 	}
-	return &rowData{cells: mergeCellsInto(nil, live)}
+	return &rowData{cells: mergeCellsInto(nil, lists)}
 }

@@ -80,14 +80,14 @@ func TestRowDataColumnTombstone(t *testing.T) {
 	}
 }
 
-func TestRowDataColumnProjection(t *testing.T) {
+func TestRowDataReadGet(t *testing.T) {
 	rd := &rowData{}
 	rd.apply(put("a", "1", 1), 1)
 	rd.apply(put("b", "2", 1), 1)
 	rd.apply(put("c", "3", 1), 1)
-	got := rd.read(ReadOpts{Columns: []string{"a", "c"}})
-	if len(got) != 2 || got.Get("b") != nil {
-		t.Fatalf("projection = %v, want a and c only", got)
+	got := rd.read(ReadOpts{})
+	if string(got.Get("a")) != "1" || string(got.Get("c")) != "3" || got.Get("d") != nil {
+		t.Fatalf("read = %v, want a=1 c=3 and no d", got)
 	}
 }
 

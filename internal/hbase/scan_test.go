@@ -97,7 +97,7 @@ func TestScanParallelSequentialParity(t *testing.T) {
 		"stop-mid":   {Stop: scanKey(1777)},
 		"filter":     {Filter: func(r RowResult) bool { return len(r.Get("v"))%2 == 0 }},
 		"snapshot":   {Read: ReadOpts{ReadTS: 1}}, // bulk-load stamp only
-		"projection": {Read: ReadOpts{Columns: []string{"w"}}},
+		"filter-w":   {Filter: func(r RowResult) bool { return bytes.HasSuffix(r.Cells.Get("w"), []byte("7")) }},
 		"smallbatch": {Batch: 17},
 	}
 	for name, spec := range specs {

@@ -14,6 +14,17 @@
 //   - memstore flushes, store files and major compaction, whose storage
 //     format drives the disk-utilization comparison of Table III.
 //
+// Rows exist in two forms. Where they mutate — the memstore, a
+// transaction's pending overlay, merge scratch — a row is a rowData, a
+// sorted []Cell. Immutable store files (hfile) hold the same cells packed:
+// keys concatenated behind an offset index, row bodies varint-encoded in
+// pointer-free blocks of at most 64 KiB, qualifiers dictionary-encoded per
+// file, so a resident database costs the heap its key and value bytes plus
+// a few bytes per cell, and the garbage collector nothing per cell. Reads
+// never decode a file row into cells unless it has to be merged with
+// another part of the same row; the modelled KeyValue footprint (KVSize,
+// TableBytes) is independent of either form.
+//
 // All operations charge simulated latency to the caller's sim.Ctx via the
 // shared cluster cost model.
 package hbase
@@ -59,7 +70,8 @@ func KVSize(rowKey string, c Cell) int64 {
 }
 
 // Pair is one qualifier/value entry of a materialized row. Values are
-// immutable by convention and shared with the store.
+// immutable by convention and shared with the store: a Value is a window
+// into a store file block or the value slice of a memstore cell.
 type Pair struct {
 	Qualifier string
 	Value     []byte
@@ -79,8 +91,8 @@ type Pair struct {
 // row of its scan chunk, so appending to it, writing an element (or an
 // element's field) through it, or re-slicing it beyond its length corrupts
 // neighboring rows. cmd/cellsvet enforces the rule repo-wide in CI; the few
-// legitimate producers (rowData.readInto, the overlay merge, Clone) are
-// annotated `//cellsvet:owner` at their declaration.
+// legitimate producers (rowData.readInto and packedRow.readInto, the overlay
+// merge, Clone) are annotated `//cellsvet:owner` at their declaration.
 //
 // Lifetime: rows returned by a RowStream (Scanner.Next and the overlay
 // scanner) are valid only until the stream's next Next or Close call —
@@ -89,7 +101,12 @@ type Pair struct {
 // must Clone it. Point reads (Client.Get, ReadView.Get) and rows already
 // deep-copied by Clone are caller-stable forever. The Pair.Value byte
 // slices are shared with the store and never recycled or overwritten, so
-// values decoded or retained from a row stay valid regardless.
+// values decoded or retained from a row stay valid regardless. A value read
+// from a store file is a capacity-clipped window into one of the file's
+// data blocks: retaining it keeps that block (at most 64 KiB, or one
+// oversized row) reachable after a compaction retires the file — never the
+// whole file. A scanned row's Key is likewise a substring of its file's key
+// string.
 type Cells []Pair
 
 // Clone returns a caller-stable deep copy of the pair slice (the values
@@ -207,8 +224,6 @@ type ReadOpts struct {
 	// Excluded, when non-nil, hides cells whose timestamp it reports true
 	// for (Tephra's invalid/in-progress transaction list).
 	Excluded func(ts int64) bool
-	// Columns, when non-empty, restricts the result to these qualifiers.
-	Columns []string
 }
 
 func (o ReadOpts) visible(ts int64) bool {
@@ -219,18 +234,6 @@ func (o ReadOpts) visible(ts int64) bool {
 		return false
 	}
 	return true
-}
-
-func (o ReadOpts) wantsColumn(q string) bool {
-	if len(o.Columns) == 0 {
-		return true
-	}
-	for _, c := range o.Columns {
-		if c == q {
-			return true
-		}
-	}
-	return false
 }
 
 // TableSpec describes a table at creation time.

@@ -2,6 +2,7 @@ package server
 
 import (
 	"errors"
+	"sync"
 	"sync/atomic"
 )
 
@@ -17,11 +18,23 @@ var ErrServerBusy = errors.New("server: admission queue full")
 // waiters. One slot is held for the duration of one statement execution,
 // never across client think time, so a session blocked mid-transaction on
 // its client holds locks but no slot.
+//
+// Slot ownership and queue occupancy are one state, changed under mu: a
+// releaser that finds a waiter hands its slot straight over and takes the
+// waiter off the queue count in the same step, so a woken waiter that has
+// not been scheduled yet is never counted against the queue bound. With C
+// callers and slots+queue >= C, no caller is ever refused.
 type Gate struct {
-	slots    chan struct{}
-	maxQueue int64
+	maxQueue int
 
-	waiting  atomic.Int64 // current queued acquirers
+	mu      sync.Mutex
+	free    int // idle slots
+	waiting int // acquirers parked on handoff, not yet given a slot
+	// handoff carries slots from releasers to parked acquirers. A token is
+	// only ever sent for an acquirer already counted in waiting, and at most
+	// one per slot is in flight, so the buffer makes Release non-blocking.
+	handoff chan struct{}
+
 	queued   atomic.Int64 // cumulative acquisitions that had to queue
 	rejected atomic.Int64 // cumulative fast-fail rejections
 }
@@ -35,55 +48,64 @@ func NewGate(slots, queue int) *Gate {
 	if queue <= 0 {
 		queue = 16
 	}
-	g := &Gate{slots: make(chan struct{}, slots), maxQueue: int64(queue)}
-	for i := 0; i < slots; i++ {
-		g.slots <- struct{}{}
-	}
-	return g
+	return &Gate{maxQueue: queue, free: slots, handoff: make(chan struct{}, slots)}
 }
 
 // Acquire takes an execution slot, blocking in the wait queue when every
 // slot is busy. It reports whether the caller had to queue; when the queue
 // is at its bound it fails immediately with ErrServerBusy.
 func (g *Gate) Acquire() (bool, error) {
-	select {
-	case <-g.slots:
+	g.mu.Lock()
+	if g.free > 0 {
+		g.free--
+		g.mu.Unlock()
 		return false, nil
-	default:
 	}
-	for {
-		w := g.waiting.Load()
-		if w >= g.maxQueue {
-			g.rejected.Add(1)
-			return false, ErrServerBusy
-		}
-		if g.waiting.CompareAndSwap(w, w+1) {
-			break
-		}
+	if g.waiting >= g.maxQueue {
+		g.mu.Unlock()
+		g.rejected.Add(1)
+		return false, ErrServerBusy
 	}
+	g.waiting++
+	g.mu.Unlock()
 	g.queued.Add(1)
-	<-g.slots
-	g.waiting.Add(-1)
+	<-g.handoff
 	return true, nil
 }
 
 // TryAcquire takes a slot only if one is free — the bench uses it to occupy
 // the pool deterministically.
 func (g *Gate) TryAcquire() bool {
-	select {
-	case <-g.slots:
-		return true
-	default:
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.free == 0 {
 		return false
 	}
+	g.free--
+	return true
 }
 
-// Release returns a slot to the pool, waking the longest-queued acquirer
-// (channel order).
-func (g *Gate) Release() { g.slots <- struct{}{} }
+// Release gives the slot to the longest-queued acquirer (channel order),
+// taking it off the queue count on its behalf, or returns it to the pool
+// when nobody waits.
+func (g *Gate) Release() {
+	g.mu.Lock()
+	if g.waiting == 0 {
+		g.free++
+		g.mu.Unlock()
+		return
+	}
+	g.waiting--
+	g.mu.Unlock()
+	g.handoff <- struct{}{}
+}
 
 // Waiting reports the acquirers currently queued.
-func (g *Gate) Waiting() int { return int(g.waiting.Load()) }
+func (g *Gate) Waiting() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.waiting
+}
 
 // GateStats are cumulative admission counters.
 type GateStats struct {

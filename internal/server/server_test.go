@@ -7,6 +7,8 @@ import (
 	"math"
 	"reflect"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -717,6 +719,50 @@ func TestGateBounds(t *testing.T) {
 	}
 	g.Release()
 	<-queued
+}
+
+// TestGateNeverRefusesWithinCapacity: slots + queue callers can never
+// overflow the gate, however the scheduler interleaves them — at most that
+// many are ever inside Acquire..Release at once, and every one of them either
+// holds a slot or is queued. (The gate used to take a woken waiter off the
+// queue count only once it ran again, so a burst of re-acquires saw a full
+// queue and four connections drew ERR 1040 from a 2-slot + 3-queue gate.)
+// Run with -cpu 1,2,4 -count=20.
+func TestGateNeverRefusesWithinCapacity(t *testing.T) {
+	const slots, queue, rounds = 2, 3, 4000
+	g := NewGate(slots, queue)
+	var wg sync.WaitGroup
+	var busy, inside atomic.Int64
+	for i := 0; i < slots+queue; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < rounds; n++ {
+				if _, err := g.Acquire(); err != nil {
+					busy.Add(1)
+					continue
+				}
+				if now := inside.Add(1); now > slots {
+					t.Errorf("%d callers hold a slot, the gate has %d", now, slots)
+				}
+				inside.Add(-1)
+				g.Release()
+			}
+		}()
+	}
+	wg.Wait()
+	if n := busy.Load(); n != 0 {
+		t.Fatalf("%d of %d acquisitions refused with %d callers on a %d-slot + %d-queue gate",
+			n, (slots+queue)*rounds, slots+queue, slots, queue)
+	}
+	if g.Waiting() != 0 || g.Stats().Rejected != 0 {
+		t.Fatalf("gate ended with %d waiting, %d rejected", g.Waiting(), g.Stats().Rejected)
+	}
+	for i := 0; i < slots; i++ {
+		if !g.TryAcquire() {
+			t.Fatalf("slot %d lost: only %d of %d came back", i, i, slots)
+		}
+	}
 }
 
 func TestResultSetColumnTypes(t *testing.T) {

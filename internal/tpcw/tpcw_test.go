@@ -7,6 +7,7 @@ import (
 	"synergy/internal/core"
 	"synergy/internal/sim"
 	"synergy/internal/sqlparser"
+	"synergy/internal/synergy"
 )
 
 func TestSchemaValid(t *testing.T) {
@@ -271,5 +272,21 @@ func TestStatementByID(t *testing.T) {
 	}
 	if _, ok := StatementByID("nope"); ok {
 		t.Fatal("unknown id found")
+	}
+}
+
+// TestDatabaseBytesAtBenchmarkScale pins Table III's quantity at the standing
+// benchmark's scale: the KeyValue-format footprint of the populated Synergy
+// deployment (base tables, indexes, views, lock tables) after BuildViews.
+// Store files record their footprint when they are built instead of walking
+// cells per call, so the total must stay bit-identical to the cell walk it
+// replaced.
+func TestDatabaseBytesAtBenchmarkScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("populates a NUM_CUST=500 database")
+	}
+	sys := paritySystem(t, Generate(500, 1), synergy.Config{})
+	if got, want := sys.DatabaseBytes(), int64(181_219_823); got != want {
+		t.Fatalf("DatabaseBytes = %d, want %d", got, want)
 	}
 }
