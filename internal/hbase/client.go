@@ -1,6 +1,7 @@
 package hbase
 
 import (
+	"slices"
 	"sync"
 
 	"synergy/internal/sim"
@@ -302,7 +303,13 @@ type ScanSpec struct {
 	Stop   string // exclusive; "" = table end
 	Prefix string // convenience: restricts to keys with this prefix
 	Limit  int    // max rows returned; 0 = unlimited
-	Read   ReadOpts
+	// Reversed streams the range in descending key order. Start, Stop and
+	// Prefix still name the same [Start, Stop) key range and Limit still
+	// counts returned rows — the scan simply begins just below Stop and ends
+	// at Start, visiting regions last to first. The SQL planner sets it to
+	// serve ORDER BY … DESC from a key instead of a sort.
+	Reversed bool
+	Read     ReadOpts
 	// Filter drops rows server-side; dropped rows are examined but not
 	// shipped (HBase filter pushdown). Filters must be pure row predicates:
 	// a transaction's read-your-writes view evaluates the same filter both
@@ -338,7 +345,9 @@ func (s ScanSpec) bounds() (start, stop string) {
 	return start, stop
 }
 
-// Scanner streams rows from a table in key order across regions.
+// Scanner streams rows from a table in key order across regions — ascending,
+// or descending for a reversed spec, which lists its regions last to first
+// and is otherwise the same scanner.
 //
 // Unlimited scans over multi-region ranges run in scatter-gather mode, as
 // real Phoenix does for intra-query parallelism: a bounded worker pool
@@ -353,7 +362,9 @@ type Scanner struct {
 	tbl     *table
 	spec    ScanSpec
 	batch   int
-	regions []*Region
+	regions []*Region   // in scan order: last to first for a reversed spec
+	from    string      // bound the scan enters its range at: Start, or Stop reversed
+	to      string      // bound it leaves at: Stop (exclusive), or Start (inclusive) reversed
 	par     *parScanner // nil in sequential mode
 	ri      int         // current region index
 	resume  string      // next key within current region
@@ -371,18 +382,25 @@ func (c *Client) Scan(ctx *sim.Ctx, tbl string, spec ScanSpec) (*Scanner, error)
 	if err != nil {
 		return nil, err
 	}
-	start, stop := spec.bounds()
 	batch := spec.Batch
 	if batch <= 0 {
 		batch = c.hc.costs.ScannerBatch
+	}
+	from, to := spec.bounds()
+	regions := t.regionsInRange(from, to)
+	if spec.Reversed {
+		slices.Reverse(regions)
+		from, to = to, from
 	}
 	s := &Scanner{
 		client:  c,
 		tbl:     t,
 		spec:    spec,
 		batch:   batch,
-		regions: t.regionsInRange(start, stop),
-		resume:  start,
+		regions: regions,
+		from:    from,
+		to:      to,
+		resume:  from,
 	}
 	if (spec.Limit <= 0 || spec.Limit >= batch) && !spec.Sequential && len(s.regions) > 1 {
 		par := spec.Parallelism
@@ -464,24 +482,43 @@ func (s *Scanner) releaseChunk() {
 	}
 }
 
+// past reports whether key lies beyond the bound the scan leaves its range at.
+func (s *Scanner) past(key string) bool {
+	if s.spec.Reversed {
+		return key < s.to
+	}
+	return s.to != "" && key >= s.to
+}
+
+// enter clamps a resume key to region r: the key a chunk of r starts from
+// when the scan arrives there at from.
+func (s *Scanner) enter(r *Region, from string) string {
+	if s.spec.Reversed {
+		if r.end != "" && (from == "" || from > r.end) {
+			return r.end
+		}
+	} else if from < r.start {
+		return r.start
+	}
+	return from
+}
+
 // fetchChunk performs one scanner RPC against region r into buf, charging
 // ctx for the server-side work and the response shipment. It is shared by
 // the sequential path and the scatter-gather workers so that both modes
 // charge identically. The buffer is reset on entry — this is the refill
 // point that invalidates whatever rows it previously held. next is "" when
-// the region is exhausted; truncated reports that the stop key cut the
-// chunk, meaning every remaining key in this and any later region is out of
-// range.
-func (s *Scanner) fetchChunk(ctx *sim.Ctx, r *Region, buf *chunkBuf, resume string, want int, stop string) (next string, truncated bool) {
+// the region is exhausted; truncated reports that the range's far bound (the
+// stop key, or the start key of a reversed scan) cut the chunk, meaning every
+// remaining key in this and any later region is out of range.
+func (s *Scanner) fetchChunk(ctx *sim.Ctx, r *Region, buf *chunkBuf, resume string, want int) (next string, truncated bool) {
 	hc := s.client.hc
 	srv := r.Server()
 	buf.reset()
-	examined, next := r.scanChunk(buf, resume, want, s.spec.Read, s.spec.Filter)
-	if stop != "" {
-		for len(buf.rows) > 0 && buf.rows[len(buf.rows)-1].Key >= stop {
-			buf.rows = buf.rows[:len(buf.rows)-1]
-			truncated = true
-		}
+	examined, next := r.scanChunk(buf, resume, want, s.spec.Reversed, s.spec.Read, s.spec.Filter)
+	for len(buf.rows) > 0 && s.past(buf.rows[len(buf.rows)-1].Key) {
+		buf.rows = buf.rows[:len(buf.rows)-1]
+		truncated = true
 	}
 	ctx.CountRowsScanned(examined)
 	hc.serverWork(ctx, srv, sim.Micros(int64(examined)*int64(hc.costs.ScanNextRow)))
@@ -500,7 +537,6 @@ func (s *Scanner) fetchChunk(ctx *sim.Ctx, r *Region, buf *chunkBuf, resume stri
 // client pool (exhaustion invalidates previously returned rows).
 func (s *Scanner) fetch(ctx *sim.Ctx) bool {
 	hc := s.client.hc
-	_, stop := s.spec.bounds()
 	if s.chunk == nil {
 		s.chunk = s.client.getChunkBuf()
 	}
@@ -509,9 +545,7 @@ func (s *Scanner) fetch(ctx *sim.Ctx) bool {
 		if !s.opened {
 			hc.serverWork(ctx, r.Server(), hc.costs.ScanOpen)
 			s.opened = true
-			if s.resume < r.start {
-				s.resume = r.start
-			}
+			s.resume = s.enter(r, s.resume)
 		}
 		want := s.batch
 		if s.spec.Limit > 0 {
@@ -519,18 +553,18 @@ func (s *Scanner) fetch(ctx *sim.Ctx) bool {
 				want = remaining
 			}
 		}
-		next, truncated := s.fetchChunk(ctx, r, s.chunk, s.resume, want, stop)
+		next, truncated := s.fetchChunk(ctx, r, s.chunk, s.resume, want)
 		switch {
 		case truncated:
 			// Terminate so no further region is ever opened.
 			s.ri = len(s.regions)
 			s.opened = false
 		case next == "":
+			// The next region is entered at its near edge; enter clamps the
+			// scan's own entry key to it.
 			s.ri++
 			s.opened = false
-			if s.ri < len(s.regions) {
-				s.resume = s.regions[s.ri].start
-			}
+			s.resume = s.from
 		default:
 			s.resume = next
 		}

@@ -8,7 +8,8 @@ import (
 )
 
 // TestPackedScanAllocs pins the allocation profile of the packed read path:
-// a scanChunk over file-only rows allocates nothing per row, a point read
+// a scanChunk over file-only rows allocates nothing per row in either
+// direction, a point read
 // allocates exactly its result, and a row merged from a memstore part over a
 // packed part costs nothing beyond the pooled scratch. (The file is not built
 // under -race: the race detector makes sync.Pool drop items at random, so
@@ -19,7 +20,7 @@ func TestPackedScanAllocs(t *testing.T) {
 	buf := &chunkBuf{}
 	scan := func() {
 		buf.reset()
-		if _, next := r.scanChunk(buf, "", 0, ReadOpts{}, nil); next != "" || len(buf.rows) != rows {
+		if _, next := r.scanChunk(buf, "", 0, false, ReadOpts{}, nil); next != "" || len(buf.rows) != rows {
 			panic(fmt.Sprintf("scan gave %d rows, next %q", len(buf.rows), next))
 		}
 	}
@@ -27,6 +28,16 @@ func TestPackedScanAllocs(t *testing.T) {
 	key := scanKey(77)
 	if allocs := testing.AllocsPerRun(20, scan); allocs != 0 {
 		t.Fatalf("file-only scanChunk allocates %v per %d-row chunk, want 0", allocs, rows)
+	}
+	last := scanKey(rows - 1)
+	reversed := func() {
+		buf.reset()
+		if _, next := r.scanChunk(buf, "", 0, true, ReadOpts{}, nil); next != "" || len(buf.rows) != rows || buf.rows[0].Key != last {
+			panic(fmt.Sprintf("reversed scan gave %d rows from %q, next %q", len(buf.rows), buf.rows[0].Key, next))
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, reversed); allocs != 0 {
+		t.Fatalf("reversed file-only scanChunk allocates %v per %d-row chunk, want 0", allocs, rows)
 	}
 	if allocs := testing.AllocsPerRun(200, func() { _ = r.get(key, ReadOpts{}) }); allocs != 1 {
 		t.Fatalf("file-only point get allocates %v, want 1 (the returned Cells)", allocs)

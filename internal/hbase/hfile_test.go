@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -221,7 +222,7 @@ func TestPackedBlocksBoundedAndSeekable(t *testing.T) {
 			t.Fatalf("row %s decoded wrong: v=%q pad=%d bytes", k, got.Get("v"), len(got.Get("pad")))
 		}
 	}
-	m := newRowMerger(nil, []*hfile{f}, scanKey(100))
+	m := newRowMerger(nil, []*hfile{f}, scanKey(100), false)
 	defer m.release()
 	for i := 100; i < rows; i++ {
 		key, parts, ok := m.next()
@@ -322,6 +323,43 @@ func (s *refStore) bytes() int64 {
 	return n
 }
 
+// scanShapes are the range and limit shapes every model check scans, each
+// forward and reversed, sequentially and scatter-gathered: the whole table
+// (at the default batch and at several chunks per 30-row region), a
+// [Start, Stop) window and prefixes across region boundaries, and limits
+// below the batch (sequential early stop) and at or above it (scatter-gather
+// with per-region caps and a client-side trim).
+var scanShapes = []ScanSpec{
+	{},
+	{Batch: 8},
+	{Start: scanKey(37), Stop: scanKey(121), Batch: 8},
+	{Prefix: "k00001", Batch: 4},
+	{Limit: 5},
+	{Limit: 20, Batch: 8},
+	{Start: scanKey(37), Stop: scanKey(121), Limit: 20, Batch: 8},
+	{Prefix: "k0000", Limit: 12, Batch: 5},
+}
+
+// modelRows is what a scan of spec's shape must return given all, the
+// model's visible rows in ascending key order: the rows inside the range,
+// backwards when reversed, cut at the limit.
+func modelRows(all []RowResult, spec ScanSpec) []RowResult {
+	start, stop := spec.bounds()
+	var rows []RowResult
+	for _, r := range all {
+		if r.Key >= start && (stop == "" || r.Key < stop) {
+			rows = append(rows, r)
+		}
+	}
+	if spec.Reversed {
+		slices.Reverse(rows)
+	}
+	if spec.Limit > 0 && len(rows) > spec.Limit {
+		rows = rows[:spec.Limit]
+	}
+	return rows
+}
+
 func (s *refStore) scan(opts ReadOpts) []RowResult {
 	var rows []RowResult
 	for _, k := range s.keys() {
@@ -337,9 +375,9 @@ func (s *refStore) scan(opts ReadOpts) []RowResult {
 // compaction — with a split threshold low enough that flushes and
 // compactions keep splitting regions — and after every step that rewrites
 // store files compares the table against refStore: TableBytes against the
-// brute-force KVSize sum, every Get, full scans under plain, snapshot and
-// excluded-version options, and region scanChunks resumed seven rows at a
-// time.
+// brute-force KVSize sum, every Get, the scanShapes under plain, snapshot and
+// excluded-version options in both directions, and region scanChunks resumed
+// seven rows at a time, forward and reversed.
 func TestRegionModelRandomized(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) { runRegionModel(t, seed) })
@@ -390,31 +428,50 @@ func runRegionModel(t *testing.T, seed int64) {
 			t.Fatal(err)
 		}
 		for oi, opts := range optsList {
-			want := model.scan(opts)
-			for _, sequential := range []bool{true, false} {
-				got, _ := drainSpec(t, c, ScanSpec{Read: opts, Sequential: sequential})
-				requireSameRows(t, want, got)
-			}
-			// Resumed region chunks: each region seven rows at a time, the
-			// regions in key order, must concatenate to the same rows.
-			var chunked []RowResult
-			buf := &chunkBuf{}
-			for _, r := range tbl.regionsInRange("", "") {
-				for next := r.start; ; {
-					buf.reset()
-					_, next = r.scanChunk(buf, next, 7, opts, nil)
-					for _, row := range buf.rows {
-						chunked = append(chunked, row.Clone())
-					}
-					if next == "" {
-						break
+			all := model.scan(opts)
+			for _, spec := range scanShapes {
+				for _, reversed := range []bool{false, true} {
+					spec.Read, spec.Reversed = opts, reversed
+					want := modelRows(all, spec)
+					for _, sequential := range []bool{true, false} {
+						spec.Sequential = sequential
+						got, _ := drainSpec(t, c, spec)
+						requireSameRows(t, want, got)
 					}
 				}
 			}
-			if len(chunked) != len(want) {
-				t.Fatalf("%s opts %d: resumed chunks gave %d rows, model %d", where, oi, len(chunked), len(want))
+			// Resumed region chunks: each region seven rows at a time, the
+			// regions in scan order, must concatenate to the same rows —
+			// forward, and reversed to the same rows backwards.
+			for _, reversed := range []bool{false, true} {
+				want := modelRows(all, ScanSpec{Reversed: reversed})
+				regions := tbl.regionsInRange("", "")
+				if reversed {
+					slices.Reverse(regions)
+				}
+				var chunked []RowResult
+				buf := &chunkBuf{}
+				for _, r := range regions {
+					next := r.start
+					if reversed {
+						next = r.end
+					}
+					for {
+						buf.reset()
+						_, next = r.scanChunk(buf, next, 7, reversed, opts, nil)
+						for _, row := range buf.rows {
+							chunked = append(chunked, row.Clone())
+						}
+						if next == "" {
+							break
+						}
+					}
+				}
+				if len(chunked) != len(want) {
+					t.Fatalf("%s opts %d reversed %v: resumed chunks gave %d rows, model %d", where, oi, reversed, len(chunked), len(want))
+				}
+				requireSameRows(t, want, chunked)
 			}
-			requireSameRows(t, want, chunked)
 		}
 	}
 

@@ -52,37 +52,65 @@ func (s *mergeSource) part() rowPart {
 	return rowPart{mem: s.mem[s.key]}
 }
 
-// advance moves to the next row, reporting false when the source is drained.
-func (s *mergeSource) advance() bool {
-	s.pos++
+// advance moves one row along the merge direction — up the keys, or down
+// them when rev — reporting false when the source is drained.
+func (s *mergeSource) advance(rev bool) bool {
 	if f := s.f; f != nil {
-		if s.pos >= f.hi {
-			return false
-		}
-		if s.pos >= int(f.blockRow[s.blk+1]) {
-			s.blk++
+		if rev {
+			s.pos--
+			if s.pos < f.lo {
+				return false
+			}
+			if s.pos < int(f.blockRow[s.blk]) {
+				s.blk--
+			}
+		} else {
+			s.pos++
+			if s.pos >= f.hi {
+				return false
+			}
+			if s.pos >= int(f.blockRow[s.blk+1]) {
+				s.blk++
+			}
 		}
 		s.key = f.key(s.pos)
 		return true
 	}
-	if s.pos >= len(s.keys) {
+	if rev {
+		s.pos--
+	} else {
+		s.pos++
+	}
+	if s.pos < 0 || s.pos >= len(s.keys) {
 		return false
 	}
 	s.key = s.keys[s.pos]
 	return true
 }
 
-func (s *mergeSource) left() int {
+// left counts the rows from the current one to the source's end in the merge
+// direction.
+func (s *mergeSource) left(rev bool) int {
+	lo, hi := 0, len(s.keys)
 	if s.f != nil {
-		return s.f.hi - s.pos
+		lo, hi = s.f.lo, s.f.hi
 	}
-	return len(s.keys) - s.pos
+	if rev {
+		return s.pos - lo + 1
+	}
+	return hi - s.pos
 }
 
-// rowMerger streams (key, parts) pairs in ascending key order from any
-// number of sorted sources via a binary min-heap keyed on each source's
-// current row key. It replaces the O(sources) linear min-search per row the
-// scan and compaction paths used to do with O(log sources) sift operations.
+// rowMerger streams (key, parts) pairs in key order from any number of
+// sorted sources via a binary heap keyed on each source's current row key. It
+// replaces the O(sources) linear min-search per row the scan and compaction
+// paths used to do with O(log sources) sift operations.
+//
+// Direction is a property of the merge, not a second merger: every source is
+// position-indexed (a sorted key slice, a store file's row index), so a
+// reversed merge (rev) starts each source on its last key below the bound,
+// steps positions down instead of up and flips the heap's key order. Parts of
+// one key still come out in rank order either way.
 //
 // Mergers are pooled: every scan chunk and every compaction fold used to
 // allocate a fresh heap, source set and parts scratch, which made the merger
@@ -92,6 +120,7 @@ func (s *mergeSource) left() int {
 // a multi-part row decodes and merges into all keep their capacity across
 // folds. Point reads borrow the same scratch through lookupRow.
 type rowMerger struct {
+	rev     bool // descending key order
 	heap    []*mergeSource
 	parts   []rowPart     // scratch, reused across next/lookup calls
 	srcs    []mergeSource // backing storage for heap entries, reused across folds
@@ -102,11 +131,14 @@ type rowMerger struct {
 
 var mergerPool = sync.Pool{New: func() any { return new(rowMerger) }}
 
-// newRowMerger positions every non-empty source at the first key >= start.
-// mem may be nil (compaction merges store files only). The merger comes from
-// the package pool; callers must release() it when the fold is done.
-func newRowMerger(mem *memStore, files []*hfile, start string) *rowMerger {
+// newRowMerger positions every non-empty source at the first key >= from —
+// or, for a reversed merge, at the last key < from, with from == "" standing
+// for "past the last key". mem may be nil (compaction merges store files
+// only). The merger comes from the package pool; callers must release() it
+// when the fold is done.
+func newRowMerger(mem *memStore, files []*hfile, from string, rev bool) *rowMerger {
 	m := mergerPool.Get().(*rowMerger)
+	m.rev = rev
 	// Reserve the source backing array up front: the heap holds pointers
 	// into it, so it must never reallocate while sources are being added.
 	if need := len(files) + 1; cap(m.srcs) < need {
@@ -115,15 +147,26 @@ func newRowMerger(mem *memStore, files []*hfile, start string) *rowMerger {
 	if cap(m.heap) < len(files)+1 {
 		m.heap = make([]*mergeSource, 0, len(files)+1)
 	}
+	// first maps a source's lower bound of from (the first position with
+	// key >= from, of end positions) to the position the merge starts on.
+	first := func(lower, end int) int {
+		switch {
+		case !rev:
+			return lower
+		case from == "":
+			return end - 1
+		}
+		return lower - 1
+	}
 	if mem != nil && mem.len() > 0 {
 		keys := mem.sortedKeys()
-		if i := sort.SearchStrings(keys, start); i < len(keys) {
+		if i := first(sort.SearchStrings(keys, from), len(keys)); i >= 0 && i < len(keys) {
 			m.srcs = append(m.srcs, mergeSource{key: keys[i], pos: i, keys: keys, mem: mem.rows})
 			m.heap = append(m.heap, &m.srcs[len(m.srcs)-1])
 		}
 	}
 	for fi, f := range files {
-		if i := f.seek(start); i < f.hi {
+		if i := first(f.seek(from), f.hi); i >= f.lo && i < f.hi {
 			m.srcs = append(m.srcs, mergeSource{rank: fi + 1, key: f.key(i), pos: i, f: f, blk: f.blockOf(i)})
 			m.heap = append(m.heap, &m.srcs[len(m.srcs)-1])
 		}
@@ -218,13 +261,14 @@ func (m *rowMerger) read(parts []rowPart, dst Cells, opts ReadOpts) (arena, row 
 func (m *rowMerger) remaining() int {
 	n := 0
 	for _, s := range m.heap {
-		n += s.left()
+		n += s.left(m.rev)
 	}
 	return n
 }
 
-// next pops the smallest key and every source part carrying it, in rank
-// order. The returned parts slice is reused by the following next call.
+// next pops the next key in merge order and every source part carrying it,
+// in rank order. The returned parts slice is reused by the following next
+// call.
 func (m *rowMerger) next() (key string, parts []rowPart, ok bool) {
 	if len(m.heap) == 0 {
 		return "", nil, false
@@ -234,7 +278,7 @@ func (m *rowMerger) next() (key string, parts []rowPart, ok bool) {
 	for len(m.heap) > 0 && m.heap[0].key == key {
 		src := m.heap[0]
 		m.parts = append(m.parts, src.part())
-		if src.advance() {
+		if src.advance(m.rev) {
 			m.siftDown(0)
 		} else {
 			last := len(m.heap) - 1
@@ -249,7 +293,7 @@ func (m *rowMerger) next() (key string, parts []rowPart, ok bool) {
 func (m *rowMerger) less(i, j int) bool {
 	a, b := m.heap[i], m.heap[j]
 	if a.key != b.key {
-		return a.key < b.key
+		return (a.key < b.key) != m.rev
 	}
 	return a.rank < b.rank
 }

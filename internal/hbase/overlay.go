@@ -1,6 +1,7 @@
 package hbase
 
 import (
+	"slices"
 	"sort"
 
 	"synergy/internal/sim"
@@ -205,6 +206,11 @@ func (v *ReadView) OpenScan(ctx *sim.Ctx, tbl string, spec ScanSpec) (RowStream,
 	if len(keys) == 0 {
 		return v.m.c.Scan(ctx, tbl, spec)
 	}
+	if spec.Reversed {
+		// The pending keys fold into the store stream in its order.
+		keys = slices.Clone(keys)
+		slices.Reverse(keys)
+	}
 	inner := spec
 	inner.Filter = nil
 	pushed := false
@@ -243,10 +249,10 @@ func (v *ReadView) OpenScan(ctx *sim.Ctx, tbl string, spec ScanSpec) (RowStream,
 }
 
 // overlayScanner merges one table's pending rows into the store stream in
-// key order, applying the original spec's filter and limit to the merged
-// rows. When the filter was pushed to the store (pushed), pure store rows
-// already passed it server-side and only pending-merged rows are
-// re-checked client-side.
+// the scan's key order (keys arrives sorted along it), applying the original
+// spec's filter and limit to the merged rows. When the filter was pushed to
+// the store (pushed), pure store rows already passed it server-side and only
+// pending-merged rows are re-checked client-side.
 type overlayScanner struct {
 	store  *Scanner
 	spec   ScanSpec
@@ -280,6 +286,11 @@ func (s *overlayScanner) Next(ctx *sim.Ctx) (RowResult, bool) {
 		s.sent++
 		if s.spec.Limit > 0 && s.sent >= s.spec.Limit {
 			s.done = true
+			if !s.merged {
+				// Close recycles the store chunk a pure store row points
+				// into; the limit-th row must outlive it.
+				row = row.Clone()
+			}
 			s.store.Close(ctx)
 		}
 		return row, true
@@ -297,7 +308,9 @@ func (s *overlayScanner) step(ctx *sim.Ctx) (RowResult, bool) {
 				s.sdone = true
 			}
 		}
-		if s.ki < len(s.keys) && (!s.shave || s.keys[s.ki] <= s.srow.Key) {
+		// A pending key is due when it sorts at or before the buffered store
+		// row along the scan direction.
+		if s.ki < len(s.keys) && (!s.shave || s.keys[s.ki] == s.srow.Key || (s.keys[s.ki] < s.srow.Key) != s.spec.Reversed) {
 			key := s.keys[s.ki]
 			s.ki++
 			var base Cells

@@ -2,6 +2,7 @@ package hbase
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"synergy/internal/cluster"
@@ -184,6 +185,71 @@ func TestOverlayLimitScanSurvivesPendingDeletes(t *testing.T) {
 		if r.Key != want[i] {
 			t.Fatalf("row %d = %s, want %s", i, r.Key, want[i])
 		}
+	}
+}
+
+// A reversed scan through the overlay is the forward scan backwards: pending
+// inserts, overwrites, a column delete, row deletes and a delete-then-reput
+// interleave with store rows on both sides of region boundaries, over the
+// whole table, a window and a prefix, with and without a filter, and a limit
+// that pending deletes at the top of the range must not starve.
+func TestOverlayReversedScan(t *testing.T) {
+	_, _, m := overlayFixture(t)
+	ctx := sim.NewCtx()
+	mustDo := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustDo(m.Put(ctx, "t", scanKey(1), []Cell{put("v", "new-1", 0)}))
+	mustDo(m.Put(ctx, "t", scanKey(2), []Cell{put("v", "overwritten-2", 0)}))
+	mustDo(m.Delete(ctx, "t", scanKey(4), 0))
+	mustDo(m.Delete(ctx, "t", scanKey(6), 0, "w"))
+	mustDo(m.Delete(ctx, "t", scanKey(8), 0))
+	mustDo(m.Put(ctx, "t", scanKey(8), []Cell{put("v", "reborn-8", 0)}))
+	mustDo(m.Put(ctx, "t", scanKey(13), []Cell{put("v", "new-13", 0)}))
+	mustDo(m.Delete(ctx, "t", scanKey(16), 0))
+	mustDo(m.Delete(ctx, "t", scanKey(18), 0))
+	mustDo(m.Put(ctx, "t", scanKey(19), []Cell{put("v", "new-19", 0)}))
+
+	scan := func(spec ScanSpec) []RowResult {
+		t.Helper()
+		sc, err := m.View().OpenScan(ctx, "t", spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return drainStream(ctx, sc)
+	}
+	stored := func(r RowResult) bool { return len(r.Get("w")) > 0 }
+	for _, spec := range []ScanSpec{
+		{},
+		{Start: scanKey(2), Stop: scanKey(14)},
+		{Prefix: "k00001"},
+		{Filter: stored},
+		{Filter: stored, FilterMergedOnly: true},
+	} {
+		forward := scan(spec)
+		if len(forward) == 0 {
+			t.Fatalf("spec %+v: forward overlay scan is empty", spec)
+		}
+		spec.Reversed = true
+		backward := scan(spec)
+		slices.Reverse(backward)
+		requireSameRows(t, forward, backward)
+
+		// Three rows from either end, cells included (the limit-th row is
+		// returned by the call that closes the store scan). From the top,
+		// rows 16 and 18 are pending deletes the store still holds.
+		spec.Limit = 3
+		top := scan(spec)
+		slices.Reverse(top)
+		requireSameRows(t, forward[max(0, len(forward)-3):], top)
+		spec.Reversed = false
+		requireSameRows(t, forward[:min(3, len(forward))], scan(spec))
+	}
+	if top := scan(ScanSpec{Reversed: true, Limit: 2}); len(top) != 2 || top[0].Key != scanKey(19) || top[1].Key != scanKey(14) {
+		t.Fatalf("top two rows = %v, want %s then %s", top, scanKey(19), scanKey(14))
 	}
 }
 

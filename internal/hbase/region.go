@@ -237,19 +237,22 @@ func (r *Region) increment(key, qualifier string, delta int64, ts int64) int64 {
 	return cur
 }
 
-// scanChunk fills buf with up to limit visible rows with key >= start (and
-// < r.end), returning the number of rows examined server-side and the key to
-// resume from ("" if the region is exhausted). filter, when non-nil, drops
-// rows server-side (they still count as examined). buf must arrive empty
-// (reset); the produced rows live in buf.rows and their Cells are windows
-// into buf.arena, so they are valid only until the buffer's next reset —
-// the chunkBuf ownership protocol governs when that may happen.
-func (r *Region) scanChunk(buf *chunkBuf, start string, limit int, opts ReadOpts, filter func(RowResult) bool) (examined int, next string) {
+// scanChunk fills buf with up to limit visible rows with key >= from (and
+// < r.end) in ascending key order, returning the number of rows examined
+// server-side and the key to resume from ("" if the region is exhausted). A
+// reversed chunk walks the other way: rows with key < from ("" = from the
+// last key) and >= r.start, in descending order, and its resume key is
+// the last returned key — an exclusive upper bound, as from is. filter, when
+// non-nil, drops rows server-side (they still count as examined). buf must
+// arrive empty (reset); the produced rows live in buf.rows and their Cells
+// are windows into buf.arena, so they are valid only until the buffer's next
+// reset — the chunkBuf ownership protocol governs when that may happen.
+func (r *Region) scanChunk(buf *chunkBuf, from string, limit int, reversed bool, opts ReadOpts, filter func(RowResult) bool) (examined int, next string) {
 	defer func() { r.recordRead(examined) }()
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 
-	m := newRowMerger(r.mem, r.files, start)
+	m := newRowMerger(r.mem, r.files, from, reversed)
 	defer m.release()
 	need := m.remaining()
 	if limit > 0 && limit < need {
@@ -260,7 +263,14 @@ func (r *Region) scanChunk(buf *chunkBuf, start string, limit int, opts ReadOpts
 	}
 	for limit <= 0 || len(buf.rows) < limit {
 		key, parts, ok := m.next()
-		if !ok || (r.end != "" && key >= r.end) {
+		if !ok {
+			return examined, ""
+		}
+		if reversed {
+			if key < r.start {
+				return examined, ""
+			}
+		} else if r.end != "" && key >= r.end {
 			return examined, ""
 		}
 		examined++
@@ -278,8 +288,12 @@ func (r *Region) scanChunk(buf *chunkBuf, start string, limit int, opts ReadOpts
 		}
 		buf.rows = append(buf.rows, res)
 	}
-	// Limit reached: resume just after the last returned key.
-	return examined, buf.rows[len(buf.rows)-1].Key + "\x00"
+	// Limit reached: resume just past the last returned key.
+	last := buf.rows[len(buf.rows)-1].Key
+	if reversed {
+		return examined, last
+	}
+	return examined, last + "\x00"
 }
 
 // flush moves the memstore into a new immutable store file.
@@ -320,7 +334,7 @@ func (r *Region) majorCompact() {
 	}
 	// Heap-based k-way merge of the sorted store files: each row's cells are
 	// folded into the merger's scratch, compacted there and re-encoded.
-	m := newRowMerger(nil, r.files, "")
+	m := newRowMerger(nil, r.files, "", false)
 	defer m.release()
 	keyBytes := 0
 	for _, f := range r.files {

@@ -15,8 +15,9 @@ const chunkPrefetch = 2
 // parScanner is the scatter-gather engine behind Scanner: every in-range
 // region becomes one drain job on the client's shared scan pool (see
 // scanPool), and the consumer folds the per-region streams back into one
-// key-ordered stream. Regions hold disjoint ascending key ranges, so the
-// ordered merge delivers region i's buffered chunks before region i+1's
+// key-ordered stream. Regions hold disjoint key ranges and the scanner lists
+// them in scan order (ascending, or last to first for a reversed scan), so
+// the ordered merge delivers region i's buffered chunks before region i+1's
 // while later regions prefetch in the background.
 //
 // Jobs the pool has not started by the time the consumer needs them are
@@ -100,36 +101,30 @@ func startParScan(ctx *sim.Ctx, s *Scanner, pool *scanPool) *parScanner {
 // returns the clamped resume key — the shared entry protocol of a worker
 // drain and a caller-runs inline drain.
 func (p *parScanner) openRegion(i int) (resume string) {
-	start, _ := p.s.spec.bounds()
-	resume = start
 	r := p.s.regions[i]
-	if resume < r.start {
-		resume = r.start
-	}
 	hc := p.s.client.hc
 	hc.serverWork(p.streams[i].ctx, r.Server(), hc.costs.ScanOpen)
-	return resume
+	return p.s.enter(r, p.s.from)
 }
 
 // nextChunk performs one scanner RPC of region i from resume into buf,
 // charging the region's child ctx exactly as the sequential path charges
-// its parent. done reports the region exhausted — by its end, the stop key,
-// or the per-region limit cap. Both the worker path (drainRegion) and the
+// its parent. done reports the region exhausted — by its end, the range's far
+// bound, or the per-region limit cap. Both the worker path (drainRegion) and the
 // caller-runs path (fetchInline) fetch exclusively through here, so the
 // two can never diverge on limit or resume semantics.
 //
 // Limit-bounded scatter-gather scans cap every region at Limit rows: the
-// merged result takes the first Limit rows in key order, so no single region
+// merged result takes the first Limit rows in scan order, so no single region
 // can contribute more. Rows past the limit in early regions are speculative
 // overfetch — the client trims them and cancels the workers.
 func (p *parScanner) nextChunk(i int, buf *chunkBuf, resume string, sent int) (next string, done bool) {
-	_, stop := p.s.spec.bounds()
 	limit := p.s.spec.Limit
 	want := p.s.batch
 	if limit > 0 && limit-sent < want {
 		want = limit - sent
 	}
-	next, truncated := p.s.fetchChunk(p.streams[i].ctx, p.s.regions[i], buf, resume, want, stop)
+	next, truncated := p.s.fetchChunk(p.streams[i].ctx, p.s.regions[i], buf, resume, want)
 	done = truncated || next == "" || (limit > 0 && sent+len(buf.rows) >= limit)
 	return next, done
 }

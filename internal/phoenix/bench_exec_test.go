@@ -17,8 +17,9 @@ const execBenchSubjects = 8
 
 // execBenchDB loads a wide view-shaped table — the columns Q4 and Q10 read
 // plus filler, 29 in all, like the 25-34 column TPC-W views — with a covered
-// index on i_subject, and the Orders table Q10's derived table sorts.
-func execBenchDB(tb testing.TB) *Engine {
+// index on i_subject, and the Orders table Q10's derived table sorts — or,
+// with dateIndex, reads newest-first off a covered index on o_date.
+func execBenchDB(tb testing.TB, dateIndex bool) *Engine {
 	tb.Helper()
 	const orders, linesPerOrder, filler = 1500, 4, 20
 	hc := hbase.NewHCluster(cluster.NewDefault(nil), nil, nil)
@@ -50,6 +51,11 @@ func execBenchDB(tb testing.TB) *Engine {
 	if err := cat.RegisterIndex("V", IndexInfo{Name: "IX_V_subject", On: []string{"i_subject"}}, hbase.TableSpec{}); err != nil {
 		tb.Fatal(err)
 	}
+	if dateIndex {
+		if err := cat.RegisterIndex("Orders", IndexInfo{Name: "IX_Orders_date", On: []string{"o_date"}}, hbase.TableSpec{}); err != nil {
+			tb.Fatal(err)
+		}
+	}
 	eng := NewEngine(cat)
 	ctx := sim.NewCtx()
 	rng := sim.NewRNG(3)
@@ -79,7 +85,11 @@ func execBenchDB(tb testing.TB) *Engine {
 
 func benchQuery(b *testing.B, sql string, params ...schema.Value) {
 	b.Helper()
-	eng := execBenchDB(b)
+	benchQueryOn(b, execBenchDB(b, false), sql, params...)
+}
+
+func benchQueryOn(b *testing.B, eng *Engine, sql string, params ...schema.Value) {
+	b.Helper()
 	sel, err := sqlparser.ParseSelect(sql)
 	if err != nil {
 		b.Fatal(err)
@@ -113,6 +123,17 @@ func BenchmarkFilteredViewScan(b *testing.B) {
 // ORDER BY … LIMIT derived table, grouped, sorted and cut.
 func BenchmarkHashJoinDerived(b *testing.B) {
 	benchQuery(b, `SELECT v.i_id, v.i_title, v.a_fname, v.a_lname, SUM(v.ol_qty) AS qty
+		FROM V v, (SELECT o_id FROM Orders ORDER BY o_date DESC LIMIT 500) t
+		WHERE v.ol_o_id = t.o_id AND v.i_subject = ?
+		GROUP BY v.i_id ORDER BY qty DESC LIMIT 50`, "SUBJ3")
+}
+
+// BenchmarkTopOrdersByDate is BenchmarkHashJoinDerived's statement with an
+// index on o_date: the derived table is a reversed, limit-bounded scan of
+// the index — 500 rows read, none sorted — instead of a sort of all 1,500
+// orders.
+func BenchmarkTopOrdersByDate(b *testing.B) {
+	benchQueryOn(b, execBenchDB(b, true), `SELECT v.i_id, v.i_title, v.a_fname, v.a_lname, SUM(v.ol_qty) AS qty
 		FROM V v, (SELECT o_id FROM Orders ORDER BY o_date DESC LIMIT 500) t
 		WHERE v.ol_o_id = t.o_id AND v.i_subject = ?
 		GROUP BY v.i_id ORDER BY qty DESC LIMIT 50`, "SUBJ3")

@@ -255,18 +255,23 @@ func DrainCursor(ctx *sim.Ctx, cur RowCursor) (*ResultSet, error) {
 // Stream planning
 
 // tryStream opens a streaming cursor when the statement is a non-blocking
-// single-binding shape: scan → filter → project → limit with no joins,
-// aggregates or ORDER BY. A nil cursor with a nil error means "not
-// streamable, run the materialized executor"; a non-nil error means the
-// stream was eligible but opening it failed.
+// single-binding shape: scan → filter → project → limit with no joins or
+// aggregates, and no ORDER BY but one its access path delivers from the key.
+// A nil cursor with a nil error means "not streamable, run the materialized
+// executor"; a non-nil error means the stream was eligible but opening it
+// failed.
 func (q *query) tryStream(ctx *sim.Ctx) (*streamCursor, error) {
 	sel := q.sel
-	if len(q.bindings) != 1 || q.aggregated || len(sel.OrderBy) > 0 {
+	if len(q.bindings) != 1 || q.aggregated {
 		return nil, nil
 	}
 	b := q.bindings[0]
 	if b.info == nil {
 		return nil, nil // derived tables are pre-materialized
+	}
+	plan := q.fullPlan(b)
+	if len(sel.OrderBy) > 0 && !plan.ordered {
+		return nil, nil // blocking: every row is read before the first is known
 	}
 	if q.opts.DirtyCheck && b.info.IsView {
 		// The §VIII-C dirty-restart loop re-scans from the top; once rows
@@ -294,7 +299,7 @@ func (q *query) tryStream(ctx *sim.Ctx) (*streamCursor, error) {
 
 	// The scan is the materialized scanBinding's plus limit pushdown: the
 	// scanner stops examining rows once the post-filter row budget is met.
-	tableName, spec, err := q.scanSpec(b, q.chooseAccess(b, nil))
+	tableName, spec, err := q.scanSpec(b, plan)
 	if err != nil {
 		return nil, err
 	}
@@ -356,8 +361,8 @@ func (q *query) execute(ctx *sim.Ctx) (*projected, error) {
 // QueryStream plans and executes a SELECT, returning its rows as a cursor.
 // Non-blocking single-table shapes stream directly off the region scanner —
 // peak memory is one scan chunk, not the result — while blocking shapes
-// (joins, GROUP BY/aggregates, ORDER BY) materialize internally and drain
-// through the same API. The caller must Close the cursor.
+// (joins, GROUP BY/aggregates, an ORDER BY no key serves) materialize
+// internally and drain through the same API. The caller must Close the cursor.
 func (e *Engine) QueryStream(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []schema.Value) (RowCursor, error) {
 	return e.QueryStreamOpts(ctx, sel, params, QueryOpts{})
 }

@@ -150,6 +150,8 @@ type binding struct {
 	local   []localPred // single-binding predicates, pushed into the scan
 	refs    []string    // columns the statement reads, in slot order
 	off     int         // slot of refs[0] in a joined tuple
+	plan    accessPlan  // fullPlan's choice, once planned
+	planned bool
 }
 
 func (b *binding) hasColumn(col string) bool {
@@ -268,6 +270,9 @@ type query struct {
 	aggs       []aggItem // parallel to sel.Items when aggregated
 	orderBy    []orderKey
 	out        []outCol
+	// inOrder is set by run when the access path it scanned delivers the
+	// statement's ORDER BY, so project does not sort.
+	inOrder bool
 }
 
 // analyzeStmt resolves FROM bindings (executing derived tables against the

@@ -31,11 +31,63 @@ type accessPlan struct {
 	eqCols  []string       // leading key columns bound by equality
 	eqVals  []schema.Value // their values
 	rowsEst int
+	// ordered marks a path whose key order is the statement's ORDER BY (see
+	// scanOrder): the scan delivers the rows sorted — backwards through the
+	// keys when reversed — and project has nothing left to sort.
+	ordered  bool
+	reversed bool
+}
+
+// scanOrder is the order a statement may ask of its scan instead of a sort:
+// the ORDER BY columns of a plain single-table SELECT, when they all run one
+// way. Columns a local equality binds are constant over the scanned rows and
+// drop out. ok is false for every other shape — a join, an aggregate and a
+// derived table reorder or replace the scanned rows, and mixed directions
+// match no key.
+func (q *query) scanOrder(b *binding, eq map[string]bool) (cols []string, desc, ok bool) {
+	if len(q.bindings) != 1 || b.info == nil || q.aggregated || len(q.orderBy) == 0 {
+		return nil, false, false
+	}
+	for _, k := range q.orderBy {
+		col := b.refs[k.src.i]
+		if eq[col] {
+			continue
+		}
+		if len(cols) > 0 && k.desc != desc {
+			return nil, false, false
+		}
+		cols, desc = append(cols, col), k.desc
+	}
+	return cols, desc, true
+}
+
+// deliversOrder reports whether rows read in the order of key keyCols are
+// sorted by the columns order: order must be a prefix of the key once the
+// equality-bound key columns — constant over the scanned rows — are skipped.
+// It rests on schema.EncodeKey ordering each column as schema.CompareValues
+// does (NULL first). Where order stops short of the full key, rows that tie
+// on it come out in key order.
+func deliversOrder(keyCols []string, eq map[string]bool, order []string) bool {
+	i := 0
+	for _, k := range keyCols {
+		switch {
+		case i == len(order):
+			return true
+		case k == order[i]:
+			i++
+		case !eq[k]:
+			return false
+		}
+	}
+	return i == len(order)
 }
 
 // chooseAccess picks the cheapest access path for a binding given its local
 // equality predicates. extraEq supplies join-derived equalities (for INL
-// probes).
+// probes). Among paths estimated to read the same number of rows, one whose
+// key order serves the statement's ORDER BY wins — a covered index is worth
+// a full read for its order alone — but never over a path binding a longer
+// equality prefix.
 func (q *query) chooseAccess(b *binding, extraEqCols []string) accessPlan {
 	eq := map[string]bool{}
 	for _, p := range b.local {
@@ -43,6 +95,7 @@ func (q *query) chooseAccess(b *binding, extraEqCols []string) accessPlan {
 			eq[p.col] = true
 		}
 	}
+	order, desc, wantOrder := q.scanOrder(b, eq)
 	for _, c := range extraEqCols {
 		eq[c] = true
 	}
@@ -50,7 +103,7 @@ func (q *query) chooseAccess(b *binding, extraEqCols []string) accessPlan {
 	if est < 1 {
 		est = 1
 	}
-	best := accessPlan{kind: accessFullScan, rowsEst: est}
+	best := accessPlan{kind: accessFullScan, rowsEst: est, ordered: wantOrder && deliversOrder(b.info.Key, eq, order)}
 
 	consider := func(keyCols []string, idx *IndexInfo) {
 		n := 0
@@ -60,7 +113,10 @@ func (q *query) chooseAccess(b *binding, extraEqCols []string) accessPlan {
 			}
 			n++
 		}
-		if n == 0 {
+		ordered := wantOrder && deliversOrder(keyCols, eq, order)
+		// Unbound, the primary key is the full scan, and an index is worth
+		// a full read only for its order.
+		if n == 0 && (idx == nil || !ordered) {
 			return
 		}
 		// Selectivity heuristic: each bound key column divides the
@@ -80,8 +136,16 @@ func (q *query) chooseAccess(b *binding, extraEqCols []string) accessPlan {
 		if idx != nil {
 			kind = accessIndexPrefix
 		}
-		if rows < best.rowsEst || (rows == best.rowsEst && best.kind == accessFullScan) {
-			best = accessPlan{kind: kind, index: idx, eqCols: keyCols[:n], rowsEst: rows}
+		better := rows < best.rowsEst
+		if rows == best.rowsEst {
+			if ordered != best.ordered {
+				better = ordered && n >= len(best.eqCols)
+			} else {
+				better = best.kind == accessFullScan
+			}
+		}
+		if better {
+			best = accessPlan{kind: kind, index: idx, eqCols: keyCols[:n], rowsEst: rows, ordered: ordered}
 		}
 	}
 
@@ -93,6 +157,7 @@ func (q *query) chooseAccess(b *binding, extraEqCols []string) accessPlan {
 		full := append(append([]string(nil), idx.On...), b.info.Key...)
 		consider(full, idx)
 	}
+	best.reversed = best.ordered && desc
 	return best
 }
 
@@ -152,7 +217,7 @@ func (q *query) openScan(ctx *sim.Ctx, tbl string, spec hbase.ScanSpec) (hbase.R
 // pushed-down filter. Full table and index-range scans scatter-gather across
 // regions (Phoenix intra-query parallelism); single-row lookups opt out.
 func (q *query) scanSpec(b *binding, plan accessPlan) (string, hbase.ScanSpec, error) {
-	spec := hbase.ScanSpec{Read: q.opts.Read, Filter: scanFilter(b.local)}
+	spec := hbase.ScanSpec{Read: q.opts.Read, Filter: scanFilter(b.local), Reversed: plan.reversed}
 	if plan.kind != accessFullScan {
 		vals := make([]schema.Value, 0, len(plan.eqCols))
 		for _, c := range plan.eqCols {
@@ -358,6 +423,7 @@ func (q *query) run(ctx *sim.Ctx) ([]tuple, error) {
 	if err != nil {
 		return nil, err
 	}
+	q.inOrder = startPlan.ordered
 	joined := map[*binding]bool{start: true}
 	remaining := make([]*binding, 0, len(q.bindings)-1)
 	for _, b := range q.bindings {
@@ -412,13 +478,16 @@ func (q *query) run(ctx *sim.Ctx) ([]tuple, error) {
 }
 
 // fullPlan is a binding's access plan from its local predicates alone (no
-// join-derived equalities): what a start scan or a hash join's build side
-// uses.
+// join-derived equalities): what a stream, a start scan or a hash join's
+// build side uses. It is chosen once per statement.
 func (q *query) fullPlan(b *binding) accessPlan {
 	if b.derived != nil {
 		return accessPlan{kind: accessFullScan, rowsEst: len(b.derived.rows)}
 	}
-	return q.chooseAccess(b, nil)
+	if !b.planned {
+		b.plan, b.planned = q.chooseAccess(b, nil), true
+	}
+	return b.plan
 }
 
 // joinCols returns the equi-join conditions linking the joined set to
@@ -723,7 +792,9 @@ func (q *query) project(ctx *sim.Ctx, tuples []tuple) *projected {
 		tuples = q.aggregate(ctx, tuples)
 	}
 
-	if len(sel.OrderBy) > 0 {
+	// The one sort of the executor — skipped, with its charge, when the scan
+	// already delivered the rows in this order.
+	if len(sel.OrderBy) > 0 && !q.inOrder {
 		n := len(tuples)
 		if n > 1 {
 			ctx.Charge(sim.Micros(int64(n) * int64(bits.Len(uint(n))) * int64(costs.SortRow)))

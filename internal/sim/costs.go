@@ -100,7 +100,9 @@ type Costs struct {
 	// result bytes through the client's temp storage between stages.
 	SpillPerByte PerByteCost
 	// SortRow is the per-row, per-comparison-level cost of a client
-	// sort: sorting n rows charges SortRow * n * ceil(log2 n).
+	// sort: sorting n > 1 rows charges SortRow * n * bits.Len(n), i.e.
+	// floor(log2 n) + 1 levels — one more than ceil(log2 n) when n is a
+	// power of two (4,096 rows: 13 levels).
 	SortRow Micros
 	// AggRow is the per-row cost of hash aggregation.
 	AggRow Micros

@@ -196,7 +196,9 @@ func Schema() *schema.Schema {
 }
 
 // BaseIndexes lists the base-table covered indexes the input schema ships
-// with — the access paths the workload's filters need.
+// with — the access paths the workload's filters need, and one its ordering
+// needs: IX_Orders_date, keyed (o_date, o_id), which Q10/Q11's
+// newest-3,333-orders subquery reads backwards instead of sorting Orders.
 func BaseIndexes() []synergy.IndexSpec {
 	return []synergy.IndexSpec{
 		{Table: "Customer", Name: "IX_Customer_uname", On: []string{"c_uname"}},
