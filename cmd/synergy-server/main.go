@@ -51,7 +51,7 @@ func run(listen string, slots, queue, maxConns int) error {
 		if err != nil {
 			return fmt.Errorf("deploying %s: %w", m.name, err)
 		}
-		backends = append(backends, server.SystemBackend(m.name, sys))
+		backends = append(backends, server.Backend{Name: m.name, System: sys})
 		fmt.Printf("deployed %s backend (Company schema, %d views)\n", m.name, len(sys.Design.Views))
 	}
 	srv, err := server.New(server.Config{

@@ -1,14 +1,16 @@
 // Command synergy-shell is an interactive SQL shell against a Synergy
 // deployment of the Company example schema (Figure 2), pre-loaded with a
 // small dataset. It shows the design (rooted trees, selected views,
-// rewrites) and executes ad-hoc statements, printing the simulated response
-// time of each.
+// rewrites) and executes ad-hoc statements on one synergy.Session, printing
+// the simulated response time of each.
 //
 // Usage:
 //
 //	synergy-shell
 //	> SELECT * FROM Employee as e, Address as a WHERE a.AID = e.EHome_AID and e.EID = 3
-//	> INSERT INTO Works_On (WO_EID, WO_PNo, Hours) VALUES (3, 2, 12)
+//	> BEGIN
+//	> INSERT INTO Works_On (WO_EID, WO_PNo, Hours) VALUES (3, 3, 12)
+//	> COMMIT
 //	> \design
 //	> \quit
 package main
@@ -33,6 +35,7 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("Synergy shell — Company schema (Figure 2). \\design shows the design, \\quit exits.")
+	sess := sys.NewSession()
 	sc := bufio.NewScanner(os.Stdin)
 	fmt.Print("> ")
 	for sc.Scan() {
@@ -44,35 +47,47 @@ func main() {
 		case line == `\design`:
 			fmt.Println(sys.Design.Summary())
 		default:
-			execute(sys, line)
+			execute(sess, line)
 		}
 		fmt.Print("> ")
 	}
 }
 
-func execute(sys *synergy.System, line string) {
-	stmt, err := sqlparser.Parse(line)
+func execute(sess *synergy.Session, line string) {
+	ctx := sim.NewCtx()
+	done, err := run(ctx, sess, line)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
-	ctx := sim.NewCtx()
-	switch s := stmt.(type) {
-	case *sqlparser.SelectStmt:
-		rs, err := sys.Query(ctx, s, nil)
-		if err != nil {
-			fmt.Println("error:", err)
-			return
-		}
-		printRows(rs.Columns, rs.Rows)
-		fmt.Printf("%d row(s) in %v (simulated)\n", len(rs.Rows), ctx.Elapsed())
-	default:
-		if err := sys.Exec(ctx, stmt, nil); err != nil {
-			fmt.Println("error:", err)
-			return
-		}
-		fmt.Printf("ok in %v (simulated)\n", ctx.Elapsed())
+	fmt.Printf("%s in %v (simulated)\n", done, ctx.Elapsed())
+}
+
+// run executes one line on the session — transaction control or a SQL
+// statement — and says what it did.
+func run(ctx *sim.Ctx, sess *synergy.Session, line string) (string, error) {
+	switch strings.ToUpper(strings.TrimSuffix(line, ";")) {
+	case "BEGIN":
+		return "ok", sess.Begin(ctx)
+	case "COMMIT":
+		return "ok", sess.Commit(ctx)
+	case "ROLLBACK":
+		return "ok", sess.Rollback(ctx)
 	}
+	stmt, err := sqlparser.Parse(line)
+	if err != nil {
+		return "", err
+	}
+	sel, ok := stmt.(*sqlparser.SelectStmt)
+	if !ok {
+		return "ok", sess.Exec(ctx, stmt, nil)
+	}
+	rs, err := sess.Query(ctx, sel, nil)
+	if err != nil {
+		return "", err
+	}
+	printRows(rs.Columns, rs.Rows)
+	return fmt.Sprintf("%d row(s)", len(rs.Rows)), nil
 }
 
 func printRows(cols []string, rows []schema.Row) {

@@ -45,18 +45,19 @@ func main() {
 	}
 	fmt.Println()
 
+	sess := sys.NewSession()
 	run := func(label, sql string, params ...schema.Value) {
 		ctx := sim.NewCtx()
 		stmt := sqlparser.MustParse(sql)
 		if sel, ok := stmt.(*sqlparser.SelectStmt); ok {
-			rs, err := sys.Query(ctx, sel, params)
+			rs, err := sess.Query(ctx, sel, params)
 			if err != nil {
 				log.Fatalf("%s: %v", label, err)
 			}
 			fmt.Printf("%-28s %4d row(s) in %10v\n", label, len(rs.Rows), ctx.Elapsed())
 			return
 		}
-		if err := sys.Exec(ctx, stmt, params); err != nil {
+		if err := sess.Exec(ctx, stmt, params); err != nil {
 			log.Fatalf("%s: %v", label, err)
 		}
 		fmt.Printf("%-28s %15s in %10v (locks: %d)\n", label, "ok", ctx.Elapsed(), ctx.Snapshot().Locks)

@@ -135,7 +135,7 @@ func startStandalone() (string, error) {
 		if err != nil {
 			return "", err
 		}
-		backends = append(backends, server.SystemBackend(m.name, sys))
+		backends = append(backends, server.Backend{Name: m.name, System: sys})
 	}
 	srv, err := server.New(server.Config{Backends: backends, Default: "hierarchical"})
 	if err != nil {

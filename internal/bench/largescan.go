@@ -125,7 +125,7 @@ func runLargeScanSize(rows int, seed int64, costs *sim.Costs) ([]LargeScanCell, 
 		return nil, err
 	}
 	srv, err := server.New(server.Config{
-		Backends: []server.Backend{server.SystemBackend("synergy", sys)},
+		Backends: []server.Backend{{Name: "synergy", System: sys}},
 		Costs:    costs,
 	})
 	if err != nil {

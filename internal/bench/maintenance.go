@@ -220,12 +220,13 @@ func runMaintenanceCell(name string, mode synergy.MaintenanceMode, views, reps i
 	// the wait plus the applier work it blocked on. The per-rep Drain
 	// returns every lane to empty so each rep applies exactly one
 	// single-delta batch per lane.
-	sys.SetAsyncReadMode(synergy.ReadWatermark)
+	wm := sys.NewSession()
+	wm.SetReads(synergy.ReadWatermark)
 	wmSamples := make([]sim.Micros, 0, reps)
 	for rep := 0; rep < reps; rep++ {
 		ctx := sim.NewCtx()
 		if sys.Feed == nil {
-			if _, err := sys.Query(ctx, sel, []schema.Value{"Leaf00-0"}); err != nil {
+			if _, err := wm.Query(ctx, sel, []schema.Value{"Leaf00-0"}); err != nil {
 				return MaintenanceCell{}, err
 			}
 			wmSamples = append(wmSamples, rng.Jitter(ctx.Elapsed(), 0.02))
@@ -238,7 +239,7 @@ func runMaintenanceCell(name string, mode synergy.MaintenanceMode, views, reps i
 		}
 		errc := make(chan error, 1)
 		go func() {
-			_, qerr := sys.Query(ctx, sel, []schema.Value{"Leaf00-0"})
+			_, qerr := wm.Query(ctx, sel, []schema.Value{"Leaf00-0"})
 			errc <- qerr
 		}()
 		time.Sleep(2 * time.Millisecond) // let the reader reach its watermark wait
@@ -252,7 +253,6 @@ func runMaintenanceCell(name string, mode synergy.MaintenanceMode, views, reps i
 		wmSamples = append(wmSamples, rng.Jitter(ctx.Elapsed(), 0.02))
 	}
 	cell.WatermarkRead = Summarize(wmSamples)
-	sys.SetAsyncReadMode(synergy.ReadStale)
 
 	// Account the deferred applier work (burst + watermark-probe deltas).
 	if sys.Feed != nil {

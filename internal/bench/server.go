@@ -132,7 +132,7 @@ func runServerMode(name string, mode synergy.ConcurrencyMode, opts ServerOpts, c
 		return nil, err
 	}
 	srv, err := server.New(server.Config{
-		Backends: []server.Backend{server.SystemBackend("synergy", sys)},
+		Backends: []server.Backend{{Name: "synergy", System: sys}},
 		MaxConns: opts.Conns + 1,
 		Slots:    opts.Slots,
 		Queue:    opts.Queue,
@@ -251,7 +251,7 @@ func runServerAdmission(opts ServerOpts, costs *sim.Costs) (*ServerAdmission, er
 		return nil, err
 	}
 	srv, err := server.New(server.Config{
-		Backends: []server.Backend{server.SystemBackend("synergy", sys)},
+		Backends: []server.Backend{{Name: "synergy", System: sys}},
 		MaxConns: opts.Queue + 2,
 		Slots:    opts.Slots,
 		Queue:    opts.Queue,

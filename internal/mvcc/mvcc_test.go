@@ -7,193 +7,183 @@ import (
 
 	"synergy/internal/cluster"
 	"synergy/internal/hbase"
-	"synergy/internal/phoenix"
-	"synergy/internal/schema"
 	"synergy/internal/sim"
-	"synergy/internal/sqlparser"
 )
 
-func newSession(t *testing.T) *Session {
+const (
+	accounts = "Account"
+	balCol   = "bal"
+)
+
+// fixture is a transaction server over one Account table, written and read
+// through the store client the way the SQL layer does it: cells stamped with
+// the transaction's write pointer, rows recorded in its write set, reads
+// filtered by its snapshot. (SQL-level transaction behaviour is
+// synergy.TestSessionContract's job.)
+type fixture struct {
+	c   *hbase.Client
+	srv *Server
+}
+
+func newFixture(t *testing.T) *fixture {
 	t.Helper()
 	hc := hbase.NewHCluster(cluster.NewDefault(nil), nil, nil)
-	cat := phoenix.NewCatalog(hc)
-	rel := &schema.Relation{
-		Name: "Account",
-		Columns: []schema.Column{
-			{Name: "id", Type: schema.TInt},
-			{Name: "bal", Type: schema.TInt},
-			{Name: "owner", Type: schema.TString},
-		},
-		PK: []string{"id"},
-	}
-	if _, err := cat.RegisterRelation(rel, hbase.TableSpec{MaxVersions: 1000}); err != nil {
+	if err := hc.CreateTable(hbase.TableSpec{Name: accounts, MaxVersions: 1000}); err != nil {
 		t.Fatal(err)
 	}
-	return NewSession(phoenix.NewEngine(cat), NewServer(hc.Costs()))
+	return &fixture{c: hc.NewWarmClient(), srv: NewServer(hc.Costs())}
 }
 
-func insert(t *testing.T, s *Session, id, bal int64, owner string) {
+// put writes a balance inside tx.
+func (f *fixture) put(t *testing.T, tx *Tx, id, bal string) {
 	t.Helper()
-	stmt := sqlparser.MustParse("INSERT INTO Account (id, bal, owner) VALUES (?, ?, ?)")
-	if err := s.Exec(sim.NewCtx(), stmt, []schema.Value{id, bal, owner}); err != nil {
+	cell := hbase.Cell{Qualifier: balCol, Value: []byte(bal), TS: tx.ID()}
+	if err := f.c.Put(sim.NewCtx(), accounts, id, []hbase.Cell{cell}); err != nil {
 		t.Fatal(err)
 	}
+	tx.RecordWrite(accounts, id)
 }
 
-func balance(t *testing.T, s *Session, id int64) (int64, bool) {
+// get reads a balance at tx's snapshot.
+func (f *fixture) get(t *testing.T, tx *Tx, id string) (string, bool) {
 	t.Helper()
-	sel := sqlparser.MustParse("SELECT bal FROM Account WHERE id = ?").(*sqlparser.SelectStmt)
-	rs, err := s.Query(sim.NewCtx(), sel, []schema.Value{id})
+	row, err := f.c.Get(sim.NewCtx(), accounts, id, tx.ReadOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rs.Rows) == 0 {
-		return 0, false
+	v := row.Cells.Get(balCol)
+	return string(v), v != nil
+}
+
+// set commits one balance as its own transaction.
+func (f *fixture) set(t *testing.T, id, bal string) {
+	t.Helper()
+	ctx := sim.NewCtx()
+	tx := f.srv.Begin(ctx)
+	f.put(t, tx, id, bal)
+	if err := f.srv.Commit(ctx, tx); err != nil {
+		t.Fatal(err)
 	}
-	return rs.Rows[0]["bal"].(int64), true
+}
+
+// balance reads one balance from a fresh snapshot.
+func (f *fixture) balance(t *testing.T, id string) (string, bool) {
+	t.Helper()
+	ctx := sim.NewCtx()
+	tx := f.srv.Begin(ctx)
+	defer f.srv.Commit(ctx, tx)
+	return f.get(t, tx, id)
 }
 
 func TestCommittedWritesVisible(t *testing.T) {
-	s := newSession(t)
-	insert(t, s, 1, 100, "alice")
-	if bal, ok := balance(t, s, 1); !ok || bal != 100 {
-		t.Fatalf("balance = %d, %v; want 100, true", bal, ok)
+	f := newFixture(t)
+	f.set(t, "1", "100")
+	if bal, ok := f.balance(t, "1"); !ok || bal != "100" {
+		t.Fatalf("balance = %q, %v; want 100, true", bal, ok)
 	}
 }
 
 func TestAbortedWritesInvisible(t *testing.T) {
-	s := newSession(t)
-	insert(t, s, 1, 100, "alice")
+	f := newFixture(t)
+	f.set(t, "1", "100")
 	ctx := sim.NewCtx()
-	tx := s.Server().Begin(ctx)
-	err := s.Engine().Exec(ctx, sqlparser.MustParse("UPDATE Account SET bal = ? WHERE id = ?"),
-		[]schema.Value{int64(999), int64(1)}, phoenix.WriteOpts{TS: tx.ID(), Read: tx.ReadOpts(), OnWrite: tx.RecordWrite})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Server().Abort(ctx, tx)
-	if bal, _ := balance(t, s, 1); bal != 100 {
-		t.Fatalf("aborted write visible: bal = %d", bal)
+	tx := f.srv.Begin(ctx)
+	f.put(t, tx, "1", "999")
+	f.srv.Abort(ctx, tx)
+	if bal, _ := f.balance(t, "1"); bal != "100" {
+		t.Fatalf("aborted write visible: bal = %q", bal)
 	}
 }
 
 func TestSnapshotIsolationAgainstInFlight(t *testing.T) {
-	s := newSession(t)
-	insert(t, s, 1, 100, "alice")
+	f := newFixture(t)
+	f.set(t, "1", "100")
 	ctx := sim.NewCtx()
 
 	// Writer begins and writes but does not commit yet.
-	writer := s.Server().Begin(ctx)
-	if err := s.Engine().Exec(ctx, sqlparser.MustParse("UPDATE Account SET bal = ? WHERE id = ?"),
-		[]schema.Value{int64(50), int64(1)}, phoenix.WriteOpts{TS: writer.ID(), Read: writer.ReadOpts(), OnWrite: writer.RecordWrite}); err != nil {
-		t.Fatal(err)
-	}
+	writer := f.srv.Begin(ctx)
+	f.put(t, writer, "1", "50")
 
 	// Reader beginning now must not see the in-flight write.
-	reader := s.Server().Begin(ctx)
-	sel := sqlparser.MustParse("SELECT bal FROM Account WHERE id = ?").(*sqlparser.SelectStmt)
-	rs, err := s.Engine().QueryOpts(ctx, sel, []schema.Value{int64(1)}, phoenix.QueryOpts{Read: reader.ReadOpts()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.Rows[0]["bal"].(int64) != 100 {
-		t.Fatalf("reader saw uncommitted write: %v", rs.Rows[0])
+	reader := f.srv.Begin(ctx)
+	if bal, _ := f.get(t, reader, "1"); bal != "100" {
+		t.Fatalf("reader saw uncommitted write: %q", bal)
 	}
 
 	// Even after the writer commits, the reader's snapshot is stable.
-	if err := s.Server().Commit(ctx, writer); err != nil {
+	if err := f.srv.Commit(ctx, writer); err != nil {
 		t.Fatal(err)
 	}
-	rs, _ = s.Engine().QueryOpts(ctx, sel, []schema.Value{int64(1)}, phoenix.QueryOpts{Read: reader.ReadOpts()})
-	if rs.Rows[0]["bal"].(int64) != 100 {
-		t.Fatalf("snapshot unstable after concurrent commit: %v", rs.Rows[0])
+	if bal, _ := f.get(t, reader, "1"); bal != "100" {
+		t.Fatalf("snapshot unstable after concurrent commit: %q", bal)
 	}
-	s.Server().Commit(ctx, reader)
+	f.srv.Commit(ctx, reader)
 
 	// A fresh transaction sees the committed value.
-	if bal, _ := balance(t, s, 1); bal != 50 {
-		t.Fatalf("new snapshot bal = %d, want 50", bal)
+	if bal, _ := f.balance(t, "1"); bal != "50" {
+		t.Fatalf("new snapshot bal = %q, want 50", bal)
 	}
 }
 
 func TestOwnWritesVisible(t *testing.T) {
-	s := newSession(t)
-	insert(t, s, 1, 100, "alice")
+	f := newFixture(t)
+	f.set(t, "1", "100")
 	ctx := sim.NewCtx()
-	tx := s.Server().Begin(ctx)
-	if err := s.Engine().Exec(ctx, sqlparser.MustParse("UPDATE Account SET bal = ? WHERE id = ?"),
-		[]schema.Value{int64(42), int64(1)}, phoenix.WriteOpts{TS: tx.ID(), Read: tx.ReadOpts(), OnWrite: tx.RecordWrite}); err != nil {
-		t.Fatal(err)
+	tx := f.srv.Begin(ctx)
+	f.put(t, tx, "1", "42")
+	if bal, _ := f.get(t, tx, "1"); bal != "42" {
+		t.Fatalf("own write invisible: %q", bal)
 	}
-	sel := sqlparser.MustParse("SELECT bal FROM Account WHERE id = ?").(*sqlparser.SelectStmt)
-	rs, err := s.Engine().QueryOpts(ctx, sel, []schema.Value{int64(1)}, phoenix.QueryOpts{Read: tx.ReadOpts()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.Rows[0]["bal"].(int64) != 42 {
-		t.Fatalf("own write invisible: %v", rs.Rows[0])
-	}
-	s.Server().Commit(ctx, tx)
+	f.srv.Commit(ctx, tx)
 }
 
 func TestWriteWriteConflictAborts(t *testing.T) {
-	s := newSession(t)
-	insert(t, s, 1, 100, "alice")
+	f := newFixture(t)
+	f.set(t, "1", "100")
 	ctx := sim.NewCtx()
 
-	t1 := s.Server().Begin(ctx)
-	t2 := s.Server().Begin(ctx)
-	upd := sqlparser.MustParse("UPDATE Account SET bal = ? WHERE id = ?")
-
-	if err := s.Engine().Exec(ctx, upd, []schema.Value{int64(10), int64(1)},
-		phoenix.WriteOpts{TS: t1.ID(), Read: t1.ReadOpts(), OnWrite: t1.RecordWrite}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Engine().Exec(ctx, upd, []schema.Value{int64(20), int64(1)},
-		phoenix.WriteOpts{TS: t2.ID(), Read: t2.ReadOpts(), OnWrite: t2.RecordWrite}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Server().Commit(ctx, t1); err != nil {
+	t1 := f.srv.Begin(ctx)
+	t2 := f.srv.Begin(ctx)
+	f.put(t, t1, "1", "10")
+	f.put(t, t2, "1", "20")
+	if err := f.srv.Commit(ctx, t1); err != nil {
 		t.Fatalf("first committer should win: %v", err)
 	}
-	if err := s.Server().Commit(ctx, t2); !errors.Is(err, ErrConflict) {
+	if err := f.srv.Commit(ctx, t2); !errors.Is(err, ErrConflict) {
 		t.Fatalf("second committer error = %v, want ErrConflict", err)
 	}
 	// The losing write must be invisible.
-	if bal, _ := balance(t, s, 1); bal != 10 {
-		t.Fatalf("bal = %d, want 10", bal)
+	if bal, _ := f.balance(t, "1"); bal != "10" {
+		t.Fatalf("bal = %q, want 10", bal)
 	}
-	if st := s.Server().Stats(); st.Conflicts != 1 {
+	if st := f.srv.Stats(); st.Conflicts != 1 {
 		t.Fatalf("conflicts = %d, want 1", st.Conflicts)
 	}
 }
 
 func TestNoConflictOnDisjointRows(t *testing.T) {
-	s := newSession(t)
-	insert(t, s, 1, 100, "a")
-	insert(t, s, 2, 200, "b")
+	f := newFixture(t)
+	f.set(t, "1", "100")
+	f.set(t, "2", "200")
 	ctx := sim.NewCtx()
-	t1 := s.Server().Begin(ctx)
-	t2 := s.Server().Begin(ctx)
-	upd := sqlparser.MustParse("UPDATE Account SET bal = ? WHERE id = ?")
-	s.Engine().Exec(ctx, upd, []schema.Value{int64(1), int64(1)},
-		phoenix.WriteOpts{TS: t1.ID(), Read: t1.ReadOpts(), OnWrite: t1.RecordWrite})
-	s.Engine().Exec(ctx, upd, []schema.Value{int64(2), int64(2)},
-		phoenix.WriteOpts{TS: t2.ID(), Read: t2.ReadOpts(), OnWrite: t2.RecordWrite})
-	if err := s.Server().Commit(ctx, t1); err != nil {
+	t1 := f.srv.Begin(ctx)
+	t2 := f.srv.Begin(ctx)
+	f.put(t, t1, "1", "1")
+	f.put(t, t2, "2", "2")
+	if err := f.srv.Commit(ctx, t1); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Server().Commit(ctx, t2); err != nil {
+	if err := f.srv.Commit(ctx, t2); err != nil {
 		t.Fatalf("disjoint rows must not conflict: %v", err)
 	}
 }
 
+// TestPerStatementOverheadMatchesPaper pins what a statement pays the
+// transaction server: one Begin and one Commit.
 func TestPerStatementOverheadMatchesPaper(t *testing.T) {
-	s := newSession(t)
-	insert(t, s, 1, 100, "alice")
+	srv := NewServer(nil)
 	ctx := sim.NewCtx()
-	sel := sqlparser.MustParse("SELECT bal FROM Account WHERE id = ?").(*sqlparser.SelectStmt)
-	if _, err := s.Query(ctx, sel, []schema.Value{int64(1)}); err != nil {
+	if err := srv.Commit(ctx, srv.Begin(ctx)); err != nil {
 		t.Fatal(err)
 	}
 	// §IX-D4: "MVCC adds an overhead of 800-900 ms to each statement".
@@ -204,55 +194,67 @@ func TestPerStatementOverheadMatchesPaper(t *testing.T) {
 }
 
 func TestDeleteUnderMVCC(t *testing.T) {
-	s := newSession(t)
-	insert(t, s, 7, 70, "g")
-	if err := s.Exec(sim.NewCtx(), sqlparser.MustParse("DELETE FROM Account WHERE id = ?"), []schema.Value{int64(7)}); err != nil {
+	f := newFixture(t)
+	f.set(t, "7", "70")
+	ctx := sim.NewCtx()
+	tx := f.srv.Begin(ctx)
+	if err := f.c.DeleteAt(ctx, accounts, "7", tx.ID()); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := balance(t, s, 7); ok {
+	tx.RecordWrite(accounts, "7")
+	if err := f.srv.Commit(ctx, tx); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := f.balance(t, "7"); ok {
 		t.Fatal("row visible after MVCC delete")
 	}
 }
 
-func TestConcurrentSessionsRace(t *testing.T) {
-	s := newSession(t)
-	for i := int64(1); i <= 8; i++ {
-		insert(t, s, i, 0, "u")
+func TestConcurrentTransactionsRace(t *testing.T) {
+	f := newFixture(t)
+	ids := []string{"1", "2", "3", "4", "5", "6", "7", "8"}
+	for _, id := range ids {
+		f.set(t, id, "0")
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
-	for w := 0; w < 8; w++ {
+	for _, id := range ids {
 		wg.Add(1)
-		go func(w int64) {
+		go func(id string) {
 			defer wg.Done()
-			upd := sqlparser.MustParse("UPDATE Account SET bal = ? WHERE id = ?")
 			for i := 0; i < 8; i++ {
-				err := s.Exec(sim.NewCtx(), upd, []schema.Value{int64(i), w + 1})
-				if err != nil && !errors.Is(err, ErrConflict) {
+				ctx := sim.NewCtx()
+				tx := f.srv.Begin(ctx)
+				cell := hbase.Cell{Qualifier: balCol, Value: []byte{byte('0' + i)}, TS: tx.ID()}
+				if err := f.c.Put(ctx, accounts, id, []hbase.Cell{cell}); err != nil {
+					errs <- err
+					return
+				}
+				tx.RecordWrite(accounts, id)
+				if err := f.srv.Commit(ctx, tx); err != nil && !errors.Is(err, ErrConflict) {
 					errs <- err
 				}
 			}
-		}(int64(w))
+		}(id)
 	}
 	wg.Wait()
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
 	}
-	st := s.Server().Stats()
-	if st.Commits == 0 {
+	if st := f.srv.Stats(); st.Commits == 0 {
 		t.Fatal("no transactions committed")
 	}
 }
 
 func TestCommitTwiceRejected(t *testing.T) {
-	s := newSession(t)
+	srv := NewServer(nil)
 	ctx := sim.NewCtx()
-	tx := s.Server().Begin(ctx)
-	if err := s.Server().Commit(ctx, tx); err != nil {
+	tx := srv.Begin(ctx)
+	if err := srv.Commit(ctx, tx); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Server().Commit(ctx, tx); !errors.Is(err, ErrFinished) {
+	if err := srv.Commit(ctx, tx); !errors.Is(err, ErrFinished) {
 		t.Fatalf("second commit = %v, want ErrFinished", err)
 	}
 }

@@ -6,124 +6,176 @@ import (
 
 	"synergy/internal/cluster"
 	"synergy/internal/hbase"
-	"synergy/internal/phoenix"
-	"synergy/internal/schema"
 	"synergy/internal/sim"
-	"synergy/internal/sqlparser"
 )
 
-// newSession builds an Account table over a fresh store and a validator
-// sharing the store's timestamp oracle — the deployment wiring: begin
-// snapshots must order consistently against flush-time cell stamps.
-func newSession(t testing.TB) *Session {
+const (
+	accounts = "Account"
+	balCol   = "bal"
+)
+
+// fixture is a validator over one Account table, sharing the store's
+// timestamp oracle — the deployment wiring: begin snapshots must order
+// consistently against flush-time cell stamps. (SQL-level transaction
+// behaviour is synergy.TestSessionContract's job.)
+type fixture struct {
+	c *hbase.Client
+	v *Validator
+}
+
+func newFixture(t *testing.T) *fixture {
 	t.Helper()
 	hc := hbase.NewHCluster(cluster.NewDefault(nil), nil, nil)
-	cat := phoenix.NewCatalog(hc)
-	rel := &schema.Relation{
-		Name: "Account",
-		Columns: []schema.Column{
-			{Name: "id", Type: schema.TInt},
-			{Name: "bal", Type: schema.TInt},
-			{Name: "owner", Type: schema.TString},
-		},
-		PK: []string{"id"},
-	}
-	if _, err := cat.RegisterRelation(rel, hbase.TableSpec{MaxVersions: 1000}); err != nil {
+	if err := hc.CreateTable(hbase.TableSpec{Name: accounts, MaxVersions: 1000}); err != nil {
 		t.Fatal(err)
 	}
-	return NewSession(phoenix.NewEngine(cat), NewValidatorWithOracle(hc.Costs(), hc.NextTS))
+	return &fixture{c: hc.NewWarmClient(), v: NewValidatorWithOracle(hc.Costs(), hc.NextTS)}
 }
 
-func insert(t testing.TB, s *Session, id, bal int64, owner string) {
+// txn is one optimistic transaction the way the SQL layer drives it: writes
+// buffer unstamped in a transaction-scoped mutator and join the write set,
+// every read goes through the tracking reader over the mutator's
+// read-your-writes view.
+type txn struct {
+	f   *fixture
+	tx  *Tx
+	mut *hbase.BufferedMutator
+	rd  hbase.Reader
+}
+
+func (f *fixture) begin(ctx *sim.Ctx) *txn {
+	tx := f.v.Begin(ctx)
+	mut := f.c.NewTxMutator()
+	return &txn{f: f, tx: tx, mut: mut, rd: tx.Track(mut.View())}
+}
+
+// update is a read-modify-write of one balance: the read-before-write joins
+// the read set, as an UPDATE's does.
+func (x *txn) update(t *testing.T, ctx *sim.Ctx, id, bal string) {
 	t.Helper()
-	stmt := sqlparser.MustParse("INSERT INTO Account (id, bal, owner) VALUES (?, ?, ?)")
-	if err := s.Exec(sim.NewCtx(), stmt, []schema.Value{id, bal, owner}); err != nil {
+	if _, err := x.rd.Get(ctx, accounts, id, x.tx.ReadOpts()); err != nil {
+		t.Fatal(err)
+	}
+	if err := x.mut.Put(ctx, accounts, id, []hbase.Cell{{Qualifier: balCol, Value: []byte(bal)}}); err != nil {
+		t.Fatal(err)
+	}
+	x.tx.RecordWrite(accounts, id)
+}
+
+// commit validates, flushes and finalizes; a conflict discards the buffer.
+func (x *txn) commit(ctx *sim.Ctx) error {
+	if err := x.f.v.Validate(ctx, x.tx, x.mut.StampPending); err != nil {
+		x.mut.Discard()
+		return err
+	}
+	if err := x.mut.Flush(ctx); err != nil {
+		x.f.v.AbandonFlush(ctx, x.tx)
+		return err
+	}
+	x.f.v.Finalize(ctx, x.tx)
+	return nil
+}
+
+// set commits one balance as its own transaction.
+func (f *fixture) set(t *testing.T, id, bal string) {
+	t.Helper()
+	ctx := sim.NewCtx()
+	x := f.begin(ctx)
+	x.update(t, ctx, id, bal)
+	if err := x.commit(ctx); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func balance(t testing.TB, s *Session, id int64) (int64, bool) {
+// balance reads one balance from a fresh snapshot.
+func (f *fixture) balance(t *testing.T, id string) string {
 	t.Helper()
-	sel := sqlparser.MustParse("SELECT bal FROM Account WHERE id = ?").(*sqlparser.SelectStmt)
-	rs, err := s.Query(sim.NewCtx(), sel, []schema.Value{id})
+	ctx := sim.NewCtx()
+	row, err := f.c.Get(ctx, accounts, id, hbase.SnapshotRead(f.v.SnapshotTS(ctx)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rs.Rows) == 0 {
-		return 0, false
-	}
-	return rs.Rows[0]["bal"].(int64), true
+	return string(row.Cells.Get(balCol))
 }
 
 // TestBackwardValidationPointConflict: a transaction that read a row another
 // transaction wrote and committed while it ran fails validation; disjoint
 // transactions both commit.
 func TestBackwardValidationPointConflict(t *testing.T) {
-	s := newSession(t)
-	insert(t, s, 1, 100, "alice")
-	insert(t, s, 2, 200, "bob")
-
+	f := newFixture(t)
+	f.set(t, "1", "100")
+	f.set(t, "2", "200")
 	ctx := sim.NewCtx()
-	up := sqlparser.MustParse("UPDATE Account SET bal = ? WHERE id = ?")
 
 	// t1 reads (and writes) row 1; a concurrent transaction commits a write
 	// to row 1 first.
-	t1 := s.BeginTxn(ctx)
-	if err := t1.Exec(ctx, up, []schema.Value{int64(111), int64(1)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Exec(ctx, up, []schema.Value{int64(150), int64(1)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := t1.Commit(ctx); !errors.Is(err, ErrConflict) {
+	t1 := f.begin(ctx)
+	t1.update(t, ctx, "1", "111")
+	f.set(t, "1", "150")
+	if err := t1.commit(ctx); !errors.Is(err, ErrConflict) {
 		t.Fatalf("commit after overlapping committed write = %v, want ErrConflict", err)
 	}
-	if bal, _ := balance(t, s, 1); bal != 150 {
-		t.Fatalf("bal = %d, want the committed writer's 150 (loser flushed nothing)", bal)
+	if bal := f.balance(t, "1"); bal != "150" {
+		t.Fatalf("bal = %q, want the committed writer's 150 (loser flushed nothing)", bal)
 	}
 
 	// Disjoint rows: both commit.
-	t2 := s.BeginTxn(ctx)
-	if err := t2.Exec(ctx, up, []schema.Value{int64(222), int64(2)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Exec(ctx, up, []schema.Value{int64(151), int64(1)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := t2.Commit(ctx); err != nil {
+	t2 := f.begin(ctx)
+	t2.update(t, ctx, "2", "222")
+	f.set(t, "1", "151")
+	if err := t2.commit(ctx); err != nil {
 		t.Fatalf("disjoint commit: %v", err)
 	}
-	if bal, _ := balance(t, s, 2); bal != 222 {
-		t.Fatalf("bal = %d, want 222", bal)
+	if bal := f.balance(t, "2"); bal != "222" {
+		t.Fatalf("bal = %q, want 222", bal)
 	}
 }
 
-// TestScanRangeCatchesPhantom: a transaction whose query scanned a range
-// conflicts with a concurrently committed INSERT into that range, even
-// though the scan never returned the inserted row — the read set records
-// ranges, not returned keys.
+// TestScanRangeCatchesPhantom: a transaction that scanned a range conflicts
+// with a concurrently committed insert into that range, even though the scan
+// never returned the inserted row — the read set records ranges, not
+// returned keys.
 func TestScanRangeCatchesPhantom(t *testing.T) {
-	s := newSession(t)
-	insert(t, s, 1, 100, "alice")
-
+	f := newFixture(t)
+	f.set(t, "1", "100")
 	ctx := sim.NewCtx()
-	t1 := s.BeginTxn(ctx)
-	sum := sqlparser.MustParse("SELECT id, bal FROM Account").(*sqlparser.SelectStmt)
-	if _, err := t1.Query(ctx, sum, nil); err != nil {
+
+	t1 := f.begin(ctx)
+	sc, err := t1.rd.OpenScan(ctx, accounts, hbase.ScanSpec{Read: t1.tx.ReadOpts()})
+	if err != nil {
 		t.Fatal(err)
 	}
+	for {
+		if _, ok := sc.Next(ctx); !ok {
+			break
+		}
+	}
+	sc.Close(ctx)
 	// t1's write depends on the scan; give it one.
-	if err := t1.Exec(ctx, sqlparser.MustParse("UPDATE Account SET owner = ? WHERE id = ?"),
-		[]schema.Value{"sum-holder", int64(1)}); err != nil {
-		t.Fatal(err)
-	}
+	t1.update(t, ctx, "1", "sum-holder")
 
 	// A concurrent transaction inserts a row into the scanned range and
 	// commits.
-	insert(t, s, 9, 900, "phantom")
+	f.set(t, "9", "900")
 
-	if err := t1.Commit(ctx); !errors.Is(err, ErrConflict) {
+	if err := t1.commit(ctx); !errors.Is(err, ErrConflict) {
 		t.Fatalf("commit after phantom insert = %v, want ErrConflict", err)
+	}
+}
+
+// TestFinishedTransactionRejected: an aborted transaction is recorded by the
+// validator and cannot validate afterwards.
+func TestFinishedTransactionRejected(t *testing.T) {
+	v := NewValidator(nil)
+	ctx := sim.NewCtx()
+	tx := v.Begin(ctx)
+	tx.RecordWrite("T", "k")
+	v.Abort(ctx, tx)
+	if st := v.Stats(); st.Aborts != 1 || v.ActiveTxns() != 0 {
+		t.Fatalf("after abort: %d aborts, %d active; want 1, 0", st.Aborts, v.ActiveTxns())
+	}
+	if err := v.Validate(ctx, tx, nil); !errors.Is(err, ErrFinished) {
+		t.Fatalf("validate after abort = %v, want ErrFinished", err)
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package server is Synergy's serving layer: a MySQL-compatible wire
-// listener over per-connection sessions, with admission control above the
-// engine.
+// listener driving one synergy.Session per connection, with admission
+// control above the engine.
 //
 // The wire protocol is the MySQL client/server protocol 4.1 subset a
 // database/sql-shaped client needs: handshake, COM_QUERY with text result
@@ -8,15 +8,14 @@
 // and COM_QUIT. Intentional deviations from the real protocol are listed in
 // docs/PROTOCOL.md.
 //
-// One connection owns one Session — the transaction context. A Session
-// unifies the three engine transaction shapes (synergy.Tx for full
-// deployments, mvcc.SessionTx and occ.SessionTx for engine-direct ones)
-// behind BEGIN/COMMIT/ROLLBACK with autocommit on top: outside an explicit
-// transaction every write runs as its own WAL-logged transaction and every
-// read as its own snapshot. Sessions pick their concurrency mode
-// (`SET synergy_mode`) by switching between the server's named backends —
-// one deployed engine per mode — and their freshness contract
-// (`SET synergy_reads`) per session, never racing on a global default.
+// One connection owns one synergy.Session — the transaction context, the
+// same type in every concurrency mode: BEGIN/COMMIT/ROLLBACK with autocommit
+// on top (outside an explicit transaction every write runs as its own
+// WAL-logged transaction and every read as its own snapshot). Connections
+// pick their concurrency mode (`SET synergy_mode`) by switching between the
+// server's named backends — one deployed synergy.System per mode — and their
+// freshness contract (`SET synergy_reads`) per session; the contract follows
+// the connection across a mode switch.
 //
 // Above the sessions sits the admission Gate: a fixed number of statement
 // execution slots plus a bounded wait queue. Overload queues callers with

@@ -52,7 +52,7 @@ func benchScanServer(b *testing.B, rows int) (addr string) {
 	if err := sys.BuildViews(); err != nil {
 		b.Fatal(err)
 	}
-	srv, err := New(Config{Backends: []Backend{SystemBackend("synergy", sys)}})
+	srv, err := New(Config{Backends: []Backend{{Name: "synergy", System: sys}}})
 	if err != nil {
 		b.Fatal(err)
 	}

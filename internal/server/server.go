@@ -31,13 +31,8 @@ const maxPreparedStmts = 1024
 // with. Each concurrency mode is its own deployment, so a multi-mode server
 // carries one backend per mode.
 type Backend struct {
-	Name       string
-	NewSession func() Session
-}
-
-// SystemBackend wraps a deployed synergy.System as a named backend.
-func SystemBackend(name string, sys *synergy.System) Backend {
-	return Backend{Name: name, NewSession: func() Session { return NewSystemSession(sys) }}
+	Name   string
+	System *synergy.System
 }
 
 // Config parameterizes a Server.
@@ -58,8 +53,8 @@ type Config struct {
 	Costs *sim.Costs
 }
 
-// Server accepts MySQL-protocol connections and drives one Session per
-// connection through the admission gate.
+// Server accepts MySQL-protocol connections and drives one synergy.Session
+// per connection through the admission gate.
 type Server struct {
 	gate     *Gate
 	costs    *sim.Costs
@@ -191,7 +186,7 @@ func (s *Server) Close() error {
 	return nil
 }
 
-// conn is one client connection: wire state plus its Session.
+// conn is one client connection: wire state plus its session.
 type conn struct {
 	srv  *Server
 	nc   net.Conn
@@ -199,9 +194,9 @@ type conn struct {
 	id   uint32
 	sctx *sim.Ctx
 
-	sess        Session
+	sess        *synergy.Session
 	backendName string
-	readsName   string
+	readsName   string // last `SET synergy_reads` value, "default" before one
 	autocommit  bool
 	stream      bool // SELECTs stream through a cursor (SET synergy_stream)
 
@@ -329,7 +324,7 @@ func (c *conn) handshake() error {
 		c.writeErrPacket(1049, "42000", err.Error())
 		return err
 	}
-	c.sess = b.NewSession()
+	c.sess = b.System.NewSession()
 	c.backendName = name
 	return c.writeOK(0, "")
 }
@@ -480,8 +475,7 @@ func (c *conn) writeEngineErr(err error) error {
 		return c.writeErrPacket(errUnknownCol, "42S22", err.Error())
 	case errors.Is(err, ErrServerBusy):
 		return c.writeErrPacket(errConCount, "08004", err.Error())
-	case strings.Contains(err.Error(), "too many attempts"):
-		// The lock manager's contended-acquire give-up.
+	case errors.Is(err, synergy.ErrLockTimeout):
 		return c.writeErrPacket(errLockWait, "HY000", err.Error())
 	}
 	return c.writeErrPacket(errUnknown, "HY000", err.Error())
@@ -729,14 +723,11 @@ func (c *conn) handleSet(rest string) error {
 	case "synergy_mode":
 		return c.switchMode(val)
 	case "synergy_reads":
-		switch strings.ToLower(val) {
-		case "stale":
-			c.sess.SetReads(synergy.ReadStale)
-		case "watermark":
-			c.sess.SetReads(synergy.ReadWatermark)
-		default:
+		mode, ok := readModes[strings.ToLower(val)]
+		if !ok {
 			return c.writeErrPacket(errWrongVarVal, "42000", fmt.Sprintf("bad synergy_reads value %q (stale|watermark)", val))
 		}
+		c.sess.SetReads(mode)
 		c.readsName = strings.ToLower(val)
 	case "synergy_stream":
 		on := val == "1" || strings.EqualFold(val, "on")
@@ -752,7 +743,15 @@ func (c *conn) handleSet(rest string) error {
 	return c.writeOK(0, "")
 }
 
-// switchMode rebinds the session to another backend. Prepared statements
+// readModes are the values `SET synergy_reads` accepts.
+var readModes = map[string]synergy.ViewReadMode{
+	"stale":     synergy.ReadStale,
+	"watermark": synergy.ReadWatermark,
+}
+
+// switchMode rebinds the connection to a session on another backend. The
+// client's `SET synergy_reads` choice carries over (a client that made none
+// gets the new backend's configured default), and prepared statements
 // survive: they are parsed SQL plus a parameter count, engine-agnostic.
 func (c *conn) switchMode(val string) error {
 	name := strings.ToLower(strings.TrimSpace(val))
@@ -769,8 +768,10 @@ func (c *conn) switchMode(val string) error {
 	if !ok {
 		return c.writeErrPacket(errWrongVarVal, "42000", fmt.Sprintf("unknown synergy_mode %q (backends: %s)", val, c.srv.backendNames()))
 	}
-	c.sess.Close(c.sctx)
-	c.sess = b.NewSession()
+	c.sess = b.System.NewSession()
+	if mode, ok := readModes[c.readsName]; ok {
+		c.sess.SetReads(mode)
+	}
 	c.backendName = name
 	return c.writeOK(0, "")
 }

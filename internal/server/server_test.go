@@ -12,8 +12,6 @@ import (
 	"testing"
 	"time"
 
-	"synergy/internal/mvcc"
-	"synergy/internal/occ"
 	"synergy/internal/phoenix"
 	"synergy/internal/schema"
 	"synergy/internal/sim"
@@ -55,11 +53,10 @@ func testSchema() (*schema.Schema, []string) {
 
 const testSelect = "SELECT * FROM Root as r, Leaf as l WHERE r.RID = l.L_RID and l.LVal = ?"
 
-func deploySystem(t *testing.T, mode synergy.ConcurrencyMode) *synergy.System {
+func deploySystem(t *testing.T, cfg synergy.Config) *synergy.System {
 	t.Helper()
 	s, workload := testSchema()
-	cfg := synergy.Config{Concurrency: mode}
-	if mode != synergy.Hierarchical {
+	if cfg.Concurrency != synergy.Hierarchical {
 		cfg.MaxVersions = 16
 	}
 	sys, err := synergy.New(s, []string{"Root"}, workload, cfg)
@@ -90,27 +87,23 @@ type testEnv struct {
 }
 
 // startServer deploys one system per concurrency mode and serves them as
-// backends hier/mvcc/occ (plus engine-direct mvccdirect/occdirect adapters)
-// over an in-process listener.
+// backends hier/mvcc/occ over an in-process listener.
 func startServer(t *testing.T, cfg Config) *testEnv {
+	t.Helper()
+	return startServerOn(t, cfg, synergy.Config{})
+}
+
+// startServerOn is startServer with every backend deployed from base (its
+// Concurrency set per backend).
+func startServerOn(t *testing.T, cfg Config, base synergy.Config) *testEnv {
 	t.Helper()
 	env := &testEnv{addr: t.Name(), systems: map[string]*synergy.System{}}
 	for name, mode := range map[string]synergy.ConcurrencyMode{
 		"hier": synergy.Hierarchical, "mvcc": synergy.MVCC, "occ": synergy.OCC,
 	} {
-		env.systems[name] = deploySystem(t, mode)
-	}
-	mv, oc := env.systems["mvcc"], env.systems["occ"]
-	cfg.Backends = []Backend{
-		SystemBackend("hier", env.systems["hier"]),
-		SystemBackend("mvcc", mv),
-		SystemBackend("occ", oc),
-		{Name: "mvccdirect", NewSession: func() Session {
-			return NewMVCCSession(mvcc.NewSession(mv.Engine, mv.MVCCServer))
-		}},
-		{Name: "occdirect", NewSession: func() Session {
-			return NewOCCSession(occ.NewSession(oc.Engine, oc.OCC))
-		}},
+		base.Concurrency = mode
+		env.systems[name] = deploySystem(t, base)
+		cfg.Backends = append(cfg.Backends, Backend{Name: name, System: env.systems[name]})
 	}
 	cfg.Default = "hier"
 	srv, err := New(cfg)
@@ -217,33 +210,6 @@ func TestWireParity(t *testing.T) {
 				if !reflect.DeepEqual(wire.Rows, direct.Rows) {
 					t.Fatalf("rows diverge for %q:\nwire   %v\ndirect %v", v, wire.Rows, direct.Rows)
 				}
-			}
-		})
-	}
-}
-
-// TestEngineDirectBackends exercises the mvcc.SessionTx / occ.SessionTx
-// adapters end to end.
-func TestEngineDirectBackends(t *testing.T) {
-	env := startServer(t, Config{})
-	for _, mode := range []string{"mvccdirect", "occdirect"} {
-		t.Run(mode, func(t *testing.T) {
-			c := env.dial(t, mode)
-			if err := c.Begin(); err != nil {
-				t.Fatal(err)
-			}
-			if err := c.Exec("UPDATE Root SET RVal = 'direct' WHERE RID = 3"); err != nil {
-				t.Fatal(err)
-			}
-			if err := c.Commit(); err != nil {
-				t.Fatal(err)
-			}
-			rs, err := c.Query("SELECT RVal FROM Root WHERE RID = 3")
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(rs.Rows) != 1 || rs.Rows[0]["RVal"] != "direct" {
-				t.Fatalf("unexpected rows %v", rs.Rows)
 			}
 		})
 	}
@@ -550,6 +516,98 @@ func TestSessionVariables(t *testing.T) {
 	after, _ := c.SimMicros()
 	if after <= a {
 		t.Fatalf("query did not accrue cost: %d -> %d", a, after)
+	}
+}
+
+// TestModeSwitchKeepsReadsContract: `SET synergy_reads` survives
+// `SET synergy_mode`. After the rebind the session must still wait for the
+// watermark — a read against a paused changefeed blocks, comes back fresh and
+// is charged the wait — and @@synergy_reads must say what the reads do. (The
+// rebind used to open the new session at the backend's default, ReadStale,
+// while @@synergy_reads went on answering "watermark".)
+func TestModeSwitchKeepsReadsContract(t *testing.T) {
+	env := startServerOn(t, Config{}, synergy.Config{Maintenance: synergy.AsyncMaintenance})
+	sys := env.systems["mvcc"]
+	c := env.dial(t, "hier")
+	if err := c.Exec("SET synergy_reads = 'watermark'"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Exec("SET synergy_mode = 'mvcc'"); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := c.SysVar("synergy_reads"); v != "watermark" {
+		t.Fatalf("@@synergy_reads after the switch = %v, want watermark", v)
+	}
+
+	sys.Feed.Pause()
+	if err := sys.Exec(sim.NewCtx(), sqlparser.MustParse("UPDATE Root SET RVal = 'pending' WHERE RID = 1"), nil); err != nil {
+		t.Fatal(err)
+	}
+	const q = "SELECT * FROM Root as r, Leaf as l WHERE r.RID = l.L_RID and l.LVal = 'l1'"
+	before, _ := c.SimMicros()
+	got := make(chan *phoenix.ResultSet, 1)
+	go func() {
+		rs, err := c.Query(q)
+		if err != nil {
+			t.Error(err)
+		}
+		got <- rs
+	}()
+	select {
+	case <-got:
+		t.Fatal("read returned while the changefeed was paused: the session reads stale, @@synergy_reads says watermark")
+	case <-time.After(50 * time.Millisecond):
+	}
+	sys.Feed.Resume()
+	rs := <-got
+	if rs == nil || len(rs.Rows) != 1 || rs.Rows[0]["RVal"] != "pending" {
+		t.Fatalf("watermark read = %v, want the applied update", rs)
+	}
+	waited, _ := c.SimMicros()
+	if _, err := c.Query(q); err != nil {
+		t.Fatal(err)
+	}
+	again, _ := c.SimMicros()
+	if waited-before <= again-waited {
+		t.Fatalf("blocked read charged %d sim-us, the same read with nothing to wait for %d: the wait was not charged",
+			waited-before, again-waited)
+	}
+
+	// A client that never chose gets each backend's own default.
+	d := env.dial(t, "hier")
+	if err := d.Exec("SET synergy_mode = 'occ'"); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := d.SysVar("synergy_reads"); v != "default" {
+		t.Fatalf("@@synergy_reads without a SET = %v, want default", v)
+	}
+}
+
+// TestLockTimeoutMapsTo1205: the lock manager's give-up reaches the client as
+// 1205, recognised by errors.Is — and an unrelated error whose text merely
+// echoes the give-up's old wording does not.
+func TestLockTimeoutMapsTo1205(t *testing.T) {
+	env := startServer(t, Config{})
+	env.systems["hier"].Locks.MaxAttempts = 3
+	a, b := env.dial(t, "hier"), env.dial(t, "hier")
+	if err := a.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Exec("UPDATE Root SET RVal = 'held' WHERE RID = 1"); err != nil {
+		t.Fatal(err)
+	}
+	err := b.Exec("UPDATE Root SET RVal = 'blocked' WHERE RID = 1")
+	var me *MySQLError
+	if !errors.As(err, &me) || me.Code != errLockWait {
+		t.Fatalf("contended write = %v, want error %d", err, errLockWait)
+	}
+	if err := a.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+
+	err = b.Exec("UPDATE Root SET RVal = 'x' WHERE RVal > 'too many attempts'")
+	if !errors.As(err, &me) || me.Code != errUnknown {
+		t.Fatalf("unsupported WHERE echoing the phrase = %v, want error %d, not a lock timeout", err, errUnknown)
 	}
 }
 

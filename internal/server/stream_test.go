@@ -65,7 +65,7 @@ func TestStreamedMaterializedParity(t *testing.T) {
 		{"aggregate", "SELECT COUNT(*) AS n, MAX(LID) AS hi FROM Leaf"},
 		{"join", "SELECT * FROM Root as r, Leaf as l WHERE r.RID = l.L_RID and l.LVal = 'l3'"},
 	}
-	for _, mode := range []string{"hier", "mvcc", "occ", "mvccdirect", "occdirect"} {
+	for _, mode := range []string{"hier", "mvcc", "occ"} {
 		t.Run(mode, func(t *testing.T) {
 			c := env.dial(t, mode)
 			for _, shape := range shapes {
@@ -195,7 +195,7 @@ func streamScanServer(t *testing.T, rows int) (*testEnv, *synergy.System) {
 	if err := sys.BuildViews(); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(Config{Backends: []Backend{SystemBackend("big", sys)}})
+	srv, err := New(Config{Backends: []Backend{{Name: "big", System: sys}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"synergy/internal/phoenix"
 	"synergy/internal/schema"
 	"synergy/internal/sim"
 	"synergy/internal/sqlparser"
@@ -104,10 +105,15 @@ func TestAsyncMaintenanceParity(t *testing.T) {
 	}
 }
 
+// querier is a System or a Session.
+type querier interface {
+	Query(*sim.Ctx, *sqlparser.SelectStmt, []schema.Value) (*phoenix.ResultSet, error)
+}
+
 // queryRVals runs the fixture's view query and collects the RVal column.
-func queryRVals(t *testing.T, sys *System, sel *sqlparser.SelectStmt, ctx *sim.Ctx) []string {
+func queryRVals(t *testing.T, q querier, sel *sqlparser.SelectStmt, ctx *sim.Ctx) []string {
 	t.Helper()
-	rs, err := sys.Query(ctx, sel, []schema.Value{"Leaf00-0"})
+	rs, err := q.Query(ctx, sel, []schema.Value{"Leaf00-0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,11 +182,13 @@ func TestWatermarkReadBlocksOnPausedFeed(t *testing.T) {
 		t.Fatalf("stale read stats = %+v, want StaleReads=1 with positive lag", s)
 	}
 
-	// ReadWatermark: blocks until the feed resumes, then sees the update.
-	sys.SetAsyncReadMode(ReadWatermark)
+	// ReadWatermark, on a session of the same system: blocks until the feed
+	// resumes, then sees the update.
+	wm := sys.NewSession()
+	wm.SetReads(ReadWatermark)
 	wmCtx := sim.NewCtx()
 	got := make(chan []string, 1)
-	go func() { got <- queryRVals(t, sys, sel, wmCtx) }()
+	go func() { got <- queryRVals(t, wm, sel, wmCtx) }()
 	select {
 	case <-got:
 		t.Fatal("watermark read returned while the feed was paused")
@@ -244,9 +252,10 @@ func TestAsyncBackpressureBlocksWriters(t *testing.T) {
 	if p, a := sys.Feed.Published(), sys.Feed.Applied(); p != 3 || a != 3 {
 		t.Fatalf("published=%d applied=%d, want 3/3 (nothing dropped)", p, a)
 	}
-	sys.SetAsyncReadMode(ReadWatermark)
+	wm := sys.NewSession()
+	wm.SetReads(ReadWatermark)
 	sel := sys.Design.Workload.Selects()[0]
-	for _, got := range queryRVals(t, sys, sel, sim.NewCtx()) {
+	for _, got := range queryRVals(t, wm, sel, sim.NewCtx()) {
 		if got != "blocked" {
 			t.Fatalf("final view value %q, want %q", got, "blocked")
 		}

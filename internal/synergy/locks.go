@@ -1,6 +1,7 @@
 package synergy
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sort"
@@ -16,6 +17,10 @@ var (
 	lockFree = []byte("0")
 	lockHeld = []byte("1")
 )
+
+// ErrLockTimeout reports that a contended acquire exhausted
+// LockManager.MaxAttempts; the serving layer maps it to MySQL error 1205.
+var ErrLockTimeout = errors.New("synergy: lock wait timeout")
 
 // LockTableName returns the lock table of a root relation.
 func LockTableName(root string) string { return "LK_" + root }
@@ -166,7 +171,7 @@ func (lm *LockManager) acquire(ctx *sim.Ctx, client *hbase.Client, root, key str
 		ctx.Charge(lm.backoff(attempt))
 		runtime.Gosched()
 	}
-	return fmt.Errorf("synergy: lock %s/%q: too many attempts", root, key)
+	return fmt.Errorf("%w: %s/%q after %d attempts", ErrLockTimeout, root, key, lm.MaxAttempts)
 }
 
 // Release frees the lock.

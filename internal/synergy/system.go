@@ -3,6 +3,11 @@
 // layer with the selected materialized views and view-indexes registered,
 // the hierarchical lock manager, and the transaction layer (master + slaves
 // with write-ahead logging) that executes the auto-generated write plans.
+//
+// Clients reach a System through a Session (System.NewSession): Begin,
+// Query, QueryStream, Exec, Commit, Rollback — one type, identical in every
+// concurrency mode and with or without views. System.Query, QueryStream,
+// Exec and ExecTxn are one-shot conveniences over the same paths.
 package synergy
 
 import (
@@ -432,21 +437,11 @@ func (sys *System) maintModeFor(view string) MaintenanceMode {
 	return sys.cfg.Maintenance
 }
 
-// SetAsyncReadMode switches how reads treat asynchronously maintained views
-// (the bench harness flips one system between ReadStale probes and
-// ReadWatermark barriers). Not safe to call concurrently with queries —
-// concurrent callers with different needs use QueryWithReads instead.
-func (sys *System) SetAsyncReadMode(m ViewReadMode) { sys.cfg.AsyncReads = m }
-
 // Concurrency reports the deployment's concurrency control mechanism. The
 // mode is baked in at construction (it decides which transaction tier
 // exists), so a serving layer fronting several modes holds one System per
 // mode and routes by this.
 func (sys *System) Concurrency() ConcurrencyMode { return sys.cfg.Concurrency }
-
-// DefaultReadMode reports the configured read behavior against
-// asynchronously maintained views.
-func (sys *System) DefaultReadMode() ViewReadMode { return sys.cfg.AsyncReads }
 
 // asyncViewsIn lists the asynchronously maintained views a (rewritten)
 // query reads, including inside derived tables.
@@ -500,12 +495,13 @@ func (sys *System) staleObserver(readTS int64, reads ViewReadMode) func(*sim.Ctx
 	}
 }
 
-// Query executes a read. Workload queries run their view-based rewrite;
-// reads go directly to the HBase layer (Figure 7). Under hierarchical
-// locking the dirty-read restart protocol guards view scans (§VIII-C); under
-// MVCC the read runs inside a snapshot transaction; under OCC it runs
-// against a begin-timestamp snapshot — read-only snapshot reads are
-// serializable as of their begin point and need no validation, and the
+// Query executes a one-shot read at the deployment's configured freshness
+// contract (a Session carries its own). Workload queries run their
+// view-based rewrite; reads go directly to the HBase layer (Figure 7). Under
+// hierarchical locking the dirty-read restart protocol guards view scans
+// (§VIII-C); under MVCC the read runs inside a snapshot transaction; under
+// OCC it runs against a begin-timestamp snapshot — read-only snapshot reads
+// are serializable as of their begin point and need no validation, and the
 // snapshot horizon hides commits still flushing, so no dirty marking is
 // needed either.
 //
@@ -515,38 +511,24 @@ func (sys *System) staleObserver(readTS int64, reads ViewReadMode) func(*sim.Ctx
 // async view it touches covers the read's arrival point. In ReadStale mode
 // the query runs immediately and records the observed lag per view.
 func (sys *System) Query(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []schema.Value) (*phoenix.ResultSet, error) {
-	return sys.QueryWithReads(ctx, sel, params, sys.cfg.AsyncReads)
+	return sys.NewSession().Query(ctx, sel, params)
 }
 
-// QueryWithReads is Query with an explicit freshness contract for the async
-// views the query touches, overriding the configured default for this call
-// only. Serving-layer sessions thread their per-session `SET synergy_reads`
-// choice through it, so concurrent sessions with different contracts never
-// race on the system-wide default.
-func (sys *System) QueryWithReads(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []schema.Value, reads ViewReadMode) (*phoenix.ResultSet, error) {
-	cur, err := sys.QueryStreamWithReads(ctx, sel, params, reads)
-	if err != nil {
-		return nil, err
-	}
-	return phoenix.DrainCursor(ctx, cur)
-}
-
-// QueryStream executes a read as a streaming cursor at the configured
-// freshness default. See QueryStreamWithReads.
+// QueryStream is Query returning a cursor instead of a materialized result:
+// non-blocking single-table shapes stream directly off the region scanner,
+// so peak memory is one scan chunk regardless of result size. The caller
+// must Close the cursor and check its error.
 func (sys *System) QueryStream(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []schema.Value) (phoenix.RowCursor, error) {
-	return sys.QueryStreamWithReads(ctx, sel, params, sys.cfg.AsyncReads)
+	return sys.NewSession().QueryStream(ctx, sel, params)
 }
 
-// QueryStreamWithReads is QueryWithReads returning a cursor instead of a
-// materialized result: non-blocking single-table shapes stream directly off
-// the region scanner, so peak memory is one scan chunk regardless of result
-// size. The snapshot semantics are identical to QueryWithReads — under MVCC
-// the read runs inside a snapshot transaction that stays open for the
-// cursor's lifetime and is settled by Close (committed on a clean drain,
-// aborted if the cursor saw an error); OCC and hierarchical reads carry no
-// per-read transaction state, so their cursors only release the scanner.
-// The caller must Close the cursor and check its error.
-func (sys *System) QueryStreamWithReads(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []schema.Value, reads ViewReadMode) (phoenix.RowCursor, error) {
+// queryStream is the one autocommit read path, with the caller's freshness
+// contract for the async views the query touches. Under MVCC the read runs
+// inside a snapshot transaction that stays open for the cursor's lifetime
+// and is settled by Close (committed on a clean drain, aborted if the cursor
+// saw an error); OCC and hierarchical reads carry no per-read transaction
+// state, so their cursors only release the scanner.
+func (sys *System) queryStream(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []schema.Value, reads ViewReadMode) (phoenix.RowCursor, error) {
 	stmt := sys.rewriteFor(sel)
 	if sys.Feed != nil && reads == ReadWatermark {
 		arrival := sys.Store.CurrentTS()

@@ -243,48 +243,36 @@ func (tx *Tx) Exec(ctx *sim.Ctx, stmt sqlparser.Statement, params []schema.Value
 	return tx.sys.executeWriteBody(ctx, tx, stmt, params)
 }
 
-// Query runs a SELECT inside the transaction at the configured freshness
-// default. See QueryWithReads.
+// Query runs a SELECT inside the transaction at the deployment's configured
+// freshness contract (a Session passes its own). See queryStream.
 func (tx *Tx) Query(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []schema.Value) (*phoenix.ResultSet, error) {
-	return tx.QueryWithReads(ctx, sel, params, tx.sys.cfg.AsyncReads)
-}
-
-// QueryWithReads runs a SELECT inside the transaction with an explicit
-// freshness contract. The query runs its view-based rewrite, and reads see
-// the transaction's own buffered writes: under hierarchical locking the
-// mutator overlay merges over latest-committed rows (with the §VIII-C
-// dirty-restart protocol guarding view scans), under MVCC the overlay merges
-// over the transaction's snapshot at its current checkpoint, and under OCC
-// the query runs through the tracking reader — its ranges and keys join the
-// read set, so commit-time validation covers what the transaction saw, not
-// just what it wrote.
-//
-// The ReadWatermark gate waits to the transaction's read point rather than
-// the arrival clock: an in-flight MVCC/OCC transaction cannot move its
-// snapshot forward, so deltas applied beyond it would be invisible anyway —
-// waiting past the snapshot would charge the reader for freshness it cannot
-// observe.
-func (tx *Tx) QueryWithReads(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []schema.Value, reads ViewReadMode) (*phoenix.ResultSet, error) {
-	cur, err := tx.QueryStreamWithReads(ctx, sel, params, reads)
+	cur, err := tx.queryStream(ctx, sel, params, tx.sys.cfg.AsyncReads)
 	if err != nil {
 		return nil, err
 	}
 	return phoenix.DrainCursor(ctx, cur)
 }
 
-// QueryStream runs a SELECT inside the transaction as a streaming cursor at
-// the configured freshness default. See QueryStreamWithReads.
-func (tx *Tx) QueryStream(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []schema.Value) (phoenix.RowCursor, error) {
-	return tx.QueryStreamWithReads(ctx, sel, params, tx.sys.cfg.AsyncReads)
-}
-
-// QueryStreamWithReads is QueryWithReads returning a cursor. The cursor
-// reads at the transaction's snapshot (and through its write overlay /
-// tracking reader), but holds no transaction state of its own: Close only
-// releases the scanner, and the transaction outlives the cursor. The cursor
-// must be closed before the next statement runs — it reads through the
+// queryStream runs a SELECT inside the transaction as a cursor. The query
+// runs its view-based rewrite, and reads see the transaction's own buffered
+// writes: under hierarchical locking the mutator overlay merges over
+// latest-committed rows (with the §VIII-C dirty-restart protocol guarding
+// view scans), under MVCC the overlay merges over the transaction's snapshot
+// at its current checkpoint, and under OCC the query runs through the
+// tracking reader — its ranges and keys join the read set, so commit-time
+// validation covers what the transaction saw, not just what it wrote.
+//
+// The ReadWatermark gate waits to the transaction's read point rather than
+// the arrival clock: an in-flight MVCC/OCC transaction cannot move its
+// snapshot forward, so deltas applied beyond it would be invisible anyway —
+// waiting past the snapshot would charge the reader for freshness it cannot
+// observe.
+//
+// The cursor holds no transaction state of its own: Close only releases the
+// scanner, and the transaction outlives the cursor. The cursor must be
+// closed before the next statement runs — it reads through the
 // transaction's current checkpoint, which the next Exec advances.
-func (tx *Tx) QueryStreamWithReads(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []schema.Value, reads ViewReadMode) (phoenix.RowCursor, error) {
+func (tx *Tx) queryStream(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []schema.Value, reads ViewReadMode) (phoenix.RowCursor, error) {
 	if tx.done {
 		return nil, fmt.Errorf("synergy: transaction already finished")
 	}
