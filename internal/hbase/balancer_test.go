@@ -113,9 +113,9 @@ func TestStaleRegionWritesForwardAcrossSplit(t *testing.T) {
 	}
 
 	stale.put(bkey(99), []Cell{{Qualifier: "v", Value: []byte("new"), TS: hc.NextTS()}})
-	stale.increment(bkey(7), "n", 5, hc.NextTS())
+	stale.increment(bkey(7), "n", 5, hc.NextTS)
 	stale.deleteRow(bkey(3), hc.NextTS(), nil)
-	if !stale.checkAndPut(bkey(42), "v", []byte("old"), Cell{Qualifier: "v", Value: []byte("cas"), TS: hc.NextTS()}) {
+	if ok, _ := stale.checkAndPut(bkey(42), "v", []byte("old"), Cell{Qualifier: "v", Value: []byte("cas")}, hc.NextTS); !ok {
 		t.Fatal("checkAndPut through the stale region did not see current data")
 	}
 

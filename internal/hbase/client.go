@@ -270,12 +270,16 @@ func (c *Client) Increment(ctx *sim.Ctx, tbl, key, qualifier string, delta int64
 	c.hc.cl.RPC(ctx, c.node, srv, len(key)+len(qualifier)+16)
 	c.hc.walAppend(ctx, srv, len(key)+len(qualifier)+16)
 	c.hc.serverWork(ctx, srv, c.hc.costs.GetSeek+c.hc.costs.PutApply)
-	return r.increment(key, qualifier, delta, c.hc.NextTS()), nil
+	return r.increment(key, qualifier, delta, c.hc.NextTS), nil
 }
 
 // CheckAndPut atomically puts cell iff the current value of (key, qualifier)
 // equals expected (nil = absent). It is the primitive the Synergy lock tables
-// are built on (§VIII-A, §IX-C).
+// are built on (§VIII-A, §IX-C). A zero-timestamp cell is stamped by the
+// region inside the compare's critical section, above the version it
+// compared against — stamped out here, an acquirer that lost the CPU between
+// the stamp and the compare could apply "held" beneath a later "free" and
+// leave the lock looking free to the next acquirer.
 func (c *Client) CheckAndPut(ctx *sim.Ctx, tbl, key, qualifier string, expected []byte, cell Cell) (bool, error) {
 	t, err := c.open(ctx, tbl)
 	if err != nil {
@@ -283,13 +287,10 @@ func (c *Client) CheckAndPut(ctx *sim.Ctx, tbl, key, qualifier string, expected 
 	}
 	r := t.regionFor(key)
 	srv := r.Server()
-	if cell.TS == 0 {
-		cell.TS = c.hc.NextTS()
-	}
 	bytes := len(key) + len(cell.Qualifier) + len(cell.Value) + len(expected) + kvOverhead
 	c.hc.cl.RPC(ctx, c.node, srv, bytes)
 	c.hc.serverWork(ctx, srv, c.hc.costs.CheckAndPut)
-	ok := r.checkAndPut(key, qualifier, expected, cell)
+	ok, _ := r.checkAndPut(key, qualifier, expected, cell, c.hc.NextTS)
 	if ok {
 		c.hc.walAppend(ctx, srv, bytes)
 		c.hc.serverWork(ctx, srv, c.hc.costs.PutApply)

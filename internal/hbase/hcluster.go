@@ -31,6 +31,9 @@ type table struct {
 	// stale cache costs one MetaLookup on the next touch, exactly like real
 	// HBase clients refreshing hbase:meta after an NSRE.
 	gen atomic.Int64
+
+	// stats is shared by every region the table has or had.
+	stats storeStats
 }
 
 // regionFor locates the region containing key. Caller must not hold t.mu.
@@ -170,6 +173,7 @@ func (hc *HCluster) CreateTable(spec TableSpec) error {
 			end = bounds[i+1]
 		}
 		r := newRegion(&t.spec, start, end)
+		r.stats = &t.stats
 		r.setServer(hc.assignServer())
 		t.regions = append(t.regions, r)
 	}
@@ -408,6 +412,38 @@ func (hc *HCluster) TableBytes(name string) int64 {
 		total += r.sizeBytes()
 	}
 	return total
+}
+
+// StoreStats is what the store did behind a table's writes and what it holds
+// because of them. Flushes and compactions run inline on the writer that
+// trips them but charge no sim.Ctx, so this is the only place they show.
+type StoreStats struct {
+	Flushes        int64 // memstore flushes, size-triggered and explicit
+	Compactions    int64 // store file merges, minor and major
+	CompactedBytes int64 // KeyValue-format bytes those merges read
+	MemstoreBytes  int64 // KeyValue-format bytes resident in memstores now
+	Files          int   // store files now, over all regions
+}
+
+// StoreStats reports a table's flush and compaction counts since creation
+// and its current memstore and store file population.
+func (hc *HCluster) StoreStats(name string) StoreStats {
+	t, err := hc.lookup(name)
+	if err != nil {
+		return StoreStats{}
+	}
+	st := StoreStats{
+		Flushes:        t.stats.flushes.Load(),
+		Compactions:    t.stats.compactions.Load(),
+		CompactedBytes: t.stats.compactedBytes.Load(),
+	}
+	for _, r := range t.regionsInRange("", "") {
+		r.mu.RLock()
+		st.MemstoreBytes += r.mem.bytes
+		st.Files += len(r.files)
+		r.mu.RUnlock()
+	}
+	return st
 }
 
 // TotalBytes sums TableBytes over all tables.

@@ -67,7 +67,13 @@ var fuzzTimestamps = []int64{math.MinInt64, -7, -1, 0, 1, 2, 3, 9, 1 << 40, over
 //     plain, snapshot and excluded-version options, into a nil arena and
 //     behind an occupied one;
 //   - compaction parity: compacting the decoded row equals compacting the
-//     reference, and the re-encoded compacted row reads the same.
+//     reference, and the re-encoded compacted row reads the same;
+//   - minor compaction parity: the two parts, flushed as two store files and
+//     merged by Region.mergeLocked, leave the row a memstore would hold had
+//     every cell been applied to it oldest first — duplicates resolved toward
+//     the newer file, surplus versions trimmed as apply trims them, every
+//     tombstone still there — and, unless a qualifier held more than
+//     MaxVersions, reading as the unmerged stack does under every option.
 func FuzzPackedRow(f *testing.F) {
 	f.Add([]byte{0x00, 0x01, 0x22, 0x43, 0x10, 0x05, 0x77, 0x31, 0x02})
 	f.Add([]byte{0x01, 0x05, 0x01, 0x00, 0x03, 0x06, 0x02, 0x00, 0x04})
@@ -143,12 +149,13 @@ func FuzzPackedRow(f *testing.F) {
 		}
 
 		occupied := Cells{{Qualifier: "kept", Value: []byte("kept")}}
-		for oi, opts := range []ReadOpts{
+		readOpts := []ReadOpts{
 			{},
 			{ReadTS: 3},
 			{ReadTS: 1 << 41},
 			{Excluded: func(ts int64) bool { return ts%3 == 0 }},
-		} {
+		}
+		for oi, opts := range readOpts {
 			want := ref.read(opts)
 			_, got := row.readInto(nil, opts)
 			if !reflect.DeepEqual(got, want) {
@@ -178,6 +185,58 @@ func FuzzPackedRow(f *testing.F) {
 			re, _ := packRows([]string{"k"}, [][]Cell{got.cells}).find("k")
 			if _, cells := re.readInto(nil, ReadOpts{}); !reflect.DeepEqual(cells, want.read(ReadOpts{})) {
 				t.Fatalf("compact(%d): re-encoded row reads %v, reference %v", keep, cells, want.read(ReadOpts{}))
+			}
+		}
+
+		region := newRegion(&TableSpec{Name: "t", MaxVersions: maxVersions}, "", "")
+		for _, part := range parts {
+			if !part.empty() {
+				region.files = append(region.files, packRows([]string{"k"}, [][]Cell{part.cells}))
+			}
+		}
+		if len(region.files) == 0 {
+			return
+		}
+		region.mergeLocked(len(region.files), false)
+		if len(region.files) != 1 {
+			t.Fatalf("minor compaction left %d files", len(region.files))
+		}
+		row, _ = region.files[0].find("k")
+		got := row.appendCells(nil)
+		// The oracle: one memstore row, the older part's cells applied before
+		// the newer part's, oldest stamp first.
+		oldestFirst := append(append([]Cell(nil), parts[1].cells...), parts[0].cells...)
+		sort.SliceStable(oldestFirst, func(i, j int) bool { return oldestFirst[i].TS < oldestFirst[j].TS })
+		want := &rowData{}
+		for _, c := range oldestFirst {
+			want.apply(c, maxVersions)
+		}
+		if !reflect.DeepEqual(got, want.cells) {
+			t.Fatalf("minor compaction diverges from one memstore:\n got %+v\nwant %+v\nfrom %+v", got, want.cells, ref.cells)
+		}
+		// Distinct put versions per qualifier; the fold puts duplicates of one
+		// coordinate next to each other.
+		versions, surplus := map[string]int{}, false
+		for i, c := range ref.cells {
+			if c.Type != TypePut {
+				if !slices.ContainsFunc(got, func(g Cell) bool { return g.Qualifier == c.Qualifier && g.TS == c.TS && g.Type == c.Type }) {
+					t.Fatalf("minor compaction lost tombstone %+v: %+v", c, got)
+				}
+				continue
+			}
+			if i > 0 && !cellLess(ref.cells[i-1], c) {
+				continue
+			}
+			if versions[c.Qualifier]++; versions[c.Qualifier] > maxVersions {
+				surplus = true
+			}
+		}
+		if surplus {
+			return
+		}
+		for oi, opts := range readOpts {
+			if _, cells := row.readInto(nil, opts); !reflect.DeepEqual(cells, ref.read(opts)) {
+				t.Fatalf("opts %d: minor-compacted row reads %v, the unmerged stack %v (cells %+v)", oi, cells, ref.read(opts), ref.cells)
 			}
 		}
 	})
@@ -238,31 +297,93 @@ func TestPackedBlocksBoundedAndSeekable(t *testing.T) {
 	}
 }
 
-// refStore is the reference model of one table: the []Cell-per-row store
+// refRegion is the reference model of one region: the []Cell-per-row store
 // files this package used before the packed format, reduced to what reads
-// and size accounting depend on — a memstore part and a newest-first list
-// of file parts per table, every part a map of rowDatas.
-type refStore struct {
-	maxVersions int
-	mem         map[string]*rowData
-	files       []map[string]*rowData
+// and size accounting depend on — a memstore part and a newest-first list of
+// file parts, every part a map of rowDatas — flushed and compacted by the
+// region's rules, restated over those maps: a write that takes the memstore
+// to flushSize flushes it and merges the run compactionRun selects (the
+// policy is the one thing shared with the code under test; the file sizes it
+// is asked about are brute-force recounts).
+type refRegion struct {
+	start, end string
+	mem        map[string]*rowData
+	files      []map[string]*rowData
 }
 
+// refStore is the reference model of one table: its regions in key order.
+type refStore struct {
+	maxVersions int
+	flushSize   int64 // 0: only explicit flushes
+	regions     []*refRegion
+	// What the size-triggered path did, so a run can show it did everything.
+	autoFlushes, partialMerges, fullMerges int
+}
+
+func newRefStore(maxVersions int, flushSize int64) *refStore {
+	return &refStore{maxVersions: maxVersions, flushSize: flushSize,
+		regions: []*refRegion{{mem: map[string]*rowData{}}}}
+}
+
+func (s *refStore) region(key string) *refRegion {
+	for _, r := range s.regions {
+		if r.end == "" || key < r.end {
+			return r
+		}
+	}
+	panic("unreachable: the last region is unbounded")
+}
+
+// row returns the memstore row of key, for the caller to apply a write to;
+// afterWrite must follow.
 func (s *refStore) row(key string) *rowData {
-	rd := s.mem[key]
+	r := s.region(key)
+	rd := r.mem[key]
 	if rd == nil {
 		rd = &rowData{}
-		s.mem[key] = rd
+		r.mem[key] = rd
 	}
 	return rd
 }
 
-func (s *refStore) parts(key string) []*rowData {
+func partBytes(part map[string]*rowData) int64 {
+	var n int64
+	for k, rd := range part {
+		n += rd.sizeBytes(k)
+	}
+	return n
+}
+
+// afterWrite is Region.afterWriteLocked over the model. It reports whether
+// store files were rewritten.
+func (s *refStore) afterWrite(key string) bool {
+	r := s.region(key)
+	if s.flushSize == 0 || partBytes(r.mem) < s.flushSize {
+		return false
+	}
+	r.flush()
+	s.autoFlushes++
+	sizes := make([]int64, len(r.files))
+	for i, f := range r.files {
+		sizes[i] = partBytes(f)
+	}
+	if n := compactionRun(sizes); n > 0 {
+		if n == len(r.files) {
+			s.fullMerges++
+		} else {
+			s.partialMerges++
+		}
+		r.merge(n, func(rd *rowData) { rd.trim(s.maxVersions) })
+	}
+	return true
+}
+
+func (r *refRegion) parts(key string) []*rowData {
 	var parts []*rowData
-	if rd := s.mem[key]; rd != nil {
+	if rd := r.mem[key]; rd != nil {
 		parts = append(parts, rd)
 	}
-	for _, f := range s.files {
+	for _, f := range r.files {
 		if rd := f[key]; rd != nil {
 			parts = append(parts, rd)
 		}
@@ -270,36 +391,45 @@ func (s *refStore) parts(key string) []*rowData {
 	return parts
 }
 
-func (s *refStore) read(key string, opts ReadOpts) Cells {
-	return merged(s.parts(key)...).read(opts)
+func (s *refStore) cells(key string) *rowData {
+	return merged(s.region(key).parts(key)...)
 }
 
-func (s *refStore) flush() {
-	if len(s.mem) > 0 {
-		s.files = append([]map[string]*rowData{s.mem}, s.files...)
-		s.mem = map[string]*rowData{}
+func (s *refStore) read(key string, opts ReadOpts) Cells {
+	return s.cells(key).read(opts)
+}
+
+func (r *refRegion) flush() {
+	if len(r.mem) > 0 {
+		r.files = append([]map[string]*rowData{r.mem}, r.files...)
+		r.mem = map[string]*rowData{}
 	}
 }
 
-func (s *refStore) majorCompact() {
-	s.flush()
+// merge folds the n newest files into one, passing every folded row through
+// rewrite and dropping the rows and the file it leaves empty.
+func (r *refRegion) merge(n int, rewrite func(*rowData)) {
+	run := &refRegion{files: r.files[:n]}
 	out := map[string]*rowData{}
-	for _, k := range s.keys() {
-		rd := merged(s.parts(k)...)
-		rd.compact(s.maxVersions)
+	for _, k := range run.keys() {
+		rd := merged(run.parts(k)...)
+		rewrite(rd)
 		if !rd.empty() {
 			out[k] = rd
 		}
 	}
-	s.files = []map[string]*rowData{out}
+	r.files = append([]map[string]*rowData(nil), r.files[n:]...)
+	if len(out) > 0 {
+		r.files = append([]map[string]*rowData{out}, r.files...)
+	}
 }
 
-func (s *refStore) keys() []string {
+func (r *refRegion) keys() []string {
 	seen := map[string]bool{}
-	for k := range s.mem {
+	for k := range r.mem {
 		seen[k] = true
 	}
-	for _, f := range s.files {
+	for _, f := range r.files {
 		for k := range f {
 			seen[k] = true
 		}
@@ -312,12 +442,64 @@ func (s *refStore) keys() []string {
 	return keys
 }
 
+// flushTable is HCluster.FlushTable: every region flushes, then tbl — the
+// table the model shadows — may have split, and the model follows.
+func (s *refStore) flushTable(tbl *table) {
+	for _, r := range s.regions {
+		r.flush()
+	}
+	s.followSplits(tbl)
+}
+
+// majorCompact is HCluster.MajorCompact. The store splits before it compacts
+// and the model after flushing, which a major compaction cannot tell apart.
+func (s *refStore) majorCompact(tbl *table) {
+	s.flushTable(tbl)
+	for _, r := range s.regions {
+		if len(r.files) > 0 {
+			r.merge(len(r.files), func(rd *rowData) { rd.compact(s.maxVersions) })
+		}
+	}
+}
+
+// followSplits re-cuts the model's regions at the table's region bounds. A
+// split only ever subdivides a (just flushed) region, handing each daughter
+// the rows of each parent file that fall in its range and no file for none.
+func (s *refStore) followSplits(tbl *table) {
+	var regions []*refRegion
+	for _, real := range tbl.regionsInRange("", "") {
+		parent := s.region(real.start)
+		if parent.start == real.start && parent.end == real.end {
+			regions = append(regions, parent)
+			continue
+		}
+		if len(parent.mem) > 0 {
+			panic("a region split with rows in its memstore")
+		}
+		d := &refRegion{start: real.start, end: real.end, mem: map[string]*rowData{}}
+		for _, f := range parent.files {
+			window := map[string]*rowData{}
+			for k, rd := range f {
+				if real.contains(k) {
+					window[k] = rd
+				}
+			}
+			if len(window) > 0 {
+				d.files = append(d.files, window)
+			}
+		}
+		regions = append(regions, d)
+	}
+	s.regions = regions
+}
+
 // bytes is the brute-force KeyValue footprint: KVSize of every stored cell.
 func (s *refStore) bytes() int64 {
 	var n int64
-	for _, part := range append([]map[string]*rowData{s.mem}, s.files...) {
-		for k, rd := range part {
-			n += rd.sizeBytes(k)
+	for _, r := range s.regions {
+		n += partBytes(r.mem)
+		for _, f := range r.files {
+			n += partBytes(f)
 		}
 	}
 	return n
@@ -362,9 +544,11 @@ func modelRows(all []RowResult, spec ScanSpec) []RowResult {
 
 func (s *refStore) scan(opts ReadOpts) []RowResult {
 	var rows []RowResult
-	for _, k := range s.keys() {
-		if cells := s.read(k, opts); len(cells) > 0 {
-			rows = append(rows, RowResult{Key: k, Cells: cells})
+	for _, r := range s.regions {
+		for _, k := range r.keys() {
+			if cells := s.read(k, opts); len(cells) > 0 {
+				rows = append(rows, RowResult{Key: k, Cells: cells})
+			}
 		}
 	}
 	return rows
@@ -377,23 +561,46 @@ func (s *refStore) scan(opts ReadOpts) []RowResult {
 // store files compares the table against refStore: TableBytes against the
 // brute-force KVSize sum, every Get, the scanShapes under plain, snapshot and
 // excluded-version options in both directions, and region scanChunks resumed
-// seven rows at a time, forward and reversed.
+// seven rows at a time, forward and reversed. Every seed runs twice: with
+// store files rewritten only by the explicit flushes and compactions, and
+// with a flush size of three or four writes, so that size-triggered flushes, merges
+// of the newest files only and merges reaching the oldest file all happen
+// between operations, in regions holding whole files and in split daughters
+// holding windows of their parent's.
 func TestRegionModelRandomized(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
-		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) { runRegionModel(t, seed) })
+		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) { runRegionModel(t, seed, 0) })
+		t.Run(fmt.Sprint("seed", seed, "/autoflush"), func(t *testing.T) { runRegionModel(t, seed, 200) })
 	}
 }
 
-func runRegionModel(t *testing.T, seed int64) {
+// newestCovering is the newest timestamp among the versions and tombstones
+// covering (row, qualifier): what a server-stamped conditional write must
+// land above.
+func newestCovering(rd *rowData, qualifier string) int64 {
+	newest := int64(math.MinInt64)
+	for _, c := range rd.cells {
+		if c.Qualifier == qualifier || c.Qualifier == "" {
+			newest = max(newest, c.TS)
+		}
+	}
+	return newest
+}
+
+func runRegionModel(t *testing.T, seed, flushSize int64) {
 	const keySpace, maxVersions = 160, 3
 	rng := rand.New(rand.NewSource(seed))
 	hc := NewHCluster(cluster.NewDefault(nil), nil, nil)
-	mustCreate(t, hc, TableSpec{Name: "t", MaxVersions: maxVersions, SplitThreshold: 30})
+	mustCreate(t, hc, TableSpec{Name: "t", MaxVersions: maxVersions, SplitThreshold: 30, FlushSize: flushSize})
 	c := hc.NewWarmClient()
 	ctx := sim.NewCtx()
-	model := &refStore{maxVersions: maxVersions, mem: map[string]*rowData{}}
+	model := newRefStore(maxVersions, flushSize)
 	quals := []string{"a", "b", "c", "n"}
 	optsList := []ReadOpts{{}, {ReadTS: 400}, {Excluded: func(ts int64) bool { return ts%5 == 0 }}}
+	tbl, err := hc.lookup("t")
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// A bulk-loaded base (every third key), so the first store file is a
 	// BulkLoad product like a populated database's.
@@ -406,7 +613,7 @@ func runRegionModel(t *testing.T, seed int64) {
 	if err := hc.BulkLoad("t", bulk); err != nil {
 		t.Fatal(err)
 	}
-	model.flush()
+	model.flushTable(tbl)
 
 	check := func(step int, what string) {
 		t.Helper()
@@ -422,10 +629,6 @@ func runRegionModel(t *testing.T, seed int64) {
 				}
 				requireSameCells(t, fmt.Sprintf("%s: Get %s opts %d", where, scanKey(i), oi), got.Cells, model.read(scanKey(i), opts))
 			}
-		}
-		tbl, err := hc.lookup("t")
-		if err != nil {
-			t.Fatal(err)
 		}
 		for oi, opts := range optsList {
 			all := model.scan(opts)
@@ -474,12 +677,25 @@ func runRegionModel(t *testing.T, seed int64) {
 			}
 		}
 	}
+	// wrote ends a write step: the model takes the region's flush decision
+	// and, when that rewrote store files, the table is compared.
+	wrote := func(step int, key, what string) {
+		t.Helper()
+		if model.afterWrite(key) {
+			check(step, what+" that flushed")
+		}
+	}
 
 	check(0, "bulk load")
 	for step := 1; step <= 700; step++ {
 		key := scanKey(rng.Intn(keySpace))
 		ts := int64(rng.Intn(800) + 2)
-		switch op := rng.Intn(100); {
+		op := rng.Intn(100)
+		if flushSize > 0 && op >= 85 && step%4 != 0 {
+			// Mostly leave the flushing to the regions.
+			op = rng.Intn(85)
+		}
+		switch {
 		case op < 45:
 			var cells []Cell
 			for _, q := range quals[:3] {
@@ -497,17 +713,20 @@ func runRegionModel(t *testing.T, seed int64) {
 			for _, cell := range cells {
 				rd.apply(cell, maxVersions)
 			}
+			wrote(step, key, "a put")
 		case op < 55:
 			if err := c.DeleteAt(ctx, "t", key, ts); err != nil {
 				t.Fatal(err)
 			}
 			model.row(key).apply(Cell{TS: ts, Type: TypeDeleteRow}, maxVersions)
+			wrote(step, key, "a row delete")
 		case op < 65:
 			q := quals[rng.Intn(3)]
 			if err := c.DeleteAt(ctx, "t", key, ts, q); err != nil {
 				t.Fatal(err)
 			}
 			model.row(key).apply(Cell{Qualifier: q, TS: ts, Type: TypeDeleteCol}, maxVersions)
+			wrote(step, key, "a column delete")
 		case op < 75:
 			q := quals[rng.Intn(3)]
 			var expected []byte
@@ -525,13 +744,16 @@ func runRegionModel(t *testing.T, seed int64) {
 			}
 			if want {
 				model.row(key).apply(cell, maxVersions)
+				wrote(step, key, "a checkAndPut")
 			}
 		case op < 85:
 			var cur int64
 			if v := model.read(key, ReadOpts{}).Get("n"); len(v) == 8 {
 				cur = int64(binary.BigEndian.Uint64(v))
 			}
-			incTS := hc.CurrentTS() + 1
+			// Stamped by the region: the next clock tick, or just above
+			// whatever explicit stamp already covers the counter.
+			incTS := max(hc.CurrentTS(), newestCovering(model.cells(key), "n")) + 1
 			got, err := c.Increment(ctx, "t", key, "n", 3)
 			if err != nil {
 				t.Fatal(err)
@@ -541,23 +763,37 @@ func runRegionModel(t *testing.T, seed int64) {
 			}
 			buf := binary.BigEndian.AppendUint64(nil, uint64(got))
 			model.row(key).apply(Cell{Qualifier: "n", Value: buf, TS: incTS}, maxVersions)
+			wrote(step, key, "an increment")
 		case op < 95:
 			if err := hc.FlushTable("t"); err != nil {
 				t.Fatal(err)
 			}
-			model.flush()
+			model.flushTable(tbl)
 			check(step, "flush")
 		default:
 			if err := hc.MajorCompact("t"); err != nil {
 				t.Fatal(err)
 			}
-			model.majorCompact()
+			model.majorCompact(tbl)
 			check(step, "major compaction")
 		}
 	}
 	check(701, "the last write")
 	if n := hc.RegionCount("t"); n < 3 {
 		t.Fatalf("table ended with %d regions; the run was meant to split", n)
+	}
+	if flushSize == 0 {
+		return
+	}
+	t.Logf("%d size-triggered flushes, %d partial merges, %d full merges", model.autoFlushes, model.partialMerges, model.fullMerges)
+	if model.autoFlushes < 20 || model.partialMerges < 5 || model.fullMerges < 5 {
+		t.Fatalf("%d size-triggered flushes, %d merges of the newest files only, %d reaching the oldest; the run was meant to do plenty of each",
+			model.autoFlushes, model.partialMerges, model.fullMerges)
+	}
+	st := hc.StoreStats("t")
+	if st.Flushes < int64(model.autoFlushes) || st.Compactions < int64(model.partialMerges+model.fullMerges) {
+		t.Fatalf("StoreStats %+v count fewer flushes or compactions than the model's %d and %d", st,
+			model.autoFlushes, model.partialMerges+model.fullMerges)
 	}
 }
 
@@ -587,15 +823,8 @@ func compactedWideRegion(rows int) *Region {
 // about 60 bytes per cell (a 56-byte struct plus per-row headers).
 func TestResidentBytesPerCell(t *testing.T) {
 	const rows = 20_000
-	heap := func() uint64 {
-		runtime.GC()
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
 	spec := &TableSpec{Name: "t", MaxVersions: 1, SplitThreshold: 1 << 30}
-	before := heap()
+	before := liveHeap()
 	r := newRegion(spec, "", "")
 	var payload, cells int
 	for i := 0; i < rows; i++ {
@@ -608,7 +837,7 @@ func TestResidentBytesPerCell(t *testing.T) {
 		cells += len(row)
 	}
 	r.majorCompact()
-	after := heap()
+	after := liveHeap()
 	overhead := (float64(after) - float64(before) - float64(payload)) / float64(cells)
 	t.Logf("%d cells: %.1f MiB resident for %.1f MiB of keys and values, %.2f B/cell overhead",
 		cells, float64(after-before)/(1<<20), float64(payload)/(1<<20), overhead)

@@ -77,6 +77,9 @@ func (m *Mutation) bytes() int {
 type regionGroup struct {
 	region *Region
 	muts   []Mutation
+	// casTS is the highest stamp the region gave an applied conditional put
+	// of the group (they are stamped at apply time, not with the batch).
+	casTS int64
 }
 
 // MutateBatch applies a group of puts and deletes as real HBase's
@@ -90,6 +93,8 @@ type regionGroup struct {
 // same ordered group). Zero timestamps are stamped in batch order before
 // dispatch, so results are deterministic regardless of goroutine scheduling
 // and match what the same sequence of Put/DeleteAt calls would have written.
+// The exception is a conditional put: like the eager CheckAndPut, its cell is
+// stamped by the region inside the compare's critical section.
 func (c *Client) MutateBatch(ctx *sim.Ctx, muts []Mutation) error {
 	_, err := c.mutateBatch(ctx, muts)
 	return err
@@ -123,7 +128,7 @@ func (c *Client) mutateBatch(ctx *sim.Ctx, muts []Mutation) (int64, error) {
 	var groups []*regionGroup
 	byRegion := make(map[*Region]*regionGroup)
 	for _, m := range muts {
-		if m.TS == 0 {
+		if m.TS == 0 && !m.CheckAndPut {
 			m.TS = c.hc.NextTS()
 		}
 		if m.TS > maxTS {
@@ -154,7 +159,7 @@ func (c *Client) mutateBatch(ctx *sim.Ctx, muts []Mutation) (int64, error) {
 
 	if len(groups) == 1 {
 		c.applyGroup(ctx, groups[0])
-		return maxTS, nil
+		return max(maxTS, groups[0].casTS), nil
 	}
 	// Independent regions dispatch in parallel in the modeled system:
 	// fork/join accounting charges the caller max(region elapsed), not the
@@ -208,6 +213,9 @@ func (c *Client) mutateBatch(ctx *sim.Ctx, muts []Mutation) (int64, error) {
 		wg.Wait()
 	}
 	ctx.Join(children...)
+	for _, g := range groups {
+		maxTS = max(maxTS, g.casTS)
+	}
 	return maxTS, nil
 }
 
@@ -279,7 +287,8 @@ func (c *Client) applyGroup(ctx *sim.Ctx, g *regionGroup) {
 			m := &chunk[i]
 			switch {
 			case m.CheckAndPut:
-				if g.region.checkAndPut(m.Key, m.CheckQualifier, m.CheckExpected, m.Cells[0]) {
+				if ok, ts := g.region.checkAndPut(m.Key, m.CheckQualifier, m.CheckExpected, m.Cells[0], hc.NextTS); ok {
+					g.casTS = max(g.casTS, ts)
 					hc.serverWork(ctx, srv, hc.costs.PutApply)
 					walBytes += m.bytes()
 					walMuts++

@@ -3,6 +3,7 @@ package hbase
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -12,6 +13,10 @@ import (
 type memStore struct {
 	rows map[string]*rowData
 	keys []string
+	// bytes is the KeyValue-format footprint (Σ KVSize) of the resident
+	// cells, kept current by apply: it is what the flush trigger compares on
+	// every write, so it must not cost a walk of the map.
+	bytes int64
 
 	// sortMu guards the lazy key sort so that concurrent scans — which
 	// hold only the region read lock — do not race re-sorting keys.
@@ -34,6 +39,12 @@ func (m *memStore) upsert(key string) *rowData {
 	return rd
 }
 
+// apply applies one cell to rd, the row upsert returned for key.
+func (m *memStore) apply(key string, rd *rowData, c Cell, maxVersions int) {
+	cells, payload := rd.apply(c, maxVersions)
+	m.bytes += int64(cells*(kvOverhead+len(key)) + payload)
+}
+
 func (m *memStore) sortedKeys() []string {
 	m.sortMu.Lock()
 	if !m.sorted {
@@ -54,7 +65,10 @@ type Region struct {
 	start string
 	end   string
 	mem   *memStore
-	files []*hfile
+	files []*hfile // newest first
+	// stats is the table-wide ledger of flushes and compactions; a split's
+	// daughters keep counting into their parent's.
+	stats *storeStats
 
 	// srvMu guards server. The balancer reassigns regions concurrently with
 	// requests reading the assignment, so the field has its own lock instead
@@ -78,7 +92,17 @@ type Region struct {
 }
 
 func newRegion(spec *TableSpec, start, end string) *Region {
-	return &Region{spec: spec, start: start, end: end, mem: newMemStore()}
+	return &Region{spec: spec, start: start, end: end, mem: newMemStore(), stats: new(storeStats)}
+}
+
+// storeStats counts the background store work of one table. Flushes and
+// compactions are region server housekeeping in HBase — they run beside the
+// request that happened to trip them and charge no statement's sim.Ctx — so
+// they are counted here instead, for whoever prices them later.
+type storeStats struct {
+	flushes        atomic.Int64
+	compactions    atomic.Int64
+	compactedBytes atomic.Int64 // KeyValue-format bytes read by compactions
 }
 
 // Server reports the region server currently hosting the region.
@@ -164,15 +188,9 @@ func (r *Region) put(key string, cells []Cell) {
 		rd.cells = make([]Cell, 0, len(cells)) // a row written whole, as BulkLoad sizes it
 	}
 	for _, c := range cells {
-		rd.apply(c, r.spec.MaxVersions)
+		r.mem.apply(key, rd, c, r.spec.MaxVersions)
 	}
-	// Memstore rows are resident until the next flush, and most are a few
-	// cells written by two or three puts: drop the slack append's doubling
-	// left so a row holds exactly its cells, as a compacted store file row
-	// does.
-	if cap(rd.cells) > len(rd.cells) {
-		rd.cells = append(make([]Cell, 0, len(rd.cells)), rd.cells...)
-	}
+	r.afterWriteLocked()
 }
 
 // deleteRow writes a row tombstone, or column tombstones when qualifiers are
@@ -188,52 +206,92 @@ func (r *Region) deleteRow(key string, ts int64, qualifiers []string) {
 	r.recordWrite(1)
 	rd := r.mem.upsert(key)
 	if len(qualifiers) == 0 {
-		rd.apply(Cell{Qualifier: "", TS: ts, Type: TypeDeleteRow}, r.spec.MaxVersions)
-		return
+		r.mem.apply(key, rd, Cell{Qualifier: "", TS: ts, Type: TypeDeleteRow}, r.spec.MaxVersions)
 	}
 	for _, q := range qualifiers {
-		rd.apply(Cell{Qualifier: q, TS: ts, Type: TypeDeleteCol}, r.spec.MaxVersions)
+		r.mem.apply(key, rd, Cell{Qualifier: q, TS: ts, Type: TypeDeleteCol}, r.spec.MaxVersions)
+	}
+	r.afterWriteLocked()
+}
+
+// currentLocked reads what a conditional write compares against and must
+// supersede: the visible value of (key, qualifier), and the newest timestamp
+// among the versions and tombstones that cover that cell — its own
+// qualifier's and the row's. newest is math.MinInt64 when there are none.
+// Caller holds r.mu.
+func (r *Region) currentLocked(key, qualifier string) (value []byte, newest int64) {
+	m, parts := lookupRow(r.mem, r.files, key)
+	defer m.release()
+	rd := m.fold(parts)
+	newest = math.MinInt64
+	for _, c := range rd.cells {
+		if (c.Qualifier == qualifier || c.Qualifier == "") && c.TS > newest {
+			newest = c.TS
+		}
+	}
+	return rd.read(ReadOpts{}).Get(qualifier), newest
+}
+
+// stampLocked gives a conditional write's cell its server-side timestamp:
+// drawn from clock while r.mu is held, so the order of the stamps of one
+// cell's conditional writes is the order the region applied them in, and
+// never at or below newest, the newest version the write was decided
+// against — an older stamp would leave that version the visible one and the
+// write applied yet unseen. A cell that arrives stamped keeps its stamp: the
+// caller chose it.
+func stampLocked(c *Cell, newest int64, clock func() int64) {
+	if c.TS != 0 {
+		return
+	}
+	c.TS = clock()
+	if c.TS <= newest && newest < math.MaxInt64 {
+		c.TS = newest + 1
 	}
 }
 
 // checkAndPut atomically compares the current visible value of (key,
 // qualifier) with expected (nil = must be absent) and applies the cell on
-// match. Returns whether the put was applied.
-func (r *Region) checkAndPut(key, qualifier string, expected []byte, c Cell) bool {
+// match, stamping it from clock inside the critical section when it carries
+// no timestamp. Returns whether the put was applied and the stamp it carries.
+func (r *Region) checkAndPut(key, qualifier string, expected []byte, c Cell, clock func() int64) (bool, int64) {
 	r.mu.Lock()
 	if d := r.daughterFor(key); d != nil {
 		r.mu.Unlock()
-		return d.checkAndPut(key, qualifier, expected, c)
+		return d.checkAndPut(key, qualifier, expected, c, clock)
 	}
 	defer r.mu.Unlock()
 	r.recordWrite(1)
-	if current := r.readLocked(key, ReadOpts{}).Get(qualifier); !bytes.Equal(current, expected) {
-		return false
+	current, newest := r.currentLocked(key, qualifier)
+	if !bytes.Equal(current, expected) {
+		return false, 0
 	}
-	rd := r.mem.upsert(key)
-	rd.apply(c, r.spec.MaxVersions)
-	return true
+	stampLocked(&c, newest, clock)
+	r.mem.apply(key, r.mem.upsert(key), c, r.spec.MaxVersions)
+	r.afterWriteLocked()
+	return true, c.TS
 }
 
 // increment atomically adds delta to a counter column and returns the new
-// value.
-func (r *Region) increment(key, qualifier string, delta int64, ts int64) int64 {
+// value, stamped from clock inside the critical section as a conditional
+// put is.
+func (r *Region) increment(key, qualifier string, delta int64, clock func() int64) int64 {
 	r.mu.Lock()
 	if d := r.daughterFor(key); d != nil {
 		r.mu.Unlock()
-		return d.increment(key, qualifier, delta, ts)
+		return d.increment(key, qualifier, delta, clock)
 	}
 	defer r.mu.Unlock()
 	r.recordWrite(1)
 	var cur int64
-	if v := r.readLocked(key, ReadOpts{}).Get(qualifier); len(v) == 8 {
+	v, newest := r.currentLocked(key, qualifier)
+	if len(v) == 8 {
 		cur = int64(binary.BigEndian.Uint64(v))
 	}
 	cur += delta
-	buf := make([]byte, 8)
-	binary.BigEndian.PutUint64(buf, uint64(cur))
-	rd := r.mem.upsert(key)
-	rd.apply(Cell{Qualifier: qualifier, Value: buf, TS: ts}, r.spec.MaxVersions)
+	c := Cell{Qualifier: qualifier, Value: binary.BigEndian.AppendUint64(nil, uint64(cur))}
+	stampLocked(&c, newest, clock)
+	r.mem.apply(key, r.mem.upsert(key), c, r.spec.MaxVersions)
+	r.afterWriteLocked()
 	return cur
 }
 
@@ -296,6 +354,56 @@ func (r *Region) scanChunk(buf *chunkBuf, from string, limit int, reversed bool,
 	return examined, last + "\x00"
 }
 
+// afterWriteLocked ends every memstore write. Once the resident buffer has
+// reached the table's flush size, the writer that took it there flushes it
+// and compacts what the policy selects, inline and under the r.mu it already
+// holds: no background goroutine, so a given write order always leaves the
+// same store files behind. Neither step charges the writer's sim.Ctx (see
+// storeStats).
+func (r *Region) afterWriteLocked() {
+	if r.mem.bytes < r.spec.flushSize() {
+		return
+	}
+	r.flushLocked()
+	sizes := make([]int64, len(r.files))
+	for i, f := range r.files {
+		sizes[i] = f.size
+	}
+	if n := compactionRun(sizes); n > 0 {
+		r.mergeLocked(n, false)
+	}
+}
+
+// compactionRatio is how much larger than the newer files of a run together
+// its oldest file may be and still be rewritten with them.
+const compactionRatio = 4
+
+// compactionRun is the compaction policy. Given the sizes of a region's
+// store files, newest first, it returns how many of the newest to merge into
+// one, or 0 for none: the longest run whose oldest file is at most
+// compactionRatio times the size of the rest of the run. A run is always
+// age-adjacent and starts at the newest file, so the merged file takes the
+// run's place in the order and "newest file wins same-coordinate ties" holds
+// across compactions; it is size-tiered, so fresh flushes gather into a
+// growing delta and a big old file — the bulk-loaded base — is rewritten only
+// once the files above it amount to a fixed share of it. What the policy
+// leaves behind grows at least (1+compactionRatio)-fold from each file to the
+// next older one, which bounds the file count by the logarithm of the
+// region's size in flushes.
+func compactionRun(sizes []int64) int {
+	var newer int64
+	for _, s := range sizes {
+		newer += s
+	}
+	for n := len(sizes); n > 1; n-- {
+		newer -= sizes[n-1]
+		if sizes[n-1] <= compactionRatio*newer {
+			return n
+		}
+	}
+	return 0
+}
+
 // flush moves the memstore into a new immutable store file.
 func (r *Region) flush() {
 	r.mu.Lock()
@@ -320,6 +428,49 @@ func (r *Region) flushLocked() {
 	// recent data.
 	r.files = append([]*hfile{b.finish()}, r.files...)
 	r.mem = newMemStore()
+	r.stats.flushes.Add(1)
+}
+
+// mergeLocked rewrites the n newest store files as one — the one merge both
+// kinds of compaction run. A minor one (what compactionRun selects) leaves
+// each row as a single memstore would hold it: same-coordinate duplicates
+// resolved toward the newer file, put versions beyond MaxVersions gone,
+// tombstones and what they hide kept, because files older than the run may
+// hold cells they still cover and a snapshot reader may still want what they
+// hide. A major one covers every file and drops both (rowData.compact). The
+// files may be the row windows a split left in a daughter; the merged file
+// holds the window's rows only and the parent shell keeps the originals.
+func (r *Region) mergeLocked(n int, major bool) {
+	run := r.files[:n]
+	m := newRowMerger(nil, run, "", false)
+	defer m.release()
+	keyBytes := 0
+	for _, f := range run {
+		keyBytes += f.keyBytes()
+		r.stats.compactedBytes.Add(f.size)
+	}
+	b := newHFileBuilder(m.remaining(), keyBytes)
+	for {
+		key, parts, ok := m.next()
+		if !ok {
+			break
+		}
+		rd := m.fold(parts)
+		if major {
+			rd.compact(r.spec.MaxVersions)
+		} else {
+			rd.trim(r.spec.MaxVersions)
+		}
+		if !rd.empty() {
+			b.add(key, rd.cells)
+		}
+	}
+	files := make([]*hfile, 0, 1+len(r.files)-n)
+	if f := b.finish(); f.len() > 0 {
+		files = append(files, f)
+	}
+	r.files = append(files, r.files[n:]...)
+	r.stats.compactions.Add(1)
 }
 
 // majorCompact merges memstore and all store files into one file, dropping
@@ -329,32 +480,8 @@ func (r *Region) majorCompact() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.flushLocked()
-	if len(r.files) == 0 {
-		return
-	}
-	// Heap-based k-way merge of the sorted store files: each row's cells are
-	// folded into the merger's scratch, compacted there and re-encoded.
-	m := newRowMerger(nil, r.files, "", false)
-	defer m.release()
-	keyBytes := 0
-	for _, f := range r.files {
-		keyBytes += f.keyBytes()
-	}
-	b := newHFileBuilder(m.remaining(), keyBytes)
-	for {
-		key, parts, ok := m.next()
-		if !ok {
-			break
-		}
-		rd := m.fold(parts)
-		rd.compact(r.spec.MaxVersions)
-		if !rd.empty() {
-			b.add(key, rd.cells)
-		}
-	}
-	r.files = nil
-	if f := b.finish(); f.len() > 0 {
-		r.files = []*hfile{f}
+	if len(r.files) > 0 {
+		r.mergeLocked(len(r.files), true)
 	}
 }
 
@@ -372,15 +499,12 @@ func (r *Region) rowCount() int {
 }
 
 // sizeBytes reports the KeyValue-format storage footprint of the region.
-// Store files recorded theirs when they were built, so only the memstore is
-// walked.
+// Store files recorded theirs when they were built and the memstore keeps
+// its own as it is written, so nothing is walked.
 func (r *Region) sizeBytes() int64 {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	var total int64
-	for k, rd := range r.mem.rows {
-		total += rd.sizeBytes(k)
-	}
+	total := r.mem.bytes
 	for _, f := range r.files {
 		total += f.size
 	}
@@ -423,6 +547,7 @@ func (r *Region) split(key string) (*Region, *Region) {
 	r.flushLocked()
 	left := newRegion(r.spec, r.start, key)
 	right := newRegion(r.spec, key, r.end)
+	left.stats, right.stats = r.stats, r.stats
 	for _, f := range r.files {
 		lf, rf := f.split(key)
 		if lf != nil {

@@ -25,18 +25,23 @@ func cellLess(a, b Cell) bool {
 
 // apply inserts one cell, keeping sort order and trimming put versions of
 // the qualifier beyond maxVersions. Tombstones are retained until compaction.
-func (r *rowData) apply(c Cell, maxVersions int) {
+// It reports how the row changed — the net count of cells and of their
+// qualifier and value bytes — which is what lets a memstore keep its
+// KeyValue-format footprint without re-walking the row.
+func (r *rowData) apply(c Cell, maxVersions int) (cells, payload int) {
 	i := sort.Search(len(r.cells), func(i int) bool { return !cellLess(r.cells[i], c) })
 	if i < len(r.cells) && r.cells[i].Qualifier == c.Qualifier && r.cells[i].TS == c.TS && r.cells[i].Type == c.Type {
+		payload = len(c.Value) - len(r.cells[i].Value)
 		r.cells[i] = c // same coordinates: overwrite in place
-		return
+		return 0, payload
 	}
 	r.cells = append(r.cells, Cell{})
 	copy(r.cells[i+1:], r.cells[i:])
 	r.cells[i] = c
+	cells, payload = 1, len(c.Qualifier)+len(c.Value)
 
 	if c.Type != TypePut {
-		return
+		return cells, payload
 	}
 	// Trim surplus put versions of this qualifier.
 	puts := 0
@@ -46,10 +51,42 @@ func (r *rowData) apply(c Cell, maxVersions int) {
 		}
 		puts++
 		if puts > maxVersions {
+			cells--
+			payload -= len(c.Qualifier) + len(r.cells[j].Value)
 			r.cells = append(r.cells[:j], r.cells[j+1:]...)
 			j--
 		}
 	}
+	return cells, payload
+}
+
+// trim is what a store file merge does to a row folded from several parts —
+// the cross-part counterpart of apply's bookkeeping, leaving the row as one
+// memstore would hold it had every cell been applied there oldest first. Of
+// cells sharing coordinates only the first survives (the fold puts the newest
+// part first, and apply overwrites in place); put versions of a qualifier
+// beyond the newest maxVersions go. Tombstones and whatever they hide stay:
+// only a major compaction may drop those (compact).
+func (r *rowData) trim(maxVersions int) {
+	kept := r.cells[:0]
+	puts := 0
+	for i, c := range r.cells {
+		if i > 0 {
+			prev := r.cells[i-1]
+			if c.Qualifier != prev.Qualifier {
+				puts = 0
+			} else if c.TS == prev.TS && c.Type == prev.Type {
+				continue
+			}
+		}
+		if c.Type == TypePut {
+			if puts++; puts > maxVersions {
+				continue
+			}
+		}
+		kept = append(kept, c)
+	}
+	r.cells = kept
 }
 
 // read materializes the latest visible value per qualifier, honoring

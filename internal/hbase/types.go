@@ -11,8 +11,13 @@
 //     lock tables are built on (§VIII-A);
 //   - multi-version cells with timestamps, which the Tephra-like MVCC layer
 //     (internal/mvcc) uses for snapshot reads;
-//   - memstore flushes, store files and major compaction, whose storage
-//     format drives the disk-utilization comparison of Table III.
+//   - a bounded memstore in front of immutable store files, whose storage
+//     format drives the disk-utilization comparison of Table III: the write
+//     that takes a region's memstore to the table's flush size flushes it
+//     into a packed store file and merges the run of newest files a
+//     size-tiered policy selects (minor compaction: versions beyond
+//     MaxVersions trimmed, tombstones kept); major compaction, on request,
+//     rewrites a region as one file and drops tombstones too.
 //
 // Rows exist in two forms. Where they mutate — the memstore, a
 // transaction's pending overlay, merge scratch — a row is a rowData, a
@@ -26,7 +31,9 @@
 // TableBytes) is independent of either form.
 //
 // All operations charge simulated latency to the caller's sim.Ctx via the
-// shared cluster cost model.
+// shared cluster cost model — except flushes and compactions, which are
+// region server housekeeping: they run inline on the writer that trips them,
+// charge nothing, and are counted per table instead (HCluster.StoreStats).
 package hbase
 
 import (
@@ -256,6 +263,10 @@ type TableSpec struct {
 	// SplitKeys optionally pre-splits the table into len(SplitKeys)+1
 	// regions at creation, as bulk-loaded deployments do.
 	SplitKeys []string
+	// FlushSize is the memstore size, in KeyValue-format bytes per region,
+	// at which a write flushes the memstore into a store file. Zero selects
+	// the default.
+	FlushSize int64
 }
 
 func (s *TableSpec) normalize() {
@@ -267,6 +278,20 @@ func (s *TableSpec) normalize() {
 	}
 }
 
+// flushSize resolves FlushSize. It is not folded into normalize because
+// regions are also built over bare specs that never pass through it.
+func (s *TableSpec) flushSize() int64 {
+	if s.FlushSize > 0 {
+		return s.FlushSize
+	}
+	return defaultFlushSize
+}
+
 // defaultSplitThreshold keeps regions around the size a 10 GB HBase region
 // would hold for our row sizes, scaled down to simulation scale.
 const defaultSplitThreshold = 200_000
+
+// defaultFlushSize is HBase's 128 MiB memstore flush size at the same
+// simulation scale: a region's resident write buffer stays a small fraction
+// of the store files behind it.
+const defaultFlushSize = 256 << 10

@@ -1,7 +1,9 @@
 package synergy
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"synergy/internal/cluster"
@@ -107,4 +109,55 @@ func TestLockContentionRetryLoop(t *testing.T) {
 	if err := lm.Release(ctx, "R", "hot"); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestLockMutualExclusion is the model of §VIII-A's one promise: goroutines
+// acquire and release one lock key around a critical section that counts its
+// occupants, and the count must never read 2. Before every other acquire a
+// goroutine also flushes the deferred create-if-absent entry write a fresh
+// root insert carries (the conditional-put arm of a mutation batch), which
+// races the other goroutines' create-held attempts on the very first cycle
+// and must be a no-op from then on. Every conditional put is stamped inside
+// the region's critical section, above the version it compared against; a
+// stamp drawn before the compare let an acquirer write "held" beneath a
+// release's newer "free", and the next acquirer in beside it.
+func TestLockMutualExclusion(t *testing.T) {
+	lm := bareLockManager(t)
+	const goroutines, cycles = 8, 40
+	var inside atomic.Int32
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ctx := sim.NewCtx()
+			for c := 0; c < cycles; c++ {
+				if c%2 == 0 {
+					m := lm.client.NewTxMutator()
+					if err := lm.EnsureEntryDeferred(ctx, m, "R", "hot"); err != nil {
+						t.Error(err)
+						return
+					}
+					if err := m.Flush(ctx); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				if err := lm.Acquire(ctx, "R", "hot"); err != nil {
+					t.Error(err)
+					return
+				}
+				if n := inside.Add(1); n != 1 {
+					t.Errorf("%d holders of R/hot at once", n)
+				}
+				runtime.Gosched()
+				inside.Add(-1)
+				if err := lm.Release(ctx, "R", "hot"); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -2,6 +2,7 @@ package synergy
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -284,30 +285,6 @@ func TestConcurrentWritersSerializeOnRootLock(t *testing.T) {
 	}
 }
 
-func TestLockMutualExclusion(t *testing.T) {
-	sys := companySystem(t)
-	lm := sys.Locks
-	ctx := sim.NewCtx()
-	key := schema.EncodeKey(int64(1))
-	if err := lm.Acquire(ctx, "Address", key); err != nil {
-		t.Fatal(err)
-	}
-	// A second acquire must spin; run it in a goroutine and release.
-	done := make(chan error, 1)
-	go func() {
-		done <- lm.Acquire(sim.NewCtx(), "Address", key)
-	}()
-	if err := lm.Release(ctx, "Address", key); err != nil {
-		t.Fatal(err)
-	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if err := lm.Release(ctx, "Address", key); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestReleaseWithoutHoldFails(t *testing.T) {
 	sys := companySystem(t)
 	if err := sys.Locks.Release(sim.NewCtx(), "Address", schema.EncodeKey(int64(1))); err == nil {
@@ -396,6 +373,69 @@ func TestCommittedWALNotReplayed(t *testing.T) {
 		if n != 0 {
 			t.Fatalf("replacement slave WAL not empty (%d bytes): committed records were replayed", n)
 		}
+	}
+}
+
+// TestWALRollsOnlyPastFinishedTransactions: a slave's WAL is rolled once it
+// is past walRollBytes and every transaction in it has its outcome record —
+// and not a record earlier. Finished transactions push the log over the size
+// twice: the first time nothing is pending and the log starts over; the
+// second time one transaction has been logged but not finished, the log
+// keeps growing past the size, and recovery still finds and replays it.
+func TestWALRollsOnlyPastFinishedTransactions(t *testing.T) {
+	sys := companySystem(t)
+	s := sys.Txn.Slaves()[0]
+	walLen := func() int64 {
+		t.Helper()
+		n, err := sys.FS.Length(s.walPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	up := sqlparser.MustParse("UPDATE Department SET DName = ? WHERE DNo = ?")
+	bigName := strings.Repeat("n", walRollBytes/4)
+	finishBig := func() {
+		t.Helper()
+		if err := s.Execute(sim.NewCtx(), up, []schema.Value{bigName, int64(1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	rolled := false
+	for i := 0; i < 6 && !rolled; i++ {
+		before := walLen()
+		finishBig()
+		if rolled = walLen() < before; rolled && before < walRollBytes-walRollBytes/4-1024 {
+			t.Fatalf("WAL rolled at %d bytes, below the roll size", before)
+		}
+	}
+	if !rolled || walLen() != 0 {
+		t.Fatalf("WAL holds %d bytes after six finished %d-byte transactions; it never rolled", walLen(), len(bigName))
+	}
+
+	// A transaction accepted and logged, its slave gone before executing it.
+	ins := sqlparser.MustParse("INSERT INTO Employee (EID, EName, EHome_AID, EOffice_AID, E_DNo) VALUES (?, ?, ?, ?, ?)")
+	pending, err := encodeStatements(s.seq.Add(1), []sqlparser.Statement{ins},
+		[][]schema.Value{{int64(77), "logged-not-run", int64(1), int64(1), int64(1)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.appendWAL(sim.NewCtx(), pending, +1); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 6; i++ {
+		finishBig()
+	}
+	if n := walLen(); n < walRollBytes {
+		t.Fatalf("WAL holds %d bytes: it rolled with a transaction unfinished", n)
+	}
+	s.Kill()
+	if n, err := sys.Txn.DetectAndRecover(sim.NewCtx()); err != nil || n != 1 {
+		t.Fatalf("recovered %d slaves: %v", n, err)
+	}
+	if rows := companyW1(t, sys, 77); len(rows) != 1 || rows[0]["EName"] != "logged-not-run" {
+		t.Fatalf("the unfinished transaction was not replayed from the long log: %v", rows)
 	}
 }
 

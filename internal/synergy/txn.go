@@ -86,6 +86,24 @@ func decodeParams(ps []walParam) ([]schema.Value, error) {
 	return out, nil
 }
 
+// encodeStatements renders a transaction's statement records, one per line.
+func encodeStatements(txid int64, stmts []sqlparser.Statement, paramsList [][]schema.Value) ([]byte, error) {
+	var log []byte
+	for i, stmt := range stmts {
+		ps, err := encodeParams(paramsList[i])
+		if err != nil {
+			return nil, err
+		}
+		rec, err := json.Marshal(walRecord{TxID: txid, SQL: stmt.String(), Params: ps})
+		if err != nil {
+			return nil, err
+		}
+		log = append(log, rec...)
+		log = append(log, '\n')
+	}
+	return log, nil
+}
+
 // Slave is one transaction-layer worker: it assigns transaction ids, logs
 // statements to its WAL in the distributed FS, and executes write
 // transaction procedures (Figure 7).
@@ -96,7 +114,10 @@ type Slave struct {
 	sess    *zk.Session
 	seq     atomic.Int64
 	alive   atomic.Bool
-	walMu   sync.Mutex
+	// walMu serializes appends to the WAL and guards unfinished, the count of
+	// transactions logged without an outcome record yet.
+	walMu      sync.Mutex
+	unfinished int
 
 	// killBeforeExec is a fault-injection hook: when set, the slave dies
 	// after logging the next statement but before executing it.
@@ -144,23 +165,11 @@ func (s *Slave) ExecuteTxn(ctx *sim.Ctx, stmts []sqlparser.Statement, paramsList
 	// records stay contiguous even with concurrent transactions on the
 	// same slave.
 	txid := s.seq.Add(1)
-	var log []byte
-	for i, stmt := range stmts {
-		ps, err := encodeParams(paramsList[i])
-		if err != nil {
-			return err
-		}
-		rec, err := json.Marshal(walRecord{TxID: txid, SQL: stmt.String(), Params: ps})
-		if err != nil {
-			return err
-		}
-		log = append(log, rec...)
-		log = append(log, '\n')
-	}
-	s.walMu.Lock()
-	err := sys.FS.Append(ctx, s.walPath, log)
-	s.walMu.Unlock()
+	log, err := encodeStatements(txid, stmts, paramsList)
 	if err != nil {
+		return err
+	}
+	if err := s.appendWAL(ctx, log, +1); err != nil {
 		return err
 	}
 
@@ -186,10 +195,39 @@ func (s *Slave) ExecuteTxn(ctx *sim.Ctx, stmts []sqlparser.Statement, paramsList
 // logOutcome appends a commit/abort record.
 func (s *Slave) logOutcome(ctx *sim.Ctx, rec walRecord) error {
 	data, _ := json.Marshal(rec)
+	return s.appendWAL(ctx, append(data, '\n'), -1)
+}
+
+// walRollBytes is the WAL length past which a slave rolls its log.
+const walRollBytes = 1 << 20
+
+// appendWAL appends records to the slave's WAL; opened is the change they
+// make to the number of transactions logged without an outcome (+1 for a
+// transaction's statements, -1 for its commit or abort record, 0 for a
+// transaction logged whole). The log exists for recovery to re-execute
+// unfinished transactions, so once it is past walRollBytes and holds none it
+// is rolled — dropped and started empty — instead of keeping every finished
+// statement of the slave's life. Rolling is housekeeping off the request
+// path, like the file's creation: it charges a fresh sim.Ctx, not the
+// caller's.
+func (s *Slave) appendWAL(ctx *sim.Ctx, records []byte, opened int) error {
+	fs := s.layer.sys.FS
 	s.walMu.Lock()
-	err := s.layer.sys.FS.Append(ctx, s.walPath, append(data, '\n'))
-	s.walMu.Unlock()
-	return err
+	defer s.walMu.Unlock()
+	if err := fs.Append(ctx, s.walPath, records); err != nil {
+		return err
+	}
+	s.unfinished += opened
+	if s.unfinished > 0 {
+		return nil
+	}
+	if n, err := fs.Length(s.walPath); err != nil || n < walRollBytes {
+		return err
+	}
+	if err := fs.Delete(sim.NewCtx(), s.walPath); err != nil {
+		return err
+	}
+	return fs.Append(sim.NewCtx(), s.walPath, nil)
 }
 
 // TxnLayer is the master + slaves transaction tier.
@@ -302,26 +340,14 @@ func (s *Slave) logCommitted(ctx *sim.Ctx, stmts []sqlparser.Statement, paramsLi
 	sys := s.layer.sys
 	ctx.Charge(sys.Cluster.Costs().TxnLayerHop)
 	txid := s.seq.Add(1)
-	var log []byte
-	for i, stmt := range stmts {
-		ps, err := encodeParams(paramsList[i])
-		if err != nil {
-			return err
-		}
-		rec, err := json.Marshal(walRecord{TxID: txid, SQL: stmt.String(), Params: ps})
-		if err != nil {
-			return err
-		}
-		log = append(log, rec...)
-		log = append(log, '\n')
+	log, err := encodeStatements(txid, stmts, paramsList)
+	if err != nil {
+		return err
 	}
 	rec, _ := json.Marshal(walRecord{TxID: txid, Commit: true})
 	log = append(log, rec...)
 	log = append(log, '\n')
-	s.walMu.Lock()
-	err := sys.FS.Append(ctx, s.walPath, log)
-	s.walMu.Unlock()
-	return err
+	return s.appendWAL(ctx, log, 0)
 }
 
 // DetectAndRecover is the master's failure-detection pass (§VIII): it
