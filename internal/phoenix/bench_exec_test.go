@@ -180,3 +180,92 @@ func TestScanFilterZeroAllocs(t *testing.T) {
 		}
 	}
 }
+
+// groupByDB loads a 20,000-row table shaped like the standing benchmark's
+// Customer — 17 columns, 86 distinct c_birthdate values, whole-number float
+// balances — for the scan workload's S3 statement.
+func groupByDB(tb testing.TB) *Engine {
+	tb.Helper()
+	const rows, filler = 20000, 13
+	hc := hbase.NewHCluster(cluster.NewDefault(nil), nil, nil)
+	cat := NewCatalog(hc)
+	cust := &schema.Relation{
+		Name: "Customer",
+		Columns: []schema.Column{
+			{Name: "c_id", Type: schema.TInt}, {Name: "c_uname", Type: schema.TString},
+			{Name: "c_birthdate", Type: schema.TInt}, {Name: "c_balance", Type: schema.TFloat},
+		},
+		PK: []string{"c_id"},
+	}
+	for i := 0; i < filler; i++ {
+		cust.Columns = append(cust.Columns, schema.Column{Name: fmt.Sprintf("pad%02d", i), Type: schema.TString})
+	}
+	if _, err := cat.RegisterRelation(cust, hbase.TableSpec{}); err != nil {
+		tb.Fatal(err)
+	}
+	eng := NewEngine(cat)
+	ctx := sim.NewCtx()
+	rng := sim.NewRNG(3)
+	ct, _ := cat.Table("Customer")
+	for c := int64(1); c <= rows; c++ {
+		row := schema.Row{
+			"c_id": c, "c_uname": fmt.Sprintf("user%08d", c),
+			"c_birthdate": int64(rng.IntRange(1920, 2005)), "c_balance": float64(rng.IntRange(-100, 1000)),
+		}
+		for i := 0; i < filler; i++ {
+			row[fmt.Sprintf("pad%02d", i)] = rng.String(5, 14)
+		}
+		if err := eng.PutRow(ctx, ct, row, WriteOpts{}); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return eng
+}
+
+const groupBySQL = `SELECT c_birthdate, COUNT(*) AS n, SUM(c_balance) AS bal FROM Customer GROUP BY c_birthdate`
+
+var rawSink []byte
+
+// drainRaw runs sel and reads every value of every row as the wire server
+// does — through the cursor, still encoded — returning the row count.
+func drainRaw(tb testing.TB, eng *Engine, ctx *sim.Ctx, sel *sqlparser.SelectStmt, params ...schema.Value) int {
+	tb.Helper()
+	cur, err := eng.QueryStream(ctx, sel, params)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	n, ncols := 0, len(cur.Columns())
+	for cur.Next(ctx) {
+		for i := 0; i < ncols; i++ {
+			rawSink = cur.RawValue(i)
+		}
+		n++
+	}
+	if err := cur.Close(ctx); err != nil {
+		tb.Fatal(err)
+	}
+	return n
+}
+
+// BenchmarkGroupByScan is the scan workload's S3 shape: every row of a
+// 20,000-row table scanned and folded into 86 groups, the result read off
+// the cursor as the wire server reads it. Nothing in it should cost an
+// allocation per scanned row.
+func BenchmarkGroupByScan(b *testing.B) {
+	eng := groupByDB(b)
+	sel, err := sqlparser.ParseSelect(groupBySQL)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var simTotal sim.Micros
+	for i := 0; i < b.N; i++ {
+		ctx := sim.NewCtx()
+		if n := drainRaw(b, eng, ctx, sel); n != 86 {
+			b.Fatalf("%d groups, want 86", n)
+		}
+		simTotal += ctx.Elapsed()
+	}
+	b.ReportMetric(simTotal.Milliseconds()/float64(b.N), "sim-ms/op")
+}

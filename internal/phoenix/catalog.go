@@ -4,6 +4,23 @@
 // SQL into scans, coordinates client-side join execution, and maintains
 // indexes on writes. The Synergy system, the MVCC systems and the Baseline
 // system all execute their workloads through this layer.
+//
+// Rows stay encoded from the scan to whoever consumes the result. A value is
+// a cell — one type-tag byte and a payload (EncodeValue), absent for NULL —
+// and the executor's tuples, its join and GROUP BY keys, its comparisons and
+// aggregates, and the RowCursor a statement is served through all work on
+// cells (see tuple). Values are decoded at the map-returning Query API
+// boundary (DrainCursor) and nowhere before it; a wire server never decodes
+// them at all.
+//
+// That rests on one lifetime rule, the store's: a scanner recycles the Cells
+// window of a row it returned — the slice of qualifier/value pairs — on its
+// next Next, but never the value bytes, which are immutable from the moment
+// they are written (a store file block, a memstore cell, a transaction's
+// pending write). So code here may keep a value's []byte for as long as it
+// likes and must never modify it, may keep r.Cells only until the next row,
+// and should drop what it keeps with the statement: a retained value pins the
+// whole block it points into.
 package phoenix
 
 import (

@@ -76,6 +76,9 @@ func compareRaw(a, b rawVal) int {
 	}
 }
 
+// compareCells is schema.CompareValues over two encoded values.
+func compareCells(a, b []byte) int { return compareRaw(rawOfCell(a), rawOfCell(b)) }
+
 // cellOf returns a column's encoded value in a stored row, nil when the cell
 // is absent. Marker qualifiers (leading underscore) are not columns and read
 // as absent, as CellsToRow skips them.
@@ -86,7 +89,7 @@ func cellOf(cells hbase.Cells, qual string) []byte {
 	return cells.Get(qual)
 }
 
-// cellPred is a localPred compiled against the encoded row: the constant is
+// cellPred is a localPred compiled against encoded values: the constant is
 // classified once per statement, the cells are compared in place.
 type cellPred struct {
 	col, rcol string
@@ -95,13 +98,33 @@ type cellPred struct {
 	value     rawVal
 }
 
-// match is localPred.holds over encoded cells.
-func (p *cellPred) match(cells hbase.Cells) bool {
-	l := rawOfCell(cellOf(cells, p.col))
-	if p.colVsCol {
-		return compareOK(compareRaw(l, rawOfCell(cellOf(cells, p.rcol))), p.op)
+func compilePreds(local []localPred) []cellPred {
+	preds := make([]cellPred, len(local))
+	for i, p := range local {
+		preds[i] = cellPred{col: p.col, rcol: p.rcol, colVsCol: p.colVsCol, op: p.op, value: rawOfValue(p.value)}
 	}
-	return l.kind != CellNull && compareOK(compareRaw(l, p.value), p.op)
+	return preds
+}
+
+// holds evaluates the predicate: l is the left column's encoded value, r the
+// right column's (ignored for a constant comparison). A NULL never satisfies
+// a comparison against a constant; two columns compare under
+// schema.CompareValues, NULLs included.
+func (p *cellPred) holds(l, r []byte) bool {
+	lv := rawOfCell(l)
+	if p.colVsCol {
+		return compareOK(compareRaw(lv, rawOfCell(r)), p.op)
+	}
+	return lv.kind != CellNull && compareOK(compareRaw(lv, p.value), p.op)
+}
+
+// match is holds over a stored row.
+func (p *cellPred) match(cells hbase.Cells) bool {
+	var r []byte
+	if p.colVsCol {
+		r = cellOf(cells, p.rcol)
+	}
+	return p.holds(cellOf(cells, p.col), r)
 }
 
 // scanFilter compiles a binding's local predicates into the pushdown filter
@@ -114,10 +137,7 @@ func scanFilter(local []localPred) func(hbase.RowResult) bool {
 	if len(local) == 0 {
 		return nil
 	}
-	preds := make([]cellPred, len(local))
-	for i, p := range local {
-		preds[i] = cellPred{col: p.col, rcol: p.rcol, colVsCol: p.colVsCol, op: p.op, value: rawOfValue(p.value)}
-	}
+	preds := compilePreds(local)
 	return func(r hbase.RowResult) bool {
 		for i := range preds {
 			if !preds[i].match(r.Cells) {

@@ -16,10 +16,16 @@ var allOps = []sqlparser.CompareOp{
 }
 
 // evalLocal is the reference the compiled predicates are held to: decode the
-// whole row, then compare decoded values.
+// whole row, then compare decoded values. A NULL never satisfies a comparison
+// against a constant; two columns compare under schema.CompareValues, NULLs
+// included.
 func evalLocal(p localPred, r hbase.RowResult) bool {
 	row := CellsToRow(r)
-	return p.holds(row[p.col], row[p.rcol])
+	l := row[p.col]
+	if p.colVsCol {
+		return compareOK(schema.CompareValues(l, row[p.rcol]), p.op)
+	}
+	return l != nil && compareOK(schema.CompareValues(l, p.value), p.op)
 }
 
 // predRow builds a stored row from qualifier → value pairs; a nil value

@@ -22,7 +22,7 @@ func EncodeValue(v schema.Value) []byte {
 	if v == nil {
 		return nil
 	}
-	return appendValue(make([]byte, 0, encodedLen(v)), v)
+	return AppendValue(make([]byte, 0, encodedLen(v)), v)
 }
 
 // encodedLen is the size of a non-nil value's cell encoding.
@@ -33,20 +33,30 @@ func encodedLen(v schema.Value) int {
 	return 9
 }
 
-// appendValue appends a non-nil value's cell encoding to buf.
-func appendValue(buf []byte, v schema.Value) []byte {
+// AppendValue appends a value's cell encoding to buf, nothing for NULL.
+func AppendValue(buf []byte, v schema.Value) []byte {
 	switch x := v.(type) {
+	case nil:
+		return buf
 	case int64:
-		return binary.BigEndian.AppendUint64(append(buf, tagInt), uint64(x))
+		return appendIntCell(buf, x)
 	case int:
-		return binary.BigEndian.AppendUint64(append(buf, tagInt), uint64(x))
+		return appendIntCell(buf, int64(x))
 	case float64:
-		return binary.BigEndian.AppendUint64(append(buf, tagFloat), math.Float64bits(x))
+		return appendFloatCell(buf, x)
 	case string:
 		return append(append(buf, tagString), x...)
 	default:
 		panic(fmt.Sprintf("phoenix: unencodable value %T", v))
 	}
+}
+
+func appendIntCell(buf []byte, x int64) []byte {
+	return binary.BigEndian.AppendUint64(append(buf, tagInt), uint64(x))
+}
+
+func appendFloatCell(buf []byte, x float64) []byte {
+	return binary.BigEndian.AppendUint64(append(buf, tagFloat), math.Float64bits(x))
 }
 
 // DecodeValue parses cell bytes back into a typed value.
@@ -85,7 +95,7 @@ func RowToCells(row schema.Row) []hbase.Cell {
 			continue
 		}
 		at := len(buf)
-		buf = appendValue(buf, v)
+		buf = AppendValue(buf, v)
 		cells = append(cells, hbase.Cell{Qualifier: col, Value: buf[at:len(buf):len(buf)]})
 	}
 	return cells

@@ -1,6 +1,8 @@
 package phoenix
 
 import (
+	"fmt"
+
 	"synergy/internal/hbase"
 	"synergy/internal/schema"
 	"synergy/internal/sim"
@@ -8,27 +10,30 @@ import (
 )
 
 // RowCursor is the streaming result of a query: a forward-only iterator over
-// projected rows. Next advances to the next row; Row returns the current
-// row, valid only until the next Next or Close call (the cursor reuses one
-// map). Callers that retain a row must copy it. Close releases the
+// projected rows. Next advances to the next row; RawValue reads the current
+// row's values as encoded cells — the cursor decodes nothing, and a wire
+// server encodes row packets from them with no per-row allocation (use
+// DrainCursor for decoded rows keyed by column name). Close releases the
 // underlying region scanner and must always be called, even after Next
 // returned false — a caller abandoning a cursor mid-stream would otherwise
 // leak pooled scan jobs and chunk buffers.
 type RowCursor interface {
 	// Columns lists the output column names in projection order.
 	Columns() []string
-	// Types lists the declared column types, parallel to Columns. For
-	// streamed table scans these come from the catalog; the materialized
-	// path types by value inspection, which can differ for an all-NULL
-	// column (TString there, the declared type here).
+	// Types lists the column types, parallel to Columns. They come from the
+	// statement's plan, never from its rows (see query.outTypes), so an
+	// empty result and an all-NULL column are typed like any other.
 	Types() []schema.ColType
 	// Next advances to the next row, charging the scan work performed to
 	// ctx. It returns false when the result is exhausted or an error
 	// occurred (check Err).
 	Next(ctx *sim.Ctx) bool
-	// Row returns the current row. The map is reused: valid only until
-	// the next Next or Close.
-	Row() schema.Row
+	// RawValue returns the cell encoding (type tag + payload, see
+	// EncodeValue) of the current row's column i, empty when the value is
+	// NULL or the column a literal select item. The bytes are immutable
+	// and never recycled — only which bytes column i names changes with
+	// the next Next call.
+	RawValue(i int) []byte
 	// Err reports the error that terminated iteration, if any.
 	Err() error
 	// Close releases the cursor's resources (region scanner, pooled scan
@@ -36,19 +41,6 @@ type RowCursor interface {
 	// WithClose it also settles the transaction, so its error must be
 	// checked.
 	Close(ctx *sim.Ctx) error
-}
-
-// RawCursor is implemented by cursors that stream directly off a region
-// scanner and can expose the current row's encoded cell bytes without
-// decoding. RawValue returns the stored cell encoding (type tag + payload)
-// of output column i, or nil when the value is NULL or the column is a
-// literal select item. The returned slice is stable — store cell values are
-// immutable and never recycled — but reflects the current row only until
-// the next Next call. Wire servers use it to encode row packets with zero
-// per-row value allocations.
-type RawCursor interface {
-	RowCursor
-	RawValue(i int) []byte
 }
 
 // ---------------------------------------------------------------------------
@@ -60,10 +52,8 @@ type streamCursor struct {
 	cols   []string
 	quals  []string // source qualifier per output column; "" = literal item
 	types  []schema.ColType
-	raw    [][]byte   // current row's encoded values, parallel to cols
-	row    schema.Row // reused decoded row, filled lazily by Row
-	rowOK  bool
-	limit  int // 0 = unlimited (defensive; the scan spec also carries it)
+	raw    [][]byte // current row's encoded values, parallel to cols
+	limit  int      // 0 = unlimited (defensive; the scan spec also carries it)
 	n      int
 	done   bool
 	closed bool
@@ -97,30 +87,7 @@ func (c *streamCursor) Next(ctx *sim.Ctx) bool {
 		}
 		c.raw[i] = r.Cells.Get(q)
 	}
-	c.rowOK = false
 	return true
-}
-
-func (c *streamCursor) Row() schema.Row {
-	if c.rowOK {
-		return c.row
-	}
-	if c.row == nil {
-		c.row = make(schema.Row, len(c.cols))
-	}
-	for k := range c.row {
-		delete(c.row, k)
-	}
-	for i, col := range c.cols {
-		if c.quals[i] == "" {
-			// Literal select items project no source column; the key
-			// stays absent, matching the materialized buildResult.
-			continue
-		}
-		c.row[col] = DecodeValue(c.raw[i])
-	}
-	c.rowOK = true
-	return c.row
 }
 
 func (c *streamCursor) RawValue(i int) []byte { return c.raw[i] }
@@ -136,37 +103,27 @@ func (c *streamCursor) Close(ctx *sim.Ctx) error {
 
 // ---------------------------------------------------------------------------
 // Materialized cursor: blocking shapes (joins, aggregates, ORDER BY) run the
-// buffering executor and drain through the same API.
+// buffering executor and drain its rows, still encoded, through the same API.
 
 type materializedCursor struct {
-	rs     *ResultSet
-	types  []schema.ColType
+	res    *projected
+	cols   []string
 	pos    int
 	closed bool
 }
 
-func newMaterializedCursor(rs *ResultSet) *materializedCursor {
-	return &materializedCursor{rs: rs}
-}
-
-func (c *materializedCursor) Columns() []string { return c.rs.Columns }
-
-func (c *materializedCursor) Types() []schema.ColType {
-	if c.types == nil {
-		c.types = c.rs.ColumnTypes()
-	}
-	return c.types
-}
+func (c *materializedCursor) Columns() []string       { return c.cols }
+func (c *materializedCursor) Types() []schema.ColType { return c.res.types }
 
 func (c *materializedCursor) Next(ctx *sim.Ctx) bool {
-	if c.closed || c.pos >= len(c.rs.Rows) {
+	if c.closed || c.pos >= len(c.res.rows) {
 		return false
 	}
 	c.pos++
 	return true
 }
 
-func (c *materializedCursor) Row() schema.Row          { return c.rs.Rows[c.pos-1] }
+func (c *materializedCursor) RawValue(i int) []byte    { return c.res.value(c.res.rows[c.pos-1], i) }
 func (c *materializedCursor) Err() error               { return nil }
 func (c *materializedCursor) Close(ctx *sim.Ctx) error { c.closed = true; return nil }
 
@@ -180,8 +137,6 @@ type closeHook struct {
 	closed  bool
 }
 
-func (c *closeHook) Unwrap() RowCursor { return c.RowCursor }
-
 func (c *closeHook) Close(ctx *sim.Ctx) error {
 	if c.closed {
 		return nil
@@ -194,52 +149,46 @@ func (c *closeHook) Close(ctx *sim.Ctx) error {
 	return err
 }
 
-type rawCloseHook struct {
-	closeHook
-	raw RawCursor
-}
-
-func (c *rawCloseHook) RawValue(i int) []byte { return c.raw.RawValue(i) }
-
 // WithClose returns cur with onClose running exactly once after the inner
-// cursor's Close. The wrapper preserves RawCursor-ness, so the wire fast
-// path survives transactional wrapping.
+// cursor's Close.
 func WithClose(cur RowCursor, onClose func(ctx *sim.Ctx, cur RowCursor) error) RowCursor {
-	h := closeHook{RowCursor: cur, onClose: onClose}
-	if rc, ok := cur.(RawCursor); ok {
-		return &rawCloseHook{closeHook: h, raw: rc}
-	}
-	return &h
+	return &closeHook{RowCursor: cur, onClose: onClose}
 }
 
-// DrainCursor materializes a cursor into a ResultSet, closing it. It is the
-// bridge that keeps the materialized Query API a thin wrapper over the
-// streaming path: cursors that already hold a full ResultSet are returned
-// as-is, streamed rows are copied out (the cursor's row map is reused).
+// DrainCursor decodes what is left of one of this package's cursors into a
+// ResultSet, closing it. It is the bridge that keeps the map-returning Query
+// API a thin wrapper over the streaming path, and the one place a result's
+// values are decoded. A literal select item has no value: its key stays
+// absent from the rows.
 func DrainCursor(ctx *sim.Ctx, cur RowCursor) (*ResultSet, error) {
 	inner := cur
 	for {
-		u, ok := inner.(interface{ Unwrap() RowCursor })
+		h, ok := inner.(*closeHook)
 		if !ok {
 			break
 		}
-		inner = u.Unwrap()
+		inner = h.RowCursor
 	}
-	if m, ok := inner.(*materializedCursor); ok {
-		if err := cur.Close(ctx); err != nil {
-			return nil, err
-		}
-		return m.rs, nil
+	var literal func(i int) bool
+	switch c := inner.(type) {
+	case *materializedCursor:
+		literal = func(i int) bool { return c.res.out[i].literal }
+	case *streamCursor:
+		literal = func(i int) bool { return c.quals[i] == "" }
+	default:
+		cur.Close(ctx)
+		return nil, fmt.Errorf("phoenix: DrainCursor of a foreign cursor %T", inner)
 	}
 	cols := cur.Columns()
-	rows := make([]schema.Row, 0)
+	rs := &ResultSet{Columns: cols, Types: cur.Types(), Rows: []schema.Row{}}
 	for cur.Next(ctx) {
-		src := cur.Row()
-		row := make(schema.Row, len(src))
-		for k, v := range src {
-			row[k] = v
+		row := make(schema.Row, len(cols))
+		for i, col := range cols {
+			if !literal(i) {
+				row[col] = DecodeValue(cur.RawValue(i))
+			}
 		}
-		rows = append(rows, row)
+		rs.Rows = append(rs.Rows, row)
 	}
 	if err := cur.Err(); err != nil {
 		cur.Close(ctx)
@@ -248,7 +197,7 @@ func DrainCursor(ctx *sim.Ctx, cur RowCursor) (*ResultSet, error) {
 	if err := cur.Close(ctx); err != nil {
 		return nil, err
 	}
-	return &ResultSet{Columns: cols, Rows: rows}, nil
+	return rs, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -286,14 +235,13 @@ func (q *query) tryStream(ctx *sim.Ctx) (*streamCursor, error) {
 		limit: sel.Limit,
 		cols:  make([]string, n),
 		quals: make([]string, n),
-		types: make([]schema.ColType, n),
+		types: q.outTypes(),
 		raw:   make([][]byte, n),
 	}
 	for i, o := range q.out {
-		c.cols[i], c.types[i] = o.name, schema.TString
+		c.cols[i] = o.name
 		if !o.literal {
 			c.quals[i] = b.refs[o.src.i]
-			c.types[i], _ = b.info.Col(c.quals[i])
 		}
 	}
 
@@ -319,15 +267,14 @@ func (q *query) tryStream(ctx *sim.Ctx) (*streamCursor, error) {
 // drain reads the rest of the stream into positional rows and closes the
 // cursor — how a streamable derived table reaches the enclosing query.
 func (c *streamCursor) drain(ctx *sim.Ctx) *projected {
-	res := &projected{out: make([]outCol, len(c.cols))}
+	res := &projected{out: make([]outCol, len(c.cols)), types: c.types}
 	for i, name := range c.cols {
 		res.out[i] = outCol{name: name, src: colRef{i: i}, literal: c.quals[i] == ""}
 	}
+	var slab tupleSlab
 	for c.Next(ctx) {
-		vals := make([]schema.Value, len(c.raw))
-		for i, raw := range c.raw {
-			vals[i] = DecodeValue(raw)
-		}
+		vals := slab.take(len(c.raw))
+		copy(vals, c.raw)
 		res.rows = append(res.rows, tuple{vals: vals})
 	}
 	c.Close(ctx)
@@ -382,5 +329,5 @@ func (e *Engine) QueryStreamOpts(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params
 	if err != nil {
 		return nil, err
 	}
-	return newMaterializedCursor(res.resultSet()), nil
+	return &materializedCursor{res: res, cols: res.columns()}, nil
 }

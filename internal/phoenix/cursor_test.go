@@ -33,7 +33,7 @@ var streamShapes = []struct {
 
 // TestQueryStreamMatchesQuery checks cursor execution returns exactly the
 // materialized result — same columns, same rows, same order — for every
-// shape, and that Row and RawValue views of a streamed row agree.
+// shape.
 func TestQueryStreamMatchesQuery(t *testing.T) {
 	for _, shape := range streamShapes {
 		t.Run(shape.name, func(t *testing.T) {
@@ -62,36 +62,42 @@ func TestQueryStreamMatchesQuery(t *testing.T) {
 	}
 }
 
-// TestStreamCursorRawView checks the zero-copy RawCursor view decodes to the
-// same values the Row map reports, column by column.
+// TestStreamCursorRawView checks the encoded view every cursor serves — the
+// streamed ones off the scanner and the materialized ones off the executor's
+// tuples — decodes, column by column and row by row, to what Query returns.
 func TestStreamCursorRawView(t *testing.T) {
-	e, ctx := testDB(t)
-	sel := sqlparser.MustParse("SELECT * FROM Customer").(*sqlparser.SelectStmt)
-	cur, err := e.QueryStream(ctx, sel, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cur.Close(ctx)
-	raw, ok := cur.(RawCursor)
-	if !ok {
-		t.Fatal("single-binding scan did not expose a RawCursor")
-	}
-	n := 0
-	for cur.Next(ctx) {
-		n++
-		row := cur.Row()
-		for i, col := range cur.Columns() {
-			v := DecodeValue(raw.RawValue(i))
-			if !reflect.DeepEqual(v, row[col]) {
-				t.Fatalf("row %d col %s: raw %v, map %v", n, col, v, row[col])
+	for _, shape := range streamShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			e, ctx := testDB(t)
+			sel := sqlparser.MustParse(shape.sql).(*sqlparser.SelectStmt)
+			want, err := e.Query(ctx, sel, shape.params)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	}
-	if err := cur.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if n != 10 {
-		t.Fatalf("streamed %d rows, want 10", n)
+			cur, err := e.QueryStream(ctx, sel, shape.params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cur.Close(ctx)
+			n := 0
+			for cur.Next(ctx) {
+				if n == len(want.Rows) {
+					t.Fatalf("cursor streams more than Query's %d rows", n)
+				}
+				for i, col := range cur.Columns() {
+					if v := DecodeValue(cur.RawValue(i)); !reflect.DeepEqual(v, want.Rows[n][col]) {
+						t.Fatalf("row %d col %s: raw %#v, query %#v", n, col, v, want.Rows[n][col])
+					}
+				}
+				n++
+			}
+			if err := cur.Err(); err != nil {
+				t.Fatal(err)
+			}
+			if n != len(want.Rows) || n == 0 {
+				t.Fatalf("streamed %d rows, Query returned %d", n, len(want.Rows))
+			}
+		})
 	}
 }
 
@@ -157,7 +163,7 @@ func TestCursorLimitPushdown(t *testing.T) {
 }
 
 // TestWithCloseHook checks the hook fires exactly once with the cursor's
-// terminal state, and that wrapping preserves the raw fast path.
+// terminal state, and that the wrapper serves the inner cursor's rows.
 func TestWithCloseHook(t *testing.T) {
 	e, ctx := testDB(t)
 	sel := sqlparser.MustParse("SELECT * FROM Customer").(*sqlparser.SelectStmt)
@@ -173,12 +179,12 @@ func TestWithCloseHook(t *testing.T) {
 		}
 		return nil
 	})
-	if _, ok := cur.(RawCursor); !ok {
-		t.Fatal("WithClose dropped the RawCursor fast path")
-	}
 	n := 0
 	for cur.Next(ctx) {
 		n++
+		if got, want := cur.RawValue(0), inner.RawValue(0); len(got) == 0 || &got[0] != &want[0] {
+			t.Fatalf("row %d: wrapper's RawValue is not the inner cursor's", n)
+		}
 	}
 	if err := cur.Close(ctx); err != nil {
 		t.Fatal(err)

@@ -70,19 +70,25 @@ type QueryOpts struct {
 	OnViewScan func(ctx *sim.Ctx, view string) error
 }
 
-// ResultSet is the client-visible output of a query.
+// ResultSet is the client-visible output of a query: rows keyed by column
+// name, decoded from the executor's encoded tuples at this boundary and
+// nowhere before it.
 type ResultSet struct {
 	Columns []string
 	Rows    []schema.Row
+	// Types are the columns' types from the statement's plan (see
+	// RowCursor.Types); nil on a result set built by hand.
+	Types []schema.ColType
 }
 
-// ColumnTypes infers the result's column types from its values: the first
-// non-NULL value of each column decides (int64 → TInt, float64 → TFloat,
-// string → TString); an all-NULL column defaults to TString. The executor
-// does not thread declared types through projection — aggregates and
-// rewrites synthesize columns — so wire servers type result sets by
-// inspection.
+// ColumnTypes returns the plan's column types. A hand-built result set (a
+// sysvar reply) has none and is typed from its values: the first non-NULL
+// value of each column decides (int64 → TInt, float64 → TFloat, string →
+// TString); an all-NULL column defaults to TString.
 func (rs *ResultSet) ColumnTypes() []schema.ColType {
+	if rs.Types != nil {
+		return rs.Types
+	}
 	out := make([]schema.ColType, len(rs.Columns))
 	for i, col := range rs.Columns {
 		out[i] = schema.TString
@@ -123,14 +129,25 @@ func (e *Engine) QueryOpts(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []sch
 // ---------------------------------------------------------------------------
 // Analysis
 
-// tuple is the executor's internal row: one decoded value per slot of the
-// statement's layout. Only columns the statement reads get a slot (select
-// list, join, residual, group and order keys; every column for SELECT *), and
-// only those are ever decoded from a scanned row's cells. Binding b's
+// tuple is the executor's internal row: one encoded cell value (type tag +
+// payload, see EncodeValue) per slot of the statement's layout, nil for NULL.
+// Nothing between the scan and the result boundary decodes a value: keys,
+// comparisons and aggregates read the encoding (appendKey, compareRaw,
+// aggState), the wire server encodes row packets from it (RowCursor.RawValue),
+// and only ResultSet rows and index-nested-loop probe keys hold decoded
+// values. Only columns the statement reads get a slot (select list, join,
+// residual, group and order keys; every column for SELECT *). Binding b's
 // referenced column b.refs[i] lives at slot b.off+i of a joined tuple, so a
 // join's output is the outer tuple with the inner binding's segment copied
 // in. Aggregate output and derived-table rows are positional in their output
 // columns instead (see aggregate and projected).
+//
+// A slot is a window onto value bytes somebody else owns — a store file
+// block, a memstore cell, a transaction's pending write, an aggregate's output
+// buffer — kept under the package's value-lifetime rule (see the package
+// comment): the bytes are immutable and never recycled, and a tuple pins the
+// blocks it points into for as long as it lives. That is one statement: vals
+// are carved from the query's slab and dropped with it, never pooled.
 //
 // size is the encoded footprint of the full source rows the tuple was built
 // from — every stored cell, not only the referenced ones — which is what a
@@ -138,8 +155,28 @@ func (e *Engine) QueryOpts(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []sch
 // columns therefore cannot move the simulated clock. It is maintained only
 // for statements that can spill (query.spills).
 type tuple struct {
-	vals []schema.Value
+	vals [][]byte
 	size int
+}
+
+// tupleSlab hands out tuples' value slices from shared arrays — a few tuples
+// in the first, doubling to a few hundred — so a scanned row costs no
+// allocation of its own. It belongs to one statement.
+type tupleSlab struct {
+	free  [][]byte
+	chunk int // tuples in the last array
+}
+
+const maxSlabTuples = 512
+
+func (s *tupleSlab) take(n int) [][]byte {
+	if n > len(s.free) {
+		s.chunk = min(max(2*s.chunk, 4), maxSlabTuples)
+		s.free = make([][]byte, n*s.chunk)
+	}
+	vals := s.free[:n:n]
+	s.free = s.free[n:]
+	return vals
 }
 
 type binding struct {
@@ -200,6 +237,17 @@ func (c colRef) slot() int {
 	return c.b.off + c.i
 }
 
+// typ is the declared type of a binding's column: the catalog's for a table,
+// the subquery's own plan for a derived one.
+func (c colRef) typ() schema.ColType {
+	col := c.b.refs[c.i]
+	if c.b.info == nil {
+		return c.b.derived.types[c.b.colPos(col)]
+	}
+	t, _ := c.b.info.Col(col)
+	return t
+}
+
 // localPred is a single-binding WHERE conjunct: a column against a constant,
 // or against another column of the same binding.
 type localPred struct {
@@ -208,18 +256,6 @@ type localPred struct {
 	rcol     string       // right column when colVsCol
 	value    schema.Value // right constant otherwise
 	colVsCol bool
-}
-
-// holds evaluates the predicate over decoded values: l is the left column's
-// value, r the right column's (ignored for a constant comparison). A NULL
-// never satisfies a comparison against a constant; two columns compare under
-// schema.CompareValues, NULLs included. scanFilter compiles exactly this over
-// encoded cells.
-func (p localPred) holds(l, r schema.Value) bool {
-	if p.colVsCol {
-		return compareOK(schema.CompareValues(l, r), p.op)
-	}
-	return l != nil && compareOK(schema.CompareValues(l, p.value), p.op)
 }
 
 // crossPred compares columns of two different bindings: an equi-join when op
@@ -261,6 +297,7 @@ type query struct {
 	residual []crossPred // everything else cross-binding
 	width    int         // slots of a joined tuple
 	spills   bool        // a hash-join stage may carry its output into another
+	slab     tupleSlab   // backs every tuple the statement builds
 
 	// Output plan. A plain statement sorts and projects joined tuples; an
 	// aggregated one sorts and projects aggregate output rows, laid out as
@@ -583,6 +620,30 @@ func (q *query) planOutput() error {
 		}
 	}
 	return nil
+}
+
+// outTypes types the result columns from the plan, never from the rows: a
+// column has its declared type, COUNT is an integer, AVG a float, and SUM, MIN
+// and MAX have their argument's type (a literal item, always NULL, is a
+// string). Every row of a result — and an empty or all-NULL one — is
+// therefore encoded under one column definition.
+func (q *query) outTypes() []schema.ColType {
+	types := make([]schema.ColType, len(q.out))
+	for i, o := range q.out {
+		switch {
+		case o.literal:
+			types[i] = schema.TString
+		case !q.aggregated:
+			types[i] = o.src.typ()
+		case q.aggs[i].fn == "COUNT":
+			types[i] = schema.TInt
+		case q.aggs[i].fn == "AVG":
+			types[i] = schema.TFloat
+		default:
+			types[i] = q.aggs[i].arg.typ()
+		}
+	}
+	return types
 }
 
 // orderSource resolves an ORDER BY key: a select item's alias names that

@@ -3,7 +3,6 @@ package phoenix
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 
@@ -232,18 +231,18 @@ func (q *query) scanSpec(b *binding, plan accessPlan) (string, hbase.ScanSpec, e
 	return plan.table(b), spec, nil
 }
 
-// decodeRefs decodes the referenced columns of a stored row into dst, one
-// value per entry of refs; every other cell stays encoded.
-func decodeRefs(refs []string, cells hbase.Cells, dst []schema.Value) {
+// copyRefs points dst at the referenced columns of a stored row, one encoded
+// value per entry of refs (empty where the row has no such cell).
+func copyRefs(refs []string, cells hbase.Cells, dst [][]byte) {
 	for i, c := range refs {
-		dst[i] = DecodeValue(cellOf(cells, c))
+		dst[i] = cellOf(cells, c)
 	}
 }
 
-// valueSize is a value's share of a tuple's spill footprint.
-func valueSize(v schema.Value) int {
-	if s, ok := v.(string); ok {
-		return len(s)
+// valueSize is an encoded value's share of a tuple's spill footprint.
+func valueSize(v []byte) int {
+	if RawCellKind(v) == CellString {
+		return len(v) - 1
 	}
 	return 9
 }
@@ -258,12 +257,7 @@ func rowSize(bind string, cells hbase.Cells) int {
 		if len(q) > 0 && q[0] == '_' {
 			continue
 		}
-		n += len(bind) + 1 + len(q)
-		if v := cells[i].Value; RawCellKind(v) == CellString {
-			n += len(v) - 1
-		} else {
-			n += 9
-		}
+		n += len(bind) + 1 + len(q) + valueSize(cells[i].Value)
 	}
 	return n
 }
@@ -276,22 +270,22 @@ func (q *query) spillSize(b *binding, r hbase.RowResult) int {
 	return rowSize(b.name, r.Cells)
 }
 
-// newVals allocates the values of a tuple read from binding b and returns
-// them with b's segment: wide for the statement's first binding (the full
-// joined layout), narrow — just the segment — for a join's inner side.
-func (q *query) newVals(b *binding, wide bool) (vals, seg []schema.Value) {
+// newVals takes the values of a tuple read from binding b off the slab and
+// returns them with b's segment: wide for the statement's first binding (the
+// full joined layout), narrow — just the segment — for a join's inner side.
+func (q *query) newVals(b *binding, wide bool) (vals, seg [][]byte) {
 	if !wide {
-		vals = make([]schema.Value, len(b.refs))
+		vals = q.slab.take(len(b.refs))
 		return vals, vals
 	}
-	vals = make([]schema.Value, q.width)
+	vals = q.slab.take(q.width)
 	return vals, vals[b.off:]
 }
 
 // scanTuple turns a scanned row into a tuple.
 func (q *query) scanTuple(b *binding, r hbase.RowResult, wide bool) tuple {
 	vals, seg := q.newVals(b, wide)
-	decodeRefs(b.refs, r.Cells, seg)
+	copyRefs(b.refs, r.Cells, seg)
 	return tuple{vals: vals, size: q.spillSize(b, r)}
 }
 
@@ -351,16 +345,10 @@ func (q *query) scanBinding(ctx *sim.Ctx, b *binding, plan accessPlan, wide bool
 // local predicates and re-slots the referenced columns into tuples.
 func (q *query) scanDerived(b *binding, wide bool) []tuple {
 	sub := b.derived
-	type posPred struct {
-		localPred
-		l, r int // positions of col and rcol in a derived row
-	}
-	preds := make([]posPred, len(b.local))
-	for i, p := range b.local {
-		preds[i] = posPred{localPred: p, l: b.colPos(p.col)}
-		if p.colVsCol {
-			preds[i].r = b.colPos(p.rcol)
-		}
+	preds := compilePreds(b.local)
+	pos := make([][2]int, len(preds)) // positions of col and rcol in a derived row
+	for i, p := range preds {
+		pos[i] = [2]int{b.colPos(p.col), b.colPos(p.rcol)}
 	}
 	src := make([]int, len(b.refs))
 	for i, c := range b.refs {
@@ -381,12 +369,12 @@ func (q *query) scanDerived(b *binding, wide bool) []tuple {
 	out := make([]tuple, 0, len(sub.rows))
 rows:
 	for _, d := range sub.rows {
-		for _, p := range preds {
-			var r schema.Value
-			if p.colVsCol {
-				r = sub.value(d, p.r)
+		for i := range preds {
+			var r []byte
+			if preds[i].colVsCol {
+				r = sub.value(d, pos[i][1])
 			}
-			if !p.holds(sub.value(d, p.l), r) {
+			if !preds[i].holds(sub.value(d, pos[i][0]), r) {
 				continue rows
 			}
 		}
@@ -466,7 +454,7 @@ func (q *query) run(ctx *sim.Ctx) ([]tuple, error) {
 	tuples:
 		for _, t := range current {
 			for _, p := range q.residual {
-				if !compareOK(schema.CompareValues(t.vals[p.l.slot()], t.vals[p.r.slot()]), p.op) {
+				if !compareOK(compareCells(t.vals[p.l.slot()], t.vals[p.r.slot()]), p.op) {
 					continue tuples
 				}
 			}
@@ -507,8 +495,8 @@ func (q *query) joinCols(joined map[*binding]bool, b *binding) (outer, inner []c
 
 // merge builds a join's output tuple: the outer tuple with the inner
 // binding's segment copied in.
-func merge(o tuple, b *binding, in tuple) tuple {
-	vals := make([]schema.Value, len(o.vals))
+func (q *query) merge(o tuple, b *binding, in tuple) tuple {
+	vals := q.slab.take(q.width)
 	copy(vals, o.vals)
 	copy(vals[b.off:], in.vals)
 	return tuple{vals: vals, size: o.size + in.size}
@@ -566,7 +554,7 @@ func (q *query) joinBinding(ctx *sim.Ctx, outer []tuple, b *binding, joined map[
 		key = appendKey(key[:0], o.vals, outerSlots)
 		if h, ok := heads[string(key)]; ok {
 			for i := h; i >= 0; i = next[i] {
-				out = append(out, merge(o, b, inner[i]))
+				out = append(out, q.merge(o, b, inner[i]))
 			}
 		}
 	}
@@ -643,7 +631,7 @@ func (q *query) indexNestedLoop(ctx *sim.Ctx, outer []tuple, b *binding, plan ac
 	for _, o := range outer {
 		for k, s := range probeSlot {
 			if s >= 0 {
-				vals[k] = o.vals[s]
+				vals[k] = DecodeValue(o.vals[s]) // the row key is built from typed values
 			} else {
 				vals[k] = probeConst[k]
 			}
@@ -669,17 +657,16 @@ func (q *query) indexNestedLoop(ctx *sim.Ctx, outer []tuple, b *binding, plan ac
 				ctx.Charge(q.eng.costs.DirtyRestartPenalty)
 				continue
 			}
-			row := make([]schema.Value, q.width)
-			copy(row, o.vals)
-			decodeRefs(b.refs, r.Cells, row[b.off:])
+			t := q.merge(o, b, tuple{size: q.spillSize(b, r)})
+			copyRefs(b.refs, r.Cells, t.vals[b.off:])
 			// Re-check join equality (defensive; prefix probes
 			// guarantee it).
 			for i, in := range innerCols {
-				if !schema.ValuesEqual(row[in.slot()], o.vals[outerCols[i].slot()]) {
+				if compareCells(t.vals[in.slot()], o.vals[outerCols[i].slot()]) != 0 {
 					continue rows
 				}
 			}
-			out = append(out, tuple{vals: row, size: o.size + q.spillSize(b, r)})
+			out = append(out, t)
 		}
 	}
 	return out, nil
@@ -693,7 +680,7 @@ func (q *query) cartesianJoin(ctx *sim.Ctx, outer []tuple, b *binding) ([]tuple,
 	var out []tuple
 	for _, o := range outer {
 		for _, in := range inner {
-			out = append(out, merge(o, b, in))
+			out = append(out, q.merge(o, b, in))
 		}
 	}
 	ctx.Charge(sim.Micros(int64(len(out)) * int64(q.eng.costs.JoinProbeRow)))
@@ -708,33 +695,27 @@ const (
 	keyInt    = 1 // any number with an exact int64 value, int64(5) ≡ float64(5)
 	keyFloat  = 2
 	keyString = 3
-	keyOther  = 4
 )
 
-// appendKey appends the hash key of vals[slots...] to buf: values of
-// different types, or different values of one type, never share a key, except
-// that a number keys alike as int64 and as float64. Callers reuse buf across
-// rows and look maps up with string(buf), which does not allocate.
-func appendKey(buf []byte, vals []schema.Value, slots []int) []byte {
+// appendKey appends the hash key of the encoded values vals[slots...] to buf:
+// values of different types, or different values of one type, never share a
+// key, except that a number keys alike as int64 and as float64. Callers reuse
+// buf across rows and look maps up with string(buf), which does not allocate.
+func appendKey(buf []byte, vals [][]byte, slots []int) []byte {
 	for _, s := range slots {
-		switch x := vals[s].(type) {
-		case nil:
-			buf = append(buf, keyNull)
-		case int64:
-			buf = binary.BigEndian.AppendUint64(append(buf, keyInt), uint64(x))
-		case int:
-			buf = binary.BigEndian.AppendUint64(append(buf, keyInt), uint64(x))
-		case float64:
-			if i := int64(x); float64(i) == x {
-				buf = binary.BigEndian.AppendUint64(append(buf, keyInt), uint64(i))
+		switch v := vals[s]; RawCellKind(v) {
+		case CellInt:
+			buf = append(append(buf, keyInt), v[1:9]...) // stored big-endian, as the key wants it
+		case CellFloat:
+			if x := RawCellFloat(v); float64(int64(x)) == x {
+				buf = binary.BigEndian.AppendUint64(append(buf, keyInt), uint64(int64(x)))
 			} else {
-				buf = binary.BigEndian.AppendUint64(append(buf, keyFloat), math.Float64bits(x))
+				buf = append(append(buf, keyFloat), v[1:9]...)
 			}
-		case string:
-			buf = append(binary.AppendUvarint(append(buf, keyString), uint64(len(x))), x...)
+		case CellString:
+			buf = append(binary.AppendUvarint(append(buf, keyString), uint64(len(v)-1)), v[1:]...)
 		default:
-			s := fmt.Sprint(x)
-			buf = append(binary.AppendUvarint(append(buf, keyOther), uint64(len(s))), s...)
+			buf = append(buf, keyNull)
 		}
 	}
 	return buf
@@ -745,12 +726,13 @@ func appendKey(buf []byte, vals []schema.Value, slots []int) []byte {
 
 // projected is a statement's result before it is keyed by column name: rows
 // in result order, each still in the layout of the stage that produced it,
-// and the output columns saying where in a row each one reads. The outermost
-// statement turns it into a ResultSet; a derived table hands it to the
-// enclosing query as is.
+// and the output columns saying where in a row each one reads and what type
+// the plan gives it. The outermost statement serves it through a cursor; a
+// derived table hands it to the enclosing query as is.
 type projected struct {
-	out  []outCol
-	rows []tuple
+	out   []outCol
+	types []schema.ColType // parallel to out, see query.outTypes
+	rows  []tuple
 }
 
 func (p *projected) columns() []string {
@@ -762,25 +744,11 @@ func (p *projected) columns() []string {
 }
 
 // value reads output column j of row t (nil for a literal item).
-func (p *projected) value(t tuple, j int) schema.Value {
+func (p *projected) value(t tuple, j int) []byte {
 	if p.out[j].literal {
 		return nil
 	}
 	return t.vals[p.out[j].src.slot()]
-}
-
-func (p *projected) resultSet() *ResultSet {
-	rows := make([]schema.Row, len(p.rows))
-	for i, t := range p.rows {
-		row := make(schema.Row, len(p.out))
-		for _, c := range p.out {
-			if !c.literal {
-				row[c.name] = t.vals[c.src.slot()]
-			}
-		}
-		rows[i] = row
-	}
-	return &ResultSet{Columns: p.columns(), Rows: rows}
 }
 
 // project runs the post-join stages: aggregation, ORDER BY, LIMIT.
@@ -805,7 +773,7 @@ func (q *query) project(ctx *sim.Ctx, tuples []tuple) *projected {
 		}
 		slices.SortStableFunc(tuples, func(a, b tuple) int {
 			for k, s := range slots {
-				if cmp := schema.CompareValues(a.vals[s], b.vals[s]); cmp != 0 {
+				if cmp := compareCells(a.vals[s], b.vals[s]); cmp != 0 {
 					if q.orderBy[k].desc {
 						return -cmp
 					}
@@ -819,121 +787,120 @@ func (q *query) project(ctx *sim.Ctx, tuples []tuple) *projected {
 	if sel.Limit > 0 && len(tuples) > sel.Limit {
 		tuples = tuples[:sel.Limit]
 	}
-	return &projected{out: q.out, rows: tuples}
+	return &projected{out: q.out, types: q.outTypes(), rows: tuples}
 }
 
-// aggState is one aggregate's running state within one group.
+// aggState is one aggregate's running state within one group: the non-NULL
+// values seen, the sum of the numeric ones, and the least and greatest — kept
+// as the encoded cells they arrived as.
 type aggState struct {
 	count    int64
 	sum      float64
-	min, max schema.Value
+	min, max []byte
+}
+
+// add folds one encoded value in; a NULL counts for nothing.
+func (st *aggState) add(v []byte) {
+	x := rawOfCell(v)
+	if x.kind == CellNull {
+		return
+	}
+	st.count++
+	if x.kind == CellFloat {
+		st.sum += x.num
+	}
+	if st.count == 1 || compareRaw(x, rawOfCell(st.min)) < 0 {
+		st.min = v
+	}
+	if st.count == 1 || compareRaw(x, rawOfCell(st.max)) > 0 {
+		st.max = v
+	}
+}
+
+// appendResult appends fn's value over the folded cells to buf, encoded as a
+// cell, and returns the grown buffer with the value's window in it (nil for
+// NULL: no value folded). MIN and MAX are the stored cells themselves. A SUM
+// with an exact int64 value is an integer, whatever its arguments were.
+func (st *aggState) appendResult(buf []byte, fn string) (grown, val []byte) {
+	at := len(buf)
+	switch {
+	case fn == "COUNT":
+		buf = appendIntCell(buf, st.count)
+	case st.count == 0:
+		return buf, nil
+	case fn == "MIN":
+		return buf, st.min
+	case fn == "MAX":
+		return buf, st.max
+	case fn == "AVG":
+		buf = appendFloatCell(buf, st.sum/float64(st.count))
+	case fn == "SUM" && st.sum == float64(int64(st.sum)):
+		buf = appendIntCell(buf, int64(st.sum))
+	case fn == "SUM":
+		buf = appendFloatCell(buf, st.sum)
+	}
+	return buf, buf[at:len(buf):len(buf)]
 }
 
 // aggregate evaluates GROUP BY + aggregate select items. Each output row
 // holds one slot per select item — the aggregate's value, or a plain column
 // carried over from the group's first row — followed by the GROUP BY key
-// values.
+// values. Group state lives in two flat arrays and the computed values of
+// every output row in one buffer, so a group costs its map key and nothing
+// else.
 func (q *query) aggregate(ctx *sim.Ctx, tuples []tuple) []tuple {
 	groupSlots := make([]int, len(q.groupBy))
 	for i, c := range q.groupBy {
 		groupSlots[i] = c.slot()
 	}
-	argSlots := make([]int, len(q.aggs))
+	n := len(q.aggs)
+	argSlots := make([]int, n)
 	for i, a := range q.aggs {
 		if !a.star {
 			argSlots[i] = a.arg.slot()
 		}
 	}
 
-	type group struct {
-		rep    tuple
-		states []aggState
-	}
 	index := map[string]int{}
-	var groups []group // in first-seen order
+	var reps []tuple      // each group's first row, in first-seen order
+	var states []aggState // n per group
 	var key []byte
 	for _, t := range tuples {
 		key = appendKey(key[:0], t.vals, groupSlots)
 		gi, ok := index[string(key)]
 		if !ok {
-			gi = len(groups)
+			gi = len(reps)
 			index[string(key)] = gi
-			groups = append(groups, group{rep: t, states: make([]aggState, len(q.aggs))})
+			reps = append(reps, t)
+			states = append(states, make([]aggState, n)...)
 		}
-		states := groups[gi].states
 		for i, a := range q.aggs {
-			st := &states[i]
 			switch {
 			case a.fn == "":
-				continue
 			case a.star:
-				st.count++
-				continue
-			}
-			v := t.vals[argSlots[i]]
-			if v == nil {
-				continue
-			}
-			st.count++
-			if f, ok := toFloat(v); ok {
-				st.sum += f
-			}
-			if st.count == 1 || schema.CompareValues(v, st.min) < 0 {
-				st.min = v
-			}
-			if st.count == 1 || schema.CompareValues(v, st.max) > 0 {
-				st.max = v
+				states[gi*n+i].count++
+			default:
+				states[gi*n+i].add(t.vals[argSlots[i]])
 			}
 		}
 	}
 	ctx.Charge(sim.Micros(int64(len(tuples)) * int64(q.eng.costs.AggRow)))
 
-	out := make([]tuple, len(groups))
-	for gi, g := range groups {
-		vals := make([]schema.Value, len(q.aggs)+len(groupSlots))
+	out := make([]tuple, len(reps))
+	buf := make([]byte, 0, 9*n*len(reps)) // a computed value is a 9-byte number
+	for gi, rep := range reps {
+		vals := q.slab.take(n + len(groupSlots))
 		for i, a := range q.aggs {
-			st := g.states[i]
-			switch a.fn {
-			case "":
-				vals[i] = g.rep.vals[argSlots[i]]
-			case "COUNT":
-				vals[i] = st.count
-			case "SUM":
-				if st.count > 0 {
-					vals[i] = normalizeSum(st.sum)
-				}
-			case "AVG":
-				if st.count > 0 {
-					vals[i] = st.sum / float64(st.count)
-				}
-			case "MIN":
-				vals[i] = st.min
-			case "MAX":
-				vals[i] = st.max
+			if a.fn == "" {
+				vals[i] = rep.vals[argSlots[i]]
+			} else {
+				buf, vals[i] = states[gi*n+i].appendResult(buf, a.fn)
 			}
 		}
 		for i, s := range groupSlots {
-			vals[len(q.aggs)+i] = g.rep.vals[s]
+			vals[n+i] = rep.vals[s]
 		}
 		out[gi] = tuple{vals: vals}
 	}
 	return out
-}
-
-func normalizeSum(f float64) schema.Value {
-	if f == float64(int64(f)) {
-		return int64(f)
-	}
-	return f
-}
-
-func toFloat(v schema.Value) (float64, bool) {
-	switch x := v.(type) {
-	case int64:
-		return float64(x), true
-	case float64:
-		return x, true
-	default:
-		return 0, false
-	}
 }

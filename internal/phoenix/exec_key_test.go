@@ -15,14 +15,14 @@ import (
 // column boundary, and int64(5) still keys like float64(5).
 func TestAppendKeyTagsAndDelimits(t *testing.T) {
 	key := func(vals ...schema.Value) string {
-		slots := make([]int, len(vals))
-		for i := range slots {
-			slots[i] = i
+		cells, slots := make([][]byte, len(vals)), make([]int, len(vals))
+		for i, v := range vals {
+			cells[i], slots[i] = EncodeValue(v), i
 		}
-		return string(appendKey(nil, vals, slots))
+		return string(appendKey(nil, cells, slots))
 	}
 	distinct := [][]schema.Value{
-		{int64(5)}, {"n5"}, {"5"}, {5.5}, {"f5.5"}, {nil}, {"\x00nil"}, {""}, {true}, {"true"},
+		{int64(5)}, {"n5"}, {"5"}, {5.5}, {"f5.5"}, {nil}, {"\x00nil"}, {""}, {"true"},
 		{"a\x00b", "c"}, {"a", "b\x00c"}, {"a\x00b\x00c"}, {"a", "b", "c"},
 		{int64(1), int64(2)}, {int64(1)}, {nil, nil},
 	}

@@ -484,7 +484,10 @@ func (r *ClientRows) Next() bool {
 }
 
 // Values decodes the current row into a reused slice, in column order.
-// Valid only until the next Next call.
+// Valid only until the next Next call. A row that does not decode ends the
+// result set — Err reports the decode error from then on — but not the
+// connection: the remaining row packets are read off the wire first, so the
+// next command starts on a response boundary.
 func (r *ClientRows) Values() ([]schema.Value, error) {
 	if r.vals == nil {
 		r.vals = make([]schema.Value, len(r.names))
@@ -496,6 +499,11 @@ func (r *ClientRows) Values() ([]schema.Value, error) {
 		err = decodeTextRowVals(r.buf, r.types, r.vals)
 	}
 	if err != nil {
+		for r.Next() {
+		}
+		if r.err == nil {
+			r.err = err
+		}
 		return nil, err
 	}
 	return r.vals, nil

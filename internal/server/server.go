@@ -578,7 +578,15 @@ func (c *conn) writeResultSet(rs *phoenix.ResultSet, binaryRows, charged bool) e
 		pkts = append(pkts, columnDef(col, types[i]))
 	}
 	pkts = append(pkts, appendEOF(nil, c.status()))
-	for i, row := range rs.Rows {
+	// The rows go through the cursor path's encoder, re-encoded value by
+	// value into one scratch cell.
+	var row schema.Row
+	var cell []byte
+	value := func(i int) []byte {
+		cell = phoenix.AppendValue(cell[:0], row[rs.Columns[i]])
+		return cell
+	}
+	for i := range rs.Rows {
 		if i == 0 && charged {
 			// The materialized path's time-to-first-row is the whole
 			// execution: nothing was encoded until the result set was
@@ -586,11 +594,8 @@ func (c *conn) writeResultSet(rs *phoenix.ResultSet, binaryRows, charged bool) e
 			// would clobber the previous statement's measurement.)
 			c.sctx.MarkFirstRow()
 		}
-		if binaryRows {
-			pkts = append(pkts, appendBinaryRow(nil, rs.Columns, types, row))
-		} else {
-			pkts = append(pkts, appendTextRow(nil, rs.Columns, row))
-		}
+		row = rs.Rows[i]
+		pkts = append(pkts, appendRow(nil, types, binaryRows, value))
 	}
 	pkts = append(pkts, appendEOF(nil, c.status()))
 	if charged {
@@ -612,7 +617,7 @@ func (c *conn) writeResultSet(rs *phoenix.ResultSet, binaryRows, charged bool) e
 // set: one row packet at a time through the connection's bounded flush
 // buffer, so server memory stays O(scan chunk) no matter how many rows the
 // query returns. Row payloads encode into the connection's reused scratch
-// slice; cursors that expose raw cell bytes skip value decoding entirely.
+// slice, straight from the cursor's encoded cells: no value is decoded.
 //
 // Error handling is asymmetric by protocol necessity: a failure before any
 // packet goes out becomes a normal ERR reply, but once the column header is
@@ -654,24 +659,14 @@ func (c *conn) writeCursor(cur phoenix.RowCursor, binaryRows bool) error {
 		return err
 	}
 
-	raw, rawOK := cur.(phoenix.RawCursor)
 	first := true
+	value := cur.RawValue
 	for cur.Next(c.sctx) {
 		if first {
 			c.sctx.MarkFirstRow()
 			first = false
 		}
-		b = b[:0]
-		switch {
-		case rawOK && binaryRows:
-			b = appendBinaryRowRaw(b, types, raw)
-		case rawOK:
-			b = appendTextRowRaw(b, raw, len(cols))
-		case binaryRows:
-			b = appendBinaryRow(b, cols, types, cur.Row())
-		default:
-			b = appendTextRow(b, cols, cur.Row())
-		}
+		b = appendRow(b[:0], types, binaryRows, value)
 		if err := writePkt(b); err != nil {
 			return err
 		}

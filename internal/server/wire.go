@@ -88,20 +88,6 @@ func wireTypeOf(t schema.ColType) byte {
 	}
 }
 
-// formatValue renders a value for the text protocol; ok=false means NULL.
-func formatValue(v schema.Value) (string, bool) {
-	switch x := v.(type) {
-	case int64:
-		return strconv.FormatInt(x, 10), true
-	case float64:
-		return strconv.FormatFloat(x, 'g', -1, 64), true
-	case string:
-		return x, true
-	default:
-		return "", false
-	}
-}
-
 // appendOK appends an OK packet payload.
 func appendOK(b []byte, affected uint64, status uint16, info string) []byte {
 	b = append(b, 0x00)
@@ -158,143 +144,67 @@ func columnDef(name string, wireType byte) []byte {
 	return append(b, 0x00, 0x00) // filler
 }
 
-// Row encoders append onto a caller-owned scratch buffer: the connection
-// reuses one slice across rows and statements, so the steady-state row
-// encode path performs no allocations. All paths — materialized result sets,
-// streamed cursors (decoded and raw) — share these appenders, which is what
-// keeps the streamed wire bytes identical to the materialized encoder by
-// construction.
-
-// appendTextValue appends one text-protocol value (lenc string or 0xfb NULL).
-// Numbers are formatted with strconv.Append* into a stack buffer, matching
-// formatValue byte for byte without its string allocation.
-func appendTextValue(b []byte, v schema.Value) []byte {
-	switch x := v.(type) {
-	case int64:
-		var tmp [20]byte
-		s := strconv.AppendInt(tmp[:0], x, 10)
-		b = appendLencInt(b, uint64(len(s)))
-		return append(b, s...)
-	case float64:
-		var tmp [32]byte
-		s := strconv.AppendFloat(tmp[:0], x, 'g', -1, 64)
-		b = appendLencInt(b, uint64(len(s)))
-		return append(b, s...)
-	case string:
-		return appendLencString(b, x)
-	default:
-		return append(b, 0xfb) // NULL
-	}
-}
-
-// appendTextRow appends a text-protocol row packet payload.
-func appendTextRow(b []byte, cols []string, row schema.Row) []byte {
-	for _, col := range cols {
-		b = appendTextValue(b, row[col])
-	}
-	return b
-}
-
-// appendBinaryValue appends one binary-protocol value by its column's wire
-// type. A value that disagrees with the declared type falls back to the
-// lenc text rendering instead of panicking on a bad assertion — reachable
-// when a column stores mixed types and the declared (or first-inspected)
-// type doesn't match a later row.
-func appendBinaryValue(b []byte, wireType byte, v schema.Value) []byte {
-	switch wireType {
-	case typeLonglong:
-		if x, ok := v.(int64); ok {
-			return binary.LittleEndian.AppendUint64(b, uint64(x))
-		}
-	case typeDouble:
-		if x, ok := v.(float64); ok {
-			return binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
-		}
-	}
-	return appendTextValue(b, v)
-}
-
-// appendBinaryRow appends a binary-protocol row packet payload
-// (prepared-statement result sets): 0x00 header, a null bitmap with bit
-// offset 2, then each non-NULL value encoded by its column's wire type.
-func appendBinaryRow(b []byte, cols []string, types []byte, row schema.Row) []byte {
-	start := len(b)
-	b = append(b, 0x00)
-	for n := (len(cols) + 7 + 2) / 8; n > 0; n-- {
-		b = append(b, 0x00)
-	}
-	for i, col := range cols {
-		v := row[col]
-		if v == nil {
-			pos := i + 2
-			b[start+1+pos/8] |= 1 << (pos % 8)
-			continue
-		}
-		b = appendBinaryValue(b, types[i], v)
-	}
-	return b
-}
-
-// appendRawTextValue appends one text-protocol value straight from its
-// stored cell encoding: strings are copied payload-to-wire with no
-// intermediate string, numbers are formatted from the decoded bits. Output
-// is byte-identical to appendTextValue over the decoded value.
-func appendRawTextValue(b []byte, raw []byte) []byte {
-	switch phoenix.RawCellKind(raw) {
+// appendValue appends one value to a row packet straight from its cell
+// encoding (phoenix.EncodeValue): a string is copied payload-to-wire, a number
+// formatted from the decoded bits. The caller has dealt with NULL in a binary
+// row. A number in a numeric column of the other kind is sent as the column's
+// kind — an integer widens to a double, a double in an integer column is
+// truncated — never as text inside a binary row; an integer in a DOUBLE
+// column of a text row keeps its digits, which are a valid double literal.
+// Only a string in a numeric column still falls back to a lenc string.
+func appendValue(b []byte, wireType byte, binaryRow bool, raw []byte) []byte {
+	var i int64
+	var f float64
+	kind := phoenix.RawCellKind(raw)
+	switch kind {
 	case phoenix.CellInt:
-		var tmp [20]byte
-		s := strconv.AppendInt(tmp[:0], phoenix.RawCellInt(raw), 10)
-		b = appendLencInt(b, uint64(len(s)))
-		return append(b, s...)
+		i = phoenix.RawCellInt(raw)
+		f = float64(i)
 	case phoenix.CellFloat:
-		var tmp [32]byte
-		s := strconv.AppendFloat(tmp[:0], phoenix.RawCellFloat(raw), 'g', -1, 64)
-		b = appendLencInt(b, uint64(len(s)))
-		return append(b, s...)
+		f = phoenix.RawCellFloat(raw)
+		i = int64(f)
 	case phoenix.CellString:
-		p := phoenix.RawCellBytes(raw)
-		b = appendLencInt(b, uint64(len(p)))
-		return append(b, p...)
+		return appendLencBytes(b, phoenix.RawCellBytes(raw))
 	default:
 		return append(b, 0xfb) // NULL
 	}
-}
-
-// appendTextRowRaw appends a text-protocol row packet payload from a raw
-// cursor's current row without decoding values.
-func appendTextRowRaw(b []byte, cur phoenix.RawCursor, ncols int) []byte {
-	for i := 0; i < ncols; i++ {
-		b = appendRawTextValue(b, cur.RawValue(i))
+	var tmp [32]byte
+	var s []byte
+	switch {
+	case binaryRow && wireType == typeLonglong:
+		return binary.LittleEndian.AppendUint64(b, uint64(i))
+	case binaryRow && wireType == typeDouble:
+		return binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+	case kind == phoenix.CellFloat && wireType != typeLonglong:
+		s = strconv.AppendFloat(tmp[:0], f, 'g', -1, 64)
+	default:
+		s = strconv.AppendInt(tmp[:0], i, 10)
 	}
-	return b
+	return appendLencBytes(b, s)
 }
 
-// appendBinaryRowRaw appends a binary-protocol row packet payload from a raw
-// cursor's current row. Values whose stored kind matches the declared wire
-// type encode straight from the cell bits; mismatches fall back to the lenc
-// text rendering, mirroring appendBinaryValue.
-func appendBinaryRowRaw(b []byte, types []byte, cur phoenix.RawCursor) []byte {
+// appendRow appends a row packet payload — text-protocol lenc strings, or
+// (prepared-statement result sets) a 0x00 header, a null bitmap with bit
+// offset 2 and each non-NULL value encoded by its column's wire type — from
+// the cell encodings value(i) returns, each used before the next is asked
+// for. It appends onto a caller-owned buffer: the connection reuses one slice
+// across rows and statements, so encoding a cursor's rows allocates nothing.
+func appendRow(b []byte, types []byte, binaryRow bool, value func(i int) []byte) []byte {
 	start := len(b)
-	b = append(b, 0x00)
-	for n := (len(types) + 7 + 2) / 8; n > 0; n-- {
+	if binaryRow {
 		b = append(b, 0x00)
+		for n := (len(types) + 7 + 2) / 8; n > 0; n-- {
+			b = append(b, 0x00)
+		}
 	}
 	for i := range types {
-		raw := cur.RawValue(i)
-		kind := phoenix.RawCellKind(raw)
-		if kind == phoenix.CellNull {
+		raw := value(i)
+		if binaryRow && phoenix.RawCellKind(raw) == phoenix.CellNull {
 			pos := i + 2
 			b[start+1+pos/8] |= 1 << (pos % 8)
 			continue
 		}
-		switch {
-		case types[i] == typeLonglong && kind == phoenix.CellInt:
-			b = binary.LittleEndian.AppendUint64(b, uint64(phoenix.RawCellInt(raw)))
-		case types[i] == typeDouble && kind == phoenix.CellFloat:
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(phoenix.RawCellFloat(raw)))
-		default:
-			b = appendRawTextValue(b, raw)
-		}
+		b = appendValue(b, types[i], binaryRow, raw)
 	}
 	return b
 }

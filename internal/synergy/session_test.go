@@ -3,6 +3,7 @@ package synergy
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -406,8 +407,9 @@ func contractCursorAcrossClose(e *contractEnv) {
 		e.Fatal(err)
 	}
 	var ids []string
+	idCol := slices.Index(cur.Columns(), "Leaf00ID")
 	for cur.Next(ctx) {
-		ids = append(ids, fmt.Sprint(cur.Row()["Leaf00ID"]))
+		ids = append(ids, fmt.Sprint(phoenix.DecodeValue(cur.RawValue(idCol))))
 	}
 	if err := cur.Close(ctx); err != nil || len(ids) != 5 {
 		e.Fatalf("in-transaction cursor: rows %v, close %v; want 5 rows incl. own insert", ids, err)
