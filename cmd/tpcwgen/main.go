@@ -113,14 +113,9 @@ func zipfReport(s float64, keys, draws int, seed int64, trace bool) {
 func summary(data *tpcw.Data) {
 	fmt.Printf("TPC-W database (NUM_CUST=%d, NUM_ITEMS=%d)\n\n", data.Card.Customers, data.Card.Items)
 	stats := data.Stats()
-	names := make([]string, 0, len(data.Tables))
-	for n := range data.Tables {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	fmt.Printf("%-22s %10s %14s %12s\n", "table", "rows", "avg row (B)", "raw (MB)")
 	var total int64
-	for _, n := range names {
+	for _, n := range data.TableNames() {
 		rows := stats.Rows[n]
 		avg := stats.AvgRowBytes[n]
 		total += rows * avg

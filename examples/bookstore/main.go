@@ -31,8 +31,8 @@ func main() {
 		log.Fatal(err)
 	}
 	data := tpcw.Generate(customers, 2024)
-	for table, rows := range data.Tables {
-		if err := sys.LoadBase(table, rows); err != nil {
+	for _, table := range data.TableNames() {
+		if err := sys.LoadBase(table, data.Tables[table]); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -191,8 +191,8 @@ func BuildSystems(numCust int, seed int64, costs *sim.Costs) (*SystemSet, error)
 		if err != nil {
 			return nil, err
 		}
-		for table, rows := range data.Tables {
-			if err := sys.LoadBase(table, rows); err != nil {
+		for _, table := range data.TableNames() {
+			if err := sys.LoadBase(table, data.Tables[table]); err != nil {
 				return nil, fmt.Errorf("%s: loading %s: %w", name, table, err)
 			}
 		}
@@ -227,8 +227,8 @@ func BuildSystems(numCust int, seed int64, costs *sim.Costs) (*SystemSet, error)
 
 	// VoltDB: three partitioning schemes over packed in-memory tables.
 	fleet := newsql.NewFleet(sch(), tpcw.PartitionSchemes(), 5, costs)
-	for table, rows := range data.Tables {
-		if err := fleet.Load(table, rows); err != nil {
+	for _, table := range data.TableNames() {
+		if err := fleet.Load(table, data.Tables[table]); err != nil {
 			return nil, fmt.Errorf("voltdb: loading %s: %w", table, err)
 		}
 	}

@@ -376,14 +376,19 @@ func (hc *HCluster) moveRegion(ctx *sim.Ctx, t *table, r *Region, dest string) {
 }
 
 // RegionCount reports how many regions a table currently has.
-func (hc *HCluster) RegionCount(name string) int {
-	t, err := hc.lookup(name)
-	if err != nil {
-		return 0
+func (hc *HCluster) RegionCount(name string) int { return len(hc.Regions(name)) }
+
+// RegionInfo places one region: the first key of its range and its server.
+type RegionInfo struct{ Start, Server string }
+
+// Regions lists a table's regions in key order (none for an unknown table).
+func (hc *HCluster) Regions(name string) (out []RegionInfo) {
+	if t, err := hc.lookup(name); err == nil {
+		for _, r := range t.regionsInRange("", "") {
+			out = append(out, RegionInfo{r.start, r.Server()})
+		}
 	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.regions)
+	return out
 }
 
 // RowEstimate reports the approximate number of rows in a table (used by
@@ -464,7 +469,10 @@ type BulkRow struct {
 // BulkLoad writes pre-sorted rows directly as store files, bypassing the WAL
 // and memstore — the standard HBase bulk-load path used to populate the
 // benchmark database. Rows must be sorted by key; cells with zero timestamps
-// receive load-time stamps.
+// receive load-time stamps. A row whose cells arrive in qualifier order, one
+// per qualifier, is appended as it stands; only a cell at or before a
+// qualifier already seen is searched into place (and versions trimmed). The
+// cell slices are read, never written or kept, so rows may share them.
 func (hc *HCluster) BulkLoad(name string, rows []BulkRow) error {
 	t, err := hc.lookup(name)
 	if err != nil {
@@ -515,7 +523,11 @@ func (hc *HCluster) BulkLoad(name string, rows []BulkRow) error {
 				if c.TS == 0 {
 					c.TS = ts
 				}
-				dst.apply(c, t.spec.MaxVersions)
+				if n := len(dst.cells); n == 0 || dst.cells[n-1].Qualifier < c.Qualifier {
+					dst.cells = append(dst.cells, c) // where apply would put it
+				} else {
+					dst.apply(c, t.spec.MaxVersions)
+				}
 			}
 			if repeat {
 				row.cells = mergeCellsInto(nil, [][]Cell{row.cells, dup.cells})

@@ -49,7 +49,14 @@ type hfile struct {
 	// window, recorded when the file is built so Region.sizeBytes never
 	// walks store files.
 	size int64
+	// uniform records that every row the builder was given is rowUniform.
+	uniform bool
 }
+
+// compacted reports whether a major compaction of this file alone would
+// write it back as it is: only uniform rows, and the window the whole file,
+// not the share of it a split left a daughter.
+func (f *hfile) compacted() bool { return f.uniform && f.lo == 0 && f.hi == len(f.rowOff) }
 
 func (f *hfile) len() int { return f.hi - f.lo }
 
@@ -310,6 +317,7 @@ type qualID struct {
 // totalling keyBytes of keys (upper bounds are fine: finish trims).
 func newHFileBuilder(rows, keyBytes int) *hfileBuilder {
 	b := &hfileBuilder{ids: make(map[string]uint32)}
+	b.f.uniform = true
 	b.keys.Grow(keyBytes)
 	b.f.keyOff = make([]uint32, 0, rows+1)
 	b.f.rowOff = make([]uint16, 0, rows)
@@ -368,6 +376,8 @@ func (b *hfileBuilder) add(key string, cells []Cell) {
 			uniform = false
 		}
 	}
+
+	b.f.uniform = b.f.uniform && uniform
 
 	start := len(b.cur)
 	buf := b.cur

@@ -475,14 +475,16 @@ func (r *Region) mergeLocked(n int, major bool) {
 
 // majorCompact merges memstore and all store files into one file, dropping
 // tombstones and surplus versions (§IX: experiments major-compact after
-// database population).
+// database population). A region that already is one compacted file — a
+// freshly bulk-loaded one — is left as it is.
 func (r *Region) majorCompact() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.flushLocked()
-	if len(r.files) > 0 {
-		r.mergeLocked(len(r.files), true)
+	if len(r.files) == 0 || len(r.files) == 1 && r.files[0].compacted() {
+		return
 	}
+	r.mergeLocked(len(r.files), true)
 }
 
 // rowCount estimates the number of distinct row keys (memstore rows may

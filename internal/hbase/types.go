@@ -17,7 +17,10 @@
 //     into a packed store file and merges the run of newest files a
 //     size-tiered policy selects (minor compaction: versions beyond
 //     MaxVersions trimmed, tombstones kept); major compaction, on request,
-//     rewrites a region as one file and drops tombstones too.
+//     rewrites a region as one file and drops tombstones too — unless the
+//     region already is one whole file whose builder saw only uniform rows
+//     (hfile.uniform: one put per qualifier, one stamp, no tombstone), as a
+//     bulk load leaves it: nothing to merge, trim or drop.
 //
 // Rows exist in two forms. Where they mutate — the memstore, a
 // transaction's pending overlay, merge scratch — a row is a rowData, a

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 
 	"synergy/internal/hbase"
 	"synergy/internal/schema"
@@ -76,11 +78,13 @@ func DecodeValue(b []byte) schema.Value {
 	}
 }
 
-// RowToCells encodes a row's non-nil attributes as cells. The values of one
-// row are windows into one buffer, each clipped to its own bytes: a stored row
-// costs one value allocation instead of one per column (a 9-byte number alone
-// would occupy a 16-byte block), and like every cell value they are immutable
-// once handed to the store.
+// RowToCells encodes a row's non-nil attributes as cells, in qualifier order —
+// the order the store keeps a row in and returns it in, so an encoded row
+// merges, keys (AppendKeyOfCells) and bulk-loads without a search per cell.
+// The values of one row are windows into one buffer, each clipped to its own
+// bytes: a stored row costs one value allocation instead of one per column (a
+// 9-byte number alone would occupy a 16-byte block), and like every cell value
+// they are immutable once handed to the store.
 func RowToCells(row schema.Row) []hbase.Cell {
 	size := 0
 	for _, v := range row {
@@ -98,19 +102,67 @@ func RowToCells(row schema.Row) []hbase.Cell {
 		buf = AppendValue(buf, v)
 		cells = append(cells, hbase.Cell{Qualifier: col, Value: buf[at:len(buf):len(buf)]})
 	}
+	slices.SortFunc(cells, func(a, b hbase.Cell) int { return strings.Compare(a.Qualifier, b.Qualifier) })
 	return cells
 }
 
-// IndexCells returns the cells an index entry stores for a row whose own
-// cells are already encoded. A covered index stores the row's attributes
-// unchanged, so its entry is a copy of the cells that shares their value
-// bytes — immutable once written — instead of a second encoding; a key-only
-// index encodes just its key attributes.
-func IndexCells(t *TableInfo, idx *IndexInfo, row schema.Row, cells []hbase.Cell) []hbase.Cell {
-	if idx.KeyOnly {
-		return RowToCells(IndexRowContent(t, idx, row))
+// AppendRowCells is CellsToRow without the decoding: it appends a stored row's
+// attribute cells to dst, marker columns (leading underscore) dropped,
+// qualifier order kept, value bytes shared with the store.
+func AppendRowCells(dst []hbase.Cell, res hbase.RowResult) []hbase.Cell {
+	for _, p := range res.Cells {
+		if len(p.Qualifier) > 0 && p.Qualifier[0] == '_' {
+			continue
+		}
+		dst = append(dst, hbase.Cell{Qualifier: p.Qualifier, Value: p.Value})
 	}
-	return append([]hbase.Cell(nil), cells...)
+	return dst
+}
+
+// AppendKeyOfCells appends to buf the row key an encoded row (cells in
+// qualifier order) has over cols, continuing the key buf already holds: the
+// bytes schema.EncodeKey gives the decoded values, built from the cells
+// through the same per-type appenders. An absent cell is a NULL part; null
+// reports whether there was one.
+func AppendKeyOfCells(buf []byte, cells []hbase.Cell, cols []string) (key []byte, null bool) {
+	for _, col := range cols {
+		if len(buf) > 0 {
+			buf = append(buf, schema.KeySep)
+		}
+		var v []byte
+		if i, ok := slices.BinarySearchFunc(cells, col, func(c hbase.Cell, q string) int { return strings.Compare(c.Qualifier, q) }); ok {
+			v = cells[i].Value
+		}
+		switch RawCellKind(v) {
+		case CellInt:
+			buf = schema.AppendKeyInt(buf, RawCellInt(v))
+		case CellFloat:
+			buf = schema.AppendKeyFloat(buf, RawCellFloat(v))
+		case CellString:
+			buf = schema.AppendKeyString(buf, RawCellBytes(v))
+		default:
+			buf, null = schema.AppendKeyNull(buf), true
+		}
+	}
+	return buf, null
+}
+
+// IndexCells returns the cells an index entry stores for a row whose own
+// cells (qualifier order) are already encoded. A covered index stores the
+// row's attributes unchanged, so its entry is the row's cell slice itself —
+// cells are immutable once encoded, and the store copies what it stamps; a
+// key-only index keeps just its key attributes, value bytes shared.
+func IndexCells(t *TableInfo, idx *IndexInfo, cells []hbase.Cell) []hbase.Cell {
+	if !idx.KeyOnly {
+		return cells
+	}
+	out := make([]hbase.Cell, 0, len(idx.On)+len(t.Key))
+	for _, c := range cells {
+		if slices.Contains(idx.On, c.Qualifier) || slices.Contains(t.Key, c.Qualifier) {
+			out = append(out, c)
+		}
+	}
+	return out
 }
 
 // CellsToRow decodes a stored row back into typed attributes. Marker columns

@@ -127,23 +127,6 @@ func (e *Engine) execInsert(ctx *sim.Ctx, s *sqlparser.InsertStmt, params []sche
 	return e.PutRow(ctx, t, row, opts)
 }
 
-// IndexRowContent projects the stored content of an index entry: the full row for
-// covered indexes, just the key attributes for key-only (maintenance)
-// indexes.
-func IndexRowContent(t *TableInfo, idx *IndexInfo, row schema.Row) schema.Row {
-	if !idx.KeyOnly {
-		return row
-	}
-	out := schema.Row{}
-	for _, c := range idx.On {
-		out[c] = row[c]
-	}
-	for _, c := range t.Key {
-		out[c] = row[c]
-	}
-	return out
-}
-
 // IndexTouched reports whether an assignment affects an index's stored
 // content.
 func IndexTouched(t *TableInfo, idx *IndexInfo, assign schema.Row) bool {
@@ -298,7 +281,7 @@ func (e *Engine) putRowInto(ctx *sim.Ctx, b *WriteBatch, t *TableInfo, row schem
 	}
 	for _, idx := range t.Indexes {
 		ikey := IndexKey(t, idx, row)
-		icells := StampCells(IndexCells(t, idx, row, cells), b.opts.TS)
+		icells := StampCells(IndexCells(t, idx, cells), b.opts.TS)
 		if err := b.Put(ctx, idx.Name, ikey, icells); err != nil {
 			return err
 		}
@@ -387,7 +370,7 @@ func (e *Engine) UpdateRow(ctx *sim.Ctx, t *TableInfo, keyVals []schema.Value, a
 			if err := b.Delete(ctx, idx.Name, oldKey, opts.TS); err != nil {
 				return err
 			}
-			icells := StampCells(RowToCells(IndexRowContent(t, idx, updated)), opts.TS)
+			icells := StampCells(IndexCells(t, idx, RowToCells(updated)), opts.TS)
 			if err := b.Put(ctx, idx.Name, newKey, icells); err != nil {
 				return err
 			}
@@ -396,7 +379,7 @@ func (e *Engine) UpdateRow(ctx *sim.Ctx, t *TableInfo, keyVals []schema.Value, a
 		if !IndexTouched(t, idx, assign) {
 			continue // key-only index content unchanged
 		}
-		icells := StampCells(RowToCells(IndexRowContent(t, idx, assign)), opts.TS)
+		icells := StampCells(IndexCells(t, idx, RowToCells(assign)), opts.TS)
 		if len(icells) == 0 {
 			continue
 		}
@@ -445,20 +428,4 @@ func (e *Engine) DeleteRow(ctx *sim.Ctx, t *TableInfo, keyVals []schema.Value, o
 		}
 	}
 	return b.Flush(ctx)
-}
-
-// ScanAll reads every row of a table (used by view builders and tests).
-func (e *Engine) ScanAll(ctx *sim.Ctx, table string, read hbase.ReadOpts) ([]schema.Row, error) {
-	sc, err := e.client.Scan(ctx, table, hbase.ScanSpec{Read: read})
-	if err != nil {
-		return nil, err
-	}
-	var out []schema.Row
-	for {
-		r, ok := sc.Next(ctx)
-		if !ok {
-			return out, nil
-		}
-		out = append(out, CellsToRow(r))
-	}
 }

@@ -87,56 +87,72 @@ func ValuesEqual(a, b Value) bool { return CompareValues(a, b) == 0 }
 // use the IEEE-754 total-order trick, strings are escaped so the delimiter
 // never collides with content.
 
-const keySep = byte(0x00)
+// KeySep delimits the parts of a row key.
+const KeySep = byte(0x00)
 
 // EncodeKey renders typed key attribute values into one sortable row key.
 func EncodeKey(vals ...Value) string {
-	var b strings.Builder
-	for i, v := range vals {
-		if i > 0 {
-			b.WriteByte(keySep)
-		}
-		b.Write(encodeKeyPart(v))
-	}
-	return b.String()
+	var buf [64]byte // most keys fit: the string is the only allocation
+	return string(AppendKey(buf[:0], vals...))
 }
 
-func encodeKeyPart(v Value) []byte {
-	switch x := v.(type) {
-	case nil:
-		return []byte{0x01}
-	case int64:
-		var buf [9]byte
-		buf[0] = 0x02
-		binary.BigEndian.PutUint64(buf[1:], uint64(x)^(1<<63))
-		return buf[:]
-	case int:
-		return encodeKeyPart(int64(x))
-	case float64:
-		bits := math.Float64bits(x)
-		if x >= 0 || bits>>63 == 0 {
-			bits ^= 1 << 63
-		} else {
-			bits = ^bits
+// AppendKey appends the key encoding of vals, KeySep between parts, to buf.
+// It and the per-type appenders below are the one key encoding: EncodeKey
+// feeds them boxed values, phoenix.AppendKeyOfCells stored cells.
+func AppendKey(buf []byte, vals ...Value) []byte {
+	for i, v := range vals {
+		if i > 0 {
+			buf = append(buf, KeySep)
 		}
-		var buf [9]byte
-		buf[0] = 0x03
-		binary.BigEndian.PutUint64(buf[1:], bits)
-		return buf[:]
-	case string:
-		// Escape 0x00 -> 0x00 0xFF so the separator stays unambiguous.
-		out := []byte{0x04}
-		for i := 0; i < len(x); i++ {
-			if x[i] == 0x00 {
-				out = append(out, 0x00, 0xFF)
-				continue
-			}
-			out = append(out, x[i])
+		switch x := v.(type) {
+		case nil:
+			buf = AppendKeyNull(buf)
+		case int64:
+			buf = AppendKeyInt(buf, x)
+		case int:
+			buf = AppendKeyInt(buf, int64(x))
+		case float64:
+			buf = AppendKeyFloat(buf, x)
+		case string:
+			buf = AppendKeyString(buf, x)
+		default:
+			panic(fmt.Sprintf("schema: unencodable key value %T", v))
 		}
-		return out
-	default:
-		panic(fmt.Sprintf("schema: unencodable key value %T", v))
 	}
+	return buf
+}
+
+// AppendKeyNull appends the key part of SQL NULL, which sorts first.
+func AppendKeyNull(buf []byte) []byte { return append(buf, 0x01) }
+
+// AppendKeyInt appends an integer key part: offset-binary big-endian.
+func AppendKeyInt(buf []byte, x int64) []byte {
+	return binary.BigEndian.AppendUint64(append(buf, 0x02), uint64(x)^(1<<63))
+}
+
+// AppendKeyFloat appends a float key part: the IEEE-754 total-order trick.
+func AppendKeyFloat(buf []byte, x float64) []byte {
+	bits := math.Float64bits(x)
+	if x >= 0 || bits>>63 == 0 {
+		bits ^= 1 << 63
+	} else {
+		bits = ^bits
+	}
+	return binary.BigEndian.AppendUint64(append(buf, 0x03), bits)
+}
+
+// AppendKeyString appends a string key part, escaping 0x00 -> 0x00 0xFF so
+// the separator stays unambiguous.
+func AppendKeyString[S string | []byte](buf []byte, s S) []byte {
+	buf = append(buf, 0x04)
+	start := 0
+	for i := 0; i < len(s); i++ {
+		if s[i] == 0x00 {
+			buf = append(append(buf, s[start:i]...), 0x00, 0xFF)
+			start = i + 1
+		}
+	}
+	return append(buf, s[start:]...)
 }
 
 // KeyPrefix builds the scan prefix for a partial key (the given values plus
@@ -146,5 +162,6 @@ func KeyPrefix(vals ...Value) string {
 	if len(vals) == 0 {
 		return ""
 	}
-	return EncodeKey(vals...) + string(keySep)
+	var buf [64]byte
+	return string(append(AppendKey(buf[:0], vals...), KeySep))
 }

@@ -139,8 +139,8 @@ func TestWireBytesGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for table, rows := range data.Tables {
-		if err := sys.LoadBase(table, rows); err != nil {
+	for _, table := range data.TableNames() {
+		if err := sys.LoadBase(table, data.Tables[table]); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 
 	"synergy/internal/hbase"
 	"synergy/internal/sim"
@@ -56,16 +55,14 @@ func (lm *LockManager) CreateLockTables(roots []string) error {
 	return nil
 }
 
-// BulkCreateEntries creates free lock entries for bulk-loaded root rows.
+// BulkCreateEntries creates free lock entries for bulk-loaded root rows,
+// given sorted by key as they were loaded.
 func (lm *LockManager) BulkCreateEntries(root string, rows []hbase.BulkRow) error {
-	entries := make([]hbase.BulkRow, 0, len(rows))
-	for _, r := range rows {
-		entries = append(entries, hbase.BulkRow{
-			Key:   r.Key,
-			Cells: []hbase.Cell{{Qualifier: lockQualifier, Value: lockFree}},
-		})
+	free := []hbase.Cell{{Qualifier: lockQualifier, Value: lockFree}}
+	entries := make([]hbase.BulkRow, len(rows))
+	for i, r := range rows {
+		entries[i] = hbase.BulkRow{Key: r.Key, Cells: free}
 	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].Key < entries[j].Key })
 	return lm.store.BulkLoad(LockTableName(root), entries)
 }
 

@@ -8,12 +8,23 @@
 // Query, QueryStream, Exec, Commit, Rollback — one type, identical in every
 // concurrency mode and with or without views. System.Query, QueryStream,
 // Exec and ExecTxn are one-shot conveniences over the same paths.
+//
+// Population (§IX-D1: LoadBase per table, then BuildViews) works on encoded
+// rows from end to end. A row is its attribute cells in qualifier order — what
+// phoenix.RowToCells makes of a generated row and what a store scan returns —
+// and it is joined, keyed (phoenix.AppendKeyOfCells) and bulk-loaded in that
+// form: a view row is the qualifier-ordered merge of its base rows' cells, the
+// child's where both carry a qualifier, marker cells left out, value bytes
+// shared with the base files. BuildViews prepares views (scan, join, keys,
+// sort) on up to GOMAXPROCS goroutines and installs them from one, in
+// Design.Views order and at most GOMAXPROCS views ahead: everything with an
+// order to it — load stamps, region splits, the round-robin that places a
+// split's daughter — happens at install, so the store comes out the same at
+// any width. A freshly loaded region is compact already, so the major
+// compaction that ends the procedure rewrites only what split.
 package synergy
 
 import (
-	"fmt"
-	"sort"
-
 	"synergy/internal/changefeed"
 	"synergy/internal/cluster"
 	"synergy/internal/core"
@@ -261,27 +272,6 @@ func New(sch *schema.Schema, roots []string, workloadSQL []string, cfg Config) (
 	return sys, nil
 }
 
-// LoadBase bulk-loads rows into a base table (and its base indexes),
-// creating lock-table entries for root relations. Rows need not be sorted.
-func (sys *System) LoadBase(table string, rows []schema.Row) error {
-	info, err := sys.Catalog.Table(table)
-	if err != nil {
-		return err
-	}
-	bulk, err := sys.bulkLoad(info, rows)
-	if err != nil {
-		return err
-	}
-	// §VIII-A: "a lock table entry is created when a tuple is inserted
-	// into the root relation".
-	if sys.isRoot(table) {
-		if err := sys.Locks.BulkCreateEntries(table, bulk); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 func (sys *System) isRoot(table string) bool {
 	for _, r := range sys.Design.Roots {
 		if r == table {
@@ -289,124 +279,6 @@ func (sys *System) isRoot(table string) bool {
 		}
 	}
 	return false
-}
-
-// BuildViews materializes every selected view (and its view-indexes) from
-// the loaded base tables, then major-compacts everything — the population
-// procedure of §IX-D1.
-func (sys *System) BuildViews() error {
-	if sys.cfg.DisableViews {
-		return sys.MajorCompactAll()
-	}
-	ctx := sim.NewCtx() // population cost is not a measured response time
-	for _, v := range sys.Design.Views {
-		if err := sys.buildView(ctx, v); err != nil {
-			return fmt.Errorf("synergy: building %s: %w", v.DisplayName(), err)
-		}
-	}
-	return sys.MajorCompactAll()
-}
-
-// buildView computes the view contents by joining down the path and bulk
-// loads the result.
-func (sys *System) buildView(ctx *sim.Ctx, v *core.View) error {
-	sch := sys.Design.Schema
-	// acc holds joined rows keyed by the current relation's PK.
-	first := v.Relations[0]
-	firstRows, err := sys.Engine.ScanAll(ctx, first, hbase.ReadOpts{})
-	if err != nil {
-		return err
-	}
-	acc := map[string]schema.Row{}
-	firstRel := sch.Relation(first)
-	for _, r := range firstRows {
-		acc[rowKeyOf(firstRel.PK, r)] = r
-	}
-	var joined []schema.Row
-	for i, e := range v.Edges {
-		child := v.Relations[i+1]
-		childRows, err := sys.Engine.ScanAll(ctx, child, hbase.ReadOpts{})
-		if err != nil {
-			return err
-		}
-		childRel := sch.Relation(child)
-		next := map[string]schema.Row{}
-		joined = joined[:0]
-		for _, c := range childRows {
-			parentKey := rowKeyOf(e.FK, c)
-			p, ok := acc[parentKey]
-			if !ok {
-				continue // dangling FK: inner join drops it
-			}
-			m := p.Clone()
-			for k, val := range c {
-				m[k] = val
-			}
-			next[rowKeyOf(childRel.PK, c)] = m
-			joined = append(joined, m)
-		}
-		acc = next
-	}
-
-	info, err := sys.Catalog.Table(v.Name())
-	if err != nil {
-		return err
-	}
-	rows := make([]schema.Row, 0, len(acc))
-	for _, r := range acc {
-		rows = append(rows, r)
-	}
-	_, err = sys.bulkLoad(info, rows)
-	return err
-}
-
-// bulkLoad writes rows into a table and every index on it as sorted store
-// files, returning the table's own bulk rows (sorted by key). Each row is
-// encoded once: a covered index entry shares the value bytes.
-func (sys *System) bulkLoad(info *phoenix.TableInfo, rows []schema.Row) ([]hbase.BulkRow, error) {
-	bulk := make([]hbase.BulkRow, 0, len(rows))
-	cells := make([][]hbase.Cell, len(rows))
-	for i, r := range rows {
-		key, err := phoenix.PrimaryKey(info, r)
-		if err != nil {
-			return nil, err
-		}
-		cells[i] = phoenix.RowToCells(r)
-		bulk = append(bulk, hbase.BulkRow{Key: key, Cells: cells[i]})
-	}
-	sort.Slice(bulk, func(i, j int) bool { return bulk[i].Key < bulk[j].Key })
-	if err := sys.Store.BulkLoad(info.Name, bulk); err != nil {
-		return nil, err
-	}
-	for _, idx := range info.Indexes {
-		ibulk := make([]hbase.BulkRow, 0, len(rows))
-		for i, r := range rows {
-			ibulk = append(ibulk, hbase.BulkRow{Key: phoenix.IndexKey(info, idx, r), Cells: phoenix.IndexCells(info, idx, r, cells[i])})
-		}
-		sort.Slice(ibulk, func(i, j int) bool { return ibulk[i].Key < ibulk[j].Key })
-		if err := sys.Store.BulkLoad(idx.Name, ibulk); err != nil {
-			return nil, err
-		}
-	}
-	return bulk, nil
-}
-
-func rowKeyOf(cols []string, r schema.Row) string {
-	vals := make([]schema.Value, len(cols))
-	for i, c := range cols {
-		vals[i] = r[c]
-	}
-	return schema.EncodeKey(vals...)
-}
-
-// MajorCompactAll compacts every table (§IX: done after population).
-func (sys *System) MajorCompactAll() error {
-	for _, t := range sys.Store.Tables() {
-		if err := sys.Store.MajorCompact(t); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // rewriteFor returns the view-based rewrite of a query (identity when views

@@ -964,7 +964,7 @@ func (sys *System) maintainUpdate(ctx *sim.Ctx, tx *Tx, action core.ViewAction, 
 				if err := batch.Delete(ctx, idx.Name, oldKey, opts.TS); err != nil {
 					return err
 				}
-				cells := putCells(phoenix.IndexRowContent(viewInfo, idx, updated))
+				cells := phoenix.IndexCells(viewInfo, idx, putCells(updated))
 				if mark && !idx.KeyOnly {
 					cells = append(cells, hbase.Cell{Qualifier: phoenix.DirtyQualifier, Value: dirtyOn, TS: opts.TS})
 				}

@@ -2,6 +2,7 @@ package tpcw
 
 import (
 	"fmt"
+	"sort"
 	"sync/atomic"
 
 	"synergy/internal/schema"
@@ -223,6 +224,18 @@ func Generate(numCust int, seed int64) *Data {
 	d.seqAddr.Store(int64(card.Addresses))
 	d.seqCart.Store(int64(card.Carts))
 	return d
+}
+
+// TableNames lists the generated tables in sorted order — the order loaders
+// use, because split order decides region placement and load stamps and a
+// range over Tables differs run to run.
+func (d *Data) TableNames() []string {
+	names := make([]string, 0, len(d.Tables))
+	for n := range d.Tables {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // Fresh id generators for insert statements.

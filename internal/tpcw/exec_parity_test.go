@@ -85,8 +85,8 @@ func paritySystem(t *testing.T, data *Data, cfg synergy.Config) *synergy.System 
 	if err != nil {
 		t.Fatal(err)
 	}
-	for table, rows := range data.Tables {
-		if err := sys.LoadBase(table, rows); err != nil {
+	for _, table := range data.TableNames() {
+		if err := sys.LoadBase(table, data.Tables[table]); err != nil {
 			t.Fatal(err)
 		}
 	}
