@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -17,10 +18,19 @@ type RootedTree struct {
 	nodes map[string]bool
 	// parentEdge[child] is the single tree edge entering child.
 	parentEdge map[string]schema.Edge
+
+	// What statements ask of the tree, derived from parentEdge whenever a
+	// path is grafted (index) — a tree is finished before it serves any — so
+	// a lookup builds nothing. Callers share these and must not modify them.
+	edges    []schema.Edge          // sorted by child
+	children map[string][]string    // relation -> its children, sorted
+	paths    map[string]schema.Path // relation -> the path from the root to it
 }
 
 func newRootedTree(root string) *RootedTree {
-	return &RootedTree{Root: root, nodes: map[string]bool{root: true}, parentEdge: map[string]schema.Edge{}}
+	t := &RootedTree{Root: root, nodes: map[string]bool{root: true}, parentEdge: map[string]schema.Edge{}}
+	t.index()
+	return t
 }
 
 // addPath grafts a root-to-relation path onto the tree.
@@ -32,6 +42,38 @@ func (t *RootedTree) addPath(p schema.Path) {
 		}
 		t.parentEdge[child] = e
 		t.nodes[child] = true
+	}
+	t.index()
+}
+
+// index rebuilds edges, children and paths from parentEdge.
+func (t *RootedTree) index() {
+	t.edges = make([]schema.Edge, 0, len(t.parentEdge))
+	for _, e := range t.parentEdge {
+		t.edges = append(t.edges, e)
+	}
+	sort.Slice(t.edges, func(i, j int) bool { return t.edges[i].Child < t.edges[j].Child })
+	t.children = map[string][]string{}
+	for _, e := range t.edges {
+		t.children[e.Parent] = append(t.children[e.Parent], e.Child)
+	}
+	t.paths = map[string]schema.Path{t.Root: {Relations: []string{t.Root}}}
+	for rel := range t.parentEdge {
+		var p schema.Path
+		for cur := rel; cur != t.Root; {
+			e, ok := t.parentEdge[cur]
+			if !ok {
+				break // not connected to the root yet: no path
+			}
+			p.Relations, p.Edges = append(p.Relations, cur), append(p.Edges, e)
+			cur = e.Parent
+		}
+		if len(p.Edges) > 0 && p.Edges[len(p.Edges)-1].Parent == t.Root {
+			p.Relations = append(p.Relations, t.Root)
+			slices.Reverse(p.Relations)
+			slices.Reverse(p.Edges)
+			t.paths[rel] = p
+		}
 	}
 }
 
@@ -61,30 +103,10 @@ func (t *RootedTree) Nodes() []string {
 }
 
 // Edges lists the tree's edges, sorted by child name.
-func (t *RootedTree) Edges() []schema.Edge {
-	children := make([]string, 0, len(t.parentEdge))
-	for c := range t.parentEdge {
-		children = append(children, c)
-	}
-	sort.Strings(children)
-	out := make([]schema.Edge, 0, len(children))
-	for _, c := range children {
-		out = append(out, t.parentEdge[c])
-	}
-	return out
-}
+func (t *RootedTree) Edges() []schema.Edge { return t.edges }
 
 // Children lists the relations whose tree parent is rel, sorted.
-func (t *RootedTree) Children(rel string) []string {
-	var out []string
-	for child, e := range t.parentEdge {
-		if e.Parent == rel {
-			out = append(out, child)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
+func (t *RootedTree) Children(rel string) []string { return t.children[rel] }
 
 // ParentEdge returns the edge entering child, with ok=false for the root or
 // unknown relations.
@@ -95,23 +117,8 @@ func (t *RootedTree) ParentEdge(child string) (schema.Edge, bool) {
 
 // PathFromRoot returns the unique root→rel path (Definition 4).
 func (t *RootedTree) PathFromRoot(rel string) (schema.Path, bool) {
-	if !t.nodes[rel] {
-		return schema.Path{}, false
-	}
-	var rels []string
-	var edges []schema.Edge
-	cur := rel
-	for cur != t.Root {
-		e, ok := t.parentEdge[cur]
-		if !ok {
-			return schema.Path{}, false
-		}
-		rels = append([]string{cur}, rels...)
-		edges = append([]schema.Edge{e}, edges...)
-		cur = e.Parent
-	}
-	rels = append([]string{t.Root}, rels...)
-	return schema.Path{Relations: rels, Edges: edges}, true
+	p, ok := t.paths[rel]
+	return p, ok
 }
 
 // DownwardPaths enumerates every path of length >= 1 edge in the tree (each

@@ -436,3 +436,40 @@ func TestBadRootRejected(t *testing.T) {
 		t.Fatal("unknown root should fail")
 	}
 }
+
+// TestDesignLookupsBuildNothing pins that the names and paths a statement asks
+// a design for — per read in the view rewrite, per write in PlanWrite — were
+// computed when the design was built: asking allocates nothing, and what a
+// tree hands out is what it derives from its edges.
+func TestDesignLookupsBuildNothing(t *testing.T) {
+	d := companyDesign(t)
+	tree := d.Candidates.Tree("Address")
+	p, ok := tree.PathFromRoot("Works_On")
+	if !ok || p.String() != "Address - Employee - Works_On" || len(p.Edges) != 2 || p.Edges[1].Child != "Works_On" {
+		t.Fatalf("path to Works_On = %v (%v), want Address - Employee - Works_On", p, ok)
+	}
+	if p, ok := tree.PathFromRoot("Address"); !ok || len(p.Relations) != 1 || len(p.Edges) != 0 {
+		t.Fatalf("path to the root = %v (%v)", p, ok)
+	}
+	if _, ok := tree.PathFromRoot("Project"); ok {
+		t.Fatal("Project is in the Department tree, not Address's")
+	}
+	if got := tree.Children("Employee"); len(got) != 2 || got[0] != "Dependent" || got[1] != "Works_On" {
+		t.Fatalf("children of Employee = %v", got)
+	}
+	if got := tree.Edges(); len(got) != 3 || got[0].Child != "Dependent" || got[1].Child != "Employee" || got[2].Child != "Works_On" {
+		t.Fatalf("edges = %v, want them sorted by child", got)
+	}
+	v, ix := d.Views[0], d.ViewIndexes[0]
+	if v.Name() != "V_"+strings.Join(v.Relations, "__") || !strings.HasPrefix(ix.Name(), "IX_"+ix.View.Name()+"__") {
+		t.Fatalf("names %q, %q", v.Name(), ix.Name())
+	}
+	var sink int
+	if n := testing.AllocsPerRun(100, func() {
+		p, _ := tree.PathFromRoot("Works_On")
+		chain, _ := d.LockChain("Works_On")
+		sink += len(v.Name()) + len(ix.Name()) + len(tree.Edges()) + len(tree.Children("Employee")) + len(p.Edges) + len(chain)
+	}); n != 0 {
+		t.Errorf("%v allocations per round of lookups, want 0", n)
+	}
+}

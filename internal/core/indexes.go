@@ -40,7 +40,7 @@ func DeriveViewIndexes(rewritten []*Rewritten) []*ViewIndex {
 				continue
 			}
 			col := filters[0]
-			ix := &ViewIndex{View: u.View, On: []string{col}}
+			ix := newViewIndex(u.View, []string{col}, false)
 			out = append(out, ix)
 			lead[col] = true
 		}
@@ -109,7 +109,7 @@ func DeriveMaintenanceIndexes(s *schema.Schema, views []*View, w *Workload, exis
 			if have[v.Name()] != nil && have[v.Name()][rel.PK[0]] {
 				continue
 			}
-			ix := &ViewIndex{View: v, On: append([]string(nil), rel.PK...), Maintenance: true}
+			ix := newViewIndex(v, append([]string(nil), rel.PK...), true)
 			out = append(out, ix)
 			note(v, rel.PK[0])
 		}

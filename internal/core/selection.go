@@ -32,13 +32,14 @@ func SelectViewsForQuery(s *schema.Schema, trees []*RootedTree, sel *sqlparser.S
 
 func selectInTree(s *schema.Schema, tree *RootedTree, joins []queryJoin) []*View {
 	// Mark edges whose (PK, FK) join appears in the query, plus their
-	// endpoints.
-	markedEdge := map[string]bool{} // edge ID
+	// endpoints. A tree has one edge into each relation, so the child names
+	// the edge.
+	markedEdge := map[string]bool{}
 	markedNode := map[string]bool{}
 	for _, e := range tree.Edges() {
 		for _, j := range joins {
 			if j.matchesEdge(e) {
-				markedEdge[e.ID()] = true
+				markedEdge[e.Child] = true
 				markedNode[e.Parent] = true
 				markedNode[e.Child] = true
 				break
@@ -64,7 +65,7 @@ func selectInTree(s *schema.Schema, tree *RootedTree, joins []queryJoin) []*View
 		}
 		for _, e := range tree.Edges() {
 			if inPath[e.Parent] {
-				delete(markedEdge, e.ID())
+				delete(markedEdge, e.Child)
 			}
 		}
 	}
@@ -79,8 +80,7 @@ func chooseMarkedPath(tree *RootedTree, markedNode map[string]bool, markedEdge m
 	// Start nodes: marked, with no incoming marked edge.
 	var starts []string
 	for n := range markedNode {
-		in, hasIn := tree.ParentEdge(n)
-		if hasIn && markedEdge[in.ID()] {
+		if markedEdge[n] {
 			continue
 		}
 		starts = append(starts, n)
@@ -94,11 +94,11 @@ func chooseMarkedPath(tree *RootedTree, markedNode map[string]bool, markedEdge m
 		// Does the path end here? Leaf or no outgoing marked edge.
 		extended := false
 		for _, child := range tree.Children(cur) {
-			e, _ := tree.ParentEdge(child)
-			if !markedEdge[e.ID()] || !markedNode[child] {
+			if !markedEdge[child] || !markedNode[child] {
 				continue
 			}
 			extended = true
+			e, _ := tree.ParentEdge(child)
 			walk(child, append(rels, child), append(edges, e))
 		}
 		if !extended && len(edges) > 0 {

@@ -32,11 +32,18 @@ type View struct {
 	Key []string
 	// Cols is the union of the constituent relations' attributes.
 	Cols []schema.Column
+
+	name string // Name(), once buildView has run
 }
 
 // Name returns the view's table name, derived from its path: the paper
 // writes Customer-Order-Order_line; SQL identifiers use V_ and underscores.
+// A view assembled by buildView carries it; one put together by hand derives
+// it per call.
 func (v *View) Name() string {
+	if v.name != "" {
+		return v.name
+	}
 	return "V_" + strings.Join(v.Relations, "__")
 }
 
@@ -82,6 +89,7 @@ func buildView(s *schema.Schema, root string, p schema.Path) *View {
 	}
 	last := s.Relation(v.Last())
 	v.Key = append([]string(nil), last.PK...)
+	v.name = v.Name()
 	return v
 }
 
@@ -93,9 +101,14 @@ type ViewIndex struct {
 	// Maintenance marks indexes added for update-tuple construction
 	// rather than query filters.
 	Maintenance bool
+
+	name string
+}
+
+func newViewIndex(v *View, on []string, maintenance bool) *ViewIndex {
+	return &ViewIndex{View: v, On: on, Maintenance: maintenance,
+		name: fmt.Sprintf("IX_%s__%s", v.Name(), strings.Join(on, "_"))}
 }
 
 // Name returns the index table name.
-func (ix *ViewIndex) Name() string {
-	return fmt.Sprintf("IX_%s__%s", ix.View.Name(), strings.Join(ix.On, "_"))
-}
+func (ix *ViewIndex) Name() string { return ix.name }

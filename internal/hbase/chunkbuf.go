@@ -28,14 +28,24 @@ package hbase
 type chunkBuf struct {
 	rows  []RowResult
 	arena Cells
+	// dirty is the arena's high-water mark since the last reset: pairs up to
+	// it may hold references. It can lie beyond len(arena) — a row the filter
+	// drops hands its pairs back — so len alone does not bound what a fill
+	// wrote; rows needs no mark, whoever pops a row zeroes it (fetchChunk).
+	dirty int
 }
+
+// wrote records that a row read has grown the arena to its current length.
+func (b *chunkBuf) wrote() { b.dirty = max(b.dirty, len(b.arena)) }
 
 // reset drops every row and value reference while keeping both backing
 // arrays at capacity, so a pooled buffer never pins row keys or cell
-// values while idle.
+// values while idle. It clears what the fills since the last reset wrote,
+// not the capacity: a buffer that once served a thousand wide rows costs a
+// point read that borrows it one row's worth of clearing.
 func (b *chunkBuf) reset() {
-	clear(b.rows[:cap(b.rows)])
+	clear(b.rows)
 	b.rows = b.rows[:0]
-	clear(b.arena[:cap(b.arena)])
-	b.arena = b.arena[:0]
+	clear(b.arena[:b.dirty])
+	b.arena, b.dirty = b.arena[:0], 0
 }

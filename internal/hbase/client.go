@@ -517,8 +517,9 @@ func (s *Scanner) fetchChunk(ctx *sim.Ctx, r *Region, buf *chunkBuf, resume stri
 	srv := r.Server()
 	buf.reset()
 	examined, next := r.scanChunk(buf, resume, want, s.spec.Reversed, s.spec.Read, s.spec.Filter)
-	for len(buf.rows) > 0 && s.past(buf.rows[len(buf.rows)-1].Key) {
-		buf.rows = buf.rows[:len(buf.rows)-1]
+	for n := len(buf.rows); n > 0 && s.past(buf.rows[n-1].Key); n-- {
+		buf.rows[n-1] = RowResult{} // reset clears rows to its length only
+		buf.rows = buf.rows[:n-1]
 		truncated = true
 	}
 	ctx.CountRowsScanned(examined)

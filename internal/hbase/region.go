@@ -334,6 +334,7 @@ func (r *Region) scanChunk(buf *chunkBuf, from string, limit int, reversed bool,
 		examined++
 		var cells Cells
 		buf.arena, cells = m.read(parts, buf.arena, opts)
+		buf.wrote()
 		if len(cells) == 0 {
 			continue // deleted or invisible row
 		}

@@ -242,3 +242,54 @@ func TestPooledChunkReuseInterleavedScans(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestChunkBufResetClearsDirtiedPrefix pins both halves of chunkBuf.reset: a
+// reset buffer holds no key or value reference anywhere in its backing arrays
+// — also where a filtered-out row handed its pairs back beyond the arena's
+// length — and what reset clears is what the last fill wrote, not what the
+// largest fill before it sized the buffer to.
+func TestChunkBufResetClearsDirtiedPrefix(t *testing.T) {
+	const rows = 1000
+	r := compactedWideRegion(rows)
+	width := len(wideCells(0, 1))
+	buf := &chunkBuf{}
+	requireZero := func(when string) {
+		t.Helper()
+		if len(buf.rows) != 0 || len(buf.arena) != 0 || buf.dirty != 0 {
+			t.Fatalf("%s: reset left %d rows, %d pairs, mark %d", when, len(buf.rows), len(buf.arena), buf.dirty)
+		}
+		for i, row := range buf.rows[:cap(buf.rows)] {
+			if row.Key != "" || row.Cells != nil {
+				t.Fatalf("%s: rows[%d] of %d still holds %q", when, i, cap(buf.rows), row.Key)
+			}
+		}
+		for i, p := range buf.arena[:cap(buf.arena)] {
+			if p.Qualifier != "" || p.Value != nil {
+				t.Fatalf("%s: arena[%d] of %d still holds %q", when, i, cap(buf.arena), p.Qualifier)
+			}
+		}
+	}
+
+	// Every third row is rejected, the last one among them: its pairs lie
+	// beyond len(arena) when the fill ends.
+	n := 0
+	reject := func(RowResult) bool { n++; return n%3 != 1 }
+	if _, next := r.scanChunk(buf, "", 0, false, ReadOpts{}, reject); next != "" || len(buf.rows) != rows-(rows+2)/3 {
+		t.Fatalf("filtered fill gave %d rows, next %q", len(buf.rows), next)
+	}
+	if buf.dirty != len(buf.arena)+width || buf.dirty > cap(buf.arena) {
+		t.Fatalf("mark %d after a fill that ended on a rejected row, want %d pairs + that row's %d", buf.dirty, len(buf.arena), width)
+	}
+	buf.reset()
+	requireZero("after the 1,000-row fill")
+
+	// A one-row fill of the same buffer dirties one row's worth of it.
+	if _, next := r.scanChunk(buf, scanKey(7), 1, false, ReadOpts{}, nil); next == "" || len(buf.rows) != 1 {
+		t.Fatalf("point fill gave %d rows, next %q", len(buf.rows), next)
+	}
+	if buf.dirty != width || cap(buf.arena) < rows/2*width {
+		t.Fatalf("a 1-row fill marks %d of %d pairs dirty, want %d", buf.dirty, cap(buf.arena), width)
+	}
+	buf.reset()
+	requireZero("after the 1-row fill")
+}

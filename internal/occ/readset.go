@@ -70,7 +70,7 @@ func RangeOf(table string, spec hbase.ScanSpec) Range {
 
 // trackingReader wraps a Reader (the transaction's read-your-writes view, or
 // a plain store client) so every point get and scan range lands in the read
-// set. The phoenix openScan/GetRowVia choke points read through it, which is
+// set. The phoenix openScan/GetCells choke points read through it, which is
 // what makes the captured set complete: SELECT scans, index-nested-loop
 // probes, the read-before-write of UPDATE/DELETE and view-maintenance
 // locator reads all pass through one of the two methods.

@@ -9,9 +9,19 @@
 // a cell — one type-tag byte and a payload (EncodeValue), absent for NULL —
 // and the executor's tuples, its join and GROUP BY keys, its comparisons and
 // aggregates, and the RowCursor a statement is served through all work on
-// cells (see tuple). Values are decoded at the map-returning Query API
-// boundary (DrainCursor) and nowhere before it; a wire server never decodes
-// them at all.
+// cells (see tuple); hash join and GROUP BY number their keys in one keyTable.
+// Values are decoded at the map-returning Query API boundary (DrainCursor)
+// and nowhere before it; a wire server never decodes them at all.
+//
+// Writes have the same row model. A row on the write path is its attribute
+// cells in qualifier order: BindWrite encodes a statement's values once
+// (Write), GetCells reads a stored row as cells, MergeCells lays one row over
+// another — a parent under its child for a view row, a stored row under an
+// assignment for an update, where a NULL assignment is a column tombstone —
+// and AppendKeyOfCells is the one builder of every row key and index key,
+// held byte-equal to schema.EncodeKey by a fuzz target. PutCells, UpdateRow
+// and DeleteRow turn that into mutations. A schema.Row is built only for
+// callers that ask for one: PutRow and GetRow, for loaders, checks and tests.
 //
 // That rests on one lifetime rule, the store's: a scanner recycles the Cells
 // window of a row it returned — the slice of qualifier/value pairs — on its
@@ -222,29 +232,4 @@ func (c *Catalog) Views() []*TableInfo {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// IndexKey builds the row key of an index entry for the given row.
-func IndexKey(t *TableInfo, idx *IndexInfo, row schema.Row) string {
-	vals := make([]schema.Value, 0, len(idx.On)+len(t.Key))
-	for _, c := range idx.On {
-		vals = append(vals, row[c])
-	}
-	for _, c := range t.Key {
-		vals = append(vals, row[c])
-	}
-	return schema.EncodeKey(vals...)
-}
-
-// PrimaryKey builds the row key of a table row.
-func PrimaryKey(t *TableInfo, row schema.Row) (string, error) {
-	vals := make([]schema.Value, 0, len(t.Key))
-	for _, c := range t.Key {
-		v, ok := row[c]
-		if !ok || v == nil {
-			return "", fmt.Errorf("%w: %s.%s", ErrKeyNotSpecified, t.Name, c)
-		}
-		vals = append(vals, v)
-	}
-	return schema.EncodeKey(vals...), nil
 }

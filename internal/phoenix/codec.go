@@ -9,6 +9,7 @@ import (
 
 	"synergy/internal/hbase"
 	"synergy/internal/schema"
+	"synergy/internal/sim"
 )
 
 // Value cell encoding: one type-tag byte followed by the payload. NULLs are
@@ -110,6 +111,7 @@ func RowToCells(row schema.Row) []hbase.Cell {
 // attribute cells to dst, marker columns (leading underscore) dropped,
 // qualifier order kept, value bytes shared with the store.
 func AppendRowCells(dst []hbase.Cell, res hbase.RowResult) []hbase.Cell {
+	dst = slices.Grow(dst, len(res.Cells))
 	for _, p := range res.Cells {
 		if len(p.Qualifier) > 0 && p.Qualifier[0] == '_' {
 			continue
@@ -119,32 +121,102 @@ func AppendRowCells(dst []hbase.Cell, res hbase.RowResult) []hbase.Cell {
 	return dst
 }
 
+// GetCells reads the row under key through r — the store client, a
+// transaction's read-your-writes view, an OCC transaction's tracking reader —
+// and returns its attribute cells (AppendRowCells), nil for a row that has
+// none. It is the point read of the write path: what it returns is keyed,
+// merged and put back without decoding a value.
+func GetCells(ctx *sim.Ctx, r hbase.Reader, table, key string, read hbase.ReadOpts) ([]hbase.Cell, error) {
+	res, err := r.Get(ctx, table, key, read)
+	if err != nil || res.Empty() {
+		return nil, err
+	}
+	return AppendRowCells(nil, res), nil
+}
+
+// MergeCells appends to dst the qualifier-ordered union of two encoded rows,
+// over's cell where both carry a qualifier. It is the one row merge of the
+// write path and of population: a view row is its parent row under the child's
+// (a schema's attribute names are unique, so they share none), an updated row
+// is the stored row under the assignment — whose column tombstones (a NULL
+// assignment) take the stored cell away and leave none.
+func MergeCells(dst, under, over []hbase.Cell) []hbase.Cell {
+	for len(under) > 0 && len(over) > 0 {
+		c := strings.Compare(under[0].Qualifier, over[0].Qualifier)
+		if c < 0 {
+			dst, under = append(dst, under[0]), under[1:]
+			continue
+		}
+		if c == 0 {
+			under = under[1:]
+		}
+		if over[0].Type == hbase.TypePut {
+			dst = append(dst, over[0])
+		}
+		over = over[1:]
+	}
+	dst = append(dst, under...)
+	for _, c := range over {
+		if c.Type == hbase.TypePut {
+			dst = append(dst, c)
+		}
+	}
+	return dst
+}
+
+// appendKeyPart appends the key part of one encoded value — the bytes
+// schema.EncodeKey gives the decoded value, through the same per-type
+// appenders — preceded by the separator when buf already holds a part. An
+// empty value is a NULL part; null reports that.
+func appendKeyPart(buf, v []byte) (key []byte, null bool) {
+	if len(buf) > 0 {
+		buf = append(buf, schema.KeySep)
+	}
+	switch RawCellKind(v) {
+	case CellInt:
+		return schema.AppendKeyInt(buf, RawCellInt(v)), false
+	case CellFloat:
+		return schema.AppendKeyFloat(buf, RawCellFloat(v)), false
+	case CellString:
+		return schema.AppendKeyString(buf, RawCellBytes(v)), false
+	default:
+		return schema.AppendKeyNull(buf), true
+	}
+}
+
 // AppendKeyOfCells appends to buf the row key an encoded row (cells in
-// qualifier order) has over cols, continuing the key buf already holds: the
-// bytes schema.EncodeKey gives the decoded values, built from the cells
-// through the same per-type appenders. An absent cell is a NULL part; null
-// reports whether there was one.
+// qualifier order) has over cols, continuing the key buf already holds. It is
+// the write path's one key builder — row keys, index keys, foreign keys, lock
+// keys. An absent cell is a NULL part; null reports whether there was one.
 func AppendKeyOfCells(buf []byte, cells []hbase.Cell, cols []string) (key []byte, null bool) {
 	for _, col := range cols {
-		if len(buf) > 0 {
-			buf = append(buf, schema.KeySep)
-		}
 		var v []byte
 		if i, ok := slices.BinarySearchFunc(cells, col, func(c hbase.Cell, q string) int { return strings.Compare(c.Qualifier, q) }); ok {
 			v = cells[i].Value
 		}
-		switch RawCellKind(v) {
-		case CellInt:
-			buf = schema.AppendKeyInt(buf, RawCellInt(v))
-		case CellFloat:
-			buf = schema.AppendKeyFloat(buf, RawCellFloat(v))
-		case CellString:
-			buf = schema.AppendKeyString(buf, RawCellBytes(v))
-		default:
-			buf, null = schema.AppendKeyNull(buf), true
-		}
+		var n bool
+		buf, n = appendKeyPart(buf, v)
+		null = null || n
 	}
 	return buf, null
+}
+
+// AppendKeyOfRow is AppendKeyOfCells over a row as a read returns it, for
+// keys compared or taken where the row is read (a scan filter, a maintenance
+// index entry) without copying its cells first.
+func AppendKeyOfRow(buf []byte, row hbase.Cells, cols []string) []byte {
+	for _, col := range cols {
+		buf, _ = appendKeyPart(buf, row.Get(col))
+	}
+	return buf
+}
+
+// AppendIndexKey appends the key of the entry a row (cells in qualifier order)
+// has in index idx of table t: the indexed columns, then the table's key.
+func AppendIndexKey(buf []byte, t *TableInfo, idx *IndexInfo, cells []hbase.Cell) []byte {
+	buf, _ = AppendKeyOfCells(buf, cells, idx.On)
+	buf, _ = AppendKeyOfCells(buf, cells, t.Key)
+	return buf
 }
 
 // IndexCells returns the cells an index entry stores for a row whose own

@@ -1,7 +1,10 @@
 package phoenix
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
+	"strings"
 
 	"synergy/internal/hbase"
 	"synergy/internal/schema"
@@ -36,7 +39,7 @@ type WriteOpts struct {
 	// Reader, when set, overrides the read side of the write path: the
 	// read-before-write of UPDATE/DELETE and every maintenance read go
 	// through it instead of the Mutator's view. OCC transactions pass
-	// their read-set-tracking reader here so the GetRowVia choke point
+	// their read-set-tracking reader here so the GetCells choke point
 	// records every key the transaction's writes depended on.
 	Reader hbase.Reader
 }
@@ -51,15 +54,107 @@ func (o WriteOpts) Notify(table, key string) {
 // with the paper's restrictions (§IV), writes must specify every key
 // attribute and affect a single base-table row.
 func (e *Engine) Exec(ctx *sim.Ctx, stmt sqlparser.Statement, params []schema.Value, opts WriteOpts) error {
+	w, err := e.BindWrite(stmt, params)
+	if err != nil {
+		return err
+	}
+	return e.ExecWrite(ctx, w, opts)
+}
+
+// Write is a write statement bound to its parameters, in the form the whole
+// write path works on: the table, the key of the one row it writes, and the
+// statement's cells in qualifier order — an INSERT's row (a NULL is no cell),
+// an UPDATE's assignment (a NULL is a column tombstone), nothing for a DELETE.
+// The cells are encoded once, and every mutation the statement fans out into
+// — base row, index entries, view rows — shares them: they are never written
+// again except by StampCells, on the statement's own goroutine.
+type Write struct {
+	Stmt  sqlparser.Statement // what it was bound from
+	Table *TableInfo
+	Key   string
+	Cells []hbase.Cell
+}
+
+// BindWrite resolves a write statement against the catalog and its
+// parameters.
+func (e *Engine) BindWrite(stmt sqlparser.Statement, params []schema.Value) (*Write, error) {
 	switch s := stmt.(type) {
 	case *sqlparser.InsertStmt:
-		return e.execInsert(ctx, s, params, opts)
+		t, err := e.cat.Table(s.Table)
+		if err != nil {
+			return nil, err
+		}
+		ncols := len(s.Columns)
+		if ncols == 0 {
+			ncols = len(t.Cols)
+		}
+		if ncols != len(s.Values) {
+			return nil, fmt.Errorf("phoenix: %d columns, %d values", ncols, len(s.Values))
+		}
+		set := make([]sqlparser.Assignment, len(s.Values))
+		for i, v := range s.Values {
+			set[i].Value = v
+			if len(s.Columns) > 0 {
+				set[i].Column = s.Columns[i]
+			} else {
+				set[i].Column = t.Cols[i].Name
+			}
+		}
+		cells, err := encodeCells(t, set, params, false)
+		if err != nil {
+			return nil, err
+		}
+		var buf [64]byte
+		key, null := AppendKeyOfCells(buf[:0], cells, t.Key)
+		if null {
+			return nil, fmt.Errorf("%w: %s needs every one of %v", ErrKeyNotSpecified, t.Name, t.Key)
+		}
+		return &Write{Stmt: s, Table: t, Key: string(key), Cells: cells}, nil
+
 	case *sqlparser.UpdateStmt:
-		return e.execUpdate(ctx, s, params, opts)
+		t, err := e.cat.Table(s.Table)
+		if err != nil {
+			return nil, err
+		}
+		key, err := keyFromWhere(t, s.Where, params)
+		if err != nil {
+			return nil, err
+		}
+		for _, a := range s.Set {
+			if slices.Contains(t.Key, a.Column) {
+				return nil, fmt.Errorf("%w: cannot update key attribute %s.%s", ErrUnsupported, t.Name, a.Column)
+			}
+		}
+		cells, err := encodeCells(t, s.Set, params, true)
+		if err != nil {
+			return nil, err
+		}
+		return &Write{Stmt: s, Table: t, Key: key, Cells: cells}, nil
+
 	case *sqlparser.DeleteStmt:
-		return e.execDelete(ctx, s, params, opts)
+		t, err := e.cat.Table(s.Table)
+		if err != nil {
+			return nil, err
+		}
+		key, err := keyFromWhere(t, s.Where, params)
+		if err != nil {
+			return nil, err
+		}
+		return &Write{Stmt: s, Table: t, Key: key}, nil
 	default:
-		return fmt.Errorf("%w: %T", ErrUnsupported, stmt)
+		return nil, fmt.Errorf("%w: %T", ErrUnsupported, stmt)
+	}
+}
+
+// ExecWrite applies a bound write to its table and the table's indexes.
+func (e *Engine) ExecWrite(ctx *sim.Ctx, w *Write, opts WriteOpts) error {
+	switch w.Stmt.(type) {
+	case *sqlparser.InsertStmt:
+		return e.PutCells(ctx, w.Table, w.Cells, opts)
+	case *sqlparser.UpdateStmt:
+		return e.UpdateRow(ctx, w.Table, w.Key, w.Cells, opts)
+	default:
+		return e.DeleteRow(ctx, w.Table, w.Key, opts)
 	}
 }
 
@@ -77,69 +172,86 @@ func evalConst(e sqlparser.Expr, params []schema.Value) (schema.Value, error) {
 	}
 }
 
-// keyFromWhere extracts the full-key equality values from a WHERE clause,
-// erroring when any key attribute is unbound (multi-row writes are not
-// supported, §IV).
-func keyFromWhere(t *TableInfo, where []sqlparser.Predicate, params []schema.Value) (schema.Row, error) {
-	bound := schema.Row{}
-	for _, p := range where {
-		col, ok := p.Left.(sqlparser.ColumnRef)
-		if !ok || p.Op != sqlparser.OpEq {
-			return nil, fmt.Errorf("%w: write WHERE must be key equality, got %s", ErrUnsupported, p)
+// encodeCells evaluates a statement's column = value pairs and encodes them
+// as cells in qualifier order, the values windows into one buffer as
+// RowToCells lays them out. A NULL is left out of an inserted row; in an
+// assignment it is the column's tombstone, so the update takes the stored
+// value away instead of keeping it.
+func encodeCells(t *TableInfo, set []sqlparser.Assignment, params []schema.Value, assignment bool) ([]hbase.Cell, error) {
+	size := 0
+	for _, a := range set {
+		if !t.HasColumn(a.Column) {
+			return nil, fmt.Errorf("%w: %s.%s", ErrUnknownColumn, t.Name, a.Column)
 		}
-		v, err := evalConst(p.Right, params)
+		v, err := evalConst(a.Value, params)
 		if err != nil {
 			return nil, err
 		}
-		bound[col.Column] = v
-	}
-	for _, k := range t.Key {
-		if _, ok := bound[k]; !ok {
-			return nil, fmt.Errorf("%w: %s.%s", ErrKeyNotSpecified, t.Name, k)
+		if v != nil {
+			size += encodedLen(v)
 		}
 	}
-	return bound, nil
+	buf := make([]byte, 0, size)
+	cells := make([]hbase.Cell, 0, len(set))
+	for _, a := range set {
+		v, _ := evalConst(a.Value, params)
+		switch {
+		case v != nil:
+			at := len(buf)
+			buf = AppendValue(buf, v)
+			cells = append(cells, hbase.Cell{Qualifier: a.Column, Value: buf[at:len(buf):len(buf)]})
+		case assignment:
+			cells = append(cells, hbase.Cell{Qualifier: a.Column, Type: hbase.TypeDeleteCol})
+		}
+	}
+	slices.SortFunc(cells, func(a, b hbase.Cell) int { return strings.Compare(a.Qualifier, b.Qualifier) })
+	for i := 1; i < len(cells); i++ {
+		if cells[i].Qualifier == cells[i-1].Qualifier {
+			return nil, fmt.Errorf("%w: column %s.%s specified twice", ErrUnsupported, t.Name, cells[i].Qualifier)
+		}
+	}
+	return cells, nil
 }
 
-func (e *Engine) execInsert(ctx *sim.Ctx, s *sqlparser.InsertStmt, params []schema.Value, opts WriteOpts) error {
-	t, err := e.cat.Table(s.Table)
-	if err != nil {
-		return err
+// unboundKey marks a key attribute keyFromWhere has seen no equality for.
+type unboundKey struct{}
+
+// keyFromWhere builds the row key a write's WHERE clause names, erroring when
+// any key attribute is unbound (multi-row writes are not supported, §IV).
+func keyFromWhere(t *TableInfo, where []sqlparser.Predicate, params []schema.Value) (string, error) {
+	vals := make([]schema.Value, len(t.Key))
+	for i := range vals {
+		vals[i] = unboundKey{}
 	}
-	cols := s.Columns
-	if len(cols) == 0 {
-		cols = t.ColumnNames()
-	}
-	if len(cols) != len(s.Values) {
-		return fmt.Errorf("phoenix: %d columns, %d values", len(cols), len(s.Values))
-	}
-	row := schema.Row{}
-	for i, c := range cols {
-		if !t.HasColumn(c) {
-			return fmt.Errorf("%w: %s.%s", ErrUnknownColumn, s.Table, c)
+	for _, p := range where {
+		col, ok := p.Left.(sqlparser.ColumnRef)
+		if !ok || p.Op != sqlparser.OpEq {
+			return "", fmt.Errorf("%w: write WHERE must be key equality, got %s", ErrUnsupported, p)
 		}
-		v, err := evalConst(s.Values[i], params)
+		v, err := evalConst(p.Right, params)
 		if err != nil {
-			return err
+			return "", err
 		}
-		row[c] = v
+		if i := slices.Index(t.Key, col.Column); i >= 0 {
+			vals[i] = v
+		}
 	}
-	return e.PutRow(ctx, t, row, opts)
+	for i, v := range vals {
+		if _, unbound := v.(unboundKey); unbound {
+			return "", fmt.Errorf("%w: %s.%s", ErrKeyNotSpecified, t.Name, t.Key[i])
+		}
+	}
+	return schema.EncodeKey(vals...), nil
 }
 
-// IndexTouched reports whether an assignment affects an index's stored
-// content.
-func IndexTouched(t *TableInfo, idx *IndexInfo, assign schema.Row) bool {
+// IndexTouched reports whether an assignment (cells in qualifier order)
+// affects an index's stored content.
+func IndexTouched(t *TableInfo, idx *IndexInfo, assign []hbase.Cell) bool {
 	if !idx.KeyOnly {
 		return true
 	}
-	for _, c := range idx.On {
-		if _, ok := assign[c]; ok {
-			return true
-		}
-	}
-	for _, c := range t.Key {
-		if _, ok := assign[c]; ok {
+	for _, c := range assign {
+		if slices.Contains(idx.On, c.Qualifier) || slices.Contains(t.Key, c.Qualifier) {
 			return true
 		}
 	}
@@ -259,119 +371,78 @@ func (b *WriteBatch) notify() {
 	b.notifies = b.notifies[:0]
 }
 
-// PutRow writes one full row to a table and all of its indexes (Phoenix
-// maintains indexes synchronously on the write path). The base put and
-// every index put travel in one batch flush.
+// PutRow is PutCells for a row still boxed: tests and the figure harness
+// load through it; a statement's row arrives encoded (BindWrite).
 func (e *Engine) PutRow(ctx *sim.Ctx, t *TableInfo, row schema.Row, opts WriteOpts) error {
+	return e.PutCells(ctx, t, RowToCells(row), opts)
+}
+
+// PutCells writes one full row — its attribute cells in qualifier order — to
+// a table and all of its indexes (Phoenix maintains indexes synchronously on
+// the write path). The base put and every index put travel in one batch
+// flush.
+func (e *Engine) PutCells(ctx *sim.Ctx, t *TableInfo, cells []hbase.Cell, opts WriteOpts) error {
+	var buf [64]byte
+	key, null := AppendKeyOfCells(buf[:0], cells, t.Key)
+	if null {
+		return fmt.Errorf("%w: a %s row needs every one of %v", ErrKeyNotSpecified, t.Name, t.Key)
+	}
 	b := e.NewWriteBatch(opts)
-	if err := e.putRowInto(ctx, b, t, row); err != nil {
+	cells = StampCells(cells, opts.TS)
+	if err := b.Put(ctx, t.Name, string(key), cells); err != nil {
 		return err
+	}
+	for _, idx := range t.Indexes {
+		ikey := AppendIndexKey(buf[:0], t, idx, cells)
+		if err := b.Put(ctx, idx.Name, string(ikey), IndexCells(t, idx, cells)); err != nil {
+			return err
+		}
 	}
 	return b.Flush(ctx)
 }
 
-func (e *Engine) putRowInto(ctx *sim.Ctx, b *WriteBatch, t *TableInfo, row schema.Row) error {
-	key, err := PrimaryKey(t, row)
-	if err != nil {
-		return err
-	}
-	cells := StampCells(RowToCells(row), b.opts.TS)
-	if err := b.Put(ctx, t.Name, key, cells); err != nil {
-		return err
-	}
-	for _, idx := range t.Indexes {
-		ikey := IndexKey(t, idx, row)
-		icells := StampCells(IndexCells(t, idx, cells), b.opts.TS)
-		if err := b.Put(ctx, idx.Name, ikey, icells); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// GetRow reads one row by primary key values from the store.
+// GetRow reads one row by primary key values from the store and decodes it —
+// for checks, probes and the figure harness; the write path reads GetCells.
 func (e *Engine) GetRow(ctx *sim.Ctx, t *TableInfo, read hbase.ReadOpts, keyVals ...schema.Value) (schema.Row, bool, error) {
-	return e.GetRowVia(ctx, e.client, t, read, keyVals...)
-}
-
-// GetRowVia reads one row by primary key values through an explicit reader
-// — the store client, or a transaction's read-your-writes view.
-func (e *Engine) GetRowVia(ctx *sim.Ctx, r hbase.Reader, t *TableInfo, read hbase.ReadOpts, keyVals ...schema.Value) (schema.Row, bool, error) {
 	if len(keyVals) != len(t.Key) {
 		return nil, false, fmt.Errorf("%w: %s wants %d key values, got %d", ErrKeyNotSpecified, t.Name, len(t.Key), len(keyVals))
 	}
-	res, err := r.Get(ctx, t.Name, schema.EncodeKey(keyVals...), read)
-	if err != nil {
+	res, err := e.client.Get(ctx, t.Name, schema.EncodeKey(keyVals...), read)
+	if err != nil || res.Empty() {
 		return nil, false, err
-	}
-	if res.Empty() {
-		return nil, false, nil
 	}
 	return CellsToRow(res), true, nil
 }
 
-func (e *Engine) execUpdate(ctx *sim.Ctx, s *sqlparser.UpdateStmt, params []schema.Value, opts WriteOpts) error {
-	t, err := e.cat.Table(s.Table)
-	if err != nil {
-		return err
-	}
-	bound, err := keyFromWhere(t, s.Where, params)
-	if err != nil {
-		return err
-	}
-	assign := schema.Row{}
-	for _, a := range s.Set {
-		if !t.HasColumn(a.Column) {
-			return fmt.Errorf("%w: %s.%s", ErrUnknownColumn, s.Table, a.Column)
-		}
-		v, err := evalConst(a.Value, params)
-		if err != nil {
-			return err
-		}
-		assign[a.Column] = v
-	}
-	keyVals := make([]schema.Value, len(t.Key))
-	for i, k := range t.Key {
-		keyVals[i] = bound[k]
-		if _, changed := assign[k]; changed {
-			return fmt.Errorf("%w: cannot update key attribute %s.%s", ErrUnsupported, t.Name, k)
-		}
-	}
-	return e.UpdateRow(ctx, t, keyVals, assign, opts)
-}
-
-// UpdateRow applies assignments to one row identified by key values,
-// maintaining indexes. The read-before-write (it feeds index key
-// computation) goes through the transaction overlay when one is present, so
-// an update inside a transaction sees the transaction's own buffered
-// writes; the base put and every index delete/put emit into one batch.
-func (e *Engine) UpdateRow(ctx *sim.Ctx, t *TableInfo, keyVals []schema.Value, assign schema.Row, opts WriteOpts) error {
-	old, found, err := e.GetRowVia(ctx, e.Reader(opts), t, opts.Read, keyVals...)
-	if err != nil {
-		return err
-	}
-	if !found {
-		return nil // SQL UPDATE of a missing row affects zero rows
-	}
-	updated := old.Clone()
-	for c, v := range assign {
-		updated[c] = v
+// UpdateRow applies an assignment (BindWrite's cells: qualifier order, a NULL
+// as a column tombstone) to the row under key, maintaining indexes. The
+// read-before-write (it feeds index key computation) goes through the
+// transaction overlay when one is present, so an update inside a transaction
+// sees the transaction's own buffered writes; the base put and every index
+// delete/put emit into one batch. The updated row is the stored row's cells
+// under the assignment's (MergeCells), and index keys come from the cells.
+func (e *Engine) UpdateRow(ctx *sim.Ctx, t *TableInfo, key string, assign []hbase.Cell, opts WriteOpts) error {
+	old, err := GetCells(ctx, e.Reader(opts), t.Name, key, opts.Read)
+	if err != nil || old == nil {
+		return err // SQL UPDATE of a missing row affects zero rows
 	}
 	b := e.NewWriteBatch(opts)
-	key := schema.EncodeKey(keyVals...)
-	if err := b.Put(ctx, t.Name, key, StampCells(RowToCells(assign), opts.TS)); err != nil {
+	assign = StampCells(assign, opts.TS)
+	if err := b.Put(ctx, t.Name, key, assign); err != nil {
 		return err
 	}
-
+	var updated []hbase.Cell
+	if len(t.Indexes) > 0 {
+		updated = StampCells(MergeCells(make([]hbase.Cell, 0, len(old)+len(assign)), old, assign), opts.TS)
+	}
+	var obuf, nbuf [64]byte
 	for _, idx := range t.Indexes {
-		oldKey := IndexKey(t, idx, old)
-		newKey := IndexKey(t, idx, updated)
-		if oldKey != newKey {
-			if err := b.Delete(ctx, idx.Name, oldKey, opts.TS); err != nil {
+		oldKey, newKey := AppendIndexKey(obuf[:0], t, idx, old), AppendIndexKey(nbuf[:0], t, idx, updated)
+		if !bytes.Equal(oldKey, newKey) {
+			if err := b.Delete(ctx, idx.Name, string(oldKey), opts.TS); err != nil {
 				return err
 			}
-			icells := StampCells(IndexCells(t, idx, RowToCells(updated)), opts.TS)
-			if err := b.Put(ctx, idx.Name, newKey, icells); err != nil {
+			if err := b.Put(ctx, idx.Name, string(newKey), IndexCells(t, idx, updated)); err != nil {
 				return err
 			}
 			continue
@@ -379,51 +450,32 @@ func (e *Engine) UpdateRow(ctx *sim.Ctx, t *TableInfo, keyVals []schema.Value, a
 		if !IndexTouched(t, idx, assign) {
 			continue // key-only index content unchanged
 		}
-		icells := StampCells(IndexCells(t, idx, RowToCells(assign)), opts.TS)
+		icells := IndexCells(t, idx, assign)
 		if len(icells) == 0 {
 			continue
 		}
-		if err := b.Put(ctx, idx.Name, newKey, icells); err != nil {
+		if err := b.Put(ctx, idx.Name, string(newKey), icells); err != nil {
 			return err
 		}
 	}
 	return b.Flush(ctx)
 }
 
-func (e *Engine) execDelete(ctx *sim.Ctx, s *sqlparser.DeleteStmt, params []schema.Value, opts WriteOpts) error {
-	t, err := e.cat.Table(s.Table)
-	if err != nil {
-		return err
-	}
-	bound, err := keyFromWhere(t, s.Where, params)
-	if err != nil {
-		return err
-	}
-	keyVals := make([]schema.Value, len(t.Key))
-	for i, k := range t.Key {
-		keyVals[i] = bound[k]
-	}
-	return e.DeleteRow(ctx, t, keyVals, opts)
-}
-
-// DeleteRow removes one row by key values, cleaning up index entries. The
+// DeleteRow removes the row under key, cleaning up index entries. The
 // read-before-write consults the transaction overlay when one is present;
 // the base tombstone and every index tombstone emit into one batch.
-func (e *Engine) DeleteRow(ctx *sim.Ctx, t *TableInfo, keyVals []schema.Value, opts WriteOpts) error {
-	old, found, err := e.GetRowVia(ctx, e.Reader(opts), t, opts.Read, keyVals...)
-	if err != nil {
+func (e *Engine) DeleteRow(ctx *sim.Ctx, t *TableInfo, key string, opts WriteOpts) error {
+	old, err := GetCells(ctx, e.Reader(opts), t.Name, key, opts.Read)
+	if err != nil || old == nil {
 		return err
 	}
-	if !found {
-		return nil
-	}
 	b := e.NewWriteBatch(opts)
-	key := schema.EncodeKey(keyVals...)
 	if err := b.Delete(ctx, t.Name, key, opts.TS); err != nil {
 		return err
 	}
+	var buf [64]byte
 	for _, idx := range t.Indexes {
-		if err := b.Delete(ctx, idx.Name, IndexKey(t, idx, old), opts.TS); err != nil {
+		if err := b.Delete(ctx, idx.Name, string(AppendIndexKey(buf[:0], t, idx, old)), opts.TS); err != nil {
 			return err
 		}
 	}

@@ -519,9 +519,10 @@ func (q *query) joinBinding(ctx *sim.Ctx, outer []tuple, b *binding, joined map[
 		}
 	}
 
-	// Hash join: scan inner fully (with local filters pushed down), build
-	// hash on inner, probe with outer. Rows sharing a key chain through
-	// next in scan order, so matches come out in the order they were read.
+	// Hash join: scan inner fully (with local filters pushed down), number
+	// its distinct keys, probe with outer. Rows sharing a key chain through
+	// next from the first one read (head, by key id) — the build walks inner
+	// backwards to get that — so matches come out in the order they were read.
 	inner, err := q.scanBinding(ctx, b, q.fullPlan(b), false)
 	if err != nil {
 		return nil, err
@@ -532,28 +533,26 @@ func (q *query) joinBinding(ctx *sim.Ctx, outer []tuple, b *binding, joined map[
 	for i := range innerCols {
 		innerSlots[i], outerSlots[i] = innerCols[i].i, outerCols[i].slot()
 	}
-	heads := make(map[string]int32, len(inner))
-	next := make([]int32, len(inner))
-	last := make([]int32, len(inner))
+	keys := newKeyTable(len(inner))
+	links := make([]int32, 2*len(inner))
+	head, next := links[:len(inner)], links[len(inner):]
 	var key []byte
-	for i, t := range inner {
-		key = appendKey(key[:0], t.vals, innerSlots)
+	for i := len(inner) - 1; i >= 0; i-- {
+		key = appendKey(key[:0], inner[i].vals, innerSlots)
+		id, added := keys.insert(key)
 		next[i] = -1
-		if h, ok := heads[string(key)]; ok {
-			next[last[h]] = int32(i)
-			last[h] = int32(i)
-		} else {
-			heads[string(key)] = int32(i)
-			last[i] = int32(i)
+		if !added {
+			next[i] = head[id]
 		}
+		head[id] = int32(i)
 	}
 	ctx.Charge(sim.Micros(int64(len(inner)) * int64(costs.JoinBuildRow)))
 
 	var out []tuple
 	for _, o := range outer {
 		key = appendKey(key[:0], o.vals, outerSlots)
-		if h, ok := heads[string(key)]; ok {
-			for i := h; i >= 0; i = next[i] {
+		if id := keys.find(key); id >= 0 {
+			for i := head[id]; i >= 0; i = next[i] {
 				out = append(out, q.merge(o, b, inner[i]))
 			}
 		}
@@ -700,7 +699,7 @@ const (
 // appendKey appends the hash key of the encoded values vals[slots...] to buf:
 // values of different types, or different values of one type, never share a
 // key, except that a number keys alike as int64 and as float64. Callers reuse
-// buf across rows and look maps up with string(buf), which does not allocate.
+// buf across rows; a keyTable copies the keys it keeps.
 func appendKey(buf []byte, vals [][]byte, slots []int) []byte {
 	for _, s := range slots {
 		switch v := vals[s]; RawCellKind(v) {
@@ -845,9 +844,10 @@ func (st *aggState) appendResult(buf []byte, fn string) (grown, val []byte) {
 // aggregate evaluates GROUP BY + aggregate select items. Each output row
 // holds one slot per select item — the aggregate's value, or a plain column
 // carried over from the group's first row — followed by the GROUP BY key
-// values. Group state lives in two flat arrays and the computed values of
-// every output row in one buffer, so a group costs its map key and nothing
-// else.
+// values. A group is its key's id in a keyTable: its state lives in two flat
+// arrays indexed by that id and the computed values of every output row in
+// one buffer, so groups come out in first-seen order and cost no allocation
+// each.
 func (q *query) aggregate(ctx *sim.Ctx, tuples []tuple) []tuple {
 	groupSlots := make([]int, len(q.groupBy))
 	for i, c := range q.groupBy {
@@ -861,16 +861,15 @@ func (q *query) aggregate(ctx *sim.Ctx, tuples []tuple) []tuple {
 		}
 	}
 
-	index := map[string]int{}
-	var reps []tuple      // each group's first row, in first-seen order
+	groups := newKeyTable(32)
+	var reps []tuple      // each group's first row, by group id
 	var states []aggState // n per group
 	var key []byte
 	for _, t := range tuples {
 		key = appendKey(key[:0], t.vals, groupSlots)
-		gi, ok := index[string(key)]
-		if !ok {
-			gi = len(reps)
-			index[string(key)] = gi
+		id, added := groups.insert(key)
+		gi := int(id)
+		if added {
 			reps = append(reps, t)
 			states = append(states, make([]aggState, n)...)
 		}

@@ -206,23 +206,3 @@ func TestMaterializedCursorZeroAllocsPerRow(t *testing.T) {
 		t.Fatalf("stepped %d rows (last value %q), want all 1,000 of the join", rows, rawSink)
 	}
 }
-
-// TestGroupByAllocsSublinear pins the executor's side of it: a GROUP BY over
-// 20,000 scanned rows allocates per scan chunk, slab and group, not per row.
-func TestGroupByAllocsSublinear(t *testing.T) {
-	eng := groupByDB(t)
-	sel, err := sqlparser.ParseSelect(groupBySQL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const rows = 20000
-	var groups int
-	n := testing.AllocsPerRun(2, func() { groups = drainRaw(t, eng, sim.NewCtx(), sel) })
-	if groups != 86 {
-		t.Fatalf("%d groups, want 86", groups)
-	}
-	if n >= rows/50 {
-		t.Errorf("%v allocations for a %d-row GROUP BY, want fewer than %d", n, rows, rows/50)
-	}
-	t.Logf("%v allocations over %d rows", n, rows)
-}

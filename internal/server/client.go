@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -28,6 +29,11 @@ func (e *MySQLError) Error() string {
 type Client struct {
 	nc net.Conn
 	pc *packetConn
+	// pkt is the one packet scratch every response is read through — a
+	// response's leading packet, its column definitions, its rows — and defs
+	// gathers a result-set header's definitions, each behind its length. One
+	// response is in flight per connection, so neither is ever shared.
+	pkt, defs []byte
 }
 
 // Dial connects and handshakes. Network "inproc" dials a named in-process
@@ -118,7 +124,7 @@ func (c *Client) Ping() error {
 	if err := c.command([]byte{comPing}); err != nil {
 		return err
 	}
-	_, _, err := c.readResult(false)
+	_, _, err := c.readResult(false, nil)
 	return err
 }
 
@@ -136,7 +142,7 @@ func (c *Client) Exec(sql string) error {
 	if err := c.command(append([]byte{comQuery}, sql...)); err != nil {
 		return err
 	}
-	_, _, err := c.readResult(false)
+	_, _, err := c.readResult(false, nil)
 	return err
 }
 
@@ -146,7 +152,7 @@ func (c *Client) Query(sql string) (*phoenix.ResultSet, error) {
 	if err := c.command(append([]byte{comQuery}, sql...)); err != nil {
 		return nil, err
 	}
-	rs, _, err := c.readResult(false)
+	rs, _, err := c.readResult(false, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -164,7 +170,7 @@ func (c *Client) QueryStream(sql string) (*ClientRows, error) {
 	if err := c.command(append([]byte{comQuery}, sql...)); err != nil {
 		return nil, err
 	}
-	rows, _, err := c.readResponse(false)
+	rows, _, err := c.readResponse(false, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -213,6 +219,18 @@ type ClientStmt struct {
 	id        uint32
 	numParams int
 	closed    bool
+	// last is the header of the statement's previous result set: the next
+	// execution, which nearly always describes the same columns, reuses its
+	// names and types instead of parsing them again.
+	last header
+}
+
+// header is a result set's column names and wire types, with the definition
+// packets (as Client.defs gathers them) they were parsed from.
+type header struct {
+	defs  []byte
+	names []string
+	types []byte
 }
 
 // Prepare sends COM_STMT_PREPARE.
@@ -306,7 +324,7 @@ func (s *ClientStmt) Exec(args ...schema.Value) error {
 	if err := s.execute(args); err != nil {
 		return err
 	}
-	_, _, err := s.c.readResult(true)
+	_, _, err := s.c.readResult(true, &s.last)
 	return err
 }
 
@@ -315,7 +333,7 @@ func (s *ClientStmt) Query(args ...schema.Value) (*phoenix.ResultSet, error) {
 	if err := s.execute(args); err != nil {
 		return nil, err
 	}
-	rs, _, err := s.c.readResult(true)
+	rs, _, err := s.c.readResult(true, &s.last)
 	if err != nil {
 		return nil, err
 	}
@@ -331,7 +349,7 @@ func (s *ClientStmt) QueryStream(args ...schema.Value) (*ClientRows, error) {
 	if err := s.execute(args); err != nil {
 		return nil, err
 	}
-	rows, _, err := s.c.readResponse(true)
+	rows, _, err := s.c.readResponse(true, &s.last)
 	if err != nil {
 		return nil, err
 	}
@@ -375,8 +393,8 @@ func isEOFPacket(p []byte) bool { return len(p) > 0 && len(p) < 9 && p[0] == 0xf
 // fully drained result set for a row response, an error for ERR. It is the
 // materialized convenience over readResponse/ClientRows, the way the
 // server's Query API drains its own cursor.
-func (c *Client) readResult(binaryRows bool) (*phoenix.ResultSet, uint64, error) {
-	rows, affected, err := c.readResponse(binaryRows)
+func (c *Client) readResult(binaryRows bool, last *header) (*phoenix.ResultSet, uint64, error) {
+	rows, affected, err := c.readResponse(binaryRows, last)
 	if err != nil || rows == nil {
 		return nil, affected, err
 	}
@@ -397,9 +415,13 @@ func (c *Client) readResult(binaryRows bool) (*phoenix.ResultSet, uint64, error)
 // readResponse consumes a command response's leading packets: (nil,
 // affected, nil) for OK, an error for ERR, and for a result-set header a
 // ClientRows positioned before the first row (column definitions and their
-// EOF consumed).
-func (c *Client) readResponse(binaryRows bool) (*ClientRows, uint64, error) {
-	p, err := c.pc.readPacket()
+// EOF consumed). Every packet is read through the connection's scratch. A
+// prepared statement passes the header of its last result set: when the
+// definitions arrive byte for byte the same, its names and types serve again
+// — they are shared between the result sets and never written — and when they
+// differ it is replaced.
+func (c *Client) readResponse(binaryRows bool, last *header) (*ClientRows, uint64, error) {
+	p, err := c.readPacket()
 	if err != nil {
 		return nil, 0, err
 	}
@@ -422,23 +444,44 @@ func (c *Client) readResponse(binaryRows bool) (*ClientRows, uint64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	ncols := int(ncols64)
-	names := make([]string, ncols)
-	types := make([]byte, ncols)
-	for i := 0; i < ncols; i++ {
-		def, err := c.pc.readPacket()
+	c.defs = c.defs[:0]
+	for i := 0; i <= int(ncols64); i++ { // the definitions, then their EOF
+		def, err := c.readPacket()
 		if err != nil {
 			return nil, 0, err
 		}
-		names[i], types[i], err = parseColumnDef(def)
-		if err != nil {
-			return nil, 0, err
+		if i < int(ncols64) {
+			c.defs = appendLencBytes(c.defs, def)
 		}
 	}
-	if _, err := c.pc.readPacket(); err != nil { // EOF after defs
-		return nil, 0, err
+	if last == nil {
+		last = &header{}
 	}
-	return &ClientRows{c: c, names: names, types: types, binary: binaryRows}, 0, nil
+	if last.names == nil || !bytes.Equal(last.defs, c.defs) {
+		ncols := int(ncols64)
+		names, types := make([]string, ncols), make([]byte, ncols)
+		for i, off := 0, 0; i < ncols; i++ {
+			var def []byte
+			if def, off, err = readLencBytes(c.defs, off); err != nil {
+				return nil, 0, err
+			}
+			if names[i], types[i], err = parseColumnDef(def); err != nil {
+				return nil, 0, err
+			}
+		}
+		last.defs, last.names, last.types = append(last.defs[:0], c.defs...), names, types
+	}
+	return &ClientRows{c: c, names: last.names, types: last.types, binary: binaryRows}, 0, nil
+}
+
+// readPacket reads one packet into the connection's scratch; the payload is
+// valid until the next readPacket.
+func (c *Client) readPacket() ([]byte, error) {
+	p, err := c.pc.readPacketInto(c.pkt)
+	if err == nil {
+		c.pkt = p
+	}
+	return p, err
 }
 
 // ClientRows is an in-flight result set read row packet by row packet. The
@@ -450,7 +493,7 @@ type ClientRows struct {
 	names  []string
 	types  []byte
 	binary bool
-	buf    []byte // reused packet scratch; holds the current row packet
+	buf    []byte // the current row packet, in the connection's scratch
 	vals   []schema.Value
 	err    error
 	done   bool
@@ -459,14 +502,14 @@ type ClientRows struct {
 // Columns lists the result's column names in order.
 func (r *ClientRows) Columns() []string { return r.names }
 
-// Next reads the next row packet into the reused buffer. It returns false
-// at end of set or on error (check Err). A discard loop that never calls
-// Row or Values parses nothing and allocates nothing per row.
+// Next reads the next row packet into the connection's scratch. It returns
+// false at end of set or on error (check Err). A discard loop that never
+// calls Row or Values parses nothing and allocates nothing per row.
 func (r *ClientRows) Next() bool {
 	if r.done || r.err != nil {
 		return false
 	}
-	p, err := r.c.pc.readPacketInto(r.buf)
+	p, err := r.c.readPacket()
 	if err != nil {
 		r.err, r.done = err, true
 		return false

@@ -191,7 +191,7 @@ func TestClientRealignsAfterDecodeError(t *testing.T) {
 	defer l.Close()
 	eof := appendEOF(nil, statusAutocommit)
 	resultSet := func(rows ...[]byte) [][]byte {
-		pkts := [][]byte{{1}, columnDef("n", typeLonglong), eof}
+		pkts := [][]byte{{1}, appendColumnDef(nil, "n", typeLonglong), eof}
 		return append(append(pkts, rows...), eof)
 	}
 	go fakeServer(t, l, func(cmd []byte) [][]byte {
@@ -252,4 +252,63 @@ func TestClientRealignsAfterDecodeError(t *testing.T) {
 		t.Fatalf("ClientRows: %d rows before %v, then Err %v; want 1 row, the decode error, and it to stick", n, decodeErr, rows.Err())
 	}
 	aligned("ClientRows.Values")
+}
+
+// TestClientStmtHeaderReuse runs one prepared statement against a server
+// whose answer changes shape: an execution whose column definitions equal the
+// previous one's shares its names and types, and one whose definitions differ
+// — a type alone, then the column count — is parsed afresh and decodes under
+// the new header, without disturbing a result set still held from before.
+func TestClientStmtHeaderReuse(t *testing.T) {
+	l, err := ListenInproc(t.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	eof := appendEOF(nil, statusAutocommit)
+	one := binary.LittleEndian.AppendUint64([]byte{0x00, 0x00}, 1)
+	half := binary.LittleEndian.AppendUint64([]byte{0x00, 0x00}, math.Float64bits(0.5))
+	execs := 0
+	go fakeServer(t, l, func(cmd []byte) [][]byte {
+		switch cmd[0] {
+		case comStmtPrepare:
+			return [][]byte{{0x00, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}}
+		case comStmtExecute:
+			execs++
+			switch execs {
+			case 1, 2:
+				return [][]byte{{1}, appendColumnDef(nil, "n", typeLonglong), eof, one, eof}
+			case 3:
+				return [][]byte{{1}, appendColumnDef(nil, "n", typeDouble), eof, half, eof}
+			default:
+				return [][]byte{{2}, appendColumnDef(nil, "n", typeLonglong), appendColumnDef(nil, "m", typeLonglong), eof,
+					binary.LittleEndian.AppendUint64(one, 2), eof}
+			}
+		}
+		return nil
+	})
+	c, err := Dial("inproc", t.Name(), "test", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	st, err := c.Prepare("shape")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sets []*phoenix.ResultSet
+	for i, want := range []schema.Row{{"n": int64(1)}, {"n": int64(1)}, {"n": 0.5}, {"n": int64(1), "m": int64(2)}} {
+		rs, err := st.Query()
+		if err != nil || len(rs.Rows) != 1 || !reflect.DeepEqual(rs.Rows[0], want) {
+			t.Fatalf("execution %d: %v, err %v; want the row %v", i+1, rs, err, want)
+		}
+		sets = append(sets, rs)
+	}
+	if &sets[0].Columns[0] != &sets[1].Columns[0] {
+		t.Error("an execution with the previous one's definitions parsed its column names again")
+	}
+	if &sets[1].Columns[0] == &sets[2].Columns[0] || !reflect.DeepEqual(sets[1].Columns, []string{"n"}) ||
+		!reflect.DeepEqual(sets[3].Columns, []string{"n", "m"}) {
+		t.Errorf("columns %v, %v, %v across a changed header", sets[1].Columns, sets[2].Columns, sets[3].Columns)
+	}
 }

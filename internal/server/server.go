@@ -204,6 +204,8 @@ type conn struct {
 	// pc's buffered writer copies every packet out, so the slice is free
 	// for reuse the moment writePacket returns.
 	enc []byte
+	// types is the same for a streamed result's column wire types.
+	types []byte
 	// stmtStart is the connection's elapsed simulated time when the current
 	// statement began; @@synergy_sim_ttfr_micros reports time-to-first-row
 	// relative to it.
@@ -575,7 +577,7 @@ func (c *conn) writeResultSet(rs *phoenix.ResultSet, binaryRows, charged bool) e
 	pkts := make([][]byte, 0, len(rs.Rows)+len(rs.Columns)+3)
 	pkts = append(pkts, appendLencInt(nil, uint64(len(rs.Columns))))
 	for i, col := range rs.Columns {
-		pkts = append(pkts, columnDef(col, types[i]))
+		pkts = append(pkts, appendColumnDef(nil, col, types[i]))
 	}
 	pkts = append(pkts, appendEOF(nil, c.status()))
 	// The rows go through the cursor path's encoder, re-encoded value by
@@ -633,10 +635,11 @@ func (c *conn) writeResultSet(rs *phoenix.ResultSet, binaryRows, charged bool) e
 func (c *conn) writeCursor(cur phoenix.RowCursor, binaryRows bool) error {
 	defer cur.Close(c.sctx)
 	cols := cur.Columns()
-	types := make([]byte, len(cols))
-	for i, t := range cur.Types() {
-		types[i] = wireTypeOf(t)
+	types := c.types[:0]
+	for _, t := range cur.Types() {
+		types = append(types, wireTypeOf(t))
 	}
+	c.types = types
 	total := 0
 	writePkt := func(p []byte) error {
 		total += len(p) + 4
@@ -650,7 +653,8 @@ func (c *conn) writeCursor(cur phoenix.RowCursor, binaryRows bool) error {
 		return err
 	}
 	for i, col := range cols {
-		if err := writePkt(columnDef(col, types[i])); err != nil {
+		b = appendColumnDef(b[:0], col, types[i])
+		if err := writePkt(b); err != nil {
 			return err
 		}
 	}
@@ -851,7 +855,7 @@ func (c *conn) handlePrepare(sql string) error {
 		return err
 	}
 	for i := 0; i < n; i++ {
-		if err := c.pc.writePacket(columnDef("?", typeVarString)); err != nil {
+		if err := c.pc.writePacket(appendColumnDef(nil, "?", typeVarString)); err != nil {
 			return err
 		}
 	}

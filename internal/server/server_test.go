@@ -960,3 +960,39 @@ func TestSysVarUncosted(t *testing.T) {
 		t.Fatalf("sysvar reads charged %d simulated micros, want 0", after-before)
 	}
 }
+
+// TestUpdateSetNull sends a NULL execute parameter (the binary protocol's null
+// bitmap) to an UPDATE in every mode: the assignment takes the value away in
+// the base row and in the view row alike, where it used to be dropped.
+func TestUpdateSetNull(t *testing.T) {
+	env := startServer(t, Config{})
+	for _, db := range []string{"hier", "mvcc", "occ"} {
+		c := env.dial(t, db)
+		up, err := c.Prepare("UPDATE Root SET RVal = ? WHERE RID = ?")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := up.Exec(nil, int64(1)); err != nil {
+			t.Fatalf("%s: UPDATE with a NULL parameter: %v", db, err)
+		}
+		base, err := c.Query("SELECT RID, RVal FROM Root WHERE RID = 1")
+		if err != nil || len(base.Rows) != 1 || base.Rows[0]["RVal"] != nil || base.Rows[0]["RID"] != int64(1) {
+			t.Errorf("%s: base row after SET RVal = NULL: %v, err %v", db, base, err)
+		}
+		sel, err := c.Prepare(testSelect)
+		if err != nil {
+			t.Fatal(err)
+		}
+		view, err := sel.Query("l1")
+		if err != nil || len(view.Rows) != 1 || view.Rows[0]["RVal"] != nil || view.Rows[0]["LVal"] != "l1" {
+			t.Errorf("%s: view row after SET RVal = NULL: %v, err %v", db, view, err)
+		}
+		// A value again: the tombstone does not outlive a newer put.
+		if err := up.Exec("again", int64(1)); err != nil {
+			t.Fatal(err)
+		}
+		if view, err = sel.Query("l1"); err != nil || len(view.Rows) != 1 || view.Rows[0]["RVal"] != "again" {
+			t.Errorf("%s: view row after SET RVal = 'again': %v, err %v", db, view, err)
+		}
+	}
+}

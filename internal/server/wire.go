@@ -117,9 +117,8 @@ func appendEOF(b []byte, status uint16) []byte {
 	return binary.LittleEndian.AppendUint16(b, status)
 }
 
-// columnDef builds a protocol-4.1 column definition packet payload.
-func columnDef(name string, wireType byte) []byte {
-	b := make([]byte, 0, 64)
+// appendColumnDef appends a protocol-4.1 column definition packet payload.
+func appendColumnDef(b []byte, name string, wireType byte) []byte {
 	b = appendLencString(b, "def")     // catalog
 	b = appendLencString(b, "synergy") // schema
 	b = appendLencString(b, "")        // table

@@ -306,12 +306,11 @@ func TestOCCMovedIndexTombstoneInWriteSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := sim.NewCtx()
-	oldRow, found, err := sys.Engine.GetRow(ctx, viewInfo, hbase.ReadOpts{}, int64(1))
-	if err != nil || !found {
-		t.Fatalf("fixture view row: found=%v err=%v", found, err)
+	oldRow, err := phoenix.GetCells(ctx, sys.Engine.Client(), viewInfo.Name, schema.EncodeKey(int64(1)), hbase.ReadOpts{})
+	if err != nil || oldRow == nil {
+		t.Fatalf("fixture view row: %v, err=%v", oldRow, err)
 	}
-	newRow := oldRow.Clone()
-	newRow["Leaf00Val"] = "moved"
+	newRow := phoenix.MergeCells(nil, oldRow, phoenix.RowToCells(schema.Row{"Leaf00Val": "moved"}))
 
 	tx := sys.BeginTx(ctx)
 	if err := tx.Exec(ctx, sqlparser.MustParse("UPDATE Leaf00 SET Leaf00Val = ? WHERE Leaf00ID = ?"),
@@ -320,8 +319,8 @@ func TestOCCMovedIndexTombstoneInWriteSet(t *testing.T) {
 	}
 	movedKeys := 0
 	for _, idx := range viewInfo.Indexes {
-		oldKey := phoenix.IndexKey(viewInfo, idx, oldRow)
-		if phoenix.IndexKey(viewInfo, idx, newRow) == oldKey {
+		oldKey := string(phoenix.AppendIndexKey(nil, viewInfo, idx, oldRow))
+		if string(phoenix.AppendIndexKey(nil, viewInfo, idx, newRow)) == oldKey {
 			continue
 		}
 		movedKeys++

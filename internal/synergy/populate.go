@@ -89,27 +89,15 @@ type cellSlab []hbase.Cell
 
 const slabCells = 4096
 
-// join appends the qualifier-ordered union of a parent's and a child's cells
-// — the child's where both carry a qualifier — and returns it as one row.
+// join cuts a view row from the slab: a parent's cells under a child's
+// (phoenix.MergeCells, the merge view maintenance builds the same row with).
 func (s *cellSlab) join(parent, child []hbase.Cell) []hbase.Cell {
 	if n := len(parent) + len(child); cap(*s)-len(*s) < n {
 		*s = make([]hbase.Cell, 0, max(n, slabCells))
 	}
-	out, start := *s, len(*s)
-	for len(parent) > 0 && len(child) > 0 {
-		c := strings.Compare(parent[0].Qualifier, child[0].Qualifier)
-		if c < 0 {
-			out, parent = append(out, parent[0]), parent[1:]
-			continue
-		}
-		if c == 0 {
-			parent = parent[1:]
-		}
-		out, child = append(out, child[0]), child[1:]
-	}
-	out = append(append(out, parent...), child...)
-	*s = out
-	return out[start:len(out):len(out)]
+	start := len(*s)
+	*s = phoenix.MergeCells(*s, parent, child)
+	return (*s)[start:len(*s):len(*s)]
 }
 
 // prepareView computes a view's contents by joining down its path, one scan

@@ -22,6 +22,18 @@
 // split's daughter — happens at install, so the store comes out the same at
 // any width. A freshly loaded region is compact already, so the major
 // compaction that ends the procedure rewrites only what split.
+//
+// The write path (write.go: executeWriteBody and the §VII maintenance
+// procedures) keeps that row model. A statement is bound once into its table,
+// row key and cells (phoenix.Write) and the base write and every view's
+// maintenance share them; point reads return stored cells (phoenix.GetCells);
+// a view tuple is built with the merge population uses (phoenix.MergeCells),
+// an updated row is the located cells under the assignment's, and every key —
+// view key, old and new index key, mark reference, the root key a lock chain
+// resolves to — comes from cells (phoenix.AppendKeyOfCells). A NULL
+// assignment is a column tombstone on every row and covered index entry that
+// carries the column. TestMaintenanceMatchesPopulation holds what maintenance
+// leaves to what BuildViews builds from the same base tables.
 package synergy
 
 import (

@@ -3,6 +3,7 @@ package synergy
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"synergy/internal/changefeed"
 	"synergy/internal/core"
@@ -23,116 +24,13 @@ var (
 	dirtyOff = []byte("0")
 )
 
-// writeParts is a parsed write statement.
+// writeParts is a write statement bound to its parameters — the table, the
+// written row's key and the statement's cells in qualifier order (see
+// phoenix.Write) — with the kind its plan gives it. The base write and every
+// view's maintenance work from the same cells.
 type writeParts struct {
-	table   string
-	kind    core.WriteKind
-	row     schema.Row // insert: full row
-	assign  schema.Row // update: SET assignments
-	keyVals []schema.Value
-}
-
-func (sys *System) parseWrite(stmt sqlparser.Statement, params []schema.Value) (*writeParts, *phoenix.TableInfo, error) {
-	switch s := stmt.(type) {
-	case *sqlparser.InsertStmt:
-		info, err := sys.Catalog.Table(s.Table)
-		if err != nil {
-			return nil, nil, err
-		}
-		cols := s.Columns
-		if len(cols) == 0 {
-			cols = info.ColumnNames()
-		}
-		if len(cols) != len(s.Values) {
-			return nil, nil, fmt.Errorf("synergy: %d columns, %d values", len(cols), len(s.Values))
-		}
-		row := schema.Row{}
-		for i, c := range cols {
-			v, err := evalConst(s.Values[i], params)
-			if err != nil {
-				return nil, nil, err
-			}
-			row[c] = v
-		}
-		keyVals := make([]schema.Value, len(info.Key))
-		for i, k := range info.Key {
-			keyVals[i] = row[k]
-			if row[k] == nil {
-				return nil, nil, fmt.Errorf("%w: %s.%s", phoenix.ErrKeyNotSpecified, s.Table, k)
-			}
-		}
-		return &writeParts{table: s.Table, kind: core.WriteInsert, row: row, keyVals: keyVals}, info, nil
-
-	case *sqlparser.UpdateStmt:
-		info, err := sys.Catalog.Table(s.Table)
-		if err != nil {
-			return nil, nil, err
-		}
-		keyVals, err := keyValsFromWhere(info, s.Where, params)
-		if err != nil {
-			return nil, nil, err
-		}
-		assign := schema.Row{}
-		for _, a := range s.Set {
-			v, err := evalConst(a.Value, params)
-			if err != nil {
-				return nil, nil, err
-			}
-			assign[a.Column] = v
-		}
-		return &writeParts{table: s.Table, kind: core.WriteUpdate, assign: assign, keyVals: keyVals}, info, nil
-
-	case *sqlparser.DeleteStmt:
-		info, err := sys.Catalog.Table(s.Table)
-		if err != nil {
-			return nil, nil, err
-		}
-		keyVals, err := keyValsFromWhere(info, s.Where, params)
-		if err != nil {
-			return nil, nil, err
-		}
-		return &writeParts{table: s.Table, kind: core.WriteDelete, keyVals: keyVals}, info, nil
-	default:
-		return nil, nil, fmt.Errorf("%w: %T", phoenix.ErrUnsupported, stmt)
-	}
-}
-
-func evalConst(e sqlparser.Expr, params []schema.Value) (schema.Value, error) {
-	switch x := e.(type) {
-	case sqlparser.Literal:
-		return x.Value, nil
-	case sqlparser.Param:
-		if x.Index >= len(params) {
-			return nil, fmt.Errorf("synergy: missing parameter %d", x.Index)
-		}
-		return params[x.Index], nil
-	default:
-		return nil, fmt.Errorf("%w: %s", phoenix.ErrUnsupported, e)
-	}
-}
-
-func keyValsFromWhere(info *phoenix.TableInfo, where []sqlparser.Predicate, params []schema.Value) ([]schema.Value, error) {
-	bound := map[string]schema.Value{}
-	for _, p := range where {
-		col, ok := p.Left.(sqlparser.ColumnRef)
-		if !ok || p.Op != sqlparser.OpEq {
-			return nil, fmt.Errorf("%w: write WHERE must be key equality (%s)", phoenix.ErrUnsupported, p)
-		}
-		v, err := evalConst(p.Right, params)
-		if err != nil {
-			return nil, err
-		}
-		bound[col.Column] = v
-	}
-	out := make([]schema.Value, len(info.Key))
-	for i, k := range info.Key {
-		v, ok := bound[k]
-		if !ok {
-			return nil, fmt.Errorf("%w: %s.%s", phoenix.ErrKeyNotSpecified, info.Name, k)
-		}
-		out[i] = v
-	}
-	return out, nil
+	*phoenix.Write
+	kind core.WriteKind
 }
 
 // Tx is the write-pipeline state of one in-flight transaction: under
@@ -178,7 +76,7 @@ type Tx struct {
 type viewDelta struct {
 	view   string
 	action core.ViewAction
-	parts  *writeParts
+	parts  writeParts
 }
 
 type lockRef struct{ root, key string }
@@ -425,13 +323,18 @@ func (tx *Tx) deferMaintenance(kind core.WriteKind, view string) bool {
 // concurrency mode.
 func (sys *System) applyDelta(ctx *sim.Ctx, d viewDelta) error {
 	atx := &Tx{sys: sys, opts: phoenix.WriteOpts{}}
-	switch d.parts.kind {
+	// The statement's cells are shared by every delta it published, and under
+	// MVCC they carry its transaction's id: the replay stamps a copy.
+	w := *d.parts.Write
+	w.Cells = slices.Clone(w.Cells)
+	parts := writeParts{Write: &w, kind: d.parts.kind}
+	switch parts.kind {
 	case core.WriteInsert:
-		return sys.maintainInsert(ctx, atx, d.action, d.parts)
+		return sys.maintainInsert(ctx, atx, d.action, parts)
 	case core.WriteDelete:
-		return sys.maintainDelete(ctx, atx, d.action, d.parts)
+		return sys.maintainDelete(ctx, atx, d.action, parts)
 	default:
-		return sys.maintainUpdate(ctx, atx, d.action, d.parts)
+		return sys.maintainUpdate(ctx, atx, d.action, parts)
 	}
 }
 
@@ -551,47 +454,33 @@ func (sys *System) unmarkEager(ctx *sim.Ctx, marks []markRef, opts phoenix.Write
 // resolveRootKey walks the lock chain upward — child foreign key to parent
 // primary key — to find the root-relation row key this write must lock
 // (§VIII-A "to update a row for a relation in a rooted tree, we acquire the
-// lock on the key of the associated row in the root relation"). Parent
-// lookups go through rd so rows buffered by earlier statements of the same
-// transaction resolve.
-func (sys *System) resolveRootKey(ctx *sim.Ctx, rd hbase.Reader, plan *core.WritePlan, baseRow schema.Row) (string, error) {
+// lock on the key of the associated row in the root relation"). key and base
+// are the written row's key and cells; a parent's key is the key of the
+// child's foreign-key cells. Parent lookups go through rd so rows buffered by
+// earlier statements of the same transaction resolve.
+func (sys *System) resolveRootKey(ctx *sim.Ctx, rd hbase.Reader, plan *core.WritePlan, key string, base []hbase.Cell) (string, error) {
 	if plan.Root == "" {
 		return "", nil
 	}
 	if plan.Root == plan.Table {
-		info, err := sys.Catalog.Table(plan.Table)
-		if err != nil {
-			return "", err
-		}
-		return phoenix.PrimaryKey(info, baseRow)
+		return key, nil
 	}
-	cur := baseRow
-	chain := plan.LockChain
-	for i := len(chain) - 1; i >= 0; i-- {
-		e := chain[i]
-		fkVals := make([]schema.Value, len(e.FK))
-		for j, c := range e.FK {
-			fkVals[j] = cur[c]
-			if cur[c] == nil {
-				return "", nil // dangling reference: nothing to lock
-			}
+	cur := base
+	var buf [64]byte
+	for i := len(plan.LockChain) - 1; i >= 0; i-- {
+		e := plan.LockChain[i]
+		fk, null := phoenix.AppendKeyOfCells(buf[:0], cur, e.FK)
+		if null {
+			return "", nil // dangling reference: nothing to lock
 		}
 		if i == 0 {
 			// The FK values are the root's primary key.
-			return schema.EncodeKey(fkVals...), nil
+			return string(fk), nil
 		}
-		parentInfo, err := sys.Catalog.Table(e.Parent)
-		if err != nil {
+		var err error
+		if cur, err = phoenix.GetCells(ctx, rd, e.Parent, string(fk), hbase.ReadOpts{}); err != nil || cur == nil {
 			return "", err
 		}
-		parentRow, found, err := sys.Engine.GetRowVia(ctx, rd, parentInfo, hbase.ReadOpts{}, fkVals...)
-		if err != nil {
-			return "", err
-		}
-		if !found {
-			return "", nil
-		}
-		cur = parentRow
 	}
 	return "", nil
 }
@@ -667,34 +556,30 @@ func (sys *System) executeTxnOnce(ctx *sim.Ctx, stmts []sqlparser.Statement, par
 // one statement inside tx.
 func (sys *System) executeWriteBody(ctx *sim.Ctx, tx *Tx, stmt sqlparser.Statement, params []schema.Value) error {
 	opts := tx.opts
-	parts, info, err := sys.parseWrite(stmt, params)
+	w, err := sys.Engine.BindWrite(stmt, params)
 	if err != nil {
 		return err
 	}
 	if sys.cfg.DisableViews {
 		// Baseline deployment: plain Phoenix write.
-		return sys.Engine.Exec(ctx, stmt, params, opts)
+		return sys.Engine.ExecWrite(ctx, w, opts)
 	}
 	plan, err := core.PlanWrite(sys.Design, stmt)
 	if err != nil {
 		return err
 	}
+	parts := writeParts{Write: w, kind: plan.Kind}
 
-	// Materialize the base row: inserts carry it; updates/deletes read it
-	// (also needed for view maintenance). The read goes through the
+	// The base row: inserts carry it; updates/deletes read it (the lock
+	// chain starts from its foreign keys). The read goes through the
 	// transaction's overlay so rows written by earlier statements of the
 	// same transaction — still buffered, invisible in the store — resolve.
 	rd := sys.Engine.Reader(opts)
-	baseRow := parts.row
+	base := w.Cells
 	if parts.kind != core.WriteInsert {
-		row, found, err := sys.Engine.GetRowVia(ctx, rd, info, opts.Read, parts.keyVals...)
-		if err != nil {
-			return err
+		if base, err = phoenix.GetCells(ctx, rd, w.Table.Name, w.Key, opts.Read); err != nil || base == nil {
+			return err // nothing to write
 		}
-		if !found {
-			return nil // nothing to write
-		}
-		baseRow = row
 	}
 
 	// Step 1: acquire the single lock, held until the transaction commits.
@@ -704,11 +589,11 @@ func (sys *System) executeWriteBody(ctx *sim.Ctx, tx *Tx, stmt sqlparser.Stateme
 	// deferred into the commit flush below, and any phase barrier promotes
 	// it to a held lock before publishing (see EnsureEntryDeferred).
 	if tx.lock {
-		rootKey, err := sys.resolveRootKey(ctx, rd, plan, baseRow)
+		rootKey, err := sys.resolveRootKey(ctx, rd, plan, w.Key, base)
 		if err != nil {
 			return err
 		}
-		deferEntry := tx.mutator != nil && parts.kind == core.WriteInsert && plan.Root == parts.table
+		deferEntry := tx.mutator != nil && parts.kind == core.WriteInsert && plan.Root == plan.Table
 		if plan.Root != "" && rootKey != "" && !deferEntry {
 			if err := tx.acquireLock(ctx, plan.Root, rootKey); err != nil {
 				return err
@@ -718,7 +603,7 @@ func (sys *System) executeWriteBody(ctx *sim.Ctx, tx *Tx, stmt sqlparser.Stateme
 
 	// Base write (+ base indexes) through the SQL layer, emitting into the
 	// transaction's mutator.
-	if err := sys.Engine.Exec(ctx, stmt, params, opts); err != nil {
+	if err := sys.Engine.ExecWrite(ctx, w, opts); err != nil {
 		return err
 	}
 	// New root rows get a lock-table entry (§VIII-A). On a buffered
@@ -730,15 +615,14 @@ func (sys *System) executeWriteBody(ctx *sim.Ctx, tx *Tx, stmt sqlparser.Stateme
 	// self-acquired in step 1, so the held-lock check keeps this from
 	// overwriting their live lock; the eager put stays as the fallback
 	// for refs locked some other way.
-	if tx.lock && parts.kind == core.WriteInsert && sys.isRoot(parts.table) {
-		key, _ := phoenix.PrimaryKey(info, parts.row)
-		ref := lockRef{parts.table, key}
+	if tx.lock && parts.kind == core.WriteInsert && sys.isRoot(plan.Table) {
+		ref := lockRef{plan.Table, w.Key}
 		if _, held := tx.lockSet[ref]; !held {
 			if tx.mutator != nil {
 				if !tx.isDeferred(ref) {
 					tx.deferred = append(tx.deferred, ref)
 				}
-			} else if err := sys.Locks.EnsureEntry(ctx, parts.table, key); err != nil {
+			} else if err := sys.Locks.EnsureEntry(ctx, plan.Table, w.Key); err != nil {
 				return err
 			}
 		}
@@ -772,60 +656,58 @@ func (sys *System) executeWriteBody(ctx *sim.Ctx, tx *Tx, stmt sqlparser.Stateme
 
 // maintainInsert constructs and inserts the view tuple (§VII-A2): read the
 // k-1 related base rows walking the foreign keys upward (through the
-// transaction overlay), merge, insert.
-func (sys *System) maintainInsert(ctx *sim.Ctx, tx *Tx, action core.ViewAction, parts *writeParts) error {
+// transaction overlay), merge each under the rows below it — the join
+// population builds the view with — and insert.
+func (sys *System) maintainInsert(ctx *sim.Ctx, tx *Tx, action core.ViewAction, parts writeParts) error {
 	opts := tx.opts
 	rd := sys.Engine.Reader(opts)
-	combined := parts.row.Clone()
-	cur := parts.row
+	combined, cur := parts.Cells, parts.Cells
+	var buf [64]byte
 	for _, e := range action.ReadChain {
-		fkVals := make([]schema.Value, len(e.FK))
-		for j, c := range e.FK {
-			fkVals[j] = cur[c]
-			if cur[c] == nil {
-				return nil // dangling FK: no view tuple
-			}
+		fk, null := phoenix.AppendKeyOfCells(buf[:0], cur, e.FK)
+		if null {
+			return nil // dangling FK: no view tuple
 		}
-		parentInfo, err := sys.Catalog.Table(e.Parent)
-		if err != nil {
+		var err error
+		if cur, err = phoenix.GetCells(ctx, rd, e.Parent, string(fk), opts.Read); err != nil || cur == nil {
 			return err
 		}
-		parentRow, found, err := sys.Engine.GetRowVia(ctx, rd, parentInfo, opts.Read, fkVals...)
-		if err != nil {
-			return err
-		}
-		if !found {
-			return nil
-		}
-		for k, v := range parentRow {
-			combined[k] = v
-		}
-		cur = parentRow
+		combined = phoenix.MergeCells(make([]hbase.Cell, 0, len(cur)+len(combined)), cur, combined)
 	}
 	viewInfo, err := sys.Catalog.Table(action.View.Name())
 	if err != nil {
 		return err
 	}
-	return sys.Engine.PutRow(ctx, viewInfo, combined, opts)
+	return sys.Engine.PutCells(ctx, viewInfo, combined, opts)
 }
 
 // maintainDelete removes the view tuple: the view key equals the base key
 // (the deleted relation is the view's last); the view row is read first to
 // construct the view-index keys (§VII-B2).
-func (sys *System) maintainDelete(ctx *sim.Ctx, tx *Tx, action core.ViewAction, parts *writeParts) error {
+func (sys *System) maintainDelete(ctx *sim.Ctx, tx *Tx, action core.ViewAction, parts writeParts) error {
 	viewInfo, err := sys.Catalog.Table(action.View.Name())
 	if err != nil {
 		return err
 	}
-	return sys.Engine.DeleteRow(ctx, viewInfo, parts.keyVals, tx.opts)
+	return sys.Engine.DeleteRow(ctx, viewInfo, parts.Key, tx.opts)
+}
+
+// viewRow is one view row an update must maintain: its key and its attribute
+// cells in qualifier order, as located.
+type viewRow struct {
+	key   string
+	cells []hbase.Cell
 }
 
 // maintainUpdate applies a base-table update to a view. Under the
 // hierarchical protocol (tx.lock) it is the 6-step procedure of §VIII-B:
 // (1) lock held by the transaction, (2) read affected rows, (3) mark them
 // dirty, (4) update, (5) un-mark, (6) release at commit. Under MVCC the
-// marking steps are skipped — snapshot visibility isolates readers.
-func (sys *System) maintainUpdate(ctx *sim.Ctx, tx *Tx, action core.ViewAction, parts *writeParts) error {
+// marking steps are skipped — snapshot visibility isolates readers. A row is
+// updated by putting the assignment's cells on it; its index entries move
+// when the key of the updated cells — the located cells under the
+// assignment's — differs from the key of the located ones.
+func (sys *System) maintainUpdate(ctx *sim.Ctx, tx *Tx, action core.ViewAction, parts writeParts) error {
 	opts := tx.opts
 	mark := tx.lock
 	viewInfo, err := sys.Catalog.Table(action.View.Name())
@@ -835,12 +717,9 @@ func (sys *System) maintainUpdate(ctx *sim.Ctx, tx *Tx, action core.ViewAction, 
 
 	// Step 2: read the view rows that need updating (overlay-aware: a view
 	// tuple an earlier statement inserted but has not flushed is located).
-	rows, err := sys.locateViewRows(ctx, sys.Engine.Reader(opts), action, viewInfo, parts, opts.Read)
-	if err != nil {
+	targets, err := sys.locateViewRows(ctx, sys.Engine.Reader(opts), action, viewInfo, parts, opts.Read)
+	if err != nil || len(targets) == 0 {
 		return err
-	}
-	if len(rows) == 0 {
-		return nil
 	}
 
 	// The phase barriers below publish everything the transaction has
@@ -851,19 +730,6 @@ func (sys *System) maintainUpdate(ctx *sim.Ctx, tx *Tx, action core.ViewAction, 
 		if err := tx.promoteDeferred(ctx); err != nil {
 			return err
 		}
-	}
-
-	type target struct {
-		viewKey string
-		row     schema.Row
-	}
-	targets := make([]target, 0, len(rows))
-	for _, r := range rows {
-		key, err := phoenix.PrimaryKey(viewInfo, r)
-		if err != nil {
-			return err
-		}
-		targets = append(targets, target{viewKey: key, row: r})
 	}
 
 	// Each phase of the protocol ends in an ordering barrier: the dirty
@@ -877,12 +743,7 @@ func (sys *System) maintainUpdate(ctx *sim.Ctx, tx *Tx, action core.ViewAction, 
 	// everything rides to the commit flush. The transaction records flushed
 	// marks so an abort can un-mark them.
 	batch := sys.Engine.NewWriteBatch(opts)
-	markCell := func(v []byte) []hbase.Cell {
-		return []hbase.Cell{{Qualifier: phoenix.DirtyQualifier, Value: v, TS: opts.TS}}
-	}
-	putCells := func(row schema.Row) []hbase.Cell {
-		return phoenix.StampCells(phoenix.RowToCells(row), opts.TS)
-	}
+	var kbuf, nbuf [64]byte
 	// markAll emits one phase of marks and barriers it. The dirty-on phase
 	// records the marked rows on the transaction (reusing the index keys
 	// it already computes) so an abort can un-mark them; the un-mark phase
@@ -892,19 +753,20 @@ func (sys *System) maintainUpdate(ctx *sim.Ctx, tx *Tx, action core.ViewAction, 
 		if record {
 			refs = make([]markRef, 0, len(targets))
 		}
+		markCell := []hbase.Cell{{Qualifier: phoenix.DirtyQualifier, Value: value, TS: opts.TS}}
 		for _, tg := range targets {
-			if err := batch.PutQuiet(ctx, viewInfo.Name, tg.viewKey, markCell(value)); err != nil {
+			if err := batch.PutQuiet(ctx, viewInfo.Name, tg.key, markCell); err != nil {
 				return err
 			}
 			if record {
-				refs = append(refs, markRef{viewInfo.Name, tg.viewKey})
+				refs = append(refs, markRef{viewInfo.Name, tg.key})
 			}
 			for _, idx := range viewInfo.Indexes {
 				if idx.KeyOnly {
 					continue
 				}
-				ikey := phoenix.IndexKey(viewInfo, idx, tg.row)
-				if err := batch.PutQuiet(ctx, idx.Name, ikey, markCell(value)); err != nil {
+				ikey := string(phoenix.AppendIndexKey(kbuf[:0], viewInfo, idx, tg.cells))
+				if err := batch.PutQuiet(ctx, idx.Name, ikey, markCell); err != nil {
 					return err
 				}
 				if record {
@@ -937,50 +799,52 @@ func (sys *System) maintainUpdate(ctx *sim.Ctx, tx *Tx, action core.ViewAction, 
 	if mark {
 		updatedRefs = make([]markRef, 0, len(tx.marks))
 	}
+	assign := phoenix.StampCells(parts.Cells, opts.TS)
 	for ti := range targets {
 		tg := &targets[ti]
-		updated := tg.row.Clone()
-		for c, v := range parts.assign {
-			updated[c] = v
-		}
-		if err := batch.Put(ctx, viewInfo.Name, tg.viewKey, putCells(parts.assign)); err != nil {
+		if err := batch.Put(ctx, viewInfo.Name, tg.key, assign); err != nil {
 			return err
 		}
 		if mark {
-			updatedRefs = append(updatedRefs, markRef{viewInfo.Name, tg.viewKey})
+			updatedRefs = append(updatedRefs, markRef{viewInfo.Name, tg.key})
 		}
+		if len(viewInfo.Indexes) == 0 {
+			continue
+		}
+		updated := phoenix.StampCells(phoenix.MergeCells(make([]hbase.Cell, 0, len(tg.cells)+len(assign)), tg.cells, assign), opts.TS)
 		for _, idx := range viewInfo.Indexes {
-			oldKey := phoenix.IndexKey(viewInfo, idx, tg.row)
-			newKey := phoenix.IndexKey(viewInfo, idx, updated)
+			oldKey := phoenix.AppendIndexKey(kbuf[:0], viewInfo, idx, tg.cells)
+			newKey := string(phoenix.AppendIndexKey(nbuf[:0], viewInfo, idx, updated))
 			if mark && !idx.KeyOnly {
 				updatedRefs = append(updatedRefs, markRef{idx.Name, newKey})
 			}
-			if oldKey != newKey {
+			if string(oldKey) != newKey {
 				// The old entry's tombstone is a real write: it must be in
 				// the transaction's write set (phoenix.UpdateRow notifies
 				// its moved base-index deletes the same way), or OCC
 				// validation would admit a transaction that scanned the old
 				// key's range as conflict-free.
-				if err := batch.Delete(ctx, idx.Name, oldKey, opts.TS); err != nil {
+				if err := batch.Delete(ctx, idx.Name, string(oldKey), opts.TS); err != nil {
 					return err
 				}
-				cells := phoenix.IndexCells(viewInfo, idx, putCells(updated))
+				cells := phoenix.IndexCells(viewInfo, idx, updated)
 				if mark && !idx.KeyOnly {
-					cells = append(cells, hbase.Cell{Qualifier: phoenix.DirtyQualifier, Value: dirtyOn, TS: opts.TS})
+					// A copy: updated is every covered entry's cells.
+					cells = append(slices.Clip(cells), hbase.Cell{Qualifier: phoenix.DirtyQualifier, Value: dirtyOn, TS: opts.TS})
 				}
 				if err := batch.Put(ctx, idx.Name, newKey, cells); err != nil {
 					return err
 				}
 				continue
 			}
-			if !phoenix.IndexTouched(viewInfo, idx, parts.assign) {
+			if !phoenix.IndexTouched(viewInfo, idx, assign) {
 				continue
 			}
-			if err := batch.Put(ctx, idx.Name, newKey, putCells(parts.assign)); err != nil {
+			if err := batch.Put(ctx, idx.Name, newKey, assign); err != nil {
 				return err
 			}
 		}
-		tg.row = updated
+		tg.cells = updated
 	}
 	if mark {
 		if err := batch.Barrier(ctx); err != nil {
@@ -1004,77 +868,60 @@ func (sys *System) maintainUpdate(ctx *sim.Ctx, tx *Tx, action core.ViewAction, 
 // locateViewRows finds the view rows affected by an update per the plan's
 // locator (§VII-C). All reads go through rd, so view tuples buffered by
 // earlier statements of the same transaction are located too.
-func (sys *System) locateViewRows(ctx *sim.Ctx, rd hbase.Reader, action core.ViewAction, viewInfo *phoenix.TableInfo, parts *writeParts, read hbase.ReadOpts) ([]schema.Row, error) {
+func (sys *System) locateViewRows(ctx *sim.Ctx, rd hbase.Reader, action core.ViewAction, viewInfo *phoenix.TableInfo, parts writeParts, read hbase.ReadOpts) ([]viewRow, error) {
 	switch action.Locator {
 	case core.LocateByViewKey:
-		row, found, err := sys.Engine.GetRowVia(ctx, rd, viewInfo, read, parts.keyVals...)
-		if err != nil || !found {
+		cells, err := phoenix.GetCells(ctx, rd, viewInfo.Name, parts.Key, read)
+		if err != nil || cells == nil {
 			return nil, err
 		}
-		return []schema.Row{row}, nil
+		return []viewRow{{parts.Key, cells}}, nil
 
 	case core.LocateByIndex:
-		// The maintenance index stores only keys (§VII-C); collect the
-		// view keys it yields, then read the full rows. Locator probes
-		// are short prefix reads, so they stay sequential.
-		prefix := schema.KeyPrefix(parts.keyVals...)
-		sc, err := rd.OpenScan(ctx, action.LocatorIndex.Name(), hbase.ScanSpec{Prefix: prefix, Read: read, Sequential: true})
+		// The maintenance index stores only keys (§VII-C); collect the view
+		// keys its entries under the written row's key hold, then read the
+		// full rows. Locator probes are short prefix reads, so they stay
+		// sequential.
+		sc, err := rd.OpenScan(ctx, action.LocatorIndex.Name(), hbase.ScanSpec{Prefix: parts.Key + string(schema.KeySep), Read: read, Sequential: true})
 		if err != nil {
 			return nil, err
 		}
-		var keys [][]schema.Value
-		for {
-			r, ok := sc.Next(ctx)
-			if !ok {
-				break
-			}
-			row := phoenix.CellsToRow(r)
-			vals := make([]schema.Value, len(viewInfo.Key))
-			for i, c := range viewInfo.Key {
-				vals[i] = row[c]
-			}
-			keys = append(keys, vals)
+		var out []viewRow
+		var buf [64]byte
+		for r, ok := sc.Next(ctx); ok; r, ok = sc.Next(ctx) {
+			out = append(out, viewRow{key: string(phoenix.AppendKeyOfRow(buf[:0], r.Cells, viewInfo.Key))})
 		}
-		var out []schema.Row
-		for _, vals := range keys {
-			full, found, err := sys.Engine.GetRowVia(ctx, rd, viewInfo, read, vals...)
-			if err != nil {
+		found := out[:0]
+		for _, tg := range out {
+			if tg.cells, err = phoenix.GetCells(ctx, rd, viewInfo.Name, tg.key, read); err != nil {
 				return nil, err
 			}
-			if found {
-				out = append(out, full)
+			if tg.cells != nil {
+				found = append(found, tg)
 			}
 		}
-		return out, nil
+		return found, nil
 
 	default: // LocateByScan
-		// A full view scan with a pushed-down filter; multi-region views
-		// scatter-gather the regions like any other full scan.
-		rel := sys.Design.Schema.Relation(parts.table)
-		pk := rel.PK
-		keyVals := parts.keyVals
+		// A full view scan with a pushed-down filter — the written row's key
+		// against the key of the row's cells for the relation, compared where
+		// the row is read; multi-region views scatter-gather the regions like
+		// any other full scan.
+		pk, key := sys.Design.Schema.Relation(parts.Table.Name).PK, parts.Key
 		sc, err := rd.OpenScan(ctx, viewInfo.Name, hbase.ScanSpec{
 			Read: read,
 			Filter: func(r hbase.RowResult) bool {
-				row := phoenix.CellsToRow(r)
-				for i, c := range pk {
-					if !schema.ValuesEqual(row[c], keyVals[i]) {
-						return false
-					}
-				}
-				return true
+				var buf [64]byte
+				return string(phoenix.AppendKeyOfRow(buf[:0], r.Cells, pk)) == key
 			},
 		})
 		if err != nil {
 			return nil, err
 		}
-		var out []schema.Row
-		for {
-			r, ok := sc.Next(ctx)
-			if !ok {
-				return out, nil
-			}
-			out = append(out, phoenix.CellsToRow(r))
+		var out []viewRow
+		for r, ok := sc.Next(ctx); ok; r, ok = sc.Next(ctx) {
+			out = append(out, viewRow{r.Key, phoenix.AppendRowCells(nil, r)})
 		}
+		return out, nil
 	}
 }
