@@ -112,7 +112,7 @@ func BenchmarkScanChunkMerge(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf.reset()
-		if _, next := r.scanChunk(buf, "", 0, false, ReadOpts{}, nil); next != "" {
+		if _, next := r.scanChunk(buf, "", 0, false, ReadOpts{}, nil, nil); next != "" {
 			b.Fatalf("next = %q, want exhausted", next)
 		}
 		if len(buf.rows) != rows {

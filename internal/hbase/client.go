@@ -322,6 +322,14 @@ type ScanSpec struct {
 	// instead of pushing the store-safe split down. Plain store scans
 	// ignore it (there is nothing to merge).
 	FilterMergedOnly bool
+	// Columns, when non-nil, is the set of qualifiers the scan reads: every
+	// other cell stays in the store — the filter does not see it, the response
+	// does not carry it, Bytes and with it the per-byte charge do not count
+	// it. nil reads every column, at no cost for having the choice. The set
+	// must hold every qualifier Filter reads and a column no stored row lacks
+	// (a row with none of its cells in the set reads as absent); a caller that
+	// checks rows for the dirty marker adds phoenix.DirtyQualifier itself.
+	Columns *ColumnSet
 	// Batch overrides the scanner caching (rows per RPC).
 	Batch int
 	// Sequential forces region-at-a-time draining even when the scan
@@ -516,7 +524,7 @@ func (s *Scanner) fetchChunk(ctx *sim.Ctx, r *Region, buf *chunkBuf, resume stri
 	hc := s.client.hc
 	srv := r.Server()
 	buf.reset()
-	examined, next := r.scanChunk(buf, resume, want, s.spec.Reversed, s.spec.Read, s.spec.Filter)
+	examined, next := r.scanChunk(buf, resume, want, s.spec.Reversed, s.spec.Read, s.spec.Filter, s.spec.Columns)
 	for n := len(buf.rows); n > 0 && s.past(buf.rows[n-1].Key); n-- {
 		buf.rows[n-1] = RowResult{} // reset clears rows to its length only
 		buf.rows = buf.rows[:n-1]

@@ -29,7 +29,7 @@ func recountBytes(r *Region) int64 {
 	for k, rd := range r.mem.rows {
 		n += rd.sizeBytes(k)
 	}
-	m := newRowMerger(nil, r.files, "", false)
+	m := newRowMerger(nil, r.files, "", false, nil)
 	defer m.release()
 	for {
 		key, parts, ok := m.next()

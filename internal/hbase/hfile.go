@@ -205,8 +205,11 @@ func generalCell(body []byte, off int) (id uint64, ts int64, typ CellType, v []b
 // row streams through the same newest-visible-version resolution as
 // rowData.readInto, cell by cell, without materializing a []Cell.
 //
+// want, when non-nil, keeps the read to the cells whose dictionary id it holds
+// true (ColumnSet.in); the others are stepped over by their length.
+//
 //cellsvet:owner
-func (p packedRow) readInto(dst Cells, opts ReadOpts) (arena, row Cells) {
+func (p packedRow) readInto(dst Cells, opts ReadOpts, want []bool) (arena, row Cells) {
 	body, dict := p.body, p.file.dict
 	start := len(dst)
 	if body[0]&rowUniform != 0 {
@@ -220,7 +223,12 @@ func (p packedRow) readInto(dst Cells, opts ReadOpts) (arena, row Cells) {
 			var id uint64
 			var v []byte
 			id, v, off = uniformCell(body, off)
-			dst = append(dst, Pair{Qualifier: dict[id], Value: v})
+			if want == nil || want[id] {
+				dst = append(dst, Pair{Qualifier: dict[id], Value: v})
+			}
+		}
+		if len(dst) == start {
+			return dst, nil
 		}
 		return dst, dst[start:len(dst):len(dst)]
 	}
@@ -244,7 +252,7 @@ func (p packedRow) readInto(dst Cells, opts ReadOpts) (arena, row Cells) {
 			}
 			continue
 		}
-		if settled || !opts.visible(ts) {
+		if settled || !opts.visible(ts) || want != nil && !want[id] {
 			continue
 		}
 		settled = true

@@ -66,6 +66,11 @@ var fuzzTimestamps = []int64{math.MinInt64, -7, -1, 0, 1, 2, 3, 9, 1 << 40, over
 //   - the packed read kernel equals rowData.read on the same cells under
 //     plain, snapshot and excluded-version options, into a nil arena and
 //     behind an occupied one;
+//   - a read under a column set — qualifiers the row has, lacks and the file
+//     has never seen — is the read without it cut to the set (restrictTo),
+//     whichever way the row is stored: packed in one file by dictionary id,
+//     in a memstore by qualifier, and spread over two files and a memstore
+//     through Region.scanChunk's merge;
 //   - compaction parity: compacting the decoded row equals compacting the
 //     reference, and the re-encoded compacted row reads the same;
 //   - minor compaction parity: the two parts, flushed as two store files and
@@ -155,19 +160,56 @@ func FuzzPackedRow(f *testing.F) {
 			{ReadTS: 1 << 41},
 			{Excluded: func(ts int64) bool { return ts%3 == 0 }},
 		}
+		// The same row as a region holds it mid-life: the older part in a store
+		// file, the newer split between a newer file and the memstore.
+		spread := newRegion(&TableSpec{Name: "t", MaxVersions: 1 << 20}, "", "")
+		if !parts[1].empty() {
+			spread.files = append(spread.files, packRows([]string{"k"}, [][]Cell{parts[1].cells}))
+		}
+		if n := len(parts[0].cells); n > 0 {
+			spread.files = append([]*hfile{packRows([]string{"k"}, [][]Cell{parts[0].cells[:n/2]})}, spread.files...)
+			spread.mem.upsert("k").cells = parts[0].cells[n/2:]
+		}
 		for oi, opts := range readOpts {
 			want := ref.read(opts)
-			_, got := row.readInto(nil, opts)
+			_, got := row.readInto(nil, opts, nil)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("opts %d: packed read %v, reference %v (cells %+v)", oi, got, want, ref.cells)
 			}
 			requireCellsMatchRef(t, fmt.Sprintf("opts %d", oi), got, readRefMap(ref, opts))
-			arena, window := row.readInto(occupied, opts)
+			arena, window := row.readInto(occupied, opts, nil)
 			if !reflect.DeepEqual(window, want) || arena[0].Qualifier != "kept" || len(arena) != 1+len(want) {
 				t.Fatalf("opts %d: read behind an occupied arena: arena %v window %v want %v", oi, arena, window, want)
 			}
 			if len(window) > 0 && cap(window) != len(window) {
 				t.Fatalf("opts %d: row window not capacity-clipped", oi)
+			}
+
+			cols := NewColumnSet("never-stored")
+			for q := 0; q < 12; q++ {
+				if (int(tape[0])<<8|int(tape[len(tape)-1]))>>q&1 == 1 {
+					cols.quals = append(cols.quals, fmt.Sprintf("q%d", q))
+				}
+			}
+			slices.Sort(cols.quals)
+			cut := restrictTo(want, cols)
+			if _, got := row.readInto(nil, opts, cols.in(file)); !reflect.DeepEqual(got, cut) {
+				t.Fatalf("opts %d: packed read under %v gave %v, want %v (cells %+v)", oi, cols.quals, got, cut, ref.cells)
+			}
+			if arena, window := row.readInto(occupied, opts, cols.in(file)); !reflect.DeepEqual(window, cut) || len(arena) != 1+len(cut) {
+				t.Fatalf("opts %d: packed read under %v behind an occupied arena: arena %v window %v want %v", oi, cols.quals, arena, window, cut)
+			}
+			if _, got := ref.readInto(nil, opts, cols); !reflect.DeepEqual(got, cut) {
+				t.Fatalf("opts %d: rowData read under %v gave %v, want %v (cells %+v)", oi, cols.quals, got, cut, ref.cells)
+			}
+			buf := &chunkBuf{}
+			spread.scanChunk(buf, "", 0, false, opts, nil, cols)
+			var merged Cells
+			if len(buf.rows) > 0 {
+				merged = buf.rows[0].Cells
+			}
+			if !reflect.DeepEqual(merged, cut) {
+				t.Fatalf("opts %d: row spread over %d files and a memstore read under %v gave %v, want %v (cells %+v)", oi, len(spread.files), cols.quals, merged, cut, ref.cells)
 			}
 		}
 
@@ -183,7 +225,7 @@ func FuzzPackedRow(f *testing.F) {
 				continue
 			}
 			re, _ := packRows([]string{"k"}, [][]Cell{got.cells}).find("k")
-			if _, cells := re.readInto(nil, ReadOpts{}); !reflect.DeepEqual(cells, want.read(ReadOpts{})) {
+			if _, cells := re.readInto(nil, ReadOpts{}, nil); !reflect.DeepEqual(cells, want.read(ReadOpts{})) {
 				t.Fatalf("compact(%d): re-encoded row reads %v, reference %v", keep, cells, want.read(ReadOpts{}))
 			}
 		}
@@ -235,7 +277,7 @@ func FuzzPackedRow(f *testing.F) {
 			return
 		}
 		for oi, opts := range readOpts {
-			if _, cells := row.readInto(nil, opts); !reflect.DeepEqual(cells, ref.read(opts)) {
+			if _, cells := row.readInto(nil, opts, nil); !reflect.DeepEqual(cells, ref.read(opts)) {
 				t.Fatalf("opts %d: minor-compacted row reads %v, the unmerged stack %v (cells %+v)", oi, cells, ref.read(opts), ref.cells)
 			}
 		}
@@ -277,18 +319,18 @@ func TestPackedBlocksBoundedAndSeekable(t *testing.T) {
 		if !ok {
 			t.Fatalf("row %s not found", k)
 		}
-		if _, got := row.readInto(nil, ReadOpts{}); string(got.Get("v")) != fmt.Sprint(i) || len(got.Get("pad")) != len(cells[i][0].Value) {
+		if _, got := row.readInto(nil, ReadOpts{}, nil); string(got.Get("v")) != fmt.Sprint(i) || len(got.Get("pad")) != len(cells[i][0].Value) {
 			t.Fatalf("row %s decoded wrong: v=%q pad=%d bytes", k, got.Get("v"), len(got.Get("pad")))
 		}
 	}
-	m := newRowMerger(nil, []*hfile{f}, scanKey(100), false)
+	m := newRowMerger(nil, []*hfile{f}, scanKey(100), false, nil)
 	defer m.release()
 	for i := 100; i < rows; i++ {
 		key, parts, ok := m.next()
 		if !ok || key != keys[i] || len(parts) != 1 {
 			t.Fatalf("cursor at %d: key %q ok=%v parts=%d", i, key, ok, len(parts))
 		}
-		if _, got := parts[0].readInto(nil, ReadOpts{}); string(got.Get("v")) != fmt.Sprint(i) {
+		if _, got := parts[0].file.readInto(nil, ReadOpts{}, nil); string(got.Get("v")) != fmt.Sprint(i) {
 			t.Fatalf("cursor row %s: v=%q", key, got.Get("v"))
 		}
 	}
@@ -522,6 +564,35 @@ var scanShapes = []ScanSpec{
 	{Prefix: "k0000", Limit: 12, Batch: 5},
 }
 
+// restrictTo is what a read under a column set must return, given the same
+// read without one: the pairs whose qualifier the set names, nil — the row
+// reads as absent — when there is none. A nil set restricts nothing. The
+// pairs are collected in a slice of its own.
+//
+//cellsvet:owner
+func restrictTo(cells Cells, cols *ColumnSet) Cells {
+	if cols == nil {
+		return cells
+	}
+	var out Cells
+	for _, p := range cells {
+		if slices.Contains(cols.quals, p.Qualifier) {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+func restrictRows(rows []RowResult, cols *ColumnSet) []RowResult {
+	var out []RowResult
+	for _, r := range rows {
+		if cells := restrictTo(r.Cells, cols); len(cells) > 0 {
+			out = append(out, RowResult{Key: r.Key, Cells: cells})
+		}
+	}
+	return out
+}
+
 // modelRows is what a scan of spec's shape must return given all, the
 // model's visible rows in ascending key order: the rows inside the range,
 // backwards when reversed, cut at the limit.
@@ -560,8 +631,9 @@ func (s *refStore) scan(opts ReadOpts) []RowResult {
 // compactions keep splitting regions — and after every step that rewrites
 // store files compares the table against refStore: TableBytes against the
 // brute-force KVSize sum, every Get, the scanShapes under plain, snapshot and
-// excluded-version options in both directions, and region scanChunks resumed
-// seven rows at a time, forward and reversed. Every seed runs twice: with
+// excluded-version options in both directions, with and without a column set,
+// and region scanChunks resumed seven rows at a time under one, forward and
+// reversed. Every seed runs twice: with
 // store files rewritten only by the explicit flushes and compactions, and
 // with a flush size of three or four writes, so that size-triggered flushes, merges
 // of the newest files only and merges reaching the oldest file all happen
@@ -631,21 +703,29 @@ func runRegionModel(t *testing.T, seed, flushSize int64) {
 			}
 		}
 		for oi, opts := range optsList {
+			// Every shape with no column set and with one — a set per read
+			// option, a fresh one each time as a statement's is: the scan must
+			// return the model's rows cut to it, a row with none of its cells
+			// left reading as absent (and counting for no limit).
+			cols := NewColumnSet([][]string{{"b", "n", "never-stored"}, {"a"}, {"c", "a"}}[oi]...)
 			all := model.scan(opts)
 			for _, spec := range scanShapes {
 				for _, reversed := range []bool{false, true} {
 					spec.Read, spec.Reversed = opts, reversed
-					want := modelRows(all, spec)
-					for _, sequential := range []bool{true, false} {
-						spec.Sequential = sequential
-						got, _ := drainSpec(t, c, spec)
-						requireSameRows(t, want, got)
+					for _, spec.Columns = range []*ColumnSet{nil, cols} {
+						want := modelRows(restrictRows(all, spec.Columns), spec)
+						for _, sequential := range []bool{true, false} {
+							spec.Sequential = sequential
+							got, _ := drainSpec(t, c, spec)
+							requireSameRows(t, want, got)
+						}
 					}
 				}
 			}
 			// Resumed region chunks: each region seven rows at a time, the
 			// regions in scan order, must concatenate to the same rows —
 			// forward, and reversed to the same rows backwards.
+			all = restrictRows(all, cols)
 			for _, reversed := range []bool{false, true} {
 				want := modelRows(all, ScanSpec{Reversed: reversed})
 				regions := tbl.regionsInRange("", "")
@@ -661,7 +741,7 @@ func runRegionModel(t *testing.T, seed, flushSize int64) {
 					}
 					for {
 						buf.reset()
-						_, next = r.scanChunk(buf, next, 7, reversed, opts, nil)
+						_, next = r.scanChunk(buf, next, 7, reversed, opts, nil, cols)
 						for _, row := range buf.rows {
 							chunked = append(chunked, row.Clone())
 						}

@@ -12,17 +12,6 @@ type rowPart struct {
 	file packedRow
 }
 
-// readInto materializes the part's visible pairs onto dst (the
-// rowData.readInto contract) without decoding a file part into cells.
-//
-//cellsvet:owner
-func (p rowPart) readInto(dst Cells, opts ReadOpts) (arena, row Cells) {
-	if p.mem != nil {
-		return p.mem.readInto(dst, opts)
-	}
-	return p.file.readInto(dst, opts)
-}
-
 // appendCells appends every cell of the part to dst in cellLess order.
 func (p rowPart) appendCells(dst []Cell) []Cell {
 	if p.mem != nil {
@@ -41,6 +30,7 @@ type mergeSource struct {
 	pos  int
 	f    *hfile              // store-file source (nil for a memstore source)
 	blk  int                 // store-file source: the block holding row pos
+	want []bool              // store-file source: the merger's column set in f's ids
 	keys []string            // memstore key list
 	mem  map[string]*rowData // memstore rows
 }
@@ -120,7 +110,9 @@ func (s *mergeSource) left(rev bool) int {
 // a multi-part row decodes and merges into all keep their capacity across
 // folds. Point reads borrow the same scratch through lookupRow.
 type rowMerger struct {
-	rev     bool // descending key order
+	rev     bool       // descending key order
+	cols    *ColumnSet // what read keeps of a row; nil = every cell
+	want    []bool     // cols in the ids of the file the last part next gathered is from
 	heap    []*mergeSource
 	parts   []rowPart     // scratch, reused across next/lookup calls
 	srcs    []mergeSource // backing storage for heap entries, reused across folds
@@ -134,11 +126,11 @@ var mergerPool = sync.Pool{New: func() any { return new(rowMerger) }}
 // newRowMerger positions every non-empty source at the first key >= from —
 // or, for a reversed merge, at the last key < from, with from == "" standing
 // for "past the last key". mem may be nil (compaction merges store files
-// only). The merger comes from the package pool; callers must release() it
-// when the fold is done.
-func newRowMerger(mem *memStore, files []*hfile, from string, rev bool) *rowMerger {
+// only), and so may cols (read then keeps every cell). The merger comes from
+// the package pool; callers must release() it when the fold is done.
+func newRowMerger(mem *memStore, files []*hfile, from string, rev bool, cols *ColumnSet) *rowMerger {
 	m := mergerPool.Get().(*rowMerger)
-	m.rev = rev
+	m.rev, m.cols = rev, cols
 	// Reserve the source backing array up front: the heap holds pointers
 	// into it, so it must never reallocate while sources are being added.
 	if need := len(files) + 1; cap(m.srcs) < need {
@@ -167,7 +159,7 @@ func newRowMerger(mem *memStore, files []*hfile, from string, rev bool) *rowMerg
 	}
 	for fi, f := range files {
 		if i := first(f.seek(from), f.hi); i >= f.lo && i < f.hi {
-			m.srcs = append(m.srcs, mergeSource{rank: fi + 1, key: f.key(i), pos: i, f: f, blk: f.blockOf(i)})
+			m.srcs = append(m.srcs, mergeSource{rank: fi + 1, key: f.key(i), pos: i, f: f, blk: f.blockOf(i), want: cols.in(f)})
 			m.heap = append(m.heap, &m.srcs[len(m.srcs)-1])
 		}
 	}
@@ -209,6 +201,7 @@ func (m *rowMerger) release() {
 	m.heap = m.heap[:0]
 	clear(m.parts[:cap(m.parts)])
 	m.parts = m.parts[:0]
+	m.cols, m.want = nil, nil
 	mergerPool.Put(m)
 }
 
@@ -242,18 +235,22 @@ func (m *rowMerger) fold(parts []rowPart) *rowData {
 // read materializes the visible pairs of a row from its parts onto dst (the
 // rowData.readInto contract). A lone part — the common case by far — is read
 // in place: a memstore row from its cell index, a file row straight from its
-// block through the packed read kernel. Only a row spread over several parts
-// pays a decode and merge, into pooled scratch.
+// block through the packed read kernel, which keeps or skips a cell by its
+// dictionary id. Only a row spread over several parts pays a decode and merge,
+// into pooled scratch, and is cut to the merger's column set as a memstore row
+// is: by qualifier, once its versions are resolved.
 //
 //cellsvet:owner
 func (m *rowMerger) read(parts []rowPart, dst Cells, opts ReadOpts) (arena, row Cells) {
-	switch len(parts) {
-	case 0:
+	switch {
+	case len(parts) == 0:
 		return dst, nil
-	case 1:
-		return parts[0].readInto(dst, opts)
+	case len(parts) > 1:
+		return m.fold(parts).readInto(dst, opts, m.cols)
+	case parts[0].mem != nil:
+		return parts[0].mem.readInto(dst, opts, m.cols)
 	}
-	return m.fold(parts).readInto(dst, opts)
+	return parts[0].file.readInto(dst, opts, m.want)
 }
 
 // remaining upper-bounds the number of distinct keys left (sources may share
@@ -278,6 +275,7 @@ func (m *rowMerger) next() (key string, parts []rowPart, ok bool) {
 	for len(m.heap) > 0 && m.heap[0].key == key {
 		src := m.heap[0]
 		m.parts = append(m.parts, src.part())
+		m.want = src.want
 		if src.advance(m.rev) {
 			m.siftDown(0)
 		} else {

@@ -137,16 +137,18 @@ func rowTombstoned(rd *rowData, opts ReadOpts) bool {
 // version merge resolves precedence: pending row tombstones hide the store
 // row, pending column tombstones hide their qualifier, pending puts win.
 // The base pairs arrive already sorted by qualifier (every RowResult is),
-// so the re-injection is a straight copy with no sort.
-func overlayRow(key string, pending *rowData, base Cells, opts ReadOpts) RowResult {
-	if len(base) == 0 {
-		return RowResult{Key: key, Cells: pending.read(opts)}
+// so the re-injection is a straight copy with no sort. cols is the scan's
+// column set: the store cut base to it, and the pending cells are cut alike.
+func overlayRow(key string, pending *rowData, base Cells, opts ReadOpts, cols *ColumnSet) RowResult {
+	if len(base) > 0 {
+		bcells := make([]Cell, len(base))
+		for i, p := range base {
+			bcells[i] = Cell{Qualifier: p.Qualifier, Value: p.Value}
+		}
+		pending = merged(pending, &rowData{cells: bcells})
 	}
-	bcells := make([]Cell, len(base))
-	for i, p := range base {
-		bcells[i] = Cell{Qualifier: p.Qualifier, Value: p.Value}
-	}
-	return RowResult{Key: key, Cells: merged(pending, &rowData{cells: bcells}).read(opts)}
+	_, cells := pending.readInto(nil, opts, cols)
+	return RowResult{Key: key, Cells: cells}
 }
 
 // ReadView is the read-your-writes view of a transaction: point gets and
@@ -180,7 +182,7 @@ func (v *ReadView) Get(ctx *sim.Ctx, tbl, key string, opts ReadOpts) (RowResult,
 	if err != nil {
 		return RowResult{}, err
 	}
-	return overlayRow(key, pending, base.Cells, opts), nil
+	return overlayRow(key, pending, base.Cells, opts, nil), nil
 }
 
 // OpenScan opens a key-ordered scan that folds the pending rows for the
@@ -318,7 +320,7 @@ func (s *overlayScanner) step(ctx *sim.Ctx) (RowResult, bool) {
 				base = s.srow.Cells
 				s.shave = false
 			}
-			res := overlayRow(key, s.ot.rows[key], base, s.spec.Read)
+			res := overlayRow(key, s.ot.rows[key], base, s.spec.Read, s.spec.Columns)
 			if len(res.Cells) == 0 {
 				continue // pending delete (or invisible pending row)
 			}

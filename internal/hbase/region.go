@@ -301,16 +301,17 @@ func (r *Region) increment(key, qualifier string, delta int64, clock func() int6
 // reversed chunk walks the other way: rows with key < from ("" = from the
 // last key) and >= r.start, in descending order, and its resume key is
 // the last returned key — an exclusive upper bound, as from is. filter, when
-// non-nil, drops rows server-side (they still count as examined). buf must
-// arrive empty (reset); the produced rows live in buf.rows and their Cells
-// are windows into buf.arena, so they are valid only until the buffer's next
-// reset — the chunkBuf ownership protocol governs when that may happen.
-func (r *Region) scanChunk(buf *chunkBuf, from string, limit int, reversed bool, opts ReadOpts, filter func(RowResult) bool) (examined int, next string) {
+// non-nil, drops rows server-side (they still count as examined); cols, when
+// non-nil, is the cells a row is read down to before the filter sees it. buf
+// must arrive empty (reset); the produced rows live in buf.rows and their
+// Cells are windows into buf.arena, so they are valid only until the buffer's
+// next reset — the chunkBuf ownership protocol governs when that may happen.
+func (r *Region) scanChunk(buf *chunkBuf, from string, limit int, reversed bool, opts ReadOpts, filter func(RowResult) bool, cols *ColumnSet) (examined int, next string) {
 	defer func() { r.recordRead(examined) }()
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 
-	m := newRowMerger(r.mem, r.files, from, reversed)
+	m := newRowMerger(r.mem, r.files, from, reversed, cols)
 	defer m.release()
 	need := m.remaining()
 	if limit > 0 && limit < need {
@@ -443,7 +444,7 @@ func (r *Region) flushLocked() {
 // holds the window's rows only and the parent shell keeps the originals.
 func (r *Region) mergeLocked(n int, major bool) {
 	run := r.files[:n]
-	m := newRowMerger(nil, run, "", false)
+	m := newRowMerger(nil, run, "", false, nil)
 	defer m.release()
 	keyBytes := 0
 	for _, f := range run {

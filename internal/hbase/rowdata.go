@@ -97,7 +97,7 @@ func (r *rowData) trim(maxVersions int) {
 // forever); the scan path uses readInto to amortize the allocation into a
 // per-chunk arena instead.
 func (r *rowData) read(opts ReadOpts) Cells {
-	pairs, _ := r.readInto(nil, opts)
+	pairs, _ := r.readInto(nil, opts, nil)
 	return pairs
 }
 
@@ -114,10 +114,17 @@ func (r *rowData) read(opts ReadOpts) Cells {
 // to the remaining qualifier-group count (the point-read behavior: one
 // exact allocation per visible row, none for invisible rows).
 //
+// A non-nil cols restricts the row to those qualifiers: both lists ascend, so
+// the set is walked beside the row's qualifier groups.
+//
 //cellsvet:owner
-func (r *rowData) readInto(dst Cells, opts ReadOpts) (arena, row Cells) {
+func (r *rowData) readInto(dst Cells, opts ReadOpts, cols *ColumnSet) (arena, row Cells) {
 	if len(r.cells) == 0 {
 		return dst, nil
+	}
+	var wanted []string
+	if cols != nil {
+		wanted = cols.quals
 	}
 	// Newest visible row-wide tombstone.
 	var rowDelTS int64 = -1
@@ -138,6 +145,15 @@ func (r *rowData) readInto(dst Cells, opts ReadOpts) (arena, row Cells) {
 		j := i
 		for j < len(r.cells) && r.cells[j].Qualifier == q {
 			j++
+		}
+		if cols != nil {
+			for len(wanted) > 0 && wanted[0] < q {
+				wanted = wanted[1:]
+			}
+			if len(wanted) == 0 || wanted[0] != q {
+				i = j
+				continue
+			}
 		}
 		if q != "" {
 			for k := i; k < j; k++ {

@@ -40,7 +40,9 @@
 package hbase
 
 import (
+	"slices"
 	"strings"
+	"sync"
 )
 
 // CellType distinguishes data cells from tombstones.
@@ -224,6 +226,58 @@ func (r RowResult) String() string {
 	}
 	b.WriteByte('}')
 	return b.String()
+}
+
+// ColumnSet is the set of qualifiers a scan reads (ScanSpec.Columns): the
+// read kernels emit a row's other cells nowhere — not into the chunk arena,
+// not into RowResult.Bytes, not onto the wire. A row is still a row only while
+// one of its visible cells is in the set, so whoever builds one includes a
+// column every stored row carries. One set serves every scan of a statement —
+// all the probes of a join share it — because it remembers, per store file it
+// has met, which dictionary ids it wants: a file's cells are then kept or
+// skipped by id, with no qualifier compared and nothing allocated per row.
+// It keeps those files reachable, so it should not outlive its statement.
+type ColumnSet struct {
+	quals []string // ascending, distinct
+	mu    sync.Mutex
+	files []fileColumns
+	few   [3]fileColumns // backs files until a scan meets a fourth file
+}
+
+// fileColumns is a ColumnSet resolved against one store file's dictionary.
+type fileColumns struct {
+	f    *hfile
+	want []bool // by dictionary id
+}
+
+// NewColumnSet returns the set of the given qualifiers; it keeps the slice.
+func NewColumnSet(quals ...string) *ColumnSet {
+	slices.Sort(quals)
+	return &ColumnSet{quals: slices.Compact(quals)}
+}
+
+// in returns the set as a mask over f's dictionary ids, nil — every cell —
+// for no set.
+func (s *ColumnSet) in(f *hfile) []bool {
+	if s == nil {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.files == nil {
+		s.files = s.few[:0]
+	}
+	for _, fc := range s.files {
+		if fc.f == f {
+			return fc.want
+		}
+	}
+	want := make([]bool, len(f.dict))
+	for id, q := range f.dict {
+		_, want[id] = slices.BinarySearch(s.quals, q)
+	}
+	s.files = append(s.files, fileColumns{f, want})
+	return want
 }
 
 // ReadOpts control version visibility for Get and Scan.

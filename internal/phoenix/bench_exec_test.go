@@ -251,9 +251,13 @@ func drainRaw(tb testing.TB, eng *Engine, ctx *sim.Ctx, sel *sqlparser.SelectStm
 // 20,000-row table scanned and folded into 86 groups, the result read off
 // the cursor as the wire server reads it. Nothing in it should cost an
 // allocation per scanned row.
-func BenchmarkGroupByScan(b *testing.B) {
-	eng := groupByDB(b)
-	sel, err := sqlparser.ParseSelect(groupBySQL)
+func BenchmarkGroupByScan(b *testing.B) { benchScan(b, groupByDB(b), groupBySQL, 86) }
+
+// benchScan runs a statement over eng as the wire server does — rows read off
+// the cursor still encoded — and reports sim-ms and allocations per execution.
+func benchScan(b *testing.B, eng *Engine, sql string, want int, params ...schema.Value) {
+	b.Helper()
+	sel, err := sqlparser.ParseSelect(sql)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -262,10 +266,30 @@ func BenchmarkGroupByScan(b *testing.B) {
 	var simTotal sim.Micros
 	for i := 0; i < b.N; i++ {
 		ctx := sim.NewCtx()
-		if n := drainRaw(b, eng, ctx, sel); n != 86 {
-			b.Fatalf("%d groups, want 86", n)
+		if n := drainRaw(b, eng, ctx, sel, params...); n != want {
+			b.Fatalf("%d rows, want %d", n, want)
 		}
 		simTotal += ctx.Elapsed()
 	}
 	b.ReportMetric(simTotal.Milliseconds()/float64(b.N), "sim-ms/op")
+}
+
+// BenchmarkKeyRangeScan is the scan workload's S4 shape: a primary-key range of
+// 1,000 of the table's 20,000 rows, every column. The plan bounds the scan, so
+// it examines the range (and, until a region stops at the stop row itself, the
+// chunk after it), not the table.
+func BenchmarkKeyRangeScan(b *testing.B) {
+	benchScan(b, groupByDB(b), `SELECT * FROM Customer WHERE c_id >= ? AND c_id < ?`, 1000, int64(7001), int64(8001))
+}
+
+// BenchmarkProjectedAggregate is the S3 shape over a major-compacted table —
+// one store file of uniform rows, as the standing benchmark's population
+// leaves it: the scan names the two columns it folds, so the packed read
+// kernel steps over the other fifteen and the response carries none of them.
+func BenchmarkProjectedAggregate(b *testing.B) {
+	eng := groupByDB(b)
+	if err := eng.Catalog().Store().MajorCompact("Customer"); err != nil {
+		b.Fatal(err)
+	}
+	benchScan(b, eng, groupBySQL, 86)
 }

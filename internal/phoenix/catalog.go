@@ -13,6 +13,14 @@
 // Values are decoded at the map-returning Query API boundary (DrainCursor)
 // and nowhere before it; a wire server never decodes them at all.
 //
+// What a plan knows, its scans are told (scanSpec): the key range — the
+// equality prefix on the primary key or a covered index, then the <, <=, >, >=
+// conjuncts on the next key column as start and stop rows (keyBounds) — the
+// columns the statement reads (columnSet; nil for SELECT *), the remaining
+// predicates as the filter, the direction and the limit. Constants take their
+// column's declared kind before they are stored or keyed (coerce), so a
+// numeric constant finds its rows whether the client typed it INT or DOUBLE.
+//
 // Writes have the same row model. A row on the write path is its attribute
 // cells in qualifier order: BindWrite encodes a statement's values once
 // (Write), GetCells reads a stored row as cells, MergeCells lays one row over

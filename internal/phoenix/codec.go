@@ -20,6 +20,39 @@ const (
 	tagString = 's'
 )
 
+// coerce gives a constant the kind its column declares: an integral float
+// bound to an INT column is the integer, an integer bound to a FLOAT column the
+// float (and -0 is 0). Writes store what it returns and every key is built from
+// it, so a column holds one kind, a key column one key tag, and a constant
+// finds the rows it equals however the client typed it (a driver that binds
+// every number as a DOUBLE, a literal 5.0). NULL passes. ok is false for a
+// value the column cannot hold — a fraction or a string for an INT, a number
+// for a STRING — which equals nothing stored there; it comes back as it was.
+func coerce(t schema.ColType, v schema.Value) (schema.Value, bool) {
+	switch x := v.(type) {
+	case nil:
+		return nil, true
+	case int:
+		return coerce(t, int64(x))
+	case int64:
+		if t == schema.TFloat {
+			return float64(x), true
+		}
+		return v, t == schema.TInt
+	case float64:
+		switch {
+		case t == schema.TInt && x >= -1<<63 && x < 1<<63 && x == math.Trunc(x):
+			return int64(x), true
+		case t == schema.TFloat && x == 0:
+			return 0.0, true
+		}
+		return v, t == schema.TFloat
+	case string:
+		return v, t == schema.TString
+	}
+	return v, false
+}
+
 // EncodeValue renders a typed value into cell bytes.
 func EncodeValue(v schema.Value) []byte {
 	if v == nil {

@@ -174,7 +174,8 @@ func evalConst(e sqlparser.Expr, params []schema.Value) (schema.Value, error) {
 
 // encodeCells evaluates a statement's column = value pairs and encodes them
 // as cells in qualifier order, the values windows into one buffer as
-// RowToCells lays them out. A NULL is left out of an inserted row; in an
+// RowToCells lays them out, each in its column's kind (coerce; a value the
+// column cannot hold is refused). A NULL is left out of an inserted row; in an
 // assignment it is the column's tombstone, so the update takes the stored
 // value away instead of keeping it.
 func encodeCells(t *TableInfo, set []sqlparser.Assignment, params []schema.Value, assignment bool) ([]hbase.Cell, error) {
@@ -195,7 +196,11 @@ func encodeCells(t *TableInfo, set []sqlparser.Assignment, params []schema.Value
 	cells := make([]hbase.Cell, 0, len(set))
 	for _, a := range set {
 		v, _ := evalConst(a.Value, params)
+		typ, _ := t.Col(a.Column)
+		v, ok := coerce(typ, v)
 		switch {
+		case !ok:
+			return nil, fmt.Errorf("phoenix: %s.%s is %s and cannot hold %v", t.Name, a.Column, typ, v)
 		case v != nil:
 			at := len(buf)
 			buf = AppendValue(buf, v)
@@ -233,7 +238,8 @@ func keyFromWhere(t *TableInfo, where []sqlparser.Predicate, params []schema.Val
 			return "", err
 		}
 		if i := slices.Index(t.Key, col.Column); i >= 0 {
-			vals[i] = v
+			typ, _ := t.Col(col.Column)
+			vals[i], _ = coerce(typ, v) // what the column cannot hold keys no stored row
 		}
 	}
 	for i, v := range vals {

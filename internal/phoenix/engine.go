@@ -149,11 +149,12 @@ func (e *Engine) QueryOpts(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []sch
 // blocks it points into for as long as it lives. That is one statement: vals
 // are carved from the query's slab and dropped with it, never pooled.
 //
-// size is the encoded footprint of the full source rows the tuple was built
-// from — every stored cell, not only the referenced ones — which is what a
-// join stage carrying the tuple forward spills (SpillPerByte). Pruning
-// columns therefore cannot move the simulated clock. It is maintained only
-// for statements that can spill (query.spills).
+// size is the encoded footprint of the cells the scans behind the tuple
+// carried — every column of a binding read whole, the scan's column set
+// (query.columnSet) of one that is not — which is what a join stage carrying
+// the tuple forward spills (SpillPerByte): a client that asked for three
+// columns spills three. It is maintained only for statements that can spill
+// (query.spills).
 type tuple struct {
 	vals [][]byte
 	size int

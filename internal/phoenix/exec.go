@@ -3,6 +3,7 @@ package phoenix
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -25,10 +26,15 @@ const (
 
 // accessPlan is how a table binding's rows are fetched.
 type accessPlan struct {
-	kind    accessKind
-	index   *IndexInfo     // for accessIndexPrefix
-	eqCols  []string       // leading key columns bound by equality
-	eqVals  []schema.Value // their values
+	kind   accessKind
+	index  *IndexInfo // for accessIndexPrefix
+	eqCols []string   // leading key columns bound by equality
+	// lo and hi bound the key column after eqCols — what the binding's <, <=,
+	// >, >= conjuncts on it put after the equality prefix of a row key, "" for
+	// an open end — and filter is the local predicates left for the scan to
+	// filter by (see keyBounds).
+	lo, hi  string
+	filter  []localPred
 	rowsEst int
 	// ordered marks a path whose key order is the statement's ORDER BY (see
 	// scanOrder): the scan delivers the rows sorted — backwards through the
@@ -82,7 +88,8 @@ func deliversOrder(keyCols []string, eq map[string]bool, order []string) bool {
 }
 
 // chooseAccess picks the cheapest access path for a binding given its local
-// equality predicates. extraEq supplies join-derived equalities (for INL
+// equality predicates and the range conjuncts on the key column after them.
+// extraEq supplies join-derived equalities (for INL
 // probes). Among paths estimated to read the same number of rows, one whose
 // key order serves the statement's ORDER BY wins — a covered index is worth
 // a full read for its order alone — but never over a path binding a longer
@@ -102,7 +109,7 @@ func (q *query) chooseAccess(b *binding, extraEqCols []string) accessPlan {
 	if est < 1 {
 		est = 1
 	}
-	best := accessPlan{kind: accessFullScan, rowsEst: est, ordered: wantOrder && deliversOrder(b.info.Key, eq, order)}
+	best := accessPlan{kind: accessFullScan, filter: b.local, rowsEst: est, ordered: wantOrder && deliversOrder(b.info.Key, eq, order)}
 
 	consider := func(keyCols []string, idx *IndexInfo) {
 		n := 0
@@ -113,19 +120,30 @@ func (q *query) chooseAccess(b *binding, extraEqCols []string) accessPlan {
 			n++
 		}
 		ordered := wantOrder && deliversOrder(keyCols, eq, order)
+		lo, hi, filter := "", "", b.local
+		if n < len(keyCols) {
+			lo, hi, filter = b.keyBounds(keyCols[n])
+		}
 		// Unbound, the primary key is the full scan, and an index is worth
 		// a full read only for its order.
-		if n == 0 && (idx == nil || !ordered) {
+		if n == 0 && lo == "" && hi == "" && (idx == nil || !ordered) {
 			return
 		}
 		// Selectivity heuristic: each bound key column divides the
-		// table; a fully bound key yields ~1 row.
+		// table, each bounded end of the next one quarters what is left;
+		// a fully bound key yields ~1 row.
 		rows := est
 		if n == len(keyCols) {
 			rows = 1
 		} else {
 			for i := 0; i < n && rows > 1; i++ {
 				rows = rows / 100
+			}
+			if lo != "" {
+				rows /= 4
+			}
+			if hi != "" {
+				rows /= 4
 			}
 			if rows < 1 {
 				rows = 1
@@ -144,7 +162,7 @@ func (q *query) chooseAccess(b *binding, extraEqCols []string) accessPlan {
 			}
 		}
 		if better {
-			best = accessPlan{kind: kind, index: idx, eqCols: keyCols[:n], rowsEst: rows, ordered: ordered}
+			best = accessPlan{kind: kind, index: idx, eqCols: keyCols[:n], lo: lo, hi: hi, filter: filter, rowsEst: rows, ordered: ordered}
 		}
 	}
 
@@ -179,10 +197,66 @@ func (p accessPlan) table(b *binding) string {
 	return b.info.Name
 }
 
-// keyRange restricts spec to the rows under the plan's bound key prefix and
-// reports whether that prefix is the whole row key — then the range is the
-// single row [key, key+\x00), otherwise a prefix scan.
+// keyBounds returns the start and stop the binding's range conjuncts on key
+// column col put on a scan, as the bytes that follow the equality prefix in a
+// row key ("" = that end is open), and rest, the local predicates the scan
+// still filters by. A conjunct the bounds absorb leaves the filter: one that
+// went on rejecting rows past the bound is what walks a scan to the region's
+// end. The constant takes the column's kind first (coerce), so it is compared
+// with parts of its own tag; one the column cannot hold, a NULL and a NaN
+// order against stored values as no key does and stay filters. An inclusive
+// lower bound is the constant's key part; an exclusive lower and an inclusive
+// upper bound append KeySep 0xFF, which sorts after every key whose part
+// equals the constant (the next part opens with a tag, and a NUL inside a
+// string part is escaped 0x00 0xFF, a longer string).
+func (b *binding) keyBounds(col string) (lo, hi string, rest []localPred) {
+	typ, _ := b.info.Col(col)
+	rest = b.local
+	absorbed := 0
+	for i, p := range b.local {
+		v, ok := coerce(typ, p.value)
+		f, _ := v.(float64)
+		if p.col != col || p.colVsCol || p.op == sqlparser.OpEq || p.op == sqlparser.OpNe || !ok || v == nil || math.IsNaN(f) {
+			if absorbed > 0 {
+				rest = append(rest, p)
+			}
+			continue
+		}
+		if absorbed++; absorbed == 1 {
+			rest = b.local[:i:i] // rest parts from b.local here: appends copy
+		}
+		var buf [64]byte
+		part := schema.AppendKey(buf[:0], v)
+		if p.op == sqlparser.OpGt || p.op == sqlparser.OpLe {
+			part = append(part, schema.KeySep, 0xFF)
+		}
+		if p.op == sqlparser.OpGt || p.op == sqlparser.OpGe {
+			if lo == "" || string(part) > lo {
+				lo = string(part)
+			}
+		} else if hi == "" || string(part) < hi {
+			hi = string(part)
+		}
+	}
+	return lo, hi, rest
+}
+
+// keyRange restricts spec to the rows under the plan's bound key prefix — vals,
+// each given its key column's kind — and, below it, between the plan's bounds
+// on the next key column. It reports whether the prefix is the whole row
+// key: then the range is the single row [key, key+\x00). An open lower end
+// starts at the first non-NULL part (tag 0x02): a NULL satisfies no comparison,
+// as the filter had it. A value its key column cannot hold equals no key, and
+// the range is empty (see openScan), as it is under contradictory bounds.
 func (p accessPlan) keyRange(b *binding, vals []schema.Value, spec *hbase.ScanSpec) (point bool) {
+	for i, c := range p.eqCols {
+		typ, _ := b.info.Col(c)
+		var ok bool
+		if vals[i], ok = coerce(typ, vals[i]); !ok {
+			spec.Start, spec.Stop = noKey, noKey
+			return true
+		}
+	}
 	keyLen := len(b.info.Key)
 	if p.kind == accessIndexPrefix {
 		keyLen += len(p.index.On)
@@ -192,16 +266,41 @@ func (p accessPlan) keyRange(b *binding, vals []schema.Value, spec *hbase.ScanSp
 		spec.Stop = spec.Start + "\x00"
 		return true
 	}
-	spec.Prefix = schema.KeyPrefix(vals...)
+	prefix := schema.KeyPrefix(vals...)
+	if p.lo == "" && p.hi == "" {
+		spec.Prefix = prefix
+		return false
+	}
+	spec.Start, spec.Stop = prefix+"\x02", prefix+noKey
+	if p.lo != "" {
+		spec.Start = prefix + p.lo
+	}
+	if p.hi != "" {
+		spec.Stop = prefix + p.hi
+	}
 	return false
 }
+
+// noKey sorts after every row key (a key opens with a type tag): [noKey, noKey)
+// is how keyRange spells the empty range.
+const noKey = "\xff"
+
+// noRows is the scan of an empty key range.
+type noRows struct{}
+
+func (noRows) Next(*sim.Ctx) (hbase.RowResult, bool) { return hbase.RowResult{}, false }
+func (noRows) Close(*sim.Ctx)                        {}
 
 // openScan opens a binding scan through the query's reader: an explicit
 // Reader when one is set (an OCC transaction's tracking view), else the
 // transaction overlay view (read-your-writes), else the plain store client.
 // Every table read of a query funnels through here, which is what makes it
-// the read-set capture choke point.
+// the read-set capture choke point. A key range that holds no key is read
+// here, with no RPC and nothing for a read set to track.
 func (q *query) openScan(ctx *sim.Ctx, tbl string, spec hbase.ScanSpec) (hbase.RowStream, error) {
+	if spec.Stop != "" && spec.Start >= spec.Stop {
+		return noRows{}, nil
+	}
 	if q.opts.Reader != nil {
 		return q.opts.Reader.OpenScan(ctx, tbl, spec)
 	}
@@ -211,12 +310,44 @@ func (q *query) openScan(ctx *sim.Ctx, tbl string, spec hbase.ScanSpec) (hbase.R
 	return q.eng.client.Scan(ctx, tbl, spec)
 }
 
+// columnSet is the qualifiers a scan of table binding b reads under the pushed
+// filter preds: the columns the statement reads of it, the ones the filter
+// compares, the dirty marker where the scan checks it, and a key column when
+// none of those is one — a stored row always carries its key, so a row whose
+// wanted columns are all NULL still comes back (the part Phoenix's empty key
+// value plays). It is nil when the statement reads every column: a SELECT *
+// scans as it did before scans named their columns.
+func (q *query) columnSet(b *binding, preds []localPred) *hbase.ColumnSet {
+	if len(b.refs) == len(b.cols) {
+		return nil
+	}
+	quals := append(make([]string, 0, len(b.refs)+2*len(preds)+2), b.refs...)
+	for _, p := range preds {
+		quals = append(quals, p.col)
+		if p.colVsCol {
+			quals = append(quals, p.rcol)
+		}
+	}
+	if q.opts.DirtyCheck && b.info.IsView {
+		quals = append(quals, DirtyQualifier)
+	}
+	keyed := false
+	for _, k := range b.info.Key {
+		keyed = keyed || slices.Contains(quals, k)
+	}
+	if !keyed {
+		quals = append(quals, b.info.Key[0])
+	}
+	return hbase.NewColumnSet(quals...)
+}
+
 // scanSpec builds the store scan of a table binding under its access plan:
-// the key range its local equalities bind and its local predicates as the
-// pushed-down filter. Full table and index-range scans scatter-gather across
-// regions (Phoenix intra-query parallelism); single-row lookups opt out.
+// the key range its local equalities and range conjuncts bind, the rest of its
+// local predicates as the pushed-down filter, and the columns it reads. Full
+// table and index-range scans scatter-gather across regions (Phoenix
+// intra-query parallelism); single-row lookups opt out.
 func (q *query) scanSpec(b *binding, plan accessPlan) (string, hbase.ScanSpec, error) {
-	spec := hbase.ScanSpec{Read: q.opts.Read, Filter: scanFilter(b.local), Reversed: plan.reversed}
+	spec := hbase.ScanSpec{Read: q.opts.Read, Filter: scanFilter(plan.filter), Reversed: plan.reversed, Columns: q.columnSet(b, plan.filter)}
 	if plan.kind != accessFullScan {
 		vals := make([]schema.Value, 0, len(plan.eqCols))
 		for _, c := range plan.eqCols {
@@ -623,7 +754,7 @@ func (q *query) indexNestedLoop(ctx *sim.Ctx, outer []tuple, b *binding, plan ac
 		probeConst[k] = v
 	}
 	tableName := plan.table(b)
-	filter := scanFilter(b.local)
+	filter, cols := scanFilter(plan.filter), q.columnSet(b, plan.filter) // one of each for every probe
 	dirtyChecked := q.opts.DirtyCheck && b.info.IsView
 	vals := make([]schema.Value, len(plan.eqCols))
 	var out []tuple
@@ -637,7 +768,7 @@ func (q *query) indexNestedLoop(ctx *sim.Ctx, outer []tuple, b *binding, plan ac
 		}
 		// INL probes are per-outer-row point/short-prefix reads; the
 		// scatter-gather fan-out would cost more than it overlaps.
-		spec := hbase.ScanSpec{Read: q.opts.Read, Sequential: true, Filter: filter}
+		spec := hbase.ScanSpec{Read: q.opts.Read, Sequential: true, Filter: filter, Columns: cols}
 		plan.keyRange(b, vals, &spec)
 		sc, err := q.openScan(ctx, tableName, spec)
 		if err != nil {

@@ -996,3 +996,54 @@ func TestUpdateSetNull(t *testing.T) {
 		}
 	}
 }
+
+// TestNumericKeyConstants: a client that binds every number as a DOUBLE — the
+// binary protocol's MYSQL_TYPE_DOUBLE, what a JavaScript driver sends — reads,
+// updates and inserts rows under INT keys as one that binds integers does, in
+// every mode, view maintenance included. A fraction names no row of an INT
+// key: a read and an update match nothing, an insert is refused.
+func TestNumericKeyConstants(t *testing.T) {
+	env := startServer(t, Config{})
+	for _, db := range []string{"hier", "mvcc", "occ"} {
+		c := env.dial(t, db)
+		prepare := func(sql string) *ClientStmt {
+			t.Helper()
+			st, err := c.Prepare(sql)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return st
+		}
+		sel := prepare("SELECT RID, RVal FROM Root WHERE RID = ?")
+		if rs, err := sel.Query(float64(2)); err != nil || len(rs.Rows) != 1 || rs.Rows[0]["RID"] != int64(2) || rs.Rows[0]["RVal"] != "r2" {
+			t.Errorf("%s: SELECT … WHERE RID = DOUBLE 2: %v, err %v", db, rs, err)
+		}
+		if rs, err := sel.Query(2.5); err != nil || len(rs.Rows) != 0 {
+			t.Errorf("%s: SELECT … WHERE RID = DOUBLE 2.5: %v, err %v", db, rs, err)
+		}
+		up := prepare("UPDATE Root SET RVal = ? WHERE RID = ?")
+		if err := up.Exec("by double", float64(2)); err != nil {
+			t.Fatalf("%s: UPDATE … WHERE RID = DOUBLE 2: %v", db, err)
+		}
+		if err := up.Exec("by fraction", 2.5); err != nil {
+			t.Errorf("%s: UPDATE … WHERE RID = DOUBLE 2.5 must match no row, not fail: %v", db, err)
+		}
+		view := prepare(testSelect)
+		if rs, err := view.Query("l2"); err != nil || len(rs.Rows) != 1 || rs.Rows[0]["RVal"] != "by double" {
+			t.Errorf("%s: view row after the update by a DOUBLE key: %v, err %v", db, rs, err)
+		}
+		ins := prepare("INSERT INTO Leaf (LID, L_RID, LVal) VALUES (?, ?, ?)")
+		if err := ins.Exec(float64(9), float64(2), "l9"); err != nil {
+			t.Fatalf("%s: INSERT with DOUBLE keys: %v", db, err)
+		}
+		if rs, err := c.Query("SELECT LID, L_RID FROM Leaf WHERE LID = 9"); err != nil || len(rs.Rows) != 1 || rs.Rows[0]["LID"] != int64(9) || rs.Rows[0]["L_RID"] != int64(2) {
+			t.Errorf("%s: the row inserted as LID 9.0, read by the integer: %v, err %v", db, rs, err)
+		}
+		if rs, err := view.Query("l9"); err != nil || len(rs.Rows) != 1 || rs.Rows[0]["RVal"] != "by double" || rs.Rows[0]["LID"] != int64(9) {
+			t.Errorf("%s: view row of the leaf inserted with DOUBLE keys: %v, err %v", db, rs, err)
+		}
+		if err := ins.Exec(9.5, float64(2), "l9.5"); err == nil {
+			t.Errorf("%s: INSERT of LID 9.5 into an INT key was accepted", db)
+		}
+	}
+}

@@ -347,3 +347,58 @@ func requireNoDirtyMarks(t *testing.T, sys *System) {
 		}
 	}
 }
+
+// TestOCCRangeReadSet: an optimistic transaction's scan is validated by the
+// key range it read (Larson et al.), and a key-range predicate is that range.
+// A transaction that read c_id >= 100 AND c_id < 200 commits beside a
+// concurrent insert of c_id 500 — outside what it read — and aborts beside one
+// of c_id 150, a would-be phantom. While the predicate was a filter over a
+// full scan the read set was the whole table and both aborted.
+func TestOCCRangeReadSet(t *testing.T) {
+	s := schema.New()
+	s.AddRelation(&schema.Relation{
+		Name:    "Customer",
+		Columns: []schema.Column{{Name: "c_id", Type: schema.TInt}, {Name: "c_uname", Type: schema.TString}},
+		PK:      []string{"c_id"},
+	})
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	const selSQL, insSQL = "SELECT c_id FROM Customer WHERE c_id >= ? AND c_id < ?", "INSERT INTO Customer (c_id, c_uname) VALUES (?, ?)"
+	sys, err := New(s, []string{"Customer"}, []string{selSQL, insSQL}, occConfig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []schema.Row
+	for id := int64(1); id <= 300; id++ {
+		if id != 150 {
+			rows = append(rows, schema.Row{"c_id": id, "c_uname": "loaded"})
+		}
+	}
+	if err := sys.LoadBase("Customer", rows); err != nil {
+		t.Fatal(err)
+	}
+	sel, ins := sqlparser.MustParse(selSQL).(*sqlparser.SelectStmt), sqlparser.MustParse(insSQL)
+
+	for _, tc := range []struct {
+		concurrent int64
+		conflict   bool
+	}{{500, false}, {150, true}} {
+		ctx := sim.NewCtx()
+		tx := sys.BeginTx(ctx)
+		rs, err := tx.Query(ctx, sel, []schema.Value{int64(100), int64(200)})
+		if err != nil || len(rs.Rows) != 99 {
+			t.Fatalf("range read: %d rows, err %v; want 99", len(rs.Rows), err)
+		}
+		if err := tx.Exec(ctx, ins, []schema.Value{9000 + tc.concurrent, "decided on what the range held"}); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.Exec(sim.NewCtx(), ins, []schema.Value{tc.concurrent, "concurrent"}); err != nil {
+			t.Fatal(err)
+		}
+		err = tx.Commit(ctx)
+		if got := errors.Is(err, occ.ErrConflict); got != tc.conflict || (err != nil && !got) {
+			t.Errorf("commit of a transaction that read [100, 200) beside an insert of c_id %d: %v; conflict wanted: %v", tc.concurrent, err, tc.conflict)
+		}
+	}
+}

@@ -199,7 +199,7 @@ func (s *Slave) logOutcome(ctx *sim.Ctx, rec walRecord) error {
 }
 
 // walRollBytes is the WAL length past which a slave rolls its log.
-const walRollBytes = 1 << 20
+const walRollBytes = 64 << 10
 
 // appendWAL appends records to the slave's WAL; opened is the change they
 // make to the number of transactions logged without an outcome (+1 for a
