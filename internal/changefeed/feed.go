@@ -39,14 +39,15 @@ type Delta struct {
 	Apply func(ctx *sim.Ctx) error
 }
 
+// batchMax caps the deltas an applier drains per batch.
+const batchMax = 32
+
 // Config sizes a Feed.
 type Config struct {
 	// QueueCap bounds each view's queue (queued + in-flight deltas). A full
 	// queue blocks the publisher — backpressure, never drops. Zero means a
 	// default of 1024.
 	QueueCap int
-	// BatchMax caps the deltas an applier drains per batch. Zero means 32.
-	BatchMax int
 	// Costs supplies the async cost knobs (queue hop, per-batch apply
 	// overhead, watermark wait).
 	Costs *sim.Costs
@@ -97,9 +98,6 @@ type lane struct {
 func New(cfg Config) *Feed {
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 1024
-	}
-	if cfg.BatchMax <= 0 {
-		cfg.BatchMax = 32
 	}
 	return &Feed{cfg: cfg, lanes: make(map[string]*lane)}
 }
@@ -162,10 +160,7 @@ func (l *lane) drain() {
 			l.mu.Unlock()
 			return
 		}
-		n := len(l.queue)
-		if n > f.cfg.BatchMax {
-			n = f.cfg.BatchMax
-		}
+		n := min(len(l.queue), batchMax)
 		batch := make([]Delta, n)
 		copy(batch, l.queue)
 		l.queue = l.queue[n:]

@@ -102,7 +102,7 @@ func TestFeedWriterChargedOnlyQueueHop(t *testing.T) {
 	if err := f.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	// One batch (4 ≤ BatchMax): batch overhead + 4×work.
+	// One batch (4 ≤ batchMax): batch overhead + 4×work.
 	want := costs.AsyncApplyBatch + 4*work
 	if got := f.AppliedCost(); got != want {
 		t.Fatalf("applied cost %v, want %v", got, want)

@@ -61,13 +61,6 @@ func (c *Cluster) EnableQueueing() {
 	}
 }
 
-// QueueingEnabled reports whether server work queues.
-func (c *Cluster) QueueingEnabled() bool {
-	c.load.mu.Lock()
-	defer c.load.mu.Unlock()
-	return c.load.enabled
-}
-
 // ServerWork charges w of server-side work performed on node to ctx. With
 // the queueing model enabled the operation additionally waits out the
 // node's backlog first — FCFS behind every operation that arrived earlier

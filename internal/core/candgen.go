@@ -89,9 +89,6 @@ func (t *RootedTree) consistent(p schema.Path) bool {
 	return true
 }
 
-// Has reports whether the relation is in the tree.
-func (t *RootedTree) Has(rel string) bool { return t.nodes[rel] }
-
 // Nodes lists the tree's relations, sorted.
 func (t *RootedTree) Nodes() []string {
 	out := make([]string, 0, len(t.nodes))

@@ -73,23 +73,6 @@ func bindingRelations(sel *sqlparser.SelectStmt) map[string]string {
 	return m
 }
 
-// relationUsedTwice reports whether any relation appears under two bindings
-// (Synergy does not rewrite such queries to views, §VIII-C: "Synergy does
-// not support queries in which a relation is used more than once").
-func relationUsedTwice(sel *sqlparser.SelectStmt) bool {
-	seen := map[string]bool{}
-	for _, ref := range sel.From {
-		if ref.Sub != nil {
-			continue
-		}
-		if seen[ref.Name] {
-			return true
-		}
-		seen[ref.Name] = true
-	}
-	return false
-}
-
 // extractJoins resolves a select's equi-join predicates to relation pairs.
 // Joins involving derived tables resolve with an empty relation name.
 func extractJoins(sel *sqlparser.SelectStmt) []queryJoin {
@@ -131,15 +114,6 @@ func (j queryJoin) matchesEdge(e schema.Edge) bool {
 		return true
 	}
 	return false
-}
-
-// collectJoins gathers every join condition of every SELECT in the workload.
-func collectJoins(w *Workload) []queryJoin {
-	var out []queryJoin
-	for _, sel := range w.Selects() {
-		out = append(out, extractJoins(sel)...)
-	}
-	return out
 }
 
 // weigher scores edges and paths by the number of overlapping workload

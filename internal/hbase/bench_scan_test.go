@@ -18,18 +18,18 @@ func BenchmarkScanMultiRegion(b *testing.B) {
 	const regions, rows = 8, 64_000
 	_, c := buildScanFixture(b, rows, regions)
 	for _, mode := range []struct {
-		name       string
-		sequential bool
+		name string
+		spec ScanSpec
 	}{
-		{"sequential", true},
-		{"parallel", false},
+		{"sequential", ScanSpec{Sequential: true}},
+		{"parallel", ScanSpec{}},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			var simTotal sim.Micros
 			for i := 0; i < b.N; i++ {
 				ctx := sim.NewCtx()
-				sc, err := c.Scan(ctx, "t", ScanSpec{Sequential: mode.sequential})
+				sc, err := c.Scan(ctx, "t", mode.spec)
 				if err != nil {
 					b.Fatal(err)
 				}

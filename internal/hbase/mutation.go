@@ -108,6 +108,19 @@ func (c *Client) mutateBatch(ctx *sim.Ctx, muts []Mutation) (int64, error) {
 	if len(muts) == 0 {
 		return 0, nil
 	}
+	if len(muts) == 1 {
+		// One mutation is one region's group of one: nothing to resolve twice,
+		// group or fork. This is every flush of a mutator that flushes at 1 —
+		// the paper's client — and it charges what the eager Put, DeleteAt or
+		// CheckAndPut does (applyChunk).
+		t, err := c.open(ctx, muts[0].Table)
+		if err != nil {
+			return 0, err
+		}
+		one := [1]Mutation{muts[0]}
+		maxTS := c.stamp(&one[0])
+		return max(maxTS, c.applyChunk(ctx, t.regionFor(one[0].Key), one[:])), nil
+	}
 	// Resolve tables first so an unknown table fails before any mutation is
 	// applied, and the meta-cache charges land once per table.
 	tables := make(map[string]*table)
@@ -115,11 +128,10 @@ func (c *Client) mutateBatch(ctx *sim.Ctx, muts []Mutation) (int64, error) {
 		if _, ok := tables[muts[i].Table]; ok {
 			continue
 		}
-		t, err := c.hc.lookup(muts[i].Table)
+		t, err := c.open(ctx, muts[i].Table)
 		if err != nil {
 			return 0, err
 		}
-		c.prepare(ctx, t)
 		tables[muts[i].Table] = t
 	}
 	// Stamp server-side timestamps in batch order, one per mutation as the
@@ -128,25 +140,7 @@ func (c *Client) mutateBatch(ctx *sim.Ctx, muts []Mutation) (int64, error) {
 	var groups []*regionGroup
 	byRegion := make(map[*Region]*regionGroup)
 	for _, m := range muts {
-		if m.TS == 0 && !m.CheckAndPut {
-			m.TS = c.hc.NextTS()
-		}
-		if m.TS > maxTS {
-			maxTS = m.TS
-		}
-		if !m.Delete {
-			stamped := make([]Cell, len(m.Cells))
-			for i, cell := range m.Cells {
-				if cell.TS == 0 {
-					cell.TS = m.TS
-				}
-				if cell.TS > maxTS {
-					maxTS = cell.TS
-				}
-				stamped[i] = cell
-			}
-			m.Cells = stamped
-		}
+		maxTS = max(maxTS, c.stamp(&m))
 		r := tables[m.Table].regionFor(m.Key)
 		g := byRegion[r]
 		if g == nil {
@@ -219,6 +213,28 @@ func (c *Client) mutateBatch(ctx *sim.Ctx, muts []Mutation) (int64, error) {
 	return maxTS, nil
 }
 
+// stamp gives an unstamped mutation the next server timestamp (a conditional
+// put is stamped by the region, at apply time) and a put a private copy of its
+// cells carrying it, and returns the highest stamp the mutation now holds.
+func (c *Client) stamp(m *Mutation) int64 {
+	if m.TS == 0 && !m.CheckAndPut {
+		m.TS = c.hc.NextTS()
+	}
+	maxTS := m.TS
+	if !m.Delete {
+		stamped := make([]Cell, len(m.Cells))
+		for i, cell := range m.Cells {
+			if cell.TS == 0 {
+				cell.TS = m.TS
+			}
+			maxTS = max(maxTS, cell.TS)
+			stamped[i] = cell
+		}
+		m.Cells = stamped
+	}
+	return maxTS
+}
+
 // mutateInlineGroups is the region-group count at or below which MutateBatch
 // applies inline on the caller instead of dispatching the worker pool, and
 // mutatePoolMinMuts is the batch size below which it stays inline no matter
@@ -231,108 +247,108 @@ const (
 	mutatePoolMinMuts  = 64
 )
 
-// applyGroup ships one region's mutations, splitting at MutateMaxBatch. Each
-// sub-batch pays one RPC + batch overhead + one WAL sync, plus the per-
-// mutation apply costs. A single-mutation sub-batch charges exactly what
-// the eager Put/DeleteAt path charges — there is nothing to amortize, so
-// batching a lone mutation must not cost extra.
+// applyGroup ships one region's mutations, splitting at MutateMaxBatch.
 func (c *Client) applyGroup(ctx *sim.Ctx, g *regionGroup) {
-	hc := c.hc
-	maxBatch := hc.costs.MutateMaxBatch
+	maxBatch := c.hc.costs.MutateMaxBatch
 	if maxBatch <= 0 {
 		maxBatch = len(g.muts)
 	}
 	for off := 0; off < len(g.muts); off += maxBatch {
-		chunk := g.muts[off:min(off+maxBatch, len(g.muts))]
-		// Resolve the hosting server per sub-batch RPC: a balancer move
-		// between sub-batches routes the rest of the group (and its WAL
-		// edits) to the region's new owner.
-		srv := g.region.Server()
-		bytes := 0
-		cas := 0
-		for i := range chunk {
-			bytes += chunk[i].bytes()
-			if chunk[i].CheckAndPut {
-				cas++
-			}
-		}
-		hc.cl.RPC(ctx, c.node, srv, bytes)
-		// Unconditional mutations pay PutApply up front; conditionals pay
-		// the CheckAndPut compare, and the apply cost only if the check
-		// passes — mirroring the eager paths mutation by mutation.
-		serverCost := sim.Micros(int64(len(chunk)-cas) * int64(hc.costs.PutApply))
-		serverCost += sim.Micros(int64(cas) * int64(hc.costs.CheckAndPut))
-		if len(chunk) > 1 {
-			serverCost += hc.costs.MutateBatchOverhead
-			serverCost += sim.Micros(int64(len(chunk)) * int64(hc.costs.MutatePerMutation))
-		}
-		hc.serverWork(ctx, srv, serverCost)
-		if cas == 0 {
-			hc.walAppendBatch(ctx, srv, bytes, len(chunk))
-			for i := range chunk {
-				m := &chunk[i]
-				if m.Delete {
-					g.region.deleteRow(m.Key, m.TS, m.Qualifiers)
-				} else {
-					g.region.put(m.Key, m.Cells)
-				}
-			}
-			continue
-		}
-		// Conditional mutations reach the WAL only when applied, so the
-		// sub-batch applies first and syncs the surviving edits after — the
-		// same total the eager path charges, one sync instead of many.
-		walBytes, walMuts := 0, 0
-		for i := range chunk {
-			m := &chunk[i]
-			switch {
-			case m.CheckAndPut:
-				if ok, ts := g.region.checkAndPut(m.Key, m.CheckQualifier, m.CheckExpected, m.Cells[0], hc.NextTS); ok {
-					g.casTS = max(g.casTS, ts)
-					hc.serverWork(ctx, srv, hc.costs.PutApply)
-					walBytes += m.bytes()
-					walMuts++
-				}
-			case m.Delete:
-				g.region.deleteRow(m.Key, m.TS, m.Qualifiers)
-				walBytes += m.bytes()
-				walMuts++
-			default:
-				g.region.put(m.Key, m.Cells)
-				walBytes += m.bytes()
-				walMuts++
-			}
-		}
-		if walMuts > 0 {
-			hc.walAppendBatch(ctx, srv, walBytes, walMuts)
-		}
+		g.casTS = max(g.casTS, c.applyChunk(ctx, g.region, g.muts[off:min(off+maxBatch, len(g.muts))]))
 	}
 }
 
-// BufferedMutator accumulates mutations and flushes them as batch RPCs, the
-// client-side write pipeline of the batched mutation path. In sequential
-// mode it degenerates to the eager per-mutation Put/DeleteAt path, which is
-// what the batched-vs-sequential benchmarks and parity tests compare
-// against.
+// applyChunk ships one sub-batch to its region: one RPC + batch overhead + one
+// WAL sync, plus the per-mutation apply costs. A single-mutation sub-batch
+// charges exactly what the eager Put/DeleteAt/CheckAndPut path charges —
+// there is nothing to amortize, so batching a lone mutation must not cost
+// extra. It returns the highest stamp the region gave an applied conditional
+// put.
+func (c *Client) applyChunk(ctx *sim.Ctx, region *Region, chunk []Mutation) (casTS int64) {
+	hc := c.hc
+	// Resolve the hosting server per sub-batch RPC: a balancer move between
+	// sub-batches routes the rest of the group (and its WAL edits) to the
+	// region's new owner.
+	srv := region.Server()
+	bytes := 0
+	cas := 0
+	for i := range chunk {
+		bytes += chunk[i].bytes()
+		if chunk[i].CheckAndPut {
+			cas++
+		}
+	}
+	hc.cl.RPC(ctx, c.node, srv, bytes)
+	// Unconditional mutations pay PutApply up front; conditionals pay the
+	// CheckAndPut compare, and the apply cost only if the check passes —
+	// mirroring the eager paths mutation by mutation.
+	serverCost := sim.Micros(int64(len(chunk)-cas) * int64(hc.costs.PutApply))
+	serverCost += sim.Micros(int64(cas) * int64(hc.costs.CheckAndPut))
+	if len(chunk) > 1 {
+		serverCost += hc.costs.MutateBatchOverhead
+		serverCost += sim.Micros(int64(len(chunk)) * int64(hc.costs.MutatePerMutation))
+	}
+	hc.serverWork(ctx, srv, serverCost)
+	if cas == 0 {
+		hc.walAppendBatch(ctx, srv, bytes, len(chunk))
+		for i := range chunk {
+			m := &chunk[i]
+			if m.Delete {
+				region.deleteRow(m.Key, m.TS, m.Qualifiers)
+			} else {
+				region.put(m.Key, m.Cells)
+			}
+		}
+		return 0
+	}
+	// Conditional mutations reach the WAL only when applied, so the sub-batch
+	// applies first and syncs the surviving edits after — the same total the
+	// eager path charges, one sync instead of many.
+	walBytes, walMuts := 0, 0
+	for i := range chunk {
+		m := &chunk[i]
+		switch {
+		case m.CheckAndPut:
+			if ok, ts := region.checkAndPut(m.Key, m.CheckQualifier, m.CheckExpected, m.Cells[0], hc.NextTS); ok {
+				casTS = max(casTS, ts)
+				hc.serverWork(ctx, srv, hc.costs.PutApply)
+				walBytes += m.bytes()
+				walMuts++
+			}
+		case m.Delete:
+			region.deleteRow(m.Key, m.TS, m.Qualifiers)
+			walBytes += m.bytes()
+			walMuts++
+		default:
+			region.put(m.Key, m.Cells)
+			walBytes += m.bytes()
+			walMuts++
+		}
+	}
+	if walMuts > 0 {
+		hc.walAppendBatch(ctx, srv, walBytes, walMuts)
+	}
+	return casTS
+}
+
+// BufferedMutator is the client-side write pipeline: it accumulates mutations
+// and ships them as region-grouped batch RPCs, one WAL sync per region group.
+// When it ships is the one thing that varies between its users, and it is
+// data — the flushAt it was built with.
 //
 // Buffered mutations are additionally indexed into a read-your-writes
 // overlay (see ReadView): a transaction that owns the mutator reads its own
 // pending writes merged over the store, while nothing is visible to anyone
 // else until Flush. Discard drops the pending buffer without applying it —
-// the abort path of a transaction-scoped mutator.
+// the abort path of a transaction.
 //
 // A BufferedMutator is not safe for concurrent use; like a Scanner it
 // belongs to one request.
 type BufferedMutator struct {
 	c *Client
-	// max triggers an auto-flush when the buffer reaches it; transaction-
-	// scoped mutators disable it so nothing persists before a barrier.
-	max        int
-	sequential bool
-	// ryw maintains the read-your-writes overlay. Only transaction-scoped
-	// mutators pay for it — statement-scoped batches are flushed before
-	// anything reads, so indexing their mutations would be pure overhead.
-	ryw     bool
+	// flushAt is the pending count at which the mutator flushes by itself;
+	// zero leaves every flush to the owner.
+	flushAt int
 	muts    []Mutation
 	overlay map[string]*overlayTable
 	seq     int64 // synthetic overlay timestamps for unstamped mutations
@@ -341,73 +357,67 @@ type BufferedMutator struct {
 	flushTS int64
 }
 
-// NewBufferedMutator returns a mutator that auto-flushes at
-// Costs.MutateMaxBatch buffered mutations. sequential selects the eager
-// per-mutation path instead of batching.
-func (c *Client) NewBufferedMutator(sequential bool) *BufferedMutator {
-	max := c.hc.costs.MutateMaxBatch
-	if max <= 0 {
-		max = 1 << 30
-	}
-	return &BufferedMutator{c: c, max: max, sequential: sequential}
+// NewBufferedMutator returns a mutator that flushes by itself once flushAt
+// mutations are pending. At zero nothing reaches the store before an explicit
+// Flush — a protocol phase barrier or the owner's commit — so an abort's
+// Discard leaves nothing behind, and conditional puts (a fresh root row's lock
+// entry) can ride the commit flush; a flush still splits oversized region
+// groups at Costs.MutateMaxBatch per RPC. At one the mutator is the paper's
+// client: every mutation is its own RPC and WAL sync the moment it is issued,
+// charged what the eager Client.Put, DeleteAt or CheckAndPut charges. Such a
+// mutator gives up what buffering bought: nothing can be deferred to commit,
+// Discard has nothing left to drop — what was issued is published, and §VIII-B
+// has no undo — and there is never a pending write to read back, so it keeps
+// no overlay.
+func (c *Client) NewBufferedMutator(flushAt int) *BufferedMutator {
+	return &BufferedMutator{c: c, flushAt: flushAt}
 }
-
-// NewTxMutator returns a transaction-scoped mutator: auto-flush is
-// disabled, so nothing reaches the store before an explicit Flush — a
-// protocol phase barrier or the transaction's commit — and Discard is a
-// true no-op abort. Flushing still splits oversized region groups at
-// Costs.MutateMaxBatch per RPC. There is deliberately no sequential
-// variant: eager writes would break every guarantee above (transactions
-// that want the eager path simply run without a transaction mutator).
-func (c *Client) NewTxMutator() *BufferedMutator {
-	return &BufferedMutator{c: c, max: 1 << 30, ryw: true}
-}
-
-// Sequential reports whether the mutator issues mutations eagerly.
-func (m *BufferedMutator) Sequential() bool { return m.sequential }
 
 // Pending reports the buffered, unflushed mutation count.
 func (m *BufferedMutator) Pending() int { return len(m.muts) }
 
-// Put buffers (or, sequentially, issues) a row put.
+// Put buffers a row put.
 func (m *BufferedMutator) Put(ctx *sim.Ctx, tbl, key string, cells []Cell) error {
-	if m.sequential {
-		return m.c.Put(ctx, tbl, key, cells)
-	}
 	return m.add(ctx, PutMutation(tbl, key, cells, 0))
 }
 
-// Delete buffers (or issues) a row/column tombstone with an explicit
-// timestamp (0 = server clock).
+// Delete buffers a row/column tombstone with an explicit timestamp (0 =
+// server clock).
 func (m *BufferedMutator) Delete(ctx *sim.Ctx, tbl, key string, ts int64, qualifiers ...string) error {
-	if m.sequential {
-		return m.c.DeleteAt(ctx, tbl, key, ts, qualifiers...)
-	}
 	return m.add(ctx, DeleteMutation(tbl, key, ts, qualifiers...))
 }
 
 // CheckAndPut buffers a conditional single-cell put resolved atomically at
-// flush time (or, sequentially, issues it eagerly, discarding the outcome).
-// Deferred conditionals suit writes that are idempotent housekeeping — lock
-// table maintenance — where the caller does not branch on the result.
+// flush time; the outcome is not reported. Deferred conditionals suit writes
+// that are idempotent housekeeping — lock table maintenance — where the
+// caller does not branch on the result.
 func (m *BufferedMutator) CheckAndPut(ctx *sim.Ctx, tbl, key, qualifier string, expected []byte, cell Cell) error {
-	if m.sequential {
-		_, err := m.c.CheckAndPut(ctx, tbl, key, qualifier, expected, cell)
-		return err
-	}
 	return m.add(ctx, CheckAndPutMutation(tbl, key, qualifier, expected, cell))
 }
 
 func (m *BufferedMutator) add(ctx *sim.Ctx, mut Mutation) error {
+	if m.flushAt == 1 {
+		// Never pending: no pooled buffer to fill and no overlay to index,
+		// only to drop both one line later.
+		one := [1]Mutation{mut}
+		return m.ship(ctx, one[:])
+	}
 	if m.muts == nil {
 		m.muts = m.c.getMutBuf()
 	}
 	m.muts = append(m.muts, mut)
 	m.overlayApply(mut)
-	if len(m.muts) >= m.max {
+	if len(m.muts) == m.flushAt {
 		return m.Flush(ctx)
 	}
 	return nil
+}
+
+// ship applies muts as one batch and records its high timestamp.
+func (m *BufferedMutator) ship(ctx *sim.Ctx, muts []Mutation) error {
+	ts, err := m.c.mutateBatch(ctx, muts)
+	m.flushTS = max(m.flushTS, ts)
+	return err
 }
 
 // overlayApply indexes one buffered mutation into the read-your-writes
@@ -417,9 +427,6 @@ func (m *BufferedMutator) add(ctx *sim.Ctx, mut Mutation) error {
 // store timestamp, so the pending version wins the merge exactly as the
 // flushed version will.
 func (m *BufferedMutator) overlayApply(mut Mutation) {
-	if !m.ryw || m.sequential {
-		return // nobody reads through this buffer before it flushes
-	}
 	if mut.CheckAndPut {
 		// Conditional outcomes are unknowable client-side, and the lock
 		// housekeeping that uses them is never read through the overlay.
@@ -505,10 +512,7 @@ func (m *BufferedMutator) Flush(ctx *sim.Ctx) error {
 		m.c.putOverlay(m.overlay)
 		m.overlay = nil
 	}
-	ts, err := m.c.mutateBatch(ctx, muts)
-	if ts > m.flushTS {
-		m.flushTS = ts
-	}
+	err := m.ship(ctx, muts)
 	m.c.putMutBuf(muts)
 	return err
 }
@@ -520,8 +524,8 @@ func (m *BufferedMutator) Flush(ctx *sim.Ctx) error {
 func (m *BufferedMutator) FlushTS() int64 { return m.flushTS }
 
 // Discard drops every buffered mutation (and the overlay) without applying
-// anything — the abort path of a transaction-scoped mutator. Mutations
-// already flushed (phase barriers, auto-flush) are durable and are not
+// anything — the abort path of a transaction. Mutations already flushed
+// (phase barriers, the mutator's own threshold) are durable and are not
 // undone here; transaction layers handle their visibility (MVCC
 // invalidation, dirty-mark cleanup).
 func (m *BufferedMutator) Discard() {

@@ -195,12 +195,10 @@ func TestMutateBatchUnknownTableAppliesNothing(t *testing.T) {
 }
 
 func TestBufferedMutatorAutoFlush(t *testing.T) {
-	costs := sim.DefaultCosts()
-	costs.MutateMaxBatch = 4
-	hc := NewHCluster(cluster.NewDefault(costs), nil, nil)
+	hc := NewHCluster(cluster.NewDefault(nil), nil, nil)
 	mustCreate(t, hc, TableSpec{Name: "t"})
 	c := hc.NewWarmClient()
-	m := c.NewBufferedMutator(false)
+	m := c.NewBufferedMutator(4)
 	ctx := sim.NewCtx()
 	for i := 0; i < 5; i++ {
 		if err := m.Put(ctx, "t", scanKey(i), []Cell{put("v", "x", 0)}); err != nil {
@@ -228,24 +226,131 @@ func TestBufferedMutatorAutoFlush(t *testing.T) {
 	}
 }
 
-// Sequential mode must behave exactly like the eager client calls.
-func TestBufferedMutatorSequentialMode(t *testing.T) {
-	_, c := splitCluster(t, 2, 10)
-	m := c.NewBufferedMutator(true)
-	ctx := sim.NewCtx()
-	if err := m.Put(ctx, "t", scanKey(0), []Cell{put("v", "x", 0)}); err != nil {
-		t.Fatal(err)
+// TestFlushAtOneChargesLikeEagerClient pins what lets one write pipeline serve
+// the paper's client: a mutator that flushes at 1 is charged, mutation by
+// mutation, exactly what the eager Client.Put, DeleteAt and CheckAndPut — the
+// reference, which the lock manager calls directly — are charged, and leaves
+// the same cells under the same stamps. Both start from a cold client (so the
+// connection and meta-lookup charges are in it), write keys on both sides of a
+// region boundary, and run once more with the queueing model on.
+func TestFlushAtOneChargesLikeEagerClient(t *testing.T) {
+	type writer interface {
+		put(ctx *sim.Ctx, key string, cells []Cell) error
+		del(ctx *sim.Ctx, key string, ts int64, quals ...string) error
+		cas(ctx *sim.Ctx, key, qual string, expected []byte, cell Cell) error
 	}
-	if m.Pending() != 0 {
-		t.Fatal("sequential mode must not buffer")
+	lo, hi := scanKey(2), scanKey(7) // the table splits at scanKey(5)
+	ops := []struct {
+		name string
+		do   func(w writer, ctx *sim.Ctx) error
+	}{
+		{"single-cell put", func(w writer, ctx *sim.Ctx) error { return w.put(ctx, lo, []Cell{put("v", "one", 0)}) }},
+		{"multi-cell put", func(w writer, ctx *sim.Ctx) error {
+			return w.put(ctx, hi, []Cell{put("v", "two", 0), put("w", "wide", 0), put("x", "", 0)})
+		}},
+		{"explicit-TS put", func(w writer, ctx *sim.Ctx) error {
+			return w.put(ctx, hi, []Cell{put("v", "old", 1), put("w", "now", 0)})
+		}},
+		{"column tombstone", func(w writer, ctx *sim.Ctx) error { return w.del(ctx, hi, 0, "w") }},
+		{"passing conditional put", func(w writer, ctx *sim.Ctx) error {
+			return w.cas(ctx, lo, "v", []byte("one"), put("v", "swapped", 0))
+		}},
+		{"failing conditional put", func(w writer, ctx *sim.Ctx) error {
+			return w.cas(ctx, lo, "v", []byte("one"), put("v", "lost", 0))
+		}},
+		{"create-if-absent conditional put", func(w writer, ctx *sim.Ctx) error { return w.cas(ctx, hi, "l", nil, put("l", "0", 0)) }},
+		{"row tombstone", func(w writer, ctx *sim.Ctx) error { return w.del(ctx, lo, 0) }},
+		{"explicit-TS tombstone", func(w writer, ctx *sim.Ctx) error { return w.del(ctx, hi, 3, "x") }},
+		{"put over the tombstone", func(w writer, ctx *sim.Ctx) error { return w.put(ctx, lo, []Cell{put("v", "back", 0)}) }},
 	}
-	if got, _ := c.Get(sim.NewCtx(), "t", scanKey(0), ReadOpts{}); got.Empty() {
-		t.Fatal("sequential put not visible immediately")
+	for _, queueing := range []bool{false, true} {
+		t.Run(fmt.Sprintf("queueing=%v", queueing), func(t *testing.T) {
+			build := func() (*HCluster, *Client) {
+				cl := cluster.NewDefault(nil)
+				if queueing {
+					cl.EnableQueueing()
+				}
+				hc := NewHCluster(cl, nil, nil)
+				mustCreate(t, hc, TableSpec{Name: "t", MaxVersions: 8, SplitKeys: []string{scanKey(5)}})
+				// Another request's work on both servers, late enough for even a
+				// cold client to queue behind it when the model is on.
+				busy := sim.NewCtx()
+				busy.Charge(sim.FromMillis(10_000))
+				for _, key := range []string{lo, hi} {
+					if err := hc.NewWarmClient().Put(busy, "t", key, []Cell{put("u", "busy", 0)}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				return hc, hc.NewClient()
+			}
+			hcM, cM := build()
+			hcE, cE := build()
+			mut, eager := flushAtOne{cM.NewBufferedMutator(1)}, eagerClient{cE}
+			ctxM, ctxE := sim.NewCtx(), sim.NewCtx()
+			for _, op := range ops {
+				if err := op.do(mut, ctxM); err != nil {
+					t.Fatal(err)
+				}
+				if err := op.do(eager, ctxE); err != nil {
+					t.Fatal(err)
+				}
+				if m, e := ctxM.Snapshot(), ctxE.Snapshot(); m != e {
+					t.Fatalf("%s: charged\n mutator %+v\n eager   %+v", op.name, m, e)
+				}
+				if mut.m.Pending() != 0 {
+					t.Fatalf("%s: left %d mutations pending", op.name, mut.m.Pending())
+				}
+			}
+			if queueing && ctxE.Snapshot().QueueWaits == 0 {
+				t.Fatal("the queueing model charged no wait; fixture broken")
+			}
+			if m, e := hcM.WALSyncs(), hcE.WALSyncs(); m != e || e == 0 {
+				t.Fatalf("WAL syncs: mutator %d, eager %d", m, e)
+			}
+			for _, srv := range hcE.Servers() {
+				if m, e := hcM.WALEdits(srv), hcE.WALEdits(srv); m != e {
+					t.Fatalf("WAL edits on %s: mutator %d, eager %d", srv, m, e)
+				}
+			}
+			if mut.m.FlushTS() != hcM.CurrentTS() {
+				t.Fatalf("FlushTS = %d, want the last stamp issued, %d", mut.m.FlushTS(), hcM.CurrentTS())
+			}
+			// The same cells under the same stamps: every snapshot reads alike.
+			if m, e := hcM.CurrentTS(), hcE.CurrentTS(); m != e {
+				t.Fatalf("clocks: mutator %d, eager %d", m, e)
+			}
+			for ts := int64(0); ts <= hcE.CurrentTS(); ts++ {
+				rowsM, _ := drainSpec(t, cM, ScanSpec{Read: ReadOpts{ReadTS: ts}})
+				rowsE, _ := drainSpec(t, cE, ScanSpec{Read: ReadOpts{ReadTS: ts}})
+				requireSameRows(t, rowsE, rowsM)
+			}
+		})
 	}
-	if err := m.Delete(ctx, "t", scanKey(0), 0); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := c.Get(sim.NewCtx(), "t", scanKey(0), ReadOpts{}); !got.Empty() {
-		t.Fatal("sequential delete not applied")
-	}
+}
+
+// flushAtOne and eagerClient give TestFlushAtOneChargesLikeEagerClient's two
+// sides one shape.
+type flushAtOne struct{ m *BufferedMutator }
+
+func (w flushAtOne) put(ctx *sim.Ctx, key string, cells []Cell) error {
+	return w.m.Put(ctx, "t", key, cells)
+}
+func (w flushAtOne) del(ctx *sim.Ctx, key string, ts int64, quals ...string) error {
+	return w.m.Delete(ctx, "t", key, ts, quals...)
+}
+func (w flushAtOne) cas(ctx *sim.Ctx, key, qual string, expected []byte, cell Cell) error {
+	return w.m.CheckAndPut(ctx, "t", key, qual, expected, cell)
+}
+
+type eagerClient struct{ c *Client }
+
+func (w eagerClient) put(ctx *sim.Ctx, key string, cells []Cell) error {
+	return w.c.Put(ctx, "t", key, cells)
+}
+func (w eagerClient) del(ctx *sim.Ctx, key string, ts int64, quals ...string) error {
+	return w.c.DeleteAt(ctx, "t", key, ts, quals...)
+}
+func (w eagerClient) cas(ctx *sim.Ctx, key, qual string, expected []byte, cell Cell) error {
+	_, err := w.c.CheckAndPut(ctx, "t", key, qual, expected, cell)
+	return err
 }

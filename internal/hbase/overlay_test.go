@@ -20,7 +20,7 @@ func overlayFixture(t *testing.T) (*HCluster, *Client, *BufferedMutator) {
 			t.Fatal(err)
 		}
 	}
-	return hc, c, c.NewTxMutator()
+	return hc, c, c.NewBufferedMutator(0)
 }
 
 func drainStream(ctx *sim.Ctx, s RowStream) []RowResult {
@@ -430,7 +430,7 @@ func TestOverlaySnapshotVisibility(t *testing.T) {
 	if err := c.Put(ctx, "t", "row", []Cell{{Qualifier: "v", Value: []byte("committed"), TS: 5}}); err != nil {
 		t.Fatal(err)
 	}
-	m := c.NewTxMutator()
+	m := c.NewBufferedMutator(0)
 	if err := m.Put(ctx, "t", "row", []Cell{{Qualifier: "v", Value: []byte("mine"), TS: 10}}); err != nil {
 		t.Fatal(err)
 	}

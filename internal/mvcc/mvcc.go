@@ -188,9 +188,6 @@ func (t *Tx) RecordWrite(table, rowKey string) {
 	t.writes[table+"\x00"+rowKey] = struct{}{}
 }
 
-// WriteCount reports the size of the write set.
-func (t *Tx) WriteCount() int { return len(t.writes) }
-
 // Commit finishes the transaction, charging the two-phase commit round trip
 // and running conflict detection: if any transaction that committed after
 // this one began wrote an overlapping row, this transaction aborts with

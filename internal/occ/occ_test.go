@@ -45,7 +45,7 @@ type txn struct {
 
 func (f *fixture) begin(ctx *sim.Ctx) *txn {
 	tx := f.v.Begin(ctx)
-	mut := f.c.NewTxMutator()
+	mut := f.c.NewBufferedMutator(0)
 	return &txn{f: f, tx: tx, mut: mut, rd: tx.Track(mut.View())}
 }
 

@@ -23,18 +23,17 @@ type WriteOpts struct {
 	// OnWrite, when set, observes each (table, rowKey) mutation — the
 	// MVCC layer collects the transaction's write set through it.
 	OnWrite func(table, rowKey string)
-	// Sequential issues every mutation as its own eager RPC instead of
-	// batching them per statement — the pre-pipeline write path, kept for
-	// batched-vs-sequential parity tests and benchmarks.
-	Sequential bool
-	// Mutator, when set, is the transaction-scoped BufferedMutator every
-	// statement of the transaction emits into: mutations buffer across
-	// statements and persist only at the transaction's commit flush (or at
-	// explicit protocol phase barriers), and the read-before-write of
-	// UPDATE/DELETE consults the mutator's read-your-writes overlay, so a
-	// statement sees rows earlier statements wrote but have not yet
-	// flushed. Flush/Discard lifecycle belongs to the transaction owner,
-	// not to the statement.
+	// Mutator, when set, is the transaction's BufferedMutator, which every
+	// statement of the transaction emits into: mutations persist when the
+	// mutator flushes — by itself at its flush threshold, at an explicit
+	// protocol phase barrier, or at the transaction's commit — and the
+	// read-before-write of UPDATE/DELETE consults its read-your-writes
+	// overlay, so a statement sees rows earlier statements wrote but have not
+	// yet flushed. Flush/Discard lifecycle belongs to the transaction owner,
+	// not to the statement. A write whose options carry none is its own
+	// one-statement transaction (loaders, changefeed appliers, tests): it
+	// buffers into a mutator of its own and flushes it when the statement
+	// ends.
 	Mutator *hbase.BufferedMutator
 	// Reader, when set, overrides the read side of the write path: the
 	// read-before-write of UPDATE/DELETE and every maintenance read go
@@ -273,20 +272,19 @@ func StampCells(cells []hbase.Cell, ts int64) []hbase.Cell {
 	return cells
 }
 
-// WriteBatch is the mutation pipeline of one DML statement (or one phase of
-// the Synergy maintenance protocol): mutations accumulate in a
-// BufferedMutator and ship as one round of region-grouped batch RPCs,
-// instead of one RPC per mutation. Write-set notifications are recorded in
-// emission order and fire only after the statement's emission completes
-// (for an owned batch, after its flush lands); the Quiet variants skip
-// notification (dirty marks are not part of any write set — index-entry
-// moves, by contrast, notify: their tombstones are real writes the OCC
-// validator must see).
+// WriteBatch is one DML statement's (or one phase of the Synergy maintenance
+// protocol's) emission into a BufferedMutator, plus the write-set
+// notifications that go with it. Notifications are recorded in emission order
+// and fire only after the statement's emission completes (for an owned batch,
+// after its flush lands); PutQuiet skips notification (dirty marks are not
+// part of any write set — index-entry moves, by contrast, notify: their
+// tombstones are real writes the OCC validator must see).
 //
-// A batch either owns a statement-scoped mutator (flushed by Flush at
-// statement end, the PR-2 pipeline) or borrows the transaction-scoped
-// mutator from WriteOpts.Mutator, in which case Flush leaves the mutations
-// buffered for the transaction's commit and only Barrier forces them out.
+// The mutator is the transaction's, from WriteOpts.Mutator: Flush then leaves
+// the statement's mutations to it — pending until the commit, or already
+// shipped if it flushes at 1 — and only Barrier forces them out. A write whose
+// options carry no mutator is a one-statement transaction and the batch owns
+// one, which Flush ships at statement end.
 type WriteBatch struct {
 	m        *hbase.BufferedMutator
 	owned    bool
@@ -294,19 +292,18 @@ type WriteBatch struct {
 	notifies []struct{ table, key string }
 }
 
-// NewWriteBatch opens a batch honoring opts' Mutator, Sequential and
-// OnWrite settings.
+// NewWriteBatch opens a batch on opts' mutator, or on one of its own.
 func (e *Engine) NewWriteBatch(opts WriteOpts) *WriteBatch {
 	if opts.Mutator != nil {
 		return &WriteBatch{m: opts.Mutator, opts: opts}
 	}
-	return &WriteBatch{m: e.client.NewBufferedMutator(opts.Sequential), owned: true, opts: opts}
+	return &WriteBatch{m: e.client.NewBufferedMutator(0), owned: true, opts: opts}
 }
 
 // Reader returns the read side of a write: an explicit tracking reader when
-// the options carry one, else the transaction's overlay view when a
-// transaction-scoped mutator is present, else the plain store client. Reads
-// through it see the transaction's own buffered writes.
+// the options carry one, else the overlay view of the transaction's mutator,
+// else — a one-statement write — the plain store client. Reads through it see
+// the transaction's own buffered writes.
 func (e *Engine) Reader(opts WriteOpts) hbase.Reader {
 	if opts.Reader != nil {
 		return opts.Reader
@@ -340,15 +337,10 @@ func (b *WriteBatch) Delete(ctx *sim.Ctx, tbl, key string, ts int64) error {
 	return nil
 }
 
-// DeleteQuiet buffers a row tombstone with no notification.
-func (b *WriteBatch) DeleteQuiet(ctx *sim.Ctx, tbl, key string, ts int64) error {
-	return b.m.Delete(ctx, tbl, key, ts)
-}
-
 // Flush ends the statement's emission: an owned batch ships its mutations,
-// a transaction-scoped batch leaves them buffered for the transaction's
-// commit flush. Pending notifications fire either way — the write set must
-// be recorded before the transaction's commit-time conflict check.
+// a transaction's batch leaves them to the transaction's mutator. Pending
+// notifications fire either way — the write set must be recorded before the
+// transaction's commit-time conflict check.
 func (b *WriteBatch) Flush(ctx *sim.Ctx) error {
 	if b.owned {
 		return b.Barrier(ctx)
@@ -359,9 +351,9 @@ func (b *WriteBatch) Flush(ctx *sim.Ctx) error {
 
 // Barrier forces the buffered mutations out regardless of ownership — the
 // ordering barrier between phases of the Synergy §VIII-B maintenance
-// protocol. On a transaction-scoped mutator it flushes everything buffered
-// so far, including earlier statements of the transaction, which preserves
-// buffer order across the barrier.
+// protocol. On a transaction's mutator it flushes everything buffered so far,
+// including earlier statements of the transaction, which preserves buffer
+// order across the barrier.
 func (b *WriteBatch) Barrier(ctx *sim.Ctx) error {
 	if err := b.m.Flush(ctx); err != nil {
 		return err

@@ -27,12 +27,6 @@ func NewEngine(cat *Catalog) *Engine {
 	return &Engine{cat: cat, client: cat.Store().NewWarmClient(), costs: cat.Store().Costs()}
 }
 
-// NewEngineWithClient returns an engine bound to a specific (possibly cold)
-// client.
-func NewEngineWithClient(cat *Catalog, client *hbase.Client) *Engine {
-	return &Engine{cat: cat, client: client, costs: cat.Store().Costs()}
-}
-
 // Client exposes the engine's store client.
 func (e *Engine) Client() *hbase.Client { return e.client }
 

@@ -491,7 +491,7 @@ func TestKeyRangeThroughOverlayAndSnapshot(t *testing.T) {
 	check("store", QueryOpts{})
 
 	snap := hc.CurrentTS()
-	m := e.Client().NewTxMutator()
+	m := e.Client().NewBufferedMutator(0)
 	tx := WriteOpts{Mutator: m}
 	for _, id := range []int64{15, 20, 25, 50, 51, 55} { // below, at the lower bound, inside, at the upper bound, above
 		mustExec(t, e, tx, `INSERT INTO T (id, s) VALUES (?, 'pending')`, id)

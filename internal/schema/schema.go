@@ -7,7 +7,6 @@ package schema
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -172,21 +171,6 @@ func (s *Schema) RelationNames() []string { return append([]string(nil), s.order
 
 // Indexes returns the index set I(R) of a relation.
 func (s *Schema) Indexes(table string) []*Index { return s.indexes[table] }
-
-// AllIndexes lists every index, ordered by table then name.
-func (s *Schema) AllIndexes() []*Index {
-	var out []*Index
-	for _, t := range s.order {
-		out = append(out, s.indexes[t]...)
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Table != out[j].Table {
-			return out[i].Table < out[j].Table
-		}
-		return out[i].Name < out[j].Name
-	})
-	return out
-}
 
 // Validate checks referential structure: every FK must reference an existing
 // relation whose PK length matches the FK column count.

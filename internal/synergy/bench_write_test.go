@@ -9,17 +9,15 @@ import (
 	"synergy/internal/sqlparser"
 )
 
-// benchModes are the three write pipelines — eager per-mutation RPCs
-// (paper-faithful), one batch per statement (PR-2), the transaction-scoped
-// mutator flushed at commit/phase barriers (default) — plus the optimistic
-// concurrency mode, which rides the transaction-scoped pipeline with
-// commit-time validation instead of locks and dirty marks.
+// benchModes are the two flush thresholds of the write pipeline — 1, one RPC
+// per mutation (paper-faithful), and the transaction's commit and phase
+// barriers (default) — plus the optimistic concurrency mode, which buffers to
+// its commit with commit-time validation instead of locks and dirty marks.
 var benchModes = []struct {
 	name string
 	cfg  Config
 }{
 	{"sequential", Config{SequentialWrites: true}},
-	{"batched", Config{StatementFlush: true}},
 	{"txn", Config{}},
 	{"occ", Config{Concurrency: OCC, MaxVersions: 16}},
 }
@@ -27,12 +25,10 @@ var benchModes = []struct {
 // BenchmarkMaintenanceWrite measures the maintenance-heavy write path: one
 // UPDATE on the root relation fans out to `views` multi-row view
 // maintenances (locate + mark + update + un-mark over 16 view rows each),
-// across the three pipeline modes. Reported sim-ms/op is the simulated
-// statement response time; batched must sit strictly below sequential from
-// 4 views up, txn at or below batched (the acceptance criteria are pinned
-// by TestBatchedWriteSimulatedSpeedup and
-// TestTxnScopedWriteBatchesAcrossStatements). allocs/op shows the Mutation
-// buffer pooling delta on the batched paths.
+// across benchModes. Reported sim-ms/op is the simulated statement response
+// time; txn must sit strictly below sequential from 4 views up (pinned by
+// TestBatchedWriteSimulatedSpeedup and
+// TestTxnScopedWriteBatchesAcrossStatements).
 func BenchmarkMaintenanceWrite(b *testing.B) {
 	for _, views := range []int{1, 4, 16} {
 		for _, mode := range benchModes {
@@ -115,9 +111,8 @@ func BenchmarkMaintenanceLanes(b *testing.B) {
 
 // BenchmarkTxnWrite measures a multi-statement TPC-W-like write
 // transaction (repeated leaf inserts, a read-your-writes update, a delete)
-// across the three pipelines. The transaction-scoped mutator pays one
-// commit flush instead of a batch round per statement; sim-ms/op is the
-// simulated transaction response time.
+// across benchModes. The default mutator pays one commit flush instead of
+// an RPC per mutation; sim-ms/op is the simulated transaction response time.
 func BenchmarkTxnWrite(b *testing.B) {
 	for _, mode := range benchModes {
 		b.Run(mode.name, func(b *testing.B) {
@@ -145,11 +140,11 @@ func BenchmarkTxnWrite(b *testing.B) {
 // lock-entry creation. Keys rotate so every iteration inserts a brand-new
 // root. The "root" shape is a root-insert-only transaction; "rootLeaf"
 // follows the insert with a leaf insert referencing it, which re-locks the
-// just-created group within the same transaction. On the buffered pipeline
-// (txn mode) the lock entry rides the commit flush as a conditional batch
-// entry instead of being self-acquired and released through standalone
-// checkAndPut RPCs; sequential/batched keep the eager protocol and occ
-// never locks, so those columns are the unchanged references.
+// just-created group within the same transaction. In txn mode the lock entry
+// rides the commit flush as a conditional batch entry instead of being
+// self-acquired and released through standalone checkAndPut RPCs; sequential
+// keeps the eager protocol and occ never locks, so those columns are the
+// unchanged references.
 func BenchmarkTxnRootInsert(b *testing.B) {
 	insRoot := sqlparser.MustParse("INSERT INTO Root (RID, RVal) VALUES (?, ?)")
 	insLeaf := sqlparser.MustParse("INSERT INTO Leaf00 (Leaf00ID, Leaf00_RID, Leaf00Val) VALUES (?, ?, ?)")
@@ -186,8 +181,8 @@ func BenchmarkTxnRootInsert(b *testing.B) {
 }
 
 // BenchmarkInsertWithViews measures view-tuple construction on insert (one
-// parent read + view put + index puts per applicable view) across the
-// three pipelines. Keys rotate so every iteration inserts a fresh row.
+// parent read + view put + index puts per applicable view) across
+// benchModes. Keys rotate so every iteration inserts a fresh row.
 func BenchmarkInsertWithViews(b *testing.B) {
 	for _, mode := range benchModes {
 		b.Run(mode.name, func(b *testing.B) {
@@ -211,8 +206,7 @@ func BenchmarkInsertWithViews(b *testing.B) {
 
 // BenchmarkDeleteWithViews measures view-tuple teardown on delete (base
 // tombstone + index tombstones + view and view-index tombstones) across
-// the three pipelines. Each iteration inserts (untimed) then deletes
-// (timed).
+// benchModes. Each iteration inserts (untimed) then deletes (timed).
 func BenchmarkDeleteWithViews(b *testing.B) {
 	for _, mode := range benchModes {
 		b.Run(mode.name, func(b *testing.B) {

@@ -67,8 +67,9 @@ func (lm *LockManager) BulkCreateEntries(root string, rows []hbase.BulkRow) erro
 }
 
 // EnsureEntry creates the lock entry for a newly inserted root row with an
-// eager put — the path for transactions that own no write buffer (sequential
-// and per-statement-flush modes, where every write is already eager).
+// eager put — the path for a transaction whose mutator flushes at 1
+// (Config.SequentialWrites): every write it issues is already published, so
+// there is no commit flush for the entry to ride.
 func (lm *LockManager) EnsureEntry(ctx *sim.Ctx, root, key string) error {
 	return lm.client.Put(ctx, LockTableName(root), key,
 		[]hbase.Cell{{Qualifier: lockQualifier, Value: lockFree}})
@@ -97,7 +98,7 @@ func (lm *LockManager) EnsureEntry(ctx *sim.Ctx, root, key string) error {
 //
 // Like the paper's insert applicability rule, this assumes inserts carry
 // fresh keys: an insert that silently upserts a live, contended root key
-// serializes against the group's writers only in the eager modes.
+// serializes against the group's writers only under SequentialWrites.
 func (lm *LockManager) EnsureEntryDeferred(ctx *sim.Ctx, m *hbase.BufferedMutator, root, key string) error {
 	return m.CheckAndPut(ctx, LockTableName(root), key, lockQualifier, nil,
 		hbase.Cell{Qualifier: lockQualifier, Value: lockFree})

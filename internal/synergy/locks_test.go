@@ -133,7 +133,7 @@ func TestLockMutualExclusion(t *testing.T) {
 			ctx := sim.NewCtx()
 			for c := 0; c < cycles; c++ {
 				if c%2 == 0 {
-					m := lm.client.NewTxMutator()
+					m := lm.client.NewBufferedMutator(0)
 					if err := lm.EnsureEntryDeferred(ctx, m, "R", "hot"); err != nil {
 						t.Error(err)
 						return

@@ -51,6 +51,9 @@ import (
 	"synergy/internal/zk"
 )
 
+// txnSlaves is the number of transaction-layer slaves a deployment starts.
+const txnSlaves = 2
+
 // IndexSpec names a base-table covered index supplied with the input schema
 // (§VI-C: "we assume that the input schema has necessary base table
 // indexes").
@@ -120,8 +123,6 @@ type Config struct {
 	Costs *sim.Costs
 	// BaseIndexes lists the input schema's base-table indexes.
 	BaseIndexes []IndexSpec
-	// Slaves is the number of transaction-layer slaves (default 2).
-	Slaves int
 	// MaxVersions for created tables (default 1; MVCC deployments use
 	// more).
 	MaxVersions int
@@ -133,29 +134,24 @@ type Config struct {
 	// Concurrency selects hierarchical locking (Synergy), MVCC
 	// (Phoenix-Tephra style) or OCC (backward validation).
 	Concurrency ConcurrencyMode
-	// SequentialWrites disables the batched mutation pipeline: every
-	// mutation of the write path pays its own RPC, as the pre-batching
-	// client did. Kept for batched-vs-sequential parity tests and
-	// benchmarks (and the figure harness, matching the paper's testbed).
+	// SequentialWrites makes every transaction's mutator flush at one
+	// pending mutation instead of at its barriers: each mutation of the
+	// write path is its own RPC and WAL sync, which is what the paper's
+	// testbed client did and what §IX's write figures measure — the figure
+	// harness (internal/bench) sets it. It is the write pipeline's one
+	// option, a flush threshold on the one path (BeginTx), and OCC ignores
+	// it: nothing of an optimistic transaction may reach the store before
+	// validation passes.
 	SequentialWrites bool
-	// StatementFlush keeps batching but flushes one batch per statement
-	// instead of buffering across a whole transaction — the PR-2 pipeline,
-	// kept as the baseline the transaction-scoped pipeline is measured
-	// against. Ignored when SequentialWrites is set (which is stricter).
-	StatementFlush bool
-	// Maintenance is the default view-maintenance mode (SyncMaintenance
-	// keeps the historical behavior).
+	// Maintenance is the view-maintenance mode of every view
+	// (SyncMaintenance, the paper's protocol, by default).
 	Maintenance MaintenanceMode
-	// ViewMaintenance overrides the maintenance mode per view name.
-	ViewMaintenance map[string]MaintenanceMode
 	// AsyncReads selects the read behavior against async-maintained views
 	// (default ReadStale).
 	AsyncReads ViewReadMode
 	// AsyncQueueCap bounds each view's changefeed lane; a full lane blocks
 	// the committing writer (default 1024).
 	AsyncQueueCap int
-	// AsyncBatchMax caps the deltas an applier drains per batch (default 32).
-	AsyncBatchMax int
 }
 
 // System is a deployed Synergy instance.
@@ -192,9 +188,6 @@ type System struct {
 func New(sch *schema.Schema, roots []string, workloadSQL []string, cfg Config) (*System, error) {
 	if cfg.Costs == nil {
 		cfg.Costs = sim.DefaultCosts()
-	}
-	if cfg.Slaves <= 0 {
-		cfg.Slaves = 2
 	}
 	if cfg.MaxVersions <= 0 {
 		cfg.MaxVersions = 1
@@ -253,12 +246,8 @@ func New(sch *schema.Schema, roots []string, workloadSQL []string, cfg Config) (
 	}
 
 	sys.Engine = phoenix.NewEngine(cat)
-	if !cfg.DisableViews && (cfg.Maintenance != SyncMaintenance || len(cfg.ViewMaintenance) > 0) {
-		sys.Feed = changefeed.New(changefeed.Config{
-			QueueCap: cfg.AsyncQueueCap,
-			BatchMax: cfg.AsyncBatchMax,
-			Costs:    cfg.Costs,
-		})
+	if !cfg.DisableViews && cfg.Maintenance != SyncMaintenance {
+		sys.Feed = changefeed.New(changefeed.Config{QueueCap: cfg.AsyncQueueCap, Costs: cfg.Costs})
 	}
 	sys.Locks = NewLockManager(store)
 	if err := sys.Locks.CreateLockTables(roots); err != nil {
@@ -274,7 +263,7 @@ func New(sch *schema.Schema, roots []string, workloadSQL []string, cfg Config) (
 		// transaction layer: an OCC commit is durable exactly like a
 		// locked one (statements logged under one txid, the outcome as a
 		// commit or abort record), only the concurrency mechanism differs.
-		sys.Txn = NewTxnLayer(sys, cfg.Slaves)
+		sys.Txn = NewTxnLayer(sys, txnSlaves)
 		if cfg.Concurrency == OCC {
 			// The validator shares the store's oracle so begin snapshots
 			// order consistently against every cell stamp.
@@ -312,15 +301,6 @@ func (sys *System) rewriteFor(sel *sqlparser.SelectStmt) *sqlparser.SelectStmt {
 	return core.RewriteQuery(sel, mat).Stmt
 }
 
-// maintModeFor returns the effective maintenance mode of one view: the
-// per-view override when present, else the system default.
-func (sys *System) maintModeFor(view string) MaintenanceMode {
-	if m, ok := sys.cfg.ViewMaintenance[view]; ok {
-		return m
-	}
-	return sys.cfg.Maintenance
-}
-
 // Concurrency reports the deployment's concurrency control mechanism. The
 // mode is baked in at construction (it decides which transaction tier
 // exists), so a serving layer fronting several modes holds one System per
@@ -350,9 +330,7 @@ func (sys *System) asyncViewsIn(stmt *sqlparser.SelectStmt) []string {
 			if err != nil || !info.IsView {
 				continue
 			}
-			if sys.maintModeFor(ref.Name) != SyncMaintenance {
-				out = append(out, ref.Name)
-			}
+			out = append(out, ref.Name)
 		}
 	}
 	walk(stmt)
@@ -368,7 +346,7 @@ func (sys *System) staleObserver(readTS int64, reads ViewReadMode) func(*sim.Ctx
 	}
 	seen := map[string]bool{}
 	return func(c *sim.Ctx, view string) error {
-		if seen[view] || sys.maintModeFor(view) == SyncMaintenance {
+		if seen[view] {
 			return nil
 		}
 		seen[view] = true

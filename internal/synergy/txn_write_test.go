@@ -52,11 +52,11 @@ func dropLockTables(state map[string][]string) map[string][]string {
 	return out
 }
 
-// TestTxnScopedWriteBatchesAcrossStatements is the PR's acceptance
-// criterion: a multi-statement transaction at 4 materialized views issues
-// strictly fewer batch RPCs and WAL syncs — and simulates strictly faster —
-// under the transaction-scoped pipeline than under the per-statement
-// pipeline, while leaving an identical visible state.
+// TestTxnScopedWriteBatchesAcrossStatements: a multi-statement transaction at
+// 4 materialized views issues strictly fewer RPCs and WAL syncs — and
+// simulates strictly faster — when its mutator flushes at the transaction's
+// barriers than when it flushes at every mutation, while leaving an identical
+// visible state.
 func TestTxnScopedWriteBatchesAcrossStatements(t *testing.T) {
 	const views, rowsPer = 4, 6
 	run := func(cfg Config) (stats sim.Stats, walSyncs int64, state map[string][]string) {
@@ -71,28 +71,20 @@ func TestTxnScopedWriteBatchesAcrossStatements(t *testing.T) {
 	}
 
 	txn, txnSyncs, txnState := run(Config{})
-	stmt, stmtSyncs, stmtState := run(Config{StatementFlush: true})
 	seq, seqSyncs, seqState := run(Config{SequentialWrites: true})
 
-	if txn.RPCs >= stmt.RPCs {
-		t.Errorf("txn-scoped RPCs = %d, not below per-statement %d", txn.RPCs, stmt.RPCs)
+	if txn.RPCs >= seq.RPCs {
+		t.Errorf("txn-scoped RPCs = %d, not below sequential %d", txn.RPCs, seq.RPCs)
 	}
-	if txnSyncs >= stmtSyncs {
-		t.Errorf("txn-scoped WAL syncs = %d, not below per-statement %d", txnSyncs, stmtSyncs)
-	}
-	if txn.Elapsed >= stmt.Elapsed {
-		t.Errorf("txn-scoped sim latency %v not below per-statement %v", txn.Elapsed, stmt.Elapsed)
-	}
-	if stmtSyncs >= seqSyncs {
-		t.Errorf("per-statement WAL syncs = %d, not below sequential %d", stmtSyncs, seqSyncs)
+	if txnSyncs >= seqSyncs {
+		t.Errorf("txn-scoped WAL syncs = %d, not below sequential %d", txnSyncs, seqSyncs)
 	}
 	if txn.Elapsed >= seq.Elapsed {
 		t.Errorf("txn-scoped sim latency %v not below sequential %v", txn.Elapsed, seq.Elapsed)
 	}
-	t.Logf("RPCs: txn=%d stmt=%d seq=%d; WAL syncs: txn=%d stmt=%d seq=%d; sim: txn=%v stmt=%v seq=%v",
-		txn.RPCs, stmt.RPCs, seq.RPCs, txnSyncs, stmtSyncs, seqSyncs, txn.Elapsed, stmt.Elapsed, seq.Elapsed)
+	t.Logf("RPCs: txn=%d seq=%d; WAL syncs: txn=%d seq=%d; sim: txn=%v seq=%v",
+		txn.RPCs, seq.RPCs, txnSyncs, seqSyncs, txn.Elapsed, seq.Elapsed)
 
-	requireSameState(t, seqState, stmtState)
 	requireSameState(t, seqState, txnState)
 }
 
@@ -252,7 +244,8 @@ func TestTxnAbortDiscards(t *testing.T) {
 // buffer, and hierarchical locking has no undo log — an abort after such a
 // barrier keeps the flushed statement durable (with no dirty mark left and
 // locks released), while MVCC makes the same flushed work invisible via
-// the invalidated transaction id.
+// the invalidated transaction id. A mutator that flushes at every mutation
+// has published the statement before its barriers, with the same outcome.
 func TestAbortAfterBarrierSemantics(t *testing.T) {
 	stmts := []sqlparser.Statement{
 		sqlparser.MustParse("UPDATE Root SET RVal = ? WHERE RID = ?"), // barriers under hierarchical
@@ -268,6 +261,8 @@ func TestAbortAfterBarrierSemantics(t *testing.T) {
 	}{
 		{"hierarchical", Config{}, true},                            // no undo log: barrier-flushed work survives
 		{"mvcc", Config{Concurrency: MVCC, MaxVersions: 16}, false}, // invalidated: invisible
+		{"hierarchical/sequential", Config{SequentialWrites: true}, true},
+		{"mvcc/sequential", Config{Concurrency: MVCC, MaxVersions: 16, SequentialWrites: true}, false},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			sys := fanoutSystem(t, 4, 6, mode.cfg)
@@ -307,10 +302,19 @@ func TestAbortAfterBarrierSemantics(t *testing.T) {
 
 // TestAbortUnmarksFlushedDirtyMarks covers the hardening path: when an
 // abort happens after a mark phase barrier flushed dirty marks (a failure
-// between protocol phases), Abort eagerly un-marks them so readers do not
-// restart forever against a dead transaction's marks.
+// between protocol phases), Abort un-marks them — through the transaction's
+// own mutator, whatever its flush threshold — so readers do not restart
+// forever against a dead transaction's marks.
 func TestAbortUnmarksFlushedDirtyMarks(t *testing.T) {
-	sys := fanoutSystem(t, 1, 4, Config{})
+	for _, cfg := range []Config{{}, {SequentialWrites: true}} {
+		t.Run(fmt.Sprintf("sequential=%v", cfg.SequentialWrites), func(t *testing.T) {
+			testAbortUnmarksFlushedDirtyMarks(t, cfg)
+		})
+	}
+}
+
+func testAbortUnmarksFlushedDirtyMarks(t *testing.T, cfg Config) {
+	sys := fanoutSystem(t, 1, 4, cfg)
 	view := sys.Design.Views[0].Name()
 	client := sys.Engine.Client()
 
@@ -402,16 +406,4 @@ func TestTxnGroupedReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameState(t, dumpState(t, ref), dumpState(t, sys))
-}
-
-// TestTxnStatementFlushParity: the per-statement knob reproduces the PR-2
-// pipeline — single-statement writes behave identically across the three
-// modes (the existing parity suite covers default vs sequential; this pins
-// StatementFlush against sequential too).
-func TestTxnStatementFlushParity(t *testing.T) {
-	seqSys := fanoutSystem(t, 4, 6, Config{SequentialWrites: true})
-	stmtSys := fanoutSystem(t, 4, 6, Config{StatementFlush: true})
-	writeWorkload(t, seqSys)
-	writeWorkload(t, stmtSys)
-	requireSameState(t, dumpState(t, seqSys), dumpState(t, stmtSys))
 }

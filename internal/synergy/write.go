@@ -41,14 +41,21 @@ type writeParts struct {
 // read-your-writes overlay, the maintenance protocol's phase barriers flush
 // it mid-flight, Commit flushes it once (one batch-RPC round, one WAL sync
 // per touched region) and releases the locks, and Abort discards it with
-// nothing buffered persisted.
+// nothing buffered persisted. Config.SequentialWrites makes that mutator the
+// paper's client — it flushes at every mutation — and the rest of the
+// procedure is the same code.
 type Tx struct {
 	sys     *System
 	opts    phoenix.WriteOpts
-	mutator *hbase.BufferedMutator // nil in per-statement / sequential modes
-	mvccTx  *mvcc.Tx               // nil unless Concurrency == MVCC
-	occTx   *occ.Tx                // nil unless Concurrency == OCC
-	lock    bool                   // hierarchical: root locks + dirty marks
+	mutator *hbase.BufferedMutator
+	// eager: the mutator flushes at 1, so what a statement emits is published
+	// before the commit. Such a transaction cannot defer a fresh root row's
+	// lock entry into the commit flush: it self-acquires in step 1 and writes
+	// the entry at once (executeWriteBody).
+	eager  bool
+	mvccTx *mvcc.Tx // nil unless Concurrency == MVCC
+	occTx  *occ.Tx  // nil unless Concurrency == OCC
+	lock   bool     // hierarchical: root locks + dirty marks
 
 	locks   []lockRef
 	lockSet map[lockRef]struct{}
@@ -59,9 +66,8 @@ type Tx struct {
 	// refs to held locks before it flushes.
 	deferred []lockRef
 	// marks are dirty marks a phase barrier has flushed but the protocol
-	// has not yet un-marked; Abort un-marks them eagerly so an aborted
-	// transaction never leaves rows permanently dirty (readers would
-	// restart forever).
+	// has not yet un-marked; Abort un-marks them so an aborted transaction
+	// never leaves rows permanently dirty (readers would restart forever).
 	marks []markRef
 	// deltas are view-maintenance actions deferred to the changefeed
 	// (async/hybrid views): captured during statement execution, published
@@ -90,29 +96,22 @@ type markRef struct{ table, key string }
 // WAL-logs the statements around it; MVCC transactions need no logging.
 func (sys *System) BeginTx(ctx *sim.Ctx) *Tx {
 	tx := &Tx{sys: sys, lock: sys.cfg.Concurrency == Hierarchical}
+	// The paper's client ships every mutation by itself; everyone else's
+	// ships at a barrier. OCC must buffer — nothing may reach the store
+	// before validation passes — so it ignores the option.
+	flushAt := 0
+	if sys.cfg.SequentialWrites && sys.cfg.Concurrency != OCC {
+		tx.eager, flushAt = true, 1
+	}
+	tx.mutator = sys.Engine.Client().NewBufferedMutator(flushAt)
+	tx.opts.Mutator = tx.mutator
 	switch sys.cfg.Concurrency {
 	case MVCC:
-		t := sys.MVCCServer.Begin(ctx)
-		tx.mvccTx = t
-		tx.opts = phoenix.WriteOpts{TS: t.ID(), Read: t.ReadOpts(), OnWrite: t.RecordWrite, Sequential: sys.cfg.SequentialWrites}
+		tx.mvccTx = sys.MVCCServer.Begin(ctx)
+		tx.opts.TS, tx.opts.Read, tx.opts.OnWrite = tx.mvccTx.ID(), tx.mvccTx.ReadOpts(), tx.mvccTx.RecordWrite
 	case OCC:
-		t := sys.OCC.Begin(ctx)
-		tx.occTx = t
-		tx.opts = phoenix.WriteOpts{Read: t.ReadOpts(), OnWrite: t.RecordWrite}
-	default:
-		tx.opts = phoenix.WriteOpts{Sequential: sys.cfg.SequentialWrites}
-	}
-	// SequentialWrites (eager per-mutation RPCs) and StatementFlush
-	// (PR-2-style statement-scoped batches) both keep the per-statement
-	// pipeline; otherwise the transaction owns the mutator. OCC has no
-	// per-statement variant: nothing may reach the store before validation
-	// passes, so the transaction-scoped mutator is mandatory and the two
-	// pipeline knobs are ignored.
-	if sys.cfg.Concurrency == OCC || (!sys.cfg.SequentialWrites && !sys.cfg.StatementFlush) {
-		tx.mutator = sys.Engine.Client().NewTxMutator()
-		tx.opts.Mutator = tx.mutator
-	}
-	if tx.occTx != nil {
+		tx.occTx = sys.OCC.Begin(ctx)
+		tx.opts.Read, tx.opts.OnWrite = tx.occTx.ReadOpts(), tx.occTx.RecordWrite
 		// Every read of the write path (read-before-write, lock-chain
 		// walks, view-maintenance locates, query scans) goes through the
 		// tracking reader, so the read set is complete — including scan
@@ -197,14 +196,10 @@ func (tx *Tx) queryStream(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []sche
 		opts.Reader = tx.opts.Reader
 	case tx.mvccTx != nil:
 		opts.Read = tx.opts.Read // checkpoint-current snapshot
-		if tx.mutator != nil {
-			opts.View = tx.mutator.View()
-		}
+		opts.View = tx.mutator.View()
 	default:
 		opts.DirtyCheck = true
-		if tx.mutator != nil {
-			opts.View = tx.mutator.View()
-		}
+		opts.View = tx.mutator.View()
 	}
 	return sys.Engine.QueryStreamOpts(ctx, stmt, params, opts)
 }
@@ -239,23 +234,21 @@ func (tx *Tx) Commit(ctx *sim.Ctx) error {
 		tx.publishDeltas(ctx)
 		return nil
 	}
-	if tx.mutator != nil {
-		// Lock entries for fresh root inserts that stayed deferred to the
-		// end (no barrier or same-group statement promoted them) join the
-		// commit flush as conditional create-free batch entries.
-		for _, ref := range tx.deferred {
-			if err := tx.sys.Locks.EnsureEntryDeferred(ctx, tx.mutator, ref.root, ref.key); err != nil {
-				tx.releaseLocks(ctx)
-				return err
-			}
-		}
-		if err := tx.mutator.Flush(ctx); err != nil {
-			if tx.mvccTx != nil {
-				tx.sys.MVCCServer.Abort(ctx, tx.mvccTx)
-			}
+	// Lock entries for fresh root inserts that stayed deferred to the end (no
+	// barrier or same-group statement promoted them) join the commit flush as
+	// conditional create-free batch entries.
+	for _, ref := range tx.deferred {
+		if err := tx.sys.Locks.EnsureEntryDeferred(ctx, tx.mutator, ref.root, ref.key); err != nil {
 			tx.releaseLocks(ctx)
 			return err
 		}
+	}
+	if err := tx.mutator.Flush(ctx); err != nil {
+		if tx.mvccTx != nil {
+			tx.sys.MVCCServer.Abort(ctx, tx.mvccTx)
+		}
+		tx.releaseLocks(ctx)
+		return err
 	}
 	if tx.mvccTx != nil {
 		if err := tx.sys.MVCCServer.Commit(ctx, tx.mvccTx); err != nil {
@@ -273,19 +266,14 @@ func (tx *Tx) Commit(ctx *sim.Ctx) error {
 
 // publishDeltas hands the transaction's deferred view deltas to the
 // changefeed, tagged with the commit timestamp: the high stamp of the
-// transaction's flushes when it owned a mutator, else the store clock (an
-// upper bound — eager-write modes stamped everything at or below it).
+// transaction's flushes (a statement that deferred a delta wrote its base
+// row, so there is one).
 func (tx *Tx) publishDeltas(ctx *sim.Ctx) {
 	if len(tx.deltas) == 0 {
 		return
 	}
 	sys := tx.sys
-	commitTS := sys.Store.CurrentTS()
-	if tx.mutator != nil {
-		if ts := tx.mutator.FlushTS(); ts > 0 {
-			commitTS = ts
-		}
-	}
+	commitTS := tx.mutator.FlushTS()
 	out := make([]changefeed.Delta, len(tx.deltas))
 	for i, d := range tx.deltas {
 		d := d
@@ -297,13 +285,13 @@ func (tx *Tx) publishDeltas(ctx *sim.Ctx) {
 	sys.Feed.Publish(ctx, out)
 }
 
-// deferMaintenance reports whether this view's maintenance for this write
-// kind rides the changefeed instead of the writing statement.
-func (tx *Tx) deferMaintenance(kind core.WriteKind, view string) bool {
+// deferMaintenance reports whether view maintenance for this write kind rides
+// the changefeed instead of the writing statement.
+func (tx *Tx) deferMaintenance(kind core.WriteKind) bool {
 	if tx.sys.Feed == nil {
 		return false
 	}
-	switch tx.sys.maintModeFor(view) {
+	switch tx.sys.cfg.Maintenance {
 	case AsyncMaintenance:
 		return true
 	case HybridMaintenance:
@@ -315,14 +303,14 @@ func (tx *Tx) deferMaintenance(kind core.WriteKind, view string) bool {
 }
 
 // applyDelta replays one deferred maintenance action from the changefeed
-// applier. The apply runs as its own statement-scoped write: no locks and no
-// dirty marks (readers of an async view accept staleness instead of
-// restarts), no transaction overlay (the base writes are flushed and
-// visible), and zero-TS mutations pick up fresh oracle stamps at flush — so
-// a snapshot begun after the apply sees the maintained view under every
-// concurrency mode.
+// applier. The apply runs as a one-statement write of its own (options with no
+// mutator): no locks and no dirty marks (readers of an async view accept
+// staleness instead of restarts), no transaction overlay (the base writes are
+// flushed and visible), and zero-TS mutations pick up fresh oracle stamps at
+// flush — so a snapshot begun after the apply sees the maintained view under
+// every concurrency mode.
 func (sys *System) applyDelta(ctx *sim.Ctx, d viewDelta) error {
-	atx := &Tx{sys: sys, opts: phoenix.WriteOpts{}}
+	atx := &Tx{sys: sys}
 	// The statement's cells are shared by every delta it published, and under
 	// MVCC they carry its transaction's id: the replay stamps a copy.
 	w := *d.parts.Write
@@ -338,26 +326,20 @@ func (sys *System) applyDelta(ctx *sim.Ctx, d viewDelta) error {
 	}
 }
 
-// Abort discards the buffered mutations unapplied, eagerly un-marks any
-// dirty marks a phase barrier already flushed, invalidates the MVCC
-// transaction when present, and releases every held lock. Work a barrier
-// already persisted stays durable — under MVCC it is invisible (the
-// transaction id is invalidated); under hierarchical locking §VIII-B has no
-// undo, which is why barriers only fire inside the marked window.
+// Abort discards the buffered mutations unapplied, un-marks any dirty marks
+// already published (by a phase barrier, or by a mutator that flushes at 1),
+// invalidates the MVCC transaction when present, and releases every held
+// lock. Work already persisted stays durable — under MVCC it is invisible
+// (the transaction id is invalidated); under hierarchical locking §VIII-B
+// has no undo, which is why barriers only fire inside the marked window.
 func (tx *Tx) Abort(ctx *sim.Ctx) error {
 	if tx.done {
 		return nil
 	}
 	tx.done = true
 	tx.deltas = nil // deferred maintenance dies with the transaction
-	if tx.mutator != nil {
-		tx.mutator.Discard()
-	}
-	var first error
-	if len(tx.marks) > 0 {
-		first = tx.sys.unmarkEager(ctx, tx.marks, tx.opts)
-		tx.marks = nil
-	}
+	tx.mutator.Discard()
+	first := tx.unmark(ctx)
 	if tx.mvccTx != nil {
 		tx.sys.MVCCServer.Abort(ctx, tx.mvccTx)
 	}
@@ -437,18 +419,17 @@ func (tx *Tx) releaseLocks(ctx *sim.Ctx) error {
 	return first
 }
 
-// unmarkEager writes dirty-off marks for flushed-but-not-unmarked rows on
-// the abort path, through a private statement-scoped batch (the
-// transaction's own mutator was just discarded).
-func (sys *System) unmarkEager(ctx *sim.Ctx, marks []markRef, opts phoenix.WriteOpts) error {
-	b := sys.Engine.NewWriteBatch(phoenix.WriteOpts{TS: opts.TS, Sequential: opts.Sequential})
-	for _, mk := range marks {
-		cell := []hbase.Cell{{Qualifier: phoenix.DirtyQualifier, Value: dirtyOff, TS: opts.TS}}
-		if err := b.PutQuiet(ctx, mk.table, mk.key, cell); err != nil {
+// unmark writes dirty-off marks for published-but-not-unmarked rows on the
+// abort path, through the transaction's own, just-discarded mutator.
+func (tx *Tx) unmark(ctx *sim.Ctx) error {
+	for _, mk := range tx.marks {
+		cell := []hbase.Cell{{Qualifier: phoenix.DirtyQualifier, Value: dirtyOff, TS: tx.opts.TS}}
+		if err := tx.mutator.Put(ctx, mk.table, mk.key, cell); err != nil {
 			return err
 		}
 	}
-	return b.Flush(ctx)
+	tx.marks = nil
+	return tx.mutator.Flush(ctx)
 }
 
 // resolveRootKey walks the lock chain upward — child foreign key to parent
@@ -583,17 +564,17 @@ func (sys *System) executeWriteBody(ctx *sim.Ctx, tx *Tx, stmt sqlparser.Stateme
 	}
 
 	// Step 1: acquire the single lock, held until the transaction commits.
-	// A fresh root insert on a buffered transaction skips self-acquisition:
-	// the new row is unpublished until a barrier or the commit flush, so no
-	// concurrent transaction can resolve its group yet — its lock entry is
-	// deferred into the commit flush below, and any phase barrier promotes
+	// A fresh root insert skips self-acquisition unless the transaction is
+	// eager: the new row is unpublished until a barrier or the commit flush,
+	// so no concurrent transaction can resolve its group yet — its lock entry
+	// is deferred into the commit flush below, and any phase barrier promotes
 	// it to a held lock before publishing (see EnsureEntryDeferred).
 	if tx.lock {
 		rootKey, err := sys.resolveRootKey(ctx, rd, plan, w.Key, base)
 		if err != nil {
 			return err
 		}
-		deferEntry := tx.mutator != nil && parts.kind == core.WriteInsert && plan.Root == plan.Table
+		deferEntry := !tx.eager && parts.kind == core.WriteInsert && plan.Root == plan.Table
 		if plan.Root != "" && rootKey != "" && !deferEntry {
 			if err := tx.acquireLock(ctx, plan.Root, rootKey); err != nil {
 				return err
@@ -606,24 +587,23 @@ func (sys *System) executeWriteBody(ctx *sim.Ctx, tx *Tx, stmt sqlparser.Stateme
 	if err := sys.Engine.ExecWrite(ctx, w, opts); err != nil {
 		return err
 	}
-	// New root rows get a lock-table entry (§VIII-A). On a buffered
-	// transaction the self-lock was skipped above and the entry is only
-	// recorded here: Commit buffers a conditional create-free batch entry
-	// for every ref still deferred (see EnsureEntryDeferred), while a ref
-	// promoted to a held lock meanwhile needs no entry write at all —
-	// Acquire created it and Release frees it. Buffer-less modes
-	// self-acquired in step 1, so the held-lock check keeps this from
-	// overwriting their live lock; the eager put stays as the fallback
-	// for refs locked some other way.
+	// New root rows get a lock-table entry (§VIII-A). Where the self-lock
+	// was skipped above the entry is only recorded here: Commit buffers a
+	// conditional create-free batch entry for every ref still deferred (see
+	// EnsureEntryDeferred), while a ref promoted to a held lock meanwhile
+	// needs no entry write at all — Acquire created it and Release frees it.
+	// An eager transaction self-acquired in step 1, so the held-lock check
+	// keeps this from overwriting its live lock; the entry put stays as the
+	// fallback for refs locked some other way.
 	if tx.lock && parts.kind == core.WriteInsert && sys.isRoot(plan.Table) {
 		ref := lockRef{plan.Table, w.Key}
 		if _, held := tx.lockSet[ref]; !held {
-			if tx.mutator != nil {
-				if !tx.isDeferred(ref) {
-					tx.deferred = append(tx.deferred, ref)
+			if tx.eager {
+				if err := sys.Locks.EnsureEntry(ctx, plan.Table, w.Key); err != nil {
+					return err
 				}
-			} else if err := sys.Locks.EnsureEntry(ctx, plan.Table, w.Key); err != nil {
-				return err
+			} else if !tx.isDeferred(ref) {
+				tx.deferred = append(tx.deferred, ref)
 			}
 		}
 	}
@@ -632,7 +612,7 @@ func (sys *System) executeWriteBody(ctx *sim.Ctx, tx *Tx, stmt sqlparser.Stateme
 	// changefeed: the delta is captured now but published only if the
 	// transaction commits, so an abort leaves no view delta applied.
 	for _, action := range plan.Actions {
-		if tx.deferMaintenance(parts.kind, action.View.Name()) {
+		if tx.deferMaintenance(parts.kind) {
 			tx.deltas = append(tx.deltas, viewDelta{view: action.View.Name(), action: action, parts: parts})
 			continue
 		}

@@ -48,9 +48,6 @@ func (e *Election) IsLeader() (bool, error) {
 	return e.path+"/"+kids[0] == e.me, nil
 }
 
-// Me returns the candidate's znode path.
-func (e *Election) Me() string { return e.me }
-
 // Leader returns the name stored in the current leader's znode.
 func (e *Election) Leader() (string, error) {
 	kids, err := e.sess.Children(e.path, nil)
