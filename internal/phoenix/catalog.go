@@ -13,6 +13,16 @@
 // Values are decoded at the map-returning Query API boundary (DrainCursor)
 // and nowhere before it; a wire server never decodes them at all.
 //
+// A SELECT is compiled once and opened per execution. Engine.Compile builds a
+// Plan of everything no parameter value and no store state can change — the
+// bindings resolved against the catalog, the WHERE conjuncts classified with
+// each constant a literal or a parameter slot, the output columns, names and
+// types, the tuple slot layout, derived tables (compiled recursively), and
+// each table binding's candidate access paths with the equality prefix each
+// binds and whether it delivers the ORDER BY. Plan.Open binds the parameters
+// and decides the rest: key bounds, row estimates, hash join against index
+// nested loop, the scans' column sets. QueryStreamOpts is Compile then Open.
+//
 // What a plan knows, its scans are told (scanSpec): the key range — the
 // equality prefix on the primary key or a covered index, then the <, <=, >, >=
 // conjuncts on the next key column as start and stop rows (keyBounds) — the

@@ -2,6 +2,7 @@ package phoenix
 
 import (
 	"fmt"
+	"slices"
 
 	"synergy/internal/hbase"
 	"synergy/internal/schema"
@@ -21,8 +22,9 @@ type RowCursor interface {
 	// Columns lists the output column names in projection order.
 	Columns() []string
 	// Types lists the column types, parallel to Columns. They come from the
-	// statement's plan, never from its rows (see query.outTypes), so an
-	// empty result and an all-NULL column are typed like any other.
+	// statement's plan, never from its rows (see Plan.outTypes), so an
+	// empty result and an all-NULL column are typed like any other. Both
+	// slices are the plan's, shared by every execution: read them only.
 	Types() []schema.ColType
 	// Next advances to the next row, charging the scan work performed to
 	// ctx. It returns false when the result is exhausted or an error
@@ -179,8 +181,8 @@ func DrainCursor(ctx *sim.Ctx, cur RowCursor) (*ResultSet, error) {
 		cur.Close(ctx)
 		return nil, fmt.Errorf("phoenix: DrainCursor of a foreign cursor %T", inner)
 	}
-	cols := cur.Columns()
-	rs := &ResultSet{Columns: cols, Types: cur.Types(), Rows: []schema.Row{}}
+	cols := slices.Clone(cur.Columns()) // the result set is the caller's; the plan's names are not
+	rs := &ResultSet{Columns: cols, Types: slices.Clone(cur.Types()), Rows: []schema.Row{}}
 	for cur.Next(ctx) {
 		row := make(schema.Row, len(cols))
 		for i, col := range cols {
@@ -230,20 +232,7 @@ func (q *query) tryStream(ctx *sim.Ctx) (*streamCursor, error) {
 
 	// The projection is the statement's output plan read off the cells
 	// instead of off tuples.
-	n := len(q.out)
-	c := &streamCursor{
-		limit: sel.Limit,
-		cols:  make([]string, n),
-		quals: make([]string, n),
-		types: q.outTypes(),
-		raw:   make([][]byte, n),
-	}
-	for i, o := range q.out {
-		c.cols[i] = o.name
-		if !o.literal {
-			c.quals[i] = b.refs[o.src.i]
-		}
-	}
+	c := &streamCursor{limit: sel.Limit, cols: q.names, quals: q.quals, types: q.types, raw: make([][]byte, len(q.out))}
 
 	// The scan is the materialized scanBinding's plus limit pushdown: the
 	// scanner stops examining rows once the post-filter row budget is met.
@@ -281,11 +270,12 @@ func (c *streamCursor) drain(ctx *sim.Ctx) *projected {
 	return res
 }
 
-// execute runs a statement to completion without keying its rows by column
-// name: streamed when the shape allows (so a LIMIT still stops the scan
-// early), through the materialized executor otherwise.
-func (e *Engine) execute(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []schema.Value, opts QueryOpts) (*projected, error) {
-	q, err := e.analyzeStmt(ctx, sel, params, opts)
+// execute runs the plan to completion without keying its rows by column
+// name — how a derived table reaches the enclosing query: streamed when the
+// shape allows (so a LIMIT still stops the scan early), through the
+// materialized executor otherwise.
+func (p *Plan) execute(ctx *sim.Ctx, params []schema.Value, opts QueryOpts) (*projected, error) {
+	q, err := p.bind(ctx, params, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -294,10 +284,12 @@ func (e *Engine) execute(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []schem
 	} else if cur != nil {
 		return cur.drain(ctx), nil
 	}
-	return q.execute(ctx)
+	return q.materialize(ctx)
 }
 
-func (q *query) execute(ctx *sim.Ctx) (*projected, error) {
+// materialize runs the buffering executor: joins, then aggregation, ORDER BY
+// and LIMIT.
+func (q *query) materialize(ctx *sim.Ctx) (*projected, error) {
 	tuples, err := q.run(ctx)
 	if err != nil {
 		return nil, err
@@ -305,7 +297,7 @@ func (q *query) execute(ctx *sim.Ctx) (*projected, error) {
 	return q.project(ctx, tuples), nil
 }
 
-// QueryStream plans and executes a SELECT, returning its rows as a cursor.
+// QueryStream compiles and executes a SELECT, returning its rows as a cursor.
 // Non-blocking single-table shapes stream directly off the region scanner —
 // peak memory is one scan chunk, not the result — while blocking shapes
 // (joins, GROUP BY/aggregates, an ORDER BY no key serves) materialize
@@ -314,20 +306,13 @@ func (e *Engine) QueryStream(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []s
 	return e.QueryStreamOpts(ctx, sel, params, QueryOpts{})
 }
 
-// QueryStreamOpts is QueryStream with explicit execution options.
+// QueryStreamOpts is QueryStream with explicit execution options: Compile,
+// then Open. A caller running one statement many times compiles it once and
+// opens the plan per execution.
 func (e *Engine) QueryStreamOpts(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []schema.Value, opts QueryOpts) (RowCursor, error) {
-	q, err := e.analyzeStmt(ctx, sel, params, opts)
+	p, err := e.Compile(sel)
 	if err != nil {
 		return nil, err
 	}
-	if cur, err := q.tryStream(ctx); err != nil {
-		return nil, err
-	} else if cur != nil {
-		return cur, nil
-	}
-	res, err := q.execute(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return &materializedCursor{res: res, cols: res.columns()}, nil
+	return p.Open(ctx, params, opts)
 }

@@ -2,6 +2,7 @@ package phoenix
 
 import (
 	"fmt"
+	"slices"
 
 	"synergy/internal/hbase"
 	"synergy/internal/schema"
@@ -103,15 +104,15 @@ func (rs *ResultSet) ColumnTypes() []schema.ColType {
 	return out
 }
 
-// Query plans and executes a SELECT.
+// Query compiles and executes a SELECT.
 func (e *Engine) Query(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []schema.Value) (*ResultSet, error) {
 	return e.QueryOpts(ctx, sel, params, QueryOpts{})
 }
 
 // QueryOpts is Query with explicit execution options. It is a thin wrapper
-// over the streaming path: QueryStreamOpts plans the statement, and the
-// cursor is drained into a ResultSet (a no-op for blocking shapes, which
-// materialize anyway).
+// over the streaming path: QueryStreamOpts compiles and opens the statement,
+// and the cursor is drained into a ResultSet (a no-op for blocking shapes,
+// which materialize anyway).
 func (e *Engine) QueryOpts(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []schema.Value, opts QueryOpts) (*ResultSet, error) {
 	cur, err := e.QueryStreamOpts(ctx, sel, params, opts)
 	if err != nil {
@@ -121,7 +122,54 @@ func (e *Engine) QueryOpts(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []sch
 }
 
 // ---------------------------------------------------------------------------
-// Analysis
+// Compilation
+
+// Plan is a SELECT compiled against the catalog: everything about the
+// statement that neither a parameter's value nor the store's contents can
+// change. Compile resolves the FROM bindings (a derived table compiles
+// recursively), classifies the WHERE conjuncts into per-binding filters,
+// equi-joins and residual conditions — each constant operand a literal or a
+// parameter slot — resolves the select list, GROUP BY and ORDER BY with the
+// result's names and types, lays the columns the statement reads out into
+// tuple slots, and lists every table binding's candidate access paths. Open
+// runs it: an execution binds the parameters into the conjuncts, runs the
+// derived tables, and decides what values and the store decide — the key
+// bounds a constant puts on each path (keyBounds), the row estimates, hash
+// join or index nested loop by the rows the outer side holds, the columns a
+// scan ships.
+//
+// A Plan is immutable once compiled, so one plan serves any number of
+// executions. It keeps the catalog's table descriptors as they were when it
+// was compiled.
+type Plan struct {
+	eng      *Engine
+	sel      *sqlparser.SelectStmt
+	bindings []*binding
+	joins    []crossPred // cross-binding equi-joins
+	residual []crossPred // everything else cross-binding
+	width    int         // slots of a joined tuple
+	spills   bool        // a hash-join stage may carry its output into another
+
+	// Output plan. A plain statement sorts and projects joined tuples; an
+	// aggregated one sorts and projects aggregate output rows, laid out as
+	// one slot per select item followed by one per GROUP BY column.
+	aggregated bool
+	groupBy    []colRef
+	aggs       []aggItem // parallel to sel.Items when aggregated
+	orderBy    []orderKey
+	out        []outCol
+	names      []string         // parallel to out
+	types      []schema.ColType // parallel to out, see outTypes
+	// quals is what a stream cursor reads for each result column of a
+	// single-table plain statement: the column's qualifier, "" for a
+	// literal item (see tryStream).
+	quals []string
+}
+
+// Columns lists the result's column names and Types their types, as every
+// cursor Open returns reports them. Both are the plan's: do not modify them.
+func (p *Plan) Columns() []string       { return p.names }
+func (p *Plan) Types() []schema.ColType { return p.types }
 
 // tuple is the executor's internal row: one encoded cell value (type tag +
 // payload, see EncodeValue) per slot of the statement's layout, nil for NULL.
@@ -148,7 +196,7 @@ func (e *Engine) QueryOpts(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []sch
 // (query.columnSet) of one that is not — which is what a join stage carrying
 // the tuple forward spills (SpillPerByte): a client that asked for three
 // columns spills three. It is maintained only for statements that can spill
-// (query.spills).
+// (Plan.spills).
 type tuple struct {
 	vals [][]byte
 	size int
@@ -175,15 +223,17 @@ func (s *tupleSlab) take(n int) [][]byte {
 }
 
 type binding struct {
-	name    string
-	info    *TableInfo  // nil for derived tables
-	derived *projected  // materialized derived-table rows, positional in cols
-	cols    []string    // column names this binding exposes
-	local   []localPred // single-binding predicates, pushed into the scan
-	refs    []string    // columns the statement reads, in slot order
-	off     int         // slot of refs[0] in a joined tuple
-	plan    accessPlan  // fullPlan's choice, once planned
-	planned bool
+	name   string
+	idx    int         // position in FROM, and of the binding's state in query.execs
+	info   *TableInfo  // nil for derived tables
+	sub    *Plan       // a derived table's compiled subquery
+	cols   []string    // column names this binding exposes
+	local  []localPred // single-binding conjuncts, pushed into the scan
+	params bool        // a conjunct in local takes its constant from a parameter
+	refs   []string    // columns the statement reads, in slot order
+	off    int         // slot of refs[0] in a joined tuple
+	paths  []accessPath
+	desc   bool // the ORDER BY a path in paths delivers runs backwards through its key
 }
 
 func (b *binding) hasColumn(col string) bool {
@@ -218,8 +268,8 @@ func (b *binding) ref(col string) int {
 }
 
 // colRef locates a value in the rows a stage consumes: column b.refs[i] of a
-// joined tuple (slot b.off+i, final once analyzeStmt has laid the bindings
-// out) or, with b == nil, position i of an aggregate output row.
+// joined tuple (slot b.off+i, final once Compile has laid the bindings out)
+// or, with b == nil, position i of an aggregate output row.
 type colRef struct {
 	b *binding
 	i int
@@ -237,20 +287,23 @@ func (c colRef) slot() int {
 func (c colRef) typ() schema.ColType {
 	col := c.b.refs[c.i]
 	if c.b.info == nil {
-		return c.b.derived.types[c.b.colPos(col)]
+		return c.b.sub.types[c.b.colPos(col)]
 	}
 	t, _ := c.b.info.Col(col)
 	return t
 }
 
 // localPred is a single-binding WHERE conjunct: a column against a constant,
-// or against another column of the same binding.
+// or against another column of the same binding. A plan's conjuncts carry a
+// literal's value or, for a parameter, its slot; an execution's carry the
+// parameter's value (see Plan.bind).
 type localPred struct {
 	col      string
 	op       sqlparser.CompareOp
 	rcol     string       // right column when colVsCol
 	value    schema.Value // right constant otherwise
 	colVsCol bool
+	param    int // 1 + the slot of the parameter the constant comes from; 0 for a literal
 }
 
 // crossPred compares columns of two different bindings: an equi-join when op
@@ -281,88 +334,76 @@ type orderKey struct {
 	desc bool
 }
 
-type query struct {
-	eng      *Engine
-	sel      *sqlparser.SelectStmt
-	params   []schema.Value
-	opts     QueryOpts
-	bindings []*binding
-	byName   map[string]*binding
-	joins    []crossPred // cross-binding equi-joins
-	residual []crossPred // everything else cross-binding
-	width    int         // slots of a joined tuple
-	spills   bool        // a hash-join stage may carry its output into another
-	slab     tupleSlab   // backs every tuple the statement builds
-
-	// Output plan. A plain statement sorts and projects joined tuples; an
-	// aggregated one sorts and projects aggregate output rows, laid out as
-	// one slot per select item followed by one per GROUP BY column.
-	aggregated bool
-	groupBy    []colRef
-	aggs       []aggItem // parallel to sel.Items when aggregated
-	orderBy    []orderKey
-	out        []outCol
-	// inOrder is set by run when the access path it scanned delivers the
-	// statement's ORDER BY, so project does not sort.
-	inOrder bool
-}
-
-// analyzeStmt resolves FROM bindings (executing derived tables against the
-// caller's ctx so their cost lands on the request), classifies WHERE
-// predicates into per-binding filters, equi-joins and residual conditions,
-// resolves the select list, GROUP BY and ORDER BY, and lays the referenced
-// columns out into tuple slots.
-func (e *Engine) analyzeStmt(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []schema.Value, opts QueryOpts) (*query, error) {
-	q := &query{
-		eng:    e,
-		sel:    sel,
-		params: params,
-		opts:   opts,
-		byName: map[string]*binding{},
-	}
-	for _, ref := range sel.From {
-		b := &binding{name: ref.Binding()}
+// Compile compiles a SELECT against the catalog (see Plan). Its errors are the
+// statement's own — an unknown or ambiguous table or column, an unsupported
+// shape — and no execution can raise them again.
+func (e *Engine) Compile(sel *sqlparser.SelectStmt) (*Plan, error) {
+	p := &Plan{eng: e, sel: sel}
+	for i, ref := range sel.From {
+		b := &binding{name: ref.Binding(), idx: i}
 		if ref.Sub != nil {
-			sub, err := e.execute(ctx, ref.Sub, params, opts)
+			sub, err := e.Compile(ref.Sub)
 			if err != nil {
 				return nil, fmt.Errorf("phoenix: derived table %s: %w", b.name, err)
 			}
-			b.derived = sub
-			b.cols = sub.columns()
+			b.sub, b.cols = sub, sub.names
 		} else {
 			info, err := e.cat.Table(ref.Name)
 			if err != nil {
 				return nil, err
 			}
-			b.info = info
-			b.cols = info.ColumnNames()
+			b.info, b.cols = info, info.ColumnNames()
 		}
-		if _, dup := q.byName[b.name]; dup {
+		if p.binding(b.name) != nil {
 			return nil, fmt.Errorf("phoenix: duplicate binding %q", b.name)
 		}
-		q.bindings = append(q.bindings, b)
-		q.byName[b.name] = b
+		p.bindings = append(p.bindings, b)
 	}
-	q.spills = len(q.bindings) >= 3
+	p.spills = len(p.bindings) >= 3
 	for _, pred := range sel.Where {
-		if err := q.bindPredicate(pred); err != nil {
+		if err := p.classify(pred); err != nil {
 			return nil, err
 		}
 	}
-	if err := q.planOutput(); err != nil {
+	if err := p.planOutput(); err != nil {
 		return nil, err
 	}
-	for _, b := range q.bindings {
-		b.off = q.width
-		q.width += len(b.refs)
+	for _, b := range p.bindings {
+		b.off = p.width
+		p.width += len(b.refs)
+		if b.info != nil {
+			p.planPaths(b)
+		}
 	}
-	return q, nil
+	p.names, p.types = make([]string, len(p.out)), p.outTypes()
+	for i, o := range p.out {
+		p.names[i] = o.name
+	}
+	if b := p.bindings; len(b) == 1 && b[0].info != nil && !p.aggregated {
+		p.quals = make([]string, len(p.out))
+		for i, o := range p.out {
+			if !o.literal {
+				p.quals[i] = b[0].refs[o.src.i]
+			}
+		}
+	}
+	return p, nil
+}
+
+// binding returns the FROM binding named name, or nil.
+func (p *Plan) binding(name string) *binding {
+	for _, b := range p.bindings {
+		if b.name == name {
+			return b
+		}
+	}
+	return nil
 }
 
 // resolveColumn finds the binding that owns a column reference.
-func (q *query) resolveColumn(c sqlparser.ColumnRef) (*binding, error) {
+func (p *Plan) resolveColumn(c sqlparser.ColumnRef) (*binding, error) {
 	if c.Table != "" {
-		b := q.byName[c.Table]
+		b := p.binding(c.Table)
 		if b == nil {
 			return nil, fmt.Errorf("%w: unknown table or alias %q", ErrUnknownTable, c.Table)
 		}
@@ -372,7 +413,7 @@ func (q *query) resolveColumn(c sqlparser.ColumnRef) (*binding, error) {
 		return b, nil
 	}
 	var owner *binding
-	for _, b := range q.bindings {
+	for _, b := range p.bindings {
 		if b.hasColumn(c.Column) {
 			if owner != nil {
 				return nil, fmt.Errorf("%w: %q is ambiguous", ErrUnknownColumn, c.Column)
@@ -388,77 +429,72 @@ func (q *query) resolveColumn(c sqlparser.ColumnRef) (*binding, error) {
 
 // column resolves a reference the executor will read from tuples, giving it a
 // slot.
-func (q *query) column(c sqlparser.ColumnRef) (colRef, error) {
-	b, err := q.resolveColumn(c)
+func (p *Plan) column(c sqlparser.ColumnRef) (colRef, error) {
+	b, err := p.resolveColumn(c)
 	if err != nil {
 		return colRef{}, err
 	}
 	return colRef{b: b, i: b.ref(c.Column)}, nil
 }
 
-func (q *query) evalOperand(e sqlparser.Expr) (schema.Value, error) {
+// operand classifies a conjunct's constant side: a literal's value, or the
+// 1-based slot of the parameter that supplies it.
+func operand(e sqlparser.Expr) (v schema.Value, param int, err error) {
 	switch x := e.(type) {
 	case sqlparser.Literal:
-		return x.Value, nil
+		return x.Value, 0, nil
 	case sqlparser.Param:
-		if x.Index >= len(q.params) {
-			return nil, fmt.Errorf("phoenix: missing parameter %d", x.Index)
-		}
-		return q.params[x.Index], nil
+		return nil, x.Index + 1, nil
 	default:
-		return nil, fmt.Errorf("phoenix: unsupported operand %T", e)
+		return nil, 0, fmt.Errorf("phoenix: unsupported operand %T", e)
 	}
 }
 
-func (q *query) bindPredicate(p sqlparser.Predicate) error {
-	lcol, lIsCol := p.Left.(sqlparser.ColumnRef)
-	rcol, rIsCol := p.Right.(sqlparser.ColumnRef)
+// classify files a WHERE conjunct as a binding's local filter, an equi-join
+// or a residual cross-binding condition.
+func (p *Plan) classify(pred sqlparser.Predicate) error {
+	lcol, lIsCol := pred.Left.(sqlparser.ColumnRef)
+	rcol, rIsCol := pred.Right.(sqlparser.ColumnRef)
 	switch {
 	case lIsCol && rIsCol:
-		lb, err := q.resolveColumn(lcol)
+		lb, err := p.resolveColumn(lcol)
 		if err != nil {
 			return err
 		}
-		rb, err := q.resolveColumn(rcol)
+		rb, err := p.resolveColumn(rcol)
 		if err != nil {
 			return err
 		}
 		if lb == rb {
 			// Same-binding column comparison: a local filter.
-			lb.local = append(lb.local, localPred{col: lcol.Column, op: p.Op, rcol: rcol.Column, colVsCol: true})
+			lb.local = append(lb.local, localPred{col: lcol.Column, op: pred.Op, rcol: rcol.Column, colVsCol: true})
 			return nil
 		}
-		cp := crossPred{l: colRef{lb, lb.ref(lcol.Column)}, r: colRef{rb, rb.ref(rcol.Column)}, op: p.Op}
-		if p.Op == sqlparser.OpEq {
-			q.joins = append(q.joins, cp)
+		cp := crossPred{l: colRef{lb, lb.ref(lcol.Column)}, r: colRef{rb, rb.ref(rcol.Column)}, op: pred.Op}
+		if pred.Op == sqlparser.OpEq {
+			p.joins = append(p.joins, cp)
 		} else {
-			q.residual = append(q.residual, cp)
+			p.residual = append(p.residual, cp)
 		}
 		return nil
-	case lIsCol:
-		lb, err := q.resolveColumn(lcol)
+	case lIsCol || rIsCol:
+		col, other, op := lcol, pred.Right, pred.Op
+		if rIsCol {
+			col, other, op = rcol, pred.Left, flipOp(pred.Op)
+		}
+		b, err := p.resolveColumn(col)
 		if err != nil {
 			return err
 		}
-		v, err := q.evalOperand(p.Right)
+		v, param, err := operand(other)
 		if err != nil {
 			return err
 		}
-		lb.local = append(lb.local, localPred{col: lcol.Column, op: p.Op, value: v})
-		return nil
-	case rIsCol:
-		rb, err := q.resolveColumn(rcol)
-		if err != nil {
-			return err
-		}
-		v, err := q.evalOperand(p.Left)
-		if err != nil {
-			return err
-		}
-		rb.local = append(rb.local, localPred{col: rcol.Column, op: flipOp(p.Op), value: v})
+		b.local = append(b.local, localPred{col: col.Column, op: op, value: v, param: param})
+		b.params = b.params || param > 0
 		return nil
 	default:
-		return fmt.Errorf("phoenix: predicate %s compares two constants", p)
+		return fmt.Errorf("phoenix: predicate %s compares two constants", pred)
 	}
 }
 
@@ -515,12 +551,12 @@ func aggOutputName(it sqlparser.SelectItem) string {
 // planOutput resolves the select list, GROUP BY and ORDER BY against the
 // bindings, registering every column they read. Result columns get friendly
 // names: unqualified when unambiguous, binding-qualified otherwise.
-func (q *query) planOutput() error {
-	sel := q.sel
-	q.aggregated = len(sel.GroupBy) > 0 || hasAggregates(sel)
+func (p *Plan) planOutput() error {
+	sel := p.sel
+	p.aggregated = len(sel.GroupBy) > 0 || hasAggregates(sel)
 
 	owners := map[string]int{}
-	for _, b := range q.bindings {
+	for _, b := range p.bindings {
 		for _, c := range b.cols {
 			owners[c]++
 		}
@@ -533,13 +569,13 @@ func (q *query) planOutput() error {
 	}
 
 	switch {
-	case q.aggregated:
+	case p.aggregated:
 		for _, c := range sel.GroupBy {
-			r, err := q.column(c)
+			r, err := p.column(c)
 			if err != nil {
 				return err
 			}
-			q.groupBy = append(q.groupBy, r)
+			p.groupBy = append(p.groupBy, r)
 		}
 		for i, it := range sel.Items {
 			switch x := it.Expr.(type) {
@@ -551,20 +587,20 @@ func (q *query) planOutput() error {
 				}
 				agg := aggItem{fn: x.Fn, star: x.Star}
 				if !x.Star {
-					r, err := q.column(*x.Arg)
+					r, err := p.column(*x.Arg)
 					if err != nil {
 						return err
 					}
 					agg.arg = r
 				}
-				q.aggs = append(q.aggs, agg)
-				q.out = append(q.out, outCol{name: aggOutputName(it), src: colRef{i: i}})
+				p.aggs = append(p.aggs, agg)
+				p.out = append(p.out, outCol{name: aggOutputName(it), src: colRef{i: i}})
 			case sqlparser.ColumnRef:
 				// Non-aggregate items ride along from the group's
 				// representative row (TPC-W queries select columns
 				// functionally dependent on the group key, e.g. i_title
 				// with GROUP BY i_id).
-				r, err := q.column(x)
+				r, err := p.column(x)
 				if err != nil {
 					return err
 				}
@@ -572,23 +608,23 @@ func (q *query) planOutput() error {
 				if name == "" {
 					name = x.Column
 				}
-				q.aggs = append(q.aggs, aggItem{arg: r})
-				q.out = append(q.out, outCol{name: name, src: colRef{i: i}})
+				p.aggs = append(p.aggs, aggItem{arg: r})
+				p.out = append(p.out, outCol{name: name, src: colRef{i: i}})
 			default:
 				return fmt.Errorf("phoenix: unsupported select item %s", it)
 			}
 		}
 	case sel.Star:
-		for _, b := range q.bindings {
+		for _, b := range p.bindings {
 			for _, c := range b.cols {
-				q.out = append(q.out, outCol{name: outName(b.name, c), src: colRef{b, b.ref(c)}})
+				p.out = append(p.out, outCol{name: outName(b.name, c), src: colRef{b, b.ref(c)}})
 			}
 		}
 	default:
 		for _, it := range sel.Items {
 			switch x := it.Expr.(type) {
 			case sqlparser.ColumnRef:
-				r, err := q.column(x)
+				r, err := p.column(x)
 				if err != nil {
 					return err
 				}
@@ -596,9 +632,9 @@ func (q *query) planOutput() error {
 				if name == "" {
 					name = outName(r.b.name, x.Column)
 				}
-				q.out = append(q.out, outCol{name: name, src: r})
+				p.out = append(p.out, outCol{name: name, src: r})
 			case sqlparser.Literal:
-				q.out = append(q.out, outCol{name: it.Expr.String(), literal: true})
+				p.out = append(p.out, outCol{name: it.Expr.String(), literal: true})
 			default:
 				return fmt.Errorf("phoenix: unsupported select item %s", it)
 			}
@@ -606,12 +642,12 @@ func (q *query) planOutput() error {
 	}
 
 	for _, o := range sel.OrderBy {
-		src, constant, err := q.orderSource(o.Col)
+		src, constant, err := p.orderSource(o.Col)
 		if err != nil {
 			return err
 		}
 		if !constant {
-			q.orderBy = append(q.orderBy, orderKey{src: src, desc: o.Desc})
+			p.orderBy = append(p.orderBy, orderKey{src: src, desc: o.Desc})
 		}
 	}
 	return nil
@@ -622,20 +658,20 @@ func (q *query) planOutput() error {
 // and MAX have their argument's type (a literal item, always NULL, is a
 // string). Every row of a result — and an empty or all-NULL one — is
 // therefore encoded under one column definition.
-func (q *query) outTypes() []schema.ColType {
-	types := make([]schema.ColType, len(q.out))
-	for i, o := range q.out {
+func (p *Plan) outTypes() []schema.ColType {
+	types := make([]schema.ColType, len(p.out))
+	for i, o := range p.out {
 		switch {
 		case o.literal:
 			types[i] = schema.TString
-		case !q.aggregated:
+		case !p.aggregated:
 			types[i] = o.src.typ()
-		case q.aggs[i].fn == "COUNT":
+		case p.aggs[i].fn == "COUNT":
 			types[i] = schema.TInt
-		case q.aggs[i].fn == "AVG":
+		case p.aggs[i].fn == "AVG":
 			types[i] = schema.TFloat
 		default:
-			types[i] = q.aggs[i].arg.typ()
+			types[i] = p.aggs[i].arg.typ()
 		}
 	}
 	return types
@@ -646,27 +682,103 @@ func (q *query) outTypes() []schema.ColType {
 // statement, and for an aggregated one a column the aggregate output carries
 // (a GROUP BY key or a selected column). constant reports a key that cannot
 // reorder rows (the alias of a literal item).
-func (q *query) orderSource(c sqlparser.ColumnRef) (src colRef, constant bool, err error) {
-	if c.Table == "" && !q.sel.Star { // q.out parallels sel.Items
-		for i, it := range q.sel.Items {
+func (p *Plan) orderSource(c sqlparser.ColumnRef) (src colRef, constant bool, err error) {
+	if c.Table == "" && !p.sel.Star { // p.out parallels sel.Items
+		for i, it := range p.sel.Items {
 			if it.Alias == c.Column {
-				return q.out[i].src, q.out[i].literal, nil
+				return p.out[i].src, p.out[i].literal, nil
 			}
 		}
 	}
-	r, err := q.column(c)
-	if err != nil || !q.aggregated {
+	r, err := p.column(c)
+	if err != nil || !p.aggregated {
 		return r, false, err
 	}
-	for g, k := range q.groupBy {
+	for g, k := range p.groupBy {
 		if k == r {
-			return colRef{i: len(q.aggs) + g}, false, nil
+			return colRef{i: len(p.aggs) + g}, false, nil
 		}
 	}
-	for i, a := range q.aggs {
+	for i, a := range p.aggs {
 		if a.fn == "" && a.arg == r {
 			return colRef{i: i}, false, nil
 		}
 	}
 	return colRef{}, false, fmt.Errorf("%w: ORDER BY %s is neither grouped nor selected", ErrUnsupported, c)
+}
+
+// ---------------------------------------------------------------------------
+// Execution
+
+// query is one execution of a Plan: its parameters and options, what it knows
+// of each binding beyond the plan, and the slab its tuples come from.
+type query struct {
+	*Plan
+	params []schema.Value
+	opts   QueryOpts
+	execs  []bindExec // by binding.idx
+	slab   tupleSlab  // backs every tuple the statement builds
+	// inOrder is set by run when the access path it scanned delivers the
+	// statement's ORDER BY, so project does not sort.
+	inOrder bool
+}
+
+// bindExec is one execution's state of a binding: its conjuncts with this
+// execution's parameter values, a derived table's rows, and the access path
+// fullPlan chose.
+type bindExec struct {
+	local   []localPred
+	derived *projected // positional in the subquery's result columns
+	plan    accessPlan
+	planned bool
+}
+
+// Open runs the plan with params — one per ? of the statement, derived tables'
+// included — under opts, and returns its rows as a cursor (see QueryStream).
+func (p *Plan) Open(ctx *sim.Ctx, params []schema.Value, opts QueryOpts) (RowCursor, error) {
+	q, err := p.bind(ctx, params, opts)
+	if err != nil {
+		return nil, err
+	}
+	if cur, err := q.tryStream(ctx); err != nil {
+		return nil, err
+	} else if cur != nil {
+		return cur, nil
+	}
+	res, err := q.materialize(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return &materializedCursor{res: res, cols: p.names}, nil
+}
+
+// bind starts an execution: every conjunct that takes a parameter gets its
+// value, and derived tables run against ctx, so their cost lands on the
+// request.
+func (p *Plan) bind(ctx *sim.Ctx, params []schema.Value, opts QueryOpts) (*query, error) {
+	q := &query{Plan: p, params: params, opts: opts, execs: make([]bindExec, len(p.bindings))}
+	for _, b := range p.bindings {
+		x := &q.execs[b.idx]
+		x.local = b.local
+		if b.params {
+			x.local = slices.Clone(b.local)
+			for i := range x.local {
+				slot := x.local[i].param - 1
+				if slot >= len(params) {
+					return nil, fmt.Errorf("phoenix: missing parameter %d", slot)
+				}
+				if slot >= 0 {
+					x.local[i].value = params[slot]
+				}
+			}
+		}
+		if b.sub != nil {
+			rows, err := b.sub.execute(ctx, params, opts)
+			if err != nil {
+				return nil, fmt.Errorf("phoenix: derived table %s: %w", b.name, err)
+			}
+			x.derived = rows
+		}
+	}
+	return q, nil
 }

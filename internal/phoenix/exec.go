@@ -43,17 +43,55 @@ type accessPlan struct {
 	reversed bool
 }
 
+// accessPath is one way into a table binding's rows, fixed when the statement
+// is compiled: the primary key or a covered index's On ++ Key, how many of its
+// leading columns the binding's local equalities bind, and whether reading it
+// in key order delivers the statement's ORDER BY (see scanOrder).
+type accessPath struct {
+	keyCols []string
+	index   *IndexInfo // nil for the primary key
+	eq      int
+	ordered bool
+}
+
+// planPaths lists a table binding's candidate access paths: the primary key,
+// then every covered index. Which one an execution reads is chooseAccess's
+// call — it turns on the values the key bounds take and the table's size.
+func (p *Plan) planPaths(b *binding) {
+	eq := map[string]bool{}
+	for _, lp := range b.local {
+		if !lp.colVsCol && lp.op == sqlparser.OpEq {
+			eq[lp.col] = true
+		}
+	}
+	order, desc, wantOrder := p.scanOrder(b, eq)
+	b.desc = desc
+	add := func(keyCols []string, idx *IndexInfo) {
+		n := 0
+		for n < len(keyCols) && eq[keyCols[n]] {
+			n++
+		}
+		b.paths = append(b.paths, accessPath{keyCols: keyCols, index: idx, eq: n, ordered: wantOrder && deliversOrder(keyCols, eq, order)})
+	}
+	add(b.info.Key, nil)
+	for _, idx := range b.info.Indexes {
+		if !idx.KeyOnly { // maintenance indexes cannot answer queries
+			add(append(slices.Clone(idx.On), b.info.Key...), idx)
+		}
+	}
+}
+
 // scanOrder is the order a statement may ask of its scan instead of a sort:
 // the ORDER BY columns of a plain single-table SELECT, when they all run one
 // way. Columns a local equality binds are constant over the scanned rows and
 // drop out. ok is false for every other shape — a join, an aggregate and a
 // derived table reorder or replace the scanned rows, and mixed directions
 // match no key.
-func (q *query) scanOrder(b *binding, eq map[string]bool) (cols []string, desc, ok bool) {
-	if len(q.bindings) != 1 || b.info == nil || q.aggregated || len(q.orderBy) == 0 {
+func (p *Plan) scanOrder(b *binding, eq map[string]bool) (cols []string, desc, ok bool) {
+	if len(p.bindings) != 1 || b.info == nil || p.aggregated || len(p.orderBy) == 0 {
 		return nil, false, false
 	}
-	for _, k := range q.orderBy {
+	for _, k := range p.orderBy {
 		col := b.refs[k.src.i]
 		if eq[col] {
 			continue
@@ -87,47 +125,35 @@ func deliversOrder(keyCols []string, eq map[string]bool, order []string) bool {
 	return i == len(order)
 }
 
-// chooseAccess picks the cheapest access path for a binding given its local
+// chooseAccess picks the cheapest of a binding's access paths given its local
 // equality predicates and the range conjuncts on the key column after them.
-// extraEq supplies join-derived equalities (for INL
-// probes). Among paths estimated to read the same number of rows, one whose
-// key order serves the statement's ORDER BY wins — a covered index is worth
-// a full read for its order alone — but never over a path binding a longer
-// equality prefix.
+// extraEqCols supplies join-derived equalities (for INL probes). Among paths
+// estimated to read the same number of rows, one whose key order serves the
+// statement's ORDER BY wins — a covered index is worth a full read for its
+// order alone — but never over a path binding a longer equality prefix.
 func (q *query) chooseAccess(b *binding, extraEqCols []string) accessPlan {
-	eq := map[string]bool{}
-	for _, p := range b.local {
-		if !p.colVsCol && p.op == sqlparser.OpEq {
-			eq[p.col] = true
-		}
-	}
-	order, desc, wantOrder := q.scanOrder(b, eq)
-	for _, c := range extraEqCols {
-		eq[c] = true
-	}
-	est := q.eng.cat.Store().RowEstimate(b.info.Name)
-	if est < 1 {
-		est = 1
-	}
-	best := accessPlan{kind: accessFullScan, filter: b.local, rowsEst: est, ordered: wantOrder && deliversOrder(b.info.Key, eq, order)}
-
-	consider := func(keyCols []string, idx *IndexInfo) {
-		n := 0
-		for _, k := range keyCols {
-			if !eq[k] {
-				break
+	local := q.execs[b.idx].local
+	est := max(q.eng.cat.Store().RowEstimate(b.info.Name), 1)
+	best := accessPlan{kind: accessFullScan, filter: local, rowsEst: est, ordered: b.paths[0].ordered}
+	for _, path := range b.paths {
+		keyCols, n := path.keyCols, path.eq
+		if len(extraEqCols) > 0 {
+			n = 0
+			for _, k := range keyCols {
+				if _, ok := localEqValue(local, k); !ok && !slices.Contains(extraEqCols, k) {
+					break
+				}
+				n++
 			}
-			n++
 		}
-		ordered := wantOrder && deliversOrder(keyCols, eq, order)
-		lo, hi, filter := "", "", b.local
+		lo, hi, filter := "", "", local
 		if n < len(keyCols) {
-			lo, hi, filter = b.keyBounds(keyCols[n])
+			lo, hi, filter = b.keyBounds(local, keyCols[n])
 		}
 		// Unbound, the primary key is the full scan, and an index is worth
 		// a full read only for its order.
-		if n == 0 && lo == "" && hi == "" && (idx == nil || !ordered) {
-			return
+		if n == 0 && lo == "" && hi == "" && (path.index == nil || !path.ordered) {
+			continue
 		}
 		// Selectivity heuristic: each bound key column divides the
 		// table, each bounded end of the next one quarters what is left;
@@ -150,37 +176,28 @@ func (q *query) chooseAccess(b *binding, extraEqCols []string) accessPlan {
 			}
 		}
 		kind := accessPKPrefix
-		if idx != nil {
+		if path.index != nil {
 			kind = accessIndexPrefix
 		}
 		better := rows < best.rowsEst
 		if rows == best.rowsEst {
-			if ordered != best.ordered {
-				better = ordered && n >= len(best.eqCols)
+			if path.ordered != best.ordered {
+				better = path.ordered && n >= len(best.eqCols)
 			} else {
 				better = best.kind == accessFullScan
 			}
 		}
 		if better {
-			best = accessPlan{kind: kind, index: idx, eqCols: keyCols[:n], lo: lo, hi: hi, filter: filter, rowsEst: rows, ordered: ordered}
+			best = accessPlan{kind: kind, index: path.index, eqCols: keyCols[:n], lo: lo, hi: hi, filter: filter, rowsEst: rows, ordered: path.ordered}
 		}
 	}
-
-	consider(b.info.Key, nil)
-	for _, idx := range b.info.Indexes {
-		if idx.KeyOnly {
-			continue // maintenance indexes cannot answer queries
-		}
-		full := append(append([]string(nil), idx.On...), b.info.Key...)
-		consider(full, idx)
-	}
-	best.reversed = best.ordered && desc
+	best.reversed = best.ordered && b.desc
 	return best
 }
 
-// localEqValue returns the value bound to col by a local equality predicate.
-func (b *binding) localEqValue(col string) (schema.Value, bool) {
-	for _, p := range b.local {
+// localEqValue returns the value a local equality predicate binds col to.
+func localEqValue(local []localPred, col string) (schema.Value, bool) {
+	for _, p := range local {
 		if !p.colVsCol && p.op == sqlparser.OpEq && p.col == col {
 			return p.value, true
 		}
@@ -197,23 +214,24 @@ func (p accessPlan) table(b *binding) string {
 	return b.info.Name
 }
 
-// keyBounds returns the start and stop the binding's range conjuncts on key
-// column col put on a scan, as the bytes that follow the equality prefix in a
-// row key ("" = that end is open), and rest, the local predicates the scan
-// still filters by. A conjunct the bounds absorb leaves the filter: one that
-// went on rejecting rows past the bound is what walks a scan to the region's
-// end. The constant takes the column's kind first (coerce), so it is compared
-// with parts of its own tag; one the column cannot hold, a NULL and a NaN
-// order against stored values as no key does and stay filters. An inclusive
-// lower bound is the constant's key part; an exclusive lower and an inclusive
-// upper bound append KeySep 0xFF, which sorts after every key whose part
-// equals the constant (the next part opens with a tag, and a NUL inside a
-// string part is escaped 0x00 0xFF, a longer string).
-func (b *binding) keyBounds(col string) (lo, hi string, rest []localPred) {
+// keyBounds returns the start and stop the range conjuncts among local — the
+// binding's, with this execution's values — on key column col put on a scan,
+// as the bytes that follow the equality prefix in a row key ("" = that end is
+// open), and rest, the local predicates the scan still filters by. A conjunct
+// the bounds absorb leaves the filter: one that went on rejecting rows past
+// the bound is what walks a scan to the region's end. The constant takes the
+// column's kind first (coerce), so it is compared with parts of its own tag;
+// one the column cannot hold, a NULL and a NaN order against stored values as
+// no key does and stay filters. An inclusive lower bound is the constant's key
+// part; an exclusive lower and an inclusive upper bound append KeySep 0xFF,
+// which sorts after every key whose part equals the constant (the next part
+// opens with a tag, and a NUL inside a string part is escaped 0x00 0xFF, a
+// longer string).
+func (b *binding) keyBounds(local []localPred, col string) (lo, hi string, rest []localPred) {
 	typ, _ := b.info.Col(col)
-	rest = b.local
+	rest = local
 	absorbed := 0
-	for i, p := range b.local {
+	for i, p := range local {
 		v, ok := coerce(typ, p.value)
 		f, _ := v.(float64)
 		if p.col != col || p.colVsCol || p.op == sqlparser.OpEq || p.op == sqlparser.OpNe || !ok || v == nil || math.IsNaN(f) {
@@ -223,7 +241,7 @@ func (b *binding) keyBounds(col string) (lo, hi string, rest []localPred) {
 			continue
 		}
 		if absorbed++; absorbed == 1 {
-			rest = b.local[:i:i] // rest parts from b.local here: appends copy
+			rest = local[:i:i] // rest parts from local here: appends copy
 		}
 		var buf [64]byte
 		part := schema.AppendKey(buf[:0], v)
@@ -351,7 +369,7 @@ func (q *query) scanSpec(b *binding, plan accessPlan) (string, hbase.ScanSpec, e
 	if plan.kind != accessFullScan {
 		vals := make([]schema.Value, 0, len(plan.eqCols))
 		for _, c := range plan.eqCols {
-			v, ok := b.localEqValue(c)
+			v, ok := localEqValue(q.execs[b.idx].local, c)
 			if !ok {
 				return "", spec, fmt.Errorf("phoenix: internal: missing eq value for %s.%s", b.name, c)
 			}
@@ -423,7 +441,7 @@ func (q *query) scanTuple(b *binding, r hbase.RowResult, wide bool) tuple {
 // scanBinding fetches a binding's rows via its access plan, applying all
 // local predicates (pushed down server-side) and converting to tuples.
 func (q *query) scanBinding(ctx *sim.Ctx, b *binding, plan accessPlan, wide bool) ([]tuple, error) {
-	if b.derived != nil {
+	if b.sub != nil {
 		return q.scanDerived(b, wide), nil
 	}
 	tableName, spec, err := q.scanSpec(b, plan)
@@ -475,8 +493,8 @@ func (q *query) scanBinding(ctx *sim.Ctx, b *binding, plan accessPlan, wide bool
 // scanDerived filters a derived table's materialized rows by the binding's
 // local predicates and re-slots the referenced columns into tuples.
 func (q *query) scanDerived(b *binding, wide bool) []tuple {
-	sub := b.derived
-	preds := compilePreds(b.local)
+	sub := q.execs[b.idx].derived
+	preds := compilePreds(q.execs[b.idx].local)
 	pos := make([][2]int, len(preds)) // positions of col and rcol in a derived row
 	for i, p := range preds {
 		pos[i] = [2]int{b.colPos(p.col), b.colPos(p.rcol)}
@@ -598,15 +616,16 @@ func (q *query) run(ctx *sim.Ctx) ([]tuple, error) {
 
 // fullPlan is a binding's access plan from its local predicates alone (no
 // join-derived equalities): what a stream, a start scan or a hash join's
-// build side uses. It is chosen once per statement.
+// build side uses. It is chosen once per execution.
 func (q *query) fullPlan(b *binding) accessPlan {
-	if b.derived != nil {
-		return accessPlan{kind: accessFullScan, rowsEst: len(b.derived.rows)}
+	x := &q.execs[b.idx]
+	if b.sub != nil {
+		return accessPlan{kind: accessFullScan, rowsEst: len(x.derived.rows)}
 	}
-	if !b.planned {
-		b.plan, b.planned = q.chooseAccess(b, nil), true
+	if !x.planned {
+		x.plan, x.planned = q.chooseAccess(b, nil), true
 	}
-	return b.plan
+	return x.plan
 }
 
 // joinCols returns the equi-join conditions linking the joined set to
@@ -640,7 +659,7 @@ func (q *query) merge(o tuple, b *binding, in tuple) tuple {
 func (q *query) joinBinding(ctx *sim.Ctx, outer []tuple, b *binding, joined map[*binding]bool, moreStages bool) ([]tuple, error) {
 	outerCols, innerCols := q.joinCols(joined, b)
 
-	if b.derived == nil && len(outer) > 0 && len(outer) <= q.eng.costs.INLThreshold {
+	if b.info != nil && len(outer) > 0 && len(outer) <= q.eng.costs.INLThreshold {
 		names := make([]string, len(innerCols))
 		for i, c := range innerCols {
 			names[i] = b.refs[c.i]
@@ -713,12 +732,8 @@ func (q *query) inlPlan(b *binding, joinCols []string) (accessPlan, bool) {
 	// Every join column must be part of the bound prefix; otherwise the
 	// probe would miss conditions (they are re-checked anyway, but an
 	// unbound join column means the probe isn't selective).
-	bound := map[string]bool{}
-	for _, c := range plan.eqCols {
-		bound[c] = true
-	}
 	for _, c := range joinCols {
-		if !bound[c] {
+		if !slices.Contains(plan.eqCols, c) {
 			return plan, false
 		}
 	}
@@ -747,7 +762,7 @@ func (q *query) indexNestedLoop(ctx *sim.Ctx, outer []tuple, b *binding, plan ac
 		if probeSlot[k] >= 0 {
 			continue
 		}
-		v, ok := b.localEqValue(c)
+		v, ok := localEqValue(q.execs[b.idx].local, c)
 		if !ok {
 			return nil, fmt.Errorf("phoenix: internal: INL probe missing values")
 		}
@@ -865,14 +880,6 @@ type projected struct {
 	rows  []tuple
 }
 
-func (p *projected) columns() []string {
-	cols := make([]string, len(p.out))
-	for i, c := range p.out {
-		cols[i] = c.name
-	}
-	return cols
-}
-
 // value reads output column j of row t (nil for a literal item).
 func (p *projected) value(t tuple, j int) []byte {
 	if p.out[j].literal {
@@ -917,7 +924,7 @@ func (q *query) project(ctx *sim.Ctx, tuples []tuple) *projected {
 	if sel.Limit > 0 && len(tuples) > sel.Limit {
 		tuples = tuples[:sel.Limit]
 	}
-	return &projected{out: q.out, types: q.outTypes(), rows: tuples}
+	return &projected{out: q.out, types: q.types, rows: tuples}
 }
 
 // aggState is one aggregate's running state within one group: the non-NULL

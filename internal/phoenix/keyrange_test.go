@@ -249,6 +249,8 @@ func holdsBoxed(row schema.Row, p localPred) bool {
 // of no kind the column holds): the rows a statement returns are the rows of a
 // full scan that satisfy every conjunct under the boxed comparison — as a set
 // without ORDER BY, and in key order, forwards and backwards, under a LIMIT.
+// And a plan compiled once binds each constant set as a plan compiled for it
+// does (see fuzzKinds).
 func FuzzKeyRange(f *testing.F) {
 	f.Add([]byte{0, 0, 8, 0, 1, 2, 3, 4, 5, 6, 7, 2, 0, 5, 2, 0, 2, 6, 0, 0})
 	f.Add([]byte{3, 1, 12, 1, 2, 0, 3, 4, 1, 5, 6, 2, 7, 8, 3, 2, 3, 2, 0, 1, 4, 1, 3, 0, 2, 1, 2})
@@ -410,7 +412,65 @@ func FuzzKeyRange(f *testing.F) {
 		if g, w := project(got), project(want); !slices.Equal(g, w) {
 			t.Fatalf("SELECT %s %s %v:\n got %v\nwant %v", items, sql, params, g, w)
 		}
+
+		// The prepared arm: the statement compiled once, then run with a
+		// constant set of each kind the input draws — every conjunct's
+		// constant of its column's own kind, of the other numeric kind, of a
+		// kind the column cannot hold, NULL — returns the rows the statement
+		// compiled per execution returns, in the same order, at the same
+		// cost (rows examined included).
+		stmt := "SELECT " + items + " " + sql
+		plan, err := e.Compile(sqlparser.MustParse(stmt).(*sqlparser.SelectStmt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for kind := range fuzzKinds {
+			set := make([]schema.Value, len(preds))
+			for i, p := range preds {
+				dom := fuzzKinds[kind](colType[p.col])
+				set[i] = dom[in.next()%len(dom)]
+			}
+			pctx, octx := sim.NewCtx(), sim.NewCtx()
+			cur, err := plan.Open(pctx, set, QueryOpts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			prepared, err := DrainCursor(pctx, cur)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oneShot := runQuery(t, e, octx, stmt, set...)
+			if g, w := fmt.Sprint(prepared.Rows), fmt.Sprint(oneShot.Rows); g != w {
+				t.Fatalf("%s %v prepared:\n got %v\nwant %v", stmt, set, g, w)
+			}
+			if g, w := pctx.Snapshot(), octx.Snapshot(); g != w {
+				t.Fatalf("%s %v: prepared charged %+v, compiled per execution %+v", stmt, set, g, w)
+			}
+		}
 	})
+}
+
+// fuzzKinds are the constant kinds the prepared arm of FuzzKeyRange binds
+// into a statement compiled once: given a column's type, the values of its own
+// kind, of the other numeric kind, of kinds it cannot hold, and NULL.
+var fuzzKinds = []func(schema.ColType) []schema.Value{
+	fuzzDomain,
+	func(t schema.ColType) []schema.Value {
+		if t == schema.TInt {
+			return fuzzFloats
+		}
+		return fuzzInts
+	},
+	func(t schema.ColType) []schema.Value {
+		switch t {
+		case schema.TInt:
+			return []schema.Value{0.5, -2.5, "a", ""}
+		case schema.TFloat:
+			return []schema.Value{"a", "\x00"}
+		}
+		return []schema.Value{int64(1), 2.5}
+	},
+	func(schema.ColType) []schema.Value { return []schema.Value{nil} },
 }
 
 // TestKeyRangeThroughOverlayAndSnapshot: the bounds reach a transaction's

@@ -130,14 +130,18 @@ func TestHashJoinAllocsSublinear(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := sim.NewCtx()
-	q, err := eng.analyzeStmt(ctx, sel, nil, QueryOpts{})
+	plan, err := eng.Compile(sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := plan.bind(ctx, nil, QueryOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	probe, build := q.bindings[0], q.bindings[1]
 	outer, err := q.scanBinding(ctx, probe, q.fullPlan(probe), true)
-	if err != nil || len(outer) != hashJoinProbes || len(build.derived.rows) != hashJoinBuild {
-		t.Fatalf("%d probe rows, %d build rows, err %v", len(outer), len(build.derived.rows), err)
+	if built := q.execs[build.idx].derived.rows; err != nil || len(outer) != hashJoinProbes || len(built) != hashJoinBuild {
+		t.Fatalf("%d probe rows, %d build rows, err %v", len(outer), len(built), err)
 	}
 	var out []tuple
 	n := testing.AllocsPerRun(5, func() {

@@ -128,15 +128,19 @@ func TestOrderDelivery(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			sel := sqlparser.MustParse(tc.sql).(*sqlparser.SelectStmt)
 			opts := QueryOpts{DirtyCheck: tc.dirty}
-			q, err := e.analyzeStmt(sim.NewCtx(), sel, nil, opts)
+			plan, err := e.Compile(sel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q, err := plan.bind(sim.NewCtx(), nil, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if b := q.bindings[0]; len(q.bindings) == 1 && b.info != nil {
-				plan := q.fullPlan(b)
-				if plan.table(b) != tc.table || plan.ordered != tc.ordered || plan.reversed != tc.reversed {
+				access := q.fullPlan(b)
+				if access.table(b) != tc.table || access.ordered != tc.ordered || access.reversed != tc.reversed {
 					t.Fatalf("plan reads %s ordered=%v reversed=%v, want %s %v %v",
-						plan.table(b), plan.ordered, plan.reversed, tc.table, tc.ordered, tc.reversed)
+						access.table(b), access.ordered, access.reversed, tc.table, tc.ordered, tc.reversed)
 				}
 			}
 			cur, err := q.tryStream(sim.NewCtx())

@@ -219,7 +219,8 @@ type ClientStmt struct {
 	id        uint32
 	numParams int
 	closed    bool
-	// last is the header of the statement's previous result set: the next
+	// last is the header of the statement's previous result set — before
+	// the first, the result shape the prepare response described: the next
 	// execution, which nearly always describes the same columns, reuses its
 	// names and types instead of parsing them again.
 	last header
@@ -254,15 +255,18 @@ func (c *Client) Prepare(sql string) (*ClientStmt, error) {
 		numParams: int(binary.LittleEndian.Uint16(p[7:9])),
 	}
 	numCols := int(binary.LittleEndian.Uint16(p[5:7]))
-	// Drain parameter and column definition blocks (each EOF-terminated).
-	for _, n := range []int{st.numParams, numCols} {
-		if n == 0 {
-			continue
-		}
-		for i := 0; i <= n; i++ { // n defs + EOF
-			if _, err := c.pc.readPacket(); err != nil {
+	// The parameter definitions, then the result's column definitions; each
+	// block is EOF-terminated.
+	if st.numParams > 0 {
+		for i := 0; i <= st.numParams; i++ {
+			if _, err := c.readPacket(); err != nil {
 				return nil, err
 			}
+		}
+	}
+	if numCols > 0 {
+		if err := c.readDefs(numCols, &st.last); err != nil {
+			return nil, err
 		}
 	}
 	return st, nil
@@ -416,10 +420,7 @@ func (c *Client) readResult(binaryRows bool, last *header) (*phoenix.ResultSet, 
 // affected, nil) for OK, an error for ERR, and for a result-set header a
 // ClientRows positioned before the first row (column definitions and their
 // EOF consumed). Every packet is read through the connection's scratch. A
-// prepared statement passes the header of its last result set: when the
-// definitions arrive byte for byte the same, its names and types serve again
-// — they are shared between the result sets and never written — and when they
-// differ it is replaced.
+// prepared statement passes the header of its last result set (readDefs).
 func (c *Client) readResponse(binaryRows bool, last *header) (*ClientRows, uint64, error) {
 	p, err := c.readPacket()
 	if err != nil {
@@ -440,38 +441,50 @@ func (c *Client) readResponse(binaryRows bool, last *header) (*ClientRows, uint6
 	case 0xfe:
 		return nil, 0, nil // EOF response (COM_FIELD_LIST)
 	}
-	ncols64, _, err := readLencInt(p, 0)
+	ncols, _, err := readLencInt(p, 0)
 	if err != nil {
 		return nil, 0, err
-	}
-	c.defs = c.defs[:0]
-	for i := 0; i <= int(ncols64); i++ { // the definitions, then their EOF
-		def, err := c.readPacket()
-		if err != nil {
-			return nil, 0, err
-		}
-		if i < int(ncols64) {
-			c.defs = appendLencBytes(c.defs, def)
-		}
 	}
 	if last == nil {
 		last = &header{}
 	}
-	if last.names == nil || !bytes.Equal(last.defs, c.defs) {
-		ncols := int(ncols64)
-		names, types := make([]string, ncols), make([]byte, ncols)
-		for i, off := 0, 0; i < ncols; i++ {
-			var def []byte
-			if def, off, err = readLencBytes(c.defs, off); err != nil {
-				return nil, 0, err
-			}
-			if names[i], types[i], err = parseColumnDef(def); err != nil {
-				return nil, 0, err
-			}
-		}
-		last.defs, last.names, last.types = append(last.defs[:0], c.defs...), names, types
+	if err := c.readDefs(int(ncols), last); err != nil {
+		return nil, 0, err
 	}
 	return &ClientRows{c: c, names: last.names, types: last.types, binary: binaryRows}, 0, nil
+}
+
+// readDefs reads ncols column definitions and their EOF into last. When they
+// arrive byte for byte as last holds them, its names and types serve again —
+// they are shared between the result sets and never written — and when they
+// differ they are replaced.
+func (c *Client) readDefs(ncols int, last *header) error {
+	c.defs = c.defs[:0]
+	for i := 0; i <= ncols; i++ { // the definitions, then their EOF
+		def, err := c.readPacket()
+		if err != nil {
+			return err
+		}
+		if i < ncols {
+			c.defs = appendLencBytes(c.defs, def)
+		}
+	}
+	if last.names != nil && bytes.Equal(last.defs, c.defs) {
+		return nil
+	}
+	names, types := make([]string, ncols), make([]byte, ncols)
+	for i, off := 0, 0; i < ncols; i++ {
+		def, next, err := readLencBytes(c.defs, off)
+		if err != nil {
+			return err
+		}
+		if names[i], types[i], err = parseColumnDef(def); err != nil {
+			return err
+		}
+		off = next
+	}
+	last.defs, last.names, last.types = append(last.defs[:0], c.defs...), names, types
+	return nil
 }
 
 // readPacket reads one packet into the connection's scratch; the payload is

@@ -15,7 +15,13 @@ import (
 // listener named after the test and returns a client connected to it.
 func serveSystem(t *testing.T, sys *synergy.System) *Client {
 	t.Helper()
-	srv, err := New(Config{Backends: []Backend{{Name: "sys", System: sys}}, Default: "sys"})
+	return serveBackends(t, Backend{Name: "sys", System: sys})
+}
+
+// serveBackends is serveSystem over several backends, the first the default.
+func serveBackends(t *testing.T, backends ...Backend) *Client {
+	t.Helper()
+	srv, err := New(Config{Backends: backends})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,6 +17,11 @@
 // freshness contract (`SET synergy_reads`) per session; the contract follows
 // the connection across a mode switch.
 //
+// COM_STMT_PREPARE compiles a SELECT once (Session.Prepare: the view rewrite
+// and the parameter-free plan) and answers with its result columns;
+// COM_STMT_EXECUTE binds and runs it (Session.Open), compiling it again after
+// a mode switch moved the connection to another backend. COM_QUERY does both.
+//
 // Above the sessions sits the admission Gate: a fixed number of statement
 // execution slots plus a bounded wait queue. Overload queues callers with
 // backpressure instead of melting the engine; past the queue bound the

@@ -216,12 +216,18 @@ type conn struct {
 	queueWaits int64
 }
 
-// prepared is one server-side prepared statement: the parsed SQL, its
-// parameter count, and the parameter types cached from the last execute
-// that sent them (clients may omit types on re-execution).
+// prepared is one server-side prepared statement: the parsed SQL, a
+// SELECT's compiled form, its parameter count, and the parameter types cached
+// from the last execute that sent them (clients may omit types on
+// re-execution).
 type prepared struct {
-	sql       string
-	stmt      sqlparser.Statement
+	sql  string
+	stmt sqlparser.Statement
+	// sel is a SELECT compiled on backend — at COM_STMT_PREPARE, and again
+	// by the first execute after the connection moved to another backend;
+	// nil for a write, which binds at every execute.
+	sel       *synergy.Prepared
+	backend   string
 	numParams int
 	types     []byte
 	unsigned  []bool
@@ -522,12 +528,14 @@ func (c *conn) handleQuery(sql string) error {
 	if n := sqlparser.CountParams(stmt); n > 0 {
 		return c.writeErrPacket(errParse, "42000", "statement has ? placeholders; prepare it (COM_STMT_PREPARE)")
 	}
-	return c.execStatement(stmt, nil, false)
+	return c.execStatement(stmt, nil, nil, false)
 }
 
 // execStatement runs one SQL statement through the admission gate and the
-// session, writing a result set (SELECT) or an OK packet.
-func (c *conn) execStatement(stmt sqlparser.Statement, params []schema.Value, binaryRows bool) error {
+// session, writing a result set (SELECT) or an OK packet. A SELECT runs from
+// its compiled form: COM_STMT_EXECUTE passes the prepared statement's, and
+// for COM_QUERY (compiled nil) it is compiled here.
+func (c *conn) execStatement(stmt sqlparser.Statement, compiled *synergy.Prepared, params []schema.Value, binaryRows bool) error {
 	queued, err := c.srv.gate.Acquire()
 	if err != nil {
 		return c.writeErrPacket(errConCount, "08004", "admission queue full: server overloaded")
@@ -546,14 +554,19 @@ func (c *conn) execStatement(stmt sqlparser.Statement, params []schema.Value, bi
 		}
 	}
 	if sel, ok := stmt.(*sqlparser.SelectStmt); ok {
-		if c.stream {
-			cur, err := c.sess.QueryStream(c.sctx, sel, params)
-			if err != nil {
+		if compiled == nil {
+			if compiled, err = c.sess.Prepare(sel); err != nil {
 				return c.writeEngineErr(err)
 			}
+		}
+		cur, err := c.sess.Open(c.sctx, compiled, params)
+		if err != nil {
+			return c.writeEngineErr(err)
+		}
+		if c.stream {
 			return c.writeCursor(cur, binaryRows)
 		}
-		rs, err := c.sess.Query(c.sctx, sel, params)
+		rs, err := phoenix.DrainCursor(c.sctx, cur)
 		if err != nil {
 			return c.writeEngineErr(err)
 		}
@@ -751,7 +764,8 @@ var readModes = map[string]synergy.ViewReadMode{
 // switchMode rebinds the connection to a session on another backend. The
 // client's `SET synergy_reads` choice carries over (a client that made none
 // gets the new backend's configured default), and prepared statements
-// survive: they are parsed SQL plus a parameter count, engine-agnostic.
+// survive: a SELECT compiled on the old backend compiles again on the new one
+// at its next execute (see prepared).
 func (c *conn) switchMode(val string) error {
 	name := strings.ToLower(strings.TrimSpace(val))
 	if name == "" || name == "synergy" {
@@ -828,6 +842,11 @@ func (c *conn) handleSysVar(rest string) error {
 // --------------------------------------------------------------------------
 // Prepared statements
 
+// handlePrepare parses a statement and compiles a SELECT on the connection's
+// backend, answering as MySQL does: the statement id, the parameter count and
+// a placeholder definition per parameter, then the result's column count and
+// one definition per column — the names and wire types every execute's result
+// set carries. A SELECT naming an unknown table or column fails here.
 func (c *conn) handlePrepare(sql string) error {
 	c.charge()
 	stmt, err := sqlparser.Parse(strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(sql), ";")))
@@ -838,33 +857,63 @@ func (c *conn) handlePrepare(sql string) error {
 		return c.writeErrPacket(errTooManyStmts, "42000",
 			fmt.Sprintf("can't create more than %d prepared statements (close some)", maxPreparedStmts))
 	}
+	ps := &prepared{sql: sql, stmt: stmt, numParams: sqlparser.CountParams(stmt)}
+	if err := c.compile(ps); err != nil {
+		return c.writeEngineErr(err)
+	}
 	c.nextStmtID++
 	id := c.nextStmtID
-	n := sqlparser.CountParams(stmt)
-	c.stmts[id] = &prepared{sql: sql, stmt: stmt, numParams: n}
+	c.stmts[id] = ps
 
-	// Prepare-OK: statement id, column count 0 (result shape is computed at
-	// execute — a documented deviation), parameter count.
+	var cols []string
+	var types []schema.ColType
+	if ps.sel != nil {
+		cols, types = ps.sel.Columns(), ps.sel.Types()
+	}
 	b := []byte{0x00}
 	b = binary.LittleEndian.AppendUint32(b, id)
-	b = binary.LittleEndian.AppendUint16(b, 0) // columns
-	b = binary.LittleEndian.AppendUint16(b, uint16(n))
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(cols)))
+	b = binary.LittleEndian.AppendUint16(b, uint16(ps.numParams))
 	b = append(b, 0x00)                        // filler
 	b = binary.LittleEndian.AppendUint16(b, 0) // warnings
 	if err := c.pc.writePacket(b); err != nil {
 		return err
 	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < ps.numParams; i++ {
 		if err := c.pc.writePacket(appendColumnDef(nil, "?", typeVarString)); err != nil {
 			return err
 		}
 	}
-	if n > 0 {
+	if ps.numParams > 0 {
+		if err := c.pc.writePacket(appendEOF(nil, c.status())); err != nil {
+			return err
+		}
+	}
+	for i, col := range cols {
+		if err := c.pc.writePacket(appendColumnDef(nil, col, wireTypeOf(types[i]))); err != nil {
+			return err
+		}
+	}
+	if len(cols) > 0 {
 		if err := c.pc.writePacket(appendEOF(nil, c.status())); err != nil {
 			return err
 		}
 	}
 	return c.pc.flush()
+}
+
+// compile compiles a prepared SELECT on the connection's current backend.
+func (c *conn) compile(ps *prepared) error {
+	sel, ok := ps.stmt.(*sqlparser.SelectStmt)
+	if !ok {
+		return nil
+	}
+	compiled, err := c.sess.Prepare(sel)
+	if err != nil {
+		return err
+	}
+	ps.sel, ps.backend = compiled, c.backendName
+	return nil
 }
 
 func (c *conn) handleExecute(payload []byte) error {
@@ -916,7 +965,12 @@ func (c *conn) handleExecute(payload []byte) error {
 			params[i], off = v, next
 		}
 	}
-	return c.execStatement(ps.stmt, params, true)
+	if ps.sel != nil && ps.backend != c.backendName {
+		if err := c.compile(ps); err != nil {
+			return c.writeEngineErr(err)
+		}
+	}
+	return c.execStatement(ps.stmt, ps.sel, params, true)
 }
 
 func (c *conn) handleStmtClose(payload []byte) {

@@ -52,6 +52,30 @@ func wireShapes(data *tpcw.Data) []wireShape {
 	)
 }
 
+// wireSystem deploys TPC-W over data, views on, for the wire shapes.
+func wireSystem(t *testing.T, data *tpcw.Data) *synergy.System {
+	t.Helper()
+	sys, err := synergy.New(tpcw.Schema(), tpcw.Roots(), tpcw.WorkloadSQL(), synergy.Config{BaseIndexes: tpcw.BaseIndexes()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, table := range data.TableNames() {
+		if err := sys.LoadBase(table, data.Tables[table]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sys.BuildViews(); err != nil {
+		t.Fatal(err)
+	}
+	// The row whose unset columns give the null-* shapes their all-NULL
+	// result columns.
+	if err := sys.Exec(sim.NewCtx(), sqlparser.MustParse(
+		"INSERT INTO Item (i_id, i_a_id, i_subject, i_stock, i_cost) VALUES (900001, 1, 'ARTS', 15, 3.5)"), nil); err != nil {
+		t.Fatal(err)
+	}
+	return sys
+}
+
 // inlineParams renders a parameterized statement for COM_QUERY, which takes
 // no placeholders: each ? becomes the literal of its value.
 func inlineParams(sql string, params []schema.Value) string {
@@ -135,28 +159,10 @@ func readWireResult(c *Client) (string, error) {
 // with `go test ./internal/server -run TestWireBytesGolden -update`.
 func TestWireBytesGolden(t *testing.T) {
 	data := tpcw.Generate(40, 7)
-	sys, err := synergy.New(tpcw.Schema(), tpcw.Roots(), tpcw.WorkloadSQL(), synergy.Config{BaseIndexes: tpcw.BaseIndexes()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, table := range data.TableNames() {
-		if err := sys.LoadBase(table, data.Tables[table]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sys.BuildViews(); err != nil {
-		t.Fatal(err)
-	}
-	// The row whose unset columns give the null-* shapes their all-NULL
-	// result columns.
-	if err := sys.Exec(sim.NewCtx(), sqlparser.MustParse(
-		"INSERT INTO Item (i_id, i_a_id, i_subject, i_stock, i_cost) VALUES (900001, 1, 'ARTS', 15, 3.5)"), nil); err != nil {
-		t.Fatal(err)
-	}
-
-	c := serveSystem(t, sys)
+	c := serveSystem(t, wireSystem(t, data))
 
 	var got strings.Builder
+	var err error
 	for _, stream := range []bool{true, false} {
 		setStream(t, c, stream)
 		for _, sh := range wireShapes(data) {

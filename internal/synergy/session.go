@@ -60,6 +60,30 @@ func (s *Session) Begin(ctx *sim.Ctx) error {
 	return nil
 }
 
+// Prepare compiles a SELECT for the session's System: the view rewrite and
+// the statement's parameter-free plan, once. Its errors are the statement's
+// own — an unknown table or column — and no execution raises them again.
+// Open runs the result as often as the caller likes, in or out of a
+// transaction.
+func (s *Session) Prepare(sel *sqlparser.SelectStmt) (*Prepared, error) {
+	return s.sys.prepare(sel)
+}
+
+// Open runs a prepared SELECT with params as a cursor — inside the open
+// transaction when there is one, else against a fresh snapshot (see
+// QueryStream). What is left to do per execution is what the parameters and
+// the store's state decide: the key bounds, the access paths and join
+// algorithm, the derived tables, the scans.
+func (s *Session) Open(ctx *sim.Ctx, p *Prepared, params []schema.Value) (phoenix.RowCursor, error) {
+	if p.sys != s.sys {
+		return nil, fmt.Errorf("synergy: statement prepared for another system")
+	}
+	if s.tx != nil {
+		return s.tx.open(ctx, p, params, s.reads)
+	}
+	return s.sys.open(ctx, p, params, s.reads)
+}
+
 // Query runs a SELECT — inside the open transaction when there is one
 // (reading the transaction's own buffered writes), else against a fresh
 // snapshot.
@@ -77,12 +101,13 @@ func (s *Session) Query(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []schema
 // error — for autocommit reads under MVCC, Close is what settles the
 // wrapping snapshot transaction. A cursor opened inside a transaction reads
 // through the transaction's buffer: close it before the next statement runs
-// or the transaction ends.
+// or the transaction ends. It is Prepare, then Open.
 func (s *Session) QueryStream(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []schema.Value) (phoenix.RowCursor, error) {
-	if s.tx != nil {
-		return s.tx.queryStream(ctx, sel, params, s.reads)
+	p, err := s.Prepare(sel)
+	if err != nil {
+		return nil, err
 	}
-	return s.sys.queryStream(ctx, sel, params, s.reads)
+	return s.Open(ctx, p, params)
 }
 
 // Exec runs a write statement — buffered into the open transaction when

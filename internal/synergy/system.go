@@ -5,9 +5,17 @@
 // with write-ahead logging) that executes the auto-generated write plans.
 //
 // Clients reach a System through a Session (System.NewSession): Begin,
-// Query, QueryStream, Exec, Commit, Rollback — one type, identical in every
-// concurrency mode and with or without views. System.Query, QueryStream,
-// Exec and ExecTxn are one-shot conveniences over the same paths.
+// Prepare, Open, Query, QueryStream, Exec, Commit, Rollback — one type,
+// identical in every concurrency mode and with or without views. System.Query,
+// QueryStream, Exec and ExecTxn are one-shot conveniences over the same paths.
+//
+// A SELECT is compiled once and run per execution. Prepare does what no
+// parameter changes — the view rewrite (rewriteFor: the marking procedure and
+// the rebuilt statement), the async views the rewrite reads, and phoenix's
+// plan of it (Engine.Compile) — and Open does the rest under the session's
+// transaction and freshness contract. Query and QueryStream are Prepare then
+// Open, so a one-shot read and a prepared one run the same code and are
+// charged alike; planning charges nothing.
 //
 // Population (§IX-D1: LoadBase per table, then BuildViews) works on encoded
 // rows from end to end. A row is its attribute cells in qualifier order — what
@@ -283,13 +291,14 @@ func (sys *System) isRoot(table string) bool {
 }
 
 // rewriteFor returns the view-based rewrite of a query (identity when views
-// are disabled or none apply).
+// are disabled or none apply): the marking procedure selects the query's
+// views (§VI-A) and the query is rebuilt over the ones the design
+// materialized (§VI-B). It is the design's own procedure run on the
+// statement as it arrives — the design's Rewritten table, keyed by the ASTs
+// it parsed, renders the same for every workload query.
 func (sys *System) rewriteFor(sel *sqlparser.SelectStmt) *sqlparser.SelectStmt {
 	if sys.cfg.DisableViews {
 		return sel
-	}
-	if rw, ok := sys.Design.Rewritten[sel]; ok {
-		return rw.Stmt
 	}
 	views := core.SelectViewsForQuery(sys.Design.Schema, sys.Design.Candidates.Trees, sel)
 	var mat []*core.View
@@ -300,6 +309,37 @@ func (sys *System) rewriteFor(sel *sqlparser.SelectStmt) *sqlparser.SelectStmt {
 	}
 	return core.RewriteQuery(sel, mat).Stmt
 }
+
+// Prepared is a SELECT compiled for one System: its view-based rewrite, the
+// asynchronously maintained views the rewrite reads, and phoenix's plan of
+// it — all a statement's work that no parameter value changes. Session.Prepare
+// builds one and Session.Open runs it; a one-shot query is the two in a row.
+// It is immutable and holds no transaction state, so it outlives any
+// transaction and may be opened by any session on the System.
+type Prepared struct {
+	sys   *System
+	stmt  *sqlparser.SelectStmt
+	plan  *phoenix.Plan
+	async []string
+}
+
+func (sys *System) prepare(sel *sqlparser.SelectStmt) (*Prepared, error) {
+	stmt := sys.rewriteFor(sel)
+	plan, err := sys.Engine.Compile(stmt)
+	if err != nil {
+		return nil, err
+	}
+	return &Prepared{sys: sys, stmt: stmt, plan: plan, async: sys.asyncViewsIn(stmt)}, nil
+}
+
+// Stmt is the statement the plan runs: the view-based rewrite of the one
+// prepared (itself when no view applies or views are off).
+func (p *Prepared) Stmt() *sqlparser.SelectStmt { return p.stmt }
+
+// Columns lists the statement's result column names and Types their types —
+// the shape of every result it returns. Do not modify them.
+func (p *Prepared) Columns() []string       { return p.plan.Columns() }
+func (p *Prepared) Types() []schema.ColType { return p.plan.Types() }
 
 // Concurrency reports the deployment's concurrency control mechanism. The
 // mode is baked in at construction (it decides which transaction tier
@@ -384,24 +424,23 @@ func (sys *System) QueryStream(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params [
 	return sys.NewSession().QueryStream(ctx, sel, params)
 }
 
-// queryStream is the one autocommit read path, with the caller's freshness
-// contract for the async views the query touches. Under MVCC the read runs
-// inside a snapshot transaction that stays open for the cursor's lifetime
-// and is settled by Close (committed on a clean drain, aborted if the cursor
-// saw an error); OCC and hierarchical reads carry no per-read transaction
-// state, so their cursors only release the scanner.
-func (sys *System) queryStream(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []schema.Value, reads ViewReadMode) (phoenix.RowCursor, error) {
-	stmt := sys.rewriteFor(sel)
+// open is the one autocommit read path, with the caller's freshness contract
+// for the async views the statement touches. Under MVCC the read runs inside
+// a snapshot transaction that stays open for the cursor's lifetime and is
+// settled by Close (committed on a clean drain, aborted if the cursor saw an
+// error); OCC and hierarchical reads carry no per-read transaction state, so
+// their cursors only release the scanner.
+func (sys *System) open(ctx *sim.Ctx, p *Prepared, params []schema.Value, reads ViewReadMode) (phoenix.RowCursor, error) {
 	if sys.Feed != nil && reads == ReadWatermark {
 		arrival := sys.Store.CurrentTS()
-		for _, v := range sys.asyncViewsIn(stmt) {
+		for _, v := range p.async {
 			sys.Feed.WaitWatermark(ctx, v, arrival)
 		}
 	}
 	switch sys.cfg.Concurrency {
 	case MVCC:
 		tx := sys.MVCCServer.Begin(ctx)
-		cur, err := sys.Engine.QueryStreamOpts(ctx, stmt, params, phoenix.QueryOpts{Read: tx.ReadOpts(), OnViewScan: sys.staleObserver(tx.ID(), reads)})
+		cur, err := p.plan.Open(ctx, params, phoenix.QueryOpts{Read: tx.ReadOpts(), OnViewScan: sys.staleObserver(tx.ID(), reads)})
 		if err != nil {
 			sys.MVCCServer.Abort(ctx, tx)
 			return nil, err
@@ -415,9 +454,9 @@ func (sys *System) queryStream(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params [
 		}), nil
 	case OCC:
 		snap := sys.OCC.SnapshotTS(ctx)
-		return sys.Engine.QueryStreamOpts(ctx, stmt, params, phoenix.QueryOpts{Read: hbase.SnapshotRead(snap), OnViewScan: sys.staleObserver(snap, reads)})
+		return p.plan.Open(ctx, params, phoenix.QueryOpts{Read: hbase.SnapshotRead(snap), OnViewScan: sys.staleObserver(snap, reads)})
 	}
-	return sys.Engine.QueryStreamOpts(ctx, stmt, params, phoenix.QueryOpts{DirtyCheck: true, OnViewScan: sys.staleObserver(sys.Store.CurrentTS(), reads)})
+	return p.plan.Open(ctx, params, phoenix.QueryOpts{DirtyCheck: true, OnViewScan: sys.staleObserver(sys.Store.CurrentTS(), reads)})
 }
 
 // Exec executes a write statement: through the Synergy transaction layer

@@ -141,18 +141,22 @@ func (tx *Tx) Exec(ctx *sim.Ctx, stmt sqlparser.Statement, params []schema.Value
 }
 
 // Query runs a SELECT inside the transaction at the deployment's configured
-// freshness contract (a Session passes its own). See queryStream.
+// freshness contract (a Session passes its own). See open.
 func (tx *Tx) Query(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []schema.Value) (*phoenix.ResultSet, error) {
-	cur, err := tx.queryStream(ctx, sel, params, tx.sys.cfg.AsyncReads)
+	p, err := tx.sys.prepare(sel)
+	if err != nil {
+		return nil, err
+	}
+	cur, err := tx.open(ctx, p, params, tx.sys.cfg.AsyncReads)
 	if err != nil {
 		return nil, err
 	}
 	return phoenix.DrainCursor(ctx, cur)
 }
 
-// queryStream runs a SELECT inside the transaction as a cursor. The query
-// runs its view-based rewrite, and reads see the transaction's own buffered
-// writes: under hierarchical locking the mutator overlay merges over
+// open runs a prepared SELECT inside the transaction as a cursor. The
+// statement reads its view-based rewrite, and reads see the transaction's own
+// buffered writes: under hierarchical locking the mutator overlay merges over
 // latest-committed rows (with the §VIII-C dirty-restart protocol guarding
 // view scans), under MVCC the overlay merges over the transaction's snapshot
 // at its current checkpoint, and under OCC the query runs through the
@@ -169,12 +173,11 @@ func (tx *Tx) Query(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []schema.Val
 // scanner, and the transaction outlives the cursor. The cursor must be
 // closed before the next statement runs — it reads through the
 // transaction's current checkpoint, which the next Exec advances.
-func (tx *Tx) queryStream(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []schema.Value, reads ViewReadMode) (phoenix.RowCursor, error) {
+func (tx *Tx) open(ctx *sim.Ctx, p *Prepared, params []schema.Value, reads ViewReadMode) (phoenix.RowCursor, error) {
 	if tx.done {
 		return nil, fmt.Errorf("synergy: transaction already finished")
 	}
 	sys := tx.sys
-	stmt := sys.rewriteFor(sel)
 	var readTS int64
 	switch {
 	case tx.mvccTx != nil:
@@ -185,7 +188,7 @@ func (tx *Tx) queryStream(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []sche
 		readTS = sys.Store.CurrentTS()
 	}
 	if sys.Feed != nil && reads == ReadWatermark {
-		for _, v := range sys.asyncViewsIn(stmt) {
+		for _, v := range p.async {
 			sys.Feed.WaitWatermark(ctx, v, readTS)
 		}
 	}
@@ -201,7 +204,7 @@ func (tx *Tx) queryStream(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []sche
 		opts.DirtyCheck = true
 		opts.View = tx.mutator.View()
 	}
-	return sys.Engine.QueryStreamOpts(ctx, stmt, params, opts)
+	return p.plan.Open(ctx, params, opts)
 }
 
 // Commit flushes every buffered mutation as one region-grouped batch round,
