@@ -27,7 +27,8 @@
 // go/types): repo-internal imports resolve through an importer that
 // type-checks package directories recursively, everything else through
 // the compiler's source importer. Test files are analyzed too — both
-// in-package _test.go files and external _test packages.
+// in-package _test.go files and external _test packages, which see the
+// package with its in-package test files as go test builds them.
 package main
 
 import (
@@ -188,6 +189,12 @@ type checker struct {
 	module string // module path
 	std    types.Importer
 	pure   map[string]*types.Package // import path -> non-test package
+	// base and over are set on a checker that resolves over as the package
+	// with its in-package test files (pure[over]): the repo packages that
+	// import over are checked again against it, the rest come from base.
+	base *checker
+	over string
+	deps map[string]bool // import path -> imports over, directly or not
 }
 
 func newChecker(root, module string) *checker {
@@ -212,12 +219,14 @@ func (c *checker) Import(path string) (*types.Package, error) {
 	if pkg, ok := c.pure[path]; ok {
 		return pkg, nil
 	}
-	dir := filepath.Join(c.root, strings.TrimPrefix(strings.TrimPrefix(path, c.module), "/"))
-	bp, err := build.ImportDir(dir, 0)
+	if c.base != nil && !c.imports(path) {
+		return c.base.Import(path)
+	}
+	bp, err := build.ImportDir(c.dir(path), 0)
 	if err != nil {
 		return nil, err
 	}
-	files, err := c.parse(dir, bp.GoFiles)
+	files, err := c.parse(bp.Dir, bp.GoFiles)
 	if err != nil {
 		return nil, err
 	}
@@ -242,6 +251,36 @@ func (c *checker) parse(dir string, names []string) ([]*ast.File, error) {
 	return files, nil
 }
 
+// seeded returns a checker that resolves path to pkg, the package with its
+// in-package test files, and checks the repo packages importing path again
+// against it — what go test compiles for an external test package.
+func (c *checker) seeded(path string, pkg *types.Package) *checker {
+	return &checker{fset: c.fset, root: c.root, module: c.module, std: c.std,
+		pure: map[string]*types.Package{path: pkg}, base: c, over: path, deps: map[string]bool{}}
+}
+
+// dir is the directory of a repo package.
+func (c *checker) dir(path string) string {
+	return filepath.Join(c.root, strings.TrimPrefix(strings.TrimPrefix(path, c.module), "/"))
+}
+
+// imports reports whether repo package path imports c.over, directly or not.
+func (c *checker) imports(path string) bool {
+	if dep, ok := c.deps[path]; ok {
+		return dep
+	}
+	c.deps[path] = false
+	if bp, err := build.ImportDir(c.dir(path), 0); err == nil {
+		for _, imp := range bp.Imports {
+			if imp == c.over || strings.HasPrefix(imp, c.module+"/") && c.imports(imp) {
+				c.deps[path] = true
+				break
+			}
+		}
+	}
+	return c.deps[path]
+}
+
 // checkDir analyzes one package directory: the package proper with its
 // in-package test files as one unit, and the external _test package (if
 // any) as another.
@@ -262,6 +301,7 @@ func (c *checker) checkDir(dir string) ([]string, error) {
 		return nil, err
 	}
 	var findings []string
+	var withTests *types.Package
 	units := []struct {
 		id    string
 		names []string
@@ -281,9 +321,20 @@ func (c *checker) checkDir(dir string) ([]string, error) {
 			Types: map[ast.Expr]types.TypeAndValue{},
 			Uses:  map[*ast.Ident]types.Object{},
 		}
-		conf := types.Config{Importer: c}
-		if _, err := conf.Check(u.id, c.fset, files, info); err != nil {
+		// As go test builds it, the external test package — and every repo
+		// package it imports — sees the package with its in-package test
+		// files (an export_test.go).
+		var imp types.Importer = c
+		if withTests != nil {
+			imp = c.seeded(path, withTests)
+		}
+		conf := types.Config{Importer: imp}
+		pkg, err := conf.Check(u.id, c.fset, files, info)
+		if err != nil {
 			return nil, fmt.Errorf("type-checking %s: %w", u.id, err)
+		}
+		if u.id == path && len(bp.TestGoFiles) > 0 {
+			withTests = pkg
 		}
 		for _, f := range files {
 			findings = append(findings, c.scanFile(f, info)...)

@@ -52,3 +52,13 @@ func TestHBasePackageIsClean(t *testing.T) {
 		t.Fatalf("internal/hbase not clean:\n%s", strings.Join(findings, "\n"))
 	}
 }
+
+// An external test package is checked against the package with its
+// in-package test files, as go test builds it: internal/synergy's external
+// tests reach it through export_test.go and through internal/tpcw, which
+// imports it and is checked again against it.
+func TestExternalTestSeesInPackageTestFiles(t *testing.T) {
+	if _, err := run(".", []string{"../../internal/synergy"}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -28,8 +28,9 @@ type MaintenanceCell struct {
 	Lane  string
 	Views int
 	// Write is the simulated latency of one root update — the write that
-	// fans out to every view. Sync pays the full §VIII-B mark/update/un-mark
-	// per view inline; the deferred lanes pay one changefeed hop.
+	// fans out to every view. Sync pays every view's locate and the §VIII-B
+	// mark/update/un-mark barriers, once for all views, inline; the deferred
+	// lanes pay one changefeed hop.
 	Write Measurement
 	// StaleLag is the mean freshness gap (store timestamp ticks) a ReadStale
 	// query observes while the changefeed backlog from the write burst is

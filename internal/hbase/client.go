@@ -209,6 +209,69 @@ func (c *Client) Get(ctx *sim.Ctx, tbl, key string, opts ReadOpts) (RowResult, e
 	return res, nil
 }
 
+// GetMany reads several rows of one table: HBase's multi-get. The keys are
+// grouped by region, each region's group travels in one RPC charged a GetSeek
+// per key and the bytes of the rows it returns, and several regions are read
+// in parallel with fork/join accounting, as MutateBatch applies its region
+// groups — so one key costs what Get costs. The results line up with keys; an
+// absent row is an empty RowResult.
+func (c *Client) GetMany(ctx *sim.Ctx, tbl string, keys []string, opts ReadOpts) ([]RowResult, error) {
+	out := make([]RowResult, len(keys))
+	if len(keys) == 0 {
+		return out, nil
+	}
+	t, err := c.open(ctx, tbl)
+	if err != nil {
+		return nil, err
+	}
+	first := t.regionFor(keys[0])
+	var regions []*Region // per key, once the keys span regions
+	for i := 1; i < len(keys) && regions == nil; i++ {
+		if r := t.regionFor(keys[i]); r != first {
+			regions = make([]*Region, len(keys))
+			for j := range keys {
+				regions[j] = t.regionFor(keys[j])
+			}
+		}
+	}
+	if regions == nil {
+		c.getFrom(ctx, first, keys, nil, out, opts)
+		return out, nil
+	}
+	var children []*sim.Ctx
+	for i, r := range regions {
+		if slices.Index(regions, r) < i {
+			continue // the group of r is read already
+		}
+		child := ctx.Fork()
+		c.getFrom(child, r, keys, regions, out, opts)
+		children = append(children, child)
+	}
+	ctx.Join(children...)
+	return out, nil
+}
+
+// getFrom is one region's share of a multi-get: the keys whose region is r
+// (every key when regions is nil) read into out, in one RPC.
+func (c *Client) getFrom(ctx *sim.Ctx, r *Region, keys []string, regions []*Region, out []RowResult, opts ReadOpts) {
+	srv := r.Server()
+	n, bytes, found := 0, 0, 0
+	for i, key := range keys {
+		if regions != nil && regions[i] != r {
+			continue
+		}
+		out[i] = r.get(key, opts)
+		n++
+		bytes += out[i].Bytes()
+		if !out[i].Empty() {
+			found++
+		}
+	}
+	c.hc.serverWork(ctx, srv, sim.Micros(int64(n)*int64(c.hc.costs.GetSeek)))
+	c.hc.cl.RPC(ctx, c.node, srv, bytes)
+	ctx.CountRowsReturned(found)
+}
+
 // Put writes cells to a row. Zero-timestamp cells are stamped server-side.
 func (c *Client) Put(ctx *sim.Ctx, tbl, key string, cells []Cell) error {
 	t, err := c.open(ctx, tbl)

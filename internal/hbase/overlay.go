@@ -16,13 +16,16 @@ type RowStream interface {
 	Close(ctx *sim.Ctx)
 }
 
-// Reader serves point gets and scans: either a Client (store reads) or a
-// ReadView (transaction reads that merge a BufferedMutator's pending
-// mutations over the store). The SQL layer reads through this interface so
-// the read-before-write of a transaction sees the transaction's own
-// buffered writes.
+// Reader serves point gets, multi-gets and scans: either a Client (store
+// reads) or a ReadView (transaction reads that merge a BufferedMutator's
+// pending mutations over the store). The SQL layer reads through this
+// interface so the read-before-write of a transaction sees the transaction's
+// own buffered writes.
 type Reader interface {
 	Get(ctx *sim.Ctx, tbl, key string, opts ReadOpts) (RowResult, error)
+	// GetMany reads the rows of keys, the results in key order (an absent
+	// row empty) — Client.GetMany's multi-get.
+	GetMany(ctx *sim.Ctx, tbl string, keys []string, opts ReadOpts) ([]RowResult, error)
 	OpenScan(ctx *sim.Ctx, tbl string, spec ScanSpec) (RowStream, error)
 }
 
@@ -183,6 +186,50 @@ func (v *ReadView) Get(ctx *sim.Ctx, tbl, key string, opts ReadOpts) (RowResult,
 		return RowResult{}, err
 	}
 	return overlayRow(key, pending, base.Cells, opts, nil), nil
+}
+
+// GetMany reads several rows like Get, the store rows in one multi-get: rows a
+// pending row-wide tombstone masks are served from the buffer, the rest are
+// fetched together and merged under their pending cells. The view of a mutator
+// that flushes at 1 — the paper's client — issues one Get per key instead, one
+// at a time.
+func (v *ReadView) GetMany(ctx *sim.Ctx, tbl string, keys []string, opts ReadOpts) ([]RowResult, error) {
+	if v.m.flushAt == 1 {
+		out := make([]RowResult, len(keys))
+		for i, key := range keys {
+			var err error
+			if out[i], err = v.Get(ctx, tbl, key, opts); err != nil {
+				return nil, err
+			}
+		}
+		return out, nil
+	}
+	ot := v.m.pendingTable(tbl)
+	if ot == nil {
+		return v.m.c.GetMany(ctx, tbl, keys, opts)
+	}
+	out := make([]RowResult, len(keys))
+	var fetch []string
+	var at []int // out index of each fetched key
+	for i, key := range keys {
+		if pending := ot.rows[key]; pending != nil && rowTombstoned(pending, opts) {
+			out[i] = RowResult{Key: key, Cells: pending.read(opts)}
+			continue
+		}
+		fetch = append(fetch, key)
+		at = append(at, i)
+	}
+	base, err := v.m.c.GetMany(ctx, tbl, fetch, opts)
+	if err != nil {
+		return nil, err
+	}
+	for j, i := range at {
+		out[i] = base[j]
+		if pending := ot.rows[keys[i]]; pending != nil {
+			out[i] = overlayRow(keys[i], pending, base[j].Cells, opts, nil)
+		}
+	}
+	return out, nil
 }
 
 // OpenScan opens a key-ordered scan that folds the pending rows for the

@@ -188,6 +188,13 @@ func (t *Tx) HasWrite(table, rowKey string) bool {
 	return ok
 }
 
+// HasRead reports whether a row is in the transaction's read set as a point
+// read (tests pin read-set completeness through it).
+func (t *Tx) HasRead(table, rowKey string) bool {
+	_, ok := t.rs.points[table+"\x00"+rowKey]
+	return ok
+}
+
 // Track wraps a reader so every point get and scan range it serves lands in
 // the transaction's read set. Wrap the transaction's read-your-writes view
 // (or the plain store client) and thread the result through the SQL layer's

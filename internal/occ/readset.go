@@ -73,7 +73,8 @@ func RangeOf(table string, spec hbase.ScanSpec) Range {
 // set. The phoenix openScan/GetCells choke points read through it, which is
 // what makes the captured set complete: SELECT scans, index-nested-loop
 // probes, the read-before-write of UPDATE/DELETE and view-maintenance
-// locator reads all pass through one of the two methods.
+// locator reads (index probes and their multi-gets) all pass through one of
+// its methods.
 type trackingReader struct {
 	inner hbase.Reader
 	rs    *ReadSet
@@ -82,6 +83,14 @@ type trackingReader struct {
 func (t *trackingReader) Get(ctx *sim.Ctx, tbl, key string, opts hbase.ReadOpts) (hbase.RowResult, error) {
 	t.rs.AddPoint(tbl, key)
 	return t.inner.Get(ctx, tbl, key, opts)
+}
+
+// GetMany records every key as a point read, as that many Gets would.
+func (t *trackingReader) GetMany(ctx *sim.Ctx, tbl string, keys []string, opts hbase.ReadOpts) ([]hbase.RowResult, error) {
+	for _, key := range keys {
+		t.rs.AddPoint(tbl, key)
+	}
+	return t.inner.GetMany(ctx, tbl, keys, opts)
 }
 
 func (t *trackingReader) OpenScan(ctx *sim.Ctx, tbl string, spec hbase.ScanSpec) (hbase.RowStream, error) {

@@ -145,16 +145,21 @@ func (e *Engine) BindWrite(stmt sqlparser.Statement, params []schema.Value) (*Wr
 	}
 }
 
-// ExecWrite applies a bound write to its table and the table's indexes.
+// ExecWrite applies a bound write to its table and the table's indexes. An
+// UPDATE or DELETE reads the row first (through Reader(opts), so a transaction
+// sees its own buffered writes); a missing row is zero rows affected.
 func (e *Engine) ExecWrite(ctx *sim.Ctx, w *Write, opts WriteOpts) error {
-	switch w.Stmt.(type) {
-	case *sqlparser.InsertStmt:
+	if _, insert := w.Stmt.(*sqlparser.InsertStmt); insert {
 		return e.PutCells(ctx, w.Table, w.Cells, opts)
-	case *sqlparser.UpdateStmt:
-		return e.UpdateRow(ctx, w.Table, w.Key, w.Cells, opts)
-	default:
-		return e.DeleteRow(ctx, w.Table, w.Key, opts)
 	}
+	old, err := GetCells(ctx, e.Reader(opts), w.Table.Name, w.Key, opts.Read)
+	if err != nil || old == nil {
+		return err
+	}
+	if _, update := w.Stmt.(*sqlparser.UpdateStmt); update {
+		return e.UpdateRow(ctx, w.Table, w.Key, old, w.Cells, opts)
+	}
+	return e.DeleteRow(ctx, w.Table, w.Key, old, opts)
 }
 
 func evalConst(e sqlparser.Expr, params []schema.Value) (schema.Value, error) {
@@ -413,17 +418,13 @@ func (e *Engine) GetRow(ctx *sim.Ctx, t *TableInfo, read hbase.ReadOpts, keyVals
 }
 
 // UpdateRow applies an assignment (BindWrite's cells: qualifier order, a NULL
-// as a column tombstone) to the row under key, maintaining indexes. The
-// read-before-write (it feeds index key computation) goes through the
-// transaction overlay when one is present, so an update inside a transaction
-// sees the transaction's own buffered writes; the base put and every index
-// delete/put emit into one batch. The updated row is the stored row's cells
-// under the assignment's (MergeCells), and index keys come from the cells.
-func (e *Engine) UpdateRow(ctx *sim.Ctx, t *TableInfo, key string, assign []hbase.Cell, opts WriteOpts) error {
-	old, err := GetCells(ctx, e.Reader(opts), t.Name, key, opts.Read)
-	if err != nil || old == nil {
-		return err // SQL UPDATE of a missing row affects zero rows
-	}
+// as a column tombstone) to the row under key, maintaining indexes. old is the
+// stored row as the caller read it (GetCells through Reader(opts), so inside a
+// transaction it includes the transaction's own buffered writes); it feeds
+// index key computation. The base put and every index delete/put emit into
+// one batch. The updated row is old under the assignment (MergeCells), and
+// index keys come from the cells.
+func (e *Engine) UpdateRow(ctx *sim.Ctx, t *TableInfo, key string, old, assign []hbase.Cell, opts WriteOpts) error {
 	b := e.NewWriteBatch(opts)
 	assign = StampCells(assign, opts.TS)
 	if err := b.Put(ctx, t.Name, key, assign); err != nil {
@@ -459,14 +460,10 @@ func (e *Engine) UpdateRow(ctx *sim.Ctx, t *TableInfo, key string, assign []hbas
 	return b.Flush(ctx)
 }
 
-// DeleteRow removes the row under key, cleaning up index entries. The
-// read-before-write consults the transaction overlay when one is present;
-// the base tombstone and every index tombstone emit into one batch.
-func (e *Engine) DeleteRow(ctx *sim.Ctx, t *TableInfo, key string, opts WriteOpts) error {
-	old, err := GetCells(ctx, e.Reader(opts), t.Name, key, opts.Read)
-	if err != nil || old == nil {
-		return err
-	}
+// DeleteRow removes the row under key, cleaning up the index entries of old,
+// the stored row as the caller read it (see UpdateRow); the base tombstone and
+// every index tombstone emit into one batch.
+func (e *Engine) DeleteRow(ctx *sim.Ctx, t *TableInfo, key string, old []hbase.Cell, opts WriteOpts) error {
 	b := e.NewWriteBatch(opts)
 	if err := b.Delete(ctx, t.Name, key, opts.TS); err != nil {
 		return err

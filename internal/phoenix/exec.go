@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"time"
 
 	"synergy/internal/hbase"
 	"synergy/internal/schema"
@@ -487,6 +488,11 @@ func (q *query) scanBinding(ctx *sim.Ctx, b *binding, plan accessPlan, wide bool
 		if attempt+1 >= maxRestarts {
 			return nil, fmt.Errorf("%w: %s after %d restarts", ErrDirtyRead, tableName, attempt+1)
 		}
+		// The penalty is the modeled wait; the writer that marked the row is
+		// a real goroutine between its mark and un-mark barriers. Back off in
+		// real time too (1 µs doubling to 1 ms), or the budget is spent in
+		// one writer's marked window — a descheduled writer's most of all.
+		time.Sleep(time.Duration(1<<min(attempt, 10)) * time.Microsecond)
 	}
 }
 

@@ -336,6 +336,45 @@ func TestOCCMovedIndexTombstoneInWriteSet(t *testing.T) {
 	}
 }
 
+// TestOCCLocateReadSet: an update fetches the view rows its maintenance
+// indexes name with one multi-get per view, through the tracking reader, which
+// records every located key as a point read — as the Get per key it replaces
+// did. So a commit to one located view row between the update and its commit
+// fails the update's validation on that read.
+func TestOCCLocateReadSet(t *testing.T) {
+	const views, rowsPer = 4, 4
+	sys := fanoutSystem(t, views, rowsPer, occConfig)
+	ctx := sim.NewCtx()
+	tx := sys.BeginTx(ctx)
+	if err := tx.Exec(ctx, sqlparser.MustParse("UPDATE Root SET RVal = ? WHERE RID = ?"),
+		[]schema.Value{"mine", int64(1)}); err != nil {
+		t.Fatal(err)
+	}
+	concurrent := ""
+	for _, v := range sys.Design.Views {
+		for id := int64(1); id <= rowsPer; id++ {
+			if key := schema.EncodeKey(id); !tx.occTx.HasRead(v.Name(), key) {
+				t.Errorf("located row %s/%q missing from the read set", v.Name(), key)
+			}
+		}
+		if strings.HasSuffix(v.Name(), "Leaf02") {
+			concurrent = v.Name()
+		}
+	}
+	if concurrent == "" {
+		t.Fatal("no view of Leaf02 in the design")
+	}
+	// Leaf02's row 3 rewrites its view row, one the update located.
+	if err := sys.Exec(sim.NewCtx(), sqlparser.MustParse("UPDATE Leaf02 SET Leaf02Val = ? WHERE Leaf02ID = ?"),
+		[]schema.Value{"concurrent", int64(3)}); err != nil {
+		t.Fatal(err)
+	}
+	err := tx.Commit(ctx)
+	if !errors.Is(err, occ.ErrConflict) || !strings.Contains(err.Error(), "read of "+concurrent+"/") {
+		t.Fatalf("commit beside a concurrent write to a located row of %s: %v; want a conflict on the read", concurrent, err)
+	}
+}
+
 // requireNoDirtyMarks scans every table for a surviving dirty mark.
 func requireNoDirtyMarks(t *testing.T, sys *System) {
 	t.Helper()

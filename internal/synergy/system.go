@@ -32,9 +32,17 @@
 // compaction that ends the procedure rewrites only what split.
 //
 // The write path (write.go: executeWriteBody and the §VII maintenance
-// procedures) keeps that row model. A statement is bound once into its table,
-// row key and cells (phoenix.Write) and the base write and every view's
-// maintenance share them; point reads return stored cells (phoenix.GetCells);
+// procedures) is one pass per statement: the base write, then maintain over
+// every view the plan names — an update locates the rows of every view (one
+// multi-get per maintenance-index probe, the views' locates overlapping) and
+// runs the §VIII-B mark, update and un-mark barriers once for all of them —
+// and each row is read once, the base row under the root lock. The changefeed
+// applier runs the same maintain with a delta's one action.
+//
+// The write path keeps the population's row model. A statement is bound once
+// into its table, row key and cells (phoenix.Write) and the base write and
+// every view's maintenance share them; point reads return stored cells
+// (phoenix.GetCells);
 // a view tuple is built with the merge population uses (phoenix.MergeCells),
 // an updated row is the located cells under the assignment's, and every key —
 // view key, old and new index key, mark reference, the root key a lock chain
@@ -146,10 +154,12 @@ type Config struct {
 	// pending mutation instead of at its barriers: each mutation of the
 	// write path is its own RPC and WAL sync, which is what the paper's
 	// testbed client did and what §IX's write figures measure — the figure
-	// harness (internal/bench) sets it. It is the write pipeline's one
-	// option, a flush threshold on the one path (BeginTx), and OCC ignores
-	// it: nothing of an optimistic transaction may reach the store before
-	// validation passes.
+	// harness (internal/bench) sets it. That client also reads one row per
+	// RPC (its view's GetMany is a Get per key) and maintains one view at a
+	// time (an update's locates do not overlap). It is the write pipeline's
+	// one option, a flush threshold on the one path (BeginTx), and OCC
+	// ignores it: nothing of an optimistic transaction may reach the store
+	// before validation passes.
 	SequentialWrites bool
 	// Maintenance is the view-maintenance mode of every view
 	// (SyncMaintenance, the paper's protocol, by default).
@@ -186,6 +196,11 @@ type System struct {
 	// attempt begins, so tests can commit a conflicting write inside the
 	// validation window deterministically.
 	occPostBegin func()
+	// afterPhase is a test-only hook of the same kind: when set, a marked
+	// update calls it after each of its three barriers (phaseMarked,
+	// phaseUpdated, phaseUnmarked), so tests can read the store between
+	// §VIII-B phases or fail the statement there.
+	afterPhase func(phase int) error
 
 	cfg Config
 }

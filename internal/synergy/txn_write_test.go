@@ -1,6 +1,7 @@
 package synergy
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -304,12 +305,61 @@ func TestAbortAfterBarrierSemantics(t *testing.T) {
 // abort happens after a mark phase barrier flushed dirty marks (a failure
 // between protocol phases), Abort un-marks them — through the transaction's
 // own mutator, whatever its flush threshold — so readers do not restart
-// forever against a dead transaction's marks.
+// forever against a dead transaction's marks. The views=4 case fails a real
+// update that maintains four views right after its one mark barrier.
 func TestAbortUnmarksFlushedDirtyMarks(t *testing.T) {
 	for _, cfg := range []Config{{}, {SequentialWrites: true}} {
 		t.Run(fmt.Sprintf("sequential=%v", cfg.SequentialWrites), func(t *testing.T) {
 			testAbortUnmarksFlushedDirtyMarks(t, cfg)
 		})
+		t.Run(fmt.Sprintf("views=4/sequential=%v", cfg.SequentialWrites), func(t *testing.T) {
+			testAbortAfterMarkBarrier(t, cfg)
+		})
+	}
+}
+
+// markedRows counts the rows of each table that carry a dirty mark.
+func markedRows(t *testing.T, sys *System) map[string]int {
+	t.Helper()
+	out := map[string]int{}
+	for tbl, rows := range dumpState(t, sys) {
+		for _, r := range rows {
+			if strings.Contains(r, phoenix.DirtyQualifier+"=1") {
+				out[tbl]++
+			}
+		}
+	}
+	return out
+}
+
+func testAbortAfterMarkBarrier(t *testing.T, cfg Config) {
+	const views, rowsPer = 4, 4
+	sys := fanoutSystem(t, views, rowsPer, cfg)
+	injected := errors.New("injected failure after the mark barrier")
+	var atBarrier map[string]int
+	sys.afterPhase = func(phase int) error {
+		if phase != phaseMarked {
+			t.Errorf("phase %d ran after a failed mark barrier", phase)
+			return nil
+		}
+		atBarrier = markedRows(t, sys)
+		return injected
+	}
+	up := sqlparser.MustParse("UPDATE Root SET RVal = ? WHERE RID = ?")
+	if err := sys.Exec(sim.NewCtx(), up, []schema.Value{"doomed", int64(1)}); !errors.Is(err, injected) {
+		t.Fatalf("update returned %v, want the injected failure", err)
+	}
+	for _, v := range sys.Design.Views {
+		if n := atBarrier[v.Name()]; n != rowsPer {
+			t.Errorf("%s: %d rows marked at the mark barrier, want %d", v.Name(), n, rowsPer)
+		}
+	}
+	if left := markedRows(t, sys); len(left) > 0 {
+		t.Fatalf("marks survived the abort: %v", left)
+	}
+	sys.afterPhase = nil
+	if err := sys.Exec(sim.NewCtx(), up, []schema.Value{"after", int64(1)}); err != nil {
+		t.Fatalf("write after abort: %v", err)
 	}
 }
 

@@ -3,7 +3,9 @@ package synergy
 import (
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"slices"
+	"time"
 
 	"synergy/internal/changefeed"
 	"synergy/internal/core"
@@ -42,7 +44,8 @@ type writeParts struct {
 // it mid-flight, Commit flushes it once (one batch-RPC round, one WAL sync
 // per touched region) and releases the locks, and Abort discards it with
 // nothing buffered persisted. Config.SequentialWrites makes that mutator the
-// paper's client — it flushes at every mutation — and the rest of the
+// paper's client — it flushes at every mutation, its view reads a row per RPC
+// and an update locates one view at a time (eager) — and the rest of the
 // procedure is the same code.
 type Tx struct {
 	sys     *System
@@ -51,7 +54,8 @@ type Tx struct {
 	// eager: the mutator flushes at 1, so what a statement emits is published
 	// before the commit. Such a transaction cannot defer a fresh root row's
 	// lock entry into the commit flush: it self-acquires in step 1 and writes
-	// the entry at once (executeWriteBody).
+	// the entry at once (executeWriteBody). It is the paper's client, which
+	// also locates an update's views one at a time (locateAll).
 	eager  bool
 	mvccTx *mvcc.Tx // nil unless Concurrency == MVCC
 	occTx  *occ.Tx  // nil unless Concurrency == OCC
@@ -306,27 +310,20 @@ func (tx *Tx) deferMaintenance(kind core.WriteKind) bool {
 }
 
 // applyDelta replays one deferred maintenance action from the changefeed
-// applier. The apply runs as a one-statement write of its own (options with no
-// mutator): no locks and no dirty marks (readers of an async view accept
-// staleness instead of restarts), no transaction overlay (the base writes are
-// flushed and visible), and zero-TS mutations pick up fresh oracle stamps at
-// flush — so a snapshot begun after the apply sees the maintained view under
-// every concurrency mode.
+// applier, through the maintenance pass a statement runs (maintain) with the
+// delta's one action. The apply runs as a one-statement write of its own
+// (options with no mutator): no locks and no dirty marks (readers of an async
+// view accept staleness instead of restarts), no transaction overlay (the base
+// writes are flushed and visible), and zero-TS mutations pick up fresh oracle
+// stamps at flush — so a snapshot begun after the apply sees the maintained
+// view under every concurrency mode.
 func (sys *System) applyDelta(ctx *sim.Ctx, d viewDelta) error {
 	atx := &Tx{sys: sys}
 	// The statement's cells are shared by every delta it published, and under
 	// MVCC they carry its transaction's id: the replay stamps a copy.
 	w := *d.parts.Write
 	w.Cells = slices.Clone(w.Cells)
-	parts := writeParts{Write: &w, kind: d.parts.kind}
-	switch parts.kind {
-	case core.WriteInsert:
-		return sys.maintainInsert(ctx, atx, d.action, parts)
-	case core.WriteDelete:
-		return sys.maintainDelete(ctx, atx, d.action, parts)
-	default:
-		return sys.maintainUpdate(ctx, atx, d.action, parts)
-	}
+	return sys.maintain(ctx, atx, []core.ViewAction{d.action}, writeParts{Write: &w, kind: d.parts.kind})
 }
 
 // Abort discards the buffered mutations unapplied, un-marks any dirty marks
@@ -511,8 +508,12 @@ func (sys *System) ExecuteTxn(ctx *sim.Ctx, stmts []sqlparser.Statement, paramsL
 		}
 		ctx.CountOCCRetry()
 		// Conflict retries back off on the lock path's capped exponential
-		// schedule before re-running from a fresh snapshot.
+		// schedule before re-running from a fresh snapshot. That is the
+		// modeled wait; the real goroutine also sleeps a random share of
+		// 10 µs doubling to 1.28 ms, or writers that lost to each other
+		// retry in lock-step and lose again.
 		ctx.Charge(sys.cfg.Costs.LockBackoff(attempt))
+		time.Sleep(time.Duration(rand.Int64N(10<<min(attempt, 7))) * time.Microsecond)
 	}
 }
 
@@ -536,8 +537,8 @@ func (sys *System) executeTxnOnce(ctx *sim.Ctx, stmts []sqlparser.Statement, par
 	return tx.Commit(ctx)
 }
 
-// executeWriteBody is the shared base-write + view-maintenance procedure of
-// one statement inside tx.
+// executeWriteBody is one statement inside tx: the base write, then the
+// maintenance of every view the statement's plan names, in one pass.
 func (sys *System) executeWriteBody(ctx *sim.Ctx, tx *Tx, stmt sqlparser.Statement, params []schema.Value) error {
 	opts := tx.opts
 	w, err := sys.Engine.BindWrite(stmt, params)
@@ -554,17 +555,13 @@ func (sys *System) executeWriteBody(ctx *sim.Ctx, tx *Tx, stmt sqlparser.Stateme
 	}
 	parts := writeParts{Write: w, kind: plan.Kind}
 
-	// The base row: inserts carry it; updates/deletes read it (the lock
-	// chain starts from its foreign keys). The read goes through the
-	// transaction's overlay so rows written by earlier statements of the
-	// same transaction — still buffered, invisible in the store — resolve.
+	// The base row: inserts carry it; an update or delete reads it once and
+	// writes over what it read. Reads go through the transaction's overlay so
+	// rows written by earlier statements of the same transaction — still
+	// buffered, invisible in the store — resolve.
 	rd := sys.Engine.Reader(opts)
-	base := w.Cells
-	if parts.kind != core.WriteInsert {
-		if base, err = phoenix.GetCells(ctx, rd, w.Table.Name, w.Key, opts.Read); err != nil || base == nil {
-			return err // nothing to write
-		}
-	}
+	reads := parts.kind != core.WriteInsert
+	var base []hbase.Cell
 
 	// Step 1: acquire the single lock, held until the transaction commits.
 	// A fresh root insert skips self-acquisition unless the transaction is
@@ -572,22 +569,52 @@ func (sys *System) executeWriteBody(ctx *sim.Ctx, tx *Tx, stmt sqlparser.Stateme
 	// so no concurrent transaction can resolve its group yet — its lock entry
 	// is deferred into the commit flush below, and any phase barrier promotes
 	// it to a held lock before publishing (see EnsureEntryDeferred).
-	if tx.lock {
-		rootKey, err := sys.resolveRootKey(ctx, rd, plan, w.Key, base)
+	//
+	// §VIII-B reads the affected rows after the lock. A row of the root
+	// relation names its lock by its own key, so it is read under the lock;
+	// any other row must be read first, its foreign keys leading up the lock
+	// chain, and unless the transaction already held the lock it finds, that
+	// read is repeated under it — the lock's last holder may have rewritten
+	// the row in between.
+	if tx.lock && plan.Root != "" {
+		chain := w.Cells // an insert's row; unread for a root-relation row
+		if reads && plan.Root != plan.Table {
+			if base, err = phoenix.GetCells(ctx, rd, w.Table.Name, w.Key, opts.Read); err != nil || base == nil {
+				return err // nothing to write
+			}
+			chain = base
+		}
+		rootKey, err := sys.resolveRootKey(ctx, rd, plan, w.Key, chain)
 		if err != nil {
 			return err
 		}
 		deferEntry := !tx.eager && parts.kind == core.WriteInsert && plan.Root == plan.Table
-		if plan.Root != "" && rootKey != "" && !deferEntry {
-			if err := tx.acquireLock(ctx, plan.Root, rootKey); err != nil {
-				return err
+		if rootKey != "" && !deferEntry {
+			if _, held := tx.lockSet[lockRef{plan.Root, rootKey}]; !held {
+				if err := tx.acquireLock(ctx, plan.Root, rootKey); err != nil {
+					return err
+				}
+				base = nil
 			}
+		}
+	}
+	if reads && base == nil {
+		if base, err = phoenix.GetCells(ctx, rd, w.Table.Name, w.Key, opts.Read); err != nil || base == nil {
+			return err // nothing to write
 		}
 	}
 
 	// Base write (+ base indexes) through the SQL layer, emitting into the
 	// transaction's mutator.
-	if err := sys.Engine.ExecWrite(ctx, w, opts); err != nil {
+	switch parts.kind {
+	case core.WriteInsert:
+		err = sys.Engine.PutCells(ctx, w.Table, w.Cells, opts)
+	case core.WriteUpdate:
+		err = sys.Engine.UpdateRow(ctx, w.Table, w.Key, base, w.Cells, opts)
+	default:
+		err = sys.Engine.DeleteRow(ctx, w.Table, w.Key, base, opts)
+	}
+	if err != nil {
 		return err
 	}
 	// New root rows get a lock-table entry (§VIII-A). Where the self-lock
@@ -614,34 +641,57 @@ func (sys *System) executeWriteBody(ctx *sim.Ctx, tx *Tx, stmt sqlparser.Stateme
 	// View maintenance. Async (and, for updates, hybrid) views defer to the
 	// changefeed: the delta is captured now but published only if the
 	// transaction commits, so an abort leaves no view delta applied.
-	for _, action := range plan.Actions {
-		if tx.deferMaintenance(parts.kind) {
+	if tx.deferMaintenance(parts.kind) {
+		for _, action := range plan.Actions {
 			tx.deltas = append(tx.deltas, viewDelta{view: action.View.Name(), action: action, parts: parts})
-			continue
 		}
-		switch parts.kind {
-		case core.WriteInsert:
-			if err := sys.maintainInsert(ctx, tx, action, parts); err != nil {
+		return nil
+	}
+	return sys.maintain(ctx, tx, plan.Actions, parts)
+}
+
+// maintain brings the views of actions up to date with one write statement,
+// in one pass: an insert builds every view's tuple reading each parent row
+// once, a delete removes every view's tuple, and an update locates the rows of
+// every view and then runs the §VIII-B phases once over all of them. The
+// changefeed applier calls it with the one action of a delta.
+func (sys *System) maintain(ctx *sim.Ctx, tx *Tx, actions []core.ViewAction, parts writeParts) error {
+	switch parts.kind {
+	case core.WriteInsert:
+		// A parent row several views' read chains share (W3's Item) is read
+		// once; only a statement with several views keeps the reads.
+		var memo *[]parentRow
+		if len(actions) > 1 {
+			memo = new([]parentRow)
+		}
+		for _, action := range actions {
+			if err := sys.maintainInsert(ctx, tx, action, parts, memo); err != nil {
 				return err
 			}
-		case core.WriteDelete:
+		}
+	case core.WriteDelete:
+		for _, action := range actions {
 			if err := sys.maintainDelete(ctx, tx, action, parts); err != nil {
 				return err
 			}
-		case core.WriteUpdate:
-			if err := sys.maintainUpdate(ctx, tx, action, parts); err != nil {
-				return err
-			}
 		}
+	default:
+		return sys.maintainUpdate(ctx, tx, actions, parts)
 	}
 	return nil
 }
 
+// parentRow is a row an insert's view tuples were built from, as read.
+type parentRow struct {
+	table, key string
+	cells      []hbase.Cell
+}
+
 // maintainInsert constructs and inserts the view tuple (§VII-A2): read the
 // k-1 related base rows walking the foreign keys upward (through the
-// transaction overlay), merge each under the rows below it — the join
-// population builds the view with — and insert.
-func (sys *System) maintainInsert(ctx *sim.Ctx, tx *Tx, action core.ViewAction, parts writeParts) error {
+// transaction overlay, and through memo when it is not nil), merge each under
+// the rows below it — the join population builds the view with — and insert.
+func (sys *System) maintainInsert(ctx *sim.Ctx, tx *Tx, action core.ViewAction, parts writeParts, memo *[]parentRow) error {
 	opts := tx.opts
 	rd := sys.Engine.Reader(opts)
 	combined, cur := parts.Cells, parts.Cells
@@ -652,7 +702,7 @@ func (sys *System) maintainInsert(ctx *sim.Ctx, tx *Tx, action core.ViewAction, 
 			return nil // dangling FK: no view tuple
 		}
 		var err error
-		if cur, err = phoenix.GetCells(ctx, rd, e.Parent, string(fk), opts.Read); err != nil || cur == nil {
+		if cur, err = readParent(ctx, rd, e.Parent, fk, opts.Read, memo); err != nil || cur == nil {
 			return err
 		}
 		combined = phoenix.MergeCells(make([]hbase.Cell, 0, len(cur)+len(combined)), cur, combined)
@@ -664,6 +714,24 @@ func (sys *System) maintainInsert(ctx *sim.Ctx, tx *Tx, action core.ViewAction, 
 	return sys.Engine.PutCells(ctx, viewInfo, combined, opts)
 }
 
+// readParent reads the row of table under key, or finds it in memo.
+func readParent(ctx *sim.Ctx, rd hbase.Reader, table string, key []byte, read hbase.ReadOpts, memo *[]parentRow) ([]hbase.Cell, error) {
+	if memo == nil {
+		return phoenix.GetCells(ctx, rd, table, string(key), read)
+	}
+	for _, p := range *memo {
+		if p.table == table && p.key == string(key) {
+			return p.cells, nil
+		}
+	}
+	k := string(key)
+	cells, err := phoenix.GetCells(ctx, rd, table, k, read)
+	if err == nil {
+		*memo = append(*memo, parentRow{table, k, cells})
+	}
+	return cells, err
+}
+
 // maintainDelete removes the view tuple: the view key equals the base key
 // (the deleted relation is the view's last); the view row is read first to
 // construct the view-index keys (§VII-B2).
@@ -672,7 +740,11 @@ func (sys *System) maintainDelete(ctx *sim.Ctx, tx *Tx, action core.ViewAction, 
 	if err != nil {
 		return err
 	}
-	return sys.Engine.DeleteRow(ctx, viewInfo, parts.Key, tx.opts)
+	old, err := phoenix.GetCells(ctx, sys.Engine.Reader(tx.opts), viewInfo.Name, parts.Key, tx.opts.Read)
+	if err != nil || old == nil {
+		return err
+	}
+	return sys.Engine.DeleteRow(ctx, viewInfo, parts.Key, old, tx.opts)
 }
 
 // viewRow is one view row an update must maintain: its key and its attribute
@@ -682,27 +754,34 @@ type viewRow struct {
 	cells []hbase.Cell
 }
 
-// maintainUpdate applies a base-table update to a view. Under the
-// hierarchical protocol (tx.lock) it is the 6-step procedure of §VIII-B:
-// (1) lock held by the transaction, (2) read affected rows, (3) mark them
-// dirty, (4) update, (5) un-mark, (6) release at commit. Under MVCC the
-// marking steps are skipped — snapshot visibility isolates readers. A row is
-// updated by putting the assignment's cells on it; its index entries move
-// when the key of the updated cells — the located cells under the
-// assignment's — differs from the key of the located ones.
-func (sys *System) maintainUpdate(ctx *sim.Ctx, tx *Tx, action core.ViewAction, parts writeParts) error {
+// viewRows is one view's share of an update: the view and its located rows.
+type viewRows struct {
+	info *phoenix.TableInfo
+	rows []viewRow
+}
+
+// maintainUpdate applies a base-table update to the views of actions. Under
+// the hierarchical protocol (tx.lock) it is the 6-step procedure of §VIII-B,
+// each step taken once for the statement: (1) lock held by the transaction,
+// (2) read the affected rows of every view, (3) mark them all dirty, (4)
+// update them all, (5) un-mark them all, (6) release at commit. Under MVCC
+// and OCC the marking steps are skipped — snapshot visibility isolates
+// readers. A row is updated by putting the assignment's cells on it; its
+// index entries move when the key of the updated cells — the located cells
+// under the assignment's — differs from the key of the located ones.
+func (sys *System) maintainUpdate(ctx *sim.Ctx, tx *Tx, actions []core.ViewAction, parts writeParts) error {
 	opts := tx.opts
 	mark := tx.lock
-	viewInfo, err := sys.Catalog.Table(action.View.Name())
-	if err != nil {
-		return err
-	}
 
 	// Step 2: read the view rows that need updating (overlay-aware: a view
 	// tuple an earlier statement inserted but has not flushed is located).
-	targets, err := sys.locateViewRows(ctx, sys.Engine.Reader(opts), action, viewInfo, parts, opts.Read)
-	if err != nil || len(targets) == 0 {
+	views, err := sys.locateAll(ctx, tx, actions, parts)
+	if err != nil || len(views) == 0 {
 		return err
+	}
+	located := 0
+	for _, v := range views {
+		located += len(v.rows)
 	}
 
 	// The phase barriers below publish everything the transaction has
@@ -716,15 +795,16 @@ func (sys *System) maintainUpdate(ctx *sim.Ctx, tx *Tx, action core.ViewAction, 
 	}
 
 	// Each phase of the protocol ends in an ordering barrier: the dirty
-	// marks flush before any update is issued, the updates flush before any
-	// row is un-marked. On a transaction-scoped mutator a barrier also
-	// flushes whatever earlier statements buffered — buffer order is
-	// preserved across it, so the §VIII-B ordering holds for the whole
-	// transaction. Within a phase, mutations to independent rows carry no
-	// ordering requirement and ship as region-grouped batch RPCs. Marks are
-	// quiet (not part of the MVCC write set); under MVCC no barrier fires —
-	// everything rides to the commit flush. The transaction records flushed
-	// marks so an abort can un-mark them.
+	// marks of every view flush before any update is issued, the updates
+	// flush before any row is un-marked. On a transaction-scoped mutator a
+	// barrier also flushes whatever earlier statements buffered — buffer
+	// order is preserved across it, so the §VIII-B ordering holds for the
+	// whole transaction. Within a phase, mutations to independent rows carry
+	// no ordering requirement and ship as region-grouped batch RPCs, every
+	// view's in the same flush. Marks are quiet (not part of the MVCC write
+	// set); under MVCC no barrier fires — everything rides to the commit
+	// flush. The transaction records flushed marks so an abort can un-mark
+	// them.
 	batch := sys.Engine.NewWriteBatch(opts)
 	var kbuf, nbuf [64]byte
 	// markAll emits one phase of marks and barriers it. The dirty-on phase
@@ -734,26 +814,28 @@ func (sys *System) maintainUpdate(ctx *sim.Ctx, tx *Tx, action core.ViewAction, 
 	markAll := func(value []byte, record bool) error {
 		var refs []markRef
 		if record {
-			refs = make([]markRef, 0, len(targets))
+			refs = make([]markRef, 0, located)
 		}
 		markCell := []hbase.Cell{{Qualifier: phoenix.DirtyQualifier, Value: value, TS: opts.TS}}
-		for _, tg := range targets {
-			if err := batch.PutQuiet(ctx, viewInfo.Name, tg.key, markCell); err != nil {
-				return err
-			}
-			if record {
-				refs = append(refs, markRef{viewInfo.Name, tg.key})
-			}
-			for _, idx := range viewInfo.Indexes {
-				if idx.KeyOnly {
-					continue
-				}
-				ikey := string(phoenix.AppendIndexKey(kbuf[:0], viewInfo, idx, tg.cells))
-				if err := batch.PutQuiet(ctx, idx.Name, ikey, markCell); err != nil {
+		for _, v := range views {
+			for _, tg := range v.rows {
+				if err := batch.PutQuiet(ctx, v.info.Name, tg.key, markCell); err != nil {
 					return err
 				}
 				if record {
-					refs = append(refs, markRef{idx.Name, ikey})
+					refs = append(refs, markRef{v.info.Name, tg.key})
+				}
+				for _, idx := range v.info.Indexes {
+					if idx.KeyOnly {
+						continue
+					}
+					ikey := string(phoenix.AppendIndexKey(kbuf[:0], v.info, idx, tg.cells))
+					if err := batch.PutQuiet(ctx, idx.Name, ikey, markCell); err != nil {
+						return err
+					}
+					if record {
+						refs = append(refs, markRef{idx.Name, ikey})
+					}
 				}
 			}
 		}
@@ -772,6 +854,9 @@ func (sys *System) maintainUpdate(ctx *sim.Ctx, tx *Tx, action core.ViewAction, 
 		if err := markAll(dirtyOn, true); err != nil {
 			return err
 		}
+		if err := sys.phaseDone(phaseMarked); err != nil {
+			return err
+		}
 	}
 
 	// Step 4: issue the updates as one batch. Index keys may move with the
@@ -783,69 +868,124 @@ func (sys *System) maintainUpdate(ctx *sim.Ctx, tx *Tx, action core.ViewAction, 
 		updatedRefs = make([]markRef, 0, len(tx.marks))
 	}
 	assign := phoenix.StampCells(parts.Cells, opts.TS)
-	for ti := range targets {
-		tg := &targets[ti]
-		if err := batch.Put(ctx, viewInfo.Name, tg.key, assign); err != nil {
-			return err
-		}
-		if mark {
-			updatedRefs = append(updatedRefs, markRef{viewInfo.Name, tg.key})
-		}
-		if len(viewInfo.Indexes) == 0 {
-			continue
-		}
-		updated := phoenix.StampCells(phoenix.MergeCells(make([]hbase.Cell, 0, len(tg.cells)+len(assign)), tg.cells, assign), opts.TS)
-		for _, idx := range viewInfo.Indexes {
-			oldKey := phoenix.AppendIndexKey(kbuf[:0], viewInfo, idx, tg.cells)
-			newKey := string(phoenix.AppendIndexKey(nbuf[:0], viewInfo, idx, updated))
-			if mark && !idx.KeyOnly {
-				updatedRefs = append(updatedRefs, markRef{idx.Name, newKey})
-			}
-			if string(oldKey) != newKey {
-				// The old entry's tombstone is a real write: it must be in
-				// the transaction's write set (phoenix.UpdateRow notifies
-				// its moved base-index deletes the same way), or OCC
-				// validation would admit a transaction that scanned the old
-				// key's range as conflict-free.
-				if err := batch.Delete(ctx, idx.Name, string(oldKey), opts.TS); err != nil {
-					return err
-				}
-				cells := phoenix.IndexCells(viewInfo, idx, updated)
-				if mark && !idx.KeyOnly {
-					// A copy: updated is every covered entry's cells.
-					cells = append(slices.Clip(cells), hbase.Cell{Qualifier: phoenix.DirtyQualifier, Value: dirtyOn, TS: opts.TS})
-				}
-				if err := batch.Put(ctx, idx.Name, newKey, cells); err != nil {
-					return err
-				}
-				continue
-			}
-			if !phoenix.IndexTouched(viewInfo, idx, assign) {
-				continue
-			}
-			if err := batch.Put(ctx, idx.Name, newKey, assign); err != nil {
+	for _, v := range views {
+		viewInfo := v.info
+		for ti := range v.rows {
+			tg := &v.rows[ti]
+			if err := batch.Put(ctx, viewInfo.Name, tg.key, assign); err != nil {
 				return err
 			}
+			if mark {
+				updatedRefs = append(updatedRefs, markRef{viewInfo.Name, tg.key})
+			}
+			if len(viewInfo.Indexes) == 0 {
+				continue
+			}
+			updated := phoenix.StampCells(phoenix.MergeCells(make([]hbase.Cell, 0, len(tg.cells)+len(assign)), tg.cells, assign), opts.TS)
+			for _, idx := range viewInfo.Indexes {
+				oldKey := phoenix.AppendIndexKey(kbuf[:0], viewInfo, idx, tg.cells)
+				newKey := string(phoenix.AppendIndexKey(nbuf[:0], viewInfo, idx, updated))
+				if mark && !idx.KeyOnly {
+					updatedRefs = append(updatedRefs, markRef{idx.Name, newKey})
+				}
+				if string(oldKey) != newKey {
+					// The old entry's tombstone is a real write: it must be in
+					// the transaction's write set (phoenix.UpdateRow notifies
+					// its moved base-index deletes the same way), or OCC
+					// validation would admit a transaction that scanned the old
+					// key's range as conflict-free.
+					if err := batch.Delete(ctx, idx.Name, string(oldKey), opts.TS); err != nil {
+						return err
+					}
+					cells := phoenix.IndexCells(viewInfo, idx, updated)
+					if mark && !idx.KeyOnly {
+						// A copy: updated is every covered entry's cells.
+						cells = append(slices.Clip(cells), hbase.Cell{Qualifier: phoenix.DirtyQualifier, Value: dirtyOn, TS: opts.TS})
+					}
+					if err := batch.Put(ctx, idx.Name, newKey, cells); err != nil {
+						return err
+					}
+					continue
+				}
+				if !phoenix.IndexTouched(viewInfo, idx, assign) {
+					continue
+				}
+				if err := batch.Put(ctx, idx.Name, newKey, assign); err != nil {
+					return err
+				}
+			}
+			tg.cells = updated
 		}
-		tg.cells = updated
 	}
-	if mark {
-		if err := batch.Barrier(ctx); err != nil {
-			return err
-		}
-		tx.marks = updatedRefs
-	} else if err := batch.Flush(ctx); err != nil {
+	if !mark {
+		return batch.Flush(ctx)
+	}
+	if err := batch.Barrier(ctx); err != nil {
+		return err
+	}
+	tx.marks = updatedRefs
+	if err := sys.phaseDone(phaseUpdated); err != nil {
 		return err
 	}
 
 	// Step 5: un-mark.
-	if mark {
-		if err := markAll(dirtyOff, false); err != nil {
-			return err
-		}
-		tx.marks = nil
+	if err := markAll(dirtyOff, false); err != nil {
+		return err
 	}
-	return nil
+	tx.marks = nil
+	return sys.phaseDone(phaseUnmarked)
+}
+
+// The barriers of a marked update, in order; phaseDone reports each.
+const (
+	phaseMarked = iota + 1
+	phaseUpdated
+	phaseUnmarked
+)
+
+// phaseDone runs the afterPhase hook, when set, at the end of a phase.
+func (sys *System) phaseDone(phase int) error {
+	if sys.afterPhase == nil {
+		return nil
+	}
+	return sys.afterPhase(phase)
+}
+
+// locateAll runs step 2 for every view of an update, leaving out the views
+// with no affected row. The locates are independent reads, so they overlap:
+// each runs inline on a forked ctx and the statement waits for them
+// MutateParallelism at a time, as MutateBatch waits for its region groups.
+// The paper's client (tx.eager) locates one view after the other.
+func (sys *System) locateAll(ctx *sim.Ctx, tx *Tx, actions []core.ViewAction, parts writeParts) ([]viewRows, error) {
+	rd := sys.Engine.Reader(tx.opts)
+	var children []*sim.Ctx
+	if !tx.eager && len(actions) > 1 {
+		children = make([]*sim.Ctx, 0, len(actions))
+	}
+	views := make([]viewRows, 0, len(actions))
+	var err error
+	for _, action := range actions {
+		var info *phoenix.TableInfo
+		if info, err = sys.Catalog.Table(action.View.Name()); err != nil {
+			break
+		}
+		lctx := ctx
+		if children != nil {
+			lctx = ctx.Fork()
+			children = append(children, lctx)
+		}
+		var rows []viewRow
+		if rows, err = sys.locateViewRows(lctx, rd, action, info, parts, tx.opts.Read); err != nil {
+			break
+		}
+		if len(rows) > 0 {
+			views = append(views, viewRows{info, rows})
+		}
+	}
+	if children != nil {
+		ctx.JoinWidth(sys.cfg.Costs.MutateParallelism, children...)
+	}
+	return views, err
 }
 
 // locateViewRows finds the view rows affected by an update per the plan's
@@ -863,27 +1003,48 @@ func (sys *System) locateViewRows(ctx *sim.Ctx, rd hbase.Reader, action core.Vie
 	case core.LocateByIndex:
 		// The maintenance index stores only keys (§VII-C); collect the view
 		// keys its entries under the written row's key hold, then read the
-		// full rows. Locator probes are short prefix reads, so they stay
-		// sequential.
+		// full rows with one multi-get. Locator probes are short prefix
+		// reads, so they stay sequential.
 		sc, err := rd.OpenScan(ctx, action.LocatorIndex.Name(), hbase.ScanSpec{Prefix: parts.Key + string(schema.KeySep), Read: read, Sequential: true})
 		if err != nil {
 			return nil, err
 		}
-		var out []viewRow
-		var buf [64]byte
+		// The keys are built back to back and cut out of one string.
+		var kbuf [64]byte
+		var bufArr [512]byte
+		var endsArr [16]int
+		buf, ends := bufArr[:0], endsArr[:0]
 		for r, ok := sc.Next(ctx); ok; r, ok = sc.Next(ctx) {
-			out = append(out, viewRow{key: string(phoenix.AppendKeyOfRow(buf[:0], r.Cells, viewInfo.Key))})
+			buf = append(buf, phoenix.AppendKeyOfRow(kbuf[:0], r.Cells, viewInfo.Key)...)
+			ends = append(ends, len(buf))
 		}
-		found := out[:0]
-		for _, tg := range out {
-			if tg.cells, err = phoenix.GetCells(ctx, rd, viewInfo.Name, tg.key, read); err != nil {
-				return nil, err
-			}
-			if tg.cells != nil {
-				found = append(found, tg)
-			}
+		if len(ends) == 0 {
+			return nil, nil
 		}
-		return found, nil
+		all, keys := string(buf), make([]string, len(ends))
+		for i, start := 0, 0; i < len(ends); start, i = ends[i], i+1 {
+			keys[i] = all[start:ends[i]]
+		}
+		got, err := rd.GetMany(ctx, viewInfo.Name, keys, read)
+		if err != nil {
+			return nil, err
+		}
+		// The rows' cells share one arena.
+		n := 0
+		for _, r := range got {
+			n += len(r.Cells)
+		}
+		arena := make([]hbase.Cell, 0, n)
+		out := make([]viewRow, 0, len(got))
+		for i, r := range got {
+			if r.Empty() {
+				continue
+			}
+			start := len(arena)
+			arena = phoenix.AppendRowCells(arena, r)
+			out = append(out, viewRow{keys[i], arena[start:len(arena):len(arena)]})
+		}
+		return out, nil
 
 	default: // LocateByScan
 		// A full view scan with a pushed-down filter — the written row's key
