@@ -13,7 +13,6 @@
 //	synergy-bench -experiment maintenance -views 1,4,16
 //	synergy-bench -experiment skew -skew 0,0.99,1.2 -skewwaves 40
 //	synergy-bench -experiment server -conns 8 -txns 16
-//	synergy-bench -experiment largescan -rows 10000,100000,1000000
 package main
 
 import (
@@ -28,7 +27,7 @@ import (
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "fig10|fig11|fig12|fig13|fig14|table1|table2|table3|design|contention|maintenance|skew|server|largescan|all")
+		experiment = flag.String("experiment", "all", "fig10|fig11|fig12|fig13|fig14|table1|table2|table3|design|contention|maintenance|skew|server|all")
 		cust       = flag.Int("cust", 1000, "TPC-W customer count (paper: 1,000,000)")
 		reps       = flag.Int("reps", 10, "repetitions per measurement (paper: 10)")
 		seed       = flag.Int64("seed", 1, "deterministic seed")
@@ -46,15 +45,13 @@ func main() {
 		skewWaves  = flag.Int("skewwaves", 40, "skew sweep measured waves")
 		conns      = flag.Int("conns", 8, "server experiment concurrent client connections per mode")
 		txns       = flag.Int("txns", 16, "server experiment transactions per connection")
-		scanRows   = flag.String("rows", "10000,100000", "large-scan sweep row counts (acceptance scale: 10000,100000,1000000)")
 	)
 	flag.Parse()
 
 	if err := run(*experiment, *cust, *reps, *seed, parseInts(*scales), parseInts(*locks),
 		parseInts(*hotRows), *workers, *rounds, *ops, *herd, parseInts(*views),
 		parseFloats(*skews), bench.SkewOpts{Keys: *skewKeys, WaveOps: *skewOps, Waves: *skewWaves},
-		bench.ServerOpts{Conns: *conns, Txns: *txns},
-		bench.LargeScanOpts{Rows: parseInts(*scanRows), Seed: *seed}); err != nil {
+		bench.ServerOpts{Conns: *conns, Txns: *txns}); err != nil {
 		fmt.Fprintln(os.Stderr, "synergy-bench:", err)
 		os.Exit(1)
 	}
@@ -94,7 +91,7 @@ func parseInts(csv string) []int {
 	return out
 }
 
-func run(experiment string, cust, reps int, seed int64, scales, locks, hotRows []int, workers, rounds, ops int, herd bool, views []int, skews []float64, skewOpts bench.SkewOpts, serverOpts bench.ServerOpts, largeScanOpts bench.LargeScanOpts) error {
+func run(experiment string, cust, reps int, seed int64, scales, locks, hotRows []int, workers, rounds, ops int, herd bool, views []int, skews []float64, skewOpts bench.SkewOpts, serverOpts bench.ServerOpts) error {
 	needSystems := map[string]bool{"fig12": true, "fig14": true, "table2": true, "table3": true, "all": true}
 	var set *bench.SystemSet
 	if needSystems[experiment] {
@@ -168,13 +165,6 @@ func run(experiment string, cust, reps int, seed int64, scales, locks, hotRows [
 			return err
 		}
 		fmt.Println(bench.RenderServer(res))
-	}
-	if want("largescan") {
-		res, err := bench.RunLargeScan(largeScanOpts, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Println(bench.RenderLargeScan(res))
 	}
 	if want("skew") {
 		res, err := bench.RunSkew(skews, skewOpts, seed)

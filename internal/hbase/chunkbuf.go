@@ -11,27 +11,25 @@ package hbase
 // Ownership protocol (the release points that make pooling safe under the
 // Cells lifetime rule):
 //
-//   - the sequential Scanner owns one chunkBuf and refills it in place —
-//     each refill is a Next call, which is exactly when previously returned
-//     rows become invalid; the buffer returns to the pool at exhaustion or
-//     Close;
-//   - scatter-gather workers (parScanner.drainRegion) fetch each chunk into
-//     a fresh pooled buffer and hand it over the prefetch channel; the
-//     consumer releases chunk N when it installs chunk N+1 (refill), or at
-//     natural exhaustion;
-//   - a closing scan releases only chunks no consumer ever saw: buffers
-//     drained from the prefetch channels after the workers stop, and
-//     buffers a cancelled worker failed to send. The consumer-visible
-//     current chunk is deliberately left to the GC — Scanner.Next returns a
-//     row and trims the scan in the same call when the limit is reached, so
-//     that chunk may still back a row the caller is holding.
+//   - the Scanner owns one current chunk. Draining a region itself, it
+//     refills that chunk in place — each refill is a Next call, which is
+//     exactly when previously returned rows become invalid; a worker's chunk
+//     replaces it, and the replaced one returns to the pool. The current
+//     chunk returns to the pool at exhaustion or Close;
+//   - workers (Scanner.drainRegion) fetch each chunk into a fresh pooled
+//     buffer and hand it over the prefetch channel;
+//   - stopping the workers releases only chunks no consumer ever saw:
+//     buffers drained from the prefetch channels after the workers stop, and
+//     buffers a cancelled worker failed to send. Next stops them in the same
+//     call that returns the limit-th row, so the current chunk stays until
+//     Close.
 type chunkBuf struct {
 	rows  []RowResult
 	arena Cells
 	// dirty is the arena's high-water mark since the last reset: pairs up to
 	// it may hold references. It can lie beyond len(arena) — a row the filter
 	// drops hands its pairs back — so len alone does not bound what a fill
-	// wrote; rows needs no mark, whoever pops a row zeroes it (fetchChunk).
+	// wrote; rows needs no mark, whoever pops a row zeroes it (readChunk).
 	dirty int
 }
 

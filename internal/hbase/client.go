@@ -395,17 +395,15 @@ type ScanSpec struct {
 	Columns *ColumnSet
 	// Batch overrides the scanner caching (rows per RPC).
 	Batch int
-	// Sequential forces region-at-a-time draining even when the scan
-	// could scatter-gather. Point probes and short prefix scans set it:
-	// their fan-out overhead outweighs the parallelism. Limit-bounded
-	// scans scatter-gather only once Limit reaches the chunk size (at
-	// least one full scanner RPC per region), where speculative per-region
-	// prefetch amortizes the fan-out; smaller limits stay sequential for
-	// early termination.
+	// Sequential keeps the scan off the worker pool even when it could
+	// scatter-gather: the consumer drains the regions one at a time. Two
+	// callers set it, because they run many short scans whose fan-out would
+	// cost more than it overlaps: the index nested-loop join's per-outer-row
+	// probe (phoenix) and the view-maintenance locate scan (synergy). Without
+	// it a scan gets workers once it spans more than one region and its Limit
+	// is 0 or at least one Batch; a smaller Limit is reached sooner by early
+	// termination than by speculative per-region prefetch.
 	Sequential bool
-	// Parallelism caps the in-flight region scans of a scatter-gather
-	// scan (0 = the cost model's ScanParallelism).
-	Parallelism int
 }
 
 func (s ScanSpec) bounds() (start, stop string) {
@@ -421,31 +419,36 @@ func (s ScanSpec) bounds() (start, stop string) {
 // or descending for a reversed spec, which lists its regions last to first
 // and is otherwise the same scanner.
 //
-// Unlimited scans over multi-region ranges run in scatter-gather mode, as
-// real Phoenix does for intra-query parallelism: a bounded worker pool
-// drains every in-range region concurrently and the client folds the
-// disjoint per-region streams back into one key-ordered stream. Limit-
-// bounded scans (and spec.Sequential) keep the region-at-a-time path, where
-// early termination beats parallel prefetch. A Scanner assumes one sim.Ctx
-// per request: the ctx passed to Next/Close is the one the scatter-gather
-// fork/join cost is charged to.
+// There is one region walk. The consumer takes the regions in scan order and
+// drains each one chunk by chunk itself (caller-runs), unless a worker of the
+// client's shared scan pool has already started it — then it reads that
+// worker's chunks instead. A scan without workers (see ScanSpec.Sequential)
+// charges every RPC straight to the request ctx, stops at Limit, and asks each
+// chunk for no more rows than the Limit leaves. A scan with workers is
+// Phoenix's intra-query parallelism: every region is a job on the pool, each
+// charging a forked ctx that is joined into the request when the scan ends or
+// is closed (see scanWorkers). A Scanner assumes one sim.Ctx per request: the
+// ctx passed to Next/Close is the one the scan is charged to.
 type Scanner struct {
 	client  *Client
 	tbl     *table
 	spec    ScanSpec
 	batch   int
-	regions []*Region   // in scan order: last to first for a reversed spec
-	from    string      // bound the scan enters its range at: Start, or Stop reversed
-	to      string      // bound it leaves at: Stop (exclusive), or Start (inclusive) reversed
-	par     *parScanner // nil in sequential mode
-	ri      int         // current region index
-	resume  string      // next key within current region
-	opened  bool        // ScanOpen charged for current region
-	chunk   *chunkBuf   // sequential mode: the one buffer refilled in place
-	buf     []RowResult
-	bi      int
-	sent    int
-	done    bool
+	regions []*Region    // in scan order: last to first for a reversed spec
+	from    string       // bound the scan enters its range at: Start, or Stop reversed
+	to      string       // bound it leaves at: Stop (exclusive), or Start (inclusive) reversed
+	workers *scanWorkers // nil: the consumer drains every region itself
+
+	ci  int       // region being consumed
+	cur *chunkBuf // the chunk rows are handed out of; refilled in place by caller-runs
+	bi  int       // next row of cur
+	// Caller-runs state: set while the consumer drains region ci itself.
+	inline bool
+	eof    bool   // region ci has no chunk left
+	resume string // key region ci's next chunk starts from
+	base   int    // rows returned before region ci's own count against Limit begins
+	sent   int
+	done   bool
 }
 
 // Scan opens a scanner.
@@ -472,25 +475,9 @@ func (c *Client) Scan(ctx *sim.Ctx, tbl string, spec ScanSpec) (*Scanner, error)
 		regions: regions,
 		from:    from,
 		to:      to,
-		resume:  from,
 	}
-	if (spec.Limit <= 0 || spec.Limit >= batch) && !spec.Sequential && len(s.regions) > 1 {
-		par := spec.Parallelism
-		if par <= 0 {
-			par = c.hc.costs.ScanParallelism
-		}
-		if par > 1 {
-			// Scans ride the client's shared pool; an explicit Parallelism
-			// override gets a private pool of that size (per-query pool
-			// sizing, outside the shared cap).
-			var pool *scanPool
-			if spec.Parallelism > 0 {
-				pool = newScanPool(spec.Parallelism)
-			} else {
-				pool = c.sharedScanPool()
-			}
-			s.par = startParScan(ctx, s, pool)
-		}
+	if len(regions) > 1 && (spec.Limit <= 0 || spec.Limit >= batch) && !spec.Sequential && c.hc.costs.ScanParallelism > 1 {
+		s.startWorkers(ctx, c.sharedScanPool())
 	}
 	return s, nil
 }
@@ -500,58 +487,173 @@ func (s *Scanner) Next(ctx *sim.Ctx) (row RowResult, ok bool) {
 	if s.done {
 		return RowResult{}, false
 	}
-	if s.par != nil {
-		row, ok = s.par.next(ctx)
-		if !ok {
+	for s.cur == nil || s.bi >= len(s.cur.rows) {
+		if !s.advance(ctx) {
 			s.done = true
-			return row, ok
-		}
-		s.sent++
-		if s.spec.Limit > 0 && s.sent >= s.spec.Limit {
-			// Client-side trim: stop the region workers and fold their
-			// already-performed (speculative) work into ctx.
-			s.done = true
-			s.par.close(ctx)
-		}
-		return row, true
-	}
-	for s.bi >= len(s.buf) {
-		if !s.fetch(ctx) {
-			s.done = true
+			s.finish(ctx)
 			return RowResult{}, false
 		}
 	}
-	row = s.buf[s.bi]
+	row = s.cur.rows[s.bi]
 	s.bi++
 	s.sent++
 	if s.spec.Limit > 0 && s.sent >= s.spec.Limit {
 		s.done = true
+		if s.workers != nil {
+			// Client-side trim: stop the region workers and fold their
+			// already-performed (speculative) work into ctx. cur still backs
+			// the row returned here, so it stays until Close.
+			s.stop(ctx)
+		}
 	}
 	return row, true
 }
 
+// advance makes the next non-empty chunk of the scan current: the next chunk
+// of the region the consumer drains itself, else that of the next region — a
+// worker's, or, when no worker has claimed it, the consumer's own. It reports
+// false once every region is exhausted.
+func (s *Scanner) advance(ctx *sim.Ctx) bool {
+	for {
+		if s.inline {
+			if s.refillInline(ctx) {
+				return true
+			}
+			s.inline = false
+			if s.workers != nil {
+				s.workers.wg.Done() // the consumer owned this claimed job
+			}
+			s.ci++
+			continue
+		}
+		if s.ci >= len(s.regions) {
+			return false
+		}
+		w := s.workers
+		if w == nil || w.jobs[s.ci].claim() {
+			// No worker has started this region — run it inline rather than
+			// wait for one (CallerRunsPolicy).
+			s.startInline(ctx, s.ci)
+			continue
+		}
+		chunk, ok := <-w.streams[s.ci].ch
+		if !ok {
+			s.ci++
+			continue
+		}
+		s.install(chunk)
+		return true
+	}
+}
+
+// regionCtx is the ctx region i's work is charged to: the request's own, or
+// the region's fork when the scan has workers.
+func (s *Scanner) regionCtx(ctx *sim.Ctx, i int) *sim.Ctx {
+	if s.workers == nil {
+		return ctx
+	}
+	return s.workers.streams[i].ctx
+}
+
+// openRegion charges the region-open cost of region i to ctx and returns the
+// key its first chunk starts from: the scan's entry bound, clamped to the
+// region — the entry of a worker drain and a caller-runs drain alike.
+func (s *Scanner) openRegion(ctx *sim.Ctx, i int) (resume string) {
+	r := s.regions[i]
+	hc := s.client.hc
+	hc.serverWork(ctx, r.Server(), hc.costs.ScanOpen)
+	if s.spec.Reversed {
+		if r.end != "" && (s.from == "" || s.from > r.end) {
+			return r.end
+		}
+	} else if s.from < r.start {
+		return r.start
+	}
+	return s.from
+}
+
+// startInline begins a consumer-driven drain of region i. A scan with workers
+// caps every region at Limit rows of its own (see nextChunk); one without
+// counts every row it has returned against Limit.
+func (s *Scanner) startInline(ctx *sim.Ctx, i int) {
+	s.inline, s.eof = true, false
+	s.resume = s.openRegion(s.regionCtx(ctx, i), i)
+	s.base = 0
+	if s.workers != nil {
+		s.base = s.sent
+	}
+}
+
+// refillInline refills cur in place with the next non-empty chunk of the
+// region the consumer drains itself; every row handed out of cur has been
+// consumed, so the refill is the point at which they become invalid. It
+// reports false once the region is exhausted.
+func (s *Scanner) refillInline(ctx *sim.Ctx) bool {
+	if s.cur == nil {
+		s.cur = s.client.getChunkBuf()
+	}
+	for !s.eof {
+		var next string
+		next, s.eof = s.nextChunk(s.regionCtx(ctx, s.ci), s.ci, s.cur, s.resume, s.sent-s.base)
+		s.resume, s.bi = next, 0
+		if len(s.cur.rows) > 0 {
+			if s.workers != nil {
+				s.workers.chunks++
+			}
+			return true
+		}
+	}
+	return false
+}
+
+// nextChunk performs one scanner RPC of region i from resume into buf,
+// charging ctx. done reports the region exhausted — by its end, the range's
+// far bound, or the limit. Both the worker path (drainRegion) and the
+// caller-runs path (refillInline) fetch exclusively through here, so the two
+// can never diverge on limit or resume semantics. sent is the rows already
+// counted against Limit: the whole scan's without workers; the region's own
+// with them, since the merged result takes the first Limit rows in scan order
+// and so no single region can contribute more — rows past the limit in early
+// regions are speculative overfetch that the client trims.
+func (s *Scanner) nextChunk(ctx *sim.Ctx, i int, buf *chunkBuf, resume string, sent int) (next string, done bool) {
+	limit := s.spec.Limit
+	want := s.batch
+	if limit > 0 && limit-sent < want {
+		want = limit - sent
+	}
+	next, truncated := s.readChunk(ctx, s.regions[i], buf, resume, want)
+	done = truncated || next == "" || (limit > 0 && sent+len(buf.rows) >= limit)
+	return next, done
+}
+
+// finish ends a scan at natural exhaustion. This Next call returns no row, so
+// rows handed out of cur are no longer valid and it goes back to the pool.
+func (s *Scanner) finish(ctx *sim.Ctx) {
+	s.release()
+	if s.workers != nil {
+		s.workers.wg.Wait() // all streams closed, workers are done or exiting
+		s.join(ctx)
+	}
+}
+
 // Close releases an unfinished scan. A fully drained scanner needs no
 // Close; callers that abandon a scan early (dirty-read restarts) must call
-// it so scatter-gather workers stop and their already-performed work is
-// still charged to ctx. Close invalidates previously returned rows (the
-// Cells lifetime rule), which is what lets it recycle the sequential chunk
-// buffer.
+// it so workers stop and their already-performed work is still charged to
+// ctx. Close invalidates previously returned rows (the Cells lifetime rule),
+// which is what lets it recycle the current chunk.
 func (s *Scanner) Close(ctx *sim.Ctx) {
-	if s.par != nil {
-		s.par.close(ctx)
+	if s.workers != nil {
+		s.stop(ctx)
 	}
-	s.releaseChunk()
+	s.release()
 	s.done = true
 }
 
-// releaseChunk returns the sequential scanner's chunk buffer to the client
-// pool. Called only at points that invalidate previously returned rows —
-// exhaustion of the last region, or Close.
-func (s *Scanner) releaseChunk() {
-	if s.chunk != nil {
-		s.client.putChunkBuf(s.chunk)
-		s.chunk, s.buf, s.bi = nil, nil, 0
-	}
+// release returns the current chunk to the client pool. Called only at
+// points that invalidate previously returned rows — exhaustion, or Close.
+func (s *Scanner) release() {
+	s.client.putChunkBuf(s.cur)
+	s.cur, s.bi = nil, 0
 }
 
 // past reports whether key lies beyond the bound the scan leaves its range at.
@@ -562,28 +664,14 @@ func (s *Scanner) past(key string) bool {
 	return s.to != "" && key >= s.to
 }
 
-// enter clamps a resume key to region r: the key a chunk of r starts from
-// when the scan arrives there at from.
-func (s *Scanner) enter(r *Region, from string) string {
-	if s.spec.Reversed {
-		if r.end != "" && (from == "" || from > r.end) {
-			return r.end
-		}
-	} else if from < r.start {
-		return r.start
-	}
-	return from
-}
-
-// fetchChunk performs one scanner RPC against region r into buf, charging
-// ctx for the server-side work and the response shipment. It is shared by
-// the sequential path and the scatter-gather workers so that both modes
-// charge identically. The buffer is reset on entry — this is the refill
-// point that invalidates whatever rows it previously held. next is "" when
+// readChunk performs one scanner RPC against region r into buf, charging
+// ctx for the server-side work and the response shipment. The buffer is
+// reset on entry — this is the refill point that invalidates whatever rows
+// it previously held. next is "" when
 // the region is exhausted; truncated reports that the range's far bound (the
 // stop key, or the start key of a reversed scan) cut the chunk, meaning every
 // remaining key in this and any later region is out of range.
-func (s *Scanner) fetchChunk(ctx *sim.Ctx, r *Region, buf *chunkBuf, resume string, want int) (next string, truncated bool) {
+func (s *Scanner) readChunk(ctx *sim.Ctx, r *Region, buf *chunkBuf, resume string, want int) (next string, truncated bool) {
 	hc := s.client.hc
 	srv := r.Server()
 	buf.reset()
@@ -602,52 +690,6 @@ func (s *Scanner) fetchChunk(ctx *sim.Ctx, r *Region, buf *chunkBuf, resume stri
 	ctx.CountRowsReturned(len(buf.rows))
 	hc.cl.RPC(ctx, s.client.node, srv, bytes)
 	return next, truncated
-}
-
-// fetch pulls the next chunk from the current region into the scanner's
-// owned chunk buffer, advancing to the next region as needed. Reports false
-// when all regions are exhausted, at which point the buffer returns to the
-// client pool (exhaustion invalidates previously returned rows).
-func (s *Scanner) fetch(ctx *sim.Ctx) bool {
-	hc := s.client.hc
-	if s.chunk == nil {
-		s.chunk = s.client.getChunkBuf()
-	}
-	for s.ri < len(s.regions) {
-		r := s.regions[s.ri]
-		if !s.opened {
-			hc.serverWork(ctx, r.Server(), hc.costs.ScanOpen)
-			s.opened = true
-			s.resume = s.enter(r, s.resume)
-		}
-		want := s.batch
-		if s.spec.Limit > 0 {
-			if remaining := s.spec.Limit - s.sent; remaining < want {
-				want = remaining
-			}
-		}
-		next, truncated := s.fetchChunk(ctx, r, s.chunk, s.resume, want)
-		switch {
-		case truncated:
-			// Terminate so no further region is ever opened.
-			s.ri = len(s.regions)
-			s.opened = false
-		case next == "":
-			// The next region is entered at its near edge; enter clamps the
-			// scan's own entry key to it.
-			s.ri++
-			s.opened = false
-			s.resume = s.from
-		default:
-			s.resume = next
-		}
-		if len(s.chunk.rows) > 0 {
-			s.buf, s.bi = s.chunk.rows, 0
-			return true
-		}
-	}
-	s.releaseChunk()
-	return false
 }
 
 // All drains the scanner into a caller-owned slice. The rows are deep-copied

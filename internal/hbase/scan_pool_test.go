@@ -123,30 +123,6 @@ func TestScanPoolWorkerCap(t *testing.T) {
 	sc.All(ctx)
 }
 
-// TestScanParallelismOverrideUsesPrivatePool pins the per-scan override:
-// an explicit ScanSpec.Parallelism must not be capped by (or occupy) the
-// client's shared pool.
-func TestScanParallelismOverrideUsesPrivatePool(t *testing.T) {
-	_, c := buildScanFixture(t, 2000, 4)
-	shared := c.sharedScanPool()
-	ctx := sim.NewCtx()
-	sc, err := c.Scan(ctx, "t", ScanSpec{Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	shared.mu.Lock()
-	queued := len(shared.queue)
-	shared.mu.Unlock()
-	if queued != 0 {
-		t.Fatalf("override scan queued %d jobs on the shared pool", queued)
-	}
-	rows := sc.All(ctx)
-	seq, _ := drainSpec(t, c, ScanSpec{Sequential: true})
-	if len(rows) != len(seq) {
-		t.Fatalf("override scan rows = %d, want %d", len(rows), len(seq))
-	}
-}
-
 // TestPooledChunkReuseInterleavedScans hammers the pooled chunk buffers:
 // many goroutines on one shared client, each interleaving a partially
 // drained parallel scan with limited scans and early Closes, so released

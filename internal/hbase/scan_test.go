@@ -267,16 +267,24 @@ func TestScanLimitParallelSequentialParity(t *testing.T) {
 	}
 }
 
-// A limit scan below one chunk keeps the sequential early-termination path
-// even without spec.Sequential.
+// A limit scan below one chunk gets no workers even without spec.Sequential:
+// early termination beats speculative prefetch. One at a full chunk gets them.
 func TestScanSmallLimitStaysSequential(t *testing.T) {
 	_, c := buildScanFixture(t, 4000, 8)
 	ctx := sim.NewCtx()
+	wide, err := c.Scan(ctx, "t", ScanSpec{Limit: 100, Batch: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wide.workers == nil {
+		t.Fatal("Limit = chunk size over 8 regions must scatter-gather")
+	}
+	wide.Close(ctx)
 	sc, err := c.Scan(ctx, "t", ScanSpec{Limit: 5, Batch: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.par != nil {
+	if sc.workers != nil {
 		t.Fatal("Limit < chunk size must not scatter-gather")
 	}
 	if rows := sc.All(ctx); len(rows) != 5 {

@@ -262,18 +262,19 @@ func (b *binding) keyBounds(local []localPred, col string) (lo, hi string, rest 
 
 // keyRange restricts spec to the rows under the plan's bound key prefix — vals,
 // each given its key column's kind — and, below it, between the plan's bounds
-// on the next key column. It reports whether the prefix is the whole row
-// key: then the range is the single row [key, key+\x00). An open lower end
-// starts at the first non-NULL part (tag 0x02): a NULL satisfies no comparison,
-// as the filter had it. A value its key column cannot hold equals no key, and
-// the range is empty (see openScan), as it is under contradictory bounds.
-func (p accessPlan) keyRange(b *binding, vals []schema.Value, spec *hbase.ScanSpec) (point bool) {
+// on the next key column. A prefix that is the whole row key is the single
+// row [key, key+\x00), which lies in one region and so never gets scan
+// workers. An open lower end starts at the first non-NULL part (tag 0x02): a
+// NULL satisfies no comparison, as the filter had it. A value its key column
+// cannot hold equals no key, and the range is empty (see openScan), as it is
+// under contradictory bounds.
+func (p accessPlan) keyRange(b *binding, vals []schema.Value, spec *hbase.ScanSpec) {
 	for i, c := range p.eqCols {
 		typ, _ := b.info.Col(c)
 		var ok bool
 		if vals[i], ok = coerce(typ, vals[i]); !ok {
 			spec.Start, spec.Stop = noKey, noKey
-			return true
+			return
 		}
 	}
 	keyLen := len(b.info.Key)
@@ -283,12 +284,12 @@ func (p accessPlan) keyRange(b *binding, vals []schema.Value, spec *hbase.ScanSp
 	if len(p.eqCols) == keyLen {
 		spec.Start = schema.EncodeKey(vals...)
 		spec.Stop = spec.Start + "\x00"
-		return true
+		return
 	}
 	prefix := schema.KeyPrefix(vals...)
 	if p.lo == "" && p.hi == "" {
 		spec.Prefix = prefix
-		return false
+		return
 	}
 	spec.Start, spec.Stop = prefix+"\x02", prefix+noKey
 	if p.lo != "" {
@@ -297,7 +298,6 @@ func (p accessPlan) keyRange(b *binding, vals []schema.Value, spec *hbase.ScanSp
 	if p.hi != "" {
 		spec.Stop = prefix + p.hi
 	}
-	return false
 }
 
 // noKey sorts after every row key (a key opens with a type tag): [noKey, noKey)
@@ -362,9 +362,9 @@ func (q *query) columnSet(b *binding, preds []localPred) *hbase.ColumnSet {
 
 // scanSpec builds the store scan of a table binding under its access plan:
 // the key range its local equalities and range conjuncts bind, the rest of its
-// local predicates as the pushed-down filter, and the columns it reads. Full
-// table and index-range scans scatter-gather across regions (Phoenix
-// intra-query parallelism); single-row lookups opt out.
+// local predicates as the pushed-down filter, and the columns it reads. A scan
+// spanning several regions scatter-gathers across them (Phoenix intra-query
+// parallelism); a single-row lookup spans one.
 func (q *query) scanSpec(b *binding, plan accessPlan) (string, hbase.ScanSpec, error) {
 	spec := hbase.ScanSpec{Read: q.opts.Read, Filter: scanFilter(plan.filter), Reversed: plan.reversed, Columns: q.columnSet(b, plan.filter)}
 	if plan.kind != accessFullScan {
@@ -376,7 +376,7 @@ func (q *query) scanSpec(b *binding, plan accessPlan) (string, hbase.ScanSpec, e
 			}
 			vals = append(vals, v)
 		}
-		spec.Sequential = plan.keyRange(b, vals, &spec)
+		plan.keyRange(b, vals, &spec)
 	}
 	return plan.table(b), spec, nil
 }

@@ -81,40 +81,37 @@ func TestAggregateColumnTypeFromPlan(t *testing.T) {
 		{int64(1), 4.0, nil, nil, nil, nil, int64(0)},
 		{int64(2), 2.75, nil, nil, nil, nil, int64(0)},
 	}
-	for _, stream := range []bool{true, false} {
-		setStream(t, c, stream)
-		for _, proto := range []string{"text", "binary"} {
-			var rs *ClientRows
-			if proto == "text" {
-				rs, err = c.QueryStream(sql)
-			} else {
-				var st *ClientStmt
-				if st, err = c.Prepare(sql); err != nil {
-					t.Fatal(err)
-				}
-				defer st.Close()
-				rs, err = st.QueryStream()
+	for _, proto := range []string{"text", "binary"} {
+		var rs *ClientRows
+		if proto == "text" {
+			rs, err = c.QueryStream(sql)
+		} else {
+			var st *ClientStmt
+			if st, err = c.Prepare(sql); err != nil {
+				t.Fatal(err)
 			}
+			defer st.Close()
+			rs, err = st.QueryStream()
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", proto, err)
+		}
+		if !reflect.DeepEqual(rs.types, wantTypes) {
+			t.Errorf("%s: column types %x, want %x", proto, rs.types, wantTypes)
+		}
+		var rows [][]schema.Value
+		for rs.Next() {
+			vals, err := rs.Values()
 			if err != nil {
-				t.Fatalf("%s stream=%v: %v", proto, stream, err)
+				t.Fatalf("%s: row %d: %v", proto, len(rows), err)
 			}
-			if !reflect.DeepEqual(rs.types, wantTypes) {
-				t.Errorf("%s stream=%v: column types %x, want %x", proto, stream, rs.types, wantTypes)
-			}
-			var rows [][]schema.Value
-			for rs.Next() {
-				vals, err := rs.Values()
-				if err != nil {
-					t.Fatalf("%s stream=%v: row %d: %v", proto, stream, len(rows), err)
-				}
-				rows = append(rows, append([]schema.Value(nil), vals...))
-			}
-			if err := rs.Close(); err != nil {
-				t.Fatalf("%s stream=%v: %v", proto, stream, err)
-			}
-			if !reflect.DeepEqual(rows, wantRows) {
-				t.Errorf("%s stream=%v: rows %#v, want %#v", proto, stream, rows, wantRows)
-			}
+			rows = append(rows, append([]schema.Value(nil), vals...))
+		}
+		if err := rs.Close(); err != nil {
+			t.Fatalf("%s: %v", proto, err)
+		}
+		if !reflect.DeepEqual(rows, wantRows) {
+			t.Errorf("%s: rows %#v, want %#v", proto, rows, wantRows)
 		}
 	}
 }

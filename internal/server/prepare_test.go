@@ -16,32 +16,29 @@ import (
 // the result's column count and one definition per column, and they are the
 // definitions every execute's result set carries, byte for byte — for every
 // wire-golden shape (Q1–Q11, R1–R4, the scan workload's statements, the
-// aggregate, literal and all-NULL shapes), streamed and materialized. A write
-// has no result and describes none.
+// aggregate, literal and all-NULL shapes). A write has no result and
+// describes none.
 func TestPrepareReturnsResultShape(t *testing.T) {
 	data := tpcw.Generate(40, 7)
 	c := serveSystem(t, wireSystem(t, data))
-	for _, stream := range []bool{true, false} {
-		setStream(t, c, stream)
-		for _, sh := range wireShapes(data) {
-			st, err := c.Prepare(sh.sql)
-			if err != nil {
-				t.Fatalf("%s: prepare: %v", sh.id, err)
-			}
-			names, defs := st.last.names, bytes.Clone(st.last.defs)
-			if len(names) == 0 {
-				t.Fatalf("%s: the prepare response describes no columns", sh.id)
-			}
-			rs, err := st.Query(sh.params...)
-			if err != nil {
-				t.Fatalf("%s: %v", sh.id, err)
-			}
-			if !bytes.Equal(st.last.defs, defs) || !reflect.DeepEqual(rs.Columns, names) {
-				t.Errorf("%s stream=%v: prepared columns %v, the execute's %v (definitions equal: %v)",
-					sh.id, stream, names, rs.Columns, bytes.Equal(st.last.defs, defs))
-			}
-			st.Close()
+	for _, sh := range wireShapes(data) {
+		st, err := c.Prepare(sh.sql)
+		if err != nil {
+			t.Fatalf("%s: prepare: %v", sh.id, err)
 		}
+		names, defs := st.last.names, bytes.Clone(st.last.defs)
+		if len(names) == 0 {
+			t.Fatalf("%s: the prepare response describes no columns", sh.id)
+		}
+		rs, err := st.Query(sh.params...)
+		if err != nil {
+			t.Fatalf("%s: %v", sh.id, err)
+		}
+		if !bytes.Equal(st.last.defs, defs) || !reflect.DeepEqual(rs.Columns, names) {
+			t.Errorf("%s: prepared columns %v, the execute's %v (definitions equal: %v)",
+				sh.id, names, rs.Columns, bytes.Equal(st.last.defs, defs))
+		}
+		st.Close()
 	}
 	st, err := c.Prepare("UPDATE Item SET i_stock = ? WHERE i_id = ?")
 	if err != nil || st.last.names != nil {

@@ -10,16 +10,15 @@ import (
 )
 
 // The scan benchmarks measure the server's full-table read path through a
-// real socket: one client scanning a table per iteration, streamed (cursor
-// execution) versus materialized (buffer-then-encode), text and binary row
-// protocols. allocs/op is the headline: the streamed path's per-row encode
-// works out of the connection's reused scratch and the cursor's raw cell
-// views, so its allocations should stay near-constant as the table grows,
-// while the materialized path allocates per row.
+// real socket: one client scanning a table per iteration, text and binary row
+// protocols. allocs/op is the headline: the per-row encode works out of the
+// connection's reused scratch and the cursor's raw cell views, so the
+// allocations stay near-constant as the table grows (TestStreamedScanAllocsFlat
+// holds them to it).
 
 var benchScanSeq atomic.Int64
 
-func benchScanServer(b *testing.B, rows int) (addr string) {
+func benchScanServer(b testing.TB, rows int) (addr string) {
 	b.Helper()
 	s := schema.New()
 	s.AddRelation(&schema.Relation{
@@ -66,20 +65,13 @@ func benchScanServer(b *testing.B, rows int) (addr string) {
 	return addr
 }
 
-func benchScan(b *testing.B, rows int, streamed, binary bool) {
+func benchScan(b *testing.B, rows int, binary bool) {
 	addr := benchScanServer(b, rows)
 	c, err := Dial("inproc", addr, "bench", "")
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer c.Close()
-	mode := "0"
-	if streamed {
-		mode = "1"
-	}
-	if err := c.Exec("SET synergy_stream = " + mode); err != nil {
-		b.Fatal(err)
-	}
 	scan := func() (int, error) {
 		var rs *ClientRows
 		var err error
@@ -121,8 +113,5 @@ func benchScan(b *testing.B, rows int, streamed, binary bool) {
 	}
 }
 
-func BenchmarkServerScanStreamed(b *testing.B)     { benchScan(b, 2000, true, false) }
-func BenchmarkServerScanMaterialized(b *testing.B) { benchScan(b, 2000, false, false) }
-func BenchmarkServerScanStreamedBinary(b *testing.B) {
-	benchScan(b, 2000, true, true)
-}
+func BenchmarkServerScanStreamed(b *testing.B)       { benchScan(b, 2000, false) }
+func BenchmarkServerScanStreamedBinary(b *testing.B) { benchScan(b, 2000, true) }

@@ -198,13 +198,12 @@ type conn struct {
 	backendName string
 	readsName   string // last `SET synergy_reads` value, "default" before one
 	autocommit  bool
-	stream      bool // SELECTs stream through a cursor (SET synergy_stream)
 
 	// enc is the row-encode scratch, reused across rows and statements.
 	// pc's buffered writer copies every packet out, so the slice is free
 	// for reuse the moment writePacket returns.
 	enc []byte
-	// types is the same for a streamed result's column wire types.
+	// types is the same scratch for a result's column wire types.
 	types []byte
 	// stmtStart is the connection's elapsed simulated time when the current
 	// statement began; @@synergy_sim_ttfr_micros reports time-to-first-row
@@ -244,7 +243,6 @@ func (s *Server) serveConn(nc net.Conn) {
 		id:         s.nextConnID.Add(1),
 		sctx:       sim.NewCtx(),
 		autocommit: true,
-		stream:     true,
 		readsName:  "default",
 		stmts:      map[uint32]*prepared{},
 	}
@@ -563,14 +561,7 @@ func (c *conn) execStatement(stmt sqlparser.Statement, compiled *synergy.Prepare
 		if err != nil {
 			return c.writeEngineErr(err)
 		}
-		if c.stream {
-			return c.writeCursor(cur, binaryRows)
-		}
-		rs, err := phoenix.DrainCursor(c.sctx, cur)
-		if err != nil {
-			return c.writeEngineErr(err)
-		}
-		return c.writeResultSet(rs, binaryRows, true)
+		return c.writeCursor(cur, binaryRows)
 	}
 	if err := c.sess.Exec(c.sctx, stmt, params); err != nil {
 		return c.writeEngineErr(err)
@@ -578,11 +569,11 @@ func (c *conn) execStatement(stmt sqlparser.Statement, compiled *synergy.Prepare
 	return c.writeOK(0, "")
 }
 
-// writeResultSet encodes rs as a protocol-41 result set (text or binary
-// rows), charging the per-byte transfer cost for the whole response when
-// charged is set. Sysvar introspection passes charged=false so its replies
-// stay cost-free by construction, not by rounding.
-func (c *conn) writeResultSet(rs *phoenix.ResultSet, binaryRows, charged bool) error {
+// writeResultSet encodes rs as a text protocol-41 result set. It serves
+// sysvar introspection only, whose replies are one row and stay cost-free by
+// construction, not by rounding: no wire cost is charged and no first row
+// marked (that would clobber the previous statement's measurement).
+func (c *conn) writeResultSet(rs *phoenix.ResultSet) error {
 	types := make([]byte, len(rs.Columns))
 	for i, t := range rs.ColumnTypes() {
 		types[i] = wireTypeOf(t)
@@ -601,25 +592,10 @@ func (c *conn) writeResultSet(rs *phoenix.ResultSet, binaryRows, charged bool) e
 		cell = phoenix.AppendValue(cell[:0], row[rs.Columns[i]])
 		return cell
 	}
-	for i := range rs.Rows {
-		if i == 0 && charged {
-			// The materialized path's time-to-first-row is the whole
-			// execution: nothing was encoded until the result set was
-			// fully buffered. (Uncharged sysvar replies don't mark — they
-			// would clobber the previous statement's measurement.)
-			c.sctx.MarkFirstRow()
-		}
-		row = rs.Rows[i]
-		pkts = append(pkts, appendRow(nil, types, binaryRows, value))
+	for _, row = range rs.Rows {
+		pkts = append(pkts, appendRow(nil, types, false, value))
 	}
 	pkts = append(pkts, appendEOF(nil, c.status()))
-	if charged {
-		total := 0
-		for _, p := range pkts {
-			total += len(p) + 4
-		}
-		c.sctx.Charge(c.srv.costs.WirePerByte.Mul(total))
-	}
 	for _, p := range pkts {
 		if err := c.pc.writePacket(p); err != nil {
 			return err
@@ -629,9 +605,10 @@ func (c *conn) writeResultSet(rs *phoenix.ResultSet, binaryRows, charged bool) e
 }
 
 // writeCursor streams a cursor's rows to the client as a protocol-41 result
-// set: one row packet at a time through the connection's bounded flush
-// buffer, so server memory stays O(scan chunk) no matter how many rows the
-// query returns. Row payloads encode into the connection's reused scratch
+// set — the one delivery of every SELECT: one row packet at a time through
+// the connection's bounded flush buffer, so server memory stays O(scan chunk)
+// no matter how many rows the query returns, and the first row leaves after
+// one region chunk. Row payloads encode into the connection's reused scratch
 // slice, straight from the cursor's encoded cells: no value is decoded.
 //
 // Error handling is asymmetric by protocol necessity: a failure before any
@@ -643,8 +620,7 @@ func (c *conn) writeResultSet(rs *phoenix.ResultSet, binaryRows, charged bool) e
 // docs/PROTOCOL.md.
 //
 // The per-byte wire cost is charged once for the whole response on success,
-// over the same byte total the materialized writeResultSet computes, keeping
-// simulated time identical across the two paths.
+// over every packet's bytes and header.
 func (c *conn) writeCursor(cur phoenix.RowCursor, binaryRows bool) error {
 	defer cur.Close(c.sctx)
 	cols := cur.Columns()
@@ -741,13 +717,6 @@ func (c *conn) handleSet(rest string) error {
 		}
 		c.sess.SetReads(mode)
 		c.readsName = strings.ToLower(val)
-	case "synergy_stream":
-		on := val == "1" || strings.EqualFold(val, "on")
-		off := val == "0" || strings.EqualFold(val, "off")
-		if !on && !off {
-			return c.writeErrPacket(errWrongVarVal, "42000", fmt.Sprintf("bad synergy_stream value %q", val))
-		}
-		c.stream = on
 	default:
 		// Unknown SETs are accepted silently (clients send sql_mode, NAMES,
 		// time_zone and the like on connect).
@@ -806,12 +775,6 @@ func (c *conn) handleSysVar(rest string) error {
 		v = int64(len(c.stmts))
 	case "synergy_queue_waits":
 		v = c.queueWaits
-	case "synergy_stream":
-		var n int64
-		if c.stream {
-			n = 1
-		}
-		v = n
 	case "synergy_sim_ttfr_micros":
 		// Time to first row of the last statement's result set, relative to
 		// that statement's start (0 when the last result was empty or the
@@ -836,7 +799,7 @@ func (c *conn) handleSysVar(rest string) error {
 	}
 	col := "@@" + name
 	rs := &phoenix.ResultSet{Columns: []string{col}, Rows: []schema.Row{{col: v}}}
-	return c.writeResultSet(rs, false, false)
+	return c.writeResultSet(rs)
 }
 
 // --------------------------------------------------------------------------

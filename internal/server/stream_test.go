@@ -2,29 +2,27 @@ package server
 
 import (
 	"fmt"
-	"hash/fnv"
 	"reflect"
 	"runtime"
 	"testing"
 
+	"synergy/internal/phoenix"
 	"synergy/internal/schema"
+	"synergy/internal/sim"
+	"synergy/internal/sqlparser"
 	"synergy/internal/synergy"
 )
 
 // collectStream drains one query through the streaming client API, returning
-// the decoded result and an FNV-64a checksum over every row packet payload.
-// The hash is what proves byte-identity on the wire between the server's
-// streamed and materialized paths.
-func collectStream(t *testing.T, c *Client, sql string) (cols []string, rows []schema.Row, hash uint64) {
+// the decoded result.
+func collectStream(t *testing.T, c *Client, sql string) (cols []string, rows []schema.Row) {
 	t.Helper()
 	rs, err := c.QueryStream(sql)
 	if err != nil {
 		t.Fatalf("%s: %v", sql, err)
 	}
-	h := fnv.New64a()
 	cols = append(cols, rs.Columns()...)
 	for rs.Next() {
-		h.Write(rs.RawBytes())
 		row, err := rs.Row()
 		if err != nil {
 			t.Fatalf("%s: row: %v", sql, err)
@@ -34,25 +32,24 @@ func collectStream(t *testing.T, c *Client, sql string) (cols []string, rows []s
 	if err := rs.Close(); err != nil {
 		t.Fatalf("%s: close: %v", sql, err)
 	}
-	return cols, rows, h.Sum64()
+	return cols, rows
 }
 
-// setStream flips the connection's result-set delivery path.
-func setStream(t *testing.T, c *Client, on bool) {
+// materialized is the in-process answer to sql on sys: the rows the engine
+// returns without a wire in between, fully buffered and decoded.
+func materialized(t *testing.T, sys *synergy.System, sql string, params ...schema.Value) *phoenix.ResultSet {
 	t.Helper()
-	v := "0"
-	if on {
-		v = "1"
+	rs, err := sys.Query(sim.NewCtx(), sqlparser.MustParse(sql).(*sqlparser.SelectStmt), params)
+	if err != nil {
+		t.Fatalf("%s: in-process: %v", sql, err)
 	}
-	if err := c.Exec("SET synergy_stream = " + v); err != nil {
-		t.Fatal(err)
-	}
+	return rs
 }
 
 // TestStreamedMaterializedParity runs every result-set shape against every
-// backend twice — streamed and materialized — and requires the two paths to
-// agree exactly: same columns, same rows in the same order, and identical
-// row packet bytes on the wire.
+// backend and requires the streamed wire result to agree exactly with the
+// materialized in-process one (System.Query): same columns, same rows in the
+// same order. The row packet bytes are pinned by wire_bytes.golden.
 func TestStreamedMaterializedParity(t *testing.T) {
 	env := startServer(t, Config{})
 	shapes := []struct{ name, sql string }{
@@ -70,20 +67,15 @@ func TestStreamedMaterializedParity(t *testing.T) {
 			c := env.dial(t, mode)
 			for _, shape := range shapes {
 				t.Run(shape.name, func(t *testing.T) {
-					setStream(t, c, true)
-					sCols, sRows, sHash := collectStream(t, c, shape.sql)
-					setStream(t, c, false)
-					mCols, mRows, mHash := collectStream(t, c, shape.sql)
-					if !reflect.DeepEqual(sCols, mCols) {
-						t.Fatalf("columns diverge: streamed %v, materialized %v", sCols, mCols)
+					cols, rows := collectStream(t, c, shape.sql)
+					want := materialized(t, env.systems[mode], shape.sql)
+					if !reflect.DeepEqual(cols, want.Columns) {
+						t.Fatalf("columns diverge: streamed %v, materialized %v", cols, want.Columns)
 					}
-					if !reflect.DeepEqual(sRows, mRows) {
-						t.Fatalf("rows diverge:\nstreamed     %v\nmaterialized %v", sRows, mRows)
+					if !reflect.DeepEqual(rows, want.Rows) {
+						t.Fatalf("rows diverge:\nstreamed     %v\nmaterialized %v", rows, want.Rows)
 					}
-					if sHash != mHash {
-						t.Fatalf("row packet bytes diverge: streamed %016x, materialized %016x", sHash, mHash)
-					}
-					if len(sRows) == 0 {
+					if len(rows) == 0 {
 						t.Fatal("shape returned no rows; the parity check is vacuous")
 					}
 				})
@@ -102,48 +94,35 @@ func TestStreamedBinaryParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		query := func() (rows []schema.Row, hash uint64) {
-			rs, err := st.QueryStream("l2")
+		rs, err := st.QueryStream("l2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rows []schema.Row
+		for rs.Next() {
+			row, err := rs.Row()
 			if err != nil {
 				t.Fatal(err)
 			}
-			h := fnv.New64a()
-			for rs.Next() {
-				h.Write(rs.RawBytes())
-				row, err := rs.Row()
-				if err != nil {
-					t.Fatal(err)
-				}
-				rows = append(rows, row)
-			}
-			if err := rs.Close(); err != nil {
-				t.Fatal(err)
-			}
-			return rows, h.Sum64()
+			rows = append(rows, row)
 		}
-		setStream(t, c, true)
-		sRows, sHash := query()
-		setStream(t, c, false)
-		mRows, mHash := query()
-		if !reflect.DeepEqual(sRows, mRows) {
-			t.Fatalf("%s: binary rows diverge:\nstreamed     %v\nmaterialized %v", mode, sRows, mRows)
+		if err := rs.Close(); err != nil {
+			t.Fatal(err)
 		}
-		if sHash != mHash || len(sRows) == 0 {
-			t.Fatalf("%s: binary packets diverge (%016x vs %016x over %d rows)",
-				mode, sHash, mHash, len(sRows))
+		want := materialized(t, env.systems[mode], testSelect, "l2")
+		if !reflect.DeepEqual(rows, want.Rows) || len(rows) == 0 {
+			t.Fatalf("%s: binary rows diverge:\nstreamed     %v\nmaterialized %v", mode, rows, want.Rows)
 		}
 		st.Close()
 	}
 }
 
 // TestStreamInTransaction checks a streamed read inside an explicit
-// transaction sees the transaction's own buffered write, exactly like the
-// materialized path.
+// transaction sees the transaction's own buffered write.
 func TestStreamInTransaction(t *testing.T) {
 	env := startServer(t, Config{})
 	for _, mode := range []string{"hier", "mvcc", "occ"} {
 		c := env.dial(t, mode)
-		setStream(t, c, true)
 		if err := c.Begin(); err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +131,7 @@ func TestStreamInTransaction(t *testing.T) {
 			"INSERT INTO Leaf (LID, L_RID, LVal) VALUES (900, 1, '%s')", val)); err != nil {
 			t.Fatal(err)
 		}
-		_, rows, _ := collectStream(t, c,
+		_, rows := collectStream(t, c,
 			fmt.Sprintf("SELECT * FROM Root as r, Leaf as l WHERE r.RID = l.L_RID and l.LVal = '%s'", val))
 		if len(rows) != 1 {
 			t.Fatalf("%s: streamed in-txn read saw %d rows, want 1 (own write)", mode, len(rows))
@@ -222,7 +201,6 @@ func TestStreamClientDisconnectMidScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	setStream(t, c, true)
 	rs, err := c.QueryStream("SELECT * FROM Big")
 	if err != nil {
 		t.Fatal(err)
@@ -251,8 +229,7 @@ func TestStreamClientDisconnectMidScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	setStream(t, c2, true)
-	_, rows, _ := collectStream(t, c2, "SELECT * FROM Big")
+	_, rows := collectStream(t, c2, "SELECT * FROM Big")
 	if len(rows) != 4000 {
 		t.Fatalf("post-disconnect scan saw %d rows, want 4000", len(rows))
 	}
@@ -268,7 +245,6 @@ func TestStreamClientCloseEarlyDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	setStream(t, c, true)
 	rs, err := c.QueryStream("SELECT * FROM Big")
 	if err != nil {
 		t.Fatal(err)
@@ -282,15 +258,16 @@ func TestStreamClientCloseEarlyDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The connection is still in sync: the next query sees every row.
-	_, rows, _ := collectStream(t, c, "SELECT * FROM Big")
+	_, rows := collectStream(t, c, "SELECT * FROM Big")
 	if len(rows) != 1000 {
 		t.Fatalf("post-early-close scan saw %d rows, want 1000", len(rows))
 	}
 }
 
 // TestStreamTTFR checks the time-to-first-row sysvar: statement-relative,
-// and strictly earlier for a streamed scan than a materialized one over the
-// same table (the streamed first row goes out after one region chunk).
+// measured, and strictly below the statement's whole simulated cost over a
+// 4,000-row scan — the first row goes out after one region chunk, not after
+// the result was buffered.
 func TestStreamTTFR(t *testing.T) {
 	env, _ := streamScanServer(t, 4000)
 	c, err := Dial("inproc", env.addr, "test", "big")
@@ -298,25 +275,25 @@ func TestStreamTTFR(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	ttfrAfterScan := func(stream bool) int64 {
-		setStream(t, c, stream)
-		_, rows, _ := collectStream(t, c, "SELECT * FROM Big")
-		if len(rows) != 4000 {
-			t.Fatalf("scan saw %d rows", len(rows))
-		}
-		v, err := c.SysVar("synergy_sim_ttfr_micros")
-		if err != nil {
-			t.Fatal(err)
-		}
-		return v.(int64)
+	before, err := c.SimMicros()
+	if err != nil {
+		t.Fatal(err)
 	}
-	streamed := ttfrAfterScan(true)
-	materialized := ttfrAfterScan(false)
-	if streamed <= 0 || materialized <= 0 {
-		t.Fatalf("ttfr not measured: streamed %d, materialized %d", streamed, materialized)
+	_, rows := collectStream(t, c, "SELECT * FROM Big")
+	if len(rows) != 4000 {
+		t.Fatalf("scan saw %d rows", len(rows))
 	}
-	if streamed >= materialized {
-		t.Fatalf("streamed ttfr %d >= materialized %d; first row did not go out early", streamed, materialized)
+	after, err := c.SimMicros()
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := c.SysVar("synergy_sim_ttfr_micros")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ttfr, total := v.(int64), after-before
+	if ttfr <= 0 || ttfr >= total {
+		t.Fatalf("ttfr %d sim-µs, statement %d sim-µs: want 0 < ttfr < statement", ttfr, total)
 	}
 }
 
@@ -334,9 +311,6 @@ func TestConcurrentStreaming(t *testing.T) {
 		c := env.dial(t, mode)
 		go func(c *Client, base int64) {
 			done <- func() error {
-				if err := c.Exec("SET synergy_stream = 1"); err != nil {
-					return err
-				}
 				for i := int64(0); i < iters; i++ {
 					val := fmt.Sprintf("cs-%d-%d", base, i)
 					if err := c.Exec(fmt.Sprintf(

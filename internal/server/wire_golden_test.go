@@ -29,8 +29,8 @@ type wireShape struct {
 // wireShapes are the result-set shapes whose bytes on the wire are pinned:
 // the TPC-W reads the benchmark's browse and order mixes send (Q1-Q11,
 // R1-R4), the scan workload's S1-S5, and the shapes those do not reach — an
-// aggregate with every function, literal select items on the streamed and the
-// materialized path, and columns that are NULL in every row.
+// aggregate with every function, literal select items on a single-table scan
+// and on a join, and columns that are NULL in every row.
 func wireShapes(data *tpcw.Data) []wireShape {
 	var out []wireShape
 	for _, st := range append(tpcw.JoinQueries(), tpcw.PointReads()...) {
@@ -152,42 +152,40 @@ func readWireResult(c *Client) (string, error) {
 }
 
 // TestWireBytesGolden pins the bytes the server puts on the wire for every
-// result-set shape, over both row protocols and both delivery paths
-// (synergy_stream 1 and 0). ROADMAP item 4 asks for it before the second
-// encoder goes; until then it is what shows that a change to the executor's
-// row model or to the encoders moved no byte it did not mean to. Regenerate
-// with `go test ./internal/server -run TestWireBytesGolden -update`.
+// result-set shape, over both row protocols: it is what shows that a change to
+// the executor's row model or to the encoders moved no byte it did not mean
+// to. Every line carries stream=true, the file's record of the one delivery
+// path, so that the lines of a buffered delivery it once pinned beside it went
+// as deletions only. Regenerate with
+// `go test ./internal/server -run TestWireBytesGolden -update`.
 func TestWireBytesGolden(t *testing.T) {
 	data := tpcw.Generate(40, 7)
 	c := serveSystem(t, wireSystem(t, data))
 
 	var got strings.Builder
 	var err error
-	for _, stream := range []bool{true, false} {
-		setStream(t, c, stream)
-		for _, sh := range wireShapes(data) {
-			for _, proto := range []string{"text", "binary"} {
-				var st *ClientStmt
-				if proto == "text" {
-					err = c.command(append([]byte{comQuery}, inlineParams(sh.sql, sh.params)...))
-				} else {
-					if st, err = c.Prepare(sh.sql); err != nil {
-						t.Fatalf("%s: prepare: %v", sh.id, err)
-					}
-					err = st.execute(sh.params)
+	for _, sh := range wireShapes(data) {
+		for _, proto := range []string{"text", "binary"} {
+			var st *ClientStmt
+			if proto == "text" {
+				err = c.command(append([]byte{comQuery}, inlineParams(sh.sql, sh.params)...))
+			} else {
+				if st, err = c.Prepare(sh.sql); err != nil {
+					t.Fatalf("%s: prepare: %v", sh.id, err)
 				}
-				if err != nil {
-					t.Fatalf("%s %s: send: %v", sh.id, proto, err)
-				}
-				line, err := readWireResult(c)
-				if err != nil {
-					t.Fatalf("%s %s stream=%v: %v", sh.id, proto, stream, err)
-				}
-				if st != nil {
-					st.Close()
-				}
-				fmt.Fprintf(&got, "%s %s stream=%v %s\n", sh.id, proto, stream, line)
+				err = st.execute(sh.params)
 			}
+			if err != nil {
+				t.Fatalf("%s %s: send: %v", sh.id, proto, err)
+			}
+			line, err := readWireResult(c)
+			if err != nil {
+				t.Fatalf("%s %s: %v", sh.id, proto, err)
+			}
+			if st != nil {
+				st.Close()
+			}
+			fmt.Fprintf(&got, "%s %s stream=true %s\n", sh.id, proto, line)
 		}
 	}
 
