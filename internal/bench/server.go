@@ -1,8 +1,10 @@
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -20,9 +22,10 @@ import (
 //
 // Latency is simulated time (sim.Ctx) read back through the charge-free
 // @@synergy_sim_micros introspection variable, so the numbers are
-// reproducible run to run: connections work disjoint key ranges, and
-// per-server store queueing is off, so no cross-connection interaction
-// perturbs a connection's accumulated cost.
+// reproducible run to run: connections work disjoint key ranges,
+// per-server store queueing is off, and the connections finish each of a
+// transaction's reads before any starts the next (see lockstep), so no
+// cross-connection interaction perturbs a connection's accumulated cost.
 
 // ServerOpts parameterizes the server experiment.
 type ServerOpts struct {
@@ -155,19 +158,27 @@ func runServerMode(name string, mode synergy.ConcurrencyMode, opts ServerOpts, c
 		err  error
 	}
 	outs := make(chan connOut, opts.Conns)
+	steps := newLockstep(opts.Conns)
 	for w := 0; w < opts.Conns; w++ {
 		go func(w int) {
-			lats, err := runServerConn(addr, w, opts.Txns)
+			lats, err := runServerConn(addr, w, opts.Txns, steps)
+			if err != nil {
+				steps.abandon()
+			}
 			outs <- connOut{lats, err}
 		}(w)
 	}
 	var all []sim.Micros
+	var firstErr error
 	for i := 0; i < opts.Conns; i++ {
 		out := <-outs
-		if out.err != nil {
-			return nil, out.err
+		if out.err != nil && (firstErr == nil || errors.Is(firstErr, errLockstepAbandoned)) {
+			firstErr = out.err
 		}
 		all = append(all, out.lats...)
+	}
+	if firstErr != nil {
+		return nil, firstErr
 	}
 	mr.Txn = Summarize(all)
 	if mr.Txn.Mean > 0 {
@@ -183,10 +194,89 @@ func runServerMode(name string, mode synergy.ConcurrencyMode, opts ServerOpts, c
 	return mr, nil
 }
 
+// errLockstepAbandoned is what a connection returns when another one failed
+// and left the lockstep.
+var errLockstepAbandoned = errors.New("another connection failed")
+
+// lockstep lines the connections up between the statements of a
+// transaction: every connection finishes its INSERT before any runs its
+// UPDATE, and so on. The connections touch disjoint rows, but a prefix scan
+// examines, and is charged for, every row up to its region's end — other
+// connections' rows included — so without the lockstep a statement's cost
+// would depend on how far the others had got. The UPDATEs also take turns,
+// in connection order: a Synergy UPDATE's view-maintenance locate scan walks
+// the index the other connections' UPDATEs flush their buffered INSERTs
+// into. COMMIT and the next BEGIN and INSERT still overlap the other
+// connections' commits: none of them scans.
+type lockstep struct {
+	mu        sync.Mutex
+	cond      *sync.Cond
+	n         int // connections
+	arrived   int
+	gen       int
+	turn      int // connection whose turn it is
+	abandoned bool
+}
+
+func newLockstep(n int) *lockstep {
+	l := &lockstep{n: n}
+	l.cond = sync.NewCond(&l.mu)
+	return l
+}
+
+// wait blocks until every connection has arrived, or fails once one of them
+// has abandoned the lockstep.
+func (l *lockstep) wait() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	gen := l.gen
+	if l.arrived++; l.arrived == l.n {
+		l.arrived = 0
+		l.gen++
+		l.cond.Broadcast()
+	}
+	for gen == l.gen && !l.abandoned {
+		l.cond.Wait()
+	}
+	if l.abandoned {
+		return errLockstepAbandoned
+	}
+	return nil
+}
+
+// inTurn runs fn once every connection before w has run its own, then
+// passes the turn on.
+func (l *lockstep) inTurn(w int, fn func() error) error {
+	l.mu.Lock()
+	for l.turn != w && !l.abandoned {
+		l.cond.Wait()
+	}
+	abandoned := l.abandoned
+	l.mu.Unlock()
+	if abandoned {
+		return errLockstepAbandoned
+	}
+	err := fn()
+	l.mu.Lock()
+	l.turn = (l.turn + 1) % l.n
+	l.cond.Broadcast()
+	l.mu.Unlock()
+	return err
+}
+
+// abandon releases every waiting connection with errLockstepAbandoned.
+func (l *lockstep) abandon() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.abandoned = true
+	l.cond.Broadcast()
+}
+
 // runServerConn is one client connection's workload: txns transactions of
 // INSERT + UPDATE + SELECT between BEGIN/COMMIT, all on the connection's own
-// root row. Returns per-transaction simulated durations.
-func runServerConn(addr string, w, txns int) ([]sim.Micros, error) {
+// root row, in lockstep with the other connections. Returns per-transaction
+// simulated durations.
+func runServerConn(addr string, w, txns int, steps *lockstep) ([]sim.Micros, error) {
 	c, err := server.Dial("inproc", addr, fmt.Sprintf("bench-%d", w), "")
 	if err != nil {
 		return nil, err
@@ -218,7 +308,13 @@ func runServerConn(addr string, w, txns int) ([]sim.Micros, error) {
 		if err := ins.Exec(int64(1000+w*txns+i), rid, val); err != nil {
 			return nil, err
 		}
-		if err := upd.Exec(val, rid); err != nil {
+		if err := steps.wait(); err != nil {
+			return nil, err
+		}
+		if err := steps.inTurn(w, func() error { return upd.Exec(val, rid) }); err != nil {
+			return nil, err
+		}
+		if err := steps.wait(); err != nil {
 			return nil, err
 		}
 		rs, err := sel.Query(val)
@@ -227,6 +323,9 @@ func runServerConn(addr string, w, txns int) ([]sim.Micros, error) {
 		}
 		if len(rs.Rows) != 1 {
 			return nil, fmt.Errorf("conn %d txn %d: %d rows, want 1", w, i, len(rs.Rows))
+		}
+		if err := steps.wait(); err != nil {
+			return nil, err
 		}
 		if err := c.Commit(); err != nil {
 			return nil, err

@@ -81,7 +81,7 @@ func requireCellsMatchRef(t testing.TB, where string, got Cells, want map[string
 func (r *Region) storedRow(key string) *rowData {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	m, parts := lookupRow(r.mem, r.files, key)
+	m, parts := lookupRow(r.mem, r.files, key, nil)
 	defer m.release()
 	if len(parts) == 0 {
 		return nil

@@ -192,20 +192,39 @@ func (c *Client) open(ctx *sim.Ctx, tbl string) (*table, error) {
 	return t, nil
 }
 
-// Get reads one row.
+// Get reads one row: GetRow with nothing but the read options.
 func (c *Client) Get(ctx *sim.Ctx, tbl, key string, opts ReadOpts) (RowResult, error) {
+	return c.GetRow(ctx, tbl, key, ScanSpec{Read: opts})
+}
+
+// GetRow reads row key the way a scan of the single-row range [key, key\x00)
+// would, as one Get: under spec.Read, cut to spec.Columns, and dropped
+// server-side unless spec.Filter keeps it (HBase's Get with its column and
+// filter options). The rest of spec — the range, Limit, Batch, Reversed,
+// Sequential — has nothing to say about one row. It is charged a GetSeek and
+// the bytes of what it ships (nothing for an absent or filtered-out row, as a
+// scan ships nothing for it), and counts a stored row as one row examined
+// whether or not the filter keeps it.
+func (c *Client) GetRow(ctx *sim.Ctx, tbl, key string, spec ScanSpec) (RowResult, error) {
 	t, err := c.open(ctx, tbl)
 	if err != nil {
 		return RowResult{}, err
 	}
 	r := t.regionFor(key)
 	srv := r.Server()
-	res := r.get(key, opts)
-	c.hc.serverWork(ctx, srv, c.hc.costs.GetSeek)
-	c.hc.cl.RPC(ctx, c.node, srv, res.Bytes())
+	res := r.get(key, spec.Read, spec.Columns)
+	shipped := 0
 	if !res.Empty() {
-		ctx.CountRowsReturned(1)
+		ctx.CountRowsScanned(1)
+		if spec.Filter == nil || spec.Filter(res) {
+			shipped = res.Bytes()
+			ctx.CountRowsReturned(1)
+		} else {
+			res.Cells = nil
+		}
 	}
+	c.hc.serverWork(ctx, srv, c.hc.costs.GetSeek)
+	c.hc.cl.RPC(ctx, c.node, srv, shipped)
 	return res, nil
 }
 
@@ -260,7 +279,7 @@ func (c *Client) getFrom(ctx *sim.Ctx, r *Region, keys []string, regions []*Regi
 		if regions != nil && regions[i] != r {
 			continue
 		}
-		out[i] = r.get(key, opts)
+		out[i] = r.get(key, opts, nil)
 		n++
 		bytes += out[i].Bytes()
 		if !out[i].Empty() {
@@ -269,6 +288,7 @@ func (c *Client) getFrom(ctx *sim.Ctx, r *Region, keys []string, regions []*Regi
 	}
 	c.hc.serverWork(ctx, srv, sim.Micros(int64(n)*int64(c.hc.costs.GetSeek)))
 	c.hc.cl.RPC(ctx, c.node, srv, bytes)
+	ctx.CountRowsScanned(found)
 	ctx.CountRowsReturned(found)
 }
 
@@ -399,7 +419,8 @@ type ScanSpec struct {
 	// scatter-gather: the consumer drains the regions one at a time. Two
 	// callers set it, because they run many short scans whose fan-out would
 	// cost more than it overlaps: the index nested-loop join's per-outer-row
-	// probe (phoenix) and the view-maintenance locate scan (synergy). Without
+	// prefix probe (phoenix; a probe binding the whole row key is a Get and
+	// reaches no scanner) and the view-maintenance locate scan (synergy). Without
 	// it a scan gets workers once it spans more than one region and its Limit
 	// is 0 or at least one Batch; a smaller Limit is reached sooner by early
 	// termination than by speculative per-region prefetch.

@@ -82,7 +82,7 @@ func TestMemstoreBounded(t *testing.T) {
 		case op < 19:
 			c := Cell{Qualifier: "l", Value: []byte("held")}
 			wrote = KVSize(key, c)
-			r.checkAndPut(key, "l", r.readLocked(key, ReadOpts{}).Get("l"), c, tick)
+			r.checkAndPut(key, "l", r.readLocked(key, ReadOpts{}, nil).Get("l"), c, tick)
 		default:
 			wrote = KVSize(key, Cell{Qualifier: "n", Value: make([]byte, 8)})
 			r.increment(key, "n", 1, tick)

@@ -39,7 +39,7 @@ func TestPackedScanAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, reversed); allocs != 0 {
 		t.Fatalf("reversed file-only scanChunk allocates %v per %d-row chunk, want 0", allocs, rows)
 	}
-	if allocs := testing.AllocsPerRun(200, func() { _ = r.get(key, ReadOpts{}) }); allocs != 1 {
+	if allocs := testing.AllocsPerRun(200, func() { _ = r.get(key, ReadOpts{}, nil) }); allocs != 1 {
 		t.Fatalf("file-only point get allocates %v, want 1 (the returned Cells)", allocs)
 	}
 
@@ -55,7 +55,7 @@ func TestPackedScanAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(20, scan); allocs != 0 {
 		t.Fatalf("memstore-over-file scanChunk allocates %v per %d-row chunk, want 0", allocs, rows)
 	}
-	if allocs := testing.AllocsPerRun(200, func() { _ = r.get(key, ReadOpts{}) }); allocs != 1 {
+	if allocs := testing.AllocsPerRun(200, func() { _ = r.get(key, ReadOpts{}, nil) }); allocs != 1 {
 		t.Fatalf("memstore-over-file point get allocates %v, want 1 (the returned Cells)", allocs)
 	}
 }

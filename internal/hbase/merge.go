@@ -172,14 +172,19 @@ func newRowMerger(mem *memStore, files []*hfile, from string, rev bool, cols *Co
 // lookupRow draws a pooled merger and gathers the parts stored under one key
 // in precedence order (memstore first, then store files newest-first) — the
 // point-read counterpart of newRowMerger + next, with the same release
-// obligation. The parts live in the merger's scratch.
-func lookupRow(mem *memStore, files []*hfile, key string) (*rowMerger, []rowPart) {
+// obligation and the same column set (nil keeps every cell). The parts live in
+// the merger's scratch.
+func lookupRow(mem *memStore, files []*hfile, key string, cols *ColumnSet) (*rowMerger, []rowPart) {
 	m := mergerPool.Get().(*rowMerger)
+	m.cols = cols
 	if rd := mem.rows[key]; rd != nil {
 		m.parts = append(m.parts, rowPart{mem: rd})
 	}
 	for _, f := range files {
 		if row, ok := f.find(key); ok {
+			if len(m.parts) == 0 {
+				m.want = cols.in(f) // read's mask should this part stay the only one
+			}
 			m.parts = append(m.parts, rowPart{file: row})
 		}
 	}

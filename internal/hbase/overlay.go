@@ -23,6 +23,9 @@ type RowStream interface {
 // own buffered writes.
 type Reader interface {
 	Get(ctx *sim.Ctx, tbl, key string, opts ReadOpts) (RowResult, error)
+	// GetRow reads the one row of the range [key, key\x00) that spec would
+	// scan, as a Get — Client.GetRow's point read.
+	GetRow(ctx *sim.Ctx, tbl, key string, spec ScanSpec) (RowResult, error)
 	// GetMany reads the rows of keys, the results in key order (an absent
 	// row empty) — Client.GetMany's multi-get.
 	GetMany(ctx *sim.Ctx, tbl string, keys []string, opts ReadOpts) ([]RowResult, error)
@@ -170,22 +173,38 @@ type ReadView struct {
 // View returns the mutator's read-your-writes view.
 func (m *BufferedMutator) View() *ReadView { return &ReadView{m: m} }
 
-// Get reads one row, merging pending mutations over the store row. A
-// pending row-wide tombstone short-circuits: the buffer masks the store
-// entirely and no store RPC is paid.
+// Get reads one row, merging pending mutations over the store row (GetRow
+// with nothing but the read options).
 func (v *ReadView) Get(ctx *sim.Ctx, tbl, key string, opts ReadOpts) (RowResult, error) {
+	return v.GetRow(ctx, tbl, key, ScanSpec{Read: opts})
+}
+
+// GetRow is Client.GetRow with the row's pending mutations merged over the
+// store row, as the overlay scanner merges a row of [key, key\x00). A pending
+// row-wide tombstone short-circuits: the buffer masks the store entirely and
+// no store RPC is paid. A row with pending cells is fetched unfiltered and
+// spec.Filter judges the merged row client-side; a row with none is
+// Client.GetRow's.
+func (v *ReadView) GetRow(ctx *sim.Ctx, tbl, key string, spec ScanSpec) (RowResult, error) {
 	pending := v.m.pendingRow(tbl, key)
 	if pending == nil {
-		return v.m.c.Get(ctx, tbl, key, opts)
+		return v.m.c.GetRow(ctx, tbl, key, spec)
 	}
-	if rowTombstoned(pending, opts) {
-		return RowResult{Key: key, Cells: pending.read(opts)}, nil
+	var base Cells
+	if !rowTombstoned(pending, spec.Read) {
+		inner := spec
+		inner.Filter = nil
+		res, err := v.m.c.GetRow(ctx, tbl, key, inner)
+		if err != nil {
+			return RowResult{}, err
+		}
+		base = res.Cells
 	}
-	base, err := v.m.c.Get(ctx, tbl, key, opts)
-	if err != nil {
-		return RowResult{}, err
+	res := overlayRow(key, pending, base, spec.Read, spec.Columns)
+	if !res.Empty() && spec.Filter != nil && !spec.Filter(res) {
+		res.Cells = nil
 	}
-	return overlayRow(key, pending, base.Cells, opts, nil), nil
+	return res, nil
 }
 
 // GetMany reads several rows like Get, the store rows in one multi-get: rows a

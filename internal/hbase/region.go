@@ -144,22 +144,22 @@ func (r *Region) contains(key string) bool {
 	return r.end == "" || key < r.end
 }
 
-// readLocked materializes the visible pairs of one row as a fresh,
-// caller-stable Cells (nil when the row is absent or invisible). Caller
-// holds r.mu.
-func (r *Region) readLocked(key string, opts ReadOpts) Cells {
-	m, parts := lookupRow(r.mem, r.files, key)
+// readLocked materializes the visible pairs of one row, cut to cols (nil =
+// every column), as a fresh, caller-stable Cells (nil when the row is absent
+// or invisible). Caller holds r.mu.
+func (r *Region) readLocked(key string, opts ReadOpts, cols *ColumnSet) Cells {
+	m, parts := lookupRow(r.mem, r.files, key, cols)
 	defer m.release()
 	_, cells := m.read(parts, nil, opts)
 	return cells
 }
 
-// get reads one row.
-func (r *Region) get(key string, opts ReadOpts) RowResult {
+// get reads one row, cut to cols (nil = every column).
+func (r *Region) get(key string, opts ReadOpts, cols *ColumnSet) RowResult {
 	r.recordRead(1)
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return RowResult{Key: key, Cells: r.readLocked(key, opts)}
+	return RowResult{Key: key, Cells: r.readLocked(key, opts, cols)}
 }
 
 // daughterFor returns the daughter owning key when the region has split, or
@@ -220,7 +220,7 @@ func (r *Region) deleteRow(key string, ts int64, qualifiers []string) {
 // qualifier's and the row's. newest is math.MinInt64 when there are none.
 // Caller holds r.mu.
 func (r *Region) currentLocked(key, qualifier string) (value []byte, newest int64) {
-	m, parts := lookupRow(r.mem, r.files, key)
+	m, parts := lookupRow(r.mem, r.files, key, nil)
 	defer m.release()
 	rd := m.fold(parts)
 	newest = math.MinInt64

@@ -61,16 +61,20 @@ type Validator struct {
 	// active tracks in-flight transactions; their snapshots bound how far
 	// back committed write sets must be retained.
 	active map[*Tx]struct{}
-	// flushing holds the flush-start watermarks of validated commits whose
-	// batch flush has not finished: new snapshots stay below them so no
-	// reader ever observes half of a multi-region commit.
-	flushing  map[int64]struct{}
+	// flushing maps the flush-start watermark of every validated commit
+	// whose batch flush has not finished to the last cell stamp it
+	// reserved: new snapshots hide that block so no reader ever observes
+	// half of a multi-region commit.
+	flushing  map[int64]int64
 	committed []commitRec
 	// writeIdx maps every key in a retained committed write set to the
 	// newest retained commit that wrote it. Point validation probes it —
 	// one hash lookup per read-set point — instead of walking committed;
-	// "newest start >= snap" is exactly "some conflicting commit exists",
-	// because any other commit of the key has an older start. The record
+	// "the snapshot missed the newest commit" is exactly "some conflicting
+	// commit exists": any other commit of the key has an older start, and
+	// no commit of a key validates while an older one is flushing (it
+	// would have missed that one), so a visible newest commit leaves
+	// nothing hidden below it. The record
 	// slice remains the source of truth for range (phantom) validation and
 	// for rebuilding the index on the rare AbandonFlush.
 	writeIdx map[string]int64
@@ -105,7 +109,7 @@ func NewValidatorWithOracle(costs *sim.Costs, next func() int64) *Validator {
 		costs:    costs,
 		next:     next,
 		active:   map[*Tx]struct{}{},
-		flushing: map[int64]struct{}{},
+		flushing: map[int64]int64{},
 		writeIdx: map[string]int64{},
 	}
 }
@@ -116,9 +120,11 @@ func NewValidatorWithOracle(costs *sim.Costs, next func() int64) *Validator {
 // transaction's goroutine; the validator only touches them under its mutex
 // during Begin/Validate/Abort.
 type Tx struct {
-	v      *Validator
-	begin  int64 // oracle timestamp at begin
-	snap   int64 // snapshot horizon (<= begin, lowered by in-flight flushes)
+	v    *Validator
+	snap int64 // snapshot horizon: the oracle timestamp at begin
+	// hidden are the stamp blocks of the commits still flushing at begin:
+	// below the horizon, yet invisible, and so conflicts at validation.
+	hidden []stampBlock
 	rs     ReadSet
 	writes map[string]struct{}
 	// commitStart is the flush watermark allocated at validation; 0 until
@@ -127,53 +133,96 @@ type Tx struct {
 	done        bool
 }
 
-// Begin starts a transaction: one oracle round trip for the begin timestamp.
-// The snapshot horizon is the begin timestamp lowered below the watermark of
-// any commit still flushing, so a half-applied commit is invisible in its
-// entirety rather than partially visible.
+// stampBlock is one commit's reserved timestamps: its flush watermark lo
+// through its last cell stamp hi.
+type stampBlock struct{ lo, hi int64 }
+
+// Begin starts a transaction: one oracle round trip for the begin timestamp,
+// which is the snapshot horizon. The stamp block of any commit still
+// flushing is hidden from the snapshot, so a half-applied commit is invisible
+// in its entirety rather than partially visible, while every commit that
+// finished before the begin stays visible — a client's own previous commit
+// above all, which a horizon lowered to another client's in-flight
+// watermark would hide and then report as a conflict.
 func (v *Validator) Begin(ctx *sim.Ctx) *Tx {
 	ctx.Charge(v.costs.OCCBegin)
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	v.begun++
-	begin := v.next()
-	t := &Tx{v: v, begin: begin, snap: v.horizonLocked(begin), writes: map[string]struct{}{}}
+	t := &Tx{v: v, snap: v.next(), writes: map[string]struct{}{}}
+	for lo, hi := range v.flushing {
+		t.hidden = append(t.hidden, stampBlock{lo, hi})
+	}
 	v.active[t] = struct{}{}
 	return t
+}
+
+// missed reports whether the commit with watermark start is invisible to the
+// transaction's snapshot: committed after it, or flushing when it began.
+func (t *Tx) missed(start int64) bool {
+	if start >= t.snap {
+		return true
+	}
+	for _, b := range t.hidden {
+		if b.lo == start {
+			return true
+		}
+	}
+	return false
+}
+
+// oldest is the lowest watermark whose commit the transaction may conflict
+// with: the committed write sets it pins.
+func (t *Tx) oldest() int64 {
+	low := t.snap
+	for _, b := range t.hidden {
+		low = min(low, b.lo)
+	}
+	return low
 }
 
 // SnapshotTS returns a fresh read snapshot horizon without registering a
 // transaction: one oracle round trip. Read-only snapshot reads are
 // serializable as of their begin point and validate nothing, so they need no
-// registration — but they must still sit below the flush watermark of any
-// commit in flight, or they would observe half of a multi-region flush.
+// registration — but a bare timestamp cannot hide a block, so it sits below
+// the flush watermark of any commit in flight, or it would observe half of a
+// multi-region flush.
 func (v *Validator) SnapshotTS(ctx *sim.Ctx) int64 {
 	ctx.Charge(v.costs.OCCBegin)
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return v.horizonLocked(v.next())
-}
-
-// horizonLocked lowers a begin timestamp below every in-flight flush
-// watermark. Caller holds v.mu.
-func (v *Validator) horizonLocked(begin int64) int64 {
-	snap := begin
+	snap := v.next()
 	for fs := range v.flushing {
-		if fs < snap {
-			snap = fs
-		}
+		snap = min(snap, fs)
 	}
 	return snap
 }
 
 // Snapshot reports the transaction's snapshot horizon: cells stamped above
-// it are invisible to the transaction's reads.
+// it are invisible to the transaction's reads (and so, below it, are the
+// cells of the commits that were flushing when it began).
 func (t *Tx) Snapshot() int64 { return t.snap }
 
 // ReadOpts returns the snapshot visibility filter for the transaction's
-// reads: everything committed at or below the snapshot horizon, plus the
-// synthetic overlay timestamps of the transaction's own buffered writes.
-func (t *Tx) ReadOpts() hbase.ReadOpts { return hbase.SnapshotRead(t.snap) }
+// reads: everything committed at or below the snapshot horizon but outside
+// the hidden stamp blocks, plus the synthetic overlay timestamps of the
+// transaction's own buffered writes.
+func (t *Tx) ReadOpts() hbase.ReadOpts {
+	ro := hbase.SnapshotRead(t.snap)
+	if len(t.hidden) == 0 {
+		return ro
+	}
+	above, hidden := ro.Excluded, t.hidden
+	ro.Excluded = func(ts int64) bool {
+		for _, b := range hidden {
+			if ts >= b.lo && ts <= b.hi {
+				return true
+			}
+		}
+		return above(ts)
+	}
+	return ro
+}
 
 // RecordWrite adds a row to the transaction's write set; it has the
 // signature of phoenix.WriteOpts.OnWrite.
@@ -194,6 +243,10 @@ func (t *Tx) HasRead(table, rowKey string) bool {
 	_, ok := t.rs.points[table+"\x00"+rowKey]
 	return ok
 }
+
+// ReadRanges reports how many scan ranges the transaction's read set holds
+// (tests pin that a point read is recorded as a point through it).
+func (t *Tx) ReadRanges() int { return len(t.rs.ranges) }
 
 // Track wraps a reader so every point get and scan range it serves lands in
 // the transaction's read set. Wrap the transaction's read-your-writes view
@@ -218,7 +271,7 @@ func (t *Tx) Track(r hbase.Reader) hbase.Reader {
 // watermarks, cell stamps) is allocated under the lock, so one commit's
 // stamp block can never straddle another transaction's snapshot horizon —
 // a snapshot sees all of a commit or none of it, and "fully visible" is
-// exactly "rec.start < snap".
+// exactly "rec.start < snap and the commit was not flushing at begin".
 func (v *Validator) Validate(ctx *sim.Ctx, t *Tx, stampPending func(next func() int64) int) error {
 	ctx.Charge(v.costs.OCCValidate)
 	ctx.Charge(sim.Micros(int64(t.rs.Len()+len(t.writes)) * int64(v.costs.OCCValidatePerEntry)))
@@ -231,30 +284,30 @@ func (v *Validator) Validate(ctx *sim.Ctx, t *Tx, stampPending func(next func() 
 	// Point reads probe the write index: O(read set), independent of how
 	// many commit records the active-transaction horizon retains.
 	for p := range t.rs.points {
-		if start, ok := v.writeIdx[p]; ok && start >= t.snap {
+		if start, ok := v.writeIdx[p]; ok && t.missed(start) {
 			t.done = true
 			v.aborts++
 			v.conflicts++
-			return fmt.Errorf("%w: read of %s overlaps a write committed after snapshot %d", ErrConflict, describeKey(p), t.snap)
+			return fmt.Errorf("%w: read of %s overlaps a write its snapshot %d missed", ErrConflict, describeKey(p), t.snap)
 		}
 	}
 	// Blind write-write overlap (no read of the row, e.g. two concurrent
 	// upserts): also non-serializable under last-writer-wins flushing, so
 	// it aborts too. Same probe.
 	for w := range t.writes {
-		if start, ok := v.writeIdx[w]; ok && start >= t.snap {
+		if start, ok := v.writeIdx[w]; ok && t.missed(start) {
 			t.done = true
 			v.aborts++
 			v.conflicts++
-			return fmt.Errorf("%w: write of %s overlaps a write committed after snapshot %d", ErrConflict, describeKey(w), t.snap)
+			return fmt.Errorf("%w: write of %s overlaps a write its snapshot %d missed", ErrConflict, describeKey(w), t.snap)
 		}
 	}
 	// Scan ranges cannot be hash-probed; only transactions that scanned
-	// walk the retained records, and only the records above their snapshot.
+	// walk the retained records, and only the records their snapshot missed.
 	if len(t.rs.ranges) > 0 {
 		for i := range v.committed {
 			rec := &v.committed[i]
-			if rec.start < t.snap {
+			if !t.missed(rec.start) {
 				continue // fully visible in our snapshot: not a conflict
 			}
 			for w := range rec.writes {
@@ -266,7 +319,7 @@ func (v *Validator) Validate(ctx *sim.Ctx, t *Tx, stampPending func(next func() 
 					t.done = true
 					v.aborts++
 					v.conflicts++
-					return fmt.Errorf("%w: read of %s overlaps a write committed after snapshot %d", ErrConflict, describeKey(w), t.snap)
+					return fmt.Errorf("%w: read of %s overlaps a write its snapshot %d missed", ErrConflict, describeKey(w), t.snap)
 				}
 			}
 		}
@@ -276,10 +329,11 @@ func (v *Validator) Validate(ctx *sim.Ctx, t *Tx, stampPending func(next func() 
 	pending := 0
 	if len(t.writes) > 0 {
 		t.commitStart = v.next()
+		last := t.commitStart
 		if stampPending != nil {
-			pending = stampPending(v.next)
+			pending = stampPending(func() int64 { last = v.next(); return last })
 		}
-		v.flushing[t.commitStart] = struct{}{}
+		v.flushing[t.commitStart] = last
 		v.committed = append(v.committed, commitRec{start: t.commitStart, writes: t.writes})
 		for w := range t.writes {
 			v.writeIdx[w] = t.commitStart // newest commit of the key, by construction
@@ -368,17 +422,15 @@ func (v *Validator) Abort(ctx *sim.Ctx, t *Tx) {
 }
 
 // gcLocked prunes committed write sets no active transaction can conflict
-// with: a record is kept while some active snapshot predates it — or while
-// its own flush is still in flight, because a transaction beginning inside
-// the flush window gets a snapshot at or below the watermark and will need
-// the record at validation (dropping it would let a stale read commit a
-// lost update). Caller holds v.mu.
+// with: a record is kept while some active snapshot predates it or hides it
+// — or while its own flush is still in flight, because a transaction
+// beginning inside the flush window hides the commit and will need the
+// record at validation (dropping it would let a stale read commit a lost
+// update). Caller holds v.mu.
 func (v *Validator) gcLocked() {
 	minSnap := int64(1<<62 - 1)
 	for t := range v.active {
-		if t.snap < minSnap {
-			minSnap = t.snap
-		}
+		minSnap = min(minSnap, t.oldest())
 	}
 	for fs := range v.flushing {
 		if fs < minSnap {

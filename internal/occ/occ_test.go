@@ -238,8 +238,8 @@ func TestCommittedWriteSetsPruned(t *testing.T) {
 
 // TestBeginDuringFlushWindowConflicts is the GC-horizon regression: a
 // commit's write set must survive garbage collection while its flush is in
-// flight, because a transaction that begins inside the flush window holds a
-// snapshot below the watermark and must conflict with it at validation —
+// flight, because a transaction that begins inside the flush window hides
+// the commit from its snapshot and must conflict with it at validation —
 // pruning the record would let the stale read commit a lost update.
 func TestBeginDuringFlushWindowConflicts(t *testing.T) {
 	v := NewValidator(nil)
@@ -250,7 +250,7 @@ func TestBeginDuringFlushWindowConflicts(t *testing.T) {
 	if err := v.Validate(ctx, t1, nil); err != nil { // validated, flush in flight
 		t.Fatal(err)
 	}
-	t2 := v.Begin(ctx) // snapshot pinned below t1's flush watermark
+	t2 := v.Begin(ctx) // t1's stamp block hidden from the snapshot
 	t2.rs.AddPoint("T", "x")
 	t2.RecordWrite("T", "x")
 	v.Finalize(ctx, t1)
@@ -262,11 +262,11 @@ func TestBeginDuringFlushWindowConflicts(t *testing.T) {
 // TestStampsReservedAtValidationKeepCommitsAtomic pins the fix for the
 // stamp-straddling hazard: because a commit's cell timestamps are reserved
 // inside the validation critical section, another transaction's watermark
-// (or a snapshot) can never land between them. A snapshot lowered to a
-// later commit's watermark therefore sees ALL of an earlier finalized
-// commit's cells — under flush-time stamping it could see none (or part)
-// of them while validation skipped the record as "older than the
-// snapshot": an unvalidated stale read.
+// (or a snapshot) can never land between them. A snapshot taken while a
+// later commit flushes therefore sees ALL of an earlier finalized commit's
+// cells — under flush-time stamping it could see none (or part) of them
+// while validation skipped the record as "older than the snapshot": an
+// unvalidated stale read.
 func TestStampsReservedAtValidationKeepCommitsAtomic(t *testing.T) {
 	v := NewValidator(nil) // private counter: timestamps are 1, 2, 3, ...
 	ctx := sim.NewCtx()
@@ -284,7 +284,7 @@ func TestStampsReservedAtValidationKeepCommitsAtomic(t *testing.T) {
 	v.Finalize(ctx, a)
 
 	// B validates next (watermark 6 after its begin 5) and is mid-flush
-	// when C begins: C's horizon drops to B's watermark.
+	// when C begins.
 	b := v.Begin(ctx)
 	b.RecordWrite("T", "y")
 	if err := v.Validate(ctx, b, nil); err != nil {
@@ -292,13 +292,78 @@ func TestStampsReservedAtValidationKeepCommitsAtomic(t *testing.T) {
 	}
 	c := v.Begin(ctx)
 	for _, ts := range aStamps {
-		if ts > c.Snapshot() {
-			t.Fatalf("snapshot %d (lowered to B's watermark) excludes finalized commit A's cell at %d — torn/invisible committed data",
+		if ts > c.Snapshot() || c.ReadOpts().Excluded(ts) {
+			t.Fatalf("snapshot %d (B in flight) excludes finalized commit A's cell at %d — torn/invisible committed data",
 				c.Snapshot(), ts)
 		}
 	}
 	v.Finalize(ctx, b)
 	v.Abort(ctx, c)
+}
+
+// TestBeginDuringOtherFlushSeesOwnCommit is the disjoint-keys regression: a
+// client that commits x and begins again while another client's commit of
+// y is still flushing must see its own commit and validate a read-modify-
+// write of x. A horizon lowered to the in-flight watermark hid the client's
+// own commit and failed the validation; the snapshot now hides only the
+// in-flight commit's stamp block.
+func TestBeginDuringOtherFlushSeesOwnCommit(t *testing.T) {
+	v := NewValidator(nil) // private counter: timestamps are 1, 2, 3, ...
+	ctx := sim.NewCtx()
+	stamp := func(stamps *[]int64) func(func() int64) int {
+		return func(next func() int64) int { *stamps = append(*stamps, next()); return 1 }
+	}
+
+	other := v.Begin(ctx) // ts 1
+	other.RecordWrite("T", "y")
+	own := v.Begin(ctx) // ts 2
+	own.RecordWrite("T", "x")
+	var otherStamps, ownStamps []int64
+	if err := v.Validate(ctx, other, stamp(&otherStamps)); err != nil { // watermark 3, stamp 4
+		t.Fatal(err)
+	}
+	if err := v.Validate(ctx, own, stamp(&ownStamps)); err != nil { // watermark 5, stamp 6
+		t.Fatal(err)
+	}
+	v.Finalize(ctx, own) // other is still flushing
+
+	next := v.Begin(ctx)
+	ro := next.ReadOpts()
+	if ro.Excluded(ownStamps[0]) {
+		t.Fatalf("own finalized commit's cell %d hidden from the next snapshot %d", ownStamps[0], next.Snapshot())
+	}
+	if !ro.Excluded(otherStamps[0]) {
+		t.Fatalf("in-flight commit's cell %d visible to snapshot %d", otherStamps[0], next.Snapshot())
+	}
+	next.rs.AddPoint("T", "x")
+	next.RecordWrite("T", "x")
+	v.Finalize(ctx, other)
+	if err := v.Validate(ctx, next, nil); err != nil {
+		t.Fatalf("validate = %v, want success: x's only commit was visible to the snapshot", err)
+	}
+}
+
+// TestInFlightCommitConflictsWithRange: a commit that was flushing when a
+// transaction began is below its horizon but missed by its snapshot, so a
+// scan range holding one of its keys conflicts at validation.
+func TestInFlightCommitConflictsWithRange(t *testing.T) {
+	v := NewValidator(nil)
+	ctx := sim.NewCtx()
+
+	w := v.Begin(ctx)
+	w.RecordWrite("T", "x1")
+	if err := v.Validate(ctx, w, nil); err != nil { // flush in flight
+		t.Fatal(err)
+	}
+	reader := v.Begin(ctx)
+	if reader.Snapshot() <= w.commitStart {
+		t.Fatalf("snapshot %d at or below the in-flight watermark %d: the horizon was lowered", reader.Snapshot(), w.commitStart)
+	}
+	reader.rs.AddRange(Range{Table: "T", Prefix: "x"})
+	v.Finalize(ctx, w)
+	if err := v.Validate(ctx, reader, nil); !errors.Is(err, ErrConflict) {
+		t.Fatalf("validate = %v, want ErrConflict: the scan of x* missed the in-flight commit of x1", err)
+	}
 }
 
 // TestRangeContains covers the read-set range matcher directly.

@@ -85,6 +85,12 @@ func (t *trackingReader) Get(ctx *sim.Ctx, tbl, key string, opts hbase.ReadOpts)
 	return t.inner.Get(ctx, tbl, key, opts)
 }
 
+// GetRow records a point read, as Get does.
+func (t *trackingReader) GetRow(ctx *sim.Ctx, tbl, key string, spec hbase.ScanSpec) (hbase.RowResult, error) {
+	t.rs.AddPoint(tbl, key)
+	return t.inner.GetRow(ctx, tbl, key, spec)
+}
+
 // GetMany records every key as a point read, as that many Gets would.
 func (t *trackingReader) GetMany(ctx *sim.Ctx, tbl string, keys []string, opts hbase.ReadOpts) ([]hbase.RowResult, error) {
 	for _, key := range keys {

@@ -55,7 +55,8 @@ type QueryOpts struct {
 	// Reader, when set, serves every scan and point lookup instead of View
 	// or the store client. OCC transactions thread their read-set-tracking
 	// reader (wrapping the overlay view) through it, so the openScan choke
-	// point records every range the query touched.
+	// point records every range the query touched, and every row it read by
+	// its whole key as a point.
 	Reader hbase.Reader
 	// OnViewScan, when set, runs before a materialized view's rows are
 	// fetched (once per view access — scan or index-nested-loop probe

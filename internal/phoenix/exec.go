@@ -263,11 +263,11 @@ func (b *binding) keyBounds(local []localPred, col string) (lo, hi string, rest 
 // keyRange restricts spec to the rows under the plan's bound key prefix — vals,
 // each given its key column's kind — and, below it, between the plan's bounds
 // on the next key column. A prefix that is the whole row key is the single
-// row [key, key+\x00), which lies in one region and so never gets scan
-// workers. An open lower end starts at the first non-NULL part (tag 0x02): a
-// NULL satisfies no comparison, as the filter had it. A value its key column
-// cannot hold equals no key, and the range is empty (see openScan), as it is
-// under contradictory bounds.
+// row [key, key+\x00), which openScan reads with one Get rather than a scan
+// that would walk on to the region's end. An open lower end starts at the
+// first non-NULL part (tag 0x02): a NULL satisfies no comparison, as the
+// filter had it. A value its key column cannot hold equals no key, and the
+// range is empty (see openScan), as it is under contradictory bounds.
 func (p accessPlan) keyRange(b *binding, vals []schema.Value, spec *hbase.ScanSpec) {
 	for i, c := range p.eqCols {
 		typ, _ := b.info.Col(c)
@@ -310,23 +310,50 @@ type noRows struct{}
 func (noRows) Next(*sim.Ctx) (hbase.RowResult, bool) { return hbase.RowResult{}, false }
 func (noRows) Close(*sim.Ctx)                        {}
 
+// oneRow is the scan of a single-row key range: what its Get found, once.
+type oneRow struct{ r hbase.RowResult }
+
+func (s *oneRow) Next(*sim.Ctx) (hbase.RowResult, bool) {
+	r := s.r
+	s.r = hbase.RowResult{}
+	return r, !r.Empty()
+}
+func (*oneRow) Close(*sim.Ctx) {}
+
+// singleRow reports the key of a range that can hold one row only,
+// [key, key\x00) — what keyRange makes of a fully bound row key.
+func singleRow(spec hbase.ScanSpec) (string, bool) {
+	n := len(spec.Start)
+	return spec.Start, spec.Prefix == "" && len(spec.Stop) == n+1 && spec.Stop[n] == 0 && spec.Stop[:n] == spec.Start
+}
+
 // openScan opens a binding scan through the query's reader: an explicit
 // Reader when one is set (an OCC transaction's tracking view), else the
 // transaction overlay view (read-your-writes), else the plain store client.
 // Every table read of a query funnels through here, which is what makes it
 // the read-set capture choke point. A key range that holds no key is read
-// here, with no RPC and nothing for a read set to track.
+// here, with no RPC and nothing for a read set to track; one that holds a
+// single key is that row's Get on the same reader, under the same spec — a
+// point in the read set, not a range — streamed as one row.
 func (q *query) openScan(ctx *sim.Ctx, tbl string, spec hbase.ScanSpec) (hbase.RowStream, error) {
 	if spec.Stop != "" && spec.Start >= spec.Stop {
 		return noRows{}, nil
 	}
-	if q.opts.Reader != nil {
-		return q.opts.Reader.OpenScan(ctx, tbl, spec)
+	var rd hbase.Reader = q.eng.client
+	switch {
+	case q.opts.Reader != nil:
+		rd = q.opts.Reader
+	case q.opts.View != nil:
+		rd = q.opts.View
 	}
-	if q.opts.View != nil {
-		return q.opts.View.OpenScan(ctx, tbl, spec)
+	if key, ok := singleRow(spec); ok {
+		r, err := rd.GetRow(ctx, tbl, key, spec)
+		if err != nil {
+			return nil, err
+		}
+		return &oneRow{r}, nil
 	}
-	return q.eng.client.Scan(ctx, tbl, spec)
+	return rd.OpenScan(ctx, tbl, spec)
 }
 
 // columnSet is the qualifiers a scan of table binding b reads under the pushed
@@ -456,10 +483,6 @@ func (q *query) scanBinding(ctx *sim.Ctx, b *binding, plan accessPlan, wide bool
 	}
 
 	dirtyChecked := q.opts.DirtyCheck && b.info.IsView
-	maxRestarts := q.opts.MaxRestarts
-	if maxRestarts <= 0 {
-		maxRestarts = 50
-	}
 	for attempt := 0; ; attempt++ {
 		sc, err := q.openScan(ctx, tableName, spec)
 		if err != nil {
@@ -483,17 +506,31 @@ func (q *query) scanBinding(ctx *sim.Ctx, b *binding, plan accessPlan, wide bool
 			return out, nil
 		}
 		// §VIII-C: "if a marked row is present ... re-scan".
-		ctx.CountRestart()
-		ctx.Charge(q.eng.costs.DirtyRestartPenalty)
-		if attempt+1 >= maxRestarts {
-			return nil, fmt.Errorf("%w: %s after %d restarts", ErrDirtyRead, tableName, attempt+1)
+		if err := q.restart(ctx, tableName, attempt); err != nil {
+			return nil, err
 		}
-		// The penalty is the modeled wait; the writer that marked the row is
-		// a real goroutine between its mark and un-mark barriers. Back off in
-		// real time too (1 µs doubling to 1 ms), or the budget is spent in
-		// one writer's marked window — a descheduled writer's most of all.
-		time.Sleep(time.Duration(1<<min(attempt, 10)) * time.Microsecond)
 	}
+}
+
+// restart accounts for the attempt-th read of tableName (from 0) that met a
+// dirty row and waits before the next one, or fails with ErrDirtyRead once
+// the MaxRestarts budget (default 50) is spent.
+func (q *query) restart(ctx *sim.Ctx, tableName string, attempt int) error {
+	ctx.CountRestart()
+	ctx.Charge(q.eng.costs.DirtyRestartPenalty)
+	maxRestarts := q.opts.MaxRestarts
+	if maxRestarts <= 0 {
+		maxRestarts = 50
+	}
+	if attempt+1 >= maxRestarts {
+		return fmt.Errorf("%w: %s after %d restarts", ErrDirtyRead, tableName, attempt+1)
+	}
+	// The penalty is the modeled wait; the writer that marked the row is a
+	// real goroutine between its mark and un-mark barriers. Back off in real
+	// time too (1 µs doubling to 1 ms), or the budget is spent in one
+	// writer's marked window — a descheduled writer's most of all.
+	time.Sleep(time.Duration(1<<min(attempt, 10)) * time.Microsecond)
+	return nil
 }
 
 // scanDerived filters a derived table's materialized rows by the binding's
@@ -746,8 +783,10 @@ func (q *query) inlPlan(b *binding, joinCols []string) (accessPlan, bool) {
 	return plan, true
 }
 
-// indexNestedLoop probes the inner table once per outer tuple using point
-// gets / prefix scans.
+// indexNestedLoop probes the inner table once per outer tuple: a Get when the
+// probe binds the whole row key, a prefix scan otherwise. A probe that meets a
+// dirty view row is read again from the top, under scanBinding's restart
+// budget, so the join never comes back short.
 func (q *query) indexNestedLoop(ctx *sim.Ctx, outer []tuple, b *binding, plan accessPlan, outerCols, innerCols []colRef) ([]tuple, error) {
 	if b.info.IsView && q.opts.OnViewScan != nil {
 		if err := q.opts.OnViewScan(ctx, b.info.Name); err != nil {
@@ -787,37 +826,48 @@ func (q *query) indexNestedLoop(ctx *sim.Ctx, outer []tuple, b *binding, plan ac
 				vals[k] = probeConst[k]
 			}
 		}
-		// INL probes are per-outer-row point/short-prefix reads; the
-		// scatter-gather fan-out would cost more than it overlaps.
+		// A prefix probe is a short scan; the scatter-gather fan-out would
+		// cost more than it overlaps.
 		spec := hbase.ScanSpec{Read: q.opts.Read, Sequential: true, Filter: filter, Columns: cols}
 		plan.keyRange(b, vals, &spec)
-		sc, err := q.openScan(ctx, tableName, spec)
-		if err != nil {
-			return nil, err
-		}
-	rows:
-		for {
-			r, ok := sc.Next(ctx)
-			if !ok {
+		for attempt := 0; ; attempt++ {
+			n := len(out)
+			sc, err := q.openScan(ctx, tableName, spec)
+			if err != nil {
+				return nil, err
+			}
+			dirty := false
+		rows:
+			for {
+				r, ok := sc.Next(ctx)
+				if !ok {
+					break
+				}
+				if dirtyChecked && IsDirty(r) {
+					dirty = true
+					sc.Close(ctx)
+					break
+				}
+				t := q.merge(o, b, tuple{size: q.spillSize(b, r)})
+				copyRefs(b.refs, r.Cells, t.vals[b.off:])
+				// Re-check join equality (defensive; prefix probes
+				// guarantee it).
+				for i, in := range innerCols {
+					if compareCells(t.vals[in.slot()], o.vals[outerCols[i].slot()]) != 0 {
+						continue rows
+					}
+				}
+				out = append(out, t)
+			}
+			if !dirty {
 				break
 			}
-			if dirtyChecked && IsDirty(r) {
-				// Point probes re-read the row rather than
-				// restarting the whole join.
-				ctx.CountRestart()
-				ctx.Charge(q.eng.costs.DirtyRestartPenalty)
-				continue
+			// Drop what the probe read before the marked row and read it
+			// again: this outer tuple's matches, not the whole join.
+			out = out[:n]
+			if err := q.restart(ctx, tableName, attempt); err != nil {
+				return nil, err
 			}
-			t := q.merge(o, b, tuple{size: q.spillSize(b, r)})
-			copyRefs(b.refs, r.Cells, t.vals[b.off:])
-			// Re-check join equality (defensive; prefix probes
-			// guarantee it).
-			for i, in := range innerCols {
-				if compareCells(t.vals[in.slot()], o.vals[outerCols[i].slot()]) != 0 {
-					continue rows
-				}
-			}
-			out = append(out, t)
 		}
 	}
 	return out, nil
