@@ -11,16 +11,15 @@ import (
 	"synergy/internal/synergy"
 )
 
-// MaintenanceLanes are the three view-maintenance modes of the sweep, in
-// column order: the paper's synchronous §VIII-B protocol and the two
-// deferred lanes layered on the changefeed.
+// MaintenanceLanes are the view-maintenance modes of the sweep, in row
+// order: the paper's synchronous §VIII-B protocol and the deferred lane
+// layered on the changefeed.
 var MaintenanceLanes = []struct {
 	Name string
 	Mode synergy.MaintenanceMode
 }{
 	{"Sync", synergy.SyncMaintenance},
 	{"Async", synergy.AsyncMaintenance},
-	{"Hybrid", synergy.HybridMaintenance},
 }
 
 // MaintenanceCell is one (lane, view count) measurement.
@@ -29,8 +28,8 @@ type MaintenanceCell struct {
 	Views int
 	// Write is the simulated latency of one root update — the write that
 	// fans out to every view. Sync pays every view's locate and the §VIII-B
-	// mark/update/un-mark barriers, once for all views, inline; the deferred
-	// lanes pay one changefeed hop.
+	// mark/update/un-mark barriers, once for all views, inline; the async
+	// lane pays one changefeed hop.
 	Write Measurement
 	// StaleLag is the mean freshness gap (store timestamp ticks) a ReadStale
 	// query observes while the changefeed backlog from the write burst is
@@ -42,7 +41,7 @@ type MaintenanceCell struct {
 	// read.
 	WatermarkRead Measurement
 	// DrainMs is the total background applier cost (simulated ms) of the
-	// write burst — the work the deferred lanes moved off the writer's
+	// write burst — the work the async lane moved off the writer's
 	// latency path. Sync is 0: the same work is inside Write.
 	DrainMs float64
 	// OCCAbortRate and OCCMean report a 1-hot-row OCC contention wave under

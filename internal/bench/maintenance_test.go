@@ -7,11 +7,11 @@ import (
 
 // TestMaintenanceSweepShape: the sweep reports every (views, lane) cell and
 // the lanes behave according to type — sync is always fresh and defers
-// nothing, the deferred lanes take maintenance off the writer's latency
-// (their write is no slower than sync's, which runs one maintenance pass for
-// every view and stays within 20 sim-ms at 16), accumulate real staleness,
-// and push the deferred work into the drain column. The OCC mini-wave must
-// show deferred lanes shrinking what a conflict loser re-executes.
+// nothing, the async lane takes maintenance off the writer's latency (its
+// write is no slower than sync's, which runs one maintenance pass for every
+// view and stays within 20 sim-ms at 16), accumulates real staleness, and
+// pushes the deferred work into the drain column. The OCC mini-wave must show
+// the async lane shrinking what a conflict loser re-executes.
 func TestMaintenanceSweepShape(t *testing.T) {
 	res, err := RunMaintenance([]int{1, 16}, 3, 1, nil)
 	if err != nil {
@@ -43,25 +43,22 @@ func TestMaintenanceSweepShape(t *testing.T) {
 			}
 		}
 	}
-	// At 16 views the deferred lanes must not be slower than sync on
+	// At 16 views the async lane must not be slower than sync on
 	// writer-visible latency, sync's one maintenance pass must keep it within
 	// 20 sim-ms, and the shift must show in what an OCC conflict loser
 	// re-executes.
-	syncCell := res.Cells[16]["Sync"]
+	syncCell, asyncCell := res.Cells[16]["Sync"], res.Cells[16]["Async"]
 	if syncCell.Write.Mean > 20 {
 		t.Errorf("Sync write at 16 views %.2fms, want at most 20ms", syncCell.Write.Mean)
 	}
-	for _, lane := range []string{"Async", "Hybrid"} {
-		c := res.Cells[16][lane]
-		if c.Write.Mean > syncCell.Write.Mean {
-			t.Errorf("%s write at 16 views %.2fms slower than sync's %.2fms", lane, c.Write.Mean, syncCell.Write.Mean)
-		}
-		if c.OCCMean.Mean >= syncCell.OCCMean.Mean {
-			t.Errorf("%s OCC wave %.2fms not below sync's %.2fms", lane, c.OCCMean.Mean, syncCell.OCCMean.Mean)
-		}
+	if asyncCell.Write.Mean > syncCell.Write.Mean {
+		t.Errorf("Async write at 16 views %.2fms slower than sync's %.2fms", asyncCell.Write.Mean, syncCell.Write.Mean)
+	}
+	if asyncCell.OCCMean.Mean >= syncCell.OCCMean.Mean {
+		t.Errorf("Async OCC wave %.2fms not below sync's %.2fms", asyncCell.OCCMean.Mean, syncCell.OCCMean.Mean)
 	}
 	out := RenderMaintenance(res)
-	for _, want := range []string{"Sync", "Async", "Hybrid", "views", "drain"} {
+	for _, want := range []string{"Sync", "Async", "views", "drain"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}

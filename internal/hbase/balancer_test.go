@@ -113,7 +113,9 @@ func TestStaleRegionWritesForwardAcrossSplit(t *testing.T) {
 	}
 
 	stale.put(bkey(99), []Cell{{Qualifier: "v", Value: []byte("new"), TS: hc.NextTS()}})
-	stale.increment(bkey(7), "n", 5, hc.NextTS)
+	if ok, _ := stale.checkAndPut(bkey(7), "n", nil, Cell{Qualifier: "n", Value: []byte("created")}, hc.NextTS); !ok {
+		t.Fatal("create-if-absent through the stale region found a cell")
+	}
 	stale.deleteRow(bkey(3), hc.NextTS(), nil)
 	if ok, _ := stale.checkAndPut(bkey(42), "v", []byte("old"), Cell{Qualifier: "v", Value: []byte("cas")}, hc.NextTS); !ok {
 		t.Fatal("checkAndPut through the stale region did not see current data")
@@ -122,8 +124,8 @@ func TestStaleRegionWritesForwardAcrossSplit(t *testing.T) {
 	if got, _ := c.Get(ctx, "t", bkey(99), ReadOpts{}); string(got.Get("v")) != "new" {
 		t.Fatalf("put through stale region lost: v = %q", got.Get("v"))
 	}
-	if got, _ := c.Get(ctx, "t", bkey(7), ReadOpts{}); len(got.Get("n")) != 8 {
-		t.Fatal("increment through stale region lost")
+	if got, _ := c.Get(ctx, "t", bkey(7), ReadOpts{}); string(got.Get("n")) != "created" {
+		t.Fatal("create-if-absent through stale region lost")
 	}
 	if got, _ := c.Get(ctx, "t", bkey(3), ReadOpts{}); !got.Empty() {
 		t.Fatalf("delete through stale region lost: %v", got)

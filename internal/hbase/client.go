@@ -294,27 +294,8 @@ func (c *Client) getFrom(ctx *sim.Ctx, r *Region, keys []string, regions []*Regi
 
 // Put writes cells to a row. Zero-timestamp cells are stamped server-side.
 func (c *Client) Put(ctx *sim.Ctx, tbl, key string, cells []Cell) error {
-	t, err := c.open(ctx, tbl)
-	if err != nil {
-		return err
-	}
-	r := t.regionFor(key)
-	srv := r.Server()
-	ts := c.hc.NextTS()
-	bytes := 0
-	stamped := make([]Cell, len(cells))
-	for i, cell := range cells {
-		if cell.TS == 0 {
-			cell.TS = ts
-		}
-		stamped[i] = cell
-		bytes += len(key) + len(cell.Qualifier) + len(cell.Value) + kvOverhead
-	}
-	c.hc.cl.RPC(ctx, c.node, srv, bytes)
-	c.hc.walAppend(ctx, srv, bytes)
-	c.hc.serverWork(ctx, srv, c.hc.costs.PutApply)
-	r.put(key, stamped)
-	return nil
+	_, _, err := c.mutateOne(ctx, PutMutation(tbl, key, cells, 0))
+	return err
 }
 
 // Delete removes a whole row, or only the given qualifiers.
@@ -326,34 +307,8 @@ func (c *Client) Delete(ctx *sim.Ctx, tbl, key string, qualifiers ...string) err
 // timestamp; ts == 0 uses the server clock. MVCC transactions stamp
 // tombstones with their transaction id.
 func (c *Client) DeleteAt(ctx *sim.Ctx, tbl, key string, ts int64, qualifiers ...string) error {
-	t, err := c.open(ctx, tbl)
-	if err != nil {
-		return err
-	}
-	if ts == 0 {
-		ts = c.hc.NextTS()
-	}
-	r := t.regionFor(key)
-	srv := r.Server()
-	c.hc.cl.RPC(ctx, c.node, srv, len(key)+32)
-	c.hc.walAppend(ctx, srv, len(key)+32)
-	c.hc.serverWork(ctx, srv, c.hc.costs.PutApply)
-	r.deleteRow(key, ts, qualifiers)
-	return nil
-}
-
-// Increment atomically adds delta to a big-endian int64 counter cell.
-func (c *Client) Increment(ctx *sim.Ctx, tbl, key, qualifier string, delta int64) (int64, error) {
-	t, err := c.open(ctx, tbl)
-	if err != nil {
-		return 0, err
-	}
-	r := t.regionFor(key)
-	srv := r.Server()
-	c.hc.cl.RPC(ctx, c.node, srv, len(key)+len(qualifier)+16)
-	c.hc.walAppend(ctx, srv, len(key)+len(qualifier)+16)
-	c.hc.serverWork(ctx, srv, c.hc.costs.GetSeek+c.hc.costs.PutApply)
-	return r.increment(key, qualifier, delta, c.hc.NextTS), nil
+	_, _, err := c.mutateOne(ctx, DeleteMutation(tbl, key, ts, qualifiers...))
+	return err
 }
 
 // CheckAndPut atomically puts cell iff the current value of (key, qualifier)
@@ -362,24 +317,22 @@ func (c *Client) Increment(ctx *sim.Ctx, tbl, key, qualifier string, delta int64
 // region inside the compare's critical section, above the version it
 // compared against — stamped out here, an acquirer that lost the CPU between
 // the stamp and the compare could apply "held" beneath a later "free" and
-// leave the lock looking free to the next acquirer.
+// leave the lock looking free to the next acquirer. It reports whether the
+// put applied: whether the region stamped it, which a cell that arrives
+// stamped does not tell.
 func (c *Client) CheckAndPut(ctx *sim.Ctx, tbl, key, qualifier string, expected []byte, cell Cell) (bool, error) {
-	t, err := c.open(ctx, tbl)
-	if err != nil {
-		return false, err
-	}
-	r := t.regionFor(key)
-	srv := r.Server()
-	bytes := len(key) + len(cell.Qualifier) + len(cell.Value) + len(expected) + kvOverhead
-	c.hc.cl.RPC(ctx, c.node, srv, bytes)
-	c.hc.serverWork(ctx, srv, c.hc.costs.CheckAndPut)
-	ok, _ := r.checkAndPut(key, qualifier, expected, cell, c.hc.NextTS)
-	if ok {
-		c.hc.walAppend(ctx, srv, bytes)
-		c.hc.serverWork(ctx, srv, c.hc.costs.PutApply)
-	}
-	return ok, nil
+	one := casCells.Get().(*[1]Cell)
+	one[0] = cell
+	_, casTS, err := c.mutateOne(ctx, Mutation{Table: tbl, Key: key, Cells: one[:], CheckAndPut: true, CheckQualifier: qualifier, CheckExpected: expected})
+	*one = [1]Cell{}
+	casCells.Put(one)
+	return casTS != 0, err
 }
+
+// casCells recycles the one-cell slice a CheckAndPut's mutation carries. The
+// region takes the cell by value, so the slice is free again once mutateOne
+// returns, and a lock acquire or release allocates nothing for it.
+var casCells = sync.Pool{New: func() any { return new([1]Cell) }}
 
 // ScanSpec describes a scan.
 type ScanSpec struct {
@@ -400,11 +353,6 @@ type ScanSpec struct {
 	// server-side (store rows with no pending mutations) and client-side
 	// (rows merged with pending cells).
 	Filter func(RowResult) bool
-	// FilterMergedOnly marks the filter as safe only over fully merged
-	// rows: a read-your-writes view then keeps it entirely client-side
-	// instead of pushing the store-safe split down. Plain store scans
-	// ignore it (there is nothing to merge).
-	FilterMergedOnly bool
 	// Columns, when non-nil, is the set of qualifiers the scan reads: every
 	// other cell stays in the store — the filter does not see it, the response
 	// does not carry it, Bytes and with it the per-byte charge do not count

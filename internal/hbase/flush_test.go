@@ -43,7 +43,7 @@ func recountBytes(r *Region) int64 {
 }
 
 // TestMemstoreBounded writes fifty flush sizes of inserts, overwrites, version
-// pile-ups, tombstones, conditional puts and increments through one region —
+// pile-ups, tombstones and conditional puts through one region —
 // every memstore write site — and holds the region to its bounds after each
 // write: the resident memstore is below the flush size plus that write, the
 // store files are what the compaction policy leaves behind (each more than
@@ -84,8 +84,9 @@ func TestMemstoreBounded(t *testing.T) {
 			wrote = KVSize(key, c)
 			r.checkAndPut(key, "l", r.readLocked(key, ReadOpts{}, nil).Get("l"), c, tick)
 		default:
-			wrote = KVSize(key, Cell{Qualifier: "n", Value: make([]byte, 8)})
-			r.increment(key, "n", 1, tick)
+			c := Cell{Qualifier: "n", Value: make([]byte, 8)}
+			wrote = KVSize(key, c)
+			r.checkAndPut(key, "n", r.readLocked(key, ReadOpts{}, nil).Get("n"), c, tick)
 		}
 		written += wrote
 
@@ -150,7 +151,10 @@ func TestFlushChargesNothing(t *testing.T) {
 					_, err = d.c.CheckAndPut(d.ctx, "t", key, "a", cur.Get("a"), Cell{Qualifier: "a", Value: []byte("cas")})
 				}
 			case op < 7:
-				_, err = d.c.Increment(d.ctx, "t", key, "n", 2)
+				var cur RowResult
+				if cur, err = d.c.Get(d.ctx, "t", key, ReadOpts{}); err == nil {
+					_, err = d.c.CheckAndPut(d.ctx, "t", key, "n", cur.Get("n"), Cell{Qualifier: "n", Value: []byte(fmt.Sprint("n", step))})
+				}
 			case op < 9:
 				var row RowResult
 				row, err = d.c.Get(d.ctx, "t", key, ReadOpts{})

@@ -101,19 +101,6 @@ func TestDeleteColumns(t *testing.T) {
 	}
 }
 
-func TestIncrement(t *testing.T) {
-	hc := newTestCluster(t)
-	mustCreate(t, hc, TableSpec{Name: "t"})
-	c := hc.NewWarmClient()
-	ctx := sim.NewCtx()
-	if v, _ := c.Increment(ctx, "t", "ctr", "n", 5); v != 5 {
-		t.Fatalf("first increment = %d, want 5", v)
-	}
-	if v, _ := c.Increment(ctx, "t", "ctr", "n", -2); v != 3 {
-		t.Fatalf("second increment = %d, want 3", v)
-	}
-}
-
 func TestCheckAndPut(t *testing.T) {
 	hc := newTestCluster(t)
 	mustCreate(t, hc, TableSpec{Name: "locks"})

@@ -2,7 +2,6 @@ package hbase
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
@@ -626,7 +625,8 @@ func (s *refStore) scan(opts ReadOpts) []RowResult {
 }
 
 // TestRegionModelRandomized drives one table with a random interleaving of
-// put, delete (row and column), checkAndPut, increment, flush and major
+// put, delete (row and column), checkAndPut (stamped by the caller and by the
+// region), flush and major
 // compaction — with a split threshold low enough that flushes and
 // compactions keep splitting regions — and after every step that rewrites
 // store files compares the table against refStore: TableBytes against the
@@ -827,23 +827,20 @@ func runRegionModel(t *testing.T, seed, flushSize int64) {
 				wrote(step, key, "a checkAndPut")
 			}
 		case op < 85:
-			var cur int64
-			if v := model.read(key, ReadOpts{}).Get("n"); len(v) == 8 {
-				cur = int64(binary.BigEndian.Uint64(v))
-			}
-			// Stamped by the region: the next clock tick, or just above
-			// whatever explicit stamp already covers the counter.
-			incTS := max(hc.CurrentTS(), newestCovering(model.cells(key), "n")) + 1
-			got, err := c.Increment(ctx, "t", key, "n", 3)
+			// A conditional write the region stamps: the next clock tick, or
+			// just above whatever explicit stamp already covers the column.
+			cell := put("n", fmt.Sprintf("n%07d", step), 0) // 8 bytes, a counter's size
+			casTS := max(hc.CurrentTS(), newestCovering(model.cells(key), "n")) + 1
+			ok, err := c.CheckAndPut(ctx, "t", key, "n", model.read(key, ReadOpts{}).Get("n"), cell)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got != cur+3 {
-				t.Fatalf("step %d: Increment = %d, model %d", step, got, cur+3)
+			if !ok {
+				t.Fatalf("step %d: CheckAndPut against the current value not applied", step)
 			}
-			buf := binary.BigEndian.AppendUint64(nil, uint64(got))
-			model.row(key).apply(Cell{Qualifier: "n", Value: buf, TS: incTS}, maxVersions)
-			wrote(step, key, "an increment")
+			cell.TS = casTS
+			model.row(key).apply(cell, maxVersions)
+			wrote(step, key, "a server-stamped checkAndPut")
 		case op < 95:
 			if err := hc.FlushTable("t"); err != nil {
 				t.Fatal(err)

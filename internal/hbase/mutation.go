@@ -29,9 +29,9 @@ type Mutation struct {
 	// current visible value of (Key, CheckQualifier) equals CheckExpected
 	// (nil = must be absent). A failed check is not an error — the mutation
 	// is simply skipped, and only applied conditionals pay the put/WAL
-	// costs, exactly like the eager Client.CheckAndPut. The Synergy commit
-	// protocol uses this to fold lock-table maintenance into the commit
-	// flush instead of paying eager round trips.
+	// costs. Client.CheckAndPut is one of these on its own; the Synergy
+	// commit protocol batches them to fold lock-table maintenance into the
+	// commit flush instead of paying a round trip each.
 	CheckAndPut    bool
 	CheckQualifier string
 	CheckExpected  []byte
@@ -54,10 +54,9 @@ func CheckAndPutMutation(tbl, key, qualifier string, expected []byte, cell Cell)
 	return Mutation{Table: tbl, Key: key, Cells: []Cell{cell}, CheckAndPut: true, CheckQualifier: qualifier, CheckExpected: expected}
 }
 
-// bytes approximates the wire size of the mutation inside a batch RPC,
-// matching what the eager Put/DeleteAt/CheckAndPut paths charge for the
-// same mutation so batched and sequential runs stay byte-for-byte
-// comparable.
+// bytes approximates the wire size of the mutation inside a batch RPC, the
+// same whether it travels alone (Put, DeleteAt, CheckAndPut) or batched, so
+// batched and sequential runs stay byte-for-byte comparable.
 func (m *Mutation) bytes() int {
 	if m.Delete {
 		return len(m.Key) + 32
@@ -93,8 +92,8 @@ type regionGroup struct {
 // same ordered group). Zero timestamps are stamped in batch order before
 // dispatch, so results are deterministic regardless of goroutine scheduling
 // and match what the same sequence of Put/DeleteAt calls would have written.
-// The exception is a conditional put: like the eager CheckAndPut, its cell is
-// stamped by the region inside the compare's critical section.
+// The exception is a conditional put: its cell is stamped by the region
+// inside the compare's critical section.
 func (c *Client) MutateBatch(ctx *sim.Ctx, muts []Mutation) error {
 	_, err := c.mutateBatch(ctx, muts)
 	return err
@@ -109,17 +108,8 @@ func (c *Client) mutateBatch(ctx *sim.Ctx, muts []Mutation) (int64, error) {
 		return 0, nil
 	}
 	if len(muts) == 1 {
-		// One mutation is one region's group of one: nothing to resolve twice,
-		// group or fork. This is every flush of a mutator that flushes at 1 —
-		// the paper's client — and it charges what the eager Put, DeleteAt or
-		// CheckAndPut does (applyChunk).
-		t, err := c.open(ctx, muts[0].Table)
-		if err != nil {
-			return 0, err
-		}
-		one := [1]Mutation{muts[0]}
-		maxTS := c.stamp(&one[0])
-		return max(maxTS, c.applyChunk(ctx, t.regionFor(one[0].Key), one[:])), nil
+		ts, casTS, err := c.mutateOne(ctx, muts[0])
+		return max(ts, casTS), err
 	}
 	// Resolve tables first so an unknown table fails before any mutation is
 	// applied, and the meta-cache charges land once per table.
@@ -134,8 +124,8 @@ func (c *Client) mutateBatch(ctx *sim.Ctx, muts []Mutation) (int64, error) {
 		}
 		tables[muts[i].Table] = t
 	}
-	// Stamp server-side timestamps in batch order, one per mutation as the
-	// eager path does, then group by region preserving arrival order.
+	// Stamp server-side timestamps in batch order, one per mutation as
+	// mutateOne does, then group by region preserving arrival order.
 	var maxTS int64
 	var groups []*regionGroup
 	byRegion := make(map[*Region]*regionGroup)
@@ -213,25 +203,45 @@ func (c *Client) mutateBatch(ctx *sim.Ctx, muts []Mutation) (int64, error) {
 	return maxTS, nil
 }
 
-// stamp gives an unstamped mutation the next server timestamp (a conditional
-// put is stamped by the region, at apply time) and a put a private copy of its
-// cells carrying it, and returns the highest stamp the mutation now holds.
+// mutateOne applies one mutation as one region's group of one: nothing to
+// group or fork. It is every single-row write of the client — Put, DeleteAt,
+// CheckAndPut — and every flush of a mutator that flushes at 1, the paper's
+// client. It returns the highest stamp the mutation holds (stamp) and, for a
+// conditional put, the stamp the region gave it: zero when the check failed.
+func (c *Client) mutateOne(ctx *sim.Ctx, m Mutation) (ts, casTS int64, err error) {
+	t, err := c.open(ctx, m.Table)
+	if err != nil {
+		return 0, 0, err
+	}
+	ts = c.stamp(&m)
+	one := [1]Mutation{m}
+	return ts, c.applyChunk(ctx, t.regionFor(m.Key), one[:]), nil
+}
+
+// stamp gives an unstamped mutation the next server timestamp and a put a
+// private copy of its cells carrying it, and returns the highest stamp the
+// mutation now holds. A conditional put is stamped by the region at apply
+// time, on the cell it takes by value, so it needs neither.
 func (c *Client) stamp(m *Mutation) int64 {
-	if m.TS == 0 && !m.CheckAndPut {
+	switch {
+	case m.CheckAndPut:
+		return max(m.TS, m.Cells[0].TS)
+	case m.TS == 0:
 		m.TS = c.hc.NextTS()
 	}
-	maxTS := m.TS
-	if !m.Delete {
-		stamped := make([]Cell, len(m.Cells))
-		for i, cell := range m.Cells {
-			if cell.TS == 0 {
-				cell.TS = m.TS
-			}
-			maxTS = max(maxTS, cell.TS)
-			stamped[i] = cell
-		}
-		m.Cells = stamped
+	if m.Delete {
+		return m.TS
 	}
+	maxTS := m.TS
+	stamped := make([]Cell, len(m.Cells))
+	for i, cell := range m.Cells {
+		if cell.TS == 0 {
+			cell.TS = m.TS
+		}
+		maxTS = max(maxTS, cell.TS)
+		stamped[i] = cell
+	}
+	m.Cells = stamped
 	return maxTS
 }
 
@@ -260,10 +270,9 @@ func (c *Client) applyGroup(ctx *sim.Ctx, g *regionGroup) {
 
 // applyChunk ships one sub-batch to its region: one RPC + batch overhead + one
 // WAL sync, plus the per-mutation apply costs. A single-mutation sub-batch
-// charges exactly what the eager Put/DeleteAt/CheckAndPut path charges —
-// there is nothing to amortize, so batching a lone mutation must not cost
-// extra. It returns the highest stamp the region gave an applied conditional
-// put.
+// pays no batch overhead — there is nothing to amortize — so it is charged
+// what the paper's one-RPC-per-mutation client is charged for the write. It
+// returns the highest stamp the region gave an applied conditional put.
 func (c *Client) applyChunk(ctx *sim.Ctx, region *Region, chunk []Mutation) (casTS int64) {
 	hc := c.hc
 	// Resolve the hosting server per sub-batch RPC: a balancer move between
@@ -280,8 +289,7 @@ func (c *Client) applyChunk(ctx *sim.Ctx, region *Region, chunk []Mutation) (cas
 	}
 	hc.cl.RPC(ctx, c.node, srv, bytes)
 	// Unconditional mutations pay PutApply up front; conditionals pay the
-	// CheckAndPut compare, and the apply cost only if the check passes —
-	// mirroring the eager paths mutation by mutation.
+	// CheckAndPut compare, and the apply cost only if the check passes.
 	serverCost := sim.Micros(int64(len(chunk)-cas) * int64(hc.costs.PutApply))
 	serverCost += sim.Micros(int64(cas) * int64(hc.costs.CheckAndPut))
 	if len(chunk) > 1 {
@@ -302,8 +310,7 @@ func (c *Client) applyChunk(ctx *sim.Ctx, region *Region, chunk []Mutation) (cas
 		return 0
 	}
 	// Conditional mutations reach the WAL only when applied, so the sub-batch
-	// applies first and syncs the surviving edits after — the same total the
-	// eager path charges, one sync instead of many.
+	// applies first and syncs the surviving edits after, one sync for all.
 	walBytes, walMuts := 0, 0
 	for i := range chunk {
 		m := &chunk[i]
@@ -364,7 +371,7 @@ type BufferedMutator struct {
 // entry) can ride the commit flush; a flush still splits oversized region
 // groups at Costs.MutateMaxBatch per RPC. At one the mutator is the paper's
 // client: every mutation is its own RPC and WAL sync the moment it is issued,
-// charged what the eager Client.Put, DeleteAt or CheckAndPut charges. Such a
+// charged what Client.Put, DeleteAt or CheckAndPut is charged. Such a
 // mutator gives up what buffering bought: nothing can be deferred to commit,
 // Discard has nothing left to drop — what was issued is published, and §VIII-B
 // has no undo — and there is never a pending write to read back, so it keeps

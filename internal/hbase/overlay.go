@@ -261,9 +261,7 @@ func (v *ReadView) GetMany(ctx *sim.Ctx, tbl string, keys []string, opts ReadOpt
 // (HBase pushdown preserved); rows whose keys carry pending cells are
 // exempted from the pushed filter — the store must ship them so the client
 // can filter the merged row. Filters must therefore be pure row predicates,
-// which every SQL-layer filter is; a stateful or representation-sensitive
-// filter opts out with ScanSpec.FilterMergedOnly and runs exclusively
-// client-side over merged rows, the pre-split behavior.
+// which every SQL-layer filter is.
 func (v *ReadView) OpenScan(ctx *sim.Ctx, tbl string, spec ScanSpec) (RowStream, error) {
 	ot := v.m.pendingTable(tbl)
 	var keys []string
@@ -280,9 +278,7 @@ func (v *ReadView) OpenScan(ctx *sim.Ctx, tbl string, spec ScanSpec) (RowStream,
 		slices.Reverse(keys)
 	}
 	inner := spec
-	inner.Filter = nil
-	pushed := false
-	if spec.Filter != nil && !spec.FilterMergedOnly {
+	if spec.Filter != nil {
 		pend := make(map[string]struct{}, len(keys))
 		for _, k := range keys {
 			pend[k] = struct{}{}
@@ -294,40 +290,31 @@ func (v *ReadView) OpenScan(ctx *sim.Ctx, tbl string, spec ScanSpec) (RowStream,
 			}
 			return f(r)
 		}
-		pushed = true
 	}
 	if spec.Limit > 0 {
-		if spec.Filter != nil && !pushed {
-			// The store cannot know which rows the merged-row-only filter
-			// will keep; scan unbounded and trim client-side.
-			inner.Limit = 0
-		} else {
-			// Each pending key can hide at most one store row (and, with a
-			// pushed filter, is the only kind of shipped row that can still
-			// fail it), so Limit + pending suffices to produce Limit merged
-			// rows (or exhaust).
-			inner.Limit = spec.Limit + len(keys)
-		}
+		// Each pending key can hide at most one store row (and is the only
+		// kind of shipped row that can still fail the filter), so Limit +
+		// pending suffices to produce Limit merged rows (or exhaust).
+		inner.Limit = spec.Limit + len(keys)
 	}
 	sc, err := v.m.c.Scan(ctx, tbl, inner)
 	if err != nil {
 		return nil, err
 	}
-	return &overlayScanner{store: sc, spec: spec, ot: ot, keys: keys, pushed: pushed}, nil
+	return &overlayScanner{store: sc, spec: spec, ot: ot, keys: keys}, nil
 }
 
 // overlayScanner merges one table's pending rows into the store stream in
 // the scan's key order (keys arrives sorted along it), applying the original
-// spec's filter and limit to the merged rows. When the filter was pushed to
-// the store (pushed), pure store rows already passed it server-side and only
+// spec's filter and limit to the merged rows. The filter was pushed to the
+// store, so pure store rows already passed it server-side and only
 // pending-merged rows are re-checked client-side.
 type overlayScanner struct {
-	store  *Scanner
-	spec   ScanSpec
-	ot     *overlayTable
-	keys   []string
-	ki     int
-	pushed bool
+	store *Scanner
+	spec  ScanSpec
+	ot    *overlayTable
+	keys  []string
+	ki    int
 
 	srow   RowResult
 	shave  bool // srow holds an unconsumed store row
@@ -348,7 +335,7 @@ func (s *overlayScanner) Next(ctx *sim.Ctx) (RowResult, bool) {
 			s.done = true
 			return RowResult{}, false
 		}
-		if s.spec.Filter != nil && (!s.pushed || s.merged) && !s.spec.Filter(row) {
+		if s.spec.Filter != nil && s.merged && !s.spec.Filter(row) {
 			continue
 		}
 		s.sent++

@@ -227,7 +227,6 @@ func TestOverlayReversedScan(t *testing.T) {
 		{Start: scanKey(2), Stop: scanKey(14)},
 		{Prefix: "k00001"},
 		{Filter: stored},
-		{Filter: stored, FilterMergedOnly: true},
 	} {
 		forward := scan(spec)
 		if len(forward) == 0 {
@@ -318,11 +317,10 @@ func TestOverlayScanFilterSeesMergedRows(t *testing.T) {
 }
 
 // TestOverlayFilterPushdownParity is the predicate-split contract: with
-// pending writes in range, a filtered overlay scan must return the same
-// rows whether the store-safe split pushes down (default), the filter runs
-// merged-row-only (FilterMergedOnly), or the scan happens after the flush
-// against the plain store — including rows whose pending cells flip the
-// filter verdict in either direction, with and without a limit.
+// pending writes in range, a filtered overlay scan whose store-safe split is
+// pushed down must return the rows the plain store returns after the flush —
+// including rows whose pending cells flip the filter verdict in either
+// direction, with and without a limit.
 func TestOverlayFilterPushdownParity(t *testing.T) {
 	_, c, m := overlayFixture(t)
 	ctx := sim.NewCtx()
@@ -347,19 +345,11 @@ func TestOverlayFilterPushdownParity(t *testing.T) {
 	mustDo(m.Put(ctx, "t", scanKey(8), []Cell{put("w", "other-column", 0)}))
 
 	for _, limit := range []int{0, 2} {
-		pushSpec := ScanSpec{Filter: filter, Limit: limit}
-		mergedSpec := ScanSpec{Filter: filter, Limit: limit, FilterMergedOnly: true}
-		sc1, err := m.View().OpenScan(ctx, "t", pushSpec)
+		sc1, err := m.View().OpenScan(ctx, "t", ScanSpec{Filter: filter, Limit: limit})
 		if err != nil {
 			t.Fatal(err)
 		}
 		pushed := drainStream(ctx, sc1)
-		sc2, err := m.View().OpenScan(ctx, "t", mergedSpec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		clientSide := drainStream(ctx, sc2)
-		requireSameRows(t, clientSide, pushed)
 		want := []string{scanKey(2), scanKey(5), scanKey(8)}
 		if limit > 0 {
 			want = want[:limit]
@@ -388,34 +378,33 @@ func TestOverlayFilterPushdownParity(t *testing.T) {
 	requireSameRows(t, sc3.All(ctx), before)
 }
 
-// TestOverlayPushdownSavesShipping pins that the split actually restores
-// pushdown: with pending rows present, the pushed variant must ship fewer
-// rows from the store than the merged-only variant (which disables the
-// server-side filter entirely).
+// TestOverlayPushdownSavesShipping pins that the split keeps pushdown: with
+// pending rows present, the store examines every stored row but ships only
+// the ones the filter keeps and the ones with pending cells, which the client
+// must judge merged.
 func TestOverlayPushdownSavesShipping(t *testing.T) {
 	_, _, m := overlayFixture(t)
 	ctx := sim.NewCtx()
-	if err := m.Put(ctx, "t", scanKey(3), []Cell{put("v", "keep", 0)}); err != nil {
-		t.Fatal(err)
+	// Row 3 is pending only; row 4 is stored, and its pending cell flips the
+	// filter to keep it. No stored row passes the filter.
+	for _, k := range []int{3, 4} {
+		if err := m.Put(ctx, "t", scanKey(k), []Cell{put("v", "keep", 0)}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	filter := func(r RowResult) bool { return string(r.Get("v")) == "keep" }
 
-	run := func(spec ScanSpec) sim.Stats {
-		c := sim.NewCtx()
-		sc, err := m.View().OpenScan(c, "t", spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		drainStream(c, sc)
-		return c.Snapshot()
+	c := sim.NewCtx()
+	sc, err := m.View().OpenScan(c, "t", ScanSpec{Filter: filter})
+	if err != nil {
+		t.Fatal(err)
 	}
-	pushed := run(ScanSpec{Filter: filter})
-	mergedOnly := run(ScanSpec{Filter: filter, FilterMergedOnly: true})
-	if pushed.RowsScanned != mergedOnly.RowsScanned {
-		t.Fatalf("both variants must examine every row server-side: %d vs %d", pushed.RowsScanned, mergedOnly.RowsScanned)
+	rows := drainStream(c, sc)
+	if len(rows) != 2 || rows[0].Key != scanKey(3) || rows[1].Key != scanKey(4) {
+		t.Fatalf("filtered overlay scan = %v, want rows 3 and 4", rows)
 	}
-	if pushed.RowsReturned >= mergedOnly.RowsReturned {
-		t.Fatalf("pushdown shipped %d rows, merged-only %d; the split should ship fewer", pushed.RowsReturned, mergedOnly.RowsReturned)
+	if st := c.Snapshot(); st.RowsScanned != 10 || st.RowsReturned != 1 {
+		t.Fatalf("store examined %d rows and shipped %d, want all 10 examined and only row 4 shipped", st.RowsScanned, st.RowsReturned)
 	}
 }
 

@@ -2,7 +2,6 @@ package hbase
 
 import (
 	"bytes"
-	"encoding/binary"
 	"math"
 	"sort"
 	"sync"
@@ -269,30 +268,6 @@ func (r *Region) checkAndPut(key, qualifier string, expected []byte, c Cell, clo
 	r.mem.apply(key, r.mem.upsert(key), c, r.spec.MaxVersions)
 	r.afterWriteLocked()
 	return true, c.TS
-}
-
-// increment atomically adds delta to a counter column and returns the new
-// value, stamped from clock inside the critical section as a conditional
-// put is.
-func (r *Region) increment(key, qualifier string, delta int64, clock func() int64) int64 {
-	r.mu.Lock()
-	if d := r.daughterFor(key); d != nil {
-		r.mu.Unlock()
-		return d.increment(key, qualifier, delta, clock)
-	}
-	defer r.mu.Unlock()
-	r.recordWrite(1)
-	var cur int64
-	v, newest := r.currentLocked(key, qualifier)
-	if len(v) == 8 {
-		cur = int64(binary.BigEndian.Uint64(v))
-	}
-	cur += delta
-	c := Cell{Qualifier: qualifier, Value: binary.BigEndian.AppendUint64(nil, uint64(cur))}
-	stampLocked(&c, newest, clock)
-	r.mem.apply(key, r.mem.upsert(key), c, r.spec.MaxVersions)
-	r.afterWriteLocked()
-	return cur
 }
 
 // scanChunk fills buf with up to limit visible rows with key >= from (and

@@ -13,7 +13,7 @@ import (
 	"synergy/internal/sim"
 )
 
-var updateScanCharges = flag.Bool("update", false, "rewrite testdata/scan_charges.golden from the current scanner")
+var update = flag.Bool("update", false, "rewrite the testdata goldens from the current code")
 
 // TestScanChargesGolden pins what a scan is charged, spec by spec: the rows it
 // returns, every sim.Stats counter of the request, and the request's elapsed
@@ -93,7 +93,7 @@ func TestScanChargesGolden(t *testing.T) {
 	}
 
 	path := filepath.Join("testdata", "scan_charges.golden")
-	if *updateScanCharges {
+	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
 		}

@@ -6,9 +6,9 @@
 //   - tables of rows sorted by row key, split into regions hosted by region
 //     servers, so data really is distributed and cross-node work really does
 //     pay network latency;
-//   - the five-operation data manipulation API (Get, Put, Scan, Delete,
-//     Increment) plus CheckAndPut, the atomic compare-and-set the Synergy
-//     lock tables are built on (§VIII-A);
+//   - the data manipulation API (Get, Put, Scan, Delete) plus CheckAndPut,
+//     the atomic compare-and-set the Synergy lock tables are built on
+//     (§VIII-A);
 //   - multi-version cells with timestamps, which the Tephra-like MVCC layer
 //     (internal/mvcc) uses for snapshot reads;
 //   - a bounded memstore in front of immutable store files, whose storage

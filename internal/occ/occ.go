@@ -149,12 +149,32 @@ func (v *Validator) Begin(ctx *sim.Ctx) *Tx {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	v.begun++
-	t := &Tx{v: v, snap: v.next(), writes: map[string]struct{}{}}
-	for lo, hi := range v.flushing {
-		t.hidden = append(t.hidden, stampBlock{lo, hi})
-	}
+	t := &Tx{v: v, writes: map[string]struct{}{}}
+	t.snap, t.hidden = v.snapshotLocked()
 	v.active[t] = struct{}{}
 	return t
+}
+
+// snapshotLocked draws a begin timestamp and lists the stamp blocks of the
+// commits still flushing, which the snapshot hides. Caller holds v.mu.
+func (v *Validator) snapshotLocked() (snap int64, hidden []stampBlock) {
+	snap = v.next()
+	for lo, hi := range v.flushing {
+		hidden = append(hidden, stampBlock{lo, hi})
+	}
+	return snap, hidden
+}
+
+// SnapshotRead takes a read snapshot without registering a transaction: one
+// oracle round trip, under Begin's rule. Read-only snapshot reads are
+// serializable as of their begin point and validate nothing, so they need no
+// registration. It returns the horizon and the read options that apply it.
+func (v *Validator) SnapshotRead(ctx *sim.Ctx) (int64, hbase.ReadOpts) {
+	ctx.Charge(v.costs.OCCBegin)
+	v.mu.Lock()
+	snap, hidden := v.snapshotLocked()
+	v.mu.Unlock()
+	return snap, readOpts(snap, hidden)
 }
 
 // missed reports whether the commit with watermark start is invisible to the
@@ -181,23 +201,6 @@ func (t *Tx) oldest() int64 {
 	return low
 }
 
-// SnapshotTS returns a fresh read snapshot horizon without registering a
-// transaction: one oracle round trip. Read-only snapshot reads are
-// serializable as of their begin point and validate nothing, so they need no
-// registration — but a bare timestamp cannot hide a block, so it sits below
-// the flush watermark of any commit in flight, or it would observe half of a
-// multi-region flush.
-func (v *Validator) SnapshotTS(ctx *sim.Ctx) int64 {
-	ctx.Charge(v.costs.OCCBegin)
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	snap := v.next()
-	for fs := range v.flushing {
-		snap = min(snap, fs)
-	}
-	return snap
-}
-
 // Snapshot reports the transaction's snapshot horizon: cells stamped above
 // it are invisible to the transaction's reads (and so, below it, are the
 // cells of the commits that were flushing when it began).
@@ -207,12 +210,16 @@ func (t *Tx) Snapshot() int64 { return t.snap }
 // reads: everything committed at or below the snapshot horizon but outside
 // the hidden stamp blocks, plus the synthetic overlay timestamps of the
 // transaction's own buffered writes.
-func (t *Tx) ReadOpts() hbase.ReadOpts {
-	ro := hbase.SnapshotRead(t.snap)
-	if len(t.hidden) == 0 {
+func (t *Tx) ReadOpts() hbase.ReadOpts { return readOpts(t.snap, t.hidden) }
+
+// readOpts is the visibility filter of horizon snap with the stamp blocks
+// hidden excluded below it.
+func readOpts(snap int64, hidden []stampBlock) hbase.ReadOpts {
+	ro := hbase.SnapshotRead(snap)
+	if len(hidden) == 0 {
 		return ro
 	}
-	above, hidden := ro.Excluded, t.hidden
+	above := ro.Excluded
 	ro.Excluded = func(ts int64) bool {
 		for _, b := range hidden {
 			if ts >= b.lo && ts <= b.hi {

@@ -91,7 +91,8 @@ func (f *fixture) set(t *testing.T, id, bal string) {
 func (f *fixture) balance(t *testing.T, id string) string {
 	t.Helper()
 	ctx := sim.NewCtx()
-	row, err := f.c.Get(ctx, accounts, id, hbase.SnapshotRead(f.v.SnapshotTS(ctx)))
+	_, ro := f.v.SnapshotRead(ctx)
+	row, err := f.c.Get(ctx, accounts, id, ro)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,27 +180,29 @@ func TestFinishedTransactionRejected(t *testing.T) {
 	}
 }
 
-// TestSnapshotHorizonExcludesInFlightFlush pins the watermark mechanism: a
-// snapshot taken while a validated commit is still flushing sits at the
-// commit's flush watermark (so every one of its cells, stamped above the
-// watermark, is hidden), and rises past it once the flush finalizes.
+// TestSnapshotHorizonExcludesInFlightFlush pins the flush window for snapshot
+// reads: a snapshot taken while a validated commit is still flushing sits at
+// its own begin timestamp and hides the commit's stamp block (every one of its
+// cells) and nothing else; once the flush finalizes, the next one admits it.
 func TestSnapshotHorizonExcludesInFlightFlush(t *testing.T) {
 	v := NewValidator(nil) // private counter: timestamps are 1, 2, 3, ...
 	ctx := sim.NewCtx()
 
 	tx := v.Begin(ctx) // begin ts 1
 	tx.RecordWrite("T", "k")
-	if err := v.Validate(ctx, tx, nil); err != nil { // watermark ts 2
+	var stamps []int64
+	if err := v.Validate(ctx, tx, func(next func() int64) int { stamps = append(stamps, next()); return 1 }); err != nil { // watermark 2, stamp 3
 		t.Fatal(err)
 	}
-	during := v.SnapshotTS(ctx) // allocates ts 3, pinned to watermark 2
-	if during != 2 {
-		t.Fatalf("snapshot during flush = %d, want the flush watermark 2", during)
+	snap, during := v.SnapshotRead(ctx) // ts 4
+	if snap != 4 || !during.Excluded(stamps[0]) || during.Excluded(1) {
+		t.Fatalf("snapshot during flush = %d hiding cell %d: %v, cell 1: %v; want 4 hiding the in-flight cell only",
+			snap, stamps[0], during.Excluded(stamps[0]), during.Excluded(1))
 	}
 	v.Finalize(ctx, tx)
-	after := v.SnapshotTS(ctx) // allocates ts 4, no watermark in flight
-	if after != 4 {
-		t.Fatalf("snapshot after finalize = %d, want 4", after)
+	snap, after := v.SnapshotRead(ctx) // ts 5, nothing in flight
+	if snap != 5 || after.Excluded(stamps[0]) {
+		t.Fatalf("snapshot after finalize = %d hiding cell %d: %v; want 5 admitting it", snap, stamps[0], after.Excluded(stamps[0]))
 	}
 }
 
@@ -341,6 +344,43 @@ func TestBeginDuringOtherFlushSeesOwnCommit(t *testing.T) {
 	if err := v.Validate(ctx, next, nil); err != nil {
 		t.Fatalf("validate = %v, want success: x's only commit was visible to the snapshot", err)
 	}
+}
+
+// TestSnapshotReadDuringOtherFlushSeesOwnCommit is the same regression for an
+// autocommit read, which takes an unregistered snapshot: a client that
+// commits x and reads while another client's commit of y is still flushing
+// must see its own x. A horizon lowered to the in-flight watermark hid it.
+func TestSnapshotReadDuringOtherFlushSeesOwnCommit(t *testing.T) {
+	v := NewValidator(nil) // private counter: timestamps are 1, 2, 3, ...
+	ctx := sim.NewCtx()
+	stamp := func(stamps *[]int64) func(func() int64) int {
+		return func(next func() int64) int { *stamps = append(*stamps, next()); return 1 }
+	}
+
+	other := v.Begin(ctx) // ts 1
+	other.RecordWrite("T", "y")
+	own := v.Begin(ctx) // ts 2
+	own.RecordWrite("T", "x")
+	var otherStamps, ownStamps []int64
+	if err := v.Validate(ctx, other, stamp(&otherStamps)); err != nil { // watermark 3, stamp 4
+		t.Fatal(err)
+	}
+	if err := v.Validate(ctx, own, stamp(&ownStamps)); err != nil { // watermark 5, stamp 6
+		t.Fatal(err)
+	}
+	v.Finalize(ctx, own) // other is still flushing
+
+	snap, ro := v.SnapshotRead(ctx)
+	if ro.Excluded(ownStamps[0]) {
+		t.Fatalf("own finalized commit's cell %d hidden from the snapshot read %d", ownStamps[0], snap)
+	}
+	if !ro.Excluded(otherStamps[0]) {
+		t.Fatalf("in-flight commit's cell %d visible to the snapshot read %d", otherStamps[0], snap)
+	}
+	if v.ActiveTxns() != 0 {
+		t.Fatalf("%d active transactions after finalize and a snapshot read, want 0 (other only flushes)", v.ActiveTxns())
+	}
+	v.Finalize(ctx, other)
 }
 
 // TestInFlightCommitConflictsWithRange: a commit that was flushing when a

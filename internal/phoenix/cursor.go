@@ -241,12 +241,6 @@ func (q *query) tryStream(ctx *sim.Ctx) (*streamCursor, error) {
 		return nil, err
 	}
 	spec.Limit = sel.Limit
-
-	if b.info.IsView && q.opts.OnViewScan != nil {
-		if err := q.opts.OnViewScan(ctx, b.info.Name); err != nil {
-			return nil, err
-		}
-	}
 	if c.stream, err = q.openScan(ctx, tableName, spec); err != nil {
 		return nil, err
 	}

@@ -38,32 +38,22 @@ func (e *Engine) Catalog() *Catalog { return e.cat }
 // reader serves its scans. They never change how rows are represented — every
 // option runs the same executor (see tuple), and every scan it opens carries
 // the same compiled pushdown filter, a pure predicate over a row's encoded
-// cells that View and Reader may evaluate over pooled rows on either side of
-// their merge (see scanFilter).
+// cells that a Reader may evaluate over pooled rows on either side of its
+// merge (see scanFilter).
 type QueryOpts struct {
 	// Read applies MVCC visibility filters to every scan and get.
 	Read hbase.ReadOpts
 	// DirtyCheck enables the Synergy read-committed protocol (§VIII-C):
-	// scans over views re-start when they observe a dirty-marked row.
+	// scans over views re-start when they observe a dirty-marked row, at
+	// most maxRestarts times.
 	DirtyCheck bool
-	// MaxRestarts bounds dirty-read restarts (0 = default 50).
-	MaxRestarts int
-	// View, when set, overlays a transaction's buffered writes on every
-	// scan and point lookup, so queries inside a multi-statement
-	// transaction read their own uncommitted rows.
-	View *hbase.ReadView
-	// Reader, when set, serves every scan and point lookup instead of View
-	// or the store client. OCC transactions thread their read-set-tracking
-	// reader (wrapping the overlay view) through it, so the openScan choke
-	// point records every range the query touched, and every row it read by
-	// its whole key as a point.
+	// Reader, when set, serves every scan and point lookup instead of the
+	// store client. A transaction passes its read-your-writes overlay view,
+	// so its queries read their own uncommitted rows; an OCC transaction
+	// passes its read-set-tracking reader (wrapping that view), so the
+	// openScan choke point records every range the query touched, and every
+	// row it read by its whole key as a point.
 	Reader hbase.Reader
-	// OnViewScan, when set, runs before a materialized view's rows are
-	// fetched (once per view access — scan or index-nested-loop probe
-	// phase). Synergy threads its asynchronous-maintenance freshness gate
-	// through it: observing staleness in ReadStale mode, or erroring if a
-	// view that should have been waited on is still behind.
-	OnViewScan func(ctx *sim.Ctx, view string) error
 }
 
 // ResultSet is the client-visible output of a query: rows keyed by column

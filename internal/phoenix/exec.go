@@ -327,24 +327,21 @@ func singleRow(spec hbase.ScanSpec) (string, bool) {
 	return spec.Start, spec.Prefix == "" && len(spec.Stop) == n+1 && spec.Stop[n] == 0 && spec.Stop[:n] == spec.Start
 }
 
-// openScan opens a binding scan through the query's reader: an explicit
-// Reader when one is set (an OCC transaction's tracking view), else the
-// transaction overlay view (read-your-writes), else the plain store client.
-// Every table read of a query funnels through here, which is what makes it
-// the read-set capture choke point. A key range that holds no key is read
-// here, with no RPC and nothing for a read set to track; one that holds a
-// single key is that row's Get on the same reader, under the same spec — a
-// point in the read set, not a range — streamed as one row.
+// openScan opens a binding scan through the query's reader: the Reader when
+// one is set (a transaction's overlay view, or an OCC transaction's tracking
+// reader over it), else the plain store client. Every table read of a query
+// funnels through here, which is what makes it the read-set capture choke
+// point. A key range that holds no key is read here, with no RPC and nothing
+// for a read set to track; one that holds a single key is that row's Get on
+// the same reader, under the same spec — a point in the read set, not a
+// range — streamed as one row.
 func (q *query) openScan(ctx *sim.Ctx, tbl string, spec hbase.ScanSpec) (hbase.RowStream, error) {
 	if spec.Stop != "" && spec.Start >= spec.Stop {
 		return noRows{}, nil
 	}
 	var rd hbase.Reader = q.eng.client
-	switch {
-	case q.opts.Reader != nil:
+	if q.opts.Reader != nil {
 		rd = q.opts.Reader
-	case q.opts.View != nil:
-		rd = q.opts.View
 	}
 	if key, ok := singleRow(spec); ok {
 		r, err := rd.GetRow(ctx, tbl, key, spec)
@@ -476,12 +473,6 @@ func (q *query) scanBinding(ctx *sim.Ctx, b *binding, plan accessPlan, wide bool
 	if err != nil {
 		return nil, err
 	}
-	if b.info.IsView && q.opts.OnViewScan != nil {
-		if err := q.opts.OnViewScan(ctx, b.info.Name); err != nil {
-			return nil, err
-		}
-	}
-
 	dirtyChecked := q.opts.DirtyCheck && b.info.IsView
 	for attempt := 0; ; attempt++ {
 		sc, err := q.openScan(ctx, tableName, spec)
@@ -512,16 +503,16 @@ func (q *query) scanBinding(ctx *sim.Ctx, b *binding, plan accessPlan, wide bool
 	}
 }
 
+// maxRestarts bounds the reads of one table that may meet a dirty row before
+// the statement fails with ErrDirtyRead.
+const maxRestarts = 50
+
 // restart accounts for the attempt-th read of tableName (from 0) that met a
 // dirty row and waits before the next one, or fails with ErrDirtyRead once
-// the MaxRestarts budget (default 50) is spent.
+// the maxRestarts budget is spent.
 func (q *query) restart(ctx *sim.Ctx, tableName string, attempt int) error {
 	ctx.CountRestart()
 	ctx.Charge(q.eng.costs.DirtyRestartPenalty)
-	maxRestarts := q.opts.MaxRestarts
-	if maxRestarts <= 0 {
-		maxRestarts = 50
-	}
 	if attempt+1 >= maxRestarts {
 		return fmt.Errorf("%w: %s after %d restarts", ErrDirtyRead, tableName, attempt+1)
 	}
@@ -788,11 +779,6 @@ func (q *query) inlPlan(b *binding, joinCols []string) (accessPlan, bool) {
 // dirty view row is read again from the top, under scanBinding's restart
 // budget, so the join never comes back short.
 func (q *query) indexNestedLoop(ctx *sim.Ctx, outer []tuple, b *binding, plan accessPlan, outerCols, innerCols []colRef) ([]tuple, error) {
-	if b.info.IsView && q.opts.OnViewScan != nil {
-		if err := q.opts.OnViewScan(ctx, b.info.Name); err != nil {
-			return nil, err
-		}
-	}
 	// Each key column of the probe takes its value from the outer tuple
 	// (probeSlot >= 0) or from a local equality (probeConst).
 	probeSlot := make([]int, len(plan.eqCols))

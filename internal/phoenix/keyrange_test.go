@@ -558,8 +558,8 @@ func TestKeyRangeThroughOverlayAndSnapshot(t *testing.T) {
 	}
 	mustExec(t, e, tx, `DELETE FROM T WHERE id = 30`)
 	mustExec(t, e, tx, `UPDATE T SET s = 'updated' WHERE id = 40`)
-	check("overlay", QueryOpts{View: m.View()})
-	if rs, _ := e.QueryOpts(sim.NewCtx(), sqlparser.MustParse(statements[0]).(*sqlparser.SelectStmt), nil, QueryOpts{View: m.View()}); fmt.Sprint(rs.Rows) !=
+	check("overlay", QueryOpts{Reader: m.View()})
+	if rs, _ := e.QueryOpts(sim.NewCtx(), sqlparser.MustParse(statements[0]).(*sqlparser.SelectStmt), nil, QueryOpts{Reader: m.View()}); fmt.Sprint(rs.Rows) !=
 		"[map[id:20 s:pending] map[id:25 s:pending] map[id:40 s:updated]]" {
 		t.Errorf("overlay, %s: %v", statements[0], rs.Rows)
 	}

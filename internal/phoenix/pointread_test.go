@@ -103,11 +103,8 @@ func scanRead(t *testing.T, e *Engine, sql string, params []schema.Value, opts Q
 		t.Fatalf("%s: range [%q, %q) prefix %q is not a single row", sql, spec.Start, spec.Stop, spec.Prefix)
 	}
 	var rd hbase.Reader = e.Client()
-	switch {
-	case opts.Reader != nil:
+	if opts.Reader != nil {
 		rd = opts.Reader
-	case opts.View != nil:
-		rd = opts.View
 	}
 	ctx := sim.NewCtx()
 	sc, err := rd.OpenScan(ctx, tbl, spec)
@@ -202,14 +199,13 @@ func checkPointReads(t *testing.T, e *Engine, opts, ref QueryOpts, rd hbase.Read
 		}
 	})
 	t.Run("dirty view row", func(t *testing.T) {
-		const budget = 3
 		sql, vkey := `SELECT * FROM V WHERE k = ?`, []schema.Value{int64(2)}
 		setDirty(t, e, 2, "1", markTS)
 		dirty := opts
-		dirty.DirtyCheck, dirty.MaxRestarts = true, budget
+		dirty.DirtyCheck = true
 		_, st, err := pointQuery(t, e, sql, vkey, dirty)
-		if !errors.Is(err, ErrDirtyRead) || st.Restarts != budget || st.RPCs != budget {
-			t.Fatalf("marked row: err %v after %d restarts, %d RPCs; want ErrDirtyRead after %d Gets", err, st.Restarts, st.RPCs, budget)
+		if !errors.Is(err, ErrDirtyRead) || st.Restarts != maxRestarts || st.RPCs != maxRestarts {
+			t.Fatalf("marked row: err %v after %d restarts, %d RPCs; want ErrDirtyRead after %d Gets", err, st.Restarts, st.RPCs, maxRestarts)
 		}
 		dirty.Reader = &unmarking{Reader: rd, t: t, e: e, k: 2, at: 2}
 		rs, st, err := pointQuery(t, e, sql, vkey, dirty)
@@ -230,7 +226,7 @@ func TestPointReadClient(t *testing.T) {
 func TestPointReadView(t *testing.T) {
 	e := pointDB(t)
 	m := e.Client().NewBufferedMutator(0)
-	opts := QueryOpts{View: m.View()}
+	opts := QueryOpts{Reader: m.View()}
 	for _, w := range []struct {
 		sql    string
 		params []schema.Value
@@ -328,9 +324,9 @@ func TestPointReadMVCC(t *testing.T) {
 // result without an error.
 func TestINLDirtyProbe(t *testing.T) {
 	e := pointDB(t)
-	const sql, budget = `SELECT t.id, v.v FROM T t, V v WHERE t.vk = v.k AND t.id = ?`, 4
+	const sql = `SELECT t.id, v.v FROM T t, V v WHERE t.vk = v.k AND t.id = ?`
 	params := []schema.Value{int64(7)} // vk 3
-	opts := QueryOpts{DirtyCheck: true, MaxRestarts: budget}
+	opts := QueryOpts{DirtyCheck: true}
 
 	rs, st, err := pointQuery(t, e, sql, params, opts)
 	if err != nil || len(rs.Rows) != 1 || rs.Rows[0]["v"] != "v3" {
@@ -342,8 +338,8 @@ func TestINLDirtyProbe(t *testing.T) {
 
 	setDirty(t, e, 3, "1", markTS)
 	rs, st, err = pointQuery(t, e, sql, params, opts)
-	if !errors.Is(err, ErrDirtyRead) || st.Restarts != budget {
-		t.Fatalf("marked probe: %v, err %v after %d restarts; want ErrDirtyRead after %d", rs, err, st.Restarts, budget)
+	if !errors.Is(err, ErrDirtyRead) || st.Restarts != maxRestarts {
+		t.Fatalf("marked probe: %v, err %v after %d restarts; want ErrDirtyRead after %d", rs, err, st.Restarts, maxRestarts)
 	}
 
 	opts.Reader = &unmarking{Reader: e.Client(), t: t, e: e, k: 3, at: 3}

@@ -27,81 +27,72 @@ func normalizeState(m map[string][]string) map[string][]string {
 	return stripDirtyOff(dropLockTables(m))
 }
 
-// TestAsyncMaintenanceParity is the tentpole's correctness contract: after
-// the changefeed drains, an async- (or hybrid-) maintained system holds
-// exactly the state synchronous maintenance produces — store-wide and
-// through SQL read-back — under all three concurrency modes.
+// TestAsyncMaintenanceParity is the changefeed's correctness contract: after
+// it drains, an async-maintained system holds exactly the state synchronous
+// maintenance produces — store-wide and through SQL read-back — under all
+// three concurrency modes.
 func TestAsyncMaintenanceParity(t *testing.T) {
 	const views, rowsPer = 4, 6
-	lanes := []struct {
-		name string
-		mode MaintenanceMode
-	}{
-		{"async", AsyncMaintenance},
-		{"hybrid", HybridMaintenance},
-	}
 	for _, cm := range concurrencyConfigs {
-		for _, lane := range lanes {
-			t.Run(cm.name+"/"+lane.name, func(t *testing.T) {
-				syncSys := fanoutSystem(t, views, rowsPer, cm.cfg)
-				acfg := cm.cfg
-				acfg.Maintenance = lane.mode
-				asyncSys := fanoutSystem(t, views, rowsPer, acfg)
-				if asyncSys.Feed == nil {
-					t.Fatal("async-configured system has no changefeed")
-				}
+		t.Run(cm.name+"/async", func(t *testing.T) {
+			syncSys := fanoutSystem(t, views, rowsPer, cm.cfg)
+			acfg := cm.cfg
+			acfg.Maintenance = AsyncMaintenance
+			asyncSys := fanoutSystem(t, views, rowsPer, acfg)
+			if asyncSys.Feed == nil {
+				t.Fatal("async-configured system has no changefeed")
+			}
 
-				// Single-statement churn (inserts, multi-row updates,
-				// deletes, index moves) plus the multi-statement
-				// transaction workload (read-your-writes, same-tx
-				// insert+update+delete).
-				writeWorkload(t, syncSys)
-				writeWorkload(t, asyncSys)
-				stmts, params := txnWorkload(views)
-				if err := syncSys.ExecTxn(sim.NewCtx(), stmts, params); err != nil {
+			// Single-statement churn (inserts, multi-row updates,
+			// deletes, index moves) plus the multi-statement
+			// transaction workload (read-your-writes, same-tx
+			// insert+update+delete).
+			writeWorkload(t, syncSys)
+			writeWorkload(t, asyncSys)
+			stmts, params := txnWorkload(views)
+			if err := syncSys.ExecTxn(sim.NewCtx(), stmts, params); err != nil {
+				t.Fatal(err)
+			}
+			if err := asyncSys.ExecTxn(sim.NewCtx(), stmts, params); err != nil {
+				t.Fatal(err)
+			}
+			if err := asyncSys.Feed.Drain(); err != nil {
+				t.Fatal(err)
+			}
+
+			// Synchronous maintenance leaves _dirty=0 cells behind
+			// (hierarchical un-mark phase); the async applier never
+			// marks. An off mark is semantically absent — normalize
+			// both sides before comparing.
+			requireSameState(t, normalizeState(dumpState(t, syncSys)),
+				normalizeState(dumpState(t, asyncSys)))
+
+			// SQL read-back parity through the view-routed plans.
+			for i, sel := range syncSys.Design.Workload.Selects() {
+				ps := []schema.Value{fmt.Sprintf("Leaf%02d-%d", i, 4)}
+				s, err := syncSys.Query(sim.NewCtx(), sel, ps)
+				if err != nil {
 					t.Fatal(err)
 				}
-				if err := asyncSys.ExecTxn(sim.NewCtx(), stmts, params); err != nil {
+				a, err := asyncSys.Query(sim.NewCtx(), sel, ps)
+				if err != nil {
 					t.Fatal(err)
 				}
-				if err := asyncSys.Feed.Drain(); err != nil {
-					t.Fatal(err)
+				if len(s.Rows) != len(a.Rows) {
+					t.Fatalf("query %d: %d vs %d rows", i, len(s.Rows), len(a.Rows))
 				}
-
-				// Synchronous maintenance leaves _dirty=0 cells behind
-				// (hierarchical un-mark phase); the async applier never
-				// marks. An off mark is semantically absent — normalize
-				// both sides before comparing.
-				requireSameState(t, normalizeState(dumpState(t, syncSys)),
-					normalizeState(dumpState(t, asyncSys)))
-
-				// SQL read-back parity through the view-routed plans.
-				for i, sel := range syncSys.Design.Workload.Selects() {
-					ps := []schema.Value{fmt.Sprintf("Leaf%02d-%d", i, 4)}
-					s, err := syncSys.Query(sim.NewCtx(), sel, ps)
-					if err != nil {
-						t.Fatal(err)
-					}
-					a, err := asyncSys.Query(sim.NewCtx(), sel, ps)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(s.Rows) != len(a.Rows) {
-						t.Fatalf("query %d: %d vs %d rows", i, len(s.Rows), len(a.Rows))
-					}
-					if len(s.Rows) == 0 {
-						t.Fatalf("query %d returned nothing; fixture broken", i)
-					}
-					for j := range s.Rows {
-						for col, v := range s.Rows[j] {
-							if !schema.ValuesEqual(v, a.Rows[j][col]) {
-								t.Fatalf("query %d row %d col %s: sync %v vs async %v", i, j, col, v, a.Rows[j][col])
-							}
+				if len(s.Rows) == 0 {
+					t.Fatalf("query %d returned nothing; fixture broken", i)
+				}
+				for j := range s.Rows {
+					for col, v := range s.Rows[j] {
+						if !schema.ValuesEqual(v, a.Rows[j][col]) {
+							t.Fatalf("query %d row %d col %s: sync %v vs async %v", i, j, col, v, a.Rows[j][col])
 						}
 					}
 				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -328,38 +319,4 @@ func TestAsyncMaintenanceSpeedup(t *testing.T) {
 	}
 	requireSameState(t, normalizeState(dumpState(t, syncSys)),
 		normalizeState(dumpState(t, asyncSys)))
-}
-
-// TestHybridKeepsInsertsSync: under hybrid maintenance a view tuple's
-// existence is never stale — an insert's view tuple is visible the moment
-// the statement returns, with nothing queued.
-func TestHybridKeepsInsertsSync(t *testing.T) {
-	cfg := Config{Maintenance: HybridMaintenance}
-	sys := fanoutSystem(t, 1, 4, cfg)
-	if err := sys.Exec(sim.NewCtx(), sqlparser.MustParse(
-		"INSERT INTO Leaf00 (Leaf00ID, Leaf00_RID, Leaf00Val) VALUES (?, ?, ?)"),
-		[]schema.Value{int64(200), int64(1), "hybrid-fresh"}); err != nil {
-		t.Fatal(err)
-	}
-	if p := sys.Feed.Published(); p != 0 {
-		t.Fatalf("hybrid insert published %d deltas, want 0 (inserts stay sync)", p)
-	}
-	rs, err := sys.Query(sim.NewCtx(), sys.Design.Workload.Selects()[0], []schema.Value{"hybrid-fresh"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rs.Rows) != 1 {
-		t.Fatalf("inserted view tuple not visible: got %d rows, want 1", len(rs.Rows))
-	}
-	// An update, by contrast, defers.
-	if err := sys.Exec(sim.NewCtx(), sqlparser.MustParse("UPDATE Root SET RVal = ? WHERE RID = ?"),
-		[]schema.Value{"later", int64(1)}); err != nil {
-		t.Fatal(err)
-	}
-	if p := sys.Feed.Published(); p != 1 {
-		t.Fatalf("hybrid update published %d deltas, want 1", p)
-	}
-	if err := sys.Feed.Drain(); err != nil {
-		t.Fatal(err)
-	}
 }

@@ -51,10 +51,9 @@ func BenchmarkMaintenanceWrite(b *testing.B) {
 	}
 }
 
-// BenchmarkMaintenanceLanes measures the same fanout update across the
-// three view-maintenance lanes: sync pays the full §VIII-B protocol inline,
-// async defers every view's maintenance to the changefeed, hybrid defers
-// updates only (which this workload is made of, so it tracks async here).
+// BenchmarkMaintenanceLanes measures the same fanout update across the two
+// view-maintenance lanes: sync pays the full §VIII-B protocol inline, async
+// defers every view's maintenance to the changefeed.
 // The feed is paused during timed sections and drained under StopTimer so
 // the applier's work never lands on the timed writer — sim-ms/op isolates
 // the writer-visible latency each lane produces.
@@ -65,7 +64,6 @@ func BenchmarkMaintenanceLanes(b *testing.B) {
 	}{
 		{"sync", SyncMaintenance},
 		{"async", AsyncMaintenance},
-		{"hybrid", HybridMaintenance},
 	}
 	for _, views := range []int{1, 4, 16} {
 		for _, lane := range lanes {

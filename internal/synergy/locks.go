@@ -66,15 +66,6 @@ func (lm *LockManager) BulkCreateEntries(root string, rows []hbase.BulkRow) erro
 	return lm.store.BulkLoad(LockTableName(root), entries)
 }
 
-// EnsureEntry creates the lock entry for a newly inserted root row with an
-// eager put — the path for a transaction whose mutator flushes at 1
-// (Config.SequentialWrites): every write it issues is already published, so
-// there is no commit flush for the entry to ride.
-func (lm *LockManager) EnsureEntry(ctx *sim.Ctx, root, key string) error {
-	return lm.client.Put(ctx, LockTableName(root), key,
-		[]hbase.Cell{{Qualifier: lockQualifier, Value: lockFree}})
-}
-
 // EnsureEntryDeferred folds the lock-table entry for a freshly inserted
 // root row into the transaction's buffered mutator: the entry rides the
 // commit flush as a create-if-absent CheckAndPut batch entry, replacing
@@ -90,11 +81,11 @@ func (lm *LockManager) EnsureEntry(ctx *sim.Ctx, root, key string) error {
 // update's phase barrier publishes everything buffered mid-transaction —
 // the transaction promotes every deferred entry to a held lock (AcquireNew)
 // before its first barrier, restoring "row published ⟹ lock held until
-// commit". Second, the deferred write is conditional where the eager entry
-// put was not: if a concurrent Acquire created the entry meanwhile (it
-// falls back to create-if-absent, so acquirability never depended on the
-// entry existing), the commit-time CheckAndPut(absent → free) no-ops
-// instead of clobbering a held lock with a free one.
+// commit". Second, the deferred write is conditional: if a concurrent
+// Acquire created the entry meanwhile (it falls back to create-if-absent, so
+// acquirability never depended on the entry existing), the commit-time
+// CheckAndPut(absent → free) no-ops instead of clobbering a held lock with a
+// free one.
 //
 // Like the paper's insert applicability rule, this assumes inserts carry
 // fresh keys: an insert that silently upserts a live, contended root key

@@ -111,12 +111,10 @@ const (
 	SyncMaintenance MaintenanceMode = iota
 	// AsyncMaintenance takes all view upkeep off the critical path: the
 	// commit publishes deltas to the changefeed and background appliers
-	// replay the maintenance procedures; reads may observe staleness.
+	// replay the maintenance procedures; reads may observe staleness. A
+	// view's inserts, updates and deletes share one FIFO lane, so the drained
+	// view is the one synchronous maintenance builds.
 	AsyncMaintenance
-	// HybridMaintenance keeps inserts and deletes synchronous (a view
-	// tuple's existence is never stale) but defers the multi-row updates —
-	// the expensive marked phase — to the changefeed.
-	HybridMaintenance
 )
 
 // ViewReadMode selects what a read does when it touches an asynchronously
@@ -392,23 +390,16 @@ func (sys *System) asyncViewsIn(stmt *sqlparser.SelectStmt) []string {
 	return out
 }
 
-// staleObserver returns the OnViewScan hook of a ReadStale query: it records
-// (once per view per query) how far behind the reader's snapshot an
-// async-maintained view lags. Nil when there is nothing to observe.
-func (sys *System) staleObserver(readTS int64, reads ViewReadMode) func(*sim.Ctx, string) error {
-	if sys.Feed == nil || reads != ReadStale {
-		return nil
+// countStale records, once per async view a ReadStale statement reads, how far
+// the view lags behind the reader's snapshot readTS.
+func (sys *System) countStale(ctx *sim.Ctx, p *Prepared, readTS int64, reads ViewReadMode) {
+	if reads != ReadStale {
+		return
 	}
-	seen := map[string]bool{}
-	return func(c *sim.Ctx, view string) error {
-		if seen[view] {
-			return nil
+	for _, v := range p.async {
+		if lag := sys.Feed.StaleBehind(v, readTS); lag > 0 {
+			ctx.CountStaleRead(lag)
 		}
-		seen[view] = true
-		if lag := sys.Feed.StaleBehind(view, readTS); lag > 0 {
-			c.CountStaleRead(lag)
-		}
-		return nil
 	}
 }
 
@@ -419,8 +410,8 @@ func (sys *System) staleObserver(readTS int64, reads ViewReadMode) func(*sim.Ctx
 // (§VIII-C); under MVCC the read runs inside a snapshot transaction; under
 // OCC it runs against a begin-timestamp snapshot — read-only snapshot reads
 // are serializable as of their begin point and need no validation, and the
-// snapshot horizon hides commits still flushing, so no dirty marking is
-// needed either.
+// snapshot hides the stamp blocks of commits still flushing, so no dirty
+// marking is needed either.
 //
 // Asynchronously maintained views add a freshness gate. In ReadWatermark
 // mode the query waits — before its snapshot is taken, so the snapshot
@@ -446,7 +437,7 @@ func (sys *System) QueryStream(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params [
 // error); OCC and hierarchical reads carry no per-read transaction state, so
 // their cursors only release the scanner.
 func (sys *System) open(ctx *sim.Ctx, p *Prepared, params []schema.Value, reads ViewReadMode) (phoenix.RowCursor, error) {
-	if sys.Feed != nil && reads == ReadWatermark {
+	if len(p.async) > 0 && reads == ReadWatermark {
 		arrival := sys.Store.CurrentTS()
 		for _, v := range p.async {
 			sys.Feed.WaitWatermark(ctx, v, arrival)
@@ -455,7 +446,8 @@ func (sys *System) open(ctx *sim.Ctx, p *Prepared, params []schema.Value, reads 
 	switch sys.cfg.Concurrency {
 	case MVCC:
 		tx := sys.MVCCServer.Begin(ctx)
-		cur, err := p.plan.Open(ctx, params, phoenix.QueryOpts{Read: tx.ReadOpts(), OnViewScan: sys.staleObserver(tx.ID(), reads)})
+		sys.countStale(ctx, p, tx.ID(), reads)
+		cur, err := p.plan.Open(ctx, params, phoenix.QueryOpts{Read: tx.ReadOpts()})
 		if err != nil {
 			sys.MVCCServer.Abort(ctx, tx)
 			return nil, err
@@ -468,10 +460,12 @@ func (sys *System) open(ctx *sim.Ctx, p *Prepared, params []schema.Value, reads 
 			return sys.MVCCServer.Commit(ctx, tx)
 		}), nil
 	case OCC:
-		snap := sys.OCC.SnapshotTS(ctx)
-		return p.plan.Open(ctx, params, phoenix.QueryOpts{Read: hbase.SnapshotRead(snap), OnViewScan: sys.staleObserver(snap, reads)})
+		snap, ro := sys.OCC.SnapshotRead(ctx)
+		sys.countStale(ctx, p, snap, reads)
+		return p.plan.Open(ctx, params, phoenix.QueryOpts{Read: ro})
 	}
-	return p.plan.Open(ctx, params, phoenix.QueryOpts{DirtyCheck: true, OnViewScan: sys.staleObserver(sys.Store.CurrentTS(), reads)})
+	sys.countStale(ctx, p, sys.Store.CurrentTS(), reads)
+	return p.plan.Open(ctx, params, phoenix.QueryOpts{DirtyCheck: true})
 }
 
 // Exec executes a write statement: through the Synergy transaction layer

@@ -53,8 +53,8 @@ type Tx struct {
 	mutator *hbase.BufferedMutator
 	// eager: the mutator flushes at 1, so what a statement emits is published
 	// before the commit. Such a transaction cannot defer a fresh root row's
-	// lock entry into the commit flush: it self-acquires in step 1 and writes
-	// the entry at once (executeWriteBody). It is the paper's client, which
+	// lock entry into the commit flush: it self-acquires in step 1, which
+	// creates the entry (executeWriteBody). It is the paper's client, which
 	// also locates an update's views one at a time (locateAll).
 	eager  bool
 	mvccTx *mvcc.Tx // nil unless Concurrency == MVCC
@@ -73,9 +73,9 @@ type Tx struct {
 	// has not yet un-marked; Abort un-marks them so an aborted transaction
 	// never leaves rows permanently dirty (readers would restart forever).
 	marks []markRef
-	// deltas are view-maintenance actions deferred to the changefeed
-	// (async/hybrid views): captured during statement execution, published
-	// only on commit, dropped on abort.
+	// deltas are view-maintenance actions deferred to the changefeed (async
+	// views): captured during statement execution, published only on commit,
+	// dropped on abort.
 	deltas []viewDelta
 	stmts  int // statements executed (MVCC checkpoints between them)
 	done   bool
@@ -191,24 +191,15 @@ func (tx *Tx) open(ctx *sim.Ctx, p *Prepared, params []schema.Value, reads ViewR
 	default:
 		readTS = sys.Store.CurrentTS()
 	}
-	if sys.Feed != nil && reads == ReadWatermark {
+	if reads == ReadWatermark {
 		for _, v := range p.async {
 			sys.Feed.WaitWatermark(ctx, v, readTS)
 		}
 	}
-	opts := phoenix.QueryOpts{OnViewScan: sys.staleObserver(readTS, reads)}
-	switch {
-	case tx.occTx != nil:
-		opts.Read = tx.occTx.ReadOpts()
-		opts.Reader = tx.opts.Reader
-	case tx.mvccTx != nil:
-		opts.Read = tx.opts.Read // checkpoint-current snapshot
-		opts.View = tx.mutator.View()
-	default:
-		opts.DirtyCheck = true
-		opts.View = tx.mutator.View()
-	}
-	return p.plan.Open(ctx, params, opts)
+	sys.countStale(ctx, p, readTS, reads)
+	// The write path's reader and read options: the tracking reader or the
+	// overlay view, at the snapshot's current checkpoint.
+	return p.plan.Open(ctx, params, phoenix.QueryOpts{Read: tx.opts.Read, Reader: sys.Engine.Reader(tx.opts), DirtyCheck: tx.lock})
 }
 
 // Commit flushes every buffered mutation as one region-grouped batch round,
@@ -290,23 +281,6 @@ func (tx *Tx) publishDeltas(ctx *sim.Ctx) {
 	}
 	tx.deltas = nil
 	sys.Feed.Publish(ctx, out)
-}
-
-// deferMaintenance reports whether view maintenance for this write kind rides
-// the changefeed instead of the writing statement.
-func (tx *Tx) deferMaintenance(kind core.WriteKind) bool {
-	if tx.sys.Feed == nil {
-		return false
-	}
-	switch tx.sys.cfg.Maintenance {
-	case AsyncMaintenance:
-		return true
-	case HybridMaintenance:
-		// Inserts and deletes stay synchronous (a view tuple's existence is
-		// never stale); only the multi-row update phase is deferred.
-		return kind == core.WriteUpdate
-	}
-	return false
 }
 
 // applyDelta replays one deferred maintenance action from the changefeed
@@ -622,26 +596,19 @@ func (sys *System) executeWriteBody(ctx *sim.Ctx, tx *Tx, stmt sqlparser.Stateme
 	// conditional create-free batch entry for every ref still deferred (see
 	// EnsureEntryDeferred), while a ref promoted to a held lock meanwhile
 	// needs no entry write at all — Acquire created it and Release frees it.
-	// An eager transaction self-acquired in step 1, so the held-lock check
-	// keeps this from overwriting its live lock; the entry put stays as the
-	// fallback for refs locked some other way.
+	// An eager transaction self-acquired in step 1 (a root row's lock is its
+	// own key), so its ref is always held here.
 	if tx.lock && parts.kind == core.WriteInsert && sys.isRoot(plan.Table) {
 		ref := lockRef{plan.Table, w.Key}
-		if _, held := tx.lockSet[ref]; !held {
-			if tx.eager {
-				if err := sys.Locks.EnsureEntry(ctx, plan.Table, w.Key); err != nil {
-					return err
-				}
-			} else if !tx.isDeferred(ref) {
-				tx.deferred = append(tx.deferred, ref)
-			}
+		if _, held := tx.lockSet[ref]; !held && !tx.isDeferred(ref) {
+			tx.deferred = append(tx.deferred, ref)
 		}
 	}
 
-	// View maintenance. Async (and, for updates, hybrid) views defer to the
-	// changefeed: the delta is captured now but published only if the
-	// transaction commits, so an abort leaves no view delta applied.
-	if tx.deferMaintenance(parts.kind) {
+	// View maintenance. Async views defer to the changefeed: the delta is
+	// captured now but published only if the transaction commits, so an abort
+	// leaves no view delta applied.
+	if sys.Feed != nil {
 		for _, action := range plan.Actions {
 			tx.deltas = append(tx.deltas, viewDelta{view: action.View.Name(), action: action, parts: parts})
 		}
