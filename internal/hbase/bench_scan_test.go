@@ -112,7 +112,7 @@ func BenchmarkScanChunkMerge(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf.reset()
-		if _, next := r.scanChunk(buf, "", 0, false, ReadOpts{}, nil, nil); next != "" {
+		if _, _, next := r.scanChunk(buf, "", 0, &ScanSpec{}); next != "" {
 			b.Fatalf("next = %q, want exhausted", next)
 		}
 		if len(buf.rows) != rows {

@@ -201,7 +201,7 @@ func (c *Client) Get(ctx *sim.Ctx, tbl, key string, opts ReadOpts) (RowResult, e
 // would, as one Get: under spec.Read, cut to spec.Columns, and dropped
 // server-side unless spec.Filter keeps it (HBase's Get with its column and
 // filter options). The rest of spec — the range, Limit, Batch, Reversed,
-// Sequential — has nothing to say about one row. It is charged a GetSeek and
+// Sequential, Fold — has nothing to say about one row. It is charged a GetSeek and
 // the bytes of what it ships (nothing for an absent or filtered-out row, as a
 // scan ships nothing for it), and counts a stored row as one row examined
 // whether or not the filter keeps it.
@@ -353,6 +353,17 @@ type ScanSpec struct {
 	// server-side (store rows with no pending mutations) and client-side
 	// (rows merged with pending cells).
 	Filter func(RowResult) bool
+	// Fold, when non-nil, aggregates the scan where its rows live, as
+	// Phoenix's server-side aggregation does: each region takes a Folder from
+	// Fold, adds every visible row of its share of the range that passes
+	// Filter — charged AggRow per row, as server work — and answers with one
+	// RPC carrying the Folder's partial rows instead of the rows. The stream
+	// then yields those, region by region in scan order; Batch does not apply
+	// and a caller folding sets no Limit. A reader that cannot fold where the
+	// rows live ignores Fold and streams the rows — a point read (GetRow), a
+	// transaction's view with pending rows in the range — so the caller tells
+	// a partial row from a stored one.
+	Fold func() Folder
 	// Columns, when non-nil, is the set of qualifiers the scan reads: every
 	// other cell stays in the store — the filter does not see it, the response
 	// does not carry it, Bytes and with it the per-byte charge do not count
@@ -373,6 +384,15 @@ type ScanSpec struct {
 	// is 0 or at least one Batch; a smaller Limit is reached sooner by early
 	// termination than by speculative per-region prefetch.
 	Sequential bool
+}
+
+// Folder aggregates one region's share of a folding scan (ScanSpec.Fold).
+type Folder interface {
+	// Add folds in one row. Its Cells are valid only during the call; the
+	// values they hold are immutable and may be kept.
+	Add(RowResult)
+	// Rows returns what was folded in as partial rows: the region's answer.
+	Rows() []RowResult
 }
 
 func (s ScanSpec) bounds() (start, stop string) {
@@ -583,7 +603,8 @@ func (s *Scanner) refillInline(ctx *sim.Ctx) bool {
 // counted against Limit: the whole scan's without workers; the region's own
 // with them, since the merged result takes the first Limit rows in scan order
 // and so no single region can contribute more — rows past the limit in early
-// regions are speculative overfetch that the client trims.
+// regions are speculative overfetch that the client trims. A folding scan's
+// region answers in one chunk, whatever want is.
 func (s *Scanner) nextChunk(ctx *sim.Ctx, i int, buf *chunkBuf, resume string, sent int) (next string, done bool) {
 	limit := s.spec.Limit
 	want := s.batch
@@ -626,12 +647,7 @@ func (s *Scanner) release() {
 }
 
 // past reports whether key lies beyond the bound the scan leaves its range at.
-func (s *Scanner) past(key string) bool {
-	if s.spec.Reversed {
-		return key < s.to
-	}
-	return s.to != "" && key >= s.to
-}
+func (s *Scanner) past(key string) bool { return beyond(key, s.to, s.spec.Reversed) }
 
 // readChunk performs one scanner RPC against region r into buf, charging
 // ctx for the server-side work and the response shipment. The buffer is
@@ -639,19 +655,21 @@ func (s *Scanner) past(key string) bool {
 // it previously held. next is "" when
 // the region is exhausted; truncated reports that the range's far bound (the
 // stop key, or the start key of a reversed scan) cut the chunk, meaning every
-// remaining key in this and any later region is out of range.
+// remaining key in this and any later region is out of range. A folding
+// scan's chunk is the region's partial rows, which the region cut to the
+// range itself.
 func (s *Scanner) readChunk(ctx *sim.Ctx, r *Region, buf *chunkBuf, resume string, want int) (next string, truncated bool) {
 	hc := s.client.hc
 	srv := r.Server()
 	buf.reset()
-	examined, next := r.scanChunk(buf, resume, want, s.spec.Reversed, s.spec.Read, s.spec.Filter, s.spec.Columns)
-	for n := len(buf.rows); n > 0 && s.past(buf.rows[n-1].Key); n-- {
+	examined, folded, next := r.scanChunk(buf, resume, want, &s.spec)
+	for n := len(buf.rows); s.spec.Fold == nil && n > 0 && s.past(buf.rows[n-1].Key); n-- {
 		buf.rows[n-1] = RowResult{} // reset clears rows to its length only
 		buf.rows = buf.rows[:n-1]
 		truncated = true
 	}
 	ctx.CountRowsScanned(examined)
-	hc.serverWork(ctx, srv, sim.Micros(int64(examined)*int64(hc.costs.ScanNextRow)))
+	hc.serverWork(ctx, srv, sim.Micros(int64(examined)*int64(hc.costs.ScanNextRow)+int64(folded)*int64(hc.costs.AggRow)))
 	bytes := 0
 	for _, row := range buf.rows {
 		bytes += row.Bytes()

@@ -262,6 +262,11 @@ func (v *ReadView) GetMany(ctx *sim.Ctx, tbl string, keys []string, opts ReadOpt
 // exempted from the pushed filter — the store must ship them so the client
 // can filter the merged row. Filters must therefore be pure row predicates,
 // which every SQL-layer filter is.
+//
+// A fold (ScanSpec.Fold) runs where the rows live only while none is pending
+// in range: a region would fold the store image of a pending row, which the
+// merge must replace. With pending keys in range the view ignores the fold
+// and streams the merged rows, for the caller to fold.
 func (v *ReadView) OpenScan(ctx *sim.Ctx, tbl string, spec ScanSpec) (RowStream, error) {
 	ot := v.m.pendingTable(tbl)
 	var keys []string
@@ -278,6 +283,7 @@ func (v *ReadView) OpenScan(ctx *sim.Ctx, tbl string, spec ScanSpec) (RowStream,
 		slices.Reverse(keys)
 	}
 	inner := spec
+	inner.Fold = nil
 	if spec.Filter != nil {
 		pend := make(map[string]struct{}, len(keys))
 		for _, k := range keys {

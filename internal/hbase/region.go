@@ -275,60 +275,93 @@ func (r *Region) checkAndPut(key, qualifier string, expected []byte, c Cell, clo
 // server-side and the key to resume from ("" if the region is exhausted). A
 // reversed chunk walks the other way: rows with key < from ("" = from the
 // last key) and >= r.start, in descending order, and its resume key is
-// the last returned key — an exclusive upper bound, as from is. filter, when
-// non-nil, drops rows server-side (they still count as examined); cols, when
-// non-nil, is the cells a row is read down to before the filter sees it. buf
-// must arrive empty (reset); the produced rows live in buf.rows and their
-// Cells are windows into buf.arena, so they are valid only until the buffer's
-// next reset — the chunkBuf ownership protocol governs when that may happen.
-func (r *Region) scanChunk(buf *chunkBuf, from string, limit int, reversed bool, opts ReadOpts, filter func(RowResult) bool, cols *ColumnSet) (examined int, next string) {
+// the last returned key — an exclusive upper bound, as from is. spec.Filter,
+// when non-nil, drops rows server-side (they still count as examined);
+// spec.Columns, when non-nil, is the cells a row is read down to before the
+// filter sees it; spec.Read decides which versions are visible. buf must
+// arrive empty (reset); the produced rows live in buf.rows and their Cells are
+// windows into buf.arena, so they are valid only until the buffer's next reset
+// — the chunkBuf ownership protocol governs when that may happen.
+//
+// A chunk of a folding spec (spec.Fold) is the region's whole share of the
+// scan's range, limit or not: every row that would have been returned — up to
+// the range's far bound, which a plain chunk leaves to the client — goes into
+// one Folder instead, folded counts them, and buf.rows is the Folder's
+// partial rows.
+func (r *Region) scanChunk(buf *chunkBuf, from string, limit int, spec *ScanSpec) (examined, folded int, next string) {
 	defer func() { r.recordRead(examined) }()
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 
-	m := newRowMerger(r.mem, r.files, from, reversed, cols)
+	reversed := spec.Reversed
+	m := newRowMerger(r.mem, r.files, from, reversed, spec.Columns)
 	defer m.release()
-	need := m.remaining()
-	if limit > 0 && limit < need {
-		need = limit
+	end := r.end // the bound the walk leaves the region at
+	if reversed {
+		end = r.start
 	}
-	if cap(buf.rows) < need {
-		buf.rows = make([]RowResult, 0, need)
+	var fold Folder
+	var to string // the range's far bound, for a fold
+	if spec.Fold != nil {
+		fold, limit = spec.Fold(), 0
+		start, stop := spec.bounds()
+		if to = stop; reversed {
+			to = start
+		}
+	} else {
+		need := m.remaining()
+		if limit > 0 && limit < need {
+			need = limit
+		}
+		if cap(buf.rows) < need {
+			buf.rows = make([]RowResult, 0, need)
+		}
 	}
 	for limit <= 0 || len(buf.rows) < limit {
 		key, parts, ok := m.next()
-		if !ok {
-			return examined, ""
-		}
-		if reversed {
-			if key < r.start {
-				return examined, ""
+		if !ok || beyond(key, end, reversed) || fold != nil && beyond(key, to, reversed) {
+			if fold != nil {
+				buf.rows = append(buf.rows, fold.Rows()...)
 			}
-		} else if r.end != "" && key >= r.end {
-			return examined, ""
+			return examined, folded, ""
 		}
 		examined++
 		var cells Cells
-		buf.arena, cells = m.read(parts, buf.arena, opts)
+		buf.arena, cells = m.read(parts, buf.arena, spec.Read)
 		buf.wrote()
 		if len(cells) == 0 {
 			continue // deleted or invisible row
 		}
 		res := RowResult{Key: key, Cells: cells}
-		if filter != nil && !filter(res) {
-			// Give the dropped row's pairs back to the arena; nothing
-			// references them.
-			buf.arena = buf.arena[:len(buf.arena)-len(cells)]
+		keep := spec.Filter == nil || spec.Filter(res)
+		if keep && fold == nil {
+			buf.rows = append(buf.rows, res)
 			continue
 		}
-		buf.rows = append(buf.rows, res)
+		if keep {
+			fold.Add(res)
+			folded++
+		}
+		// Give the dropped or folded row's pairs back to the arena; nothing
+		// references them.
+		buf.arena = buf.arena[:len(buf.arena)-len(cells)]
 	}
 	// Limit reached: resume just past the last returned key.
 	last := buf.rows[len(buf.rows)-1].Key
 	if reversed {
-		return examined, last
+		return examined, folded, last
 	}
-	return examined, last + "\x00"
+	return examined, folded, last + "\x00"
+}
+
+// beyond reports whether a walk in the given direction has left a range at
+// key: past its exclusive end going forward, below its inclusive start going
+// backward. An empty bound is open.
+func beyond(key, bound string, reversed bool) bool {
+	if reversed {
+		return key < bound
+	}
+	return bound != "" && key >= bound
 }
 
 // afterWriteLocked ends every memstore write. Once the resident buffer has

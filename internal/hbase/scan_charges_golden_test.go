@@ -15,6 +15,25 @@ import (
 
 var update = flag.Bool("update", false, "rewrite the testdata goldens from the current code")
 
+// lenFold is the Folder of the golden's folding specs: it counts a region's
+// rows by the length of their v cell and answers with one partial row per
+// length, keyed by it.
+type lenFold map[int]int
+
+func newLenFold() Folder { return lenFold{} }
+
+func (f lenFold) Add(r RowResult) { f[len(r.Get("v"))]++ }
+
+func (f lenFold) Rows() []RowResult {
+	var out []RowResult
+	for n := range 16 {
+		if f[n] > 0 {
+			out = append(out, RowResult{Key: fmt.Sprint(n), Cells: Cells{{Qualifier: "n", Value: []byte(fmt.Sprint(f[n]))}}})
+		}
+	}
+	return out
+}
+
 // TestScanChargesGolden pins what a scan is charged, spec by spec: the rows it
 // returns, every sim.Stats counter of the request, and the request's elapsed
 // time after its first Next — the time-to-first-row a consumer sees. The
@@ -22,7 +41,8 @@ var update = flag.Bool("update", false, "rewrite the testdata goldens from the c
 // spec runs without workers (Sequential) and with whatever Scan decides; a
 // spec that stops early (a Limit reached before the range ends, a Close
 // mid-stream) runs without workers only, because how far a worker gets before
-// it is stopped depends on the scheduler. Run it at -cpu 1,2,4.
+// it is stopped depends on the scheduler. A folding spec's rows are its
+// regions' partial rows. Run it at -cpu 1,2,4.
 func TestScanChargesGolden(t *testing.T) {
 	_, c := buildScanFixture(t, 4000, 8)
 	odd := func(r RowResult) bool { return len(r.Get("v"))%2 == 0 }
@@ -47,6 +67,13 @@ func TestScanChargesGolden(t *testing.T) {
 		{name: "snapshot", spec: ScanSpec{Read: ReadOpts{ReadTS: 1}, Batch: 100}},
 		{name: "close-early", spec: ScanSpec{Batch: 100}, closeAt: 250, earlyStop: true},
 		{name: "close-early-filter", spec: ScanSpec{Filter: odd, Batch: 64}, closeAt: 777, earlyStop: true},
+		{name: "fold", spec: ScanSpec{Fold: newLenFold, Batch: 100}},
+		{name: "fold-range", spec: ScanSpec{Start: scanKey(500), Stop: scanKey(3500), Fold: newLenFold}},
+		{name: "fold-stop-in-region", spec: ScanSpec{Stop: scanKey(1777), Fold: newLenFold}},
+		{name: "fold-prefix", spec: ScanSpec{Prefix: "k001", Fold: newLenFold}},
+		{name: "fold-filter-columns", spec: ScanSpec{Filter: odd, Columns: NewColumnSet("v"), Fold: newLenFold}},
+		{name: "fold-snapshot", spec: ScanSpec{Read: ReadOpts{ReadTS: 1}, Fold: newLenFold}},
+		{name: "fold-empty", spec: ScanSpec{Start: scanKey(4001), Fold: newLenFold}},
 	}
 	var b strings.Builder
 	for _, tc := range cases {

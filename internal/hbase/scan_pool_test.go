@@ -250,7 +250,7 @@ func TestChunkBufResetClearsDirtiedPrefix(t *testing.T) {
 	// beyond len(arena) when the fill ends.
 	n := 0
 	reject := func(RowResult) bool { n++; return n%3 != 1 }
-	if _, next := r.scanChunk(buf, "", 0, false, ReadOpts{}, reject, nil); next != "" || len(buf.rows) != rows-(rows+2)/3 {
+	if _, _, next := r.scanChunk(buf, "", 0, &ScanSpec{Filter: reject}); next != "" || len(buf.rows) != rows-(rows+2)/3 {
 		t.Fatalf("filtered fill gave %d rows, next %q", len(buf.rows), next)
 	}
 	if buf.dirty != len(buf.arena)+width || buf.dirty > cap(buf.arena) {
@@ -260,7 +260,7 @@ func TestChunkBufResetClearsDirtiedPrefix(t *testing.T) {
 	requireZero("after the 1,000-row fill")
 
 	// A one-row fill of the same buffer dirties one row's worth of it.
-	if _, next := r.scanChunk(buf, scanKey(7), 1, false, ReadOpts{}, nil, nil); next == "" || len(buf.rows) != 1 {
+	if _, _, next := r.scanChunk(buf, scanKey(7), 1, &ScanSpec{}); next == "" || len(buf.rows) != 1 {
 		t.Fatalf("point fill gave %d rows, next %q", len(buf.rows), next)
 	}
 	if buf.dirty != width || cap(buf.arena) < rows/2*width {

@@ -282,11 +282,26 @@ func (p *Plan) execute(ctx *sim.Ctx, params []schema.Value, opts QueryOpts) (*pr
 }
 
 // materialize runs the buffering executor: joins, then aggregation, ORDER BY
-// and LIMIT.
+// and LIMIT. The aggregation of a single table (Plan.fold) runs in its scan,
+// where the rows live; any other adds the joined tuples here.
 func (q *query) materialize(ctx *sim.Ctx) (*projected, error) {
+	if q.fold {
+		g, b := newGroups(q.Plan), q.bindings[0]
+		if _, err := q.scanBinding(ctx, b, q.fullPlan(b), true, g); err != nil {
+			return nil, err
+		}
+		return q.project(ctx, g.finish(ctx)), nil
+	}
 	tuples, err := q.run(ctx)
 	if err != nil {
 		return nil, err
+	}
+	if q.aggregated {
+		g := newGroups(q.Plan)
+		for _, t := range tuples {
+			g.add(t.vals)
+		}
+		tuples = g.finish(ctx)
 	}
 	return q.project(ctx, tuples), nil
 }

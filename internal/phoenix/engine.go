@@ -14,7 +14,9 @@ import (
 // Phoenix JDBC driver does: it "transforms the SQL query into a series of
 // HBase scans and coordinates the execution of scans" (§II-D). Join,
 // aggregation and sort work happens client-side and is charged to the
-// request context via the cost model.
+// request context via the cost model — except the aggregation of a single
+// table, which the regions compute on their own rows, as Phoenix's
+// server-side aggregation does (see groups).
 type Engine struct {
 	cat    *Catalog
 	client *hbase.Client
@@ -147,10 +149,17 @@ type Plan struct {
 	aggregated bool
 	groupBy    []colRef
 	aggs       []aggItem // parallel to sel.Items when aggregated
-	orderBy    []orderKey
-	out        []outCol
-	names      []string         // parallel to out
-	types      []schema.ColType // parallel to out, see outTypes
+	// groupSlots and argSlots are where in an input row the GROUP BY values
+	// and each aggregate's argument lie (argSlots[i] unused for COUNT(*)).
+	groupSlots, argSlots []int
+	// fold marks an aggregate over one table — no join, no derived table —
+	// which aggregates where its rows live: its scan carries a fold (see
+	// groups).
+	fold    bool
+	orderBy []orderKey
+	out     []outCol
+	names   []string         // parallel to out
+	types   []schema.ColType // parallel to out, see outTypes
 	// quals is what a stream cursor reads for each result column of a
 	// single-table plain statement: the column's qualifier, "" for a
 	// literal item (see tryStream).
@@ -369,6 +378,18 @@ func (e *Engine) Compile(sel *sqlparser.SelectStmt) (*Plan, error) {
 	p.names, p.types = make([]string, len(p.out)), p.outTypes()
 	for i, o := range p.out {
 		p.names[i] = o.name
+	}
+	if p.aggregated {
+		p.groupSlots, p.argSlots = make([]int, len(p.groupBy)), make([]int, len(p.aggs))
+		for i, c := range p.groupBy {
+			p.groupSlots[i] = c.slot()
+		}
+		for i, a := range p.aggs {
+			if !a.star {
+				p.argSlots[i] = a.arg.slot()
+			}
+		}
+		p.fold = len(p.bindings) == 1 && p.bindings[0].info != nil
 	}
 	if b := p.bindings; len(b) == 1 && b[0].info != nil && !p.aggregated {
 		p.quals = make([]string, len(p.out))

@@ -464,14 +464,21 @@ func (q *query) scanTuple(b *binding, r hbase.RowResult, wide bool) tuple {
 }
 
 // scanBinding fetches a binding's rows via its access plan, applying all
-// local predicates (pushed down server-side) and converting to tuples.
-func (q *query) scanBinding(ctx *sim.Ctx, b *binding, plan accessPlan, wide bool) ([]tuple, error) {
+// local predicates (pushed down server-side) and converting to tuples. Given
+// groups — the one table of a single-table aggregate — it folds the rows into
+// them instead and returns no tuple: the scan carries a fold, so the regions
+// aggregate their rows and ship partial groups, merged here in scan order,
+// and whatever stored rows a reader streams instead are added here.
+func (q *query) scanBinding(ctx *sim.Ctx, b *binding, plan accessPlan, wide bool, g *groups) ([]tuple, error) {
 	if b.sub != nil {
 		return q.scanDerived(b, wide), nil
 	}
 	tableName, spec, err := q.scanSpec(b, plan)
 	if err != nil {
 		return nil, err
+	}
+	if g != nil {
+		spec.Fold = q.newRegionFold
 	}
 	dirtyChecked := q.opts.DirtyCheck && b.info.IsView
 	for attempt := 0; ; attempt++ {
@@ -491,10 +498,20 @@ func (q *query) scanBinding(ctx *sim.Ctx, b *binding, plan accessPlan, wide bool
 				sc.Close(ctx) // abandon in-flight region fetches
 				break
 			}
-			out = append(out, q.scanTuple(b, r, wide))
+			switch {
+			case g == nil:
+				out = append(out, q.scanTuple(b, r, wide))
+			case isPartial(r):
+				g.merge(r)
+			default:
+				g.addRow(b.refs, r.Cells)
+			}
 		}
 		if !dirty {
 			return out, nil
+		}
+		if g != nil {
+			g.reset()
 		}
 		// §VIII-C: "if a marked row is present ... re-scan".
 		if err := q.restart(ctx, tableName, attempt); err != nil {
@@ -590,7 +607,7 @@ func (q *query) run(ctx *sim.Ctx) ([]tuple, error) {
 			start, startPlan = b, plan
 		}
 	}
-	current, err := q.scanBinding(ctx, start, startPlan, true)
+	current, err := q.scanBinding(ctx, start, startPlan, true, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -707,7 +724,7 @@ func (q *query) joinBinding(ctx *sim.Ctx, outer []tuple, b *binding, joined map[
 	// its distinct keys, probe with outer. Rows sharing a key chain through
 	// next from the first one read (head, by key id) — the build walks inner
 	// backwards to get that — so matches come out in the order they were read.
-	inner, err := q.scanBinding(ctx, b, q.fullPlan(b), false)
+	inner, err := q.scanBinding(ctx, b, q.fullPlan(b), false, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -860,7 +877,7 @@ func (q *query) indexNestedLoop(ctx *sim.Ctx, outer []tuple, b *binding, plan ac
 }
 
 func (q *query) cartesianJoin(ctx *sim.Ctx, outer []tuple, b *binding) ([]tuple, error) {
-	inner, err := q.scanBinding(ctx, b, q.fullPlan(b), false)
+	inner, err := q.scanBinding(ctx, b, q.fullPlan(b), false, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -930,14 +947,11 @@ func (p *projected) value(t tuple, j int) []byte {
 	return t.vals[p.out[j].src.slot()]
 }
 
-// project runs the post-join stages: aggregation, ORDER BY, LIMIT.
+// project runs the stages after the joins and the aggregation: ORDER BY,
+// LIMIT.
 func (q *query) project(ctx *sim.Ctx, tuples []tuple) *projected {
 	costs := q.eng.costs
 	sel := q.sel
-
-	if q.aggregated {
-		tuples = q.aggregate(ctx, tuples)
-	}
 
 	// The one sort of the executor — skipped, with its charge, when the scan
 	// already delivered the rows in this order.
@@ -967,119 +981,4 @@ func (q *query) project(ctx *sim.Ctx, tuples []tuple) *projected {
 		tuples = tuples[:sel.Limit]
 	}
 	return &projected{out: q.out, types: q.types, rows: tuples}
-}
-
-// aggState is one aggregate's running state within one group: the non-NULL
-// values seen, the sum of the numeric ones, and the least and greatest — kept
-// as the encoded cells they arrived as.
-type aggState struct {
-	count    int64
-	sum      float64
-	min, max []byte
-}
-
-// add folds one encoded value in; a NULL counts for nothing.
-func (st *aggState) add(v []byte) {
-	x := rawOfCell(v)
-	if x.kind == CellNull {
-		return
-	}
-	st.count++
-	if x.kind == CellFloat {
-		st.sum += x.num
-	}
-	if st.count == 1 || compareRaw(x, rawOfCell(st.min)) < 0 {
-		st.min = v
-	}
-	if st.count == 1 || compareRaw(x, rawOfCell(st.max)) > 0 {
-		st.max = v
-	}
-}
-
-// appendResult appends fn's value over the folded cells to buf, encoded as a
-// cell, and returns the grown buffer with the value's window in it (nil for
-// NULL: no value folded). MIN and MAX are the stored cells themselves. A SUM
-// with an exact int64 value is an integer, whatever its arguments were.
-func (st *aggState) appendResult(buf []byte, fn string) (grown, val []byte) {
-	at := len(buf)
-	switch {
-	case fn == "COUNT":
-		buf = appendIntCell(buf, st.count)
-	case st.count == 0:
-		return buf, nil
-	case fn == "MIN":
-		return buf, st.min
-	case fn == "MAX":
-		return buf, st.max
-	case fn == "AVG":
-		buf = appendFloatCell(buf, st.sum/float64(st.count))
-	case fn == "SUM" && st.sum == float64(int64(st.sum)):
-		buf = appendIntCell(buf, int64(st.sum))
-	case fn == "SUM":
-		buf = appendFloatCell(buf, st.sum)
-	}
-	return buf, buf[at:len(buf):len(buf)]
-}
-
-// aggregate evaluates GROUP BY + aggregate select items. Each output row
-// holds one slot per select item — the aggregate's value, or a plain column
-// carried over from the group's first row — followed by the GROUP BY key
-// values. A group is its key's id in a keyTable: its state lives in two flat
-// arrays indexed by that id and the computed values of every output row in
-// one buffer, so groups come out in first-seen order and cost no allocation
-// each.
-func (q *query) aggregate(ctx *sim.Ctx, tuples []tuple) []tuple {
-	groupSlots := make([]int, len(q.groupBy))
-	for i, c := range q.groupBy {
-		groupSlots[i] = c.slot()
-	}
-	n := len(q.aggs)
-	argSlots := make([]int, n)
-	for i, a := range q.aggs {
-		if !a.star {
-			argSlots[i] = a.arg.slot()
-		}
-	}
-
-	groups := newKeyTable(32)
-	var reps []tuple      // each group's first row, by group id
-	var states []aggState // n per group
-	var key []byte
-	for _, t := range tuples {
-		key = appendKey(key[:0], t.vals, groupSlots)
-		id, added := groups.insert(key)
-		gi := int(id)
-		if added {
-			reps = append(reps, t)
-			states = append(states, make([]aggState, n)...)
-		}
-		for i, a := range q.aggs {
-			switch {
-			case a.fn == "":
-			case a.star:
-				states[gi*n+i].count++
-			default:
-				states[gi*n+i].add(t.vals[argSlots[i]])
-			}
-		}
-	}
-	ctx.Charge(sim.Micros(int64(len(tuples)) * int64(q.eng.costs.AggRow)))
-
-	out := make([]tuple, len(reps))
-	buf := make([]byte, 0, 9*n*len(reps)) // a computed value is a 9-byte number
-	for gi, rep := range reps {
-		vals := q.slab.take(n + len(groupSlots))
-		for i, a := range q.aggs {
-			if a.fn == "" {
-				vals[i] = rep.vals[argSlots[i]]
-			} else {
-				buf, vals[i] = states[gi*n+i].appendResult(buf, a.fn)
-			}
-		}
-		for i, s := range groupSlots {
-			vals[n+i] = rep.vals[s]
-		}
-		out[gi] = tuple{vals: vals}
-	}
-	return out
 }

@@ -28,6 +28,9 @@ func newKeyTable(n int) *keyTable {
 	return &keyTable{seed: maphash.MakeSeed(), slots: make([]int32, size), arena: make([]byte, 0, 9*n), ends: make([]uint32, 0, n)}
 }
 
+// len is the number of keys inserted.
+func (t *keyTable) len() int { return len(t.ends) }
+
 func (t *keyTable) key(id int32) []byte {
 	start := uint32(0)
 	if id > 0 {

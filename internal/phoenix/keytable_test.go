@@ -139,7 +139,7 @@ func TestHashJoinAllocsSublinear(t *testing.T) {
 		t.Fatal(err)
 	}
 	probe, build := q.bindings[0], q.bindings[1]
-	outer, err := q.scanBinding(ctx, probe, q.fullPlan(probe), true)
+	outer, err := q.scanBinding(ctx, probe, q.fullPlan(probe), true, nil)
 	if built := q.execs[build.idx].derived.rows; err != nil || len(outer) != hashJoinProbes || len(built) != hashJoinBuild {
 		t.Fatalf("%d probe rows, %d build rows, err %v", len(outer), len(built), err)
 	}

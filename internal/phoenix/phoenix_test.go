@@ -267,6 +267,37 @@ func TestAggregatesWithoutGroupBy(t *testing.T) {
 	}
 }
 
+// TestAggregateOverNoRows: an aggregate without GROUP BY is one row even when
+// no row qualifies — COUNT 0, every other aggregate NULL — whether the regions
+// fold (one table, by index, key range or filter) or the client does (a
+// join). With GROUP BY there is no group, so no row.
+func TestAggregateOverNoRows(t *testing.T) {
+	e, ctx := testDB(t)
+	for _, sql := range []string{
+		"SELECT COUNT(*) AS n FROM Customer WHERE c_uname = 'nobody'",
+		"SELECT COUNT(*) AS n, SUM(c_bal) AS s, AVG(c_bal) AS a, MIN(c_uname) AS lo, MAX(c_bal) AS hi, COUNT(c_bal) AS c FROM Customer WHERE c_id > 1000",
+		"SELECT COUNT(*) AS n, SUM(c_bal) AS s FROM Customer WHERE c_bal < 0",
+		"SELECT COUNT(*) AS n, SUM(o.o_total) AS s FROM Customer c, Orders o WHERE c.c_id = o.o_c_id AND c.c_id > 1000",
+	} {
+		rs := runQuery(t, e, ctx, sql)
+		if len(rs.Rows) != 1 || len(rs.Rows[0]) != len(rs.Columns) {
+			t.Fatalf("%s: rows %v, want one of %d columns", sql, rs.Rows, len(rs.Columns))
+		}
+		for col, v := range rs.Rows[0] {
+			want := schema.Value(nil)
+			if col == "n" || col == "c" {
+				want = int64(0)
+			}
+			if v != want {
+				t.Errorf("%s: %s = %#v, want %#v", sql, col, v, want)
+			}
+		}
+	}
+	if rs := runQuery(t, e, ctx, "SELECT c_uname, COUNT(*) AS n FROM Customer WHERE c_id > 1000 GROUP BY c_uname"); len(rs.Rows) != 0 {
+		t.Fatalf("grouped aggregate over no rows: %v, want no row", rs.Rows)
+	}
+}
+
 func TestDerivedTableJoin(t *testing.T) {
 	e, ctx := testDB(t)
 	// The Q10/Q11 pattern: join against the most recent orders.

@@ -838,6 +838,44 @@ func TestResultSetColumnTypes(t *testing.T) {
 	}
 }
 
+// TestAggregateOverNoRowsWire: over the wire, in every concurrency mode and
+// both protocols, an aggregate without GROUP BY that no row qualifies for is
+// one row — COUNT 0, the rest NULL — over a base table and over the view a
+// join is rewritten to; a grouped one is no row.
+func TestAggregateOverNoRowsWire(t *testing.T) {
+	env := startServer(t, Config{})
+	for _, db := range []string{"hier", "mvcc", "occ"} {
+		c := env.dial(t, db)
+		for _, sql := range []string{
+			"SELECT COUNT(*) AS n, MAX(RVal) AS hi, SUM(RID) AS s FROM Root WHERE RID > 100",
+			"SELECT COUNT(*) AS n, MIN(l.LVal) AS hi FROM Root as r, Leaf as l WHERE r.RID = l.L_RID and l.LVal = 'nobody'",
+		} {
+			text, err := c.Query(sql)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", db, sql, err)
+			}
+			st, err := c.Prepare(sql)
+			if err != nil {
+				t.Fatalf("%s: prepare %s: %v", db, sql, err)
+			}
+			bin, err := st.Query()
+			st.Close()
+			if err != nil {
+				t.Fatalf("%s: execute %s: %v", db, sql, err)
+			}
+			for proto, rs := range map[string]*phoenix.ResultSet{"text": text, "binary": bin} {
+				if len(rs.Rows) != 1 || rs.Rows[0]["n"] != int64(0) || rs.Rows[0]["hi"] != nil {
+					t.Fatalf("%s %s: %s: rows %v, want one with n=0 and hi NULL", db, proto, sql, rs.Rows)
+				}
+			}
+		}
+		rs, err := c.Query("SELECT RVal, COUNT(*) AS n FROM Root WHERE RID > 100 GROUP BY RVal")
+		if err != nil || len(rs.Rows) != 0 {
+			t.Fatalf("%s: grouped aggregate over no rows: %v, err %v; want no row", db, rs, err)
+		}
+	}
+}
+
 // TestMidHandshakeDisconnect reads the greeting and drops the connection
 // before answering; the server must tear the half-connected client down
 // without a session to close (regression: the deferred teardown used to call
