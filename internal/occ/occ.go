@@ -5,9 +5,12 @@
 // ranges) and write set as they execute, and validate at commit against the
 // write sets of transactions that committed while they ran. A transaction
 // whose read set overlaps a concurrently committed write set aborts — its
-// buffered writes are discarded unapplied — and the caller retries with
-// bounded backoff, the optimistic analogue of the lock path's contended
-// checkAndPut spin.
+// buffered writes are discarded unapplied — and the caller retries from a
+// fresh snapshot, the optimistic analogue of the lock path's contended
+// checkAndPut spin. Retrying alone does not promise progress: a transaction
+// can lose every validation it reaches. A caller that bounds its retries
+// makes the last one certain by holding off every other commit while it runs,
+// so nothing it read can change before it validates.
 //
 // The layer is built on the transaction-scoped write pipeline: a transaction
 // buffers every mutation in its BufferedMutator (nothing reaches the store

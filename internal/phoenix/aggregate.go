@@ -307,7 +307,7 @@ func (g *groups) finish(ctx *sim.Ctx) []tuple {
 // the hbase.Folder its scan's fold hands the region. It adds the rows the
 // region reads and answers with their partial groups — or, when the scan
 // checks for dirty view rows and meets one, with a dirty row of its own, which
-// sends the scan into scanBinding's restart budget as the marked row would.
+// sends the scan into the restart loop (query.read) as the marked row would.
 type regionFold struct {
 	*groups
 	refs         []string
@@ -319,7 +319,7 @@ type regionFold struct {
 // fresh Folder per region.
 func (q *query) newRegionFold() hbase.Folder {
 	b := q.bindings[0]
-	return &regionFold{groups: newGroups(q.Plan), refs: b.refs, dirtyChecked: q.opts.DirtyCheck && b.info.IsView}
+	return &regionFold{groups: newGroups(q.Plan), refs: b.refs, dirtyChecked: q.dirtyChecked(b)}
 }
 
 func (f *regionFold) Add(r hbase.RowResult) {

@@ -19,9 +19,13 @@
 // each constant a literal or a parameter slot, the output columns, names and
 // types, the tuple slot layout, derived tables (compiled recursively), and
 // each table binding's candidate access paths with the equality prefix each
-// binds and whether it delivers the ORDER BY. Plan.Open binds the parameters
-// and decides the rest: key bounds, row estimates, hash join against index
-// nested loop, the scans' column sets. QueryStreamOpts is Compile then Open.
+// binds and whether it delivers the ORDER BY. Plan.Open binds the parameters,
+// decides the rest — key bounds, row estimates, hash join against index nested
+// loop, the scans' column sets — and opens the execution as one tree of pull
+// operators: scan, join, residual filter, aggregate, sort, limit. One cursor
+// reads every statement's rows off the tree's root, so a statement streams
+// exactly when nothing in its tree blocks. QueryStreamOpts is Compile then
+// Open.
 //
 // What a plan knows, its scans are told (scanSpec): the key range — the
 // equality prefix on the primary key or a covered index, then the <, <=, >, >=

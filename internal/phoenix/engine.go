@@ -102,10 +102,9 @@ func (e *Engine) Query(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []schema.
 	return e.QueryOpts(ctx, sel, params, QueryOpts{})
 }
 
-// QueryOpts is Query with explicit execution options. It is a thin wrapper
-// over the streaming path: QueryStreamOpts compiles and opens the statement,
-// and the cursor is drained into a ResultSet (a no-op for blocking shapes,
-// which materialize anyway).
+// QueryOpts is Query with explicit execution options: QueryStreamOpts
+// compiles and opens the statement, and its cursor is drained into a
+// ResultSet.
 func (e *Engine) QueryOpts(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []schema.Value, opts QueryOpts) (*ResultSet, error) {
 	cur, err := e.QueryStreamOpts(ctx, sel, params, opts)
 	if err != nil {
@@ -126,10 +125,11 @@ func (e *Engine) QueryOpts(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []sch
 // result's names and types, lays the columns the statement reads out into
 // tuple slots, and lists every table binding's candidate access paths. Open
 // runs it: an execution binds the parameters into the conjuncts, runs the
-// derived tables, and decides what values and the store decide — the key
-// bounds a constant puts on each path (keyBounds), the row estimates, hash
-// join or index nested loop by the rows the outer side holds, the columns a
-// scan ships.
+// derived tables, and builds its tree of operators (query.tree) from what
+// values and the store decide — the key bounds a constant puts on each path
+// (keyBounds), the row estimates and so the join order, the columns a scan
+// ships; each join picks hash join or index nested loop by the rows its outer
+// side holds.
 //
 // A Plan is immutable once compiled, so one plan serves any number of
 // executions. It keeps the catalog's table descriptors as they were when it
@@ -160,16 +160,21 @@ type Plan struct {
 	out     []outCol
 	names   []string         // parallel to out
 	types   []schema.ColType // parallel to out, see outTypes
-	// quals is what a stream cursor reads for each result column of a
-	// single-table plain statement: the column's qualifier, "" for a
-	// literal item (see tryStream).
-	quals []string
 }
 
 // Columns lists the result's column names and Types their types, as every
 // cursor Open returns reports them. Both are the plan's: do not modify them.
 func (p *Plan) Columns() []string       { return p.names }
 func (p *Plan) Types() []schema.ColType { return p.types }
+
+// value reads result column j off t, a row of the plan's output (nil for a
+// literal item).
+func (p *Plan) value(t tuple, j int) []byte {
+	if p.out[j].literal {
+		return nil
+	}
+	return t.vals[p.out[j].src.slot()]
+}
 
 // tuple is the executor's internal row: one encoded cell value (type tag +
 // payload, see EncodeValue) per slot of the statement's layout, nil for NULL.
@@ -181,8 +186,8 @@ func (p *Plan) Types() []schema.ColType { return p.types }
 // residual, group and order keys; every column for SELECT *). Binding b's
 // referenced column b.refs[i] lives at slot b.off+i of a joined tuple, so a
 // join's output is the outer tuple with the inner binding's segment copied
-// in. Aggregate output and derived-table rows are positional in their output
-// columns instead (see aggregate and projected).
+// in. Aggregate output rows are positional in their output columns instead
+// (see groups), and a derived table's rows are in its subquery's layout.
 //
 // A slot is a window onto value bytes somebody else owns — a store file
 // block, a memstore cell, a transaction's pending write, an aggregate's output
@@ -338,6 +343,9 @@ type orderKey struct {
 // statement's own — an unknown or ambiguous table or column, an unsupported
 // shape — and no execution can raise them again.
 func (e *Engine) Compile(sel *sqlparser.SelectStmt) (*Plan, error) {
+	if len(sel.From) == 0 {
+		return nil, fmt.Errorf("phoenix: no FROM bindings")
+	}
 	p := &Plan{eng: e, sel: sel}
 	for i, ref := range sel.From {
 		b := &binding{name: ref.Binding(), idx: i}
@@ -390,14 +398,6 @@ func (e *Engine) Compile(sel *sqlparser.SelectStmt) (*Plan, error) {
 			}
 		}
 		p.fold = len(p.bindings) == 1 && p.bindings[0].info != nil
-	}
-	if b := p.bindings; len(b) == 1 && b[0].info != nil && !p.aggregated {
-		p.quals = make([]string, len(p.out))
-		for i, o := range p.out {
-			if !o.literal {
-				p.quals[i] = b[0].refs[o.src.i]
-			}
-		}
 	}
 	return p, nil
 }
@@ -723,50 +723,49 @@ func (p *Plan) orderSource(c sqlparser.ColumnRef) (src colRef, constant bool, er
 // Execution
 
 // query is one execution of a Plan: its parameters and options, what it knows
-// of each binding beyond the plan, and the slab its tuples come from.
+// of each binding beyond the plan, the slab its tuples come from, and the root
+// of its operator tree, which it serves as the statement's cursor.
 type query struct {
 	*Plan
 	params []schema.Value
 	opts   QueryOpts
 	execs  []bindExec // by binding.idx
 	slab   tupleSlab  // backs every tuple the statement builds
-	// inOrder is set by run when the access path it scanned delivers the
-	// statement's ORDER BY, so project does not sort.
-	inOrder bool
+
+	root         node
+	row          tuple // the row the cursor is on
+	done, closed bool
 }
 
 // bindExec is one execution's state of a binding: its conjuncts with this
-// execution's parameter values, a derived table's rows, and the access path
-// fullPlan chose.
+// execution's parameter values, a derived table's rows — in the layout of its
+// subquery's output, read with Plan.value — and the access path fullPlan
+// chose.
 type bindExec struct {
 	local   []localPred
-	derived *projected // positional in the subquery's result columns
+	derived []tuple
 	plan    accessPlan
 	planned bool
 }
 
 // Open runs the plan with params — one per ? of the statement, derived tables'
-// included — under opts, and returns its rows as a cursor (see QueryStream).
+// included — under opts: it builds the execution's operator tree, opens it,
+// and returns the cursor that reads it (see QueryStream).
 func (p *Plan) Open(ctx *sim.Ctx, params []schema.Value, opts QueryOpts) (RowCursor, error) {
 	q, err := p.bind(ctx, params, opts)
 	if err != nil {
 		return nil, err
 	}
-	if cur, err := q.tryStream(ctx); err != nil {
-		return nil, err
-	} else if cur != nil {
-		return cur, nil
-	}
-	res, err := q.materialize(ctx)
-	if err != nil {
+	q.root = q.tree(false)
+	if err := q.root.Open(ctx); err != nil {
 		return nil, err
 	}
-	return &materializedCursor{res: res, cols: p.names}, nil
+	return q, nil
 }
 
 // bind starts an execution: every conjunct that takes a parameter gets its
-// value, and derived tables run against ctx, so their cost lands on the
-// request.
+// value, and each derived table opens its own tree against ctx, so its cost
+// lands on the request, and reads it to its end.
 func (p *Plan) bind(ctx *sim.Ctx, params []schema.Value, opts QueryOpts) (*query, error) {
 	q := &query{Plan: p, params: params, opts: opts, execs: make([]bindExec, len(p.bindings))}
 	for _, b := range p.bindings {
@@ -785,11 +784,13 @@ func (p *Plan) bind(ctx *sim.Ctx, params []schema.Value, opts QueryOpts) (*query
 			}
 		}
 		if b.sub != nil {
-			rows, err := b.sub.execute(ctx, params, opts)
+			sub, err := b.sub.bind(ctx, params, opts)
+			if err == nil {
+				x.derived, err = rowsOf(ctx, sub.tree(true))
+			}
 			if err != nil {
 				return nil, fmt.Errorf("phoenix: derived table %s: %w", b.name, err)
 			}
-			x.derived = rows
 		}
 	}
 	return q, nil

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"math/bits"
 	"slices"
 	"time"
 
@@ -463,88 +462,63 @@ func (q *query) scanTuple(b *binding, r hbase.RowResult, wide bool) tuple {
 	return tuple{vals: vals, size: q.spillSize(b, r)}
 }
 
-// scanBinding fetches a binding's rows via its access plan, applying all
-// local predicates (pushed down server-side) and converting to tuples. Given
-// groups — the one table of a single-table aggregate — it folds the rows into
-// them instead and returns no tuple: the scan carries a fold, so the regions
-// aggregate their rows and ship partial groups, merged here in scan order,
-// and whatever stored rows a reader streams instead are added here.
-func (q *query) scanBinding(ctx *sim.Ctx, b *binding, plan accessPlan, wide bool, g *groups) ([]tuple, error) {
-	if b.sub != nil {
-		return q.scanDerived(b, wide), nil
-	}
-	tableName, spec, err := q.scanSpec(b, plan)
-	if err != nil {
-		return nil, err
-	}
-	if g != nil {
-		spec.Fold = q.newRegionFold
-	}
-	dirtyChecked := q.opts.DirtyCheck && b.info.IsView
-	for attempt := 0; ; attempt++ {
-		sc, err := q.openScan(ctx, tableName, spec)
-		if err != nil {
-			return nil, err
-		}
-		var out []tuple
-		dirty := false
-		for {
-			r, ok := sc.Next(ctx)
-			if !ok {
-				break
-			}
-			if dirtyChecked && IsDirty(r) {
-				dirty = true
-				sc.Close(ctx) // abandon in-flight region fetches
-				break
-			}
-			switch {
-			case g == nil:
-				out = append(out, q.scanTuple(b, r, wide))
-			case isPartial(r):
-				g.merge(r)
-			default:
-				g.addRow(b.refs, r.Cells)
-			}
-		}
-		if !dirty {
-			return out, nil
-		}
-		if g != nil {
-			g.reset()
-		}
-		// §VIII-C: "if a marked row is present ... re-scan".
-		if err := q.restart(ctx, tableName, attempt); err != nil {
-			return nil, err
-		}
-	}
+// dirtyChecked reports whether reads of binding b check for the dirty marker
+// (§VIII-C): those of a view, under QueryOpts.DirtyCheck.
+func (q *query) dirtyChecked(b *binding) bool {
+	return q.opts.DirtyCheck && b.info != nil && b.info.IsView
 }
 
 // maxRestarts bounds the reads of one table that may meet a dirty row before
 // the statement fails with ErrDirtyRead.
 const maxRestarts = 50
 
-// restart accounts for the attempt-th read of tableName (from 0) that met a
-// dirty row and waits before the next one, or fails with ErrDirtyRead once
-// the maxRestarts budget is spent.
-func (q *query) restart(ctx *sim.Ctx, tableName string, attempt int) error {
-	ctx.CountRestart()
-	ctx.Charge(q.eng.costs.DirtyRestartPenalty)
-	if attempt+1 >= maxRestarts {
-		return fmt.Errorf("%w: %s after %d restarts", ErrDirtyRead, tableName, attempt+1)
+// read reads tbl under spec to its end, handing every row to add: the one read
+// loop of a scan that does not stream and of an index nested-loop probe. A
+// read that checks for dirty view rows and meets one abandons the scan, takes
+// back what it added (undo) and, charged the restart, reads again from the
+// top — §VIII-C: "if a marked row is present ... re-scan" — failing with
+// ErrDirtyRead once maxRestarts reads have met one.
+func (q *query) read(ctx *sim.Ctx, tbl string, spec hbase.ScanSpec, dirtyChecked bool, add func(hbase.RowResult), undo func()) error {
+	for attempt := 1; ; attempt++ {
+		sc, err := q.openScan(ctx, tbl, spec)
+		if err != nil {
+			return err
+		}
+		dirty := false
+		for !dirty {
+			r, ok := sc.Next(ctx)
+			if !ok {
+				break
+			}
+			if dirty = dirtyChecked && IsDirty(r); !dirty {
+				add(r)
+			}
+		}
+		if !dirty {
+			return nil
+		}
+		sc.Close(ctx) // abandon in-flight region fetches
+		undo()
+		ctx.CountRestart()
+		ctx.Charge(q.eng.costs.DirtyRestartPenalty)
+		if attempt >= maxRestarts {
+			return fmt.Errorf("%w: %s after %d restarts", ErrDirtyRead, tbl, attempt)
+		}
+		// The penalty is the modeled wait; the writer that marked the row is
+		// a real goroutine between its mark and un-mark barriers, so the read
+		// backs off in real time too, 1 µs doubling to 1 ms. Measured on a
+		// 2-core box without the sleep, TestNoDirtyRowEverVisible failed 10
+		// of 200 runs (-count=200) and 9 of 40 (-race -cpu 4 -count=40), each
+		// a read that spent its budget inside one writer's marked window;
+		// with it, 0 of 200 and 0 of 40.
+		time.Sleep(time.Duration(1<<min(attempt-1, 10)) * time.Microsecond)
 	}
-	// The penalty is the modeled wait; the writer that marked the row is a
-	// real goroutine between its mark and un-mark barriers. Back off in real
-	// time too (1 µs doubling to 1 ms), or the budget is spent in one
-	// writer's marked window — a descheduled writer's most of all.
-	time.Sleep(time.Duration(1<<min(attempt, 10)) * time.Microsecond)
-	return nil
 }
 
 // scanDerived filters a derived table's materialized rows by the binding's
 // local predicates and re-slots the referenced columns into tuples.
 func (q *query) scanDerived(b *binding, wide bool) []tuple {
-	sub := q.execs[b.idx].derived
+	sub, rows := b.sub, q.execs[b.idx].derived
 	preds := compilePreds(q.execs[b.idx].local)
 	pos := make([][2]int, len(preds)) // positions of col and rcol in a derived row
 	for i, p := range preds {
@@ -566,9 +540,9 @@ func (q *query) scanDerived(b *binding, wide bool) []tuple {
 		}
 	}
 
-	out := make([]tuple, 0, len(sub.rows))
+	out := make([]tuple, 0, len(rows))
 rows:
-	for _, d := range sub.rows {
+	for _, d := range rows {
 		for i := range preds {
 			var r []byte
 			if preds[i].colVsCol {
@@ -591,304 +565,18 @@ rows:
 	return out
 }
 
-// ---------------------------------------------------------------------------
-// Join execution
-
-func (q *query) run(ctx *sim.Ctx) ([]tuple, error) {
-	if len(q.bindings) == 0 {
-		return nil, fmt.Errorf("phoenix: no FROM bindings")
-	}
-	// Pick the start binding: cheapest access.
-	var start *binding
-	var startPlan accessPlan
-	for i, b := range q.bindings {
-		plan := q.fullPlan(b)
-		if i == 0 || plan.rowsEst < startPlan.rowsEst {
-			start, startPlan = b, plan
-		}
-	}
-	current, err := q.scanBinding(ctx, start, startPlan, true, nil)
-	if err != nil {
-		return nil, err
-	}
-	q.inOrder = startPlan.ordered
-	joined := map[*binding]bool{start: true}
-	remaining := make([]*binding, 0, len(q.bindings)-1)
-	for _, b := range q.bindings {
-		if b != start {
-			remaining = append(remaining, b)
-		}
-	}
-
-	for len(remaining) > 0 {
-		// Prefer a binding connected to the joined set by equi-joins.
-		picked := -1
-		for i, b := range remaining {
-			if outer, _ := q.joinCols(joined, b); len(outer) > 0 {
-				picked = i
-				break
-			}
-		}
-		cartesian := false
-		if picked < 0 {
-			picked = 0
-			cartesian = true
-		}
-		b := remaining[picked]
-		remaining = append(remaining[:picked], remaining[picked+1:]...)
-
-		if cartesian {
-			current, err = q.cartesianJoin(ctx, current, b)
-		} else {
-			current, err = q.joinBinding(ctx, current, b, joined, len(remaining) > 0)
-		}
-		if err != nil {
-			return nil, err
-		}
-		joined[b] = true
-	}
-
-	// Residual cross-binding predicates.
-	if len(q.residual) > 0 {
-		kept := current[:0]
-	tuples:
-		for _, t := range current {
-			for _, p := range q.residual {
-				if !compareOK(compareCells(t.vals[p.l.slot()], t.vals[p.r.slot()]), p.op) {
-					continue tuples
-				}
-			}
-			kept = append(kept, t)
-		}
-		current = kept
-	}
-	return current, nil
-}
-
 // fullPlan is a binding's access plan from its local predicates alone (no
-// join-derived equalities): what a stream, a start scan or a hash join's
-// build side uses. It is chosen once per execution.
+// join-derived equalities): what the first scan of a statement and a hash
+// join's build side read by. It is chosen once per execution.
 func (q *query) fullPlan(b *binding) accessPlan {
 	x := &q.execs[b.idx]
 	if b.sub != nil {
-		return accessPlan{kind: accessFullScan, rowsEst: len(x.derived.rows)}
+		return accessPlan{kind: accessFullScan, rowsEst: len(x.derived)}
 	}
 	if !x.planned {
 		x.plan, x.planned = q.chooseAccess(b, nil), true
 	}
 	return x.plan
-}
-
-// joinCols returns the equi-join conditions linking the joined set to
-// binding b as parallel column lists: outer[i] (in the joined tuple) must
-// equal inner[i] (a column of b).
-func (q *query) joinCols(joined map[*binding]bool, b *binding) (outer, inner []colRef) {
-	for _, j := range q.joins {
-		switch {
-		case joined[j.l.b] && j.r.b == b:
-			outer, inner = append(outer, j.l), append(inner, j.r)
-		case joined[j.r.b] && j.l.b == b:
-			outer, inner = append(outer, j.r), append(inner, j.l)
-		}
-	}
-	return outer, inner
-}
-
-// merge builds a join's output tuple: the outer tuple with the inner
-// binding's segment copied in.
-func (q *query) merge(o tuple, b *binding, in tuple) tuple {
-	vals := q.slab.take(q.width)
-	copy(vals, o.vals)
-	copy(vals[b.off:], in.vals)
-	return tuple{vals: vals, size: o.size + in.size}
-}
-
-// joinBinding joins the current intermediate result with binding b. It uses
-// an index nested-loop when the outer side is small and the inner side has a
-// usable key; otherwise a client hash join over a full (filtered) scan, which
-// is where the Phoenix join-algorithm cost of Figure 10 comes from.
-func (q *query) joinBinding(ctx *sim.Ctx, outer []tuple, b *binding, joined map[*binding]bool, moreStages bool) ([]tuple, error) {
-	outerCols, innerCols := q.joinCols(joined, b)
-
-	if b.info != nil && len(outer) > 0 && len(outer) <= q.eng.costs.INLThreshold {
-		names := make([]string, len(innerCols))
-		for i, c := range innerCols {
-			names[i] = b.refs[c.i]
-		}
-		if plan, ok := q.inlPlan(b, names); ok {
-			return q.indexNestedLoop(ctx, outer, b, plan, outerCols, innerCols)
-		}
-	}
-
-	// Hash join: scan inner fully (with local filters pushed down), number
-	// its distinct keys, probe with outer. Rows sharing a key chain through
-	// next from the first one read (head, by key id) — the build walks inner
-	// backwards to get that — so matches come out in the order they were read.
-	inner, err := q.scanBinding(ctx, b, q.fullPlan(b), false, nil)
-	if err != nil {
-		return nil, err
-	}
-	costs := q.eng.costs
-	innerSlots := make([]int, len(innerCols))
-	outerSlots := make([]int, len(outerCols))
-	for i := range innerCols {
-		innerSlots[i], outerSlots[i] = innerCols[i].i, outerCols[i].slot()
-	}
-	keys := newKeyTable(len(inner))
-	links := make([]int32, 2*len(inner))
-	head, next := links[:len(inner)], links[len(inner):]
-	var key []byte
-	for i := len(inner) - 1; i >= 0; i-- {
-		key = appendKey(key[:0], inner[i].vals, innerSlots)
-		id, added := keys.insert(key)
-		next[i] = -1
-		if !added {
-			next[i] = head[id]
-		}
-		head[id] = int32(i)
-	}
-	ctx.Charge(sim.Micros(int64(len(inner)) * int64(costs.JoinBuildRow)))
-
-	var out []tuple
-	for _, o := range outer {
-		key = appendKey(key[:0], o.vals, outerSlots)
-		if id := keys.find(key); id >= 0 {
-			for i := head[id]; i >= 0; i = next[i] {
-				out = append(out, q.merge(o, b, inner[i]))
-			}
-		}
-	}
-	ctx.Charge(sim.Micros(int64(len(outer)) * int64(costs.JoinProbeRow)))
-
-	if moreStages && len(out) > 0 {
-		// Intermediate result carried into another stage: materialize
-		// and spill (§III: joins are expensive in the NoSQL store).
-		var bytes int
-		for _, t := range out {
-			bytes += t.size
-		}
-		ctx.Charge(sim.Micros(int64(len(out)) * int64(costs.IntermediateRow)))
-		ctx.Charge(costs.SpillPerByte.Mul(bytes))
-	}
-	return out, nil
-}
-
-// inlPlan checks whether binding b can be probed by key for the given join
-// columns (plus its local equalities), returning the probe plan.
-func (q *query) inlPlan(b *binding, joinCols []string) (accessPlan, bool) {
-	plan := q.chooseAccess(b, joinCols)
-	if plan.kind == accessFullScan || len(plan.eqCols) == 0 {
-		return plan, false
-	}
-	// Every join column must be part of the bound prefix; otherwise the
-	// probe would miss conditions (they are re-checked anyway, but an
-	// unbound join column means the probe isn't selective).
-	for _, c := range joinCols {
-		if !slices.Contains(plan.eqCols, c) {
-			return plan, false
-		}
-	}
-	return plan, true
-}
-
-// indexNestedLoop probes the inner table once per outer tuple: a Get when the
-// probe binds the whole row key, a prefix scan otherwise. A probe that meets a
-// dirty view row is read again from the top, under scanBinding's restart
-// budget, so the join never comes back short.
-func (q *query) indexNestedLoop(ctx *sim.Ctx, outer []tuple, b *binding, plan accessPlan, outerCols, innerCols []colRef) ([]tuple, error) {
-	// Each key column of the probe takes its value from the outer tuple
-	// (probeSlot >= 0) or from a local equality (probeConst).
-	probeSlot := make([]int, len(plan.eqCols))
-	probeConst := make([]schema.Value, len(plan.eqCols))
-	for k, c := range plan.eqCols {
-		probeSlot[k] = -1
-		for i, in := range innerCols {
-			if b.refs[in.i] == c {
-				probeSlot[k] = outerCols[i].slot()
-			}
-		}
-		if probeSlot[k] >= 0 {
-			continue
-		}
-		v, ok := localEqValue(q.execs[b.idx].local, c)
-		if !ok {
-			return nil, fmt.Errorf("phoenix: internal: INL probe missing values")
-		}
-		probeConst[k] = v
-	}
-	tableName := plan.table(b)
-	filter, cols := scanFilter(plan.filter), q.columnSet(b, plan.filter) // one of each for every probe
-	dirtyChecked := q.opts.DirtyCheck && b.info.IsView
-	vals := make([]schema.Value, len(plan.eqCols))
-	var out []tuple
-	for _, o := range outer {
-		for k, s := range probeSlot {
-			if s >= 0 {
-				vals[k] = DecodeValue(o.vals[s]) // the row key is built from typed values
-			} else {
-				vals[k] = probeConst[k]
-			}
-		}
-		// A prefix probe is a short scan; the scatter-gather fan-out would
-		// cost more than it overlaps.
-		spec := hbase.ScanSpec{Read: q.opts.Read, Sequential: true, Filter: filter, Columns: cols}
-		plan.keyRange(b, vals, &spec)
-		for attempt := 0; ; attempt++ {
-			n := len(out)
-			sc, err := q.openScan(ctx, tableName, spec)
-			if err != nil {
-				return nil, err
-			}
-			dirty := false
-		rows:
-			for {
-				r, ok := sc.Next(ctx)
-				if !ok {
-					break
-				}
-				if dirtyChecked && IsDirty(r) {
-					dirty = true
-					sc.Close(ctx)
-					break
-				}
-				t := q.merge(o, b, tuple{size: q.spillSize(b, r)})
-				copyRefs(b.refs, r.Cells, t.vals[b.off:])
-				// Re-check join equality (defensive; prefix probes
-				// guarantee it).
-				for i, in := range innerCols {
-					if compareCells(t.vals[in.slot()], o.vals[outerCols[i].slot()]) != 0 {
-						continue rows
-					}
-				}
-				out = append(out, t)
-			}
-			if !dirty {
-				break
-			}
-			// Drop what the probe read before the marked row and read it
-			// again: this outer tuple's matches, not the whole join.
-			out = out[:n]
-			if err := q.restart(ctx, tableName, attempt); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return out, nil
-}
-
-func (q *query) cartesianJoin(ctx *sim.Ctx, outer []tuple, b *binding) ([]tuple, error) {
-	inner, err := q.scanBinding(ctx, b, q.fullPlan(b), false, nil)
-	if err != nil {
-		return nil, err
-	}
-	var out []tuple
-	for _, o := range outer {
-		for _, in := range inner {
-			out = append(out, q.merge(o, b, in))
-		}
-	}
-	ctx.Charge(sim.Micros(int64(len(out)) * int64(q.eng.costs.JoinProbeRow)))
-	return out, nil
 }
 
 // Key tags: every component of a join or group key is self-delimiting — a
@@ -923,62 +611,4 @@ func appendKey(buf []byte, vals [][]byte, slots []int) []byte {
 		}
 	}
 	return buf
-}
-
-// ---------------------------------------------------------------------------
-// Aggregation, ordering, projection
-
-// projected is a statement's result before it is keyed by column name: rows
-// in result order, each still in the layout of the stage that produced it,
-// and the output columns saying where in a row each one reads and what type
-// the plan gives it. The outermost statement serves it through a cursor; a
-// derived table hands it to the enclosing query as is.
-type projected struct {
-	out   []outCol
-	types []schema.ColType // parallel to out, see query.outTypes
-	rows  []tuple
-}
-
-// value reads output column j of row t (nil for a literal item).
-func (p *projected) value(t tuple, j int) []byte {
-	if p.out[j].literal {
-		return nil
-	}
-	return t.vals[p.out[j].src.slot()]
-}
-
-// project runs the stages after the joins and the aggregation: ORDER BY,
-// LIMIT.
-func (q *query) project(ctx *sim.Ctx, tuples []tuple) *projected {
-	costs := q.eng.costs
-	sel := q.sel
-
-	// The one sort of the executor — skipped, with its charge, when the scan
-	// already delivered the rows in this order.
-	if len(sel.OrderBy) > 0 && !q.inOrder {
-		n := len(tuples)
-		if n > 1 {
-			ctx.Charge(sim.Micros(int64(n) * int64(bits.Len(uint(n))) * int64(costs.SortRow)))
-		}
-		slots := make([]int, len(q.orderBy))
-		for i, k := range q.orderBy {
-			slots[i] = k.src.slot()
-		}
-		slices.SortStableFunc(tuples, func(a, b tuple) int {
-			for k, s := range slots {
-				if cmp := compareCells(a.vals[s], b.vals[s]); cmp != 0 {
-					if q.orderBy[k].desc {
-						return -cmp
-					}
-					return cmp
-				}
-			}
-			return 0
-		})
-	}
-
-	if sel.Limit > 0 && len(tuples) > sel.Limit {
-		tuples = tuples[:sel.Limit]
-	}
-	return &projected{out: q.out, types: q.types, rows: tuples}
 }

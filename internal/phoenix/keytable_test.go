@@ -119,6 +119,11 @@ func hashJoinDB(tb testing.TB) *Engine {
 
 const hashJoinMatches = hashJoinBuild / 6
 
+// inHand is a node over rows already read.
+type inHand struct{ list }
+
+func (*inHand) Open(*sim.Ctx) error { return nil }
+
 // TestHashJoinAllocsSublinear pins the key table's point: building a hash
 // join on 3,333 rows and probing it 600 times allocates per slab and array,
 // not per build-side row. It measures the join stage alone, the probe side
@@ -139,13 +144,16 @@ func TestHashJoinAllocsSublinear(t *testing.T) {
 		t.Fatal(err)
 	}
 	probe, build := q.bindings[0], q.bindings[1]
-	outer, err := q.scanBinding(ctx, probe, q.fullPlan(probe), true, nil)
-	if built := q.execs[build.idx].derived.rows; err != nil || len(outer) != hashJoinProbes || len(built) != hashJoinBuild {
+	outer, err := rowsOf(ctx, &scanNode{q: q, b: probe, path: q.fullPlan(probe), wide: true, keep: true})
+	if built := q.execs[build.idx].derived; err != nil || len(outer) != hashJoinProbes || len(built) != hashJoinBuild {
 		t.Fatalf("%d probe rows, %d build rows, err %v", len(outer), len(built), err)
 	}
+	outerCols, innerCols := q.joinCols(map[*binding]bool{probe: true}, build)
 	var out []tuple
 	n := testing.AllocsPerRun(5, func() {
-		out, err = q.joinBinding(ctx, outer, build, map[*binding]bool{probe: true}, false)
+		j := &joinNode{q: q, outer: &inHand{list{rows: outer}}, b: build, outerCols: outerCols, innerCols: innerCols}
+		err = j.Open(ctx)
+		out = j.rows
 	})
 	if err != nil || len(out) != hashJoinMatches {
 		t.Fatalf("%d rows, want %d (err %v)", len(out), hashJoinMatches, err)

@@ -143,15 +143,12 @@ func TestOrderDelivery(t *testing.T) {
 						access.table(b), access.ordered, access.reversed, tc.table, tc.ordered, tc.reversed)
 				}
 			}
-			cur, err := q.tryStream(sim.NewCtx())
-			if err != nil {
-				t.Fatal(err)
+			root := q.tree(false)
+			if l, ok := root.(*limitNode); ok {
+				root = l.in
 			}
-			if cur != nil {
-				cur.Close(sim.NewCtx())
-			}
-			if (cur != nil) != tc.streams {
-				t.Fatalf("streams = %v, want %v", cur != nil, tc.streams)
+			if s, ok := root.(*scanNode); (ok && s.streams()) != tc.streams {
+				t.Fatalf("streams = %v, want %v (tree root %T)", ok && s.streams(), tc.streams, root)
 			}
 
 			ctx := sim.NewCtx()

@@ -186,8 +186,9 @@ func TestMaterializedCursorZeroAllocsPerRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cur.Close(ctx)
-	if _, ok := cur.(*materializedCursor); !ok {
-		t.Fatalf("a join came back as %T", cur)
+	root := cur.(*query).root
+	if _, ok := root.(*joinNode); !ok {
+		t.Fatalf("a join's tree is rooted at %T", root)
 	}
 	rows, ncols := 0, len(cur.Columns())
 	step := func() {

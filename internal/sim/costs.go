@@ -128,11 +128,6 @@ type Costs struct {
 	// OCCValidatePerEntry is the marginal validation cost per read-set or
 	// write-set entry compared at commit.
 	OCCValidatePerEntry Micros
-	// OCCMaxRetries bounds the validate-abort-retry loop of an optimistic
-	// transaction before the conflict surfaces to the caller; retries back
-	// off exponentially on the LockRetryBackoff schedule, like the lock
-	// path's contended spin.
-	OCCMaxRetries int
 
 	// NewSQLBase is the per-transaction cost of the VoltDB-like engine:
 	// client round trip, command-log group commit, K-safety replication.
@@ -257,7 +252,6 @@ func DefaultCosts() *Costs {
 		OCCBegin:            FromMillis(0.35),
 		OCCValidate:         FromMillis(0.5),
 		OCCValidatePerEntry: Micros(2),
-		OCCMaxRetries:       12,
 
 		NewSQLBase:           FromMillis(14),
 		NewSQLRow:            Micros(1),

@@ -107,7 +107,7 @@ func TestOCCRetryAfterInjectedConflict(t *testing.T) {
 	up := sqlparser.MustParse("UPDATE Root SET RVal = ? WHERE RID = ?")
 
 	injected := false
-	sys.occPostBegin = func() {
+	sys.occPostBegin = func(bool) {
 		if injected {
 			return
 		}
@@ -151,9 +151,62 @@ func TestOCCRetryAfterInjectedConflict(t *testing.T) {
 	requireNoDirtyMarks(t, sys)
 }
 
+// TestOCCLastAttemptRunsAlone: a losing commit injected into every
+// optimistic attempt fails each of them, and the last attempt, which runs
+// alone, commits — the retry budget never surfaces occ.ErrConflict, and every
+// attempt but the last is one recorded retry.
+func TestOCCLastAttemptRunsAlone(t *testing.T) {
+	sys := fanoutSystem(t, 2, 4, occConfig)
+	up := sqlparser.MustParse("UPDATE Root SET RVal = ? WHERE RID = ?")
+
+	injected := 0
+	sys.occPostBegin = func(exclusive bool) {
+		if exclusive {
+			// An interloper's commit would wait for this attempt to end: the
+			// read side of the gate, which every commit takes, is held off.
+			if sys.occGate.TryRLock() {
+				sys.occGate.RUnlock()
+				t.Error("a commit could land while the last attempt ran")
+			}
+			return
+		}
+		injected++
+		hook := sys.occPostBegin
+		sys.occPostBegin = nil // the interloper's own attempt must not recurse
+		defer func() { sys.occPostBegin = hook }()
+		if err := sys.ExecuteTxn(sim.NewCtx(), []sqlparser.Statement{up},
+			[][]schema.Value{{schema.Value("interloper"), int64(1)}}); err != nil {
+			t.Errorf("injected write: %v", err)
+		}
+	}
+
+	ctx := sim.NewCtx()
+	if err := sys.ExecTxn(ctx, []sqlparser.Statement{up},
+		[][]schema.Value{{schema.Value("final"), int64(1)}}); err != nil {
+		t.Fatalf("after %d lost attempts: %v", injected, err)
+	}
+	sys.occPostBegin = nil
+	if got := ctx.Snapshot().OCCRetries; injected != occMaxRetries-1 || got != occMaxRetries-1 {
+		t.Fatalf("%d attempts lost to an injected commit, %d retries recorded; want %d of each", injected, got, occMaxRetries-1)
+	}
+	if st := sys.OCC.Stats(); st.Conflicts != occMaxRetries-1 {
+		t.Fatalf("validator conflicts = %d, want %d", st.Conflicts, occMaxRetries-1)
+	}
+	rs, err := sys.Query(sim.NewCtx(), sys.Design.Workload.Selects()[0], []schema.Value{"Leaf00-0"})
+	if err != nil || len(rs.Rows) == 0 {
+		t.Fatalf("fixture query: %d rows, err %v", len(rs.Rows), err)
+	}
+	for _, r := range rs.Rows {
+		if got := r["RVal"]; !schema.ValuesEqual(got, "final") {
+			t.Fatalf("RVal = %v, want final (the last attempt's write)", got)
+		}
+	}
+	requireNoDirtyMarks(t, sys)
+}
+
 // TestOCCConflictRetrySerializable: concurrent conflicting transactions
-// through System.ExecTxn all eventually commit — validation aborts are
-// absorbed by the bounded-backoff retry loop — and the validator's counters
+// through System.ExecTxn all commit — validation aborts are absorbed by the
+// retry loop, whose last attempt runs alone — and the validator's counters
 // balance: every begun writer either committed or was retried.
 func TestOCCConflictRetrySerializable(t *testing.T) {
 	sys := fanoutSystem(t, 2, 4, occConfig)

@@ -53,6 +53,8 @@
 package synergy
 
 import (
+	"sync"
+
 	"synergy/internal/changefeed"
 	"synergy/internal/cluster"
 	"synergy/internal/core"
@@ -94,10 +96,10 @@ const (
 	// replaces the hierarchical locks with backward-validation optimistic
 	// concurrency control (Larson et al.): transactions run lock-free
 	// against a begin-timestamp snapshot, record read and write sets, and
-	// validate at commit — aborting and retrying with bounded backoff when
-	// a concurrently committed write set overlaps what they read. The
-	// third column of the contention comparison next to Hierarchical and
-	// MVCC.
+	// validate at commit — aborting and retrying with backoff when a
+	// concurrently committed write set overlaps what they read, the last
+	// retry alone, so a conflict never surfaces (ExecuteTxn). The third
+	// column of the contention comparison next to Hierarchical and MVCC.
 	OCC
 )
 
@@ -189,11 +191,17 @@ type System struct {
 	// view is synchronously maintained.
 	Feed *changefeed.Feed
 
+	// occGate lets ExecuteTxn's last optimistic attempt run alone: every
+	// OCC commit validates, flushes and finalizes under its read lock, and
+	// that attempt holds its write lock from its begin to its end.
+	occGate sync.RWMutex
 	// occPostBegin is a test-only fault-injection hook (like the slave's
 	// kill-before-exec): when set, it runs after each OCC transaction
-	// attempt begins, so tests can commit a conflicting write inside the
-	// validation window deterministically.
-	occPostBegin func()
+	// attempt begins, told whether the attempt is the exclusive last one,
+	// so tests can commit a conflicting write inside the validation window
+	// deterministically — into any attempt but that one, whose commit it
+	// would wait for.
+	occPostBegin func(exclusive bool)
 	// afterPhase is a test-only hook of the same kind: when set, a marked
 	// update calls it after each of its three barriers (phaseMarked,
 	// phaseUpdated, phaseUnmarked), so tests can read the store between

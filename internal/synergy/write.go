@@ -3,9 +3,7 @@ package synergy
 import (
 	"errors"
 	"fmt"
-	"math/rand/v2"
 	"slices"
-	"time"
 
 	"synergy/internal/changefeed"
 	"synergy/internal/core"
@@ -60,6 +58,10 @@ type Tx struct {
 	mvccTx *mvcc.Tx // nil unless Concurrency == MVCC
 	occTx  *occ.Tx  // nil unless Concurrency == OCC
 	lock   bool     // hierarchical: root locks + dirty marks
+	// exclusive marks ExecuteTxn's last optimistic attempt, which holds
+	// System.occGate's write lock from its begin to its end: its commit
+	// takes no read lock.
+	exclusive bool
 
 	locks   []lockRef
 	lockSet map[lockRef]struct{}
@@ -207,13 +209,19 @@ func (tx *Tx) open(ctx *sim.Ctx, p *Prepared, params []schema.Value, reads ViewR
 // writes become visible before the locks free, preserving the §VIII
 // protocol. An OCC transaction validates first: only a commit whose read
 // set survived backward validation flushes anything, and a conflict returns
-// occ.ErrConflict with the buffer discarded untouched.
+// occ.ErrConflict with the buffer discarded untouched. It validates, flushes
+// and finalizes under System.occGate's read lock, so no OCC commit lands
+// while an exclusive attempt runs (see ExecuteTxn).
 func (tx *Tx) Commit(ctx *sim.Ctx) error {
 	if tx.done {
 		return fmt.Errorf("synergy: transaction already finished")
 	}
 	tx.done = true
 	if tx.occTx != nil {
+		if !tx.exclusive {
+			tx.sys.occGate.RLock()
+			defer tx.sys.occGate.RUnlock()
+		}
 		// Validation reserves the commit's cell timestamps (StampPending
 		// runs inside the validator's critical section) so the flushed
 		// cells form one atomic block under every snapshot horizon.
@@ -451,6 +459,10 @@ func (sys *System) ExecuteWrite(ctx *sim.Ctx, stmt sqlparser.Statement, params [
 	return sys.ExecuteTxn(ctx, []sqlparser.Statement{stmt}, [][]schema.Value{params})
 }
 
+// occMaxRetries bounds the attempts of one optimistic transaction
+// (ExecuteTxn); the last of them runs alone.
+const occMaxRetries = 12
+
 // ExecuteTxn runs stmts as one transaction on the local system: one
 // transaction-scoped mutator shared by every statement, locks held to
 // commit, a single commit flush. A statement error aborts the transaction —
@@ -460,42 +472,40 @@ func (sys *System) ExecuteWrite(ctx *sim.Ctx, stmt sqlparser.Statement, params [
 // far, and there is no undo log — an abort after such a barrier keeps that
 // flushed work durable (under MVCC it is invisible instead, via the
 // invalidated transaction id). Under OCC a validation conflict retries the
-// whole transaction from a fresh snapshot with capped exponential backoff —
-// the optimistic mirror of the lock path's contended spin — before
-// surfacing occ.ErrConflict; a retried attempt re-executes every statement,
-// and an aborted attempt has flushed nothing (OCC runs no phase barriers),
-// so retry leaves no dirty marks and no partial state. The transaction
-// layer calls this after WAL-logging; use System.ExecTxn to route through
-// it.
+// whole transaction from a fresh snapshot, charged the lock path's capped
+// exponential backoff — the optimistic mirror of its contended spin. The
+// last of occMaxRetries attempts runs alone: it holds System.occGate's write
+// lock from its begin to its end, so no commit lands in its validation
+// window and it cannot lose — a conflict never outlasts the budget. A retried
+// attempt re-executes every statement, and an aborted attempt has flushed
+// nothing (OCC runs no phase barriers), so retry leaves no dirty marks and no
+// partial state. The transaction layer calls this after WAL-logging; use
+// System.ExecTxn to route through it.
 func (sys *System) ExecuteTxn(ctx *sim.Ctx, stmts []sqlparser.Statement, paramsList [][]schema.Value) error {
 	if len(stmts) != len(paramsList) {
 		return fmt.Errorf("synergy: %d statements, %d parameter lists", len(stmts), len(paramsList))
 	}
-	maxRetries := sys.cfg.Costs.OCCMaxRetries
-	if maxRetries <= 0 {
-		maxRetries = 1
-	}
-	for attempt := 0; ; attempt++ {
-		err := sys.executeTxnOnce(ctx, stmts, paramsList)
-		if err == nil || !errors.Is(err, occ.ErrConflict) || attempt+1 >= maxRetries {
+	for attempt := 1; ; attempt++ {
+		err := sys.executeTxnOnce(ctx, stmts, paramsList, sys.cfg.Concurrency == OCC && attempt == occMaxRetries)
+		if !errors.Is(err, occ.ErrConflict) || attempt == occMaxRetries {
 			return err
 		}
 		ctx.CountOCCRetry()
-		// Conflict retries back off on the lock path's capped exponential
-		// schedule before re-running from a fresh snapshot. That is the
-		// modeled wait; the real goroutine also sleeps a random share of
-		// 10 µs doubling to 1.28 ms, or writers that lost to each other
-		// retry in lock-step and lose again.
-		ctx.Charge(sys.cfg.Costs.LockBackoff(attempt))
-		time.Sleep(time.Duration(rand.Int64N(10<<min(attempt, 7))) * time.Microsecond)
+		ctx.Charge(sys.cfg.Costs.LockBackoff(attempt - 1))
 	}
 }
 
-// executeTxnOnce runs one attempt of the transaction.
-func (sys *System) executeTxnOnce(ctx *sim.Ctx, stmts []sqlparser.Statement, paramsList [][]schema.Value) error {
+// executeTxnOnce runs one attempt of the transaction; an exclusive one holds
+// occGate's write lock throughout (see ExecuteTxn).
+func (sys *System) executeTxnOnce(ctx *sim.Ctx, stmts []sqlparser.Statement, paramsList [][]schema.Value, exclusive bool) error {
+	if exclusive {
+		sys.occGate.Lock()
+		defer sys.occGate.Unlock()
+	}
 	tx := sys.BeginTx(ctx)
+	tx.exclusive = exclusive
 	if tx.occTx != nil && sys.occPostBegin != nil {
-		sys.occPostBegin()
+		sys.occPostBegin(exclusive)
 	}
 	for i, stmt := range stmts {
 		if err := tx.Exec(ctx, stmt, paramsList[i]); err != nil {
