@@ -18,6 +18,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -48,7 +49,7 @@ func main() {
 	)
 	flag.Parse()
 
-	if err := run(*experiment, *cust, *reps, *seed, parseInts(*scales), parseInts(*locks),
+	if err := run(os.Stdout, *experiment, *cust, *reps, *seed, parseInts(*scales), parseInts(*locks),
 		parseInts(*hotRows), *workers, *rounds, *ops, *herd, parseInts(*views),
 		parseFloats(*skews), bench.SkewOpts{Keys: *skewKeys, WaveOps: *skewOps, Waves: *skewWaves},
 		bench.ServerOpts{Conns: *conns, Txns: *txns}); err != nil {
@@ -91,11 +92,11 @@ func parseInts(csv string) []int {
 	return out
 }
 
-func run(experiment string, cust, reps int, seed int64, scales, locks, hotRows []int, workers, rounds, ops int, herd bool, views []int, skews []float64, skewOpts bench.SkewOpts, serverOpts bench.ServerOpts) error {
+func run(w io.Writer, experiment string, cust, reps int, seed int64, scales, locks, hotRows []int, workers, rounds, ops int, herd bool, views []int, skews []float64, skewOpts bench.SkewOpts, serverOpts bench.ServerOpts) error {
 	needSystems := map[string]bool{"fig12": true, "fig14": true, "table2": true, "table3": true, "all": true}
 	var set *bench.SystemSet
 	if needSystems[experiment] {
-		fmt.Printf("building the five evaluated systems over TPC-W with %d customers (seed %d)...\n\n", cust, seed)
+		fmt.Fprintf(w, "building the five evaluated systems over TPC-W with %d customers (seed %d)...\n\n", cust, seed)
 		var err error
 		set, err = bench.BuildSystems(cust, seed, nil)
 		if err != nil {
@@ -115,8 +116,8 @@ func run(experiment string, cust, reps int, seed int64, scales, locks, hotRows [
 			}
 			set = sys
 		}
-		fmt.Println("Synergy design for the TPC-W workload (§V, §VI):")
-		fmt.Println(set.Synergy.Design().Summary())
+		fmt.Fprintln(w, "Synergy design for the TPC-W workload (§V, §VI):")
+		fmt.Fprintln(w, set.Synergy.Design().Summary())
 	}
 
 	if want("fig10") {
@@ -124,25 +125,25 @@ func run(experiment string, cust, reps int, seed int64, scales, locks, hotRows [
 		if err != nil {
 			return err
 		}
-		fmt.Println(bench.RenderFigure10(rows))
+		fmt.Fprintln(w, bench.RenderFigure10(rows))
 	}
 	if want("fig11") {
 		rows, err := bench.RunFigure11(locks, reps, seed, nil)
 		if err != nil {
 			return err
 		}
-		fmt.Println(bench.RenderFigure11(rows))
+		fmt.Fprintln(w, bench.RenderFigure11(rows))
 	}
 	if want("fig12") {
 		g, err := bench.RunFigure12(set, reps, seed)
 		if err != nil {
 			return err
 		}
-		fmt.Println(bench.RenderGrid("Figure 12: TPC-W join queries", g))
-		fmt.Println(bench.RenderComparisons(g))
+		fmt.Fprintln(w, bench.RenderGrid("Figure 12: TPC-W join queries", g))
+		fmt.Fprintln(w, bench.RenderComparisons(g))
 	}
 	if want("fig13") {
-		fmt.Println(bench.Figure13Matrix())
+		fmt.Fprintln(w, bench.Figure13Matrix())
 	}
 	if want("contention") {
 		res, err := bench.RunContentionOpts(hotRows, workers, rounds, ops, seed, nil,
@@ -150,50 +151,50 @@ func run(experiment string, cust, reps int, seed int64, scales, locks, hotRows [
 		if err != nil {
 			return err
 		}
-		fmt.Println(bench.RenderContention(res))
+		fmt.Fprintln(w, bench.RenderContention(res))
 	}
 	if want("maintenance") {
 		res, err := bench.RunMaintenance(views, reps, seed, nil)
 		if err != nil {
 			return err
 		}
-		fmt.Println(bench.RenderMaintenance(res))
+		fmt.Fprintln(w, bench.RenderMaintenance(res))
 	}
 	if want("server") {
 		res, err := bench.RunServer(serverOpts, nil)
 		if err != nil {
 			return err
 		}
-		fmt.Println(bench.RenderServer(res))
+		fmt.Fprintln(w, bench.RenderServer(res))
 	}
 	if want("skew") {
 		res, err := bench.RunSkew(skews, skewOpts, seed)
 		if err != nil {
 			return err
 		}
-		fmt.Println(bench.RenderSkew(res))
+		fmt.Fprintln(w, bench.RenderSkew(res))
 	}
 	if want("fig14") {
 		g, err := bench.RunFigure14(set, reps, seed)
 		if err != nil {
 			return err
 		}
-		fmt.Println(bench.RenderGrid("Figure 14: TPC-W write statements", g))
-		fmt.Println(bench.RenderComparisons(g))
+		fmt.Fprintln(w, bench.RenderGrid("Figure 14: TPC-W write statements", g))
+		fmt.Fprintln(w, bench.RenderComparisons(g))
 	}
 	if want("table1") {
-		fmt.Println(bench.TableIQualitative())
+		fmt.Fprintln(w, bench.TableIQualitative())
 	}
 	if want("table2") {
 		rows, err := bench.RunTableII(set, reps, seed)
 		if err != nil {
 			return err
 		}
-		fmt.Println(bench.RenderTableII(rows))
+		fmt.Fprintln(w, bench.RenderTableII(rows))
 	}
 	if want("table3") {
 		rows := bench.RunTableIII(set)
-		fmt.Println(bench.RenderTableIII(rows, set.Data.Card.Customers))
+		fmt.Fprintln(w, bench.RenderTableIII(rows, set.Data.Card.Customers))
 	}
 	return nil
 }

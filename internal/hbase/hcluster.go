@@ -222,12 +222,6 @@ func (hc *HCluster) lookup(name string) (*table, error) {
 	return t, nil
 }
 
-// walAppend charges the write-ahead-log append for one mutation on a region
-// server: an HDFS pipeline write of the edit.
-func (hc *HCluster) walAppend(ctx *sim.Ctx, server string, editBytes int) {
-	hc.walAppendBatch(ctx, server, editBytes, 1)
-}
-
 // walAppendBatch charges one WAL sync covering edits edits totalling
 // editBytes. Batched mutations pay the HDFS pipeline latency once per batch
 // — the edits travel in one group-committed sync, as real HBase region

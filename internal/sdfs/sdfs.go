@@ -11,8 +11,6 @@ package sdfs
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 
 	"synergy/internal/cluster"
@@ -22,15 +20,12 @@ import (
 // DefaultBlockSize mirrors the HDFS default of 64 MiB (Hadoop 2.x era).
 const DefaultBlockSize = 64 << 20
 
-// Errors reported by the filesystem.
-var (
-	ErrNotFound = errors.New("sdfs: file not found")
-	ErrExists   = errors.New("sdfs: file already exists")
-)
+// ErrNotFound reports a read, length or delete of a file that does not exist.
+var ErrNotFound = errors.New("sdfs: file not found")
 
 // block is one replicated unit of file data. Contents are stored once; the
-// replicas slice records which datanodes hold copies, which drives both the
-// pipeline latency and the storage accounting.
+// replicas slice records which datanodes hold copies, which drives the
+// pipeline latency of every append to it.
 type block struct {
 	data     []byte
 	replicas []string // datanode names
@@ -76,18 +71,6 @@ func NewFS(cl *cluster.Cluster, replication int) *FS {
 
 // Replication reports the effective replication factor.
 func (fs *FS) Replication() int { return fs.replication }
-
-// Create makes an empty file. It charges a NameNode round trip.
-func (fs *FS) Create(ctx *sim.Ctx, path string) error {
-	fs.cl.RPC(ctx, "client-0", "master-0", 64)
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if _, dup := fs.files[path]; dup {
-		return fmt.Errorf("%w: %s", ErrExists, path)
-	}
-	fs.files[path] = &file{}
-	return nil
-}
 
 // placeReplicas picks replica datanodes round-robin, like the HDFS default
 // placement policy in a single rack.
@@ -176,14 +159,6 @@ func (fs *FS) Delete(ctx *sim.Ctx, path string) error {
 	return nil
 }
 
-// Exists reports whether the file is present.
-func (fs *FS) Exists(path string) bool {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	_, ok := fs.files[path]
-	return ok
-}
-
 // Length returns the byte length of a file, or ErrNotFound.
 func (fs *FS) Length(path string) (int64, error) {
 	fs.mu.RLock()
@@ -193,43 +168,4 @@ func (fs *FS) Length(path string) (int64, error) {
 		return 0, fmt.Errorf("%w: %s", ErrNotFound, path)
 	}
 	return f.length, nil
-}
-
-// List returns all paths with the given prefix, sorted.
-func (fs *FS) List(prefix string) []string {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	var out []string
-	for p := range fs.files {
-		if strings.HasPrefix(p, prefix) {
-			out = append(out, p)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// TotalBytes reports logical bytes stored (pre-replication).
-func (fs *FS) TotalBytes() int64 {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	var total int64
-	for _, f := range fs.files {
-		total += f.length
-	}
-	return total
-}
-
-// ReplicatedBytes reports physical bytes including replication, the number
-// HDFS capacity accounting would show.
-func (fs *FS) ReplicatedBytes() int64 {
-	fs.mu.RLock()
-	defer fs.mu.RUnlock()
-	var total int64
-	for _, f := range fs.files {
-		for _, b := range f.blocks {
-			total += int64(len(b.data)) * int64(len(b.replicas))
-		}
-	}
-	return total
 }

@@ -16,12 +16,10 @@ func newFS(t *testing.T) *FS {
 	return NewFS(cluster.NewDefault(nil), 3)
 }
 
+// The first append creates the file; later ones extend it.
 func TestCreateAppendRead(t *testing.T) {
 	fs := newFS(t)
 	ctx := sim.NewCtx()
-	if err := fs.Create(ctx, "/wal/slave-0.log"); err != nil {
-		t.Fatal(err)
-	}
 	if err := fs.Append(ctx, "/wal/slave-0.log", []byte("edit-1\n")); err != nil {
 		t.Fatal(err)
 	}
@@ -37,25 +35,14 @@ func TestCreateAppendRead(t *testing.T) {
 	}
 }
 
-func TestCreateDuplicate(t *testing.T) {
-	fs := newFS(t)
-	ctx := sim.NewCtx()
-	if err := fs.Create(ctx, "/a"); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.Create(ctx, "/a"); !errors.Is(err, ErrExists) {
-		t.Fatalf("duplicate create error = %v, want ErrExists", err)
-	}
-}
-
 func TestAppendCreatesImplicitly(t *testing.T) {
 	fs := newFS(t)
 	ctx := sim.NewCtx()
 	if err := fs.Append(ctx, "/implicit", []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if !fs.Exists("/implicit") {
-		t.Fatal("append should create the file")
+	if n, err := fs.Length("/implicit"); err != nil || n != 1 {
+		t.Fatalf("Length after append = %d, %v; want 1, nil", n, err)
 	}
 }
 
@@ -73,36 +60,31 @@ func TestDelete(t *testing.T) {
 	if err := fs.Delete(ctx, "/f"); err != nil {
 		t.Fatal(err)
 	}
-	if fs.Exists("/f") {
-		t.Fatal("file still exists after delete")
+	if _, err := fs.ReadAll(ctx, "/f"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("ReadAll after delete error = %v, want ErrNotFound", err)
 	}
 	if err := fs.Delete(ctx, "/f"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("second delete error = %v, want ErrNotFound", err)
 	}
 }
 
-func TestListSortedByPrefix(t *testing.T) {
-	fs := newFS(t)
-	ctx := sim.NewCtx()
-	for _, p := range []string{"/wal/b", "/wal/a", "/hfiles/x"} {
-		fs.Append(ctx, p, []byte("1"))
-	}
-	got := fs.List("/wal/")
-	if len(got) != 2 || got[0] != "/wal/a" || got[1] != "/wal/b" {
-		t.Fatalf("List(/wal/) = %v", got)
-	}
-}
-
+// An append ships its bytes once per replica; a read ships them once.
 func TestReplicationAccounting(t *testing.T) {
 	fs := newFS(t)
 	ctx := sim.NewCtx()
-	payload := make([]byte, 1000)
-	fs.Append(ctx, "/f", payload)
-	if got := fs.TotalBytes(); got != 1000 {
-		t.Fatalf("TotalBytes = %d, want 1000", got)
+	fs.Append(ctx, "/f", make([]byte, 1000))
+	if got := ctx.Snapshot().BytesMoved; got != 3000 {
+		t.Fatalf("append moved %d bytes, want 3000 (3x replication)", got)
 	}
-	if got := fs.ReplicatedBytes(); got != 3000 {
-		t.Fatalf("ReplicatedBytes = %d, want 3000 (3x replication)", got)
+	if n, err := fs.Length("/f"); err != nil || n != 1000 {
+		t.Fatalf("Length = %d, %v; want 1000, nil", n, err)
+	}
+	read := sim.NewCtx()
+	if _, err := fs.ReadAll(read, "/f"); err != nil {
+		t.Fatal(err)
+	}
+	if got := read.Snapshot().BytesMoved; got != 1000 {
+		t.Fatalf("read moved %d bytes, want 1000", got)
 	}
 }
 
@@ -168,8 +150,10 @@ func TestConcurrentAppendsDoNotRace(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if got := fs.TotalBytes(); got != 800 {
-		t.Fatalf("TotalBytes = %d, want 800", got)
+	for i := 0; i < 8; i++ {
+		if n, err := fs.Length(fmt.Sprintf("/wal/%d", i)); err != nil || n != 100 {
+			t.Fatalf("Length(/wal/%d) = %d, %v; want 100, nil", i, n, err)
+		}
 	}
 }
 
