@@ -8,12 +8,10 @@ import (
 	"synergy/internal/sim"
 )
 
-// BenchmarkScanMultiRegion compares the sequential and scatter-gather read
-// paths over an 8-region table, reporting both wall-clock time and the
-// deterministic simulated response time (sim-ms/op). The simulated cost
-// shows the fork/join gain on any machine; the wall-clock gain additionally
-// needs GOMAXPROCS >= the region count, since scatter-gather workers are
-// CPU-bound (single-core runners serialize them).
+// BenchmarkScanMultiRegion compares a sequential and a fanned-out scan of an
+// 8-region table, reporting both wall-clock time and the deterministic
+// simulated response time (sim-ms/op). The consumer walks the regions in
+// either case, so the fork/join gain is in sim-ms/op only.
 func BenchmarkScanMultiRegion(b *testing.B) {
 	const regions, rows = 8, 64_000
 	_, c := buildScanFixture(b, rows, regions)
@@ -42,6 +40,46 @@ func BenchmarkScanMultiRegion(b *testing.B) {
 				}
 				if n == 0 {
 					b.Fatal("scan returned no rows")
+				}
+				simTotal += ctx.Elapsed()
+			}
+			b.ReportMetric(simTotal.Milliseconds()/float64(b.N), "sim-ms/op")
+		})
+	}
+}
+
+// BenchmarkScanGuideposts scans one 20,000-row region whole and folds it,
+// each without fan-out and cut at its nine guideposts into ten units,
+// reporting the simulated response time (sim-ms/op) beside wall-clock time
+// and allocations. The units run one after another, so the fan-out is a
+// simulated gain only; allocs/op pins what cutting a scan costs.
+func BenchmarkScanGuideposts(b *testing.B) {
+	_, c := buildScanFixture(b, 20_000, 1)
+	for _, mode := range []struct {
+		name string
+		spec ScanSpec
+	}{
+		{"scan/sequential", ScanSpec{Sequential: true}},
+		{"scan/fanned", ScanSpec{}},
+		{"fold/sequential", ScanSpec{Fold: newLenFold, Sequential: true}},
+		{"fold/fanned", ScanSpec{Fold: newLenFold}},
+	} {
+		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var simTotal sim.Micros
+			for i := 0; i < b.N; i++ {
+				ctx := sim.NewCtx()
+				sc, err := c.Scan(ctx, "t", mode.spec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for {
+					if _, ok := sc.Next(ctx); !ok {
+						break
+					}
+				}
+				if ctx.Snapshot().RowsScanned != 20_000 {
+					b.Fatalf("scan examined %d rows", ctx.Snapshot().RowsScanned)
 				}
 				simTotal += ctx.Elapsed()
 			}
@@ -112,7 +150,7 @@ func BenchmarkScanChunkMerge(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf.reset()
-		if _, _, next := r.scanChunk(buf, "", 0, &ScanSpec{}); next != "" {
+		if _, _, next := r.scanChunk(buf, "", r.edge(false), 0, &ScanSpec{}, nil); next != "" {
 			b.Fatalf("next = %q, want exhausted", next)
 		}
 		if len(buf.rows) != rows {

@@ -9,20 +9,11 @@ package hbase
 // releases it.
 //
 // Ownership protocol (the release points that make pooling safe under the
-// Cells lifetime rule):
-//
-//   - the Scanner owns one current chunk. Draining a region itself, it
-//     refills that chunk in place — each refill is a Next call, which is
-//     exactly when previously returned rows become invalid; a worker's chunk
-//     replaces it, and the replaced one returns to the pool. The current
-//     chunk returns to the pool at exhaustion or Close;
-//   - workers (Scanner.drainRegion) fetch each chunk into a fresh pooled
-//     buffer and hand it over the prefetch channel;
-//   - stopping the workers releases only chunks no consumer ever saw:
-//     buffers drained from the prefetch channels after the workers stop, and
-//     buffers a cancelled worker failed to send. Next stops them in the same
-//     call that returns the limit-th row, so the current chunk stays until
-//     Close.
+// Cells lifetime rule): a Scanner owns one chunk, which the consumer refills
+// in place from one region or unit after another — each refill is a Next
+// call, which is exactly when previously returned rows become invalid. The
+// chunk returns to the pool at exhaustion or Close; a Next that returns the
+// limit-th row keeps it, since that row still lives in it, until Close.
 type chunkBuf struct {
 	rows  []RowResult
 	arena Cells

@@ -40,24 +40,6 @@ type Client struct {
 	// stopped being materialized one slice at a time. See chunkBuf for the
 	// ownership protocol.
 	chunkPool sync.Pool
-
-	// pool is the client's shared scatter-gather scan pool (lazily built;
-	// guarded by mu). All of the client's parallel scans draw region-fetch
-	// workers from it, modeling Phoenix's global thread pool: a client's
-	// total in-flight region fetches never exceed Costs.ScanParallelism,
-	// however many scanners are open.
-	pool *scanPool
-}
-
-// sharedScanPool returns the client's scan pool, creating it at
-// Costs.ScanParallelism workers on first use.
-func (c *Client) sharedScanPool() *scanPool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.pool == nil {
-		c.pool = newScanPool(c.hc.costs.ScanParallelism)
-	}
-	return c.pool
 }
 
 // getMutBuf returns an empty Mutation buffer, reusing a flushed one when
@@ -354,13 +336,14 @@ type ScanSpec struct {
 	// (rows merged with pending cells).
 	Filter func(RowResult) bool
 	// Fold, when non-nil, aggregates the scan where its rows live, as
-	// Phoenix's server-side aggregation does: each region takes a Folder from
-	// Fold, adds every visible row of its share of the range that passes
-	// Filter — charged AggRow per row, as server work — and answers with one
-	// RPC carrying the Folder's partial rows instead of the rows. The stream
-	// then yields those, region by region in scan order; Batch does not apply
-	// and a caller folding sets no Limit. A reader that cannot fold where the
-	// rows live ignores Fold and streams the rows — a point read (GetRow), a
+	// Phoenix's server-side aggregation does: the scan takes one Folder from
+	// Fold, and each region — each unit of a fanned-out scan — adds every
+	// visible row of its share of the range that passes Filter to it, charged
+	// AggRow per row as server work, and answers with one RPC carrying the
+	// Folder's partial rows instead of the rows. The stream then yields those,
+	// region by region in scan order; Batch does not apply and a caller
+	// folding sets no Limit. A reader that cannot fold where the rows live
+	// ignores Fold and streams the rows — a point read (GetRow), a
 	// transaction's view with pending rows in the range — so the caller tells
 	// a partial row from a stored one.
 	Fold func() Folder
@@ -374,24 +357,28 @@ type ScanSpec struct {
 	Columns *ColumnSet
 	// Batch overrides the scanner caching (rows per RPC).
 	Batch int
-	// Sequential keeps the scan off the worker pool even when it could
-	// scatter-gather: the consumer drains the regions one at a time. Two
-	// callers set it, because they run many short scans whose fan-out would
-	// cost more than it overlaps: the index nested-loop join's per-outer-row
-	// prefix probe (phoenix; a probe binding the whole row key is a Get and
-	// reaches no scanner) and the view-maintenance locate scan (synergy). Without
-	// it a scan gets workers once it spans more than one region and its Limit
-	// is 0 or at least one Batch; a smaller Limit is reached sooner by early
-	// termination than by speculative per-region prefetch.
+	// Sequential keeps the scan from fanning out even when it could: its
+	// regions are walked whole, one at a time, on the request ctx. Two callers
+	// set it, because they run many short scans whose fan-out would cost more
+	// than it overlaps: the index nested-loop join's per-outer-row prefix
+	// probe (phoenix; a probe binding the whole row key is a Get and reaches
+	// no scanner) and the view-maintenance locate scan (synergy). Without it a
+	// scan fans out once it spans more than one region or a guidepost, and its
+	// Limit is 0 or at least one Batch; a smaller Limit is reached sooner
+	// walking in order than by forking.
 	Sequential bool
 }
 
-// Folder aggregates one region's share of a folding scan (ScanSpec.Fold).
+// Folder aggregates a folding scan (ScanSpec.Fold) one region or unit at a
+// time.
 type Folder interface {
 	// Add folds in one row. Its Cells are valid only during the call; the
 	// values they hold are immutable and may be kept.
 	Add(RowResult)
-	// Rows returns what was folded in as partial rows: the region's answer.
+	// Rows returns what was folded in since the last Rows as partial rows —
+	// one region's or unit's answer — and empties the Folder for the next.
+	// The rows' Cells stay valid until the next Rows; the values they hold
+	// may be kept.
 	Rows() []RowResult
 }
 
@@ -408,34 +395,35 @@ func (s ScanSpec) bounds() (start, stop string) {
 // or descending for a reversed spec, which lists its regions last to first
 // and is otherwise the same scanner.
 //
-// There is one region walk. The consumer takes the regions in scan order and
-// drains each one chunk by chunk itself (caller-runs), unless a worker of the
-// client's shared scan pool has already started it — then it reads that
-// worker's chunks instead. A scan without workers (see ScanSpec.Sequential)
-// charges every RPC straight to the request ctx, stops at Limit, and asks each
-// chunk for no more rows than the Limit leaves. A scan with workers is
-// Phoenix's intra-query parallelism: every region is a job on the pool, each
-// charging a forked ctx that is joined into the request when the scan ends or
-// is closed (see scanWorkers). A Scanner assumes one sim.Ctx per request: the
-// ctx passed to Next/Close is the one the scan is charged to.
+// There is one walk, and the consumer runs it: it takes the regions in scan
+// order and drains each chunk by chunk, asking each chunk for no more rows
+// than Limit leaves. A scan without fan-out (see ScanSpec.Sequential) walks
+// every region whole and charges every RPC to the request ctx. A fanned-out
+// scan is Phoenix's intra-query parallelism: each region's share of the
+// range is cut at its guideposts into units (see scanUnit), and each unit is
+// charged to its own forked ctx; the forks are joined into the request when
+// the scan ends or is closed, as if the units had run side by side. A
+// Scanner assumes one sim.Ctx per request: the ctx passed to Next/Close is
+// the one the scan is charged to.
 type Scanner struct {
 	client  *Client
-	tbl     *table
 	spec    ScanSpec
 	batch   int
-	regions []*Region    // in scan order: last to first for a reversed spec
-	from    string       // bound the scan enters its range at: Start, or Stop reversed
-	to      string       // bound it leaves at: Stop (exclusive), or Start (inclusive) reversed
-	workers *scanWorkers // nil: the consumer drains every region itself
+	regions []*Region  // in scan order: last to first for a reversed spec
+	from    string     // bound the scan enters its range at: Start, or Stop reversed
+	to      string     // bound it leaves at: Stop (exclusive), or Start (inclusive) reversed
+	units   []scanUnit // a fanned-out scan's units, in scan order; nil: the regions, walked whole
+	fold    Folder     // the scan's one Folder, handed to one region or unit after another
+	paid    sim.Micros // charged to the request ctx at the first row, ahead of the join
+	chunks  int64      // non-empty chunks handed to the consumer
+	joined  bool
 
-	ci  int       // region being consumed
-	cur *chunkBuf // the chunk rows are handed out of; refilled in place by caller-runs
-	bi  int       // next row of cur
-	// Caller-runs state: set while the consumer drains region ci itself.
-	inline bool
-	eof    bool   // region ci has no chunk left
-	resume string // key region ci's next chunk starts from
-	base   int    // rows returned before region ci's own count against Limit begins
+	wi     int  // region, or unit, being walked
+	open   bool // walk wi is open: resume is where its next chunk starts
+	eof    bool // walk wi has no chunk left
+	resume string
+	cur    *chunkBuf // the chunk rows are handed out of, refilled in place
+	bi     int       // next row of cur
 	sent   int
 	done   bool
 }
@@ -458,15 +446,17 @@ func (c *Client) Scan(ctx *sim.Ctx, tbl string, spec ScanSpec) (*Scanner, error)
 	}
 	s := &Scanner{
 		client:  c,
-		tbl:     t,
 		spec:    spec,
 		batch:   batch,
 		regions: regions,
 		from:    from,
 		to:      to,
 	}
-	if len(regions) > 1 && (spec.Limit <= 0 || spec.Limit >= batch) && !spec.Sequential && c.hc.costs.ScanParallelism > 1 {
-		s.startWorkers(ctx, c.sharedScanPool())
+	if spec.Fold != nil {
+		s.fold = spec.Fold()
+	}
+	if (spec.Limit <= 0 || spec.Limit >= batch) && !spec.Sequential && c.hc.costs.ScanParallelism > 1 {
+		s.units = s.cut()
 	}
 	return s, nil
 }
@@ -485,72 +475,76 @@ func (s *Scanner) Next(ctx *sim.Ctx) (row RowResult, ok bool) {
 	}
 	row = s.cur.rows[s.bi]
 	s.bi++
+	if s.sent == 0 && s.units != nil {
+		// The first row is out once its unit's chunk is: the request has
+		// waited that long, whatever the other units still do (see join).
+		s.paid = s.units[s.wi].ctx.Elapsed()
+		ctx.Charge(s.paid)
+	}
 	s.sent++
 	if s.spec.Limit > 0 && s.sent >= s.spec.Limit {
+		// cur still backs the row returned here, so it stays until Close.
 		s.done = true
-		if s.workers != nil {
-			// Client-side trim: stop the region workers and fold their
-			// already-performed (speculative) work into ctx. cur still backs
-			// the row returned here, so it stays until Close.
-			s.stop(ctx)
-		}
+		s.join(ctx)
 	}
 	return row, true
 }
 
-// advance makes the next non-empty chunk of the scan current: the next chunk
-// of the region the consumer drains itself, else that of the next region — a
-// worker's, or, when no worker has claimed it, the consumer's own. It reports
-// false once every region is exhausted.
+// advance refills cur in place with the next non-empty chunk of the walk,
+// moving on to the next region or unit as each runs out; every row handed
+// out of cur has been consumed, so the refill is the point at which they
+// become invalid. It reports false once every walk is exhausted.
 func (s *Scanner) advance(ctx *sim.Ctx) bool {
+	if s.cur == nil {
+		s.cur = s.client.getChunkBuf()
+	}
 	for {
-		if s.inline {
-			if s.refillInline(ctx) {
-				return true
-			}
-			s.inline = false
-			if s.workers != nil {
-				s.workers.wg.Done() // the consumer owned this claimed job
-			}
-			s.ci++
-			continue
+		if s.eof {
+			s.wi++
+			s.open, s.eof = false, false
 		}
-		if s.ci >= len(s.regions) {
+		if s.wi >= s.walks() {
 			return false
 		}
-		w := s.workers
-		if w == nil || w.jobs[s.ci].claim() {
-			// No worker has started this region — run it inline rather than
-			// wait for one (CallerRunsPolicy).
-			s.startInline(ctx, s.ci)
-			continue
+		r, from, end, wctx := s.walk(ctx)
+		if !s.open {
+			hc := s.client.hc
+			hc.serverWork(wctx, r.Server(), hc.costs.ScanOpen)
+			s.resume, s.open = from, true
 		}
-		chunk, ok := <-w.streams[s.ci].ch
-		if !ok {
-			s.ci++
-			continue
+		var next string
+		next, s.eof = s.nextChunk(wctx, r, end, s.cur, s.resume)
+		s.resume, s.bi = next, 0
+		if len(s.cur.rows) > 0 {
+			s.chunks++
+			return true
 		}
-		s.install(chunk)
-		return true
 	}
 }
 
-// regionCtx is the ctx region i's work is charged to: the request's own, or
-// the region's fork when the scan has workers.
-func (s *Scanner) regionCtx(ctx *sim.Ctx, i int) *sim.Ctx {
-	if s.workers == nil {
-		return ctx
+// walks counts the scan's walks: its units, or its regions.
+func (s *Scanner) walks() int {
+	if s.units != nil {
+		return len(s.units)
 	}
-	return s.workers.streams[i].ctx
+	return len(s.regions)
 }
 
-// openRegion charges the region-open cost of region i to ctx and returns the
-// key its first chunk starts from: the scan's entry bound, clamped to the
-// region — the entry of a worker drain and a caller-runs drain alike.
-func (s *Scanner) openRegion(ctx *sim.Ctx, i int) (resume string) {
-	r := s.regions[i]
-	hc := s.client.hc
-	hc.serverWork(ctx, r.Server(), hc.costs.ScanOpen)
+// walk describes walk wi: its region, the key it enters at, the bound it
+// leaves at, and the ctx it is charged to — a unit's own fork, or the
+// request's.
+func (s *Scanner) walk(ctx *sim.Ctx) (r *Region, from, end string, wctx *sim.Ctx) {
+	if s.units != nil {
+		u := &s.units[s.wi]
+		return u.r, u.from, u.end, &u.ctx
+	}
+	r = s.regions[s.wi]
+	return r, s.entry(r), r.edge(s.spec.Reversed), ctx
+}
+
+// entry is the key a walk of region r starts from: the scan's entry bound,
+// clamped to the region.
+func (s *Scanner) entry(r *Region) string {
 	if s.spec.Reversed {
 		if r.end != "" && (s.from == "" || s.from > r.end) {
 			return r.end
@@ -561,58 +555,18 @@ func (s *Scanner) openRegion(ctx *sim.Ctx, i int) (resume string) {
 	return s.from
 }
 
-// startInline begins a consumer-driven drain of region i. A scan with workers
-// caps every region at Limit rows of its own (see nextChunk); one without
-// counts every row it has returned against Limit.
-func (s *Scanner) startInline(ctx *sim.Ctx, i int) {
-	s.inline, s.eof = true, false
-	s.resume = s.openRegion(s.regionCtx(ctx, i), i)
-	s.base = 0
-	if s.workers != nil {
-		s.base = s.sent
-	}
-}
-
-// refillInline refills cur in place with the next non-empty chunk of the
-// region the consumer drains itself; every row handed out of cur has been
-// consumed, so the refill is the point at which they become invalid. It
-// reports false once the region is exhausted.
-func (s *Scanner) refillInline(ctx *sim.Ctx) bool {
-	if s.cur == nil {
-		s.cur = s.client.getChunkBuf()
-	}
-	for !s.eof {
-		var next string
-		next, s.eof = s.nextChunk(s.regionCtx(ctx, s.ci), s.ci, s.cur, s.resume, s.sent-s.base)
-		s.resume, s.bi = next, 0
-		if len(s.cur.rows) > 0 {
-			if s.workers != nil {
-				s.workers.chunks++
-			}
-			return true
-		}
-	}
-	return false
-}
-
-// nextChunk performs one scanner RPC of region i from resume into buf,
-// charging ctx. done reports the region exhausted — by its end, the range's
-// far bound, or the limit. Both the worker path (drainRegion) and the
-// caller-runs path (refillInline) fetch exclusively through here, so the two
-// can never diverge on limit or resume semantics. sent is the rows already
-// counted against Limit: the whole scan's without workers; the region's own
-// with them, since the merged result takes the first Limit rows in scan order
-// and so no single region can contribute more — rows past the limit in early
-// regions are speculative overfetch that the client trims. A folding scan's
-// region answers in one chunk, whatever want is.
-func (s *Scanner) nextChunk(ctx *sim.Ctx, i int, buf *chunkBuf, resume string, sent int) (next string, done bool) {
+// nextChunk performs one scanner RPC of region r from resume into buf,
+// charging ctx. done reports the walk exhausted — by end, the range's far
+// bound, or the limit; sent counts every row the scan returned against
+// Limit. A folding scan's walk answers in one chunk, whatever want is.
+func (s *Scanner) nextChunk(ctx *sim.Ctx, r *Region, end string, buf *chunkBuf, resume string) (next string, done bool) {
 	limit := s.spec.Limit
 	want := s.batch
-	if limit > 0 && limit-sent < want {
-		want = limit - sent
+	if limit > 0 && limit-s.sent < want {
+		want = limit - s.sent
 	}
-	next, truncated := s.readChunk(ctx, s.regions[i], buf, resume, want)
-	done = truncated || next == "" || (limit > 0 && sent+len(buf.rows) >= limit)
+	next, truncated := s.readChunk(ctx, r, end, buf, resume, want)
+	done = truncated || next == "" || (limit > 0 && s.sent+len(buf.rows) >= limit)
 	return next, done
 }
 
@@ -620,21 +574,16 @@ func (s *Scanner) nextChunk(ctx *sim.Ctx, i int, buf *chunkBuf, resume string, s
 // rows handed out of cur are no longer valid and it goes back to the pool.
 func (s *Scanner) finish(ctx *sim.Ctx) {
 	s.release()
-	if s.workers != nil {
-		s.workers.wg.Wait() // all streams closed, workers are done or exiting
-		s.join(ctx)
-	}
+	s.join(ctx)
 }
 
 // Close releases an unfinished scan. A fully drained scanner needs no
 // Close; callers that abandon a scan early (dirty-read restarts) must call
-// it so workers stop and their already-performed work is still charged to
-// ctx. Close invalidates previously returned rows (the Cells lifetime rule),
-// which is what lets it recycle the current chunk.
+// it so the work its units already did is still charged to ctx. Close
+// invalidates previously returned rows (the Cells lifetime rule), which is
+// what lets it recycle the current chunk.
 func (s *Scanner) Close(ctx *sim.Ctx) {
-	if s.workers != nil {
-		s.stop(ctx)
-	}
+	s.join(ctx)
 	s.release()
 	s.done = true
 }
@@ -649,21 +598,21 @@ func (s *Scanner) release() {
 // past reports whether key lies beyond the bound the scan leaves its range at.
 func (s *Scanner) past(key string) bool { return beyond(key, s.to, s.spec.Reversed) }
 
-// readChunk performs one scanner RPC against region r into buf, charging
-// ctx for the server-side work and the response shipment. The buffer is
-// reset on entry — this is the refill point that invalidates whatever rows
-// it previously held. next is "" when
-// the region is exhausted; truncated reports that the range's far bound (the
-// stop key, or the start key of a reversed scan) cut the chunk, meaning every
+// readChunk performs one scanner RPC against region r into buf, walking no
+// further than end, and charges ctx for the server-side work and the
+// response shipment. The buffer is reset on entry — this is the refill point
+// that invalidates whatever rows it previously held. next is "" when the
+// walk reached end; truncated reports that the range's far bound (the stop
+// key, or the start key of a reversed scan) cut the chunk, meaning every
 // remaining key in this and any later region is out of range. A folding
-// scan's chunk is the region's partial rows, which the region cut to the
-// range itself.
-func (s *Scanner) readChunk(ctx *sim.Ctx, r *Region, buf *chunkBuf, resume string, want int) (next string, truncated bool) {
+// scan's chunk is the walk's partial rows, which the region cut to the range
+// itself.
+func (s *Scanner) readChunk(ctx *sim.Ctx, r *Region, end string, buf *chunkBuf, resume string, want int) (next string, truncated bool) {
 	hc := s.client.hc
 	srv := r.Server()
 	buf.reset()
-	examined, folded, next := r.scanChunk(buf, resume, want, &s.spec)
-	for n := len(buf.rows); s.spec.Fold == nil && n > 0 && s.past(buf.rows[n-1].Key); n-- {
+	examined, folded, next := r.scanChunk(buf, resume, end, want, &s.spec, s.fold)
+	for n := len(buf.rows); s.fold == nil && n > 0 && s.past(buf.rows[n-1].Key); n-- {
 		buf.rows[n-1] = RowResult{} // reset clears rows to its length only
 		buf.rows = buf.rows[:n-1]
 		truncated = true

@@ -20,7 +20,7 @@ func TestPackedScanAllocs(t *testing.T) {
 	buf := &chunkBuf{}
 	scan := func() {
 		buf.reset()
-		if _, _, next := r.scanChunk(buf, "", 0, &ScanSpec{}); next != "" || len(buf.rows) != rows {
+		if _, _, next := r.scanChunk(buf, "", r.edge(false), 0, &ScanSpec{}, nil); next != "" || len(buf.rows) != rows {
 			panic(fmt.Sprintf("scan gave %d rows, next %q", len(buf.rows), next))
 		}
 	}
@@ -32,7 +32,7 @@ func TestPackedScanAllocs(t *testing.T) {
 	last := scanKey(rows - 1)
 	reversed := func() {
 		buf.reset()
-		if _, _, next := r.scanChunk(buf, "", 0, &ScanSpec{Reversed: true}); next != "" || len(buf.rows) != rows || buf.rows[0].Key != last {
+		if _, _, next := r.scanChunk(buf, "", r.edge(true), 0, &ScanSpec{Reversed: true}, nil); next != "" || len(buf.rows) != rows || buf.rows[0].Key != last {
 			panic(fmt.Sprintf("reversed scan gave %d rows from %q, next %q", len(buf.rows), buf.rows[0].Key, next))
 		}
 	}

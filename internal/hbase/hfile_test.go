@@ -202,7 +202,7 @@ func FuzzPackedRow(f *testing.F) {
 				t.Fatalf("opts %d: rowData read under %v gave %v, want %v (cells %+v)", oi, cols.quals, got, cut, ref.cells)
 			}
 			buf := &chunkBuf{}
-			spread.scanChunk(buf, "", 0, &ScanSpec{Read: opts, Columns: cols})
+			spread.scanChunk(buf, "", spread.edge(false), 0, &ScanSpec{Read: opts, Columns: cols}, nil)
 			var merged Cells
 			if len(buf.rows) > 0 {
 				merged = buf.rows[0].Cells
@@ -741,7 +741,7 @@ func runRegionModel(t *testing.T, seed, flushSize int64) {
 					}
 					for {
 						buf.reset()
-						_, _, next = r.scanChunk(buf, next, 7, &ScanSpec{Reversed: reversed, Read: opts, Columns: cols})
+						_, _, next = r.scanChunk(buf, next, r.edge(reversed), 7, &ScanSpec{Reversed: reversed, Read: opts, Columns: cols}, nil)
 						for _, row := range buf.rows {
 							chunked = append(chunked, row.Clone())
 						}

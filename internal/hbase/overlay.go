@@ -9,8 +9,8 @@ import (
 
 // RowStream is the minimal streaming-read contract shared by a plain
 // Scanner and the overlay-merging scanner a ReadView returns. A fully
-// drained stream needs no Close; abandoning one early must Close it so
-// in-flight scatter-gather work is stopped and charged.
+// drained stream needs no Close; abandoning one early must Close it so the
+// work its units already did is charged.
 type RowStream interface {
 	Next(ctx *sim.Ctx) (RowResult, bool)
 	Close(ctx *sim.Ctx)

@@ -271,11 +271,13 @@ func (r *Region) checkAndPut(key, qualifier string, expected []byte, c Cell, clo
 }
 
 // scanChunk fills buf with up to limit visible rows with key >= from (and
-// < r.end) in ascending key order, returning the number of rows examined
-// server-side and the key to resume from ("" if the region is exhausted). A
+// < end) in ascending key order, returning the number of rows examined
+// server-side and the key to resume from ("" once the walk reaches end). A
 // reversed chunk walks the other way: rows with key < from ("" = from the
-// last key) and >= r.start, in descending order, and its resume key is
-// the last returned key — an exclusive upper bound, as from is. spec.Filter,
+// last key) and >= end, in descending order, and its resume key is the last
+// returned key — an exclusive upper bound, as from is. end is the region's
+// own edge (edge), or a guidepost where a fanned-out scan cut the region
+// into units (see scanUnit). spec.Filter,
 // when non-nil, drops rows server-side (they still count as examined);
 // spec.Columns, when non-nil, is the cells a row is read down to before the
 // filter sees it; spec.Read decides which versions are visible. buf must
@@ -283,12 +285,11 @@ func (r *Region) checkAndPut(key, qualifier string, expected []byte, c Cell, clo
 // windows into buf.arena, so they are valid only until the buffer's next reset
 // — the chunkBuf ownership protocol governs when that may happen.
 //
-// A chunk of a folding spec (spec.Fold) is the region's whole share of the
-// scan's range, limit or not: every row that would have been returned — up to
-// the range's far bound, which a plain chunk leaves to the client — goes into
-// one Folder instead, folded counts them, and buf.rows is the Folder's
-// partial rows.
-func (r *Region) scanChunk(buf *chunkBuf, from string, limit int, spec *ScanSpec) (examined, folded int, next string) {
+// A chunk with a fold is the walk's whole share of the scan's range, limit or
+// not: every row that would have been returned — up to the range's far bound,
+// which a plain chunk leaves to the client — goes into fold instead, folded
+// counts them, and buf.rows is the fold's partial rows (Folder.Rows).
+func (r *Region) scanChunk(buf *chunkBuf, from, end string, limit int, spec *ScanSpec, fold Folder) (examined, folded int, next string) {
 	defer func() { r.recordRead(examined) }()
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -296,14 +297,9 @@ func (r *Region) scanChunk(buf *chunkBuf, from string, limit int, spec *ScanSpec
 	reversed := spec.Reversed
 	m := newRowMerger(r.mem, r.files, from, reversed, spec.Columns)
 	defer m.release()
-	end := r.end // the bound the walk leaves the region at
-	if reversed {
-		end = r.start
-	}
-	var fold Folder
 	var to string // the range's far bound, for a fold
-	if spec.Fold != nil {
-		fold, limit = spec.Fold(), 0
+	if fold != nil {
+		limit = 0
 		start, stop := spec.bounds()
 		if to = stop; reversed {
 			to = start
@@ -352,6 +348,69 @@ func (r *Region) scanChunk(buf *chunkBuf, from string, limit int, spec *ScanSpec
 		return examined, folded, last
 	}
 	return examined, folded, last + "\x00"
+}
+
+// edge is the bound a walk in the given direction leaves the region at: its
+// exclusive end going forward, its inclusive start going backward.
+func (r *Region) edge(reversed bool) string {
+	if reversed {
+		return r.start
+	}
+	return r.end
+}
+
+// guidepostRows is the width of a guidepost: Phoenix's 100 MB guidepost
+// width over a 10 GB region, scaled as defaultSplitThreshold is.
+const guidepostRows = defaultSplitThreshold / 100
+
+// guideposts is a run of guideposts of one store file: the keys at rows
+// (first+j)·guidepostRows of the file, for j < n.
+type guideposts struct {
+	f        *hfile
+	first, n int
+}
+
+func (g guideposts) key(j int) string { return g.f.key(g.f.lo + (g.first+j)*guidepostRows) }
+
+// guideposts returns where a fanned-out scan of the key range [lo, hi) cuts
+// the region into units, as Phoenix cuts a region's scan at its statistics'
+// guideposts: every guidepostRows-th key of the region's largest store file,
+// but the last (the unit above it would be short), that lies strictly inside
+// both the range and the region. hi "" is open. A region whose largest file
+// holds under 2·guidepostRows rows has none.
+func (r *Region) guideposts(lo, hi string) guideposts {
+	r.mu.RLock()
+	f := r.largestFile()
+	r.mu.RUnlock()
+	if f == nil {
+		return guideposts{}
+	}
+	lo = max(lo, r.start)
+	if r.end != "" && (hi == "" || r.end < hi) {
+		hi = r.end
+	}
+	all := guideposts{f: f, first: 1, n: f.len()/guidepostRows - 1}
+	first := sort.Search(all.n, func(j int) bool { return all.key(j) > lo })
+	end := all.n
+	if hi != "" {
+		end = sort.Search(all.n, func(j int) bool { return all.key(j) >= hi })
+	}
+	if end <= first {
+		return guideposts{}
+	}
+	return guideposts{f: f, first: 1 + first, n: end - first}
+}
+
+// largestFile is the region's largest store file, nil when it has none.
+// Caller holds r.mu.
+func (r *Region) largestFile() *hfile {
+	var biggest *hfile
+	for _, f := range r.files {
+		if biggest == nil || f.len() > biggest.len() {
+			biggest = f
+		}
+	}
+	return biggest
 }
 
 // beyond reports whether a walk in the given direction has left a range at
@@ -529,12 +588,7 @@ func (r *Region) midKey() string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	// Use the largest store file for the estimate, as HBase does.
-	var biggest *hfile
-	for _, f := range r.files {
-		if biggest == nil || f.len() > biggest.len() {
-			biggest = f
-		}
-	}
+	biggest := r.largestFile()
 	if biggest == nil || biggest.len() < 2 {
 		// No (usable) store file yet. Load-triggered splits arrive before the
 		// first flush on write-hot regions, so fall back to the memstore's

@@ -8,11 +8,11 @@ import (
 	"synergy/internal/sim"
 )
 
-// TestSharedPoolConcurrentScanners runs many scanners on one client at
-// once: every scan must return the full, correctly ordered result while
-// all of them draw workers from the single shared pool. Run under -race
-// this is the acceptance check for the per-client pool.
-func TestSharedPoolConcurrentScanners(t *testing.T) {
+// TestConcurrentScannersOneClient runs many fanned-out scanners on one client
+// at once: every scan must return the full, correctly ordered result while
+// all of them share the client's chunk pool and meta cache. Run it under
+// -race.
+func TestConcurrentScannersOneClient(t *testing.T) {
 	_, c := buildScanFixture(t, 3000, 6)
 	want, _ := drainSpec(t, c, ScanSpec{Sequential: true})
 
@@ -49,26 +49,17 @@ func TestSharedPoolConcurrentScanners(t *testing.T) {
 	}
 }
 
-// TestSharedPoolInterleavedScansOneGoroutine is the starvation trap the
-// caller-runs claim exists for: a partially drained scan A parks blocked
-// producers on the pool, then the same goroutine opens and fully drains
-// scan B before ever returning to A. Without the consumer claiming B's
-// unstarted region jobs inline, B could wait forever on workers wedged
-// behind A's full streams.
-func TestSharedPoolInterleavedScansOneGoroutine(t *testing.T) {
-	hc, c := buildScanFixture(t, 3000, 6)
-	// Shrink the pool to two workers so scan A's blocked producers occupy
-	// the whole pool (A spans 6 regions; its first two drains park on full
-	// streams once the partial drain below stops consuming).
-	hc.Costs().ScanParallelism = 2
-	c.pool = nil // rebuild at the new size on next use
-
+// TestInterleavedScansOneGoroutine drains one scan fully while the same
+// goroutine holds another half read: the parked scan keeps its chunk and its
+// place, and each returns every row exactly once.
+func TestInterleavedScansOneGoroutine(t *testing.T) {
+	_, c := buildScanFixture(t, 3000, 6)
 	ctxA := sim.NewCtx()
 	scA, err := c.Scan(ctxA, "t", ScanSpec{Batch: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 10; i++ { // partial drain; producers stay parked
+	for i := 0; i < 10; i++ { // partial drain
 		if _, ok := scA.Next(ctxA); !ok {
 			t.Fatal("scan A exhausted too early")
 		}
@@ -96,36 +87,9 @@ func TestSharedPoolInterleavedScansOneGoroutine(t *testing.T) {
 	}
 }
 
-// TestScanPoolWorkerCap verifies the pool never spawns more goroutines
-// than its size, however many region jobs a scan submits.
-func TestScanPoolWorkerCap(t *testing.T) {
-	p := newScanPool(3)
-	p.mu.Lock()
-	if p.workers != 0 {
-		p.mu.Unlock()
-		t.Fatalf("fresh pool has %d workers", p.workers)
-	}
-	p.mu.Unlock()
-
-	_, c := buildScanFixture(t, 3000, 6)
-	c.pool = p // 6 region jobs over a 3-worker pool
-	ctx := sim.NewCtx()
-	sc, err := c.Scan(ctx, "t", ScanSpec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.mu.Lock()
-	if p.workers > p.size {
-		p.mu.Unlock()
-		t.Fatalf("pool spawned %d workers, cap %d", p.workers, p.size)
-	}
-	p.mu.Unlock()
-	sc.All(ctx)
-}
-
 // TestPooledChunkReuseInterleavedScans hammers the pooled chunk buffers:
 // many goroutines on one shared client, each interleaving a partially
-// drained parallel scan with limited scans and early Closes, so released
+// drained fanned-out scan with limited scans and early Closes, so released
 // chunks recycle through the client pool while sibling scans are mid
 // flight. Every retained row is a Clone taken at Next time and checked
 // after the churn — a chunk recycled while still referenced, or an arena
@@ -166,7 +130,7 @@ func TestPooledChunkReuseInterleavedScans(t *testing.T) {
 				return nil
 			}
 			for round := 0; round < rounds; round++ {
-				// Scan A: parallel, partially drained with retained clones.
+				// Scan A: fanned out, partially drained with retained clones.
 				ctxA := sim.NewCtx()
 				scA, err := c.Scan(ctxA, "t", ScanSpec{})
 				if err != nil {
@@ -250,7 +214,7 @@ func TestChunkBufResetClearsDirtiedPrefix(t *testing.T) {
 	// beyond len(arena) when the fill ends.
 	n := 0
 	reject := func(RowResult) bool { n++; return n%3 != 1 }
-	if _, _, next := r.scanChunk(buf, "", 0, &ScanSpec{Filter: reject}); next != "" || len(buf.rows) != rows-(rows+2)/3 {
+	if _, _, next := r.scanChunk(buf, "", r.edge(false), 0, &ScanSpec{Filter: reject}, nil); next != "" || len(buf.rows) != rows-(rows+2)/3 {
 		t.Fatalf("filtered fill gave %d rows, next %q", len(buf.rows), next)
 	}
 	if buf.dirty != len(buf.arena)+width || buf.dirty > cap(buf.arena) {
@@ -260,7 +224,7 @@ func TestChunkBufResetClearsDirtiedPrefix(t *testing.T) {
 	requireZero("after the 1,000-row fill")
 
 	// A one-row fill of the same buffer dirties one row's worth of it.
-	if _, _, next := r.scanChunk(buf, scanKey(7), 1, &ScanSpec{}); next == "" || len(buf.rows) != 1 {
+	if _, _, next := r.scanChunk(buf, scanKey(7), r.edge(false), 1, &ScanSpec{}, nil); next == "" || len(buf.rows) != 1 {
 		t.Fatalf("point fill gave %d rows, next %q", len(buf.rows), next)
 	}
 	if buf.dirty != width || cap(buf.arena) < rows/2*width {

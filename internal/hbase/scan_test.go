@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -218,27 +219,18 @@ func TestScanLimitBatchInteraction(t *testing.T) {
 					t.Fatalf("limit=%d batch=%d seq=%v: row %d = %q", tc.limit, tc.batch, sequential, i, rows[i].Key)
 				}
 			}
-			s := scanCtx.Snapshot()
-			if sequential {
-				// A sequential Limit scan trims its last chunk request,
-				// so rows shipped never exceed the limit.
-				if s.RowsReturned > int64(tc.limit) {
-					t.Fatalf("limit=%d batch=%d: shipped %d rows", tc.limit, tc.batch, s.RowsReturned)
-				}
-			} else if s.RowsReturned > int64(tc.limit)*3 {
-				// A scatter-gather Limit scan speculatively fetches up to
-				// Limit rows per region (3 regions here) before the
-				// client-side trim.
-				t.Fatalf("limit=%d batch=%d: shipped %d rows, speculative bound is %d", tc.limit, tc.batch, s.RowsReturned, tc.limit*3)
+			// Fanned out or not, a Limit scan trims its last chunk
+			// request, so rows shipped never exceed the limit.
+			if s := scanCtx.Snapshot(); s.RowsReturned > int64(tc.limit) {
+				t.Fatalf("limit=%d batch=%d seq=%v: shipped %d rows", tc.limit, tc.batch, sequential, s.RowsReturned)
 			}
 		}
 	}
 }
 
-// TestScanLimitParallelSequentialParity is the limit-bounded scatter-gather
-// contract (ROADMAP follow-up): once Limit is at least a full chunk, the
-// fan-out path with per-region limits and client-side trim returns exactly
-// the rows the sequential path returns.
+// TestScanLimitParallelSequentialParity is the limit-bounded fan-out
+// contract: once Limit is at least a full chunk, a fanned-out scan returns
+// exactly the rows the sequential one returns, and ships no more.
 func TestScanLimitParallelSequentialParity(t *testing.T) {
 	_, c := buildScanFixture(t, 4000, 8)
 	specs := map[string]ScanSpec{
@@ -259,16 +251,14 @@ func TestScanLimitParallelSequentialParity(t *testing.T) {
 			t.Fatalf("%s: fixture returned no rows", name)
 		}
 		requireSameRows(t, seq, par)
-		// Early termination must actually stop the workers: speculative
-		// overfetch is bounded by limit rows per region.
-		if spec.Limit > 0 && parStats.RowsReturned > int64(spec.Limit)*8 {
-			t.Fatalf("%s: shipped %d rows, bound %d", name, parStats.RowsReturned, spec.Limit*8)
+		if spec.Limit > 0 && parStats.RowsReturned > int64(spec.Limit) {
+			t.Fatalf("%s: shipped %d rows, limit %d", name, parStats.RowsReturned, spec.Limit)
 		}
 	}
 }
 
-// A limit scan below one chunk gets no workers even without spec.Sequential:
-// early termination beats speculative prefetch. One at a full chunk gets them.
+// A limit scan below one chunk does not fan out even without spec.Sequential:
+// walking in order reaches it sooner. One at a full chunk fans out.
 func TestScanSmallLimitStaysSequential(t *testing.T) {
 	_, c := buildScanFixture(t, 4000, 8)
 	ctx := sim.NewCtx()
@@ -276,16 +266,16 @@ func TestScanSmallLimitStaysSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wide.workers == nil {
-		t.Fatal("Limit = chunk size over 8 regions must scatter-gather")
+	if wide.units == nil {
+		t.Fatal("Limit = chunk size over 8 regions must fan out")
 	}
 	wide.Close(ctx)
 	sc, err := c.Scan(ctx, "t", ScanSpec{Limit: 5, Batch: 100})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.workers != nil {
-		t.Fatal("Limit < chunk size must not scatter-gather")
+	if sc.units != nil {
+		t.Fatal("Limit < chunk size must not fan out")
 	}
 	if rows := sc.All(ctx); len(rows) != 5 {
 		t.Fatalf("rows = %d, want 5", len(rows))
@@ -296,7 +286,7 @@ func TestScanCloseReleasesWorkers(t *testing.T) {
 	_, c := buildScanFixture(t, 4000, 8)
 	before := runtime.NumGoroutine()
 	ctx := sim.NewCtx()
-	sc, err := c.Scan(ctx, "t", ScanSpec{Batch: 16}) // small batches keep workers alive
+	sc, err := c.Scan(ctx, "t", ScanSpec{Batch: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +306,7 @@ func TestScanCloseReleasesWorkers(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	if n := runtime.NumGoroutine(); n > before {
-		t.Fatalf("scatter-gather workers leaked: %d goroutines, started with %d", n, before)
+		t.Fatalf("a closed scan left goroutines behind: %d, started with %d", n, before)
 	}
 }
 
@@ -335,6 +325,72 @@ func TestScanPrefixAcrossRegions(t *testing.T) {
 		rows := sc.All(sim.NewCtx())
 		if len(rows) != 9 {
 			t.Fatalf("sequential=%v: prefix rows = %d, want 9", sequential, len(rows))
+		}
+	}
+}
+
+// TestRegionGuideposts pins where a fanned-out scan cuts a region: every
+// guidepostRows-th key of the region's largest store file but the last,
+// strictly inside both the range and the region, and none in a region whose
+// largest file holds under two guideposts' worth of rows. A split's daughters
+// count from their own windows of the parent's files.
+func TestRegionGuideposts(t *testing.T) {
+	spec := &TableSpec{Name: "t", MaxVersions: 1, SplitThreshold: 1 << 30}
+	region := func(rows int) *Region {
+		r := newRegion(spec, "", "")
+		for i := range rows {
+			r.put(scanKey(i), []Cell{put("v", "x", 1)})
+		}
+		r.majorCompact() // one store file
+		return r
+	}
+	keys := func(g guideposts) []string {
+		var out []string
+		for j := range g.n {
+			out = append(out, g.key(j))
+		}
+		return out
+	}
+	at := func(rows ...int) []string {
+		var out []string
+		for _, i := range rows {
+			out = append(out, scanKey(i))
+		}
+		return out
+	}
+	if gp := region(2*guidepostRows-1).guideposts("", ""); gp.n != 0 {
+		t.Fatalf("a %d-row file has guideposts %v", 2*guidepostRows-1, keys(gp))
+	}
+	r := region(20000)
+	// A newer, smaller file does not move them: the largest file decides.
+	for i := 0; i < 300; i += 3 {
+		r.put(scanKey(i), []Cell{put("v", "y", 2)})
+	}
+	r.flush()
+	for _, tc := range []struct {
+		lo, hi string
+		want   []string
+	}{
+		{"", "", at(2000, 4000, 6000, 8000, 10000, 12000, 14000, 16000, 18000)},
+		{scanKey(4000), scanKey(9000), at(6000, 8000)},
+		{scanKey(3999), scanKey(8000), at(4000, 6000)},
+		{scanKey(4001), scanKey(5999), nil},
+		{scanKey(18000), "", nil},
+	} {
+		if got := keys(r.guideposts(tc.lo, tc.hi)); !slices.Equal(got, tc.want) {
+			t.Errorf("guideposts(%q, %q) = %v, want %v", tc.lo, tc.hi, got, tc.want)
+		}
+	}
+	left, right := r.split(scanKey(11000))
+	for _, tc := range []struct {
+		d    *Region
+		want []string
+	}{
+		{left, at(2000, 4000, 6000, 8000)},
+		{right, at(13000, 15000, 17000)},
+	} {
+		if got := keys(tc.d.guideposts("", "")); !slices.Equal(got, tc.want) {
+			t.Errorf("daughter [%q, %q): guideposts %v, want %v", tc.d.start, tc.d.end, got, tc.want)
 		}
 	}
 }

@@ -3,6 +3,8 @@ package phoenix
 import (
 	"encoding/binary"
 	"math"
+	"math/bits"
+	"slices"
 
 	"synergy/internal/hbase"
 	"synergy/internal/sim"
@@ -67,6 +69,20 @@ func (st *aggState) appendPartial(buf []byte, fn string) []byte {
 	return buf
 }
 
+// partialLen is the length of what appendPartial appends for fn.
+func (st *aggState) partialLen(fn string) int {
+	n := uvarintLen(uint64(st.count))
+	switch fn {
+	case "SUM", "AVG":
+		n += 8
+	case "MIN":
+		n += bytesLen(st.min)
+	case "MAX":
+		n += bytesLen(st.max)
+	}
+	return n
+}
+
 // readPartial reads back what appendPartial wrote for fn from the front of b.
 func readPartial(b []byte, fn string) (st aggState, rest []byte) {
 	n, k := binary.Uvarint(b)
@@ -86,6 +102,11 @@ func readPartial(b []byte, fn string) (st aggState, rest []byte) {
 func appendBytes(buf, v []byte) []byte {
 	return append(binary.AppendUvarint(buf, uint64(len(v))), v...)
 }
+
+// bytesLen is the length of what appendBytes appends for v.
+func bytesLen(v []byte) int { return uvarintLen(uint64(len(v))) + len(v) }
+
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
 
 // readBytes reads what appendBytes wrote from the front of b, nil for an empty
 // value (a NULL).
@@ -125,13 +146,13 @@ func (st *aggState) appendResult(buf []byte, fn string) (grown, val []byte) {
 
 // groups is the executor's one aggregation: GROUP BY + aggregate select items,
 // run in two places. A single-table aggregate (Plan.fold) hands its scan a
-// fold, so every region adds its own rows to a groups (regionFold) and ships
-// the partials; the client merges them in scan order. Any other aggregate — a
-// join's, a derived table's — adds the rows on the client. Either way finish
-// makes the output rows.
+// fold, so every region, or unit of a fanned-out scan, adds its own rows to a
+// groups (regionFold) and ships the partials; the client merges them in scan
+// order. Any other aggregate — a join's, a derived table's — adds the rows on
+// the client. Either way finish makes the output rows.
 //
 // A group is its key's id in a keyTable, so groups come out in first-seen
-// order: merged in scan order, the regions' partials keep it. Its output row —
+// order: merged in scan order, the walks' partials keep it. Its output row —
 // one slot per select item, then the GROUP BY values — takes the plain columns
 // and GROUP BY values of the group's first row when the group opens and the
 // aggregates' values at finish; the rows and the states lie in two flat
@@ -212,38 +233,6 @@ func isPartial(r hbase.RowResult) bool {
 	return len(r.Cells) == 1 && r.Cells[0].Qualifier == foldQualifier
 }
 
-// partials returns the groups as the rows a region ships: one per group, keyed
-// by its GROUP BY key, whose one cell holds, per select item, a plain
-// column's value or what its aggregate's state holds (appendPartial), then
-// the GROUP BY values.
-func (g *groups) partials() []hbase.RowResult {
-	p, n, w := g.p, len(g.p.aggs), g.rowWidth()
-	keys := string(g.keys.arena)
-	out := make([]hbase.RowResult, g.keys.len())
-	pairs := make([]hbase.Pair, len(out))
-	var buf []byte
-	start := 0
-	for gi := range out {
-		at := len(buf)
-		row := g.rows[gi*w : gi*w+w]
-		for i, a := range p.aggs {
-			if a.fn == "" {
-				buf = appendBytes(buf, row[i])
-			} else {
-				buf = g.states[gi*n+i].appendPartial(buf, a.fn)
-			}
-		}
-		for _, v := range row[n:] {
-			buf = appendBytes(buf, v)
-		}
-		end := int(g.keys.ends[gi])
-		pairs[gi] = hbase.Pair{Qualifier: foldQualifier, Value: buf[at:len(buf):len(buf)]}
-		out[gi] = hbase.RowResult{Key: keys[start:end], Cells: pairs[gi : gi+1 : gi+1]}
-		start = end
-	}
-	return out
-}
-
 // merge folds in one partial row (partials), which follows every row and
 // partial row folded in so far in scan order.
 func (g *groups) merge(r hbase.RowResult) {
@@ -273,10 +262,12 @@ func (g *groups) merge(r hbase.RowResult) {
 	}
 }
 
-// reset drops every group, for a scan read again from the top. What was folded
-// in stays counted: the work was done.
+// reset drops every group, keeping the capacity: for a scan read again from
+// the top, or a region fold's next walk. What was folded in stays counted: the
+// work was done.
 func (g *groups) reset() {
-	g.keys, g.states, g.rows = newKeyTable(32), g.states[:0], g.rows[:0]
+	g.keys.reset()
+	g.states, g.rows = g.states[:0], g.rows[:0]
 }
 
 // finish returns the output rows, one per group in first-seen order, and
@@ -303,20 +294,28 @@ func (g *groups) finish(ctx *sim.Ctx) []tuple {
 	return out
 }
 
-// regionFold is one region's share of a single-table aggregate (Plan.fold):
-// the hbase.Folder its scan's fold hands the region. It adds the rows the
-// region reads and answers with their partial groups — or, when the scan
-// checks for dirty view rows and meets one, with a dirty row of its own, which
-// sends the scan into the restart loop (query.read) as the marked row would.
+// regionFold is a single-table aggregate's share on the regions (Plan.fold):
+// the hbase.Folder its scan hands one region, or unit, after another. It adds
+// the rows a walk reads and answers with their partial groups — or, when the
+// scan checks for dirty view rows and meets one, with a dirty row of its own,
+// which sends the scan into the restart loop (query.read) as the marked row
+// would — and then starts over for the next walk.
+//
+// The walks of one scan run one after another, and the answer of one is
+// merged (groups.merge) before the next begins, so what merge does not keep
+// of an answer — its rows, its pairs, its groups — is reused; the bytes
+// behind its values, which merge keeps windows into, are not.
 type regionFold struct {
 	*groups
 	refs         []string
 	dirtyChecked bool
 	dirty        bool
+	out          []hbase.RowResult
+	pairs        []hbase.Pair
 }
 
-// newRegionFold is the fold of the query's scan (hbase.ScanSpec.Fold): a
-// fresh Folder per region.
+// newRegionFold is the fold of the query's scan (hbase.ScanSpec.Fold): one
+// Folder per scan.
 func (q *query) newRegionFold() hbase.Folder {
 	b := q.bindings[0]
 	return &regionFold{groups: newGroups(q.Plan), refs: b.refs, dirtyChecked: q.dirtyChecked(b)}
@@ -333,8 +332,57 @@ func (f *regionFold) Add(r hbase.RowResult) {
 }
 
 func (f *regionFold) Rows() []hbase.RowResult {
+	defer f.reset()
 	if f.dirty {
+		f.dirty = false
 		return []hbase.RowResult{{Cells: hbase.Cells{{Qualifier: DirtyQualifier, Value: []byte{'1'}}}}}
 	}
 	return f.partials()
+}
+
+// partials returns the groups as the rows a walk ships: one per group, keyed
+// by its GROUP BY key, whose one cell holds, per select item, a plain
+// column's value or what its aggregate's state holds (appendPartial), then
+// the GROUP BY values.
+func (f *regionFold) partials() []hbase.RowResult {
+	g := f.groups
+	p, n, w, groups := g.p, len(g.p.aggs), g.rowWidth(), g.keys.len()
+	keys := string(g.keys.arena)
+	f.out = slices.Grow(f.out[:0], groups)[:groups]
+	f.pairs = slices.Grow(f.pairs[:0], groups)[:groups]
+	size := 0
+	for gi := range groups {
+		row := g.rows[gi*w : gi*w+w]
+		for i, a := range p.aggs {
+			if a.fn == "" {
+				size += bytesLen(row[i])
+			} else {
+				size += g.states[gi*n+i].partialLen(a.fn)
+			}
+		}
+		for _, v := range row[n:] {
+			size += bytesLen(v)
+		}
+	}
+	buf := make([]byte, 0, size)
+	start := 0
+	for gi := range f.out {
+		at := len(buf)
+		row := g.rows[gi*w : gi*w+w]
+		for i, a := range p.aggs {
+			if a.fn == "" {
+				buf = appendBytes(buf, row[i])
+			} else {
+				buf = g.states[gi*n+i].appendPartial(buf, a.fn)
+			}
+		}
+		for _, v := range row[n:] {
+			buf = appendBytes(buf, v)
+		}
+		end := int(g.keys.ends[gi])
+		f.pairs[gi] = hbase.Pair{Qualifier: foldQualifier, Value: buf[at:len(buf):len(buf)]}
+		f.out[gi] = hbase.RowResult{Key: keys[start:end], Cells: f.pairs[gi : gi+1 : gi+1]}
+		start = end
+	}
+	return f.out
 }

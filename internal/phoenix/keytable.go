@@ -28,6 +28,12 @@ func newKeyTable(n int) *keyTable {
 	return &keyTable{seed: maphash.MakeSeed(), slots: make([]int32, size), arena: make([]byte, 0, 9*n), ends: make([]uint32, 0, n)}
 }
 
+// reset empties the table, keeping its capacity.
+func (t *keyTable) reset() {
+	clear(t.slots)
+	t.arena, t.ends = t.arena[:0], t.ends[:0]
+}
+
 // len is the number of keys inserted.
 func (t *keyTable) len() int { return len(t.ends) }
 

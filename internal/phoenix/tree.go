@@ -405,8 +405,8 @@ func (j *joinNode) probe(ctx *sim.Ctx, outer []tuple, plan accessPlan) error {
 				vals[k] = DecodeValue(o.vals[s]) // the row key is built from typed values
 			}
 		}
-		// A prefix probe is a short scan; the scatter-gather fan-out would
-		// cost more than it overlaps.
+		// A prefix probe is a short scan; fanning it out would cost more
+		// than it overlaps.
 		spec := hbase.ScanSpec{Read: q.opts.Read, Sequential: true, Filter: filter, Columns: cols}
 		plan.keyRange(b, vals, &spec)
 		n := len(j.rows)

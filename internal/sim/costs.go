@@ -73,12 +73,13 @@ type Costs struct {
 	// ScannerBatch is the number of rows fetched per scanner RPC
 	// (Phoenix/HBase scanner caching).
 	ScannerBatch int
-	// ScanParallelism is the number of region scans a scatter-gather
-	// scanner keeps in flight (the Phoenix intra-query thread pool size).
+	// ScanParallelism is how many units of a fanned-out scan — its regions,
+	// cut at their guideposts — run side by side (the Phoenix intra-query
+	// thread pool size): the width the units' forks are joined at.
 	ScanParallelism int
-	// ScanMergeChunk is the client-side cost of folding one batch from a
-	// parallel region stream into the key-ordered result stream. Regions
-	// hold disjoint key ranges, so the merge is per-chunk bookkeeping, not
+	// ScanMergeChunk is the client-side cost of folding one batch of a
+	// fanned-out scan into the key-ordered result stream. Units hold
+	// disjoint key ranges, so the merge is per-chunk bookkeeping, not
 	// per-row comparison work.
 	ScanMergeChunk Micros
 

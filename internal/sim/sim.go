@@ -132,26 +132,40 @@ func (c *Ctx) Join(children ...*Ctx) {
 // pool of the given width instead of unlimited concurrency: children are
 // scheduled in submission order, each starting on the lane that frees
 // earliest, and elapsed advances by the resulting makespan. For n
-// equal-cost children it charges ceil(n/width) rounds of the child cost —
-// the shared scan pool's real completion time — rather than a single round.
-// A width of zero or >= len(children) degenerates to Join.
+// equal-cost children it charges ceil(n/width) rounds of the child cost
+// rather than a single round. A width of zero or >= len(children)
+// degenerates to Join.
 func (c *Ctx) JoinWidth(width int, children ...*Ctx) {
+	c.JoinLanes(width, 0, len(children), func(i int) *Ctx { return children[i] })
+}
+
+// JoinLanes is JoinWidth over the n children child(0) … child(n-1), for a
+// parent already charged prepaid of the makespan ahead of the join — a scan
+// charges the request for its first row when that row is handed out, before
+// the fan-out completes. prepaid is at most the elapsed of one child, which
+// the makespan covers.
+func (c *Ctx) JoinLanes(width int, prepaid Micros, n int, child func(i int) *Ctx) {
 	if c == nil {
 		return
 	}
-	if width <= 0 || width >= len(children) {
-		c.Join(children...)
-		return
+	if width <= 0 || width > n {
+		width = n
 	}
-	lanes := make([]int64, width)
-	for _, ch := range children {
+	var small [16]int64 // the common widths need no allocation
+	lanes := small[:]
+	if width > len(small) {
+		lanes = make([]int64, width)
+	}
+	lanes = lanes[:width]
+	for i := range n {
+		ch := child(i)
 		if ch == nil {
 			continue
 		}
 		li := 0
-		for i := 1; i < width; i++ {
-			if lanes[i] < lanes[li] {
-				li = i
+		for l := 1; l < width; l++ {
+			if lanes[l] < lanes[li] {
+				li = l
 			}
 		}
 		lanes[li] += ch.elapsed.Load()
@@ -159,11 +173,9 @@ func (c *Ctx) JoinWidth(width int, children ...*Ctx) {
 	}
 	var makespan int64
 	for _, l := range lanes {
-		if l > makespan {
-			makespan = l
-		}
+		makespan = max(makespan, l)
 	}
-	c.elapsed.Add(makespan)
+	c.elapsed.Add(makespan - int64(prepaid))
 }
 
 // addCounters folds one child's work counters into c (elapsed excluded —

@@ -1026,7 +1026,7 @@ func (sys *System) locateViewRows(ctx *sim.Ctx, rd hbase.Reader, action core.Vie
 	default: // LocateByScan
 		// A full view scan with a pushed-down filter — the written row's key
 		// against the key of the row's cells for the relation, compared where
-		// the row is read; multi-region views scatter-gather the regions like
+		// the row is read; a view fans out at its regions and guideposts like
 		// any other full scan.
 		pk, key := sys.Design.Schema.Relation(parts.Table.Name).PK, parts.Key
 		sc, err := rd.OpenScan(ctx, viewInfo.Name, hbase.ScanSpec{
