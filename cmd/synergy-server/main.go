@@ -73,8 +73,8 @@ func run(listen string, slots, queue, maxConns int) error {
 	return srv.Serve(l)
 }
 
-// deploy stands up one Company-schema system pre-loaded with the shell's
-// small deterministic dataset.
+// deploy stands up one Company-schema system pre-loaded with
+// schema.CompanySample, the shell's dataset.
 func deploy(mode synergy.ConcurrencyMode) (*synergy.System, error) {
 	workload := append(schema.CompanyWorkload(), "UPDATE Employee SET EName = ? WHERE EID = ?")
 	cfg := synergy.Config{Concurrency: mode}
@@ -85,32 +85,8 @@ func deploy(mode synergy.ConcurrencyMode) (*synergy.System, error) {
 	if err != nil {
 		return nil, err
 	}
-	var addresses, departments, employees, projects, worksOn []schema.Row
-	for a := int64(1); a <= 8; a++ {
-		addresses = append(addresses, schema.Row{"AID": a, "Street": fmt.Sprintf("%d Main St", a), "City": "Nashville", "Zip": fmt.Sprintf("%05d", 37000+a)})
-	}
-	for d := int64(1); d <= 3; d++ {
-		departments = append(departments, schema.Row{"DNo": d, "DName": fmt.Sprintf("dept-%d", d)})
-	}
-	for e := int64(1); e <= 12; e++ {
-		employees = append(employees, schema.Row{
-			"EID": e, "EName": fmt.Sprintf("employee-%d", e),
-			"EHome_AID": (e % 8) + 1, "EOffice_AID": ((e + 3) % 8) + 1, "E_DNo": (e % 3) + 1,
-		})
-	}
-	for p := int64(1); p <= 4; p++ {
-		projects = append(projects, schema.Row{"PNo": p, "PName": fmt.Sprintf("project-%d", p), "P_DNo": (p % 3) + 1})
-	}
-	for e := int64(1); e <= 12; e++ {
-		for p := int64(1); p <= 2; p++ {
-			worksOn = append(worksOn, schema.Row{"WO_EID": e, "WO_PNo": p, "Hours": e*5 + p})
-		}
-	}
-	for table, rows := range map[string][]schema.Row{
-		"Address": addresses, "Department": departments, "Employee": employees,
-		"Project": projects, "Works_On": worksOn,
-	} {
-		if err := sys.LoadBase(table, rows); err != nil {
+	for _, t := range schema.CompanySample() {
+		if err := sys.LoadBase(t.Table, t.Rows); err != nil {
 			return nil, err
 		}
 	}

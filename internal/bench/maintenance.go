@@ -2,8 +2,8 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
-	"time"
 
 	"synergy/internal/schema"
 	"synergy/internal/sim"
@@ -242,7 +242,12 @@ func runMaintenanceCell(name string, mode synergy.MaintenanceMode, views, reps i
 			_, qerr := wm.Query(ctx, sel, []schema.Value{"Leaf00-0"})
 			errc <- qerr
 		}()
-		time.Sleep(2 * time.Millisecond) // let the reader reach its watermark wait
+		// Resume only once the reader is blocked on the paused lane, or has
+		// returned. WaitWatermark counts the wait under the lane lock that
+		// Resume needs, so Resume cannot overtake a reader counted here.
+		for ctx.Snapshot().WatermarkWaits == 0 && len(errc) == 0 {
+			runtime.Gosched()
+		}
 		sys.Feed.Resume()
 		if err := <-errc; err != nil {
 			return MaintenanceCell{}, err

@@ -65,6 +65,22 @@ func TestMaintenanceSweepShape(t *testing.T) {
 	}
 }
 
+// TestMaintenanceDeterministic: the sweep is a function of its seed, so two
+// runs render byte-identical — the watermark probe included, whose reader
+// must be blocked on the paused lane before the lane resumes.
+func TestMaintenanceDeterministic(t *testing.T) {
+	run := func() string {
+		res, err := RunMaintenance([]int{1, 4}, 3, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return RenderMaintenance(res)
+	}
+	if a, b := run(), run(); a != b {
+		t.Fatalf("two runs at seed 1 differ:\n%s\n---\n%s", a, b)
+	}
+}
+
 // TestHerdRetriesIntensifyContention pins the -herd flag's contract: herd
 // waves re-contend, so on one hot row the optimistic modes must abort more
 // and pay more latency than the calibrated solo-retry waves — while the

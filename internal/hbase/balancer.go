@@ -2,7 +2,7 @@ package hbase
 
 import (
 	"sort"
-	"sync"
+	"sync/atomic"
 
 	"synergy/internal/sim"
 	"synergy/internal/zk"
@@ -17,22 +17,17 @@ import (
 // Only the elected leader acts; every Balancer instance joins the
 // /hbase/balancer election on its own ZooKeeper session, so a second
 // instance (another process in the real system) is a hot standby that takes
-// over when the leader's session closes. Ticks are explicit — tests and
-// experiments call Tick (or Poke the background loop) at deterministic
-// points instead of a wall-clock timer firing nondeterministically.
+// over when the leader's session closes. Tick is the one way to balance:
+// tests and experiments call it at deterministic points, on a context of
+// their own, instead of a wall-clock timer or background loop firing
+// nondeterministically.
 type Balancer struct {
 	hc   *HCluster
 	sess *zk.Session
 	elec *zk.Election
 
-	mu      sync.Mutex
-	running bool
-	poke    chan struct{}
-	stop    chan struct{}
-	done    chan struct{}
-
-	moves  int64
-	splits int64
+	moves  atomic.Int64
+	splits atomic.Int64
 }
 
 // ServerLoad is one region server's summed load score in a balancer's view.
@@ -60,26 +55,14 @@ func (b *Balancer) IsLeader() bool {
 }
 
 // Moves reports how many region moves this balancer has performed.
-func (b *Balancer) Moves() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.moves
-}
+func (b *Balancer) Moves() int64 { return b.moves.Load() }
 
 // Splits reports how many load splits this balancer's ticks have triggered
 // (measured as region-count growth across its split passes).
-func (b *Balancer) Splits() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.splits
-}
+func (b *Balancer) Splits() int64 { return b.splits.Load() }
 
-// Close resigns the election and releases the session. A running background
-// loop must be stopped first.
-func (b *Balancer) Close() {
-	b.Stop()
-	b.sess.Close()
-}
+// Close resigns the election and releases the session.
+func (b *Balancer) Close() { b.sess.Close() }
 
 // ServerLoads sums the decayed load score of every region per server, over
 // all tables, sorted hottest first (ties lexicographic for determinism).
@@ -132,11 +115,7 @@ func (b *Balancer) Tick(ctx *sim.Ctx) bool {
 		}
 		before := b.hc.RegionCount(name)
 		b.hc.splitIfNeeded(t)
-		if grew := b.hc.RegionCount(name) - before; grew > 0 {
-			b.mu.Lock()
-			b.splits += int64(grew)
-			b.mu.Unlock()
-		}
+		b.splits.Add(int64(b.hc.RegionCount(name) - before))
 	}
 
 	moved := b.moveOnce(ctx)
@@ -199,65 +178,6 @@ func (b *Balancer) moveOnce(ctx *sim.Ctx) bool {
 		return false
 	}
 	b.hc.moveRegion(ctx, bestT, bestR, cold.Server)
-	b.mu.Lock()
-	b.moves++
-	b.mu.Unlock()
+	b.moves.Add(1)
 	return true
-}
-
-// Start launches the background balancing loop. The loop holds no timer: it
-// ticks when Poke is called (experiments poke between waves) and exits on
-// Stop. Each background tick charges a fresh context — balancer work never
-// lands on a client request.
-func (b *Balancer) Start() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.running {
-		return
-	}
-	b.running = true
-	b.poke = make(chan struct{}, 1)
-	b.stop = make(chan struct{})
-	b.done = make(chan struct{})
-	go func(poke, stop chan struct{}, done chan struct{}) {
-		defer close(done)
-		for {
-			select {
-			case <-stop:
-				return
-			case <-poke:
-				b.Tick(sim.NewCtx())
-			}
-		}
-	}(b.poke, b.stop, b.done)
-}
-
-// Poke requests one background tick; a tick already pending is enough.
-// No-op when the loop is not running.
-func (b *Balancer) Poke() {
-	b.mu.Lock()
-	poke := b.poke
-	running := b.running
-	b.mu.Unlock()
-	if !running {
-		return
-	}
-	select {
-	case poke <- struct{}{}:
-	default:
-	}
-}
-
-// Stop terminates the background loop and waits for it to exit.
-func (b *Balancer) Stop() {
-	b.mu.Lock()
-	if !b.running {
-		b.mu.Unlock()
-		return
-	}
-	b.running = false
-	stop, done := b.stop, b.done
-	b.mu.Unlock()
-	close(stop)
-	<-done
 }

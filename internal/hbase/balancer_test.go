@@ -291,9 +291,10 @@ func TestBalancerElectionFailover(t *testing.T) {
 	}
 }
 
-// TestBalancerBackgroundLoopRaceClean drives the Start/Poke/Stop background
-// loop against a concurrent read/write workload; -race is the assertion.
-func TestBalancerBackgroundLoopRaceClean(t *testing.T) {
+// TestBalancerTickRaceClean ticks the balancer from its own goroutine, fed
+// by the workers through a channel, against a concurrent read/write
+// workload; -race is the assertion.
+func TestBalancerTickRaceClean(t *testing.T) {
 	cl := cluster.NewDefault(nil)
 	cl.EnableQueueing()
 	hc := NewHCluster(cl, nil, nil)
@@ -305,7 +306,14 @@ func TestBalancerBackgroundLoopRaceClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bal.Start()
+	ticks := make(chan struct{}, 1)
+	ticked := make(chan struct{})
+	go func() {
+		defer close(ticked)
+		for range ticks {
+			bal.Tick(sim.NewCtx())
+		}
+	}()
 
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -325,13 +333,17 @@ func TestBalancerBackgroundLoopRaceClean(t *testing.T) {
 					return
 				}
 				if i%25 == 0 {
-					bal.Poke()
+					select { // a tick already pending is enough
+					case ticks <- struct{}{}:
+					default:
+					}
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	bal.Stop()
+	close(ticks)
+	<-ticked
 	bal.Close()
 	c := hc.NewWarmClient()
 	if _, err := c.Get(sim.NewCtx(), "t", bkey(0), ReadOpts{}); err != nil {

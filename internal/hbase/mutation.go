@@ -1,11 +1,6 @@
 package hbase
 
-import (
-	"sync"
-	"sync/atomic"
-
-	"synergy/internal/sim"
-)
+import "synergy/internal/sim"
 
 // Mutation is one row write — a put or a delete — destined for a batch RPC.
 // A batch may span tables: the Synergy write path fans one logical write
@@ -90,10 +85,9 @@ type regionGroup struct {
 //
 // Mutations keep their relative order within a row (same row ⇒ same region ⇒
 // same ordered group). Zero timestamps are stamped in batch order before
-// dispatch, so results are deterministic regardless of goroutine scheduling
-// and match what the same sequence of Put/DeleteAt calls would have written.
-// The exception is a conditional put: its cell is stamped by the region
-// inside the compare's critical section.
+// dispatch, so results are deterministic and match what the same sequence of
+// Put/DeleteAt calls would have written. The exception is a conditional put:
+// its cell is stamped by the region inside the compare's critical section.
 func (c *Client) MutateBatch(ctx *sim.Ctx, muts []Mutation) error {
 	_, err := c.mutateBatch(ctx, muts)
 	return err
@@ -145,61 +139,16 @@ func (c *Client) mutateBatch(ctx *sim.Ctx, muts []Mutation) (int64, error) {
 		c.applyGroup(ctx, groups[0])
 		return max(maxTS, groups[0].casTS), nil
 	}
-	// Independent regions dispatch in parallel in the modeled system:
-	// fork/join accounting charges the caller max(region elapsed), not the
-	// sum, and the Join is order-independent — so whether the groups apply
-	// on the caller or on real workers, the simulated results are identical.
-	//
-	// Small batches (at most mutateInlineGroups regions) apply inline on the
-	// caller: goroutine dispatch for two or three memstore inserts costs more
-	// than it saves, and the serial apply keeps the dirty-mark window tight.
-	// Larger fan-outs — a view-maintaining write touching many regions —
-	// apply on a bounded pool of Costs.MutateParallelism lanes, each group
-	// claimed exactly once off a shared counter. The caller is lane zero and
-	// keeps draining groups itself, so a flush is never slower than the old
-	// serial apply while spawned helpers get scheduled — that matters to the
-	// OCC path, where flush wall-time is a window other transactions' begin
-	// snapshots are lowered through. Timestamps were stamped in batch order
-	// above, the groups hold disjoint regions, and the WAL counters are
-	// lock-protected, so lane scheduling cannot change what is written; the
-	// Join below is a max over children regardless of completion order.
+	// Independent regions dispatch in parallel in the modeled system: each
+	// group applies on the caller, charged to its own fork, and the Join
+	// charges the caller max(region elapsed), not the sum, as GetMany does.
 	children := make([]*sim.Ctx, len(groups))
-	if len(groups) <= mutateInlineGroups || len(muts) < mutatePoolMinMuts {
-		for i, g := range groups {
-			children[i] = ctx.Fork()
-			c.applyGroup(children[i], g)
-		}
-	} else {
-		var next atomic.Int64
-		drain := func() {
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(groups) {
-					return
-				}
-				children[i] = ctx.Fork()
-				c.applyGroup(children[i], groups[i])
-			}
-		}
-		helpers := c.hc.costs.MutateParallelism - 1
-		if max := len(groups) - 1; helpers > max {
-			helpers = max
-		}
-		var wg sync.WaitGroup
-		wg.Add(helpers)
-		for w := 0; w < helpers; w++ {
-			go func() {
-				defer wg.Done()
-				drain()
-			}()
-		}
-		drain()
-		wg.Wait()
-	}
-	ctx.Join(children...)
-	for _, g := range groups {
+	for i, g := range groups {
+		children[i] = ctx.Fork()
+		c.applyGroup(children[i], g)
 		maxTS = max(maxTS, g.casTS)
 	}
+	ctx.Join(children...)
 	return maxTS, nil
 }
 
@@ -244,18 +193,6 @@ func (c *Client) stamp(m *Mutation) int64 {
 	m.Cells = stamped
 	return maxTS
 }
-
-// mutateInlineGroups is the region-group count at or below which MutateBatch
-// applies inline on the caller instead of dispatching the worker pool, and
-// mutatePoolMinMuts is the batch size below which it stays inline no matter
-// how many regions the batch touches: scheduling helpers costs microseconds
-// of wall time, which only amortizes when the lanes have real work — and an
-// OCC commit's flush window must stay tight, since in-flight flush
-// watermarks lower every concurrent transaction's begin snapshot.
-const (
-	mutateInlineGroups = 3
-	mutatePoolMinMuts  = 64
-)
 
 // applyGroup ships one region's mutations, splitting at MutateMaxBatch.
 func (c *Client) applyGroup(ctx *sim.Ctx, g *regionGroup) {

@@ -2,6 +2,7 @@ package hbase
 
 import (
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -19,8 +20,15 @@ import (
 // on (where every write waits behind the ones before it). A line records the
 // write's outcome, every sim.Stats counter of its request (elapsed, RPCs,
 // queue waits, ...), the WAL syncs and edits it added, the oracle after it,
-// and every version and tombstone of the row afterwards with its stamp. Run
-// it at -cpu 1,2,4.
+// and every version and tombstone of the row afterwards with its stamp.
+//
+// The lines after them pin MutateBatch at the shape that fans out widest: a
+// batch of at least 64 puts, row deletes and column deletes over a table
+// pre-split into four regions, one per region server, in the same four
+// configurations. The second batch carries conditional puts, all in one
+// region's group, so the stamps the region gives them follow batch order. A
+// batch line records the whole table (every key's versions, hashed) in place
+// of one row. Run it at -cpu 1,2,4.
 func TestWriteChargesGolden(t *testing.T) {
 	type op struct {
 		name string
@@ -52,7 +60,57 @@ func TestWriteChargesGolden(t *testing.T) {
 		casOp("cas-stamped", "l", []byte("free"), put("q", "held", 900)),
 	}
 
+	const batchKeys = 48
+	batchSplits := []string{scanKey(12), scanKey(24), scanKey(36)}
+	mixed := func() []Mutation {
+		var muts []Mutation
+		for i := 0; i < batchKeys; i++ {
+			muts = append(muts, PutMutation("t", scanKey(i), []Cell{put("v", fmt.Sprint("v", i), 0), put("w", "x", 0)}, 0))
+		}
+		for i := 0; i < batchKeys; i += 6 {
+			muts = append(muts, DeleteMutation("t", scanKey(i), 0))
+			muts = append(muts, DeleteMutation("t", scanKey(i+1), 0, "w"))
+		}
+		for i := 0; i < batchKeys; i += 12 {
+			muts = append(muts, PutMutation("t", scanKey(i), []Cell{put("v", "back", 0)}, 0))
+		}
+		return append(muts, PutMutation("t", scanKey(47), []Cell{put("v", "pre", 2)}, 0))
+	}
+	withCAS := func() []Mutation {
+		var muts []Mutation
+		for i := 0; i < batchKeys; i++ {
+			muts = append(muts, PutMutation("t", scanKey(i), []Cell{put("v", fmt.Sprint("u", i), 0)}, 0))
+		}
+		for i := 0; i < 12; i++ { // every conditional in the first region
+			switch i % 3 {
+			case 0:
+				muts = append(muts, CheckAndPutMutation("t", scanKey(i), "l", nil, put("l", "held", 0)))
+			case 1:
+				muts = append(muts, CheckAndPutMutation("t", scanKey(i), "v", []byte("nope"), put("v", "lost", 0)))
+			default:
+				muts = append(muts, CheckAndPutMutation("t", scanKey(i), "l", nil, put("l", "held", 0)))
+				muts = append(muts, CheckAndPutMutation("t", scanKey(i), "l", []byte("held"), put("l", "free", 0)))
+			}
+		}
+		for i := 12; i < batchKeys; i += 4 {
+			muts = append(muts, DeleteMutation("t", scanKey(i), 0, "v"))
+		}
+		return muts
+	}
+	batches := []struct {
+		name string
+		muts func() []Mutation
+	}{{"batch-mixed", mixed}, {"batch-cas", withCAS}}
+
 	var b strings.Builder
+	line := func(hc *HCluster, ctx *sim.Ctx, name string, warm, queueing, ok bool, syncs, edits int64) {
+		fmt.Fprintf(&b, "%s warm=%v queueing=%v ok=%v", name, warm, queueing, ok)
+		st := reflect.ValueOf(ctx.Snapshot())
+		for i := 0; i < st.NumField(); i++ {
+			fmt.Fprintf(&b, " %s=%d", st.Type().Field(i).Name, st.Field(i).Int())
+		}
+		fmt.Fprintf(&b, " WALSyncs=%d WALEdits=%d oracle=%d", hc.WALSyncs()-syncs, totalWALEdits(hc)-edits, hc.CurrentTS())
+	}
 	for _, queueing := range []bool{false, true} {
 		for _, warm := range []bool{true, false} {
 			hc := NewHCluster(cluster.NewDefault(nil), nil, nil)
@@ -72,13 +130,39 @@ func TestWriteChargesGolden(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				fmt.Fprintf(&b, "%s warm=%v queueing=%v ok=%v", o.name, warm, queueing, ok)
-				st := reflect.ValueOf(ctx.Snapshot())
-				for i := 0; i < st.NumField(); i++ {
-					fmt.Fprintf(&b, " %s=%d", st.Type().Field(i).Name, st.Field(i).Int())
+				line(hc, ctx, o.name, warm, queueing, ok, syncs, edits)
+				fmt.Fprintf(&b, " row=%s\n", storedVersions(t, hc, o.key))
+			}
+		}
+	}
+	for _, queueing := range []bool{false, true} {
+		for _, warm := range []bool{true, false} {
+			hc := NewHCluster(cluster.NewDefault(nil), nil, nil)
+			if queueing {
+				hc.cl.EnableQueueing()
+			}
+			mustCreate(t, hc, TableSpec{Name: "t", MaxVersions: 4, SplitKeys: batchSplits})
+			client := hc.NewWarmClient()
+			for _, batch := range batches {
+				c := client
+				if !warm {
+					c = hc.NewClient()
 				}
-				fmt.Fprintf(&b, " WALSyncs=%d WALEdits=%d oracle=%d row=%s\n",
-					hc.WALSyncs()-syncs, totalWALEdits(hc)-edits, hc.CurrentTS(), storedVersions(t, hc, o.key))
+				muts := batch.muts()
+				if len(muts) < 64 {
+					t.Fatalf("%s holds %d mutations, want at least 64", batch.name, len(muts))
+				}
+				syncs, edits := hc.WALSyncs(), totalWALEdits(hc)
+				ctx := sim.NewCtx()
+				if err := c.MutateBatch(ctx, muts); err != nil {
+					t.Fatal(err)
+				}
+				line(hc, ctx, batch.name, warm, queueing, true, syncs, edits)
+				h := fnv.New64a()
+				for i := 0; i < batchKeys; i++ {
+					fmt.Fprintln(h, storedVersions(t, hc, scanKey(i)))
+				}
+				fmt.Fprintf(&b, " muts=%d table=%016x\n", len(muts), h.Sum64())
 			}
 		}
 	}

@@ -1,5 +1,7 @@
 package schema
 
+import "fmt"
+
 // Company builds the example Company database schema of Figure 2, used
 // throughout §V and §VI to illustrate candidate view generation and views
 // selection. Tests mirror the paper's worked example against it.
@@ -109,5 +111,44 @@ func CompanyWorkload() []string {
 		 WHERE d.DNo = e.E_DNo and e.EID = wo.WO_EID and d.DNo = ?`,
 		// W3: employees who work a certain number of hours.
 		`SELECT * FROM Employee as e, Works_On as wo WHERE e.EID = wo.WO_EID and wo.Hours = ?`,
+	}
+}
+
+// TableRows is one table's rows.
+type TableRows struct {
+	Table string
+	Rows  []Row
+}
+
+// CompanySample is the small deterministic Company dataset the shell, the
+// wire server and the client example load: 8 addresses, 3 departments, 12
+// employees, 4 projects and two projects per employee. Tables come in a
+// fixed order, parents before the rows that reference them, so loading them
+// in turn draws the same stamps on every run.
+func CompanySample() []TableRows {
+	var addresses, departments, employees, projects, worksOn []Row
+	for a := int64(1); a <= 8; a++ {
+		addresses = append(addresses, Row{"AID": a, "Street": fmt.Sprintf("%d Main St", a), "City": "Nashville", "Zip": fmt.Sprintf("%05d", 37000+a)})
+	}
+	for d := int64(1); d <= 3; d++ {
+		departments = append(departments, Row{"DNo": d, "DName": fmt.Sprintf("dept-%d", d)})
+	}
+	for e := int64(1); e <= 12; e++ {
+		employees = append(employees, Row{
+			"EID": e, "EName": fmt.Sprintf("employee-%d", e),
+			"EHome_AID": (e % 8) + 1, "EOffice_AID": ((e + 3) % 8) + 1, "E_DNo": (e % 3) + 1,
+		})
+	}
+	for p := int64(1); p <= 4; p++ {
+		projects = append(projects, Row{"PNo": p, "PName": fmt.Sprintf("project-%d", p), "P_DNo": (p % 3) + 1})
+	}
+	for e := int64(1); e <= 12; e++ {
+		for p := int64(1); p <= 2; p++ {
+			worksOn = append(worksOn, Row{"WO_EID": e, "WO_PNo": p, "Hours": e*5 + p})
+		}
+	}
+	return []TableRows{
+		{"Address", addresses}, {"Department", departments}, {"Employee", employees},
+		{"Project", projects}, {"Works_On", worksOn},
 	}
 }

@@ -386,3 +386,31 @@ func TestRowClone(t *testing.T) {
 		t.Fatal("clone aliases original")
 	}
 }
+
+// TestCompanySampleLoadsParentsFirst: every sample table is a Company
+// relation, and each foreign key of a row names a row of a table loaded
+// before it, so loading in the returned order never references ahead.
+func TestCompanySampleLoadsParentsFirst(t *testing.T) {
+	s := Company()
+	loaded := map[string]map[Value]bool{}
+	for _, tr := range CompanySample() {
+		rel := s.Relation(tr.Table)
+		if rel == nil || len(tr.Rows) == 0 {
+			t.Fatalf("%s: not a Company relation, or no rows", tr.Table)
+		}
+		for _, row := range tr.Rows {
+			for _, fk := range rel.FKs {
+				if v := row[fk.Cols[0]]; !loaded[fk.RefTable][v] {
+					t.Fatalf("%s row %v: %s=%v names no loaded %s row", tr.Table, row, fk.Cols[0], v, fk.RefTable)
+				}
+			}
+		}
+		if len(rel.PK) == 1 {
+			keys := map[Value]bool{}
+			for _, row := range tr.Rows {
+				keys[row[rel.PK[0]]] = true
+			}
+			loaded[tr.Table] = keys
+		}
+	}
+}

@@ -60,12 +60,6 @@ type Costs struct {
 	// region groups split into multiple RPCs (HBase
 	// hbase.client.write.buffer in rows rather than bytes).
 	MutateMaxBatch int
-	// MutateParallelism bounds the worker goroutines a multi-region batch
-	// dispatches its region groups on. Batches touching at most
-	// mutateInlineGroups regions apply inline on the caller — goroutine
-	// dispatch for two or three memstore inserts costs more than it saves
-	// (the PR-2 -race starvation note).
-	MutateParallelism int
 	// PerByte is the network transfer cost per payload byte shipped
 	// between nodes.
 	PerByte PerByteCost
@@ -73,9 +67,10 @@ type Costs struct {
 	// ScannerBatch is the number of rows fetched per scanner RPC
 	// (Phoenix/HBase scanner caching).
 	ScannerBatch int
-	// ScanParallelism is how many units of a fanned-out scan — its regions,
-	// cut at their guideposts — run side by side (the Phoenix intra-query
-	// thread pool size): the width the units' forks are joined at.
+	// ScanParallelism is the width of the Phoenix intra-query read pool: how
+	// many units of a fanned-out scan — its regions, cut at their guideposts
+	// — run side by side, and how many of an update's view locates overlap.
+	// Forks of either kind are joined at this width.
 	ScanParallelism int
 	// ScanMergeChunk is the client-side cost of folding one batch of a
 	// fanned-out scan into the key-ordered result stream. Units hold
@@ -233,7 +228,6 @@ func DefaultCosts() *Costs {
 		MutateBatchOverhead: FromMillis(0.10),
 		MutatePerMutation:   Micros(3),
 		MutateMaxBatch:      500,
-		MutateParallelism:   8,
 
 		ScannerBatch:    1000,
 		ScanParallelism: 8,

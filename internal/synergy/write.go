@@ -930,9 +930,9 @@ func (sys *System) phaseDone(phase int) error {
 
 // locateAll runs step 2 for every view of an update, leaving out the views
 // with no affected row. The locates are independent reads, so they overlap:
-// each runs inline on a forked ctx and the statement waits for them
-// MutateParallelism at a time, as MutateBatch waits for its region groups.
-// The paper's client (tx.eager) locates one view after the other.
+// each runs on the caller, charged to its own fork, and the forks are joined
+// at Costs.ScanParallelism width, the read pool a fanned-out scan's units
+// share. The paper's client (tx.eager) locates one view after the other.
 func (sys *System) locateAll(ctx *sim.Ctx, tx *Tx, actions []core.ViewAction, parts writeParts) ([]viewRows, error) {
 	rd := sys.Engine.Reader(tx.opts)
 	var children []*sim.Ctx
@@ -960,7 +960,7 @@ func (sys *System) locateAll(ctx *sim.Ctx, tx *Tx, actions []core.ViewAction, pa
 		}
 	}
 	if children != nil {
-		ctx.JoinWidth(sys.cfg.Costs.MutateParallelism, children...)
+		ctx.JoinWidth(sys.cfg.Costs.ScanParallelism, children...)
 	}
 	return views, err
 }
