@@ -11,25 +11,32 @@ type Mutation struct {
 	Key   string
 	// Cells are the put payload; ignored for deletes.
 	Cells []Cell
-	// Delete marks the mutation as a tombstone write instead of a put.
-	Delete bool
 	// TS stamps the tombstone (deletes) or any zero-timestamp cell (puts);
 	// 0 uses the server clock at apply time.
 	TS int64
 	// Qualifiers restricts a delete to specific columns; empty deletes the
 	// whole row.
 	Qualifiers []string
+	// Delete marks the mutation as a tombstone write instead of a put. It
+	// sits beside CheckAndPut so the two flags share one padded word: a
+	// transaction buffers every mutation it has pending.
+	Delete bool
 	// CheckAndPut marks the mutation conditional: at apply time the single
 	// cell in Cells lands via the region's atomic CheckAndPut iff the
 	// current visible value of (Key, CheckQualifier) equals CheckExpected
 	// (nil = must be absent). A failed check is not an error — the mutation
 	// is simply skipped, and only applied conditionals pay the put/WAL
 	// costs. Client.CheckAndPut is one of these on its own; the Synergy
-	// commit protocol batches them to fold lock-table maintenance into the
-	// commit flush instead of paying a round trip each.
+	// commit protocol batches them instead of paying a round trip each: it
+	// folds fresh lock entries into the commit flush and frees a
+	// transaction's locks in one flush after it.
 	CheckAndPut    bool
 	CheckQualifier string
 	CheckExpected  []byte
+	// Passed, when not nil on a conditional put, receives whether its check
+	// passed (and so the put applied) once the mutation is applied: one
+	// result per conditional, as HBase's batch checkAndMutate returns.
+	Passed *bool
 }
 
 // PutMutation builds a put.
@@ -88,6 +95,8 @@ type regionGroup struct {
 // dispatch, so results are deterministic and match what the same sequence of
 // Put/DeleteAt calls would have written. The exception is a conditional put:
 // its cell is stamped by the region inside the compare's critical section.
+// A conditional whose check fails is skipped, not an error; its Passed, when
+// set, reports the outcome, and the batch's other mutations land regardless.
 func (c *Client) MutateBatch(ctx *sim.Ctx, muts []Mutation) error {
 	_, err := c.mutateBatch(ctx, muts)
 	return err
@@ -253,7 +262,11 @@ func (c *Client) applyChunk(ctx *sim.Ctx, region *Region, chunk []Mutation) (cas
 		m := &chunk[i]
 		switch {
 		case m.CheckAndPut:
-			if ok, ts := region.checkAndPut(m.Key, m.CheckQualifier, m.CheckExpected, m.Cells[0], hc.NextTS); ok {
+			ok, ts := region.checkAndPut(m.Key, m.CheckQualifier, m.CheckExpected, m.Cells[0], hc.NextTS)
+			if m.Passed != nil {
+				*m.Passed = ok
+			}
+			if ok {
 				casTS = max(casTS, ts)
 				hc.serverWork(ctx, srv, hc.costs.PutApply)
 				walBytes += m.bytes()
@@ -331,12 +344,17 @@ func (m *BufferedMutator) Delete(ctx *sim.Ctx, tbl, key string, ts int64, qualif
 	return m.add(ctx, DeleteMutation(tbl, key, ts, qualifiers...))
 }
 
-// CheckAndPut buffers a conditional single-cell put resolved atomically at
-// flush time; the outcome is not reported. Deferred conditionals suit writes
-// that are idempotent housekeeping — lock table maintenance — where the
-// caller does not branch on the result.
-func (m *BufferedMutator) CheckAndPut(ctx *sim.Ctx, tbl, key, qualifier string, expected []byte, cell Cell) error {
-	return m.add(ctx, CheckAndPutMutation(tbl, key, qualifier, expected, cell))
+// CheckAndPut buffers a conditional single-cell put resolved atomically when
+// it ships. When passed is not nil it receives whether the check passed once
+// the mutation has shipped: after the Flush that carries it, or at once on a
+// mutator that flushes at 1. Deferred conditionals suit lock-table
+// housekeeping, where nothing is decided until the flush: a fresh lock entry
+// (outcome ignored) and a lock release (a failed check means the lock was
+// not held).
+func (m *BufferedMutator) CheckAndPut(ctx *sim.Ctx, tbl, key, qualifier string, expected []byte, cell Cell, passed *bool) error {
+	mut := CheckAndPutMutation(tbl, key, qualifier, expected, cell)
+	mut.Passed = passed
+	return m.add(ctx, mut)
 }
 
 func (m *BufferedMutator) add(ctx *sim.Ctx, mut Mutation) error {

@@ -339,7 +339,7 @@ func (w flushAtOne) del(ctx *sim.Ctx, key string, ts int64, quals ...string) err
 	return w.m.Delete(ctx, "t", key, ts, quals...)
 }
 func (w flushAtOne) cas(ctx *sim.Ctx, key, qual string, expected []byte, cell Cell) error {
-	return w.m.CheckAndPut(ctx, "t", key, qual, expected, cell)
+	return w.m.CheckAndPut(ctx, "t", key, qual, expected, cell, nil)
 }
 
 type eagerClient struct{ c *Client }

@@ -28,7 +28,8 @@ import (
 // configurations. The second batch carries conditional puts, all in one
 // region's group, so the stamps the region gives them follow batch order. A
 // batch line records the whole table (every key's versions, hashed) in place
-// of one row. Run it at -cpu 1,2,4.
+// of one row. The last four lines pin a round of lock releases (see below).
+// Run it at -cpu 1,2,4.
 func TestWriteChargesGolden(t *testing.T) {
 	type op struct {
 		name string
@@ -103,13 +104,16 @@ func TestWriteChargesGolden(t *testing.T) {
 	}{{"batch-mixed", mixed}, {"batch-cas", withCAS}}
 
 	var b strings.Builder
-	line := func(hc *HCluster, ctx *sim.Ctx, name string, warm, queueing, ok bool, syncs, edits int64) {
-		fmt.Fprintf(&b, "%s warm=%v queueing=%v ok=%v", name, warm, queueing, ok)
+	lineTo := func(w *strings.Builder, hc *HCluster, ctx *sim.Ctx, name string, warm, queueing, ok bool, syncs, edits int64) {
+		fmt.Fprintf(w, "%s warm=%v queueing=%v ok=%v", name, warm, queueing, ok)
 		st := reflect.ValueOf(ctx.Snapshot())
 		for i := 0; i < st.NumField(); i++ {
-			fmt.Fprintf(&b, " %s=%d", st.Type().Field(i).Name, st.Field(i).Int())
+			fmt.Fprintf(w, " %s=%d", st.Type().Field(i).Name, st.Field(i).Int())
 		}
-		fmt.Fprintf(&b, " WALSyncs=%d WALEdits=%d oracle=%d", hc.WALSyncs()-syncs, totalWALEdits(hc)-edits, hc.CurrentTS())
+		fmt.Fprintf(w, " WALSyncs=%d WALEdits=%d oracle=%d", hc.WALSyncs()-syncs, totalWALEdits(hc)-edits, hc.CurrentTS())
+	}
+	line := func(hc *HCluster, ctx *sim.Ctx, name string, warm, queueing, ok bool, syncs, edits int64) {
+		lineTo(&b, hc, ctx, name, warm, queueing, ok, syncs, edits)
 	}
 	for _, queueing := range []bool{false, true} {
 		for _, warm := range []bool{true, false} {
@@ -164,6 +168,80 @@ func TestWriteChargesGolden(t *testing.T) {
 				}
 				fmt.Fprintf(&b, " muts=%d table=%016x\n", len(muts), h.Sum64())
 			}
+		}
+	}
+	// The last lines pin a lock-release round: four conditional held→free
+	// puts over a table split into two regions on two servers, alone and with
+	// one check failing (its lock already free), each on a fresh cluster. A
+	// line records the four rows afterwards. The round is shipped twice, by
+	// MutateBatch and by a mutator's Flush (how a transaction frees its
+	// locks); both must render the line and report each check's outcome.
+	releaseKeys := []string{scanKey(1), scanKey(2), scanKey(13), scanKey(14)}
+	releases := []struct {
+		name string
+		free int // the index of the lock that is not held, or -1
+	}{{"release", -1}, {"release-one-free", 2}}
+	ships := []func(ctx *sim.Ctx, c *Client, muts []Mutation) error{
+		func(ctx *sim.Ctx, c *Client, muts []Mutation) error { return c.MutateBatch(ctx, muts) },
+		func(ctx *sim.Ctx, c *Client, muts []Mutation) error {
+			m := c.NewBufferedMutator(0)
+			for _, mu := range muts {
+				if err := m.CheckAndPut(ctx, mu.Table, mu.Key, mu.CheckQualifier, mu.CheckExpected, mu.Cells[0], mu.Passed); err != nil {
+					return err
+				}
+			}
+			return m.Flush(ctx)
+		},
+	}
+	for _, warm := range []bool{true, false} {
+		for _, rel := range releases {
+			var first string
+			for p, ship := range ships {
+				var out strings.Builder
+				hc := NewHCluster(cluster.NewDefault(nil), nil, nil)
+				mustCreate(t, hc, TableSpec{Name: "t", MaxVersions: 4, SplitKeys: []string{scanKey(12)}})
+				passed := make([]bool, len(releaseKeys))
+				var locks, muts []Mutation
+				for i, key := range releaseKeys {
+					state := "held"
+					if i == rel.free {
+						state = "free"
+					}
+					locks = append(locks, PutMutation("t", key, []Cell{put("l", state, 0)}, 0))
+					mu := CheckAndPutMutation("t", key, "l", []byte("held"), put("l", "free", 0))
+					mu.Passed = &passed[i]
+					muts = append(muts, mu)
+				}
+				if err := hc.NewWarmClient().MutateBatch(sim.NewCtx(), locks); err != nil {
+					t.Fatal(err)
+				}
+				c := hc.NewWarmClient()
+				if !warm {
+					c = hc.NewClient()
+				}
+				syncs, edits := hc.WALSyncs(), totalWALEdits(hc)
+				ctx := sim.NewCtx()
+				if err := ship(ctx, c, muts); err != nil {
+					t.Fatal(err)
+				}
+				for i, ok := range passed {
+					if ok != (i != rel.free) {
+						t.Fatalf("%s shipped by path %d: check %d passed=%v", rel.name, p, i, ok)
+					}
+				}
+				lineTo(&out, hc, ctx, rel.name, warm, false, true, syncs, edits)
+				out.WriteString(" rows=")
+				for _, key := range releaseKeys {
+					out.WriteString(storedVersions(t, hc, key))
+				}
+				out.WriteString("\n")
+				if p == 0 {
+					first = out.String()
+				} else if out.String() != first {
+					t.Fatalf("%s charged differently by path %d:\n got  %s want %s", rel.name, p, out.String(), first)
+				}
+			}
+			b.WriteString(first)
 		}
 	}
 

@@ -92,7 +92,22 @@ func (lm *LockManager) BulkCreateEntries(root string, rows []hbase.BulkRow) erro
 // serializes against the group's writers only under SequentialWrites.
 func (lm *LockManager) EnsureEntryDeferred(ctx *sim.Ctx, m *hbase.BufferedMutator, root, key string) error {
 	return m.CheckAndPut(ctx, LockTableName(root), key, lockQualifier, nil,
-		hbase.Cell{Qualifier: lockQualifier, Value: lockFree})
+		hbase.Cell{Qualifier: lockQualifier, Value: lockFree}, nil)
+}
+
+// ReleaseDeferred buffers the release of a held lock into m: a conditional
+// held→free put that ships with m's next flush, when freed learns whether
+// the lock was held. A transaction frees all its locks this way in one flush
+// (Tx.releaseLocks) and names each one that was not with errNotHeld.
+func (lm *LockManager) ReleaseDeferred(ctx *sim.Ctx, m *hbase.BufferedMutator, root, key string, freed *bool) error {
+	return m.CheckAndPut(ctx, LockTableName(root), key, lockQualifier, lockHeld,
+		hbase.Cell{Qualifier: lockQualifier, Value: lockFree}, freed)
+}
+
+// errNotHeld reports the release of a lock that was not held: freed from
+// under its holder, or never taken.
+func errNotHeld(root, key string) error {
+	return fmt.Errorf("synergy: release of %s/%q: lock not held", root, key)
 }
 
 // AcquireNew takes the lock on a root key whose entry is expected to be
@@ -176,7 +191,7 @@ func (lm *LockManager) ReleaseWith(ctx *sim.Ctx, client *hbase.Client, root, key
 		return err
 	}
 	if !ok {
-		return fmt.Errorf("synergy: release of %s/%q: lock not held", root, key)
+		return errNotHeld(root, key)
 	}
 	return nil
 }

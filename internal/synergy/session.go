@@ -32,7 +32,7 @@ type Session struct {
 	reads ViewReadMode
 	tx    *Tx
 	// stmts/params accumulate the open transaction's write statements for
-	// the commit-time WAL record.
+	// the WAL record its commit writes.
 	stmts  []sqlparser.Statement
 	params [][]schema.Value
 }
@@ -130,24 +130,19 @@ func (s *Session) Exec(ctx *sim.Ctx, stmt sqlparser.Statement, params []schema.V
 	return nil
 }
 
-// Commit commits the open transaction (no-op without one) and, on success,
-// WAL-logs it through the transaction layer as one committed group
-// (LogCommitted). MVCC deployments have no transaction layer and log
-// nothing. A commit conflict (occ.ErrConflict, mvcc.ErrConflict) leaves
-// nothing applied and the session in autocommit.
+// Commit commits the open transaction (no-op without one) and, once its
+// commit flush succeeded, WAL-logs it through the transaction layer as one
+// committed group (LogCommitted), beside the release of its locks (see
+// Tx.commit). MVCC deployments have no transaction layer and log nothing. A
+// commit conflict (occ.ErrConflict, mvcc.ErrConflict) leaves nothing applied
+// and the session in autocommit.
 func (s *Session) Commit(ctx *sim.Ctx) error {
 	if s.tx == nil {
 		return nil
 	}
 	tx, stmts, params := s.tx, s.stmts, s.params
 	s.clear()
-	if err := tx.Commit(ctx); err != nil {
-		return err
-	}
-	if s.sys.Txn != nil && len(stmts) > 0 {
-		return s.sys.Txn.LogCommitted(ctx, stmts, params)
-	}
-	return nil
+	return tx.commit(ctx, stmts, params)
 }
 
 // Rollback aborts the open transaction (no-op without one).

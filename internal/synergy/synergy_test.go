@@ -1,6 +1,7 @@
 package synergy
 
 import (
+	"encoding/json"
 	"fmt"
 	"strings"
 	"sync"
@@ -18,10 +19,16 @@ import (
 // rows, dependents.
 func companySystem(t *testing.T) *System {
 	t.Helper()
+	return companySystemWith(t, Config{})
+}
+
+// companySystemWith is companySystem deployed with cfg.
+func companySystemWith(t testing.TB, cfg Config) *System {
+	t.Helper()
 	workload := append(schema.CompanyWorkload(),
 		"UPDATE Employee SET EName = ? WHERE EID = ?", // forces a maintenance index
 	)
-	sys, err := New(schema.Company(), schema.CompanyRoots(), workload, Config{})
+	sys, err := New(schema.Company(), schema.CompanyRoots(), workload, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,11 +357,72 @@ func TestTxnLayerFailover(t *testing.T) {
 	}
 }
 
+// TestCommittedWALNotReplayed: neither an autocommitted write nor an
+// interactive transaction is replayed once committed. The interactive commit
+// logs the whole transaction, its statements and then its commit record, in
+// one append to one slave's WAL.
 func TestCommittedWALNotReplayed(t *testing.T) {
 	sys := companySystem(t)
 	ins := sqlparser.MustParse("INSERT INTO Department (DNo, DName) VALUES (?, ?)")
 	if err := sys.Exec(sim.NewCtx(), ins, []schema.Value{int64(9), "dept-9"}); err != nil {
 		t.Fatal(err)
+	}
+	wals := func() map[string]string {
+		t.Helper()
+		out := map[string]string{}
+		for _, s := range sys.Txn.Slaves() {
+			data, err := sys.FS.ReadAll(sim.NewCtx(), s.walPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[s.walPath] = string(data)
+		}
+		return out
+	}
+	before := wals()
+	stmts := []sqlparser.Statement{ins, sqlparser.MustParse("UPDATE Employee SET EName = ? WHERE EID = ?")}
+	params := [][]schema.Value{{int64(10), "dept-10"}, {"renamed", int64(1)}}
+	sess := sys.NewSession()
+	if err := sess.Begin(sim.NewCtx()); err != nil {
+		t.Fatal(err)
+	}
+	for i, stmt := range stmts {
+		if err := sess.Exec(sim.NewCtx(), stmt, params[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sess.Commit(sim.NewCtx()); err != nil {
+		t.Fatal(err)
+	}
+	grown := 0
+	for path, log := range wals() {
+		added, ok := strings.CutPrefix(log, before[path])
+		if !ok {
+			t.Fatalf("%s was rewritten by the commit", path)
+		}
+		if added == "" {
+			continue
+		}
+		grown++
+		var recs []walRecord
+		for _, line := range strings.Split(strings.TrimSuffix(added, "\n"), "\n") {
+			var rec walRecord
+			if err := json.Unmarshal([]byte(line), &rec); err != nil {
+				t.Fatal(err)
+			}
+			recs = append(recs, rec)
+		}
+		if len(recs) != len(stmts)+1 || !recs[len(stmts)].Commit {
+			t.Fatalf("%s gained %d records %+v, want %d statements and a commit record", path, len(recs), recs, len(stmts))
+		}
+		for i, rec := range recs {
+			if rec.TxID != recs[0].TxID || i < len(stmts) && rec.SQL != stmts[i].String() {
+				t.Fatalf("%s record %d is %+v, want transaction %d's record of %q", path, i, rec, recs[0].TxID, stmts[min(i, len(stmts)-1)])
+			}
+		}
+	}
+	if grown != 1 {
+		t.Fatalf("the commit appended to %d WALs, want 1", grown)
 	}
 	// Kill all slaves; recovery must not duplicate the committed insert
 	// (idempotent here, but replay of committed txids must be skipped —
@@ -397,7 +465,7 @@ func TestWALRollsOnlyPastFinishedTransactions(t *testing.T) {
 	bigName := strings.Repeat("n", walRollBytes/4)
 	finishBig := func() {
 		t.Helper()
-		if err := s.Execute(sim.NewCtx(), up, []schema.Value{bigName, int64(1)}); err != nil {
+		if err := s.ExecuteTxn(sim.NewCtx(), []sqlparser.Statement{up}, [][]schema.Value{{bigName, int64(1)}}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -274,13 +274,15 @@ func New(sch *schema.Schema, roots []string, workloadSQL []string, cfg Config) (
 		}
 	}
 
-	sys.Engine = phoenix.NewEngine(cat)
-	if !cfg.DisableViews && cfg.Maintenance != SyncMaintenance {
-		sys.Feed = changefeed.New(changefeed.Config{QueueCap: cfg.AsyncQueueCap, Costs: cfg.Costs})
-	}
 	sys.Locks = NewLockManager(store)
 	if err := sys.Locks.CreateLockTables(roots); err != nil {
 		return nil, err
+	}
+	// The engine's warm client, which every transaction's mutator runs on,
+	// knows the lock tables too: a transaction frees its locks through it.
+	sys.Engine = phoenix.NewEngine(cat)
+	if !cfg.DisableViews && cfg.Maintenance != SyncMaintenance {
+		sys.Feed = changefeed.New(changefeed.Config{QueueCap: cfg.AsyncQueueCap, Costs: cfg.Costs})
 	}
 	if cfg.Concurrency == MVCC {
 		// The transaction server shares the store's timestamp oracle, so

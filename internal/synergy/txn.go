@@ -139,11 +139,6 @@ func (s *Slave) Kill() {
 // KillBeforeNextExec arms the fault-injection hook.
 func (s *Slave) KillBeforeNextExec() { s.killBeforeExec.Store(true) }
 
-// Execute logs and runs one single-statement write transaction.
-func (s *Slave) Execute(ctx *sim.Ctx, stmt sqlparser.Statement, params []schema.Value) error {
-	return s.ExecuteTxn(ctx, []sqlparser.Statement{stmt}, [][]schema.Value{params})
-}
-
 // ExecuteTxn logs and runs one write transaction of any number of
 // statements: every statement is WAL-logged under one transaction id before
 // execution, the statements execute against a single transaction-scoped
@@ -313,13 +308,16 @@ func (l *TxnLayer) pickSlave() *Slave {
 }
 
 // LogCommitted records an interactively driven transaction in a slave's WAL
-// after it committed: every statement record plus the commit record travel
-// in one append under a fresh transaction id. An interactive session (the
-// SQL wire server) executes statements as the client sends them, so unlike
-// SubmitTxn there is never an accepted-but-unexecuted transaction for
-// recovery to replay — the log is written at commit, binlog-style, and
-// recovery always finds the transaction finished. A rolled-back interactive
-// transaction logs nothing: its buffered writes never reached the store.
+// once its commit flush has published its writes: every statement record
+// plus the commit record travel in one append under a fresh transaction id.
+// An interactive session (the SQL wire server) executes statements as the
+// client sends them, so unlike SubmitTxn there is never an
+// accepted-but-unexecuted transaction for recovery to replay — the log is
+// written at commit, binlog-style, and recovery always finds the transaction
+// finished. Nothing orders the record against the release of the
+// transaction's locks, so the commit runs the two side by side (Tx.commit).
+// A rolled-back interactive transaction logs nothing: its buffered writes
+// never reached the store.
 func (l *TxnLayer) LogCommitted(ctx *sim.Ctx, stmts []sqlparser.Statement, paramsList [][]schema.Value) error {
 	if len(stmts) != len(paramsList) {
 		return fmt.Errorf("synergy: %d statements, %d parameter lists", len(stmts), len(paramsList))

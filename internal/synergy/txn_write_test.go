@@ -306,7 +306,8 @@ func TestAbortAfterBarrierSemantics(t *testing.T) {
 // between protocol phases), Abort un-marks them — through the transaction's
 // own mutator, whatever its flush threshold — so readers do not restart
 // forever against a dead transaction's marks. The views=4 case fails a real
-// update that maintains four views right after its one mark barrier.
+// update that maintains four views right after its one mark barrier. In both,
+// the root lock frees only after the un-marks have landed.
 func TestAbortUnmarksFlushedDirtyMarks(t *testing.T) {
 	for _, cfg := range []Config{{}, {SequentialWrites: true}} {
 		t.Run(fmt.Sprintf("sequential=%v", cfg.SequentialWrites), func(t *testing.T) {
@@ -330,6 +331,52 @@ func markedRows(t *testing.T, sys *System) map[string]int {
 		}
 	}
 	return out
+}
+
+// newestStamp is the highest stamp among the visible cells of table (of row
+// key only, when key is not empty), read off the visibility check the read
+// path runs on every cell.
+func newestStamp(t *testing.T, sys *System, table, key string) int64 {
+	t.Helper()
+	var newest int64
+	spec := hbase.ScanSpec{Sequential: true, Read: hbase.ReadOpts{Excluded: func(ts int64) bool {
+		newest = max(newest, ts)
+		return false
+	}}}
+	if key != "" {
+		spec.Start, spec.Stop = key, key+"\x00"
+	}
+	sc, err := sys.Engine.Client().Scan(sim.NewCtx(), table, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc.All(sim.NewCtx())
+	return newest
+}
+
+// requireUnmarkedBeforeFree checks that the root lock ref reads free and was
+// freed after everything else was written — the un-marks of an abort
+// included: no table outside the lock tables holds a cell stamped after the
+// lock's free one.
+func requireUnmarkedBeforeFree(t *testing.T, sys *System, ref lockRef) {
+	t.Helper()
+	lockTable := LockTableName(ref.root)
+	r, err := sys.Engine.Client().Get(sim.NewCtx(), lockTable, ref.key, hbase.ReadOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := r.Cells.Get(lockQualifier); string(v) != string(lockFree) {
+		t.Fatalf("%s/%q reads %q after the abort, want free", ref.root, ref.key, v)
+	}
+	freed := newestStamp(t, sys, lockTable, ref.key)
+	for _, tbl := range sys.Store.Tables() {
+		if strings.HasPrefix(tbl, LockTableName("")) {
+			continue
+		}
+		if ts := newestStamp(t, sys, tbl, ""); ts > freed {
+			t.Fatalf("%s holds a cell stamped %d, after %s/%q was freed at %d", tbl, ts, ref.root, ref.key, freed)
+		}
+	}
 }
 
 func testAbortAfterMarkBarrier(t *testing.T, cfg Config) {
@@ -357,6 +404,7 @@ func testAbortAfterMarkBarrier(t *testing.T, cfg Config) {
 	if left := markedRows(t, sys); len(left) > 0 {
 		t.Fatalf("marks survived the abort: %v", left)
 	}
+	requireUnmarkedBeforeFree(t, sys, lockRef{"Root", schema.EncodeKey(int64(1))})
 	sys.afterPhase = nil
 	if err := sys.Exec(sim.NewCtx(), up, []schema.Value{"after", int64(1)}); err != nil {
 		t.Fatalf("write after abort: %v", err)
@@ -378,10 +426,14 @@ func testAbortUnmarksFlushedDirtyMarks(t *testing.T, cfg Config) {
 	}
 	key := rows[0].Key
 
-	// Simulate a crashed update phase: the mark is flushed, the un-mark
-	// phase never ran.
+	// Simulate a crashed update phase: the root lock is held and the mark
+	// flushed, the un-mark phase never ran.
 	ctx := sim.NewCtx()
+	lock := lockRef{"Root", schema.EncodeKey(int64(1))}
 	tx := sys.BeginTx(ctx)
+	if err := tx.acquireLock(ctx, lock.root, lock.key); err != nil {
+		t.Fatal(err)
+	}
 	if err := client.Put(ctx, view, key, []hbase.Cell{{Qualifier: phoenix.DirtyQualifier, Value: []byte("1")}}); err != nil {
 		t.Fatal(err)
 	}
@@ -397,6 +449,7 @@ func testAbortUnmarksFlushedDirtyMarks(t *testing.T, cfg Config) {
 	if phoenix.IsDirty(got) {
 		t.Fatalf("dirty mark survived abort: %s", got)
 	}
+	requireUnmarkedBeforeFree(t, sys, lock)
 	// And the dirty-checked read path must not restart on the row anymore.
 	sel := sys.Design.Workload.Selects()[0]
 	if _, err := sys.Query(sim.NewCtx(), sel, []schema.Value{"Leaf00-0"}); err != nil {

@@ -40,11 +40,12 @@ type writeParts struct {
 // whole lifetime: every statement emits into it, reads consult its
 // read-your-writes overlay, the maintenance protocol's phase barriers flush
 // it mid-flight, Commit flushes it once (one batch-RPC round, one WAL sync
-// per touched region) and releases the locks, and Abort discards it with
-// nothing buffered persisted. Config.SequentialWrites makes that mutator the
-// paper's client — it flushes at every mutation, its view reads a row per RPC
-// and an update locates one view at a time (eager) — and the rest of the
-// procedure is the same code.
+// per touched region) and then frees the locks through it in one more round,
+// and Abort discards it with nothing buffered persisted.
+// Config.SequentialWrites makes that mutator the paper's client — it flushes
+// at every mutation (so each lock frees in an RPC of its own), its view reads
+// a row per RPC and an update locates one view at a time (eager) — and the
+// rest of the procedure is the same code.
 type Tx struct {
 	sys     *System
 	opts    phoenix.WriteOpts
@@ -205,14 +206,26 @@ func (tx *Tx) open(ctx *sim.Ctx, p *Prepared, params []schema.Value, reads ViewR
 }
 
 // Commit flushes every buffered mutation as one region-grouped batch round,
-// finishes the MVCC transaction when present, and releases the held locks —
-// writes become visible before the locks free, preserving the §VIII
-// protocol. An OCC transaction validates first: only a commit whose read
-// set survived backward validation flushes anything, and a conflict returns
-// occ.ErrConflict with the buffer discarded untouched. It validates, flushes
-// and finalizes under System.occGate's read lock, so no OCC commit lands
-// while an exclusive attempt runs (see ExecuteTxn).
+// finishes the MVCC transaction when present, and then frees the held locks
+// in a flush of their own (releaseLocks) — writes become visible before any
+// lock frees, preserving the §VIII protocol. An OCC transaction validates
+// first: only a commit whose read set survived backward validation flushes
+// anything, and a conflict returns occ.ErrConflict with the buffer discarded
+// untouched. It validates, flushes and finalizes under System.occGate's read
+// lock, so no OCC commit lands while an exclusive attempt runs (see
+// ExecuteTxn). A lock found not held fails the commit with its key named,
+// though the writes are durable by then.
 func (tx *Tx) Commit(ctx *sim.Ctx) error {
+	return tx.commit(ctx, nil, nil)
+}
+
+// commit is Commit that, once the commit flush has succeeded, also records
+// stmts with their params in the transaction layer's log (LogCommitted), when
+// the deployment has one and stmts is not empty. Nothing orders a committed
+// transaction's lock releases against its log record, so the record is
+// charged to a fork joined with the release round's: the request pays the
+// longer of the two, not their sum.
+func (tx *Tx) commit(ctx *sim.Ctx, stmts []sqlparser.Statement, params [][]schema.Value) error {
 	if tx.done {
 		return fmt.Errorf("synergy: transaction already finished")
 	}
@@ -238,13 +251,14 @@ func (tx *Tx) Commit(ctx *sim.Ctx) error {
 		}
 		tx.sys.OCC.Finalize(ctx, tx.occTx)
 		tx.publishDeltas(ctx)
-		return nil
+		return tx.finish(ctx, stmts, params)
 	}
 	// Lock entries for fresh root inserts that stayed deferred to the end (no
 	// barrier or same-group statement promoted them) join the commit flush as
 	// conditional create-free batch entries.
 	for _, ref := range tx.deferred {
 		if err := tx.sys.Locks.EnsureEntryDeferred(ctx, tx.mutator, ref.root, ref.key); err != nil {
+			tx.mutator.Discard() // the release flush must not publish the writes
 			tx.releaseLocks(ctx)
 			return err
 		}
@@ -260,14 +274,27 @@ func (tx *Tx) Commit(ctx *sim.Ctx) error {
 		if err := tx.sys.MVCCServer.Commit(ctx, tx.mvccTx); err != nil {
 			return err
 		}
-		tx.publishDeltas(ctx)
-		return nil
 	}
 	// Publish before the locks release: lock serialization on a root makes
 	// the per-view publish order match commit order, so each changefeed lane
 	// applies deltas FIFO in commit order.
 	tx.publishDeltas(ctx)
-	return tx.releaseLocks(ctx)
+	return tx.finish(ctx, stmts, params)
+}
+
+// finish ends a transaction whose commit flush succeeded: it frees the held
+// locks and, when the deployment has a transaction layer and stmts is not
+// empty, logs the transaction there, each on its own fork of ctx. The log is
+// written even if a release fails: the writes it records are durable.
+func (tx *Tx) finish(ctx *sim.Ctx, stmts []sqlparser.Statement, params [][]schema.Value) error {
+	if tx.sys.Txn == nil || len(stmts) == 0 {
+		return tx.releaseLocks(ctx)
+	}
+	release, log := ctx.Fork(), ctx.Fork()
+	err := tx.releaseLocks(release)
+	lerr := tx.sys.Txn.LogCommitted(log, stmts, params)
+	ctx.Join(release, log)
+	return errors.Join(err, lerr)
 }
 
 // publishDeltas hands the transaction's deferred view deltas to the
@@ -310,10 +337,13 @@ func (sys *System) applyDelta(ctx *sim.Ctx, d viewDelta) error {
 
 // Abort discards the buffered mutations unapplied, un-marks any dirty marks
 // already published (by a phase barrier, or by a mutator that flushes at 1),
-// invalidates the MVCC transaction when present, and releases every held
-// lock. Work already persisted stays durable — under MVCC it is invisible
-// (the transaction id is invalidated); under hierarchical locking §VIII-B
-// has no undo, which is why barriers only fire inside the marked window.
+// invalidates the MVCC transaction when present, and frees every held lock
+// in a flush after the un-marks' (releaseLocks), so no lock frees over a row
+// still marked. It returns the first error, naming a lock found not held;
+// the other locks free regardless. Work already persisted stays durable —
+// under MVCC it is invisible (the transaction id is invalidated); under
+// hierarchical locking §VIII-B has no undo, which is why barriers only fire
+// inside the marked window.
 func (tx *Tx) Abort(ctx *sim.Ctx) error {
 	if tx.done {
 		return nil
@@ -388,16 +418,37 @@ func (tx *Tx) isDeferred(ref lockRef) bool {
 	return false
 }
 
+// releaseLocks frees every lock the transaction holds as one batch of
+// conditional held→free puts through its mutator, in a flush of its own: the
+// caller has flushed everything else (the commit's writes, an abort's
+// un-marks) first, and the batch region-groups and forks like any
+// MutateBatch, one RPC per lock-table region. A mutator that flushes at 1
+// ships one RPC per lock. A lock found not held — freed from under the
+// transaction — fails the release with its key named; the other releases
+// land regardless.
 func (tx *Tx) releaseLocks(ctx *sim.Ctx) error {
+	// Deferred entries were never held: on commit the flush just created
+	// them free; on abort the discarded buffer never created them.
+	locks := tx.locks
+	tx.locks, tx.lockSet, tx.deferred = nil, nil, nil
+	if len(locks) == 0 {
+		return nil
+	}
+	freed := make([]bool, len(locks))
 	var first error
-	for i := len(tx.locks) - 1; i >= 0; i-- {
-		if err := tx.sys.Locks.Release(ctx, tx.locks[i].root, tx.locks[i].key); err != nil && first == nil {
+	for i := len(locks) - 1; i >= 0; i-- {
+		if err := tx.sys.Locks.ReleaseDeferred(ctx, tx.mutator, locks[i].root, locks[i].key, &freed[i]); err != nil && first == nil {
 			first = err
 		}
 	}
-	// Deferred entries were never held: on commit the flush just created
-	// them free; on abort the discarded buffer never created them.
-	tx.locks, tx.lockSet, tx.deferred = nil, nil, nil
+	if err := tx.mutator.Flush(ctx); err != nil && first == nil {
+		first = err
+	}
+	for i := len(locks) - 1; i >= 0 && first == nil; i-- {
+		if !freed[i] {
+			first = errNotHeld(locks[i].root, locks[i].key)
+		}
+	}
 	return first
 }
 
