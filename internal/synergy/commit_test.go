@@ -1,6 +1,7 @@
 package synergy
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -125,5 +126,77 @@ func TestCommitSurfacesStolenLock(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestFailedCommitFlushHoldsNothing: a commit whose flush fails — the table
+// its insert wrote was dropped — fails with the store's error under every
+// mechanism and leaves nothing held. The root lock reads free; MVCC pins no
+// snapshot and invalidates the writes; OCC pins none either, frees its gate
+// and withdraws the commit it validated, so a transaction on the same root
+// whose snapshot missed that commit still commits.
+func TestFailedCommitFlushHoldsNothing(t *testing.T) {
+	root := lockRef{"Root", schema.EncodeKey(int64(1))}
+	for _, cm := range concurrencyConfigs {
+		t.Run(cm.name, func(t *testing.T) {
+			sys := fanoutSystem(t, 1, 4, cm.cfg)
+			var invalid int
+			if sys.MVCCServer != nil {
+				invalid = sys.MVCCServer.Stats().InvalidListSize
+			}
+			s, ctx := sys.NewSession(), sim.NewCtx()
+			if err := s.Begin(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Exec(ctx, insLeaf, []schema.Value{int64(700), int64(1), "lost"}); err != nil {
+				t.Fatal(err)
+			}
+			want := lockFree
+			if sys.cc.locks() {
+				want = lockHeld
+			}
+			if v := lockValue(t, sys, root); v != string(want) {
+				t.Fatalf("root lock reads %q inside the transaction, want %q", v, want)
+			}
+			follower := sys.NewSession()
+			if sys.OCC != nil {
+				if err := follower.Begin(sim.NewCtx()); err != nil {
+					t.Fatal(err)
+				}
+				if err := follower.Exec(sim.NewCtx(), updRoot, []schema.Value{"after", int64(1)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			if err := sys.Store.DropTable("Leaf00"); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Commit(ctx); !errors.Is(err, hbase.ErrTableNotFound) {
+				t.Fatalf("commit after the drop = %v, want hbase.ErrTableNotFound", err)
+			}
+			if v := lockValue(t, sys, root); v != string(lockFree) {
+				t.Fatalf("root lock reads %q after the failed commit, want free", v)
+			}
+			switch cc := sys.cc.(type) {
+			case *mvccControl:
+				if n := cc.srv.ActiveTxns(); n != 0 {
+					t.Fatalf("%d snapshots pinned after the failed commit", n)
+				}
+				if got := cc.srv.Stats().InvalidListSize; got != invalid+1 {
+					t.Fatalf("invalid list holds %d, want %d: the failed commit's writes stay valid", got, invalid+1)
+				}
+			case *occControl:
+				if err := follower.Commit(sim.NewCtx()); err != nil {
+					t.Fatalf("a transaction on the same root after the failed commit: %v", err)
+				}
+				if n := cc.v.ActiveTxns(); n != 0 {
+					t.Fatalf("%d snapshots pinned after the failed commit", n)
+				}
+				if !cc.gate.TryLock() {
+					t.Fatal("the failed commit left the gate held")
+				}
+				cc.gate.Unlock()
+			}
+		})
 	}
 }

@@ -107,14 +107,14 @@ func TestOCCRetryAfterInjectedConflict(t *testing.T) {
 	up := sqlparser.MustParse("UPDATE Root SET RVal = ? WHERE RID = ?")
 
 	injected := false
-	sys.occPostBegin = func(bool) {
+	sys.postBegin = func(*Tx) {
 		if injected {
 			return
 		}
 		injected = true
-		hook := sys.occPostBegin
-		sys.occPostBegin = nil // the interloper's own attempt must not recurse
-		defer func() { sys.occPostBegin = hook }()
+		hook := sys.postBegin
+		sys.postBegin = nil // the interloper's own attempt must not recurse
+		defer func() { sys.postBegin = hook }()
 		if err := sys.ExecuteTxn(sim.NewCtx(), []sqlparser.Statement{up},
 			[][]schema.Value{{schema.Value("interloper"), int64(1)}}); err != nil {
 			t.Errorf("injected write: %v", err)
@@ -126,7 +126,7 @@ func TestOCCRetryAfterInjectedConflict(t *testing.T) {
 		[][]schema.Value{{schema.Value("final"), int64(1)}}); err != nil {
 		t.Fatal(err)
 	}
-	sys.occPostBegin = nil
+	sys.postBegin = nil
 	if got := ctx.Snapshot().OCCRetries; got != 1 {
 		t.Fatalf("OCC retries = %d, want exactly 1 (conflict injected into attempt one only)", got)
 	}
@@ -160,20 +160,20 @@ func TestOCCLastAttemptRunsAlone(t *testing.T) {
 	up := sqlparser.MustParse("UPDATE Root SET RVal = ? WHERE RID = ?")
 
 	injected := 0
-	sys.occPostBegin = func(exclusive bool) {
-		if exclusive {
+	sys.postBegin = func(tx *Tx) {
+		if c := tx.ctl.(*occControl); c.exclusive {
 			// An interloper's commit would wait for this attempt to end: the
 			// read side of the gate, which every commit takes, is held off.
-			if sys.occGate.TryRLock() {
-				sys.occGate.RUnlock()
+			if c.gate.TryRLock() {
+				c.gate.RUnlock()
 				t.Error("a commit could land while the last attempt ran")
 			}
 			return
 		}
 		injected++
-		hook := sys.occPostBegin
-		sys.occPostBegin = nil // the interloper's own attempt must not recurse
-		defer func() { sys.occPostBegin = hook }()
+		hook := sys.postBegin
+		sys.postBegin = nil // the interloper's own attempt must not recurse
+		defer func() { sys.postBegin = hook }()
 		if err := sys.ExecuteTxn(sim.NewCtx(), []sqlparser.Statement{up},
 			[][]schema.Value{{schema.Value("interloper"), int64(1)}}); err != nil {
 			t.Errorf("injected write: %v", err)
@@ -185,7 +185,7 @@ func TestOCCLastAttemptRunsAlone(t *testing.T) {
 		[][]schema.Value{{schema.Value("final"), int64(1)}}); err != nil {
 		t.Fatalf("after %d lost attempts: %v", injected, err)
 	}
-	sys.occPostBegin = nil
+	sys.postBegin = nil
 	if got := ctx.Snapshot().OCCRetries; injected != occMaxRetries-1 || got != occMaxRetries-1 {
 		t.Fatalf("%d attempts lost to an injected commit, %d retries recorded; want %d of each", injected, got, occMaxRetries-1)
 	}
@@ -377,7 +377,7 @@ func TestOCCMovedIndexTombstoneInWriteSet(t *testing.T) {
 			continue
 		}
 		movedKeys++
-		if !tx.occTx.HasWrite(idx.Name, oldKey) {
+		if !tx.ctl.(*occControl).tx.HasWrite(idx.Name, oldKey) {
 			t.Errorf("moved index entry %s/%q: tombstone missing from the OCC write set", idx.Name, oldKey)
 		}
 	}
@@ -406,7 +406,7 @@ func TestOCCLocateReadSet(t *testing.T) {
 	concurrent := ""
 	for _, v := range sys.Design.Views {
 		for id := int64(1); id <= rowsPer; id++ {
-			if key := schema.EncodeKey(id); !tx.occTx.HasRead(v.Name(), key) {
+			if key := schema.EncodeKey(id); !tx.ctl.(*occControl).tx.HasRead(v.Name(), key) {
 				t.Errorf("located row %s/%q missing from the read set", v.Name(), key)
 			}
 		}

@@ -81,7 +81,14 @@ func (s *Session) Open(ctx *sim.Ctx, p *Prepared, params []schema.Value) (phoeni
 	if s.tx != nil {
 		return s.tx.open(ctx, p, params, s.reads)
 	}
-	return s.sys.open(ctx, p, params, s.reads)
+	// The one autocommit read path: the freshness gate, then the mechanism.
+	if len(p.async) > 0 && s.reads == ReadWatermark {
+		arrival := s.sys.Store.CurrentTS()
+		for _, v := range p.async {
+			s.sys.Feed.WaitWatermark(ctx, v, arrival)
+		}
+	}
+	return s.sys.cc.read(ctx, s.sys, p, params, s.reads)
 }
 
 // Query runs a SELECT — inside the open transaction when there is one

@@ -90,14 +90,14 @@ func (e *contractEnv) commit(s *Session) {
 	}
 }
 
-// activeTxns is the number of snapshots the deployment's transaction tier
-// still pins (always 0 under hierarchical locking, which has none).
+// activeTxns is the number of snapshots the deployment's mechanism still
+// pins (always 0 under hierarchical locking, which has none).
 func (e *contractEnv) activeTxns() int {
-	switch e.mode {
-	case MVCC:
-		return e.sys.MVCCServer.ActiveTxns()
-	case OCC:
-		return e.sys.OCC.ActiveTxns()
+	switch cc := e.sys.cc.(type) {
+	case *mvccControl:
+		return cc.srv.ActiveTxns()
+	case *occControl:
+		return cc.v.ActiveTxns()
 	}
 	return 0
 }

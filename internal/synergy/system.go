@@ -94,12 +94,8 @@ const (
 	MVCC
 	// OCC keeps the Synergy transaction layer (WAL-logged slaves) but
 	// replaces the hierarchical locks with backward-validation optimistic
-	// concurrency control (Larson et al.): transactions run lock-free
-	// against a begin-timestamp snapshot, record read and write sets, and
-	// validate at commit — aborting and retrying with backoff when a
-	// concurrently committed write set overlaps what they read, the last
-	// retry alone, so a conflict never surfaces (ExecuteTxn). The third
-	// column of the contention comparison next to Hierarchical and MVCC.
+	// concurrency control (Larson et al.), whose conflicts ExecuteTxn
+	// retries: the third column of the contention comparison.
 	OCC
 )
 
@@ -148,7 +144,8 @@ type Config struct {
 	// SplitThreshold overrides region split size (0 = store default).
 	SplitThreshold int
 	// Concurrency selects hierarchical locking (Synergy), MVCC
-	// (Phoenix-Tephra style) or OCC (backward validation).
+	// (Phoenix-Tephra style) or OCC (backward validation); New reads it once,
+	// to pick the mechanism every transaction asks (txnControl).
 	Concurrency ConcurrencyMode
 	// SequentialWrites makes every transaction's mutator flush at one
 	// pending mutation instead of at its barriers: each mutation of the
@@ -157,9 +154,9 @@ type Config struct {
 	// harness (internal/bench) sets it. That client also reads one row per
 	// RPC (its view's GetMany is a Get per key) and maintains one view at a
 	// time (an update's locates do not overlap). It is the write pipeline's
-	// one option, a flush threshold on the one path (BeginTx), and OCC
-	// ignores it: nothing of an optimistic transaction may reach the store
-	// before validation passes.
+	// one option, a flush threshold on the one path (BeginTx), which OCC
+	// ignores (txnControl.flushesEarly): nothing of an optimistic transaction
+	// may reach the store before validation passes.
 	SequentialWrites bool
 	// Maintenance is the view-maintenance mode of every view
 	// (SyncMaintenance, the paper's protocol, by default).
@@ -191,17 +188,13 @@ type System struct {
 	// view is synchronously maintained.
 	Feed *changefeed.Feed
 
-	// occGate lets ExecuteTxn's last optimistic attempt run alone: every
-	// OCC commit validates, flushes and finalizes under its read lock, and
-	// that attempt holds its write lock from its begin to its end.
-	occGate sync.RWMutex
-	// occPostBegin is a test-only fault-injection hook (like the slave's
-	// kill-before-exec): when set, it runs after each OCC transaction
-	// attempt begins, told whether the attempt is the exclusive last one,
-	// so tests can commit a conflicting write inside the validation window
-	// deterministically — into any attempt but that one, whose commit it
-	// would wait for.
-	occPostBegin func(exclusive bool)
+	// cc is the concurrency control mechanism, chosen once by New.
+	cc txnControl
+	// postBegin is a test-only fault-injection hook (like the slave's
+	// kill-before-exec): when set, it runs after each ExecuteTxn attempt
+	// begins, so tests can commit a conflicting write inside the validation
+	// window deterministically.
+	postBegin func(tx *Tx)
 	// afterPhase is a test-only hook of the same kind: when set, a marked
 	// update calls it after each of its three barriers (phaseMarked,
 	// phaseUpdated, phaseUnmarked), so tests can read the store between
@@ -284,22 +277,24 @@ func New(sch *schema.Schema, roots []string, workloadSQL []string, cfg Config) (
 	if !cfg.DisableViews && cfg.Maintenance != SyncMaintenance {
 		sys.Feed = changefeed.New(changefeed.Config{QueueCap: cfg.AsyncQueueCap, Costs: cfg.Costs})
 	}
-	if cfg.Concurrency == MVCC {
-		// The transaction server shares the store's timestamp oracle, so
-		// snapshot ids order consistently against bulk-loaded cell stamps
-		// (a fresh transaction must see the loaded database).
+	// Hierarchical and OCC both route writes through the WAL-logged
+	// transaction layer: an OCC commit is durable exactly like a locked one
+	// (statements logged under one txid, the outcome as a commit or abort
+	// record), only the concurrency mechanism differs. The MVCC transaction
+	// server and the validator share the store's timestamp oracle, so
+	// snapshots order consistently against every cell stamp, bulk-loaded
+	// ones included (a fresh transaction must see the loaded database).
+	switch cfg.Concurrency {
+	case MVCC:
 		sys.MVCCServer = mvcc.NewServerWithOracle(cfg.Costs, store.NextTS)
-	} else {
-		// Hierarchical and OCC both route writes through the WAL-logged
-		// transaction layer: an OCC commit is durable exactly like a
-		// locked one (statements logged under one txid, the outcome as a
-		// commit or abort record), only the concurrency mechanism differs.
+		sys.cc = &mvccControl{srv: sys.MVCCServer}
+	case OCC:
 		sys.Txn = NewTxnLayer(sys, txnSlaves)
-		if cfg.Concurrency == OCC {
-			// The validator shares the store's oracle so begin snapshots
-			// order consistently against every cell stamp.
-			sys.OCC = occ.NewValidatorWithOracle(cfg.Costs, store.NextTS)
-		}
+		sys.OCC = occ.NewValidatorWithOracle(cfg.Costs, store.NextTS)
+		sys.cc = &occControl{v: sys.OCC, gate: new(sync.RWMutex)}
+	default:
+		sys.Txn = NewTxnLayer(sys, txnSlaves)
+		sys.cc = lockControl{}
 	}
 	return sys, nil
 }
@@ -415,13 +410,8 @@ func (sys *System) countStale(ctx *sim.Ctx, p *Prepared, readTS int64, reads Vie
 
 // Query executes a one-shot read at the deployment's configured freshness
 // contract (a Session carries its own). Workload queries run their
-// view-based rewrite; reads go directly to the HBase layer (Figure 7). Under
-// hierarchical locking the dirty-read restart protocol guards view scans
-// (§VIII-C); under MVCC the read runs inside a snapshot transaction; under
-// OCC it runs against a begin-timestamp snapshot — read-only snapshot reads
-// are serializable as of their begin point and need no validation, and the
-// snapshot hides the stamp blocks of commits still flushing, so no dirty
-// marking is needed either.
+// view-based rewrite; reads go directly to the HBase layer (Figure 7), as
+// the concurrency mechanism reads (txnControl.read).
 //
 // Asynchronously maintained views add a freshness gate. In ReadWatermark
 // mode the query waits — before its snapshot is taken, so the snapshot
@@ -440,64 +430,26 @@ func (sys *System) QueryStream(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params [
 	return sys.NewSession().QueryStream(ctx, sel, params)
 }
 
-// open is the one autocommit read path, with the caller's freshness contract
-// for the async views the statement touches. Under MVCC the read runs inside
-// a snapshot transaction that stays open for the cursor's lifetime and is
-// settled by Close (committed on a clean drain, aborted if the cursor saw an
-// error); OCC and hierarchical reads carry no per-read transaction state, so
-// their cursors only release the scanner.
-func (sys *System) open(ctx *sim.Ctx, p *Prepared, params []schema.Value, reads ViewReadMode) (phoenix.RowCursor, error) {
-	if len(p.async) > 0 && reads == ReadWatermark {
-		arrival := sys.Store.CurrentTS()
-		for _, v := range p.async {
-			sys.Feed.WaitWatermark(ctx, v, arrival)
-		}
-	}
-	switch sys.cfg.Concurrency {
-	case MVCC:
-		tx := sys.MVCCServer.Begin(ctx)
-		sys.countStale(ctx, p, tx.ID(), reads)
-		cur, err := p.plan.Open(ctx, params, phoenix.QueryOpts{Read: tx.ReadOpts()})
-		if err != nil {
-			sys.MVCCServer.Abort(ctx, tx)
-			return nil, err
-		}
-		return phoenix.WithClose(cur, func(ctx *sim.Ctx, inner phoenix.RowCursor) error {
-			if inner.Err() != nil {
-				sys.MVCCServer.Abort(ctx, tx)
-				return nil
-			}
-			return sys.MVCCServer.Commit(ctx, tx)
-		}), nil
-	case OCC:
-		snap, ro := sys.OCC.SnapshotRead(ctx)
-		sys.countStale(ctx, p, snap, reads)
-		return p.plan.Open(ctx, params, phoenix.QueryOpts{Read: ro})
-	}
-	sys.countStale(ctx, p, sys.Store.CurrentTS(), reads)
-	return p.plan.Open(ctx, params, phoenix.QueryOpts{DirtyCheck: true})
-}
-
-// Exec executes a write statement: through the Synergy transaction layer
-// under hierarchical locking, or as an MVCC transaction otherwise.
+// Exec executes a write statement as a transaction of its own (ExecTxn).
 func (sys *System) Exec(ctx *sim.Ctx, stmt sqlparser.Statement, params []schema.Value) error {
-	if sys.cfg.Concurrency == MVCC {
-		return sys.ExecuteWrite(ctx, stmt, params)
-	}
-	return sys.Txn.Submit(ctx, stmt, params)
+	return sys.ExecTxn(ctx, []sqlparser.Statement{stmt}, [][]schema.Value{params})
 }
 
 // ExecTxn executes stmts as one multi-statement write transaction: all
 // statements share one transaction-scoped mutator, reads see the
 // transaction's own buffered writes, and commit flushes + WAL-syncs once.
-// Under hierarchical locking the transaction routes through the Synergy
-// transaction layer (WAL-logged, recoverable); under MVCC it runs as a
-// single snapshot transaction.
+// A deployment with a transaction layer (hierarchical locking, OCC) routes
+// the transaction through it, WAL-logged and recoverable; an MVCC deployment
+// has none and runs it here, as the paper's MVCC systems do.
 func (sys *System) ExecTxn(ctx *sim.Ctx, stmts []sqlparser.Statement, paramsList [][]schema.Value) error {
-	if sys.cfg.Concurrency == MVCC {
+	if sys.Txn == nil {
 		return sys.ExecuteTxn(ctx, stmts, paramsList)
 	}
-	return sys.Txn.SubmitTxn(ctx, stmts, paramsList)
+	s := sys.Txn.pickSlave()
+	if s == nil {
+		return ErrNoSlaves
+	}
+	return s.ExecuteTxn(ctx, stmts, paramsList)
 }
 
 // DatabaseBytes reports the total storage footprint (tables + indexes +

@@ -146,21 +146,7 @@ func (s *Slave) KillBeforeNextExec() { s.killBeforeExec.Store(true) }
 // abort record. Recovery replays transactions with neither record as whole
 // transactions.
 func (s *Slave) ExecuteTxn(ctx *sim.Ctx, stmts []sqlparser.Statement, paramsList [][]schema.Value) error {
-	if !s.alive.Load() {
-		return fmt.Errorf("%w: %s is down", ErrNoSlaves, s.ID)
-	}
-	if len(stmts) != len(paramsList) {
-		return fmt.Errorf("synergy: %d statements, %d parameter lists", len(stmts), len(paramsList))
-	}
-	sys := s.layer.sys
-	ctx.Charge(sys.Cluster.Costs().TxnLayerHop)
-
-	// All of the transaction's statement records travel in one WAL append:
-	// one replication-pipeline round instead of one per statement, and the
-	// records stay contiguous even with concurrent transactions on the
-	// same slave.
-	txid := s.seq.Add(1)
-	log, err := encodeStatements(txid, stmts, paramsList)
+	txid, log, err := s.accept(ctx, stmts, paramsList)
 	if err != nil {
 		return err
 	}
@@ -173,7 +159,7 @@ func (s *Slave) ExecuteTxn(ctx *sim.Ctx, stmts []sqlparser.Statement, paramsList
 		return fmt.Errorf("%w: %s crashed mid-transaction", ErrNoSlaves, s.ID)
 	}
 
-	if err := sys.ExecuteTxn(ctx, stmts, paramsList); err != nil {
+	if err := s.layer.sys.ExecuteTxn(ctx, stmts, paramsList); err != nil {
 		// The transaction aborted and discarded its buffered writes;
 		// record that so recovery does not replay it. A failed abort
 		// record must surface — without it, recovery would re-execute
@@ -185,6 +171,23 @@ func (s *Slave) ExecuteTxn(ctx *sim.Ctx, stmts []sqlparser.Statement, paramsList
 		return err
 	}
 	return s.logOutcome(ctx, walRecord{TxID: txid, Commit: true})
+}
+
+// accept takes a transaction on a live slave: it charges the hop and renders
+// the statement records under a fresh transaction id. They travel in one WAL
+// append — one replication-pipeline round instead of one per statement — and
+// so stay contiguous even with concurrent transactions on the same slave.
+func (s *Slave) accept(ctx *sim.Ctx, stmts []sqlparser.Statement, paramsList [][]schema.Value) (int64, []byte, error) {
+	if !s.alive.Load() {
+		return 0, nil, fmt.Errorf("%w: %s is down", ErrNoSlaves, s.ID)
+	}
+	if len(stmts) != len(paramsList) {
+		return 0, nil, fmt.Errorf("synergy: %d statements, %d parameter lists", len(stmts), len(paramsList))
+	}
+	ctx.Charge(s.layer.sys.Cluster.Costs().TxnLayerHop)
+	txid := s.seq.Add(1)
+	log, err := encodeStatements(txid, stmts, paramsList)
+	return txid, log, err
 }
 
 // logOutcome appends a commit/abort record.
@@ -278,21 +281,6 @@ func (l *TxnLayer) Slaves() []*Slave {
 	return append([]*Slave(nil), l.slaves...)
 }
 
-// Submit routes a write statement to a live slave (round-robin).
-func (l *TxnLayer) Submit(ctx *sim.Ctx, stmt sqlparser.Statement, params []schema.Value) error {
-	return l.SubmitTxn(ctx, []sqlparser.Statement{stmt}, [][]schema.Value{params})
-}
-
-// SubmitTxn routes a multi-statement write transaction to a live slave
-// (round-robin).
-func (l *TxnLayer) SubmitTxn(ctx *sim.Ctx, stmts []sqlparser.Statement, paramsList [][]schema.Value) error {
-	chosen := l.pickSlave()
-	if chosen == nil {
-		return ErrNoSlaves
-	}
-	return chosen.ExecuteTxn(ctx, stmts, paramsList)
-}
-
 // pickSlave returns the next live slave round-robin, or nil when none.
 func (l *TxnLayer) pickSlave() *Slave {
 	l.mu.Lock()
@@ -311,41 +299,23 @@ func (l *TxnLayer) pickSlave() *Slave {
 // once its commit flush has published its writes: every statement record
 // plus the commit record travel in one append under a fresh transaction id.
 // An interactive session (the SQL wire server) executes statements as the
-// client sends them, so unlike SubmitTxn there is never an
+// client sends them, so unlike System.ExecTxn there is never an
 // accepted-but-unexecuted transaction for recovery to replay — the log is
-// written at commit, binlog-style, and recovery always finds the transaction
-// finished. Nothing orders the record against the release of the
-// transaction's locks, so the commit runs the two side by side (Tx.commit).
-// A rolled-back interactive transaction logs nothing: its buffered writes
-// never reached the store.
+// written at commit, binlog-style, beside the lock release (Tx.commit), and
+// recovery always finds the transaction finished. A rolled-back interactive
+// transaction logs nothing: its buffered writes never reached the store.
 func (l *TxnLayer) LogCommitted(ctx *sim.Ctx, stmts []sqlparser.Statement, paramsList [][]schema.Value) error {
-	if len(stmts) != len(paramsList) {
-		return fmt.Errorf("synergy: %d statements, %d parameter lists", len(stmts), len(paramsList))
-	}
-	chosen := l.pickSlave()
-	if chosen == nil {
+	s := l.pickSlave()
+	if s == nil {
 		return ErrNoSlaves
 	}
-	return chosen.logCommitted(ctx, stmts, paramsList)
-}
-
-// logCommitted appends a whole committed transaction — statements and commit
-// record — as one WAL append.
-func (s *Slave) logCommitted(ctx *sim.Ctx, stmts []sqlparser.Statement, paramsList [][]schema.Value) error {
-	if !s.alive.Load() {
-		return fmt.Errorf("%w: %s is down", ErrNoSlaves, s.ID)
-	}
-	sys := s.layer.sys
-	ctx.Charge(sys.Cluster.Costs().TxnLayerHop)
-	txid := s.seq.Add(1)
-	log, err := encodeStatements(txid, stmts, paramsList)
+	txid, log, err := s.accept(ctx, stmts, paramsList)
 	if err != nil {
 		return err
 	}
 	rec, _ := json.Marshal(walRecord{TxID: txid, Commit: true})
 	log = append(log, rec...)
-	log = append(log, '\n')
-	return s.appendWAL(ctx, log, 0)
+	return s.appendWAL(ctx, append(log, '\n'), 0)
 }
 
 // DetectAndRecover is the master's failure-detection pass (§VIII): it

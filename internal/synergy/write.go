@@ -8,8 +8,6 @@ import (
 	"synergy/internal/changefeed"
 	"synergy/internal/core"
 	"synergy/internal/hbase"
-	"synergy/internal/mvcc"
-	"synergy/internal/occ"
 	"synergy/internal/phoenix"
 	"synergy/internal/schema"
 	"synergy/internal/sim"
@@ -33,15 +31,14 @@ type writeParts struct {
 	kind core.WriteKind
 }
 
-// Tx is the write-pipeline state of one in-flight transaction: under
-// hierarchical locking the §VIII procedure (root locks held to commit,
-// dirty marking around multi-row view updates), under MVCC a Tephra-like
-// snapshot transaction. A transaction owns one BufferedMutator for its
-// whole lifetime: every statement emits into it, reads consult its
-// read-your-writes overlay, the maintenance protocol's phase barriers flush
-// it mid-flight, Commit flushes it once (one batch-RPC round, one WAL sync
-// per touched region) and then frees the locks through it in one more round,
-// and Abort discards it with nothing buffered persisted.
+// Tx is the write-pipeline state of one in-flight transaction; whatever
+// differs by concurrency mechanism it asks its control (ctl). A transaction
+// owns one BufferedMutator for its whole lifetime: every statement emits
+// into it, reads consult its read-your-writes overlay, the maintenance
+// protocol's phase barriers flush it mid-flight, Commit flushes it once (one
+// batch-RPC round, one WAL sync per touched region) and then frees the locks
+// through it in one more round, and Abort discards it with nothing buffered
+// persisted.
 // Config.SequentialWrites makes that mutator the paper's client — it flushes
 // at every mutation (so each lock frees in an RPC of its own), its view reads
 // a row per RPC and an update locates one view at a time (eager) — and the
@@ -55,14 +52,10 @@ type Tx struct {
 	// lock entry into the commit flush: it self-acquires in step 1, which
 	// creates the entry (executeWriteBody). It is the paper's client, which
 	// also locates an update's views one at a time (locateAll).
-	eager  bool
-	mvccTx *mvcc.Tx // nil unless Concurrency == MVCC
-	occTx  *occ.Tx  // nil unless Concurrency == OCC
-	lock   bool     // hierarchical: root locks + dirty marks
-	// exclusive marks ExecuteTxn's last optimistic attempt, which holds
-	// System.occGate's write lock from its begin to its end: its commit
-	// takes no read lock.
-	exclusive bool
+	eager bool
+	// ctl is nil for the changefeed applier's writes: no locks, no snapshot,
+	// no read set.
+	ctl txnControl
 
 	locks   []lockRef
 	lockSet map[lockRef]struct{}
@@ -80,7 +73,6 @@ type Tx struct {
 	// views): captured during statement execution, published only on commit,
 	// dropped on abort.
 	deltas []viewDelta
-	stmts  int // statements executed (MVCC checkpoints between them)
 	done   bool
 }
 
@@ -98,224 +90,141 @@ type lockRef struct{ root, key string }
 // view-index row.
 type markRef struct{ table, key string }
 
-// BeginTx opens a write transaction on the local system. Under
-// hierarchical locking the caller is normally the transaction layer, which
-// WAL-logs the statements around it; MVCC transactions need no logging.
+// BeginTx opens a write transaction on the local system. With a transaction
+// layer the caller is normally that layer, which WAL-logs the statements
+// around it; MVCC transactions need no logging.
 func (sys *System) BeginTx(ctx *sim.Ctx) *Tx {
-	tx := &Tx{sys: sys, lock: sys.cfg.Concurrency == Hierarchical}
+	return sys.beginTx(ctx, false)
+}
+
+// beginTx is BeginTx; an exclusive transaction runs alone (see ExecuteTxn).
+func (sys *System) beginTx(ctx *sim.Ctx, exclusive bool) *Tx {
+	tx := &Tx{sys: sys}
 	// The paper's client ships every mutation by itself; everyone else's
-	// ships at a barrier. OCC must buffer — nothing may reach the store
-	// before validation passes — so it ignores the option.
+	// ships at a barrier.
 	flushAt := 0
-	if sys.cfg.SequentialWrites && sys.cfg.Concurrency != OCC {
+	if sys.cfg.SequentialWrites && sys.cc.flushesEarly() {
 		tx.eager, flushAt = true, 1
 	}
 	tx.mutator = sys.Engine.Client().NewBufferedMutator(flushAt)
 	tx.opts.Mutator = tx.mutator
-	switch sys.cfg.Concurrency {
-	case MVCC:
-		tx.mvccTx = sys.MVCCServer.Begin(ctx)
-		tx.opts.TS, tx.opts.Read, tx.opts.OnWrite = tx.mvccTx.ID(), tx.mvccTx.ReadOpts(), tx.mvccTx.RecordWrite
-	case OCC:
-		tx.occTx = sys.OCC.Begin(ctx)
-		tx.opts.Read, tx.opts.OnWrite = tx.occTx.ReadOpts(), tx.occTx.RecordWrite
-		// Every read of the write path (read-before-write, lock-chain
-		// walks, view-maintenance locates, query scans) goes through the
-		// tracking reader, so the read set is complete — including scan
-		// ranges, which is what catches phantom-shaped conflicts.
-		tx.opts.Reader = tx.occTx.Track(tx.mutator.View())
-	}
+	tx.ctl = sys.cc.begin(ctx, tx, exclusive)
 	return tx
 }
 
+// locking reports whether tx runs the §VIII root-lock and dirty-mark protocol.
+func (tx *Tx) locking() bool { return tx.ctl != nil && tx.ctl.locks() }
+
 // Exec runs one write statement inside the transaction. On error the
 // caller must Abort — the statement's buffered mutations are still in the
-// transaction buffer and must not survive. Under MVCC every statement
-// after the first runs at a fresh checkpoint (write pointer), so one
-// statement's tombstones never shadow a later statement's puts at an equal
-// timestamp.
+// transaction buffer and must not survive. Each statement first passes the
+// mechanism's statement boundary (MVCC checkpoints before all but the first).
 func (tx *Tx) Exec(ctx *sim.Ctx, stmt sqlparser.Statement, params []schema.Value) error {
 	if tx.done {
 		return fmt.Errorf("synergy: transaction already finished")
 	}
-	if tx.mvccTx != nil && tx.stmts > 0 {
-		tx.mvccTx.Checkpoint(ctx)
-		tx.opts.TS = tx.mvccTx.ID()
-		tx.opts.Read = tx.mvccTx.ReadOpts()
-	}
-	tx.stmts++
+	tx.ctl.statement(ctx, tx)
 	return tx.sys.executeWriteBody(ctx, tx, stmt, params)
 }
 
 // Query runs a SELECT inside the transaction at the deployment's configured
-// freshness contract (a Session passes its own). See open.
+// freshness contract, as a Session holding tx does. See open.
 func (tx *Tx) Query(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []schema.Value) (*phoenix.ResultSet, error) {
-	p, err := tx.sys.prepare(sel)
-	if err != nil {
-		return nil, err
-	}
-	cur, err := tx.open(ctx, p, params, tx.sys.cfg.AsyncReads)
-	if err != nil {
-		return nil, err
-	}
-	return phoenix.DrainCursor(ctx, cur)
+	s := Session{sys: tx.sys, reads: tx.sys.cfg.AsyncReads, tx: tx}
+	return s.Query(ctx, sel, params)
 }
 
 // open runs a prepared SELECT inside the transaction as a cursor. The
-// statement reads its view-based rewrite, and reads see the transaction's own
-// buffered writes: under hierarchical locking the mutator overlay merges over
-// latest-committed rows (with the §VIII-C dirty-restart protocol guarding
-// view scans), under MVCC the overlay merges over the transaction's snapshot
-// at its current checkpoint, and under OCC the query runs through the
-// tracking reader — its ranges and keys join the read set, so commit-time
-// validation covers what the transaction saw, not just what it wrote.
-//
-// The ReadWatermark gate waits to the transaction's read point rather than
-// the arrival clock: an in-flight MVCC/OCC transaction cannot move its
-// snapshot forward, so deltas applied beyond it would be invisible anyway —
-// waiting past the snapshot would charge the reader for freshness it cannot
-// observe.
-//
-// The cursor holds no transaction state of its own: Close only releases the
-// scanner, and the transaction outlives the cursor. The cursor must be
-// closed before the next statement runs — it reads through the
-// transaction's current checkpoint, which the next Exec advances.
+// statement reads its view-based rewrite through the write path's reader and
+// read options (tx.opts), so it sees the transaction's own buffered writes
+// and, under OCC, its ranges and keys join the read set. The ReadWatermark
+// gate waits to the transaction's read point, not the arrival clock: a
+// snapshot cannot move forward, so deltas applied beyond it would be
+// invisible anyway. The cursor holds no transaction state: Close only
+// releases the scanner. Close it before the next statement runs, which may
+// advance the read point (MVCC's checkpoint).
 func (tx *Tx) open(ctx *sim.Ctx, p *Prepared, params []schema.Value, reads ViewReadMode) (phoenix.RowCursor, error) {
 	if tx.done {
 		return nil, fmt.Errorf("synergy: transaction already finished")
 	}
 	sys := tx.sys
-	var readTS int64
-	switch {
-	case tx.mvccTx != nil:
-		readTS = tx.mvccTx.ID()
-	case tx.occTx != nil:
-		readTS = tx.occTx.Snapshot()
-	default:
-		readTS = sys.Store.CurrentTS()
-	}
+	readTS := tx.ctl.readPoint(tx)
 	if reads == ReadWatermark {
 		for _, v := range p.async {
 			sys.Feed.WaitWatermark(ctx, v, readTS)
 		}
 	}
 	sys.countStale(ctx, p, readTS, reads)
-	// The write path's reader and read options: the tracking reader or the
-	// overlay view, at the snapshot's current checkpoint.
-	return p.plan.Open(ctx, params, phoenix.QueryOpts{Read: tx.opts.Read, Reader: sys.Engine.Reader(tx.opts), DirtyCheck: tx.lock})
+	return p.plan.Open(ctx, params, phoenix.QueryOpts{Read: tx.opts.Read, Reader: sys.Engine.Reader(tx.opts), DirtyCheck: tx.locking()})
 }
 
-// Commit flushes every buffered mutation as one region-grouped batch round,
-// finishes the MVCC transaction when present, and then frees the held locks
-// in a flush of their own (releaseLocks) — writes become visible before any
-// lock frees, preserving the §VIII protocol. An OCC transaction validates
-// first: only a commit whose read set survived backward validation flushes
-// anything, and a conflict returns occ.ErrConflict with the buffer discarded
-// untouched. It validates, flushes and finalizes under System.occGate's read
-// lock, so no OCC commit lands while an exclusive attempt runs (see
-// ExecuteTxn). A lock found not held fails the commit with its key named,
-// though the writes are durable by then.
+// Commit flushes every buffered mutation as one region-grouped batch round
+// and then frees the held locks in a flush of their own (releaseLocks), so
+// writes are visible before any lock frees (§VIII). A conflict — OCC's at
+// validation before the flush, MVCC's write-write check after it — fails the
+// commit with nothing visible. A lock found not held fails it with its key
+// named, though the writes are durable by then.
 func (tx *Tx) Commit(ctx *sim.Ctx) error {
 	return tx.commit(ctx, nil, nil)
 }
 
 // commit is Commit that, once the commit flush has succeeded, also records
 // stmts with their params in the transaction layer's log (LogCommitted), when
-// the deployment has one and stmts is not empty. Nothing orders a committed
-// transaction's lock releases against its log record, so the record is
-// charged to a fork joined with the release round's: the request pays the
-// longer of the two, not their sum.
+// the deployment has one and stmts is not empty. One sequence serves every
+// mechanism: deferred lock entries, beforeFlush, flush, afterFlush, publish,
+// then the lock release beside the log record — each on a fork of ctx, so the
+// request pays the longer — and the log is written even if a release fails,
+// since the writes it records are durable.
 func (tx *Tx) commit(ctx *sim.Ctx, stmts []sqlparser.Statement, params [][]schema.Value) error {
 	if tx.done {
 		return fmt.Errorf("synergy: transaction already finished")
 	}
 	tx.done = true
-	if tx.occTx != nil {
-		if !tx.exclusive {
-			tx.sys.occGate.RLock()
-			defer tx.sys.occGate.RUnlock()
-		}
-		// Validation reserves the commit's cell timestamps (StampPending
-		// runs inside the validator's critical section) so the flushed
-		// cells form one atomic block under every snapshot horizon.
-		if err := tx.sys.OCC.Validate(ctx, tx.occTx, tx.mutator.StampPending); err != nil {
-			tx.mutator.Discard()
-			return err
-		}
-		// The validator holds new snapshots below the flush watermark
-		// until Finalize, so nobody observes a half-applied commit; a
-		// failed flush (which applies nothing) withdraws the commit.
-		if err := tx.mutator.Flush(ctx); err != nil {
-			tx.sys.OCC.AbandonFlush(ctx, tx.occTx)
-			return err
-		}
-		tx.sys.OCC.Finalize(ctx, tx.occTx)
-		tx.publishDeltas(ctx)
-		return tx.finish(ctx, stmts, params)
-	}
-	// Lock entries for fresh root inserts that stayed deferred to the end (no
-	// barrier or same-group statement promoted them) join the commit flush as
-	// conditional create-free batch entries.
+	// Lock entries for fresh root inserts still deferred (no barrier or
+	// same-group statement promoted them) join the commit flush as conditional
+	// create-free batch entries; only a locking transaction has any.
+	var err error
 	for _, ref := range tx.deferred {
-		if err := tx.sys.Locks.EnsureEntryDeferred(ctx, tx.mutator, ref.root, ref.key); err != nil {
-			tx.mutator.Discard() // the release flush must not publish the writes
-			tx.releaseLocks(ctx)
-			return err
+		if err = tx.sys.Locks.EnsureEntryDeferred(ctx, tx.mutator, ref.root, ref.key); err != nil {
+			break
 		}
 	}
-	if err := tx.mutator.Flush(ctx); err != nil {
-		if tx.mvccTx != nil {
-			tx.sys.MVCCServer.Abort(ctx, tx.mvccTx)
-		}
+	if err == nil {
+		err = tx.ctl.beforeFlush(ctx, tx)
+	}
+	if err != nil {
+		tx.mutator.Discard() // the release flush must not publish the writes
 		tx.releaseLocks(ctx)
 		return err
 	}
-	if tx.mvccTx != nil {
-		if err := tx.sys.MVCCServer.Commit(ctx, tx.mvccTx); err != nil {
-			return err
-		}
+	if err := tx.ctl.afterFlush(ctx, tx.mutator.Flush(ctx)); err != nil {
+		tx.releaseLocks(ctx)
+		return err
 	}
-	// Publish before the locks release: lock serialization on a root makes
-	// the per-view publish order match commit order, so each changefeed lane
-	// applies deltas FIFO in commit order.
-	tx.publishDeltas(ctx)
-	return tx.finish(ctx, stmts, params)
-}
-
-// finish ends a transaction whose commit flush succeeded: it frees the held
-// locks and, when the deployment has a transaction layer and stmts is not
-// empty, logs the transaction there, each on its own fork of ctx. The log is
-// written even if a release fails: the writes it records are durable.
-func (tx *Tx) finish(ctx *sim.Ctx, stmts []sqlparser.Statement, params [][]schema.Value) error {
-	if tx.sys.Txn == nil || len(stmts) == 0 {
+	// Publish the deferred view deltas before the locks release: lock
+	// serialization on a root makes the per-view publish order match commit
+	// order, so each changefeed lane applies deltas FIFO in commit order. A
+	// delta's commit timestamp is the high stamp of the transaction's flushes
+	// (a statement that deferred a delta wrote its base row, so there is one).
+	sys := tx.sys
+	if len(tx.deltas) > 0 {
+		out := make([]changefeed.Delta, len(tx.deltas))
+		for i, d := range tx.deltas {
+			out[i] = changefeed.Delta{View: d.view, CommitTS: tx.mutator.FlushTS(), Apply: func(actx *sim.Ctx) error {
+				return sys.applyDelta(actx, d)
+			}}
+		}
+		tx.deltas = nil
+		sys.Feed.Publish(ctx, out)
+	}
+	if sys.Txn == nil || len(stmts) == 0 {
 		return tx.releaseLocks(ctx)
 	}
 	release, log := ctx.Fork(), ctx.Fork()
-	err := tx.releaseLocks(release)
-	lerr := tx.sys.Txn.LogCommitted(log, stmts, params)
+	err = tx.releaseLocks(release)
+	lerr := sys.Txn.LogCommitted(log, stmts, params)
 	ctx.Join(release, log)
 	return errors.Join(err, lerr)
-}
-
-// publishDeltas hands the transaction's deferred view deltas to the
-// changefeed, tagged with the commit timestamp: the high stamp of the
-// transaction's flushes (a statement that deferred a delta wrote its base
-// row, so there is one).
-func (tx *Tx) publishDeltas(ctx *sim.Ctx) {
-	if len(tx.deltas) == 0 {
-		return
-	}
-	sys := tx.sys
-	commitTS := tx.mutator.FlushTS()
-	out := make([]changefeed.Delta, len(tx.deltas))
-	for i, d := range tx.deltas {
-		d := d
-		out[i] = changefeed.Delta{View: d.view, CommitTS: commitTS, Apply: func(actx *sim.Ctx) error {
-			return sys.applyDelta(actx, d)
-		}}
-	}
-	tx.deltas = nil
-	sys.Feed.Publish(ctx, out)
 }
 
 // applyDelta replays one deferred maintenance action from the changefeed
@@ -337,13 +246,13 @@ func (sys *System) applyDelta(ctx *sim.Ctx, d viewDelta) error {
 
 // Abort discards the buffered mutations unapplied, un-marks any dirty marks
 // already published (by a phase barrier, or by a mutator that flushes at 1),
-// invalidates the MVCC transaction when present, and frees every held lock
-// in a flush after the un-marks' (releaseLocks), so no lock frees over a row
-// still marked. It returns the first error, naming a lock found not held;
-// the other locks free regardless. Work already persisted stays durable —
-// under MVCC it is invisible (the transaction id is invalidated); under
-// hierarchical locking §VIII-B has no undo, which is why barriers only fire
-// inside the marked window.
+// ends the mechanism's side, and frees every held lock in a flush after the
+// un-marks' (releaseLocks), so no lock frees over a row still marked. It
+// returns the first error, naming a lock found not held; the other locks
+// free regardless. Work already persisted stays durable — under MVCC it is
+// invisible (the transaction id is invalidated); under hierarchical locking
+// §VIII-B has no undo, which is why barriers only fire inside the marked
+// window.
 func (tx *Tx) Abort(ctx *sim.Ctx) error {
 	if tx.done {
 		return nil
@@ -352,14 +261,7 @@ func (tx *Tx) Abort(ctx *sim.Ctx) error {
 	tx.deltas = nil // deferred maintenance dies with the transaction
 	tx.mutator.Discard()
 	first := tx.unmark(ctx)
-	if tx.mvccTx != nil {
-		tx.sys.MVCCServer.Abort(ctx, tx.mvccTx)
-	}
-	if tx.occTx != nil {
-		// Nothing flushed (OCC runs no phase barriers), nothing marked,
-		// nothing locked: the abort is a pure buffer discard.
-		tx.sys.OCC.Abort(ctx, tx.occTx)
-	}
+	tx.ctl.abort(ctx)
 	if err := tx.releaseLocks(ctx); err != nil && first == nil {
 		first = err
 	}
@@ -376,12 +278,9 @@ func (tx *Tx) acquireLock(ctx *sim.Ctx, root, key string) error {
 	// A ref this transaction deferred has a known-absent entry (the
 	// conditional create is still buffered): take the create-first path.
 	acquire := tx.sys.Locks.Acquire
-	for i, d := range tx.deferred {
-		if d == ref {
-			acquire = tx.sys.Locks.AcquireNew
-			tx.deferred = append(tx.deferred[:i], tx.deferred[i+1:]...)
-			break
-		}
+	if i := slices.Index(tx.deferred, ref); i >= 0 {
+		acquire = tx.sys.Locks.AcquireNew
+		tx.deferred = slices.Delete(tx.deferred, i, i+1)
 	}
 	if err := acquire(ctx, root, key); err != nil {
 		return err
@@ -407,15 +306,6 @@ func (tx *Tx) promoteDeferred(ctx *sim.Ctx) error {
 		}
 	}
 	return nil
-}
-
-func (tx *Tx) isDeferred(ref lockRef) bool {
-	for _, d := range tx.deferred {
-		if d == ref {
-			return true
-		}
-	}
-	return false
 }
 
 // releaseLocks frees every lock the transaction holds as one batch of
@@ -499,46 +389,30 @@ func (sys *System) resolveRootKey(ctx *sim.Ctx, rd hbase.Reader, plan *core.Writ
 	return "", nil
 }
 
-// ExecuteWrite runs one write statement as its own transaction. Under
-// hierarchical locking it is §VIII-B: acquire the single root lock, write
-// the base table (and base indexes), maintain every applicable view per the
-// §VII construction procedures — marking and un-marking rows around
-// multi-row view updates — and release the lock. Under MVCC the same base
-// write and view maintenance run inside a Tephra-like snapshot transaction
-// (no locks, no dirty marking) — the MVCC-A configuration of §IX-D2.
-func (sys *System) ExecuteWrite(ctx *sim.Ctx, stmt sqlparser.Statement, params []schema.Value) error {
-	return sys.ExecuteTxn(ctx, []sqlparser.Statement{stmt}, [][]schema.Value{params})
-}
-
-// occMaxRetries bounds the attempts of one optimistic transaction
-// (ExecuteTxn); the last of them runs alone.
+// occMaxRetries bounds the attempts of one transaction whose mechanism
+// retries conflicts (OCC's, see ExecuteTxn); the last of them runs alone.
 const occMaxRetries = 12
 
 // ExecuteTxn runs stmts as one transaction on the local system: one
 // transaction-scoped mutator shared by every statement, locks held to
-// commit, a single commit flush. A statement error aborts the transaction —
-// buffered mutations are discarded, flushed dirty marks un-marked, locks
-// released. Note the §VIII-B durability caveat: under hierarchical locking
-// a marked multi-row update's phase barriers flush everything buffered so
-// far, and there is no undo log — an abort after such a barrier keeps that
-// flushed work durable (under MVCC it is invisible instead, via the
-// invalidated transaction id). Under OCC a validation conflict retries the
-// whole transaction from a fresh snapshot, charged the lock path's capped
-// exponential backoff — the optimistic mirror of its contended spin. The
-// last of occMaxRetries attempts runs alone: it holds System.occGate's write
-// lock from its begin to its end, so no commit lands in its validation
-// window and it cannot lose — a conflict never outlasts the budget. A retried
-// attempt re-executes every statement, and an aborted attempt has flushed
-// nothing (OCC runs no phase barriers), so retry leaves no dirty marks and no
-// partial state. The transaction layer calls this after WAL-logging; use
-// System.ExecTxn to route through it.
+// commit, a single commit flush. A statement error aborts the transaction
+// (see Abort for what an abort after a §VIII-B phase barrier leaves). When
+// the mechanism retries the error (txnControl.retries: an OCC validation
+// conflict, after which nothing was flushed) the whole transaction runs
+// again from a fresh snapshot, charged the lock path's capped exponential
+// backoff — the optimistic mirror of its contended spin. The last of
+// occMaxRetries attempts is exclusive: it runs alone from its begin to its
+// end, so no commit lands in its validation window and a conflict never
+// outlasts the budget. The transaction layer calls this after WAL-logging;
+// use System.ExecTxn to route through it.
 func (sys *System) ExecuteTxn(ctx *sim.Ctx, stmts []sqlparser.Statement, paramsList [][]schema.Value) error {
 	if len(stmts) != len(paramsList) {
 		return fmt.Errorf("synergy: %d statements, %d parameter lists", len(stmts), len(paramsList))
 	}
 	for attempt := 1; ; attempt++ {
-		err := sys.executeTxnOnce(ctx, stmts, paramsList, sys.cfg.Concurrency == OCC && attempt == occMaxRetries)
-		if !errors.Is(err, occ.ErrConflict) || attempt == occMaxRetries {
+		last := attempt == occMaxRetries
+		err := sys.executeTxnOnce(ctx, stmts, paramsList, last)
+		if last || !sys.cc.retries(err) {
 			return err
 		}
 		ctx.CountOCCRetry()
@@ -546,17 +420,11 @@ func (sys *System) ExecuteTxn(ctx *sim.Ctx, stmts []sqlparser.Statement, paramsL
 	}
 }
 
-// executeTxnOnce runs one attempt of the transaction; an exclusive one holds
-// occGate's write lock throughout (see ExecuteTxn).
+// executeTxnOnce runs one attempt of the transaction (see ExecuteTxn).
 func (sys *System) executeTxnOnce(ctx *sim.Ctx, stmts []sqlparser.Statement, paramsList [][]schema.Value, exclusive bool) error {
-	if exclusive {
-		sys.occGate.Lock()
-		defer sys.occGate.Unlock()
-	}
-	tx := sys.BeginTx(ctx)
-	tx.exclusive = exclusive
-	if tx.occTx != nil && sys.occPostBegin != nil {
-		sys.occPostBegin(exclusive)
+	tx := sys.beginTx(ctx, exclusive)
+	if sys.postBegin != nil {
+		sys.postBegin(tx)
 	}
 	for i, stmt := range stmts {
 		if err := tx.Exec(ctx, stmt, paramsList[i]); err != nil {
@@ -611,7 +479,7 @@ func (sys *System) executeWriteBody(ctx *sim.Ctx, tx *Tx, stmt sqlparser.Stateme
 	// chain, and unless the transaction already held the lock it finds, that
 	// read is repeated under it — the lock's last holder may have rewritten
 	// the row in between.
-	if tx.lock && plan.Root != "" {
+	if tx.locking() && plan.Root != "" {
 		chain := w.Cells // an insert's row; unread for a root-relation row
 		if reads && plan.Root != plan.Table {
 			if base, err = phoenix.GetCells(ctx, rd, w.Table.Name, w.Key, opts.Read); err != nil || base == nil {
@@ -659,9 +527,9 @@ func (sys *System) executeWriteBody(ctx *sim.Ctx, tx *Tx, stmt sqlparser.Stateme
 	// needs no entry write at all — Acquire created it and Release frees it.
 	// An eager transaction self-acquired in step 1 (a root row's lock is its
 	// own key), so its ref is always held here.
-	if tx.lock && parts.kind == core.WriteInsert && sys.isRoot(plan.Table) {
+	if tx.locking() && parts.kind == core.WriteInsert && sys.isRoot(plan.Table) {
 		ref := lockRef{plan.Table, w.Key}
-		if _, held := tx.lockSet[ref]; !held && !tx.isDeferred(ref) {
+		if _, held := tx.lockSet[ref]; !held && !slices.Contains(tx.deferred, ref) {
 			tx.deferred = append(tx.deferred, ref)
 		}
 	}
@@ -789,7 +657,7 @@ type viewRows struct {
 }
 
 // maintainUpdate applies a base-table update to the views of actions. Under
-// the hierarchical protocol (tx.lock) it is the 6-step procedure of §VIII-B,
+// the hierarchical protocol (tx.locking) it is the 6-step procedure of §VIII-B,
 // each step taken once for the statement: (1) lock held by the transaction,
 // (2) read the affected rows of every view, (3) mark them all dirty, (4)
 // update them all, (5) un-mark them all, (6) release at commit. Under MVCC
@@ -799,7 +667,7 @@ type viewRows struct {
 // under the assignment's — differs from the key of the located ones.
 func (sys *System) maintainUpdate(ctx *sim.Ctx, tx *Tx, actions []core.ViewAction, parts writeParts) error {
 	opts := tx.opts
-	mark := tx.lock
+	mark := tx.locking()
 
 	// Step 2: read the view rows that need updating (overlay-aware: a view
 	// tuple an earlier statement inserted but has not flushed is located).
