@@ -1,10 +1,7 @@
 package bench
 
 import (
-	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -12,8 +9,6 @@ import (
 	"synergy/internal/sim"
 	"synergy/internal/tpcw"
 )
-
-var updateFig14 = flag.Bool("update", false, "rewrite testdata/fig14.golden from the current write path")
 
 // TestFigure14Golden pins Figure 14 cell by cell where TestFigure14Orderings
 // only orders means: for every system and each of W1-W13, the mean simulated
@@ -65,27 +60,5 @@ func TestFigure14Golden(t *testing.T) {
 		fmt.Fprintf(&b, "%s bytes=%d\n", sys.Name(), sys.DatabaseBytes())
 	}
 
-	path := filepath.Join("testdata", "fig14.golden")
-	if *updateFig14 {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (record it with -update)", err)
-	}
-	if got := b.String(); got != string(want) {
-		g, w := strings.Split(got, "\n"), strings.Split(string(want), "\n")
-		for i := 0; i < len(g) && i < len(w); i++ {
-			if g[i] != w[i] {
-				t.Fatalf("Figure 14 differs from %s at line %d:\n got  %s\n want %s", path, i+1, g[i], w[i])
-			}
-		}
-		t.Fatalf("Figure 14 differs from %s: got %d lines, want %d", path, len(g), len(w))
-	}
+	checkGolden(t, "fig14.golden", "Figure 14", b.String())
 }

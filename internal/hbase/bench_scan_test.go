@@ -49,7 +49,7 @@ func BenchmarkScanMultiRegion(b *testing.B) {
 }
 
 // BenchmarkScanGuideposts scans one 20,000-row region whole and folds it,
-// each without fan-out and cut at its nine guideposts into ten units,
+// each without fan-out and cut into one wave of eight 2,500-row units,
 // reporting the simulated response time (sim-ms/op) beside wall-clock time
 // and allocations. The units run one after another, so the fan-out is a
 // simulated gain only; allocs/op pins what cutting a scan costs.

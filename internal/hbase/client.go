@@ -399,12 +399,12 @@ func (s ScanSpec) bounds() (start, stop string) {
 // order and drains each chunk by chunk, asking each chunk for no more rows
 // than Limit leaves. A scan without fan-out (see ScanSpec.Sequential) walks
 // every region whole and charges every RPC to the request ctx. A fanned-out
-// scan is Phoenix's intra-query parallelism: each region's share of the
-// range is cut at its guideposts into units (see scanUnit), and each unit is
-// charged to its own forked ctx; the forks are joined into the request when
-// the scan ends or is closed, as if the units had run side by side. A
-// Scanner assumes one sim.Ctx per request: the ctx passed to Next/Close is
-// the one the scan is charged to.
+// scan is Phoenix's intra-query parallelism: the range is cut into units of
+// even depth that fill whole waves of the read pool, none crossing a region
+// (see scanUnit), and each unit is charged to its own forked ctx; the forks
+// are joined into the request when the scan ends or is closed, as if the
+// units had run side by side. A Scanner assumes one sim.Ctx per request: the
+// ctx passed to Next/Close is the one the scan is charged to.
 type Scanner struct {
 	client  *Client
 	spec    ScanSpec

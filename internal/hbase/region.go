@@ -276,8 +276,8 @@ func (r *Region) checkAndPut(key, qualifier string, expected []byte, c Cell, clo
 // reversed chunk walks the other way: rows with key < from ("" = from the
 // last key) and >= end, in descending order, and its resume key is the last
 // returned key — an exclusive upper bound, as from is. end is the region's
-// own edge (edge), or a guidepost where a fanned-out scan cut the region
-// into units (see scanUnit). spec.Filter,
+// own edge (edge), or a cut where a fanned-out scan cut the region into
+// units (see scanUnit). spec.Filter,
 // when non-nil, drops rows server-side (they still count as examined);
 // spec.Columns, when non-nil, is the cells a row is read down to before the
 // filter sees it; spec.Read decides which versions are visible. buf must
@@ -363,43 +363,58 @@ func (r *Region) edge(reversed bool) string {
 // width over a 10 GB region, scaled as defaultSplitThreshold is.
 const guidepostRows = defaultSplitThreshold / 100
 
-// guideposts is a run of guideposts of one store file: the keys at rows
-// (first+j)·guidepostRows of the file, for j < n.
-type guideposts struct {
-	f        *hfile
-	first, n int
+// share is the part of a scan's key range one region holds, counted in the
+// region's largest store file: the file's rows a through b-1. units is how
+// many units a fanned-out scan cuts it into (see Scanner.cut).
+type share struct {
+	f     *hfile
+	a, b  int
+	units int
 }
 
-func (g guideposts) key(j int) string { return g.f.key(g.f.lo + (g.first+j)*guidepostRows) }
-
-// guideposts returns where a fanned-out scan of the key range [lo, hi) cuts
-// the region into units, as Phoenix cuts a region's scan at its statistics'
-// guideposts: every guidepostRows-th key of the region's largest store file,
-// but the last (the unit above it would be short), that lies strictly inside
-// both the range and the region. hi "" is open. A region whose largest file
-// holds under 2·guidepostRows rows has none.
-func (r *Region) guideposts(lo, hi string) guideposts {
+// share returns the rows of the region's largest store file that lie inside
+// both the key range [lo, hi) and the region. hi "" is open. A region with no
+// store file has an empty share.
+func (r *Region) share(lo, hi string) share {
 	r.mu.RLock()
 	f := r.largestFile()
 	r.mu.RUnlock()
 	if f == nil {
-		return guideposts{}
+		return share{}
 	}
 	lo = max(lo, r.start)
 	if r.end != "" && (hi == "" || r.end < hi) {
 		hi = r.end
 	}
-	all := guideposts{f: f, first: 1, n: f.len()/guidepostRows - 1}
-	first := sort.Search(all.n, func(j int) bool { return all.key(j) > lo })
-	end := all.n
+	a, b := f.seek(lo), f.hi
 	if hi != "" {
-		end = sort.Search(all.n, func(j int) bool { return all.key(j) >= hi })
+		b = f.seek(hi)
 	}
-	if end <= first {
-		return guideposts{}
-	}
-	return guideposts{f: f, first: 1 + first, n: end - first}
+	return share{f: f, a: a, b: max(a, b)}
 }
+
+// pieces is how many pieces the file's guideposts cut the share into, as
+// Phoenix splits a scan at its statistics' guideposts: one more than the
+// guideposts strictly inside it. The guideposts are every guidepostRows-th
+// row of the file but the last, which would leave a short piece above it, so
+// a file under 2·guidepostRows rows has none. This is the most units the share
+// is cut into.
+func (s share) pieces() int {
+	if s.f == nil {
+		return 1
+	}
+	below := (s.a - s.f.lo) / guidepostRows // guideposts at or below row a
+	upTo := min(s.f.len()/guidepostRows-1, (s.b-s.f.lo-1)/guidepostRows)
+	return 1 + max(0, upTo-below)
+}
+
+// deeper reports whether the share's units run deeper than t's.
+func (s share) deeper(t share) bool { return (s.b-s.a)*t.units > (t.b-t.a)*s.units }
+
+// cut is the key the share's j-th unit ends at going forward, for 0 < j <
+// units: the file's key at j/units of the way through the share, so the units
+// hold equal rows to within one and each cut lies strictly inside the share.
+func (s share) cut(j int) string { return s.f.key(s.a + j*(s.b-s.a)/s.units) }
 
 // largestFile is the region's largest store file, nil when it has none.
 // Caller holds r.mu.

@@ -81,7 +81,7 @@ var regionCases = []scanCase{
 var earlyStops = []string{"limit-trims", "limit-trims-reversed", "close-early", "close-early-filter"}
 
 // guidepostCases run on buildScanFixture(20000, 1): one region whose largest
-// store file holds 20,000 rows, cut at nine guideposts into ten units.
+// store file holds 20,000 rows, so a full scan is cut into eight units.
 var guidepostCases = []scanCase{
 	{name: "gp-full", spec: ScanSpec{}},
 	{name: "gp-range", spec: ScanSpec{Start: scanKey(3500), Stop: scanKey(9500), Batch: 700}},
@@ -145,7 +145,7 @@ func runScan(t *testing.T, c *Client, tc scanCase, sequential bool) scanRun {
 // TestScanChargesGolden pins what a scan is charged, spec by spec: the rows it
 // returns, every sim.Stats counter of the request, and the request's elapsed
 // time after its first Next — the time-to-first-row a consumer sees. The
-// first fixture has eight regions, the second one region cut at guideposts;
+// first fixture has eight regions, the second one region cut into units;
 // both have store files, memstore rows and tombstones. Each spec runs without
 // fan-out (Sequential) and with whatever Scan decides. A folding spec's rows
 // are its walks' partial rows. Run it at -cpu 1,2,4.

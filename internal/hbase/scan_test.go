@@ -329,11 +329,14 @@ func TestScanPrefixAcrossRegions(t *testing.T) {
 	}
 }
 
-// TestRegionGuideposts pins where a fanned-out scan cuts a region: every
-// guidepostRows-th key of the region's largest store file but the last,
-// strictly inside both the range and the region, and none in a region whose
-// largest file holds under two guideposts' worth of rows. A split's daughters
-// count from their own windows of the parent's files.
+// TestRegionGuideposts pins how a fanned-out scan sizes and cuts a region's
+// share of its range: the rows of the region's largest store file inside both
+// the range and the region, one piece more than the file's guideposts (every
+// guidepostRows-th key but the last) strictly inside them, and none in a
+// region whose largest file holds under two guideposts' worth of rows. A
+// share's units cut it at evenly spaced keys of that file. A newer, smaller
+// file does not move them, and a split's daughters count from their own
+// windows of the parent's files.
 func TestRegionGuideposts(t *testing.T) {
 	spec := &TableSpec{Name: "t", MaxVersions: 1, SplitThreshold: 1 << 30}
 	region := func(rows int) *Region {
@@ -344,10 +347,11 @@ func TestRegionGuideposts(t *testing.T) {
 		r.majorCompact() // one store file
 		return r
 	}
-	keys := func(g guideposts) []string {
+	cuts := func(sh share, units int) []string {
+		sh.units = units
 		var out []string
-		for j := range g.n {
-			out = append(out, g.key(j))
+		for j := 1; j < units; j++ {
+			out = append(out, sh.cut(j))
 		}
 		return out
 	}
@@ -358,8 +362,11 @@ func TestRegionGuideposts(t *testing.T) {
 		}
 		return out
 	}
-	if gp := region(2*guidepostRows-1).guideposts("", ""); gp.n != 0 {
-		t.Fatalf("a %d-row file has guideposts %v", 2*guidepostRows-1, keys(gp))
+	if sh := region(2*guidepostRows-1).share("", ""); sh.pieces() != 1 {
+		t.Fatalf("a %d-row file is cut into %d pieces", 2*guidepostRows-1, sh.pieces())
+	}
+	if sh := newRegion(spec, "", "").share("", ""); sh.pieces() != 1 || sh.b != sh.a {
+		t.Fatalf("a region with no file has share %+v in %d pieces", sh, sh.pieces())
 	}
 	r := region(20000)
 	// A newer, smaller file does not move them: the largest file decides.
@@ -368,17 +375,26 @@ func TestRegionGuideposts(t *testing.T) {
 	}
 	r.flush()
 	for _, tc := range []struct {
-		lo, hi string
-		want   []string
+		lo, hi       string
+		rows, pieces int
+		units        int
+		want         []string
 	}{
-		{"", "", at(2000, 4000, 6000, 8000, 10000, 12000, 14000, 16000, 18000)},
-		{scanKey(4000), scanKey(9000), at(6000, 8000)},
-		{scanKey(3999), scanKey(8000), at(4000, 6000)},
-		{scanKey(4001), scanKey(5999), nil},
-		{scanKey(18000), "", nil},
+		{"", "", 20000, 10, 10, at(2000, 4000, 6000, 8000, 10000, 12000, 14000, 16000, 18000)},
+		{"", "", 20000, 10, 8, at(2500, 5000, 7500, 10000, 12500, 15000, 17500)},
+		{scanKey(4000), scanKey(9000), 5000, 3, 3, at(5666, 7333)},
+		{scanKey(3999), scanKey(8000), 4001, 3, 3, at(5332, 6666)},
+		{scanKey(4001), scanKey(5999), 1998, 1, 1, nil},
+		{scanKey(5100), scanKey(6100), 1000, 2, 2, at(5600)},
+		{scanKey(18000), "", 2000, 1, 1, nil},
+		{"z", "", 0, 1, 1, nil},
 	} {
-		if got := keys(r.guideposts(tc.lo, tc.hi)); !slices.Equal(got, tc.want) {
-			t.Errorf("guideposts(%q, %q) = %v, want %v", tc.lo, tc.hi, got, tc.want)
+		sh := r.share(tc.lo, tc.hi)
+		if sh.b-sh.a != tc.rows || sh.pieces() != tc.pieces {
+			t.Errorf("share(%q, %q) holds %d rows in %d pieces; want %d in %d", tc.lo, tc.hi, sh.b-sh.a, sh.pieces(), tc.rows, tc.pieces)
+		}
+		if got := cuts(sh, tc.units); !slices.Equal(got, tc.want) {
+			t.Errorf("share(%q, %q) in %d units cuts at %v, want %v", tc.lo, tc.hi, tc.units, got, tc.want)
 		}
 	}
 	left, right := r.split(scanKey(11000))
@@ -386,11 +402,128 @@ func TestRegionGuideposts(t *testing.T) {
 		d    *Region
 		want []string
 	}{
-		{left, at(2000, 4000, 6000, 8000)},
-		{right, at(13000, 15000, 17000)},
+		{left, at(2200, 4400, 6600, 8800)},
+		{right, at(13250, 15500, 17750)},
 	} {
-		if got := keys(tc.d.guideposts("", "")); !slices.Equal(got, tc.want) {
-			t.Errorf("daughter [%q, %q): guideposts %v, want %v", tc.d.start, tc.d.end, got, tc.want)
+		sh := tc.d.share("", "")
+		if got := cuts(sh, sh.pieces()); !slices.Equal(got, tc.want) {
+			t.Errorf("daughter [%q, %q): cuts %v, want %v", tc.d.start, tc.d.end, got, tc.want)
 		}
+	}
+}
+
+// TestScanUnitsFillWaves pins how many units a fanned-out scan is cut into
+// and how deep each is: the pieces the guideposts cut its regions' shares into
+// (at least one per region) up to Costs.ScanParallelism, and whole waves of
+// that width above it, with rows spread evenly over a region's units and no
+// unit crossing a region. A reversed scan cuts at the same keys, walked the
+// other way. Every case returns the rows the Sequential scan returns.
+func TestScanUnitsFillWaves(t *testing.T) {
+	load := func(rows int, splits ...int) *Client {
+		hc := NewHCluster(cluster.NewDefault(nil), nil, nil)
+		var keys []string
+		for _, s := range splits {
+			keys = append(keys, scanKey(s))
+		}
+		if err := hc.CreateTable(TableSpec{Name: "t", MaxVersions: 1, SplitKeys: keys}); err != nil {
+			t.Fatal(err)
+		}
+		bulk := make([]BulkRow, rows)
+		for i := range bulk {
+			bulk[i] = BulkRow{Key: scanKey(i), Cells: []Cell{put("v", "x", 0)}}
+		}
+		if err := hc.BulkLoad("t", bulk); err != nil {
+			t.Fatal(err)
+		}
+		return hc.NewWarmClient()
+	}
+	// holds reports whether key lies in u's walk: from (open "") down to end
+	// going backward, from up to end (open "") going forward.
+	holds := func(u *scanUnit, key string, rev bool) bool {
+		if rev {
+			return key >= u.end && (u.from == "" || key < u.from)
+		}
+		return key >= u.from && (u.end == "" || key < u.end)
+	}
+	for _, tc := range []struct {
+		name   string
+		rows   int
+		splits []int
+		spec   ScanSpec
+		depths []int // rows per unit, in scan order; nil: the scan is not cut
+	}{
+		{"20000", 20000, nil, ScanSpec{}, []int{2500, 2500, 2500, 2500, 2500, 2500, 2500, 2500}},
+		{"13000", 13000, nil, ScanSpec{}, []int{2166, 2167, 2167, 2166, 2167, 2167}},
+		{"5000", 5000, nil, ScanSpec{}, []int{2500, 2500}},
+		{"3000", 3000, nil, ScanSpec{}, nil},
+		{"sub-range", 20000, nil, ScanSpec{Start: scanKey(3000), Stop: scanKey(17000)}, []int{1750, 1750, 1750, 1750, 1750, 1750, 1750, 1750}},
+		{"sub-range-reversed", 20000, nil, ScanSpec{Start: scanKey(3100), Stop: scanKey(17000), Reversed: true}, []int{1738, 1737, 1738, 1737, 1738, 1737, 1738, 1737}},
+		{"sub-range-one-guidepost", 20000, nil, ScanSpec{Start: scanKey(5100), Stop: scanKey(6100)}, []int{500, 500}},
+		{"two-regions", 40000, []int{15000}, ScanSpec{}, []int{2500, 2500, 2500, 2500, 2500, 2500, 2500, 2500, 2500, 2500, 2500, 2500, 2500, 2500, 2500, 2500}},
+		{"two-regions-one-wave", 30000, []int{12000}, ScanSpec{}, []int{4000, 4000, 4000, 3600, 3600, 3600, 3600, 3600}},
+	} {
+		c := load(tc.rows, tc.splits...)
+		seqSpec := tc.spec
+		seqSpec.Sequential = true
+		seq, _ := drainSpec(t, c, seqSpec)
+		par, _ := drainSpec(t, c, tc.spec)
+		requireSameRows(t, seq, par)
+
+		sc, err := c.Scan(sim.NewCtx(), "t", tc.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sc.units) != len(tc.depths) {
+			t.Errorf("%s: %d units, want %d", tc.name, len(sc.units), len(tc.depths))
+			continue
+		}
+		if n, width := len(sc.units), c.hc.costs.ScanParallelism; n > width && n%width != 0 {
+			t.Errorf("%s: %d units is not a whole number of %d-wide waves", tc.name, n, width)
+		}
+		depths := make([]int, len(sc.units))
+		rev := tc.spec.Reversed
+		if rev {
+			fwd := tc.spec
+			fwd.Reversed = false
+			fc, err := c.Scan(sim.NewCtx(), "t", fwd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ends := func(units []scanUnit) []string {
+				var out []string
+				for i := range units[:len(units)-1] {
+					out = append(out, units[i].end)
+				}
+				return out
+			}
+			back, ahead := ends(sc.units), ends(fc.units)
+			slices.Reverse(back)
+			if !slices.Equal(back, ahead) {
+				t.Errorf("%s: cut at %v, the forward scan at %v", tc.name, back, ahead)
+			}
+			fc.Close(sim.NewCtx())
+		}
+		for i := range sc.units {
+			u := &sc.units[i]
+			for _, row := range seq {
+				if holds(u, row.Key, rev) {
+					depths[i]++
+					if !u.r.contains(row.Key) {
+						t.Errorf("%s: unit %d holds %q outside its region", tc.name, i, row.Key)
+					}
+				}
+			}
+		}
+		if !slices.Equal(depths, tc.depths) {
+			t.Errorf("%s: unit depths %v, want %v", tc.name, depths, tc.depths)
+		}
+		sum := 0
+		for _, d := range depths {
+			sum += d
+		}
+		if tc.depths != nil && sum != len(seq) {
+			t.Errorf("%s: units hold %d rows, the scan returns %d", tc.name, sum, len(seq))
+		}
+		sc.Close(sim.NewCtx())
 	}
 }

@@ -386,8 +386,8 @@ func (q *query) columnSet(b *binding, preds []localPred) *hbase.ColumnSet {
 // scanSpec builds the store scan of a table binding under its access plan:
 // the key range its local equalities and range conjuncts bind, the rest of its
 // local predicates as the pushed-down filter, and the columns it reads. A scan
-// fans out across its regions and their guideposts (Phoenix intra-query
-// parallelism); a single-row lookup is one Get.
+// fans out in whole waves of equal units over its regions (Phoenix
+// intra-query parallelism); a single-row lookup is one Get.
 func (q *query) scanSpec(b *binding, plan accessPlan) (string, hbase.ScanSpec, error) {
 	spec := hbase.ScanSpec{Read: q.opts.Read, Filter: scanFilter(plan.filter), Reversed: plan.reversed, Columns: q.columnSet(b, plan.filter)}
 	if plan.kind != accessFullScan {

@@ -68,9 +68,10 @@ type Costs struct {
 	// (Phoenix/HBase scanner caching).
 	ScannerBatch int
 	// ScanParallelism is the width of the Phoenix intra-query read pool: how
-	// many units of a fanned-out scan — its regions, cut at their guideposts
-	// — run side by side, and how many of an update's view locates overlap.
-	// Forks of either kind are joined at this width.
+	// many units of a fanned-out scan run side by side, and how many of an
+	// update's view locates overlap. Forks of either kind are joined at this
+	// width, and a scan whose guideposts cut it into more pieces than this
+	// runs as whole waves of it (hbase Scanner.cut).
 	ScanParallelism int
 	// ScanMergeChunk is the client-side cost of folding one batch of a
 	// fanned-out scan into the key-ordered result stream. Units hold
