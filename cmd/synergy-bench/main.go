@@ -11,7 +11,6 @@
 //	synergy-bench -experiment contention -hotrows 1,4,16 -workers 8 -rounds 50 -ops 10
 //	synergy-bench -experiment contention -herd
 //	synergy-bench -experiment maintenance -views 1,4,16
-//	synergy-bench -experiment skew -skew 0,0.99,1.2 -skewwaves 40
 //	synergy-bench -experiment server -conns 8 -txns 16
 package main
 
@@ -20,15 +19,20 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
 	"synergy/internal/bench"
 )
 
+// experiments are the names -experiment accepts.
+var experiments = []string{"fig10", "fig11", "fig12", "fig13", "fig14", "table1", "table2", "table3",
+	"design", "contention", "maintenance", "server", "all"}
+
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "fig10|fig11|fig12|fig13|fig14|table1|table2|table3|design|contention|maintenance|skew|server|all")
+		experiment = flag.String("experiment", "all", strings.Join(experiments, "|"))
 		cust       = flag.Int("cust", 1000, "TPC-W customer count (paper: 1,000,000)")
 		reps       = flag.Int("reps", 10, "repetitions per measurement (paper: 10)")
 		seed       = flag.Int64("seed", 1, "deterministic seed")
@@ -40,39 +44,21 @@ func main() {
 		ops        = flag.Int("ops", 1, "contention sweep statements per transaction")
 		herd       = flag.Bool("herd", false, "contention sweep: conflict losers retry as an overlapping wave instead of solo")
 		views      = flag.String("views", "1,4,16", "maintenance sweep view counts")
-		skews      = flag.String("skew", "0,0.99,1.2", "skew sweep Zipf exponents (0 = uniform)")
-		skewKeys   = flag.Int("skewkeys", 50000, "skew sweep keyspace size")
-		skewOps    = flag.Int("skewops", 64, "skew sweep concurrent ops per wave")
-		skewWaves  = flag.Int("skewwaves", 40, "skew sweep measured waves")
 		conns      = flag.Int("conns", 8, "server experiment concurrent client connections per mode")
 		txns       = flag.Int("txns", 16, "server experiment transactions per connection")
 	)
 	flag.Parse()
+	if !slices.Contains(experiments, *experiment) {
+		fmt.Fprintf(os.Stderr, "synergy-bench: unknown experiment %q; want one of %s\n", *experiment, strings.Join(experiments, ", "))
+		os.Exit(2)
+	}
 
 	if err := run(os.Stdout, *experiment, *cust, *reps, *seed, parseInts(*scales), parseInts(*locks),
 		parseInts(*hotRows), *workers, *rounds, *ops, *herd, parseInts(*views),
-		parseFloats(*skews), bench.SkewOpts{Keys: *skewKeys, WaveOps: *skewOps, Waves: *skewWaves},
 		bench.ServerOpts{Conns: *conns, Txns: *txns}); err != nil {
 		fmt.Fprintln(os.Stderr, "synergy-bench:", err)
 		os.Exit(1)
 	}
-}
-
-func parseFloats(csv string) []float64 {
-	var out []float64
-	for _, part := range strings.Split(csv, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		f, err := strconv.ParseFloat(part, 64)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "synergy-bench: bad number %q\n", part)
-			os.Exit(2)
-		}
-		out = append(out, f)
-	}
-	return out
 }
 
 func parseInts(csv string) []int {
@@ -92,7 +78,7 @@ func parseInts(csv string) []int {
 	return out
 }
 
-func run(w io.Writer, experiment string, cust, reps int, seed int64, scales, locks, hotRows []int, workers, rounds, ops int, herd bool, views []int, skews []float64, skewOpts bench.SkewOpts, serverOpts bench.ServerOpts) error {
+func run(w io.Writer, experiment string, cust, reps int, seed int64, scales, locks, hotRows []int, workers, rounds, ops int, herd bool, views []int, serverOpts bench.ServerOpts) error {
 	needSystems := map[string]bool{"fig12": true, "fig14": true, "table2": true, "table3": true, "all": true}
 	var set *bench.SystemSet
 	if needSystems[experiment] {
@@ -166,13 +152,6 @@ func run(w io.Writer, experiment string, cust, reps int, seed int64, scales, loc
 			return err
 		}
 		fmt.Fprintln(w, bench.RenderServer(res))
-	}
-	if want("skew") {
-		res, err := bench.RunSkew(skews, skewOpts, seed)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, bench.RenderSkew(res))
 	}
 	if want("fig14") {
 		g, err := bench.RunFigure14(set, reps, seed)

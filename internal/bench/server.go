@@ -22,10 +22,10 @@ import (
 //
 // Latency is simulated time (sim.Ctx) read back through the charge-free
 // @@synergy_sim_micros introspection variable, so the numbers are
-// reproducible run to run: connections work disjoint key ranges,
-// per-server store queueing is off, and the connections finish each of a
-// transaction's reads before any starts the next (see lockstep), so no
-// cross-connection interaction perturbs a connection's accumulated cost.
+// reproducible run to run: connections work disjoint key ranges and
+// finish each of a transaction's reads before any starts the next (see
+// lockstep), so no cross-connection interaction perturbs a connection's
+// accumulated cost.
 
 // ServerOpts parameterizes the server experiment.
 type ServerOpts struct {

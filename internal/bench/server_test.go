@@ -6,7 +6,7 @@ import (
 
 // TestRunServerDeterministic runs the wire-serving experiment twice and
 // requires byte-identical reports: the simulated latencies must not depend
-// on goroutine scheduling (disjoint key ranges, store queueing off).
+// on goroutine scheduling (disjoint key ranges).
 func TestRunServerDeterministic(t *testing.T) {
 	opts := ServerOpts{Conns: 4, Txns: 4, Slots: 2, Queue: 3}
 	a, err := RunServer(opts, nil)

@@ -10,16 +10,6 @@
 // between two nodes, Transfer adds per-byte cost for bulk data movement,
 // and local calls (same node) are free, exactly as the testbed's
 // co-located daemons would be.
-//
-// Server-side work optionally queues. EnableQueueing installs a LoadModel
-// (load.go) holding one virtual-time FCFS queue per node: work charged
-// through ServerWork then pays the wait behind the node's outstanding
-// backlog on top of its service time, with the waits recorded in
-// sim.Stats.QueueWaits/QueueWaitTime. The model is off by default — every
-// experiment predating it charges plain service time, byte-identically —
-// and wave harnesses advance its clock explicitly (Advance) so backlog
-// drains deterministically rather than by wall clock. Per-node load totals
-// feed the hbase region balancer's placement decisions.
 package cluster
 
 import (
@@ -51,9 +41,6 @@ type Cluster struct {
 	mu    sync.RWMutex
 	nodes map[string]*Node
 	costs *sim.Costs
-	// load is the optional per-server queueing model (see load.go);
-	// disabled by default so server work charges plain service time.
-	load LoadModel
 }
 
 // New creates an empty cluster with the given latency calibration.

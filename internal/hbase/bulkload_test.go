@@ -154,7 +154,7 @@ func TestMajorCompactNoOp(t *testing.T) {
 	// A split's daughters share the parent's file through windows; each gets
 	// a file of its own.
 	hc, r, loaded = fresh(TableSpec{})
-	left, right := r.split(scanKey(80))
+	left, right := r.split(scanKey(80), r.server)
 	tbl, _ := hc.lookup("t")
 	tbl.regions = []*Region{left, right}
 	if err := hc.MajorCompact("t"); err != nil {

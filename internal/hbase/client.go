@@ -19,9 +19,9 @@ type Client struct {
 	mu        sync.Mutex
 	connected bool
 	// metaCache maps table name → the region-layout generation this client
-	// last looked up. A split or balancer move bumps the table's generation,
-	// so the client's next touch misses and pays one MetaLookup — the
-	// meta-cache invalidation real HBase clients experience as an NSRE retry.
+	// last looked up. A split bumps the table's generation, so the client's
+	// next touch misses and pays one MetaLookup — the meta-cache
+	// invalidation real HBase clients experience as an NSRE retry.
 	metaCache map[string]int64
 
 	// mutPool recycles Mutation buffers across BufferedMutator flushes —
@@ -144,9 +144,9 @@ func (hc *HCluster) NewWarmClient() *Client {
 }
 
 // prepare charges connection warm-up and region location lookup as needed.
-// The cache is keyed by the table's region-layout generation: a split or a
-// balancer move since the last lookup means the cached locations are stale
-// and the client pays one fresh MetaLookup.
+// The cache is keyed by the table's region-layout generation: a split since
+// the last lookup means the cached locations are stale and the client pays
+// one fresh MetaLookup.
 func (c *Client) prepare(ctx *sim.Ctx, t *table) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -193,7 +193,6 @@ func (c *Client) GetRow(ctx *sim.Ctx, tbl, key string, spec ScanSpec) (RowResult
 		return RowResult{}, err
 	}
 	r := t.regionFor(key)
-	srv := r.Server()
 	res := r.get(key, spec.Read, spec.Columns)
 	shipped := 0
 	if !res.Empty() {
@@ -205,8 +204,8 @@ func (c *Client) GetRow(ctx *sim.Ctx, tbl, key string, spec ScanSpec) (RowResult
 			res.Cells = nil
 		}
 	}
-	c.hc.serverWork(ctx, srv, c.hc.costs.GetSeek)
-	c.hc.cl.RPC(ctx, c.node, srv, shipped)
+	ctx.Charge(c.hc.costs.GetSeek)
+	c.hc.cl.RPC(ctx, c.node, r.server, shipped)
 	return res, nil
 }
 
@@ -255,7 +254,6 @@ func (c *Client) GetMany(ctx *sim.Ctx, tbl string, keys []string, opts ReadOpts)
 // getFrom is one region's share of a multi-get: the keys whose region is r
 // (every key when regions is nil) read into out, in one RPC.
 func (c *Client) getFrom(ctx *sim.Ctx, r *Region, keys []string, regions []*Region, out []RowResult, opts ReadOpts) {
-	srv := r.Server()
 	n, bytes, found := 0, 0, 0
 	for i, key := range keys {
 		if regions != nil && regions[i] != r {
@@ -268,8 +266,8 @@ func (c *Client) getFrom(ctx *sim.Ctx, r *Region, keys []string, regions []*Regi
 			found++
 		}
 	}
-	c.hc.serverWork(ctx, srv, sim.Micros(int64(n)*int64(c.hc.costs.GetSeek)))
-	c.hc.cl.RPC(ctx, c.node, srv, bytes)
+	ctx.Charge(sim.Micros(int64(n) * int64(c.hc.costs.GetSeek)))
+	c.hc.cl.RPC(ctx, c.node, r.server, bytes)
 	ctx.CountRowsScanned(found)
 	ctx.CountRowsReturned(found)
 }
@@ -508,8 +506,7 @@ func (s *Scanner) advance(ctx *sim.Ctx) bool {
 		}
 		r, from, end, wctx := s.walk(ctx)
 		if !s.open {
-			hc := s.client.hc
-			hc.serverWork(wctx, r.Server(), hc.costs.ScanOpen)
+			wctx.Charge(s.client.hc.costs.ScanOpen)
 			s.resume, s.open = from, true
 		}
 		var next string
@@ -609,7 +606,6 @@ func (s *Scanner) past(key string) bool { return beyond(key, s.to, s.spec.Revers
 // itself.
 func (s *Scanner) readChunk(ctx *sim.Ctx, r *Region, end string, buf *chunkBuf, resume string, want int) (next string, truncated bool) {
 	hc := s.client.hc
-	srv := r.Server()
 	buf.reset()
 	examined, folded, next := r.scanChunk(buf, resume, end, want, &s.spec, s.fold)
 	for n := len(buf.rows); s.fold == nil && n > 0 && s.past(buf.rows[n-1].Key); n-- {
@@ -618,13 +614,13 @@ func (s *Scanner) readChunk(ctx *sim.Ctx, r *Region, end string, buf *chunkBuf, 
 		truncated = true
 	}
 	ctx.CountRowsScanned(examined)
-	hc.serverWork(ctx, srv, sim.Micros(int64(examined)*int64(hc.costs.ScanNextRow)+int64(folded)*int64(hc.costs.AggRow)))
+	ctx.Charge(sim.Micros(int64(examined)*int64(hc.costs.ScanNextRow) + int64(folded)*int64(hc.costs.AggRow)))
 	bytes := 0
 	for _, row := range buf.rows {
 		bytes += row.Bytes()
 	}
 	ctx.CountRowsReturned(len(buf.rows))
-	hc.cl.RPC(ctx, s.client.node, srv, bytes)
+	hc.cl.RPC(ctx, s.client.node, r.server, bytes)
 	return next, truncated
 }
 

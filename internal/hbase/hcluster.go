@@ -26,10 +26,10 @@ type table struct {
 	spec    TableSpec
 	regions []*Region
 
-	// gen is the table's region-layout generation, bumped on every split and
-	// every balancer move. Clients cache region locations per generation: a
-	// stale cache costs one MetaLookup on the next touch, exactly like real
-	// HBase clients refreshing hbase:meta after an NSRE.
+	// gen is the table's region-layout generation, bumped on every split.
+	// Clients cache region locations per generation: a stale cache costs one
+	// MetaLookup on the next touch, exactly like real HBase clients
+	// refreshing hbase:meta after an NSRE.
 	gen atomic.Int64
 
 	// stats is shared by every region the table has or had.
@@ -75,7 +75,6 @@ type HCluster struct {
 	cl    *cluster.Cluster
 	fs    *sdfs.FS
 	costs *sim.Costs
-	ens   *zk.Ensemble
 
 	mu      sync.RWMutex
 	tables  map[string]*table
@@ -102,7 +101,6 @@ func NewHCluster(cl *cluster.Cluster, fs *sdfs.FS, ens *zk.Ensemble) *HCluster {
 		cl:      cl,
 		fs:      fs,
 		costs:   cl.Costs(),
-		ens:     ens,
 		tables:  make(map[string]*table),
 		walSeqs: make(map[string]int64),
 		zkSess:  ens.NewSession(),
@@ -141,21 +139,6 @@ func (hc *HCluster) assignServer() string {
 	return s
 }
 
-// Servers lists the region server nodes, in assignment order.
-func (hc *HCluster) Servers() []string {
-	hc.mu.RLock()
-	defer hc.mu.RUnlock()
-	return append([]string(nil), hc.servers...)
-}
-
-// serverWork charges w of server-side work performed on server to ctx,
-// routing through the cluster's per-server queueing model: with queueing
-// enabled the op additionally waits out the server's backlog; disabled (the
-// default) this is exactly ctx.Charge(w).
-func (hc *HCluster) serverWork(ctx *sim.Ctx, server string, w sim.Micros) {
-	hc.cl.ServerWork(ctx, server, w)
-}
-
 // CreateTable creates a table, optionally pre-split.
 func (hc *HCluster) CreateTable(spec TableSpec) error {
 	spec.normalize()
@@ -174,7 +157,7 @@ func (hc *HCluster) CreateTable(spec TableSpec) error {
 		}
 		r := newRegion(&t.spec, start, end)
 		r.stats = &t.stats
-		r.setServer(hc.assignServer())
+		r.server = hc.assignServer()
 		t.regions = append(t.regions, r)
 	}
 	hc.tables[spec.Name] = t
@@ -230,7 +213,7 @@ func (hc *HCluster) walAppendBatch(ctx *sim.Ctx, server string, editBytes, edits
 	if edits <= 0 {
 		return
 	}
-	hc.serverWork(ctx, server, hc.costs.WALAppend+hc.costs.PerByte.Mul(editBytes*hc.fs.Replication()))
+	ctx.Charge(hc.costs.WALAppend + hc.costs.PerByte.Mul(editBytes*hc.fs.Replication()))
 	hc.walSyncs.Add(1)
 	hc.walMu.Lock()
 	hc.walSeqs[server] += int64(edits)
@@ -279,34 +262,24 @@ func (hc *HCluster) MajorCompact(name string) error {
 }
 
 // splitIfNeeded splits any region whose row count exceeds the table's size
-// threshold, or — when the table opts into load splits — whose decayed load
-// score exceeds LoadSplitThreshold. Size-split daughters keep the historical
-// placement (left stays, right round-robins); load-split daughters are both
-// placed on the least-loaded servers, because the whole point of a load
-// split is to let the halves land somewhere cold.
+// threshold. The left daughter stays on the parent's server; the right one
+// takes the next server in round-robin order.
 func (hc *HCluster) splitIfNeeded(t *table) {
 	for {
 		split := false
 		t.mu.Lock()
 		for i, r := range t.regions {
-			overSize := r.rowCount() > t.spec.SplitThreshold
-			overLoad := t.spec.LoadSplitThreshold > 0 && r.loadScore() > int64(t.spec.LoadSplitThreshold)
-			if !overSize && !overLoad {
+			if r.rowCount() <= t.spec.SplitThreshold {
 				continue
 			}
 			mid := r.midKey()
 			if mid == "" || mid == r.start {
 				continue
 			}
-			left, right := r.split(mid)
-			if overLoad {
-				hc.placeByLoadLocked(t, r, left, right)
-			} else {
-				left.setServer(r.Server())
-				hc.mu.Lock()
-				right.setServer(hc.assignServer())
-				hc.mu.Unlock()
-			}
+			hc.mu.Lock()
+			srv := hc.assignServer()
+			hc.mu.Unlock()
+			left, right := r.split(mid, srv)
 			t.regions = append(t.regions[:i], append([]*Region{left, right}, t.regions[i+1:]...)...)
 			t.gen.Add(1)
 			split = true
@@ -319,56 +292,6 @@ func (hc *HCluster) splitIfNeeded(t *table) {
 	}
 }
 
-// placeByLoadLocked assigns the two daughters of a load split to the
-// least-loaded servers, measured by this table's summed region load scores
-// (ties break lexicographically by server name for determinism). The hotter
-// daughter is placed first and its score added to the tally before the
-// second placement, so the halves of a hot region never pile onto the same
-// cold server. Caller holds t.mu; parent is the region being replaced and is
-// excluded from the tally.
-func (hc *HCluster) placeByLoadLocked(t *table, parent, left, right *Region) {
-	tally := make(map[string]int64)
-	for _, s := range hc.Servers() {
-		tally[s] = 0
-	}
-	for _, r := range t.regions {
-		if r == parent {
-			continue
-		}
-		tally[r.Server()] += r.loadScore()
-	}
-	coldest := func() string {
-		best := ""
-		for s, l := range tally {
-			if best == "" || l < tally[best] || (l == tally[best] && s < best) {
-				best = s
-			}
-		}
-		return best
-	}
-	first, second := left, right
-	if right.loadScore() > left.loadScore() {
-		first, second = right, left
-	}
-	s := coldest()
-	first.setServer(s)
-	tally[s] += first.loadScore()
-	s = coldest()
-	second.setServer(s)
-}
-
-// moveRegion relocates a region to dest, charging the mover's ctx the
-// region-move cost and invalidating client meta caches via the table
-// generation. Requests already holding the *Region keep working — the data
-// moves with the struct, only the server attribution changes — which models
-// HBase's move semantics where in-flight scanners drain against the old
-// assignment and new requests discover the new one.
-func (hc *HCluster) moveRegion(ctx *sim.Ctx, t *table, r *Region, dest string) {
-	r.setServer(dest)
-	t.gen.Add(1)
-	ctx.Charge(hc.costs.RegionMove)
-}
-
 // RegionCount reports how many regions a table currently has.
 func (hc *HCluster) RegionCount(name string) int { return len(hc.Regions(name)) }
 
@@ -379,7 +302,7 @@ type RegionInfo struct{ Start, Server string }
 func (hc *HCluster) Regions(name string) (out []RegionInfo) {
 	if t, err := hc.lookup(name); err == nil {
 		for _, r := range t.regionsInRange("", "") {
-			out = append(out, RegionInfo{r.start, r.Server()})
+			out = append(out, RegionInfo{r.start, r.server})
 		}
 	}
 	return out

@@ -221,10 +221,7 @@ func (c *Client) applyGroup(ctx *sim.Ctx, g *regionGroup) {
 // returns the highest stamp the region gave an applied conditional put.
 func (c *Client) applyChunk(ctx *sim.Ctx, region *Region, chunk []Mutation) (casTS int64) {
 	hc := c.hc
-	// Resolve the hosting server per sub-batch RPC: a balancer move between
-	// sub-batches routes the rest of the group (and its WAL edits) to the
-	// region's new owner.
-	srv := region.Server()
+	srv := region.server
 	bytes := 0
 	cas := 0
 	for i := range chunk {
@@ -242,7 +239,7 @@ func (c *Client) applyChunk(ctx *sim.Ctx, region *Region, chunk []Mutation) (cas
 		serverCost += hc.costs.MutateBatchOverhead
 		serverCost += sim.Micros(int64(len(chunk)) * int64(hc.costs.MutatePerMutation))
 	}
-	hc.serverWork(ctx, srv, serverCost)
+	ctx.Charge(serverCost)
 	if cas == 0 {
 		hc.walAppendBatch(ctx, srv, bytes, len(chunk))
 		for i := range chunk {
@@ -268,7 +265,7 @@ func (c *Client) applyChunk(ctx *sim.Ctx, region *Region, chunk []Mutation) (cas
 			}
 			if ok {
 				casTS = max(casTS, ts)
-				hc.serverWork(ctx, srv, hc.costs.PutApply)
+				ctx.Charge(hc.costs.PutApply)
 				walBytes += m.bytes()
 				walMuts++
 			}

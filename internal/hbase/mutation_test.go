@@ -232,7 +232,7 @@ func TestBufferedMutatorAutoFlush(t *testing.T) {
 // reference, which the lock manager calls directly — are charged, and leaves
 // the same cells under the same stamps. Both start from a cold client (so the
 // connection and meta-lookup charges are in it), write keys on both sides of a
-// region boundary, and run once more with the queueing model on.
+// region boundary, and follow another request's writes to the same servers.
 func TestFlushAtOneChargesLikeEagerClient(t *testing.T) {
 	type writer interface {
 		put(ctx *sim.Ctx, key string, cells []Cell) error
@@ -263,69 +263,62 @@ func TestFlushAtOneChargesLikeEagerClient(t *testing.T) {
 		{"explicit-TS tombstone", func(w writer, ctx *sim.Ctx) error { return w.del(ctx, hi, 3, "x") }},
 		{"put over the tombstone", func(w writer, ctx *sim.Ctx) error { return w.put(ctx, lo, []Cell{put("v", "back", 0)}) }},
 	}
-	for _, queueing := range []bool{false, true} {
-		t.Run(fmt.Sprintf("queueing=%v", queueing), func(t *testing.T) {
-			build := func() (*HCluster, *Client) {
-				cl := cluster.NewDefault(nil)
-				if queueing {
-					cl.EnableQueueing()
-				}
-				hc := NewHCluster(cl, nil, nil)
-				mustCreate(t, hc, TableSpec{Name: "t", MaxVersions: 8, SplitKeys: []string{scanKey(5)}})
-				// Another request's work on both servers, late enough for even a
-				// cold client to queue behind it when the model is on.
-				busy := sim.NewCtx()
-				busy.Charge(sim.FromMillis(10_000))
-				for _, key := range []string{lo, hi} {
-					if err := hc.NewWarmClient().Put(busy, "t", key, []Cell{put("u", "busy", 0)}); err != nil {
-						t.Fatal(err)
-					}
-				}
-				return hc, hc.NewClient()
-			}
-			hcM, cM := build()
-			hcE, cE := build()
-			mut, eager := flushAtOne{cM.NewBufferedMutator(1)}, eagerClient{cE}
-			ctxM, ctxE := sim.NewCtx(), sim.NewCtx()
-			for _, op := range ops {
-				if err := op.do(mut, ctxM); err != nil {
+	// Server work is charged inline to the request that does it, with no
+	// per-server queue, so the other request's work costs neither side.
+	t.Run("queueing=false", func(t *testing.T) {
+		build := func() (*HCluster, *Client) {
+			hc := newTestCluster(t)
+			mustCreate(t, hc, TableSpec{Name: "t", MaxVersions: 8, SplitKeys: []string{scanKey(5)}})
+			// Another request's work on both servers, late enough that a queue
+			// on either server would hold even a cold client behind it.
+			busy := sim.NewCtx()
+			busy.Charge(sim.FromMillis(10_000))
+			for _, key := range []string{lo, hi} {
+				if err := hc.NewWarmClient().Put(busy, "t", key, []Cell{put("u", "busy", 0)}); err != nil {
 					t.Fatal(err)
 				}
-				if err := op.do(eager, ctxE); err != nil {
-					t.Fatal(err)
-				}
-				if m, e := ctxM.Snapshot(), ctxE.Snapshot(); m != e {
-					t.Fatalf("%s: charged\n mutator %+v\n eager   %+v", op.name, m, e)
-				}
-				if mut.m.Pending() != 0 {
-					t.Fatalf("%s: left %d mutations pending", op.name, mut.m.Pending())
-				}
 			}
-			if queueing && ctxE.Snapshot().QueueWaits == 0 {
-				t.Fatal("the queueing model charged no wait; fixture broken")
+			return hc, hc.NewClient()
+		}
+		hcM, cM := build()
+		hcE, cE := build()
+		mut, eager := flushAtOne{cM.NewBufferedMutator(1)}, eagerClient{cE}
+		ctxM, ctxE := sim.NewCtx(), sim.NewCtx()
+		for _, op := range ops {
+			if err := op.do(mut, ctxM); err != nil {
+				t.Fatal(err)
 			}
-			if m, e := hcM.WALSyncs(), hcE.WALSyncs(); m != e || e == 0 {
-				t.Fatalf("WAL syncs: mutator %d, eager %d", m, e)
+			if err := op.do(eager, ctxE); err != nil {
+				t.Fatal(err)
 			}
-			for _, srv := range hcE.Servers() {
-				if m, e := hcM.WALEdits(srv), hcE.WALEdits(srv); m != e {
-					t.Fatalf("WAL edits on %s: mutator %d, eager %d", srv, m, e)
-				}
+			if m, e := ctxM.Snapshot(), ctxE.Snapshot(); m != e {
+				t.Fatalf("%s: charged\n mutator %+v\n eager   %+v", op.name, m, e)
 			}
-			if mut.m.FlushTS() != hcM.CurrentTS() {
-				t.Fatalf("FlushTS = %d, want the last stamp issued, %d", mut.m.FlushTS(), hcM.CurrentTS())
+			if mut.m.Pending() != 0 {
+				t.Fatalf("%s: left %d mutations pending", op.name, mut.m.Pending())
 			}
-			// The same cells under the same stamps: every snapshot reads alike.
-			if m, e := hcM.CurrentTS(), hcE.CurrentTS(); m != e {
-				t.Fatalf("clocks: mutator %d, eager %d", m, e)
+		}
+		if m, e := hcM.WALSyncs(), hcE.WALSyncs(); m != e || e == 0 {
+			t.Fatalf("WAL syncs: mutator %d, eager %d", m, e)
+		}
+		for _, srv := range hcE.servers {
+			if m, e := hcM.WALEdits(srv), hcE.WALEdits(srv); m != e {
+				t.Fatalf("WAL edits on %s: mutator %d, eager %d", srv, m, e)
 			}
-			for ts := int64(0); ts <= hcE.CurrentTS(); ts++ {
-				rowsM, _ := drainSpec(t, cM, ScanSpec{Read: ReadOpts{ReadTS: ts}})
-				rowsE, _ := drainSpec(t, cE, ScanSpec{Read: ReadOpts{ReadTS: ts}})
-				requireSameRows(t, rowsE, rowsM)
-			}
-		})
-	}
+		}
+		if mut.m.FlushTS() != hcM.CurrentTS() {
+			t.Fatalf("FlushTS = %d, want the last stamp issued, %d", mut.m.FlushTS(), hcM.CurrentTS())
+		}
+		// The same cells under the same stamps: every snapshot reads alike.
+		if m, e := hcM.CurrentTS(), hcE.CurrentTS(); m != e {
+			t.Fatalf("clocks: mutator %d, eager %d", m, e)
+		}
+		for ts := int64(0); ts <= hcE.CurrentTS(); ts++ {
+			rowsM, _ := drainSpec(t, cM, ScanSpec{Read: ReadOpts{ReadTS: ts}})
+			rowsE, _ := drainSpec(t, cE, ScanSpec{Read: ReadOpts{ReadTS: ts}})
+			requireSameRows(t, rowsE, rowsM)
+		}
+	})
 }
 
 // flushAtOne and eagerClient give TestFlushAtOneChargesLikeEagerClient's two

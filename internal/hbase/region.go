@@ -69,18 +69,10 @@ type Region struct {
 	// daughters keep counting into their parent's.
 	stats *storeStats
 
-	// srvMu guards server. The balancer reassigns regions concurrently with
-	// requests reading the assignment, so the field has its own lock instead
-	// of riding r.mu (scans hold r.mu for whole chunks).
-	srvMu  sync.Mutex
-	server string // hosting region server node
-
-	// loadReads/loadWrites are the decayed op counters behind load-triggered
-	// splits and balancer placement. Recording is a lone atomic add — it
-	// charges no simulated time, so enabling load accounting cannot perturb
-	// any latency figure.
-	loadReads  atomic.Int64
-	loadWrites atomic.Int64
+	// server is the hosting region server node. It is written once, before
+	// the region is published — in a table's region list, or as a split
+	// parent's daughter — and only read after.
+	server string
 
 	// daughters is set (under mu) when the region splits: the region becomes
 	// a forwarding shell. In-flight readers drain against its flushed, shared
@@ -104,37 +96,6 @@ type storeStats struct {
 	compactedBytes atomic.Int64 // KeyValue-format bytes read by compactions
 }
 
-// Server reports the region server currently hosting the region.
-func (r *Region) Server() string {
-	r.srvMu.Lock()
-	defer r.srvMu.Unlock()
-	return r.server
-}
-
-func (r *Region) setServer(s string) {
-	r.srvMu.Lock()
-	r.server = s
-	r.srvMu.Unlock()
-}
-
-// recordRead/recordWrite tally server-side ops against the region's load
-// counters (reads are weighted by rows examined; writes by mutations).
-func (r *Region) recordRead(n int)  { r.loadReads.Add(int64(n)) }
-func (r *Region) recordWrite(n int) { r.loadWrites.Add(int64(n)) }
-
-// loadScore is the region's current hotness: examined-row reads plus
-// mutations, both since the last decay.
-func (r *Region) loadScore() int64 {
-	return r.loadReads.Load() + r.loadWrites.Load()
-}
-
-// decayLoad halves the load counters — the balancer's exponential decay, so
-// a region that cooled off stops looking hot after a few ticks.
-func (r *Region) decayLoad() {
-	r.loadReads.Store(r.loadReads.Load() / 2)
-	r.loadWrites.Store(r.loadWrites.Load() / 2)
-}
-
 // contains reports whether key belongs to this region.
 func (r *Region) contains(key string) bool {
 	if key < r.start {
@@ -155,7 +116,6 @@ func (r *Region) readLocked(key string, opts ReadOpts, cols *ColumnSet) Cells {
 
 // get reads one row, cut to cols (nil = every column).
 func (r *Region) get(key string, opts ReadOpts, cols *ColumnSet) RowResult {
-	r.recordRead(1)
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return RowResult{Key: key, Cells: r.readLocked(key, opts, cols)}
@@ -181,7 +141,6 @@ func (r *Region) put(key string, cells []Cell) {
 		return
 	}
 	defer r.mu.Unlock()
-	r.recordWrite(1)
 	rd := r.mem.upsert(key)
 	if rd.cells == nil {
 		rd.cells = make([]Cell, 0, len(cells)) // a row written whole, as BulkLoad sizes it
@@ -202,7 +161,6 @@ func (r *Region) deleteRow(key string, ts int64, qualifiers []string) {
 		return
 	}
 	defer r.mu.Unlock()
-	r.recordWrite(1)
 	rd := r.mem.upsert(key)
 	if len(qualifiers) == 0 {
 		r.mem.apply(key, rd, Cell{Qualifier: "", TS: ts, Type: TypeDeleteRow}, r.spec.MaxVersions)
@@ -259,7 +217,6 @@ func (r *Region) checkAndPut(key, qualifier string, expected []byte, c Cell, clo
 		return d.checkAndPut(key, qualifier, expected, c, clock)
 	}
 	defer r.mu.Unlock()
-	r.recordWrite(1)
 	current, newest := r.currentLocked(key, qualifier)
 	if !bytes.Equal(current, expected) {
 		return false, 0
@@ -290,7 +247,6 @@ func (r *Region) checkAndPut(key, qualifier string, expected []byte, c Cell, clo
 // which a plain chunk leaves to the client — goes into fold instead, folded
 // counts them, and buf.rows is the fold's partial rows (Folder.Rows).
 func (r *Region) scanChunk(buf *chunkBuf, from, end string, limit int, spec *ScanSpec, fold Folder) (examined, folded int, next string) {
-	defer func() { r.recordRead(examined) }()
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 
@@ -605,9 +561,9 @@ func (r *Region) midKey() string {
 	// Use the largest store file for the estimate, as HBase does.
 	biggest := r.largestFile()
 	if biggest == nil || biggest.len() < 2 {
-		// No (usable) store file yet. Load-triggered splits arrive before the
-		// first flush on write-hot regions, so fall back to the memstore's
-		// sorted keys rather than refusing to split.
+		// No (usable) store file yet. A region written since its last flush
+		// can be over the size threshold all the same, so fall back to the
+		// memstore's sorted keys rather than refusing to split.
 		if r.mem.len() < 2 {
 			return ""
 		}
@@ -621,13 +577,17 @@ func (r *Region) midKey() string {
 // becomes a forwarding shell: readers still holding it drain against its
 // flushed store files, and late writes forward to the daughter owning the
 // key. Each daughter gets a row window over the parent's files; the blocks
-// themselves are shared, not copied.
-func (r *Region) split(key string) (*Region, *Region) {
+// themselves are shared, not copied. The left daughter stays on the parent's
+// server and the right one goes to rightServer, both assigned before the
+// daughters are published, so a writer forwarding through the parent never
+// sees a daughter without its server.
+func (r *Region) split(key, rightServer string) (*Region, *Region) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.flushLocked()
 	left := newRegion(r.spec, r.start, key)
 	right := newRegion(r.spec, key, r.end)
+	left.server, right.server = r.server, rightServer
 	left.stats, right.stats = r.stats, r.stats
 	for _, f := range r.files {
 		lf, rf := f.split(key)
@@ -638,13 +598,6 @@ func (r *Region) split(key string) (*Region, *Region) {
 			right.files = append(right.files, rf)
 		}
 	}
-	// Each daughter inherits half the parent's load history, so a split hot
-	// region does not instantly re-trigger a load split and the balancer's
-	// next tick still sees the heat where it actually lives.
-	left.loadReads.Store(r.loadReads.Load() / 2)
-	left.loadWrites.Store(r.loadWrites.Load() / 2)
-	right.loadReads.Store(r.loadReads.Load() / 2)
-	right.loadWrites.Store(r.loadWrites.Load() / 2)
 	r.daughters = []*Region{left, right}
 	return left, right
 }

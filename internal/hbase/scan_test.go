@@ -397,7 +397,7 @@ func TestRegionGuideposts(t *testing.T) {
 			t.Errorf("share(%q, %q) in %d units cuts at %v, want %v", tc.lo, tc.hi, tc.units, got, tc.want)
 		}
 	}
-	left, right := r.split(scanKey(11000))
+	left, right := r.split(scanKey(11000), r.server)
 	for _, tc := range []struct {
 		d    *Region
 		want []string

@@ -310,13 +310,6 @@ type TableSpec struct {
 	// SplitThreshold is the row count at which a region splits. Zero
 	// selects the default.
 	SplitThreshold int
-	// LoadSplitThreshold, when positive, additionally splits a region whose
-	// decayed load score (examined-row reads + mutations since the last
-	// balancer decay) exceeds it — HBase's request-based split policy for
-	// hot regions that are nowhere near the size threshold. Zero disables
-	// load splits, which is the default: size-only splitting is what every
-	// pre-existing experiment calibrated against.
-	LoadSplitThreshold int
 	// SplitKeys optionally pre-splits the table into len(SplitKeys)+1
 	// regions at creation, as bulk-loaded deployments do.
 	SplitKeys []string

@@ -16,16 +16,15 @@ import (
 // TestWriteChargesGolden pins what the client's single-row writes are charged
 // and what they leave in the store: Put, DeleteAt, and CheckAndPut applied and
 // failed, with cells the server stamps and cells that arrive stamped, each on
-// a warm client and on a cold one, with the per-server queueing model off and
-// on (where every write waits behind the ones before it). A line records the
-// write's outcome, every sim.Stats counter of its request (elapsed, RPCs,
-// queue waits, ...), the WAL syncs and edits it added, the oracle after it,
-// and every version and tombstone of the row afterwards with its stamp.
+// a warm client and on a cold one. A line records the write's outcome, every
+// sim.Stats counter of its request (elapsed, RPCs, ...), the WAL syncs and
+// edits it added, the oracle after it, and every version and tombstone of the
+// row afterwards with its stamp.
 //
 // The lines after them pin MutateBatch at the shape that fans out widest: a
 // batch of at least 64 puts, row deletes and column deletes over a table
-// pre-split into four regions, one per region server, in the same four
-// configurations. The second batch carries conditional puts, all in one
+// pre-split into four regions, one per region server, on the same two
+// clients. The second batch carries conditional puts, all in one
 // region's group, so the stamps the region gives them follow batch order. A
 // batch line records the whole table (every key's versions, hashed) in place
 // of one row. The last four lines pin a round of lock releases (see below).
@@ -104,70 +103,60 @@ func TestWriteChargesGolden(t *testing.T) {
 	}{{"batch-mixed", mixed}, {"batch-cas", withCAS}}
 
 	var b strings.Builder
-	lineTo := func(w *strings.Builder, hc *HCluster, ctx *sim.Ctx, name string, warm, queueing, ok bool, syncs, edits int64) {
-		fmt.Fprintf(w, "%s warm=%v queueing=%v ok=%v", name, warm, queueing, ok)
+	lineTo := func(w *strings.Builder, hc *HCluster, ctx *sim.Ctx, name string, warm, ok bool, syncs, edits int64) {
+		fmt.Fprintf(w, "%s warm=%v ok=%v", name, warm, ok)
 		st := reflect.ValueOf(ctx.Snapshot())
 		for i := 0; i < st.NumField(); i++ {
 			fmt.Fprintf(w, " %s=%d", st.Type().Field(i).Name, st.Field(i).Int())
 		}
 		fmt.Fprintf(w, " WALSyncs=%d WALEdits=%d oracle=%d", hc.WALSyncs()-syncs, totalWALEdits(hc)-edits, hc.CurrentTS())
 	}
-	line := func(hc *HCluster, ctx *sim.Ctx, name string, warm, queueing, ok bool, syncs, edits int64) {
-		lineTo(&b, hc, ctx, name, warm, queueing, ok, syncs, edits)
+	line := func(hc *HCluster, ctx *sim.Ctx, name string, warm, ok bool, syncs, edits int64) {
+		lineTo(&b, hc, ctx, name, warm, ok, syncs, edits)
 	}
-	for _, queueing := range []bool{false, true} {
-		for _, warm := range []bool{true, false} {
-			hc := NewHCluster(cluster.NewDefault(nil), nil, nil)
-			if queueing {
-				hc.cl.EnableQueueing()
+	for _, warm := range []bool{true, false} {
+		hc := NewHCluster(cluster.NewDefault(nil), nil, nil)
+		mustCreate(t, hc, TableSpec{Name: "t", MaxVersions: 4})
+		client := hc.NewWarmClient()
+		for _, o := range ops {
+			c := client
+			if !warm {
+				c = hc.NewClient()
 			}
-			mustCreate(t, hc, TableSpec{Name: "t", MaxVersions: 4})
-			client := hc.NewWarmClient()
-			for _, o := range ops {
-				c := client
-				if !warm {
-					c = hc.NewClient()
-				}
-				syncs, edits := hc.WALSyncs(), totalWALEdits(hc)
-				ctx := sim.NewCtx()
-				ok, err := o.do(ctx, c)
-				if err != nil {
-					t.Fatal(err)
-				}
-				line(hc, ctx, o.name, warm, queueing, ok, syncs, edits)
-				fmt.Fprintf(&b, " row=%s\n", storedVersions(t, hc, o.key))
+			syncs, edits := hc.WALSyncs(), totalWALEdits(hc)
+			ctx := sim.NewCtx()
+			ok, err := o.do(ctx, c)
+			if err != nil {
+				t.Fatal(err)
 			}
+			line(hc, ctx, o.name, warm, ok, syncs, edits)
+			fmt.Fprintf(&b, " row=%s\n", storedVersions(t, hc, o.key))
 		}
 	}
-	for _, queueing := range []bool{false, true} {
-		for _, warm := range []bool{true, false} {
-			hc := NewHCluster(cluster.NewDefault(nil), nil, nil)
-			if queueing {
-				hc.cl.EnableQueueing()
+	for _, warm := range []bool{true, false} {
+		hc := NewHCluster(cluster.NewDefault(nil), nil, nil)
+		mustCreate(t, hc, TableSpec{Name: "t", MaxVersions: 4, SplitKeys: batchSplits})
+		client := hc.NewWarmClient()
+		for _, batch := range batches {
+			c := client
+			if !warm {
+				c = hc.NewClient()
 			}
-			mustCreate(t, hc, TableSpec{Name: "t", MaxVersions: 4, SplitKeys: batchSplits})
-			client := hc.NewWarmClient()
-			for _, batch := range batches {
-				c := client
-				if !warm {
-					c = hc.NewClient()
-				}
-				muts := batch.muts()
-				if len(muts) < 64 {
-					t.Fatalf("%s holds %d mutations, want at least 64", batch.name, len(muts))
-				}
-				syncs, edits := hc.WALSyncs(), totalWALEdits(hc)
-				ctx := sim.NewCtx()
-				if err := c.MutateBatch(ctx, muts); err != nil {
-					t.Fatal(err)
-				}
-				line(hc, ctx, batch.name, warm, queueing, true, syncs, edits)
-				h := fnv.New64a()
-				for i := 0; i < batchKeys; i++ {
-					fmt.Fprintln(h, storedVersions(t, hc, scanKey(i)))
-				}
-				fmt.Fprintf(&b, " muts=%d table=%016x\n", len(muts), h.Sum64())
+			muts := batch.muts()
+			if len(muts) < 64 {
+				t.Fatalf("%s holds %d mutations, want at least 64", batch.name, len(muts))
 			}
+			syncs, edits := hc.WALSyncs(), totalWALEdits(hc)
+			ctx := sim.NewCtx()
+			if err := c.MutateBatch(ctx, muts); err != nil {
+				t.Fatal(err)
+			}
+			line(hc, ctx, batch.name, warm, true, syncs, edits)
+			h := fnv.New64a()
+			for i := 0; i < batchKeys; i++ {
+				fmt.Fprintln(h, storedVersions(t, hc, scanKey(i)))
+			}
+			fmt.Fprintf(&b, " muts=%d table=%016x\n", len(muts), h.Sum64())
 		}
 	}
 	// The last lines pin a lock-release round: four conditional held→free
@@ -229,7 +218,7 @@ func TestWriteChargesGolden(t *testing.T) {
 						t.Fatalf("%s shipped by path %d: check %d passed=%v", rel.name, p, i, ok)
 					}
 				}
-				lineTo(&out, hc, ctx, rel.name, warm, false, true, syncs, edits)
+				lineTo(&out, hc, ctx, rel.name, warm, true, syncs, edits)
 				out.WriteString(" rows=")
 				for _, key := range releaseKeys {
 					out.WriteString(storedVersions(t, hc, key))

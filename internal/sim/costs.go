@@ -165,12 +165,6 @@ type Costs struct {
 	// applier work the reader blocked on).
 	WatermarkWait Micros
 
-	// RegionMove is the cost of relocating one region between region
-	// servers — closing it on the source, opening it on the destination and
-	// updating hbase:meta — charged to the balancer's context, not to client
-	// requests (in-flight operations drain against the old assignment).
-	RegionMove Micros
-
 	// WireConnect is the one-time cost of admitting one client connection
 	// at the SQL wire listener: TCP accept, the handshake exchange and
 	// session setup. Charged to the session's context at connect.
@@ -261,8 +255,6 @@ func DefaultCosts() *Costs {
 		AsyncQueueHop:   FromMillis(0.05),
 		AsyncApplyBatch: FromMillis(0.15),
 		WatermarkWait:   FromMillis(0.25),
-
-		RegionMove: FromMillis(25),
 
 		WireConnect: FromMillis(0.5),
 		WirePacket:  Micros(30),

@@ -2,9 +2,7 @@ package sim
 
 import (
 	"hash/fnv"
-	"math"
 	"math/rand"
-	"sort"
 )
 
 // RNG is a deterministic random source with named sub-streams. Experiments
@@ -76,58 +74,3 @@ func (g *RNG) String(lo, hi int) string {
 
 // Perm returns a random permutation of [0, n).
 func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }
-
-// Zipf draws ranks in [0, n) with P(k) ∝ 1/(k+1)^s — the skewed key
-// popularity of real NoSQL traffic (YCSB's zipfian request distribution).
-// Rank 0 is the hottest key. s == 0 degenerates to uniform; s around 0.99
-// is the classic YCSB hot-key skew; s > 1 concentrates further.
-//
-// Sampling is exact inverse-CDF over a precomputed cumulative table rather
-// than the rejection approximation, so it is valid for any s >= 0 (the
-// standard-library Zipf requires s > 1) and costs one uniform draw plus a
-// binary search per sample. The table is O(n) floats built once; workload
-// keyspaces in the millions stay cheap to construct.
-type Zipf struct {
-	g   *RNG
-	cum []float64 // cum[k] = P(rank <= k), strictly increasing to 1
-}
-
-// NewZipf builds a Zipf sampler over n ranks with exponent s, drawing from g.
-func NewZipf(g *RNG, n int, s float64) *Zipf {
-	if n < 1 {
-		n = 1
-	}
-	cum := make([]float64, n)
-	total := 0.0
-	for k := 0; k < n; k++ {
-		total += 1 / math.Pow(float64(k+1), s)
-		cum[k] = total
-	}
-	for k := range cum {
-		cum[k] /= total
-	}
-	// Pin the tail exactly so a draw can never search past the last rank.
-	cum[n-1] = 1
-	return &Zipf{g: g, cum: cum}
-}
-
-// N reports the rank-space size.
-func (z *Zipf) N() int { return len(z.cum) }
-
-// Next draws one rank; 0 is the hottest.
-func (z *Zipf) Next() int {
-	u := z.g.Float64()
-	return sort.SearchFloat64s(z.cum, u)
-}
-
-// Share reports the probability mass of the top k ranks — the hot-head share
-// a balancer must spread (1.0 when k covers the whole keyspace).
-func (z *Zipf) Share(k int) float64 {
-	if k <= 0 {
-		return 0
-	}
-	if k >= len(z.cum) {
-		return 1
-	}
-	return z.cum[k-1]
-}

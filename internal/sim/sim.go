@@ -69,8 +69,6 @@ type Ctx struct {
 	staleReads     atomic.Int64
 	staleLag       atomic.Int64
 	watermarkWaits atomic.Int64
-	queueWaits     atomic.Int64
-	queueWaitTime  atomic.Int64
 
 	// firstRow records the elapsed time at which the request produced its
 	// first result row, stored as elapsed+1 so zero means "not yet marked".
@@ -191,8 +189,6 @@ func (c *Ctx) addCounters(ch *Ctx) {
 	c.staleReads.Add(ch.staleReads.Load())
 	c.staleLag.Add(ch.staleLag.Load())
 	c.watermarkWaits.Add(ch.watermarkWaits.Load())
-	c.queueWaits.Add(ch.queueWaits.Load())
-	c.queueWaitTime.Add(ch.queueWaitTime.Load())
 }
 
 // Reset zeroes the context so it can be reused for a new request.
@@ -208,8 +204,6 @@ func (c *Ctx) Reset() {
 	c.staleReads.Store(0)
 	c.staleLag.Store(0)
 	c.watermarkWaits.Store(0)
-	c.queueWaits.Store(0)
-	c.queueWaitTime.Store(0)
 	c.firstRow.Store(0)
 }
 
@@ -317,16 +311,6 @@ func (c *Ctx) CountWatermarkWait() {
 	}
 }
 
-// CountQueueWait records one server-side operation that queued behind a
-// region server's outstanding load under the per-server queueing model,
-// with the simulated wait it paid.
-func (c *Ctx) CountQueueWait(wait Micros) {
-	if c != nil {
-		c.queueWaits.Add(1)
-		c.queueWaitTime.Add(int64(wait))
-	}
-}
-
 // Stats is a snapshot of the work counters of a Ctx.
 type Stats struct {
 	RPCs         int64
@@ -342,10 +326,6 @@ type Stats struct {
 	StaleLag   int64
 	// WatermarkWaits counts reads that blocked on a view freshness watermark.
 	WatermarkWaits int64
-	// QueueWaits counts server-side operations that queued behind a region
-	// server's outstanding load; QueueWaitTime is their summed simulated wait.
-	QueueWaits    int64
-	QueueWaitTime Micros
 	// TTFR is the elapsed simulated time at which the request produced its
 	// first result row (zero when nothing marked one — see MarkFirstRow).
 	TTFR    Micros
@@ -368,8 +348,6 @@ func (c *Ctx) Snapshot() Stats {
 		StaleReads:     c.staleReads.Load(),
 		StaleLag:       c.staleLag.Load(),
 		WatermarkWaits: c.watermarkWaits.Load(),
-		QueueWaits:     c.queueWaits.Load(),
-		QueueWaitTime:  Micros(c.queueWaitTime.Load()),
 		Elapsed:        c.Elapsed(),
 	}
 	if ttfr, ok := c.TimeToFirstRow(); ok {

@@ -164,33 +164,6 @@ func TestExistsWatchOnCreation(t *testing.T) {
 	}
 }
 
-func TestElection(t *testing.T) {
-	e := NewEnsemble()
-	s1, s2 := e.NewSession(), e.NewSession()
-	e1, err := JoinElection(s1, "/election", "node-1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2, err := JoinElection(s2, "/election", "node-2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lead, _ := e1.IsLeader(); !lead {
-		t.Fatal("first joiner should lead")
-	}
-	if lead, _ := e2.IsLeader(); lead {
-		t.Fatal("second joiner should not lead")
-	}
-	if name, _ := e2.Leader(); name != "node-1" {
-		t.Fatalf("Leader = %q, want node-1", name)
-	}
-	// Leader dies: leadership must pass.
-	s1.Close()
-	if lead, _ := e2.IsLeader(); !lead {
-		t.Fatal("second joiner should lead after first session closes")
-	}
-}
-
 func TestConcurrentSessionsNoRace(t *testing.T) {
 	e := NewEnsemble()
 	setup := e.NewSession()
