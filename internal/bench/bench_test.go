@@ -227,9 +227,10 @@ func TestTableIIIOrdering(t *testing.T) {
 		t.Errorf("MVCC-UA (%d) should sit between Baseline (%d) and Synergy (%d)",
 			byName["MVCC-UA"], byName["Baseline"], byName["Synergy"])
 	}
-	// The paper reports 2.1x; our fully covered view-indexes (the §II-A
-	// reading of "covered indexes") push the reproduction to ~3-4x.
-	// EXPERIMENTS.md discusses the delta.
+	// The paper reports 2.1x. Every view index here is fully covered (the
+	// §II-A reading of "covered indexes": it stores the whole view row,
+	// not just its key), which pushes the reproduction to ~3-4x; the band
+	// below admits that delta.
 	ratio := float64(byName["Synergy"]) / float64(byName["Baseline"])
 	if ratio < 1.8 || ratio > 4.8 {
 		t.Errorf("Synergy/Baseline size ratio = %.2f, want the 2-4.5x band (paper: 2.1x)", ratio)
@@ -239,45 +240,47 @@ func TestTableIIIOrdering(t *testing.T) {
 	}
 }
 
+// TestQueryResultsAgreeAcrossSystems checks that materialization does not
+// change semantics: for identical parameters every join query returns as
+// many rows on Synergy (views) as on Baseline (base-table joins), and so
+// does VoltDB on the queries it supports. It deploys its own systems — the
+// set systems(t) shares carries whatever writes earlier tests ran.
 func TestQueryResultsAgreeAcrossSystems(t *testing.T) {
-	set := systems(t)
-	// Q1 on Synergy (view) and Baseline (join) must return the same
-	// number of rows for identical parameters — materialization must not
-	// change semantics.
-	st, _ := tpcw.StatementByID("Q1")
-	for rep := 0; rep < 5; rep++ {
-		params := st.Params(set.Data, sim.NewRNG(int64(rep)))
-		counts := map[string]int{}
-		for _, name := range []string{"Synergy", "Baseline"} {
-			var sys EvalSystem
-			if name == "Synergy" {
-				sys = set.Synergy
-			} else {
-				sys = set.Baseline
+	set, err := BuildSystems(100, 42, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	voltRuns := 0
+	for _, st := range tpcw.JoinQueries() {
+		sel := mustSelect(st.SQL)
+		for seed := int64(0); seed < 5; seed++ {
+			params := st.Params(set.Data, sim.NewRNG(seed))
+			base, err := set.Baseline.sys.Query(sim.NewCtx(), sel, params)
+			if err != nil {
+				t.Fatalf("%s on Baseline: %v", st.ID, err)
 			}
-			ctx := sim.NewCtx()
-			if err := sys.Run(ctx, st, params); err != nil {
-				t.Fatal(err)
+			view, err := set.Synergy.sys.Query(sim.NewCtx(), sel, params)
+			if err != nil {
+				t.Fatalf("%s on Synergy: %v", st.ID, err)
 			}
-			counts[name] = int(ctx.Snapshot().RowsReturned)
+			if len(view.Rows) != len(base.Rows) {
+				t.Errorf("%s seed %d: Synergy returns %d rows, Baseline %d", st.ID, seed, len(view.Rows), len(base.Rows))
+			}
+			if !set.VoltDB.Supported(st) {
+				continue
+			}
+			volt, err := set.VoltDB.eng.Query(sim.NewCtx(), sel, params)
+			if err != nil {
+				t.Fatalf("%s on VoltDB: %v", st.ID, err)
+			}
+			if len(volt) != len(base.Rows) {
+				t.Errorf("%s seed %d: VoltDB returns %d rows, Baseline %d", st.ID, seed, len(volt), len(base.Rows))
+			}
+			voltRuns++
 		}
-		_ = counts // row counts include scan internals; correctness is
-		// asserted via direct result comparison below.
 	}
-	// Direct comparison through the public APIs.
-	params := st.Params(set.Data, sim.NewRNG(99))
-	sel := set.Synergy.parsed.get(st).(interface{ String() string })
-	_ = sel
-	rsV, err := set.Synergy.sys.Query(sim.NewCtx(), mustSelect(st.SQL), params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rsB, err := set.Baseline.sys.Query(sim.NewCtx(), mustSelect(st.SQL), params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rsV.Rows) != len(rsB.Rows) {
-		t.Fatalf("Q1 row counts differ: view=%d base=%d", len(rsV.Rows), len(rsB.Rows))
+	if want := 7 * 5; voltRuns != want {
+		t.Errorf("VoltDB ran %d query draws, want %d (the seven queries it supports, five draws each)", voltRuns, want)
 	}
 }
 

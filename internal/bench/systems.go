@@ -112,11 +112,10 @@ func (s *uaSys) Run(ctx *sim.Ctx, st tpcw.Stmt, params []schema.Value) error {
 func (s *uaSys) Supported(tpcw.Stmt) bool { return true }
 func (s *uaSys) DatabaseBytes() int64     { return s.base.DatabaseBytes() }
 
-// voltSys wraps the VoltDB-like fleet.
+// voltSys wraps the VoltDB-like engine.
 type voltSys struct {
-	fleet  *newsql.Fleet
+	eng    *newsql.Engine
 	parsed parsedCache
-	data   *tpcw.Data
 }
 
 func (s *voltSys) Name() string { return "VoltDB" }
@@ -124,23 +123,18 @@ func (s *voltSys) Name() string { return "VoltDB" }
 func (s *voltSys) Run(ctx *sim.Ctx, st tpcw.Stmt, params []schema.Value) error {
 	stmt := s.parsed.get(st)
 	if sel, ok := stmt.(*sqlparser.SelectStmt); ok {
-		_, err := s.fleet.Query(ctx, sel, params)
+		_, err := s.eng.Query(ctx, sel, params)
 		return err
 	}
-	return s.fleet.Exec(ctx, stmt, params)
+	return s.eng.Exec(ctx, stmt, params)
 }
 
 func (s *voltSys) Supported(st tpcw.Stmt) bool {
-	stmt := s.parsed.get(st)
-	sel, ok := stmt.(*sqlparser.SelectStmt)
-	if !ok {
-		return true
-	}
-	params := st.Params(s.data, sim.NewRNG(1))
-	return s.fleet.Supported(sel, params)
+	sel, ok := s.parsed.get(st).(*sqlparser.SelectStmt)
+	return !ok || s.eng.Supported(sel)
 }
 
-func (s *voltSys) DatabaseBytes() int64 { return s.fleet.DatabaseBytes() }
+func (s *voltSys) DatabaseBytes() int64 { return s.eng.DatabaseBytes() }
 
 // SystemSet is the full evaluation deployment over one generated database.
 type SystemSet struct {
@@ -223,14 +217,15 @@ func BuildSystems(numCust int, seed int64, costs *sim.Costs) (*SystemSet, error)
 		return nil, err
 	}
 
-	// VoltDB: three partitioning schemes over packed in-memory tables.
-	fleet := newsql.NewFleet(sch(), tpcw.PartitionSchemes(), 5, costs)
+	// VoltDB: three partitioning schemes routing one packed in-memory row
+	// store.
+	eng := newsql.New(sch(), tpcw.PartitionSchemes(), costs)
 	for _, table := range data.TableNames() {
-		if err := fleet.Load(table, data.Tables[table]); err != nil {
+		if err := eng.Load(table, data.Tables[table]); err != nil {
 			return nil, fmt.Errorf("voltdb: loading %s: %w", table, err)
 		}
 	}
-	set.VoltDB = &voltSys{fleet: fleet, parsed: parsedCache{}, data: data}
+	set.VoltDB = &voltSys{eng: eng, parsed: parsedCache{}}
 	return set, nil
 }
 

@@ -1,7 +1,6 @@
 package newsql
 
 import (
-	"errors"
 	"fmt"
 
 	"synergy/internal/schema"
@@ -10,8 +9,9 @@ import (
 )
 
 // Exec runs a single-row write transaction (insert, update or delete),
-// serialized on the owning partition — serializable isolation by
-// construction.
+// serialized with every other statement — serializable isolation by
+// construction. It is charged under the first scheme: a write that does not
+// bind that scheme's partition column runs on every partition.
 func (e *Engine) Exec(ctx *sim.Ctx, stmt sqlparser.Statement, params []schema.Value) error {
 	ctx.Charge(e.costs.NewSQLBase)
 	switch s := stmt.(type) {
@@ -24,19 +24,6 @@ func (e *Engine) Exec(ctx *sim.Ctx, stmt sqlparser.Statement, params []schema.Va
 	default:
 		return fmt.Errorf("newsql: unsupported statement %T", stmt)
 	}
-}
-
-// homeFor locates the partition owning a row of table.
-func (e *Engine) homeFor(table string, row schema.Row) (*partition, error) {
-	pcol := e.scheme.Partitioned(table)
-	if pcol == "" {
-		return e.repl, nil
-	}
-	v, ok := row[pcol]
-	if !ok || v == nil {
-		return nil, fmt.Errorf("newsql: write to %s must bind partition column %s", table, pcol)
-	}
-	return e.partitionFor(v), nil
 }
 
 func (e *Engine) execInsert(ctx *sim.Ctx, s *sqlparser.InsertStmt, params []schema.Value) error {
@@ -64,13 +51,15 @@ func (e *Engine) execInsert(ctx *sim.Ctx, s *sqlparser.InsertStmt, params []sche
 			return fmt.Errorf("%w: %s.%s", ErrKeyRequired, s.Table, k)
 		}
 	}
-	p, err := e.homeFor(s.Table, row)
-	if err != nil {
-		return err
+	// Every scheme must be able to place the row.
+	for _, sc := range e.schemes {
+		if pcol := sc.Partitioned(s.Table); pcol != "" && row[pcol] == nil {
+			return fmt.Errorf("newsql: write to %s must bind partition column %s of scheme %s", s.Table, pcol, sc.Name)
+		}
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.table(s.Table).rows[pkKey(rel, row)] = row
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.table(s.Table)[pkKey(rel, row)] = row
 	ctx.Charge(e.costs.NewSQLRow)
 	return nil
 }
@@ -96,32 +85,25 @@ func (e *Engine) keyRowFromWhere(rel *schema.Relation, where []sqlparser.Predica
 	return bound, nil
 }
 
-// findRow locates an existing row by its bound key attributes, searching the
-// owning partition when the partition column is bound and all partitions
-// otherwise (a multi-partition write).
-func (e *Engine) findRow(ctx *sim.Ctx, table string, rel *schema.Relation, bound schema.Row) (*partition, *memTable, string, schema.Row) {
-	key := pkKey(rel, bound)
-	pcol := e.scheme.Partitioned(table)
-	var candidates []*partition
-	if pcol == "" {
-		candidates = []*partition{e.repl}
-	} else if v, ok := bound[pcol]; ok && v != nil {
-		candidates = []*partition{e.partitionFor(v)}
-	} else {
-		candidates = e.parts
+// findRow locates the row a write's WHERE names: the one with the bound key
+// whose every bound column equals the bound value. A write that leaves the
+// first scheme's partition column unbound is charged as multi-partition.
+// Callers hold e.mu.
+func (e *Engine) findRow(ctx *sim.Ctx, rel *schema.Relation, bound schema.Row) (string, schema.Row, bool) {
+	if pcol := e.schemes[0].Partitioned(rel.Name); pcol != "" && bound[pcol] == nil {
 		ctx.Charge(e.costs.NewSQLMultiPartition)
 	}
-	for _, p := range candidates {
-		p.mu.Lock()
-		t := p.tables[table]
-		if t != nil {
-			if row, ok := t.rows[key]; ok {
-				return p, t, key, row // caller unlocks p
-			}
-		}
-		p.mu.Unlock()
+	key := pkKey(rel, bound)
+	row, ok := e.tables[rel.Name][key]
+	if !ok {
+		return "", nil, false
 	}
-	return nil, nil, "", nil
+	for c, v := range bound {
+		if schema.CompareValues(row[c], v) != 0 {
+			return "", nil, false
+		}
+	}
+	return key, row, true
 }
 
 func (e *Engine) execUpdate(ctx *sim.Ctx, s *sqlparser.UpdateStmt, params []schema.Value) error {
@@ -133,11 +115,12 @@ func (e *Engine) execUpdate(ctx *sim.Ctx, s *sqlparser.UpdateStmt, params []sche
 	if err != nil {
 		return err
 	}
-	p, t, key, row := e.findRow(ctx, s.Table, rel, bound)
-	if p == nil {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	key, row, ok := e.findRow(ctx, rel, bound)
+	if !ok {
 		return nil // zero rows affected
 	}
-	defer p.mu.Unlock()
 	updated := row.Clone()
 	for _, a := range s.Set {
 		v, err := constValue(a.Value, params)
@@ -146,7 +129,7 @@ func (e *Engine) execUpdate(ctx *sim.Ctx, s *sqlparser.UpdateStmt, params []sche
 		}
 		updated[a.Column] = v
 	}
-	t.rows[key] = updated
+	e.tables[rel.Name][key] = updated
 	ctx.Charge(e.costs.NewSQLRow)
 	return nil
 }
@@ -160,95 +143,13 @@ func (e *Engine) execDelete(ctx *sim.Ctx, s *sqlparser.DeleteStmt, params []sche
 	if err != nil {
 		return err
 	}
-	p, t, key, _ := e.findRow(ctx, s.Table, rel, bound)
-	if p == nil {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	key, _, ok := e.findRow(ctx, rel, bound)
+	if !ok {
 		return nil
 	}
-	defer p.mu.Unlock()
-	delete(t.rows, key)
+	delete(e.tables[rel.Name], key)
 	ctx.Charge(e.costs.NewSQLRow)
 	return nil
-}
-
-// Fleet runs one engine per partitioning scheme, mirroring the paper's
-// methodology: "to profile the performance of the maximum number of joins
-// ... we use three different partitioning schemes" (§IX-D2). A query runs on
-// the first scheme that supports it.
-type Fleet struct {
-	Engines []*Engine
-}
-
-// NewFleet deploys one engine per scheme and loads each with the same data.
-func NewFleet(sch *schema.Schema, schemes []Scheme, nparts int, costs *sim.Costs) *Fleet {
-	f := &Fleet{}
-	for _, s := range schemes {
-		f.Engines = append(f.Engines, New(sch, s, nparts, costs))
-	}
-	return f
-}
-
-// Load loads rows into every engine.
-func (f *Fleet) Load(table string, rows []schema.Row) error {
-	for _, e := range f.Engines {
-		if err := e.Load(table, rows); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Query tries each scheme in order; ErrUnsupportedJoin falls through to the
-// next. The error of the last engine is returned when none supports it.
-func (f *Fleet) Query(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []schema.Value) ([]schema.Row, error) {
-	var lastErr error
-	for _, e := range f.Engines {
-		rows, err := e.Query(ctx, sel, params)
-		if err == nil {
-			return rows, nil
-		}
-		lastErr = err
-		if !isUnsupported(err) {
-			return nil, err
-		}
-	}
-	return nil, lastErr
-}
-
-// Exec applies a write to every engine (each scheme's copy must stay
-// consistent); the cost is charged once — the paper ran one scheme at a
-// time.
-func (f *Fleet) Exec(ctx *sim.Ctx, stmt sqlparser.Statement, params []schema.Value) error {
-	for i, e := range f.Engines {
-		c := ctx
-		if i > 0 {
-			c = sim.NewCtx() // keep other replicas consistent without double-charging
-		}
-		if err := e.Exec(c, stmt, params); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Supported reports whether any scheme can run the query.
-func (f *Fleet) Supported(sel *sqlparser.SelectStmt, params []schema.Value) bool {
-	for _, e := range f.Engines {
-		if _, err := e.analyzeRouting(sel, params); err == nil {
-			return true
-		}
-	}
-	return false
-}
-
-// DatabaseBytes reports the footprint of ONE engine (the paper deploys one
-// scheme at a time; the fleet exists only to profile all queries).
-func (f *Fleet) DatabaseBytes() int64 {
-	if len(f.Engines) == 0 {
-		return 0
-	}
-	return f.Engines[0].DatabaseBytes()
-}
-
-func isUnsupported(err error) bool {
-	return errors.Is(err, ErrUnsupportedJoin)
 }

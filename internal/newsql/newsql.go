@@ -1,19 +1,21 @@
-// Package newsql is a VoltDB-like NewSQL engine (§IX-D2): an in-memory,
-// horizontally partitioned SQL store executing transactions serially within
-// each partition (serializable isolation, Figure 13's "single threaded
-// partition processing").
+// Package newsql is a VoltDB-like NewSQL engine (§IX-D2): one in-memory row
+// store routed by three partitioning schemes, executing every statement
+// serially (serializable isolation, Figure 13's "single threaded partition
+// processing": serial in the whole store is serial on every partition).
 //
-// Tables are either partitioned on a single column or replicated. Joins
+// A scheme partitions each table on a single column or replicates it. Joins
 // between partitioned tables are only supported on equality of their
 // partitioning columns — the expressiveness restriction that leaves Q3, Q7,
 // Q9 and Q10 of the TPC-W workload unsupported (Figure 12) and forces the
-// paper to profile three different partitioning schemes.
+// paper to profile three different partitioning schemes. A scheme decides
+// only whether a statement runs at all and whether it runs on one partition
+// or on all of them; no charge depends on where a row lives, so the rows are
+// kept once, not placed per scheme.
 package newsql
 
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math/bits"
 	"sort"
 	"strings"
@@ -42,67 +44,43 @@ type Scheme struct {
 // Partitioned reports the partition column of a table ("" = replicated).
 func (s Scheme) Partitioned(table string) string { return s.PartitionBy[table] }
 
-// memTable holds one table's rows in one partition, keyed by encoded PK.
-type memTable struct {
-	rows map[string]schema.Row
-}
-
-// partition executes serially: its mutex is the single-threaded execution
-// site of the VoltDB model.
-type partition struct {
-	mu     sync.Mutex
-	tables map[string]*memTable
-}
-
-func (p *partition) table(name string) *memTable {
-	t := p.tables[name]
-	if t == nil {
-		t = &memTable{rows: map[string]schema.Row{}}
-		p.tables[name] = t
-	}
-	return t
-}
-
-// Engine is one deployment under one partitioning scheme.
+// Engine is the deployment: one row store under one mutex, the
+// single-threaded execution site of the VoltDB model, routed by its schemes.
+// It mirrors the paper's methodology: "to profile the performance of the
+// maximum number of joins ... we use three different partitioning schemes"
+// (§IX-D2). A SELECT runs under the first scheme that supports its joins;
+// writes are charged under the first scheme, as the paper ran one scheme at a
+// time.
 type Engine struct {
-	sch    *schema.Schema
-	scheme Scheme
-	parts  []*partition
-	repl   *partition // replicated tables live here (single logical copy)
-	costs  *sim.Costs
+	sch     *schema.Schema
+	schemes []Scheme
+	costs   *sim.Costs
+
+	mu     sync.Mutex
+	tables map[string]map[string]schema.Row // table -> encoded PK -> row
 }
 
-// New builds an engine with nparts partitions (the paper's cluster hosts 5
-// VoltDB daemons).
-func New(sch *schema.Schema, scheme Scheme, nparts int, costs *sim.Costs) *Engine {
-	if nparts <= 0 {
-		nparts = 5
+// New builds an engine routed by schemes, of which there must be at least
+// one.
+func New(sch *schema.Schema, schemes []Scheme, costs *sim.Costs) *Engine {
+	if len(schemes) == 0 {
+		panic("newsql: New needs at least one partitioning scheme")
 	}
 	if costs == nil {
 		costs = sim.DefaultCosts()
 	}
-	e := &Engine{sch: sch, scheme: scheme, costs: costs, repl: &partition{tables: map[string]*memTable{}}}
-	for i := 0; i < nparts; i++ {
-		e.parts = append(e.parts, &partition{tables: map[string]*memTable{}})
-	}
-	return e
+	return &Engine{sch: sch, schemes: schemes, costs: costs, tables: map[string]map[string]schema.Row{}}
 }
 
-// Scheme returns the engine's partitioning scheme.
-func (e *Engine) Scheme() Scheme { return e.scheme }
-
-func (e *Engine) partitionFor(v schema.Value) *partition {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%v", v)
-	return e.parts[h.Sum64()%uint64(len(e.parts))]
-}
-
-// homes returns the partitions holding a table's data.
-func (e *Engine) homes(table string) []*partition {
-	if e.scheme.Partitioned(table) == "" {
-		return []*partition{e.repl}
+// table returns a table's rows, creating the map on first use. Callers hold
+// e.mu.
+func (e *Engine) table(name string) map[string]schema.Row {
+	t := e.tables[name]
+	if t == nil {
+		t = map[string]schema.Row{}
+		e.tables[name] = t
 	}
-	return e.parts
+	return t
 }
 
 // Load bulk-inserts rows (setup path; no latency charged).
@@ -111,14 +89,11 @@ func (e *Engine) Load(table string, rows []schema.Row) error {
 	if rel == nil {
 		return fmt.Errorf("%w: %s", ErrUnknownTable, table)
 	}
-	pcol := e.scheme.Partitioned(table)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	t := e.table(table)
 	for _, r := range rows {
-		key := pkKey(rel, r)
-		if pcol == "" {
-			e.repl.table(table).rows[key] = r
-			continue
-		}
-		e.partitionFor(r[pcol]).table(table).rows[key] = r
+		t[pkKey(rel, r)] = r
 	}
 	return nil
 }
@@ -133,31 +108,22 @@ func pkKey(rel *schema.Relation, r schema.Row) string {
 
 // RowCount reports total rows of a table.
 func (e *Engine) RowCount(table string) int {
-	n := 0
-	for _, p := range e.homes(table) {
-		p.mu.Lock()
-		if t := p.tables[table]; t != nil {
-			n += len(t.rows)
-		}
-		p.mu.Unlock()
-	}
-	return n
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.tables[table])
 }
 
 // DatabaseBytes reports the packed-tuple storage footprint: VoltDB stores
 // typed tuples without per-cell key overhead, which is why its database is
 // the smallest in Table III.
 func (e *Engine) DatabaseBytes() int64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	var total int64
-	seen := append([]*partition{e.repl}, e.parts...)
-	for _, p := range seen {
-		p.mu.Lock()
-		for _, t := range p.tables {
-			for _, r := range t.rows {
-				total += tupleBytes(r) + 8 // tuple header
-			}
+	for _, t := range e.tables {
+		for _, r := range t {
+			total += tupleBytes(r) + 8 // tuple header
 		}
-		p.mu.Unlock()
 	}
 	return total
 }
@@ -178,21 +144,22 @@ func tupleBytes(r schema.Row) int64 {
 // ---------------------------------------------------------------------------
 // Planning: routing and join-support checks
 
-// analyzeRouting decides single-partition vs multi-partition execution and
-// validates join support. It returns the partitions to lock.
-func (e *Engine) analyzeRouting(sel *sqlparser.SelectStmt, params []schema.Value) ([]*partition, error) {
+// route validates join support under scheme and reports whether the
+// statement runs on every partition (multi) or on the one a constant filter
+// on a partition column names.
+func (e *Engine) route(scheme Scheme, sel *sqlparser.SelectStmt, params []schema.Value) (multi bool, err error) {
 	binds := map[string]string{} // binding -> table ("" derived)
 	for _, ref := range sel.From {
 		if ref.Sub != nil {
 			binds[ref.Binding()] = ""
 			// Derived tables are validated recursively.
-			if _, err := e.analyzeRouting(ref.Sub, params); err != nil {
-				return nil, err
+			if _, err := e.route(scheme, ref.Sub, params); err != nil {
+				return false, err
 			}
 			continue
 		}
 		if e.sch.Relation(ref.Name) == nil {
-			return nil, fmt.Errorf("%w: %s", ErrUnknownTable, ref.Name)
+			return false, fmt.Errorf("%w: %s", ErrUnknownTable, ref.Name)
 		}
 		binds[ref.Binding()] = ref.Name
 	}
@@ -207,14 +174,14 @@ func (e *Engine) analyzeRouting(sel *sqlparser.SelectStmt, params []schema.Value
 		if !lok || !rok || lt == "" || rt == "" {
 			continue // derived side: computed result joined at the coordinator
 		}
-		lp := e.scheme.Partitioned(lt)
-		rp := e.scheme.Partitioned(rt)
+		lp := scheme.Partitioned(lt)
+		rp := scheme.Partitioned(rt)
 		if lp == "" || rp == "" {
 			continue // replicated side joins freely
 		}
 		if l.Column != lp || r.Column != rp {
-			return nil, fmt.Errorf("%w: %s.%s = %s.%s under scheme %s",
-				ErrUnsupportedJoin, l.Table, l.Column, r.Table, r.Column, e.scheme.Name)
+			return false, fmt.Errorf("%w: %s.%s = %s.%s under scheme %s",
+				ErrUnsupportedJoin, l.Table, l.Column, r.Table, r.Column, scheme.Name)
 		}
 	}
 
@@ -238,18 +205,27 @@ func (e *Engine) analyzeRouting(sel *sqlparser.SelectStmt, params []schema.Value
 				}
 			}
 		}
-		if table == "" || e.scheme.Partitioned(table) != col.Column {
+		if table == "" || scheme.Partitioned(table) != col.Column {
 			continue
 		}
-		v, err := constValue(p.Right, params)
-		if err != nil {
-			continue
+		if _, err := constValue(p.Right, params); err == nil {
+			return false, nil
 		}
-		return []*partition{e.partitionFor(v)}, nil
 	}
 
 	// Multi-partition read: all partitions participate.
-	return e.parts, nil
+	return true, nil
+}
+
+// Supported reports whether any scheme can run the query. Support depends
+// on the joins alone, never on parameters.
+func (e *Engine) Supported(sel *sqlparser.SelectStmt) bool {
+	for _, s := range e.schemes {
+		if _, err := e.route(s, sel, nil); err == nil {
+			return true
+		}
+	}
+	return false
 }
 
 func constValue(expr sqlparser.Expr, params []schema.Value) (schema.Value, error) {
@@ -266,43 +242,34 @@ func constValue(expr sqlparser.Expr, params []schema.Value) (schema.Value, error
 	}
 }
 
-// lockAll acquires the partitions in address order (deadlock-free) — the
-// multi-partition coordinator of the VoltDB model.
-func lockAll(parts []*partition) func() {
-	sorted := append([]*partition(nil), parts...)
-	sort.Slice(sorted, func(i, j int) bool {
-		return fmt.Sprintf("%p", sorted[i]) < fmt.Sprintf("%p", sorted[j])
-	})
-	for _, p := range sorted {
-		p.mu.Lock()
-	}
-	return func() {
-		for _, p := range sorted {
-			p.mu.Unlock()
-		}
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Query execution
 
-// Query executes a SELECT with serializable isolation.
+// Query executes a SELECT with serializable isolation under the first scheme
+// that supports its joins. When none does, the last scheme's error is
+// returned.
 func (e *Engine) Query(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []schema.Value) ([]schema.Row, error) {
-	parts, err := e.analyzeRouting(sel, params)
-	if err != nil {
-		return nil, err
+	var err error
+	for _, s := range e.schemes {
+		var multi bool
+		if multi, err = e.route(s, sel, params); err != nil {
+			if errors.Is(err, ErrUnsupportedJoin) {
+				continue
+			}
+			return nil, err
+		}
+		ctx.Charge(e.costs.NewSQLBase)
+		if multi {
+			ctx.Charge(e.costs.NewSQLMultiPartition)
+		}
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		return e.execSelect(ctx, sel, params)
 	}
-	ctx.Charge(e.costs.NewSQLBase)
-	if len(parts) > 1 {
-		ctx.Charge(e.costs.NewSQLMultiPartition)
-	}
-	unlock := lockAll(append(parts, e.repl))
-	defer unlock()
-	return e.execSelect(ctx, sel, params)
+	return nil, err
 }
 
-// execSelect runs the relational pipeline in memory. Callers hold the
-// partition locks.
+// execSelect runs the relational pipeline in memory. Callers hold e.mu.
 func (e *Engine) execSelect(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []schema.Value) ([]schema.Row, error) {
 	type binding struct {
 		name string
@@ -318,12 +285,8 @@ func (e *Engine) execSelect(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []sc
 			}
 			b.rows = sub
 		} else {
-			for _, p := range e.homes(ref.Name) {
-				if t := p.tables[ref.Name]; t != nil {
-					for _, r := range t.rows {
-						b.rows = append(b.rows, r)
-					}
-				}
+			for _, r := range e.tables[ref.Name] {
+				b.rows = append(b.rows, r)
 			}
 		}
 		bindings = append(bindings, b)
@@ -356,105 +319,23 @@ func (e *Engine) execSelect(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []sc
 		return v, ok
 	}
 
-	evalPred := func(p sqlparser.Predicate, row schema.Row) (bool, bool) {
-		l, lIsCol := p.Left.(sqlparser.ColumnRef)
-		r, rIsCol := p.Right.(sqlparser.ColumnRef)
-		var lv, rv schema.Value
-		if lIsCol {
-			v, ok := resolve(l, row)
-			if !ok {
-				return false, false
-			}
-			lv = v
-		} else {
-			v, err := constValue(p.Left, params)
-			if err != nil {
-				return false, false
-			}
-			lv = v
-		}
-		if rIsCol {
-			v, ok := resolve(r, row)
-			if !ok {
-				return false, false
-			}
-			rv = v
-		} else {
-			v, err := constValue(p.Right, params)
-			if err != nil {
-				return false, false
-			}
-			rv = v
-		}
-		cmp := schema.CompareValues(lv, rv)
-		switch p.Op {
-		case sqlparser.OpEq:
-			return cmp == 0, true
-		case sqlparser.OpNe:
-			return cmp != 0, true
-		case sqlparser.OpLt:
-			return cmp < 0, true
-		case sqlparser.OpLe:
-			return cmp <= 0, true
-		case sqlparser.OpGt:
-			return cmp > 0, true
-		case sqlparser.OpGe:
-			return cmp >= 0, true
-		}
-		return false, false
-	}
-
-	// resolve2 looks a column up across a pending join pair.
-	resolve2 := func(c sqlparser.ColumnRef, l, r schema.Row) (schema.Value, bool) {
+	// The predicates are decided over one row (the first binding) or over
+	// a pending join pair (l, r), looking a column up in l first.
+	var l, r schema.Row
+	inRow := func(c sqlparser.ColumnRef) (schema.Value, bool) { return resolve(c, l) }
+	inPair := func(c sqlparser.ColumnRef) (schema.Value, bool) {
 		if v, ok := resolve(c, l); ok {
 			return v, true
 		}
 		return resolve(c, r)
 	}
-	evalPredPair := func(p sqlparser.Predicate, l, r schema.Row) (bool, bool) {
-		var lv, rv schema.Value
-		if c, isCol := p.Left.(sqlparser.ColumnRef); isCol {
-			v, ok := resolve2(c, l, r)
-			if !ok {
-				return false, false
+	keep := func(col func(sqlparser.ColumnRef) (schema.Value, bool)) bool {
+		for _, p := range sel.Where {
+			if holds, decidable := evalPred(p, col, params); decidable && !holds {
+				return false
 			}
-			lv = v
-		} else {
-			v, err := constValue(p.Left, params)
-			if err != nil {
-				return false, false
-			}
-			lv = v
 		}
-		if c, isCol := p.Right.(sqlparser.ColumnRef); isCol {
-			v, ok := resolve2(c, l, r)
-			if !ok {
-				return false, false
-			}
-			rv = v
-		} else {
-			v, err := constValue(p.Right, params)
-			if err != nil {
-				return false, false
-			}
-			rv = v
-		}
-		cmp := schema.CompareValues(lv, rv)
-		switch p.Op {
-		case sqlparser.OpEq:
-			return cmp == 0, true
-		case sqlparser.OpNe:
-			return cmp != 0, true
-		case sqlparser.OpLt:
-			return cmp < 0, true
-		case sqlparser.OpLe:
-			return cmp <= 0, true
-		case sqlparser.OpGt:
-			return cmp > 0, true
-		case sqlparser.OpGe:
-			return cmp >= 0, true
-		}
-		return false, false
+		return true
 	}
 
 	// Left-deep joins with predicates pushed into the pair loop (never
@@ -465,17 +346,9 @@ func (e *Engine) execSelect(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []sc
 		qrows := qualify(b)
 		if i == 0 {
 			kept := qrows[:0]
-			for _, row := range qrows {
-				ok := true
-				for _, p := range sel.Where {
-					res, decidable := evalPred(p, row)
-					if decidable && !res {
-						ok = false
-						break
-					}
-				}
-				if ok {
-					kept = append(kept, row)
+			for _, l = range qrows {
+				if keep(inRow) {
+					kept = append(kept, l)
 				}
 			}
 			current = kept
@@ -508,12 +381,9 @@ func (e *Engine) execSelect(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []sc
 		}
 
 		var joined []schema.Row
-		tryPair := func(l, r schema.Row) {
-			for _, p := range sel.Where {
-				res, decidable := evalPredPair(p, l, r)
-				if decidable && !res {
-					return
-				}
+		tryPair := func() {
+			if !keep(inPair) {
+				return
 			}
 			m := make(schema.Row, len(l)+len(r))
 			for k, v := range l {
@@ -527,23 +397,23 @@ func (e *Engine) execSelect(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []sc
 
 		if leftKey != nil {
 			buckets := make(map[string][]schema.Row, len(qrows))
-			for _, r := range qrows {
-				v, _ := resolve(*rightKey, r)
-				buckets[fmt.Sprintf("%v", v)] = append(buckets[fmt.Sprintf("%v", v)], r)
+			for _, row := range qrows {
+				v, _ := resolve(*rightKey, row)
+				buckets[fmt.Sprintf("%v", v)] = append(buckets[fmt.Sprintf("%v", v)], row)
 			}
-			for _, l := range current {
+			for _, l = range current {
 				v, ok := resolve(*leftKey, l)
 				if !ok {
 					continue
 				}
-				for _, r := range buckets[fmt.Sprintf("%v", v)] {
-					tryPair(l, r)
+				for _, r = range buckets[fmt.Sprintf("%v", v)] {
+					tryPair()
 				}
 			}
 		} else {
-			for _, l := range current {
-				for _, r := range qrows {
-					tryPair(l, r)
+			for _, l = range current {
+				for _, r = range qrows {
+					tryPair()
 				}
 			}
 		}
@@ -627,6 +497,43 @@ func (e *Engine) execSelect(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []sc
 		out[i] = pr
 	}
 	return out, nil
+}
+
+// evalPred decides p over the columns col resolves and the statement's
+// constants. decidable is false when col lacks one of p's columns: the
+// predicate belongs to a later join step.
+func evalPred(p sqlparser.Predicate, col func(sqlparser.ColumnRef) (schema.Value, bool), params []schema.Value) (holds, decidable bool) {
+	operand := func(x sqlparser.Expr) (schema.Value, bool) {
+		if c, ok := x.(sqlparser.ColumnRef); ok {
+			return col(c)
+		}
+		v, err := constValue(x, params)
+		return v, err == nil
+	}
+	lv, ok := operand(p.Left)
+	if !ok {
+		return false, false
+	}
+	rv, ok := operand(p.Right)
+	if !ok {
+		return false, false
+	}
+	cmp := schema.CompareValues(lv, rv)
+	switch p.Op {
+	case sqlparser.OpEq:
+		return cmp == 0, true
+	case sqlparser.OpNe:
+		return cmp != 0, true
+	case sqlparser.OpLt:
+		return cmp < 0, true
+	case sqlparser.OpLe:
+		return cmp <= 0, true
+	case sqlparser.OpGt:
+		return cmp > 0, true
+	case sqlparser.OpGe:
+		return cmp >= 0, true
+	}
+	return false, false
 }
 
 func aggKey(it sqlparser.SelectItem) string {

@@ -53,7 +53,7 @@ func custScheme() Scheme {
 
 func loadedEngine(t *testing.T) *Engine {
 	t.Helper()
-	e := New(microSchema(), custScheme(), 5, nil)
+	e := New(microSchema(), []Scheme{custScheme()}, nil)
 	var customers, orders, countries []schema.Row
 	for c := int64(1); c <= 20; c++ {
 		customers = append(customers, schema.Row{"c_id": c, "c_uname": fmt.Sprintf("u%02d", c)})
@@ -238,7 +238,7 @@ func TestFleetFallsBackAcrossSchemes(t *testing.T) {
 		custScheme(),
 		{Name: "by-order", PartitionBy: map[string]string{"Customer": "c_id", "Orders": "o_id"}},
 	}
-	f := NewFleet(sch, schemes, 5, nil)
+	e := New(sch, schemes, nil)
 	var orders []schema.Row
 	for o := int64(1); o <= 10; o++ {
 		orders = append(orders, schema.Row{"o_id": o, "o_c_id": o % 3, "o_total": float64(o)})
@@ -247,49 +247,79 @@ func TestFleetFallsBackAcrossSchemes(t *testing.T) {
 	for c := int64(0); c < 3; c++ {
 		customers = append(customers, schema.Row{"c_id": c, "c_uname": fmt.Sprintf("u%d", c)})
 	}
-	if err := f.Load("Orders", orders); err != nil {
+	if err := e.Load("Orders", orders); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Load("Customer", customers); err != nil {
+	if err := e.Load("Customer", customers); err != nil {
 		t.Fatal(err)
 	}
 
 	// Supported by scheme 1, not scheme 2.
 	q1 := sqlparser.MustParse("SELECT * FROM Customer c, Orders o WHERE c.c_id = o.o_c_id").(*sqlparser.SelectStmt)
-	rows, err := f.Query(sim.NewCtx(), q1, nil)
+	rows, err := e.Query(sim.NewCtx(), q1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 10 {
 		t.Fatalf("rows = %d, want 10", len(rows))
 	}
-	if !f.Supported(q1, nil) {
+	if !e.Supported(q1) {
 		t.Fatal("q1 should be supported")
+	}
+
+	// Supported by scheme 2 only: the Orders self-join on o_id pairs
+	// scheme 2's partition columns, not scheme 1's.
+	self := sqlparser.MustParse("SELECT * FROM Orders a, Orders b WHERE a.o_id = b.o_id").(*sqlparser.SelectStmt)
+	if rows, err := e.Query(sim.NewCtx(), self, nil); err != nil || len(rows) != 10 {
+		t.Fatalf("self-join rows = %d, err = %v; want 10 under scheme 2", len(rows), err)
 	}
 
 	// Supported by neither: Customer x Orders on o_id under scheme 1;
 	// under scheme 2 c_id x o_id IS the partition-column pair, so pick a
 	// join unsupported in both.
 	q2 := sqlparser.MustParse("SELECT * FROM Customer c, Orders o WHERE c.c_id = o.o_total").(*sqlparser.SelectStmt)
-	if f.Supported(q2, nil) {
+	if e.Supported(q2) {
 		t.Fatal("q2 should be unsupported in every scheme")
 	}
-	if _, err := f.Query(sim.NewCtx(), q2, nil); !errors.Is(err, ErrUnsupportedJoin) {
+	if _, err := e.Query(sim.NewCtx(), q2, nil); !errors.Is(err, ErrUnsupportedJoin) {
 		t.Fatalf("err = %v, want ErrUnsupportedJoin", err)
 	}
 }
 
+// TestFleetWritesKeepSchemesConsistent checks that one write is seen under
+// every scheme, and that an insert some scheme cannot place is refused.
 func TestFleetWritesKeepSchemesConsistent(t *testing.T) {
 	sch := microSchema()
-	f := NewFleet(sch, []Scheme{custScheme(), {Name: "alt", PartitionBy: map[string]string{"Customer": "c_id"}}}, 3, nil)
+	e := New(sch, []Scheme{custScheme(), {Name: "alt", PartitionBy: map[string]string{"Customer": "c_uname", "Orders": "o_id"}}}, nil)
+	ctx := sim.NewCtx()
 	ins := sqlparser.MustParse("INSERT INTO Customer (c_id, c_uname) VALUES (?, ?)")
-	if err := f.Exec(sim.NewCtx(), ins, []schema.Value{int64(1), "x"}); err != nil {
+	if err := e.Exec(ctx, ins, []schema.Value{int64(1), "x"}); err != nil {
 		t.Fatal(err)
 	}
-	for i, e := range f.Engines {
-		if n := e.RowCount("Customer"); n != 1 {
-			t.Fatalf("engine %d rows = %d, want 1", i, n)
+	insOrder := sqlparser.MustParse("INSERT INTO Orders (o_id, o_c_id, o_total) VALUES (?, ?, ?)")
+	if err := e.Exec(ctx, insOrder, []schema.Value{int64(7), int64(1), 7.0}); err != nil {
+		t.Fatal(err)
+	}
+	if n := e.RowCount("Customer"); n != 1 {
+		t.Fatalf("rows = %d, want 1", n)
+	}
+	for _, sql := range []string{
+		"SELECT * FROM Customer c, Orders o WHERE c.c_id = o.o_c_id", // scheme 1
+		"SELECT * FROM Orders a, Orders b WHERE a.o_id = b.o_id",     // scheme 2
+	} {
+		rows, err := e.Query(ctx, sqlparser.MustParse(sql).(*sqlparser.SelectStmt), nil)
+		if err != nil || len(rows) != 1 {
+			t.Fatalf("%s: rows = %d, err = %v; want 1", sql, len(rows), err)
 		}
+	}
+	// c_uname is the alt scheme's partition column: without it the row
+	// has no home there.
+	noUname := sqlparser.MustParse("INSERT INTO Customer (c_id) VALUES (?)")
+	if err := e.Exec(ctx, noUname, []schema.Value{int64(2)}); err == nil {
+		t.Fatal("insert without the alt scheme's partition column was accepted")
+	}
+	if n := e.RowCount("Customer"); n != 1 {
+		t.Fatalf("rows after refused insert = %d, want 1", n)
 	}
 }
 
@@ -303,5 +333,80 @@ func TestDatabaseBytesSmallerThanKVFormat(t *testing.T) {
 	// 16KB — the point of Table III's VoltDB column.
 	if bytes > 16*1024 {
 		t.Fatalf("packed storage = %d bytes, implausibly large", bytes)
+	}
+}
+
+// TestConcurrentQueriesAndWrites mixes multi-partition SELECTs, which read
+// every row, with keyed UPDATEs; run it under -race.
+func TestConcurrentQueriesAndWrites(t *testing.T) {
+	e := loadedEngine(t)
+	scans := []struct {
+		sel  *sqlparser.SelectStmt
+		rows int
+	}{
+		{sqlparser.MustParse("SELECT * FROM Customer").(*sqlparser.SelectStmt), 20},
+		{sqlparser.MustParse("SELECT * FROM Customer c, Orders o WHERE c.c_id = o.o_c_id").(*sqlparser.SelectStmt), 60},
+	}
+	up := sqlparser.MustParse("UPDATE Orders SET o_total = ? WHERE o_id = ?")
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if w%2 == 0 {
+					sc := scans[i%len(scans)]
+					rows, err := e.Query(sim.NewCtx(), sc.sel, nil)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if len(rows) != sc.rows {
+						t.Errorf("%s: rows = %d, want %d", sc.sel, len(rows), sc.rows)
+						return
+					}
+					continue
+				}
+				oid := int64(100*(1+i%20) + w%3)
+				if err := e.Exec(sim.NewCtx(), up, []schema.Value{float64(w*1000 + i), oid}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// TestKeyedWriteMatchesEveryBoundColumn checks that a write whose WHERE
+// binds the key and another column changes the row only when that column
+// holds the bound value too: order 101 belongs to customer 1, so naming any
+// other customer affects no row.
+func TestKeyedWriteMatchesEveryBoundColumn(t *testing.T) {
+	e := loadedEngine(t)
+	up := sqlparser.MustParse("UPDATE Orders SET o_total = ? WHERE o_id = 101 AND o_c_id = ?")
+	del := sqlparser.MustParse("DELETE FROM Orders WHERE o_id = 101 AND o_c_id = ?")
+	sel := sqlparser.MustParse("SELECT o_total FROM Orders WHERE o_id = 101").(*sqlparser.SelectStmt)
+	for c := int64(2); c <= 20; c++ {
+		if err := e.Exec(sim.NewCtx(), up, []schema.Value{-1.0, c}); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Exec(sim.NewCtx(), del, []schema.Value{c}); err != nil {
+			t.Fatal(err)
+		}
+		rows, err := e.Query(sim.NewCtx(), sel, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rows) != 1 || rows[0]["o_total"] != 101.0 {
+			t.Fatalf("after writes naming o_c_id = %d, order 101 reads %v; want o_total 101", c, rows)
+		}
+	}
+	// Naming the owning customer does write.
+	if err := e.Exec(sim.NewCtx(), up, []schema.Value{-1.0, int64(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if rows, _ := e.Query(sim.NewCtx(), sel, nil); len(rows) != 1 || rows[0]["o_total"] != -1.0 {
+		t.Fatalf("update naming o_c_id = 1: order 101 reads %v, want o_total -1", rows)
 	}
 }
