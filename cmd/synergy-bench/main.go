@@ -9,9 +9,7 @@
 //	synergy-bench -experiment fig10 -scales 500,5000,50000
 //	synergy-bench -experiment table3 -cust 2000
 //	synergy-bench -experiment contention -hotrows 1,4,16 -workers 8 -rounds 50 -ops 10
-//	synergy-bench -experiment contention -herd
 //	synergy-bench -experiment maintenance -views 1,4,16
-//	synergy-bench -experiment server -conns 8 -txns 16
 package main
 
 import (
@@ -28,7 +26,7 @@ import (
 
 // experiments are the names -experiment accepts.
 var experiments = []string{"fig10", "fig11", "fig12", "fig13", "fig14", "table1", "table2", "table3",
-	"design", "contention", "maintenance", "server", "all"}
+	"design", "contention", "maintenance", "all"}
 
 func main() {
 	var (
@@ -42,10 +40,7 @@ func main() {
 		workers    = flag.Int("workers", 4, "contention sweep concurrent workers")
 		rounds     = flag.Int("rounds", 25, "contention sweep waves per cell")
 		ops        = flag.Int("ops", 1, "contention sweep statements per transaction")
-		herd       = flag.Bool("herd", false, "contention sweep: conflict losers retry as an overlapping wave instead of solo")
 		views      = flag.String("views", "1,4,16", "maintenance sweep view counts")
-		conns      = flag.Int("conns", 8, "server experiment concurrent client connections per mode")
-		txns       = flag.Int("txns", 16, "server experiment transactions per connection")
 	)
 	flag.Parse()
 	if !slices.Contains(experiments, *experiment) {
@@ -54,8 +49,7 @@ func main() {
 	}
 
 	if err := run(os.Stdout, *experiment, *cust, *reps, *seed, parseInts(*scales), parseInts(*locks),
-		parseInts(*hotRows), *workers, *rounds, *ops, *herd, parseInts(*views),
-		bench.ServerOpts{Conns: *conns, Txns: *txns}); err != nil {
+		parseInts(*hotRows), *workers, *rounds, *ops, parseInts(*views)); err != nil {
 		fmt.Fprintln(os.Stderr, "synergy-bench:", err)
 		os.Exit(1)
 	}
@@ -78,7 +72,7 @@ func parseInts(csv string) []int {
 	return out
 }
 
-func run(w io.Writer, experiment string, cust, reps int, seed int64, scales, locks, hotRows []int, workers, rounds, ops int, herd bool, views []int, serverOpts bench.ServerOpts) error {
+func run(w io.Writer, experiment string, cust, reps int, seed int64, scales, locks, hotRows []int, workers, rounds, ops int, views []int) error {
 	needSystems := map[string]bool{"fig12": true, "fig14": true, "table2": true, "table3": true, "all": true}
 	var set *bench.SystemSet
 	if needSystems[experiment] {
@@ -132,8 +126,7 @@ func run(w io.Writer, experiment string, cust, reps int, seed int64, scales, loc
 		fmt.Fprintln(w, bench.Figure13Matrix())
 	}
 	if want("contention") {
-		res, err := bench.RunContentionOpts(hotRows, workers, rounds, ops, seed, nil,
-			bench.ContentionOpts{Herd: herd})
+		res, err := bench.RunContention(hotRows, workers, rounds, ops, seed, nil)
 		if err != nil {
 			return err
 		}
@@ -145,13 +138,6 @@ func run(w io.Writer, experiment string, cust, reps int, seed int64, scales, loc
 			return err
 		}
 		fmt.Fprintln(w, bench.RenderMaintenance(res))
-	}
-	if want("server") {
-		res, err := bench.RunServer(serverOpts, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, bench.RenderServer(res))
 	}
 	if want("fig14") {
 		g, err := bench.RunFigure14(set, reps, seed)

@@ -6,31 +6,26 @@ import (
 	"os/exec"
 	"strings"
 	"testing"
-
-	"synergy/internal/bench"
 )
 
-// TestExperimentSmokes drives the maintenance and server experiments
-// through run at small sizes (arguments none of them reads are zero) and
-// wants each report's header in the output.
+// TestExperimentSmokes drives the contention and maintenance experiments
+// through run at small sizes (arguments neither reads are zero) and wants
+// each report's header in the output.
 func TestExperimentSmokes(t *testing.T) {
 	for _, tc := range []struct {
 		experiment string
 		want       []string
 	}{
+		{"contention", []string{
+			"Contention sweep: 3 rounds x 2 overlapping transactions x 2 root updates each, solo retries (",
+		}},
 		{"maintenance", []string{
 			"View maintenance lanes: write cost vs staleness (3 reps; ms simulated)\n",
-		}},
-		{"server", []string{
-			"Wire server: 8 connections x 4 transactions per mode,",
-			"\nadmission: ",
-			", 1 rejected at the bound\n",
 		}},
 	} {
 		t.Run(tc.experiment, func(t *testing.T) {
 			var out strings.Builder
-			err := run(&out, tc.experiment, 0, 3, 1, nil, nil, nil, 0, 0, 0, false,
-				[]int{1, 4, 16}, bench.ServerOpts{Conns: 8, Txns: 4})
+			err := run(&out, tc.experiment, 0, 3, 1, nil, nil, []int{1, 4}, 2, 3, 2, []int{1, 4, 16})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -44,15 +39,15 @@ func TestExperimentSmokes(t *testing.T) {
 }
 
 // TestUnknownExperimentExits2 runs the command with -experiment names it does
-// not know, "skew" among them, and wants exit status 2, no output and an
-// error that names every valid experiment.
+// not know, the removed "skew" and "server" among them, and wants exit status
+// 2, no output and an error that names every valid experiment.
 func TestUnknownExperimentExits2(t *testing.T) {
 	if name := os.Getenv("SYNERGY_BENCH_EXPERIMENT"); name != "" {
 		os.Args = []string{"synergy-bench", "-experiment", name}
 		main()
 		os.Exit(0)
 	}
-	for _, name := range []string{"bogus", "skew"} {
+	for _, name := range []string{"bogus", "skew", "server"} {
 		t.Run(name, func(t *testing.T) {
 			cmd := exec.Command(os.Args[0], "-test.run=^TestUnknownExperimentExits2$")
 			cmd.Env = append(os.Environ(), "SYNERGY_BENCH_EXPERIMENT="+name)

@@ -63,23 +63,7 @@ type ContentionResult struct {
 	// its one-time spin over them — the crossover the PR-4 notes predicted.
 	Ops     int
 	HotRows []int
-	// Herd records whether conflict losers retried as an overlapping wave
-	// (see ContentionOpts.Herd) rather than solo.
-	Herd  bool
-	Cells map[int]map[string]ContentionCell // hotRows -> mode -> cell
-}
-
-// ContentionOpts select optional sweep behaviors beyond the calibrated
-// defaults.
-type ContentionOpts struct {
-	// Herd makes the optimistic modes' conflict losers retry as a
-	// simultaneous wave instead of solo: every loser backs off on the shared
-	// capped-exponential schedule, then all of them re-execute overlapped and
-	// race to commit again, so each retry wave crowns one winner and sends
-	// the rest around once more — the thundering-herd retry storm a naive
-	// client-side retry loop produces. Off by default: the solo-retry cells
-	// are the calibrated baseline earlier PRs pinned.
-	Herd bool
+	Cells   map[int]map[string]ContentionCell // hotRows -> mode -> cell
 }
 
 // contentionSchema is a Root with a materialized Root-Leaf view, the fanout
@@ -114,9 +98,10 @@ func contentionSchema() (*schema.Schema, []string) {
 	}
 }
 
-// buildContentionSystem deploys one mode over hotRows root rows with
-// leavesPerRoot view rows under each.
-func buildContentionSystem(mode synergy.ConcurrencyMode, hotRows, leavesPerRoot int, costs *sim.Costs) (*synergy.System, error) {
+// buildContentionSystem deploys one mode over hotRows root rows with four
+// view rows under each.
+func buildContentionSystem(mode synergy.ConcurrencyMode, hotRows int, costs *sim.Costs) (*synergy.System, error) {
+	const leavesPerRoot = 4
 	s, workload := contentionSchema()
 	cfg := synergy.Config{Concurrency: mode, Costs: costs}
 	if mode != synergy.Hierarchical {
@@ -174,13 +159,13 @@ func buildContentionSystem(mode synergy.ConcurrencyMode, hotRows, leavesPerRoot 
 // paper's systems, runs client-side against the Tephra-like server with no
 // transaction layer.
 func RunContention(hotRows []int, workers, rounds, ops int, seed int64, costs *sim.Costs) (*ContentionResult, error) {
-	return RunContentionOpts(hotRows, workers, rounds, ops, seed, costs, ContentionOpts{})
-}
-
-// RunContentionOpts is RunContention with explicit sweep options.
-func RunContentionOpts(hotRows []int, workers, rounds, ops int, seed int64, costs *sim.Costs, opts ContentionOpts) (*ContentionResult, error) {
 	if len(hotRows) == 0 {
 		hotRows = []int{1, 4, 16}
+	}
+	for _, hr := range hotRows {
+		if hr < 1 {
+			return nil, fmt.Errorf("contention: hot-row count %d, want at least 1", hr)
+		}
 	}
 	if workers <= 0 {
 		workers = 4
@@ -196,23 +181,18 @@ func RunContentionOpts(hotRows []int, workers, rounds, ops int, seed int64, cost
 	}
 	res := &ContentionResult{
 		Workers: workers, Rounds: rounds, Ops: ops, HotRows: hotRows,
-		Herd:  opts.Herd,
 		Cells: map[int]map[string]ContentionCell{},
 	}
 	for _, hr := range hotRows {
 		res.Cells[hr] = map[string]ContentionCell{}
 		for _, m := range ContentionModes {
-			sys, err := buildContentionSystem(m.Mode, hr, 4, costs)
+			sys, err := buildContentionSystem(m.Mode, hr, costs)
 			if err != nil {
 				return nil, err
 			}
 			var cell ContentionCell
 			if m.Mode == synergy.Hierarchical {
-				// Locking blocks instead of aborting, so there is no retry
-				// storm to model: the herd cells share the calibrated queue.
 				cell, err = runLockingCell(sys, hr, workers, rounds, ops, seed, costs)
-			} else if opts.Herd {
-				cell, err = runHerdCell(sys, m.Mode, hr, workers, rounds, ops, seed, costs)
 			} else {
 				cell, err = runOptimisticCell(sys, m.Mode, hr, workers, rounds, ops, seed, costs)
 			}
@@ -407,99 +387,6 @@ func calibrateTxnLayer(sys *synergy.System, mode synergy.ConcurrencyMode) (sim.M
 	return 0, nil
 }
 
-// runHerdCell is runOptimisticCell with the losers' retry discipline
-// inverted: instead of re-running solo like a backed-off client, every
-// conflict loser in a wave backs off and then re-executes simultaneously
-// with the other losers, racing to commit again. Each retry wave crowns one
-// winner, so a round with k same-row overlaps pays k retry waves whose
-// backoff charges climb the capped-exponential schedule — the contention
-// collapse a naive retry loop produces under a thundering herd.
-func runHerdCell(sys *synergy.System, mode synergy.ConcurrencyMode, hotRows, workers, rounds, ops int, seed int64, costs *sim.Costs) (ContentionCell, error) {
-	rng := rand.New(rand.NewSource(seed))
-	samples := make([]sim.Micros, 0, workers*rounds)
-	var conflicts, retries int64
-	const maxWaves = 100
-
-	layer, err := calibrateTxnLayer(sys, mode)
-	if err != nil {
-		return ContentionCell{}, err
-	}
-
-	execAll := func(ctx *sim.Ctx, tx *synergy.Tx, r, w int, rows []int64) error {
-		for i, row := range rows {
-			if err := tx.Exec(ctx, contentionUpdate,
-				[]schema.Value{fmt.Sprintf("r%d-w%d-s%d", r, w, i), row}); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-
-	for r := 0; r < rounds; r++ {
-		ctxs := make([]*sim.Ctx, workers)
-		txs := make([]*synergy.Tx, workers)
-		rows := make([][]int64, workers)
-		pending := make([]int, 0, workers)
-		for w := 0; w < workers; w++ {
-			rows[w] = drawRows(rng, hotRows, ops)
-			ctxs[w] = sim.NewCtx()
-			ctxs[w].Charge(layer)
-			txs[w] = sys.BeginTx(ctxs[w])
-			if err := execAll(ctxs[w], txs[w], r, w, rows[w]); err != nil {
-				return ContentionCell{}, err
-			}
-			pending = append(pending, w)
-		}
-		for attempt := 0; len(pending) > 0; attempt++ {
-			if attempt >= maxWaves {
-				return ContentionCell{}, fmt.Errorf("herd cell: %d workers still conflicting after %d waves", len(pending), attempt)
-			}
-			losers := pending[:0:0]
-			for _, w := range pending {
-				var err error
-				if txs[w] != nil {
-					err = txs[w].Commit(ctxs[w])
-				} else {
-					// The re-execution itself conflicted last wave (MVCC
-					// write-write at statement level); the loser goes around
-					// again without a commit attempt.
-					err = mvcc.ErrConflict
-				}
-				if err == nil {
-					samples = append(samples, ctxs[w].Elapsed())
-					continue
-				}
-				if !isConflict(err) {
-					return ContentionCell{}, err
-				}
-				conflicts++
-				retries++
-				ctxs[w].CountOCCRetry()
-				ctxs[w].Charge(costs.LockBackoff(attempt))
-				losers = append(losers, w)
-			}
-			// Every loser re-executes before any of them re-commits: the
-			// herd stays maximally overlapped on each wave.
-			for _, w := range losers {
-				tx := sys.BeginTx(ctxs[w])
-				if err := execAll(ctxs[w], tx, r, w, rows[w]); err != nil {
-					if !isConflict(err) {
-						return ContentionCell{}, err
-					}
-					_ = tx.Abort(ctxs[w])
-					tx = nil
-				}
-				txs[w] = tx
-			}
-			pending = losers
-		}
-	}
-	return ContentionCell{
-		Txns: len(samples), Mean: Summarize(samples),
-		Conflicts: conflicts, Retries: retries,
-	}, nil
-}
-
 // isConflict matches both optimistic mechanisms' conflict sentinels.
 func isConflict(err error) bool {
 	return errors.Is(err, occ.ErrConflict) || errors.Is(err, mvcc.ErrConflict)
@@ -509,12 +396,8 @@ func isConflict(err error) bool {
 // mechanisms matrix made quantitative along a contention axis.
 func RenderContention(r *ContentionResult) string {
 	var b strings.Builder
-	retryStyle := "solo retries"
-	if r.Herd {
-		retryStyle = "herd retries"
-	}
-	fmt.Fprintf(&b, "Contention sweep: %d rounds x %d overlapping transactions x %d root updates each, %s (ms/txn; abort%% = conflicts per commit attempt)\n",
-		r.Rounds, r.Workers, r.Ops, retryStyle)
+	fmt.Fprintf(&b, "Contention sweep: %d rounds x %d overlapping transactions x %d root updates each, solo retries (ms/txn; abort%% = conflicts per commit attempt)\n",
+		r.Rounds, r.Workers, r.Ops)
 	fmt.Fprintf(&b, "%-10s", "hot rows")
 	for _, m := range ContentionModes {
 		fmt.Fprintf(&b, " %30s", m.Name)

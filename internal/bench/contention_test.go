@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -77,8 +78,8 @@ func TestContentionSweepShape(t *testing.T) {
 // a lock-queue arrival waits out every predecessor's full (ops-scaled)
 // hold, while an optimistic loser re-executes the transaction once — so
 // OCC's relative edge widens rather than shrinks as transactions lengthen.
-// The assertion pins that direction; if the retry model ever changes to
-// re-contend (herd retries), this is the test to revisit.
+// The assertion pins that direction for the one retry model the system
+// runs: ExecuteTxn's loser backs off and re-executes alone.
 func TestContentionMultiStatementSweep(t *testing.T) {
 	short, err := RunContention([]int{1}, 4, 6, 1, 1, nil)
 	if err != nil {
@@ -114,5 +115,16 @@ func TestContentionMultiStatementSweep(t *testing.T) {
 	}
 	if rs, rl := ratio(short), ratio(long); rl >= rs {
 		t.Errorf("no crossover expected under solo-retry waves: OCC/hierarchical ratio ops=1 %.3f -> ops=8 %.3f should fall", rs, rl)
+	}
+}
+
+// TestContentionRejectsBadHotRows: a hot-row count below 1 is an error that
+// names it, not a panic in the row draw.
+func TestContentionRejectsBadHotRows(t *testing.T) {
+	for _, hr := range []int{0, -1} {
+		_, err := RunContention([]int{1, hr}, 2, 1, 1, 1, nil)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("hot-row count %d", hr)) {
+			t.Errorf("hot rows %d: err %v, want one naming the hot-row count", hr, err)
+		}
 	}
 }

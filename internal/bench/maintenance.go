@@ -146,6 +146,11 @@ func RunMaintenance(viewCounts []int, reps int, seed int64, costs *sim.Costs) (*
 	if len(viewCounts) == 0 {
 		viewCounts = []int{1, 4, 16}
 	}
+	for _, vc := range viewCounts {
+		if vc < 1 {
+			return nil, fmt.Errorf("maintenance: view count %d, want at least 1", vc)
+		}
+	}
 	if reps <= 0 {
 		reps = 10
 	}

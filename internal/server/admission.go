@@ -73,8 +73,8 @@ func (g *Gate) Acquire() (bool, error) {
 	return true, nil
 }
 
-// TryAcquire takes a slot only if one is free — the bench uses it to occupy
-// the pool deterministically.
+// TryAcquire takes a slot only if one is free, never queueing, so a caller
+// can occupy the pool deterministically.
 func (g *Gate) TryAcquire() bool {
 	g.mu.Lock()
 	defer g.mu.Unlock()

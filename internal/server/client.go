@@ -24,8 +24,8 @@ func (e *MySQLError) Error() string {
 }
 
 // Client is a minimal MySQL-protocol client speaking this server's command
-// subset. It exists so the bench, the examples and the parity tests exercise
-// the real byte stream; the database/sql driver wraps it.
+// subset. It exists so the benchmark, the examples and the parity tests
+// exercise the real byte stream; the database/sql driver wraps it.
 type Client struct {
 	nc net.Conn
 	pc *packetConn

@@ -111,10 +111,6 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// Gate exposes the admission controller (the bench occupies it to
-// demonstrate queueing deterministically).
-func (s *Server) Gate() *Gate { return s.gate }
-
 // ServerStats are cumulative serving counters.
 type ServerStats struct {
 	// AcceptedConns and RejectedConns count connections admitted and turned
@@ -759,7 +755,7 @@ func (c *conn) switchMode(val string) error {
 }
 
 // handleSysVar answers SELECT @@var introspection queries. They are free —
-// no wire cost is charged — so the bench can read @@synergy_sim_micros
+// no wire cost is charged — so a driver can read @@synergy_sim_micros
 // between transactions without perturbing the measurement.
 func (c *conn) handleSysVar(rest string) error {
 	name := strings.ToLower(strings.TrimSpace(rest))

@@ -398,7 +398,7 @@ func TestPreparedStmtLifecycle(t *testing.T) {
 // errors), and past the queue bound rejects cleanly with 1040.
 func TestAdmissionQueue(t *testing.T) {
 	env := startServer(t, Config{Slots: 1, Queue: 2})
-	gate := env.srv.Gate()
+	gate := env.srv.gate
 	if !gate.TryAcquire() {
 		t.Fatal("could not occupy the slot")
 	}
