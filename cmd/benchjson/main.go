@@ -6,17 +6,19 @@
 //	go test -bench . -benchtime 1x -run '^$' ./internal/... | go run ./cmd/benchjson > BENCH.json
 //
 // It also carries the CI regression guard: compare mode diffs two reports'
-// sim-ms/op — the deterministic simulated latency, stable across machines —
-// and exits nonzero when any benchmark regressed past the tolerance:
+// sim-ms/op — the deterministic simulated latency, the same on every machine
+// and at every GOMAXPROCS — exactly, and exits nonzero when any benchmark's
+// moved, up or down, so a change to the simulated clock shows in the diff
+// that re-records the baseline, as a golden's does:
 //
-//	go run ./cmd/benchjson -compare BENCH_baseline.json BENCH.json -tolerance 1.5x
+//	go run ./cmd/benchjson -compare BENCH_baseline.json BENCH.json
 //
-// allocs/op and B/op are guarded alongside it (default tolerance 1.25x,
-// override with -alloc-tolerance), so allocation wins — both count and
-// bytes — stay pinned the same way latency wins do. Both are deterministic
-// for a fixed Go toolchain; small benchmarks (under allocFloor allocations
-// or bytesFloor bytes) are exempt from the ratio checks because one
-// incidental allocation would trip them.
+// allocs/op and B/op are guarded alongside it with a tolerance (default
+// 1.25x, override with -alloc-tolerance), so allocation wins — both count
+// and bytes — stay pinned too. Both are reproducible for a fixed Go
+// toolchain but not exact; small benchmarks (under allocFloor allocations or
+// bytesFloor bytes) are exempt from the ratio checks because one incidental
+// allocation would trip them.
 //
 // Benchmark names are matched with their -<GOMAXPROCS> suffix stripped, so a
 // baseline recorded on an 8-core machine guards a 4-core CI runner.
@@ -52,9 +54,8 @@ type Report struct {
 
 func main() {
 	// Hand-rolled argument scan so the documented usage works regardless of
-	// flag order (`-compare old new -tolerance 1.5x`).
+	// flag order (`-compare old new -alloc-tolerance 1.25x`).
 	var compare []string
-	tolerance := 1.5
 	allocTolerance := 1.25
 	args := os.Args[1:]
 	parseRatio := func(flag, val string) float64 {
@@ -68,16 +69,10 @@ func main() {
 		switch args[i] {
 		case "-compare", "--compare":
 			if len(args) < i+3 {
-				fatal("usage: benchjson -compare old.json new.json [-tolerance 1.5x] [-alloc-tolerance 1.25x]")
+				fatal("usage: benchjson -compare old.json new.json [-alloc-tolerance 1.25x]")
 			}
 			compare = []string{args[i+1], args[i+2]}
 			i += 2
-		case "-tolerance", "--tolerance":
-			if len(args) < i+2 {
-				fatal("-tolerance needs a value (e.g. 1.5x)")
-			}
-			tolerance = parseRatio("tolerance", args[i+1])
-			i++
 		case "-alloc-tolerance", "--alloc-tolerance":
 			if len(args) < i+2 {
 				fatal("-alloc-tolerance needs a value (e.g. 1.25x)")
@@ -86,14 +81,14 @@ func main() {
 			i++
 		case "-h", "--help":
 			fmt.Fprintln(os.Stderr, "usage: benchjson < bench.txt > BENCH.json")
-			fmt.Fprintln(os.Stderr, "       benchjson -compare old.json new.json [-tolerance 1.5x] [-alloc-tolerance 1.25x]")
+			fmt.Fprintln(os.Stderr, "       benchjson -compare old.json new.json [-alloc-tolerance 1.25x]")
 			return
 		default:
 			fatal(fmt.Sprintf("unknown argument %q", args[i]))
 		}
 	}
 	if compare != nil {
-		os.Exit(runCompare(compare[0], compare[1], tolerance, allocTolerance))
+		os.Exit(runCompare(compare[0], compare[1], allocTolerance))
 	}
 	runConvert()
 }
@@ -150,19 +145,15 @@ func runConvert() {
 	}
 }
 
-// simMetric is the primary compared unit: simulated latency is
-// deterministic for a given tree, so any movement is a real code-path
-// change, not machine noise.
+// simMetric is the primary compared unit, compared exactly: simulated
+// latency is deterministic for a given tree, so any movement is a real
+// code-path change, not machine noise.
 const simMetric = "sim-ms/op"
 
 // allocMetric is the secondary guard: allocation counts are reproducible
 // for a fixed toolchain, so a past-tolerance climb is a real hot-path
 // representation change.
 const allocMetric = "allocs/op"
-
-// regressFloor ignores regressions below this absolute sim-ms delta:
-// sub-10µs benchmarks can legally wobble by a charge quantum.
-const regressFloor = 0.01
 
 // allocFloor exempts benchmarks below this allocation count from the ratio
 // check — one incidental allocation on a 20-alloc benchmark is not a
@@ -178,7 +169,7 @@ const bytesMetric = "B/op"
 // op, the B/op analogue of allocFloor.
 const bytesFloor = 16 << 10
 
-func runCompare(oldPath, newPath string, tolerance, allocTolerance float64) int {
+func runCompare(oldPath, newPath string, allocTolerance float64) int {
 	oldRep, err := loadReport(oldPath)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
@@ -194,7 +185,7 @@ func runCompare(oldPath, newPath string, tolerance, allocTolerance float64) int 
 		newByName[normalizeName(b.Name)] = b
 	}
 
-	compared, regressions := 0, 0
+	compared, failures := 0, 0
 	for _, ob := range oldRep.Benchmarks {
 		oldSim, hasSim := ob.Metrics[simMetric]
 		oldAllocs, hasAllocs := ob.Metrics[allocMetric]
@@ -215,10 +206,10 @@ func runCompare(oldPath, newPath string, tolerance, allocTolerance float64) int 
 			} else {
 				compared++
 				counted = true
-				if oldSim > 0 && newSim > oldSim*tolerance && newSim-oldSim > regressFloor {
-					regressions++
-					fmt.Printf("REGRESSION %-60s %10.3f -> %10.3f %s (%.2fx > %.2fx tolerance)\n",
-						name, oldSim, newSim, simMetric, newSim/oldSim, tolerance)
+				if newSim != oldSim {
+					failures++
+					fmt.Printf("MOVED      %-60s %10.4g -> %10.4g %s (exact; re-record the baseline if intended)\n",
+						name, oldSim, newSim, simMetric)
 				}
 			}
 		}
@@ -233,7 +224,7 @@ func runCompare(oldPath, newPath string, tolerance, allocTolerance float64) int 
 				counted = true
 			}
 			if newAllocs > oldAllocs*allocTolerance {
-				regressions++
+				failures++
 				fmt.Printf("REGRESSION %-60s %10.0f -> %10.0f %s (%.2fx > %.2fx tolerance)\n",
 					name, oldAllocs, newAllocs, allocMetric, newAllocs/oldAllocs, allocTolerance)
 			}
@@ -248,15 +239,15 @@ func runCompare(oldPath, newPath string, tolerance, allocTolerance float64) int 
 				compared++
 			}
 			if newBytes > oldBytes*allocTolerance {
-				regressions++
+				failures++
 				fmt.Printf("REGRESSION %-60s %10.0f -> %10.0f %s (%.2fx > %.2fx tolerance)\n",
 					name, oldBytes, newBytes, bytesMetric, newBytes/oldBytes, allocTolerance)
 			}
 		}
 	}
-	fmt.Printf("benchjson: compared %d benchmarks on %s + %s, %d regression(s) past %.2fx/%.2fx\n",
-		compared, simMetric, allocMetric, regressions, tolerance, allocTolerance)
-	if regressions > 0 {
+	fmt.Printf("benchjson: compared %d benchmarks, %s exactly and %s and %s within %.2fx: %d failure(s)\n",
+		compared, simMetric, allocMetric, bytesMetric, allocTolerance, failures)
+	if failures > 0 {
 		return 1
 	}
 	return 0

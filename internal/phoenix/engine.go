@@ -739,11 +739,12 @@ type query struct {
 
 // bindExec is one execution's state of a binding: its conjuncts with this
 // execution's parameter values, a derived table's rows — in the layout of its
-// subquery's output, read with Plan.value — and the access path fullPlan
-// chose.
+// subquery's output, read with Plan.value — and what reading them cost, and
+// the access path fullPlan chose.
 type bindExec struct {
 	local   []localPred
 	derived []tuple
+	read    sim.Ctx // the derived table's read, until chargeRead hands it on
 	plan    accessPlan
 	planned bool
 }
@@ -757,15 +758,21 @@ func (p *Plan) Open(ctx *sim.Ctx, params []schema.Value, opts QueryOpts) (RowCur
 		return nil, err
 	}
 	q.root = q.tree(false)
-	if err := q.root.Open(ctx); err != nil {
+	err = q.root.Open(ctx)
+	q.chargeReads(ctx)
+	if err != nil {
 		return nil, err
 	}
 	return q, nil
 }
 
 // bind starts an execution: every conjunct that takes a parameter gets its
-// value, and each derived table opens its own tree against ctx, so its cost
-// lands on the request, and reads it to its end.
+// value, and each derived table opens its own tree and reads it to its end.
+// That read is charged to a context of its own, which the scan of the binding
+// folds into the branch of the request it runs on (chargeRead): a derived
+// table on a hash join's build side is read beside the join's outer input. A
+// statement that fails first, in bind or in its tree, is charged every read
+// it made all the same (chargeReads).
 func (p *Plan) bind(ctx *sim.Ctx, params []schema.Value, opts QueryOpts) (*query, error) {
 	q := &query{Plan: p, params: params, opts: opts, execs: make([]bindExec, len(p.bindings))}
 	for _, b := range p.bindings {
@@ -776,6 +783,7 @@ func (p *Plan) bind(ctx *sim.Ctx, params []schema.Value, opts QueryOpts) (*query
 			for i := range x.local {
 				slot := x.local[i].param - 1
 				if slot >= len(params) {
+					q.chargeReads(ctx)
 					return nil, fmt.Errorf("phoenix: missing parameter %d", slot)
 				}
 				if slot >= 0 {
@@ -784,14 +792,34 @@ func (p *Plan) bind(ctx *sim.Ctx, params []schema.Value, opts QueryOpts) (*query
 			}
 		}
 		if b.sub != nil {
-			sub, err := b.sub.bind(ctx, params, opts)
+			sub, err := b.sub.bind(&x.read, params, opts)
 			if err == nil {
-				x.derived, err = rowsOf(ctx, sub.tree(true))
+				x.derived, err = rowsOf(&x.read, sub.tree(true))
+				sub.chargeReads(&x.read)
 			}
 			if err != nil {
+				q.chargeReads(ctx)
 				return nil, fmt.Errorf("phoenix: derived table %s: %w", b.name, err)
 			}
 		}
 	}
 	return q, nil
+}
+
+// chargeRead charges ctx what reading derived table b cost, the first time it
+// is asked; after that the read is paid and charges nothing.
+func (q *query) chargeRead(ctx *sim.Ctx, b *binding) {
+	x := &q.execs[b.idx]
+	ctx.Join(&x.read)
+	x.read.Reset()
+}
+
+// chargeReads charges ctx every derived table's read not charged yet — those
+// of a statement that failed before its tree scanned them.
+func (q *query) chargeReads(ctx *sim.Ctx) {
+	for _, b := range q.bindings {
+		if b.sub != nil {
+			q.chargeRead(ctx, b)
+		}
+	}
 }

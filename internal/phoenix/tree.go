@@ -164,6 +164,7 @@ func (s *scanNode) streams() bool {
 func (s *scanNode) Open(ctx *sim.Ctx) error {
 	q, b := s.q, s.b
 	if b.sub != nil {
+		q.chargeRead(ctx, b)
 		s.rows = q.scanDerived(b, s.wide)
 		return nil
 	}
@@ -245,8 +246,16 @@ func (s *scanNode) Close(ctx *sim.Ctx) {
 // b: by index nested loop when outer holds few rows and b has a key the join
 // columns bind, else by a client hash join over a full (filtered) scan of b,
 // which is where the Phoenix join-algorithm cost of Figure 10 comes from; with
-// no equi-join between them, as a cartesian product. It joins at Open, since
-// the outer side's row count picks the algorithm.
+// no equi-join between them, as a cartesian product. It joins at Open.
+//
+// A join that can probe b by key reads its sides one after the other, since
+// the outer side's row count picks the algorithm, and an outer side with no
+// row reads nothing of b. Any other join — b a derived table, no key or index
+// prefix of b bound by the join columns, or no join columns at all — hashes
+// or crosses whatever outer holds, so it reads its two sides at once: outer on
+// one branch of the request, b and its hash table on the other, and the
+// request waits for the longer before it probes. The branches run one after
+// the other on the caller, as a fanned-out scan's units do.
 type joinNode struct {
 	list
 	q                    *query
@@ -254,38 +263,62 @@ type joinNode struct {
 	b                    *binding
 	outerCols, innerCols []colRef // outerCols[i] of the outer tuple must equal innerCols[i] of b
 	spill                bool     // the output is carried into another join
+	outerCtx, innerCtx   sim.Ctx  // the branches of a join that reads its sides at once
 }
 
 func (j *joinNode) Open(ctx *sim.Ctx) error {
-	q, b := j.q, j.b
+	plan, inl := j.inlPlan()
+	if !inl {
+		return j.overlap(ctx)
+	}
 	outer, err := rowsOf(ctx, j.outer)
+	if err != nil || len(outer) == 0 {
+		return err
+	}
+	if len(outer) <= j.q.eng.costs.INLThreshold {
+		return j.probe(ctx, outer, plan)
+	}
+	inner, err := j.inner(ctx)
 	if err != nil {
 		return err
 	}
-	if len(j.outerCols) > 0 && b.info != nil && len(outer) > 0 && len(outer) <= q.eng.costs.INLThreshold {
-		names := make([]string, len(j.innerCols))
-		for i, c := range j.innerCols {
-			names[i] = b.refs[c.i]
-		}
-		if plan, ok := q.inlPlan(b, names); ok {
-			return j.probe(ctx, outer, plan)
+	j.hash(ctx, outer, inner, j.build(ctx, inner))
+	return nil
+}
+
+// overlap joins a join that cannot probe b by key: it reads outer on one
+// branch and b on the other, building b's hash table there too, then charges
+// the request the longer branch, the probe and the spill.
+func (j *joinNode) overlap(ctx *sim.Ctx) error {
+	outer, err := rowsOf(&j.outerCtx, j.outer)
+	var inner []tuple
+	var t hashTable
+	if err == nil {
+		inner, err = j.inner(&j.innerCtx)
+		if err == nil && len(j.outerCols) > 0 {
+			t = j.build(&j.innerCtx, inner)
 		}
 	}
-	inner, err := rowsOf(ctx, &scanNode{q: q, b: b, path: q.fullPlan(b), keep: true})
+	ctx.Join(&j.outerCtx, &j.innerCtx)
 	if err != nil {
 		return err
 	}
 	if len(j.outerCols) > 0 {
-		j.hash(ctx, outer, inner)
+		j.hash(ctx, outer, inner, t)
 		return nil
 	}
 	for _, o := range outer {
 		for _, in := range inner {
-			j.rows = append(j.rows, q.merge(o, b, in))
+			j.rows = append(j.rows, j.q.merge(o, j.b, in))
 		}
 	}
-	ctx.Charge(sim.Micros(int64(len(j.rows)) * int64(q.eng.costs.JoinProbeRow)))
+	ctx.Charge(sim.Micros(int64(len(j.rows)) * int64(j.q.eng.costs.JoinProbeRow)))
 	return nil
+}
+
+// inner reads b whole, through its local predicates: a hash join's build side.
+func (j *joinNode) inner(ctx *sim.Ctx) ([]tuple, error) {
+	return rowsOf(ctx, &scanNode{q: j.q, b: j.b, path: j.q.fullPlan(j.b), keep: true})
 }
 
 // joinCols returns the equi-join conditions linking the joined set to
@@ -312,10 +345,20 @@ func (q *query) merge(o tuple, b *binding, in tuple) tuple {
 	return tuple{vals: vals, size: o.size + in.size}
 }
 
-// inlPlan checks whether binding b can be probed by key for the given join
-// columns (plus its local equalities), returning the probe plan.
-func (q *query) inlPlan(b *binding, joinCols []string) (accessPlan, bool) {
-	plan := q.chooseAccess(b, joinCols)
+// inlPlan checks whether table b can be probed by key for the join columns
+// (plus its local equalities), returning the probe plan. What outer holds
+// does not enter into it.
+func (j *joinNode) inlPlan() (accessPlan, bool) {
+	b := j.b
+	if len(j.innerCols) == 0 || b.info == nil {
+		return accessPlan{}, false
+	}
+	var small [4]string
+	joinCols := small[:0]
+	for _, c := range j.innerCols {
+		joinCols = append(joinCols, b.refs[c.i])
+	}
+	plan := j.q.chooseAccess(b, joinCols)
 	if plan.kind == accessFullScan || len(plan.eqCols) == 0 {
 		return plan, false
 	}
@@ -330,36 +373,51 @@ func (q *query) inlPlan(b *binding, joinCols []string) (accessPlan, bool) {
 	return plan, true
 }
 
-// hash joins outer with inner: it numbers inner's distinct join keys and
-// probes them with outer's. Rows sharing a key chain through next from the
-// first one read (head, by key id) — the build walks inner backwards to get
-// that — so matches come out in the order they were read.
-func (j *joinNode) hash(ctx *sim.Ctx, outer, inner []tuple) {
-	costs := j.q.eng.costs
-	innerSlots := make([]int, len(j.innerCols))
-	outerSlots := make([]int, len(j.outerCols))
-	for i := range j.innerCols {
-		innerSlots[i], outerSlots[i] = j.innerCols[i].i, j.outerCols[i].slot()
+// hashTable is a hash join's build side: inner's distinct join keys, numbered,
+// and its rows chained through next from the first one read with each key
+// (head, by key id) — the build walks inner backwards to get that — so matches
+// come out in the order they were read.
+type hashTable struct {
+	keys       *keyTable
+	head, next []int32
+}
+
+// build hashes inner on b's join columns, charging JoinBuildRow per row.
+func (j *joinNode) build(ctx *sim.Ctx, inner []tuple) hashTable {
+	slots := make([]int, len(j.innerCols))
+	for i, c := range j.innerCols {
+		slots[i] = c.i
 	}
-	keys := newKeyTable(len(inner))
+	t := hashTable{keys: newKeyTable(len(inner))}
 	links := make([]int32, 2*len(inner))
-	head, next := links[:len(inner)], links[len(inner):]
+	t.head, t.next = links[:len(inner)], links[len(inner):]
 	var key []byte
 	for i := len(inner) - 1; i >= 0; i-- {
-		key = appendKey(key[:0], inner[i].vals, innerSlots)
-		id, added := keys.insert(key)
-		next[i] = -1
+		key = appendKey(key[:0], inner[i].vals, slots)
+		id, added := t.keys.insert(key)
+		t.next[i] = -1
 		if !added {
-			next[i] = head[id]
+			t.next[i] = t.head[id]
 		}
-		head[id] = int32(i)
+		t.head[id] = int32(i)
 	}
-	ctx.Charge(sim.Micros(int64(len(inner)) * int64(costs.JoinBuildRow)))
+	ctx.Charge(sim.Micros(int64(len(inner)) * int64(j.q.eng.costs.JoinBuildRow)))
+	return t
+}
 
+// hash probes t, built on inner, with every outer row, charging JoinProbeRow
+// per outer row, and the spill of an output carried into another join.
+func (j *joinNode) hash(ctx *sim.Ctx, outer, inner []tuple, t hashTable) {
+	costs := j.q.eng.costs
+	slots := make([]int, len(j.outerCols))
+	for i, c := range j.outerCols {
+		slots[i] = c.slot()
+	}
+	var key []byte
 	for _, o := range outer {
-		key = appendKey(key[:0], o.vals, outerSlots)
-		if id := keys.find(key); id >= 0 {
-			for i := head[id]; i >= 0; i = next[i] {
+		key = appendKey(key[:0], o.vals, slots)
+		if id := t.keys.find(key); id >= 0 {
+			for i := t.head[id]; i >= 0; i = t.next[i] {
 				j.rows = append(j.rows, j.q.merge(o, j.b, inner[i]))
 			}
 		}

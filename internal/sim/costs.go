@@ -86,7 +86,11 @@ type Costs struct {
 	// probes and re-materializes every row in the single-threaded
 	// client, and spills intermediate results between join stages.
 	//
-	// JoinBuildRow is charged per row inserted into a join hash table.
+	// JoinBuildRow is charged per row inserted into a join hash table, on
+	// the branch that reads the build side: a join that cannot probe its
+	// inner side by key reads and hashes it while its outer side is read,
+	// so the build overlaps the outer read and the request pays the longer
+	// of the two (phoenix joinNode).
 	JoinBuildRow Micros
 	// JoinProbeRow is charged per probe-side row processed.
 	JoinProbeRow Micros
