@@ -1,10 +1,12 @@
 package bench
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"synergy/internal/schema"
 	"synergy/internal/sim"
 	"synergy/internal/sqlparser"
 	"synergy/internal/tpcw"
@@ -281,6 +283,38 @@ func TestQueryResultsAgreeAcrossSystems(t *testing.T) {
 	}
 	if want := 7 * 5; voltRuns != want {
 		t.Errorf("VoltDB ran %d query draws, want %d (the seven queries it supports, five draws each)", voltRuns, want)
+	}
+}
+
+// TestRewrittenStarKeepsBaselineColumns: a SELECT * the view rewrite serves
+// returns Baseline's result columns — names and order — with Baseline's
+// values under each name. Q3 reads one view in the reverse of its FROM order,
+// and Q7 reads the Address-Country view twice, so its ship and bill columns
+// are told apart only by their binding names.
+func TestRewrittenStarKeepsBaselineColumns(t *testing.T) {
+	set := systems(t)
+	for _, st := range tpcw.JoinQueries() {
+		sel := mustSelect(st.SQL)
+		params := st.Params(set.Data, sim.NewRNG(3))
+		base, err := set.Baseline.sys.Query(sim.NewCtx(), sel, params)
+		if err != nil {
+			t.Fatalf("%s on Baseline: %v", st.ID, err)
+		}
+		view, err := set.Synergy.sys.Query(sim.NewCtx(), sel, params)
+		if err != nil {
+			t.Fatalf("%s on Synergy: %v", st.ID, err)
+		}
+		if !slices.Equal(view.Columns, base.Columns) {
+			t.Errorf("%s: Synergy returns columns\n%v\nBaseline\n%v", st.ID, view.Columns, base.Columns)
+			continue
+		}
+		if sel.Star && len(base.Rows) == 1 && len(view.Rows) == 1 {
+			for _, col := range base.Columns {
+				if !schema.ValuesEqual(view.Rows[0][col], base.Rows[0][col]) {
+					t.Errorf("%s: Synergy's %s is %v, Baseline's %v", st.ID, col, view.Rows[0][col], base.Rows[0][col])
+				}
+			}
+		}
 	}
 }
 

@@ -47,6 +47,7 @@ func BuildDesign(s *schema.Schema, roots []string, w *Workload) (*Design, error)
 	var rwList []*Rewritten
 	for _, sel := range w.Selects() {
 		rw := RewriteQuery(sel, perQuery[sel])
+		rw.ExpandStar(s)
 		rewritten[sel] = rw
 		rwList = append(rwList, rw)
 	}

@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
+	"synergy/internal/schema"
 	"synergy/internal/sqlparser"
 )
 
@@ -125,6 +127,51 @@ func RewriteQuery(sel *sqlparser.SelectStmt, views []*View) *Rewritten {
 		final[i] = *u
 	}
 	return &Rewritten{Original: sel, Stmt: out, Usages: final}
+}
+
+// ExpandStar spells out a rewritten SELECT * the way the engine spells it
+// over the original FROM list: every column of every original binding, in
+// FROM and column order, named by the column, or binding.column where another
+// binding has a column of that name — each read from the view that replaced
+// its binding. The rewrite then returns the original query's columns, names
+// and order. r is left alone when it uses no view, the query selects no star,
+// or a binding is not a relation of s (a derived table, whose columns only the
+// engine knows).
+func (r *Rewritten) ExpandStar(s *schema.Schema) {
+	sel := r.Original
+	if !r.UsesViews() || !sel.Star {
+		return
+	}
+	rels := make([]*schema.Relation, len(sel.From))
+	n := 0
+	for i, ref := range sel.From {
+		if rels[i] = s.Relation(ref.Name); ref.Sub != nil || rels[i] == nil {
+			return
+		}
+		n += len(rels[i].Columns)
+	}
+	items := make([]sqlparser.SelectItem, 0, n)
+	for i, ref := range sel.From {
+		bind := ref.Binding()
+		table := bind
+		for _, u := range r.Usages {
+			if slices.Contains(u.Replaced, bind) {
+				table = u.Alias
+				break
+			}
+		}
+		for _, c := range rels[i].Columns {
+			name := c.Name
+			for j, other := range rels {
+				if j != i && other.HasColumn(c.Name) {
+					name = bind + "." + c.Name
+					break
+				}
+			}
+			items = append(items, sqlparser.SelectItem{Expr: sqlparser.ColumnRef{Table: table, Column: c.Name}, Alias: name})
+		}
+	}
+	r.Stmt.Star, r.Stmt.Items = false, items
 }
 
 // findUsage locates one not-yet-consumed group of bindings whose joins cover

@@ -615,8 +615,13 @@ func (c *conn) writeResultSet(rs *phoenix.ResultSet) error {
 // sees a truncated result set, never a silently wrong one. Documented in
 // docs/PROTOCOL.md.
 //
-// The per-byte wire cost is charged once for the whole response on success,
-// over every packet's bytes and header.
+// The per-byte wire cost runs on a link clock beside the statement: a packet
+// enters the link at the later of the link clock and the session's elapsed
+// time when it is written, and holds the link for its bytes and header at
+// WirePerByte. The link drains while the server reads on, so on success the
+// response is charged only what is still in flight after Close and the final
+// EOF: a streamed scan pays about max(scan, first row + transfer), and a
+// result the tree read whole at Open pays every byte, as one transfer.
 func (c *conn) writeCursor(cur phoenix.RowCursor, binaryRows bool) error {
 	defer cur.Close(c.sctx)
 	cols := cur.Columns()
@@ -625,9 +630,10 @@ func (c *conn) writeCursor(cur phoenix.RowCursor, binaryRows bool) error {
 		types = append(types, wireTypeOf(t))
 	}
 	c.types = types
-	total := 0
+	perByte := int64(c.srv.costs.WirePerByte)
+	var link int64 // simulated ns at which the link has sent every packet so far
 	writePkt := func(p []byte) error {
-		total += len(p) + 4
+		link = max(link, int64(c.sctx.Elapsed())*1000) + int64(len(p)+4)*perByte
 		return c.pc.writePacket(p)
 	}
 	b := c.enc
@@ -669,11 +675,12 @@ func (c *conn) writeCursor(cur phoenix.RowCursor, binaryRows bool) error {
 		return err
 	}
 	b = appendEOF(b[:0], c.status())
-	total += len(b) + 4
-	c.sctx.Charge(c.srv.costs.WirePerByte.Mul(total))
-	if err := c.pc.writePacket(b); err != nil {
+	if err := writePkt(b); err != nil {
 		return err
 	}
+	// The response pays what the link still has in flight; nothing when it
+	// drained while the statement read on.
+	c.sctx.Charge(sim.Micros((link - int64(c.sctx.Elapsed())*1000) / 1000))
 	return c.pc.flush()
 }
 

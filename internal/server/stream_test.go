@@ -147,6 +147,13 @@ func TestStreamInTransaction(t *testing.T) {
 // response far exceeds the 4 KiB write buffer).
 func streamScanServer(t *testing.T, rows int) (*testEnv, *synergy.System) {
 	t.Helper()
+	sys := bigSystem(t, rows, synergy.Config{Concurrency: synergy.MVCC, MaxVersions: 16})
+	return serveBig(t, sys, t.Name(), nil), sys
+}
+
+// bigSystem deploys cfg with one table, Big, of rows rows.
+func bigSystem(t *testing.T, rows int, cfg synergy.Config) *synergy.System {
+	t.Helper()
 	s := schema.New()
 	s.AddRelation(&schema.Relation{
 		Name: "Big",
@@ -159,8 +166,7 @@ func streamScanServer(t *testing.T, rows int) (*testEnv, *synergy.System) {
 	if err := s.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	sys, err := synergy.New(s, []string{"Big"}, nil,
-		synergy.Config{Concurrency: synergy.MVCC, MaxVersions: 16})
+	sys, err := synergy.New(s, []string{"Big"}, nil, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,18 +180,25 @@ func streamScanServer(t *testing.T, rows int) (*testEnv, *synergy.System) {
 	if err := sys.BuildViews(); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(Config{Backends: []Backend{{Name: "big", System: sys}}})
+	return sys
+}
+
+// serveBig serves sys as backend "big" at the in-process address addr,
+// charging the wire at costs (nil: the defaults).
+func serveBig(t *testing.T, sys *synergy.System, addr string, costs *sim.Costs) *testEnv {
+	t.Helper()
+	srv, err := New(Config{Backends: []Backend{{Name: "big", System: sys}}, Costs: costs})
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := &testEnv{srv: srv, addr: t.Name()}
+	env := &testEnv{srv: srv, addr: addr}
 	l, err := ListenInproc(env.addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	go srv.Serve(l)
 	t.Cleanup(func() { srv.Close() })
-	return env, sys
+	return env
 }
 
 // TestStreamClientDisconnectMidScan hangs up while the server is blocked

@@ -178,7 +178,9 @@ type Costs struct {
 	// charged once per client command.
 	WirePacket Micros
 	// WirePerByte is the transfer cost per response payload byte shipped
-	// from the server to the client (result-set encoding dominates it).
+	// from the server to the client. The link drains while the server
+	// reads on, so a response pays only the transfer still in flight after
+	// its last packet is written (server.writeCursor).
 	WirePerByte PerByteCost
 }
 

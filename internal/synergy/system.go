@@ -313,7 +313,9 @@ func (sys *System) isRoot(table string) bool {
 // views (§VI-A) and the query is rebuilt over the ones the design
 // materialized (§VI-B). It is the design's own procedure run on the
 // statement as it arrives — the design's Rewritten table, keyed by the ASTs
-// it parsed, renders the same for every workload query.
+// it parsed, renders the same for every workload query. A rewritten SELECT *
+// is spelled out over the original FROM list (Rewritten.ExpandStar), so it
+// returns the columns, names and order Baseline does.
 func (sys *System) rewriteFor(sel *sqlparser.SelectStmt) *sqlparser.SelectStmt {
 	if sys.cfg.DisableViews {
 		return sel
@@ -325,7 +327,9 @@ func (sys *System) rewriteFor(sel *sqlparser.SelectStmt) *sqlparser.SelectStmt {
 			mat = append(mat, fv)
 		}
 	}
-	return core.RewriteQuery(sel, mat).Stmt
+	rw := core.RewriteQuery(sel, mat)
+	rw.ExpandStar(sys.Design.Schema)
+	return rw.Stmt
 }
 
 // Prepared is a SELECT compiled for one System: its view-based rewrite, the

@@ -141,10 +141,11 @@ func (s *Slave) KillBeforeNextExec() { s.killBeforeExec.Store(true) }
 
 // ExecuteTxn logs and runs one write transaction of any number of
 // statements: every statement is WAL-logged under one transaction id before
-// execution, the statements execute against a single transaction-scoped
-// mutator (commit flushes once), and the outcome is logged as a commit or
-// abort record. Recovery replays transactions with neither record as whole
-// transactions.
+// execution, and the statements execute against a single transaction-scoped
+// mutator (commit flushes once). Once the commit flush lands, the commit
+// writes the commit record beside its lock release (Tx.commit); a
+// transaction whose flush did not land gets an abort record here. Recovery
+// replays transactions with neither record as whole transactions.
 func (s *Slave) ExecuteTxn(ctx *sim.Ctx, stmts []sqlparser.Statement, paramsList [][]schema.Value) error {
 	txid, log, err := s.accept(ctx, stmts, paramsList)
 	if err != nil {
@@ -159,18 +160,20 @@ func (s *Slave) ExecuteTxn(ctx *sim.Ctx, stmts []sqlparser.Statement, paramsList
 		return fmt.Errorf("%w: %s crashed mid-transaction", ErrNoSlaves, s.ID)
 	}
 
-	if err := s.layer.sys.ExecuteTxn(ctx, stmts, paramsList); err != nil {
-		// The transaction aborted and discarded its buffered writes;
-		// record that so recovery does not replay it. A failed abort
-		// record must surface — without it, recovery would re-execute
-		// (and possibly durably commit) a transaction the client was
-		// told failed.
-		if lerr := s.logOutcome(ctx, walRecord{TxID: txid, Abort: true}); lerr != nil {
-			return fmt.Errorf("%w (abort record not logged: %v)", err, lerr)
-		}
+	landed, err := s.layer.sys.executeTxn(ctx, stmts, paramsList, loggedTxn{s, txid})
+	if err == nil || landed {
+		// The writes are durable and the commit wrote their record, even
+		// if a lock release then failed.
 		return err
 	}
-	return s.logOutcome(ctx, walRecord{TxID: txid, Commit: true})
+	// The transaction aborted and discarded its buffered writes; record
+	// that so recovery does not replay it. A failed abort record must
+	// surface — without it, recovery would re-execute (and possibly
+	// durably commit) a transaction the client was told failed.
+	if lerr := s.logOutcome(ctx, walRecord{TxID: txid, Abort: true}); lerr != nil {
+		return fmt.Errorf("%w (abort record not logged: %v)", err, lerr)
+	}
+	return err
 }
 
 // accept takes a transaction on a live slave: it charges the hop and renders

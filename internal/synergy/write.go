@@ -73,7 +73,22 @@ type Tx struct {
 	// views): captured during statement execution, published only on commit,
 	// dropped on abort.
 	deltas []viewDelta
+	// logged is the slave and id under which the transaction layer logged
+	// the transaction's statements before running it (zero for any other
+	// transaction); its commit record goes in the commit tail.
+	logged loggedTxn
+	// landed reports that the commit flush published the writes.
+	landed bool
 	done   bool
+	// releaseCtx and logCtx are the branches of the commit tail: the lock
+	// release beside the transaction layer's record.
+	releaseCtx, logCtx sim.Ctx
+}
+
+// loggedTxn names a transaction a slave WAL-logged before running it.
+type loggedTxn struct {
+	slave *Slave
+	txid  int64
 }
 
 // viewDelta is one deferred view-maintenance action: enough to replay the
@@ -168,13 +183,15 @@ func (tx *Tx) Commit(ctx *sim.Ctx) error {
 	return tx.commit(ctx, nil, nil)
 }
 
-// commit is Commit that, once the commit flush has succeeded, also records
-// stmts with their params in the transaction layer's log (LogCommitted), when
-// the deployment has one and stmts is not empty. One sequence serves every
-// mechanism: deferred lock entries, beforeFlush, flush, afterFlush, publish,
-// then the lock release beside the log record — each on a fork of ctx, so the
-// request pays the longer — and the log is written even if a release fails,
-// since the writes it records are durable.
+// commit is Commit that, once the commit flush has succeeded, also writes the
+// transaction layer's record of the transaction: the commit record of one a
+// slave logged before running it (tx.logged), or else stmts with their params
+// and a commit record (LogCommitted), when the deployment has a layer and
+// stmts is not empty. One sequence serves every mechanism: deferred lock
+// entries, beforeFlush, flush, afterFlush, publish, then the lock release
+// beside the record — each on a branch of ctx, so the request pays the longer
+// — and the record is written even if a release fails, since the writes it
+// records are durable.
 func (tx *Tx) commit(ctx *sim.Ctx, stmts []sqlparser.Statement, params [][]schema.Value) error {
 	if tx.done {
 		return fmt.Errorf("synergy: transaction already finished")
@@ -201,6 +218,7 @@ func (tx *Tx) commit(ctx *sim.Ctx, stmts []sqlparser.Statement, params [][]schem
 		tx.releaseLocks(ctx)
 		return err
 	}
+	tx.landed = true
 	// Publish the deferred view deltas before the locks release: lock
 	// serialization on a root makes the per-view publish order match commit
 	// order, so each changefeed lane applies deltas FIFO in commit order. A
@@ -217,13 +235,17 @@ func (tx *Tx) commit(ctx *sim.Ctx, stmts []sqlparser.Statement, params [][]schem
 		tx.deltas = nil
 		sys.Feed.Publish(ctx, out)
 	}
-	if sys.Txn == nil || len(stmts) == 0 {
+	var lerr error
+	switch {
+	case tx.logged.slave != nil:
+		lerr = tx.logged.slave.logOutcome(&tx.logCtx, walRecord{TxID: tx.logged.txid, Commit: true})
+	case sys.Txn != nil && len(stmts) > 0:
+		lerr = sys.Txn.LogCommitted(&tx.logCtx, stmts, params)
+	default:
 		return tx.releaseLocks(ctx)
 	}
-	release, log := ctx.Fork(), ctx.Fork()
-	err = tx.releaseLocks(release)
-	lerr := sys.Txn.LogCommitted(log, stmts, params)
-	ctx.Join(release, log)
+	err = tx.releaseLocks(&tx.releaseCtx)
+	ctx.Join(&tx.releaseCtx, &tx.logCtx)
 	return errors.Join(err, lerr)
 }
 
@@ -403,26 +425,37 @@ const occMaxRetries = 12
 // backoff — the optimistic mirror of its contended spin. The last of
 // occMaxRetries attempts is exclusive: it runs alone from its begin to its
 // end, so no commit lands in its validation window and a conflict never
-// outlasts the budget. The transaction layer calls this after WAL-logging;
-// use System.ExecTxn to route through it.
+// outlasts the budget. A transaction-layer slave runs its transactions
+// through executeTxn after WAL-logging them; use System.ExecTxn to route
+// through it.
 func (sys *System) ExecuteTxn(ctx *sim.Ctx, stmts []sqlparser.Statement, paramsList [][]schema.Value) error {
+	_, err := sys.executeTxn(ctx, stmts, paramsList, loggedTxn{})
+	return err
+}
+
+// executeTxn is ExecuteTxn for a transaction logged as logged: its commit
+// writes the commit record beside the lock release. landed reports that the
+// commit flush published the writes, which are then durable whatever err
+// says.
+func (sys *System) executeTxn(ctx *sim.Ctx, stmts []sqlparser.Statement, paramsList [][]schema.Value, logged loggedTxn) (landed bool, err error) {
 	if len(stmts) != len(paramsList) {
-		return fmt.Errorf("synergy: %d statements, %d parameter lists", len(stmts), len(paramsList))
+		return false, fmt.Errorf("synergy: %d statements, %d parameter lists", len(stmts), len(paramsList))
 	}
 	for attempt := 1; ; attempt++ {
 		last := attempt == occMaxRetries
-		err := sys.executeTxnOnce(ctx, stmts, paramsList, last)
+		landed, err = sys.executeTxnOnce(ctx, stmts, paramsList, last, logged)
 		if last || !sys.cc.retries(err) {
-			return err
+			return landed, err
 		}
 		ctx.CountOCCRetry()
 		ctx.Charge(sys.cfg.Costs.LockBackoff(attempt - 1))
 	}
 }
 
-// executeTxnOnce runs one attempt of the transaction (see ExecuteTxn).
-func (sys *System) executeTxnOnce(ctx *sim.Ctx, stmts []sqlparser.Statement, paramsList [][]schema.Value, exclusive bool) error {
+// executeTxnOnce runs one attempt of the transaction (see executeTxn).
+func (sys *System) executeTxnOnce(ctx *sim.Ctx, stmts []sqlparser.Statement, paramsList [][]schema.Value, exclusive bool, logged loggedTxn) (landed bool, err error) {
 	tx := sys.beginTx(ctx, exclusive)
+	tx.logged = logged
 	if sys.postBegin != nil {
 		sys.postBegin(tx)
 	}
@@ -432,12 +465,13 @@ func (sys *System) executeTxnOnce(ctx *sim.Ctx, stmts []sqlparser.Statement, par
 			// it leaves rows dirty or locked, which the operator needs to
 			// know about far more than the statement error alone.
 			if aerr := tx.Abort(ctx); aerr != nil {
-				return fmt.Errorf("%w (abort: %v)", err, aerr)
+				return false, fmt.Errorf("%w (abort: %v)", err, aerr)
 			}
-			return err
+			return false, err
 		}
 	}
-	return tx.Commit(ctx)
+	err = tx.Commit(ctx)
+	return tx.landed, err
 }
 
 // executeWriteBody is one statement inside tx: the base write, then the

@@ -108,7 +108,9 @@ func rewriteForParity(sys *synergy.System, sel *sqlparser.SelectStmt, viewsOn bo
 			mat = append(mat, fv)
 		}
 	}
-	return core.RewriteQuery(sel, mat).Stmt
+	rw := core.RewriteQuery(sel, mat)
+	rw.ExpandStar(sys.Design.Schema)
+	return rw.Stmt
 }
 
 func renderResult(b *strings.Builder, rs *phoenix.ResultSet, st sim.Stats) {
