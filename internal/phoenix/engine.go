@@ -739,12 +739,14 @@ type query struct {
 
 // bindExec is one execution's state of a binding: its conjuncts with this
 // execution's parameter values, a derived table's rows — in the layout of its
-// subquery's output, read with Plan.value — and what reading them cost, and
-// the access path fullPlan chose.
+// subquery's output, read with Plan.value — with what reading them cost and
+// when they came in, and the access path fullPlan chose.
 type bindExec struct {
 	local   []localPred
 	derived []tuple
-	read    sim.Ctx // the derived table's read, until chargeRead hands it on
+	read    sim.Ctx    // the derived table's read, until chargeRead hands it on
+	at      []arrival  // when derived's rows came in, on read's clock
+	arrived [2]arrival // backs at for a fanned-out read's: its first row and its end
 	plan    accessPlan
 	planned bool
 }
@@ -770,9 +772,10 @@ func (p *Plan) Open(ctx *sim.Ctx, params []schema.Value, opts QueryOpts) (RowCur
 // value, and each derived table opens its own tree and reads it to its end.
 // That read is charged to a context of its own, which the scan of the binding
 // folds into the branch of the request it runs on (chargeRead): a derived
-// table on a hash join's build side is read beside the join's outer input. A
-// statement that fails first, in bind or in its tree, is charged every read
-// it made all the same (chargeReads).
+// table on a hash join's build side is read beside the join's outer input,
+// and hashed as its read handed out its rows (bindExec.at). A statement that
+// fails first, in bind or in its tree, is charged every read it made all the
+// same (chargeReads).
 func (p *Plan) bind(ctx *sim.Ctx, params []schema.Value, opts QueryOpts) (*query, error) {
 	q := &query{Plan: p, params: params, opts: opts, execs: make([]bindExec, len(p.bindings))}
 	for _, b := range p.bindings {
@@ -794,7 +797,8 @@ func (p *Plan) bind(ctx *sim.Ctx, params []schema.Value, opts QueryOpts) (*query
 		if b.sub != nil {
 			sub, err := b.sub.bind(&x.read, params, opts)
 			if err == nil {
-				x.derived, err = rowsOf(&x.read, sub.tree(true))
+				x.at = x.arrived[:0]
+				x.derived, err = rowsOf(&x.read, sub.tree(true), &x.at)
 				sub.chargeReads(&x.read)
 			}
 			if err != nil {
@@ -807,11 +811,20 @@ func (p *Plan) bind(ctx *sim.Ctx, params []schema.Value, opts QueryOpts) (*query
 }
 
 // chargeRead charges ctx what reading derived table b cost, the first time it
-// is asked; after that the read is paid and charges nothing.
-func (q *query) chargeRead(ctx *sim.Ctx, b *binding) {
+// is asked, and returns when the read's rows came in on ctx's clock: the read
+// runs from where ctx stood. After that the read is paid, charges nothing, and
+// its rows are all in hand (no arrivals).
+func (q *query) chargeRead(ctx *sim.Ctx, b *binding) []arrival {
 	x := &q.execs[b.idx]
+	from := ctx.Elapsed()
 	ctx.Join(&x.read)
 	x.read.Reset()
+	at := x.at
+	x.at = nil
+	for i := range at {
+		at[i].at += from
+	}
+	return at
 }
 
 // chargeReads charges ctx every derived table's read not charged yet — those

@@ -516,8 +516,10 @@ func (q *query) read(ctx *sim.Ctx, tbl string, spec hbase.ScanSpec, dirtyChecked
 }
 
 // scanDerived filters a derived table's materialized rows by the binding's
-// local predicates and re-slots the referenced columns into tuples.
-func (q *query) scanDerived(b *binding, wide bool) []tuple {
+// local predicates and re-slots the referenced columns into tuples. It
+// re-indexes the read's arrivals at, in place, to the rows it keeps: a row
+// filtered out hands its arrival on to the next row kept.
+func (q *query) scanDerived(b *binding, wide bool, at []arrival) ([]tuple, []arrival) {
 	sub, rows := b.sub, q.execs[b.idx].derived
 	preds := compilePreds(q.execs[b.idx].local)
 	pos := make([][2]int, len(preds)) // positions of col and rcol in a derived row
@@ -541,8 +543,12 @@ func (q *query) scanDerived(b *binding, wide bool) []tuple {
 	}
 
 	out := make([]tuple, 0, len(rows))
+	k := 0 // the next arrival to re-index
 rows:
-	for _, d := range rows {
+	for n, d := range rows {
+		for ; k < len(at) && at[k].i <= n; k++ {
+			at[k].i = len(out)
+		}
 		for i := range preds {
 			var r []byte
 			if preds[i].colVsCol {
@@ -562,7 +568,10 @@ rows:
 		}
 		out = append(out, t)
 	}
-	return out
+	for ; k < len(at); k++ {
+		at[k].i = len(out)
+	}
+	return out, at
 }
 
 // fullPlan is a binding's access plan from its local predicates alone (no

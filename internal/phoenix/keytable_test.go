@@ -87,9 +87,12 @@ const (
 	hashJoinSQL    = `SELECT p.p_id, t.b_id FROM P p, (SELECT b_id FROM B ORDER BY b_date DESC LIMIT 3333) t WHERE p.p_b = t.b_id`
 )
 
-func hashJoinDB(tb testing.TB) *Engine {
+func hashJoinDB(tb testing.TB) *Engine { return hashJoinDBWith(tb, nil) }
+
+// hashJoinDBWith is hashJoinDB under costs (nil: the defaults).
+func hashJoinDBWith(tb testing.TB, costs *sim.Costs) *Engine {
 	tb.Helper()
-	hc := hbase.NewHCluster(cluster.NewDefault(nil), nil, nil)
+	hc := hbase.NewHCluster(cluster.NewDefault(costs), nil, nil)
 	cat := NewCatalog(hc)
 	for _, r := range []*schema.Relation{
 		{Name: "P", PK: []string{"p_id"}, Columns: []schema.Column{{Name: "p_id", Type: schema.TInt}, {Name: "p_b", Type: schema.TInt}}},
@@ -144,7 +147,7 @@ func TestHashJoinAllocsSublinear(t *testing.T) {
 		t.Fatal(err)
 	}
 	probe, build := q.bindings[0], q.bindings[1]
-	outer, err := rowsOf(ctx, &scanNode{q: q, b: probe, path: q.fullPlan(probe), wide: true, keep: true})
+	outer, err := rowsOf(ctx, &scanNode{q: q, b: probe, path: q.fullPlan(probe), wide: true, keep: true}, nil)
 	if built := q.execs[build.idx].derived; err != nil || len(outer) != hashJoinProbes || len(built) != hashJoinBuild {
 		t.Fatalf("%d probe rows, %d build rows, err %v", len(outer), len(built), err)
 	}

@@ -39,13 +39,25 @@ func (l *list) Next(*sim.Ctx) (tuple, bool) {
 }
 
 // taker is a node that can hand over, whole, the rows it materialized at Open
-// — to a consumer that keeps them all (rowsOf).
-type taker interface{ take() ([]tuple, bool) }
+// — to a consumer that keeps them all (rowsOf) — with when they came in, if
+// not all at the end of Open.
+type taker interface {
+	take() ([]tuple, []arrival, bool)
+}
 
-func (l *list) take() ([]tuple, bool) {
+func (l *list) take() ([]tuple, []arrival, bool) {
 	rows := l.rows
 	l.rows = nil
-	return rows, true
+	return rows, nil, true
+}
+
+// arrival says when a read's rows came in: those from index i on were handed
+// out no earlier than simulated time at, on the clock of the ctx that read
+// them. A read's arrivals start at its row 0 and rise in both i and at; a read
+// with none had every row in hand only at its end.
+type arrival struct {
+	i  int
+	at sim.Micros
 }
 
 // rowsOf opens n and reads it to its end for a consumer that keeps every row:
@@ -53,9 +65,18 @@ func (l *list) take() ([]tuple, bool) {
 // a limit cuts its input's rows. Reading that input to its end costs what
 // reading the first n does: a store scan directly under a limit has it pushed
 // in and stops there, and anything else under one reads the store at Open.
-func rowsOf(ctx *sim.Ctx, n node) ([]tuple, error) {
+//
+// For a consumer that works on rows as they come (joinNode.build), at gets the
+// read's arrivals: each row after whose Next the request clock stands later
+// than it did at the row before, with that clock. So a sequential store scan
+// hands its rows one chunk per RPC; a fanned-out one hands them all at its
+// first row's charge (hbase.Scanner), save the last row of one its LIMIT ends,
+// which comes with the join of its units at the read's end; and rows
+// materialized at Open come when it returns — a derived table's as its own
+// read handed them (scanNode.take).
+func rowsOf(ctx *sim.Ctx, n node, at *[]arrival) ([]tuple, error) {
 	if l, ok := n.(*limitNode); ok {
-		rows, err := rowsOf(ctx, l.in)
+		rows, err := rowsOf(ctx, l.in, at)
 		return rows[:min(l.n, len(rows))], err
 	}
 	if err := n.Open(ctx); err != nil {
@@ -63,13 +84,21 @@ func rowsOf(ctx *sim.Ctx, n node) ([]tuple, error) {
 	}
 	defer n.Close(ctx)
 	if m, ok := n.(taker); ok {
-		if rows, ok := m.take(); ok {
+		if rows, came, ok := m.take(); ok {
+			if at != nil {
+				*at = came
+			}
 			return rows, nil
 		}
 	}
 	var rows []tuple
 	for t, ok := n.Next(ctx); ok; t, ok = n.Next(ctx) {
 		rows = append(rows, t)
+		if at != nil {
+			if now := ctx.Elapsed(); len(*at) == 0 || (*at)[len(*at)-1].at != now {
+				*at = append(*at, arrival{len(rows) - 1, now})
+			}
+		}
 	}
 	return rows, nil
 }
@@ -152,8 +181,9 @@ type scanNode struct {
 	limit      int     // pushed into the store scan: the LIMIT is the scan's parent
 	g          *groups // the aggregate folding on the regions (Plan.fold)
 	sc         hbase.RowStream
-	buf        tuple    // the streamed row, filled again by every Next
-	seg        [][]byte // b's segment of buf
+	buf        tuple     // the streamed row, filled again by every Next
+	seg        [][]byte  // b's segment of buf
+	at         []arrival // when a derived table's rows came in, on the request's clock
 }
 
 // streams reports whether the scan hands out store rows as it reads them.
@@ -164,8 +194,7 @@ func (s *scanNode) streams() bool {
 func (s *scanNode) Open(ctx *sim.Ctx) error {
 	q, b := s.q, s.b
 	if b.sub != nil {
-		q.chargeRead(ctx, b)
-		s.rows = q.scanDerived(b, s.wide)
+		s.rows, s.at = q.scanDerived(b, s.wide, q.chargeRead(ctx, b))
 		return nil
 	}
 	tbl, spec, err := q.scanSpec(b, s.path)
@@ -226,12 +255,16 @@ func (s *scanNode) Next(ctx *sim.Ctx) (tuple, bool) {
 	return s.buf, true
 }
 
-// take hands over what the scan read at Open; a streaming scan has nothing.
-func (s *scanNode) take() ([]tuple, bool) {
+// take hands over what the scan read at Open, and a derived table's arrivals;
+// a streaming scan has nothing.
+func (s *scanNode) take() ([]tuple, []arrival, bool) {
 	if s.sc != nil {
-		return nil, false
+		return nil, nil, false
 	}
-	return s.list.take()
+	rows, _, ok := s.list.take()
+	at := s.at
+	s.at = nil
+	return rows, at, ok
 }
 
 func (s *scanNode) Close(ctx *sim.Ctx) {
@@ -255,15 +288,18 @@ func (s *scanNode) Close(ctx *sim.Ctx) {
 // or crosses whatever outer holds, so it reads its two sides at once: outer on
 // one branch of the request, b and its hash table on the other, and the
 // request waits for the longer before it probes. The branches run one after
-// the other on the caller, as a fanned-out scan's units do.
+// the other on the caller, as a fanned-out scan's units do. Either way a hash
+// join builds its table as b's rows come in, not once b's read has ended
+// (build).
 type joinNode struct {
 	list
 	q                    *query
 	outer                node
 	b                    *binding
-	outerCols, innerCols []colRef // outerCols[i] of the outer tuple must equal innerCols[i] of b
-	spill                bool     // the output is carried into another join
-	outerCtx, innerCtx   sim.Ctx  // the branches of a join that reads its sides at once
+	outerCols, innerCols []colRef   // outerCols[i] of the outer tuple must equal innerCols[i] of b
+	spill                bool       // the output is carried into another join
+	outerCtx, innerCtx   sim.Ctx    // the branches of a join that reads its sides at once
+	arrived              [4]arrival // backs the build side's arrivals while it has few
 }
 
 func (j *joinNode) Open(ctx *sim.Ctx) error {
@@ -271,18 +307,18 @@ func (j *joinNode) Open(ctx *sim.Ctx) error {
 	if !inl {
 		return j.overlap(ctx)
 	}
-	outer, err := rowsOf(ctx, j.outer)
+	outer, err := rowsOf(ctx, j.outer, nil)
 	if err != nil || len(outer) == 0 {
 		return err
 	}
 	if len(outer) <= j.q.eng.costs.INLThreshold {
 		return j.probe(ctx, outer, plan)
 	}
-	inner, err := j.inner(ctx)
+	inner, at, err := j.inner(ctx)
 	if err != nil {
 		return err
 	}
-	j.hash(ctx, outer, inner, j.build(ctx, inner))
+	j.hash(ctx, outer, inner, j.build(ctx, inner, at))
 	return nil
 }
 
@@ -290,13 +326,14 @@ func (j *joinNode) Open(ctx *sim.Ctx) error {
 // branch and b on the other, building b's hash table there too, then charges
 // the request the longer branch, the probe and the spill.
 func (j *joinNode) overlap(ctx *sim.Ctx) error {
-	outer, err := rowsOf(&j.outerCtx, j.outer)
+	outer, err := rowsOf(&j.outerCtx, j.outer, nil)
 	var inner []tuple
 	var t hashTable
 	if err == nil {
-		inner, err = j.inner(&j.innerCtx)
+		var at []arrival
+		inner, at, err = j.inner(&j.innerCtx)
 		if err == nil && len(j.outerCols) > 0 {
-			t = j.build(&j.innerCtx, inner)
+			t = j.build(&j.innerCtx, inner, at)
 		}
 	}
 	ctx.Join(&j.outerCtx, &j.innerCtx)
@@ -316,9 +353,12 @@ func (j *joinNode) overlap(ctx *sim.Ctx) error {
 	return nil
 }
 
-// inner reads b whole, through its local predicates: a hash join's build side.
-func (j *joinNode) inner(ctx *sim.Ctx) ([]tuple, error) {
-	return rowsOf(ctx, &scanNode{q: j.q, b: j.b, path: j.q.fullPlan(j.b), keep: true})
+// inner reads b whole, through its local predicates: a hash join's build side,
+// with when its rows came in.
+func (j *joinNode) inner(ctx *sim.Ctx) ([]tuple, []arrival, error) {
+	at := j.arrived[:0]
+	rows, err := rowsOf(ctx, &scanNode{q: j.q, b: j.b, path: j.q.fullPlan(j.b), keep: true}, &at)
+	return rows, at, err
 }
 
 // joinCols returns the equi-join conditions linking the joined set to
@@ -382,8 +422,16 @@ type hashTable struct {
 	head, next []int32
 }
 
-// build hashes inner on b's join columns, charging JoinBuildRow per row.
-func (j *joinNode) build(ctx *sim.Ctx, inner []tuple) hashTable {
+// build hashes inner on b's join columns, charging JoinBuildRow per row as the
+// rows came in (at, from rowsOf): each row is hashed from the later of the
+// time the build side handed it out and the end of the row before. So the
+// build ends at the latest, over the arrivals, of an arrival's time plus the
+// hashing of every row from it on. ctx stands at the end of inner's read, and
+// the branch ends at the later of that and the build's end: never before the
+// read's end, never after the read and a whole build in sequence — which is
+// what a build side with every row in hand only at its end pays, a
+// dirty-checked view's or a blocking subquery's.
+func (j *joinNode) build(ctx *sim.Ctx, inner []tuple, at []arrival) hashTable {
 	slots := make([]int, len(j.innerCols))
 	for i, c := range j.innerCols {
 		slots[i] = c.i
@@ -401,7 +449,15 @@ func (j *joinNode) build(ctx *sim.Ctx, inner []tuple) hashTable {
 		}
 		t.head[id] = int32(i)
 	}
-	ctx.Charge(sim.Micros(int64(len(inner)) * int64(j.q.eng.costs.JoinBuildRow)))
+	per, read := j.q.eng.costs.JoinBuildRow, ctx.Elapsed()
+	end := read + sim.Micros(len(inner))*per // no arrivals: every row came at the read's end
+	if len(at) > 0 {
+		end = read
+		for _, a := range at {
+			end = max(end, a.at+sim.Micros(len(inner)-a.i)*per)
+		}
+	}
+	ctx.Charge(end - read)
 	return t
 }
 
@@ -541,7 +597,7 @@ type sortNode struct {
 }
 
 func (s *sortNode) Open(ctx *sim.Ctx) error {
-	rows, err := rowsOf(ctx, s.in)
+	rows, err := rowsOf(ctx, s.in, nil)
 	if err != nil {
 		return err
 	}

@@ -90,7 +90,9 @@ type Costs struct {
 	// the branch that reads the build side: a join that cannot probe its
 	// inner side by key reads and hashes it while its outer side is read,
 	// so the build overlaps the outer read and the request pays the longer
-	// of the two (phoenix joinNode).
+	// of the two (phoenix joinNode). Each row is hashed as the build side
+	// hands it out, so the build overlaps its own side's read too: the
+	// branch ends at the later of the read's end and the build's.
 	JoinBuildRow Micros
 	// JoinProbeRow is charged per probe-side row processed.
 	JoinProbeRow Micros
