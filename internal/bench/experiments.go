@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"synergy/internal/cluster"
 	"synergy/internal/hbase"
 	"synergy/internal/schema"
 	"synergy/internal/sim"
@@ -110,8 +109,7 @@ func RunFigure11(counts []int, reps int, seed int64, costs *sim.Costs) ([]Figure
 	rng := sim.NewRNG(seed)
 	var out []Figure11Row
 	for _, n := range counts {
-		cl := cluster.NewDefault(costs)
-		store := hbase.NewHCluster(cl, nil, nil)
+		store := hbase.NewHCluster(costs, nil)
 		lm := synergy.NewLockManager(store)
 		if err := lm.CreateLockTables([]string{"FIG11"}); err != nil {
 			return nil, err

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"synergy/internal/cluster"
 	"synergy/internal/sim"
 )
 
@@ -163,7 +162,7 @@ func BenchmarkScanChunkMerge(b *testing.B) {
 // file, 25 columns each — the shape of a materialized view, which is what a
 // TPC-W browse statement scans.
 func compactedWideTable(b *testing.B, rows int) *Client {
-	hc := NewHCluster(cluster.NewDefault(nil), nil, nil)
+	hc := NewHCluster(nil, nil)
 	if err := hc.CreateTable(TableSpec{Name: "t"}); err != nil {
 		b.Fatal(err)
 	}

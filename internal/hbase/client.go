@@ -13,8 +13,7 @@ import (
 // a cold client pays ConnectionSetup before its first operation and a
 // MetaLookup per table on first touch.
 type Client struct {
-	hc   *HCluster
-	node string // node the client runs on
+	hc *HCluster
 
 	mu        sync.Mutex
 	connected bool
@@ -125,9 +124,9 @@ func (c *Client) putChunkBuf(b *chunkBuf) {
 	c.chunkPool.Put(b)
 }
 
-// NewClient returns a cold client running on the workload driver node.
+// NewClient returns a cold client.
 func (hc *HCluster) NewClient() *Client {
-	return &Client{hc: hc, node: "client-0", metaCache: make(map[string]int64)}
+	return &Client{hc: hc, metaCache: make(map[string]int64)}
 }
 
 // NewWarmClient returns a client with established connections and a primed
@@ -205,7 +204,7 @@ func (c *Client) GetRow(ctx *sim.Ctx, tbl, key string, spec ScanSpec) (RowResult
 		}
 	}
 	ctx.Charge(c.hc.costs.GetSeek)
-	c.hc.cl.RPC(ctx, c.node, r.server, shipped)
+	c.hc.costs.ChargeRPC(ctx, shipped)
 	return res, nil
 }
 
@@ -267,7 +266,7 @@ func (c *Client) getFrom(ctx *sim.Ctx, r *Region, keys []string, regions []*Regi
 		}
 	}
 	ctx.Charge(sim.Micros(int64(n) * int64(c.hc.costs.GetSeek)))
-	c.hc.cl.RPC(ctx, c.node, r.server, bytes)
+	c.hc.costs.ChargeRPC(ctx, bytes)
 	ctx.CountRowsScanned(found)
 	ctx.CountRowsReturned(found)
 }
@@ -620,7 +619,7 @@ func (s *Scanner) readChunk(ctx *sim.Ctx, r *Region, end string, buf *chunkBuf, 
 		bytes += row.Bytes()
 	}
 	ctx.CountRowsReturned(len(buf.rows))
-	hc.cl.RPC(ctx, s.client.node, r.server, bytes)
+	hc.costs.ChargeRPC(ctx, bytes)
 	return next, truncated
 }
 

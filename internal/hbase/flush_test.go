@@ -9,7 +9,6 @@ import (
 	"sync"
 	"testing"
 
-	"synergy/internal/cluster"
 	"synergy/internal/sim"
 )
 
@@ -129,7 +128,7 @@ func TestFlushChargesNothing(t *testing.T) {
 	}
 	var ds []deployment
 	for _, flushSize := range []int64{512, math.MaxInt64} {
-		hc := NewHCluster(cluster.NewDefault(nil), nil, nil)
+		hc := NewHCluster(nil, nil)
 		mustCreate(t, hc, TableSpec{Name: "t", MaxVersions: 3, FlushSize: flushSize})
 		ds = append(ds, deployment{hc, hc.NewWarmClient(), sim.NewCtx()})
 	}
@@ -205,7 +204,7 @@ func BenchmarkRegionSustainedPuts(b *testing.B) {
 			var resident uint64
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				hc := NewHCluster(cluster.NewDefault(nil), nil, nil)
+				hc := NewHCluster(nil, nil)
 				if err := hc.CreateTable(TableSpec{Name: "t"}); err != nil {
 					b.Fatal(err)
 				}
@@ -252,7 +251,7 @@ func BenchmarkRegionSustainedPuts(b *testing.B) {
 // written row must be there at the end. The race step runs it under -race.
 func TestWritersFlushUnderScanners(t *testing.T) {
 	const writers, perWriter = 4, 600
-	hc := NewHCluster(cluster.NewDefault(nil), nil, nil)
+	hc := NewHCluster(nil, nil)
 	mustCreate(t, hc, TableSpec{Name: "t", FlushSize: 2 << 10, SplitKeys: []string{scanKey(perWriter), scanKey(3 * perWriter)}})
 	var writing sync.WaitGroup
 	for w := 0; w < writers; w++ {

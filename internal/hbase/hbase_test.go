@@ -5,13 +5,12 @@ import (
 	"sync"
 	"testing"
 
-	"synergy/internal/cluster"
 	"synergy/internal/sim"
 )
 
 func newTestCluster(t *testing.T) *HCluster {
 	t.Helper()
-	return NewHCluster(cluster.NewDefault(nil), nil, nil)
+	return NewHCluster(nil, nil)
 }
 
 func mustCreate(t *testing.T, hc *HCluster, spec TableSpec) {

@@ -7,10 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"synergy/internal/cluster"
 	"synergy/internal/sdfs"
 	"synergy/internal/sim"
-	"synergy/internal/zk"
 )
 
 // Errors reported by the store.
@@ -69,10 +67,8 @@ func (t *table) regionsInRange(start, stop string) []*Region {
 }
 
 // HCluster is the HBase deployment: an HMaster (region assignment), region
-// servers on the cluster's slave nodes, WALs in the distributed filesystem
-// and coordination state in ZooKeeper.
+// servers beside the filesystem's datanodes, and WALs in that filesystem.
 type HCluster struct {
-	cl    *cluster.Cluster
 	fs    *sdfs.FS
 	costs *sim.Costs
 
@@ -82,43 +78,28 @@ type HCluster struct {
 	nextSrv int
 
 	ts       atomic.Int64 // logical timestamp oracle
-	zkSess   *zk.Session
 	walMu    sync.Mutex
 	walSeqs  map[string]int64
 	walSyncs atomic.Int64
 }
 
-// NewHCluster deploys HBase over the given physical cluster. fs and ens may
-// be nil, in which case private instances are created.
-func NewHCluster(cl *cluster.Cluster, fs *sdfs.FS, ens *zk.Ensemble) *HCluster {
+// NewHCluster deploys HBase over fs, one region server beside each datanode,
+// assigned regions round-robin in datanode order. nil costs are the default
+// calibration; a nil fs is a private one over the testbed's slaves.
+func NewHCluster(costs *sim.Costs, fs *sdfs.FS) *HCluster {
+	if costs == nil {
+		costs = sim.DefaultCosts()
+	}
 	if fs == nil {
-		fs = sdfs.NewFS(cl, 3)
+		fs = sdfs.NewFS(costs, sdfs.Slaves(), 3)
 	}
-	if ens == nil {
-		ens = zk.NewEnsemble()
-	}
-	hc := &HCluster{
-		cl:      cl,
+	return &HCluster{
 		fs:      fs,
-		costs:   cl.Costs(),
+		costs:   costs,
 		tables:  make(map[string]*table),
+		servers: fs.Datanodes(),
 		walSeqs: make(map[string]int64),
-		zkSess:  ens.NewSession(),
 	}
-	for _, n := range cl.Nodes(cluster.RoleSlave) {
-		hc.servers = append(hc.servers, n.Name)
-	}
-	if len(hc.servers) == 0 {
-		hc.servers = []string{"master-0"}
-	}
-	// Register the deployment in ZooKeeper as real HBase does.
-	hc.zkSess.Create("/hbase", nil, zk.CreateOpts{})
-	hc.zkSess.Create("/hbase/master", []byte("master-0"), zk.CreateOpts{Ephemeral: true})
-	hc.zkSess.Create("/hbase/rs", nil, zk.CreateOpts{})
-	for _, s := range hc.servers {
-		hc.zkSess.Create("/hbase/rs/"+s, nil, zk.CreateOpts{Ephemeral: true})
-	}
-	return hc
 }
 
 // Costs exposes the shared latency calibration.

@@ -11,7 +11,6 @@ import (
 	"sort"
 	"testing"
 
-	"synergy/internal/cluster"
 	"synergy/internal/sim"
 )
 
@@ -662,7 +661,7 @@ func newestCovering(rd *rowData, qualifier string) int64 {
 func runRegionModel(t *testing.T, seed, flushSize int64) {
 	const keySpace, maxVersions = 160, 3
 	rng := rand.New(rand.NewSource(seed))
-	hc := NewHCluster(cluster.NewDefault(nil), nil, nil)
+	hc := NewHCluster(nil, nil)
 	mustCreate(t, hc, TableSpec{Name: "t", MaxVersions: maxVersions, SplitThreshold: 30, FlushSize: flushSize})
 	c := hc.NewWarmClient()
 	ctx := sim.NewCtx()

@@ -230,7 +230,7 @@ func (c *Client) applyChunk(ctx *sim.Ctx, region *Region, chunk []Mutation) (cas
 			cas++
 		}
 	}
-	hc.cl.RPC(ctx, c.node, srv, bytes)
+	hc.costs.ChargeRPC(ctx, bytes)
 	// Unconditional mutations pay PutApply up front; conditionals pay the
 	// CheckAndPut compare, and the apply cost only if the check passes.
 	serverCost := sim.Micros(int64(len(chunk)-cas) * int64(hc.costs.PutApply))

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"synergy/internal/cluster"
 	"synergy/internal/sim"
 )
 
@@ -12,7 +11,7 @@ import (
 // produced by scanKey.
 func splitCluster(t *testing.T, regions, span int) (*HCluster, *Client) {
 	t.Helper()
-	hc := NewHCluster(cluster.NewDefault(nil), nil, nil)
+	hc := NewHCluster(nil, nil)
 	var splits []string
 	for i := 1; i < regions; i++ {
 		splits = append(splits, scanKey(i*span/regions))
@@ -23,7 +22,7 @@ func splitCluster(t *testing.T, regions, span int) (*HCluster, *Client) {
 
 func totalWALEdits(hc *HCluster) int64 {
 	var n int64
-	for _, node := range []string{"master-0", "slave-0", "slave-1", "slave-2", "slave-3", "slave-4"} {
+	for _, node := range hc.fs.Datanodes() {
 		n += hc.WALEdits(node)
 	}
 	return n
@@ -156,7 +155,7 @@ func TestMutateBatchOfOneCostsLikeEagerPath(t *testing.T) {
 func TestMutateBatchMaxBatchSplit(t *testing.T) {
 	costs := sim.DefaultCosts()
 	costs.MutateMaxBatch = 5
-	hc := NewHCluster(cluster.NewDefault(costs), nil, nil)
+	hc := NewHCluster(costs, nil)
 	mustCreate(t, hc, TableSpec{Name: "t"})
 	c := hc.NewWarmClient()
 	var muts []Mutation
@@ -195,7 +194,7 @@ func TestMutateBatchUnknownTableAppliesNothing(t *testing.T) {
 }
 
 func TestBufferedMutatorAutoFlush(t *testing.T) {
-	hc := NewHCluster(cluster.NewDefault(nil), nil, nil)
+	hc := NewHCluster(nil, nil)
 	mustCreate(t, hc, TableSpec{Name: "t"})
 	c := hc.NewWarmClient()
 	m := c.NewBufferedMutator(4)

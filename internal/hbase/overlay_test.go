@@ -5,7 +5,6 @@ import (
 	"slices"
 	"testing"
 
-	"synergy/internal/cluster"
 	"synergy/internal/sim"
 )
 
@@ -412,7 +411,7 @@ func TestOverlayPushdownSavesShipping(t *testing.T) {
 // they will once flushed.
 func TestOverlaySnapshotVisibility(t *testing.T) {
 	costs := sim.DefaultCosts()
-	hc := NewHCluster(cluster.NewDefault(costs), nil, nil)
+	hc := NewHCluster(costs, nil)
 	mustCreate(t, hc, TableSpec{Name: "t", MaxVersions: 16})
 	c := hc.NewWarmClient()
 	ctx := sim.NewCtx()

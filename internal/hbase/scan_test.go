@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"synergy/internal/cluster"
 	"synergy/internal/sim"
 )
 
@@ -17,7 +16,7 @@ import (
 // that never get flushed. Deterministic by construction.
 func buildScanFixture(t testing.TB, rowsN, regions int) (*HCluster, *Client) {
 	t.Helper()
-	hc := NewHCluster(cluster.NewDefault(nil), nil, nil)
+	hc := NewHCluster(nil, nil)
 	var splits []string
 	for i := 1; i < regions; i++ {
 		splits = append(splits, scanKey(i*rowsN/regions))
@@ -142,7 +141,7 @@ func TestScanParallelSimulatedSpeedup(t *testing.T) {
 }
 
 func TestScanStopKeyAcrossBatches(t *testing.T) {
-	hc := NewHCluster(cluster.NewDefault(nil), nil, nil)
+	hc := NewHCluster(nil, nil)
 	mustCreate(t, hc, TableSpec{Name: "t"})
 	c := hc.NewWarmClient()
 	ctx := sim.NewCtx()
@@ -168,7 +167,7 @@ func TestScanStopKeyAcrossBatches(t *testing.T) {
 }
 
 func TestScanStopKeyNeverOpensLaterRegions(t *testing.T) {
-	hc := NewHCluster(cluster.NewDefault(nil), nil, nil)
+	hc := NewHCluster(nil, nil)
 	mustCreate(t, hc, TableSpec{Name: "t", SplitKeys: []string{scanKey(10), scanKey(20)}})
 	c := hc.NewWarmClient()
 	ctx := sim.NewCtx()
@@ -187,7 +186,7 @@ func TestScanStopKeyNeverOpensLaterRegions(t *testing.T) {
 }
 
 func TestScanLimitBatchInteraction(t *testing.T) {
-	hc := NewHCluster(cluster.NewDefault(nil), nil, nil)
+	hc := NewHCluster(nil, nil)
 	mustCreate(t, hc, TableSpec{Name: "t", SplitKeys: []string{scanKey(10), scanKey(20)}})
 	c := hc.NewWarmClient()
 	ctx := sim.NewCtx()
@@ -312,7 +311,7 @@ func TestScanCloseReleasesWorkers(t *testing.T) {
 
 // Prefix scans auto-select mode and must stay correct either way.
 func TestScanPrefixAcrossRegions(t *testing.T) {
-	hc := NewHCluster(cluster.NewDefault(nil), nil, nil)
+	hc := NewHCluster(nil, nil)
 	mustCreate(t, hc, TableSpec{Name: "t", SplitKeys: []string{"user/3", "user/6"}})
 	c := hc.NewWarmClient()
 	ctx := sim.NewCtx()
@@ -420,7 +419,7 @@ func TestRegionGuideposts(t *testing.T) {
 // other way. Every case returns the rows the Sequential scan returns.
 func TestScanUnitsFillWaves(t *testing.T) {
 	load := func(rows int, splits ...int) *Client {
-		hc := NewHCluster(cluster.NewDefault(nil), nil, nil)
+		hc := NewHCluster(nil, nil)
 		var keys []string
 		for _, s := range splits {
 			keys = append(keys, scanKey(s))

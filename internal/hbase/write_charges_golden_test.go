@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"synergy/internal/cluster"
 	"synergy/internal/sim"
 )
 
@@ -115,7 +114,7 @@ func TestWriteChargesGolden(t *testing.T) {
 		lineTo(&b, hc, ctx, name, warm, ok, syncs, edits)
 	}
 	for _, warm := range []bool{true, false} {
-		hc := NewHCluster(cluster.NewDefault(nil), nil, nil)
+		hc := NewHCluster(nil, nil)
 		mustCreate(t, hc, TableSpec{Name: "t", MaxVersions: 4})
 		client := hc.NewWarmClient()
 		for _, o := range ops {
@@ -134,7 +133,7 @@ func TestWriteChargesGolden(t *testing.T) {
 		}
 	}
 	for _, warm := range []bool{true, false} {
-		hc := NewHCluster(cluster.NewDefault(nil), nil, nil)
+		hc := NewHCluster(nil, nil)
 		mustCreate(t, hc, TableSpec{Name: "t", MaxVersions: 4, SplitKeys: batchSplits})
 		client := hc.NewWarmClient()
 		for _, batch := range batches {
@@ -187,7 +186,7 @@ func TestWriteChargesGolden(t *testing.T) {
 			var first string
 			for p, ship := range ships {
 				var out strings.Builder
-				hc := NewHCluster(cluster.NewDefault(nil), nil, nil)
+				hc := NewHCluster(nil, nil)
 				mustCreate(t, hc, TableSpec{Name: "t", MaxVersions: 4, SplitKeys: []string{scanKey(12)}})
 				passed := make([]bool, len(releaseKeys))
 				var locks, muts []Mutation

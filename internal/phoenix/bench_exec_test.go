@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"synergy/internal/cluster"
 	"synergy/internal/hbase"
 	"synergy/internal/schema"
 	"synergy/internal/sim"
@@ -22,7 +21,7 @@ const execBenchSubjects = 8
 func execBenchDB(tb testing.TB, dateIndex bool) *Engine {
 	tb.Helper()
 	const orders, linesPerOrder, filler = 1500, 4, 20
-	hc := hbase.NewHCluster(cluster.NewDefault(nil), nil, nil)
+	hc := hbase.NewHCluster(nil, nil)
 	cat := NewCatalog(hc)
 	view := &schema.Relation{
 		Name: "V",
@@ -187,7 +186,7 @@ func TestScanFilterZeroAllocs(t *testing.T) {
 func groupByDB(tb testing.TB) *Engine {
 	tb.Helper()
 	const rows, filler = 20000, 13
-	hc := hbase.NewHCluster(cluster.NewDefault(nil), nil, nil)
+	hc := hbase.NewHCluster(nil, nil)
 	cat := NewCatalog(hc)
 	cust := &schema.Relation{
 		Name: "Customer",

@@ -3,7 +3,6 @@ package phoenix
 import (
 	"testing"
 
-	"synergy/internal/cluster"
 	"synergy/internal/hbase"
 	"synergy/internal/schema"
 	"synergy/internal/sim"
@@ -47,7 +46,7 @@ func TestAppendKeyTagsAndDelimits(t *testing.T) {
 // so under the old rendering int64(5) joined the string "n5" and the pairs
 // ("a\x00b","c") / ("a","b\x00c") fell into one group.
 func TestJoinAndGroupKeysDoNotAlias(t *testing.T) {
-	hc := hbase.NewHCluster(cluster.NewDefault(nil), nil, nil)
+	hc := hbase.NewHCluster(nil, nil)
 	cat := NewCatalog(hc)
 	for _, name := range []string{"L", "R"} {
 		rel := &schema.Relation{

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"testing"
 
-	"synergy/internal/cluster"
 	"synergy/internal/hbase"
 	"synergy/internal/occ"
 	"synergy/internal/schema"
@@ -27,7 +26,7 @@ func foldDB(t *testing.T, workers bool) *Engine {
 	if !workers {
 		costs.ScanParallelism = 1
 	}
-	hc := hbase.NewHCluster(cluster.NewDefault(costs), nil, nil)
+	hc := hbase.NewHCluster(costs, nil)
 	cat := NewCatalog(hc)
 	splits := func(keys ...int64) hbase.TableSpec {
 		spec := hbase.TableSpec{MaxVersions: 16}

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"synergy/internal/cluster"
 	"synergy/internal/hbase"
 	"synergy/internal/schema"
 	"synergy/internal/sim"
@@ -165,7 +164,7 @@ func TestKeyRangeBoundsTheScan(t *testing.T) {
 // covered index on g — for tests that count what a bounded scan examines.
 func rangeDB(tb testing.TB, n int64) *Engine {
 	tb.Helper()
-	hc := hbase.NewHCluster(cluster.NewDefault(nil), nil, nil)
+	hc := hbase.NewHCluster(nil, nil)
 	cat := NewCatalog(hc)
 	rel := &schema.Relation{
 		Name:    "T",
@@ -272,7 +271,7 @@ func FuzzKeyRange(f *testing.F) {
 			colType[c.Name] = c.Type
 		}
 
-		hc := hbase.NewHCluster(cluster.NewDefault(nil), nil, nil)
+		hc := hbase.NewHCluster(nil, nil)
 		cat := NewCatalog(hc)
 		spec := hbase.TableSpec{}
 		if in.next()%2 == 1 {
@@ -488,7 +487,7 @@ var fuzzKinds = []func(schema.ColType) []schema.Value{
 // and in both directions; and a snapshot taken before later writes reads the
 // range as it was.
 func TestKeyRangeThroughOverlayAndSnapshot(t *testing.T) {
-	hc := hbase.NewHCluster(cluster.NewDefault(nil), nil, nil)
+	hc := hbase.NewHCluster(nil, nil)
 	cat := NewCatalog(hc)
 	rel := &schema.Relation{
 		Name:    "T",

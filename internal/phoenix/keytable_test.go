@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"synergy/internal/cluster"
 	"synergy/internal/hbase"
 	"synergy/internal/schema"
 	"synergy/internal/sim"
@@ -92,7 +91,7 @@ func hashJoinDB(tb testing.TB) *Engine { return hashJoinDBWith(tb, nil) }
 // hashJoinDBWith is hashJoinDB under costs (nil: the defaults).
 func hashJoinDBWith(tb testing.TB, costs *sim.Costs) *Engine {
 	tb.Helper()
-	hc := hbase.NewHCluster(cluster.NewDefault(costs), nil, nil)
+	hc := hbase.NewHCluster(costs, nil)
 	cat := NewCatalog(hc)
 	for _, r := range []*schema.Relation{
 		{Name: "P", PK: []string{"p_id"}, Columns: []schema.Column{{Name: "p_id", Type: schema.TInt}, {Name: "p_b", Type: schema.TInt}}},

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"synergy/internal/cluster"
 	"synergy/internal/hbase"
 	"synergy/internal/schema"
 	"synergy/internal/sim"
@@ -25,7 +24,7 @@ func orderDB(t testing.TB) *Engine {
 	t.Helper()
 	costs := sim.DefaultCosts()
 	costs.SortRow = sortCharge
-	hc := hbase.NewHCluster(cluster.NewDefault(costs), nil, nil)
+	hc := hbase.NewHCluster(costs, nil)
 	cat := NewCatalog(hc)
 	tbl := &schema.Relation{
 		Name: "T",

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"synergy/internal/cluster"
 	"synergy/internal/hbase"
 	"synergy/internal/schema"
 	"synergy/internal/sim"
@@ -18,7 +17,7 @@ import (
 // micro-benchmark schema of Figure 8.
 func testDB(t *testing.T) (*Engine, *sim.Ctx) {
 	t.Helper()
-	hc := hbase.NewHCluster(cluster.NewDefault(nil), nil, nil)
+	hc := hbase.NewHCluster(nil, nil)
 	cat := NewCatalog(hc)
 
 	customer := &schema.Relation{
@@ -438,7 +437,7 @@ func TestOnWriteCollectsWriteSet(t *testing.T) {
 }
 
 func TestMVCCSnapshotVisibility(t *testing.T) {
-	hc := hbase.NewHCluster(cluster.NewDefault(nil), nil, nil)
+	hc := hbase.NewHCluster(nil, nil)
 	cat := NewCatalog(hc)
 	rel := &schema.Relation{
 		Name:    "T",

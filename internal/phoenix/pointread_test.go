@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"synergy/internal/cluster"
 	"synergy/internal/hbase"
 	"synergy/internal/occ"
 	"synergy/internal/schema"
@@ -28,7 +27,7 @@ const (
 // vk. Everything is written at loadTS and kept to 16 versions.
 func pointDB(t *testing.T) *Engine {
 	t.Helper()
-	hc := hbase.NewHCluster(cluster.NewDefault(nil), nil, nil)
+	hc := hbase.NewHCluster(nil, nil)
 	cat := NewCatalog(hc)
 	spec := hbase.TableSpec{MaxVersions: 16}
 	tbl := &schema.Relation{

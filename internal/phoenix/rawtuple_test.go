@@ -8,7 +8,6 @@ import (
 	"math"
 	"testing"
 
-	"synergy/internal/cluster"
 	"synergy/internal/hbase"
 	"synergy/internal/schema"
 	"synergy/internal/sim"
@@ -150,7 +149,7 @@ func FuzzRawTuple(f *testing.F) {
 // the cursor buys the wire server: stepping a 1,000-row join result and
 // reading every value allocates nothing.
 func TestMaterializedCursorZeroAllocsPerRow(t *testing.T) {
-	hc := hbase.NewHCluster(cluster.NewDefault(nil), nil, nil)
+	hc := hbase.NewHCluster(nil, nil)
 	cat := NewCatalog(hc)
 	for _, r := range []*schema.Relation{
 		{Name: "L", PK: []string{"l_id"}, Columns: []schema.Column{

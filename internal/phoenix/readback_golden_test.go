@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"synergy/internal/cluster"
 	"synergy/internal/hbase"
 	"synergy/internal/schema"
 	"synergy/internal/sim"
@@ -17,7 +16,7 @@ import (
 // representation now feeds — full scan, PK point lookup, index prefix and
 // the read-before-write of UPDATE — against hand-written golden rows.
 func TestSQLReadBackGolden(t *testing.T) {
-	hc := hbase.NewHCluster(cluster.NewDefault(nil), nil, nil)
+	hc := hbase.NewHCluster(nil, nil)
 	cat := NewCatalog(hc)
 	rel := &schema.Relation{
 		Name: "Item",

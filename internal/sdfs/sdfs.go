@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"sync"
 
-	"synergy/internal/cluster"
 	"synergy/internal/sim"
 )
 
@@ -23,12 +22,10 @@ const DefaultBlockSize = 64 << 20
 // ErrNotFound reports a read, length or delete of a file that does not exist.
 var ErrNotFound = errors.New("sdfs: file not found")
 
-// block is one replicated unit of file data. Contents are stored once; the
-// replicas slice records which datanodes hold copies, which drives the
-// pipeline latency of every append to it.
+// block is one replicated unit of file data. Contents are stored once; every
+// append to a block travels the replication pipeline.
 type block struct {
-	data     []byte
-	replicas []string // datanode names
+	data []byte
 }
 
 type file struct {
@@ -39,52 +36,47 @@ type file struct {
 // FS is the NameNode-plus-DataNodes ensemble.
 type FS struct {
 	mu          sync.RWMutex
-	cl          *cluster.Cluster
+	costs       *sim.Costs
 	files       map[string]*file
 	datanodes   []string
 	replication int
 	blockSize   int
-	nextDN      int // round-robin placement cursor
 }
 
-// NewFS builds a filesystem over the cluster's slave nodes with the given
-// replication factor (capped at the number of datanodes).
-func NewFS(cl *cluster.Cluster, replication int) *FS {
-	var dns []string
-	for _, n := range cl.Nodes(cluster.RoleSlave) {
-		dns = append(dns, n.Name)
+// Slaves names the testbed's five slave nodes (§IX-A1), each running a
+// DataNode beside a RegionServer. The master, the transaction node and the
+// client cost the same to reach as any slave, so no other node is named.
+func Slaves() []string {
+	return []string{"slave-0", "slave-1", "slave-2", "slave-3", "slave-4"}
+}
+
+// NewFS builds a filesystem over the given datanodes with the given
+// replication factor (capped at the number of datanodes). nil costs are the
+// default calibration.
+func NewFS(costs *sim.Costs, datanodes []string, replication int) *FS {
+	if costs == nil {
+		costs = sim.DefaultCosts()
 	}
 	if replication < 1 {
 		replication = 1
 	}
-	if replication > len(dns) && len(dns) > 0 {
-		replication = len(dns)
+	if replication > len(datanodes) && len(datanodes) > 0 {
+		replication = len(datanodes)
 	}
 	return &FS{
-		cl:          cl,
+		costs:       costs,
 		files:       make(map[string]*file),
-		datanodes:   dns,
+		datanodes:   datanodes,
 		replication: replication,
 		blockSize:   DefaultBlockSize,
 	}
 }
 
+// Datanodes lists the filesystem's datanodes in placement order.
+func (fs *FS) Datanodes() []string { return append([]string(nil), fs.datanodes...) }
+
 // Replication reports the effective replication factor.
 func (fs *FS) Replication() int { return fs.replication }
-
-// placeReplicas picks replica datanodes round-robin, like the HDFS default
-// placement policy in a single rack.
-func (fs *FS) placeReplicas() []string {
-	if len(fs.datanodes) == 0 {
-		return nil
-	}
-	reps := make([]string, 0, fs.replication)
-	for i := 0; i < fs.replication; i++ {
-		reps = append(reps, fs.datanodes[(fs.nextDN+i)%len(fs.datanodes)])
-	}
-	fs.nextDN = (fs.nextDN + 1) % len(fs.datanodes)
-	return reps
-}
 
 // Append adds data to the end of the file, creating it if absent. The write
 // is pipelined: client → replica 1 → replica 2 → ... with per-hop transfer
@@ -103,7 +95,7 @@ func (fs *FS) Append(ctx *sim.Ctx, path string, data []byte) error {
 		if n := len(f.blocks); n > 0 && len(f.blocks[n-1].data) < fs.blockSize {
 			b = f.blocks[n-1]
 		} else {
-			b = &block{replicas: fs.placeReplicas()}
+			b = &block{}
 			f.blocks = append(f.blocks, b)
 		}
 		room := fs.blockSize - len(b.data)
@@ -116,18 +108,16 @@ func (fs *FS) Append(ctx *sim.Ctx, path string, data []byte) error {
 		data = data[len(chunk):]
 
 		// Pipeline cost: first hop from the writer, then chained
-		// replica-to-replica transfers.
-		prev := "client-0"
-		for _, dn := range b.replicas {
-			fs.cl.RPC(ctx, prev, dn, len(chunk))
-			prev = dn
+		// replica-to-replica transfers, one per datanode holding a copy.
+		for range min(fs.replication, len(fs.datanodes)) {
+			fs.costs.ChargeRPC(ctx, len(chunk))
 		}
 	}
 	return nil
 }
 
-// ReadAll returns the full contents of a file, charging transfer from each
-// block's first live replica.
+// ReadAll returns the full contents of a file, charging one transfer per
+// block from one of its replicas.
 func (fs *FS) ReadAll(ctx *sim.Ctx, path string) ([]byte, error) {
 	fs.mu.RLock()
 	defer fs.mu.RUnlock()
@@ -137,11 +127,7 @@ func (fs *FS) ReadAll(ctx *sim.Ctx, path string) ([]byte, error) {
 	}
 	out := make([]byte, 0, f.length)
 	for _, b := range f.blocks {
-		src := "master-0"
-		if len(b.replicas) > 0 {
-			src = b.replicas[0]
-		}
-		fs.cl.RPC(ctx, src, "client-0", len(b.data))
+		fs.costs.ChargeRPC(ctx, len(b.data))
 		out = append(out, b.data...)
 	}
 	return out, nil
@@ -149,7 +135,7 @@ func (fs *FS) ReadAll(ctx *sim.Ctx, path string) ([]byte, error) {
 
 // Delete removes a file. Deleting a missing file reports ErrNotFound.
 func (fs *FS) Delete(ctx *sim.Ctx, path string) error {
-	fs.cl.RPC(ctx, "client-0", "master-0", 64)
+	fs.costs.ChargeRPC(ctx, 64)
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if _, ok := fs.files[path]; !ok {

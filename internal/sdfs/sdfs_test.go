@@ -7,13 +7,12 @@ import (
 	"sync"
 	"testing"
 
-	"synergy/internal/cluster"
 	"synergy/internal/sim"
 )
 
 func newFS(t *testing.T) *FS {
 	t.Helper()
-	return NewFS(cluster.NewDefault(nil), 3)
+	return NewFS(nil, Slaves(), 3)
 }
 
 // The first append creates the file; later ones extend it.
@@ -89,12 +88,7 @@ func TestReplicationAccounting(t *testing.T) {
 }
 
 func TestReplicationCappedByDatanodes(t *testing.T) {
-	cl := cluster.New(nil)
-	cl.AddNode("master-0", cluster.RoleMaster)
-	cl.AddNode("client-0", cluster.RoleClient)
-	cl.AddNode("slave-0", cluster.RoleSlave)
-	cl.AddNode("slave-1", cluster.RoleSlave)
-	fs := NewFS(cl, 3)
+	fs := NewFS(nil, []string{"slave-0", "slave-1"}, 3)
 	if got := fs.Replication(); got != 2 {
 		t.Fatalf("replication = %d, want 2 (capped at datanode count)", got)
 	}
@@ -102,7 +96,7 @@ func TestReplicationCappedByDatanodes(t *testing.T) {
 
 func TestAppendPipelineCharges(t *testing.T) {
 	costs := sim.DefaultCosts()
-	fs := NewFS(cluster.NewDefault(costs), 3)
+	fs := NewFS(costs, Slaves(), 3)
 	ctx := sim.NewCtx()
 	fs.Append(ctx, "/wal", []byte("record"))
 	// Expect at least 3 RPC hops (one per replica in the pipeline).

@@ -206,6 +206,18 @@ func (c *Costs) LockBackoff(attempt int) Micros {
 	return d
 }
 
+// ChargeRPC charges ctx one round trip carrying payload bytes between two
+// nodes of the testbed. Every node pair costs the same, as in one EC2
+// placement group, so the call names neither end.
+func (c *Costs) ChargeRPC(ctx *Ctx, payload int) {
+	ctx.CountRPC()
+	ctx.Charge(c.RPC)
+	if payload > 0 {
+		ctx.CountBytesMoved(payload)
+		ctx.Charge(c.PerByte.Mul(payload))
+	}
+}
+
 // PerByteCost is a cost expressed in simulated nanoseconds per byte, used
 // where whole microseconds are too coarse (2 ≈ 500 MB/s, 40 ≈ 25 MB/s).
 type PerByteCost int64

@@ -333,3 +333,41 @@ func TestDefaultCostsSane(t *testing.T) {
 		t.Fatalf("ConnectionSetup = %v, want a few hundred ms", c.ConnectionSetup)
 	}
 }
+
+func TestRPCChargesRoundTrip(t *testing.T) {
+	costs := DefaultCosts()
+	ctx := NewCtx()
+	costs.ChargeRPC(ctx, 0)
+	if got := ctx.Elapsed(); got != costs.RPC {
+		t.Fatalf("RPC elapsed = %v, want %v", got, costs.RPC)
+	}
+	if s := ctx.Snapshot(); s.RPCs != 1 || s.BytesMoved != 0 {
+		t.Fatalf("RPCs = %d, bytes moved = %d; want 1, 0", s.RPCs, s.BytesMoved)
+	}
+}
+
+func TestTransferChargesPerByte(t *testing.T) {
+	costs := DefaultCosts()
+	ctx := NewCtx()
+	const payload = 1 << 20 // 1 MiB
+	costs.ChargeRPC(ctx, payload)
+	if got, want := ctx.Elapsed(), costs.RPC+costs.PerByte.Mul(payload); got != want {
+		t.Fatalf("transfer elapsed = %v, want %v", got, want)
+	}
+	if s := ctx.Snapshot(); s.RPCs != 1 || s.BytesMoved != payload {
+		t.Fatalf("RPCs = %d, bytes moved = %d; want 1, %d", s.RPCs, s.BytesMoved, payload)
+	}
+}
+
+func TestRPCWithPayloadCostsMoreThanEmpty(t *testing.T) {
+	costs := DefaultCosts()
+	empty, loaded := NewCtx(), NewCtx()
+	costs.ChargeRPC(empty, 0)
+	costs.ChargeRPC(loaded, 64*1024)
+	if loaded.Elapsed() <= empty.Elapsed() {
+		t.Fatal("payload-bearing RPC should cost more than empty RPC")
+	}
+	if e, l := empty.Snapshot(), loaded.Snapshot(); e.RPCs != l.RPCs || l.BytesMoved != 64*1024 {
+		t.Fatalf("RPCs %d vs %d, loaded bytes moved %d; want equal RPCs, 65536 bytes", e.RPCs, l.RPCs, l.BytesMoved)
+	}
+}

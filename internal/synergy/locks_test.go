@@ -6,14 +6,13 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"synergy/internal/cluster"
 	"synergy/internal/hbase"
 	"synergy/internal/sim"
 )
 
 func bareLockManager(t *testing.T) *LockManager {
 	t.Helper()
-	store := hbase.NewHCluster(cluster.NewDefault(nil), nil, nil)
+	store := hbase.NewHCluster(nil, nil)
 	lm := NewLockManager(store)
 	if err := lm.CreateLockTables([]string{"R"}); err != nil {
 		t.Fatal(err)

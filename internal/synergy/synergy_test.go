@@ -3,6 +3,7 @@ package synergy
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -354,6 +355,101 @@ func TestTxnLayerFailover(t *testing.T) {
 	up := sqlparser.MustParse("UPDATE Employee SET EName = ? WHERE EID = ?")
 	if err := sys.Exec(sim.NewCtx(), up, []schema.Value{"post-recovery", int64(42)}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRecoveryKeepsUnreplayedSlave: a dead slave whose WAL does not replay
+// stays on the roster, dead, and the other dead slaves still recover in the
+// same pass — none of their unfinished transactions is lost.
+func TestRecoveryKeepsUnreplayedSlave(t *testing.T) {
+	sys := companySystem(t)
+	slaves := sys.Txn.Slaves()
+	for _, s := range slaves {
+		s.KillBeforeNextExec()
+	}
+	ins := sqlparser.MustParse("INSERT INTO Employee (EID, EName, EHome_AID, EOffice_AID, E_DNo) VALUES (?, ?, ?, ?, ?)")
+	for _, eid := range []int64{51, 52} {
+		params := []schema.Value{eid, fmt.Sprintf("crashed-%d", eid), int64(1), int64(1), int64(1)}
+		if err := sys.Exec(sim.NewCtx(), ins, params); err == nil {
+			t.Fatalf("insert %d: expected mid-transaction crash", eid)
+		}
+	}
+	if slaves[0].Alive() || slaves[1].Alive() {
+		t.Fatal("both slaves should be down")
+	}
+	survivor, lost := int64(51), int64(52)
+	if wal, err := sys.FS.ReadAll(sim.NewCtx(), slaves[1].walPath); err != nil {
+		t.Fatal(err)
+	} else if strings.Contains(string(wal), "crashed-52") {
+		survivor, lost = lost, survivor
+	}
+	// The first slave's log ends in a line no replay can parse.
+	if err := sys.FS.Append(sim.NewCtx(), slaves[0].walPath, []byte("not a record\n")); err != nil {
+		t.Fatal(err)
+	}
+
+	n, err := sys.Txn.DetectAndRecover(sim.NewCtx())
+	if err == nil || n != 1 {
+		t.Fatalf("first pass recovered %d slaves, error %v; want 1 and the first slave's replay error", n, err)
+	}
+	if rows := companyW1(t, sys, survivor); len(rows) != 1 {
+		t.Fatalf("the second slave's unfinished insert was not replayed: %v", rows)
+	}
+	if rows := companyW1(t, sys, lost); len(rows) != 0 {
+		t.Fatalf("a log that does not parse replayed a transaction: %v", rows)
+	}
+	if n, err := sys.Txn.DetectAndRecover(sim.NewCtx()); err == nil || n != 0 {
+		t.Fatalf("second pass recovered %d slaves, error %v; want 0 and the same replay error", n, err)
+	}
+	roster := sys.Txn.Slaves()
+	if !slices.Contains(roster, slaves[0]) || slices.Contains(roster, slaves[1]) {
+		t.Fatal("the roster should keep the unreplayed slave and drop the recovered one")
+	}
+}
+
+// TestRecoveryResumesReplay: a replay that fails partway is resumed by the
+// next pass from the transaction that failed; what it already re-executed
+// runs once.
+func TestRecoveryResumesReplay(t *testing.T) {
+	sys := companySystem(t)
+	for _, s := range sys.Txn.Slaves() {
+		s.KillBeforeNextExec()
+	}
+	ins := sqlparser.MustParse("INSERT INTO Employee (EID, EName, EHome_AID, EOffice_AID, E_DNo) VALUES (?, ?, ?, ?, ?)")
+	params := []schema.Value{int64(61), "resumed-61", int64(1), int64(1), int64(1)}
+	if err := sys.Exec(sim.NewCtx(), ins, params); err == nil {
+		t.Fatal("expected mid-transaction crash")
+	}
+	var dead *Slave
+	for _, s := range sys.Txn.Slaves() {
+		if !s.Alive() {
+			dead = s
+		}
+	}
+	// A second unfinished transaction that parses but cannot execute.
+	bad := sqlparser.MustParse("INSERT INTO NoSuchTable (X) VALUES (?)")
+	pending, err := encodeStatements(dead.seq.Add(1), []sqlparser.Statement{bad}, [][]schema.Value{{int64(1)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dead.appendWAL(sim.NewCtx(), pending, +1); err != nil {
+		t.Fatal(err)
+	}
+
+	for pass := 1; pass <= 2; pass++ {
+		if n, err := sys.Txn.DetectAndRecover(sim.NewCtx()); err == nil || n != 0 {
+			t.Fatalf("pass %d recovered %d slaves, error %v; want 0 and the replay error", pass, n, err)
+		}
+	}
+	if rows := companyW1(t, sys, 61); len(rows) != 1 {
+		t.Fatalf("the replayable insert was not replayed: %v", rows)
+	}
+	wal, err := sys.FS.ReadAll(sim.NewCtx(), dead.heir.walPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(wal), "resumed-61"); n != 1 {
+		t.Fatalf("the replayed insert ran %d times over two passes, want 1", n)
 	}
 }
 

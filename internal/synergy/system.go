@@ -56,7 +56,6 @@ import (
 	"sync"
 
 	"synergy/internal/changefeed"
-	"synergy/internal/cluster"
 	"synergy/internal/core"
 	"synergy/internal/hbase"
 	"synergy/internal/mvcc"
@@ -66,7 +65,6 @@ import (
 	"synergy/internal/sdfs"
 	"synergy/internal/sim"
 	"synergy/internal/sqlparser"
-	"synergy/internal/zk"
 )
 
 // txnSlaves is the number of transaction-layer slaves a deployment starts.
@@ -171,9 +169,7 @@ type Config struct {
 
 // System is a deployed Synergy instance.
 type System struct {
-	Cluster *cluster.Cluster
 	FS      *sdfs.FS
-	ZK      *zk.Ensemble
 	Store   *hbase.HCluster
 	Catalog *phoenix.Catalog
 	Engine  *phoenix.Engine
@@ -224,15 +220,12 @@ func New(sch *schema.Schema, roots []string, workloadSQL []string, cfg Config) (
 		return nil, err
 	}
 
-	cl := cluster.NewDefault(cfg.Costs)
-	fs := sdfs.NewFS(cl, 3)
-	ens := zk.NewEnsemble()
-	store := hbase.NewHCluster(cl, fs, ens)
+	fs := sdfs.NewFS(cfg.Costs, sdfs.Slaves(), 3)
+	store := hbase.NewHCluster(cfg.Costs, fs)
 	cat := phoenix.NewCatalog(store)
 
 	sys := &System{
-		Cluster: cl, FS: fs, ZK: ens, Store: store,
-		Catalog: cat, Design: design, cfg: cfg,
+		FS: fs, Store: store, Catalog: cat, Design: design, cfg: cfg,
 	}
 
 	spec := hbase.TableSpec{MaxVersions: cfg.MaxVersions, SplitThreshold: cfg.SplitThreshold}

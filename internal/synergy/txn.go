@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -12,13 +13,10 @@ import (
 	"synergy/internal/schema"
 	"synergy/internal/sim"
 	"synergy/internal/sqlparser"
-	"synergy/internal/zk"
 )
 
 // ErrNoSlaves reports that every transaction-layer slave is down.
 var ErrNoSlaves = errors.New("synergy: no live transaction-layer slaves")
-
-const slavesZNode = "/synergy/slaves"
 
 // walRecord is one entry of a slave's write-ahead log. A transaction's
 // statements are logged with their parameters before execution; a commit
@@ -106,12 +104,12 @@ func encodeStatements(txid int64, stmts []sqlparser.Statement, paramsList [][]sc
 
 // Slave is one transaction-layer worker: it assigns transaction ids, logs
 // statements to its WAL in the distributed FS, and executes write
-// transaction procedures (Figure 7).
+// transaction procedures (Figure 7). Its alive flag is the one record of its
+// liveness: the master's failure detection reads it, and Kill clears it.
 type Slave struct {
 	ID      string
 	layer   *TxnLayer
 	walPath string
-	sess    *zk.Session
 	seq     atomic.Int64
 	alive   atomic.Bool
 	// walMu serializes appends to the WAL and guards unfinished, the count of
@@ -122,19 +120,21 @@ type Slave struct {
 	// killBeforeExec is a fault-injection hook: when set, the slave dies
 	// after logging the next statement but before executing it.
 	killBeforeExec atomic.Bool
+
+	// heir replays this slave's WAL once it is dead, and replayed counts the
+	// unfinished transactions of that WAL it has re-executed, so a pass that
+	// fails partway resumes where it stopped. Both are guarded by the
+	// layer's recoverMu.
+	heir     *Slave
+	replayed int
 }
 
 // Alive reports liveness.
 func (s *Slave) Alive() bool { return s.alive.Load() }
 
-// Kill simulates slave failure: the ZooKeeper session closes (dropping the
-// ephemeral registration the master watches) and the slave stops accepting
-// work.
-func (s *Slave) Kill() {
-	if s.alive.CompareAndSwap(true, false) {
-		s.sess.Close()
-	}
-}
+// Kill simulates slave failure: the slave stops accepting work, and the
+// master's next DetectAndRecover replaces it.
+func (s *Slave) Kill() { s.alive.Store(false) }
 
 // KillBeforeNextExec arms the fault-injection hook.
 func (s *Slave) KillBeforeNextExec() { s.killBeforeExec.Store(true) }
@@ -187,7 +187,7 @@ func (s *Slave) accept(ctx *sim.Ctx, stmts []sqlparser.Statement, paramsList [][
 	if len(stmts) != len(paramsList) {
 		return 0, nil, fmt.Errorf("synergy: %d statements, %d parameter lists", len(stmts), len(paramsList))
 	}
-	ctx.Charge(s.layer.sys.Cluster.Costs().TxnLayerHop)
+	ctx.Charge(s.layer.sys.Store.Costs().TxnLayerHop)
 	txid := s.seq.Add(1)
 	log, err := encodeStatements(txid, stmts, paramsList)
 	return txid, log, err
@@ -233,8 +233,11 @@ func (s *Slave) appendWAL(ctx *sim.Ctx, records []byte, opened int) error {
 
 // TxnLayer is the master + slaves transaction tier.
 type TxnLayer struct {
-	sys    *System
-	master *zk.Session
+	sys *System
+
+	// recoverMu serializes DetectAndRecover passes, so each dead slave's WAL
+	// is replayed by one pass.
+	recoverMu sync.Mutex
 
 	mu     sync.Mutex
 	slaves []*Slave
@@ -242,39 +245,36 @@ type TxnLayer struct {
 	nextID int
 }
 
-// NewTxnLayer starts the layer with n slaves registered in ZooKeeper.
+// NewTxnLayer starts the layer with n slaves.
 func NewTxnLayer(sys *System, n int) *TxnLayer {
-	l := &TxnLayer{sys: sys, master: sys.ZK.NewSession()}
-	l.master.Create("/synergy", nil, zk.CreateOpts{})
-	l.master.Create(slavesZNode, nil, zk.CreateOpts{})
+	l := &TxnLayer{sys: sys}
 	for i := 0; i < n; i++ {
-		l.spawnSlave()
+		l.join(l.startSlave(), nil)
 	}
 	return l
 }
 
-// spawnSlave starts a new slave. Caller may hold l.mu.
-func (l *TxnLayer) spawnSlave() *Slave {
+// startSlave starts a new slave with an empty WAL, not yet on the roster.
+func (l *TxnLayer) startSlave() *Slave {
 	l.mu.Lock()
 	id := fmt.Sprintf("txn-slave-%d", l.nextID)
 	l.nextID++
 	l.mu.Unlock()
 
-	sess := l.sys.ZK.NewSession()
-	s := &Slave{
-		ID:      id,
-		layer:   l,
-		walPath: "/synergy/wal/" + id + ".log",
-		sess:    sess,
-	}
+	s := &Slave{ID: id, layer: l, walPath: "/synergy/wal/" + id + ".log"}
 	s.alive.Store(true)
-	sess.Create(slavesZNode+"/"+id, []byte(id), zk.CreateOpts{Ephemeral: true})
 	l.sys.FS.Append(sim.NewCtx(), s.walPath, nil)
-
-	l.mu.Lock()
-	l.slaves = append(l.slaves, s)
-	l.mu.Unlock()
 	return s
+}
+
+// join puts s on the roster, in place of old when old is not nil.
+func (l *TxnLayer) join(s, old *Slave) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if i := slices.Index(l.slaves, old); i >= 0 {
+		l.slaves = slices.Delete(l.slaves, i, i+1)
+	}
+	l.slaves = append(l.slaves, s)
 }
 
 // Slaves lists current slaves (live and dead).
@@ -321,48 +321,40 @@ func (l *TxnLayer) LogCommitted(ctx *sim.Ctx, stmts []sqlparser.Statement, param
 	return s.appendWAL(ctx, append(log, '\n'), 0)
 }
 
-// DetectAndRecover is the master's failure-detection pass (§VIII): it
-// compares the slaves registered in ZooKeeper (ephemeral nodes vanish with
-// their sessions) against the roster, and for each dead slave starts a
-// replacement that replays the dead slave's WAL. It returns the number of
-// slaves recovered.
+// DetectAndRecover is the master's failure-detection pass (§VIII): for each
+// dead slave on the roster it starts a replacement that replays the dead
+// slave's WAL, and the replacement takes the dead slave's place once the
+// replay is done. A slave whose replay fails stays on the roster, dead, for
+// the next pass to resume; the other dead slaves still recover. It returns
+// the number of slaves recovered, and every replay error.
 func (l *TxnLayer) DetectAndRecover(ctx *sim.Ctx) (int, error) {
-	present := map[string]bool{}
-	kids, err := l.master.Children(slavesZNode, nil)
-	if err != nil {
-		return 0, err
-	}
-	for _, k := range kids {
-		present[k] = true
-	}
-
-	l.mu.Lock()
-	var dead []*Slave
-	live := l.slaves[:0]
-	for _, s := range l.slaves {
-		if present[s.ID] && s.Alive() {
-			live = append(live, s)
+	l.recoverMu.Lock()
+	defer l.recoverMu.Unlock()
+	recovered := 0
+	var errs []error
+	for _, d := range l.Slaves() {
+		if d.Alive() {
 			continue
 		}
-		dead = append(dead, s)
-	}
-	l.slaves = live
-	l.mu.Unlock()
-
-	for _, d := range dead {
-		replacement := l.spawnSlave()
-		if err := l.replayWAL(ctx, d.walPath, replacement); err != nil {
-			return 0, fmt.Errorf("synergy: replaying %s: %w", d.walPath, err)
+		if d.heir == nil {
+			d.heir = l.startSlave()
 		}
+		if err := l.replayWAL(ctx, d); err != nil {
+			errs = append(errs, fmt.Errorf("synergy: replaying %s: %w", d.walPath, err))
+			continue
+		}
+		l.join(d.heir, d)
+		recovered++
 	}
-	return len(dead), nil
+	return recovered, errors.Join(errs...)
 }
 
-// replayWAL re-executes the transactions of a dead slave's WAL that have
-// neither a commit nor an abort record, each as one whole transaction in
-// the order its first statement was logged.
-func (l *TxnLayer) replayWAL(ctx *sim.Ctx, walPath string, onto *Slave) error {
-	data, err := l.sys.FS.ReadAll(ctx, walPath)
+// replayWAL re-executes, on d's heir, the transactions of d's WAL that have
+// neither a commit nor an abort record, each as one whole transaction in the
+// order its first statement was logged, skipping the d.replayed an earlier
+// pass already ran. The whole log parses before any transaction runs.
+func (l *TxnLayer) replayWAL(ctx *sim.Ctx, d *Slave) error {
+	data, err := l.sys.FS.ReadAll(ctx, d.walPath)
 	if err != nil {
 		return err
 	}
@@ -386,13 +378,17 @@ func (l *TxnLayer) replayWAL(ctx *sim.Ctx, walPath string, onto *Slave) error {
 		}
 		grouped[rec.TxID] = append(grouped[rec.TxID], rec)
 	}
+	type txn struct {
+		stmts      []sqlparser.Statement
+		paramsList [][]schema.Value
+	}
+	var unfinished []txn
 	for _, txid := range order {
 		if finished[txid] {
 			continue
 		}
 		recs := grouped[txid]
-		stmts := make([]sqlparser.Statement, len(recs))
-		paramsList := make([][]schema.Value, len(recs))
+		tx := txn{make([]sqlparser.Statement, len(recs)), make([][]schema.Value, len(recs))}
 		for i, rec := range recs {
 			stmt, err := sqlparser.Parse(rec.SQL)
 			if err != nil {
@@ -402,9 +398,13 @@ func (l *TxnLayer) replayWAL(ctx *sim.Ctx, walPath string, onto *Slave) error {
 			if err != nil {
 				return err
 			}
-			stmts[i], paramsList[i] = stmt, params
+			tx.stmts[i], tx.paramsList[i] = stmt, params
 		}
-		if err := onto.ExecuteTxn(ctx, stmts, paramsList); err != nil {
+		unfinished = append(unfinished, tx)
+	}
+	for ; d.replayed < len(unfinished); d.replayed++ {
+		tx := unfinished[d.replayed]
+		if err := d.heir.ExecuteTxn(ctx, tx.stmts, tx.paramsList); err != nil {
 			return err
 		}
 	}

@@ -226,7 +226,7 @@ func TestBatchedSequentialWALParity(t *testing.T) {
 	const deferredLockSavings = 1 // one fresh root insert in writeWorkload
 	walTotal := func(sys *System) int64 {
 		var n int64
-		for _, node := range []string{"master-0", "slave-0", "slave-1", "slave-2", "slave-3", "slave-4"} {
+		for _, node := range sys.FS.Datanodes() {
 			n += sys.Store.WALEdits(node)
 		}
 		return n
