@@ -99,7 +99,7 @@ func BenchmarkMajorCompact(b *testing.B) {
 			// Staggered keys so files interleave and most rows need a
 			// multi-way cell merge.
 			key := scanKey(i*2 + f%2)
-			built.put(key, []Cell{put("v", fmt.Sprintf("f%d-%d", f, i), int64(f*rowsPerFile+i+1))})
+			putStamped(built, key, []Cell{put("v", fmt.Sprintf("f%d-%d", f, i), int64(f*rowsPerFile+i+1))})
 		}
 		built.flush()
 	}
@@ -140,7 +140,7 @@ func BenchmarkScanChunkMerge(b *testing.B) {
 	r := newRegion(spec, "", "")
 	for f := 0; f < 4; f++ {
 		for i := f; i < rows; i += 4 {
-			r.put(scanKey(i), []Cell{put("v", fmt.Sprint(i), int64(i+1))})
+			putStamped(r, scanKey(i), []Cell{put("v", fmt.Sprint(i), int64(i+1))})
 		}
 		r.flush()
 	}

@@ -133,16 +133,16 @@ func TestMajorCompactNoOp(t *testing.T) {
 	}
 
 	hc, r, loaded = fresh(TableSpec{})
-	r.put("zz", []Cell{put("a", "mem", 9)})
+	putStamped(r, "zz", []Cell{put("a", "mem", 9)})
 	rewritten("memstore", hc, r, loaded, len(rows)+1)
 
 	hc, r, loaded = fresh(TableSpec{})
-	r.put("zz", []Cell{put("a", "mem", 9)})
+	putStamped(r, "zz", []Cell{put("a", "mem", 9)})
 	r.flush()
 	rewritten("second file", hc, r, loaded, len(rows)+1)
 
 	hc, r, loaded = fresh(TableSpec{})
-	r.deleteRow(scanKey(7), 9, nil)
+	r.deleteRow(scanKey(7), 9, nil, nil)
 	rewritten("tombstone in the memstore", hc, r, loaded, len(rows)-1)
 
 	// One whole file, but a loaded tombstone (and the put it hides) in it.

@@ -41,24 +41,23 @@ type Client struct {
 	chunkPool sync.Pool
 }
 
-// getMutBuf returns an empty Mutation buffer, reusing a flushed one when
-// available.
-func (c *Client) getMutBuf() []Mutation {
+// getMutBuf returns an empty Mutation buffer in its pool box, reusing a
+// flushed one when available.
+func (c *Client) getMutBuf() *[]Mutation {
 	if v := c.mutPool.Get(); v != nil {
-		return (*v.(*[]Mutation))[:0]
+		return v.(*[]Mutation)
 	}
-	return make([]Mutation, 0, 16)
+	buf := make([]Mutation, 0, 16)
+	return &buf
 }
 
-// putMutBuf recycles a Mutation buffer. MutateBatch copies mutations into
-// region groups before applying, so the buffer is dead once a flush
-// returns.
-func (c *Client) putMutBuf(buf []Mutation) {
-	if cap(buf) == 0 {
-		return
-	}
-	buf = buf[:0]
-	c.mutPool.Put(&buf)
+// putMutBuf recycles a buffer: buf, grown from the one box held, goes back
+// to the pool in box, so recycling allocates nothing. A flush groups and
+// applies its buffer before it returns, and the regions keep none of it, so
+// the buffer is dead once a flush returns.
+func (c *Client) putMutBuf(box *[]Mutation, buf []Mutation) {
+	*box = buf[:0]
+	c.mutPool.Put(box)
 }
 
 // getOverlay returns an empty overlay index, reusing a recycled one.
@@ -237,16 +236,21 @@ func (c *Client) GetMany(ctx *sim.Ctx, tbl string, keys []string, opts ReadOpts)
 		c.getFrom(ctx, first, keys, nil, out, opts)
 		return out, nil
 	}
-	var children []*sim.Ctx
+	groups := 0
+	for i, r := range regions {
+		if slices.Index(regions, r) == i {
+			groups++
+		}
+	}
+	forks, g := make([]sim.Ctx, groups), 0
 	for i, r := range regions {
 		if slices.Index(regions, r) < i {
 			continue // the group of r is read already
 		}
-		child := ctx.Fork()
-		c.getFrom(child, r, keys, regions, out, opts)
-		children = append(children, child)
+		c.getFrom(&forks[g], r, keys, regions, out, opts)
+		g++
 	}
-	ctx.Join(children...)
+	ctx.JoinAll(forks)
 	return out, nil
 }
 
@@ -273,7 +277,7 @@ func (c *Client) getFrom(ctx *sim.Ctx, r *Region, keys []string, regions []*Regi
 
 // Put writes cells to a row. Zero-timestamp cells are stamped server-side.
 func (c *Client) Put(ctx *sim.Ctx, tbl, key string, cells []Cell) error {
-	_, _, err := c.mutateOne(ctx, PutMutation(tbl, key, cells, 0))
+	_, err := c.mutateOne(ctx, PutMutation(tbl, key, cells, 0))
 	return err
 }
 
@@ -286,7 +290,7 @@ func (c *Client) Delete(ctx *sim.Ctx, tbl, key string, qualifiers ...string) err
 // timestamp; ts == 0 uses the server clock. MVCC transactions stamp
 // tombstones with their transaction id.
 func (c *Client) DeleteAt(ctx *sim.Ctx, tbl, key string, ts int64, qualifiers ...string) error {
-	_, _, err := c.mutateOne(ctx, DeleteMutation(tbl, key, ts, qualifiers...))
+	_, err := c.mutateOne(ctx, DeleteMutation(tbl, key, ts, qualifiers...))
 	return err
 }
 
@@ -297,21 +301,27 @@ func (c *Client) DeleteAt(ctx *sim.Ctx, tbl, key string, ts int64, qualifiers ..
 // compared against — stamped out here, an acquirer that lost the CPU between
 // the stamp and the compare could apply "held" beneath a later "free" and
 // leave the lock looking free to the next acquirer. It reports whether the
-// put applied: whether the region stamped it, which a cell that arrives
-// stamped does not tell.
+// put applied.
 func (c *Client) CheckAndPut(ctx *sim.Ctx, tbl, key, qualifier string, expected []byte, cell Cell) (bool, error) {
-	one := casCells.Get().(*[1]Cell)
-	one[0] = cell
-	_, casTS, err := c.mutateOne(ctx, Mutation{Table: tbl, Key: key, Cells: one[:], CheckAndPut: true, CheckQualifier: qualifier, CheckExpected: expected})
-	*one = [1]Cell{}
-	casCells.Put(one)
-	return casTS != 0, err
+	one := casScratches.Get().(*casScratch)
+	one.cell[0] = cell
+	_, err := c.mutateOne(ctx, Mutation{Table: tbl, Key: key, Cells: one.cell[:], CheckAndPut: true, CheckQualifier: qualifier, CheckExpected: expected, Passed: &one.passed})
+	applied := one.passed
+	*one = casScratch{}
+	casScratches.Put(one)
+	return applied, err
 }
 
-// casCells recycles the one-cell slice a CheckAndPut's mutation carries. The
-// region takes the cell by value, so the slice is free again once mutateOne
-// returns, and a lock acquire or release allocates nothing for it.
-var casCells = sync.Pool{New: func() any { return new([1]Cell) }}
+// casScratch is what a CheckAndPut's mutation points into: its one-cell slice
+// and its Passed. The region takes the cell by value, so both are free again
+// once mutateOne returns, and a lock acquire or release allocates nothing for
+// them.
+type casScratch struct {
+	cell   [1]Cell
+	passed bool
+}
+
+var casScratches = sync.Pool{New: func() any { return new(casScratch) }}
 
 // ScanSpec describes a scan.
 type ScanSpec struct {
@@ -406,7 +416,7 @@ type Scanner struct {
 	client  *Client
 	spec    ScanSpec
 	batch   int
-	regions []*Region  // in scan order: last to first for a reversed spec
+	regions []*Region  // in key order, shared with the table: see region
 	from    string     // bound the scan enters its range at: Start, or Stop reversed
 	to      string     // bound it leaves at: Stop (exclusive), or Start (inclusive) reversed
 	units   []scanUnit // a fanned-out scan's units, in scan order; nil: the regions, walked whole
@@ -438,7 +448,6 @@ func (c *Client) Scan(ctx *sim.Ctx, tbl string, spec ScanSpec) (*Scanner, error)
 	from, to := spec.bounds()
 	regions := t.regionsInRange(from, to)
 	if spec.Reversed {
-		slices.Reverse(regions)
 		from, to = to, from
 	}
 	s := &Scanner{
@@ -534,8 +543,17 @@ func (s *Scanner) walk(ctx *sim.Ctx) (r *Region, from, end string, wctx *sim.Ctx
 		u := &s.units[s.wi]
 		return u.r, u.from, u.end, &u.ctx
 	}
-	r = s.regions[s.wi]
+	r = s.region(s.wi)
 	return r, s.entry(r), r.edge(s.spec.Reversed), ctx
+}
+
+// region is the scan's i-th region in scan order: a reversed scan walks its
+// regions last to first.
+func (s *Scanner) region(i int) *Region {
+	if s.spec.Reversed {
+		return s.regions[len(s.regions)-1-i]
+	}
+	return s.regions[i]
 }
 
 // entry is the key a walk of region r starts from: the scan's entry bound,

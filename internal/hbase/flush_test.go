@@ -71,13 +71,13 @@ func TestMemstoreBounded(t *testing.T) {
 			for _, c := range cells {
 				wrote += KVSize(key, c)
 			}
-			r.put(key, cells)
+			putStamped(r, key, cells)
 		case op < 16:
 			wrote = KVSize(key, Cell{})
-			r.deleteRow(key, tick(), nil)
+			r.deleteRow(key, tick(), nil, nil)
 		case op < 17:
 			wrote = KVSize(key, Cell{Qualifier: "a"})
-			r.deleteRow(key, tick(), []string{"a"})
+			r.deleteRow(key, tick(), []string{"a"}, nil)
 		case op < 19:
 			c := Cell{Qualifier: "l", Value: []byte("held")}
 			wrote = KVSize(key, c)

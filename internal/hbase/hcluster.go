@@ -3,6 +3,7 @@ package hbase
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -48,22 +49,23 @@ func (t *table) regionFor(key string) *Region {
 	return t.regions[i]
 }
 
-// regionsInRange returns regions overlapping [start, stop). stop == "" means
-// unbounded.
+// regionsInRange returns the regions overlapping [start, stop), in key order;
+// stop == "" means unbounded. It is a window of the table's region list, which
+// a split replaces instead of editing (see splitIfNeeded), so the window stays
+// as it was returned; callers only read it.
 func (t *table) regionsInRange(start, stop string) []*Region {
 	t.mu.RLock()
-	defer t.mu.RUnlock()
-	var out []*Region
-	for _, r := range t.regions {
-		if stop != "" && r.start != "" && r.start >= stop {
-			break
-		}
-		if r.end != "" && r.end <= start {
-			continue
-		}
-		out = append(out, r)
-	}
-	return out
+	regions := t.regions
+	t.mu.RUnlock()
+	lo := sort.Search(len(regions), func(i int) bool {
+		r := regions[i]
+		return r.end == "" || r.end > start
+	})
+	hi := sort.Search(len(regions), func(i int) bool {
+		r := regions[i]
+		return stop != "" && r.start != "" && r.start >= stop
+	})
+	return regions[lo:max(lo, hi)]
 }
 
 // HCluster is the HBase deployment: an HMaster (region assignment), region
@@ -261,7 +263,9 @@ func (hc *HCluster) splitIfNeeded(t *table) {
 			srv := hc.assignServer()
 			hc.mu.Unlock()
 			left, right := r.split(mid, srv)
-			t.regions = append(t.regions[:i], append([]*Region{left, right}, t.regions[i+1:]...)...)
+			// A fresh list, never an edit of the old one: regionsInRange
+			// hands out windows of it.
+			t.regions = slices.Concat(t.regions[:i], []*Region{left, right}, t.regions[i+1:])
 			t.gen.Add(1)
 			split = true
 			break
@@ -382,9 +386,7 @@ func (hc *HCluster) BulkLoad(name string, rows []BulkRow) error {
 		}
 	}
 	ts := hc.NextTS()
-	t.mu.RLock()
-	regions := append([]*Region(nil), t.regions...)
-	t.mu.RUnlock()
+	regions := t.regionsInRange("", "")
 
 	idx := 0
 	for _, r := range regions {

@@ -46,7 +46,7 @@ func TestPackedScanAllocs(t *testing.T) {
 	// Overwrite one column of every row: each is now a memstore part over a
 	// packed file part and must decode and merge into pooled scratch.
 	for i := 0; i < rows; i++ {
-		r.put(scanKey(i), []Cell{put("c03", "newer", 2)})
+		putStamped(r, scanKey(i), []Cell{put("c03", "newer", 2)})
 	}
 	scan()
 	if got := string(buf.rows[5].Cells.Get("c03")); got != "newer" {

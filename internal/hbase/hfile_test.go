@@ -727,7 +727,7 @@ func runRegionModel(t *testing.T, seed, flushSize int64) {
 			all = restrictRows(all, cols)
 			for _, reversed := range []bool{false, true} {
 				want := modelRows(all, ScanSpec{Reversed: reversed})
-				regions := tbl.regionsInRange("", "")
+				regions := slices.Clone(tbl.regionsInRange("", "")) // the table's own list is read-only
 				if reversed {
 					slices.Reverse(regions)
 				}
@@ -887,7 +887,7 @@ func wideCells(i int, ts int64) []Cell {
 func compactedWideRegion(rows int) *Region {
 	r := newRegion(&TableSpec{Name: "t", MaxVersions: 1, SplitThreshold: 1 << 30}, "", "")
 	for i := 0; i < rows; i++ {
-		r.put(scanKey(i), wideCells(i, 1))
+		putStamped(r, scanKey(i), wideCells(i, 1))
 	}
 	r.majorCompact()
 	return r
@@ -905,7 +905,7 @@ func TestResidentBytesPerCell(t *testing.T) {
 	var payload, cells int
 	for i := 0; i < rows; i++ {
 		row := wideCells(i, 1)
-		r.put(scanKey(i), row)
+		putStamped(r, scanKey(i), row)
 		payload += len(scanKey(i))
 		for _, c := range row {
 			payload += len(c.Value)

@@ -1,6 +1,10 @@
 package hbase
 
-import "synergy/internal/sim"
+import (
+	"slices"
+
+	"synergy/internal/sim"
+)
 
 // Mutation is one row write — a put or a delete — destined for a batch RPC.
 // A batch may span tables: the Synergy write path fans one logical write
@@ -18,7 +22,7 @@ type Mutation struct {
 	// whole row.
 	Qualifiers []string
 	// Delete marks the mutation as a tombstone write instead of a put. It
-	// sits beside CheckAndPut so the two flags share one padded word: a
+	// sits beside CheckAndPut and slot so the three share one padded word: a
 	// transaction buffers every mutation it has pending.
 	Delete bool
 	// CheckAndPut marks the mutation conditional: at apply time the single
@@ -30,7 +34,10 @@ type Mutation struct {
 	// commit protocol batches them instead of paying a round trip each: it
 	// folds fresh lock entries into the commit flush and frees a
 	// transaction's locks in one flush after it.
-	CheckAndPut    bool
+	CheckAndPut bool
+	// slot is mutateBatch's scratch while it groups a batch in place: the
+	// mutation's region group, then the index it moves to.
+	slot           int32
 	CheckQualifier string
 	CheckExpected  []byte
 	// Passed, when not nil on a conditional put, receives whether its check
@@ -73,159 +80,182 @@ func (m *Mutation) bytes() int {
 	return n
 }
 
-// regionGroup is the slice of a batch destined for one region, applied under
-// one (or, above MutateMaxBatch, a few) simulated RPCs.
-type regionGroup struct {
-	region *Region
-	muts   []Mutation
-	// casTS is the highest stamp the region gave an applied conditional put
-	// of the group (they are stamped at apply time, not with the batch).
-	casTS int64
-}
-
 // MutateBatch applies a group of puts and deletes as real HBase's
 // Table.batch/BufferedMutator does: mutations are grouped by region, each
 // region's group travels in one batch RPC with one WAL sync (groups larger
 // than Costs.MutateMaxBatch split into several RPCs), and independent
 // regions are dispatched in parallel with fork/join cost accounting — the
-// caller waits for the slowest region, not the sum.
+// caller waits for the slowest region, not the sum. muts is left as it came:
+// the batch is grouped in a copy.
 //
 // Mutations keep their relative order within a row (same row ⇒ same region ⇒
-// same ordered group). Zero timestamps are stamped in batch order before
-// dispatch, so results are deterministic and match what the same sequence of
-// Put/DeleteAt calls would have written. The exception is a conditional put:
-// its cell is stamped by the region inside the compare's critical section.
-// A conditional whose check fails is skipped, not an error; its Passed, when
+// same ordered group). A zero timestamp is the server clock at apply time:
+// the region stamps the mutation as it applies it (see Region.put), so the
+// batch's stamps are drawn in region-group order — its regions in the order
+// the batch first names them, batch order within each — and the puts of one
+// cell carry rising stamps in the order they were applied. A conditional put
+// is stamped by the region too, inside the compare's critical section. A
+// conditional whose check fails is skipped, not an error; its Passed, when
 // set, reports the outcome, and the batch's other mutations land regardless.
 func (c *Client) MutateBatch(ctx *sim.Ctx, muts []Mutation) error {
-	_, err := c.mutateBatch(ctx, muts)
+	box := c.getMutBuf()
+	buf := append(*box, muts...)
+	_, err := c.mutateBatch(ctx, buf)
+	c.putMutBuf(box, buf)
 	return err
 }
 
-// mutateBatch is MutateBatch plus the batch's high timestamp: the largest
-// stamp assigned to (or carried by) any mutation in the batch, which is the
-// commit timestamp the changefeed records for asynchronously maintained
-// views. Zero when the batch is empty.
+// regionGroup is the run of a grouped batch destined for one region, applied
+// under one (or, above MutateMaxBatch, a few) simulated RPCs: muts[start:end]
+// once mutateBatch has grouped them. t is the region's table, which the
+// grouping also reads back as the batch's cache of resolved tables.
+type regionGroup struct {
+	t          *table
+	region     *Region
+	start, end int
+}
+
+// mutateBatch is MutateBatch on a buffer the caller owns, a mutator's flush:
+// it groups muts by region in place, reordering them, and returns the batch's
+// high timestamp — the largest stamp any mutation carries or was given, which
+// is the commit timestamp the changefeed records for asynchronously
+// maintained views. Zero when the batch is empty.
 func (c *Client) mutateBatch(ctx *sim.Ctx, muts []Mutation) (int64, error) {
 	if len(muts) == 0 {
 		return 0, nil
 	}
 	if len(muts) == 1 {
-		ts, casTS, err := c.mutateOne(ctx, muts[0])
-		return max(ts, casTS), err
+		return c.mutateOne(ctx, muts[0])
 	}
-	// Resolve tables first so an unknown table fails before any mutation is
-	// applied, and the meta-cache charges land once per table.
-	tables := make(map[string]*table)
-	for i := range muts {
-		if _, ok := tables[muts[i].Table]; ok {
-			continue
-		}
-		t, err := c.open(ctx, muts[i].Table)
-		if err != nil {
-			return 0, err
-		}
-		tables[muts[i].Table] = t
+	var small [8]regionGroup // the common region counts need no allocation
+	groups, err := c.group(ctx, muts, small[:0])
+	if err != nil {
+		return 0, err
 	}
-	// Stamp server-side timestamps in batch order, one per mutation as
-	// mutateOne does, then group by region preserving arrival order.
-	var maxTS int64
-	var groups []*regionGroup
-	byRegion := make(map[*Region]*regionGroup)
-	for _, m := range muts {
-		maxTS = max(maxTS, c.stamp(&m))
-		r := tables[m.Table].regionFor(m.Key)
-		g := byRegion[r]
-		if g == nil {
-			g = &regionGroup{region: r}
-			byRegion[r] = g
-			groups = append(groups, g)
-		}
-		g.muts = append(g.muts, m)
-	}
-
 	if len(groups) == 1 {
-		c.applyGroup(ctx, groups[0])
-		return max(maxTS, groups[0].casTS), nil
+		return c.applyGroup(ctx, groups[0].region, muts), nil
 	}
 	// Independent regions dispatch in parallel in the modeled system: each
-	// group applies on the caller, charged to its own fork, and the Join
+	// group applies on the caller, charged to its own fork, and the join
 	// charges the caller max(region elapsed), not the sum, as GetMany does.
-	children := make([]*sim.Ctx, len(groups))
+	forks := make([]sim.Ctx, len(groups))
+	var high int64
 	for i, g := range groups {
-		children[i] = ctx.Fork()
-		c.applyGroup(children[i], g)
-		maxTS = max(maxTS, g.casTS)
+		high = max(high, c.applyGroup(&forks[i], g.region, muts[g.start:g.end]))
 	}
-	ctx.Join(children...)
-	return maxTS, nil
+	ctx.JoinAll(forks)
+	return high, nil
+}
+
+// group sorts muts into region groups in place, returning the groups (appended
+// to groups) in the order the batch first names their regions: a stable
+// partition, so each group keeps batch order, and with it every row its
+// order. Each table is resolved, and charged its meta-cache warm-up, once,
+// before the first of its mutations is grouped; an unknown table fails the
+// batch before any mutation is applied.
+func (c *Client) group(ctx *sim.Ctx, muts []Mutation, groups []regionGroup) ([]regionGroup, error) {
+	gi := -1 // the group of the mutation before
+	for i := range muts {
+		m := &muts[i]
+		var t *table
+		if gi >= 0 && groups[gi].t.spec.Name == m.Table {
+			t = groups[gi].t
+		} else if j := slices.IndexFunc(groups, func(g regionGroup) bool { return g.t.spec.Name == m.Table }); j >= 0 {
+			t = groups[j].t
+		} else {
+			var err error
+			if t, err = c.open(ctx, m.Table); err != nil {
+				return nil, err
+			}
+		}
+		r := t.regionFor(m.Key)
+		if gi < 0 || groups[gi].region != r {
+			gi = slices.IndexFunc(groups, func(g regionGroup) bool { return g.region == r })
+			if gi < 0 {
+				gi = len(groups)
+				groups = append(groups, regionGroup{t: t, region: r})
+			}
+		}
+		groups[gi].end++ // the group's size, for now
+		m.slot = int32(gi)
+	}
+	if len(groups) == 1 {
+		return groups, nil
+	}
+	// Lay the groups out back to back, give each mutation the next slot of
+	// its group, then move every mutation to its slot: each swap puts one
+	// mutation where it belongs for good.
+	off := 0
+	for i := range groups {
+		g := &groups[i]
+		g.start, g.end, off = off, off, off+g.end
+	}
+	for i := range muts {
+		g := &groups[muts[i].slot]
+		muts[i].slot = int32(g.end)
+		g.end++
+	}
+	for i := range muts {
+		for j := int(muts[i].slot); j != i; j = int(muts[i].slot) {
+			muts[i], muts[j] = muts[j], muts[i]
+		}
+	}
+	return groups, nil
 }
 
 // mutateOne applies one mutation as one region's group of one: nothing to
 // group or fork. It is every single-row write of the client — Put, DeleteAt,
 // CheckAndPut — and every flush of a mutator that flushes at 1, the paper's
-// client. It returns the highest stamp the mutation holds (stamp) and, for a
-// conditional put, the stamp the region gave it: zero when the check failed.
-func (c *Client) mutateOne(ctx *sim.Ctx, m Mutation) (ts, casTS int64, err error) {
+// client. It returns the highest stamp the mutation carries or was given.
+func (c *Client) mutateOne(ctx *sim.Ctx, m Mutation) (int64, error) {
 	t, err := c.open(ctx, m.Table)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
-	ts = c.stamp(&m)
 	one := [1]Mutation{m}
-	return ts, c.applyChunk(ctx, t.regionFor(m.Key), one[:]), nil
+	return c.applyChunk(ctx, t.regionFor(m.Key), one[:]), nil
 }
 
-// stamp gives an unstamped mutation the next server timestamp and a put a
-// private copy of its cells carrying it, and returns the highest stamp the
-// mutation now holds. A conditional put is stamped by the region at apply
-// time, on the cell it takes by value, so it needs neither.
-func (c *Client) stamp(m *Mutation) int64 {
-	switch {
-	case m.CheckAndPut:
-		return max(m.TS, m.Cells[0].TS)
-	case m.TS == 0:
-		m.TS = c.hc.NextTS()
-	}
-	if m.Delete {
-		return m.TS
-	}
-	maxTS := m.TS
-	stamped := make([]Cell, len(m.Cells))
-	for i, cell := range m.Cells {
-		if cell.TS == 0 {
-			cell.TS = m.TS
+// carried is the highest stamp m arrives with: its own and, for a put, its
+// cells'. Zero for a mutation the region is to stamp.
+func (m *Mutation) carried() int64 {
+	ts := m.TS
+	if !m.Delete {
+		for i := range m.Cells {
+			ts = max(ts, m.Cells[i].TS)
 		}
-		maxTS = max(maxTS, cell.TS)
-		stamped[i] = cell
 	}
-	m.Cells = stamped
-	return maxTS
+	return ts
 }
 
-// applyGroup ships one region's mutations, splitting at MutateMaxBatch.
-func (c *Client) applyGroup(ctx *sim.Ctx, g *regionGroup) {
+// applyGroup ships one region's mutations, splitting at MutateMaxBatch, and
+// returns the highest stamp they carry or were given.
+func (c *Client) applyGroup(ctx *sim.Ctx, region *Region, muts []Mutation) (high int64) {
 	maxBatch := c.hc.costs.MutateMaxBatch
 	if maxBatch <= 0 {
-		maxBatch = len(g.muts)
+		maxBatch = len(muts)
 	}
-	for off := 0; off < len(g.muts); off += maxBatch {
-		g.casTS = max(g.casTS, c.applyChunk(ctx, g.region, g.muts[off:min(off+maxBatch, len(g.muts))]))
+	for off := 0; off < len(muts); off += maxBatch {
+		high = max(high, c.applyChunk(ctx, region, muts[off:min(off+maxBatch, len(muts))]))
 	}
+	return high
 }
 
 // applyChunk ships one sub-batch to its region: one RPC + batch overhead + one
 // WAL sync, plus the per-mutation apply costs. A single-mutation sub-batch
 // pays no batch overhead — there is nothing to amortize — so it is charged
-// what the paper's one-RPC-per-mutation client is charged for the write. It
-// returns the highest stamp the region gave an applied conditional put.
-func (c *Client) applyChunk(ctx *sim.Ctx, region *Region, chunk []Mutation) (casTS int64) {
+// what the paper's one-RPC-per-mutation client is charged for the write. The
+// region stamps each unstamped mutation as it applies it, drawing from the
+// cluster clock under its lock; applyChunk returns the highest stamp the
+// chunk's mutations carry or were given (a failed conditional is given none).
+func (c *Client) applyChunk(ctx *sim.Ctx, region *Region, chunk []Mutation) (high int64) {
 	hc := c.hc
 	srv := region.server
 	bytes := 0
 	cas := 0
 	for i := range chunk {
 		bytes += chunk[i].bytes()
+		high = max(high, chunk[i].carried())
 		if chunk[i].CheckAndPut {
 			cas++
 		}
@@ -243,46 +273,35 @@ func (c *Client) applyChunk(ctx *sim.Ctx, region *Region, chunk []Mutation) (cas
 	if cas == 0 {
 		hc.walAppendBatch(ctx, srv, bytes, len(chunk))
 		for i := range chunk {
-			m := &chunk[i]
-			if m.Delete {
-				region.deleteRow(m.Key, m.TS, m.Qualifiers)
-			} else {
-				region.put(m.Key, m.Cells)
-			}
+			high = max(high, region.mutate(&chunk[i], hc.NextTS))
 		}
-		return 0
+		return high
 	}
 	// Conditional mutations reach the WAL only when applied, so the sub-batch
 	// applies first and syncs the surviving edits after, one sync for all.
 	walBytes, walMuts := 0, 0
 	for i := range chunk {
 		m := &chunk[i]
-		switch {
-		case m.CheckAndPut:
+		if m.CheckAndPut {
 			ok, ts := region.checkAndPut(m.Key, m.CheckQualifier, m.CheckExpected, m.Cells[0], hc.NextTS)
 			if m.Passed != nil {
 				*m.Passed = ok
 			}
-			if ok {
-				casTS = max(casTS, ts)
-				ctx.Charge(hc.costs.PutApply)
-				walBytes += m.bytes()
-				walMuts++
+			if !ok {
+				continue
 			}
-		case m.Delete:
-			region.deleteRow(m.Key, m.TS, m.Qualifiers)
-			walBytes += m.bytes()
-			walMuts++
-		default:
-			region.put(m.Key, m.Cells)
-			walBytes += m.bytes()
-			walMuts++
+			high = max(high, ts)
+			ctx.Charge(hc.costs.PutApply)
+		} else {
+			high = max(high, region.mutate(m, hc.NextTS))
 		}
+		walBytes += m.bytes()
+		walMuts++
 	}
 	if walMuts > 0 {
 		hc.walAppendBatch(ctx, srv, walBytes, walMuts)
 	}
-	return casTS
+	return high
 }
 
 // BufferedMutator is the client-side write pipeline: it accumulates mutations
@@ -304,6 +323,7 @@ type BufferedMutator struct {
 	// zero leaves every flush to the owner.
 	flushAt int
 	muts    []Mutation
+	box     *[]Mutation // the pool box muts came in
 	overlay map[string]*overlayTable
 	seq     int64 // synthetic overlay timestamps for unstamped mutations
 	// flushTS is the high timestamp across every flush so far — the commit
@@ -362,7 +382,8 @@ func (m *BufferedMutator) add(ctx *sim.Ctx, mut Mutation) error {
 		return m.ship(ctx, one[:])
 	}
 	if m.muts == nil {
-		m.muts = m.c.getMutBuf()
+		m.box = m.c.getMutBuf()
+		m.muts = *m.box
 	}
 	m.muts = append(m.muts, mut)
 	m.overlayApply(mut)
@@ -465,14 +486,14 @@ func (m *BufferedMutator) Flush(ctx *sim.Ctx) error {
 	if len(m.muts) == 0 {
 		return nil
 	}
-	muts := m.muts
-	m.muts = nil
+	muts, box := m.muts, m.box
+	m.muts, m.box = nil, nil
 	if m.overlay != nil {
 		m.c.putOverlay(m.overlay)
 		m.overlay = nil
 	}
 	err := m.ship(ctx, muts)
-	m.c.putMutBuf(muts)
+	m.c.putMutBuf(box, muts)
 	return err
 }
 
@@ -489,8 +510,8 @@ func (m *BufferedMutator) FlushTS() int64 { return m.flushTS }
 // invalidation, dirty-mark cleanup).
 func (m *BufferedMutator) Discard() {
 	if m.muts != nil {
-		m.c.putMutBuf(m.muts)
-		m.muts = nil
+		m.c.putMutBuf(m.box, m.muts)
+		m.muts, m.box = nil, nil
 	}
 	if m.overlay != nil {
 		m.c.putOverlay(m.overlay)

@@ -2,6 +2,9 @@ package hbase
 
 import (
 	"fmt"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"synergy/internal/sim"
@@ -345,4 +348,92 @@ func (w eagerClient) del(ctx *sim.Ctx, key string, ts int64, quals ...string) er
 func (w eagerClient) cas(ctx *sim.Ctx, key, qual string, expected []byte, cell Cell) error {
 	_, err := w.c.CheckAndPut(ctx, "t", key, qual, expected, cell)
 	return err
+}
+
+// TestPutStampedUnderLock pins where an unstamped write is stamped: by the
+// region, as it applies it. The clock a TS==0 put or delete draws from finds
+// r.mu held, so racing writers of one cell apply in the order of their
+// stamps — every draw lies above every version already applied — and each
+// writer's own puts carry rising stamps. The caller's cells are read, never
+// stamped in place. Through the client, a batch's puts of one cell land with
+// rising stamps in batch order while the batch groups its regions, and
+// MutateBatch leaves the caller's slice as it came.
+func TestPutStampedUnderLock(t *testing.T) {
+	r := newRegion(&TableSpec{Name: "t", MaxVersions: 1 << 12}, "", "")
+	var oracle atomic.Int64
+	clock := func() int64 {
+		if r.mu.TryLock() {
+			r.mu.Unlock()
+			t.Error("a stamp was drawn outside the region lock")
+			return oracle.Add(1)
+		}
+		ts := oracle.Add(1)
+		if rd := r.mem.rows["k"]; rd != nil {
+			for _, c := range rd.cells {
+				if c.TS >= ts {
+					t.Errorf("stamp %d drawn at or below the applied version @%d", ts, c.TS)
+				}
+			}
+		}
+		return ts
+	}
+	const writers, writes = 4, 50
+	var wg sync.WaitGroup
+	for w := range writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cells := []Cell{{Qualifier: "v", Value: []byte(fmt.Sprint(w))}}
+			var last int64
+			for i := range writes {
+				var drawn int64
+				if i%10 == 9 {
+					drawn = r.deleteRow("k", 0, []string{"w"}, clock)
+				} else {
+					drawn = r.put("k", 0, cells, clock)
+				}
+				if drawn <= last {
+					t.Errorf("writer %d: write %d drew %d after %d", w, i, drawn, last)
+				}
+				last = drawn
+			}
+			if cells[0].TS != 0 {
+				t.Errorf("writer %d: the put stamped its caller's cell @%d", w, cells[0].TS)
+			}
+		}()
+	}
+	wg.Wait()
+	if n := oracle.Load(); n != writers*writes {
+		t.Fatalf("%d stamps drawn for %d writes", n, writers*writes)
+	}
+	if drawn := r.put("k", 7, []Cell{{Qualifier: "v"}}, nil); drawn != 0 {
+		t.Fatalf("a stamped put drew %d", drawn)
+	}
+
+	hc := NewHCluster(nil, nil)
+	mustCreate(t, hc, TableSpec{Name: "t", MaxVersions: 4, SplitKeys: []string{scanKey(10), scanKey(20), scanKey(30)}})
+	var muts []Mutation
+	for i := range 12 {
+		// Three puts of each of four cells, one cell per region, interleaved.
+		muts = append(muts, PutMutation("t", scanKey(i%4*10), []Cell{put("v", fmt.Sprint(i), 0)}, 0))
+	}
+	given := slices.Clone(muts)
+	if err := hc.NewWarmClient().MutateBatch(sim.NewCtx(), muts); err != nil {
+		t.Fatal(err)
+	}
+	for i := range muts {
+		if muts[i].Key != given[i].Key || &muts[i].Cells[0] != &given[i].Cells[0] || muts[i].Cells[0].TS != 0 {
+			t.Fatalf("MutateBatch changed its caller's mutation %d: %+v, was %+v", i, muts[i], given[i])
+		}
+	}
+	for g := range 4 {
+		// Newest first: the batch's puts of the cell, the last in batch order
+		// on top. The regions draw in group order, so region g's three
+		// stamps follow the 3·g of the regions before it.
+		key := scanKey(g * 10)
+		want := fmt.Sprintf("[v/0@%d=%d v/0@%d=%d v/0@%d=%d]", 3*g+3, 8+g, 3*g+2, 4+g, 3*g+1, g)
+		if got := storedVersions(t, hc, key); got != want {
+			t.Errorf("%s holds %s, want %s", key, got, want)
+		}
+	}
 }

@@ -452,10 +452,10 @@ func TestMutationBufferPooling(t *testing.T) {
 	if err := m.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
-	buf := c.getMutBuf()
-	if cap(buf) == 0 {
+	box := c.getMutBuf()
+	if cap(*box) == 0 {
 		t.Fatal("flush did not recycle the mutation buffer")
 	}
-	c.putMutBuf(buf)
+	c.putMutBuf(box, *box)
 	_ = m
 }

@@ -132,35 +132,51 @@ func (r *Region) daughterFor(key string) *Region {
 	return nil
 }
 
-// put applies cells to a row.
-func (r *Region) put(key string, cells []Cell) {
+// put applies one put mutation to a row, stamping it as it applies it. A
+// zero ts is the server clock: it is drawn from clock while r.mu is held, one
+// stamp per mutation, so the region applies the puts of one cell in the order
+// of their stamps. Every cell whose TS is zero takes the mutation's stamp, and
+// is written into the memstore by value, so cells is read and never written.
+// It returns the stamp it drew, zero when ts arrived set.
+func (r *Region) put(key string, ts int64, cells []Cell, clock func() int64) (drawn int64) {
 	r.mu.Lock()
 	if d := r.daughterFor(key); d != nil {
 		r.mu.Unlock()
-		d.put(key, cells)
-		return
+		return d.put(key, ts, cells, clock)
 	}
 	defer r.mu.Unlock()
+	if ts == 0 {
+		ts = clock()
+		drawn = ts
+	}
 	rd := r.mem.upsert(key)
 	if rd.cells == nil {
 		rd.cells = make([]Cell, 0, len(cells)) // a row written whole, as BulkLoad sizes it
 	}
 	for _, c := range cells {
+		if c.TS == 0 {
+			c.TS = ts
+		}
 		r.mem.apply(key, rd, c, r.spec.MaxVersions)
 	}
 	r.afterWriteLocked()
+	return drawn
 }
 
 // deleteRow writes a row tombstone, or column tombstones when qualifiers are
-// given.
-func (r *Region) deleteRow(key string, ts int64, qualifiers []string) {
+// given, stamped ts; a zero ts is drawn from clock under r.mu, as put draws
+// it. It returns the stamp it drew, zero when ts arrived set.
+func (r *Region) deleteRow(key string, ts int64, qualifiers []string, clock func() int64) (drawn int64) {
 	r.mu.Lock()
 	if d := r.daughterFor(key); d != nil {
 		r.mu.Unlock()
-		d.deleteRow(key, ts, qualifiers)
-		return
+		return d.deleteRow(key, ts, qualifiers, clock)
 	}
 	defer r.mu.Unlock()
+	if ts == 0 {
+		ts = clock()
+		drawn = ts
+	}
 	rd := r.mem.upsert(key)
 	if len(qualifiers) == 0 {
 		r.mem.apply(key, rd, Cell{Qualifier: "", TS: ts, Type: TypeDeleteRow}, r.spec.MaxVersions)
@@ -169,6 +185,16 @@ func (r *Region) deleteRow(key string, ts int64, qualifiers []string) {
 		r.mem.apply(key, rd, Cell{Qualifier: q, TS: ts, Type: TypeDeleteCol}, r.spec.MaxVersions)
 	}
 	r.afterWriteLocked()
+	return drawn
+}
+
+// mutate applies one unconditional mutation, a put or a delete, and returns
+// the stamp it drew (see put).
+func (r *Region) mutate(m *Mutation, clock func() int64) int64 {
+	if m.Delete {
+		return r.deleteRow(m.Key, m.TS, m.Qualifiers, clock)
+	}
+	return r.put(m.Key, m.TS, m.Cells, clock)
 }
 
 // currentLocked reads what a conditional write compares against and must

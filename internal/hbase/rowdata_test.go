@@ -10,6 +10,12 @@ func put(q, v string, ts int64) Cell {
 	return Cell{Qualifier: q, Value: []byte(v), TS: ts}
 }
 
+// putStamped applies a put straight to region r whose cells all carry their
+// stamps, so the mutation's own stamp is never read and none is drawn.
+func putStamped(r *Region, key string, cells []Cell) {
+	r.put(key, cells[0].TS, cells, nil)
+}
+
 func TestRowDataLatestWins(t *testing.T) {
 	rd := &rowData{}
 	rd.apply(put("a", "v1", 1), 3)

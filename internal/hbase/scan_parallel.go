@@ -37,8 +37,8 @@ func (s *Scanner) cut() []scanUnit {
 	var small [8]share // the common region counts need no allocation
 	shares := small[:0]
 	n := 0
-	for _, r := range s.regions {
-		sh := r.share(lo, hi)
+	for i := range s.regions {
+		sh := s.region(i).share(lo, hi)
 		sh.units = 1
 		shares = append(shares, sh)
 		n += sh.pieces()
@@ -60,8 +60,8 @@ func (s *Scanner) cut() []scanUnit {
 	}
 	units := make([]scanUnit, 0, n)
 	rev := s.spec.Reversed
-	for i, r := range s.regions {
-		sh := shares[i]
+	for i, sh := range shares {
+		r := s.region(i)
 		from := s.entry(r)
 		for j := 1; j <= sh.units; j++ {
 			end := r.edge(rev)

@@ -341,7 +341,7 @@ func TestRegionGuideposts(t *testing.T) {
 	region := func(rows int) *Region {
 		r := newRegion(spec, "", "")
 		for i := range rows {
-			r.put(scanKey(i), []Cell{put("v", "x", 1)})
+			putStamped(r, scanKey(i), []Cell{put("v", "x", 1)})
 		}
 		r.majorCompact() // one store file
 		return r
@@ -370,7 +370,7 @@ func TestRegionGuideposts(t *testing.T) {
 	r := region(20000)
 	// A newer, smaller file does not move them: the largest file decides.
 	for i := 0; i < 300; i += 3 {
-		r.put(scanKey(i), []Cell{put("v", "y", 2)})
+		putStamped(r, scanKey(i), []Cell{put("v", "y", 2)})
 	}
 	r.flush()
 	for _, tc := range []struct {

@@ -151,11 +151,11 @@ func TestStaleRegionWritesForwardAcrossSplit(t *testing.T) {
 		t.Fatal("table still routes to the pre-split region")
 	}
 
-	stale.put(bkey(99), []Cell{{Qualifier: "v", Value: []byte("new"), TS: hc.NextTS()}})
+	putStamped(stale, bkey(99), []Cell{{Qualifier: "v", Value: []byte("new"), TS: hc.NextTS()}})
 	if ok, _ := stale.checkAndPut(bkey(7), "n", nil, Cell{Qualifier: "n", Value: []byte("created")}, hc.NextTS); !ok {
 		t.Fatal("create-if-absent through the stale region found a cell")
 	}
-	stale.deleteRow(bkey(3), hc.NextTS(), nil)
+	stale.deleteRow(bkey(3), hc.NextTS(), nil, nil)
 	if ok, _ := stale.checkAndPut(bkey(42), "v", []byte("old"), Cell{Qualifier: "v", Value: []byte("cas")}, hc.NextTS); !ok {
 		t.Fatal("checkAndPut through the stale region did not see current data")
 	}

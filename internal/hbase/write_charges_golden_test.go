@@ -26,7 +26,9 @@ import (
 // clients. The second batch carries conditional puts, all in one
 // region's group, so the stamps the region gives them follow batch order. A
 // batch line records the whole table (every key's versions, hashed) in place
-// of one row. The last four lines pin a round of lock releases (see below).
+// of one row; the regions stamp a batch as they apply it, group by group, so
+// the hash pins that draw order too. The last four lines pin a round of lock
+// releases (see below).
 // Run it at -cpu 1,2,4.
 func TestWriteChargesGolden(t *testing.T) {
 	type op struct {

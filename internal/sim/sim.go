@@ -101,7 +101,10 @@ func (c *Ctx) Elapsed() Micros {
 // Fork returns a child context for one branch of a parallel fan-out (a
 // scatter-gather scan, a parallel view refresh). The branch charges its own
 // work to the child; Join folds the children back into the parent when the
-// fan-out completes.
+// fan-out completes. A child is nothing but a fresh Ctx, and so is a zero
+// Ctx value: a fan-out that knows its branch count forks them all at once as
+// one slice of Ctx values — one allocation, not one per branch — and joins
+// it with JoinAll (or JoinLanes, for a bounded width).
 func (c *Ctx) Fork() *Ctx { return NewCtx() }
 
 // Join merges forked children back into c. Elapsed time advances by the
@@ -122,6 +125,19 @@ func (c *Ctx) Join(children ...*Ctx) {
 			longest = e
 		}
 		c.addCounters(ch)
+	}
+	c.elapsed.Add(longest)
+}
+
+// JoinAll is Join over children forked as one slice of Ctx values.
+func (c *Ctx) JoinAll(children []Ctx) {
+	if c == nil {
+		return
+	}
+	var longest int64
+	for i := range children {
+		longest = max(longest, children[i].elapsed.Load())
+		c.addCounters(&children[i])
 	}
 	c.elapsed.Add(longest)
 }

@@ -217,6 +217,33 @@ func TestForkJoinChargesMaxElapsedSumCounters(t *testing.T) {
 	}
 }
 
+// JoinAll over forks held as one slice of values charges what Join over the
+// same branches forked one by one charges, and a slice of none charges
+// nothing.
+func TestJoinAllMatchesJoin(t *testing.T) {
+	branches := []Micros{300, 0, 200}
+	byPointer, byValue := NewCtx(), NewCtx()
+	kids := make([]*Ctx, len(branches))
+	forks := make([]Ctx, len(branches))
+	for i, d := range branches {
+		kids[i] = byPointer.Fork()
+		for _, ch := range []*Ctx{kids[i], &forks[i]} {
+			ch.Charge(d)
+			ch.CountRPC()
+			ch.CountRowsScanned(int(d))
+		}
+	}
+	byPointer.Join(kids...)
+	byValue.JoinAll(forks)
+	if got, want := byValue.Snapshot(), byPointer.Snapshot(); got != want || got.Elapsed != 300 {
+		t.Fatalf("JoinAll = %+v, want Join's %+v (elapsed 300)", got, want)
+	}
+	byValue.JoinAll(nil)
+	if byValue.Elapsed() != 300 {
+		t.Fatalf("an empty JoinAll charged: elapsed %v", byValue.Elapsed())
+	}
+}
+
 // JoinWidth models a bounded worker pool: n equal-cost children on width w
 // lanes complete in ceil(n/w) rounds, not one.
 func TestJoinWidthChargesRounds(t *testing.T) {

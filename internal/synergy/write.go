@@ -888,9 +888,9 @@ func (sys *System) phaseDone(phase int) error {
 // share. The paper's client (tx.eager) locates one view after the other.
 func (sys *System) locateAll(ctx *sim.Ctx, tx *Tx, actions []core.ViewAction, parts writeParts) ([]viewRows, error) {
 	rd := sys.Engine.Reader(tx.opts)
-	var children []*sim.Ctx
+	var forks []sim.Ctx
 	if !tx.eager && len(actions) > 1 {
-		children = make([]*sim.Ctx, 0, len(actions))
+		forks = make([]sim.Ctx, 0, len(actions))
 	}
 	views := make([]viewRows, 0, len(actions))
 	var err error
@@ -900,9 +900,9 @@ func (sys *System) locateAll(ctx *sim.Ctx, tx *Tx, actions []core.ViewAction, pa
 			break
 		}
 		lctx := ctx
-		if children != nil {
-			lctx = ctx.Fork()
-			children = append(children, lctx)
+		if forks != nil {
+			forks = forks[:len(forks)+1]
+			lctx = &forks[len(forks)-1]
 		}
 		var rows []viewRow
 		if rows, err = sys.locateViewRows(lctx, rd, action, info, parts, tx.opts.Read); err != nil {
@@ -912,8 +912,8 @@ func (sys *System) locateAll(ctx *sim.Ctx, tx *Tx, actions []core.ViewAction, pa
 			views = append(views, viewRows{info, rows})
 		}
 	}
-	if children != nil {
-		ctx.JoinWidth(sys.cfg.Costs.ScanParallelism, children...)
+	if forks != nil {
+		ctx.JoinLanes(sys.cfg.Costs.ScanParallelism, 0, len(forks), func(i int) *sim.Ctx { return &forks[i] })
 	}
 	return views, err
 }
