@@ -33,7 +33,10 @@ type scanUnit struct {
 // finer, and a region's units split its share evenly (share.cut), so the
 // deepest unit, which sets the makespan, is as shallow as it can be.
 func (s *Scanner) cut() []scanUnit {
-	lo, hi := s.spec.bounds()
+	lo, hi := s.from, s.to // the range Scan took from the spec, in scan order
+	if s.spec.Reversed {
+		lo, hi = hi, lo
+	}
 	var small [8]share // the common region counts need no allocation
 	shares := small[:0]
 	n := 0

@@ -159,7 +159,7 @@ func (st *aggState) appendResult(buf []byte, fn string) (grown, val []byte) {
 // arrays indexed by id, so a group costs no allocation of its own.
 type groups struct {
 	p      *Plan
-	keys   *keyTable
+	keys   keyTable
 	states []aggState // len(p.aggs) per group
 	rows   [][]byte   // rowWidth per group
 	taken  int        // rows and partial rows folded in here
@@ -167,8 +167,15 @@ type groups struct {
 	vals   [][]byte   // scratch: a stored row by slot (addRow)
 }
 
-func newGroups(p *Plan) *groups {
-	return &groups{p: p, keys: newKeyTable(32)}
+// reserve sizes the groups for n input rows, so n groups fit without growing;
+// it leaves groups that already hold some as they are.
+func (g *groups) reserve(n int) {
+	if n == 0 || g.keys.len() > 0 {
+		return
+	}
+	g.keys = newKeyTable(n)
+	g.states = make([]aggState, 0, n*len(g.p.aggs))
+	g.rows = make([][]byte, 0, n*g.rowWidth())
 }
 
 // rowWidth is the width of an output row.
@@ -176,6 +183,9 @@ func (g *groups) rowWidth() int { return len(g.p.aggs) + len(g.p.groupBy) }
 
 // open returns the id of the group keyed key, opening it if it is new.
 func (g *groups) open(key []byte) (gi int, added bool) {
+	if g.keys.slots == nil {
+		g.keys = newKeyTable(32)
+	}
 	id, added := g.keys.insert(key)
 	if added {
 		g.states = append(g.states, make([]aggState, len(g.p.aggs))...)
@@ -318,7 +328,7 @@ type regionFold struct {
 // Folder per scan.
 func (q *query) newRegionFold() hbase.Folder {
 	b := q.bindings[0]
-	return &regionFold{groups: newGroups(q.Plan), refs: b.refs, dirtyChecked: q.dirtyChecked(b)}
+	return &regionFold{groups: &groups{p: q.Plan}, refs: b.refs, dirtyChecked: q.dirtyChecked(b)}
 }
 
 func (f *regionFold) Add(r hbase.RowResult) {

@@ -31,21 +31,23 @@ func rawOfCell(b []byte) rawVal {
 	}
 }
 
-func rawOfValue(v schema.Value) rawVal {
+// rawOfValue classifies a constant: a string's bytes are left in text,
+// where cellPred.compare reads them without a copy.
+func rawOfValue(v schema.Value) (raw rawVal, text string) {
 	switch x := v.(type) {
 	case nil:
-		return rawVal{}
+		return rawVal{}, ""
 	case int64:
-		return rawVal{kind: CellFloat, num: float64(x)}
+		return rawVal{kind: CellFloat, num: float64(x)}, ""
 	case int:
-		return rawVal{kind: CellFloat, num: float64(x)}
+		return rawVal{kind: CellFloat, num: float64(x)}, ""
 	case float64:
-		return rawVal{kind: CellFloat, num: x}
+		return rawVal{kind: CellFloat, num: x}, ""
 	case string:
-		return rawVal{kind: CellString, str: []byte(x)}
+		return rawVal{kind: CellString}, x
 	default:
 		// CompareValues orders any other type by its printed form.
-		return rawVal{kind: CellString, str: []byte(fmt.Sprint(x))}
+		return rawVal{kind: CellString}, fmt.Sprint(x)
 	}
 }
 
@@ -90,20 +92,27 @@ func cellOf(cells hbase.Cells, qual string) []byte {
 }
 
 // cellPred is a localPred compiled against encoded values: the constant is
-// classified once per statement, the cells are compared in place.
+// classified once per scan, the cells are compared in place.
 type cellPred struct {
 	col, rcol string
 	colVsCol  bool
 	op        sqlparser.CompareOp
 	value     rawVal
+	text      string // a string constant's bytes (see rawOfValue)
 }
 
 func compilePreds(local []localPred) []cellPred {
 	preds := make([]cellPred, len(local))
 	for i, p := range local {
-		preds[i] = cellPred{col: p.col, rcol: p.rcol, colVsCol: p.colVsCol, op: p.op, value: rawOfValue(p.value)}
+		preds[i] = compilePred(p)
 	}
 	return preds
+}
+
+func compilePred(p localPred) cellPred {
+	c := cellPred{col: p.col, rcol: p.rcol, colVsCol: p.colVsCol, op: p.op}
+	c.value, c.text = rawOfValue(p.value)
+	return c
 }
 
 // holds evaluates the predicate: l is the left column's encoded value, r the
@@ -115,7 +124,21 @@ func (p *cellPred) holds(l, r []byte) bool {
 	if p.colVsCol {
 		return compareOK(compareRaw(lv, rawOfCell(r)), p.op)
 	}
-	return lv.kind != CellNull && compareOK(compareRaw(lv, p.value), p.op)
+	return lv.kind != CellNull && compareOK(p.compare(lv), p.op)
+}
+
+// compare orders lv against the constant as compareRaw orders two values.
+func (p *cellPred) compare(lv rawVal) int {
+	if lv.kind != CellString || p.value.kind != CellString {
+		return compareRaw(lv, p.value)
+	}
+	switch {
+	case string(lv.str) < p.text: // compared in place: no copy of either
+		return -1
+	case string(lv.str) > p.text:
+		return 1
+	}
+	return 0
 }
 
 // match is holds over a stored row.
@@ -134,8 +157,12 @@ func (p *cellPred) match(cells hbase.Cells) bool {
 // reference to r.Cells, which is only valid during the call (the store and a
 // transaction's read-your-writes view both evaluate it over pooled rows).
 func scanFilter(local []localPred) func(hbase.RowResult) bool {
-	if len(local) == 0 {
+	switch len(local) {
+	case 0:
 		return nil
+	case 1: // the closure holds the one predicate: a filter is one allocation
+		p := compilePred(local[0])
+		return func(r hbase.RowResult) bool { return p.match(r.Cells) }
 	}
 	preds := compilePreds(local)
 	return func(r hbase.RowResult) bool {

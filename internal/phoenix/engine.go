@@ -2,7 +2,6 @@ package phoenix
 
 import (
 	"fmt"
-	"slices"
 
 	"synergy/internal/hbase"
 	"synergy/internal/schema"
@@ -160,6 +159,14 @@ type Plan struct {
 	out     []outCol
 	names   []string         // parallel to out
 	types   []schema.ColType // parallel to out, see outTypes
+
+	// What an execution would otherwise work out again from the plan alone:
+	// the slots of the ORDER BY keys, the joins of the tree from each binding
+	// it may start with (see query.tree), and how many conjuncts an execution
+	// binds to parameter values (query.locals).
+	orderSlots []int
+	joinOrders [][]joinStep // by the start binding's idx
+	nlocal     int
 }
 
 // Columns lists the result's column names and Types their types, as every
@@ -193,8 +200,10 @@ func (p *Plan) value(t tuple, j int) []byte {
 // block, a memstore cell, a transaction's pending write, an aggregate's output
 // buffer — kept under the package's value-lifetime rule (see the package
 // comment): the bytes are immutable and never recycled, and a tuple pins the
-// blocks it points into for as long as it lives. That is one statement: vals
-// are carved from the query's slab and dropped with it, never pooled.
+// blocks it points into for as long as it lives. vals are carved from the
+// slab of the execution that built the tuple and are dropped with it: nothing
+// an execution allocates outlives it or is handed to another. What executions
+// share is the Plan, which nothing writes once Compile returns.
 //
 // size is the encoded footprint of the cells the scans behind the tuple
 // carried — every column of a binding read whole, the scan's column set
@@ -209,7 +218,9 @@ type tuple struct {
 
 // tupleSlab hands out tuples' value slices from shared arrays — a few tuples
 // in the first, doubling to a few hundred — so a scanned row costs no
-// allocation of its own. It belongs to one statement.
+// allocation of its own. A node that knows how many tuples it is about to
+// build reserves them first, so they come from one array. It belongs to one
+// execution.
 type tupleSlab struct {
 	free  [][]byte
 	chunk int // tuples in the last array
@@ -227,6 +238,15 @@ func (s *tupleSlab) take(n int) [][]byte {
 	return vals
 }
 
+// reserve readies the slab to hand out n tuples of width w from one array;
+// the arrays after it grow from there.
+func (s *tupleSlab) reserve(n, w int) {
+	if n*w > len(s.free) {
+		s.free = make([][]byte, n*w)
+		s.chunk = max(s.chunk, min(n, maxSlabTuples))
+	}
+}
+
 type binding struct {
 	name   string
 	idx    int         // position in FROM, and of the binding's state in query.execs
@@ -239,6 +259,10 @@ type binding struct {
 	off    int         // slot of refs[0] in a joined tuple
 	paths  []accessPath
 	desc   bool // the ORDER BY a path in paths delivers runs backwards through its key
+	// A derived table's layout (see scanDerived): where each conjunct's
+	// columns and each of refs lie in a derived row, the output columns a
+	// spill footprint counts, and the bytes of their names.
+	derived derivedCols
 }
 
 func (b *binding) hasColumn(col string) bool {
@@ -301,7 +325,7 @@ func (c colRef) typ() schema.ColType {
 // localPred is a single-binding WHERE conjunct: a column against a constant,
 // or against another column of the same binding. A plan's conjuncts carry a
 // literal's value or, for a parameter, its slot; an execution's carry the
-// parameter's value (see Plan.bind).
+// parameter's value (see Plan.bind) in the execution's own copy.
 type localPred struct {
 	col      string
 	op       sqlparser.CompareOp
@@ -316,6 +340,18 @@ type localPred struct {
 type crossPred struct {
 	l, r colRef
 	op   sqlparser.CompareOp
+}
+
+// joinStep is one join of a statement's tree: binding b joined to the
+// bindings before it, where outerCols[i] of the joined tuple must equal
+// innerCols[i] of b, with their slots — outerSlots in the joined tuple,
+// innerSlots in b's segment — and innerNames, b's names of innerCols. No
+// join columns means a cartesian product.
+type joinStep struct {
+	b                      *binding
+	outerCols, innerCols   []colRef
+	outerSlots, innerSlots []int
+	innerNames             []string
 }
 
 // outCol is one result column.
@@ -387,6 +423,20 @@ func (e *Engine) Compile(sel *sqlparser.SelectStmt) (*Plan, error) {
 	for i, o := range p.out {
 		p.names[i] = o.name
 	}
+	p.orderSlots = make([]int, len(p.orderBy))
+	for i, k := range p.orderBy {
+		p.orderSlots[i] = k.src.slot()
+	}
+	p.joinOrders = make([][]joinStep, len(p.bindings))
+	for _, b := range p.bindings {
+		p.joinOrders[b.idx] = p.joinOrder(b)
+		if b.params {
+			p.nlocal += len(b.local)
+		}
+		if b.sub != nil {
+			b.derived = p.derivedCols(b)
+		}
+	}
 	if p.aggregated {
 		p.groupSlots, p.argSlots = make([]int, len(p.groupBy)), make([]int, len(p.aggs))
 		for i, c := range p.groupBy {
@@ -410,6 +460,56 @@ func (p *Plan) binding(name string) *binding {
 		}
 	}
 	return nil
+}
+
+// joinOrder lists the joins of a tree that starts from binding start: the
+// other bindings one at a time — first one an equi-join links to what is
+// joined so far, in FROM order, else the next in FROM order as a cartesian
+// product.
+func (p *Plan) joinOrder(start *binding) []joinStep {
+	joined := make([]bool, len(p.bindings))
+	joined[start.idx] = true
+	steps := make([]joinStep, 0, len(p.bindings)-1)
+	for len(steps) < len(p.bindings)-1 {
+		step := joinStep{}
+		for _, b := range p.bindings {
+			if joined[b.idx] {
+				continue
+			}
+			if step.b == nil {
+				step.b = b
+			}
+			if o, i := p.joinCols(joined, b); len(o) > 0 {
+				step = joinStep{b: b, outerCols: o, innerCols: i}
+				break
+			}
+		}
+		joined[step.b.idx] = true
+		step.outerSlots, step.innerSlots = make([]int, len(step.outerCols)), make([]int, len(step.innerCols))
+		step.innerNames = make([]string, len(step.innerCols))
+		for i := range step.outerCols {
+			step.outerSlots[i] = step.outerCols[i].slot()
+			step.innerSlots[i] = step.innerCols[i].i
+			step.innerNames[i] = step.b.refs[step.innerCols[i].i]
+		}
+		steps = append(steps, step)
+	}
+	return steps
+}
+
+// joinCols returns the equi-join conditions linking the joined bindings to
+// binding b as parallel column lists: outer[i] (in the joined tuple) must
+// equal inner[i] (a column of b).
+func (p *Plan) joinCols(joined []bool, b *binding) (outer, inner []colRef) {
+	for _, j := range p.joins {
+		switch {
+		case joined[j.l.b.idx] && j.r.b == b:
+			outer, inner = append(outer, j.l), append(inner, j.r)
+		case joined[j.r.b.idx] && j.l.b == b:
+			outer, inner = append(outer, j.r), append(inner, j.l)
+		}
+	}
+	return outer, inner
 }
 
 // resolveColumn finds the binding that owns a column reference.
@@ -725,16 +825,36 @@ func (p *Plan) orderSource(c sqlparser.ColumnRef) (src colRef, constant bool, er
 // query is one execution of a Plan: its parameters and options, what it knows
 // of each binding beyond the plan, the slab its tuples come from, and the root
 // of its operator tree, which it serves as the statement's cursor.
+//
+// An execution is one block: the query holds the operators of its tree (see
+// tree) and, for the common shapes — one binding, two conjuncts taking a
+// parameter — its bindings' state and bound conjuncts; past those it makes
+// one array of each. What else it allocates is its rows. It reads the Plan
+// and never writes it, so any number of executions, on any sessions, share one.
 type query struct {
 	*Plan
 	params []schema.Value
 	opts   QueryOpts
-	execs  []bindExec // by binding.idx
-	slab   tupleSlab  // backs every tuple the statement builds
+	execs  []bindExec  // by binding.idx
+	locals []localPred // the conjuncts of every binding that takes a parameter, bound
+	slab   tupleSlab   // backs every tuple the statement builds
 
 	root         node
 	row          tuple // the row the cursor is on
 	done, closed bool
+
+	// The operators of the tree, of which it has one each at most, but for
+	// the joins, one per binding after the first.
+	scan   scanNode
+	joins  []joinNode
+	filter filterNode
+	agg    aggNode
+	groups groups
+	sort   sortNode
+	limit  limitNode
+
+	exec1  [1]bindExec  // backs execs for a single binding
+	local2 [2]localPred // backs locals for up to two
 }
 
 // bindExec is one execution's state of a binding: its conjuncts with this
@@ -777,12 +897,21 @@ func (p *Plan) Open(ctx *sim.Ctx, params []schema.Value, opts QueryOpts) (RowCur
 // fails first, in bind or in its tree, is charged every read it made all the
 // same (chargeReads).
 func (p *Plan) bind(ctx *sim.Ctx, params []schema.Value, opts QueryOpts) (*query, error) {
-	q := &query{Plan: p, params: params, opts: opts, execs: make([]bindExec, len(p.bindings))}
+	q := &query{Plan: p, params: params, opts: opts}
+	q.execs, q.locals = q.exec1[:], q.local2[:0]
+	if len(p.bindings) > len(q.exec1) {
+		q.execs = make([]bindExec, len(p.bindings))
+	}
+	if p.nlocal > len(q.local2) {
+		q.locals = make([]localPred, 0, p.nlocal) // never grows: execs' locals are windows of it
+	}
 	for _, b := range p.bindings {
 		x := &q.execs[b.idx]
 		x.local = b.local
 		if b.params {
-			x.local = slices.Clone(b.local)
+			at := len(q.locals)
+			q.locals = append(q.locals, b.local...)
+			x.local = q.locals[at:len(q.locals):len(q.locals)]
 			for i := range x.local {
 				slot := x.local[i].param - 1
 				if slot >= len(params) {

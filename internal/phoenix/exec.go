@@ -280,23 +280,29 @@ func (p accessPlan) keyRange(b *binding, vals []schema.Value, spec *hbase.ScanSp
 	if p.kind == accessIndexPrefix {
 		keyLen += len(p.index.On)
 	}
+	var buf [64]byte
 	if len(p.eqCols) == keyLen {
-		spec.Start = schema.EncodeKey(vals...)
-		spec.Stop = spec.Start + "\x00"
+		key := string(append(schema.AppendKey(buf[:0], vals...), 0))
+		spec.Start, spec.Stop = key[:len(key)-1], key
 		return
 	}
-	prefix := schema.KeyPrefix(vals...)
 	if p.lo == "" && p.hi == "" {
-		spec.Prefix = prefix
+		spec.Prefix = schema.KeyPrefix(vals...)
 		return
 	}
-	spec.Start, spec.Stop = prefix+"\x02", prefix+noKey
-	if p.lo != "" {
-		spec.Start = prefix + p.lo
+	prefix := buf[:0]
+	if len(vals) > 0 {
+		prefix = append(schema.AppendKey(prefix, vals...), schema.KeySep)
 	}
-	if p.hi != "" {
-		spec.Stop = prefix + p.hi
+	lo, hi := p.lo, p.hi
+	if lo == "" {
+		lo = "\x02"
 	}
+	if hi == "" {
+		hi = noKey
+	}
+	spec.Start = string(append(prefix, lo...)) // before the next append writes over it
+	spec.Stop = string(append(prefix, hi...))
 }
 
 // noKey sorts after every row key (a key opens with a type tag): [noKey, noKey)
@@ -333,8 +339,8 @@ func singleRow(spec hbase.ScanSpec) (string, bool) {
 // point. A key range that holds no key is read here, with no RPC and nothing
 // for a read set to track; one that holds a single key is that row's Get on
 // the same reader, under the same spec — a point in the read set, not a
-// range — streamed as one row.
-func (q *query) openScan(ctx *sim.Ctx, tbl string, spec hbase.ScanSpec) (hbase.RowStream, error) {
+// range — streamed as one row, from one, the caller's.
+func (q *query) openScan(ctx *sim.Ctx, tbl string, spec hbase.ScanSpec, one *oneRow) (hbase.RowStream, error) {
 	if spec.Stop != "" && spec.Start >= spec.Stop {
 		return noRows{}, nil
 	}
@@ -347,7 +353,8 @@ func (q *query) openScan(ctx *sim.Ctx, tbl string, spec hbase.ScanSpec) (hbase.R
 		if err != nil {
 			return nil, err
 		}
-		return &oneRow{r}, nil
+		*one = oneRow{r}
+		return one, nil
 	}
 	return rd.OpenScan(ctx, tbl, spec)
 }
@@ -391,7 +398,8 @@ func (q *query) columnSet(b *binding, preds []localPred) *hbase.ColumnSet {
 func (q *query) scanSpec(b *binding, plan accessPlan) (string, hbase.ScanSpec, error) {
 	spec := hbase.ScanSpec{Read: q.opts.Read, Filter: scanFilter(plan.filter), Reversed: plan.reversed, Columns: q.columnSet(b, plan.filter)}
 	if plan.kind != accessFullScan {
-		vals := make([]schema.Value, 0, len(plan.eqCols))
+		var small [8]schema.Value
+		vals := small[:0]
 		for _, c := range plan.eqCols {
 			v, ok := localEqValue(q.execs[b.idx].local, c)
 			if !ok {
@@ -447,12 +455,19 @@ func (q *query) spillSize(b *binding, r hbase.RowResult) int {
 // returns them with b's segment: wide for the statement's first binding (the
 // full joined layout), narrow — just the segment — for a join's inner side.
 func (q *query) newVals(b *binding, wide bool) (vals, seg [][]byte) {
+	vals = q.slab.take(q.tupleWidth(b, wide))
 	if !wide {
-		vals = q.slab.take(len(b.refs))
 		return vals, vals
 	}
-	vals = q.slab.take(q.width)
 	return vals, vals[b.off:]
+}
+
+// tupleWidth is the width of a tuple read from binding b (see newVals).
+func (q *query) tupleWidth(b *binding, wide bool) int {
+	if wide {
+		return q.width
+	}
+	return len(b.refs)
 }
 
 // scanTuple turns a scanned row into a tuple.
@@ -473,14 +488,15 @@ func (q *query) dirtyChecked(b *binding) bool {
 const maxRestarts = 50
 
 // read reads tbl under spec to its end, handing every row to add: the one read
-// loop of a scan that does not stream and of an index nested-loop probe. A
+// loop of a scan that does not stream and of an index nested-loop probe (one
+// backs a single-row range's stream, see openScan). A
 // read that checks for dirty view rows and meets one abandons the scan, takes
 // back what it added (undo) and, charged the restart, reads again from the
 // top — §VIII-C: "if a marked row is present ... re-scan" — failing with
 // ErrDirtyRead once maxRestarts reads have met one.
-func (q *query) read(ctx *sim.Ctx, tbl string, spec hbase.ScanSpec, dirtyChecked bool, add func(hbase.RowResult), undo func()) error {
+func (q *query) read(ctx *sim.Ctx, tbl string, spec hbase.ScanSpec, dirtyChecked bool, one *oneRow, add func(hbase.RowResult), undo func()) error {
 	for attempt := 1; ; attempt++ {
-		sc, err := q.openScan(ctx, tbl, spec)
+		sc, err := q.openScan(ctx, tbl, spec, one)
 		if err != nil {
 			return err
 		}
@@ -515,56 +531,68 @@ func (q *query) read(ctx *sim.Ctx, tbl string, spec hbase.ScanSpec, dirtyChecked
 	}
 }
 
+// derivedCols is where what the statement reads of a derived table lies in
+// the rows its subquery left: each local conjunct's col and rcol (pos) and
+// each of the binding's refs (src), and, for a statement that can spill, the
+// positions a tuple's spill footprint counts — each distinct non-literal
+// column once — and the bytes of their "bind.column" names.
+type derivedCols struct {
+	pos       [][2]int
+	src       []int
+	sized     []int
+	nameBytes int
+}
+
+func (p *Plan) derivedCols(b *binding) derivedCols {
+	d := derivedCols{pos: make([][2]int, len(b.local)), src: make([]int, len(b.refs))}
+	for i, lp := range b.local {
+		d.pos[i] = [2]int{b.colPos(lp.col), b.colPos(lp.rcol)}
+	}
+	for i, c := range b.refs {
+		d.src[i] = b.colPos(c)
+	}
+	if p.spills {
+		for j, c := range b.cols {
+			if !b.sub.out[j].literal && b.colPos(c) == j {
+				d.sized = append(d.sized, j)
+				d.nameBytes += len(b.name) + 1 + len(c)
+			}
+		}
+	}
+	return d
+}
+
 // scanDerived filters a derived table's materialized rows by the binding's
 // local predicates and re-slots the referenced columns into tuples. It
 // re-indexes the read's arrivals at, in place, to the rows it keeps: a row
 // filtered out hands its arrival on to the next row kept.
 func (q *query) scanDerived(b *binding, wide bool, at []arrival) ([]tuple, []arrival) {
-	sub, rows := b.sub, q.execs[b.idx].derived
+	sub, rows, d := b.sub, q.execs[b.idx].derived, &b.derived
 	preds := compilePreds(q.execs[b.idx].local)
-	pos := make([][2]int, len(preds)) // positions of col and rcol in a derived row
-	for i, p := range preds {
-		pos[i] = [2]int{b.colPos(p.col), b.colPos(p.rcol)}
-	}
-	src := make([]int, len(b.refs))
-	for i, c := range b.refs {
-		src[i] = b.colPos(c)
-	}
-	// The spill footprint counts each distinct non-literal column once.
-	var sized []int
-	nameBytes := 0
-	if q.spills {
-		for j, c := range b.cols {
-			if !sub.out[j].literal && b.colPos(c) == j {
-				sized = append(sized, j)
-				nameBytes += len(b.name) + 1 + len(c)
-			}
-		}
-	}
-
 	out := make([]tuple, 0, len(rows))
+	q.slab.reserve(len(rows), q.tupleWidth(b, wide))
 	k := 0 // the next arrival to re-index
 rows:
-	for n, d := range rows {
+	for n, r := range rows {
 		for ; k < len(at) && at[k].i <= n; k++ {
 			at[k].i = len(out)
 		}
 		for i := range preds {
-			var r []byte
+			var rv []byte
 			if preds[i].colVsCol {
-				r = sub.value(d, pos[i][1])
+				rv = sub.value(r, d.pos[i][1])
 			}
-			if !preds[i].holds(sub.value(d, pos[i][0]), r) {
+			if !preds[i].holds(sub.value(r, d.pos[i][0]), rv) {
 				continue rows
 			}
 		}
 		vals, seg := q.newVals(b, wide)
-		t := tuple{vals: vals, size: nameBytes}
-		for i, j := range src {
-			seg[i] = sub.value(d, j)
+		t := tuple{vals: vals, size: d.nameBytes}
+		for i, j := range d.src {
+			seg[i] = sub.value(r, j)
 		}
-		for _, j := range sized {
-			t.size += valueSize(sub.value(d, j))
+		for _, j := range d.sized {
+			t.size += valueSize(sub.value(r, j))
 		}
 		out = append(out, t)
 	}

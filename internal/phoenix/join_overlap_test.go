@@ -352,9 +352,12 @@ func TestINLJoinChargesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outerCols, innerCols := q.joinCols(map[*binding]bool{p: true}, b)
+	step := &q.joinOrders[p.idx][0]
+	if step.b != b {
+		t.Fatalf("the join from P joins %s, want B", step.b.name)
+	}
 	probes := sim.NewCtx()
-	j := &joinNode{q: q, outer: &inHand{list{rows: outer}}, b: b, outerCols: outerCols, innerCols: innerCols}
+	j := &joinNode{q: q, outer: &inHand{list{rows: outer}}, joinStep: step}
 	if err := j.Open(probes); err != nil || len(j.rows) != outerRows {
 		t.Fatalf("%d rows, err %v", len(j.rows), err)
 	}

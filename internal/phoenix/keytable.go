@@ -13,19 +13,20 @@ import (
 // nothing else — no string, no map bucket. It belongs to one statement.
 type keyTable struct {
 	seed  maphash.Seed
-	slots []int32  // id+1 of the key hashed there, 0 = free; a power of two long
-	arena []byte   // the keys, in id order
-	ends  []uint32 // ends[id] is where key id stops in arena; it starts where id-1 stops
+	slots []int32 // id+1 of the key hashed there, 0 = free; a power of two long
+	arena []byte  // the keys, in id order
+	ends  []int32 // ends[id] is where key id stops in arena; it starts where id-1 stops
 }
 
 // newKeyTable returns a table that takes n keys without growing — its arena
 // too when they are single numbers, 9 bytes each.
-func newKeyTable(n int) *keyTable {
+func newKeyTable(n int) keyTable {
 	size := 8
 	for size < 2*n {
 		size *= 2
 	}
-	return &keyTable{seed: maphash.MakeSeed(), slots: make([]int32, size), arena: make([]byte, 0, 9*n), ends: make([]uint32, 0, n)}
+	ids := make([]int32, size+n) // the slots, then room for the ends
+	return keyTable{seed: maphash.MakeSeed(), slots: ids[:size:size], arena: make([]byte, 0, 9*n), ends: ids[size:size]}
 }
 
 // reset empties the table, keeping its capacity.
@@ -38,7 +39,7 @@ func (t *keyTable) reset() {
 func (t *keyTable) len() int { return len(t.ends) }
 
 func (t *keyTable) key(id int32) []byte {
-	start := uint32(0)
+	start := int32(0)
 	if id > 0 {
 		start = t.ends[id-1]
 	}
@@ -79,7 +80,7 @@ func (t *keyTable) insert(key []byte) (id int32, added bool) {
 	}
 	id = int32(len(t.ends))
 	t.arena = append(t.arena, key...)
-	t.ends = append(t.ends, uint32(len(t.arena)))
+	t.ends = append(t.ends, int32(len(t.arena)))
 	t.slots[slot] = id + 1
 	return id, true
 }

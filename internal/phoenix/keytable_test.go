@@ -150,10 +150,13 @@ func TestHashJoinAllocsSublinear(t *testing.T) {
 	if built := q.execs[build.idx].derived; err != nil || len(outer) != hashJoinProbes || len(built) != hashJoinBuild {
 		t.Fatalf("%d probe rows, %d build rows, err %v", len(outer), len(built), err)
 	}
-	outerCols, innerCols := q.joinCols(map[*binding]bool{probe: true}, build)
+	step := &q.joinOrders[probe.idx][0]
+	if step.b != build {
+		t.Fatalf("the join from %s joins %s, want %s", probe.name, step.b.name, build.name)
+	}
 	var out []tuple
 	n := testing.AllocsPerRun(5, func() {
-		j := &joinNode{q: q, outer: &inHand{list{rows: outer}}, b: build, outerCols: outerCols, innerCols: innerCols}
+		j := &joinNode{q: q, outer: &inHand{list{rows: outer}}, joinStep: step}
 		err = j.Open(ctx)
 		out = j.rows
 	})

@@ -1,6 +1,7 @@
 package phoenix
 
 import (
+	"math"
 	"math/bits"
 	"slices"
 
@@ -28,6 +29,9 @@ type node interface {
 type list struct{ rows []tuple }
 
 func (l *list) Close(*sim.Ctx) { l.rows = nil }
+
+// left is how many rows the node still holds.
+func (l *list) left() int { return len(l.rows) }
 
 func (l *list) Next(*sim.Ctx) (tuple, bool) {
 	if len(l.rows) == 0 {
@@ -92,6 +96,9 @@ func rowsOf(ctx *sim.Ctx, n node, at *[]arrival) ([]tuple, error) {
 		}
 	}
 	var rows []tuple
+	if s, ok := n.(*scanNode); ok {
+		rows = s.rows[:0] // as Open sized it
+	}
 	for t, ok := n.Next(ctx); ok; t, ok = n.Next(ctx) {
 		rows = append(rows, t)
 		if at != nil {
@@ -103,12 +110,12 @@ func rowsOf(ctx *sim.Ctx, n node, at *[]arrival) ([]tuple, error) {
 	return rows, nil
 }
 
-// tree builds the operators of one execution, bottom up: the scan of the
-// binding with the cheapest access path, joined with the other bindings one at
-// a time — first one an equi-join links to what is joined so far, in FROM
-// order, else the next in FROM order as a cartesian product — then the
-// residual filter, the aggregate, the sort and the limit. keep says the reader
-// of the tree keeps every row, as a derived table's enclosing query does.
+// tree builds the operators of one execution, bottom up, in the execution's
+// block: the scan of the binding with the cheapest access path, joined with
+// the other bindings one at a time in the order the plan fixed for that start
+// (Plan.joinOrder), then the residual filter, the aggregate, the sort and the
+// limit. keep says the reader of the tree keeps every row, as a derived
+// table's enclosing query does.
 //
 // Nothing in the tree of a single-table statement blocks unless it must: the
 // scan streams unless it checks for dirty view rows, and there is no sort when
@@ -121,45 +128,38 @@ func (q *query) tree(keep bool) node {
 		}
 	}
 	sorts := len(q.sel.OrderBy) > 0 && !path.ordered
-	scan := &scanNode{q: q, b: start, path: path, wide: true, keep: keep || sorts || len(q.bindings) > 1}
+	scan := &q.scan
+	*scan = scanNode{q: q, b: start, path: path, wide: true, keep: keep || sorts || len(q.bindings) > 1}
 	var root node = scan
-	joined := map[*binding]bool{start: true}
-	for len(joined) < len(q.bindings) {
-		var next *binding
-		var outer, inner []colRef
-		for _, b := range q.bindings {
-			if joined[b] {
-				continue
-			}
-			if next == nil {
-				next = b
-			}
-			if o, i := q.joinCols(joined, b); len(o) > 0 {
-				next, outer, inner = b, o, i
-				break
-			}
+	if steps := q.joinOrders[start.idx]; len(steps) > 0 {
+		q.joins = make([]joinNode, len(steps))
+		for i := range steps {
+			q.joins[i] = joinNode{q: q, outer: root, joinStep: &steps[i], spill: i < len(steps)-1}
+			root = &q.joins[i]
 		}
-		joined[next] = true
-		root = &joinNode{q: q, outer: root, b: next, outerCols: outer, innerCols: inner, spill: len(joined) < len(q.bindings)}
 	}
 	if len(q.residual) > 0 {
-		root = &filterNode{q: q, in: root}
+		q.filter = filterNode{q: q, in: root}
+		root = &q.filter
 	}
 	if q.aggregated {
-		agg := &aggNode{g: newGroups(q.Plan), in: root}
+		q.groups = groups{p: q.Plan}
+		q.agg = aggNode{g: &q.groups, in: root}
 		if q.fold {
-			scan.g = agg.g // the aggregate runs under the scan, on the regions
+			scan.g = &q.groups // the aggregate runs under the scan, on the regions
 		}
-		root = agg
+		root = &q.agg
 	}
 	if sorts {
-		root = &sortNode{q: q, in: root}
+		q.sort = sortNode{q: q, in: root}
+		root = &q.sort
 	}
 	if q.sel.Limit > 0 {
 		if root == scan {
 			scan.limit = q.sel.Limit
 		}
-		root = &limitNode{in: root, n: q.sel.Limit}
+		q.limit = limitNode{in: root, n: q.sel.Limit}
+		root = &q.limit
 	}
 	return root
 }
@@ -181,6 +181,8 @@ type scanNode struct {
 	limit      int     // pushed into the store scan: the LIMIT is the scan's parent
 	g          *groups // the aggregate folding on the regions (Plan.fold)
 	sc         hbase.RowStream
+	one        oneRow    // backs sc for a single-row key range
+	few        [1]tuple  // backs rows for a point read
 	buf        tuple     // the streamed row, filled again by every Next
 	seg        [][]byte  // b's segment of buf
 	at         []arrival // when a derived table's rows came in, on the request's clock
@@ -204,14 +206,46 @@ func (s *scanNode) Open(ctx *sim.Ctx) error {
 	if !q.dirtyChecked(b) {
 		spec.Limit = s.limit
 	}
+	if s.g == nil && (s.keep || !s.streams()) {
+		// Its rows are kept: sized, with their values, by the count the plan
+		// knows, and grown from a point read's otherwise.
+		n := s.expect()
+		s.rows = s.few[:0]
+		if n > len(s.few) {
+			s.rows = make([]tuple, 0, n)
+		}
+		q.slab.reserve(n, q.tupleWidth(b, s.wide))
+	}
 	if s.streams() {
-		s.sc, err = q.openScan(ctx, tbl, spec)
+		s.sc, err = q.openScan(ctx, tbl, spec, &s.one)
 		return err
 	}
 	if s.g != nil {
 		spec.Fold = q.newRegionFold
 	}
-	return q.read(ctx, tbl, spec, q.dirtyChecked(b), s.add, s.undo)
+	return q.read(ctx, tbl, spec, q.dirtyChecked(b), &s.one, s.add, s.undo)
+}
+
+// expect is how many rows the scan hands out when its plan can tell: one for
+// a bound key, the table's for a read of the whole table with no filter, and
+// its LIMIT's n when that is fewer or the plan cannot tell; never more than
+// the table holds when the scan reads all of it. 0 means it cannot tell.
+func (s *scanNode) expect() int {
+	p := s.path
+	n, most := 0, math.MaxInt
+	if len(p.eqCols) == 0 && p.lo == "" && p.hi == "" { // the whole table
+		most = p.rowsEst
+		if len(p.filter) == 0 {
+			n = most
+		}
+	}
+	if p.rowsEst == 1 {
+		n = 1
+	}
+	if s.limit > 0 && (n == 0 || s.limit < n) {
+		n = s.limit
+	}
+	return min(n, most)
 }
 
 // add takes one row of a read: into the list, or into the fold's groups — a
@@ -293,13 +327,14 @@ func (s *scanNode) Close(ctx *sim.Ctx) {
 // (build).
 type joinNode struct {
 	list
-	q                    *query
-	outer                node
-	b                    *binding
-	outerCols, innerCols []colRef   // outerCols[i] of the outer tuple must equal innerCols[i] of b
-	spill                bool       // the output is carried into another join
-	outerCtx, innerCtx   sim.Ctx    // the branches of a join that reads its sides at once
-	arrived              [4]arrival // backs the build side's arrivals while it has few
+	*joinStep
+	q                  *query
+	outer              node
+	spill              bool       // the output is carried into another join
+	outerCtx, innerCtx sim.Ctx    // the branches of a join that reads its sides at once
+	arrived            [4]arrival // backs the build side's arrivals while it has few
+	innerScan          scanNode   // reads b whole for a hash join's build side (inner)
+	one                oneRow     // backs a probe's single-row read
 }
 
 func (j *joinNode) Open(ctx *sim.Ctx) error {
@@ -344,6 +379,8 @@ func (j *joinNode) overlap(ctx *sim.Ctx) error {
 		j.hash(ctx, outer, inner, t)
 		return nil
 	}
+	j.rows = make([]tuple, 0, len(outer)*len(inner))
+	j.q.slab.reserve(cap(j.rows), j.q.width)
 	for _, o := range outer {
 		for _, in := range inner {
 			j.rows = append(j.rows, j.q.merge(o, j.b, in))
@@ -357,23 +394,9 @@ func (j *joinNode) overlap(ctx *sim.Ctx) error {
 // with when its rows came in.
 func (j *joinNode) inner(ctx *sim.Ctx) ([]tuple, []arrival, error) {
 	at := j.arrived[:0]
-	rows, err := rowsOf(ctx, &scanNode{q: j.q, b: j.b, path: j.q.fullPlan(j.b), keep: true}, &at)
+	j.innerScan = scanNode{q: j.q, b: j.b, path: j.q.fullPlan(j.b), keep: true}
+	rows, err := rowsOf(ctx, &j.innerScan, &at)
 	return rows, at, err
-}
-
-// joinCols returns the equi-join conditions linking the joined set to
-// binding b as parallel column lists: outer[i] (in the joined tuple) must
-// equal inner[i] (a column of b).
-func (q *query) joinCols(joined map[*binding]bool, b *binding) (outer, inner []colRef) {
-	for _, j := range q.joins {
-		switch {
-		case joined[j.l.b] && j.r.b == b:
-			outer, inner = append(outer, j.l), append(inner, j.r)
-		case joined[j.r.b] && j.l.b == b:
-			outer, inner = append(outer, j.r), append(inner, j.l)
-		}
-	}
-	return outer, inner
 }
 
 // merge builds a join's output tuple: the outer tuple with the inner
@@ -393,19 +416,14 @@ func (j *joinNode) inlPlan() (accessPlan, bool) {
 	if len(j.innerCols) == 0 || b.info == nil {
 		return accessPlan{}, false
 	}
-	var small [4]string
-	joinCols := small[:0]
-	for _, c := range j.innerCols {
-		joinCols = append(joinCols, b.refs[c.i])
-	}
-	plan := j.q.chooseAccess(b, joinCols)
+	plan := j.q.chooseAccess(b, j.innerNames)
 	if plan.kind == accessFullScan || len(plan.eqCols) == 0 {
 		return plan, false
 	}
 	// Every join column must be part of the bound prefix; otherwise the
 	// probe would miss conditions (they are re-checked anyway, but an
 	// unbound join column means the probe isn't selective).
-	for _, c := range joinCols {
+	for _, c := range j.innerNames {
 		if !slices.Contains(plan.eqCols, c) {
 			return plan, false
 		}
@@ -418,8 +436,16 @@ func (j *joinNode) inlPlan() (accessPlan, bool) {
 // (head, by key id) — the build walks inner backwards to get that — so matches
 // come out in the order they were read.
 type hashTable struct {
-	keys       *keyTable
+	keys       keyTable
 	head, next []int32
+}
+
+// first returns the first row read with key, -1 for none.
+func (t *hashTable) first(key []byte) int32 {
+	if id := t.keys.find(key); id >= 0 {
+		return t.head[id]
+	}
+	return -1
 }
 
 // build hashes inner on b's join columns, charging JoinBuildRow per row as the
@@ -432,16 +458,13 @@ type hashTable struct {
 // what a build side with every row in hand only at its end pays, a
 // dirty-checked view's or a blocking subquery's.
 func (j *joinNode) build(ctx *sim.Ctx, inner []tuple, at []arrival) hashTable {
-	slots := make([]int, len(j.innerCols))
-	for i, c := range j.innerCols {
-		slots[i] = c.i
-	}
 	t := hashTable{keys: newKeyTable(len(inner))}
 	links := make([]int32, 2*len(inner))
 	t.head, t.next = links[:len(inner)], links[len(inner):]
-	var key []byte
+	var small [64]byte
+	key := small[:0]
 	for i := len(inner) - 1; i >= 0; i-- {
-		key = appendKey(key[:0], inner[i].vals, slots)
+		key = appendKey(key[:0], inner[i].vals, j.innerSlots)
 		id, added := t.keys.insert(key)
 		t.next[i] = -1
 		if !added {
@@ -462,32 +485,34 @@ func (j *joinNode) build(ctx *sim.Ctx, inner []tuple, at []arrival) hashTable {
 }
 
 // hash probes t, built on inner, with every outer row, charging JoinProbeRow
-// per outer row, and the spill of an output carried into another join.
+// per outer row, and the spill of an output carried into another join. A
+// first pass counts the output and its footprint, so its rows come from one
+// array and one slab reservation.
 func (j *joinNode) hash(ctx *sim.Ctx, outer, inner []tuple, t hashTable) {
 	costs := j.q.eng.costs
-	slots := make([]int, len(j.outerCols))
-	for i, c := range j.outerCols {
-		slots[i] = c.slot()
-	}
-	var key []byte
+	var small [64]byte
+	key := small[:0]
+	n, bytes := 0, 0
 	for _, o := range outer {
-		key = appendKey(key[:0], o.vals, slots)
-		if id := t.keys.find(key); id >= 0 {
-			for i := t.head[id]; i >= 0; i = t.next[i] {
-				j.rows = append(j.rows, j.q.merge(o, j.b, inner[i]))
-			}
+		key = appendKey(key[:0], o.vals, j.outerSlots)
+		for i := t.first(key); i >= 0; i = t.next[i] {
+			n, bytes = n+1, bytes+o.size+inner[i].size
+		}
+	}
+	j.rows = make([]tuple, 0, n)
+	j.q.slab.reserve(n, j.q.width)
+	for _, o := range outer {
+		key = appendKey(key[:0], o.vals, j.outerSlots)
+		for i := t.first(key); i >= 0; i = t.next[i] {
+			j.rows = append(j.rows, j.q.merge(o, j.b, inner[i]))
 		}
 	}
 	ctx.Charge(sim.Micros(int64(len(outer)) * int64(costs.JoinProbeRow)))
 
-	if j.spill && len(j.rows) > 0 {
+	if j.spill && n > 0 {
 		// Intermediate result carried into another stage: materialize and
 		// spill (§III: joins are expensive in the NoSQL store).
-		var bytes int
-		for _, t := range j.rows {
-			bytes += t.size
-		}
-		ctx.Charge(sim.Micros(int64(len(j.rows)) * int64(costs.IntermediateRow)))
+		ctx.Charge(sim.Micros(int64(n) * int64(costs.IntermediateRow)))
 		ctx.Charge(costs.SpillPerByte.Mul(bytes))
 	}
 }
@@ -500,19 +525,24 @@ func (j *joinNode) probe(ctx *sim.Ctx, outer []tuple, plan accessPlan) error {
 	q, b := j.q, j.b
 	// Each key column of the probe takes its value from the outer tuple
 	// (probeSlot >= 0) or, once for all probes, from a local equality.
-	probeSlot := make([]int, len(plan.eqCols))
-	vals := make([]schema.Value, len(plan.eqCols))
-	for k, c := range plan.eqCols {
-		probeSlot[k] = -1
-		for i, in := range j.innerCols {
-			if b.refs[in.i] == c {
-				probeSlot[k] = j.outerCols[i].slot()
+	var slotBuf [8]int
+	var valBuf [8]schema.Value
+	probeSlot, vals := slotBuf[:0], valBuf[:0]
+	for _, c := range plan.eqCols {
+		slot := -1
+		for i, name := range j.innerNames {
+			if name == c {
+				slot = j.outerSlots[i]
 			}
 		}
-		vals[k], _ = localEqValue(q.execs[b.idx].local, c)
+		v, _ := localEqValue(q.execs[b.idx].local, c)
+		probeSlot, vals = append(probeSlot, slot), append(vals, v)
 	}
 	tbl := plan.table(b)
 	filter, cols := scanFilter(plan.filter), q.columnSet(b, plan.filter) // one of each for every probe
+	// Most probes find a row or none: the outer side's count sizes the output.
+	j.rows = make([]tuple, 0, len(outer))
+	q.slab.reserve(len(outer), q.width)
 	for _, o := range outer {
 		for k, s := range probeSlot {
 			if s >= 0 {
@@ -524,12 +554,12 @@ func (j *joinNode) probe(ctx *sim.Ctx, outer []tuple, plan accessPlan) error {
 		spec := hbase.ScanSpec{Read: q.opts.Read, Sequential: true, Filter: filter, Columns: cols}
 		plan.keyRange(b, vals, &spec)
 		n := len(j.rows)
-		err := q.read(ctx, tbl, spec, q.dirtyChecked(b), func(r hbase.RowResult) {
+		err := q.read(ctx, tbl, spec, q.dirtyChecked(b), &j.one, func(r hbase.RowResult) {
 			t := q.merge(o, b, tuple{size: q.spillSize(b, r)})
 			copyRefs(b.refs, r.Cells, t.vals[b.off:])
 			// Re-check join equality (defensive; prefix probes guarantee it).
 			for i, in := range j.innerCols {
-				if compareCells(t.vals[in.slot()], o.vals[j.outerCols[i].slot()]) != 0 {
+				if compareCells(t.vals[in.slot()], o.vals[j.outerSlots[i]]) != 0 {
 					return
 				}
 			}
@@ -579,6 +609,9 @@ func (a *aggNode) Open(ctx *sim.Ctx) error {
 	if err := a.in.Open(ctx); err != nil {
 		return err
 	}
+	if in, ok := a.in.(interface{ left() int }); ok {
+		a.g.reserve(in.left()) // a join's output, a derived table's rows
+	}
 	for t, ok := a.in.Next(ctx); ok; t, ok = a.in.Next(ctx) {
 		a.g.add(t.vals)
 	}
@@ -604,11 +637,7 @@ func (s *sortNode) Open(ctx *sim.Ctx) error {
 	if n := len(rows); n > 1 {
 		ctx.Charge(sim.Micros(int64(n) * int64(bits.Len(uint(n))) * int64(s.q.eng.costs.SortRow)))
 	}
-	keys := s.q.orderBy
-	slots := make([]int, len(keys))
-	for i, k := range keys {
-		slots[i] = k.src.slot()
-	}
+	keys, slots := s.q.orderBy, s.q.orderSlots
 	slices.SortStableFunc(rows, func(a, b tuple) int {
 		for k, slot := range slots {
 			if cmp := compareCells(a.vals[slot], b.vals[slot]); cmp != 0 {

@@ -46,9 +46,11 @@ type Literal struct {
 
 func (Literal) expr() {}
 
+// String prints the literal as the lexer reads it back: a string in quotes,
+// any quote in it doubled.
 func (l Literal) String() string {
 	if s, ok := l.Value.(string); ok {
-		return "'" + s + "'"
+		return "'" + strings.ReplaceAll(s, "'", "''") + "'"
 	}
 	return fmt.Sprint(l.Value)
 }

@@ -9,20 +9,20 @@ import (
 	"synergy/internal/tpcw"
 )
 
-// TestPreparedExecuteAllocs bounds what one execution of a prepared Q6, Q2 and
-// Q10 allocates through a Session: the rewrite, the plan and the result shape
-// are the prepared statement's, so an execution pays for its parameters, its
-// derived tables, its scans and its rows: 14, 22 and 105 allocations, and the
-// bounds give each about 5 % headroom. A scan reads its regions as a window
-// of the table's list and a multi-get forks its region groups as one slice,
-// so neither allocates per region. An execution that compiled the statement
-// again took 86, 99 and 238 before statements were compiled at prepare.
-// (Not built under -race, which makes sync.Pool drop pooled scan buffers at
+// TestPreparedExecuteAllocs bounds what one execution of a prepared Q6, Q2,
+// Q10, Q11 and Q5 allocates through a Session: the rewrite, the plan and the
+// result shape are the prepared statement's, and what an execution needs
+// beyond its rows — its operators, its bindings' state, its bound conjuncts —
+// is one block, so an execution pays for the block, its derived tables, its
+// scans and its rows, sized from the counts it has (a derived table's length,
+// a join's output, a LIMIT): 7, 13, 46, 87 and 15 allocations, and the
+// bounds give each about 5 % headroom. (Not
+// built under -race, which makes sync.Pool drop pooled scan buffers at
 // random.)
 func TestPreparedExecuteAllocs(t *testing.T) {
 	sys, data := benchSystem(t)
-	bound := map[string]float64{"Q6": 15, "Q2": 23, "Q10": 110}
-	for _, id := range benchQueries {
+	bound := map[string]float64{"Q6": 8, "Q2": 14, "Q10": 49, "Q11": 92, "Q5": 16}
+	for _, id := range append(benchQueries, "Q11", "Q5") {
 		st, _ := tpcw.StatementByID(id)
 		sel := parseSelect(t, st.SQL)
 		params := st.Params(data, sim.NewRNG(11).Derive(id))

@@ -294,3 +294,105 @@ func benchmarkQuery(b *testing.B, prepared bool) {
 		})
 	}
 }
+
+// rawRows reads what is left of cur, or at most n rows when n >= 0, each row
+// its columns' RawValue bytes behind their lengths, copied.
+func rawRows(ctx *sim.Ctx, cur phoenix.RowCursor, n int) []string {
+	var rows []string
+	for ; n != 0 && cur.Next(ctx); n-- {
+		var b []byte
+		for i := range cur.Columns() {
+			v := cur.RawValue(i)
+			b = append(append(b, fmt.Sprintf("%d:", len(v))...), v...)
+		}
+		rows = append(rows, string(b))
+	}
+	return rows
+}
+
+// TestPreparedCursorsShareNothing holds executions of one Prepared, on two
+// sessions, to share nothing but the plan: for Q10, Q11 and Q5 — a derived
+// table, joins, an aggregate, a sort, a LIMIT — every execution's rows equal,
+// byte for byte, those of the same draw run alone. First the sessions take
+// turns, one cursor left half-read while the other runs a whole execution;
+// then both run their executions at once, which -race checks.
+func TestPreparedCursorsShareNothing(t *testing.T) {
+	sys, data := benchSystem(t)
+	const draws = 50
+	for _, id := range []string{"Q10", "Q11", "Q5"} {
+		st, _ := tpcw.StatementByID(id)
+		sel := parseSelect(t, st.SQL)
+		p, err := sys.NewSession().Prepare(sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := sim.NewRNG(5).Derive(id)
+		params, want := make([][]schema.Value, draws), make([][]string, draws)
+		for i := range params {
+			params[i] = st.Params(data, rng)
+			ctx := sim.NewCtx()
+			cur, err := sys.NewSession().Open(ctx, p, params[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[i] = rawRows(ctx, cur, -1)
+			if err := cur.Close(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run := func(sess *synergy.Session, i int) (phoenix.RowCursor, *sim.Ctx) {
+			ctx := sim.NewCtx()
+			cur, err := sess.Open(ctx, p, params[i])
+			if err != nil {
+				t.Error(err)
+				return nil, nil
+			}
+			return cur, ctx
+		}
+		check := func(who string, i int, got []string) {
+			if fmt.Sprint(got) != fmt.Sprint(want[i]) {
+				t.Errorf("%s %s draw %d: %d rows %q, want %d rows %q", id, who, i, len(got), got, len(want[i]), want[i])
+			}
+		}
+
+		a, b := sys.NewSession(), sys.NewSession()
+		for i := range draws {
+			cur, ctx := run(a, i)
+			if cur == nil {
+				return
+			}
+			half := rawRows(ctx, cur, len(want[i])/2)
+			other, octx := run(b, draws-1-i)
+			if other == nil {
+				return
+			}
+			check("whole, beside a half-read cursor", draws-1-i, rawRows(octx, other, -1))
+			if err := other.Close(octx); err != nil {
+				t.Fatal(err)
+			}
+			check("half-read", i, append(half, rawRows(ctx, cur, -1)...))
+			if err := cur.Close(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		var wg sync.WaitGroup
+		for _, sess := range []*synergy.Session{a, b} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := range draws {
+					cur, ctx := run(sess, i)
+					if cur == nil {
+						return
+					}
+					check("concurrent", i, rawRows(ctx, cur, -1))
+					if err := cur.Close(ctx); err != nil {
+						t.Error(err)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}

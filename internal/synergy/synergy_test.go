@@ -358,6 +358,27 @@ func TestTxnLayerFailover(t *testing.T) {
 	}
 }
 
+// TestRecoveryReplaysQuotedLiteral: a slave logs the statement it runs as
+// its printed text, and recovery parses that text again, so a string literal
+// holding a quote must print with the quote doubled to come back whole.
+func TestRecoveryReplaysQuotedLiteral(t *testing.T) {
+	sys := companySystem(t)
+	for _, s := range sys.Txn.Slaves() {
+		s.KillBeforeNextExec()
+	}
+	ins := sqlparser.MustParse("INSERT INTO Employee (EID, EName, EHome_AID, EOffice_AID, E_DNo) VALUES (62, 'O''Brien', 1, 1, 1)")
+	if err := sys.Exec(sim.NewCtx(), ins, nil); err == nil {
+		t.Fatal("expected mid-transaction crash")
+	}
+	n, err := sys.Txn.DetectAndRecover(sim.NewCtx())
+	if err != nil || n != 1 {
+		t.Fatalf("recovered %d slaves, err %v; want 1, nil", n, err)
+	}
+	if rows := companyW1(t, sys, 62); len(rows) != 1 || rows[0]["EName"] != "O'Brien" {
+		t.Fatalf("WAL replay of a quoted literal: %v, want EName O'Brien", rows)
+	}
+}
+
 // TestRecoveryKeepsUnreplayedSlave: a dead slave whose WAL does not replay
 // stays on the roster, dead, and the other dead slaves still recover in the
 // same pass — none of their unfinished transactions is lost.
