@@ -329,6 +329,7 @@ type BufferedMutator struct {
 	// flushTS is the high timestamp across every flush so far — the commit
 	// timestamp a transaction's changefeed deltas are tagged with.
 	flushTS int64
+	view    ReadView // View's
 }
 
 // NewBufferedMutator returns a mutator that flushes by itself once flushAt
@@ -344,7 +345,9 @@ type BufferedMutator struct {
 // has no undo — and there is never a pending write to read back, so it keeps
 // no overlay.
 func (c *Client) NewBufferedMutator(flushAt int) *BufferedMutator {
-	return &BufferedMutator{c: c, flushAt: flushAt}
+	m := &BufferedMutator{c: c, flushAt: flushAt}
+	m.view.m = m
+	return m
 }
 
 // Pending reports the buffered, unflushed mutation count.

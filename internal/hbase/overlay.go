@@ -170,8 +170,9 @@ type ReadView struct {
 	m *BufferedMutator
 }
 
-// View returns the mutator's read-your-writes view.
-func (m *BufferedMutator) View() *ReadView { return &ReadView{m: m} }
+// View returns the mutator's read-your-writes view: one per mutator, made
+// with it.
+func (m *BufferedMutator) View() *ReadView { return &m.view }
 
 // Get reads one row, merging pending mutations over the store row (GetRow
 // with nothing but the read options).

@@ -8,7 +8,26 @@ import (
 	"sync/atomic"
 )
 
-// memStore is the in-memory write buffer of a region.
+// memStore is the in-memory write buffer of a region. It hands out the
+// storage of its rows from blocks it owns, as HBase's MemStore-Local
+// Allocation Buffer (MSLAB) does, so a write allocates nothing of its own
+// once a block has room:
+//
+//   - A row's rowData is cut from a block of rowDatas, and its cells live in a
+//     window cut from a block of cells. A window belongs to the one row it was
+//     handed to and is clipped to its capacity, so no append through it can
+//     reach a neighbour's cells.
+//   - A row that outgrows its window moves to one half as large again (room),
+//     and its old window is cleared and kept as a spare for the next row that
+//     needs one of that size — rows of a table grow through the same sizes.
+//   - Blocks grow with the memstore (memBlockSize): the first is the first
+//     row's size, the next as large as what the memstore has handed out up
+//     to minBlock entries, then a quarter of it up to maxBlock. A block's
+//     unused tail never exceeds what the memstore holds.
+//
+// The blocks belong to the memstore alone and are dropped with it at flush,
+// once the rows are packed into a store file; nothing outside the region
+// lock ever holds a window.
 type memStore struct {
 	rows map[string]*rowData
 	keys []string
@@ -17,20 +36,47 @@ type memStore struct {
 	// every write, so it must not cost a walk of the map.
 	bytes int64
 
+	// rowBlock and cellBlock are the unused tails of the current blocks;
+	// held counts the cells of every window handed out so far. spare holds
+	// the windows rows have moved out of, by capacity, for the next row
+	// that needs a window of that size.
+	rowBlock  []rowData
+	cellBlock []Cell
+	held      int
+	spare     map[int][][]Cell
+
 	// sortMu guards the lazy key sort so that concurrent scans — which
 	// hold only the region read lock — do not race re-sorting keys.
 	sortMu sync.Mutex
 	sorted bool
 }
 
+// minBlock and maxBlock bound the entries of one memstore block.
+const (
+	minBlock = 16
+	maxBlock = 256
+)
+
 func newMemStore() *memStore {
 	return &memStore{rows: make(map[string]*rowData)}
+}
+
+// memBlockSize is the size of the next block of a memstore that has handed
+// out held entries and needs room for n: as many as it has handed out, up to
+// minBlock, then a quarter of them, up to maxBlock. A memstore's first block
+// is its first row's.
+func memBlockSize(held, n int) int {
+	return max(n, min(held, max(held/4, minBlock), maxBlock))
 }
 
 func (m *memStore) upsert(key string) *rowData {
 	rd := m.rows[key]
 	if rd == nil {
-		rd = &rowData{}
+		if len(m.rowBlock) == 0 {
+			m.rowBlock = make([]rowData, memBlockSize(len(m.rows), 1))
+		}
+		rd = &m.rowBlock[0]
+		m.rowBlock = m.rowBlock[1:]
 		m.rows[key] = rd
 		m.keys = append(m.keys, key)
 		m.sorted = false
@@ -38,8 +84,46 @@ func (m *memStore) upsert(key string) *rowData {
 	return rd
 }
 
+// room makes room in rd's window for n more cells, moving the row to a
+// window half as large again, or as large as it needs, when its own has less.
+func (m *memStore) room(rd *rowData, n int) {
+	if cap(rd.cells)-len(rd.cells) >= n {
+		return
+	}
+	size := max(cap(rd.cells)+cap(rd.cells)/2, len(rd.cells)+n)
+	w := m.window(size)[:len(rd.cells)]
+	copy(w, rd.cells)
+	if old := rd.cells[:cap(rd.cells)]; len(old) > 0 {
+		clear(old) // a spare window must not keep values alive
+		if m.spare == nil {
+			m.spare = make(map[int][][]Cell)
+		}
+		m.spare[len(old)] = append(m.spare[len(old)], old)
+	}
+	rd.cells = w
+}
+
+// window hands out an empty window of size cells: a spare one of that size,
+// or else one cut from the current block.
+func (m *memStore) window(size int) []Cell {
+	if ws := m.spare[size]; len(ws) > 0 {
+		m.spare[size] = ws[:len(ws)-1]
+		return ws[len(ws)-1]
+	}
+	if len(m.cellBlock) < size {
+		m.cellBlock = make([]Cell, memBlockSize(m.held, size))
+	}
+	w := m.cellBlock[:size:size]
+	m.cellBlock = m.cellBlock[size:]
+	m.held += size
+	return w
+}
+
 // apply applies one cell to rd, the row upsert returned for key.
 func (m *memStore) apply(key string, rd *rowData, c Cell, maxVersions int) {
+	if len(rd.cells) == cap(rd.cells) && rd.grows(c, maxVersions) {
+		m.room(rd, 1)
+	}
 	cells, payload := rd.apply(c, maxVersions)
 	m.bytes += int64(cells*(kvOverhead+len(key)) + payload)
 }
@@ -151,7 +235,7 @@ func (r *Region) put(key string, ts int64, cells []Cell, clock func() int64) (dr
 	}
 	rd := r.mem.upsert(key)
 	if rd.cells == nil {
-		rd.cells = make([]Cell, 0, len(cells)) // a row written whole, as BulkLoad sizes it
+		r.mem.room(rd, len(cells)) // a row written whole, as BulkLoad sizes it
 	}
 	for _, c := range cells {
 		if c.TS == 0 {

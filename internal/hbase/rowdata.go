@@ -1,6 +1,9 @@
 package hbase
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // rowData holds every retained cell version of one row, sorted by
 // (qualifier ascending, timestamp descending, tombstones before puts at equal
@@ -27,37 +30,69 @@ func cellLess(a, b Cell) bool {
 // the qualifier beyond maxVersions. Tombstones are retained until compaction.
 // It reports how the row changed — the net count of cells and of their
 // qualifier and value bytes — which is what lets a memstore keep its
-// KeyValue-format footprint without re-walking the row.
+// KeyValue-format footprint without re-walking the row. A put that pushes a
+// version out takes its place, so the row grows only when grows says it will;
+// the memstore makes room for that cell first.
 func (r *rowData) apply(c Cell, maxVersions int) (cells, payload int) {
-	i := sort.Search(len(r.cells), func(i int) bool { return !cellLess(r.cells[i], c) })
+	i := r.search(c)
 	if i < len(r.cells) && r.cells[i].Qualifier == c.Qualifier && r.cells[i].TS == c.TS && r.cells[i].Type == c.Type {
 		payload = len(c.Value) - len(r.cells[i].Value)
 		r.cells[i] = c // same coordinates: overwrite in place
 		return 0, payload
 	}
-	r.cells = append(r.cells, Cell{})
-	copy(r.cells[i+1:], r.cells[i:])
-	r.cells[i] = c
-	cells, payload = 1, len(c.Qualifier)+len(c.Value)
-
 	if c.Type != TypePut {
-		return cells, payload
+		r.cells = slices.Insert(r.cells, i, c)
+		return 1, len(c.Qualifier) + len(c.Value)
 	}
-	// Trim surplus put versions of this qualifier.
-	puts := 0
-	for j := i; j < len(r.cells) && r.cells[j].Qualifier == c.Qualifier; j++ {
+	// Counting the put's versions from c on, the first past maxVersions is the
+	// maxVersions-th stored one at or after i: c takes its place, the cells
+	// between shifting up one, and every later put of the qualifier goes too.
+	k := r.surplus(i, c.Qualifier, maxVersions)
+	if k < 0 {
+		r.cells = slices.Insert(r.cells, i, c)
+		return 1, len(c.Qualifier) + len(c.Value)
+	}
+	payload = len(c.Value) - len(r.cells[k].Value)
+	copy(r.cells[i+1:k+1], r.cells[i:k])
+	r.cells[i] = c
+	for j := k + 1; j < len(r.cells) && r.cells[j].Qualifier == c.Qualifier; j++ {
 		if r.cells[j].Type != TypePut {
 			continue
 		}
-		puts++
-		if puts > maxVersions {
-			cells--
-			payload -= len(c.Qualifier) + len(r.cells[j].Value)
-			r.cells = append(r.cells[:j], r.cells[j+1:]...)
-			j--
-		}
+		cells--
+		payload -= len(c.Qualifier) + len(r.cells[j].Value)
+		r.cells = append(r.cells[:j], r.cells[j+1:]...)
+		j--
 	}
 	return cells, payload
+}
+
+// search is the position c sorts at in the row.
+func (r *rowData) search(c Cell) int {
+	return sort.Search(len(r.cells), func(i int) bool { return !cellLess(r.cells[i], c) })
+}
+
+// surplus is the index of the maxVersions-th put of qualifier q at or after
+// i, or -1 when there are fewer.
+func (r *rowData) surplus(i int, q string, maxVersions int) int {
+	puts := 0
+	for j := i; j < len(r.cells) && r.cells[j].Qualifier == q; j++ {
+		if r.cells[j].Type == TypePut {
+			if puts++; puts == maxVersions {
+				return j
+			}
+		}
+	}
+	return -1
+}
+
+// grows reports whether apply(c) would add a cell to the row.
+func (r *rowData) grows(c Cell, maxVersions int) bool {
+	i := r.search(c)
+	if i < len(r.cells) && r.cells[i].Qualifier == c.Qualifier && r.cells[i].TS == c.TS && r.cells[i].Type == c.Type {
+		return false
+	}
+	return c.Type != TypePut || r.surplus(i, c.Qualifier, maxVersions) < 0
 }
 
 // trim is what a store file merge does to a row folded from several parts —

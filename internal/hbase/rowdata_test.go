@@ -2,6 +2,8 @@ package hbase
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -192,5 +194,71 @@ func TestRowDataSnapshotNeverFutureProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// applyByInsert is the reference apply: insert the cell, then trim every put
+// of its qualifier past maxVersions, counting from the new cell.
+func applyByInsert(r *rowData, c Cell, maxVersions int) (cells, payload int) {
+	i := r.search(c)
+	if i < len(r.cells) && r.cells[i].Qualifier == c.Qualifier && r.cells[i].TS == c.TS && r.cells[i].Type == c.Type {
+		payload = len(c.Value) - len(r.cells[i].Value)
+		r.cells[i] = c
+		return 0, payload
+	}
+	r.cells = slices.Insert(r.cells, i, c)
+	cells, payload = 1, len(c.Qualifier)+len(c.Value)
+	if c.Type != TypePut {
+		return cells, payload
+	}
+	puts := 0
+	for j := i; j < len(r.cells) && r.cells[j].Qualifier == c.Qualifier; j++ {
+		if r.cells[j].Type != TypePut {
+			continue
+		}
+		if puts++; puts > maxVersions {
+			cells--
+			payload -= len(c.Qualifier) + len(r.cells[j].Value)
+			r.cells = append(r.cells[:j], r.cells[j+1:]...)
+			j--
+		}
+	}
+	return cells, payload
+}
+
+// TestRowDataApplyInPlace holds apply to insert-then-trim over random cells —
+// puts old and new, overwrites, column and row tombstones, one to three
+// versions — for the row it leaves and the change it reports; and a row whose
+// window is full takes a cell grows says it does not need room for without
+// moving.
+func TestRowDataApplyInPlace(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for run := 0; run < 2000; run++ {
+		maxVersions := 1 + rng.Intn(3)
+		var got, want rowData
+		for step := 0; step < 40; step++ {
+			c := Cell{Qualifier: string(rune('a' + rng.Intn(3))), TS: int64(rng.Intn(12)), Value: []byte(fmt.Sprint(rng.Intn(100)))}
+			switch rng.Intn(8) {
+			case 0:
+				c.Type, c.Value = TypeDeleteCol, nil
+			case 1:
+				c.Qualifier, c.Type, c.Value = "", TypeDeleteRow, nil
+			}
+			grows := got.grows(c, maxVersions)
+			got.cells = slices.Clip(got.cells) // full: a cell that needs room moves the row
+			full := got.cells
+			gc, gp := got.apply(c, maxVersions)
+			wc, wp := applyByInsert(&want, c, maxVersions)
+			if gc != wc || gp != wp || !sameCells(got.cells, want.cells) {
+				t.Fatalf("run %d step %d: apply %+v (max %d) gave %v (%d, %d), insert-then-trim %v (%d, %d)",
+					run, step, c, maxVersions, got.cells, gc, gp, want.cells, wc, wp)
+			}
+			if grows != (gc == 1) {
+				t.Fatalf("run %d step %d: grows %v, apply added %d cells", run, step, grows, gc)
+			}
+			if !grows && len(full) > 0 && &got.cells[:1][0] != &full[0] {
+				t.Fatalf("run %d step %d: a cell grows said fits moved the row", run, step)
+			}
+		}
 	}
 }

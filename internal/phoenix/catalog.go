@@ -36,7 +36,7 @@
 // numeric constant finds its rows whether the client typed it INT or DOUBLE.
 //
 // Writes have the same row model. A row on the write path is its attribute
-// cells in qualifier order: BindWrite encodes a statement's values once
+// cells in qualifier order: WriteShape.Bind encodes a statement's values once
 // (Write), GetCells reads a stored row as cells, MergeCells lays one row over
 // another — a parent under its child for a view row, a stored row under an
 // assignment for an update, where a NULL assignment is a column tombstone —

@@ -53,7 +53,11 @@ func (o WriteOpts) Notify(table, key string) {
 // with the paper's restrictions (§IV), writes must specify every key
 // attribute and affect a single base-table row.
 func (e *Engine) Exec(ctx *sim.Ctx, stmt sqlparser.Statement, params []schema.Value, opts WriteOpts) error {
-	w, err := e.BindWrite(stmt, params)
+	sh, err := e.ShapeWrite(stmt)
+	if err != nil {
+		return err
+	}
+	w, err := sh.Bind(params)
 	if err != nil {
 		return err
 	}
@@ -74,9 +78,22 @@ type Write struct {
 	Cells []hbase.Cell
 }
 
-// BindWrite resolves a write statement against the catalog and its
-// parameters.
-func (e *Engine) BindWrite(stmt sqlparser.Statement, params []schema.Value) (*Write, error) {
+// WriteShape is a write statement resolved against the catalog: what binding
+// it takes that no parameter changes — its table and the column each of its
+// values goes to. Bind makes a Write of it per execution. It is immutable, so
+// any number of executions may bind it at once.
+type WriteShape struct {
+	stmt  sqlparser.Statement
+	table *TableInfo
+	// set is an INSERT's values paired with their columns, or an UPDATE's
+	// assignment; nil for a DELETE.
+	set []sqlparser.Assignment
+	// where is an UPDATE's or a DELETE's key equalities.
+	where []sqlparser.Predicate
+}
+
+// ShapeWrite resolves a write statement's table and columns once, for Bind.
+func (e *Engine) ShapeWrite(stmt sqlparser.Statement) (*WriteShape, error) {
 	switch s := stmt.(type) {
 	case *sqlparser.InsertStmt:
 		t, err := e.cat.Table(s.Table)
@@ -99,7 +116,32 @@ func (e *Engine) BindWrite(stmt sqlparser.Statement, params []schema.Value) (*Wr
 				set[i].Column = t.Cols[i].Name
 			}
 		}
-		cells, err := encodeCells(t, set, params, false)
+		return &WriteShape{stmt: s, table: t, set: set}, nil
+
+	case *sqlparser.UpdateStmt:
+		t, err := e.cat.Table(s.Table)
+		if err != nil {
+			return nil, err
+		}
+		return &WriteShape{stmt: s, table: t, set: s.Set, where: s.Where}, nil
+
+	case *sqlparser.DeleteStmt:
+		t, err := e.cat.Table(s.Table)
+		if err != nil {
+			return nil, err
+		}
+		return &WriteShape{stmt: s, table: t, where: s.Where}, nil
+	default:
+		return nil, fmt.Errorf("%w: %T", ErrUnsupported, stmt)
+	}
+}
+
+// Bind binds the statement to its parameters.
+func (sh *WriteShape) Bind(params []schema.Value) (*Write, error) {
+	t := sh.table
+	switch sh.stmt.(type) {
+	case *sqlparser.InsertStmt:
+		cells, err := encodeCells(t, sh.set, params, false)
 		if err != nil {
 			return nil, err
 		}
@@ -108,40 +150,30 @@ func (e *Engine) BindWrite(stmt sqlparser.Statement, params []schema.Value) (*Wr
 		if null {
 			return nil, fmt.Errorf("%w: %s needs every one of %v", ErrKeyNotSpecified, t.Name, t.Key)
 		}
-		return &Write{Stmt: s, Table: t, Key: string(key), Cells: cells}, nil
+		return &Write{Stmt: sh.stmt, Table: t, Key: string(key), Cells: cells}, nil
 
 	case *sqlparser.UpdateStmt:
-		t, err := e.cat.Table(s.Table)
+		key, err := keyFromWhere(t, sh.where, params)
 		if err != nil {
 			return nil, err
 		}
-		key, err := keyFromWhere(t, s.Where, params)
-		if err != nil {
-			return nil, err
-		}
-		for _, a := range s.Set {
+		for _, a := range sh.set {
 			if slices.Contains(t.Key, a.Column) {
 				return nil, fmt.Errorf("%w: cannot update key attribute %s.%s", ErrUnsupported, t.Name, a.Column)
 			}
 		}
-		cells, err := encodeCells(t, s.Set, params, true)
+		cells, err := encodeCells(t, sh.set, params, true)
 		if err != nil {
 			return nil, err
 		}
-		return &Write{Stmt: s, Table: t, Key: key, Cells: cells}, nil
+		return &Write{Stmt: sh.stmt, Table: t, Key: key, Cells: cells}, nil
 
-	case *sqlparser.DeleteStmt:
-		t, err := e.cat.Table(s.Table)
+	default: // DELETE
+		key, err := keyFromWhere(t, sh.where, params)
 		if err != nil {
 			return nil, err
 		}
-		key, err := keyFromWhere(t, s.Where, params)
-		if err != nil {
-			return nil, err
-		}
-		return &Write{Stmt: s, Table: t, Key: key}, nil
-	default:
-		return nil, fmt.Errorf("%w: %T", ErrUnsupported, stmt)
+		return &Write{Stmt: sh.stmt, Table: t, Key: key}, nil
 	}
 }
 
@@ -228,7 +260,8 @@ type unboundKey struct{}
 // keyFromWhere builds the row key a write's WHERE clause names, erroring when
 // any key attribute is unbound (multi-row writes are not supported, §IV).
 func keyFromWhere(t *TableInfo, where []sqlparser.Predicate, params []schema.Value) (string, error) {
-	vals := make([]schema.Value, len(t.Key))
+	var arr [4]schema.Value // up to four key attributes stay on the stack
+	vals := append(arr[:0], make([]schema.Value, len(t.Key))...)
 	for i := range vals {
 		vals[i] = unboundKey{}
 	}
@@ -324,8 +357,15 @@ func (b *WriteBatch) Put(ctx *sim.Ctx, tbl, key string, cells []hbase.Cell) erro
 	if err := b.m.Put(ctx, tbl, key, cells); err != nil {
 		return err
 	}
-	b.notifies = append(b.notifies, struct{ table, key string }{tbl, key})
+	b.record(tbl, key)
 	return nil
+}
+
+// record records a write-set notification, when anyone observes the write set.
+func (b *WriteBatch) record(tbl, key string) {
+	if b.opts.OnWrite != nil {
+		b.notifies = append(b.notifies, struct{ table, key string }{tbl, key})
+	}
 }
 
 // PutQuiet buffers a row put with no notification.
@@ -338,7 +378,7 @@ func (b *WriteBatch) Delete(ctx *sim.Ctx, tbl, key string, ts int64) error {
 	if err := b.m.Delete(ctx, tbl, key, ts); err != nil {
 		return err
 	}
-	b.notifies = append(b.notifies, struct{ table, key string }{tbl, key})
+	b.record(tbl, key)
 	return nil
 }
 
@@ -375,7 +415,7 @@ func (b *WriteBatch) notify() {
 }
 
 // PutRow is PutCells for a row still boxed: tests and the figure harness
-// load through it; a statement's row arrives encoded (BindWrite).
+// load through it; a statement's row arrives encoded (WriteShape.Bind).
 func (e *Engine) PutRow(ctx *sim.Ctx, t *TableInfo, row schema.Row, opts WriteOpts) error {
 	return e.PutCells(ctx, t, RowToCells(row), opts)
 }
@@ -417,7 +457,7 @@ func (e *Engine) GetRow(ctx *sim.Ctx, t *TableInfo, read hbase.ReadOpts, keyVals
 	return CellsToRow(res), true, nil
 }
 
-// UpdateRow applies an assignment (BindWrite's cells: qualifier order, a NULL
+// UpdateRow applies an assignment (WriteShape.Bind's cells: qualifier order, a NULL
 // as a column tombstone) to the row under key, maintaining indexes. old is the
 // stored row as the caller read it (GetCells through Reader(opts), so inside a
 // transaction it includes the transaction's own buffered writes); it feeds

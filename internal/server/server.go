@@ -211,17 +211,18 @@ type conn struct {
 	queueWaits int64
 }
 
-// prepared is one server-side prepared statement: the parsed SQL, a
-// SELECT's compiled form, its parameter count, and the parameter types cached
-// from the last execute that sent them (clients may omit types on
-// re-execution).
+// prepared is one server-side prepared statement: the parsed SQL, its
+// compiled form, its parameter count, and the parameter types cached from the
+// last execute that sent them (clients may omit types on re-execution).
 type prepared struct {
 	sql  string
 	stmt sqlparser.Statement
-	// sel is a SELECT compiled on backend — at COM_STMT_PREPARE, and again
-	// by the first execute after the connection moved to another backend;
-	// nil for a write, which binds at every execute.
+	// sel (a SELECT) or write (a write statement) is the statement compiled
+	// on backend — at COM_STMT_PREPARE, and again by the first execute after
+	// the connection moved to another backend. A write binds its parameters
+	// at every execute, and one that does not compile fails there.
 	sel       *synergy.Prepared
+	write     *synergy.PreparedWrite
 	backend   string
 	numParams int
 	types     []byte
@@ -526,10 +527,10 @@ func (c *conn) handleQuery(sql string) error {
 }
 
 // execStatement runs one SQL statement through the admission gate and the
-// session, writing a result set (SELECT) or an OK packet. A SELECT runs from
-// its compiled form: COM_STMT_EXECUTE passes the prepared statement's, and
-// for COM_QUERY (compiled nil) it is compiled here.
-func (c *conn) execStatement(stmt sqlparser.Statement, compiled *synergy.Prepared, params []schema.Value, binaryRows bool) error {
+// session, writing a result set (SELECT) or an OK packet. A statement runs
+// from its compiled form: COM_STMT_EXECUTE passes the prepared statement's,
+// and for COM_QUERY (ps nil) it is compiled here.
+func (c *conn) execStatement(stmt sqlparser.Statement, ps *prepared, params []schema.Value, binaryRows bool) error {
 	queued, err := c.srv.gate.Acquire()
 	if err != nil {
 		return c.writeErrPacket(errConCount, "08004", "admission queue full: server overloaded")
@@ -548,10 +549,11 @@ func (c *conn) execStatement(stmt sqlparser.Statement, compiled *synergy.Prepare
 		}
 	}
 	if sel, ok := stmt.(*sqlparser.SelectStmt); ok {
-		if compiled == nil {
-			if compiled, err = c.sess.Prepare(sel); err != nil {
-				return c.writeEngineErr(err)
-			}
+		var compiled *synergy.Prepared
+		if ps != nil {
+			compiled = ps.sel
+		} else if compiled, err = c.sess.Prepare(sel); err != nil {
+			return c.writeEngineErr(err)
 		}
 		cur, err := c.sess.Open(c.sctx, compiled, params)
 		if err != nil {
@@ -559,7 +561,13 @@ func (c *conn) execStatement(stmt sqlparser.Statement, compiled *synergy.Prepare
 		}
 		return c.writeCursor(cur, binaryRows)
 	}
-	if err := c.sess.Exec(c.sctx, stmt, params); err != nil {
+	var write *synergy.PreparedWrite
+	if ps != nil {
+		write = ps.write
+	} else {
+		write = c.sess.PrepareWrite(stmt)
+	}
+	if err := c.sess.ExecPrepared(c.sctx, write, params); err != nil {
 		return c.writeEngineErr(err)
 	}
 	return c.writeOK(0, "")
@@ -868,10 +876,12 @@ func (c *conn) handlePrepare(sql string) error {
 	return c.pc.flush()
 }
 
-// compile compiles a prepared SELECT on the connection's current backend.
+// compile compiles a prepared statement on the connection's current backend.
+// Only a SELECT fails here; a write carries its error to its executes.
 func (c *conn) compile(ps *prepared) error {
 	sel, ok := ps.stmt.(*sqlparser.SelectStmt)
 	if !ok {
+		ps.write, ps.backend = c.sess.PrepareWrite(ps.stmt), c.backendName
 		return nil
 	}
 	compiled, err := c.sess.Prepare(sel)
@@ -903,17 +913,19 @@ func (c *conn) handleExecute(payload []byte) error {
 		newBound := payload[off]
 		off++
 		if newBound == 1 {
-			types := make([]byte, ps.numParams)
-			unsigned := make([]bool, ps.numParams)
-			for i := 0; i < ps.numParams; i++ {
-				if off+2 > len(payload) {
-					return c.writeErrPacket(errParse, "HY000", "malformed COM_STMT_EXECUTE")
-				}
-				types[i] = payload[off]
-				unsigned[i] = payload[off+1]&0x80 != 0
+			// A rebind refills the statement's type lists in place, once
+			// the packet is known to hold them all.
+			if off+2*ps.numParams > len(payload) {
+				return c.writeErrPacket(errParse, "HY000", "malformed COM_STMT_EXECUTE")
+			}
+			if ps.types == nil {
+				ps.types, ps.unsigned = make([]byte, ps.numParams), make([]bool, ps.numParams)
+			}
+			for i := range ps.numParams {
+				ps.types[i] = payload[off]
+				ps.unsigned[i] = payload[off+1]&0x80 != 0
 				off += 2
 			}
-			ps.types, ps.unsigned = types, unsigned
 		}
 		if ps.types == nil {
 			return c.writeErrPacket(errParse, "HY000", "COM_STMT_EXECUTE without parameter types")
@@ -931,12 +943,12 @@ func (c *conn) handleExecute(payload []byte) error {
 			params[i], off = v, next
 		}
 	}
-	if ps.sel != nil && ps.backend != c.backendName {
+	if ps.backend != c.backendName {
 		if err := c.compile(ps); err != nil {
 			return c.writeEngineErr(err)
 		}
 	}
-	return c.execStatement(ps.stmt, ps.sel, params, true)
+	return c.execStatement(ps.stmt, ps, params, true)
 }
 
 func (c *conn) handleStmtClose(payload []byte) {

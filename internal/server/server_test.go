@@ -53,7 +53,7 @@ func testSchema() (*schema.Schema, []string) {
 
 const testSelect = "SELECT * FROM Root as r, Leaf as l WHERE r.RID = l.L_RID and l.LVal = ?"
 
-func deploySystem(t *testing.T, cfg synergy.Config) *synergy.System {
+func deploySystem(t testing.TB, cfg synergy.Config) *synergy.System {
 	t.Helper()
 	s, workload := testSchema()
 	if cfg.Concurrency != synergy.Hierarchical {
@@ -88,14 +88,14 @@ type testEnv struct {
 
 // startServer deploys one system per concurrency mode and serves them as
 // backends hier/mvcc/occ over an in-process listener.
-func startServer(t *testing.T, cfg Config) *testEnv {
+func startServer(t testing.TB, cfg Config) *testEnv {
 	t.Helper()
 	return startServerOn(t, cfg, synergy.Config{})
 }
 
 // startServerOn is startServer with every backend deployed from base (its
 // Concurrency set per backend).
-func startServerOn(t *testing.T, cfg Config, base synergy.Config) *testEnv {
+func startServerOn(t testing.TB, cfg Config, base synergy.Config) *testEnv {
 	t.Helper()
 	env := &testEnv{addr: t.Name(), systems: map[string]*synergy.System{}}
 	for name, mode := range map[string]synergy.ConcurrencyMode{
@@ -120,7 +120,7 @@ func startServerOn(t *testing.T, cfg Config, base synergy.Config) *testEnv {
 	return env
 }
 
-func (e *testEnv) dial(t *testing.T, db string) *Client {
+func (e *testEnv) dial(t testing.TB, db string) *Client {
 	t.Helper()
 	c, err := Dial("inproc", e.addr, "test", db)
 	if err != nil {

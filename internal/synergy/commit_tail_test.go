@@ -112,17 +112,14 @@ func TestSlaveCommitRecordBesideRelease(t *testing.T) {
 			b := companySystemWith(t, cm.cfg)
 			sb := b.Txn.Slaves()[0]
 			pre, run, rec := sim.NewCtx(), sim.NewCtx(), sim.NewCtx()
-			txid, log, err := sb.accept(pre, stmts, params)
+			txid, err := sb.log(pre, b.prepareWrites(stmts), params, false)
 			if err != nil {
-				t.Fatal(err)
-			}
-			if err := sb.appendWAL(pre, log, +1); err != nil {
 				t.Fatal(err)
 			}
 			if err := b.ExecuteTxn(run, stmts, params); err != nil {
 				t.Fatal(err)
 			}
-			if err := sb.logOutcome(rec, walRecord{TxID: txid, Commit: true}); err != nil {
+			if err := sb.logOutcome(rec, txid, true); err != nil {
 				t.Fatal(err)
 			}
 

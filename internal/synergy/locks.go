@@ -31,6 +31,9 @@ type LockManager struct {
 	store  *hbase.HCluster
 	client *hbase.Client
 	costs  *sim.Costs
+	// tables names the lock table of each root (LockTableName), written by
+	// CreateLockTables before any lock is taken and only read after.
+	tables map[string]string
 	// MaxAttempts bounds the acquire retry loop.
 	MaxAttempts int
 }
@@ -47,12 +50,24 @@ func NewLockManager(store *hbase.HCluster) *LockManager {
 
 // CreateLockTables creates one lock table per root.
 func (lm *LockManager) CreateLockTables(roots []string) error {
+	if lm.tables == nil {
+		lm.tables = make(map[string]string, len(roots))
+	}
 	for _, r := range roots {
 		if err := lm.store.CreateTable(hbase.TableSpec{Name: LockTableName(r)}); err != nil {
 			return err
 		}
+		lm.tables[r] = LockTableName(r)
 	}
 	return nil
+}
+
+// table is LockTableName(root), built once per root.
+func (lm *LockManager) table(root string) string {
+	if t, ok := lm.tables[root]; ok {
+		return t
+	}
+	return LockTableName(root)
 }
 
 // BulkCreateEntries creates free lock entries for bulk-loaded root rows,
@@ -91,7 +106,7 @@ func (lm *LockManager) BulkCreateEntries(root string, rows []hbase.BulkRow) erro
 // fresh keys: an insert that silently upserts a live, contended root key
 // serializes against the group's writers only under SequentialWrites.
 func (lm *LockManager) EnsureEntryDeferred(ctx *sim.Ctx, m *hbase.BufferedMutator, root, key string) error {
-	return m.CheckAndPut(ctx, LockTableName(root), key, lockQualifier, nil,
+	return m.CheckAndPut(ctx, lm.table(root), key, lockQualifier, nil,
 		hbase.Cell{Qualifier: lockQualifier, Value: lockFree}, nil)
 }
 
@@ -100,7 +115,7 @@ func (lm *LockManager) EnsureEntryDeferred(ctx *sim.Ctx, m *hbase.BufferedMutato
 // the lock was held. A transaction frees all its locks this way in one flush
 // (Tx.releaseLocks) and names each one that was not with errNotHeld.
 func (lm *LockManager) ReleaseDeferred(ctx *sim.Ctx, m *hbase.BufferedMutator, root, key string, freed *bool) error {
-	return m.CheckAndPut(ctx, LockTableName(root), key, lockQualifier, lockHeld,
+	return m.CheckAndPut(ctx, lm.table(root), key, lockQualifier, lockHeld,
 		hbase.Cell{Qualifier: lockQualifier, Value: lockFree}, freed)
 }
 
@@ -117,7 +132,7 @@ func errNotHeld(root, key string) error {
 // missing entry followed by the creating one; if the entry does exist
 // after all, it falls back to the contended acquire loop.
 func (lm *LockManager) AcquireNew(ctx *sim.Ctx, root, key string) error {
-	ok, err := lm.client.CheckAndPut(ctx, LockTableName(root), key, lockQualifier, nil,
+	ok, err := lm.client.CheckAndPut(ctx, lm.table(root), key, lockQualifier, nil,
 		hbase.Cell{Qualifier: lockQualifier, Value: lockHeld})
 	if err != nil {
 		return err
@@ -150,7 +165,7 @@ func (lm *LockManager) backoff(attempt int) sim.Micros {
 }
 
 func (lm *LockManager) acquire(ctx *sim.Ctx, client *hbase.Client, root, key string) error {
-	tbl := LockTableName(root)
+	tbl := lm.table(root)
 	for attempt := 0; attempt < lm.MaxAttempts; attempt++ {
 		ok, err := client.CheckAndPut(ctx, tbl, key, lockQualifier, lockFree,
 			hbase.Cell{Qualifier: lockQualifier, Value: lockHeld})
@@ -185,7 +200,7 @@ func (lm *LockManager) Release(ctx *sim.Ctx, root, key string) error {
 
 // ReleaseWith releases using a caller-supplied client.
 func (lm *LockManager) ReleaseWith(ctx *sim.Ctx, client *hbase.Client, root, key string) error {
-	ok, err := client.CheckAndPut(ctx, LockTableName(root), key, lockQualifier, lockHeld,
+	ok, err := client.CheckAndPut(ctx, lm.table(root), key, lockQualifier, lockHeld,
 		hbase.Cell{Qualifier: lockQualifier, Value: lockFree})
 	if err != nil {
 		return err

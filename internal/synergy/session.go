@@ -31,10 +31,13 @@ type Session struct {
 	sys   *System
 	reads ViewReadMode
 	tx    *Tx
-	// stmts/params accumulate the open transaction's write statements for
+	// writes/params accumulate the open transaction's write statements for
 	// the WAL record its commit writes.
-	stmts  []sqlparser.Statement
+	writes []*PreparedWrite
 	params [][]schema.Value
+	// oneWrite and oneParams hold an autocommit write as a transaction of one.
+	oneWrite  [1]*PreparedWrite
+	oneParams [1][]schema.Value
 }
 
 // NewSession opens a session with the deployment's configured freshness
@@ -117,14 +120,36 @@ func (s *Session) QueryStream(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []
 	return s.Open(ctx, p, params)
 }
 
+// PrepareWrite compiles a write statement for the session's System: its
+// shape, its write plan and its WAL text, once. ExecPrepared runs the result
+// as often as the caller likes, in or out of a transaction. A statement that
+// does not compile still prepares, and each execution returns its error, as a
+// write bound at execution always has.
+func (s *Session) PrepareWrite(stmt sqlparser.Statement) *PreparedWrite {
+	return s.sys.prepareWrite(stmt)
+}
+
 // Exec runs a write statement — buffered into the open transaction when
 // there is one, else as its own autocommitted transaction. A statement error
-// inside an open transaction aborts it (see Session).
+// inside an open transaction aborts it (see Session). It is PrepareWrite, then
+// ExecPrepared.
 func (s *Session) Exec(ctx *sim.Ctx, stmt sqlparser.Statement, params []schema.Value) error {
-	if s.tx == nil {
-		return s.sys.Exec(ctx, stmt, params)
+	return s.ExecPrepared(ctx, s.PrepareWrite(stmt), params)
+}
+
+// ExecPrepared runs a prepared write statement with params, as Exec runs a
+// statement.
+func (s *Session) ExecPrepared(ctx *sim.Ctx, pw *PreparedWrite, params []schema.Value) error {
+	if pw.sys != s.sys {
+		return fmt.Errorf("synergy: statement prepared for another system")
 	}
-	if err := s.tx.Exec(ctx, stmt, params); err != nil {
+	if s.tx == nil {
+		s.oneWrite[0], s.oneParams[0] = pw, params
+		err := s.sys.execTxn(ctx, s.oneWrite[:], s.oneParams[:])
+		s.oneWrite[0], s.oneParams[0] = nil, nil
+		return err
+	}
+	if err := s.tx.exec(ctx, pw, params); err != nil {
 		tx := s.tx
 		s.clear()
 		if aerr := tx.Abort(ctx); aerr != nil {
@@ -132,7 +157,7 @@ func (s *Session) Exec(ctx *sim.Ctx, stmt sqlparser.Statement, params []schema.V
 		}
 		return fmt.Errorf("%w (transaction rolled back)", err)
 	}
-	s.stmts = append(s.stmts, stmt)
+	s.writes = append(s.writes, pw)
 	s.params = append(s.params, params)
 	return nil
 }
@@ -147,9 +172,11 @@ func (s *Session) Commit(ctx *sim.Ctx) error {
 	if s.tx == nil {
 		return nil
 	}
-	tx, stmts, params := s.tx, s.stmts, s.params
+	tx := s.tx
+	s.tx = nil
+	err := tx.commit(ctx, s.writes, s.params)
 	s.clear()
-	return tx.commit(ctx, stmts, params)
+	return err
 }
 
 // Rollback aborts the open transaction (no-op without one).
@@ -167,6 +194,10 @@ func (s *Session) Rollback(ctx *sim.Ctx) error {
 // snapshot transaction) until the caller closes it.
 func (s *Session) Close(ctx *sim.Ctx) error { return s.Rollback(ctx) }
 
+// clear ends the session's transaction. The statement lists keep their
+// capacity for the next one.
 func (s *Session) clear() {
-	s.tx, s.stmts, s.params = nil, nil, nil
+	clear(s.writes)
+	clear(s.params)
+	s.tx, s.writes, s.params = nil, s.writes[:0], s.params[:0]
 }

@@ -439,14 +439,20 @@ func (sys *System) Exec(ctx *sim.Ctx, stmt sqlparser.Statement, params []schema.
 // the transaction through it, WAL-logged and recoverable; an MVCC deployment
 // has none and runs it here, as the paper's MVCC systems do.
 func (sys *System) ExecTxn(ctx *sim.Ctx, stmts []sqlparser.Statement, paramsList [][]schema.Value) error {
+	return sys.execTxn(ctx, sys.prepareWrites(stmts), paramsList)
+}
+
+// execTxn is ExecTxn for prepared statements.
+func (sys *System) execTxn(ctx *sim.Ctx, writes []*PreparedWrite, paramsList [][]schema.Value) error {
 	if sys.Txn == nil {
-		return sys.ExecuteTxn(ctx, stmts, paramsList)
+		_, err := sys.executeTxn(ctx, writes, paramsList, loggedTxn{})
+		return err
 	}
 	s := sys.Txn.pickSlave()
 	if s == nil {
 		return ErrNoSlaves
 	}
-	return s.ExecuteTxn(ctx, stmts, paramsList)
+	return s.executeTxn(ctx, writes, paramsList)
 }
 
 // DatabaseBytes reports the total storage footprint (tables + indexes +

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unicode/utf8"
 
 	"synergy/internal/schema"
 	"synergy/internal/sim"
@@ -38,25 +39,6 @@ type walParam struct {
 	V string `json:"v"`
 }
 
-func encodeParams(params []schema.Value) ([]walParam, error) {
-	out := make([]walParam, len(params))
-	for i, p := range params {
-		switch x := p.(type) {
-		case int64:
-			out[i] = walParam{T: "i", V: strconv.FormatInt(x, 10)}
-		case float64:
-			out[i] = walParam{T: "f", V: strconv.FormatFloat(x, 'g', -1, 64)}
-		case string:
-			out[i] = walParam{T: "s", V: x}
-		case nil:
-			out[i] = walParam{T: "n"}
-		default:
-			return nil, fmt.Errorf("synergy: unsupported parameter type %T", p)
-		}
-	}
-	return out, nil
-}
-
 func decodeParams(ps []walParam) ([]schema.Value, error) {
 	out := make([]schema.Value, len(ps))
 	for i, p := range ps {
@@ -84,23 +66,116 @@ func decodeParams(ps []walParam) ([]schema.Value, error) {
 	return out, nil
 }
 
-// encodeStatements renders a transaction's statement records, one per line.
-func encodeStatements(txid int64, stmts []sqlparser.Statement, paramsList [][]schema.Value) ([]byte, error) {
-	var log []byte
-	for i, stmt := range stmts {
-		ps, err := encodeParams(paramsList[i])
-		if err != nil {
-			return nil, err
+// hex is the digits a JSON \u escape is written in.
+const hex = "0123456789abcdef"
+
+// appendJSONString appends src as a JSON string, escaped exactly as
+// encoding/json escapes it: quotes, backslashes and control bytes, the HTML
+// characters <, > and &, U+2028 and U+2029, and every invalid UTF-8 byte as
+// \ufffd. FuzzWALRecord holds it to json.Marshal.
+func appendJSONString(dst []byte, src string) []byte {
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(src); {
+		if b := src[i]; b < utf8.RuneSelf {
+			if b >= 0x20 && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, src[start:i]...)
+			switch b {
+			case '\\', '"':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
+			}
+			i++
+			start = i
+			continue
 		}
-		rec, err := json.Marshal(walRecord{TxID: txid, SQL: stmt.String(), Params: ps})
-		if err != nil {
-			return nil, err
+		c, size := utf8.DecodeRuneInString(src[i:])
+		if c == utf8.RuneError && size == 1 {
+			dst = append(dst, src[start:i]...)
+			dst = append(dst, `\ufffd`...)
+		} else if c == '\u2028' || c == '\u2029' {
+			dst = append(dst, src[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hex[c&0xF])
+		} else {
+			i += size
+			continue
 		}
-		log = append(log, rec...)
-		log = append(log, '\n')
+		i += size
+		start = i
 	}
-	return log, nil
+	dst = append(dst, src[start:]...)
+	return append(dst, '"')
 }
+
+// appendStatementRecord appends the WAL record of one statement and its
+// newline: byte for byte what json.Marshal makes of a walRecord with the
+// statement's text and parameters. sql arrives as a JSON string already
+// (appendJSONString; PreparedWrite keeps it so). A parameter of a type the
+// log cannot carry is an error.
+func appendStatementRecord(dst []byte, txid int64, sql []byte, params []schema.Value) ([]byte, error) {
+	dst = append(dst, `{"tx":`...)
+	dst = strconv.AppendInt(dst, txid, 10)
+	if len(sql) > len(`""`) { // omitempty
+		dst = append(dst, `,"sql":`...)
+		dst = append(dst, sql...)
+	}
+	for i, p := range params {
+		if i == 0 {
+			dst = append(dst, `,"params":[`...)
+		} else {
+			dst = append(dst, ',')
+		}
+		switch x := p.(type) {
+		case int64:
+			dst = append(dst, `{"t":"i","v":"`...)
+			dst = append(strconv.AppendInt(dst, x, 10), '"')
+		case float64:
+			dst = append(dst, `{"t":"f","v":"`...)
+			dst = append(strconv.AppendFloat(dst, x, 'g', -1, 64), '"')
+		case string:
+			dst = append(dst, `{"t":"s","v":`...)
+			dst = appendJSONString(dst, x)
+		case nil:
+			dst = append(dst, `{"t":"n","v":""`...)
+		default:
+			return dst, fmt.Errorf("synergy: unsupported parameter type %T", p)
+		}
+		dst = append(dst, '}')
+	}
+	if len(params) > 0 {
+		dst = append(dst, ']')
+	}
+	return append(dst, '}', '\n'), nil
+}
+
+// appendOutcomeRecord appends a transaction's commit record, or its abort
+// record, and its newline: what json.Marshal makes of the walRecord.
+func appendOutcomeRecord(dst []byte, txid int64, commit bool) []byte {
+	dst = append(dst, `{"tx":`...)
+	dst = strconv.AppendInt(dst, txid, 10)
+	if commit {
+		return append(dst, `,"commit":true}`+"\n"...)
+	}
+	return append(dst, `,"abort":true}`+"\n"...)
+}
+
+// walBufs recycles the buffers a transaction's statement records are
+// rendered into; the file system copies what it is handed.
+var walBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // Slave is one transaction-layer worker: it assigns transaction ids, logs
 // statements to its WAL in the distributed FS, and executes write
@@ -147,11 +222,13 @@ func (s *Slave) KillBeforeNextExec() { s.killBeforeExec.Store(true) }
 // transaction whose flush did not land gets an abort record here. Recovery
 // replays transactions with neither record as whole transactions.
 func (s *Slave) ExecuteTxn(ctx *sim.Ctx, stmts []sqlparser.Statement, paramsList [][]schema.Value) error {
-	txid, log, err := s.accept(ctx, stmts, paramsList)
+	return s.executeTxn(ctx, s.layer.sys.prepareWrites(stmts), paramsList)
+}
+
+// executeTxn is ExecuteTxn for prepared statements.
+func (s *Slave) executeTxn(ctx *sim.Ctx, writes []*PreparedWrite, paramsList [][]schema.Value) error {
+	txid, err := s.log(ctx, writes, paramsList, false)
 	if err != nil {
-		return err
-	}
-	if err := s.appendWAL(ctx, log, +1); err != nil {
 		return err
 	}
 
@@ -160,7 +237,7 @@ func (s *Slave) ExecuteTxn(ctx *sim.Ctx, stmts []sqlparser.Statement, paramsList
 		return fmt.Errorf("%w: %s crashed mid-transaction", ErrNoSlaves, s.ID)
 	}
 
-	landed, err := s.layer.sys.executeTxn(ctx, stmts, paramsList, loggedTxn{s, txid})
+	landed, err := s.layer.sys.executeTxn(ctx, writes, paramsList, loggedTxn{s, txid})
 	if err == nil || landed {
 		// The writes are durable and the commit wrote their record, even
 		// if a lock release then failed.
@@ -170,33 +247,48 @@ func (s *Slave) ExecuteTxn(ctx *sim.Ctx, stmts []sqlparser.Statement, paramsList
 	// that so recovery does not replay it. A failed abort record must
 	// surface — without it, recovery would re-execute (and possibly
 	// durably commit) a transaction the client was told failed.
-	if lerr := s.logOutcome(ctx, walRecord{TxID: txid, Abort: true}); lerr != nil {
+	if lerr := s.logOutcome(ctx, txid, false); lerr != nil {
 		return fmt.Errorf("%w (abort record not logged: %v)", err, lerr)
 	}
 	return err
 }
 
-// accept takes a transaction on a live slave: it charges the hop and renders
-// the statement records under a fresh transaction id. They travel in one WAL
-// append — one replication-pipeline round instead of one per statement — and
-// so stay contiguous even with concurrent transactions on the same slave.
-func (s *Slave) accept(ctx *sim.Ctx, stmts []sqlparser.Statement, paramsList [][]schema.Value) (int64, []byte, error) {
+// log takes a transaction on a live slave: it charges the hop and appends
+// the statement records under a fresh transaction id — followed, for a
+// transaction already committed, by its commit record — to the slave's WAL.
+// They travel in one append, one replication-pipeline round instead of one
+// per statement, and so stay contiguous even with concurrent transactions on
+// the same slave. The records are rendered by hand into a recycled buffer.
+func (s *Slave) log(ctx *sim.Ctx, writes []*PreparedWrite, paramsList [][]schema.Value, committed bool) (int64, error) {
 	if !s.alive.Load() {
-		return 0, nil, fmt.Errorf("%w: %s is down", ErrNoSlaves, s.ID)
+		return 0, fmt.Errorf("%w: %s is down", ErrNoSlaves, s.ID)
 	}
-	if len(stmts) != len(paramsList) {
-		return 0, nil, fmt.Errorf("synergy: %d statements, %d parameter lists", len(stmts), len(paramsList))
+	if len(writes) != len(paramsList) {
+		return 0, fmt.Errorf("synergy: %d statements, %d parameter lists", len(writes), len(paramsList))
 	}
 	ctx.Charge(s.layer.sys.Store.Costs().TxnLayerHop)
 	txid := s.seq.Add(1)
-	log, err := encodeStatements(txid, stmts, paramsList)
-	return txid, log, err
+	buf := walBufs.Get().(*[]byte)
+	defer walBufs.Put(buf)
+	log := (*buf)[:0]
+	var err error
+	for i, w := range writes {
+		if log, err = appendStatementRecord(log, txid, w.sql, paramsList[i]); err != nil {
+			return txid, err
+		}
+	}
+	opened := +1
+	if committed {
+		log, opened = appendOutcomeRecord(log, txid, true), 0
+	}
+	*buf = log
+	return txid, s.appendWAL(ctx, log, opened)
 }
 
-// logOutcome appends a commit/abort record.
-func (s *Slave) logOutcome(ctx *sim.Ctx, rec walRecord) error {
-	data, _ := json.Marshal(rec)
-	return s.appendWAL(ctx, append(data, '\n'), -1)
+// logOutcome appends a commit or an abort record.
+func (s *Slave) logOutcome(ctx *sim.Ctx, txid int64, commit bool) error {
+	var buf [48]byte
+	return s.appendWAL(ctx, appendOutcomeRecord(buf[:0], txid, commit), -1)
 }
 
 // walRollBytes is the WAL length past which a slave rolls its log.
@@ -307,18 +399,13 @@ func (l *TxnLayer) pickSlave() *Slave {
 // written at commit, binlog-style, beside the lock release (Tx.commit), and
 // recovery always finds the transaction finished. A rolled-back interactive
 // transaction logs nothing: its buffered writes never reached the store.
-func (l *TxnLayer) LogCommitted(ctx *sim.Ctx, stmts []sqlparser.Statement, paramsList [][]schema.Value) error {
+func (l *TxnLayer) LogCommitted(ctx *sim.Ctx, writes []*PreparedWrite, paramsList [][]schema.Value) error {
 	s := l.pickSlave()
 	if s == nil {
 		return ErrNoSlaves
 	}
-	txid, log, err := s.accept(ctx, stmts, paramsList)
-	if err != nil {
-		return err
-	}
-	rec, _ := json.Marshal(walRecord{TxID: txid, Commit: true})
-	log = append(log, rec...)
-	return s.appendWAL(ctx, append(log, '\n'), 0)
+	_, err := s.log(ctx, writes, paramsList, true)
+	return err
 }
 
 // DetectAndRecover is the master's failure-detection pass (§VIII): for each

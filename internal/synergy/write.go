@@ -31,6 +31,45 @@ type writeParts struct {
 	kind core.WriteKind
 }
 
+// PreparedWrite is a write statement compiled for one System: what running it
+// takes that no parameter changes — its shape (phoenix.WriteShape: the table,
+// the column of each value), its write plan (the lock chain and the views to
+// maintain, fixed once New has built the Design) and its text as its WAL
+// records carry it. Session.PrepareWrite builds one and Session.ExecPrepared
+// runs it; Session.Exec, System.ExecTxn and a slave's replay prepare each
+// statement per call, so every write runs this one path. A statement that does
+// not compile prepares all the same and fails where it binds, as it always
+// has: after the transaction layer logged it. It is immutable and may be run
+// by any session on the System.
+type PreparedWrite struct {
+	sys   *System
+	shape *phoenix.WriteShape
+	plan  *core.WritePlan // nil in a deployment without views
+	err   error           // why the statement does not compile
+	// sql is the statement's printed text as a JSON string (appendJSONString),
+	// in a deployment with a transaction layer to log it.
+	sql []byte
+}
+
+func (sys *System) prepareWrite(stmt sqlparser.Statement) *PreparedWrite {
+	pw := &PreparedWrite{sys: sys}
+	if sys.Txn != nil {
+		pw.sql = appendJSONString(nil, stmt.String())
+	}
+	if pw.shape, pw.err = sys.Engine.ShapeWrite(stmt); pw.err == nil && !sys.cfg.DisableViews {
+		pw.plan, pw.err = core.PlanWrite(sys.Design, stmt)
+	}
+	return pw
+}
+
+func (sys *System) prepareWrites(stmts []sqlparser.Statement) []*PreparedWrite {
+	writes := make([]*PreparedWrite, len(stmts))
+	for i, stmt := range stmts {
+		writes[i] = sys.prepareWrite(stmt)
+	}
+	return writes
+}
+
 // Tx is the write-pipeline state of one in-flight transaction; whatever
 // differs by concurrency mechanism it asks its control (ctl). A transaction
 // owns one BufferedMutator for its whole lifetime: every statement emits
@@ -57,8 +96,8 @@ type Tx struct {
 	// no read set.
 	ctl txnControl
 
-	locks   []lockRef
-	lockSet map[lockRef]struct{}
+	// locks are the root locks the transaction holds, in the order taken.
+	locks []lockRef
 	// deferred are fresh-root-insert lock entries riding the commit flush
 	// as conditional batch entries instead of being self-acquired (see
 	// LockManager.EnsureEntryDeferred). While a ref is deferred the root
@@ -135,11 +174,16 @@ func (tx *Tx) locking() bool { return tx.ctl != nil && tx.ctl.locks() }
 // transaction buffer and must not survive. Each statement first passes the
 // mechanism's statement boundary (MVCC checkpoints before all but the first).
 func (tx *Tx) Exec(ctx *sim.Ctx, stmt sqlparser.Statement, params []schema.Value) error {
+	return tx.exec(ctx, tx.sys.prepareWrite(stmt), params)
+}
+
+// exec is Exec for a prepared statement.
+func (tx *Tx) exec(ctx *sim.Ctx, pw *PreparedWrite, params []schema.Value) error {
 	if tx.done {
 		return fmt.Errorf("synergy: transaction already finished")
 	}
 	tx.ctl.statement(ctx, tx)
-	return tx.sys.executeWriteBody(ctx, tx, stmt, params)
+	return tx.sys.executeWriteBody(ctx, tx, pw, params)
 }
 
 // Query runs a SELECT inside the transaction at the deployment's configured
@@ -185,14 +229,14 @@ func (tx *Tx) Commit(ctx *sim.Ctx) error {
 
 // commit is Commit that, once the commit flush has succeeded, also writes the
 // transaction layer's record of the transaction: the commit record of one a
-// slave logged before running it (tx.logged), or else stmts with their params
-// and a commit record (LogCommitted), when the deployment has a layer and
-// stmts is not empty. One sequence serves every mechanism: deferred lock
+// slave logged before running it (tx.logged), or else writes with their
+// params and a commit record (LogCommitted), when the deployment has a layer
+// and writes is not empty. One sequence serves every mechanism: deferred lock
 // entries, beforeFlush, flush, afterFlush, publish, then the lock release
 // beside the record — each on a branch of ctx, so the request pays the longer
 // — and the record is written even if a release fails, since the writes it
 // records are durable.
-func (tx *Tx) commit(ctx *sim.Ctx, stmts []sqlparser.Statement, params [][]schema.Value) error {
+func (tx *Tx) commit(ctx *sim.Ctx, writes []*PreparedWrite, params [][]schema.Value) error {
 	if tx.done {
 		return fmt.Errorf("synergy: transaction already finished")
 	}
@@ -238,9 +282,9 @@ func (tx *Tx) commit(ctx *sim.Ctx, stmts []sqlparser.Statement, params [][]schem
 	var lerr error
 	switch {
 	case tx.logged.slave != nil:
-		lerr = tx.logged.slave.logOutcome(&tx.logCtx, walRecord{TxID: tx.logged.txid, Commit: true})
-	case sys.Txn != nil && len(stmts) > 0:
-		lerr = sys.Txn.LogCommitted(&tx.logCtx, stmts, params)
+		lerr = tx.logged.slave.logOutcome(&tx.logCtx, tx.logged.txid, true)
+	case sys.Txn != nil && len(writes) > 0:
+		lerr = sys.Txn.LogCommitted(&tx.logCtx, writes, params)
 	default:
 		return tx.releaseLocks(ctx)
 	}
@@ -294,7 +338,7 @@ func (tx *Tx) Abort(ctx *sim.Ctx) error {
 // Abort; re-acquisition of a lock the transaction already holds is free.
 func (tx *Tx) acquireLock(ctx *sim.Ctx, root, key string) error {
 	ref := lockRef{root, key}
-	if _, held := tx.lockSet[ref]; held {
+	if tx.holds(ref) {
 		return nil
 	}
 	// A ref this transaction deferred has a known-absent entry (the
@@ -307,13 +351,13 @@ func (tx *Tx) acquireLock(ctx *sim.Ctx, root, key string) error {
 	if err := acquire(ctx, root, key); err != nil {
 		return err
 	}
-	if tx.lockSet == nil {
-		tx.lockSet = map[lockRef]struct{}{}
-	}
-	tx.lockSet[ref] = struct{}{}
 	tx.locks = append(tx.locks, ref)
 	return nil
 }
+
+// holds reports whether the transaction holds the lock ref. A transaction
+// holds a few locks, so they are searched, not indexed.
+func (tx *Tx) holds(ref lockRef) bool { return slices.Contains(tx.locks, ref) }
 
 // promoteDeferred converts every deferred lock entry into a held lock —
 // called before the first phase barrier of a marked update, which would
@@ -342,7 +386,7 @@ func (tx *Tx) releaseLocks(ctx *sim.Ctx) error {
 	// Deferred entries were never held: on commit the flush just created
 	// them free; on abort the discarded buffer never created them.
 	locks := tx.locks
-	tx.locks, tx.lockSet, tx.deferred = nil, nil, nil
+	tx.locks, tx.deferred = nil, nil
 	if len(locks) == 0 {
 		return nil
 	}
@@ -429,7 +473,7 @@ const occMaxRetries = 12
 // through executeTxn after WAL-logging them; use System.ExecTxn to route
 // through it.
 func (sys *System) ExecuteTxn(ctx *sim.Ctx, stmts []sqlparser.Statement, paramsList [][]schema.Value) error {
-	_, err := sys.executeTxn(ctx, stmts, paramsList, loggedTxn{})
+	_, err := sys.executeTxn(ctx, sys.prepareWrites(stmts), paramsList, loggedTxn{})
 	return err
 }
 
@@ -437,13 +481,13 @@ func (sys *System) ExecuteTxn(ctx *sim.Ctx, stmts []sqlparser.Statement, paramsL
 // writes the commit record beside the lock release. landed reports that the
 // commit flush published the writes, which are then durable whatever err
 // says.
-func (sys *System) executeTxn(ctx *sim.Ctx, stmts []sqlparser.Statement, paramsList [][]schema.Value, logged loggedTxn) (landed bool, err error) {
-	if len(stmts) != len(paramsList) {
-		return false, fmt.Errorf("synergy: %d statements, %d parameter lists", len(stmts), len(paramsList))
+func (sys *System) executeTxn(ctx *sim.Ctx, writes []*PreparedWrite, paramsList [][]schema.Value, logged loggedTxn) (landed bool, err error) {
+	if len(writes) != len(paramsList) {
+		return false, fmt.Errorf("synergy: %d statements, %d parameter lists", len(writes), len(paramsList))
 	}
 	for attempt := 1; ; attempt++ {
 		last := attempt == occMaxRetries
-		landed, err = sys.executeTxnOnce(ctx, stmts, paramsList, last, logged)
+		landed, err = sys.executeTxnOnce(ctx, writes, paramsList, last, logged)
 		if last || !sys.cc.retries(err) {
 			return landed, err
 		}
@@ -453,14 +497,14 @@ func (sys *System) executeTxn(ctx *sim.Ctx, stmts []sqlparser.Statement, paramsL
 }
 
 // executeTxnOnce runs one attempt of the transaction (see executeTxn).
-func (sys *System) executeTxnOnce(ctx *sim.Ctx, stmts []sqlparser.Statement, paramsList [][]schema.Value, exclusive bool, logged loggedTxn) (landed bool, err error) {
+func (sys *System) executeTxnOnce(ctx *sim.Ctx, writes []*PreparedWrite, paramsList [][]schema.Value, exclusive bool, logged loggedTxn) (landed bool, err error) {
 	tx := sys.beginTx(ctx, exclusive)
 	tx.logged = logged
 	if sys.postBegin != nil {
 		sys.postBegin(tx)
 	}
-	for i, stmt := range stmts {
-		if err := tx.Exec(ctx, stmt, paramsList[i]); err != nil {
+	for i, pw := range writes {
+		if err := tx.exec(ctx, pw, paramsList[i]); err != nil {
 			// A failed abort (un-mark or lock release) must surface too:
 			// it leaves rows dirty or locked, which the operator needs to
 			// know about far more than the statement error alone.
@@ -476,9 +520,12 @@ func (sys *System) executeTxnOnce(ctx *sim.Ctx, stmts []sqlparser.Statement, par
 
 // executeWriteBody is one statement inside tx: the base write, then the
 // maintenance of every view the statement's plan names, in one pass.
-func (sys *System) executeWriteBody(ctx *sim.Ctx, tx *Tx, stmt sqlparser.Statement, params []schema.Value) error {
+func (sys *System) executeWriteBody(ctx *sim.Ctx, tx *Tx, pw *PreparedWrite, params []schema.Value) error {
 	opts := tx.opts
-	w, err := sys.Engine.BindWrite(stmt, params)
+	if pw.shape == nil {
+		return pw.err
+	}
+	w, err := pw.shape.Bind(params)
 	if err != nil {
 		return err
 	}
@@ -486,9 +533,9 @@ func (sys *System) executeWriteBody(ctx *sim.Ctx, tx *Tx, stmt sqlparser.Stateme
 		// Baseline deployment: plain Phoenix write.
 		return sys.Engine.ExecWrite(ctx, w, opts)
 	}
-	plan, err := core.PlanWrite(sys.Design, stmt)
-	if err != nil {
-		return err
+	plan := pw.plan
+	if plan == nil {
+		return pw.err
 	}
 	parts := writeParts{Write: w, kind: plan.Kind}
 
@@ -527,7 +574,7 @@ func (sys *System) executeWriteBody(ctx *sim.Ctx, tx *Tx, stmt sqlparser.Stateme
 		}
 		deferEntry := !tx.eager && parts.kind == core.WriteInsert && plan.Root == plan.Table
 		if rootKey != "" && !deferEntry {
-			if _, held := tx.lockSet[lockRef{plan.Root, rootKey}]; !held {
+			if !tx.holds(lockRef{plan.Root, rootKey}) {
 				if err := tx.acquireLock(ctx, plan.Root, rootKey); err != nil {
 					return err
 				}
@@ -563,7 +610,7 @@ func (sys *System) executeWriteBody(ctx *sim.Ctx, tx *Tx, stmt sqlparser.Stateme
 	// own key), so its ref is always held here.
 	if tx.locking() && parts.kind == core.WriteInsert && sys.isRoot(plan.Table) {
 		ref := lockRef{plan.Table, w.Key}
-		if _, held := tx.lockSet[ref]; !held && !slices.Contains(tx.deferred, ref) {
+		if !tx.holds(ref) && !slices.Contains(tx.deferred, ref) {
 			tx.deferred = append(tx.deferred, ref)
 		}
 	}
@@ -684,10 +731,39 @@ type viewRow struct {
 	cells []hbase.Cell
 }
 
-// viewRows is one view's share of an update: the view and its located rows.
+// viewRows is one view's share of an update: the view, its located rows and
+// the keys of their index entries — row by row, one key per index of the view
+// in its order, cut from one string (indexKeys). Each key is computed once
+// for the statement, where the mark, the update and the un-mark all need it.
 type viewRows struct {
 	info *phoenix.TableInfo
 	rows []viewRow
+	keys []string
+}
+
+// indexKeys keys the index entries of rows in info's indexes.
+func indexKeys(info *phoenix.TableInfo, rows []viewRow) []string {
+	n := len(info.Indexes)
+	if n == 0 {
+		return nil
+	}
+	var kbuf [64]byte
+	var bufArr [512]byte
+	var endsArr [32]int
+	buf, ends := bufArr[:0], endsArr[:0]
+	for _, tg := range rows {
+		for _, idx := range info.Indexes {
+			// A key is built alone: one appended to a non-empty buffer
+			// would open with a separator.
+			buf = append(buf, phoenix.AppendIndexKey(kbuf[:0], info, idx, tg.cells)...)
+			ends = append(ends, len(buf))
+		}
+	}
+	all, keys := string(buf), make([]string, len(ends))
+	for i, start := 0, 0; i < len(ends); start, i = ends[i], i+1 {
+		keys[i] = all[start:ends[i]]
+	}
+	return keys
 }
 
 // maintainUpdate applies a base-table update to the views of actions. Under
@@ -736,11 +812,10 @@ func (sys *System) maintainUpdate(ctx *sim.Ctx, tx *Tx, actions []core.ViewActio
 	// flush. The transaction records flushed marks so an abort can un-mark
 	// them.
 	batch := sys.Engine.NewWriteBatch(opts)
-	var kbuf, nbuf [64]byte
-	// markAll emits one phase of marks and barriers it. The dirty-on phase
-	// records the marked rows on the transaction (reusing the index keys
-	// it already computes) so an abort can un-mark them; the un-mark phase
-	// has nothing to record.
+	// markAll emits one phase of marks and barriers it: a mark on every view
+	// row and covered view-index entry, keyed by v.keys. The dirty-on phase
+	// records the marked rows on the transaction so an abort can un-mark them;
+	// the un-mark phase has nothing to record.
 	markAll := func(value []byte, record bool) error {
 		var refs []markRef
 		if record {
@@ -748,18 +823,19 @@ func (sys *System) maintainUpdate(ctx *sim.Ctx, tx *Tx, actions []core.ViewActio
 		}
 		markCell := []hbase.Cell{{Qualifier: phoenix.DirtyQualifier, Value: value, TS: opts.TS}}
 		for _, v := range views {
-			for _, tg := range v.rows {
+			n := len(v.info.Indexes)
+			for ti, tg := range v.rows {
 				if err := batch.PutQuiet(ctx, v.info.Name, tg.key, markCell); err != nil {
 					return err
 				}
 				if record {
 					refs = append(refs, markRef{v.info.Name, tg.key})
 				}
-				for _, idx := range v.info.Indexes {
+				for ii, idx := range v.info.Indexes {
 					if idx.KeyOnly {
 						continue
 					}
-					ikey := string(phoenix.AppendIndexKey(kbuf[:0], v.info, idx, tg.cells))
+					ikey := v.keys[ti*n+ii]
 					if err := batch.PutQuiet(ctx, idx.Name, ikey, markCell); err != nil {
 						return err
 					}
@@ -790,61 +866,65 @@ func (sys *System) maintainUpdate(ctx *sim.Ctx, tx *Tx, actions []core.ViewActio
 	}
 
 	// Step 4: issue the updates as one batch. Index keys may move with the
-	// update, so the marked set is re-recorded from the keys this loop
-	// computes — after the barrier an abort must un-mark the rows that are
-	// actually marked now.
+	// update: a moved entry's key replaces the located one in v.keys, so the
+	// un-mark finds the entry where the update left it, and the marked set is
+	// re-recorded from those keys — after the barrier an abort must un-mark
+	// the rows that are actually marked now.
 	var updatedRefs []markRef
 	if mark {
 		updatedRefs = make([]markRef, 0, len(tx.marks))
 	}
 	assign := phoenix.StampCells(parts.Cells, opts.TS)
+	var updated []hbase.Cell // a located row under the assignment, one row at a time
+	var nbuf [64]byte
 	for _, v := range views {
 		viewInfo := v.info
-		for ti := range v.rows {
-			tg := &v.rows[ti]
+		n := len(viewInfo.Indexes)
+		for ti, tg := range v.rows {
 			if err := batch.Put(ctx, viewInfo.Name, tg.key, assign); err != nil {
 				return err
 			}
 			if mark {
 				updatedRefs = append(updatedRefs, markRef{viewInfo.Name, tg.key})
 			}
-			if len(viewInfo.Indexes) == 0 {
+			if n == 0 {
 				continue
 			}
-			updated := phoenix.StampCells(phoenix.MergeCells(make([]hbase.Cell, 0, len(tg.cells)+len(assign)), tg.cells, assign), opts.TS)
-			for _, idx := range viewInfo.Indexes {
-				oldKey := phoenix.AppendIndexKey(kbuf[:0], viewInfo, idx, tg.cells)
-				newKey := string(phoenix.AppendIndexKey(nbuf[:0], viewInfo, idx, updated))
-				if mark && !idx.KeyOnly {
-					updatedRefs = append(updatedRefs, markRef{idx.Name, newKey})
-				}
-				if string(oldKey) != newKey {
+			updated = phoenix.StampCells(phoenix.MergeCells(updated[:0], tg.cells, assign), opts.TS)
+			keys := v.keys[ti*n : (ti+1)*n]
+			for ii, idx := range viewInfo.Indexes {
+				oldKey := keys[ii]
+				if newKey := phoenix.AppendIndexKey(nbuf[:0], viewInfo, idx, updated); string(newKey) != oldKey {
+					keys[ii] = string(newKey)
 					// The old entry's tombstone is a real write: it must be in
 					// the transaction's write set (phoenix.UpdateRow notifies
 					// its moved base-index deletes the same way), or OCC
 					// validation would admit a transaction that scanned the old
 					// key's range as conflict-free.
-					if err := batch.Delete(ctx, idx.Name, string(oldKey), opts.TS); err != nil {
+					if err := batch.Delete(ctx, idx.Name, oldKey, opts.TS); err != nil {
 						return err
 					}
 					cells := phoenix.IndexCells(viewInfo, idx, updated)
-					if mark && !idx.KeyOnly {
-						// A copy: updated is every covered entry's cells.
-						cells = append(slices.Clip(cells), hbase.Cell{Qualifier: phoenix.DirtyQualifier, Value: dirtyOn, TS: opts.TS})
+					if !idx.KeyOnly {
+						// A covered entry's cells are the row's: a copy, for
+						// updated is the next row's scratch.
+						cells = append(make([]hbase.Cell, 0, len(updated)+1), updated...)
+						if mark {
+							cells = append(cells, hbase.Cell{Qualifier: phoenix.DirtyQualifier, Value: dirtyOn, TS: opts.TS})
+						}
 					}
-					if err := batch.Put(ctx, idx.Name, newKey, cells); err != nil {
+					if err := batch.Put(ctx, idx.Name, keys[ii], cells); err != nil {
 						return err
 					}
-					continue
+				} else if phoenix.IndexTouched(viewInfo, idx, assign) {
+					if err := batch.Put(ctx, idx.Name, oldKey, assign); err != nil {
+						return err
+					}
 				}
-				if !phoenix.IndexTouched(viewInfo, idx, assign) {
-					continue
-				}
-				if err := batch.Put(ctx, idx.Name, newKey, assign); err != nil {
-					return err
+				if mark && !idx.KeyOnly {
+					updatedRefs = append(updatedRefs, markRef{idx.Name, keys[ii]})
 				}
 			}
-			tg.cells = updated
 		}
 	}
 	if !mark {
@@ -909,7 +989,7 @@ func (sys *System) locateAll(ctx *sim.Ctx, tx *Tx, actions []core.ViewAction, pa
 			break
 		}
 		if len(rows) > 0 {
-			views = append(views, viewRows{info, rows})
+			views = append(views, viewRows{info, rows, indexKeys(info, rows)})
 		}
 	}
 	if forks != nil {
