@@ -3,8 +3,8 @@ package server
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"math"
 	"net"
 	"strconv"
 
@@ -29,12 +29,31 @@ func (e *MySQLError) Error() string {
 type Client struct {
 	nc net.Conn
 	pc *packetConn
+	// out is the one scratch every command is built in: COM_QUERY,
+	// COM_STMT_PREPARE, COM_STMT_EXECUTE (header, NULL bitmap, types and
+	// values), COM_STMT_CLOSE. pc's buffered writer copies it out, so it is
+	// free again once the command is sent.
+	out []byte
 	// pkt is the one packet scratch every response is read through — a
 	// response's leading packet, its column definitions, its rows — and defs
 	// gathers a result-set header's definitions, each behind its length. One
-	// response is in flight per connection, so neither is ever shared.
+	// response is in flight per connection, so neither is ever shared. A
+	// payload aliases pkt until the next packet is read; whatever outlives
+	// it is copied out by its decoder: column names, values, error text.
 	pkt, defs []byte
+	// rows is the one result set in flight, handed out by every QueryStream:
+	// a *ClientRows is valid until the next command on its Client, and no
+	// command but COM_QUIT goes out while it has rows unread (command).
+	rows ClientRows
+	// text is the header of the last text-protocol result set, reused by the
+	// next one that describes the same columns, as a ClientStmt reuses last.
+	text header
 }
+
+// errRowsOpen refuses a command sent while a result set is still streaming:
+// the server answers commands in order, so the command's response would
+// queue behind the unread rows.
+var errRowsOpen = errors.New("server: a result set is still streaming on this connection; read it to the end or Close it before the next command")
 
 // Dial connects and handshakes. Network "inproc" dials a named in-process
 // listener; anything else goes through net.Dial. The db name selects the
@@ -61,7 +80,7 @@ func Dial(network, addr, user, db string) (*Client, error) {
 // NewClient handshakes over an established conn.
 func NewClient(nc net.Conn, user, db string) (*Client, error) {
 	c := &Client{nc: nc, pc: newPacketConn(nc)}
-	greeting, err := c.pc.readPacket()
+	greeting, err := c.readPacket()
 	if err != nil {
 		return nil, err
 	}
@@ -80,7 +99,7 @@ func NewClient(nc net.Conn, user, db string) (*Client, error) {
 	if err := c.pc.flush(); err != nil {
 		return nil, err
 	}
-	ok, err := c.pc.readPacket()
+	ok, err := c.readPacket()
 	if err != nil {
 		return nil, err
 	}
@@ -111,24 +130,30 @@ func handshakeResponse(user, db string) []byte {
 	return b
 }
 
-// Close sends COM_QUIT and closes the conn.
+// Close sends COM_QUIT and closes the conn. It may be called with a result
+// set still streaming.
 func (c *Client) Close() error {
-	c.pc.resetSeq()
-	c.pc.writePacket([]byte{comQuit})
-	c.pc.flush()
+	c.command(append(c.out[:0], comQuit))
 	return c.nc.Close()
 }
 
 // Ping round-trips COM_PING.
 func (c *Client) Ping() error {
-	if err := c.command([]byte{comPing}); err != nil {
+	if err := c.command(append(c.out[:0], comPing)); err != nil {
 		return err
 	}
-	_, _, err := c.readResult(false, nil)
+	_, _, err := c.readResult(false, &c.text)
 	return err
 }
 
+// command sends one command payload, built in c.out. Every command but
+// COM_QUIT is refused while a result set is streaming, and the rows stay
+// readable.
 func (c *Client) command(payload []byte) error {
+	if c.rows.streaming() && payload[0] != comQuit {
+		return errRowsOpen
+	}
+	c.out = payload
 	c.pc.resetSeq()
 	if err := c.pc.writePacket(payload); err != nil {
 		return err
@@ -136,23 +161,29 @@ func (c *Client) command(payload []byte) error {
 	return c.pc.flush()
 }
 
+// sendSQL sends a command whose payload is its SQL text (COM_QUERY,
+// COM_STMT_PREPARE).
+func (c *Client) sendSQL(cmd byte, sql string) error {
+	return c.command(append(append(c.out[:0], cmd), sql...))
+}
+
 // Exec runs a statement expected to return OK (writes, BEGIN/COMMIT/SET...).
 // A result set response is drained and discarded.
 func (c *Client) Exec(sql string) error {
-	if err := c.command(append([]byte{comQuery}, sql...)); err != nil {
+	if err := c.sendSQL(comQuery, sql); err != nil {
 		return err
 	}
-	_, _, err := c.readResult(false, nil)
+	_, _, err := c.readResult(false, &c.text)
 	return err
 }
 
 // Query runs a SELECT over the text protocol, decoding the rows into typed
 // values by column wire type.
 func (c *Client) Query(sql string) (*phoenix.ResultSet, error) {
-	if err := c.command(append([]byte{comQuery}, sql...)); err != nil {
+	if err := c.sendSQL(comQuery, sql); err != nil {
 		return nil, err
 	}
-	rs, _, err := c.readResult(false, nil)
+	rs, _, err := c.readResult(false, &c.text)
 	if err != nil {
 		return nil, err
 	}
@@ -167,10 +198,10 @@ func (c *Client) Query(sql string) (*phoenix.ResultSet, error) {
 // reused buffer, so client memory stays constant in the result size and the
 // first row is available before the server finished its scan.
 func (c *Client) QueryStream(sql string) (*ClientRows, error) {
-	if err := c.command(append([]byte{comQuery}, sql...)); err != nil {
+	if err := c.sendSQL(comQuery, sql); err != nil {
 		return nil, err
 	}
-	rows, _, err := c.readResponse(false, nil)
+	rows, _, err := c.readResponse(false, &c.text)
 	if err != nil {
 		return nil, err
 	}
@@ -236,10 +267,10 @@ type header struct {
 
 // Prepare sends COM_STMT_PREPARE.
 func (c *Client) Prepare(sql string) (*ClientStmt, error) {
-	if err := c.command(append([]byte{comStmtPrepare}, sql...)); err != nil {
+	if err := c.sendSQL(comStmtPrepare, sql); err != nil {
 		return nil, err
 	}
-	p, err := c.pc.readPacket()
+	p, err := c.readPacket()
 	if err != nil {
 		return nil, err
 	}
@@ -282,43 +313,9 @@ func (s *ClientStmt) execute(args []schema.Value) error {
 	if len(args) != s.numParams {
 		return fmt.Errorf("server: statement wants %d args, got %d", s.numParams, len(args))
 	}
-	b := []byte{comStmtExecute}
-	b = binary.LittleEndian.AppendUint32(b, s.id)
-	b = append(b, 0x00)                        // flags
-	b = binary.LittleEndian.AppendUint32(b, 1) // iteration count
-	if s.numParams > 0 {
-		bitmap := make([]byte, (s.numParams+7)/8)
-		for i, a := range args {
-			if a == nil {
-				bitmap[i/8] |= 1 << (i % 8)
-			}
-		}
-		b = append(b, bitmap...)
-		b = append(b, 1) // new params bound
-		for _, a := range args {
-			switch a.(type) {
-			case nil:
-				b = append(b, typeNull, 0)
-			case int64:
-				b = append(b, typeLonglong, 0)
-			case float64:
-				b = append(b, typeDouble, 0)
-			case string:
-				b = append(b, typeVarString, 0)
-			default:
-				return fmt.Errorf("server: unsupported arg type %T", a)
-			}
-		}
-		for _, a := range args {
-			switch x := a.(type) {
-			case int64:
-				b = binary.LittleEndian.AppendUint64(b, uint64(x))
-			case float64:
-				b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
-			case string:
-				b = appendLencString(b, x)
-			}
-		}
+	b, err := appendExecute(s.c.out[:0], s.id, args)
+	if err != nil {
+		return err
 	}
 	return s.c.command(b)
 }
@@ -363,15 +360,18 @@ func (s *ClientStmt) QueryStream(args ...schema.Value) (*ClientRows, error) {
 	return rows, nil
 }
 
-// Close frees the server-side statement (COM_STMT_CLOSE, no response).
+// Close frees the server-side statement (COM_STMT_CLOSE, no response). One
+// refused while a result set is streaming leaves the statement open.
 func (s *ClientStmt) Close() error {
 	if s.closed {
 		return nil
 	}
+	b := binary.LittleEndian.AppendUint32(append(s.c.out[:0], comStmtClose), s.id)
+	if err := s.c.command(b); err != nil {
+		return err
+	}
 	s.closed = true
-	b := []byte{comStmtClose}
-	b = binary.LittleEndian.AppendUint32(b, s.id)
-	return s.c.command(b)
+	return nil
 }
 
 // --------------------------------------------------------------------------
@@ -419,8 +419,10 @@ func (c *Client) readResult(binaryRows bool, last *header) (*phoenix.ResultSet, 
 // readResponse consumes a command response's leading packets: (nil,
 // affected, nil) for OK, an error for ERR, and for a result-set header a
 // ClientRows positioned before the first row (column definitions and their
-// EOF consumed). Every packet is read through the connection's scratch. A
-// prepared statement passes the header of its last result set (readDefs).
+// EOF consumed) — the Client's own, c.rows. Every packet is read through the
+// connection's scratch. last is the header of the previous result set of the
+// same kind: a prepared statement's own, or the Client's text header
+// (readDefs).
 func (c *Client) readResponse(binaryRows bool, last *header) (*ClientRows, uint64, error) {
 	p, err := c.readPacket()
 	if err != nil {
@@ -445,13 +447,15 @@ func (c *Client) readResponse(binaryRows bool, last *header) (*ClientRows, uint6
 	if err != nil {
 		return nil, 0, err
 	}
-	if last == nil {
-		last = &header{}
-	}
 	if err := c.readDefs(int(ncols), last); err != nil {
 		return nil, 0, err
 	}
-	return &ClientRows{c: c, names: last.names, types: last.types, binary: binaryRows}, 0, nil
+	vals := c.rows.vals
+	if cap(vals) < len(last.names) {
+		vals = make([]schema.Value, len(last.names))
+	}
+	c.rows = ClientRows{c: c, names: last.names, types: last.types, binary: binaryRows, vals: vals[:len(last.names)]}
+	return &c.rows, 0, nil
 }
 
 // readDefs reads ncols column definitions and their EOF into last. When they
@@ -500,7 +504,9 @@ func (c *Client) readPacket() ([]byte, error) {
 // ClientRows is an in-flight result set read row packet by row packet. The
 // caller must Close it (or drain it with Next) before issuing the next
 // command on the connection — the protocol has no way to abort a result set
-// mid-stream short of closing the connection.
+// mid-stream short of closing the connection — and until then the Client
+// refuses every other command. It is the Client's own: the next result set
+// reuses it, so a *ClientRows is valid until the next command.
 type ClientRows struct {
 	c      *Client
 	names  []string
@@ -511,6 +517,9 @@ type ClientRows struct {
 	err    error
 	done   bool
 }
+
+// streaming reports whether the result set has row packets still unread.
+func (r *ClientRows) streaming() bool { return r.c != nil && !r.done }
 
 // Columns lists the result's column names in order.
 func (r *ClientRows) Columns() []string { return r.names }
@@ -545,9 +554,6 @@ func (r *ClientRows) Next() bool {
 // connection: the remaining row packets are read off the wire first, so the
 // next command starts on a response boundary.
 func (r *ClientRows) Values() ([]schema.Value, error) {
-	if r.vals == nil {
-		r.vals = make([]schema.Value, len(r.names))
-	}
 	var err error
 	if r.binary {
 		err = decodeBinaryRowVals(r.buf, r.types, r.vals)

@@ -165,7 +165,7 @@ func fakeServer(t *testing.T, l *InprocListener, reply func(cmd []byte) [][]byte
 	if !send([]byte{0x0a, 'f', 'a', 'k', 'e', 0}) {
 		return
 	}
-	if _, err := pc.readPacket(); err != nil {
+	if _, err := pc.readPacketInto(nil); err != nil {
 		return
 	}
 	if !send(appendOK(nil, 0, statusAutocommit, "")) {
@@ -173,7 +173,7 @@ func fakeServer(t *testing.T, l *InprocListener, reply func(cmd []byte) [][]byte
 	}
 	for {
 		pc.resetSeq()
-		cmd, err := pc.readPacket()
+		cmd, err := pc.readPacketInto(nil)
 		if err != nil || cmd[0] == comQuit || !send(reply(cmd)...) {
 			return
 		}

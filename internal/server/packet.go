@@ -35,13 +35,9 @@ func newPacketConn(c net.Conn) *packetConn {
 // resetSeq starts a new command exchange.
 func (p *packetConn) resetSeq() { p.seq = 0 }
 
-// readPacket reads one logical packet, joining continuation packets.
-func (p *packetConn) readPacket() ([]byte, error) {
-	return p.readPacketInto(nil)
-}
-
-// readPacketInto is readPacket reusing buf's capacity when it suffices, so a
-// row-streaming loop reads every packet into one scratch slice. The returned
+// readPacketInto reads one logical packet, joining continuation packets,
+// into buf's capacity when it suffices: each side of a connection reads every
+// packet into its own scratch slice (conn.in, Client.pkt). The returned
 // payload aliases buf (possibly regrown); it is valid only until the next
 // readPacketInto with the same buffer.
 func (p *packetConn) readPacketInto(buf []byte) ([]byte, error) {

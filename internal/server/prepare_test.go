@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"synergy/internal/schema"
+	"synergy/internal/sim"
 	"synergy/internal/synergy"
 	"synergy/internal/tpcw"
 )
@@ -134,4 +136,80 @@ func TestPreparedSurvivesBackendSwitch(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPreparedParamsSurviveTxn runs one prepared INSERT twice inside
+// BEGIN…COMMIT, on every backend, and reads both rows back after COMMIT — and,
+// where the deployment has a transaction layer, both statements' parameters
+// from the WAL record COMMIT wrote. An open transaction keeps every
+// statement's params until it commits, so the second execute must not write
+// the first one's: not its parameter slice, and not the bytes of its string
+// parameters. The ints are above 255 (Go boxes smaller ones without
+// allocating), and the second string is the longer while both EXECUTE packets
+// are shorter than the PREPARE's, so a string left in the connection's input
+// buffer would be overwritten by the second packet.
+func TestPreparedParamsSurviveTxn(t *testing.T) {
+	env := startServer(t, Config{})
+	for i, mode := range []string{"hier", "mvcc", "occ"} {
+		t.Run(mode, func(t *testing.T) {
+			c := env.dial(t, mode)
+			st, err := c.Prepare("INSERT INTO Root (RID, RVal) VALUES (?, ?)")
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows := []struct {
+				rid int64
+				val string
+			}{
+				{int64(1000 + 10*i), "v1-" + mode},
+				{int64(1001 + 10*i), "v2-" + mode + "-long"},
+			}
+			if err := c.Begin(); err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range rows {
+				if err := st.Exec(r.rid, r.val); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := c.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			read, err := c.Prepare("SELECT RVal FROM Root WHERE RID = ?")
+			if err != nil {
+				t.Fatal(err)
+			}
+			wal := walText(t, env.systems[mode])
+			for _, r := range rows {
+				rs, err := read.Query(r.rid)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(rs.Rows) != 1 || rs.Rows[0]["RVal"] != r.val {
+					t.Fatalf("RID %d after COMMIT: %v, want RVal %q", r.rid, rs.Rows, r.val)
+				}
+				logged := fmt.Sprintf(`"params":[{"t":"i","v":"%d"},{"t":"s","v":%q}]`, r.rid, r.val)
+				if env.systems[mode].Txn != nil && !strings.Contains(wal, logged) {
+					t.Fatalf("the WAL holds no statement with %s:\n%s", logged, wal)
+				}
+			}
+		})
+	}
+}
+
+// walText is every transaction-layer slave's WAL of sys, concatenated.
+func walText(t *testing.T, sys *synergy.System) string {
+	t.Helper()
+	if sys.Txn == nil {
+		return ""
+	}
+	var b strings.Builder
+	for _, s := range sys.Txn.Slaves() {
+		data, err := sys.FS.ReadAll(sim.NewCtx(), "/synergy/wal/"+s.ID+".log")
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Write(data)
+	}
+	return b.String()
 }

@@ -16,12 +16,52 @@ import (
 // allocations stay near-constant as the table grows (TestStreamedScanAllocsFlat
 // holds them to it).
 
-var benchScanSeq atomic.Int64
+var tableSeq atomic.Int64
 
+// serveTable serves one hierarchical deployment of rel, loaded with rows,
+// over an in-process listener, and returns its address.
+func serveTable(tb testing.TB, rel *schema.Relation, rows []schema.Row) (addr string) {
+	tb.Helper()
+	s := schema.New()
+	s.AddRelation(rel)
+	if err := s.Validate(); err != nil {
+		tb.Fatal(err)
+	}
+	sys, err := synergy.New(s, []string{rel.Name}, nil, synergy.Config{Concurrency: synergy.Hierarchical})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := sys.LoadBase(rel.Name, rows); err != nil {
+		tb.Fatal(err)
+	}
+	if err := sys.BuildViews(); err != nil {
+		tb.Fatal(err)
+	}
+	srv, err := New(Config{Backends: []Backend{{Name: "synergy", System: sys}}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	addr = fmt.Sprintf("table-%d", tableSeq.Add(1))
+	l, err := ListenInproc(addr)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	go srv.Serve(l)
+	tb.Cleanup(func() { srv.Close() })
+	return addr
+}
+
+// benchScanServer serves table KV with rows rows.
 func benchScanServer(b testing.TB, rows int) (addr string) {
 	b.Helper()
-	s := schema.New()
-	s.AddRelation(&schema.Relation{
+	data := make([]schema.Row, 0, rows)
+	for i := 1; i <= rows; i++ {
+		data = append(data, schema.Row{
+			"K": int64(i), "VS": fmt.Sprintf("value-%08d", i),
+			"VI": int64(i * 7), "VF": float64(i) / 3,
+		})
+	}
+	return serveTable(b, &schema.Relation{
 		Name: "KV",
 		Columns: []schema.Column{
 			{Name: "K", Type: schema.TInt},
@@ -30,39 +70,7 @@ func benchScanServer(b testing.TB, rows int) (addr string) {
 			{Name: "VF", Type: schema.TFloat},
 		},
 		PK: []string{"K"},
-	})
-	if err := s.Validate(); err != nil {
-		b.Fatal(err)
-	}
-	sys, err := synergy.New(s, []string{"KV"}, nil, synergy.Config{Concurrency: synergy.Hierarchical})
-	if err != nil {
-		b.Fatal(err)
-	}
-	data := make([]schema.Row, 0, rows)
-	for i := 1; i <= rows; i++ {
-		data = append(data, schema.Row{
-			"K": int64(i), "VS": fmt.Sprintf("value-%08d", i),
-			"VI": int64(i * 7), "VF": float64(i) / 3,
-		})
-	}
-	if err := sys.LoadBase("KV", data); err != nil {
-		b.Fatal(err)
-	}
-	if err := sys.BuildViews(); err != nil {
-		b.Fatal(err)
-	}
-	srv, err := New(Config{Backends: []Backend{{Name: "synergy", System: sys}}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	addr = fmt.Sprintf("bench-scan-%d", benchScanSeq.Add(1))
-	l, err := ListenInproc(addr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	go srv.Serve(l)
-	b.Cleanup(func() { srv.Close() })
-	return addr
+	}, data)
 }
 
 func benchScan(b *testing.B, rows int, binary bool) {

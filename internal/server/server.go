@@ -26,6 +26,10 @@ const serverVersion = "5.7.32-synergy"
 // maxPreparedStmts bounds one session's prepared-statement registry.
 const maxPreparedStmts = 1024
 
+// paramBlockLen is how many parameters one block of conn.params holds: one
+// allocation serves the executes of many statements.
+const paramBlockLen = 64
+
 // Backend is one deployed engine a server routes sessions to, named by the
 // value `SET synergy_mode` (and the handshake database field) selects it
 // with. Each concurrency mode is its own deployment, so a multi-mode server
@@ -195,9 +199,21 @@ type conn struct {
 	readsName   string // last `SET synergy_reads` value, "default" before one
 	autocommit  bool
 
-	// enc is the row-encode scratch, reused across rows and statements.
-	// pc's buffered writer copies every packet out, so the slice is free
-	// for reuse the moment writePacket returns.
+	// in is the input scratch every packet from the client is read into. A
+	// command's payload aliases it until the next command is read, so
+	// whatever outlives the command is copied out by its handler: the SQL
+	// text, a statement's bound parameter types, its string parameters.
+	in []byte
+	// params is the block each EXECUTE's parameter slice is cut from, one
+	// window per execute. A window handed out is never written again — an
+	// open transaction's Session keeps every statement's params until
+	// COMMIT — so a full block is left to the windows still holding it and
+	// a fresh one started.
+	params []schema.Value
+	// enc is the encode scratch of every response packet but the prepare
+	// response: row packets, column definitions, EOF, OK and ERR. pc's
+	// buffered writer copies every packet out, so the slice is free for
+	// reuse the moment writePacket returns.
 	enc []byte
 	// types is the same scratch for a result's column wire types.
 	types []byte
@@ -213,7 +229,7 @@ type conn struct {
 
 // prepared is one server-side prepared statement: the parsed SQL, its
 // compiled form, its parameter count, and the parameter types cached from the
-// last execute that sent them (clients may omit types on re-execution).
+// last execute that sent them.
 type prepared struct {
 	sql  string
 	stmt sqlparser.Statement
@@ -225,8 +241,7 @@ type prepared struct {
 	write     *synergy.PreparedWrite
 	backend   string
 	numParams int
-	types     []byte
-	unsigned  []bool
+	paramTypes
 }
 
 // errClientQuit signals a clean COM_QUIT teardown.
@@ -285,7 +300,7 @@ func (s *Server) serveConn(nc net.Conn) {
 	}
 	for {
 		c.pc.resetSeq()
-		payload, err := c.pc.readPacket()
+		payload, err := c.readPacket()
 		if err != nil {
 			return // disconnect (EOF or reset): deferred teardown rolls back
 		}
@@ -298,6 +313,16 @@ func (s *Server) serveConn(nc net.Conn) {
 	}
 }
 
+// readPacket reads the client's next packet into the connection's input
+// scratch; the payload is valid until the next readPacket.
+func (c *conn) readPacket() ([]byte, error) {
+	p, err := c.pc.readPacketInto(c.in)
+	if err == nil {
+		c.in = p
+	}
+	return p, err
+}
+
 // handshake runs the connect exchange: server greeting, client response
 // (user + optional database selecting the backend), OK.
 func (c *conn) handshake() error {
@@ -308,7 +333,7 @@ func (c *conn) handshake() error {
 	if err := c.pc.flush(); err != nil {
 		return err
 	}
-	resp, err := c.pc.readPacket()
+	resp, err := c.readPacket()
 	if err != nil {
 		return err
 	}
@@ -460,11 +485,13 @@ func (c *conn) writeFinal(payload []byte) error {
 }
 
 func (c *conn) writeOK(affected uint64, info string) error {
-	return c.writeFinal(appendOK(nil, affected, c.status(), info))
+	c.enc = appendOK(c.enc[:0], affected, c.status(), info)
+	return c.writeFinal(c.enc)
 }
 
 func (c *conn) writeErrPacket(code uint16, sqlState, msg string) error {
-	return c.writeFinal(appendErr(nil, code, sqlState, msg))
+	c.enc = appendErr(c.enc[:0], code, sqlState, msg)
+	return c.writeFinal(c.enc)
 }
 
 // writeEngineErr maps an engine error onto the closest MySQL error code.
@@ -894,54 +921,25 @@ func (c *conn) compile(ps *prepared) error {
 
 func (c *conn) handleExecute(payload []byte) error {
 	if len(payload) < 10 {
-		return c.writeErrPacket(errParse, "HY000", "malformed COM_STMT_EXECUTE")
+		return c.writeErrPacket(errParse, "HY000", errMalformedExecute.Error())
 	}
 	id := binary.LittleEndian.Uint32(payload[1:5])
 	ps, ok := c.stmts[id]
 	if !ok {
 		return c.writeErrPacket(errUnknown, "HY000", fmt.Sprintf("unknown prepared statement %d", id))
 	}
-	off := 10 // command, id, flags byte, iteration count
 	var params []schema.Value
-	if ps.numParams > 0 {
-		nb := (ps.numParams + 7) / 8
-		if off+nb+1 > len(payload) {
-			return c.writeErrPacket(errParse, "HY000", "malformed COM_STMT_EXECUTE")
+	if n := ps.numParams; n > 0 {
+		if cap(c.params)-len(c.params) < n {
+			c.params = make([]schema.Value, 0, max(paramBlockLen, n))
 		}
-		nullBits := payload[off : off+nb]
-		off += nb
-		newBound := payload[off]
-		off++
-		if newBound == 1 {
-			// A rebind refills the statement's type lists in place, once
-			// the packet is known to hold them all.
-			if off+2*ps.numParams > len(payload) {
-				return c.writeErrPacket(errParse, "HY000", "malformed COM_STMT_EXECUTE")
-			}
-			if ps.types == nil {
-				ps.types, ps.unsigned = make([]byte, ps.numParams), make([]bool, ps.numParams)
-			}
-			for i := range ps.numParams {
-				ps.types[i] = payload[off]
-				ps.unsigned[i] = payload[off+1]&0x80 != 0
-				off += 2
-			}
+		used := len(c.params)
+		params = c.params[used : used+n : used+n]
+		// payload[10:] skips the command, id, flags byte and iteration count.
+		if err := decodeParams(payload[10:], params, &ps.paramTypes); err != nil {
+			return c.writeErrPacket(errParse, "HY000", err.Error())
 		}
-		if ps.types == nil {
-			return c.writeErrPacket(errParse, "HY000", "COM_STMT_EXECUTE without parameter types")
-		}
-		params = make([]schema.Value, ps.numParams)
-		for i := 0; i < ps.numParams; i++ {
-			if nullBits[i/8]&(1<<(i%8)) != 0 {
-				params[i] = nil
-				continue
-			}
-			v, next, err := decodeBinaryValue(payload, off, ps.types[i], ps.unsigned[i])
-			if err != nil {
-				return c.writeErrPacket(errParse, "HY000", err.Error())
-			}
-			params[i], off = v, next
-		}
+		c.params = c.params[:used+n]
 	}
 	if ps.backend != c.backendName {
 		if err := c.compile(ps); err != nil {

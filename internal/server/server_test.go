@@ -889,7 +889,7 @@ func TestMidHandshakeDisconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 	pc := newPacketConn(nc)
-	if _, err := pc.readPacket(); err != nil {
+	if _, err := pc.readPacketInto(nil); err != nil {
 		t.Fatalf("greeting: %v", err)
 	}
 	nc.Close()
@@ -901,7 +901,7 @@ func TestMidHandshakeDisconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 	pc2 := newPacketConn(nc2)
-	if _, err := pc2.readPacket(); err != nil {
+	if _, err := pc2.readPacketInto(nil); err != nil {
 		t.Fatalf("greeting: %v", err)
 	}
 	if err := pc2.writePacket([]byte{0x01}); err != nil {

@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -206,6 +207,127 @@ func appendRow(b []byte, types []byte, binaryRow bool, value func(i int) []byte)
 		b = appendValue(b, types[i], binaryRow, raw)
 	}
 	return b
+}
+
+// appendExecute appends the COM_STMT_EXECUTE payload that runs statement id
+// with args: the header, the NULL bitmap, every argument's wire type (always
+// bound anew) and each non-NULL value. Arguments are int64, float64, string
+// or nil. It appends onto a caller-owned buffer, so a client that reuses one
+// allocates nothing per execute.
+func appendExecute(b []byte, id uint32, args []schema.Value) ([]byte, error) {
+	b = append(b, comStmtExecute)
+	b = binary.LittleEndian.AppendUint32(b, id)
+	b = append(b, 0x00)                        // flags
+	b = binary.LittleEndian.AppendUint32(b, 1) // iteration count
+	if len(args) == 0 {
+		return b, nil
+	}
+	bitmap := len(b)
+	for range (len(args) + 7) / 8 {
+		b = append(b, 0x00)
+	}
+	b = append(b, 1) // new params bound
+	for i, a := range args {
+		switch a.(type) {
+		case nil:
+			b[bitmap+i/8] |= 1 << (i % 8)
+			b = append(b, typeNull, 0)
+		case int64:
+			b = append(b, typeLonglong, 0)
+		case float64:
+			b = append(b, typeDouble, 0)
+		case string:
+			b = append(b, typeVarString, 0)
+		default:
+			return b, fmt.Errorf("server: unsupported arg type %T", a)
+		}
+	}
+	for _, a := range args {
+		switch x := a.(type) {
+		case int64:
+			b = binary.LittleEndian.AppendUint64(b, uint64(x))
+		case float64:
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+		case string:
+			b = appendLencString(b, x)
+		}
+	}
+	return b, nil
+}
+
+// paramTypes are a prepared statement's parameter wire types and unsigned
+// flags, as the last execute that bound types sent them (clients may omit
+// types on re-execution).
+type paramTypes struct {
+	types    []byte
+	unsigned []bool
+}
+
+var errMalformedExecute = errors.New("malformed COM_STMT_EXECUTE")
+
+// decodeParams decodes the parameter block of a COM_STMT_EXECUTE payload —
+// b is the payload from its NULL bitmap on — into params, one per
+// placeholder. A block that binds types refills pt in place; one that does not
+// is decoded by the types an earlier execute bound. Nothing decoded aliases b:
+// the string parameters are windows of one string, copied out of b at the
+// first of them, so b may be reused as soon as decodeParams returns.
+func decodeParams(b []byte, params []schema.Value, pt *paramTypes) error {
+	n := len(params)
+	nb := (n + 7) / 8
+	if nb+1 > len(b) {
+		return errMalformedExecute
+	}
+	nullBits := b[:nb]
+	off := nb
+	newBound := b[off]
+	off++
+	if newBound == 1 {
+		// A rebind refills the type lists in place, once the packet is
+		// known to hold them all.
+		if off+2*n > len(b) {
+			return errMalformedExecute
+		}
+		if pt.types == nil {
+			pt.types, pt.unsigned = make([]byte, n), make([]bool, n)
+		}
+		for i := range n {
+			pt.types[i] = b[off]
+			pt.unsigned[i] = b[off+1]&0x80 != 0
+			off += 2
+		}
+	}
+	if pt.types == nil {
+		return errors.New("COM_STMT_EXECUTE without parameter types")
+	}
+	// strs is b from the first string parameter on (never empty: it holds
+	// that parameter's length), strsAt its offset in b.
+	var strs string
+	strsAt := 0
+	for i := range n {
+		if nullBits[i/8]&(1<<(i%8)) != 0 {
+			params[i] = nil
+			continue
+		}
+		switch pt.types[i] {
+		case typeVarchar, typeVarString, typeString, typeBlob, typeNewDecimal:
+			s, next, err := readLencBytes(b, off)
+			if err != nil {
+				return err
+			}
+			if strs == "" {
+				strs, strsAt = string(b[off:]), off
+			}
+			start := next - len(s) - strsAt
+			params[i], off = strs[start:start+len(s)], next
+		default:
+			v, next, err := decodeBinaryValue(b, off, pt.types[i], pt.unsigned[i])
+			if err != nil {
+				return err
+			}
+			params[i], off = v, next
+		}
+	}
+	return nil
 }
 
 // decodeBinaryValue decodes one execute-request parameter of the given wire

@@ -1,11 +1,15 @@
 package server
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"testing"
 	"time"
+
+	"synergy/internal/schema"
 )
 
 // wireFuzzBound is how long a fresh connection may take, after a fuzzed one
@@ -124,6 +128,90 @@ func FuzzWireCommands(f *testing.F) {
 				t.Fatalf("root row 1's lock after a fuzzed connection: %v", err)
 			}
 			fresh.Rollback()
+		}
+	})
+}
+
+// fuzzArgs reads execute arguments out of fuzz bytes: each a kind byte — NULL,
+// int64, float64 or string — then the value's 8 bytes, or a length byte and
+// that many bytes of string.
+func fuzzArgs(data []byte) []schema.Value {
+	var args []schema.Value
+	for len(data) > 0 {
+		kind := data[0] % 4
+		data = data[1:]
+		switch {
+		case kind == 0:
+			args = append(args, nil)
+		case kind == 3:
+			n := 0
+			if len(data) > 0 {
+				n, data = min(int(data[0]), len(data)-1), data[1:]
+			}
+			args = append(args, string(data[:n]))
+			data = data[n:]
+		default:
+			var w [8]byte
+			data = data[copy(w[:], data):]
+			u := binary.LittleEndian.Uint64(w[:])
+			if kind == 1 {
+				args = append(args, int64(u))
+			} else {
+				args = append(args, math.Float64frombits(u))
+			}
+		}
+	}
+	return args
+}
+
+// FuzzExecuteParams holds the parameter codec to a round trip: the server's
+// decodeParams reads back, from the COM_STMT_EXECUTE payload the client's
+// appendExecute builds, every argument it was given — int64, float64 (bit for
+// bit), string and NULL, any number of them — and binds their types. Seeds
+// cover the NULL bitmap's byte boundary (8 and 9 parameters) and empty
+// strings.
+//
+//	go test -fuzz FuzzExecuteParams -fuzztime 60s -run '^$' ./internal/server/
+func FuzzExecuteParams(f *testing.F) {
+	seed := func(args ...[]byte) []byte { return bytes.Join(args, nil) }
+	null, empty := []byte{0}, []byte{3, 0}
+	i64 := append([]byte{1}, binary.LittleEndian.AppendUint64(nil, 1<<40+7)...)
+	f64 := append([]byte{2}, binary.LittleEndian.AppendUint64(nil, math.Float64bits(-2.5))...)
+	str := []byte{3, 5, 'h', 'e', 'l', 'l', 'o'}
+	f.Add([]byte{})
+	f.Add(seed(i64, f64, str, null))
+	f.Add(seed(null, null, null, null, null, null, null, null))
+	f.Add(seed(null, null, null, null, null, null, null, null, null))
+	f.Add(seed(str, empty, i64, empty, null, f64, str, empty))
+	f.Add(seed(str, empty, i64, empty, null, f64, str, empty, null))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		args := fuzzArgs(data)
+		p, err := appendExecute(nil, 7, args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if id := binary.LittleEndian.Uint32(p[1:5]); p[0] != comStmtExecute || id != 7 {
+			t.Fatalf("header %x: command or statement id lost", p[:10])
+		}
+		got := make([]schema.Value, len(args))
+		var pt paramTypes
+		if len(args) > 0 {
+			if err := decodeParams(p[10:], got, &pt); err != nil {
+				t.Fatalf("decode %v: %v", args, err)
+			}
+		}
+		for i, want := range args {
+			same := got[i] == want
+			if w, ok := want.(float64); ok {
+				g, isFloat := got[i].(float64)
+				same = isFloat && math.Float64bits(g) == math.Float64bits(w)
+			}
+			if !same {
+				t.Fatalf("param %d of %d: got %#v, want %#v", i, len(args), got[i], want)
+			}
+		}
+		if len(pt.types) != len(args) {
+			t.Fatalf("%d types bound for %d params", len(pt.types), len(args))
 		}
 	})
 }

@@ -103,7 +103,7 @@ func inlineParams(sql string, params []schema.Value) string {
 // the column-definition packets, and the count, total payload bytes and hash
 // of the row packets.
 func readWireResult(c *Client) (string, error) {
-	p, err := c.pc.readPacket()
+	p, err := c.readPacket()
 	if err != nil {
 		return "", err
 	}
@@ -117,7 +117,7 @@ func readWireResult(c *Client) (string, error) {
 	defs, rows := fnv.New64a(), fnv.New64a()
 	var types []string
 	for i := uint64(0); i < ncols; i++ {
-		def, err := c.pc.readPacket()
+		def, err := c.readPacket()
 		if err != nil {
 			return "", err
 		}
@@ -128,12 +128,12 @@ func readWireResult(c *Client) (string, error) {
 		}
 		types = append(types, fmt.Sprintf("%02x", typ))
 	}
-	if _, err := c.pc.readPacket(); err != nil { // EOF after defs
+	if _, err := c.readPacket(); err != nil { // EOF after defs
 		return "", err
 	}
 	nrows, nbytes := 0, 0
 	for {
-		p, err := c.pc.readPacket()
+		p, err := c.readPacket()
 		if err != nil {
 			return "", err
 		}
