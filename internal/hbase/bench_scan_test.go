@@ -149,8 +149,8 @@ func BenchmarkScanChunkMerge(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf.reset()
-		if _, _, next := r.scanChunk(buf, "", r.edge(false), 0, &ScanSpec{}, nil); next != "" {
-			b.Fatalf("next = %q, want exhausted", next)
+		if _, _, next := r.scanChunk(buf, resumeAt{}, r.edge(false), 0, &ScanSpec{}, nil); next.key != "" {
+			b.Fatalf("next = %q, want exhausted", next.key)
 		}
 		if len(buf.rows) != rows {
 			b.Fatalf("rows = %d, want %d", len(buf.rows), rows)

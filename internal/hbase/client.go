@@ -195,7 +195,7 @@ func (c *Client) GetRow(ctx *sim.Ctx, tbl, key string, spec ScanSpec) (RowResult
 	shipped := 0
 	if !res.Empty() {
 		ctx.CountRowsScanned(1)
-		if spec.Filter == nil || spec.Filter(res) {
+		if spec.Filter == nil || spec.Filter.Keep(res) {
 			shipped = res.Bytes()
 			ctx.CountRowsReturned(1)
 		} else {
@@ -341,7 +341,14 @@ type ScanSpec struct {
 	// a transaction's read-your-writes view evaluates the same filter both
 	// server-side (store rows with no pending mutations) and client-side
 	// (rows merged with pending cells).
-	Filter func(RowResult) bool
+	//
+	// Ownership: the filter stays the caller's. The store calls it only
+	// while the scan is open — from the open to the Next that ends the
+	// stream, or its Close — and on the goroutine that calls Next, and keeps
+	// no reference to it afterwards; so a filter may live in storage the
+	// caller reuses once the scan is over (phoenix compiles each scan's into
+	// its execution block).
+	Filter RowFilter
 	// Fold, when non-nil, aggregates the scan where its rows live, as
 	// Phoenix's server-side aggregation does: the scan takes one Folder from
 	// Fold, and each region — each unit of a fanned-out scan — adds every
@@ -375,6 +382,19 @@ type ScanSpec struct {
 	// walking in order than by forking.
 	Sequential bool
 }
+
+// RowFilter is a scan's pushed-down row predicate (ScanSpec.Filter).
+type RowFilter interface {
+	// Keep reports whether the row is shipped. Its Cells are valid only
+	// during the call.
+	Keep(RowResult) bool
+}
+
+// FilterFunc adapts a function to a RowFilter.
+type FilterFunc func(RowResult) bool
+
+// Keep calls f.
+func (f FilterFunc) Keep(r RowResult) bool { return f(r) }
 
 // Folder aggregates a folding scan (ScanSpec.Fold) one region or unit at a
 // time.
@@ -411,7 +431,9 @@ func (s ScanSpec) bounds() (start, stop string) {
 // (see scanUnit), and each unit is charged to its own forked ctx; the forks
 // are joined into the request when the scan ends or is closed, as if the
 // units had run side by side. A Scanner assumes one sim.Ctx per request: the
-// ctx passed to Next/Close is the one the scan is charged to.
+// ctx passed to Next/Close is the one the scan is charged to. A caller that
+// reads many scans one after another keeps one Scanner, the zero value to
+// begin with, and opens each in it (Reader.OpenScan).
 type Scanner struct {
 	client  *Client
 	spec    ScanSpec
@@ -425,21 +447,42 @@ type Scanner struct {
 	chunks  int64      // non-empty chunks handed to the consumer
 	joined  bool
 
-	wi     int  // region, or unit, being walked
-	open   bool // walk wi is open: resume is where its next chunk starts
-	eof    bool // walk wi has no chunk left
-	resume string
+	wi     int       // region, or unit, being walked
+	open   bool      // walk wi is open: resume is where its next chunk starts
+	eof    bool      // walk wi has no chunk left
+	resume resumeAt  // where walk wi's next chunk starts
 	cur    *chunkBuf // the chunk rows are handed out of, refilled in place
 	bi     int       // next row of cur
 	sent   int
 	done   bool
 }
 
+// resumeAt is where a walk's next chunk starts: at key, or — past, which only
+// a forward walk that stopped at its chunk's limit sets — just past it.
+type resumeAt struct {
+	key  string
+	past bool
+}
+
 // Scan opens a scanner.
 func (c *Client) Scan(ctx *sim.Ctx, tbl string, spec ScanSpec) (*Scanner, error) {
+	s := new(Scanner)
+	if err := c.scanInto(ctx, tbl, spec, s); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// scanInto opens a scanner in s, the caller's storage (Reader.OpenScan): Scan
+// without the allocation, for a caller that reads many scans one after
+// another — an execution's scan, the probes of an index nested-loop join —
+// through one Scanner. s must not be open: it is a zero Scanner or one whose
+// last scan was drained or closed; opening ends the rows that scan handed out.
+// The chunk and the fan-out units of the last scan are kept for this one.
+func (c *Client) scanInto(ctx *sim.Ctx, tbl string, spec ScanSpec, s *Scanner) error {
 	t, err := c.open(ctx, tbl)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	batch := spec.Batch
 	if batch <= 0 {
@@ -450,21 +493,26 @@ func (c *Client) Scan(ctx *sim.Ctx, tbl string, spec ScanSpec) (*Scanner, error)
 	if spec.Reversed {
 		from, to = to, from
 	}
-	s := &Scanner{
+	cur, units := s.cur, s.units[:0]
+	if cur != nil {
+		cur.reset() // a scan its limit ended keeps its last chunk until now
+	}
+	*s = Scanner{
 		client:  c,
 		spec:    spec,
 		batch:   batch,
 		regions: regions,
 		from:    from,
 		to:      to,
+		cur:     cur,
 	}
 	if spec.Fold != nil {
 		s.fold = spec.Fold()
 	}
 	if (spec.Limit <= 0 || spec.Limit >= batch) && !spec.Sequential && c.hc.costs.ScanParallelism > 1 {
-		s.units = s.cut()
+		s.units = s.cut(units)
 	}
-	return s, nil
+	return nil
 }
 
 // Next returns the next row. ok is false when the scan is exhausted.
@@ -496,6 +544,16 @@ func (s *Scanner) Next(ctx *sim.Ctx) (row RowResult, ok bool) {
 	return row, true
 }
 
+// Buffered is how many rows the scanner holds ready, read and not yet handed
+// out: the rest of its current chunk. It bounds nothing past that chunk, but
+// never counts a row the scan will not return.
+func (s *Scanner) Buffered() int {
+	if s.cur == nil || s.done {
+		return 0
+	}
+	return len(s.cur.rows) - s.bi
+}
+
 // advance refills cur in place with the next non-empty chunk of the walk,
 // moving on to the next region or unit as each runs out; every row handed
 // out of cur has been consumed, so the refill is the point at which they
@@ -515,11 +573,10 @@ func (s *Scanner) advance(ctx *sim.Ctx) bool {
 		r, from, end, wctx := s.walk(ctx)
 		if !s.open {
 			wctx.Charge(s.client.hc.costs.ScanOpen)
-			s.resume, s.open = from, true
+			s.resume, s.open = resumeAt{key: from}, true
 		}
-		var next string
-		next, s.eof = s.nextChunk(wctx, r, end, s.cur, s.resume)
-		s.resume, s.bi = next, 0
+		s.resume, s.eof = s.nextChunk(wctx, r, end, s.cur, s.resume)
+		s.bi = 0
 		if len(s.cur.rows) > 0 {
 			s.chunks++
 			return true
@@ -573,14 +630,14 @@ func (s *Scanner) entry(r *Region) string {
 // charging ctx. done reports the walk exhausted — by end, the range's far
 // bound, or the limit; sent counts every row the scan returned against
 // Limit. A folding scan's walk answers in one chunk, whatever want is.
-func (s *Scanner) nextChunk(ctx *sim.Ctx, r *Region, end string, buf *chunkBuf, resume string) (next string, done bool) {
+func (s *Scanner) nextChunk(ctx *sim.Ctx, r *Region, end string, buf *chunkBuf, resume resumeAt) (next resumeAt, done bool) {
 	limit := s.spec.Limit
 	want := s.batch
 	if limit > 0 && limit-s.sent < want {
 		want = limit - s.sent
 	}
 	next, truncated := s.readChunk(ctx, r, end, buf, resume, want)
-	done = truncated || next == "" || (limit > 0 && s.sent+len(buf.rows) >= limit)
+	done = truncated || next.key == "" || (limit > 0 && s.sent+len(buf.rows) >= limit)
 	return next, done
 }
 
@@ -615,13 +672,13 @@ func (s *Scanner) past(key string) bool { return beyond(key, s.to, s.spec.Revers
 // readChunk performs one scanner RPC against region r into buf, walking no
 // further than end, and charges ctx for the server-side work and the
 // response shipment. The buffer is reset on entry — this is the refill point
-// that invalidates whatever rows it previously held. next is "" when the
+// that invalidates whatever rows it previously held. next's key is "" when the
 // walk reached end; truncated reports that the range's far bound (the stop
 // key, or the start key of a reversed scan) cut the chunk, meaning every
 // remaining key in this and any later region is out of range. A folding
 // scan's chunk is the walk's partial rows, which the region cut to the range
 // itself.
-func (s *Scanner) readChunk(ctx *sim.Ctx, r *Region, end string, buf *chunkBuf, resume string, want int) (next string, truncated bool) {
+func (s *Scanner) readChunk(ctx *sim.Ctx, r *Region, end string, buf *chunkBuf, resume resumeAt, want int) (next resumeAt, truncated bool) {
 	hc := s.client.hc
 	buf.reset()
 	examined, folded, next := r.scanChunk(buf, resume, end, want, &s.spec, s.fold)

@@ -28,7 +28,7 @@ func recountBytes(r *Region) int64 {
 	for k, rd := range r.mem.rows {
 		n += rd.sizeBytes(k)
 	}
-	m := newRowMerger(nil, r.files, "", false, nil)
+	m := newRowMerger(nil, r.files, "", false, false, nil)
 	defer m.release()
 	for {
 		key, parts, ok := m.next()

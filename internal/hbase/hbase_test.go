@@ -242,7 +242,7 @@ func TestScanFilterPushdown(t *testing.T) {
 		}
 		c.Put(ctx, "t", fmt.Sprintf("k%02d", i), []Cell{put("v", v, 0)})
 	}
-	sc, _ := c.Scan(ctx, "t", ScanSpec{Filter: func(r RowResult) bool { return string(r.Get("v")) == "odd" }})
+	sc, _ := c.Scan(ctx, "t", ScanSpec{Filter: FilterFunc(func(r RowResult) bool { return string(r.Get("v")) == "odd" })})
 	rows := sc.All(ctx)
 	if len(rows) != 10 {
 		t.Fatalf("filtered rows = %d, want 10", len(rows))

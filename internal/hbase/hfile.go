@@ -51,6 +51,9 @@ type hfile struct {
 	size int64
 	// uniform records that every row the builder was given is rowUniform.
 	uniform bool
+	// masks caches the column sets that read the file, resolved against
+	// dict (ColumnSet.in); a split's daughters share it with their parent.
+	masks *columnMasks
 }
 
 // compacted reports whether a major compaction of this file alone would
@@ -442,6 +445,7 @@ func (b *hfileBuilder) finish() *hfile {
 	}
 	f := new(hfile)
 	*f = b.f
+	f.masks = new(columnMasks)
 	f.keys = b.keys.String()
 	f.keyOff = append(f.keyOff, uint32(len(f.keys)))
 	f.blockRow = append(f.blockRow, uint32(len(f.rowOff)))

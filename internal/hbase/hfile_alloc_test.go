@@ -20,8 +20,8 @@ func TestPackedScanAllocs(t *testing.T) {
 	buf := &chunkBuf{}
 	scan := func() {
 		buf.reset()
-		if _, _, next := r.scanChunk(buf, "", r.edge(false), 0, &ScanSpec{}, nil); next != "" || len(buf.rows) != rows {
-			panic(fmt.Sprintf("scan gave %d rows, next %q", len(buf.rows), next))
+		if _, _, next := r.scanChunk(buf, resumeAt{}, r.edge(false), 0, &ScanSpec{}, nil); next.key != "" || len(buf.rows) != rows {
+			panic(fmt.Sprintf("scan gave %d rows, next %q", len(buf.rows), next.key))
 		}
 	}
 	scan() // size the chunk buffer and the pooled merger
@@ -32,8 +32,8 @@ func TestPackedScanAllocs(t *testing.T) {
 	last := scanKey(rows - 1)
 	reversed := func() {
 		buf.reset()
-		if _, _, next := r.scanChunk(buf, "", r.edge(true), 0, &ScanSpec{Reversed: true}, nil); next != "" || len(buf.rows) != rows || buf.rows[0].Key != last {
-			panic(fmt.Sprintf("reversed scan gave %d rows from %q, next %q", len(buf.rows), buf.rows[0].Key, next))
+		if _, _, next := r.scanChunk(buf, resumeAt{}, r.edge(true), 0, &ScanSpec{Reversed: true}, nil); next.key != "" || len(buf.rows) != rows || buf.rows[0].Key != last {
+			panic(fmt.Sprintf("reversed scan gave %d rows from %q, next %q", len(buf.rows), buf.rows[0].Key, next.key))
 		}
 	}
 	if allocs := testing.AllocsPerRun(20, reversed); allocs != 0 {

@@ -201,7 +201,7 @@ func FuzzPackedRow(f *testing.F) {
 				t.Fatalf("opts %d: rowData read under %v gave %v, want %v (cells %+v)", oi, cols.quals, got, cut, ref.cells)
 			}
 			buf := &chunkBuf{}
-			spread.scanChunk(buf, "", spread.edge(false), 0, &ScanSpec{Read: opts, Columns: cols}, nil)
+			spread.scanChunk(buf, resumeAt{}, spread.edge(false), 0, &ScanSpec{Read: opts, Columns: cols}, nil)
 			var merged Cells
 			if len(buf.rows) > 0 {
 				merged = buf.rows[0].Cells
@@ -321,7 +321,7 @@ func TestPackedBlocksBoundedAndSeekable(t *testing.T) {
 			t.Fatalf("row %s decoded wrong: v=%q pad=%d bytes", k, got.Get("v"), len(got.Get("pad")))
 		}
 	}
-	m := newRowMerger(nil, []*hfile{f}, scanKey(100), false, nil)
+	m := newRowMerger(nil, []*hfile{f}, scanKey(100), false, false, nil)
 	defer m.release()
 	for i := 100; i < rows; i++ {
 		key, parts, ok := m.next()
@@ -734,9 +734,9 @@ func runRegionModel(t *testing.T, seed, flushSize int64) {
 				var chunked []RowResult
 				buf := &chunkBuf{}
 				for _, r := range regions {
-					next := r.start
+					next := resumeAt{key: r.start}
 					if reversed {
-						next = r.end
+						next.key = r.end
 					}
 					for {
 						buf.reset()
@@ -744,7 +744,7 @@ func runRegionModel(t *testing.T, seed, flushSize int64) {
 						for _, row := range buf.rows {
 							chunked = append(chunked, row.Clone())
 						}
-						if next == "" {
+						if next.key == "" {
 							break
 						}
 					}

@@ -124,11 +124,12 @@ type rowMerger struct {
 var mergerPool = sync.Pool{New: func() any { return new(rowMerger) }}
 
 // newRowMerger positions every non-empty source at the first key >= from —
-// or, for a reversed merge, at the last key < from, with from == "" standing
-// for "past the last key". mem may be nil (compaction merges store files
-// only), and so may cols (read then keeps every cell). The merger comes from
-// the package pool; callers must release() it when the fold is done.
-func newRowMerger(mem *memStore, files []*hfile, from string, rev bool, cols *ColumnSet) *rowMerger {
+// > from when past — or, for a reversed merge, at the last key < from, with
+// from == "" standing for "past the last key". mem may be nil (compaction
+// merges store files only), and so may cols (read then keeps every cell). The
+// merger comes from the package pool; callers must release() it when the fold
+// is done.
+func newRowMerger(mem *memStore, files []*hfile, from string, past, rev bool, cols *ColumnSet) *rowMerger {
 	m := mergerPool.Get().(*rowMerger)
 	m.rev, m.cols = rev, cols
 	// Reserve the source backing array up front: the heap holds pointers
@@ -140,10 +141,14 @@ func newRowMerger(mem *memStore, files []*hfile, from string, rev bool, cols *Co
 		m.heap = make([]*mergeSource, 0, len(files)+1)
 	}
 	// first maps a source's lower bound of from (the first position with
-	// key >= from, of end positions) to the position the merge starts on.
-	first := func(lower, end int) int {
+	// key >= from, of end positions) to the position the merge starts on;
+	// hit says the key there is from.
+	first := func(lower, end int, hit bool) int {
 		switch {
 		case !rev:
+			if past && hit {
+				return lower + 1
+			}
 			return lower
 		case from == "":
 			return end - 1
@@ -152,13 +157,15 @@ func newRowMerger(mem *memStore, files []*hfile, from string, rev bool, cols *Co
 	}
 	if mem != nil && mem.len() > 0 {
 		keys := mem.sortedKeys()
-		if i := first(sort.SearchStrings(keys, from), len(keys)); i >= 0 && i < len(keys) {
+		lower := sort.SearchStrings(keys, from)
+		if i := first(lower, len(keys), lower < len(keys) && keys[lower] == from); i >= 0 && i < len(keys) {
 			m.srcs = append(m.srcs, mergeSource{key: keys[i], pos: i, keys: keys, mem: mem.rows})
 			m.heap = append(m.heap, &m.srcs[len(m.srcs)-1])
 		}
 	}
 	for fi, f := range files {
-		if i := first(f.seek(from), f.hi); i >= f.lo && i < f.hi {
+		lower := f.seek(from)
+		if i := first(lower, f.hi, lower < f.hi && f.key(lower) == from); i >= f.lo && i < f.hi {
 			m.srcs = append(m.srcs, mergeSource{rank: fi + 1, key: f.key(i), pos: i, f: f, blk: f.blockOf(i), want: cols.in(f)})
 			m.heap = append(m.heap, &m.srcs[len(m.srcs)-1])
 		}
@@ -354,8 +361,12 @@ func mergeCellsInto(dst []Cell, parts [][]Cell) []Cell {
 		return append(dst, b[j:]...)
 	default:
 		// Store-file fan-in per row is small; a linear pick beats heap
-		// overhead at this width.
-		idx := make([]int, len(parts))
+		// overhead at this width, and its cursors fit on the stack.
+		var small [8]int
+		idx := small[:]
+		if len(parts) > len(small) {
+			idx = make([]int, len(parts))
+		}
 		for {
 			min := -1
 			for pi, p := range parts {

@@ -29,12 +29,25 @@ type Reader interface {
 	// GetMany reads the rows of keys, the results in key order (an absent
 	// row empty) — Client.GetMany's multi-get.
 	GetMany(ctx *sim.Ctx, tbl string, keys []string, opts ReadOpts) ([]RowResult, error)
-	OpenScan(ctx *sim.Ctx, tbl string, spec ScanSpec) (RowStream, error)
+	// OpenScan opens a scan of spec. sc, when non-nil, is the storage of the
+	// store scanner the stream reads through: the caller owns it, and the
+	// store fills it in place, keeping the chunk and the fan-out units of the
+	// scan it held last. It must not be handed to another OpenScan until this
+	// stream is drained or closed, and handing it to the next one ends the
+	// rows this stream handed out; nil allocates one.
+	OpenScan(ctx *sim.Ctx, tbl string, spec ScanSpec, sc *Scanner) (RowStream, error)
 }
 
-// OpenScan adapts Scan to the Reader interface.
-func (c *Client) OpenScan(ctx *sim.Ctx, tbl string, spec ScanSpec) (RowStream, error) {
-	return c.Scan(ctx, tbl, spec)
+// OpenScan opens a scan in sc, the caller's scanner storage (see Reader), or a
+// new Scanner for nil, which is then the stream.
+func (c *Client) OpenScan(ctx *sim.Ctx, tbl string, spec ScanSpec, sc *Scanner) (RowStream, error) {
+	if sc == nil {
+		sc = new(Scanner)
+	}
+	if err := c.scanInto(ctx, tbl, spec, sc); err != nil {
+		return nil, err
+	}
+	return sc, nil
 }
 
 // overlayTSBase lifts the synthetic timestamps of unstamped (TS == 0)
@@ -202,7 +215,7 @@ func (v *ReadView) GetRow(ctx *sim.Ctx, tbl, key string, spec ScanSpec) (RowResu
 		base = res.Cells
 	}
 	res := overlayRow(key, pending, base, spec.Read, spec.Columns)
-	if !res.Empty() && spec.Filter != nil && !spec.Filter(res) {
+	if !res.Empty() && spec.Filter != nil && !spec.Filter.Keep(res) {
 		res.Cells = nil
 	}
 	return res, nil
@@ -268,7 +281,7 @@ func (v *ReadView) GetMany(ctx *sim.Ctx, tbl string, keys []string, opts ReadOpt
 // in range: a region would fold the store image of a pending row, which the
 // merge must replace. With pending keys in range the view ignores the fold
 // and streams the merged rows, for the caller to fold.
-func (v *ReadView) OpenScan(ctx *sim.Ctx, tbl string, spec ScanSpec) (RowStream, error) {
+func (v *ReadView) OpenScan(ctx *sim.Ctx, tbl string, spec ScanSpec, sc *Scanner) (RowStream, error) {
 	ot := v.m.pendingTable(tbl)
 	var keys []string
 	if ot != nil {
@@ -276,7 +289,7 @@ func (v *ReadView) OpenScan(ctx *sim.Ctx, tbl string, spec ScanSpec) (RowStream,
 		keys = ot.keysInRange(start, stop)
 	}
 	if len(keys) == 0 {
-		return v.m.c.Scan(ctx, tbl, spec)
+		return v.m.c.OpenScan(ctx, tbl, spec, sc)
 	}
 	if spec.Reversed {
 		// The pending keys fold into the store stream in its order.
@@ -291,12 +304,12 @@ func (v *ReadView) OpenScan(ctx *sim.Ctx, tbl string, spec ScanSpec) (RowStream,
 			pend[k] = struct{}{}
 		}
 		f := spec.Filter
-		inner.Filter = func(r RowResult) bool {
+		inner.Filter = FilterFunc(func(r RowResult) bool {
 			if _, hasPending := pend[r.Key]; hasPending {
 				return true // must reach the client for the merged-row check
 			}
-			return f(r)
-		}
+			return f.Keep(r)
+		})
 	}
 	if spec.Limit > 0 {
 		// Each pending key can hide at most one store row (and is the only
@@ -304,8 +317,10 @@ func (v *ReadView) OpenScan(ctx *sim.Ctx, tbl string, spec ScanSpec) (RowStream,
 		// pending suffices to produce Limit merged rows (or exhaust).
 		inner.Limit = spec.Limit + len(keys)
 	}
-	sc, err := v.m.c.Scan(ctx, tbl, inner)
-	if err != nil {
+	if sc == nil {
+		sc = new(Scanner)
+	}
+	if err := v.m.c.scanInto(ctx, tbl, inner, sc); err != nil {
 		return nil, err
 	}
 	return &overlayScanner{store: sc, spec: spec, ot: ot, keys: keys}, nil
@@ -342,7 +357,7 @@ func (s *overlayScanner) Next(ctx *sim.Ctx) (RowResult, bool) {
 			s.done = true
 			return RowResult{}, false
 		}
-		if s.spec.Filter != nil && s.merged && !s.spec.Filter(row) {
+		if s.spec.Filter != nil && s.merged && !s.spec.Filter.Keep(row) {
 			continue
 		}
 		s.sent++

@@ -62,7 +62,7 @@ func TestOverlayReadsMatchPostFlushState(t *testing.T) {
 
 	view := m.View()
 	var before []RowResult
-	sc, err := view.OpenScan(ctx, "t", ScanSpec{})
+	sc, err := view.OpenScan(ctx, "t", ScanSpec{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestOverlayLimitScanSurvivesPendingDeletes(t *testing.T) {
 	if err := m.Put(ctx, "t", scanKey(5), []Cell{put("v", "new-5", 0)}); err != nil {
 		t.Fatal(err)
 	}
-	sc, err := m.View().OpenScan(ctx, "t", ScanSpec{Limit: 3})
+	sc, err := m.View().OpenScan(ctx, "t", ScanSpec{Limit: 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,13 +214,13 @@ func TestOverlayReversedScan(t *testing.T) {
 
 	scan := func(spec ScanSpec) []RowResult {
 		t.Helper()
-		sc, err := m.View().OpenScan(ctx, "t", spec)
+		sc, err := m.View().OpenScan(ctx, "t", spec, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return drainStream(ctx, sc)
 	}
-	stored := func(r RowResult) bool { return len(r.Get("w")) > 0 }
+	stored := FilterFunc(func(r RowResult) bool { return len(r.Get("w")) > 0 })
 	for _, spec := range []ScanSpec{
 		{},
 		{Start: scanKey(2), Stop: scanKey(14)},
@@ -303,9 +303,9 @@ func TestOverlayScanFilterSeesMergedRows(t *testing.T) {
 	if err := m.Put(ctx, "t", scanKey(3), []Cell{put("v", "keep-me", 0)}); err != nil {
 		t.Fatal(err)
 	}
-	sc, err := m.View().OpenScan(ctx, "t", ScanSpec{Filter: func(r RowResult) bool {
+	sc, err := m.View().OpenScan(ctx, "t", ScanSpec{Filter: FilterFunc(func(r RowResult) bool {
 		return string(r.Get("v")) == "keep-me"
-	}})
+	})}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestOverlayFilterPushdownParity(t *testing.T) {
 	// passing value, row 4 flips a passing stored value away, row 5 is a
 	// pending-only insert that passes, row 6 is deleted, row 8's filter
 	// column is untouched but another column changes.
-	filter := func(r RowResult) bool { return string(r.Get("v")) == "keep" }
+	filter := FilterFunc(func(r RowResult) bool { return string(r.Get("v")) == "keep" })
 	mustDo(c.Put(ctx, "t", scanKey(4), []Cell{put("v", "keep", 0)}))
 	mustDo(c.Put(ctx, "t", scanKey(8), []Cell{put("v", "keep", 0)}))
 	mustDo(c.Put(ctx, "t", scanKey(12), []Cell{put("v", "keep", 0)}))
@@ -344,7 +344,7 @@ func TestOverlayFilterPushdownParity(t *testing.T) {
 	mustDo(m.Put(ctx, "t", scanKey(8), []Cell{put("w", "other-column", 0)}))
 
 	for _, limit := range []int{0, 2} {
-		sc1, err := m.View().OpenScan(ctx, "t", ScanSpec{Filter: filter, Limit: limit})
+		sc1, err := m.View().OpenScan(ctx, "t", ScanSpec{Filter: filter, Limit: limit}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -364,7 +364,7 @@ func TestOverlayFilterPushdownParity(t *testing.T) {
 	}
 
 	// Post-flush, the plain store must agree with what the overlay served.
-	sc, err := m.View().OpenScan(ctx, "t", ScanSpec{Filter: filter})
+	sc, err := m.View().OpenScan(ctx, "t", ScanSpec{Filter: filter}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,10 +391,10 @@ func TestOverlayPushdownSavesShipping(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	filter := func(r RowResult) bool { return string(r.Get("v")) == "keep" }
+	filter := FilterFunc(func(r RowResult) bool { return string(r.Get("v")) == "keep" })
 
 	c := sim.NewCtx()
-	sc, err := m.View().OpenScan(c, "t", ScanSpec{Filter: filter})
+	sc, err := m.View().OpenScan(c, "t", ScanSpec{Filter: filter}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

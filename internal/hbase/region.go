@@ -337,12 +337,13 @@ func (r *Region) checkAndPut(key, qualifier string, expected []byte, c Cell, clo
 	return true, c.TS
 }
 
-// scanChunk fills buf with up to limit visible rows with key >= from (and
-// < end) in ascending key order, returning the number of rows examined
-// server-side and the key to resume from ("" once the walk reaches end). A
-// reversed chunk walks the other way: rows with key < from ("" = from the
-// last key) and >= end, in descending order, and its resume key is the last
-// returned key — an exclusive upper bound, as from is. end is the region's
+// scanChunk fills buf with up to limit visible rows with key >= from.key —
+// > it when from.past — (and < end) in ascending key order, returning the
+// number of rows examined server-side and where to resume (a "" key once the
+// walk reaches end): just past the last returned key. A reversed chunk walks
+// the other way: rows with key < from.key ("" = from the last key) and >= end,
+// in descending order, and its resume key is the last returned key — an
+// exclusive upper bound, as from is. end is the region's
 // own edge (edge), or a cut where a fanned-out scan cut the region into
 // units (see scanUnit). spec.Filter,
 // when non-nil, drops rows server-side (they still count as examined);
@@ -356,12 +357,12 @@ func (r *Region) checkAndPut(key, qualifier string, expected []byte, c Cell, clo
 // not: every row that would have been returned — up to the range's far bound,
 // which a plain chunk leaves to the client — goes into fold instead, folded
 // counts them, and buf.rows is the fold's partial rows (Folder.Rows).
-func (r *Region) scanChunk(buf *chunkBuf, from, end string, limit int, spec *ScanSpec, fold Folder) (examined, folded int, next string) {
+func (r *Region) scanChunk(buf *chunkBuf, from resumeAt, end string, limit int, spec *ScanSpec, fold Folder) (examined, folded int, next resumeAt) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 
 	reversed := spec.Reversed
-	m := newRowMerger(r.mem, r.files, from, reversed, spec.Columns)
+	m := newRowMerger(r.mem, r.files, from.key, from.past, reversed, spec.Columns)
 	defer m.release()
 	var to string // the range's far bound, for a fold
 	if fold != nil {
@@ -385,7 +386,7 @@ func (r *Region) scanChunk(buf *chunkBuf, from, end string, limit int, spec *Sca
 			if fold != nil {
 				buf.rows = append(buf.rows, fold.Rows()...)
 			}
-			return examined, folded, ""
+			return examined, folded, resumeAt{}
 		}
 		examined++
 		var cells Cells
@@ -395,7 +396,7 @@ func (r *Region) scanChunk(buf *chunkBuf, from, end string, limit int, spec *Sca
 			continue // deleted or invisible row
 		}
 		res := RowResult{Key: key, Cells: cells}
-		keep := spec.Filter == nil || spec.Filter(res)
+		keep := spec.Filter == nil || spec.Filter.Keep(res)
 		if keep && fold == nil {
 			buf.rows = append(buf.rows, res)
 			continue
@@ -409,11 +410,7 @@ func (r *Region) scanChunk(buf *chunkBuf, from, end string, limit int, spec *Sca
 		buf.arena = buf.arena[:len(buf.arena)-len(cells)]
 	}
 	// Limit reached: resume just past the last returned key.
-	last := buf.rows[len(buf.rows)-1].Key
-	if reversed {
-		return examined, folded, last
-	}
-	return examined, folded, last + "\x00"
+	return examined, folded, resumeAt{key: buf.rows[len(buf.rows)-1].Key, past: !reversed}
 }
 
 // edge is the bound a walk in the given direction leaves the region at: its
@@ -592,7 +589,7 @@ func (r *Region) flushLocked() {
 // holds the window's rows only and the parent shell keeps the originals.
 func (r *Region) mergeLocked(n int, major bool) {
 	run := r.files[:n]
-	m := newRowMerger(nil, run, "", false, nil)
+	m := newRowMerger(nil, run, "", false, false, nil)
 	defer m.release()
 	keyBytes := 0
 	for _, f := range run {

@@ -45,7 +45,7 @@ type scanCase struct {
 	closeAt int // Close after this many rows (0 = drain)
 }
 
-func oddV(r RowResult) bool { return len(r.Get("v"))%2 == 0 }
+var oddV = FilterFunc(func(r RowResult) bool { return len(r.Get("v"))%2 == 0 })
 
 // regionCases run on buildScanFixture(4000, 8): eight regions of 500 rows,
 // too small for a guidepost, so a fanned-out scan's units are its regions.

@@ -213,9 +213,9 @@ func TestChunkBufResetClearsDirtiedPrefix(t *testing.T) {
 	// Every third row is rejected, the last one among them: its pairs lie
 	// beyond len(arena) when the fill ends.
 	n := 0
-	reject := func(RowResult) bool { n++; return n%3 != 1 }
-	if _, _, next := r.scanChunk(buf, "", r.edge(false), 0, &ScanSpec{Filter: reject}, nil); next != "" || len(buf.rows) != rows-(rows+2)/3 {
-		t.Fatalf("filtered fill gave %d rows, next %q", len(buf.rows), next)
+	reject := FilterFunc(func(RowResult) bool { n++; return n%3 != 1 })
+	if _, _, next := r.scanChunk(buf, resumeAt{}, r.edge(false), 0, &ScanSpec{Filter: reject}, nil); next.key != "" || len(buf.rows) != rows-(rows+2)/3 {
+		t.Fatalf("filtered fill gave %d rows, next %q", len(buf.rows), next.key)
 	}
 	if buf.dirty != len(buf.arena)+width || buf.dirty > cap(buf.arena) {
 		t.Fatalf("mark %d after a fill that ended on a rejected row, want %d pairs + that row's %d", buf.dirty, len(buf.arena), width)
@@ -224,8 +224,8 @@ func TestChunkBufResetClearsDirtiedPrefix(t *testing.T) {
 	requireZero("after the 1,000-row fill")
 
 	// A one-row fill of the same buffer dirties one row's worth of it.
-	if _, _, next := r.scanChunk(buf, scanKey(7), r.edge(false), 1, &ScanSpec{}, nil); next == "" || len(buf.rows) != 1 {
-		t.Fatalf("point fill gave %d rows, next %q", len(buf.rows), next)
+	if _, _, next := r.scanChunk(buf, resumeAt{key: scanKey(7)}, r.edge(false), 1, &ScanSpec{}, nil); next.key == "" || len(buf.rows) != 1 {
+		t.Fatalf("point fill gave %d rows, next %q", len(buf.rows), next.key)
 	}
 	if buf.dirty != width || cap(buf.arena) < rows/2*width {
 		t.Fatalf("a 1-row fill marks %d of %d pairs dirty, want %d", buf.dirty, cap(buf.arena), width)

@@ -1,6 +1,10 @@
 package hbase
 
-import "synergy/internal/sim"
+import (
+	"slices"
+
+	"synergy/internal/sim"
+)
 
 // scanUnit is one forked piece of a fanned-out scan: region r's share of the
 // range from the key the walk enters at (from) to the bound it leaves at
@@ -31,8 +35,9 @@ type scanUnit struct {
 // units than regions, since no unit crosses one. Each unit beyond a region's
 // first goes to the region whose units run deepest and can still be cut
 // finer, and a region's units split its share evenly (share.cut), so the
-// deepest unit, which sets the makespan, is as shallow as it can be.
-func (s *Scanner) cut() []scanUnit {
+// deepest unit, which sets the makespan, is as shallow as it can be. The
+// units are appended to buf, the last scan's units emptied.
+func (s *Scanner) cut(buf []scanUnit) []scanUnit {
 	lo, hi := s.from, s.to // the range Scan took from the spec, in scan order
 	if s.spec.Reversed {
 		lo, hi = hi, lo
@@ -61,7 +66,7 @@ func (s *Scanner) cut() []scanUnit {
 		}
 		shares[best].units++
 	}
-	units := make([]scanUnit, 0, n)
+	units := slices.Grow(buf[:0], n)
 	rev := s.spec.Reversed
 	for i, sh := range shares {
 		r := s.region(i)

@@ -95,9 +95,9 @@ func TestScanParallelSequentialParity(t *testing.T) {
 		"full":       {},
 		"range":      {Start: scanKey(500), Stop: scanKey(3500)},
 		"stop-mid":   {Stop: scanKey(1777)},
-		"filter":     {Filter: func(r RowResult) bool { return len(r.Get("v"))%2 == 0 }},
+		"filter":     {Filter: FilterFunc(func(r RowResult) bool { return len(r.Get("v"))%2 == 0 })},
 		"snapshot":   {Read: ReadOpts{ReadTS: 1}}, // bulk-load stamp only
-		"filter-w":   {Filter: func(r RowResult) bool { return bytes.HasSuffix(r.Cells.Get("w"), []byte("7")) }},
+		"filter-w":   {Filter: FilterFunc(func(r RowResult) bool { return bytes.HasSuffix(r.Cells.Get("w"), []byte("7")) })},
 		"smallbatch": {Batch: 17},
 	}
 	for name, spec := range specs {
@@ -237,7 +237,7 @@ func TestScanLimitParallelSequentialParity(t *testing.T) {
 		"multi-chunk":   {Limit: 900, Batch: 100},
 		"cross-region":  {Limit: 2000, Batch: 250},
 		"range":         {Start: scanKey(500), Stop: scanKey(3500), Limit: 700, Batch: 70},
-		"filtered":      {Limit: 300, Batch: 50, Filter: func(r RowResult) bool { return len(r.Get("v"))%2 == 0 }},
+		"filtered":      {Limit: 300, Batch: 50, Filter: FilterFunc(func(r RowResult) bool { return len(r.Get("v"))%2 == 0 })},
 		"beyond-table":  {Limit: 100_000, Batch: 500},
 		"exactly-table": {Limit: 4000, Batch: 400},
 	}

@@ -232,22 +232,18 @@ func (r RowResult) String() string {
 // read kernels emit a row's other cells nowhere — not into the chunk arena,
 // not into RowResult.Bytes, not onto the wire. A row is still a row only while
 // one of its visible cells is in the set, so whoever builds one includes a
-// column every stored row carries. One set serves every scan of a statement —
-// all the probes of a join share it — because it remembers, per store file it
-// has met, which dictionary ids it wants: a file's cells are then kept or
-// skipped by id, with no qualifier compared and nothing allocated per row.
-// It keeps those files reachable, so it should not outlive its statement.
+// column every stored row carries.
+//
+// Ownership: a set is immutable once made, so its maker may keep it for as
+// long as it likes — a prepared statement keeps one per column list for its
+// whole life — and hand it to any number of scans on any goroutines. It holds
+// nothing of the store. Each store file keeps the masks of the sets that read
+// it (columnMasks): which of its dictionary ids a set wants, so its cells are
+// kept or skipped by id, with no qualifier compared and nothing allocated per
+// row. A mask lives on its file and dies with it, so a set pins no file a
+// flush or a compaction has replaced.
 type ColumnSet struct {
 	quals []string // ascending, distinct
-	mu    sync.Mutex
-	files []fileColumns
-	few   [3]fileColumns // backs files until a scan meets a fourth file
-}
-
-// fileColumns is a ColumnSet resolved against one store file's dictionary.
-type fileColumns struct {
-	f    *hfile
-	want []bool // by dictionary id
 }
 
 // NewColumnSet returns the set of the given qualifiers; it keeps the slice.
@@ -256,27 +252,61 @@ func NewColumnSet(quals ...string) *ColumnSet {
 	return &ColumnSet{quals: slices.Compact(quals)}
 }
 
+// Holds reports whether the set is exactly quals, which must be ascending
+// and distinct.
+func (s *ColumnSet) Holds(quals []string) bool { return slices.Equal(s.quals, quals) }
+
 // in returns the set as a mask over f's dictionary ids, nil — every cell —
 // for no set.
 func (s *ColumnSet) in(f *hfile) []bool {
 	if s == nil {
 		return nil
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.files == nil {
-		s.files = s.few[:0]
-	}
-	for _, fc := range s.files {
-		if fc.f == f {
-			return fc.want
+	return f.masks.of(s.quals, f.dict)
+}
+
+// columnMasks is one store file's cache of column-set masks, keyed by the
+// set's qualifier list: a statement's scans, every execution of it and every
+// probe of its joins, resolve a set against the file's dictionary once. It is
+// shared by the files a split cuts from one (their dictionary is the same)
+// and holds at most maxColumnMasks lists; a read that misses builds the mask
+// and drops the oldest.
+type columnMasks struct {
+	mu    sync.Mutex
+	masks []columnMask  // oldest first
+	few   [2]columnMask // backs masks while a file has met two lists at most
+}
+
+type columnMask struct {
+	quals []string
+	want  []bool // by dictionary id
+}
+
+// maxColumnMasks bounds a file's mask cache: more column lists than this
+// read one file only when that many statements read its table, and then the
+// oldest is built again on its next read.
+const maxColumnMasks = 16
+
+// of returns the mask of quals over dict, the file's dictionary.
+func (c *columnMasks) of(quals, dict []string) []bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, m := range c.masks {
+		if slices.Equal(m.quals, quals) {
+			return m.want
 		}
 	}
-	want := make([]bool, len(f.dict))
-	for id, q := range f.dict {
-		_, want[id] = slices.BinarySearch(s.quals, q)
+	want := make([]bool, len(dict))
+	for id, q := range dict {
+		_, want[id] = slices.BinarySearch(quals, q)
 	}
-	s.files = append(s.files, fileColumns{f, want})
+	if c.masks == nil {
+		c.masks = c.few[:0]
+	}
+	if len(c.masks) == maxColumnMasks {
+		c.masks = append(c.masks[:0], c.masks[1:]...)
+	}
+	c.masks = append(c.masks, columnMask{quals, want})
 	return want
 }
 

@@ -141,7 +141,7 @@ func TestScanRangeCatchesPhantom(t *testing.T) {
 	ctx := sim.NewCtx()
 
 	t1 := f.begin(ctx)
-	sc, err := t1.rd.OpenScan(ctx, accounts, hbase.ScanSpec{Read: t1.tx.ReadOpts()})
+	sc, err := t1.rd.OpenScan(ctx, accounts, hbase.ScanSpec{Read: t1.tx.ReadOpts()}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,7 +99,9 @@ func (t *trackingReader) GetMany(ctx *sim.Ctx, tbl string, keys []string, opts h
 	return t.inner.GetMany(ctx, tbl, keys, opts)
 }
 
-func (t *trackingReader) OpenScan(ctx *sim.Ctx, tbl string, spec hbase.ScanSpec) (hbase.RowStream, error) {
+// OpenScan records the scan's range and opens it in the caller's scanner
+// storage, sc.
+func (t *trackingReader) OpenScan(ctx *sim.Ctx, tbl string, spec hbase.ScanSpec, sc *hbase.Scanner) (hbase.RowStream, error) {
 	t.rs.AddRange(RangeOf(tbl, spec))
-	return t.inner.OpenScan(ctx, tbl, spec)
+	return t.inner.OpenScan(ctx, tbl, spec, sc)
 }

@@ -3,6 +3,7 @@
 package phoenix
 
 import (
+	"fmt"
 	"testing"
 
 	"synergy/internal/hbase"
@@ -34,11 +35,12 @@ func TestGroupByAllocsSublinear(t *testing.T) {
 	t.Logf("%v allocations over %d rows", n, rows)
 }
 
-// TestScanColumnSetAllocs pins what naming a scan's columns may cost: one
-// set per scan — its qualifiers and, per store file it meets, one mask over
-// that file's dictionary — and nothing per row, per chunk or per probe. A
-// projected scan of 20,000 rows allocates no more than the same scan as
-// SELECT * plus that handful, and 500 index-nested-loop probes of the table
+// TestScanColumnSetAllocs pins what naming a scan's columns may cost: at most
+// one set per plan — its qualifiers — and, per store file the set's columns
+// first meet, one mask over that file's dictionary, which the file keeps for
+// every later scan of the same columns; nothing per row, per chunk or per
+// probe. A projected scan of 20,000 rows allocates no more than the same scan
+// as SELECT * plus that handful, and 500 index-nested-loop probes of the table
 // share one set, so they allocate no more than 500 probes that read whole rows.
 func TestScanColumnSetAllocs(t *testing.T) {
 	eng := groupByDB(t)
@@ -82,4 +84,80 @@ func TestScanColumnSetAllocs(t *testing.T) {
 		}
 		t.Logf("%s: %v allocations with a column set, %v without", tc.name, with, without)
 	}
+}
+
+// TestINLJoinAllocsFlat pins what an index nested-loop join allocates per
+// outer row: nothing. Every probe of the inner side by key prefix is cut from
+// one string of all the probes' ranges and reads through the join's one
+// scanner, filter and column set, and each outer row's one match lands in an
+// output sized by the outer side's count; so a join of 32 outer rows
+// allocates what a join of one does, give or take the one array the outer
+// scan sizes from its first chunk. The keys are strings, which a probe keys
+// without decoding. At the parent commit an execution of the same join
+// allocated 22 at 1 outer row and 186 at 32; here 10 and 11.
+func TestINLJoinAllocsFlat(t *testing.T) {
+	hc := hbase.NewHCluster(nil, nil)
+	cat := NewCatalog(hc)
+	for _, r := range []*schema.Relation{
+		{Name: "O", PK: []string{"o_id"}, Columns: []schema.Column{{Name: "o_id", Type: schema.TInt}, {Name: "o_k", Type: schema.TString}, {Name: "o_pad", Type: schema.TString}}},
+		{Name: "I", PK: []string{"i_k", "i_n"}, Columns: []schema.Column{{Name: "i_k", Type: schema.TString}, {Name: "i_n", Type: schema.TInt}, {Name: "i_v", Type: schema.TInt}, {Name: "i_pad", Type: schema.TString}}},
+	} {
+		if _, err := cat.RegisterRelation(r, hbase.TableSpec{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng := NewEngine(cat)
+	ot, _ := cat.Table("O")
+	it, _ := cat.Table("I")
+	for i := int64(1); i <= 64; i++ {
+		k := fmt.Sprintf("key-%03d", i)
+		if err := eng.PutRow(sim.NewCtx(), ot, schema.Row{"o_id": i, "o_k": k, "o_pad": "outer"}, WriteOpts{}); err != nil {
+			t.Fatal(err)
+		}
+		// Of the two inner rows under each outer row's key, the pushed
+		// filter keeps one.
+		for n, pad := range []string{"skip", "keep"} {
+			if err := eng.PutRow(sim.NewCtx(), it, schema.Row{"i_k": k, "i_n": int64(n), "i_v": i*10 + int64(n), "i_pad": pad}, WriteOpts{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, tbl := range []string{"O", "I"} {
+		if err := hc.FlushTable(tbl); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sel, err := sqlparser.ParseSelect(`SELECT o.o_id, i.i_v FROM O o, I i WHERE o.o_k = i.i_k AND o.o_id <= ? AND i.i_pad = 'keep'`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := eng.Compile(sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(outer int64) float64 {
+		params := []schema.Value{outer}
+		return testing.AllocsPerRun(20, func() {
+			ctx := sim.NewCtx()
+			cur, err := plan.Open(ctx, params, QueryOpts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := 0
+			for cur.Next(ctx) {
+				n++
+			}
+			if err := cur.Close(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if st := ctx.Snapshot(); n != int(outer) || st.RPCs != int64(1+outer) {
+				t.Fatalf("%d outer rows: %d rows in %d RPCs, want %d in %d", outer, n, st.RPCs, outer, 1+outer)
+			}
+		})
+	}
+	many, one := allocs(32), allocs(1)
+	if many > one+1 {
+		t.Errorf("an index nested-loop join allocates %v at 1 outer row and %v at 32: want at most one more", one, many)
+	}
+	t.Logf("%v allocations at 1 outer row, %v at 32", one, many)
 }

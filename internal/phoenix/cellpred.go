@@ -101,14 +101,6 @@ type cellPred struct {
 	text      string // a string constant's bytes (see rawOfValue)
 }
 
-func compilePreds(local []localPred) []cellPred {
-	preds := make([]cellPred, len(local))
-	for i, p := range local {
-		preds[i] = compilePred(p)
-	}
-	return preds
-}
-
 func compilePred(p localPred) cellPred {
 	c := cellPred{col: p.col, rcol: p.rcol, colVsCol: p.colVsCol, op: p.op}
 	c.value, c.text = rawOfValue(p.value)
@@ -150,27 +142,45 @@ func (p *cellPred) match(cells hbase.Cells) bool {
 	return p.holds(cellOf(cells, p.col), r)
 }
 
-// scanFilter compiles a binding's local predicates into the pushdown filter
-// of its scans, nil when there are none: a scan with no filter ships every
-// visible row without a per-row call. The filter is a pure predicate over the
-// encoded cells — it decodes nothing, allocates nothing, and keeps no
-// reference to r.Cells, which is only valid during the call (the store and a
-// transaction's read-your-writes view both evaluate it over pooled rows).
-func scanFilter(local []localPred) func(hbase.RowResult) bool {
-	switch len(local) {
-	case 0:
+// predFilter is one scan's pushed-down filter: the local predicates its
+// access plan left, compiled against encoded values. It lives in the execution
+// block beside the scan that carries it (scanNode.filter, joinNode.probeFilter)
+// and reaches the store as a pointer to itself, so a scan's filter allocates
+// nothing; every execution compiles its own, since the constants are that
+// execution's parameters. It is a pure predicate over the encoded cells — it
+// decodes nothing, allocates nothing, and keeps no reference to r.Cells, which
+// is only valid during the call (the store and a transaction's
+// read-your-writes view both evaluate it over pooled rows). A scan holds it
+// from its open to its end (hbase.ScanSpec.Filter), and the block lives past
+// every scan it opens, so it is compiled again only for the next scan.
+type predFilter struct {
+	preds []cellPred
+	few   [2]cellPred // backs preds for up to two
+}
+
+// compile readies f for local and returns it as a scan's filter, nil when
+// there are no predicates: a scan with no filter ships every visible row
+// without a per-row call.
+func (f *predFilter) compile(local []localPred) hbase.RowFilter {
+	f.preds = f.few[:0]
+	if len(local) > len(f.few) {
+		f.preds = make([]cellPred, 0, len(local))
+	}
+	for _, p := range local {
+		f.preds = append(f.preds, compilePred(p))
+	}
+	if len(f.preds) == 0 {
 		return nil
-	case 1: // the closure holds the one predicate: a filter is one allocation
-		p := compilePred(local[0])
-		return func(r hbase.RowResult) bool { return p.match(r.Cells) }
 	}
-	preds := compilePreds(local)
-	return func(r hbase.RowResult) bool {
-		for i := range preds {
-			if !preds[i].match(r.Cells) {
-				return false
-			}
+	return f
+}
+
+// Keep reports whether a stored row holds every predicate.
+func (f *predFilter) Keep(r hbase.RowResult) bool {
+	for i := range f.preds {
+		if !f.preds[i].match(r.Cells) {
+			return false
 		}
-		return true
 	}
+	return true
 }

@@ -98,6 +98,16 @@ func TestCellPredMatchesEvalLocal(t *testing.T) {
 	}
 }
 
+// scanFilter compiles local as a scan's pushed filter is compiled and returns
+// its Keep, nil when the scan would carry no filter.
+func scanFilter(local []localPred) func(hbase.RowResult) bool {
+	var f predFilter
+	if rf := f.compile(local); rf != nil {
+		return rf.Keep
+	}
+	return nil
+}
+
 // TestScanFilterConjunction: a filter holds only when every predicate does,
 // and no predicates means no filter at all.
 func TestScanFilterConjunction(t *testing.T) {

@@ -40,7 +40,7 @@ func (e *Engine) Catalog() *Catalog { return e.cat }
 // option runs the same executor (see tuple), and every scan it opens carries
 // the same compiled pushdown filter, a pure predicate over a row's encoded
 // cells that a Reader may evaluate over pooled rows on either side of its
-// merge (see scanFilter).
+// merge (see predFilter).
 type QueryOpts struct {
 	// Read applies MVCC visibility filters to every scan and get.
 	Read hbase.ReadOpts
@@ -263,6 +263,7 @@ type binding struct {
 	// columns and each of refs lie in a derived row, the output columns a
 	// spill footprint counts, and the bytes of their names.
 	derived derivedCols
+	sets    columnSets // the column sets the binding's scans read (columnSet)
 }
 
 func (b *binding) hasColumn(col string) bool {

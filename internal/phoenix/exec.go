@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"time"
 
 	"synergy/internal/hbase"
@@ -263,46 +264,116 @@ func (b *binding) keyBounds(local []localPred, col string) (lo, hi string, rest 
 // each given its key column's kind — and, below it, between the plan's bounds
 // on the next key column. A prefix that is the whole row key is the single
 // row [key, key+\x00), which openScan reads with one Get rather than a scan
-// that would walk on to the region's end. An open lower end starts at the
-// first non-NULL part (tag 0x02): a NULL satisfies no comparison, as the
-// filter had it. A value its key column cannot hold equals no key, and the
-// range is empty (see openScan), as it is under contradictory bounds.
+// that would walk on to the region's end. A value its key column cannot hold
+// equals no key, and the range is empty (see openScan), as it is under
+// contradictory bounds. Start and Stop are cut from one string (keyWindow).
 func (p accessPlan) keyRange(b *binding, vals []schema.Value, spec *hbase.ScanSpec) {
+	var small [96]byte
+	buf := small[:0]
 	for i, c := range p.eqCols {
 		typ, _ := b.info.Col(c)
 		var ok bool
-		if vals[i], ok = coerce(typ, vals[i]); !ok {
+		if buf, ok = appendKeyValue(buf, i, typ, vals[i]); !ok {
 			spec.Start, spec.Stop = noKey, noKey
 			return
 		}
 	}
+	buf, w := p.closeRange(b, buf, 0)
+	w.set(string(buf), spec)
+}
+
+// appendKeyValue appends key part i — KeySep first, but for the first part —
+// of a key column of kind typ holding v; ok is false for a value the column
+// cannot hold (coerce).
+func appendKeyValue(buf []byte, i int, typ schema.ColType, v schema.Value) (key []byte, ok bool) {
+	if v, ok = coerce(typ, v); !ok {
+		return buf, false
+	}
+	if i > 0 {
+		buf = append(buf, schema.KeySep)
+	}
+	return schema.AppendKey(buf, v), true
+}
+
+// appendKeyCell is appendKeyValue of an encoded value: what it appends for
+// DecodeValue(cell), without decoding a string or an integer of the column's
+// own kind.
+func appendKeyCell(buf []byte, i int, typ schema.ColType, cell []byte) (key []byte, ok bool) {
+	k := RawCellKind(cell)
+	if k != CellString && k != CellInt || typ != schema.TString && typ != schema.TInt {
+		return appendKeyValue(buf, i, typ, DecodeValue(cell))
+	}
+	if (k == CellString) != (typ == schema.TString) {
+		return buf, false // a number in a string column, or a string in an integer one
+	}
+	if i > 0 {
+		buf = append(buf, schema.KeySep)
+	}
+	if k == CellString {
+		return schema.AppendKeyString(buf, RawCellBytes(cell)), true
+	}
+	return schema.AppendKeyInt(buf, RawCellInt(cell)), true
+}
+
+// keyWindow is where a key range's Start and Stop lie in the string its
+// bounds were built into: both are cut from it, so a range costs one string
+// however it is bounded, and the probes of a join share one (joinNode.probe).
+type keyWindow struct {
+	start, startEnd, stop, stopEnd int
+	empty                          bool // the range holds no key
+}
+
+// set gives spec the range w cuts from s.
+func (w keyWindow) set(s string, spec *hbase.ScanSpec) {
+	if w.empty {
+		spec.Start, spec.Stop = noKey, noKey
+		return
+	}
+	spec.Start, spec.Stop = s[w.start:w.startEnd], s[w.stop:w.stopEnd]
+}
+
+// closeRange ends the key range whose bound prefix — the key parts of every
+// column of eqCols, in order — buf holds from index from: it appends what the
+// range needs past the prefix and says where its bounds lie. A whole row key
+// is [key, key\x00); a partial one is every key under key+KeySep — up to
+// 0xFF 0xFF 0xFF 0xFF after it, which no key part opens with — or, with bounds
+// on the next key column, [prefix+lo, prefix+hi). An open lower end starts at
+// the first non-NULL part (tag 0x02): a NULL satisfies no comparison, as the
+// filter had it. No prefix and no bounds is the whole table.
+func (p accessPlan) closeRange(b *binding, buf []byte, from int) ([]byte, keyWindow) {
 	keyLen := len(b.info.Key)
 	if p.kind == accessIndexPrefix {
 		keyLen += len(p.index.On)
 	}
-	var buf [64]byte
-	if len(p.eqCols) == keyLen {
-		key := string(append(schema.AppendKey(buf[:0], vals...), 0))
-		spec.Start, spec.Stop = key[:len(key)-1], key
-		return
+	w := keyWindow{start: from, stop: from}
+	switch {
+	case len(p.eqCols) == keyLen:
+		w.startEnd = len(buf)
+		buf = append(buf, 0)
+	case p.lo == "" && p.hi == "":
+		if len(p.eqCols) > 0 {
+			buf = append(buf, schema.KeySep)
+			w.startEnd = len(buf)
+			buf = append(buf, 0xFF, 0xFF, 0xFF, 0xFF)
+		}
+	default:
+		if len(p.eqCols) > 0 {
+			buf = append(buf, schema.KeySep)
+		}
+		prefix := len(buf)
+		lo, hi := p.lo, p.hi
+		if lo == "" {
+			lo = "\x02"
+		}
+		if hi == "" {
+			hi = noKey
+		}
+		buf = append(buf, lo...)
+		w.startEnd, w.stop = len(buf), len(buf)
+		buf = append(append(buf, buf[from:prefix]...), hi...)
 	}
-	if p.lo == "" && p.hi == "" {
-		spec.Prefix = schema.KeyPrefix(vals...)
-		return
-	}
-	prefix := buf[:0]
-	if len(vals) > 0 {
-		prefix = append(schema.AppendKey(prefix, vals...), schema.KeySep)
-	}
-	lo, hi := p.lo, p.hi
-	if lo == "" {
-		lo = "\x02"
-	}
-	if hi == "" {
-		hi = noKey
-	}
-	spec.Start = string(append(prefix, lo...)) // before the next append writes over it
-	spec.Stop = string(append(prefix, hi...))
+	w.stopEnd = len(buf)
+	return buf, w
 }
 
 // noKey sorts after every row key (a key opens with a type tag): [noKey, noKey)
@@ -339,8 +410,9 @@ func singleRow(spec hbase.ScanSpec) (string, bool) {
 // point. A key range that holds no key is read here, with no RPC and nothing
 // for a read set to track; one that holds a single key is that row's Get on
 // the same reader, under the same spec — a point in the read set, not a
-// range — streamed as one row, from one, the caller's.
-func (q *query) openScan(ctx *sim.Ctx, tbl string, spec hbase.ScanSpec, one *oneRow) (hbase.RowStream, error) {
+// range — streamed as one row, from one, the caller's. Any other range is a
+// scan in sc, the caller's scanner storage.
+func (q *query) openScan(ctx *sim.Ctx, tbl string, spec hbase.ScanSpec, one *oneRow, sc *hbase.Scanner) (hbase.RowStream, error) {
 	if spec.Stop != "" && spec.Start >= spec.Stop {
 		return noRows{}, nil
 	}
@@ -356,7 +428,7 @@ func (q *query) openScan(ctx *sim.Ctx, tbl string, spec hbase.ScanSpec, one *one
 		*one = oneRow{r}
 		return one, nil
 	}
-	return rd.OpenScan(ctx, tbl, spec)
+	return rd.OpenScan(ctx, tbl, spec, sc)
 }
 
 // columnSet is the qualifiers a scan of table binding b reads under the pushed
@@ -365,12 +437,15 @@ func (q *query) openScan(ctx *sim.Ctx, tbl string, spec hbase.ScanSpec, one *one
 // none of those is one — a stored row always carries its key, so a row whose
 // wanted columns are all NULL still comes back (the part Phoenix's empty key
 // value plays). It is nil when the statement reads every column: a SELECT *
-// scans as it did before scans named their columns.
+// scans as it did before scans named their columns. The set is the plan's
+// (binding.sets): every execution that reads the same columns reads them
+// through one.
 func (q *query) columnSet(b *binding, preds []localPred) *hbase.ColumnSet {
 	if len(b.refs) == len(b.cols) {
 		return nil
 	}
-	quals := append(make([]string, 0, len(b.refs)+2*len(preds)+2), b.refs...)
+	var small [24]string
+	quals := append(small[:0], b.refs...)
 	for _, p := range preds {
 		quals = append(quals, p.col)
 		if p.colVsCol {
@@ -387,16 +462,50 @@ func (q *query) columnSet(b *binding, preds []localPred) *hbase.ColumnSet {
 	if !keyed {
 		quals = append(quals, b.info.Key[0])
 	}
-	return hbase.NewColumnSet(quals...)
+	slices.Sort(quals)
+	return b.sets.of(slices.Compact(quals))
+}
+
+// columnSets is a binding's column sets, one per qualifier list its scans
+// have read — a handful: which range conjuncts the key bounds absorb, and
+// whether the scan checks the dirty marker, are all that vary between
+// executions, which share it on any goroutine. It holds at most maxPlanSets;
+// past that a scan gets a set of its own.
+type columnSets struct {
+	mu   sync.Mutex
+	sets []*hbase.ColumnSet
+	few  [2]*hbase.ColumnSet // backs sets while the binding has read two lists at most
+}
+
+const maxPlanSets = 8
+
+// of returns the set of quals, ascending and distinct, which it does not keep.
+func (c *columnSets) of(quals []string) *hbase.ColumnSet {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, s := range c.sets {
+		if s.Holds(quals) {
+			return s
+		}
+	}
+	set := hbase.NewColumnSet(slices.Clone(quals)...)
+	if c.sets == nil {
+		c.sets = c.few[:0]
+	}
+	if len(c.sets) < maxPlanSets {
+		c.sets = append(c.sets, set)
+	}
+	return set
 }
 
 // scanSpec builds the store scan of a table binding under its access plan:
 // the key range its local equalities and range conjuncts bind, the rest of its
-// local predicates as the pushed-down filter, and the columns it reads. A scan
-// fans out in whole waves of equal units over its regions (Phoenix
-// intra-query parallelism); a single-row lookup is one Get.
-func (q *query) scanSpec(b *binding, plan accessPlan) (string, hbase.ScanSpec, error) {
-	spec := hbase.ScanSpec{Read: q.opts.Read, Filter: scanFilter(plan.filter), Reversed: plan.reversed, Columns: q.columnSet(b, plan.filter)}
+// local predicates as the pushed-down filter — compiled into f, the scan's
+// storage for it — and the columns it reads. A scan fans out in whole waves of
+// equal units over its regions (Phoenix intra-query parallelism); a
+// single-row lookup is one Get.
+func (q *query) scanSpec(b *binding, plan accessPlan, f *predFilter) (string, hbase.ScanSpec, error) {
+	spec := hbase.ScanSpec{Read: q.opts.Read, Filter: f.compile(plan.filter), Reversed: plan.reversed, Columns: q.columnSet(b, plan.filter)}
 	if plan.kind != accessFullScan {
 		var small [8]schema.Value
 		vals := small[:0]
@@ -489,14 +598,14 @@ const maxRestarts = 50
 
 // read reads tbl under spec to its end, handing every row to add: the one read
 // loop of a scan that does not stream and of an index nested-loop probe (one
-// backs a single-row range's stream, see openScan). A
+// backs a single-row range's stream and scanner any other's, see openScan). A
 // read that checks for dirty view rows and meets one abandons the scan, takes
 // back what it added (undo) and, charged the restart, reads again from the
 // top — §VIII-C: "if a marked row is present ... re-scan" — failing with
 // ErrDirtyRead once maxRestarts reads have met one.
-func (q *query) read(ctx *sim.Ctx, tbl string, spec hbase.ScanSpec, dirtyChecked bool, one *oneRow, add func(hbase.RowResult), undo func()) error {
+func (q *query) read(ctx *sim.Ctx, tbl string, spec hbase.ScanSpec, dirtyChecked bool, one *oneRow, scanner *hbase.Scanner, add func(hbase.RowResult), undo func()) error {
 	for attempt := 1; ; attempt++ {
-		sc, err := q.openScan(ctx, tbl, spec, one)
+		sc, err := q.openScan(ctx, tbl, spec, one, scanner)
 		if err != nil {
 			return err
 		}
@@ -563,12 +672,13 @@ func (p *Plan) derivedCols(b *binding) derivedCols {
 }
 
 // scanDerived filters a derived table's materialized rows by the binding's
-// local predicates and re-slots the referenced columns into tuples. It
+// local predicates, compiled into f, and re-slots the referenced columns into tuples. It
 // re-indexes the read's arrivals at, in place, to the rows it keeps: a row
 // filtered out hands its arrival on to the next row kept.
-func (q *query) scanDerived(b *binding, wide bool, at []arrival) ([]tuple, []arrival) {
+func (q *query) scanDerived(b *binding, wide bool, at []arrival, f *predFilter) ([]tuple, []arrival) {
 	sub, rows, d := b.sub, q.execs[b.idx].derived, &b.derived
-	preds := compilePreds(q.execs[b.idx].local)
+	f.compile(q.execs[b.idx].local)
+	preds := f.preds
 	out := make([]tuple, 0, len(rows))
 	q.slab.reserve(len(rows), q.tupleWidth(b, wide))
 	k := 0 // the next arrival to re-index

@@ -153,9 +153,9 @@ type partialCount struct {
 	n int
 }
 
-func (c *partialCount) OpenScan(ctx *sim.Ctx, tbl string, spec hbase.ScanSpec) (hbase.RowStream, error) {
-	sc, err := c.Reader.OpenScan(ctx, tbl, spec)
-	return &partialCounter{RowStream: sc, c: c}, err
+func (c *partialCount) OpenScan(ctx *sim.Ctx, tbl string, spec hbase.ScanSpec, sc *hbase.Scanner) (hbase.RowStream, error) {
+	rs, err := c.Reader.OpenScan(ctx, tbl, spec, sc)
+	return &partialCounter{RowStream: rs, c: c}, err
 }
 
 type partialCounter struct {
@@ -365,13 +365,13 @@ type unmarkingScan struct {
 	at, scans int
 }
 
-func (u *unmarkingScan) OpenScan(ctx *sim.Ctx, tbl string, spec hbase.ScanSpec) (hbase.RowStream, error) {
+func (u *unmarkingScan) OpenScan(ctx *sim.Ctx, tbl string, spec hbase.ScanSpec, sc *hbase.Scanner) (hbase.RowStream, error) {
 	if tbl == "V" {
 		if u.scans++; u.scans == u.at {
 			setDirty(u.t, u.e, u.k, "0", unmarkTS)
 		}
 	}
-	return u.Reader.OpenScan(ctx, tbl, spec)
+	return u.Reader.OpenScan(ctx, tbl, spec, sc)
 }
 
 // TestFoldDirtyViewRow: a region that meets a dirty view row while it folds

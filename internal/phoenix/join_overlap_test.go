@@ -293,7 +293,7 @@ func TestDerivedArrivals(t *testing.T) {
 	derived := q.execs[b.idx].derived
 	ctx := sim.NewCtx()
 	ctx.Charge(from)
-	rows, at := q.scanDerived(b, false, q.chargeRead(ctx, b))
+	rows, at := q.scanDerived(b, false, q.chargeRead(ctx, b), new(predFilter))
 	var want []sim.Micros // when each kept row was handed out, on ctx's clock
 	for n, d := range derived {
 		if RawCellInt(b.sub.value(d, 0)) <= 1000 {
@@ -406,11 +406,11 @@ type failingReader struct {
 
 var errInjected = errors.New("injected read failure")
 
-func (r failingReader) OpenScan(ctx *sim.Ctx, tbl string, spec hbase.ScanSpec) (hbase.RowStream, error) {
+func (r failingReader) OpenScan(ctx *sim.Ctx, tbl string, spec hbase.ScanSpec, sc *hbase.Scanner) (hbase.RowStream, error) {
 	if tbl == r.table {
 		return nil, errInjected
 	}
-	return r.Client.OpenScan(ctx, tbl, spec)
+	return r.Client.OpenScan(ctx, tbl, spec, sc)
 }
 
 // TestDerivedReadChargedOnce pins that a derived table's read is charged to

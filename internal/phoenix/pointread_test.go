@@ -94,7 +94,7 @@ func scanRead(t *testing.T, e *Engine, sql string, params []schema.Value, opts Q
 		t.Fatal(err)
 	}
 	b := q.bindings[0]
-	tbl, spec, err := q.scanSpec(b, q.fullPlan(b))
+	tbl, spec, err := q.scanSpec(b, q.fullPlan(b), new(predFilter))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func scanRead(t *testing.T, e *Engine, sql string, params []schema.Value, opts Q
 		rd = opts.Reader
 	}
 	ctx := sim.NewCtx()
-	sc, err := rd.OpenScan(ctx, tbl, spec)
+	sc, err := rd.OpenScan(ctx, tbl, spec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

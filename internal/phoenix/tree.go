@@ -95,19 +95,32 @@ func rowsOf(ctx *sim.Ctx, n node, at *[]arrival) ([]tuple, error) {
 			return rows, nil
 		}
 	}
-	var rows []tuple
 	if s, ok := n.(*scanNode); ok {
-		rows = s.rows[:0] // as Open sized it
+		// A streamed store scan keeps its rows in its list, sized as a read's
+		// are (add).
+		for r, ok := s.sc.Next(ctx); ok; r, ok = s.sc.Next(ctx) {
+			s.add(r)
+			arrived(ctx, at, len(s.rows)-1)
+		}
+		return s.rows, nil
 	}
+	var rows []tuple
 	for t, ok := n.Next(ctx); ok; t, ok = n.Next(ctx) {
 		rows = append(rows, t)
-		if at != nil {
-			if now := ctx.Elapsed(); len(*at) == 0 || (*at)[len(*at)-1].at != now {
-				*at = append(*at, arrival{len(rows) - 1, now})
-			}
-		}
+		arrived(ctx, at, len(rows)-1)
 	}
 	return rows, nil
+}
+
+// arrived notes in at, if the caller asked for arrivals, that row i came in
+// at ctx's clock, unless the row before it did too.
+func arrived(ctx *sim.Ctx, at *[]arrival, i int) {
+	if at == nil {
+		return
+	}
+	if now := ctx.Elapsed(); len(*at) == 0 || (*at)[len(*at)-1].at != now {
+		*at = append(*at, arrival{i, now})
+	}
 }
 
 // tree builds the operators of one execution, bottom up, in the execution's
@@ -178,14 +191,17 @@ type scanNode struct {
 	b          *binding
 	path       accessPlan
 	wide, keep bool
+	sized      bool    // rows has room for what the plan or the scanner's first chunk said
 	limit      int     // pushed into the store scan: the LIMIT is the scan's parent
 	g          *groups // the aggregate folding on the regions (Plan.fold)
 	sc         hbase.RowStream
-	one        oneRow    // backs sc for a single-row key range
-	few        [1]tuple  // backs rows for a point read
-	buf        tuple     // the streamed row, filled again by every Next
-	seg        [][]byte  // b's segment of buf
-	at         []arrival // when a derived table's rows came in, on the request's clock
+	one        oneRow        // backs sc for a single-row key range
+	scanner    hbase.Scanner // backs sc for any other range
+	filter     predFilter    // the filter the scan pushes to the store
+	few        [1]tuple      // backs rows for a point read
+	buf        tuple         // the streamed row, filled again by every Next
+	seg        [][]byte      // b's segment of buf
+	at         []arrival     // when a derived table's rows came in, on the request's clock
 }
 
 // streams reports whether the scan hands out store rows as it reads them.
@@ -196,10 +212,10 @@ func (s *scanNode) streams() bool {
 func (s *scanNode) Open(ctx *sim.Ctx) error {
 	q, b := s.q, s.b
 	if b.sub != nil {
-		s.rows, s.at = q.scanDerived(b, s.wide, q.chargeRead(ctx, b))
+		s.rows, s.at = q.scanDerived(b, s.wide, q.chargeRead(ctx, b), &s.filter)
 		return nil
 	}
-	tbl, spec, err := q.scanSpec(b, s.path)
+	tbl, spec, err := q.scanSpec(b, s.path, &s.filter)
 	if err != nil {
 		return err
 	}
@@ -208,22 +224,22 @@ func (s *scanNode) Open(ctx *sim.Ctx) error {
 	}
 	if s.g == nil && (s.keep || !s.streams()) {
 		// Its rows are kept: sized, with their values, by the count the plan
-		// knows, and grown from a point read's otherwise.
+		// knows, and by the scanner's first chunk otherwise (grow).
 		n := s.expect()
-		s.rows = s.few[:0]
+		s.rows, s.sized = s.few[:0], n > 0
 		if n > len(s.few) {
 			s.rows = make([]tuple, 0, n)
 		}
 		q.slab.reserve(n, q.tupleWidth(b, s.wide))
 	}
 	if s.streams() {
-		s.sc, err = q.openScan(ctx, tbl, spec, &s.one)
+		s.sc, err = q.openScan(ctx, tbl, spec, &s.one, &s.scanner)
 		return err
 	}
 	if s.g != nil {
 		spec.Fold = q.newRegionFold
 	}
-	return q.read(ctx, tbl, spec, q.dirtyChecked(b), &s.one, s.add, s.undo)
+	return q.read(ctx, tbl, spec, q.dirtyChecked(b), &s.one, &s.scanner, s.add, s.undo)
 }
 
 // expect is how many rows the scan hands out when its plan can tell: one for
@@ -250,16 +266,34 @@ func (s *scanNode) expect() int {
 
 // add takes one row of a read: into the list, or into the fold's groups — a
 // partial group a region folded, or a stored row a reader that cannot fold
-// streamed instead, merged in scan order.
+// streamed instead, merged in scan order. A list the plan could not size
+// (expect) grows to hold at least the rest of the scanner's chunk at once.
 func (s *scanNode) add(r hbase.RowResult) {
 	switch {
 	case s.g == nil:
+		if len(s.rows) == cap(s.rows) || !s.sized {
+			s.grow()
+		}
 		s.rows = append(s.rows, s.q.scanTuple(s.b, r, s.wide))
 	case isPartial(r):
 		s.g.merge(r)
 	default:
 		s.g.addRow(s.b.refs, r.Cells)
 	}
+}
+
+// grow makes room in the list for the row being added and the rest of the
+// scanner's chunk, rows the scan returns whatever follows: at the first row of
+// a list the plan could not size (expect), and whenever the list is full, when
+// it also at least doubles it. The tuples' values are reserved with it.
+func (s *scanNode) grow() {
+	n := len(s.rows) + 1 + s.scanner.Buffered()
+	if len(s.rows) == cap(s.rows) {
+		n = max(n, 2*cap(s.rows))
+	}
+	s.rows = slices.Grow(s.rows, n-len(s.rows))
+	s.q.slab.reserve(n-len(s.rows), s.q.tupleWidth(s.b, s.wide))
+	s.sized = true
 }
 
 // undo drops what a read that met a dirty row added.
@@ -330,11 +364,13 @@ type joinNode struct {
 	*joinStep
 	q                  *query
 	outer              node
-	spill              bool       // the output is carried into another join
-	outerCtx, innerCtx sim.Ctx    // the branches of a join that reads its sides at once
-	arrived            [4]arrival // backs the build side's arrivals while it has few
-	innerScan          scanNode   // reads b whole for a hash join's build side (inner)
-	one                oneRow     // backs a probe's single-row read
+	spill              bool          // the output is carried into another join
+	outerCtx, innerCtx sim.Ctx       // the branches of a join that reads its sides at once
+	arrived            [4]arrival    // backs the build side's arrivals while it has few
+	innerScan          scanNode      // reads b whole for a hash join's build side (inner)
+	one                oneRow        // backs a probe's single-row read
+	probeScan          hbase.Scanner // backs every other probe's read, one after another
+	probeFilter        predFilter    // the filter every probe pushes to the store
 }
 
 func (j *joinNode) Open(ctx *sim.Ctx) error {
@@ -521,13 +557,19 @@ func (j *joinNode) hash(ctx *sim.Ctx, outer, inner []tuple, t hashTable) {
 // the probe binds b's whole row key and a prefix scan otherwise. A probe that
 // meets a dirty view row is read again from the top (read) — this outer
 // tuple's matches, not the whole join — so the join never comes back short.
+//
+// The probes share what does not depend on the outer tuple: one filter, one
+// column set and one scanner, the join's. Their key ranges are built back to
+// back first, from the outer tuples' encoded values, into one string that
+// every probe's Start and Stop are cut from.
 func (j *joinNode) probe(ctx *sim.Ctx, outer []tuple, plan accessPlan) error {
 	q, b := j.q, j.b
 	// Each key column of the probe takes its value from the outer tuple
 	// (probeSlot >= 0) or, once for all probes, from a local equality.
 	var slotBuf [8]int
 	var valBuf [8]schema.Value
-	probeSlot, vals := slotBuf[:0], valBuf[:0]
+	var typBuf [8]schema.ColType
+	probeSlot, vals, typs := slotBuf[:0], valBuf[:0], typBuf[:0]
 	for _, c := range plan.eqCols {
 		slot := -1
 		for i, name := range j.innerNames {
@@ -536,25 +578,46 @@ func (j *joinNode) probe(ctx *sim.Ctx, outer []tuple, plan accessPlan) error {
 			}
 		}
 		v, _ := localEqValue(q.execs[b.idx].local, c)
-		probeSlot, vals = append(probeSlot, slot), append(vals, v)
+		typ, _ := b.info.Col(c)
+		probeSlot, vals, typs = append(probeSlot, slot), append(vals, v), append(typs, typ)
 	}
+	var keyBuf [512]byte
+	var winBuf [32]keyWindow
+	buf, wins := keyBuf[:0], winBuf[:0]
+	for _, o := range outer {
+		from, ok := len(buf), true
+		for k, s := range probeSlot {
+			if s >= 0 {
+				buf, ok = appendKeyCell(buf, k, typs[k], o.vals[s])
+			} else {
+				buf, ok = appendKeyValue(buf, k, typs[k], vals[k])
+			}
+			if !ok {
+				break
+			}
+		}
+		w := keyWindow{empty: true}
+		if ok {
+			buf, w = plan.closeRange(b, buf, from)
+		} else {
+			buf = buf[:from]
+		}
+		wins = append(wins, w)
+	}
+	keys := string(buf)
+
 	tbl := plan.table(b)
-	filter, cols := scanFilter(plan.filter), q.columnSet(b, plan.filter) // one of each for every probe
+	filter, cols := j.probeFilter.compile(plan.filter), q.columnSet(b, plan.filter)
 	// Most probes find a row or none: the outer side's count sizes the output.
 	j.rows = make([]tuple, 0, len(outer))
 	q.slab.reserve(len(outer), q.width)
-	for _, o := range outer {
-		for k, s := range probeSlot {
-			if s >= 0 {
-				vals[k] = DecodeValue(o.vals[s]) // the row key is built from typed values
-			}
-		}
+	for i, o := range outer {
 		// A prefix probe is a short scan; fanning it out would cost more
 		// than it overlaps.
 		spec := hbase.ScanSpec{Read: q.opts.Read, Sequential: true, Filter: filter, Columns: cols}
-		plan.keyRange(b, vals, &spec)
+		wins[i].set(keys, &spec)
 		n := len(j.rows)
-		err := q.read(ctx, tbl, spec, q.dirtyChecked(b), &j.one, func(r hbase.RowResult) {
+		err := q.read(ctx, tbl, spec, q.dirtyChecked(b), &j.one, &j.probeScan, func(r hbase.RowResult) {
 			t := q.merge(o, b, tuple{size: q.spillSize(b, r)})
 			copyRefs(b.refs, r.Cells, t.vals[b.off:])
 			// Re-check join equality (defensive; prefix probes guarantee it).

@@ -347,9 +347,11 @@ func TestCompositeKeyOrdering(t *testing.T) {
 }
 
 func TestKeyPrefixMatchesOnlyExactLeadingValues(t *testing.T) {
-	// Prefix of (10) must match (10, x) but not (100, x) — the classic
-	// delimited-key pitfall.
-	p := KeyPrefix(int64(10))
+	// The prefix of a partial key is its values and a trailing separator, so
+	// a prefix scan matches exactly the rows whose leading key attributes
+	// equal them: the prefix of (10) must match (10, x) but not (100, x) —
+	// the classic delimited-key pitfall.
+	p := EncodeKey(int64(10)) + string(KeySep)
 	k10 := EncodeKey(int64(10), "x")
 	k100 := EncodeKey(int64(100), "x")
 	if !strings.HasPrefix(k10, p) {
@@ -359,7 +361,7 @@ func TestKeyPrefixMatchesOnlyExactLeadingValues(t *testing.T) {
 		t.Fatal("prefix must not match different leading value")
 	}
 	// Same for strings: "ab" prefix must not match "abc"'s key.
-	ps := KeyPrefix("ab")
+	ps := EncodeKey("ab") + string(KeySep)
 	kabc := EncodeKey("abc", int64(1))
 	kab := EncodeKey("ab", int64(1))
 	if strings.HasPrefix(kabc, ps) {

@@ -154,14 +154,3 @@ func AppendKeyString[S string | []byte](buf []byte, s S) []byte {
 	}
 	return append(buf, s[start:]...)
 }
-
-// KeyPrefix builds the scan prefix for a partial key (the given values plus
-// a trailing separator), so that prefix scans match exactly the rows whose
-// leading key attributes equal vals.
-func KeyPrefix(vals ...Value) string {
-	if len(vals) == 0 {
-		return ""
-	}
-	var buf [64]byte
-	return string(append(AppendKey(buf[:0], vals...), KeySep))
-}

@@ -311,15 +311,18 @@ func rawRows(ctx *sim.Ctx, cur phoenix.RowCursor, n int) []string {
 }
 
 // TestPreparedCursorsShareNothing holds executions of one Prepared, on two
-// sessions, to share nothing but the plan: for Q10, Q11 and Q5 — a derived
-// table, joins, an aggregate, a sort, a LIMIT — every execution's rows equal,
-// byte for byte, those of the same draw run alone. First the sessions take
-// turns, one cursor left half-read while the other runs a whole execution;
-// then both run their executions at once, which -race checks.
+// sessions, to share nothing but the plan and its column sets: for Q10, Q11
+// and Q5 — a derived table, joins, an aggregate, a sort, a LIMIT — and for Q1
+// and Q8, key-prefix scans of a view, and Q3, which probes a view by key once
+// per outer row — each execution's scanners and pushed filters are its own,
+// as is Q11's, which probes Order_line by key prefix — every execution's rows
+// equal, byte for byte, those of the same draw run alone. First the sessions
+// take turns, one cursor left half-read while the other runs a whole
+// execution; then both run their executions at once, which -race checks.
 func TestPreparedCursorsShareNothing(t *testing.T) {
 	sys, data := benchSystem(t)
 	const draws = 50
-	for _, id := range []string{"Q10", "Q11", "Q5"} {
+	for _, id := range []string{"Q10", "Q11", "Q5", "Q1", "Q8", "Q3"} {
 		st, _ := tpcw.StatementByID(id)
 		sel := parseSelect(t, st.SQL)
 		p, err := sys.NewSession().Prepare(sel)

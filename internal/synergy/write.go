@@ -1015,7 +1015,7 @@ func (sys *System) locateViewRows(ctx *sim.Ctx, rd hbase.Reader, action core.Vie
 		// keys its entries under the written row's key hold, then read the
 		// full rows with one multi-get. Locator probes are short prefix
 		// reads, so they stay sequential.
-		sc, err := rd.OpenScan(ctx, action.LocatorIndex.Name(), hbase.ScanSpec{Prefix: parts.Key + string(schema.KeySep), Read: read, Sequential: true})
+		sc, err := rd.OpenScan(ctx, action.LocatorIndex.Name(), hbase.ScanSpec{Prefix: parts.Key + string(schema.KeySep), Read: read, Sequential: true}, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -1064,11 +1064,11 @@ func (sys *System) locateViewRows(ctx *sim.Ctx, rd hbase.Reader, action core.Vie
 		pk, key := sys.Design.Schema.Relation(parts.Table.Name).PK, parts.Key
 		sc, err := rd.OpenScan(ctx, viewInfo.Name, hbase.ScanSpec{
 			Read: read,
-			Filter: func(r hbase.RowResult) bool {
+			Filter: hbase.FilterFunc(func(r hbase.RowResult) bool {
 				var buf [64]byte
 				return string(phoenix.AppendKeyOfRow(buf[:0], r.Cells, pk)) == key
-			},
-		})
+			}),
+		}, nil)
 		if err != nil {
 			return nil, err
 		}
