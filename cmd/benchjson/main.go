@@ -15,10 +15,11 @@
 //
 // allocs/op and B/op are guarded alongside it with a tolerance (default
 // 1.25x, override with -alloc-tolerance), so allocation wins — both count
-// and bytes — stay pinned too. Both are reproducible for a fixed Go
-// toolchain but not exact; small benchmarks (under allocFloor allocations or
-// bytesFloor bytes) are exempt from the ratio checks because one incidental
-// allocation would trip them.
+// and bytes — stay pinned too. Neither is reproducible: a -benchtime 1x run
+// counts the benchmark's cold start (pools, a memstore's first blocks), which
+// moves with what ran before it in the process; small benchmarks (under
+// allocFloor allocations or bytesFloor bytes) are exempt from the ratio
+// checks because one incidental allocation would trip them.
 //
 // Benchmark names are matched with their -<GOMAXPROCS> suffix stripped, so a
 // baseline recorded on an 8-core machine guards a 4-core CI runner.
@@ -150,8 +151,8 @@ func runConvert() {
 // code-path change, not machine noise.
 const simMetric = "sim-ms/op"
 
-// allocMetric is the secondary guard: allocation counts are reproducible
-// for a fixed toolchain, so a past-tolerance climb is a real hot-path
+// allocMetric is the secondary guard: allocation counts move run to run by
+// their cold start, so only a past-tolerance climb is taken for a hot-path
 // representation change.
 const allocMetric = "allocs/op"
 

@@ -119,12 +119,13 @@ func TestFigure12Orderings(t *testing.T) {
 		t.Errorf("join means out of order: synergy=%.0f mvccA=%.0f mvccUA=%.0f baseline=%.0f",
 			syn, mvccA, mvccUA, base)
 	}
-	// VoltDB has a fixed per-transaction floor (~14ms command-log and
-	// round-trip) which dominates at this tiny test scale, so the paper's
-	// "Synergy 11x slower than VoltDB" only emerges at realistic scale
-	// (the cmd/synergy-bench harness shows it). Assert the scale-
-	// independent facts here: VoltDB beats every MVCC system and stays
-	// near its floor.
+	// VoltDB pays a fixed floor on every supported query: NewSQLBase
+	// (14 ms, command log and round trip) plus NewSQLMultiPartition (9 ms),
+	// 23 ms in all. Synergy's key-bound view reads cost a few ms and barely
+	// grow with the data, so the paper's "Synergy 11x slower than VoltDB"
+	// is a fixed-cost gap this calibration does not reproduce at any scale.
+	// Assert the scale-independent facts here: VoltDB beats every MVCC
+	// system and stays near its floor.
 	sup := g.SupportedBy("VoltDB")
 	if v, m := g.MeanOver("VoltDB", sup), g.MeanOver("MVCC-A", sup); v >= m {
 		t.Errorf("VoltDB (%.1f) should beat MVCC-A (%.1f) on supported joins", v, m)

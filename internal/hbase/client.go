@@ -325,12 +325,11 @@ var casScratches = sync.Pool{New: func() any { return new(casScratch) }}
 
 // ScanSpec describes a scan.
 type ScanSpec struct {
-	Start  string // inclusive; "" = table start
-	Stop   string // exclusive; "" = table end
-	Prefix string // convenience: restricts to keys with this prefix
-	Limit  int    // max rows returned; 0 = unlimited
-	// Reversed streams the range in descending key order. Start, Stop and
-	// Prefix still name the same [Start, Stop) key range and Limit still
+	Start string // inclusive; "" = table start
+	Stop  string // exclusive; "" = table end
+	Limit int    // max rows returned; 0 = unlimited
+	// Reversed streams the range in descending key order. Start and Stop
+	// still name the same [Start, Stop) key range and Limit still
 	// counts returned rows — the scan simply begins just below Stop and ends
 	// at Start, visiting regions last to first. The SQL planner sets it to
 	// serve ORDER BY … DESC from a key instead of a sort.
@@ -409,15 +408,6 @@ type Folder interface {
 	Rows() []RowResult
 }
 
-func (s ScanSpec) bounds() (start, stop string) {
-	start, stop = s.Start, s.Stop
-	if s.Prefix != "" {
-		start = s.Prefix
-		stop = s.Prefix + "\xff\xff\xff\xff"
-	}
-	return start, stop
-}
-
 // Scanner streams rows from a table in key order across regions — ascending,
 // or descending for a reversed spec, which lists its regions last to first
 // and is otherwise the same scanner.
@@ -443,7 +433,7 @@ type Scanner struct {
 	to      string     // bound it leaves at: Stop (exclusive), or Start (inclusive) reversed
 	units   []scanUnit // a fanned-out scan's units, in scan order; nil: the regions, walked whole
 	fold    Folder     // the scan's one Folder, handed to one region or unit after another
-	paid    sim.Micros // charged to the request ctx at the first row, ahead of the join
+	pool    sim.Lanes  // the read pool the units are joined through; the first row prepays
 	chunks  int64      // non-empty chunks handed to the consumer
 	joined  bool
 
@@ -488,7 +478,7 @@ func (c *Client) scanInto(ctx *sim.Ctx, tbl string, spec ScanSpec, s *Scanner) e
 	if batch <= 0 {
 		batch = c.hc.costs.ScannerBatch
 	}
-	from, to := spec.bounds()
+	from, to := spec.Start, spec.Stop
 	regions := t.regionsInRange(from, to)
 	if spec.Reversed {
 		from, to = to, from
@@ -532,8 +522,7 @@ func (s *Scanner) Next(ctx *sim.Ctx) (row RowResult, ok bool) {
 	if s.sent == 0 && s.units != nil {
 		// The first row is out once its unit's chunk is: the request has
 		// waited that long, whatever the other units still do (see join).
-		s.paid = s.units[s.wi].ctx.Elapsed()
-		ctx.Charge(s.paid)
+		s.pool.Prepay(ctx, s.units[s.wi].ctx.Elapsed())
 	}
 	s.sent++
 	if s.spec.Limit > 0 && s.sent >= s.spec.Limit {

@@ -209,7 +209,7 @@ func TestScanPrefix(t *testing.T) {
 	for _, k := range []string{"user/1", "user/2", "item/1", "zz"} {
 		c.Put(ctx, "t", k, []Cell{put("v", "x", 0)})
 	}
-	sc, _ := c.Scan(ctx, "t", ScanSpec{Prefix: "user/"})
+	sc, _ := c.Scan(ctx, "t", ScanSpec{Start: "user/", Stop: "user0"})
 	rows := sc.All(ctx)
 	if len(rows) != 2 {
 		t.Fatalf("prefix scan rows = %d, want 2", len(rows))

@@ -555,11 +555,11 @@ var scanShapes = []ScanSpec{
 	{},
 	{Batch: 8},
 	{Start: scanKey(37), Stop: scanKey(121), Batch: 8},
-	{Prefix: "k00001", Batch: 4},
+	{Start: "k00001", Stop: "k00002", Batch: 4},
 	{Limit: 5},
 	{Limit: 20, Batch: 8},
 	{Start: scanKey(37), Stop: scanKey(121), Limit: 20, Batch: 8},
-	{Prefix: "k0000", Limit: 12, Batch: 5},
+	{Start: "k0000", Stop: "k0001", Limit: 12, Batch: 5},
 }
 
 // restrictTo is what a read under a column set must return, given the same
@@ -595,7 +595,7 @@ func restrictRows(rows []RowResult, cols *ColumnSet) []RowResult {
 // model's visible rows in ascending key order: the rows inside the range,
 // backwards when reversed, cut at the limit.
 func modelRows(all []RowResult, spec ScanSpec) []RowResult {
-	start, stop := spec.bounds()
+	start, stop := spec.Start, spec.Stop
 	var rows []RowResult
 	for _, r := range all {
 		if r.Key >= start && (stop == "" || r.Key < stop) {

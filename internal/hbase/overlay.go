@@ -285,8 +285,7 @@ func (v *ReadView) OpenScan(ctx *sim.Ctx, tbl string, spec ScanSpec, sc *Scanner
 	ot := v.m.pendingTable(tbl)
 	var keys []string
 	if ot != nil {
-		start, stop := spec.bounds()
-		keys = ot.keysInRange(start, stop)
+		keys = ot.keysInRange(spec.Start, spec.Stop)
 	}
 	if len(keys) == 0 {
 		return v.m.c.OpenScan(ctx, tbl, spec, sc)

@@ -224,7 +224,7 @@ func TestOverlayReversedScan(t *testing.T) {
 	for _, spec := range []ScanSpec{
 		{},
 		{Start: scanKey(2), Stop: scanKey(14)},
-		{Prefix: "k00001"},
+		{Start: "k00001", Stop: "k00002"},
 		{Filter: stored},
 	} {
 		forward := scan(spec)

@@ -367,9 +367,8 @@ func (r *Region) scanChunk(buf *chunkBuf, from resumeAt, end string, limit int, 
 	var to string // the range's far bound, for a fold
 	if fold != nil {
 		limit = 0
-		start, stop := spec.bounds()
-		if to = stop; reversed {
-			to = start
+		if to = spec.Stop; reversed {
+			to = spec.Start
 		}
 	} else {
 		need := m.remaining()

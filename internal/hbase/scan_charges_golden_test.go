@@ -54,7 +54,7 @@ var regionCases = []scanCase{
 	{name: "full-default-batch", spec: ScanSpec{}},
 	{name: "range", spec: ScanSpec{Start: scanKey(500), Stop: scanKey(3500), Batch: 100}},
 	{name: "stop-in-region", spec: ScanSpec{Stop: scanKey(1777), Batch: 100}},
-	{name: "prefix-across-split", spec: ScanSpec{Prefix: "k001", Batch: 100}},
+	{name: "prefix-across-split", spec: ScanSpec{Start: "k001", Stop: "k002", Batch: 100}},
 	{name: "reversed", spec: ScanSpec{Start: scanKey(300), Stop: scanKey(3333), Reversed: true, Batch: 100}},
 	{name: "limit-below-batch", spec: ScanSpec{Limit: 37, Batch: 100}},
 	{name: "limit-at-least-batch", spec: ScanSpec{Stop: scanKey(1400), Limit: 2000, Batch: 300}},
@@ -68,7 +68,7 @@ var regionCases = []scanCase{
 	{name: "fold", spec: ScanSpec{Fold: newLenFold, Batch: 100}},
 	{name: "fold-range", spec: ScanSpec{Start: scanKey(500), Stop: scanKey(3500), Fold: newLenFold}},
 	{name: "fold-stop-in-region", spec: ScanSpec{Stop: scanKey(1777), Fold: newLenFold}},
-	{name: "fold-prefix", spec: ScanSpec{Prefix: "k001", Fold: newLenFold}},
+	{name: "fold-prefix", spec: ScanSpec{Start: "k001", Stop: "k002", Fold: newLenFold}},
 	{name: "fold-filter-columns", spec: ScanSpec{Filter: oddV, Columns: NewColumnSet("v"), Fold: newLenFold}},
 	{name: "fold-snapshot", spec: ScanSpec{Read: ReadOpts{ReadTS: 1}, Fold: newLenFold}},
 	{name: "fold-empty", spec: ScanSpec{Start: scanKey(4001), Fold: newLenFold}},

@@ -17,10 +17,8 @@ import (
 // unit enters at it as its exclusive upper one, as beyond and newRowMerger
 // read them.
 //
-// The consumer walks the units one after another in scan order. Simulated
-// cost follows fork/join semantics: join charges the request the units'
-// makespan at Costs.ScanParallelism width plus ScanMergeChunk per chunk — not
-// their sum, since the units' fetches would overlap.
+// The consumer walks the units one after another in scan order; join charges
+// them as the read pool would have run them, side by side.
 type scanUnit struct {
 	r         *Region
 	from, end string
@@ -97,6 +95,6 @@ func (s *Scanner) join(ctx *sim.Ctx) {
 	}
 	s.joined = true
 	costs := s.client.hc.costs
-	ctx.JoinLanes(costs.ScanParallelism, s.paid, len(s.units), func(i int) *sim.Ctx { return &s.units[i].ctx })
+	ctx.JoinLanes(&s.pool, costs.ScanParallelism, len(s.units), func(i int) *sim.Ctx { return &s.units[i].ctx })
 	ctx.Charge(sim.Micros(s.chunks * int64(costs.ScanMergeChunk)))
 }

@@ -320,7 +320,7 @@ func TestScanPrefixAcrossRegions(t *testing.T) {
 	}
 	c.Put(ctx, "t", "zother", []Cell{put("v", "no", 0)})
 	for _, sequential := range []bool{true, false} {
-		sc, _ := c.Scan(sim.NewCtx(), "t", ScanSpec{Prefix: "user/", Sequential: sequential})
+		sc, _ := c.Scan(sim.NewCtx(), "t", ScanSpec{Start: "user/", Stop: "user0", Sequential: sequential})
 		rows := sc.All(sim.NewCtx())
 		if len(rows) != 9 {
 			t.Fatalf("sequential=%v: prefix rows = %d, want 9", sequential, len(rows))

@@ -25,6 +25,7 @@ package occ
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 
 	"synergy/internal/hbase"
@@ -321,7 +322,7 @@ func (v *Validator) Validate(ctx *sim.Ctx, t *Tx, stampPending func(next func() 
 				continue // fully visible in our snapshot: not a conflict
 			}
 			for w := range rec.writes {
-				tbl, key := splitWriteKey(w)
+				tbl, key, _ := strings.Cut(w, "\x00") // a write key is table NUL key
 				for _, r := range t.rs.ranges {
 					if r.Table != tbl || !r.contains(key) {
 						continue
@@ -492,10 +493,8 @@ func (v *Validator) Stats() Stats {
 
 // describeKey renders a write-set key ("table\x00rowkey") readably.
 func describeKey(k string) string {
-	for i := 0; i < len(k); i++ {
-		if k[i] == 0 {
-			return fmt.Sprintf("%s/%q", k[:i], k[i+1:])
-		}
+	if tbl, key, ok := strings.Cut(k, "\x00"); ok {
+		return fmt.Sprintf("%s/%q", tbl, key)
 	}
 	return fmt.Sprintf("%q", k)
 }

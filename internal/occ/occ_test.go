@@ -398,7 +398,7 @@ func TestInFlightCommitConflictsWithRange(t *testing.T) {
 	if reader.Snapshot() <= w.commitStart {
 		t.Fatalf("snapshot %d at or below the in-flight watermark %d: the horizon was lowered", reader.Snapshot(), w.commitStart)
 	}
-	reader.rs.AddRange(Range{Table: "T", Prefix: "x"})
+	reader.rs.AddRange(Range{Table: "T", Start: "x", Stop: "y"})
 	v.Finalize(ctx, w)
 	if err := v.Validate(ctx, reader, nil); !errors.Is(err, ErrConflict) {
 		t.Fatalf("validate = %v, want ErrConflict: the scan of x* missed the in-flight commit of x1", err)
@@ -412,8 +412,8 @@ func TestRangeContains(t *testing.T) {
 		key  string
 		want bool
 	}{
-		{Range{Table: "T", Prefix: "ab"}, "abc", true},
-		{Range{Table: "T", Prefix: "ab"}, "b", false},
+		{Range{Table: "T", Start: "ab", Stop: "ac"}, "abc", true},
+		{Range{Table: "T", Start: "ab", Stop: "ac"}, "b", false},
 		{Range{Table: "T", Start: "b", Stop: "d"}, "c", true},
 		{Range{Table: "T", Start: "b", Stop: "d"}, "d", false},
 		{Range{Table: "T", Start: "b", Stop: "d"}, "a", false},

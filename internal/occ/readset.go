@@ -5,21 +5,16 @@ import (
 	"synergy/internal/sim"
 )
 
-// Range is one scan's key range in a table's keyspace. Prefix ranges keep
-// the prefix itself (a HasPrefix check beats bound arithmetic); bounded
-// ranges use [Start, Stop) with "" meaning unbounded on that side.
+// Range is one scan's key range in a table's keyspace: [Start, Stop), with ""
+// meaning unbounded on that side.
 type Range struct {
-	Table  string
-	Prefix string
-	Start  string
-	Stop   string
+	Table string
+	Start string
+	Stop  string
 }
 
 // contains reports whether a row key of the range's table falls inside it.
 func (r Range) contains(key string) bool {
-	if r.Prefix != "" {
-		return len(key) >= len(r.Prefix) && key[:len(r.Prefix)] == r.Prefix
-	}
 	if key < r.Start {
 		return false
 	}
@@ -51,20 +46,8 @@ func (rs *ReadSet) AddRange(r Range) { rs.ranges = append(rs.ranges, r) }
 // validation cost model scales with.
 func (rs *ReadSet) Len() int { return len(rs.points) + len(rs.ranges) }
 
-func splitWriteKey(w string) (table, key string) {
-	for i := 0; i < len(w); i++ {
-		if w[i] == 0 {
-			return w[:i], w[i+1:]
-		}
-	}
-	return w, ""
-}
-
 // RangeOf derives the read-set range of a scan spec.
 func RangeOf(table string, spec hbase.ScanSpec) Range {
-	if spec.Prefix != "" {
-		return Range{Table: table, Prefix: spec.Prefix}
-	}
 	return Range{Table: table, Start: spec.Start, Stop: spec.Stop}
 }
 

@@ -865,9 +865,9 @@ type query struct {
 type bindExec struct {
 	local   []localPred
 	derived []tuple
-	read    sim.Ctx    // the derived table's read, until chargeRead hands it on
-	at      []arrival  // when derived's rows came in, on read's clock
-	arrived [2]arrival // backs at for a fanned-out read's: its first row and its end
+	read    sim.Ctx        // the derived table's read, until chargeRead hands it on
+	at      sim.Arrivals   // when derived's rows came in, on read's clock
+	arrived [2]sim.Arrival // backs at for a fanned-out read's: its first row and its end
 	plan    accessPlan
 	planned bool
 }
@@ -944,16 +944,14 @@ func (p *Plan) bind(ctx *sim.Ctx, params []schema.Value, opts QueryOpts) (*query
 // is asked, and returns when the read's rows came in on ctx's clock: the read
 // runs from where ctx stood. After that the read is paid, charges nothing, and
 // its rows are all in hand (no arrivals).
-func (q *query) chargeRead(ctx *sim.Ctx, b *binding) []arrival {
+func (q *query) chargeRead(ctx *sim.Ctx, b *binding) sim.Arrivals {
 	x := &q.execs[b.idx]
 	from := ctx.Elapsed()
 	ctx.Join(&x.read)
 	x.read.Reset()
 	at := x.at
 	x.at = nil
-	for i := range at {
-		at[i].at += from
-	}
+	at.Shift(from)
 	return at
 }
 

@@ -400,7 +400,7 @@ func (*oneRow) Close(*sim.Ctx) {}
 // [key, key\x00) — what keyRange makes of a fully bound row key.
 func singleRow(spec hbase.ScanSpec) (string, bool) {
 	n := len(spec.Start)
-	return spec.Start, spec.Prefix == "" && len(spec.Stop) == n+1 && spec.Stop[n] == 0 && spec.Stop[:n] == spec.Start
+	return spec.Start, len(spec.Stop) == n+1 && spec.Stop[n] == 0 && spec.Stop[:n] == spec.Start
 }
 
 // openScan opens a binding scan through the query's reader: the Reader when
@@ -675,7 +675,7 @@ func (p *Plan) derivedCols(b *binding) derivedCols {
 // local predicates, compiled into f, and re-slots the referenced columns into tuples. It
 // re-indexes the read's arrivals at, in place, to the rows it keeps: a row
 // filtered out hands its arrival on to the next row kept.
-func (q *query) scanDerived(b *binding, wide bool, at []arrival, f *predFilter) ([]tuple, []arrival) {
+func (q *query) scanDerived(b *binding, wide bool, at sim.Arrivals, f *predFilter) ([]tuple, sim.Arrivals) {
 	sub, rows, d := b.sub, q.execs[b.idx].derived, &b.derived
 	f.compile(q.execs[b.idx].local)
 	preds := f.preds
@@ -684,8 +684,8 @@ func (q *query) scanDerived(b *binding, wide bool, at []arrival, f *predFilter) 
 	k := 0 // the next arrival to re-index
 rows:
 	for n, r := range rows {
-		for ; k < len(at) && at[k].i <= n; k++ {
-			at[k].i = len(out)
+		for ; k < len(at) && at[k].I <= n; k++ {
+			at[k].I = len(out)
 		}
 		for i := range preds {
 			var rv []byte
@@ -707,7 +707,7 @@ rows:
 		out = append(out, t)
 	}
 	for ; k < len(at); k++ {
-		at[k].i = len(out)
+		at[k].I = len(out)
 	}
 	return out, at
 }

@@ -305,10 +305,10 @@ func TestDerivedArrivals(t *testing.T) {
 	}
 	k := 0
 	for r, w := range want {
-		for k+1 < len(at) && at[k+1].i <= r {
+		for k+1 < len(at) && at[k+1].I <= r {
 			k++
 		}
-		if len(at) == 0 || at[k].i > r || at[k].at != w {
+		if len(at) == 0 || at[k].I > r || at[k].At != w {
 			t.Fatalf("row %d comes at %+v, want %v (arrivals %+v)", r, at[min(k, len(at)-1)], w, at)
 		}
 	}

@@ -99,7 +99,7 @@ func scanRead(t *testing.T, e *Engine, sql string, params []schema.Value, opts Q
 		t.Fatal(err)
 	}
 	if _, single := singleRow(spec); !single {
-		t.Fatalf("%s: range [%q, %q) prefix %q is not a single row", sql, spec.Start, spec.Stop, spec.Prefix)
+		t.Fatalf("%s: range [%q, %q) is not a single row", sql, spec.Start, spec.Stop)
 	}
 	var rd hbase.Reader = e.Client()
 	if opts.Reader != nil {

@@ -46,22 +46,13 @@ func (l *list) Next(*sim.Ctx) (tuple, bool) {
 // — to a consumer that keeps them all (rowsOf) — with when they came in, if
 // not all at the end of Open.
 type taker interface {
-	take() ([]tuple, []arrival, bool)
+	take() ([]tuple, sim.Arrivals, bool)
 }
 
-func (l *list) take() ([]tuple, []arrival, bool) {
+func (l *list) take() ([]tuple, sim.Arrivals, bool) {
 	rows := l.rows
 	l.rows = nil
 	return rows, nil, true
-}
-
-// arrival says when a read's rows came in: those from index i on were handed
-// out no earlier than simulated time at, on the clock of the ctx that read
-// them. A read's arrivals start at its row 0 and rise in both i and at; a read
-// with none had every row in hand only at its end.
-type arrival struct {
-	i  int
-	at sim.Micros
 }
 
 // rowsOf opens n and reads it to its end for a consumer that keeps every row:
@@ -70,15 +61,14 @@ type arrival struct {
 // reading the first n does: a store scan directly under a limit has it pushed
 // in and stops there, and anything else under one reads the store at Open.
 //
-// For a consumer that works on rows as they come (joinNode.build), at gets the
-// read's arrivals: each row after whose Next the request clock stands later
-// than it did at the row before, with that clock. So a sequential store scan
-// hands its rows one chunk per RPC; a fanned-out one hands them all at its
-// first row's charge (hbase.Scanner), save the last row of one its LIMIT ends,
-// which comes with the join of its units at the read's end; and rows
-// materialized at Open come when it returns — a derived table's as its own
-// read handed them (scanNode.take).
-func rowsOf(ctx *sim.Ctx, n node, at *[]arrival) ([]tuple, error) {
+// For a consumer that paces on the rows (joinNode.build), at gets the read's
+// arrivals on ctx's clock. A sequential store scan hands its rows one chunk
+// per RPC; a fanned-out one hands them all at its first row's charge
+// (hbase.Scanner), save the last row of one its LIMIT ends, which comes with
+// the join of its units at the read's end; and rows materialized at Open come
+// when it returns — a derived table's as its own read handed them
+// (scanNode.take).
+func rowsOf(ctx *sim.Ctx, n node, at *sim.Arrivals) ([]tuple, error) {
 	if l, ok := n.(*limitNode); ok {
 		rows, err := rowsOf(ctx, l.in, at)
 		return rows[:min(l.n, len(rows))], err
@@ -100,27 +90,16 @@ func rowsOf(ctx *sim.Ctx, n node, at *[]arrival) ([]tuple, error) {
 		// are (add).
 		for r, ok := s.sc.Next(ctx); ok; r, ok = s.sc.Next(ctx) {
 			s.add(r)
-			arrived(ctx, at, len(s.rows)-1)
+			at.Note(len(s.rows)-1, ctx.Elapsed())
 		}
 		return s.rows, nil
 	}
 	var rows []tuple
 	for t, ok := n.Next(ctx); ok; t, ok = n.Next(ctx) {
 		rows = append(rows, t)
-		arrived(ctx, at, len(rows)-1)
+		at.Note(len(rows)-1, ctx.Elapsed())
 	}
 	return rows, nil
-}
-
-// arrived notes in at, if the caller asked for arrivals, that row i came in
-// at ctx's clock, unless the row before it did too.
-func arrived(ctx *sim.Ctx, at *[]arrival, i int) {
-	if at == nil {
-		return
-	}
-	if now := ctx.Elapsed(); len(*at) == 0 || (*at)[len(*at)-1].at != now {
-		*at = append(*at, arrival{i, now})
-	}
 }
 
 // tree builds the operators of one execution, bottom up, in the execution's
@@ -201,7 +180,7 @@ type scanNode struct {
 	few        [1]tuple      // backs rows for a point read
 	buf        tuple         // the streamed row, filled again by every Next
 	seg        [][]byte      // b's segment of buf
-	at         []arrival     // when a derived table's rows came in, on the request's clock
+	at         sim.Arrivals  // when a derived table's rows came in, on the request's clock
 }
 
 // streams reports whether the scan hands out store rows as it reads them.
@@ -325,7 +304,7 @@ func (s *scanNode) Next(ctx *sim.Ctx) (tuple, bool) {
 
 // take hands over what the scan read at Open, and a derived table's arrivals;
 // a streaming scan has nothing.
-func (s *scanNode) take() ([]tuple, []arrival, bool) {
+func (s *scanNode) take() ([]tuple, sim.Arrivals, bool) {
 	if s.sc != nil {
 		return nil, nil, false
 	}
@@ -364,13 +343,13 @@ type joinNode struct {
 	*joinStep
 	q                  *query
 	outer              node
-	spill              bool          // the output is carried into another join
-	outerCtx, innerCtx sim.Ctx       // the branches of a join that reads its sides at once
-	arrived            [4]arrival    // backs the build side's arrivals while it has few
-	innerScan          scanNode      // reads b whole for a hash join's build side (inner)
-	one                oneRow        // backs a probe's single-row read
-	probeScan          hbase.Scanner // backs every other probe's read, one after another
-	probeFilter        predFilter    // the filter every probe pushes to the store
+	spill              bool           // the output is carried into another join
+	outerCtx, innerCtx sim.Ctx        // the branches of a join that reads its sides at once
+	arrived            [4]sim.Arrival // backs the build side's arrivals while it has few
+	innerScan          scanNode       // reads b whole for a hash join's build side (inner)
+	one                oneRow         // backs a probe's single-row read
+	probeScan          hbase.Scanner  // backs every other probe's read, one after another
+	probeFilter        predFilter     // the filter every probe pushes to the store
 }
 
 func (j *joinNode) Open(ctx *sim.Ctx) error {
@@ -401,7 +380,7 @@ func (j *joinNode) overlap(ctx *sim.Ctx) error {
 	var inner []tuple
 	var t hashTable
 	if err == nil {
-		var at []arrival
+		var at sim.Arrivals
 		inner, at, err = j.inner(&j.innerCtx)
 		if err == nil && len(j.outerCols) > 0 {
 			t = j.build(&j.innerCtx, inner, at)
@@ -428,8 +407,8 @@ func (j *joinNode) overlap(ctx *sim.Ctx) error {
 
 // inner reads b whole, through its local predicates: a hash join's build side,
 // with when its rows came in.
-func (j *joinNode) inner(ctx *sim.Ctx) ([]tuple, []arrival, error) {
-	at := j.arrived[:0]
+func (j *joinNode) inner(ctx *sim.Ctx) ([]tuple, sim.Arrivals, error) {
+	at := sim.Arrivals(j.arrived[:0])
 	j.innerScan = scanNode{q: j.q, b: j.b, path: j.q.fullPlan(j.b), keep: true}
 	rows, err := rowsOf(ctx, &j.innerScan, &at)
 	return rows, at, err
@@ -484,16 +463,13 @@ func (t *hashTable) first(key []byte) int32 {
 	return -1
 }
 
-// build hashes inner on b's join columns, charging JoinBuildRow per row as the
-// rows came in (at, from rowsOf): each row is hashed from the later of the
-// time the build side handed it out and the end of the row before. So the
-// build ends at the latest, over the arrivals, of an arrival's time plus the
-// hashing of every row from it on. ctx stands at the end of inner's read, and
-// the branch ends at the later of that and the build's end: never before the
-// read's end, never after the read and a whole build in sequence — which is
-// what a build side with every row in hand only at its end pays, a
-// dirty-checked view's or a blocking subquery's.
-func (j *joinNode) build(ctx *sim.Ctx, inner []tuple, at []arrival) hashTable {
+// build hashes inner on b's join columns, charging JoinBuildRow per row as it
+// paces on the rows' arrivals (at, from rowsOf). ctx stands at the end of
+// inner's read, and the branch ends no earlier: never after the read and a
+// whole build in sequence either — which is what a build side with every row
+// in hand only at its end pays, a dirty-checked view's or a blocking
+// subquery's.
+func (j *joinNode) build(ctx *sim.Ctx, inner []tuple, at sim.Arrivals) hashTable {
 	t := hashTable{keys: newKeyTable(len(inner))}
 	links := make([]int32, 2*len(inner))
 	t.head, t.next = links[:len(inner)], links[len(inner):]
@@ -508,15 +484,8 @@ func (j *joinNode) build(ctx *sim.Ctx, inner []tuple, at []arrival) hashTable {
 		}
 		t.head[id] = int32(i)
 	}
-	per, read := j.q.eng.costs.JoinBuildRow, ctx.Elapsed()
-	end := read + sim.Micros(len(inner))*per // no arrivals: every row came at the read's end
-	if len(at) > 0 {
-		end = read
-		for _, a := range at {
-			end = max(end, a.at+sim.Micros(len(inner)-a.i)*per)
-		}
-	}
-	ctx.Charge(end - read)
+	read := ctx.Elapsed()
+	ctx.Charge(at.Pace(read, len(inner), j.q.eng.costs.JoinBuildRow) - read)
 	return t
 }
 

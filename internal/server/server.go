@@ -650,13 +650,11 @@ func (c *conn) writeResultSet(rs *phoenix.ResultSet) error {
 // sees a truncated result set, never a silently wrong one. Documented in
 // docs/PROTOCOL.md.
 //
-// The per-byte wire cost runs on a link clock beside the statement: a packet
-// enters the link at the later of the link clock and the session's elapsed
-// time when it is written, and holds the link for its bytes and header at
-// WirePerByte. The link drains while the server reads on, so on success the
-// response is charged only what is still in flight after Close and the final
-// EOF: a streamed scan pays about max(scan, first row + transfer), and a
-// result the tree read whole at Open pays every byte, as one transfer.
+// The per-byte wire cost paces on a sim.Lane: each packet arrives at the
+// session's clock when it is written and needs its bytes and header at
+// WirePerByte. On success the response is charged what the lane still has in
+// flight after Close and the final EOF: a streamed scan pays about
+// max(scan, first row + transfer), a result read whole at Open every byte.
 func (c *conn) writeCursor(cur phoenix.RowCursor, binaryRows bool) error {
 	defer cur.Close(c.sctx)
 	cols := cur.Columns()
@@ -665,10 +663,10 @@ func (c *conn) writeCursor(cur phoenix.RowCursor, binaryRows bool) error {
 		types = append(types, wireTypeOf(t))
 	}
 	c.types = types
-	perByte := int64(c.srv.costs.WirePerByte)
-	var link int64 // simulated ns at which the link has sent every packet so far
+	perByte := sim.Nanos(c.srv.costs.WirePerByte)
+	var wire sim.Lane
 	writePkt := func(p []byte) error {
-		link = max(link, int64(c.sctx.Elapsed())*1000) + int64(len(p)+4)*perByte
+		wire.Serve(c.sctx.Elapsed().Nanos(), sim.Nanos(len(p)+4)*perByte)
 		return c.pc.writePacket(p)
 	}
 	b := c.enc
@@ -713,9 +711,9 @@ func (c *conn) writeCursor(cur phoenix.RowCursor, binaryRows bool) error {
 	if err := writePkt(b); err != nil {
 		return err
 	}
-	// The response pays what the link still has in flight; nothing when it
+	// The response pays what the wire still has in flight; nothing when it
 	// drained while the statement read on.
-	c.sctx.Charge(sim.Micros((link - int64(c.sctx.Elapsed())*1000) / 1000))
+	c.sctx.Charge((wire.End() - c.sctx.Elapsed().Nanos()).Micros())
 	return c.pc.flush()
 }
 

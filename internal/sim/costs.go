@@ -89,10 +89,8 @@ type Costs struct {
 	// JoinBuildRow is charged per row inserted into a join hash table, on
 	// the branch that reads the build side: a join that cannot probe its
 	// inner side by key reads and hashes it while its outer side is read,
-	// so the build overlaps the outer read and the request pays the longer
-	// of the two (phoenix joinNode). Each row is hashed as the build side
-	// hands it out, so the build overlaps its own side's read too: the
-	// branch ends at the later of the read's end and the build's.
+	// so the request pays the longer of the two (phoenix joinNode). The
+	// build paces on its side's arrivals (Arrivals.Pace).
 	JoinBuildRow Micros
 	// JoinProbeRow is charged per probe-side row processed.
 	JoinProbeRow Micros
@@ -180,9 +178,8 @@ type Costs struct {
 	// charged once per client command.
 	WirePacket Micros
 	// WirePerByte is the transfer cost per response payload byte shipped
-	// from the server to the client. The link drains while the server
-	// reads on, so a response pays only the transfer still in flight after
-	// its last packet is written (server.writeCursor).
+	// from the server to the client, on a Lane beside the statement
+	// (server.writeCursor).
 	WirePerByte PerByteCost
 }
 

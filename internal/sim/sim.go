@@ -14,6 +14,21 @@
 // transaction). It accumulates the simulated latency of all work done on its
 // behalf; Elapsed reports the virtual response time, which is the metric τ
 // used throughout the paper's figures.
+//
+// Work that overlaps runs on one pacing rule. A consumer that works on a
+// producer's output while the producer goes on is a FIFO server (Lane): an
+// item that arrives at `at` and needs d is served from the later of its
+// arrival and the end of the item before it,
+//
+//	free = max(free, at) + d
+//
+// Three consumers pace by it. The wire sends each result packet no earlier
+// than the server wrote it, so rows drain while the scan reads on
+// (server.writeCursor). A hash build hashes each row no earlier than its
+// build side handed it out (Arrivals.Pace, from the arrivals its reader
+// noted). A fanned-out scan's units run on the read pool, each on the lane
+// that frees earliest, and the request waits for the pool's makespan less
+// what its first row already charged (Lanes, Ctx.JoinLanes).
 package sim
 
 import (
@@ -57,18 +72,9 @@ func FromMillis(ms float64) Micros { return Micros(ms * 1000) }
 type Ctx struct {
 	elapsed atomic.Int64 // simulated microseconds
 
-	// Counters give tests and the benchmark harness visibility into the
+	// counts give tests and the benchmark harness visibility into the
 	// physical work performed, independent of the latency calibration.
-	rpcs           atomic.Int64
-	rowsScanned    atomic.Int64
-	rowsReturned   atomic.Int64
-	bytesMoved     atomic.Int64
-	locks          atomic.Int64
-	restarts       atomic.Int64
-	occRetries     atomic.Int64
-	staleReads     atomic.Int64
-	staleLag       atomic.Int64
-	watermarkWaits atomic.Int64
+	counts [numCounters]atomic.Int64
 
 	// firstRow records the elapsed time at which the request produced its
 	// first result row, stored as elapsed+1 so zero means "not yet marked".
@@ -78,6 +84,21 @@ type Ctx struct {
 	// the whole result was buffered.
 	firstRow atomic.Int64
 }
+
+// The work counters of a Ctx, indexes into its counts.
+const (
+	rpcs = iota
+	rowsScanned
+	rowsReturned
+	bytesMoved
+	locks
+	restarts
+	occRetries
+	staleReads
+	staleLag
+	watermarkWaits
+	numCounters
+)
 
 // NewCtx returns a fresh request context with zero elapsed time.
 func NewCtx() *Ctx { return &Ctx{} }
@@ -98,128 +119,80 @@ func (c *Ctx) Elapsed() Micros {
 	return Micros(c.elapsed.Load())
 }
 
-// Fork returns a child context for one branch of a parallel fan-out (a
-// scatter-gather scan, a parallel view refresh). The branch charges its own
-// work to the child; Join folds the children back into the parent when the
-// fan-out completes. A child is nothing but a fresh Ctx, and so is a zero
-// Ctx value: a fan-out that knows its branch count forks them all at once as
-// one slice of Ctx values — one allocation, not one per branch — and joins
-// it with JoinAll (or JoinLanes, for a bounded width).
-func (c *Ctx) Fork() *Ctx { return NewCtx() }
-
-// Join merges forked children back into c. Elapsed time advances by the
-// maximum child elapsed — concurrent branches overlap in wall-clock time, so
-// the request waits only for the slowest one — while the physical work
-// counters advance by the sum, since every branch's rows and RPCs are real
-// work regardless of overlap.
+// Join merges the children of a parallel fan-out (a scatter-gather scan, a
+// parallel view refresh) back into c once it completes: each branch charged
+// its own work to a child of its own. A child is nothing but a fresh Ctx, and
+// so is a zero Ctx value: a fan-out that knows its branch count forks them all
+// at once as one slice of Ctx values — one allocation, not one per branch —
+// and joins it with JoinAll (or JoinLanes, for a bounded width). Elapsed time
+// advances by the maximum child elapsed — concurrent branches overlap in
+// wall-clock time, so the request waits only for the slowest one — while the
+// physical work counters advance by the sum, since every branch's rows and
+// RPCs are real work regardless of overlap.
 func (c *Ctx) Join(children ...*Ctx) {
-	if c == nil {
-		return
-	}
-	var longest int64
-	for _, ch := range children {
-		if ch == nil {
-			continue
-		}
-		if e := ch.elapsed.Load(); e > longest {
-			longest = e
-		}
-		c.addCounters(ch)
-	}
-	c.elapsed.Add(longest)
+	c.JoinLanes(new(Lanes), 0, len(children), func(i int) *Ctx { return children[i] })
 }
 
 // JoinAll is Join over children forked as one slice of Ctx values.
 func (c *Ctx) JoinAll(children []Ctx) {
+	c.JoinLanes(new(Lanes), 0, len(children), func(i int) *Ctx { return &children[i] })
+}
+
+// JoinLanes folds the n children child(0) … child(n-1) into c as a bounded
+// worker pool of the given width: each child is served in order on pool's
+// lane that frees earliest, the lowest on a tie, and elapsed advances by the
+// pool's makespan less what pool prepaid. For n equal-cost children that is
+// ceil(n/width) rounds of the child cost rather than one. A width of zero or
+// at least n gives every child a lane of its own, which is Join. The work
+// counters advance by the sum, as in Join.
+func (c *Ctx) JoinLanes(pool *Lanes, width, n int, child func(i int) *Ctx) {
 	if c == nil {
 		return
 	}
-	var longest int64
-	for i := range children {
-		longest = max(longest, children[i].elapsed.Load())
-		c.addCounters(&children[i])
+	var lanes []Lane // nil: a lane per child, so each ends with its child
+	if width > 0 && width < n {
+		lanes = pool.small[:min(width, len(pool.small))]
+		if width > len(pool.small) {
+			lanes = make([]Lane, width)
+		}
+		clear(lanes)
 	}
-	c.elapsed.Add(longest)
-}
-
-// JoinWidth merges forked children like Join, but models a bounded worker
-// pool of the given width instead of unlimited concurrency: children are
-// scheduled in submission order, each starting on the lane that frees
-// earliest, and elapsed advances by the resulting makespan. For n
-// equal-cost children it charges ceil(n/width) rounds of the child cost
-// rather than a single round. A width of zero or >= len(children)
-// degenerates to Join.
-func (c *Ctx) JoinWidth(width int, children ...*Ctx) {
-	c.JoinLanes(width, 0, len(children), func(i int) *Ctx { return children[i] })
-}
-
-// JoinLanes is JoinWidth over the n children child(0) … child(n-1), for a
-// parent already charged prepaid of the makespan ahead of the join — a scan
-// charges the request for its first row when that row is handed out, before
-// the fan-out completes. prepaid is at most the elapsed of one child, which
-// the makespan covers.
-func (c *Ctx) JoinLanes(width int, prepaid Micros, n int, child func(i int) *Ctx) {
-	if c == nil {
-		return
-	}
-	if width <= 0 || width > n {
-		width = n
-	}
-	var small [16]int64 // the common widths need no allocation
-	lanes := small[:]
-	if width > len(small) {
-		lanes = make([]int64, width)
-	}
-	lanes = lanes[:width]
+	var makespan Nanos
 	for i := range n {
 		ch := child(i)
 		if ch == nil {
 			continue
 		}
-		li := 0
-		for l := 1; l < width; l++ {
-			if lanes[l] < lanes[li] {
-				li = l
+		end := ch.Elapsed().Nanos()
+		if lanes != nil {
+			li := 0
+			for l := range lanes {
+				if lanes[l].End() < lanes[li].End() {
+					li = l
+				}
 			}
+			end = lanes[li].Serve(0, end)
 		}
-		lanes[li] += ch.elapsed.Load()
+		makespan = max(makespan, end)
 		c.addCounters(ch)
 	}
-	var makespan int64
-	for _, l := range lanes {
-		makespan = max(makespan, l)
-	}
-	c.elapsed.Add(makespan - int64(prepaid))
+	c.elapsed.Add(int64(makespan.Micros() - pool.prepaid))
 }
 
 // addCounters folds one child's work counters into c (elapsed excluded —
-// Join/JoinWidth own the overlap semantics).
+// Join, JoinAll and JoinLanes own the overlap semantics).
 func (c *Ctx) addCounters(ch *Ctx) {
-	c.rpcs.Add(ch.rpcs.Load())
-	c.rowsScanned.Add(ch.rowsScanned.Load())
-	c.rowsReturned.Add(ch.rowsReturned.Load())
-	c.bytesMoved.Add(ch.bytesMoved.Load())
-	c.locks.Add(ch.locks.Load())
-	c.restarts.Add(ch.restarts.Load())
-	c.occRetries.Add(ch.occRetries.Load())
-	c.staleReads.Add(ch.staleReads.Load())
-	c.staleLag.Add(ch.staleLag.Load())
-	c.watermarkWaits.Add(ch.watermarkWaits.Load())
+	for i := range c.counts {
+		c.counts[i].Add(ch.counts[i].Load())
+	}
 }
 
 // Reset zeroes the context so it can be reused for a new request.
 func (c *Ctx) Reset() {
 	c.elapsed.Store(0)
-	c.rpcs.Store(0)
-	c.rowsScanned.Store(0)
-	c.rowsReturned.Store(0)
-	c.bytesMoved.Store(0)
-	c.locks.Store(0)
-	c.restarts.Store(0)
-	c.occRetries.Store(0)
-	c.staleReads.Store(0)
-	c.staleLag.Store(0)
-	c.watermarkWaits.Store(0)
+	for i := range c.counts {
+		c.counts[i].Store(0)
+	}
 	c.firstRow.Store(0)
 }
 
@@ -260,42 +233,42 @@ func (c *Ctx) TimeToFirstRow() (Micros, bool) {
 // the cost model so that counters stay calibration-independent).
 func (c *Ctx) CountRPC() {
 	if c != nil {
-		c.rpcs.Add(1)
+		c.counts[rpcs].Add(1)
 	}
 }
 
 // CountRowsScanned records rows examined server-side.
 func (c *Ctx) CountRowsScanned(n int) {
 	if c != nil {
-		c.rowsScanned.Add(int64(n))
+		c.counts[rowsScanned].Add(int64(n))
 	}
 }
 
 // CountRowsReturned records rows shipped back to the client.
 func (c *Ctx) CountRowsReturned(n int) {
 	if c != nil {
-		c.rowsReturned.Add(int64(n))
+		c.counts[rowsReturned].Add(int64(n))
 	}
 }
 
 // CountBytesMoved records payload bytes crossing the simulated network.
 func (c *Ctx) CountBytesMoved(n int) {
 	if c != nil {
-		c.bytesMoved.Add(int64(n))
+		c.counts[bytesMoved].Add(int64(n))
 	}
 }
 
 // CountLock records one lock acquire/release cycle.
 func (c *Ctx) CountLock() {
 	if c != nil {
-		c.locks.Add(1)
+		c.counts[locks].Add(1)
 	}
 }
 
 // CountRestart records one dirty-read scan restart (§VIII-C).
 func (c *Ctx) CountRestart() {
 	if c != nil {
-		c.restarts.Add(1)
+		c.counts[restarts].Add(1)
 	}
 }
 
@@ -303,7 +276,7 @@ func (c *Ctx) CountRestart() {
 // was retried from a fresh snapshot.
 func (c *Ctx) CountOCCRetry() {
 	if c != nil {
-		c.occRetries.Add(1)
+		c.counts[occRetries].Add(1)
 	}
 }
 
@@ -312,9 +285,9 @@ func (c *Ctx) CountOCCRetry() {
 // (commits the view has not yet applied as of the reader's snapshot).
 func (c *Ctx) CountStaleRead(lag int64) {
 	if c != nil {
-		c.staleReads.Add(1)
+		c.counts[staleReads].Add(1)
 		if lag > 0 {
-			c.staleLag.Add(lag)
+			c.counts[staleLag].Add(lag)
 		}
 	}
 }
@@ -323,7 +296,7 @@ func (c *Ctx) CountStaleRead(lag int64) {
 // watermark covered its snapshot.
 func (c *Ctx) CountWatermarkWait() {
 	if c != nil {
-		c.watermarkWaits.Add(1)
+		c.counts[watermarkWaits].Add(1)
 	}
 }
 
@@ -354,20 +327,18 @@ func (c *Ctx) Snapshot() Stats {
 		return Stats{}
 	}
 	s := Stats{
-		RPCs:           c.rpcs.Load(),
-		RowsScanned:    c.rowsScanned.Load(),
-		RowsReturned:   c.rowsReturned.Load(),
-		BytesMoved:     c.bytesMoved.Load(),
-		Locks:          c.locks.Load(),
-		Restarts:       c.restarts.Load(),
-		OCCRetries:     c.occRetries.Load(),
-		StaleReads:     c.staleReads.Load(),
-		StaleLag:       c.staleLag.Load(),
-		WatermarkWaits: c.watermarkWaits.Load(),
+		RPCs:           c.counts[rpcs].Load(),
+		RowsScanned:    c.counts[rowsScanned].Load(),
+		RowsReturned:   c.counts[rowsReturned].Load(),
+		BytesMoved:     c.counts[bytesMoved].Load(),
+		Locks:          c.counts[locks].Load(),
+		Restarts:       c.counts[restarts].Load(),
+		OCCRetries:     c.counts[occRetries].Load(),
+		StaleReads:     c.counts[staleReads].Load(),
+		StaleLag:       c.counts[staleLag].Load(),
+		WatermarkWaits: c.counts[watermarkWaits].Load(),
 		Elapsed:        c.Elapsed(),
 	}
-	if ttfr, ok := c.TimeToFirstRow(); ok {
-		s.TTFR = ttfr
-	}
+	s.TTFR, _ = c.TimeToFirstRow() // zero when no row was marked
 	return s
 }

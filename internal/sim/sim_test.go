@@ -191,23 +191,22 @@ func TestDeriveDeterministicProperty(t *testing.T) {
 }
 
 // Fork/Join models scatter-gather: elapsed advances by the slowest branch,
-// work counters by the sum of all branches.
+// work counters by the sum of all branches. A branch is a zero Ctx.
 func TestForkJoinChargesMaxElapsedSumCounters(t *testing.T) {
 	parent := NewCtx()
 	parent.Charge(100)
 
-	a := parent.Fork()
+	var a, b Ctx
 	a.Charge(300)
 	a.CountRPC()
 	a.CountRowsScanned(10)
 
-	b := parent.Fork()
 	b.Charge(200)
 	b.CountRPC()
 	b.CountRowsReturned(4)
 	b.CountBytesMoved(1000)
 
-	parent.Join(a, b, nil)
+	parent.Join(&a, &b, nil)
 	if got := parent.Elapsed(); got != 400 {
 		t.Fatalf("elapsed = %v, want 400 (100 + max(300, 200))", got)
 	}
@@ -226,7 +225,7 @@ func TestJoinAllMatchesJoin(t *testing.T) {
 	kids := make([]*Ctx, len(branches))
 	forks := make([]Ctx, len(branches))
 	for i, d := range branches {
-		kids[i] = byPointer.Fork()
+		kids[i] = new(Ctx)
 		for _, ch := range []*Ctx{kids[i], &forks[i]} {
 			ch.Charge(d)
 			ch.CountRPC()
@@ -244,7 +243,7 @@ func TestJoinAllMatchesJoin(t *testing.T) {
 	}
 }
 
-// JoinWidth models a bounded worker pool: n equal-cost children on width w
+// JoinLanes models a bounded worker pool: n equal-cost children on width w
 // lanes complete in ceil(n/w) rounds, not one.
 func TestJoinWidthChargesRounds(t *testing.T) {
 	cases := []struct {
@@ -261,36 +260,36 @@ func TestJoinWidthChargesRounds(t *testing.T) {
 	}
 	for _, tc := range cases {
 		parent := NewCtx()
-		kids := make([]*Ctx, tc.children)
+		kids := make([]Ctx, tc.children)
 		for i := range kids {
-			kids[i] = parent.Fork()
 			kids[i].Charge(tc.each)
 			kids[i].CountRPC()
 		}
-		parent.JoinWidth(tc.width, kids...)
+		var pool Lanes
+		parent.JoinLanes(&pool, tc.width, len(kids), func(i int) *Ctx { return &kids[i] })
 		if got := parent.Elapsed(); got != tc.want {
-			t.Fatalf("JoinWidth(%d) over %d×%v children: elapsed = %v, want %v",
+			t.Fatalf("JoinLanes(%d) over %d×%v children: elapsed = %v, want %v",
 				tc.width, tc.children, tc.each, got, tc.want)
 		}
 		if s := parent.Snapshot(); s.RPCs != int64(tc.children) {
-			t.Fatalf("JoinWidth dropped counters: RPCs = %d, want %d", s.RPCs, tc.children)
+			t.Fatalf("JoinLanes dropped counters: RPCs = %d, want %d", s.RPCs, tc.children)
 		}
 	}
 }
 
-// With unequal children, JoinWidth schedules each child on the lane that
+// With unequal children, JoinLanes schedules each child on the lane that
 // frees earliest (the pool's caller-runs behavior), so the makespan reflects
 // greedy list scheduling, and never undercuts the plain-Join lower bound.
 func TestJoinWidthUnequalChildren(t *testing.T) {
 	parent := NewCtx()
 	costs := []Micros{300, 100, 100, 100}
-	kids := make([]*Ctx, len(costs))
+	kids := make([]Ctx, len(costs))
 	for i, d := range costs {
-		kids[i] = parent.Fork()
 		kids[i].Charge(d)
 	}
 	// Two lanes: lane0 gets 300, lane1 gets 100+100+100 = 300. Makespan 300.
-	parent.JoinWidth(2, kids...)
+	var pool Lanes
+	parent.JoinLanes(&pool, 2, len(kids), func(i int) *Ctx { return &kids[i] })
 	if got := parent.Elapsed(); got != 300 {
 		t.Fatalf("elapsed = %v, want 300 (greedy two-lane schedule)", got)
 	}
@@ -298,9 +297,10 @@ func TestJoinWidthUnequalChildren(t *testing.T) {
 
 func TestJoinWidthNilSafe(t *testing.T) {
 	var nilCtx *Ctx
-	nilCtx.JoinWidth(2, NewCtx()) // must not panic
+	var pool Lanes
+	nilCtx.JoinLanes(&pool, 2, 1, func(int) *Ctx { return NewCtx() }) // must not panic
 	parent := NewCtx()
-	parent.JoinWidth(2, nil, nil, nil) // nil children skipped
+	parent.JoinLanes(&pool, 2, 3, func(int) *Ctx { return nil }) // nil children skipped
 	if parent.Elapsed() != 0 {
 		t.Fatalf("elapsed = %v, want 0", parent.Elapsed())
 	}
@@ -313,10 +313,10 @@ func TestStalenessCounters(t *testing.T) {
 	ctx.CountStaleRead(0) // zero lag still counts the read
 	ctx.CountWatermarkWait()
 
-	child := ctx.Fork()
+	var child Ctx
 	child.CountStaleRead(3)
 	child.CountWatermarkWait()
-	ctx.Join(child)
+	ctx.Join(&child)
 
 	s := ctx.Snapshot()
 	if s.StaleReads != 3 || s.StaleLag != 8 || s.WatermarkWaits != 2 {
@@ -341,7 +341,7 @@ func TestForkJoinEmptyAndNil(t *testing.T) {
 		t.Fatalf("elapsed = %v, want 50", parent.Elapsed())
 	}
 	var nilCtx *Ctx
-	nilCtx.Join(parent.Fork()) // must not panic
+	nilCtx.Join(new(Ctx)) // must not panic
 }
 
 func TestDefaultCostsSane(t *testing.T) {

@@ -993,7 +993,7 @@ func (sys *System) locateAll(ctx *sim.Ctx, tx *Tx, actions []core.ViewAction, pa
 		}
 	}
 	if forks != nil {
-		ctx.JoinLanes(sys.cfg.Costs.ScanParallelism, 0, len(forks), func(i int) *sim.Ctx { return &forks[i] })
+		ctx.JoinLanes(new(sim.Lanes), sys.cfg.Costs.ScanParallelism, len(forks), func(i int) *sim.Ctx { return &forks[i] })
 	}
 	return views, err
 }
@@ -1013,9 +1013,11 @@ func (sys *System) locateViewRows(ctx *sim.Ctx, rd hbase.Reader, action core.Vie
 	case core.LocateByIndex:
 		// The maintenance index stores only keys (§VII-C); collect the view
 		// keys its entries under the written row's key hold, then read the
-		// full rows with one multi-get. Locator probes are short prefix
-		// reads, so they stay sequential.
-		sc, err := rd.OpenScan(ctx, action.LocatorIndex.Name(), hbase.ScanSpec{Prefix: parts.Key + string(schema.KeySep), Read: read, Sequential: true}, nil)
+		// full rows with one multi-get. The entries are the keys that start
+		// with the row key and a separator: [key+"\x00", key+"\x01"). Locator
+		// probes are short prefix reads, so they stay sequential.
+		spec := hbase.ScanSpec{Start: parts.Key + string(schema.KeySep), Stop: parts.Key + string(schema.KeySep+1), Read: read, Sequential: true}
+		sc, err := rd.OpenScan(ctx, action.LocatorIndex.Name(), spec, nil)
 		if err != nil {
 			return nil, err
 		}
