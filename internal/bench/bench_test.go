@@ -1,11 +1,13 @@
 package bench
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"synergy/internal/phoenix"
 	"synergy/internal/schema"
 	"synergy/internal/sim"
 	"synergy/internal/sqlparser"
@@ -133,8 +135,9 @@ func TestFigure12Orderings(t *testing.T) {
 	if v := g.MeanOver("VoltDB", sup); v > 100 {
 		t.Errorf("VoltDB supported-join mean = %.1fms, want near its txn floor", v)
 	}
-	// MVCC-UA answers Q10 from its one view: cheaper than Baseline's full
-	// join even under the shared MVCC floor (the gap widens with scale).
+	// MVCC-UA answers Q10 from the one view the advisor's pick deploys,
+	// Q10's join path: cheaper than Baseline's base-table join even under
+	// the shared MVCC floor (the gap widens with scale).
 	if ua, b := g.Cells["Q10"]["MVCC-UA"].Mean, g.Cells["Q10"]["Baseline"].Mean; ua >= b {
 		t.Errorf("Q10: MVCC-UA (%.0f) should be below Baseline (%.0f)", ua, b)
 	}
@@ -190,10 +193,10 @@ func TestTableIIOrdering(t *testing.T) {
 	}
 	// Table II orderings that hold at any scale: Synergy far below every
 	// MVCC system; views help MVCC-A and MVCC-UA relative to Baseline.
-	// (The paper's MVCC-A << MVCC-UA gap comes from join costs that only
-	// dominate at realistic scale; at this test scale the two are within
-	// noise of each other — the cmd harness at larger scale separates
-	// them.)
+	// (The paper's MVCC-A << MVCC-UA gap is not asserted: both answer Q10
+	// from the same view, and every MVCC statement pays the same ~850 ms
+	// begin/commit floor, so the two differ only on the other joins: 24.0
+	// vs 24.2 s at 500 customers.)
 	if byName["Synergy"] >= byName["MVCC-A"]/10 {
 		t.Errorf("Synergy (%0.1fs) should be far below MVCC-A (%0.1fs)", byName["Synergy"], byName["MVCC-A"])
 	}
@@ -244,10 +247,11 @@ func TestTableIIIOrdering(t *testing.T) {
 }
 
 // TestQueryResultsAgreeAcrossSystems checks that materialization does not
-// change semantics: for identical parameters every join query returns as
-// many rows on Synergy (views) as on Baseline (base-table joins), and so
-// does VoltDB on the queries it supports. It deploys its own systems — the
-// set systems(t) shares carries whatever writes earlier tests ran.
+// change semantics: for identical parameters every join query returns
+// Baseline's answer (base-table joins) on Synergy, MVCC-A and MVCC-UA, row for
+// row under diffAnswers' tie rule, and as many rows on VoltDB for the queries
+// it supports. It deploys its own systems — the set systems(t) shares carries
+// whatever writes earlier tests ran.
 func TestQueryResultsAgreeAcrossSystems(t *testing.T) {
 	set, err := BuildSystems(100, 42, nil)
 	if err != nil {
@@ -262,12 +266,14 @@ func TestQueryResultsAgreeAcrossSystems(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s on Baseline: %v", st.ID, err)
 			}
-			view, err := set.Synergy.sys.Query(sim.NewCtx(), sel, params)
-			if err != nil {
-				t.Fatalf("%s on Synergy: %v", st.ID, err)
-			}
-			if len(view.Rows) != len(base.Rows) {
-				t.Errorf("%s seed %d: Synergy returns %d rows, Baseline %d", st.ID, seed, len(view.Rows), len(base.Rows))
+			for _, sys := range []*synergySys{set.Synergy, set.MVCCA, set.MVCCUA} {
+				got, err := sys.sys.Query(sim.NewCtx(), sel, params)
+				if err != nil {
+					t.Fatalf("%s on %s: %v", st.ID, sys.name, err)
+				}
+				if d := diffAnswers(sel, base, got); d != "" {
+					t.Errorf("%s seed %d: %s answers unlike Baseline: %s", st.ID, seed, sys.name, d)
+				}
 			}
 			if !set.VoltDB.Supported(st) {
 				continue
@@ -285,6 +291,105 @@ func TestQueryResultsAgreeAcrossSystems(t *testing.T) {
 	if want := 7 * 5; voltRuns != want {
 		t.Errorf("VoltDB ran %d query draws, want %d (the seven queries it supports, five draws each)", voltRuns, want)
 	}
+}
+
+// TestMVCCUAAnswersQ10LikeBaseline: MVCC-UA's Q10 aggregates only the order
+// lines of the 3,333 newest orders, as Baseline's does, on the loaded data
+// and again after every write statement has run on both. The scale must put
+// orders outside that window: at 60 customers (600 orders) the window holds
+// every order, so an answer that ignores it still agrees.
+func TestMVCCUAAnswersQ10LikeBaseline(t *testing.T) {
+	set, err := BuildSystems(500, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, _ := tpcw.StatementByID("Q10")
+	sel := mustSelect(st.SQL)
+	rng := sim.NewRNG(10)
+	for pass := 0; pass < 2; pass++ {
+		for draw := 0; draw < 10; draw++ {
+			params := st.Params(set.Data, rng)
+			base, err := set.Baseline.sys.Query(sim.NewCtx(), sel, params)
+			if err != nil {
+				t.Fatalf("Baseline: %v", err)
+			}
+			ua, err := set.MVCCUA.sys.Query(sim.NewCtx(), sel, params)
+			if err != nil {
+				t.Fatalf("MVCC-UA: %v", err)
+			}
+			if d := diffAnswers(sel, base, ua); d != "" {
+				t.Errorf("pass %d draw %d (%v): MVCC-UA answers unlike Baseline: %s", pass, draw, params, d)
+			}
+		}
+		for _, w := range tpcw.WriteStatements() {
+			for i := 0; i < 5; i++ {
+				params := w.Params(set.Data, rng)
+				for _, sys := range []*synergySys{set.Baseline, set.MVCCUA} {
+					if err := sys.Run(sim.NewCtx(), w, params); err != nil {
+						t.Fatalf("%s on %s: %v", w.ID, sys.name, err)
+					}
+				}
+			}
+		}
+	}
+}
+
+// diffAnswers reports how got differs from want, two answers to sel, or ""
+// if they agree. ORDER BY ... LIMIT is no total order where the order key
+// ties, and plans over views break ties otherwise than plans over base tables
+// (at 500 customers every Q10 draw lists some items of equal qty in another
+// order on MVCC-A than on Baseline). So the answers must have the same
+// columns and the same sequence of order keys, and the same rows, in any
+// order, under each key — except under the last row's key when the LIMIT cut
+// the result there.
+func diffAnswers(sel *sqlparser.SelectStmt, want, got *phoenix.ResultSet) string {
+	if !slices.Equal(got.Columns, want.Columns) {
+		return fmt.Sprintf("columns %v, want %v", got.Columns, want.Columns)
+	}
+	if len(got.Rows) != len(want.Rows) {
+		return fmt.Sprintf("%d rows, want %d", len(got.Rows), len(want.Rows))
+	}
+	var keyCols []string
+	for _, o := range sel.OrderBy {
+		col := o.Col.Column
+		if !slices.Contains(want.Columns, col) {
+			col = o.Col.String()
+		}
+		keyCols = append(keyCols, col)
+	}
+	render := func(row schema.Row, cols []string) string {
+		var b strings.Builder
+		for _, c := range cols {
+			fmt.Fprintf(&b, "%v|", row[c])
+		}
+		return b.String()
+	}
+	n := len(want.Rows)
+	for lo := 0; lo < n; {
+		key := render(want.Rows[lo], keyCols)
+		hi := lo
+		for hi < n && render(want.Rows[hi], keyCols) == key {
+			if k := render(got.Rows[hi], keyCols); k != key {
+				return fmt.Sprintf("row %d has order key %s, want %s", hi, k, key)
+			}
+			hi++
+		}
+		if hi == n && sel.Limit > 0 && n == sel.Limit {
+			break // the LIMIT may have cut this tie group anywhere
+		}
+		var w, g []string
+		for i := lo; i < hi; i++ {
+			w = append(w, render(want.Rows[i], want.Columns))
+			g = append(g, render(got.Rows[i], got.Columns))
+		}
+		slices.Sort(w)
+		slices.Sort(g)
+		if !slices.Equal(g, w) {
+			return fmt.Sprintf("rows %d-%d under order key %s are\n%v\nwant\n%v", lo, hi-1, key, g, w)
+		}
+		lo = hi
+	}
+	return ""
 }
 
 // TestRewrittenStarKeepsBaselineColumns: a SELECT * the view rewrite serves

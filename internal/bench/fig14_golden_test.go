@@ -25,11 +25,8 @@ func TestFigure14Golden(t *testing.T) {
 	}
 	const reps = 3
 	walSyncs := func(sys EvalSystem) int64 {
-		switch s := sys.(type) {
-		case *synergySys:
+		if s, ok := sys.(*synergySys); ok {
 			return s.sys.Store.WALSyncs()
-		case *uaSys:
-			return s.base.sys.Store.WALSyncs()
 		}
 		return 0 // VoltDB keeps a command log, not a store WAL
 	}

@@ -2,12 +2,9 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 
 	"synergy/internal/core"
-	"synergy/internal/hbase"
 	"synergy/internal/newsql"
-	"synergy/internal/phoenix"
 	"synergy/internal/schema"
 	"synergy/internal/sim"
 	"synergy/internal/sqlparser"
@@ -41,8 +38,8 @@ func (c parsedCache) get(st tpcw.Stmt) sqlparser.Statement {
 	return s
 }
 
-// synergySys wraps a synergy.System deployment (used for Synergy, MVCC-A and
-// Baseline, which differ only in Config).
+// synergySys wraps a synergy.System deployment (used for Synergy, MVCC-A,
+// MVCC-UA and Baseline, which differ only in Config and workload).
 type synergySys struct {
 	name   string
 	sys    *synergy.System
@@ -68,49 +65,6 @@ func (s *synergySys) Design() *core.Design { return s.sys.Design }
 
 // System exposes the underlying deployment (examples and tests).
 func (s *synergySys) System() *synergy.System { return s.sys }
-
-// uaSys is MVCC-UA: the baseline deployment plus the tuning-advisor view
-// (the bestseller aggregate) with special-cased Q10 routing and incremental
-// maintenance.
-type uaSys struct {
-	base    *synergySys
-	viewSQL *sqlparser.SelectStmt
-	eng     *phoenix.Engine
-	ua      *phoenix.TableInfo
-}
-
-// uaViewName is the materialized tuning-advisor view.
-const uaViewName = "UA_BESTSELLER"
-
-func (s *uaSys) Name() string { return "MVCC-UA" }
-
-func (s *uaSys) Run(ctx *sim.Ctx, st tpcw.Stmt, params []schema.Value) error {
-	if st.ID == "Q10" {
-		// The advisor's view answers the bestseller query directly.
-		_, err := s.base.sys.Query(ctx, s.viewSQL, params[:1])
-		return err
-	}
-	if err := s.base.Run(ctx, st, params); err != nil {
-		return err
-	}
-	// Incremental view maintenance on the writes that affect it.
-	switch st.ID {
-	case "W3": // insert Order_line: qty accrues to the item's row
-		iID := params[2].(int64)
-		qty := params[3].(int64)
-		row, found, err := s.eng.GetRow(ctx, s.ua, hbase.ReadOpts{}, iID)
-		if err != nil || !found {
-			return err
-		}
-		row["qty"] = row["qty"].(int64) + qty
-		// One RPC per mutation, like every other figure-harness write.
-		return s.eng.PutRow(ctx, s.ua, row, phoenix.WriteOpts{Mutator: s.eng.Client().NewBufferedMutator(1)})
-	}
-	return nil
-}
-
-func (s *uaSys) Supported(tpcw.Stmt) bool { return true }
-func (s *uaSys) DatabaseBytes() int64     { return s.base.DatabaseBytes() }
 
 // voltSys wraps the VoltDB-like engine.
 type voltSys struct {
@@ -141,7 +95,7 @@ type SystemSet struct {
 	Data     *tpcw.Data
 	Synergy  *synergySys
 	MVCCA    *synergySys
-	MVCCUA   *uaSys
+	MVCCUA   *synergySys
 	Baseline *synergySys
 	VoltDB   *voltSys
 }
@@ -167,7 +121,7 @@ func BuildSystems(numCust int, seed int64, costs *sim.Costs) (*SystemSet, error)
 	sch := tpcw.Schema
 	set := &SystemSet{Data: data}
 
-	mk := func(name string, cfg synergy.Config) (*synergySys, error) {
+	mk := func(name string, workloadSQL []string, cfg synergy.Config) (*synergySys, error) {
 		cfg.Costs = costs
 		cfg.BaseIndexes = tpcw.BaseIndexes()
 		// The paper's testbed client issued one RPC per mutation and
@@ -179,7 +133,7 @@ func BuildSystems(numCust int, seed int64, costs *sim.Costs) (*SystemSet, error)
 		if cfg.MaxVersions == 0 {
 			cfg.MaxVersions = 1
 		}
-		sys, err := synergy.New(sch(), tpcw.Roots(), tpcw.WorkloadSQL(), cfg)
+		sys, err := synergy.New(sch(), tpcw.Roots(), workloadSQL, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -196,24 +150,23 @@ func BuildSystems(numCust int, seed int64, costs *sim.Costs) (*SystemSet, error)
 
 	var err error
 	// Synergy: schema-aware views + hierarchical locking.
-	if set.Synergy, err = mk("Synergy", synergy.Config{Concurrency: synergy.Hierarchical}); err != nil {
+	if set.Synergy, err = mk("Synergy", tpcw.WorkloadSQL(), synergy.Config{Concurrency: synergy.Hierarchical}); err != nil {
 		return nil, err
 	}
 	// MVCC-A: Synergy's views, Tephra-style MVCC.
-	if set.MVCCA, err = mk("MVCC-A", synergy.Config{Concurrency: synergy.MVCC, MaxVersions: 16}); err != nil {
+	if set.MVCCA, err = mk("MVCC-A", tpcw.WorkloadSQL(), synergy.Config{Concurrency: synergy.MVCC, MaxVersions: 16}); err != nil {
 		return nil, err
 	}
 	// Baseline: base tables only, MVCC.
-	if set.Baseline, err = mk("Baseline", synergy.Config{Concurrency: synergy.MVCC, MaxVersions: 16, DisableViews: true}); err != nil {
+	if set.Baseline, err = mk("Baseline", tpcw.WorkloadSQL(), synergy.Config{Concurrency: synergy.MVCC, MaxVersions: 16, DisableViews: true}); err != nil {
 		return nil, err
 	}
-	// MVCC-UA: base tables + the tuning advisor's view, MVCC.
-	uaBase, err := mk("MVCC-UA", synergy.Config{Concurrency: synergy.MVCC, MaxVersions: 16, DisableViews: true})
+	// MVCC-UA: the views of the queries the tuning advisor picks, MVCC.
+	uaSQL, err := advisorWorkload(data)
 	if err != nil {
 		return nil, err
 	}
-	set.MVCCUA, err = buildUA(uaBase, data)
-	if err != nil {
+	if set.MVCCUA, err = mk("MVCC-UA", uaSQL, synergy.Config{Concurrency: synergy.MVCC, MaxVersions: 16}); err != nil {
 		return nil, err
 	}
 
@@ -229,76 +182,27 @@ func BuildSystems(numCust int, seed int64, costs *sim.Costs) (*SystemSet, error)
 	return set, nil
 }
 
-// buildUA runs the tuning advisor over the workload and materializes its
-// recommendation (the bestseller aggregate) on the baseline deployment. The
-// view below is Q10's aggregate, so any other recommendation is an error.
-func buildUA(base *synergySys, data *tpcw.Data) (*uaSys, error) {
-	// Advisor pass: workload joins + database stats -> recommendations.
+// advisorWorkload is MVCC-UA's design workload: the SQL of each join query
+// the tuning advisor picks under its storage budget, plus every write. Design
+// selection over it materializes the picked queries' join paths, and every
+// write maintains them.
+func advisorWorkload(data *tpcw.Data) ([]string, error) {
 	queries := map[string]*sqlparser.SelectStmt{}
 	for _, st := range tpcw.JoinQueries() {
 		queries[st.ID] = sqlparser.MustParse(st.SQL).(*sqlparser.SelectStmt)
 	}
 	stats := data.Stats()
 	recs := tuning.Recommend(tuning.Candidates(queries, stats), stats, 0)
-	if len(recs) != 1 || recs[0].QueryName != "Q10" {
-		return nil, fmt.Errorf("MVCC-UA materializes Q10's aggregate, but the tuning advisor recommends:\n%s", tuning.Describe(recs))
+	if len(recs) == 0 {
+		return nil, fmt.Errorf("MVCC-UA: the tuning advisor recommends no view")
 	}
-
-	ua := &uaSys{base: base, eng: base.sys.Engine}
-
-	// Materialize the bestseller aggregate: qty per item over the order
-	// lines, with the filter column (i_subject) and displayed attributes.
-	cols := []schema.Column{
-		{Name: "i_id", Type: schema.TInt},
-		{Name: "i_title", Type: schema.TString},
-		{Name: "i_subject", Type: schema.TString},
-		{Name: "a_fname", Type: schema.TString},
-		{Name: "a_lname", Type: schema.TString},
-		{Name: "qty", Type: schema.TInt},
+	var sql []string
+	for _, c := range recs {
+		st, _ := tpcw.StatementByID(c.QueryName)
+		sql = append(sql, st.SQL)
 	}
-	info, err := base.sys.Catalog.RegisterView(uaViewName, cols, []string{"i_id"}, nil, hbase.TableSpec{MaxVersions: 16})
-	if err != nil {
-		return nil, err
+	for _, st := range tpcw.WriteStatements() {
+		sql = append(sql, st.SQL)
 	}
-	if err := base.sys.Catalog.RegisterIndex(uaViewName, phoenix.IndexInfo{Name: "IX_UA_subject", On: []string{"i_subject"}}, hbase.TableSpec{MaxVersions: 16}); err != nil {
-		return nil, err
-	}
-	ua.ua = info
-
-	// Compute contents from the generated data (setup path).
-	qty := map[int64]int64{}
-	for _, ol := range data.Tables["Order_line"] {
-		qty[ol["ol_i_id"].(int64)] += ol["ol_qty"].(int64)
-	}
-	authors := map[int64]schema.Row{}
-	for _, a := range data.Tables["Author"] {
-		authors[a["a_id"].(int64)] = a
-	}
-	var rows []schema.Row
-	for _, it := range data.Tables["Item"] {
-		id := it["i_id"].(int64)
-		q, sold := qty[id]
-		if !sold {
-			continue
-		}
-		a := authors[it["i_a_id"].(int64)]
-		rows = append(rows, schema.Row{
-			"i_id": id, "i_title": it["i_title"], "i_subject": it["i_subject"],
-			"a_fname": a["a_fname"], "a_lname": a["a_lname"], "qty": q,
-		})
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i]["i_id"].(int64) < rows[j]["i_id"].(int64) })
-	ctx := sim.NewCtx()
-	for _, r := range rows {
-		if err := ua.eng.PutRow(ctx, info, r, phoenix.WriteOpts{}); err != nil {
-			return nil, err
-		}
-	}
-	base.sys.Store.MajorCompact(uaViewName)
-	base.sys.Store.MajorCompact("IX_UA_subject")
-
-	ua.viewSQL = sqlparser.MustParse(fmt.Sprintf(
-		`SELECT i_id, i_title, a_fname, a_lname, qty FROM %s WHERE i_subject = ?
-		 ORDER BY qty DESC LIMIT 50`, uaViewName)).(*sqlparser.SelectStmt)
-	return ua, nil
+	return sql, nil
 }

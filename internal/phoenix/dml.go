@@ -414,8 +414,8 @@ func (b *WriteBatch) notify() {
 	b.notifies = b.notifies[:0]
 }
 
-// PutRow is PutCells for a row still boxed: tests and the figure harness
-// load through it; a statement's row arrives encoded (WriteShape.Bind).
+// PutRow is PutCells for a row still boxed: tests load through it; a
+// statement's row arrives encoded (WriteShape.Bind).
 func (e *Engine) PutRow(ctx *sim.Ctx, t *TableInfo, row schema.Row, opts WriteOpts) error {
 	return e.PutCells(ctx, t, RowToCells(row), opts)
 }

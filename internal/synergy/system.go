@@ -136,8 +136,8 @@ type Config struct {
 	// MaxVersions for created tables (default 1; MVCC deployments use
 	// more).
 	MaxVersions int
-	// DisableViews deploys only the baseline transformation (used to
-	// stand up the Baseline and MVCC-UA systems on shared plumbing).
+	// DisableViews deploys only the baseline transformation (the Baseline
+	// system).
 	DisableViews bool
 	// SplitThreshold overrides region split size (0 = store default).
 	SplitThreshold int

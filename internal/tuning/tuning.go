@@ -6,9 +6,16 @@
 // of Agrawal, Chaudhuri and Narasayya (VLDB 2000) [16].
 //
 // The advisor is intentionally oblivious to key/foreign-key structure: it
-// materializes whole join (and aggregate) results per query, trading
-// unbounded storage and maintenance cost for read benefit — exactly the
-// design point the paper contrasts Synergy against (§III-3).
+// scores one whole-query view per join query (aggregated when the query
+// aggregates), trading unbounded storage and maintenance cost for read
+// benefit — exactly the design point the paper contrasts Synergy against
+// (§III-3). What it chooses is which queries get a view: the ones with the
+// best benefit per byte under the budget. The view MVCC-UA deploys for a
+// chosen query is that query's join path (internal/bench), not the aggregate
+// candidate, because an item-grain aggregate cannot answer Q10's
+// newest-orders window. The size estimate of an aggregate candidate is still
+// the aggregate's, so the ranking prices a narrower view than the one
+// deployed.
 package tuning
 
 import (
