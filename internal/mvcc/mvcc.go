@@ -227,6 +227,9 @@ func (s *Server) Commit(ctx *sim.Ctx, t *Tx) error {
 	return nil
 }
 
+// Commit commits t on the server that began it (Server.Commit).
+func (t *Tx) Commit(ctx *sim.Ctx) error { return t.srv.Commit(ctx, t) }
+
 // Abort invalidates the transaction: its writes (stamped with its id) become
 // permanently invisible.
 func (s *Server) Abort(ctx *sim.Ctx, t *Tx) {

@@ -156,7 +156,8 @@ func (st *aggState) appendResult(buf []byte, fn string) (grown, val []byte) {
 // one slot per select item, then the GROUP BY values — takes the plain columns
 // and GROUP BY values of the group's first row when the group opens and the
 // aggregates' values at finish; the rows and the states lie in two flat
-// arrays indexed by id, so a group costs no allocation of its own.
+// arrays indexed by id, so a group costs no allocation of its own. The
+// execution block keeps the arrays for its plan's next execution (release).
 type groups struct {
 	p      *Plan
 	keys   keyTable
@@ -165,6 +166,8 @@ type groups struct {
 	taken  int        // rows and partial rows folded in here
 	key    []byte     // scratch: a group key
 	vals   [][]byte   // scratch: a stored row by slot (addRow)
+	out    []tuple    // backs finish's rows
+	buf    []byte     // backs finish's computed values
 }
 
 // reserve sizes the groups for n input rows, so n groups fit without growing;
@@ -173,9 +176,18 @@ func (g *groups) reserve(n int) {
 	if n == 0 || g.keys.len() > 0 {
 		return
 	}
-	g.keys = newKeyTable(n)
-	g.states = make([]aggState, 0, n*len(g.p.aggs))
-	g.rows = make([][]byte, 0, n*g.rowWidth())
+	g.keys.ready(n)
+	g.states = slices.Grow(g.states[:0], n*len(g.p.aggs))
+	g.rows = slices.Grow(g.rows[:0], n*g.rowWidth())
+}
+
+// release empties the groups for the block's next execution: nothing they
+// keep holds a value (see reuse).
+func (g *groups) release() {
+	g.keys.release()
+	g.states, g.rows, g.out = reuse(g.states), reuse(g.rows), reuse(g.out)
+	g.key, g.buf, g.taken = reuse(g.key), reuse(g.buf), 0
+	clear(g.vals)
 }
 
 // rowWidth is the width of an output row.
@@ -183,8 +195,8 @@ func (g *groups) rowWidth() int { return len(g.p.aggs) + len(g.p.groupBy) }
 
 // open returns the id of the group keyed key, opening it if it is new.
 func (g *groups) open(key []byte) (gi int, added bool) {
-	if g.keys.slots == nil {
-		g.keys = newKeyTable(32)
+	if len(g.keys.slots) == 0 {
+		g.keys.ready(32)
 	}
 	id, added := g.keys.insert(key)
 	if added {
@@ -226,7 +238,7 @@ func (g *groups) add(vals [][]byte) {
 // addRow folds in one stored row of the plan's one table, whose columns refs
 // names in slot order.
 func (g *groups) addRow(refs []string, cells hbase.Cells) {
-	if g.vals == nil {
+	if len(g.vals) != len(refs) {
 		g.vals = make([][]byte, len(refs))
 	}
 	copyRefs(refs, cells, g.vals)
@@ -290,8 +302,9 @@ func (g *groups) finish(ctx *sim.Ctx) []tuple {
 		g.open(nil)
 	}
 	n, w := len(g.p.aggs), g.rowWidth()
-	out := make([]tuple, g.keys.len())
-	buf := make([]byte, 0, 9*n*len(out)) // a computed value is a 9-byte number
+	out := slices.Grow(g.out[:0], g.keys.len())[:g.keys.len()]
+	buf := slices.Grow(g.buf[:0], 9*n*len(out)) // a computed value is a 9-byte number
+	g.out, g.buf = out, buf
 	for gi := range out {
 		row := g.rows[gi*w : gi*w+w : gi*w+w]
 		for i, a := range g.p.aggs {
@@ -316,7 +329,7 @@ func (g *groups) finish(ctx *sim.Ctx) []tuple {
 // of an answer — its rows, its pairs, its groups — is reused; the bytes
 // behind its values, which merge keeps windows into, are not.
 type regionFold struct {
-	*groups
+	groups
 	refs         []string
 	dirtyChecked bool
 	dirty        bool
@@ -324,11 +337,20 @@ type regionFold struct {
 	pairs        []hbase.Pair
 }
 
-// newRegionFold is the fold of the query's scan (hbase.ScanSpec.Fold): one
-// Folder per scan.
+// newRegionFold is the fold of the query's scan (hbase.ScanSpec.Fold): the
+// block's one Folder, ready for a scan — the statement's, or one a dirty row
+// sent back to the top.
 func (q *query) newRegionFold() hbase.Folder {
-	b := q.bindings[0]
-	return &regionFold{groups: &groups{p: q.Plan}, refs: b.refs, dirtyChecked: q.dirtyChecked(b)}
+	b, f := q.bindings[0], &q.regions
+	f.p, f.refs, f.dirtyChecked, f.dirty = q.Plan, b.refs, q.dirtyChecked(b), false
+	f.reset()
+	return f
+}
+
+// release empties the fold for the block's next execution (see reuse).
+func (f *regionFold) release() {
+	f.groups.release()
+	f.refs, f.out, f.pairs = nil, reuse(f.out), reuse(f.pairs)
 }
 
 func (f *regionFold) Add(r hbase.RowResult) {

@@ -14,7 +14,7 @@ import (
 // row's values as encoded cells — the cursor decodes nothing, and a wire
 // server encodes row packets from them with no per-row allocation (use
 // DrainCursor for decoded rows keyed by column name). Close releases the
-// underlying region scanner and must always be called, even after Next
+// underlying region scanner and must be called once, even after Next
 // returned false — a caller abandoning a cursor mid-stream would otherwise
 // leak pooled scan jobs and chunk buffers.
 type RowCursor interface {
@@ -31,16 +31,17 @@ type RowCursor interface {
 	Next(ctx *sim.Ctx) bool
 	// RawValue returns the cell encoding (type tag + payload, see
 	// EncodeValue) of the current row's column i, empty when the value is
-	// NULL or the column a literal select item. The bytes are immutable
-	// and never recycled — only which bytes column i names changes with
-	// the next Next call.
+	// NULL or the column a literal select item. The bytes stay as they are
+	// until Close — only which bytes column i names changes with the next
+	// Next call.
 	RawValue(i int) []byte
 	// Err reports the error that terminated iteration, if any.
 	Err() error
 	// Close releases the cursor's resources (region scanner, pooled scan
-	// chunks). It is idempotent. For transactional cursors wrapped with
-	// WithClose it also settles the transaction, so its error must be
-	// checked.
+	// chunks). A cursor that reads in a transaction of its own
+	// (QueryOpts.Commit) also commits it, so its error must be checked.
+	// Close a cursor once and then use it no more, Close included: its
+	// execution's block then serves the plan's next execution.
 	Close(ctx *sim.Ctx) error
 }
 
@@ -63,39 +64,17 @@ func (q *query) RawValue(i int) []byte { return q.value(q.row, i) }
 func (q *query) Err() error            { return nil }
 
 func (q *query) Close(ctx *sim.Ctx) error {
-	if !q.closed {
-		q.closed, q.done = true, true
-		q.root.Close(ctx)
-	}
-	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Close hooks: transaction layers wrap cursors so Close settles the
-// transaction (commit on clean drain, abort on error).
-
-type closeHook struct {
-	RowCursor
-	onClose func(ctx *sim.Ctx, cur RowCursor) error
-	closed  bool
-}
-
-func (c *closeHook) Close(ctx *sim.Ctx) error {
-	if c.closed {
+	if q.closed {
 		return nil
 	}
-	c.closed = true
-	err := c.RowCursor.Close(ctx)
-	if herr := c.onClose(ctx, c.RowCursor); err == nil {
-		err = herr
+	q.closed, q.done = true, true
+	q.root.Close(ctx)
+	commit := q.opts.Commit
+	q.recycle()
+	if commit != nil {
+		return commit.Commit(ctx)
 	}
-	return err
-}
-
-// WithClose returns cur with onClose running exactly once after the inner
-// cursor's Close.
-func WithClose(cur RowCursor, onClose func(ctx *sim.Ctx, cur RowCursor) error) RowCursor {
-	return &closeHook{RowCursor: cur, onClose: onClose}
+	return nil
 }
 
 // DrainCursor decodes what is left of one of this package's cursors into a
@@ -104,14 +83,10 @@ func WithClose(cur RowCursor, onClose func(ctx *sim.Ctx, cur RowCursor) error) R
 // values are decoded. A literal select item has no value: its key stays
 // absent from the rows.
 func DrainCursor(ctx *sim.Ctx, cur RowCursor) (*ResultSet, error) {
-	inner := cur
-	for h, ok := inner.(*closeHook); ok; h, ok = inner.(*closeHook) {
-		inner = h.RowCursor
-	}
-	q, ok := inner.(*query)
+	q, ok := cur.(*query)
 	if !ok {
 		cur.Close(ctx)
-		return nil, fmt.Errorf("phoenix: DrainCursor of a foreign cursor %T", inner)
+		return nil, fmt.Errorf("phoenix: DrainCursor of a foreign cursor %T", cur)
 	}
 	cols := slices.Clone(cur.Columns()) // the result set is the caller's; the plan's names are not
 	rs := &ResultSet{Columns: cols, Types: slices.Clone(cur.Types()), Rows: []schema.Row{}}

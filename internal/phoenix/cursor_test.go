@@ -1,6 +1,7 @@
 package phoenix
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -102,9 +103,10 @@ func TestStreamCursorRawView(t *testing.T) {
 }
 
 // TestCursorEarlyClose abandons a streamed scan after one row and checks the
-// engine stays healthy: Close is idempotent, Next after Close reports
-// exhaustion, and a fresh query over the same table still sees every row
-// (the scanner returned its pooled chunk without corrupting it).
+// engine stays healthy: while nothing reopens the closed block — the plan
+// here is compiled for this one execution — a second Close is a no-op and
+// Next reports exhaustion, and a fresh query over the same table still sees
+// every row (the scanner returned its pooled chunk without corrupting it).
 func TestCursorEarlyClose(t *testing.T) {
 	e, ctx := testDB(t)
 	sel := sqlparser.MustParse("SELECT * FROM Orders").(*sqlparser.SelectStmt)
@@ -162,40 +164,47 @@ func TestCursorLimitPushdown(t *testing.T) {
 	}
 }
 
-// TestWithCloseHook checks the hook fires exactly once with the cursor's
-// terminal state, and that the wrapper serves the inner cursor's rows.
-func TestWithCloseHook(t *testing.T) {
+// countingCommit is a QueryOpts.Commit that counts its commits and fails
+// with err.
+type countingCommit struct {
+	n   int
+	err error
+}
+
+func (c *countingCommit) Commit(*sim.Ctx) error {
+	c.n++
+	return c.err
+}
+
+// TestCloseCommits checks that a cursor reading in a transaction of its own
+// (QueryOpts.Commit) commits it once, at Close, after its rows, and returns
+// the commit's error.
+func TestCloseCommits(t *testing.T) {
 	e, ctx := testDB(t)
 	sel := sqlparser.MustParse("SELECT * FROM Customer").(*sqlparser.SelectStmt)
-	inner, err := e.QueryStream(ctx, sel, nil)
+	plan, err := e.Compile(sel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	calls := 0
-	cur := WithClose(inner, func(ctx *sim.Ctx, c RowCursor) error {
-		calls++
-		if err := c.Err(); err != nil {
-			t.Fatalf("hook saw cursor error %v", err)
+	conflict := errors.New("conflict")
+	for _, want := range []error{nil, conflict} {
+		tx := &countingCommit{err: want}
+		cur, err := plan.Open(ctx, nil, QueryOpts{Commit: tx})
+		if err != nil {
+			t.Fatal(err)
 		}
-		return nil
-	})
-	n := 0
-	for cur.Next(ctx) {
-		n++
-		if got, want := cur.RawValue(0), inner.RawValue(0); len(got) == 0 || &got[0] != &want[0] {
-			t.Fatalf("row %d: wrapper's RawValue is not the inner cursor's", n)
+		n := 0
+		for cur.Next(ctx) {
+			n++
 		}
-	}
-	if err := cur.Close(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if err := cur.Close(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 1 {
-		t.Fatalf("close hook ran %d times, want 1", calls)
-	}
-	if n != 10 {
-		t.Fatalf("streamed %d rows, want 10", n)
+		if tx.n != 0 {
+			t.Fatalf("committed %d times before Close", tx.n)
+		}
+		if err := cur.Close(ctx); err != want {
+			t.Fatalf("Close returned %v, want %v", err, want)
+		}
+		if tx.n != 1 || n != 10 {
+			t.Fatalf("%d rows, %d commits: want 10 rows, 1 commit", n, tx.n)
+		}
 	}
 }

@@ -2,6 +2,8 @@ package phoenix
 
 import (
 	"fmt"
+	"sync/atomic"
+	"unsafe"
 
 	"synergy/internal/hbase"
 	"synergy/internal/schema"
@@ -55,6 +57,16 @@ type QueryOpts struct {
 	// openScan choke point records every range the query touched, and every
 	// row it read by its whole key as a point.
 	Reader hbase.Reader
+	// Commit, when set, is the transaction the statement reads in alone —
+	// an MVCC autocommit read's snapshot — which the cursor's Close commits,
+	// returning the commit's error.
+	Commit Committer
+}
+
+// Committer is a transaction a statement's cursor commits at its Close
+// (QueryOpts.Commit).
+type Committer interface {
+	Commit(ctx *sim.Ctx) error
 }
 
 // ResultSet is the client-visible output of a query: rows keyed by column
@@ -132,7 +144,8 @@ func (e *Engine) QueryOpts(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []sch
 //
 // A Plan is immutable once compiled, so one plan serves any number of
 // executions. It keeps the catalog's table descriptors as they were when it
-// was compiled.
+// was compiled. The one thing it holds that changes is spare, the block of
+// the last execution closed, which the next execution reopens (query).
 type Plan struct {
 	eng      *Engine
 	sel      *sqlparser.SelectStmt
@@ -167,6 +180,8 @@ type Plan struct {
 	orderSlots []int
 	joinOrders [][]joinStep // by the start binding's idx
 	nlocal     int
+
+	spare atomic.Pointer[query]
 }
 
 // Columns lists the result's column names and Types their types, as every
@@ -199,11 +214,14 @@ func (p *Plan) value(t tuple, j int) []byte {
 // A slot is a window onto value bytes somebody else owns — a store file
 // block, a memstore cell, a transaction's pending write, an aggregate's output
 // buffer — kept under the package's value-lifetime rule (see the package
-// comment): the bytes are immutable and never recycled, and a tuple pins the
-// blocks it points into for as long as it lives. vals are carved from the
-// slab of the execution that built the tuple and are dropped with it: nothing
-// an execution allocates outlives it or is handed to another. What executions
-// share is the Plan, which nothing writes once Compile returns.
+// comment): the store's bytes are immutable and never recycled, an
+// aggregate's are written again only by a later execution of its plan, and a
+// tuple pins the blocks it points into for as long as it lives. vals are
+// carved from the slab of the execution that built the tuple and live until
+// its Close, which clears them and hands the slab, with the rest of the
+// block, to the plan's next execution (query): no two executions hold one
+// block at once. What executions share is the Plan, which nothing writes once
+// Compile returns but for its spare block.
 //
 // size is the encoded footprint of the cells the scans behind the tuple
 // carried — every column of a binding read whole, the scan's column set
@@ -220,10 +238,11 @@ type tuple struct {
 // in the first, doubling to a few hundred — so a scanned row costs no
 // allocation of its own. A node that knows how many tuples it is about to
 // build reserves them first, so they come from one array. It belongs to one
-// execution.
+// execution block, which keeps the arrays for its plan's next execution.
 type tupleSlab struct {
-	free  [][]byte
-	chunk int // tuples in the last array
+	free   [][]byte
+	chunk  int // tuples in the last array
+	arrays kept[[]byte]
 }
 
 const maxSlabTuples = 512
@@ -231,7 +250,7 @@ const maxSlabTuples = 512
 func (s *tupleSlab) take(n int) [][]byte {
 	if n > len(s.free) {
 		s.chunk = min(max(2*s.chunk, 4), maxSlabTuples)
-		s.free = make([][]byte, n*s.chunk)
+		s.free = s.arrays.take(n * s.chunk)
 	}
 	vals := s.free[:n:n]
 	s.free = s.free[n:]
@@ -242,9 +261,80 @@ func (s *tupleSlab) take(n int) [][]byte {
 // the arrays after it grow from there.
 func (s *tupleSlab) reserve(n, w int) {
 	if n*w > len(s.free) {
-		s.free = make([][]byte, n*w)
+		s.free = s.arrays.take(n * w)
 		s.chunk = max(s.chunk, min(n, maxSlabTuples))
 	}
+}
+
+func (s *tupleSlab) release() {
+	s.free, s.chunk = nil, 0
+	s.arrays.release()
+}
+
+// maxKept is the most bytes an execution block keeps of any one array, and
+// of the arrays of one kind together, for its plan's next execution: one
+// large result pins nothing.
+const maxKept = 16 << 10
+
+// sizeOf is the bytes of an array of s's capacity.
+func sizeOf[T any](s []T) int {
+	var v T
+	return cap(s) * int(unsafe.Sizeof(v))
+}
+
+// kept is the arrays of one element type an execution block takes, kept for
+// its plan's next execution. An execution of one plan asks for its arrays in
+// much the same order and sizes as the last, so the array kept at each place
+// in that order fits again and nothing is allocated; one that is too small
+// is replaced by a larger.
+type kept[T any] struct {
+	arrays [][]T
+	next   int    // the place of the next array taken
+	few    [4][]T // backs arrays while there are few
+}
+
+// take returns the next array, of at least n values, full length.
+func (k *kept[T]) take(n int) []T {
+	if k.arrays == nil {
+		k.arrays = k.few[:0]
+	}
+	if k.next == len(k.arrays) {
+		k.arrays = append(k.arrays, nil)
+	}
+	a := k.arrays[k.next]
+	if cap(a) < n {
+		a = make([]T, n)
+		k.arrays[k.next] = a
+	}
+	k.next++
+	return a[:cap(a)]
+}
+
+// release clears the arrays taken, and keeps them for the next execution up
+// to maxKept bytes in all.
+func (k *kept[T]) release() {
+	total := 0
+	for i, a := range k.arrays {
+		if total+sizeOf(a) > maxKept {
+			k.arrays[i] = nil
+			continue
+		}
+		total += sizeOf(a)
+		if i < k.next {
+			clear(a[:cap(a)])
+		}
+	}
+	k.next = 0
+}
+
+// reuse empties s for a block's next execution: cleared to its capacity, or
+// dropped when that is above maxKept bytes.
+func reuse[T any](s []T) []T {
+	if sizeOf(s) > maxKept {
+		return nil
+	}
+	clear(s[:cap(s)])
+	return s[:0]
 }
 
 type binding struct {
@@ -832,6 +922,13 @@ func (p *Plan) orderSource(c sqlparser.ColumnRef) (src colRef, constant bool, er
 // parameter — its bindings' state and bound conjuncts; past those it makes
 // one array of each. What else it allocates is its rows. It reads the Plan
 // and never writes it, so any number of executions, on any sessions, share one.
+//
+// An execution reopens its plan's spare block, the last one closed, when no
+// other execution holds it, and allocates one otherwise. Close clears the
+// block of every reference into the store and hands it back (recycle) with
+// its arrays — slab, row lists, join and group key tables, and each derived
+// table's own block — so the next execution of a prepared statement
+// allocates its rows only where they outgrow the last one's.
 type query struct {
 	*Plan
 	params []schema.Value
@@ -839,6 +936,7 @@ type query struct {
 	execs  []bindExec  // by binding.idx
 	locals []localPred // the conjuncts of every binding that takes a parameter, bound
 	slab   tupleSlab   // backs every tuple the statement builds
+	lists  kept[tuple] // backs the row lists of its nodes (rowList)
 
 	root         node
 	row          tuple // the row the cursor is on
@@ -846,13 +944,14 @@ type query struct {
 
 	// The operators of the tree, of which it has one each at most, but for
 	// the joins, one per binding after the first.
-	scan   scanNode
-	joins  []joinNode
-	filter filterNode
-	agg    aggNode
-	groups groups
-	sort   sortNode
-	limit  limitNode
+	scan    scanNode
+	joins   []joinNode
+	filter  filterNode
+	agg     aggNode
+	groups  groups
+	regions regionFold // the aggregate's share on the regions (Plan.fold)
+	sort    sortNode
+	limit   limitNode
 
 	exec1  [1]bindExec  // backs execs for a single binding
 	local2 [2]localPred // backs locals for up to two
@@ -860,10 +959,12 @@ type query struct {
 
 // bindExec is one execution's state of a binding: its conjuncts with this
 // execution's parameter values, a derived table's rows — in the layout of its
-// subquery's output, read with Plan.value — with what reading them cost and
-// when they came in, and the access path fullPlan chose.
+// subquery's output, read with Plan.value, from the block sub of the
+// subquery's execution — with what reading them cost and when they came in,
+// and the access path fullPlan chose.
 type bindExec struct {
 	local   []localPred
+	sub     *query
 	derived []tuple
 	read    sim.Ctx        // the derived table's read, until chargeRead hands it on
 	at      sim.Arrivals   // when derived's rows came in, on read's clock
@@ -889,23 +990,27 @@ func (p *Plan) Open(ctx *sim.Ctx, params []schema.Value, opts QueryOpts) (RowCur
 	return q, nil
 }
 
-// bind starts an execution: every conjunct that takes a parameter gets its
-// value, and each derived table opens its own tree and reads it to its end.
-// That read is charged to a context of its own, which the scan of the binding
-// folds into the branch of the request it runs on (chargeRead): a derived
-// table on a hash join's build side is read beside the join's outer input,
-// and hashed as its read handed out its rows (bindExec.at). A statement that
-// fails first, in bind or in its tree, is charged every read it made all the
-// same (chargeReads).
+// bind starts an execution in the plan's spare block, or a new one: every
+// conjunct that takes a parameter gets its value, and each derived table opens
+// its own tree and reads it to its end. That read is charged to a context of
+// its own, which the scan of the binding folds into the branch of the request
+// it runs on (chargeRead): a derived table on a hash join's build side is read
+// beside the join's outer input, and hashed as its read handed out its rows
+// (bindExec.at). A statement that fails first, in bind or in its tree, is
+// charged every read it made all the same (chargeReads).
 func (p *Plan) bind(ctx *sim.Ctx, params []schema.Value, opts QueryOpts) (*query, error) {
-	q := &query{Plan: p, params: params, opts: opts}
-	q.execs, q.locals = q.exec1[:], q.local2[:0]
-	if len(p.bindings) > len(q.exec1) {
-		q.execs = make([]bindExec, len(p.bindings))
+	q := p.spare.Swap(nil)
+	if q == nil {
+		q = &query{Plan: p}
+		q.execs, q.locals = q.exec1[:], q.local2[:0]
+		if len(p.bindings) > len(q.exec1) {
+			q.execs = make([]bindExec, len(p.bindings))
+		}
+		if p.nlocal > len(q.local2) {
+			q.locals = make([]localPred, 0, p.nlocal) // never grows: execs' locals are windows of it
+		}
 	}
-	if p.nlocal > len(q.local2) {
-		q.locals = make([]localPred, 0, p.nlocal) // never grows: execs' locals are windows of it
-	}
+	q.params, q.opts, q.done, q.closed = params, opts, false, false
 	for _, b := range p.bindings {
 		x := &q.execs[b.idx]
 		x.local = b.local
@@ -927,8 +1032,8 @@ func (p *Plan) bind(ctx *sim.Ctx, params []schema.Value, opts QueryOpts) (*query
 		if b.sub != nil {
 			sub, err := b.sub.bind(&x.read, params, opts)
 			if err == nil {
-				x.at = x.arrived[:0]
-				x.derived, err = rowsOf(&x.read, sub.tree(true), &x.at)
+				x.sub, x.at = sub, x.arrived[:0]
+				x.derived, err = sub.rowsOf(&x.read, sub.tree(true), &x.at)
 				sub.chargeReads(&x.read)
 			}
 			if err != nil {
@@ -939,6 +1044,34 @@ func (p *Plan) bind(ctx *sim.Ctx, params []schema.Value, opts QueryOpts) (*query
 	}
 	return q, nil
 }
+
+// recycle clears the block of a closed execution — of its parameters, options
+// and operators, of every value its arrays hold — and hands it, with its
+// derived tables' blocks, back to its plan for the next execution.
+func (q *query) recycle() {
+	for i := range q.execs {
+		if sub := q.execs[i].sub; sub != nil {
+			sub.recycle()
+		}
+		q.execs[i] = bindExec{}
+	}
+	q.locals = reuse(q.locals)
+	q.params, q.opts, q.root, q.row = nil, QueryOpts{}, nil, tuple{}
+	q.scan, q.filter, q.agg, q.sort, q.limit = scanNode{}, filterNode{}, aggNode{}, sortNode{}, limitNode{}
+	for i := range q.joins {
+		q.joins[i] = joinNode{table: q.joins[i].table}
+		q.joins[i].table.release()
+	}
+	q.groups.release()
+	q.regions.release()
+	q.slab.release()
+	q.lists.release()
+	q.spare.Store(q)
+}
+
+// rowList returns an empty row list with room for n rows, from the block's
+// arrays.
+func (q *query) rowList(n int) []tuple { return q.lists.take(n)[:0] }
 
 // chargeRead charges ctx what reading derived table b cost, the first time it
 // is asked, and returns when the read's rows came in on ctx's clock: the read

@@ -348,7 +348,7 @@ func TestINLJoinChargesSequential(t *testing.T) {
 	if start(q) != p || sides[p.idx].rows() != outerRows {
 		t.Fatalf("the join starts at %s with %d rows, want P with %d", start(q).name, sides[p.idx].rows(), outerRows)
 	}
-	outer, err := rowsOf(sim.NewCtx(), &scanNode{q: q, b: p, path: q.fullPlan(p), wide: true, keep: true}, nil)
+	outer, err := q.rowsOf(sim.NewCtx(), &scanNode{q: q, b: p, path: q.fullPlan(p), wide: true, keep: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,8 @@ import (
 // ids are dense and whatever a caller hangs off a key is a slice indexed by
 // id. The key bytes lie back to back in one arena and the hash table is one
 // open-addressed []int32 over it, so a distinct key costs its bytes and
-// nothing else — no string, no map bucket. It belongs to one statement.
+// nothing else — no string, no map bucket. It belongs to one execution block,
+// which keeps it for the plan's next execution.
 type keyTable struct {
 	seed  maphash.Seed
 	slots []int32 // id+1 of the key hashed there, 0 = free; a power of two long
@@ -18,15 +19,31 @@ type keyTable struct {
 	ends  []int32 // ends[id] is where key id stops in arena; it starts where id-1 stops
 }
 
-// newKeyTable returns a table that takes n keys without growing — its arena
-// too when they are single numbers, 9 bytes each.
-func newKeyTable(n int) keyTable {
+// ready empties the table to take n keys without growing — its arena too
+// when they are single numbers, 9 bytes each — keeping its arrays when they
+// have room for them.
+func (t *keyTable) ready(n int) {
 	size := 8
 	for size < 2*n {
 		size *= 2
 	}
-	ids := make([]int32, size+n) // the slots, then room for the ends
-	return keyTable{seed: maphash.MakeSeed(), slots: ids[:size:size], arena: make([]byte, 0, 9*n), ends: ids[size:size]}
+	if cap(t.slots) < size || cap(t.ends) < n {
+		ids := make([]int32, size+n) // the slots, then room for the ends
+		*t = keyTable{seed: maphash.MakeSeed(), slots: ids[:size:size], arena: make([]byte, 0, 9*n), ends: ids[size:size]}
+		return
+	}
+	t.slots = t.slots[:cap(t.slots)]
+	t.reset()
+}
+
+// release empties the table for its block's next execution, which readies
+// it again; arrays above maxKept bytes are dropped.
+func (t *keyTable) release() {
+	if max(sizeOf(t.slots), sizeOf(t.ends), sizeOf(t.arena)) > maxKept {
+		*t = keyTable{}
+		return
+	}
+	t.slots, t.arena, t.ends = t.slots[:0], t.arena[:0], t.ends[:0]
 }
 
 // reset empties the table, keeping its capacity.

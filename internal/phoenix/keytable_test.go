@@ -16,7 +16,8 @@ import (
 // and after all growth, and a key never inserted is not found.
 func checkKeyTable(t *testing.T, hint int, keys [][]byte) {
 	t.Helper()
-	kt := newKeyTable(hint)
+	var kt keyTable
+	kt.ready(hint)
 	ref := map[string]int32{}
 	for i, k := range keys {
 		want, seen := ref[string(k)]
@@ -146,7 +147,7 @@ func TestHashJoinAllocsSublinear(t *testing.T) {
 		t.Fatal(err)
 	}
 	probe, build := q.bindings[0], q.bindings[1]
-	outer, err := rowsOf(ctx, &scanNode{q: q, b: probe, path: q.fullPlan(probe), wide: true, keep: true}, nil)
+	outer, err := q.rowsOf(ctx, &scanNode{q: q, b: probe, path: q.fullPlan(probe), wide: true, keep: true}, nil)
 	if built := q.execs[build.idx].derived; err != nil || len(outer) != hashJoinProbes || len(built) != hashJoinBuild {
 		t.Fatalf("%d probe rows, %d build rows, err %v", len(outer), len(built), err)
 	}

@@ -55,11 +55,12 @@ func (l *list) take() ([]tuple, sim.Arrivals, bool) {
 	return rows, nil, true
 }
 
-// rowsOf opens n and reads it to its end for a consumer that keeps every row:
-// a node that materialized its rows at Open hands them over as they are, and
-// a limit cuts its input's rows. Reading that input to its end costs what
-// reading the first n does: a store scan directly under a limit has it pushed
-// in and stops there, and anything else under one reads the store at Open.
+// rowsOf opens n, a node of q's tree, and reads it to its end for a consumer
+// that keeps every row: a node that materialized its rows at Open hands them
+// over as they are, and a limit cuts its input's rows. Reading that input to
+// its end costs what reading the first n does: a store scan directly under a
+// limit has it pushed in and stops there, and anything else under one reads
+// the store at Open.
 //
 // For a consumer that paces on the rows (joinNode.build), at gets the read's
 // arrivals on ctx's clock. A sequential store scan hands its rows one chunk
@@ -68,9 +69,9 @@ func (l *list) take() ([]tuple, sim.Arrivals, bool) {
 // the join of its units at the read's end; and rows materialized at Open come
 // when it returns — a derived table's as its own read handed them
 // (scanNode.take).
-func rowsOf(ctx *sim.Ctx, n node, at *sim.Arrivals) ([]tuple, error) {
+func (q *query) rowsOf(ctx *sim.Ctx, n node, at *sim.Arrivals) ([]tuple, error) {
 	if l, ok := n.(*limitNode); ok {
-		rows, err := rowsOf(ctx, l.in, at)
+		rows, err := q.rowsOf(ctx, l.in, at)
 		return rows[:min(l.n, len(rows))], err
 	}
 	if err := n.Open(ctx); err != nil {
@@ -96,6 +97,9 @@ func rowsOf(ctx *sim.Ctx, n node, at *sim.Arrivals) ([]tuple, error) {
 	}
 	var rows []tuple
 	for t, ok := n.Next(ctx); ok; t, ok = n.Next(ctx) {
+		if len(rows) == cap(rows) {
+			rows = append(q.rowList(max(2*len(rows), 8)), rows...)
+		}
 		rows = append(rows, t)
 		at.Note(len(rows)-1, ctx.Elapsed())
 	}
@@ -124,10 +128,13 @@ func (q *query) tree(keep bool) node {
 	*scan = scanNode{q: q, b: start, path: path, wide: true, keep: keep || sorts || len(q.bindings) > 1}
 	var root node = scan
 	if steps := q.joinOrders[start.idx]; len(steps) > 0 {
-		q.joins = make([]joinNode, len(steps))
+		if q.joins == nil {
+			q.joins = make([]joinNode, len(steps))
+		}
 		for i := range steps {
-			q.joins[i] = joinNode{q: q, outer: root, joinStep: &steps[i], spill: i < len(steps)-1}
-			root = &q.joins[i]
+			j := &q.joins[i]
+			*j = joinNode{q: q, outer: root, joinStep: &steps[i], spill: i < len(steps)-1, table: j.table}
+			root = j
 		}
 	}
 	if len(q.residual) > 0 {
@@ -135,7 +142,7 @@ func (q *query) tree(keep bool) node {
 		root = &q.filter
 	}
 	if q.aggregated {
-		q.groups = groups{p: q.Plan}
+		q.groups.p = q.Plan
 		q.agg = aggNode{g: &q.groups, in: root}
 		if q.fold {
 			scan.g = &q.groups // the aggregate runs under the scan, on the regions
@@ -207,7 +214,7 @@ func (s *scanNode) Open(ctx *sim.Ctx) error {
 		n := s.expect()
 		s.rows, s.sized = s.few[:0], n > 0
 		if n > len(s.few) {
-			s.rows = make([]tuple, 0, n)
+			s.rows = q.rowList(n)
 		}
 		q.slab.reserve(n, q.tupleWidth(b, s.wide))
 	}
@@ -270,7 +277,9 @@ func (s *scanNode) grow() {
 	if len(s.rows) == cap(s.rows) {
 		n = max(n, 2*cap(s.rows))
 	}
-	s.rows = slices.Grow(s.rows, n-len(s.rows))
+	if n > cap(s.rows) {
+		s.rows = append(s.q.rowList(n), s.rows...)
+	}
 	s.q.slab.reserve(n-len(s.rows), s.q.tupleWidth(s.b, s.wide))
 	s.sized = true
 }
@@ -350,6 +359,7 @@ type joinNode struct {
 	one                oneRow         // backs a probe's single-row read
 	probeScan          hbase.Scanner  // backs every other probe's read, one after another
 	probeFilter        predFilter     // the filter every probe pushes to the store
+	table              hashTable      // a hash join's, kept by the block for its next execution
 }
 
 func (j *joinNode) Open(ctx *sim.Ctx) error {
@@ -357,7 +367,7 @@ func (j *joinNode) Open(ctx *sim.Ctx) error {
 	if !inl {
 		return j.overlap(ctx)
 	}
-	outer, err := rowsOf(ctx, j.outer, nil)
+	outer, err := j.q.rowsOf(ctx, j.outer, nil)
 	if err != nil || len(outer) == 0 {
 		return err
 	}
@@ -376,9 +386,9 @@ func (j *joinNode) Open(ctx *sim.Ctx) error {
 // branch and b on the other, building b's hash table there too, then charges
 // the request the longer branch, the probe and the spill.
 func (j *joinNode) overlap(ctx *sim.Ctx) error {
-	outer, err := rowsOf(&j.outerCtx, j.outer, nil)
+	outer, err := j.q.rowsOf(&j.outerCtx, j.outer, nil)
 	var inner []tuple
-	var t hashTable
+	var t *hashTable
 	if err == nil {
 		var at sim.Arrivals
 		inner, at, err = j.inner(&j.innerCtx)
@@ -394,8 +404,8 @@ func (j *joinNode) overlap(ctx *sim.Ctx) error {
 		j.hash(ctx, outer, inner, t)
 		return nil
 	}
-	j.rows = make([]tuple, 0, len(outer)*len(inner))
-	j.q.slab.reserve(cap(j.rows), j.q.width)
+	j.rows = j.q.rowList(len(outer) * len(inner))
+	j.q.slab.reserve(len(outer)*len(inner), j.q.width)
 	for _, o := range outer {
 		for _, in := range inner {
 			j.rows = append(j.rows, j.q.merge(o, j.b, in))
@@ -410,7 +420,7 @@ func (j *joinNode) overlap(ctx *sim.Ctx) error {
 func (j *joinNode) inner(ctx *sim.Ctx) ([]tuple, sim.Arrivals, error) {
 	at := sim.Arrivals(j.arrived[:0])
 	j.innerScan = scanNode{q: j.q, b: j.b, path: j.q.fullPlan(j.b), keep: true}
-	rows, err := rowsOf(ctx, &j.innerScan, &at)
+	rows, err := j.q.rowsOf(ctx, &j.innerScan, &at)
 	return rows, at, err
 }
 
@@ -452,7 +462,14 @@ func (j *joinNode) inlPlan() (accessPlan, bool) {
 // come out in the order they were read.
 type hashTable struct {
 	keys       keyTable
-	head, next []int32
+	head, next []int32 // windows of links
+	links      []int32
+}
+
+// release empties the table for its block's next execution (see reuse).
+func (t *hashTable) release() {
+	t.keys.release()
+	t.head, t.next, t.links = nil, nil, reuse(t.links)
 }
 
 // first returns the first row read with key, -1 for none.
@@ -469,10 +486,11 @@ func (t *hashTable) first(key []byte) int32 {
 // whole build in sequence either — which is what a build side with every row
 // in hand only at its end pays, a dirty-checked view's or a blocking
 // subquery's.
-func (j *joinNode) build(ctx *sim.Ctx, inner []tuple, at sim.Arrivals) hashTable {
-	t := hashTable{keys: newKeyTable(len(inner))}
-	links := make([]int32, 2*len(inner))
-	t.head, t.next = links[:len(inner)], links[len(inner):]
+func (j *joinNode) build(ctx *sim.Ctx, inner []tuple, at sim.Arrivals) *hashTable {
+	t := &j.table
+	t.keys.ready(len(inner))
+	t.links = slices.Grow(t.links[:0], 2*len(inner))[:2*len(inner)]
+	t.head, t.next = t.links[:len(inner)], t.links[len(inner):]
 	var small [64]byte
 	key := small[:0]
 	for i := len(inner) - 1; i >= 0; i-- {
@@ -493,7 +511,7 @@ func (j *joinNode) build(ctx *sim.Ctx, inner []tuple, at sim.Arrivals) hashTable
 // per outer row, and the spill of an output carried into another join. A
 // first pass counts the output and its footprint, so its rows come from one
 // array and one slab reservation.
-func (j *joinNode) hash(ctx *sim.Ctx, outer, inner []tuple, t hashTable) {
+func (j *joinNode) hash(ctx *sim.Ctx, outer, inner []tuple, t *hashTable) {
 	costs := j.q.eng.costs
 	var small [64]byte
 	key := small[:0]
@@ -504,7 +522,7 @@ func (j *joinNode) hash(ctx *sim.Ctx, outer, inner []tuple, t hashTable) {
 			n, bytes = n+1, bytes+o.size+inner[i].size
 		}
 	}
-	j.rows = make([]tuple, 0, n)
+	j.rows = j.q.rowList(n)
 	j.q.slab.reserve(n, j.q.width)
 	for _, o := range outer {
 		key = appendKey(key[:0], o.vals, j.outerSlots)
@@ -578,7 +596,7 @@ func (j *joinNode) probe(ctx *sim.Ctx, outer []tuple, plan accessPlan) error {
 	tbl := plan.table(b)
 	filter, cols := j.probeFilter.compile(plan.filter), q.columnSet(b, plan.filter)
 	// Most probes find a row or none: the outer side's count sizes the output.
-	j.rows = make([]tuple, 0, len(outer))
+	j.rows = q.rowList(len(outer))
 	q.slab.reserve(len(outer), q.width)
 	for i, o := range outer {
 		// A prefix probe is a short scan; fanning it out would cost more
@@ -662,7 +680,7 @@ type sortNode struct {
 }
 
 func (s *sortNode) Open(ctx *sim.Ctx) error {
-	rows, err := rowsOf(ctx, s.in, nil)
+	rows, err := s.q.rowsOf(ctx, s.in, nil)
 	if err != nil {
 		return err
 	}

@@ -656,7 +656,17 @@ func (c *conn) writeResultSet(rs *phoenix.ResultSet) error {
 // flight after Close and the final EOF: a streamed scan pays about
 // max(scan, first row + transfer), a result read whole at Open every byte.
 func (c *conn) writeCursor(cur phoenix.RowCursor, binaryRows bool) error {
-	defer cur.Close(c.sctx)
+	// The cursor is closed once: on the success path below, which checks its
+	// error, or here on any earlier return. A closed cursor's block serves
+	// its plan's next execution, so a second Close could close that one.
+	open := true
+	b := c.enc
+	defer func() {
+		c.enc = b
+		if open {
+			cur.Close(c.sctx)
+		}
+	}()
 	cols := cur.Columns()
 	types := c.types[:0]
 	for _, t := range cur.Types() {
@@ -669,9 +679,6 @@ func (c *conn) writeCursor(cur phoenix.RowCursor, binaryRows bool) error {
 		wire.Serve(c.sctx.Elapsed().Nanos(), sim.Nanos(len(p)+4)*perByte)
 		return c.pc.writePacket(p)
 	}
-	b := c.enc
-	defer func() { c.enc = b }()
-
 	b = appendLencInt(b[:0], uint64(len(cols)))
 	if err := writePkt(b); err != nil {
 		return err
@@ -704,6 +711,7 @@ func (c *conn) writeCursor(cur phoenix.RowCursor, binaryRows bool) error {
 	}
 	// Close settles transactional cursors (MVCC autocommit commits here);
 	// its error also tears the connection down — see above.
+	open = false
 	if err := cur.Close(c.sctx); err != nil {
 		return err
 	}

@@ -101,23 +101,17 @@ func (c *mvccControl) afterFlush(ctx *sim.Ctx, err error) error {
 	return c.srv.Commit(ctx, c.tx)
 }
 
-// read runs in a snapshot transaction the cursor's Close settles: committed
-// on a clean drain, aborted if the cursor saw an error.
+// read runs in a snapshot transaction the cursor's Close commits
+// (QueryOpts.Commit); one whose statement fails to open is aborted.
 func (c *mvccControl) read(ctx *sim.Ctx, sys *System, p *Prepared, params []schema.Value, reads ViewReadMode) (phoenix.RowCursor, error) {
 	tx := c.srv.Begin(ctx)
 	sys.countStale(ctx, p, tx.ID(), reads)
-	cur, err := p.plan.Open(ctx, params, phoenix.QueryOpts{Read: tx.ReadOpts()})
+	cur, err := p.plan.Open(ctx, params, phoenix.QueryOpts{Read: tx.ReadOpts(), Commit: tx})
 	if err != nil {
 		c.srv.Abort(ctx, tx)
 		return nil, err
 	}
-	return phoenix.WithClose(cur, func(ctx *sim.Ctx, inner phoenix.RowCursor) error {
-		if inner.Err() != nil {
-			c.srv.Abort(ctx, tx)
-			return nil
-		}
-		return c.srv.Commit(ctx, tx)
-	}), nil
+	return cur, nil
 }
 
 // occControl is backward validation (Larson et al.): a transaction runs

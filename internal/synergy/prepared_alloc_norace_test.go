@@ -13,18 +13,19 @@ import (
 // Q10, Q11, Q5 and Q1 allocates through a Session: the rewrite, the plan and
 // the result shape are the prepared statement's, and what an execution needs
 // beyond its rows — its operators, its bindings' state, its bound conjuncts,
-// its scans' scanners and pushed filters — is one block, so an execution pays
-// for the block, its derived tables, its key ranges and its rows, sized from
-// the counts it has (a derived table's length, a join's output, a LIMIT, a
-// scan's first chunk). Q1 is a key-prefix scan of a view, and Q11 probes
-// Order_line by key prefix once per outer row. They measure 5, 5, 25, 31, 5
-// and 5 allocations, and each bound leaves about 5 % headroom, at least one
-// allocation; the parent commit measured 7, 13, 46, 87, 15 and 10 (bounds 8,
-// 14, 49 and 92, 16, Q1 unpinned). (Not built under -race, which makes
-// sync.Pool drop pooled scan buffers at random.)
+// its scans' scanners and pushed filters — is one block, which reopens the
+// block the last execution closed, with the arrays its slab, row lists and
+// key tables and its derived tables' blocks kept (phoenix's query); so an
+// execution pays for its key ranges and for what outgrows the last one's
+// arrays or is too large to keep. Q1 is a key-prefix scan of a view, and Q11
+// probes Order_line by key prefix once per outer row. They measure 3, 2, 7,
+// 8, 2 and 2 allocations, and each bound leaves about 5 % headroom, at least
+// one allocation; the parent commit measured 5, 5, 25, 31, 5 and 5 (bounds
+// 6, 6, 27, 33, 6 and 6). (Not built under -race, which makes sync.Pool drop
+// pooled scan buffers at random.)
 func TestPreparedExecuteAllocs(t *testing.T) {
 	sys, data := benchSystem(t)
-	bound := map[string]float64{"Q6": 6, "Q2": 6, "Q10": 27, "Q11": 33, "Q5": 6, "Q1": 6}
+	bound := map[string]float64{"Q6": 4, "Q2": 3, "Q10": 8, "Q11": 9, "Q5": 3, "Q1": 3}
 	for _, id := range append(benchQueries, "Q11", "Q5", "Q1") {
 		st, _ := tpcw.StatementByID(id)
 		sel := parseSelect(t, st.SQL)

@@ -310,21 +310,37 @@ func rawRows(ctx *sim.Ctx, cur phoenix.RowCursor, n int) []string {
 	return rows
 }
 
-// TestPreparedCursorsShareNothing holds executions of one Prepared, on two
-// sessions, to share nothing but the plan and its column sets: for Q10, Q11
-// and Q5 — a derived table, joins, an aggregate, a sort, a LIMIT — and for Q1
-// and Q8, key-prefix scans of a view, and Q3, which probes a view by key once
-// per outer row — each execution's scanners and pushed filters are its own,
-// as is Q11's, which probes Order_line by key prefix — every execution's rows
-// equal, byte for byte, those of the same draw run alone. First the sessions
-// take turns, one cursor left half-read while the other runs a whole
-// execution; then both run their executions at once, which -race checks.
+// TestPreparedCursorsShareNothing holds executions of one Prepared, on one
+// session and on two, to share nothing but the plan and its column sets —
+// though each execution reopens the block the last one closed: for Q10 and
+// Q11 — a derived table, joins, an aggregate, a sort, a LIMIT — Q5, Q2 and a
+// single-table GROUP BY folded on the regions, and for Q1 and Q8, key-prefix
+// scans of a view, and Q3, which probes a view by key once per outer row —
+// each execution's scanners and pushed filters are its own, as is Q11's,
+// which probes Order_line by key prefix — every execution's rows equal, byte
+// for byte, those of the same draw run alone on a freshly prepared statement.
+// First one session runs every draw in turn; then two cursors are read at
+// once, a row of one and a row of the other, on one session and on two, for
+// every fifth draw; then
+// one session's cursor is left half-read while the other session runs a
+// whole execution; then both sessions run their executions at once, which
+// -race checks.
 func TestPreparedCursorsShareNothing(t *testing.T) {
 	sys, data := benchSystem(t)
 	const draws = 50
-	for _, id := range []string{"Q10", "Q11", "Q5", "Q1", "Q8", "Q3"} {
+	stmts := []tpcw.Stmt{{
+		ID:  "GROUP BY",
+		SQL: `SELECT i_subject, COUNT(*) AS n, SUM(i_stock) AS stock, MIN(i_cost) AS lo FROM Item WHERE i_stock >= ? GROUP BY i_subject`,
+		Params: func(_ *tpcw.Data, rng *sim.RNG) []schema.Value {
+			return []schema.Value{int64(rng.IntRange(5, 30))}
+		},
+	}}
+	for _, id := range []string{"Q10", "Q11", "Q5", "Q2", "Q1", "Q8", "Q3"} {
 		st, _ := tpcw.StatementByID(id)
-		sel := parseSelect(t, st.SQL)
+		stmts = append(stmts, st)
+	}
+	for _, st := range stmts {
+		id, sel := st.ID, parseSelect(t, st.SQL)
 		p, err := sys.NewSession().Prepare(sel)
 		if err != nil {
 			t.Fatal(err)
@@ -333,8 +349,12 @@ func TestPreparedCursorsShareNothing(t *testing.T) {
 		params, want := make([][]schema.Value, draws), make([][]string, draws)
 		for i := range params {
 			params[i] = st.Params(data, rng)
+			fresh, err := sys.NewSession().Prepare(sel)
+			if err != nil {
+				t.Fatal(err)
+			}
 			ctx := sim.NewCtx()
-			cur, err := sys.NewSession().Open(ctx, p, params[i])
+			cur, err := sys.NewSession().Open(ctx, fresh, params[i])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -357,8 +377,47 @@ func TestPreparedCursorsShareNothing(t *testing.T) {
 				t.Errorf("%s %s draw %d: %d rows %q, want %d rows %q", id, who, i, len(got), got, len(want[i]), want[i])
 			}
 		}
+		closeCur := func(cur phoenix.RowCursor, ctx *sim.Ctx) {
+			if err := cur.Close(ctx); err != nil {
+				t.Error(err)
+			}
+		}
 
 		a, b := sys.NewSession(), sys.NewSession()
+		for i := range draws {
+			cur, ctx := run(a, i)
+			if cur == nil {
+				return
+			}
+			check("re-executed", i, rawRows(ctx, cur, -1))
+			closeCur(cur, ctx)
+		}
+
+		for _, pair := range [][2]*synergy.Session{{a, a}, {a, b}} {
+			for i := 0; i < draws; i += 5 {
+				j := draws - 1 - i
+				one, ctx1 := run(pair[0], i)
+				two, ctx2 := run(pair[1], j)
+				if one == nil || two == nil {
+					return
+				}
+				var got1, got2 []string
+				for more1, more2 := true, true; more1 || more2; {
+					row1, row2 := rawRows(ctx1, one, 1), rawRows(ctx2, two, 1)
+					more1, more2 = len(row1) > 0, len(row2) > 0
+					got1, got2 = append(got1, row1...), append(got2, row2...)
+				}
+				who := "interleaved on two sessions"
+				if pair[0] == pair[1] {
+					who = "interleaved on one session"
+				}
+				check(who, i, got1)
+				check(who, j, got2)
+				closeCur(two, ctx2)
+				closeCur(one, ctx1)
+			}
+		}
+
 		for i := range draws {
 			cur, ctx := run(a, i)
 			if cur == nil {
@@ -370,13 +429,9 @@ func TestPreparedCursorsShareNothing(t *testing.T) {
 				return
 			}
 			check("whole, beside a half-read cursor", draws-1-i, rawRows(octx, other, -1))
-			if err := other.Close(octx); err != nil {
-				t.Fatal(err)
-			}
+			closeCur(other, octx)
 			check("half-read", i, append(half, rawRows(ctx, cur, -1)...))
-			if err := cur.Close(ctx); err != nil {
-				t.Fatal(err)
-			}
+			closeCur(cur, ctx)
 		}
 
 		var wg sync.WaitGroup
@@ -390,9 +445,7 @@ func TestPreparedCursorsShareNothing(t *testing.T) {
 						return
 					}
 					check("concurrent", i, rawRows(ctx, cur, -1))
-					if err := cur.Close(ctx); err != nil {
-						t.Error(err)
-					}
+					closeCur(cur, ctx)
 				}
 			}()
 		}

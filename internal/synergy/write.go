@@ -122,6 +122,9 @@ type Tx struct {
 	// releaseCtx and logCtx are the branches of the commit tail: the lock
 	// release beside the transaction layer's record.
 	releaseCtx, logCtx sim.Ctx
+	// locate is the scanner every index-located maintenance read of the
+	// transaction opens in, one after another (locateViewRows).
+	locate hbase.Scanner
 }
 
 // loggedTxn names a transaction a slave WAL-logged before running it.
@@ -985,7 +988,7 @@ func (sys *System) locateAll(ctx *sim.Ctx, tx *Tx, actions []core.ViewAction, pa
 			lctx = &forks[len(forks)-1]
 		}
 		var rows []viewRow
-		if rows, err = sys.locateViewRows(lctx, rd, action, info, parts, tx.opts.Read); err != nil {
+		if rows, err = sys.locateViewRows(lctx, rd, &tx.locate, action, info, parts, tx.opts.Read); err != nil {
 			break
 		}
 		if len(rows) > 0 {
@@ -1000,8 +1003,9 @@ func (sys *System) locateAll(ctx *sim.Ctx, tx *Tx, actions []core.ViewAction, pa
 
 // locateViewRows finds the view rows affected by an update per the plan's
 // locator (§VII-C). All reads go through rd, so view tuples buffered by
-// earlier statements of the same transaction are located too.
-func (sys *System) locateViewRows(ctx *sim.Ctx, rd hbase.Reader, action core.ViewAction, viewInfo *phoenix.TableInfo, parts writeParts, read hbase.ReadOpts) ([]viewRow, error) {
+// earlier statements of the same transaction are located too; an index scan
+// opens in sc, the caller's scanner storage, and reads to its end.
+func (sys *System) locateViewRows(ctx *sim.Ctx, rd hbase.Reader, sc *hbase.Scanner, action core.ViewAction, viewInfo *phoenix.TableInfo, parts writeParts, read hbase.ReadOpts) ([]viewRow, error) {
 	switch action.Locator {
 	case core.LocateByViewKey:
 		cells, err := phoenix.GetCells(ctx, rd, viewInfo.Name, parts.Key, read)
@@ -1015,9 +1019,13 @@ func (sys *System) locateViewRows(ctx *sim.Ctx, rd hbase.Reader, action core.Vie
 		// keys its entries under the written row's key hold, then read the
 		// full rows with one multi-get. The entries are the keys that start
 		// with the row key and a separator: [key+"\x00", key+"\x01"). Locator
-		// probes are short prefix reads, so they stay sequential.
-		spec := hbase.ScanSpec{Start: parts.Key + string(schema.KeySep), Stop: parts.Key + string(schema.KeySep+1), Read: read, Sequential: true}
-		sc, err := rd.OpenScan(ctx, action.LocatorIndex.Name(), spec, nil)
+		// probes are short prefix reads, so they stay sequential. Both
+		// bounds are cut from one string.
+		var bbuf [128]byte
+		bounds := string(append(append(append(append(bbuf[:0], parts.Key...), schema.KeySep), parts.Key...), schema.KeySep+1))
+		half := len(bounds) / 2
+		spec := hbase.ScanSpec{Start: bounds[:half], Stop: bounds[half:], Read: read, Sequential: true}
+		rows, err := rd.OpenScan(ctx, action.LocatorIndex.Name(), spec, sc)
 		if err != nil {
 			return nil, err
 		}
@@ -1026,7 +1034,7 @@ func (sys *System) locateViewRows(ctx *sim.Ctx, rd hbase.Reader, action core.Vie
 		var bufArr [512]byte
 		var endsArr [16]int
 		buf, ends := bufArr[:0], endsArr[:0]
-		for r, ok := sc.Next(ctx); ok; r, ok = sc.Next(ctx) {
+		for r, ok := rows.Next(ctx); ok; r, ok = rows.Next(ctx) {
 			buf = append(buf, phoenix.AppendKeyOfRow(kbuf[:0], r.Cells, viewInfo.Key)...)
 			ends = append(ends, len(buf))
 		}
