@@ -3,6 +3,7 @@ package hbase
 import (
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"synergy/internal/sim"
 )
@@ -37,8 +38,12 @@ type Client struct {
 	// chunkPool recycles scan chunk buffers (rows + cell arena) across the
 	// client's scanners — the read path's dominant allocation once rows
 	// stopped being materialized one slice at a time. See chunkBuf for the
-	// ownership protocol.
-	chunkPool sync.Pool
+	// ownership protocol. spareChunk is the buffer released last, which the
+	// next scan takes with one atomic swap before it asks the pool: the pool
+	// is per P, so a scan that follows another on the same goroutine would
+	// miss its buffer whenever the goroutine moved to another P in between.
+	chunkPool  sync.Pool
+	spareChunk atomic.Pointer[chunkBuf]
 }
 
 // getMutBuf returns an empty Mutation buffer in its pool box, reusing a
@@ -105,6 +110,9 @@ func (c *Client) putOverlay(ov map[string]*overlayTable) {
 // getChunkBuf returns an empty chunk buffer, reusing a released one when
 // available.
 func (c *Client) getChunkBuf() *chunkBuf {
+	if b := c.spareChunk.Swap(nil); b != nil {
+		return b
+	}
 	if v := c.chunkPool.Get(); v != nil {
 		return v.(*chunkBuf)
 	}
@@ -120,7 +128,9 @@ func (c *Client) putChunkBuf(b *chunkBuf) {
 		return
 	}
 	b.reset()
-	c.chunkPool.Put(b)
+	if !c.spareChunk.CompareAndSwap(nil, b) {
+		c.chunkPool.Put(b)
+	}
 }
 
 // NewClient returns a cold client.

@@ -144,8 +144,9 @@ func (p *cellPred) match(cells hbase.Cells) bool {
 
 // predFilter is one scan's pushed-down filter: the local predicates its
 // access plan left, compiled against encoded values. It lives in the execution
-// block beside the scan that carries it (scanNode.filter, joinNode.probeFilter)
-// and reaches the store as a pointer to itself, so a scan's filter allocates
+// block beside the scan that carries it (scanNode.filter; an INL join's
+// probes share their joinNode.innerScan's) and reaches the store as a
+// pointer to itself, so a scan's filter allocates
 // nothing; every execution compiles its own, since the constants are that
 // execution's parameters. It is a pure predicate over the encoded cells — it
 // decodes nothing, allocates nothing, and keeps no reference to r.Cells, which

@@ -23,6 +23,12 @@ type WriteOpts struct {
 	// OnWrite, when set, observes each (table, rowKey) mutation — the
 	// MVCC layer collects the transaction's write set through it.
 	OnWrite func(table, rowKey string)
+	// Notes, when set, is storage the transaction lends its write batches for
+	// the notifications they hold until their emission completes (table and
+	// key of each); a batch hands it back, grown, when it delivers them, so
+	// the notifications allocate nothing once the storage has grown. A
+	// transaction's batches run one at a time, so they share it.
+	Notes *[][2]string
 	// Mutator, when set, is the transaction's BufferedMutator, which every
 	// statement of the transaction emits into: mutations persist when the
 	// mutator flushes — by itself at its flush threshold, at an explicit
@@ -327,15 +333,19 @@ type WriteBatch struct {
 	m        *hbase.BufferedMutator
 	owned    bool
 	opts     WriteOpts
-	notifies []struct{ table, key string }
+	notifies [][2]string // in opts.Notes' storage, when it has one
 }
 
 // NewWriteBatch opens a batch on opts' mutator, or on one of its own.
 func (e *Engine) NewWriteBatch(opts WriteOpts) *WriteBatch {
-	if opts.Mutator != nil {
-		return &WriteBatch{m: opts.Mutator, opts: opts}
+	b := &WriteBatch{m: opts.Mutator, opts: opts}
+	if b.m == nil {
+		b.m, b.owned = e.client.NewBufferedMutator(0), true
 	}
-	return &WriteBatch{m: e.client.NewBufferedMutator(0), owned: true, opts: opts}
+	if opts.Notes != nil {
+		b.notifies = (*opts.Notes)[:0]
+	}
+	return b
 }
 
 // Reader returns the read side of a write: an explicit tracking reader when
@@ -364,7 +374,7 @@ func (b *WriteBatch) Put(ctx *sim.Ctx, tbl, key string, cells []hbase.Cell) erro
 // record records a write-set notification, when anyone observes the write set.
 func (b *WriteBatch) record(tbl, key string) {
 	if b.opts.OnWrite != nil {
-		b.notifies = append(b.notifies, struct{ table, key string }{tbl, key})
+		b.notifies = append(b.notifies, [2]string{tbl, key})
 	}
 }
 
@@ -409,9 +419,13 @@ func (b *WriteBatch) Barrier(ctx *sim.Ctx) error {
 
 func (b *WriteBatch) notify() {
 	for _, n := range b.notifies {
-		b.opts.Notify(n.table, n.key)
+		b.opts.Notify(n[0], n[1])
 	}
+	clear(b.notifies)
 	b.notifies = b.notifies[:0]
+	if b.opts.Notes != nil {
+		*b.opts.Notes = b.notifies
+	}
 }
 
 // PutRow is PutCells for a row still boxed: tests load through it; a

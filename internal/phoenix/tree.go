@@ -355,11 +355,12 @@ type joinNode struct {
 	spill              bool           // the output is carried into another join
 	outerCtx, innerCtx sim.Ctx        // the branches of a join that reads its sides at once
 	arrived            [4]sim.Arrival // backs the build side's arrivals while it has few
-	innerScan          scanNode       // reads b whole for a hash join's build side (inner)
-	one                oneRow         // backs a probe's single-row read
-	probeScan          hbase.Scanner  // backs every other probe's read, one after another
-	probeFilter        predFilter     // the filter every probe pushes to the store
-	table              hashTable      // a hash join's, kept by the block for its next execution
+	// innerScan reads b whole for a hash join's build side (inner). An
+	// execution runs one join algorithm, so an INL join's probes, which read
+	// nothing whole, read through its oneRow, Scanner and filter instead, one
+	// probe after another.
+	innerScan scanNode
+	table     hashTable // a hash join's, kept by the block for its next execution
 }
 
 func (j *joinNode) Open(ctx *sim.Ctx) error {
@@ -594,7 +595,8 @@ func (j *joinNode) probe(ctx *sim.Ctx, outer []tuple, plan accessPlan) error {
 	keys := string(buf)
 
 	tbl := plan.table(b)
-	filter, cols := j.probeFilter.compile(plan.filter), q.columnSet(b, plan.filter)
+	probe := &j.innerScan
+	filter, cols := probe.filter.compile(plan.filter), q.columnSet(b, plan.filter)
 	// Most probes find a row or none: the outer side's count sizes the output.
 	j.rows = q.rowList(len(outer))
 	q.slab.reserve(len(outer), q.width)
@@ -604,7 +606,7 @@ func (j *joinNode) probe(ctx *sim.Ctx, outer []tuple, plan accessPlan) error {
 		spec := hbase.ScanSpec{Read: q.opts.Read, Sequential: true, Filter: filter, Columns: cols}
 		wins[i].set(keys, &spec)
 		n := len(j.rows)
-		err := q.read(ctx, tbl, spec, q.dirtyChecked(b), &j.one, &j.probeScan, func(r hbase.RowResult) {
+		err := q.read(ctx, tbl, spec, q.dirtyChecked(b), &probe.one, &probe.scanner, func(r hbase.RowResult) {
 			t := q.merge(o, b, tuple{size: q.spillSize(b, r)})
 			copyRefs(b.refs, r.Cells, t.vals[b.off:])
 			// Re-check join equality (defensive; prefix probes guarantee it).

@@ -15,8 +15,9 @@ import (
 // write path asks of it. New picks hierarchical locks (lockControl),
 // Tephra-like MVCC (mvccControl) or backward-validation OCC (occControl). The
 // System's value answers begin, read and retries; begin returns the value a
-// transaction holds (Tx.ctl), which answers the rest. Every mechanism's
-// commit is one sequence (Tx.commit).
+// transaction holds (Tx.ctl), which answers the rest and lives in the
+// transaction's own storage (Tx.controls). Every mechanism's commit is one
+// sequence (Tx.commit).
 type txnControl interface {
 	// begin starts a transaction on tx, whose mutator exists, setting the
 	// timestamp, read options, write hook and reader of tx.opts. An
@@ -73,8 +74,9 @@ type mvccControl struct {
 
 func (c *mvccControl) begin(ctx *sim.Ctx, tx *Tx, _ bool) txnControl {
 	t := c.srv.Begin(ctx)
-	tx.opts.TS, tx.opts.Read, tx.opts.OnWrite = t.ID(), t.ReadOpts(), t.RecordWrite
-	return &mvccControl{srv: c.srv, tx: t}
+	tx.opts.TS, tx.opts.Read, tx.opts.OnWrite, tx.opts.Notes = t.ID(), t.ReadOpts(), t.OnWrite(), t.Notes()
+	tx.controls.mvcc = mvccControl{srv: c.srv, tx: t}
+	return &tx.controls.mvcc
 }
 
 func (*mvccControl) flushesEarly() bool              { return true }
@@ -136,7 +138,8 @@ func (c *occControl) begin(ctx *sim.Ctx, tx *Tx, exclusive bool) txnControl {
 	// Every read of the write path goes through the tracking reader, so the
 	// read set is complete — scan ranges too, which catch phantoms.
 	tx.opts.Read, tx.opts.OnWrite, tx.opts.Reader = t.ReadOpts(), t.RecordWrite, t.Track(tx.mutator.View())
-	return &occControl{v: c.v, gate: c.gate, tx: t, exclusive: exclusive}
+	tx.controls.occ = occControl{v: c.v, gate: c.gate, tx: t, exclusive: exclusive}
+	return &tx.controls.occ
 }
 
 func (*occControl) flushesEarly() bool      { return false }

@@ -93,8 +93,13 @@ type Tx struct {
 	// also locates an update's views one at a time (locateAll).
 	eager bool
 	// ctl is nil for the changefeed applier's writes: no locks, no snapshot,
-	// no read set.
-	ctl txnControl
+	// no read set. A mechanism's begin keeps the value it returns in
+	// controls, so a transaction's control is not an allocation of its own.
+	ctl      txnControl
+	controls struct {
+		mvcc mvccControl
+		occ  occControl
+	}
 
 	// locks are the root locks the transaction holds, in the order taken.
 	locks []lockRef
