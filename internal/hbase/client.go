@@ -85,7 +85,7 @@ func (c *Client) getOverlayTable() *overlayTable {
 // putOverlay recycles an overlay index, its tables, and the pending rowData
 // structs themselves onto each table's freelist. Recycling the rowDatas is
 // safe because no returned RowResult aliases a pending cell slice — every
-// overlay read path (ReadView.Get, overlayRow, the overlay scanner) copies
+// overlay read path (ReadView.GetInto, overlayRow, the overlay scanner) copies
 // the visible pairs out of the pending cells before returning, so the only
 // state a caller can still hold is the Value byte slices, which are shared,
 // immutable, and never cleared here. Safe only once nothing reads through
@@ -184,7 +184,12 @@ func (c *Client) open(ctx *sim.Ctx, tbl string) (*table, error) {
 
 // Get reads one row: GetRow with nothing but the read options.
 func (c *Client) Get(ctx *sim.Ctx, tbl, key string, opts ReadOpts) (RowResult, error) {
-	return c.GetRow(ctx, tbl, key, ScanSpec{Read: opts})
+	return c.getRow(ctx, tbl, key, ScanSpec{Read: opts}, nil)
+}
+
+// GetInto is Get with the row's pairs cut from buf (see ReadBuf).
+func (c *Client) GetInto(ctx *sim.Ctx, tbl, key string, opts ReadOpts, buf *ReadBuf) (RowResult, error) {
+	return c.getRow(ctx, tbl, key, ScanSpec{Read: opts}, buf)
 }
 
 // GetRow reads row key the way a scan of the single-row range [key, key\x00)
@@ -196,12 +201,18 @@ func (c *Client) Get(ctx *sim.Ctx, tbl, key string, opts ReadOpts) (RowResult, e
 // scan ships nothing for it), and counts a stored row as one row examined
 // whether or not the filter keeps it.
 func (c *Client) GetRow(ctx *sim.Ctx, tbl, key string, spec ScanSpec) (RowResult, error) {
+	return c.getRow(ctx, tbl, key, spec, nil)
+}
+
+// getRow is GetRow with the row's pairs cut from buf.
+func (c *Client) getRow(ctx *sim.Ctx, tbl, key string, spec ScanSpec, buf *ReadBuf) (RowResult, error) {
 	t, err := c.open(ctx, tbl)
 	if err != nil {
 		return RowResult{}, err
 	}
-	r := t.regionFor(key)
-	res := r.get(key, spec.Read, spec.Columns)
+	free := buf.arena()
+	grown, res := t.regionFor(key).getInto(free, key, spec.Read, spec.Columns)
+	buf.grew(free, grown)
 	shipped := 0
 	if !res.Empty() {
 		ctx.CountRowsScanned(1)
@@ -222,9 +233,10 @@ func (c *Client) GetRow(ctx *sim.Ctx, tbl, key string, spec ScanSpec) (RowResult
 // per key and the bytes of the rows it returns, and several regions are read
 // in parallel with fork/join accounting, as MutateBatch applies its region
 // groups — so one key costs what Get costs. The results line up with keys; an
-// absent row is an empty RowResult.
-func (c *Client) GetMany(ctx *sim.Ctx, tbl string, keys []string, opts ReadOpts) ([]RowResult, error) {
-	out := make([]RowResult, len(keys))
+// absent row is an empty RowResult. The results and their rows are cut from
+// buf (see ReadBuf); a nil buf allocates them.
+func (c *Client) GetMany(ctx *sim.Ctx, tbl string, keys []string, opts ReadOpts, buf *ReadBuf) ([]RowResult, error) {
+	out := buf.rowList(len(keys))
 	if len(keys) == 0 {
 		return out, nil
 	}
@@ -236,14 +248,14 @@ func (c *Client) GetMany(ctx *sim.Ctx, tbl string, keys []string, opts ReadOpts)
 	var regions []*Region // per key, once the keys span regions
 	for i := 1; i < len(keys) && regions == nil; i++ {
 		if r := t.regionFor(keys[i]); r != first {
-			regions = make([]*Region, len(keys))
+			regions = buf.regionList(len(keys))
 			for j := range keys {
 				regions[j] = t.regionFor(keys[j])
 			}
 		}
 	}
 	if regions == nil {
-		c.getFrom(ctx, first, keys, nil, out, opts)
+		c.getFrom(ctx, first, keys, nil, out, opts, buf)
 		return out, nil
 	}
 	groups := 0
@@ -252,12 +264,12 @@ func (c *Client) GetMany(ctx *sim.Ctx, tbl string, keys []string, opts ReadOpts)
 			groups++
 		}
 	}
-	forks, g := make([]sim.Ctx, groups), 0
+	forks, g := buf.forkList(groups), 0
 	for i, r := range regions {
 		if slices.Index(regions, r) < i {
 			continue // the group of r is read already
 		}
-		c.getFrom(&forks[g], r, keys, regions, out, opts)
+		c.getFrom(&forks[g], r, keys, regions, out, opts, buf)
 		g++
 	}
 	ctx.JoinAll(forks)
@@ -266,13 +278,16 @@ func (c *Client) GetMany(ctx *sim.Ctx, tbl string, keys []string, opts ReadOpts)
 
 // getFrom is one region's share of a multi-get: the keys whose region is r
 // (every key when regions is nil) read into out, in one RPC.
-func (c *Client) getFrom(ctx *sim.Ctx, r *Region, keys []string, regions []*Region, out []RowResult, opts ReadOpts) {
+func (c *Client) getFrom(ctx *sim.Ctx, r *Region, keys []string, regions []*Region, out []RowResult, opts ReadOpts, buf *ReadBuf) {
 	n, bytes, found := 0, 0, 0
 	for i, key := range keys {
 		if regions != nil && regions[i] != r {
 			continue
 		}
-		out[i] = r.get(key, opts, nil)
+		free := buf.arena()
+		var grown Cells
+		grown, out[i] = r.getInto(free, key, opts, nil)
+		buf.grew(free, grown)
 		n++
 		bytes += out[i].Bytes()
 		if !out[i].Empty() {

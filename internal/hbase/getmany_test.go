@@ -12,7 +12,7 @@ func getEach(t *testing.T, r Reader, keys []string) ([]string, sim.Stats) {
 	ctx := sim.NewCtx()
 	var out []string
 	for _, k := range keys {
-		res, err := r.Get(ctx, "t", k, ReadOpts{})
+		res, err := r.GetInto(ctx, "t", k, ReadOpts{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -21,11 +21,11 @@ func getEach(t *testing.T, r Reader, keys []string) ([]string, sim.Stats) {
 	return out, ctx.Snapshot()
 }
 
-// getMany reads keys with one GetMany through r.
+// getMany reads keys with one GetMany through r, into a buffer of its own.
 func getMany(t *testing.T, r Reader, keys []string) ([]string, sim.Stats) {
 	t.Helper()
 	ctx := sim.NewCtx()
-	rows, err := r.GetMany(ctx, "t", keys, ReadOpts{})
+	rows, err := r.GetMany(ctx, "t", keys, ReadOpts{}, new(ReadBuf))
 	if err != nil {
 		t.Fatal(err)
 	}

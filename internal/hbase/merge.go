@@ -119,6 +119,7 @@ type rowMerger struct {
 	decoded [][]Cell      // per-part scratch: file parts decode here before a merge
 	lists   [][]Cell      // scratch: the cell lists of the row being folded
 	scratch rowData       // reusable output row of fold
+	pairs   Cells         // scratch: a folded row's visible pairs (Region.currentLocked)
 }
 
 var mergerPool = sync.Pool{New: func() any { return new(rowMerger) }}

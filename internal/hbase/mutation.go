@@ -100,9 +100,17 @@ func (m *Mutation) bytes() int {
 func (c *Client) MutateBatch(ctx *sim.Ctx, muts []Mutation) error {
 	box := c.getMutBuf()
 	buf := append(*box, muts...)
-	_, err := c.mutateBatch(ctx, buf)
+	_, err := c.mutateBatch(ctx, buf, nil)
 	c.putMutBuf(box, buf)
 	return err
+}
+
+// batchScratch is storage a mutator lends the batches it ships: their region
+// groups, which the mutator clears once the batch is applied, and their
+// forks, kept grown for the next flush.
+type batchScratch struct {
+	groups []regionGroup
+	forks  []sim.Ctx
 }
 
 // regionGroup is the run of a grouped batch destined for one region, applied
@@ -119,8 +127,9 @@ type regionGroup struct {
 // it groups muts by region in place, reordering them, and returns the batch's
 // high timestamp — the largest stamp any mutation carries or was given, which
 // is the commit timestamp the changefeed records for asynchronously
-// maintained views. Zero when the batch is empty.
-func (c *Client) mutateBatch(ctx *sim.Ctx, muts []Mutation) (int64, error) {
+// maintained views. Zero when the batch is empty. lent, when not nil, is
+// storage the caller lends the batch's region groups and their forks.
+func (c *Client) mutateBatch(ctx *sim.Ctx, muts []Mutation, lent *batchScratch) (int64, error) {
 	if len(muts) == 0 {
 		return 0, nil
 	}
@@ -128,7 +137,14 @@ func (c *Client) mutateBatch(ctx *sim.Ctx, muts []Mutation) (int64, error) {
 		return c.mutateOne(ctx, muts[0])
 	}
 	var small [8]regionGroup // the common region counts need no allocation
-	groups, err := c.group(ctx, muts, small[:0])
+	var groups []regionGroup
+	var err error
+	if lent != nil {
+		lent.groups, err = c.group(ctx, muts, lent.groups[:0])
+		groups = lent.groups
+	} else {
+		groups, err = c.group(ctx, muts, small[:0])
+	}
 	if err != nil {
 		return 0, err
 	}
@@ -138,7 +154,16 @@ func (c *Client) mutateBatch(ctx *sim.Ctx, muts []Mutation) (int64, error) {
 	// Independent regions dispatch in parallel in the modeled system: each
 	// group applies on the caller, charged to its own fork, and the join
 	// charges the caller max(region elapsed), not the sum, as GetMany does.
-	forks := make([]sim.Ctx, len(groups))
+	var forks []sim.Ctx
+	if lent != nil && cap(lent.forks) >= len(groups) {
+		forks = lent.forks[:len(groups)]
+		clear(forks)
+	} else {
+		forks = make([]sim.Ctx, len(groups))
+		if lent != nil {
+			lent.forks = forks
+		}
+	}
 	var high int64
 	for i, g := range groups {
 		high = max(high, c.applyGroup(&forks[i], g.region, muts[g.start:g.end]))
@@ -330,6 +355,10 @@ type BufferedMutator struct {
 	// timestamp a transaction's changefeed deltas are tagged with.
 	flushTS int64
 	view    ReadView // View's
+	// batch is the storage a flush lends its batch (mutateBatch).
+	batch batchScratch
+	// cells holds the cells of the conditional puts pending (CheckAndPut).
+	cells []Cell
 }
 
 // NewBufferedMutator returns a mutator that flushes by itself once flushAt
@@ -372,9 +401,12 @@ func (m *BufferedMutator) Delete(ctx *sim.Ctx, tbl, key string, ts int64, qualif
 // (outcome ignored) and a lock release (a failed check means the lock was
 // not held).
 func (m *BufferedMutator) CheckAndPut(ctx *sim.Ctx, tbl, key, qualifier string, expected []byte, cell Cell, passed *bool) error {
-	mut := CheckAndPutMutation(tbl, key, qualifier, expected, cell)
-	mut.Passed = passed
-	return m.add(ctx, mut)
+	// The one-cell list is cut from the mutator's block: the region takes
+	// the cell by value, so the block is free again once the flush returns.
+	at := len(m.cells)
+	m.cells = append(m.cells, cell)
+	return m.add(ctx, Mutation{Table: tbl, Key: key, Cells: m.cells[at : at+1 : at+1], CheckAndPut: true,
+		CheckQualifier: qualifier, CheckExpected: expected, Passed: passed})
 }
 
 func (m *BufferedMutator) add(ctx *sim.Ctx, mut Mutation) error {
@@ -382,7 +414,9 @@ func (m *BufferedMutator) add(ctx *sim.Ctx, mut Mutation) error {
 		// Never pending: no pooled buffer to fill and no overlay to index,
 		// only to drop both one line later.
 		one := [1]Mutation{mut}
-		return m.ship(ctx, one[:])
+		err := m.ship(ctx, one[:])
+		m.dropCells()
+		return err
 	}
 	if m.muts == nil {
 		m.box = m.c.getMutBuf()
@@ -398,7 +432,8 @@ func (m *BufferedMutator) add(ctx *sim.Ctx, mut Mutation) error {
 
 // ship applies muts as one batch and records its high timestamp.
 func (m *BufferedMutator) ship(ctx *sim.Ctx, muts []Mutation) error {
-	ts, err := m.c.mutateBatch(ctx, muts)
+	ts, err := m.c.mutateBatch(ctx, muts, &m.batch)
+	clear(m.batch.groups) // they point at regions
 	m.flushTS = max(m.flushTS, ts)
 	return err
 }
@@ -497,7 +532,23 @@ func (m *BufferedMutator) Flush(ctx *sim.Ctx) error {
 	}
 	err := m.ship(ctx, muts)
 	m.c.putMutBuf(box, muts)
+	m.dropCells()
 	return err
+}
+
+// dropCells empties the block of the conditional puts' cells once nothing
+// pending points into it.
+func (m *BufferedMutator) dropCells() {
+	clear(m.cells)
+	m.cells = m.cells[:0]
+}
+
+// Reset readies a mutator whose last owner is done with it for its next:
+// whatever is pending is discarded, as Discard drops it, and FlushTS starts
+// again from zero.
+func (m *BufferedMutator) Reset() {
+	m.Discard()
+	m.seq, m.flushTS = 0, 0
 }
 
 // FlushTS reports the highest store timestamp any flush of this mutator has
@@ -520,4 +571,5 @@ func (m *BufferedMutator) Discard() {
 		m.c.putOverlay(m.overlay)
 		m.overlay = nil
 	}
+	m.dropCells()
 }

@@ -22,13 +22,15 @@ type RowStream interface {
 // interface so the read-before-write of a transaction sees the transaction's
 // own buffered writes.
 type Reader interface {
-	Get(ctx *sim.Ctx, tbl, key string, opts ReadOpts) (RowResult, error)
+	// GetInto reads one row, its pairs cut from buf (see ReadBuf) —
+	// Client.GetInto's point read.
+	GetInto(ctx *sim.Ctx, tbl, key string, opts ReadOpts, buf *ReadBuf) (RowResult, error)
 	// GetRow reads the one row of the range [key, key\x00) that spec would
 	// scan, as a Get — Client.GetRow's point read.
 	GetRow(ctx *sim.Ctx, tbl, key string, spec ScanSpec) (RowResult, error)
 	// GetMany reads the rows of keys, the results in key order (an absent
-	// row empty) — Client.GetMany's multi-get.
-	GetMany(ctx *sim.Ctx, tbl string, keys []string, opts ReadOpts) ([]RowResult, error)
+	// row empty) and cut from buf — Client.GetMany's multi-get.
+	GetMany(ctx *sim.Ctx, tbl string, keys []string, opts ReadOpts, buf *ReadBuf) ([]RowResult, error)
 	// OpenScan opens a scan of spec. sc, when non-nil, is the storage of the
 	// store scanner the stream reads through: the caller owns it, and the
 	// store fills it in place, keeping the chunk and the fan-out units of the
@@ -81,9 +83,9 @@ type overlayTable struct {
 	// free recycles pending rowData structs (and their cell-slice capacity)
 	// across the transactions that reuse this overlayTable through the
 	// client's otPool. Recycling is safe by the overlay lifetime analysis:
-	// no RowResult ever aliases a pending cell slice — ReadView.Get and the
-	// overlay scanner materialize through rowData.read (which copies the
-	// visible pairs out) and overlayRow's merged() path copies the Cell
+	// no RowResult ever aliases a pending cell slice — ReadView.GetInto and
+	// the overlay scanner materialize through rowData.readInto (which copies
+	// the visible pairs out) and overlayRow's merged() path copies the Cell
 	// structs themselves — so once a flush or discard retires the overlay,
 	// the only shared state left is the Value byte slices, which recycling
 	// never touches.
@@ -158,7 +160,8 @@ func rowTombstoned(rd *rowData, opts ReadOpts) bool {
 // The base pairs arrive already sorted by qualifier (every RowResult is),
 // so the re-injection is a straight copy with no sort. cols is the scan's
 // column set: the store cut base to it, and the pending cells are cut alike.
-func overlayRow(key string, pending *rowData, base Cells, opts ReadOpts, cols *ColumnSet) RowResult {
+// The merged row's pairs are cut from buf.
+func overlayRow(key string, pending *rowData, base Cells, opts ReadOpts, cols *ColumnSet, buf *ReadBuf) RowResult {
 	if len(base) > 0 {
 		bcells := make([]Cell, len(base))
 		for i, p := range base {
@@ -166,7 +169,9 @@ func overlayRow(key string, pending *rowData, base Cells, opts ReadOpts, cols *C
 		}
 		pending = merged(pending, &rowData{cells: bcells})
 	}
-	_, cells := pending.readInto(nil, opts, cols)
+	free := buf.arena()
+	grown, cells := pending.readInto(free, opts, cols)
+	buf.grew(free, grown)
 	return RowResult{Key: key, Cells: cells}
 }
 
@@ -187,10 +192,10 @@ type ReadView struct {
 // with it.
 func (m *BufferedMutator) View() *ReadView { return &m.view }
 
-// Get reads one row, merging pending mutations over the store row (GetRow
-// with nothing but the read options).
-func (v *ReadView) Get(ctx *sim.Ctx, tbl, key string, opts ReadOpts) (RowResult, error) {
-	return v.GetRow(ctx, tbl, key, ScanSpec{Read: opts})
+// GetInto reads one row, merging pending mutations over the store row (GetRow
+// with nothing but the read options), its pairs cut from buf (see ReadBuf).
+func (v *ReadView) GetInto(ctx *sim.Ctx, tbl, key string, opts ReadOpts, buf *ReadBuf) (RowResult, error) {
+	return v.getRow(ctx, tbl, key, ScanSpec{Read: opts}, buf)
 }
 
 // GetRow is Client.GetRow with the row's pending mutations merged over the
@@ -200,21 +205,26 @@ func (v *ReadView) Get(ctx *sim.Ctx, tbl, key string, opts ReadOpts) (RowResult,
 // spec.Filter judges the merged row client-side; a row with none is
 // Client.GetRow's.
 func (v *ReadView) GetRow(ctx *sim.Ctx, tbl, key string, spec ScanSpec) (RowResult, error) {
+	return v.getRow(ctx, tbl, key, spec, nil)
+}
+
+// getRow is GetRow with the row's pairs cut from buf.
+func (v *ReadView) getRow(ctx *sim.Ctx, tbl, key string, spec ScanSpec, buf *ReadBuf) (RowResult, error) {
 	pending := v.m.pendingRow(tbl, key)
 	if pending == nil {
-		return v.m.c.GetRow(ctx, tbl, key, spec)
+		return v.m.c.getRow(ctx, tbl, key, spec, buf)
 	}
 	var base Cells
 	if !rowTombstoned(pending, spec.Read) {
 		inner := spec
 		inner.Filter = nil
-		res, err := v.m.c.GetRow(ctx, tbl, key, inner)
+		res, err := v.m.c.getRow(ctx, tbl, key, inner, buf)
 		if err != nil {
 			return RowResult{}, err
 		}
 		base = res.Cells
 	}
-	res := overlayRow(key, pending, base, spec.Read, spec.Columns)
+	res := overlayRow(key, pending, base, spec.Read, spec.Columns, buf)
 	if !res.Empty() && spec.Filter != nil && !spec.Filter.Keep(res) {
 		res.Cells = nil
 	}
@@ -225,13 +235,13 @@ func (v *ReadView) GetRow(ctx *sim.Ctx, tbl, key string, spec ScanSpec) (RowResu
 // pending row-wide tombstone masks are served from the buffer, the rest are
 // fetched together and merged under their pending cells. The view of a mutator
 // that flushes at 1 — the paper's client — issues one Get per key instead, one
-// at a time.
-func (v *ReadView) GetMany(ctx *sim.Ctx, tbl string, keys []string, opts ReadOpts) ([]RowResult, error) {
+// at a time. The results and their rows are cut from buf, as the client's.
+func (v *ReadView) GetMany(ctx *sim.Ctx, tbl string, keys []string, opts ReadOpts, buf *ReadBuf) ([]RowResult, error) {
 	if v.m.flushAt == 1 {
-		out := make([]RowResult, len(keys))
+		out := buf.rowList(len(keys))
 		for i, key := range keys {
 			var err error
-			if out[i], err = v.Get(ctx, tbl, key, opts); err != nil {
+			if out[i], err = v.GetInto(ctx, tbl, key, opts, buf); err != nil {
 				return nil, err
 			}
 		}
@@ -239,27 +249,36 @@ func (v *ReadView) GetMany(ctx *sim.Ctx, tbl string, keys []string, opts ReadOpt
 	}
 	ot := v.m.pendingTable(tbl)
 	if ot == nil {
-		return v.m.c.GetMany(ctx, tbl, keys, opts)
+		return v.m.c.GetMany(ctx, tbl, keys, opts, buf)
 	}
-	out := make([]RowResult, len(keys))
+	out := buf.rowList(len(keys))
 	var fetch []string
 	var at []int // out index of each fetched key
+	if buf != nil {
+		fetch, at = buf.fetch[:0], buf.at[:0]
+	}
 	for i, key := range keys {
 		if pending := ot.rows[key]; pending != nil && rowTombstoned(pending, opts) {
-			out[i] = RowResult{Key: key, Cells: pending.read(opts)}
+			free := buf.arena()
+			grown, cells := pending.readInto(free, opts, nil)
+			buf.grew(free, grown)
+			out[i] = RowResult{Key: key, Cells: cells}
 			continue
 		}
 		fetch = append(fetch, key)
 		at = append(at, i)
 	}
-	base, err := v.m.c.GetMany(ctx, tbl, fetch, opts)
+	if buf != nil {
+		buf.fetch, buf.at = fetch, at
+	}
+	base, err := v.m.c.GetMany(ctx, tbl, fetch, opts, buf)
 	if err != nil {
 		return nil, err
 	}
 	for j, i := range at {
 		out[i] = base[j]
 		if pending := ot.rows[keys[i]]; pending != nil {
-			out[i] = overlayRow(keys[i], pending, base[j].Cells, opts, nil)
+			out[i] = overlayRow(keys[i], pending, base[j].Cells, opts, nil, buf)
 		}
 	}
 	return out, nil
@@ -394,7 +413,7 @@ func (s *overlayScanner) step(ctx *sim.Ctx) (RowResult, bool) {
 				base = s.srow.Cells
 				s.shave = false
 			}
-			res := overlayRow(key, s.ot.rows[key], base, s.spec.Read, s.spec.Columns)
+			res := overlayRow(key, s.ot.rows[key], base, s.spec.Read, s.spec.Columns, nil)
 			if len(res.Cells) == 0 {
 				continue // pending delete (or invisible pending row)
 			}

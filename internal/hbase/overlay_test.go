@@ -70,7 +70,7 @@ func TestOverlayReadsMatchPostFlushState(t *testing.T) {
 
 	// Point gets through the view, before flush.
 	for _, k := range []int{1, 2, 4, 6, 8, 10, 19} {
-		got, err := view.Get(ctx, "t", scanKey(k), ReadOpts{})
+		got, err := view.GetInto(ctx, "t", scanKey(k), ReadOpts{}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -107,7 +107,7 @@ func TestOverlayGetSeesPendingWrites(t *testing.T) {
 	if err := m.Put(ctx, "t", scanKey(1), []Cell{put("v", "pending", 0)}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := view.Get(ctx, "t", scanKey(1), ReadOpts{})
+	got, err := view.GetInto(ctx, "t", scanKey(1), ReadOpts{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestOverlayGetSeesPendingWrites(t *testing.T) {
 	if err := m.Put(ctx, "t", scanKey(2), []Cell{put("v", "pending-2", 0)}); err != nil {
 		t.Fatal(err)
 	}
-	got, err = view.Get(ctx, "t", scanKey(2), ReadOpts{})
+	got, err = view.GetInto(ctx, "t", scanKey(2), ReadOpts{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestOverlayRowTombstoneSkipsStoreRPC(t *testing.T) {
 		t.Fatal(err)
 	}
 	probe := sim.NewCtx()
-	got, err := view.Get(probe, "t", scanKey(2), ReadOpts{})
+	got, err := view.GetInto(probe, "t", scanKey(2), ReadOpts{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,14 +266,14 @@ func TestOverlayDiscard(t *testing.T) {
 	if m.Pending() != 0 {
 		t.Fatalf("pending after discard = %d", m.Pending())
 	}
-	got, err := m.View().Get(ctx, "t", scanKey(1), ReadOpts{})
+	got, err := m.View().GetInto(ctx, "t", scanKey(1), ReadOpts{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !got.Empty() {
 		t.Fatalf("discarded write still visible through view: %s", got)
 	}
-	got, err = m.View().Get(ctx, "t", scanKey(2), ReadOpts{})
+	got, err = m.View().GetInto(ctx, "t", scanKey(2), ReadOpts{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +423,7 @@ func TestOverlaySnapshotVisibility(t *testing.T) {
 		t.Fatal(err)
 	}
 	view := m.View()
-	own, err := view.Get(ctx, "t", "row", ReadOpts{ReadTS: 10})
+	own, err := view.GetInto(ctx, "t", "row", ReadOpts{ReadTS: 10}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +432,7 @@ func TestOverlaySnapshotVisibility(t *testing.T) {
 	}
 	// A snapshot that excludes the pending transaction's timestamp falls
 	// back to the committed version.
-	older, err := view.Get(ctx, "t", "row", ReadOpts{ReadTS: 7})
+	older, err := view.GetInto(ctx, "t", "row", ReadOpts{ReadTS: 7}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

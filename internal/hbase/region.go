@@ -200,9 +200,20 @@ func (r *Region) readLocked(key string, opts ReadOpts, cols *ColumnSet) Cells {
 
 // get reads one row, cut to cols (nil = every column).
 func (r *Region) get(key string, opts ReadOpts, cols *ColumnSet) RowResult {
+	_, row := r.getInto(nil, key, opts, cols)
+	return row
+}
+
+// getInto is get with the row's pairs appended to dst, as rowData.readInto
+// appends them: a nil dst gives the row a fresh, caller-stable Cells of its
+// own.
+func (r *Region) getInto(dst Cells, key string, opts ReadOpts, cols *ColumnSet) (arena Cells, row RowResult) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return RowResult{Key: key, Cells: r.readLocked(key, opts, cols)}
+	m, parts := lookupRow(r.mem, r.files, key, cols)
+	defer m.release()
+	arena, cells := m.read(parts, dst, opts)
+	return arena, RowResult{Key: key, Cells: cells}
 }
 
 // daughterFor returns the daughter owning key when the region has split, or
@@ -296,7 +307,13 @@ func (r *Region) currentLocked(key, qualifier string) (value []byte, newest int6
 			newest = c.TS
 		}
 	}
-	return rd.read(ReadOpts{}).Get(qualifier), newest
+	// The visible pairs go to the merger's scratch: of them only the value,
+	// which is the store's, outlives the merger.
+	var row Cells
+	m.pairs, row = rd.readInto(m.pairs[:0], ReadOpts{}, nil)
+	value = row.Get(qualifier)
+	clear(m.pairs)
+	return value, newest
 }
 
 // stampLocked gives a conditional write's cell its server-side timestamp:

@@ -124,20 +124,11 @@ func (r *rowData) trim(maxVersions int) {
 	r.cells = kept
 }
 
-// read materializes the latest visible value per qualifier, honoring
-// tombstones and the read options' version filters. Returns nil when no cell
-// is visible (row absent). The cell index is sorted ascending by qualifier,
-// so the produced pair slice is born sorted — no consumer ever re-sorts.
-// The result is a fresh, caller-stable allocation (point reads hand it out
-// forever); the scan path uses readInto to amortize the allocation into a
-// per-chunk arena instead.
-func (r *rowData) read(opts ReadOpts) Cells {
-	pairs, _ := r.readInto(nil, opts, nil)
-	return pairs
-}
-
-// readInto is read appending into a caller-owned arena: the visible pairs
-// of the row are appended to dst and returned both as the extended arena
+// readInto materializes the latest visible value per qualifier, honoring
+// tombstones and the read options' version filters, appending into a
+// caller-owned arena. The cell index is sorted ascending by qualifier, so the
+// produced pairs are born sorted — no consumer ever re-sorts. The visible
+// pairs of the row are appended to dst and returned both as the extended arena
 // and as the row's own full-capacity-clipped window into it (nil when no
 // cell is visible — such rows cost no arena space). The scan chunk path
 // calls it once per row over one pooled arena, which is what turns the

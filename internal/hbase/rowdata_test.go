@@ -8,6 +8,13 @@ import (
 	"testing/quick"
 )
 
+// read is readInto a fresh slice: the row's visible pairs, nil when none is
+// visible. The tests' reference read.
+func (r *rowData) read(opts ReadOpts) Cells {
+	pairs, _ := r.readInto(nil, opts, nil)
+	return pairs
+}
+
 func put(q, v string, ts int64) Cell {
 	return Cell{Qualifier: q, Value: []byte(v), TS: ts}
 }

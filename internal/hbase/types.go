@@ -110,8 +110,9 @@ type Pair struct {
 // scanner) are valid only until the stream's next Next or Close call —
 // their Cells may alias a pooled chunk arena that is recycled when the
 // scanner advances to the next chunk. Consumers that retain a scanned row
-// must Clone it. Point reads (Client.Get, ReadView.Get) and rows already
-// deep-copied by Clone are caller-stable forever. The Pair.Value byte
+// must Clone it. Point reads (Client.Get, GetInto and GetMany without a
+// ReadBuf) and rows already deep-copied by Clone are caller-stable forever;
+// rows read into a ReadBuf are the caller's until its Reset. The Pair.Value byte
 // slices are shared with the store and never recycled or overwritten, so
 // values decoded or retained from a row stay valid regardless. A value read
 // from a store file is a capacity-clipped window into one of the file's

@@ -52,7 +52,7 @@ func (f *fixture) begin(ctx *sim.Ctx) *txn {
 // the read set, as an UPDATE's does.
 func (x *txn) update(t *testing.T, ctx *sim.Ctx, id, bal string) {
 	t.Helper()
-	if _, err := x.rd.Get(ctx, accounts, id, x.tx.ReadOpts()); err != nil {
+	if _, err := x.rd.GetInto(ctx, accounts, id, x.tx.ReadOpts(), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := x.mut.Put(ctx, accounts, id, []hbase.Cell{{Qualifier: balCol, Value: []byte(bal)}}); err != nil {

@@ -63,23 +63,24 @@ type trackingReader struct {
 	rs    *ReadSet
 }
 
-func (t *trackingReader) Get(ctx *sim.Ctx, tbl, key string, opts hbase.ReadOpts) (hbase.RowResult, error) {
+// GetInto records a point read.
+func (t *trackingReader) GetInto(ctx *sim.Ctx, tbl, key string, opts hbase.ReadOpts, buf *hbase.ReadBuf) (hbase.RowResult, error) {
 	t.rs.AddPoint(tbl, key)
-	return t.inner.Get(ctx, tbl, key, opts)
+	return t.inner.GetInto(ctx, tbl, key, opts, buf)
 }
 
-// GetRow records a point read, as Get does.
+// GetRow records a point read, as GetInto does.
 func (t *trackingReader) GetRow(ctx *sim.Ctx, tbl, key string, spec hbase.ScanSpec) (hbase.RowResult, error) {
 	t.rs.AddPoint(tbl, key)
 	return t.inner.GetRow(ctx, tbl, key, spec)
 }
 
 // GetMany records every key as a point read, as that many Gets would.
-func (t *trackingReader) GetMany(ctx *sim.Ctx, tbl string, keys []string, opts hbase.ReadOpts) ([]hbase.RowResult, error) {
+func (t *trackingReader) GetMany(ctx *sim.Ctx, tbl string, keys []string, opts hbase.ReadOpts, buf *hbase.ReadBuf) ([]hbase.RowResult, error) {
 	for _, key := range keys {
 		t.rs.AddPoint(tbl, key)
 	}
-	return t.inner.GetMany(ctx, tbl, keys, opts)
+	return t.inner.GetMany(ctx, tbl, keys, opts, buf)
 }
 
 // OpenScan records the scan's range and opens it in the caller's scanner

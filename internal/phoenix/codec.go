@@ -158,13 +158,14 @@ func AppendRowCells(dst []hbase.Cell, res hbase.RowResult) []hbase.Cell {
 // transaction's read-your-writes view, an OCC transaction's tracking reader —
 // and returns its attribute cells (AppendRowCells), nil for a row that has
 // none. It is the point read of the write path: what it returns is keyed,
-// merged and put back without decoding a value.
-func GetCells(ctx *sim.Ctx, r hbase.Reader, table, key string, read hbase.ReadOpts) ([]hbase.Cell, error) {
-	res, err := r.Get(ctx, table, key, read)
+// merged and put back without decoding a value. The row read and the cells
+// returned are cut from sc.
+func GetCells(ctx *sim.Ctx, r hbase.Reader, table, key string, read hbase.ReadOpts, sc *WriteScratch) ([]hbase.Cell, error) {
+	res, err := r.GetInto(ctx, table, key, read, sc.ReadBuf())
 	if err != nil || res.Empty() {
 		return nil, err
 	}
-	return AppendRowCells(nil, res), nil
+	return AppendRowCells(sc.Cells(len(res.Cells)), res), nil
 }
 
 // MergeCells appends to dst the qualifier-ordered union of two encoded rows,
@@ -256,12 +257,13 @@ func AppendIndexKey(buf []byte, t *TableInfo, idx *IndexInfo, cells []hbase.Cell
 // cells (qualifier order) are already encoded. A covered index stores the
 // row's attributes unchanged, so its entry is the row's cell slice itself —
 // cells are immutable once encoded, and the store copies what it stamps; a
-// key-only index keeps just its key attributes, value bytes shared.
-func IndexCells(t *TableInfo, idx *IndexInfo, cells []hbase.Cell) []hbase.Cell {
+// key-only index keeps just its key attributes, value bytes shared, in a list
+// cut from sc.
+func IndexCells(t *TableInfo, idx *IndexInfo, cells []hbase.Cell, sc *WriteScratch) []hbase.Cell {
 	if !idx.KeyOnly {
 		return cells
 	}
-	out := make([]hbase.Cell, 0, len(idx.On)+len(t.Key))
+	out := sc.Cells(len(idx.On) + len(t.Key))
 	for _, c := range cells {
 		if slices.Contains(idx.On, c.Qualifier) || slices.Contains(t.Key, c.Qualifier) {
 			out = append(out, c)

@@ -47,6 +47,56 @@ type WriteOpts struct {
 	// their read-set-tracking reader here so the GetCells choke point
 	// records every key the transaction's writes depended on.
 	Reader hbase.Reader
+	// Scratch, when set, is storage the transaction lends its statements for
+	// what they build and drop (see WriteScratch); nil allocates it.
+	Scratch *WriteScratch
+}
+
+// WriteScratch is storage a transaction lends every statement it runs
+// (WriteOpts.Scratch) for what a write builds and drops before its
+// transaction ends: the bound statement, the cell lists it hands the mutator,
+// and the rows its point reads and multi-gets return. A region copies the
+// cells of a mutation as it applies it and the read-your-writes overlay those
+// of one it buffers, so the lists are dead once the transaction's last flush
+// returns; Reset then empties the scratch for the next transaction. Nothing
+// may keep what a scratch lends past its Reset: whoever keeps a bound
+// statement longer (an async view's delta) copies it first. The keys and
+// values a write makes are never the scratch's, since a memstore keeps them.
+// A nil *WriteScratch allocates everything, as a one-statement write does.
+type WriteScratch struct {
+	write Write
+	cells hbase.Slab[hbase.Cell]
+	read  hbase.ReadBuf
+}
+
+// maxScratchCells is the most cells a scratch's slab holds (about 230 KB):
+// the cell lists of an ordering-mix transaction fit, and one larger
+// transaction pins nothing for the next.
+const maxScratchCells = 4 << 10
+
+// Cells returns an empty cell list with room for n cells, cut from the
+// scratch's slab, or allocated without a scratch.
+func (s *WriteScratch) Cells(n int) []hbase.Cell {
+	if s == nil {
+		return make([]hbase.Cell, 0, n)
+	}
+	return s.cells.Take(n)
+}
+
+// ReadBuf is the storage the scratch lends reads (nil without a scratch).
+func (s *WriteScratch) ReadBuf() *hbase.ReadBuf {
+	if s == nil {
+		return nil
+	}
+	return &s.read
+}
+
+// Reset empties the scratch for the next transaction, dropping every
+// reference it holds into the store and to the statements it served.
+func (s *WriteScratch) Reset() {
+	s.write = Write{}
+	s.cells.Reset(maxScratchCells)
+	s.read.Reset()
 }
 
 func (o WriteOpts) Notify(table, key string) {
@@ -63,7 +113,7 @@ func (e *Engine) Exec(ctx *sim.Ctx, stmt sqlparser.Statement, params []schema.Va
 	if err != nil {
 		return err
 	}
-	w, err := sh.Bind(params)
+	w, err := sh.Bind(params, opts.Scratch)
 	if err != nil {
 		return err
 	}
@@ -142,44 +192,59 @@ func (e *Engine) ShapeWrite(stmt sqlparser.Statement) (*WriteShape, error) {
 	}
 }
 
-// Bind binds the statement to its parameters.
-func (sh *WriteShape) Bind(params []schema.Value) (*Write, error) {
+// Bind binds the statement to its parameters. With a scratch, the Write and
+// its cell list are the scratch's (see WriteScratch).
+func (sh *WriteShape) Bind(params []schema.Value, sc *WriteScratch) (*Write, error) {
+	var w *Write
+	if sc != nil {
+		w = &sc.write
+	} else {
+		w = new(Write)
+	}
+	var err error
+	if *w, err = sh.bind(params, sc); err != nil {
+		return nil, err
+	}
+	return w, nil
+}
+
+func (sh *WriteShape) bind(params []schema.Value, sc *WriteScratch) (Write, error) {
 	t := sh.table
 	switch sh.stmt.(type) {
 	case *sqlparser.InsertStmt:
-		cells, err := encodeCells(t, sh.set, params, false)
+		cells, err := encodeCells(t, sh.set, params, false, sc)
 		if err != nil {
-			return nil, err
+			return Write{}, err
 		}
 		var buf [64]byte
 		key, null := AppendKeyOfCells(buf[:0], cells, t.Key)
 		if null {
-			return nil, fmt.Errorf("%w: %s needs every one of %v", ErrKeyNotSpecified, t.Name, t.Key)
+			return Write{}, fmt.Errorf("%w: %s needs every one of %v", ErrKeyNotSpecified, t.Name, t.Key)
 		}
-		return &Write{Stmt: sh.stmt, Table: t, Key: string(key), Cells: cells}, nil
+		return Write{Stmt: sh.stmt, Table: t, Key: string(key), Cells: cells}, nil
 
 	case *sqlparser.UpdateStmt:
 		key, err := keyFromWhere(t, sh.where, params)
 		if err != nil {
-			return nil, err
+			return Write{}, err
 		}
 		for _, a := range sh.set {
 			if slices.Contains(t.Key, a.Column) {
-				return nil, fmt.Errorf("%w: cannot update key attribute %s.%s", ErrUnsupported, t.Name, a.Column)
+				return Write{}, fmt.Errorf("%w: cannot update key attribute %s.%s", ErrUnsupported, t.Name, a.Column)
 			}
 		}
-		cells, err := encodeCells(t, sh.set, params, true)
+		cells, err := encodeCells(t, sh.set, params, true, sc)
 		if err != nil {
-			return nil, err
+			return Write{}, err
 		}
-		return &Write{Stmt: sh.stmt, Table: t, Key: key, Cells: cells}, nil
+		return Write{Stmt: sh.stmt, Table: t, Key: key, Cells: cells}, nil
 
 	default: // DELETE
 		key, err := keyFromWhere(t, sh.where, params)
 		if err != nil {
-			return nil, err
+			return Write{}, err
 		}
-		return &Write{Stmt: sh.stmt, Table: t, Key: key}, nil
+		return Write{Stmt: sh.stmt, Table: t, Key: key}, nil
 	}
 }
 
@@ -188,9 +253,9 @@ func (sh *WriteShape) Bind(params []schema.Value) (*Write, error) {
 // sees its own buffered writes); a missing row is zero rows affected.
 func (e *Engine) ExecWrite(ctx *sim.Ctx, w *Write, opts WriteOpts) error {
 	if _, insert := w.Stmt.(*sqlparser.InsertStmt); insert {
-		return e.PutCells(ctx, w.Table, w.Cells, opts)
+		return e.PutCellsAt(ctx, w.Table, w.Key, w.Cells, opts)
 	}
-	old, err := GetCells(ctx, e.Reader(opts), w.Table.Name, w.Key, opts.Read)
+	old, err := GetCells(ctx, e.Reader(opts), w.Table.Name, w.Key, opts.Read, opts.Scratch)
 	if err != nil || old == nil {
 		return err
 	}
@@ -219,8 +284,8 @@ func evalConst(e sqlparser.Expr, params []schema.Value) (schema.Value, error) {
 // RowToCells lays them out, each in its column's kind (coerce; a value the
 // column cannot hold is refused). A NULL is left out of an inserted row; in an
 // assignment it is the column's tombstone, so the update takes the stored
-// value away instead of keeping it.
-func encodeCells(t *TableInfo, set []sqlparser.Assignment, params []schema.Value, assignment bool) ([]hbase.Cell, error) {
+// value away instead of keeping it. The cell list is cut from sc.
+func encodeCells(t *TableInfo, set []sqlparser.Assignment, params []schema.Value, assignment bool, sc *WriteScratch) ([]hbase.Cell, error) {
 	size := 0
 	for _, a := range set {
 		if !t.HasColumn(a.Column) {
@@ -235,7 +300,7 @@ func encodeCells(t *TableInfo, set []sqlparser.Assignment, params []schema.Value
 		}
 	}
 	buf := make([]byte, 0, size)
-	cells := make([]hbase.Cell, 0, len(set))
+	cells := sc.Cells(len(set))
 	for _, a := range set {
 		v, _ := evalConst(a.Value, params)
 		typ, _ := t.Col(a.Column)
@@ -444,14 +509,21 @@ func (e *Engine) PutCells(ctx *sim.Ctx, t *TableInfo, cells []hbase.Cell, opts W
 	if null {
 		return fmt.Errorf("%w: a %s row needs every one of %v", ErrKeyNotSpecified, t.Name, t.Key)
 	}
+	return e.PutCellsAt(ctx, t, string(key), cells, opts)
+}
+
+// PutCellsAt is PutCells for a row whose key the caller has built already
+// (Write.Key): key is the key of cells over t.Key.
+func (e *Engine) PutCellsAt(ctx *sim.Ctx, t *TableInfo, key string, cells []hbase.Cell, opts WriteOpts) error {
 	b := e.NewWriteBatch(opts)
 	cells = StampCells(cells, opts.TS)
-	if err := b.Put(ctx, t.Name, string(key), cells); err != nil {
+	if err := b.Put(ctx, t.Name, key, cells); err != nil {
 		return err
 	}
+	var buf [64]byte
 	for _, idx := range t.Indexes {
 		ikey := AppendIndexKey(buf[:0], t, idx, cells)
-		if err := b.Put(ctx, idx.Name, string(ikey), IndexCells(t, idx, cells)); err != nil {
+		if err := b.Put(ctx, idx.Name, string(ikey), IndexCells(t, idx, cells, opts.Scratch)); err != nil {
 			return err
 		}
 	}
@@ -486,7 +558,7 @@ func (e *Engine) UpdateRow(ctx *sim.Ctx, t *TableInfo, key string, old, assign [
 	}
 	var updated []hbase.Cell
 	if len(t.Indexes) > 0 {
-		updated = StampCells(MergeCells(make([]hbase.Cell, 0, len(old)+len(assign)), old, assign), opts.TS)
+		updated = StampCells(MergeCells(opts.Scratch.Cells(len(old)+len(assign)), old, assign), opts.TS)
 	}
 	var obuf, nbuf [64]byte
 	for _, idx := range t.Indexes {
@@ -495,7 +567,7 @@ func (e *Engine) UpdateRow(ctx *sim.Ctx, t *TableInfo, key string, old, assign [
 			if err := b.Delete(ctx, idx.Name, string(oldKey), opts.TS); err != nil {
 				return err
 			}
-			if err := b.Put(ctx, idx.Name, string(newKey), IndexCells(t, idx, updated)); err != nil {
+			if err := b.Put(ctx, idx.Name, string(newKey), IndexCells(t, idx, updated, opts.Scratch)); err != nil {
 				return err
 			}
 			continue
@@ -503,7 +575,7 @@ func (e *Engine) UpdateRow(ctx *sim.Ctx, t *TableInfo, key string, old, assign [
 		if !IndexTouched(t, idx, assign) {
 			continue // key-only index content unchanged
 		}
-		icells := IndexCells(t, idx, assign)
+		icells := IndexCells(t, idx, assign, opts.Scratch)
 		if len(icells) == 0 {
 			continue
 		}

@@ -537,11 +537,11 @@ func TestRowToCellsPacksAndIndexCellsShare(t *testing.T) {
 		t.Fatalf("cells = %v, want qualifier order", cells)
 	}
 
-	covered := IndexCells(info, &IndexInfo{Name: "ix", On: []string{"name"}}, cells)
+	covered := IndexCells(info, &IndexInfo{Name: "ix", On: []string{"name"}}, cells, nil)
 	if len(covered) != len(cells) || &covered[0] != &cells[0] {
 		t.Fatal("a covered index entry is the row's cell slice: nothing stamps cells in place")
 	}
-	keyOnly := IndexCells(info, &IndexInfo{Name: "mx", On: []string{"name"}, KeyOnly: true}, cells)
+	keyOnly := IndexCells(info, &IndexInfo{Name: "mx", On: []string{"name"}, KeyOnly: true}, cells, nil)
 	if len(keyOnly) != 2 || keyOnly[0].Qualifier != "id" || &keyOnly[1].Value[0] != &cells[1].Value[0] {
 		t.Fatalf("key-only index stores %v, want name and id", keyOnly)
 	}

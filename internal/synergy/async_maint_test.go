@@ -320,3 +320,89 @@ func TestAsyncMaintenanceSpeedup(t *testing.T) {
 	requireSameState(t, normalizeState(dumpState(t, syncSys)),
 		normalizeState(dumpState(t, asyncSys)))
 }
+
+// TestAsyncDeltasOutliveScratch: a committed transaction's deltas wait in the
+// changefeed while the session's next transaction takes the same recycled
+// scratch and binds, reads and writes through it — first with the feed paused,
+// so every delta is still queued when the scratch is reused, then with the
+// lanes applying beside the session. Once drained, the async deployment holds
+// what synchronous maintenance leaves, under every concurrency mode.
+func TestAsyncDeltasOutliveScratch(t *testing.T) {
+	const views, rounds = 4, 8
+	stmt := func(q string) sqlparser.Statement { return sqlparser.MustParse(q) }
+	type write struct {
+		stmt   sqlparser.Statement
+		params []schema.Value
+	}
+	round := func(r int) []write {
+		var ws []write
+		for i := 0; i < views; i++ {
+			leaf := fmt.Sprintf("Leaf%02d", i)
+			ws = append(ws, write{stmt(fmt.Sprintf("INSERT INTO %[1]s (%[1]sID, %[1]s_RID, %[1]sVal) VALUES (?, ?, ?)", leaf)),
+				[]schema.Value{int64(600 + 10*r + i), int64(1 + (r+i)%2), fmt.Sprintf("r%d-%s", r, leaf)}})
+		}
+		ws = append(ws,
+			write{stmt("UPDATE Leaf00 SET Leaf00Val = ? WHERE Leaf00ID = ?"), []schema.Value{fmt.Sprintf("r%d-updated", r), int64(600 + 10*r)}},
+			write{stmt("UPDATE Root SET RVal = ? WHERE RID = ?"), []schema.Value{fmt.Sprintf("root-r%d", r), int64(1 + r%2)}},
+			write{stmt("UPDATE Leaf02 SET Leaf02Val = ? WHERE Leaf02ID = ?"), []schema.Value{fmt.Sprintf("moved-r%d", r), int64(1 + r%6)}})
+		if r > 0 {
+			ws = append(ws, write{stmt("DELETE FROM Leaf01 WHERE Leaf01ID = ?"), []schema.Value{int64(600 + 10*(r-1) + 1)}})
+		}
+		return ws
+	}
+	run := func(t *testing.T, sys *System, from, to int) {
+		t.Helper()
+		sess := sys.NewSession()
+		for r := from; r < to; r++ {
+			ctx := sim.NewCtx()
+			if err := sess.Begin(ctx); err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range round(r) {
+				if err := sess.Exec(ctx, w.stmt, w.params); err != nil {
+					t.Fatalf("round %d: %s: %v", r, w.stmt, err)
+				}
+			}
+			if err := sess.Commit(ctx); err != nil {
+				t.Fatalf("round %d: commit: %v", r, err)
+			}
+		}
+	}
+	for _, cm := range concurrencyConfigs {
+		t.Run(cm.name, func(t *testing.T) {
+			syncSys := fanoutSystem(t, views, 6, cm.cfg)
+			acfg := cm.cfg
+			acfg.Maintenance = AsyncMaintenance
+			asyncSys := fanoutSystem(t, views, 6, acfg)
+			run(t, syncSys, 0, rounds)
+
+			// The session's transactions must share one scratch, or nothing
+			// here is reused.
+			scratches := map[*txScratch]bool{}
+			asyncSys.Feed.Pause()
+			run(t, asyncSys, 0, 1)
+			asyncSys.scratchMu.Lock()
+			for _, s := range asyncSys.spare {
+				scratches[s] = true
+			}
+			asyncSys.scratchMu.Unlock()
+			run(t, asyncSys, 1, rounds/2)
+			if asyncSys.Feed.Applied() != 0 {
+				t.Fatal("the paused feed applied deltas")
+			}
+			asyncSys.scratchMu.Lock()
+			for _, s := range asyncSys.spare {
+				if !scratches[s] {
+					t.Error("a transaction of the session took a new scratch")
+				}
+			}
+			asyncSys.scratchMu.Unlock()
+			asyncSys.Feed.Resume()
+			run(t, asyncSys, rounds/2, rounds)
+			if err := asyncSys.Feed.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			requireSameState(t, normalizeState(dumpState(t, syncSys)), normalizeState(dumpState(t, asyncSys)))
+		})
+	}
+}

@@ -137,7 +137,7 @@ func (c *occControl) begin(ctx *sim.Ctx, tx *Tx, exclusive bool) txnControl {
 	t := c.v.Begin(ctx)
 	// Every read of the write path goes through the tracking reader, so the
 	// read set is complete — scan ranges too, which catch phantoms.
-	tx.opts.Read, tx.opts.OnWrite, tx.opts.Reader = t.ReadOpts(), t.RecordWrite, t.Track(tx.mutator.View())
+	tx.opts.Read, tx.opts.OnWrite, tx.opts.Reader = t.ReadOpts(), t.RecordWrite, t.Track(tx.s.mutator.View())
 	tx.controls.occ = occControl{v: c.v, gate: c.gate, tx: t, exclusive: exclusive}
 	return &tx.controls.occ
 }
@@ -155,7 +155,7 @@ func (c *occControl) beforeFlush(ctx *sim.Ctx, tx *Tx) error {
 	if !c.exclusive {
 		c.gate.RLock()
 	}
-	err := c.v.Validate(ctx, c.tx, tx.mutator.StampPending)
+	err := c.v.Validate(ctx, c.tx, tx.s.mutator.StampPending)
 	if err != nil {
 		c.release()
 	}

@@ -359,7 +359,7 @@ func TestOCCMovedIndexTombstoneInWriteSet(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := sim.NewCtx()
-	oldRow, err := phoenix.GetCells(ctx, sys.Engine.Client(), viewInfo.Name, schema.EncodeKey(int64(1)), hbase.ReadOpts{})
+	oldRow, err := phoenix.GetCells(ctx, sys.Engine.Client(), viewInfo.Name, schema.EncodeKey(int64(1)), hbase.ReadOpts{}, nil)
 	if err != nil || oldRow == nil {
 		t.Fatalf("fixture view row: %v, err=%v", oldRow, err)
 	}

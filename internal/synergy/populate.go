@@ -164,7 +164,7 @@ func prepareLoad(info *phoenix.TableInfo, rows [][]hbase.Cell) ([]bulkFile, erro
 			key, file.rows[i].Cells = key[:0], row
 			if idx != nil {
 				key, _ = phoenix.AppendKeyOfCells(key, row, idx.On)
-				file.rows[i].Cells = phoenix.IndexCells(info, idx, row)
+				file.rows[i].Cells = phoenix.IndexCells(info, idx, row, nil)
 			}
 			var null bool
 			if key, null = phoenix.AppendKeyOfCells(key, row, info.Key); null {

@@ -308,7 +308,7 @@ func TestRootKeyResolution(t *testing.T) {
 		t.Fatal(err)
 	}
 	row := phoenix.RowToCells(schema.Row{"WO_EID": int64(3), "WO_PNo": int64(1), "Hours": int64(1)})
-	key, err := sys.resolveRootKey(sim.NewCtx(), sys.Engine.Client(), plan, schema.EncodeKey(int64(3), int64(1)), row)
+	key, err := sys.resolveRootKey(sim.NewCtx(), sys.Engine.Client(), nil, nil, plan, schema.EncodeKey(int64(3), int64(1)), row)
 	if err != nil {
 		t.Fatal(err)
 	}

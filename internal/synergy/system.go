@@ -197,6 +197,11 @@ type System struct {
 	// §VIII-B phases or fail the statement there.
 	afterPhase func(phase int) error
 
+	// scratchMu guards spare, the free list of write units' storage
+	// (txScratch): at most maxSpareScratch of them, each reset.
+	scratchMu sync.Mutex
+	spare     []*txScratch
+
 	cfg Config
 }
 

@@ -437,7 +437,7 @@ func testAbortUnmarksFlushedDirtyMarks(t *testing.T, cfg Config) {
 	if err := client.Put(ctx, view, key, []hbase.Cell{{Qualifier: phoenix.DirtyQualifier, Value: []byte("1")}}); err != nil {
 		t.Fatal(err)
 	}
-	tx.marks = []markRef{{table: view, key: key}}
+	tx.s.marks = []markRef{{table: view, key: key}}
 	if err := tx.Abort(ctx); err != nil {
 		t.Fatalf("abort: %v", err)
 	}

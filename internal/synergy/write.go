@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"unsafe"
 
 	"synergy/internal/changefeed"
 	"synergy/internal/core"
@@ -77,15 +78,17 @@ func (sys *System) prepareWrites(stmts []sqlparser.Statement) []*PreparedWrite {
 // protocol's phase barriers flush it mid-flight, Commit flushes it once (one
 // batch-RPC round, one WAL sync per touched region) and then frees the locks
 // through it in one more round, and Abort discards it with nothing buffered
-// persisted.
+// persisted. The mutator and every list the transaction builds and drops are
+// its scratch's (txScratch), which it holds from begin until Commit or Abort.
 // Config.SequentialWrites makes that mutator the paper's client — it flushes
 // at every mutation (so each lock frees in an RPC of its own), its view reads
 // a row per RPC and an update locates one view at a time (eager) — and the
 // rest of the procedure is the same code.
 type Tx struct {
-	sys     *System
-	opts    phoenix.WriteOpts
-	mutator *hbase.BufferedMutator
+	sys  *System
+	opts phoenix.WriteOpts
+	// s is the transaction's working storage, nil once it has finished.
+	s *txScratch
 	// eager: the mutator flushes at 1, so what a statement emits is published
 	// before the commit. Such a transaction cannot defer a fresh root row's
 	// lock entry into the commit flush: it self-acquires in step 1, which
@@ -101,21 +104,10 @@ type Tx struct {
 		occ  occControl
 	}
 
-	// locks are the root locks the transaction holds, in the order taken.
-	locks []lockRef
-	// deferred are fresh-root-insert lock entries riding the commit flush
-	// as conditional batch entries instead of being self-acquired (see
-	// LockManager.EnsureEntryDeferred). While a ref is deferred the root
-	// row is still unpublished; any phase barrier promotes all deferred
-	// refs to held locks before it flushes.
-	deferred []lockRef
-	// marks are dirty marks a phase barrier has flushed but the protocol
-	// has not yet un-marked; Abort un-marks them so an aborted transaction
-	// never leaves rows permanently dirty (readers would restart forever).
-	marks []markRef
 	// deltas are view-maintenance actions deferred to the changefeed (async
 	// views): captured during statement execution, published only on commit,
-	// dropped on abort.
+	// dropped on abort. The changefeed applies them after the commit, so
+	// nothing they reach is the scratch's.
 	deltas []viewDelta
 	// logged is the slave and id under which the transaction layer logged
 	// the transaction's statements before running it (zero for any other
@@ -130,6 +122,116 @@ type Tx struct {
 	// locate is the scanner every index-located maintenance read of the
 	// transaction opens in, one after another (locateViewRows).
 	locate hbase.Scanner
+}
+
+// txScratch is the working storage of a write unit: what a transaction — or
+// a changefeed apply, a one-statement unit of its own — builds and drops
+// before it ends. beginTx takes one from the System's free list (takeScratch)
+// and Commit or Abort hands it back reset (recycle), so the next unit
+// allocates none of it once the lists have grown. The ownership rule: nothing
+// may keep what a scratch holds past the Commit or Abort that hands it back.
+// What reaches the store is copied there — a region copies the cells of a
+// mutation as it applies it, the overlay those of one it buffers — and the
+// keys and values a write makes are never the scratch's, for a memstore keeps
+// them; a delta for the changefeed keeps a copy of its statement.
+type txScratch struct {
+	mutator *hbase.BufferedMutator
+	// write is what the statements' cell lists and reads are cut from.
+	write phoenix.WriteScratch
+	// locks are the root locks the transaction holds, in the order taken.
+	locks []lockRef
+	// deferred are fresh-root-insert lock entries riding the commit flush
+	// as conditional batch entries instead of being self-acquired (see
+	// LockManager.EnsureEntryDeferred). While a ref is deferred the root
+	// row is still unpublished; any phase barrier promotes all deferred
+	// refs to held locks before it flushes.
+	deferred []lockRef
+	// marks are dirty marks a phase barrier has flushed but the protocol
+	// has not yet un-marked; Abort un-marks them so an aborted transaction
+	// never leaves rows permanently dirty (readers would restart forever).
+	// spareMarks is where a phase records the next marks, swapped with marks
+	// at its barrier.
+	marks, spareMarks []markRef
+	freed             []bool // releaseLocks' outcomes
+	// An update's maintenance: the views with located rows, and the rows and
+	// index keys of them all, back to back; the forks of its locates.
+	views []viewRows
+	rows  []viewRow
+	keys  []string
+	forks []sim.Ctx
+	// memo is an insert's parent rows, for the statement (readParent).
+	memo []parentRow
+}
+
+// maxSpareScratch bounds the System's free list of scratches: about the
+// write units that run at once.
+const maxSpareScratch = 8
+
+// takeScratch returns a reset scratch, from the free list when it has one.
+func (sys *System) takeScratch() *txScratch {
+	sys.scratchMu.Lock()
+	var s *txScratch
+	if n := len(sys.spare); n > 0 {
+		s, sys.spare[n-1] = sys.spare[n-1], nil
+		sys.spare = sys.spare[:n-1]
+	}
+	sys.scratchMu.Unlock()
+	if s == nil {
+		// The paper's client ships every mutation by itself; everyone else's
+		// ships at a barrier.
+		flushAt := 0
+		if sys.eagerWrites() {
+			flushAt = 1
+		}
+		s = &txScratch{mutator: sys.Engine.Client().NewBufferedMutator(flushAt)}
+	}
+	return s
+}
+
+// recycle resets s and puts it on the free list, unless the list is full.
+func (sys *System) recycle(s *txScratch) {
+	s.reset()
+	sys.scratchMu.Lock()
+	if len(sys.spare) < maxSpareScratch {
+		sys.spare = append(sys.spare, s)
+	}
+	sys.scratchMu.Unlock()
+}
+
+// eagerWrites reports whether a transaction's mutator flushes at every
+// mutation: the paper's client (Config.SequentialWrites), where the mechanism
+// lets writes reach the store before the commit.
+func (sys *System) eagerWrites() bool {
+	return sys.cfg.SequentialWrites && sys.cc.flushesEarly()
+}
+
+// reset empties s for its next unit: nothing pending in the mutator, and no
+// list holding a key, a cell or a fork — each cleared to its capacity, or
+// dropped when that is above maxScratchBytes.
+func (s *txScratch) reset() {
+	s.mutator.Reset()
+	s.write.Reset()
+	s.locks, s.deferred = emptied(s.locks), emptied(s.deferred)
+	s.marks, s.spareMarks = emptied(s.marks), emptied(s.spareMarks)
+	s.freed = emptied(s.freed)
+	s.views, s.rows, s.keys = emptied(s.views), emptied(s.rows), emptied(s.keys)
+	s.forks = emptied(s.forks)
+	s.memo = emptied(s.memo)
+}
+
+// maxScratchBytes is the most bytes a reset scratch keeps of any one list:
+// one large transaction pins nothing for the next.
+const maxScratchBytes = 16 << 10
+
+// emptied clears l to its capacity and returns it empty, or nil when it is
+// above maxScratchBytes.
+func emptied[T any](l []T) []T {
+	var v T
+	if cap(l)*int(unsafe.Sizeof(v)) > maxScratchBytes {
+		return nil
+	}
+	clear(l[:cap(l)])
+	return l[:0]
 }
 
 // loggedTxn names a transaction a slave WAL-logged before running it.
@@ -161,17 +263,17 @@ func (sys *System) BeginTx(ctx *sim.Ctx) *Tx {
 
 // beginTx is BeginTx; an exclusive transaction runs alone (see ExecuteTxn).
 func (sys *System) beginTx(ctx *sim.Ctx, exclusive bool) *Tx {
-	tx := &Tx{sys: sys}
-	// The paper's client ships every mutation by itself; everyone else's
-	// ships at a barrier.
-	flushAt := 0
-	if sys.cfg.SequentialWrites && sys.cc.flushesEarly() {
-		tx.eager, flushAt = true, 1
-	}
-	tx.mutator = sys.Engine.Client().NewBufferedMutator(flushAt)
-	tx.opts.Mutator = tx.mutator
+	tx := &Tx{sys: sys, s: sys.takeScratch(), eager: sys.eagerWrites()}
+	tx.opts.Mutator, tx.opts.Scratch = tx.s.mutator, &tx.s.write
 	tx.ctl = sys.cc.begin(ctx, tx, exclusive)
 	return tx
+}
+
+// finish ends the transaction's hold on its storage: the scratch goes back to
+// the System, and the options that lent it are dropped.
+func (tx *Tx) finish() {
+	tx.sys.recycle(tx.s)
+	tx.s, tx.opts = nil, phoenix.WriteOpts{}
 }
 
 // locking reports whether tx runs the §VIII root-lock and dirty-mark protocol.
@@ -243,18 +345,21 @@ func (tx *Tx) Commit(ctx *sim.Ctx) error {
 // entries, beforeFlush, flush, afterFlush, publish, then the lock release
 // beside the record — each on a branch of ctx, so the request pays the longer
 // — and the record is written even if a release fails, since the writes it
-// records are durable.
+// records are durable. The transaction's scratch goes back to the System
+// when the commit returns.
 func (tx *Tx) commit(ctx *sim.Ctx, writes []*PreparedWrite, params [][]schema.Value) error {
 	if tx.done {
 		return fmt.Errorf("synergy: transaction already finished")
 	}
 	tx.done = true
+	defer tx.finish()
+	m := tx.s.mutator
 	// Lock entries for fresh root inserts still deferred (no barrier or
 	// same-group statement promoted them) join the commit flush as conditional
 	// create-free batch entries; only a locking transaction has any.
 	var err error
-	for _, ref := range tx.deferred {
-		if err = tx.sys.Locks.EnsureEntryDeferred(ctx, tx.mutator, ref.root, ref.key); err != nil {
+	for _, ref := range tx.s.deferred {
+		if err = tx.sys.Locks.EnsureEntryDeferred(ctx, m, ref.root, ref.key); err != nil {
 			break
 		}
 	}
@@ -262,11 +367,11 @@ func (tx *Tx) commit(ctx *sim.Ctx, writes []*PreparedWrite, params [][]schema.Va
 		err = tx.ctl.beforeFlush(ctx, tx)
 	}
 	if err != nil {
-		tx.mutator.Discard() // the release flush must not publish the writes
+		m.Discard() // the release flush must not publish the writes
 		tx.releaseLocks(ctx)
 		return err
 	}
-	if err := tx.ctl.afterFlush(ctx, tx.mutator.Flush(ctx)); err != nil {
+	if err := tx.ctl.afterFlush(ctx, m.Flush(ctx)); err != nil {
 		tx.releaseLocks(ctx)
 		return err
 	}
@@ -280,7 +385,7 @@ func (tx *Tx) commit(ctx *sim.Ctx, writes []*PreparedWrite, params [][]schema.Va
 	if len(tx.deltas) > 0 {
 		out := make([]changefeed.Delta, len(tx.deltas))
 		for i, d := range tx.deltas {
-			out[i] = changefeed.Delta{View: d.view, CommitTS: tx.mutator.FlushTS(), Apply: func(actx *sim.Ctx) error {
+			out[i] = changefeed.Delta{View: d.view, CommitTS: m.FlushTS(), Apply: func(actx *sim.Ctx) error {
 				return sys.applyDelta(actx, d)
 			}}
 		}
@@ -310,11 +415,13 @@ func (tx *Tx) commit(ctx *sim.Ctx, writes []*PreparedWrite, params [][]schema.Va
 // stamps at flush — so a snapshot begun after the apply sees the maintained
 // view under every concurrency mode.
 func (sys *System) applyDelta(ctx *sim.Ctx, d viewDelta) error {
-	atx := &Tx{sys: sys}
+	atx := &Tx{sys: sys, s: sys.takeScratch()}
+	atx.opts.Scratch = &atx.s.write
+	defer atx.finish()
 	// The statement's cells are shared by every delta it published, and under
 	// MVCC they carry its transaction's id: the replay stamps a copy.
 	w := *d.parts.Write
-	w.Cells = slices.Clone(w.Cells)
+	w.Cells = append(atx.opts.Scratch.Cells(len(w.Cells)), w.Cells...)
 	return sys.maintain(ctx, atx, []core.ViewAction{d.action}, writeParts{Write: &w, kind: d.parts.kind})
 }
 
@@ -326,14 +433,16 @@ func (sys *System) applyDelta(ctx *sim.Ctx, d viewDelta) error {
 // free regardless. Work already persisted stays durable — under MVCC it is
 // invisible (the transaction id is invalidated); under hierarchical locking
 // §VIII-B has no undo, which is why barriers only fire inside the marked
-// window.
+// window. The transaction's scratch goes back to the System when the abort
+// returns.
 func (tx *Tx) Abort(ctx *sim.Ctx) error {
 	if tx.done {
 		return nil
 	}
 	tx.done = true
+	defer tx.finish()
 	tx.deltas = nil // deferred maintenance dies with the transaction
-	tx.mutator.Discard()
+	tx.s.mutator.Discard()
 	first := tx.unmark(ctx)
 	tx.ctl.abort(ctx)
 	if err := tx.releaseLocks(ctx); err != nil && first == nil {
@@ -352,20 +461,20 @@ func (tx *Tx) acquireLock(ctx *sim.Ctx, root, key string) error {
 	// A ref this transaction deferred has a known-absent entry (the
 	// conditional create is still buffered): take the create-first path.
 	acquire := tx.sys.Locks.Acquire
-	if i := slices.Index(tx.deferred, ref); i >= 0 {
+	if i := slices.Index(tx.s.deferred, ref); i >= 0 {
 		acquire = tx.sys.Locks.AcquireNew
-		tx.deferred = slices.Delete(tx.deferred, i, i+1)
+		tx.s.deferred = slices.Delete(tx.s.deferred, i, i+1)
 	}
 	if err := acquire(ctx, root, key); err != nil {
 		return err
 	}
-	tx.locks = append(tx.locks, ref)
+	tx.s.locks = append(tx.s.locks, ref)
 	return nil
 }
 
 // holds reports whether the transaction holds the lock ref. A transaction
 // holds a few locks, so they are searched, not indexed.
-func (tx *Tx) holds(ref lockRef) bool { return slices.Contains(tx.locks, ref) }
+func (tx *Tx) holds(ref lockRef) bool { return slices.Contains(tx.s.locks, ref) }
 
 // promoteDeferred converts every deferred lock entry into a held lock —
 // called before the first phase barrier of a marked update, which would
@@ -373,8 +482,8 @@ func (tx *Tx) holds(ref lockRef) bool { return slices.Contains(tx.locks, ref) }
 // The buffered conditional entry writes then no-op at the commit flush
 // (the entries exist, held or freed by then) and Release frees the locks.
 func (tx *Tx) promoteDeferred(ctx *sim.Ctx) error {
-	for len(tx.deferred) > 0 {
-		ref := tx.deferred[0]
+	for len(tx.s.deferred) > 0 {
+		ref := tx.s.deferred[0]
 		if err := tx.acquireLock(ctx, ref.root, ref.key); err != nil {
 			return err
 		}
@@ -393,19 +502,21 @@ func (tx *Tx) promoteDeferred(ctx *sim.Ctx) error {
 func (tx *Tx) releaseLocks(ctx *sim.Ctx) error {
 	// Deferred entries were never held: on commit the flush just created
 	// them free; on abort the discarded buffer never created them.
-	locks := tx.locks
-	tx.locks, tx.deferred = nil, nil
+	s := tx.s
+	locks := s.locks
+	s.locks, s.deferred = s.locks[:0], s.deferred[:0]
 	if len(locks) == 0 {
 		return nil
 	}
-	freed := make([]bool, len(locks))
+	freed := append(s.freed[:0], make([]bool, len(locks))...)
+	s.freed = freed
 	var first error
 	for i := len(locks) - 1; i >= 0; i-- {
-		if err := tx.sys.Locks.ReleaseDeferred(ctx, tx.mutator, locks[i].root, locks[i].key, &freed[i]); err != nil && first == nil {
+		if err := tx.sys.Locks.ReleaseDeferred(ctx, s.mutator, locks[i].root, locks[i].key, &freed[i]); err != nil && first == nil {
 			first = err
 		}
 	}
-	if err := tx.mutator.Flush(ctx); err != nil && first == nil {
+	if err := s.mutator.Flush(ctx); err != nil && first == nil {
 		first = err
 	}
 	for i := len(locks) - 1; i >= 0 && first == nil; i-- {
@@ -419,14 +530,17 @@ func (tx *Tx) releaseLocks(ctx *sim.Ctx) error {
 // unmark writes dirty-off marks for published-but-not-unmarked rows on the
 // abort path, through the transaction's own, just-discarded mutator.
 func (tx *Tx) unmark(ctx *sim.Ctx) error {
-	for _, mk := range tx.marks {
-		cell := []hbase.Cell{{Qualifier: phoenix.DirtyQualifier, Value: dirtyOff, TS: tx.opts.TS}}
-		if err := tx.mutator.Put(ctx, mk.table, mk.key, cell); err != nil {
-			return err
+	s := tx.s
+	if len(s.marks) > 0 {
+		cell := append(s.write.Cells(1), hbase.Cell{Qualifier: phoenix.DirtyQualifier, Value: dirtyOff, TS: tx.opts.TS})
+		for _, mk := range s.marks {
+			if err := s.mutator.Put(ctx, mk.table, mk.key, cell); err != nil {
+				return err
+			}
 		}
 	}
-	tx.marks = nil
-	return tx.mutator.Flush(ctx)
+	s.marks = s.marks[:0]
+	return s.mutator.Flush(ctx)
 }
 
 // resolveRootKey walks the lock chain upward — child foreign key to parent
@@ -435,8 +549,9 @@ func (tx *Tx) unmark(ctx *sim.Ctx) error {
 // lock on the key of the associated row in the root relation"). key and base
 // are the written row's key and cells; a parent's key is the key of the
 // child's foreign-key cells. Parent lookups go through rd so rows buffered by
-// earlier statements of the same transaction resolve.
-func (sys *System) resolveRootKey(ctx *sim.Ctx, rd hbase.Reader, plan *core.WritePlan, key string, base []hbase.Cell) (string, error) {
+// earlier statements of the same transaction resolve, and read into sc. A
+// root key that a lock of held names is returned as that lock's key.
+func (sys *System) resolveRootKey(ctx *sim.Ctx, rd hbase.Reader, sc *phoenix.WriteScratch, held []lockRef, plan *core.WritePlan, key string, base []hbase.Cell) (string, error) {
 	if plan.Root == "" {
 		return "", nil
 	}
@@ -453,10 +568,15 @@ func (sys *System) resolveRootKey(ctx *sim.Ctx, rd hbase.Reader, plan *core.Writ
 		}
 		if i == 0 {
 			// The FK values are the root's primary key.
+			for _, l := range held {
+				if l.root == plan.Root && l.key == string(fk) {
+					return l.key, nil
+				}
+			}
 			return string(fk), nil
 		}
 		var err error
-		if cur, err = phoenix.GetCells(ctx, rd, e.Parent, string(fk), hbase.ReadOpts{}); err != nil || cur == nil {
+		if cur, err = phoenix.GetCells(ctx, rd, e.Parent, string(fk), hbase.ReadOpts{}, sc); err != nil || cur == nil {
 			return "", err
 		}
 	}
@@ -533,7 +653,7 @@ func (sys *System) executeWriteBody(ctx *sim.Ctx, tx *Tx, pw *PreparedWrite, par
 	if pw.shape == nil {
 		return pw.err
 	}
-	w, err := pw.shape.Bind(params)
+	w, err := pw.shape.Bind(params, opts.Scratch)
 	if err != nil {
 		return err
 	}
@@ -571,12 +691,12 @@ func (sys *System) executeWriteBody(ctx *sim.Ctx, tx *Tx, pw *PreparedWrite, par
 	if tx.locking() && plan.Root != "" {
 		chain := w.Cells // an insert's row; unread for a root-relation row
 		if reads && plan.Root != plan.Table {
-			if base, err = phoenix.GetCells(ctx, rd, w.Table.Name, w.Key, opts.Read); err != nil || base == nil {
+			if base, err = phoenix.GetCells(ctx, rd, w.Table.Name, w.Key, opts.Read, opts.Scratch); err != nil || base == nil {
 				return err // nothing to write
 			}
 			chain = base
 		}
-		rootKey, err := sys.resolveRootKey(ctx, rd, plan, w.Key, chain)
+		rootKey, err := sys.resolveRootKey(ctx, rd, opts.Scratch, tx.s.locks, plan, w.Key, chain)
 		if err != nil {
 			return err
 		}
@@ -591,7 +711,7 @@ func (sys *System) executeWriteBody(ctx *sim.Ctx, tx *Tx, pw *PreparedWrite, par
 		}
 	}
 	if reads && base == nil {
-		if base, err = phoenix.GetCells(ctx, rd, w.Table.Name, w.Key, opts.Read); err != nil || base == nil {
+		if base, err = phoenix.GetCells(ctx, rd, w.Table.Name, w.Key, opts.Read, opts.Scratch); err != nil || base == nil {
 			return err // nothing to write
 		}
 	}
@@ -600,7 +720,7 @@ func (sys *System) executeWriteBody(ctx *sim.Ctx, tx *Tx, pw *PreparedWrite, par
 	// transaction's mutator.
 	switch parts.kind {
 	case core.WriteInsert:
-		err = sys.Engine.PutCells(ctx, w.Table, w.Cells, opts)
+		err = sys.Engine.PutCellsAt(ctx, w.Table, w.Key, w.Cells, opts)
 	case core.WriteUpdate:
 		err = sys.Engine.UpdateRow(ctx, w.Table, w.Key, base, w.Cells, opts)
 	default:
@@ -618,15 +738,21 @@ func (sys *System) executeWriteBody(ctx *sim.Ctx, tx *Tx, pw *PreparedWrite, par
 	// own key), so its ref is always held here.
 	if tx.locking() && parts.kind == core.WriteInsert && sys.isRoot(plan.Table) {
 		ref := lockRef{plan.Table, w.Key}
-		if !tx.holds(ref) && !slices.Contains(tx.deferred, ref) {
-			tx.deferred = append(tx.deferred, ref)
+		if !tx.holds(ref) && !slices.Contains(tx.s.deferred, ref) {
+			tx.s.deferred = append(tx.s.deferred, ref)
 		}
 	}
 
 	// View maintenance. Async views defer to the changefeed: the delta is
 	// captured now but published only if the transaction commits, so an abort
-	// leaves no view delta applied.
+	// leaves no view delta applied. The changefeed applies it after the
+	// commit has handed the scratch back, so it keeps a copy of the statement.
 	if sys.Feed != nil {
+		if len(plan.Actions) > 0 {
+			kept := *w
+			kept.Cells = slices.Clone(w.Cells)
+			parts.Write = &kept
+		}
 		for _, action := range plan.Actions {
 			tx.deltas = append(tx.deltas, viewDelta{view: action.View.Name(), action: action, parts: parts})
 		}
@@ -647,7 +773,8 @@ func (sys *System) maintain(ctx *sim.Ctx, tx *Tx, actions []core.ViewAction, par
 		// once; only a statement with several views keeps the reads.
 		var memo *[]parentRow
 		if len(actions) > 1 {
-			memo = new([]parentRow)
+			tx.s.memo = tx.s.memo[:0]
+			memo = &tx.s.memo
 		}
 		for _, action := range actions {
 			if err := sys.maintainInsert(ctx, tx, action, parts, memo); err != nil {
@@ -687,22 +814,26 @@ func (sys *System) maintainInsert(ctx *sim.Ctx, tx *Tx, action core.ViewAction, 
 			return nil // dangling FK: no view tuple
 		}
 		var err error
-		if cur, err = readParent(ctx, rd, e.Parent, fk, opts.Read, memo); err != nil || cur == nil {
+		if cur, err = readParent(ctx, rd, e.Parent, fk, opts.Read, opts.Scratch, memo); err != nil || cur == nil {
 			return err
 		}
-		combined = phoenix.MergeCells(make([]hbase.Cell, 0, len(cur)+len(combined)), cur, combined)
+		combined = phoenix.MergeCells(opts.Scratch.Cells(len(cur)+len(combined)), cur, combined)
 	}
 	viewInfo, err := sys.Catalog.Table(action.View.Name())
 	if err != nil {
 		return err
 	}
+	// A view keyed as the written relation is keyed by the written row's key.
+	if slices.Equal(viewInfo.Key, parts.Table.Key) {
+		return sys.Engine.PutCellsAt(ctx, viewInfo, parts.Key, combined, opts)
+	}
 	return sys.Engine.PutCells(ctx, viewInfo, combined, opts)
 }
 
-// readParent reads the row of table under key, or finds it in memo.
-func readParent(ctx *sim.Ctx, rd hbase.Reader, table string, key []byte, read hbase.ReadOpts, memo *[]parentRow) ([]hbase.Cell, error) {
+// readParent reads the row of table under key into sc, or finds it in memo.
+func readParent(ctx *sim.Ctx, rd hbase.Reader, table string, key []byte, read hbase.ReadOpts, sc *phoenix.WriteScratch, memo *[]parentRow) ([]hbase.Cell, error) {
 	if memo == nil {
-		return phoenix.GetCells(ctx, rd, table, string(key), read)
+		return phoenix.GetCells(ctx, rd, table, string(key), read, sc)
 	}
 	for _, p := range *memo {
 		if p.table == table && p.key == string(key) {
@@ -710,7 +841,7 @@ func readParent(ctx *sim.Ctx, rd hbase.Reader, table string, key []byte, read hb
 		}
 	}
 	k := string(key)
-	cells, err := phoenix.GetCells(ctx, rd, table, k, read)
+	cells, err := phoenix.GetCells(ctx, rd, table, k, read, sc)
 	if err == nil {
 		*memo = append(*memo, parentRow{table, k, cells})
 	}
@@ -725,7 +856,7 @@ func (sys *System) maintainDelete(ctx *sim.Ctx, tx *Tx, action core.ViewAction, 
 	if err != nil {
 		return err
 	}
-	old, err := phoenix.GetCells(ctx, sys.Engine.Reader(tx.opts), viewInfo.Name, parts.Key, tx.opts.Read)
+	old, err := phoenix.GetCells(ctx, sys.Engine.Reader(tx.opts), viewInfo.Name, parts.Key, tx.opts.Read, tx.opts.Scratch)
 	if err != nil || old == nil {
 		return err
 	}
@@ -749,11 +880,12 @@ type viewRows struct {
 	keys []string
 }
 
-// indexKeys keys the index entries of rows in info's indexes.
-func indexKeys(info *phoenix.TableInfo, rows []viewRow) []string {
+// indexKeys keys the index entries of rows in info's indexes, appending the
+// keys to dst.
+func indexKeys(dst []string, info *phoenix.TableInfo, rows []viewRow) []string {
 	n := len(info.Indexes)
 	if n == 0 {
-		return nil
+		return dst
 	}
 	var kbuf [64]byte
 	var bufArr [512]byte
@@ -767,11 +899,11 @@ func indexKeys(info *phoenix.TableInfo, rows []viewRow) []string {
 			ends = append(ends, len(buf))
 		}
 	}
-	all, keys := string(buf), make([]string, len(ends))
+	all := string(buf)
 	for i, start := 0, 0; i < len(ends); start, i = ends[i], i+1 {
-		keys[i] = all[start:ends[i]]
+		dst = append(dst, all[start:ends[i]])
 	}
-	return keys
+	return dst
 }
 
 // maintainUpdate applies a base-table update to the views of actions. Under
@@ -802,7 +934,7 @@ func (sys *System) maintainUpdate(ctx *sim.Ctx, tx *Tx, actions []core.ViewActio
 	// buffered, including any fresh root rows whose lock entries are still
 	// deferred: promote those to held locks first, so a published row is
 	// always covered by its group lock until commit.
-	if mark && len(tx.deferred) > 0 {
+	if mark && len(tx.s.deferred) > 0 {
 		if err := tx.promoteDeferred(ctx); err != nil {
 			return err
 		}
@@ -820,16 +952,17 @@ func (sys *System) maintainUpdate(ctx *sim.Ctx, tx *Tx, actions []core.ViewActio
 	// flush. The transaction records flushed marks so an abort can un-mark
 	// them.
 	batch := sys.Engine.NewWriteBatch(opts)
+	s := tx.s
 	// markAll emits one phase of marks and barriers it: a mark on every view
 	// row and covered view-index entry, keyed by v.keys. The dirty-on phase
 	// records the marked rows on the transaction so an abort can un-mark them;
 	// the un-mark phase has nothing to record.
 	markAll := func(value []byte, record bool) error {
-		var refs []markRef
+		refs := s.spareMarks[:0]
 		if record {
-			refs = make([]markRef, 0, located)
+			refs = slices.Grow(refs, located)
 		}
-		markCell := []hbase.Cell{{Qualifier: phoenix.DirtyQualifier, Value: value, TS: opts.TS}}
+		markCell := append(opts.Scratch.Cells(1), hbase.Cell{Qualifier: phoenix.DirtyQualifier, Value: value, TS: opts.TS})
 		for _, v := range views {
 			n := len(v.info.Indexes)
 			for ti, tg := range v.rows {
@@ -857,7 +990,7 @@ func (sys *System) maintainUpdate(ctx *sim.Ctx, tx *Tx, actions []core.ViewActio
 			return err
 		}
 		if record {
-			tx.marks = refs
+			s.marks, s.spareMarks = refs, s.marks
 		}
 		return nil
 	}
@@ -878,9 +1011,9 @@ func (sys *System) maintainUpdate(ctx *sim.Ctx, tx *Tx, actions []core.ViewActio
 	// un-mark finds the entry where the update left it, and the marked set is
 	// re-recorded from those keys — after the barrier an abort must un-mark
 	// the rows that are actually marked now.
-	var updatedRefs []markRef
+	updatedRefs := s.spareMarks[:0]
 	if mark {
-		updatedRefs = make([]markRef, 0, len(tx.marks))
+		updatedRefs = slices.Grow(updatedRefs, len(s.marks))
 	}
 	assign := phoenix.StampCells(parts.Cells, opts.TS)
 	var updated []hbase.Cell // a located row under the assignment, one row at a time
@@ -898,6 +1031,9 @@ func (sys *System) maintainUpdate(ctx *sim.Ctx, tx *Tx, actions []core.ViewActio
 			if n == 0 {
 				continue
 			}
+			if need := len(tg.cells) + len(assign); cap(updated) < need {
+				updated = opts.Scratch.Cells(need)
+			}
 			updated = phoenix.StampCells(phoenix.MergeCells(updated[:0], tg.cells, assign), opts.TS)
 			keys := v.keys[ti*n : (ti+1)*n]
 			for ii, idx := range viewInfo.Indexes {
@@ -912,11 +1048,11 @@ func (sys *System) maintainUpdate(ctx *sim.Ctx, tx *Tx, actions []core.ViewActio
 					if err := batch.Delete(ctx, idx.Name, oldKey, opts.TS); err != nil {
 						return err
 					}
-					cells := phoenix.IndexCells(viewInfo, idx, updated)
+					cells := phoenix.IndexCells(viewInfo, idx, updated, opts.Scratch)
 					if !idx.KeyOnly {
 						// A covered entry's cells are the row's: a copy, for
 						// updated is the next row's scratch.
-						cells = append(make([]hbase.Cell, 0, len(updated)+1), updated...)
+						cells = append(opts.Scratch.Cells(len(updated)+1), updated...)
 						if mark {
 							cells = append(cells, hbase.Cell{Qualifier: phoenix.DirtyQualifier, Value: dirtyOn, TS: opts.TS})
 						}
@@ -941,7 +1077,7 @@ func (sys *System) maintainUpdate(ctx *sim.Ctx, tx *Tx, actions []core.ViewActio
 	if err := batch.Barrier(ctx); err != nil {
 		return err
 	}
-	tx.marks = updatedRefs
+	s.marks, s.spareMarks = updatedRefs, s.marks
 	if err := sys.phaseDone(phaseUpdated); err != nil {
 		return err
 	}
@@ -950,7 +1086,7 @@ func (sys *System) maintainUpdate(ctx *sim.Ctx, tx *Tx, actions []core.ViewActio
 	if err := markAll(dirtyOff, false); err != nil {
 		return err
 	}
-	tx.marks = nil
+	s.marks = s.marks[:0]
 	return sys.phaseDone(phaseUnmarked)
 }
 
@@ -973,14 +1109,22 @@ func (sys *System) phaseDone(phase int) error {
 // with no affected row. The locates are independent reads, so they overlap:
 // each runs on the caller, charged to its own fork, and the forks are joined
 // at Costs.ScanParallelism width, the read pool a fanned-out scan's units
-// share. The paper's client (tx.eager) locates one view after the other.
+// share. The paper's client (tx.eager) locates one view after the other. The
+// views, their rows and their index keys are the scratch's.
 func (sys *System) locateAll(ctx *sim.Ctx, tx *Tx, actions []core.ViewAction, parts writeParts) ([]viewRows, error) {
+	s := tx.s
 	rd := sys.Engine.Reader(tx.opts)
 	var forks []sim.Ctx
 	if !tx.eager && len(actions) > 1 {
-		forks = make([]sim.Ctx, 0, len(actions))
+		if cap(s.forks) < len(actions) {
+			s.forks = make([]sim.Ctx, len(actions))
+		}
+		forks = s.forks[:0]
 	}
-	views := make([]viewRows, 0, len(actions))
+	// What an earlier statement located is dead: its mutations hold their
+	// keys and cells, not these lists.
+	views := s.views[:0]
+	s.rows, s.keys = s.rows[:0], s.keys[:0]
 	var err error
 	for _, action := range actions {
 		var info *phoenix.TableInfo
@@ -991,15 +1135,20 @@ func (sys *System) locateAll(ctx *sim.Ctx, tx *Tx, actions []core.ViewAction, pa
 		if forks != nil {
 			forks = forks[:len(forks)+1]
 			lctx = &forks[len(forks)-1]
+			lctx.Reset()
 		}
-		var rows []viewRow
-		if rows, err = sys.locateViewRows(lctx, rd, &tx.locate, action, info, parts, tx.opts.Read); err != nil {
+		start := len(s.rows)
+		if s.rows, err = tx.locateViewRows(lctx, rd, action, info, parts, s.rows); err != nil {
 			break
 		}
-		if len(rows) > 0 {
-			views = append(views, viewRows{info, rows, indexKeys(info, rows)})
+		if len(s.rows) > start {
+			rows := s.rows[start:len(s.rows):len(s.rows)]
+			at := len(s.keys)
+			s.keys = indexKeys(s.keys, info, rows)
+			views = append(views, viewRows{info, rows, s.keys[at:len(s.keys):len(s.keys)]})
 		}
 	}
+	s.views = views
 	if forks != nil {
 		ctx.JoinLanes(new(sim.Lanes), sys.cfg.Costs.ScanParallelism, len(forks), func(i int) *sim.Ctx { return &forks[i] })
 	}
@@ -1007,17 +1156,19 @@ func (sys *System) locateAll(ctx *sim.Ctx, tx *Tx, actions []core.ViewAction, pa
 }
 
 // locateViewRows finds the view rows affected by an update per the plan's
-// locator (§VII-C). All reads go through rd, so view tuples buffered by
-// earlier statements of the same transaction are located too; an index scan
-// opens in sc, the caller's scanner storage, and reads to its end.
-func (sys *System) locateViewRows(ctx *sim.Ctx, rd hbase.Reader, sc *hbase.Scanner, action core.ViewAction, viewInfo *phoenix.TableInfo, parts writeParts, read hbase.ReadOpts) ([]viewRow, error) {
+// locator (§VII-C) and appends them to dst. All reads go through rd, so view
+// tuples buffered by earlier statements of the same transaction are located
+// too; an index scan opens in the transaction's scanner storage (tx.locate)
+// and reads to its end. The rows' cells are cut from the scratch.
+func (tx *Tx) locateViewRows(ctx *sim.Ctx, rd hbase.Reader, action core.ViewAction, viewInfo *phoenix.TableInfo, parts writeParts, dst []viewRow) ([]viewRow, error) {
+	read, sc := tx.opts.Read, tx.opts.Scratch
 	switch action.Locator {
 	case core.LocateByViewKey:
-		cells, err := phoenix.GetCells(ctx, rd, viewInfo.Name, parts.Key, read)
+		cells, err := phoenix.GetCells(ctx, rd, viewInfo.Name, parts.Key, read, sc)
 		if err != nil || cells == nil {
-			return nil, err
+			return dst, err
 		}
-		return []viewRow{{parts.Key, cells}}, nil
+		return append(dst, viewRow{parts.Key, cells}), nil
 
 	case core.LocateByIndex:
 		// The maintenance index stores only keys (§VII-C); collect the view
@@ -1030,9 +1181,9 @@ func (sys *System) locateViewRows(ctx *sim.Ctx, rd hbase.Reader, sc *hbase.Scann
 		bounds := string(append(append(append(append(bbuf[:0], parts.Key...), schema.KeySep), parts.Key...), schema.KeySep+1))
 		half := len(bounds) / 2
 		spec := hbase.ScanSpec{Start: bounds[:half], Stop: bounds[half:], Read: read, Sequential: true}
-		rows, err := rd.OpenScan(ctx, action.LocatorIndex.Name(), spec, sc)
+		rows, err := rd.OpenScan(ctx, action.LocatorIndex.Name(), spec, &tx.locate)
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
 		// The keys are built back to back and cut out of one string.
 		var kbuf [64]byte
@@ -1044,40 +1195,32 @@ func (sys *System) locateViewRows(ctx *sim.Ctx, rd hbase.Reader, sc *hbase.Scann
 			ends = append(ends, len(buf))
 		}
 		if len(ends) == 0 {
-			return nil, nil
+			return dst, nil
 		}
-		all, keys := string(buf), make([]string, len(ends))
+		s := tx.s
+		all, at := string(buf), len(s.keys)
 		for i, start := 0, 0; i < len(ends); start, i = ends[i], i+1 {
-			keys[i] = all[start:ends[i]]
+			s.keys = append(s.keys, all[start:ends[i]])
 		}
-		got, err := rd.GetMany(ctx, viewInfo.Name, keys, read)
+		keys := s.keys[at:len(s.keys):len(s.keys)]
+		got, err := rd.GetMany(ctx, viewInfo.Name, keys, read, sc.ReadBuf())
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
-		// The rows' cells share one arena.
-		n := 0
-		for _, r := range got {
-			n += len(r.Cells)
-		}
-		arena := make([]hbase.Cell, 0, n)
-		out := make([]viewRow, 0, len(got))
 		for i, r := range got {
-			if r.Empty() {
-				continue
+			if !r.Empty() {
+				dst = append(dst, viewRow{keys[i], phoenix.AppendRowCells(sc.Cells(len(r.Cells)), r)})
 			}
-			start := len(arena)
-			arena = phoenix.AppendRowCells(arena, r)
-			out = append(out, viewRow{keys[i], arena[start:len(arena):len(arena)]})
 		}
-		return out, nil
+		return dst, nil
 
 	default: // LocateByScan
 		// A full view scan with a pushed-down filter — the written row's key
 		// against the key of the row's cells for the relation, compared where
 		// the row is read; a view fans out at its regions and guideposts like
 		// any other full scan.
-		pk, key := sys.Design.Schema.Relation(parts.Table.Name).PK, parts.Key
-		sc, err := rd.OpenScan(ctx, viewInfo.Name, hbase.ScanSpec{
+		pk, key := tx.sys.Design.Schema.Relation(parts.Table.Name).PK, parts.Key
+		scan, err := rd.OpenScan(ctx, viewInfo.Name, hbase.ScanSpec{
 			Read: read,
 			Filter: hbase.FilterFunc(func(r hbase.RowResult) bool {
 				var buf [64]byte
@@ -1085,12 +1228,11 @@ func (sys *System) locateViewRows(ctx *sim.Ctx, rd hbase.Reader, sc *hbase.Scann
 			}),
 		}, nil)
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
-		var out []viewRow
-		for r, ok := sc.Next(ctx); ok; r, ok = sc.Next(ctx) {
-			out = append(out, viewRow{r.Key, phoenix.AppendRowCells(nil, r)})
+		for r, ok := scan.Next(ctx); ok; r, ok = scan.Next(ctx) {
+			dst = append(dst, viewRow{r.Key, phoenix.AppendRowCells(sc.Cells(len(r.Cells)), r)})
 		}
-		return out, nil
+		return dst, nil
 	}
 }

@@ -14,9 +14,14 @@ import (
 
 // TestMaintenanceWriteAllocs bounds what TPC-W's W9 allocates through a
 // Session when the item has rows in all four of its views, whose locates and
-// §VIII-B phases run in one pass for the statement. It takes 93
-// allocations hierarchical and 77 under MVCC, and the bounds give each about
-// 5 % headroom; the MVCC transaction's bookkeeping allocates nothing — its
+// §VIII-B phases run in one pass for the statement. It takes 37
+// allocations hierarchical and 35 under MVCC, and the bounds give each about
+// 5 % headroom. What the statement builds and drops — its mutator, its lock
+// and mark lists, its bound statement, the cell lists of its rows and index
+// entries, the rows it reads and locates, its locates' forks — is its
+// transaction's recycled scratch, and the regions compare a lock's value in
+// their own scratch (93 and 77 when the unit allocated them); the MVCC
+// transaction's bookkeeping allocates nothing — its
 // storage is reused, its write set is one arena and the write batches keep
 // their notifications in storage it lends them (114 when each Begin made a
 // Tx and three maps, each row its own write-set string and each batch its own
@@ -37,8 +42,8 @@ func TestMaintenanceWriteAllocs(t *testing.T) {
 		cfg   synergy.Config
 		bound float64
 	}{
-		{"hierarchical", synergy.Config{}, 99},
-		{"mvcc", synergy.Config{Concurrency: synergy.MVCC, MaxVersions: 16}, 81},
+		{"hierarchical", synergy.Config{}, 39},
+		{"mvcc", synergy.Config{Concurrency: synergy.MVCC, MaxVersions: 16}, 37},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			data := tpcw.Generate(40, 7)

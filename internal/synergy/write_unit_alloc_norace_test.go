@@ -14,16 +14,19 @@ import (
 
 // TestWriteUnitAllocs bounds what write units allocate through a Session,
 // their statements prepared once (Session.PrepareWrite), as the wire server
-// prepares them: autocommit W13 and W4 on a Customer-only system, 15 and 11
+// prepares them: autocommit W13 and W4 on a Customer-only system, 5 and 4
 // allocations, and one buy-confirm transaction of the TPC-W ordering mix —
-// R2 and Q8, then W1, W3 three times, W2, W9 and W13 — 346. The bounds give
-// each about 5 % headroom. A unit pays for its cells, not for their
-// scaffolding: the memstore cuts rows from blocks, the write plan and the WAL
-// text are the prepared statement's, a commit's records are appended by hand
-// into a recycled buffer, and an update keys each view-index entry once.
-// Before, when a write was bound, planned and rendered for the log at every
-// execution, the same units took 42, 40 and 826. (Not built under -race, which
-// makes sync.Pool drop pooled buffers at random.)
+// R2 and Q8, then W1, W3 three times, W2, W9 and W13 — 138. The bounds give
+// each about 5 % headroom, and at least one allocation. A unit pays for the
+// keys and values the store keeps, not for their scaffolding: its mutator, its
+// lock and mark lists, its bound statements, the cell lists it hands the
+// mutator and the rows it reads are its transaction's recycled scratch (15, 11
+// and 346 when each unit allocated them), the memstore cuts rows from blocks,
+// the write plan and the WAL text are the prepared statement's, a commit's
+// records are appended by hand into a recycled buffer, and an update keys each
+// view-index entry once. Before, when a write was bound, planned and rendered
+// for the log at every execution, the same units took 42, 40 and 826. (Not
+// built under -race, which makes sync.Pool drop pooled buffers at random.)
 func TestWriteUnitAllocs(t *testing.T) {
 	const runs = 50
 	stmt := func(id string) sqlparser.Statement {
@@ -72,13 +75,13 @@ func TestWriteUnitAllocs(t *testing.T) {
 		up := paramsFor(func(i int) []schema.Value {
 			return []schema.Value{5.0, 6.0, int64(19500), int64(i % 100), int64(1 + i*37%2000)}
 		})
-		check("W13", 16, func() { exec(sess, w13, up()) })
+		check("W13", 6, func() { exec(sess, w13, up()) })
 		ins := paramsFor(func(i int) []schema.Value {
 			id := int64(100_000 + i)
 			return []schema.Value{id, tpcw.Uname(id), "pass", "fn", "ln", int64(5), "555", "e@x",
 				int64(19500), int64(19600), int64(0), int64(21000), 0.1, 0.0, 0.0, int64(1980), "data"}
 		})
-		check("W4", 12, func() { exec(sess, w4, ins()) })
+		check("W4", 5, func() { exec(sess, w4, ins()) })
 	})
 
 	t.Run("buy-confirm", func(t *testing.T) {
@@ -131,7 +134,7 @@ func TestWriteUnitAllocs(t *testing.T) {
 			}
 		}
 		next := 0
-		check("buy-confirm", 363, func() {
+		check("buy-confirm", 145, func() {
 			u := &units[next]
 			next++
 			if err := sess.Begin(sim.NewCtx()); err != nil {
