@@ -136,7 +136,7 @@ func TestINLJoinAllocsFlat(t *testing.T) {
 		t.Fatal(err)
 	}
 	allocs := func(outer int64) float64 {
-		params := []schema.Value{outer}
+		params := args(outer)
 		return testing.AllocsPerRun(20, func() {
 			ctx := sim.NewCtx()
 			cur, err := plan.Open(ctx, params, QueryOpts{})

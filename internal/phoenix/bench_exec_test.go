@@ -157,16 +157,16 @@ func TestScanFilterZeroAllocs(t *testing.T) {
 		preds []localPred
 		want  bool
 	}{
-		"rejected by string": {[]localPred{{col: "i_subject", op: sqlparser.OpEq, value: "HISTORY"}}, false},
+		"rejected by string": {[]localPred{{col: "i_subject", op: sqlparser.OpEq, value: schema.StringArg("HISTORY")}}, false},
 		"rejected by number": {[]localPred{
-			{col: "i_subject", op: sqlparser.OpEq, value: "ARTS"},
-			{col: "i_stock", op: sqlparser.OpGt, value: int64(20)},
+			{col: "i_subject", op: sqlparser.OpEq, value: schema.StringArg("ARTS")},
+			{col: "i_stock", op: sqlparser.OpGt, value: schema.IntArg(20)},
 		}, false},
 		"rejected by columns": {[]localPred{{col: "i_cost", op: sqlparser.OpGe, rcol: "i_srp", colVsCol: true}}, false},
-		"rejected by NULL":    {[]localPred{{col: "i_avail", op: sqlparser.OpNe, value: int64(0)}}, false},
+		"rejected by NULL":    {[]localPred{{col: "i_avail", op: sqlparser.OpNe, value: schema.IntArg(0)}}, false},
 		"accepted": {[]localPred{
-			{col: "i_subject", op: sqlparser.OpEq, value: "ARTS"},
-			{col: "i_stock", op: sqlparser.OpLe, value: 12.0},
+			{col: "i_subject", op: sqlparser.OpEq, value: schema.StringArg("ARTS")},
+			{col: "i_stock", op: sqlparser.OpLe, value: schema.FloatArg(12.0)},
 			{col: "i_cost", op: sqlparser.OpLt, rcol: "i_srp", colVsCol: true},
 		}, true},
 	} {

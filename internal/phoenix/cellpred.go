@@ -2,7 +2,6 @@ package phoenix
 
 import (
 	"bytes"
-	"fmt"
 
 	"synergy/internal/hbase"
 	"synergy/internal/schema"
@@ -31,23 +30,18 @@ func rawOfCell(b []byte) rawVal {
 	}
 }
 
-// rawOfValue classifies a constant: a string's bytes are left in text,
-// where cellPred.compare reads them without a copy.
-func rawOfValue(v schema.Value) (raw rawVal, text string) {
-	switch x := v.(type) {
-	case nil:
-		return rawVal{}, ""
-	case int64:
-		return rawVal{kind: CellFloat, num: float64(x)}, ""
-	case int:
-		return rawVal{kind: CellFloat, num: float64(x)}, ""
-	case float64:
-		return rawVal{kind: CellFloat, num: x}, ""
-	case string:
-		return rawVal{kind: CellString}, x
+// rawOfArg classifies a constant: a string's bytes are left in text, where
+// cellPred.compare reads them without a copy.
+func rawOfArg(a schema.Arg) (raw rawVal, text string) {
+	switch a.Kind() {
+	case schema.ArgInt:
+		return rawVal{kind: CellFloat, num: float64(a.Int())}, ""
+	case schema.ArgFloat:
+		return rawVal{kind: CellFloat, num: a.Float()}, ""
+	case schema.ArgString:
+		return rawVal{kind: CellString}, a.Str()
 	default:
-		// CompareValues orders any other type by its printed form.
-		return rawVal{kind: CellString}, fmt.Sprint(x)
+		return rawVal{}, ""
 	}
 }
 
@@ -98,12 +92,12 @@ type cellPred struct {
 	colVsCol  bool
 	op        sqlparser.CompareOp
 	value     rawVal
-	text      string // a string constant's bytes (see rawOfValue)
+	text      string // a string constant's bytes (see rawOfArg)
 }
 
 func compilePred(p localPred) cellPred {
 	c := cellPred{col: p.col, rcol: p.rcol, colVsCol: p.colVsCol, op: p.op}
-	c.value, c.text = rawOfValue(p.value)
+	c.value, c.text = rawOfArg(p.value)
 	return c
 }
 
@@ -161,10 +155,16 @@ type predFilter struct {
 
 // compile readies f for local and returns it as a scan's filter, nil when
 // there are no predicates: a scan with no filter ships every visible row
-// without a per-row call.
+// without a per-row call. The predicates go into the list f holds — the one
+// the block's last execution left its scan (query.recycle) — when it has
+// room, else into few or a new list.
 func (f *predFilter) compile(local []localPred) hbase.RowFilter {
-	f.preds = f.few[:0]
-	if len(local) > len(f.few) {
+	switch {
+	case cap(f.preds) >= len(local):
+		f.preds = f.preds[:0]
+	case len(local) <= len(f.few):
+		f.preds = f.few[:0]
+	default:
 		f.preds = make([]cellPred, 0, len(local))
 	}
 	for _, p := range local {

@@ -25,7 +25,7 @@ func evalLocal(p localPred, r hbase.RowResult) bool {
 	if p.colVsCol {
 		return compareOK(schema.CompareValues(l, row[p.rcol]), p.op)
 	}
-	return l != nil && compareOK(schema.CompareValues(l, p.value), p.op)
+	return l != nil && compareOK(schema.CompareValues(l, p.value.Value()), p.op)
 }
 
 // predRow builds a stored row from qualifier → value pairs; a nil value
@@ -76,7 +76,7 @@ func TestCellPredMatchesEvalLocal(t *testing.T) {
 		cols = append(cols, q)
 	}
 	consts := []schema.Value{
-		nil, int64(5), int(5), 5.0, 5.5, int64(-3), "n5", "", "5", true, int64(1 << 53), math.NaN(), math.Inf(1),
+		nil, int64(5), int(5), 5.0, 5.5, int64(-3), "n5", "", "5", int64(1 << 53), math.NaN(), math.Inf(1),
 	}
 
 	check := func(p localPred) {
@@ -89,7 +89,7 @@ func TestCellPredMatchesEvalLocal(t *testing.T) {
 	for _, op := range allOps {
 		for _, l := range cols {
 			for _, v := range consts {
-				check(localPred{col: l, op: op, value: v})
+				check(localPred{col: l, op: op, value: arg(v)})
 			}
 			for _, r := range cols {
 				check(localPred{col: l, op: op, rcol: r, colVsCol: true})
@@ -115,8 +115,8 @@ func TestScanFilterConjunction(t *testing.T) {
 		t.Fatal("scanFilter(nil) must be nil so the scan ships no filter")
 	}
 	row := predRow(map[string]schema.Value{"a": int64(1), "b": "x"})
-	yes := localPred{col: "a", op: sqlparser.OpEq, value: int64(1)}
-	no := localPred{col: "b", op: sqlparser.OpEq, value: "y"}
+	yes := localPred{col: "a", op: sqlparser.OpEq, value: schema.IntArg(1)}
+	no := localPred{col: "b", op: sqlparser.OpEq, value: schema.StringArg("y")}
 	if !scanFilter([]localPred{yes})(row) || scanFilter([]localPred{yes, no})(row) || scanFilter([]localPred{no, yes})(row) {
 		t.Fatal("scanFilter is not the conjunction of its predicates")
 	}
@@ -165,7 +165,8 @@ func FuzzCellPred(f *testing.F) {
 		if colVsCol {
 			p.rcol, p.colVsCol = rcol, true
 		} else {
-			p.value, _ = fuzzValue(cKind, rn, rs)
+			v, _ := fuzzValue(cKind, rn, rs)
+			p.value = arg(v)
 		}
 		got := scanFilter([]localPred{p})(row)
 		if want := evalLocal(p, row); got != want {

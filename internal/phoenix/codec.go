@@ -28,63 +28,71 @@ const (
 // every number as a DOUBLE, a literal 5.0). NULL passes. ok is false for a
 // value the column cannot hold — a fraction or a string for an INT, a number
 // for a STRING — which equals nothing stored there; it comes back as it was.
-func coerce(t schema.ColType, v schema.Value) (schema.Value, bool) {
-	switch x := v.(type) {
-	case nil:
-		return nil, true
-	case int:
-		return coerce(t, int64(x))
-	case int64:
+func coerce(t schema.ColType, a schema.Arg) (schema.Arg, bool) {
+	switch a.Kind() {
+	case schema.ArgNull:
+		return a, true
+	case schema.ArgInt:
 		if t == schema.TFloat {
-			return float64(x), true
+			return schema.FloatArg(float64(a.Int())), true
 		}
-		return v, t == schema.TInt
-	case float64:
+		return a, t == schema.TInt
+	case schema.ArgFloat:
+		x := a.Float()
 		switch {
 		case t == schema.TInt && x >= -1<<63 && x < 1<<63 && x == math.Trunc(x):
-			return int64(x), true
+			return schema.IntArg(int64(x)), true
 		case t == schema.TFloat && x == 0:
-			return 0.0, true
+			return schema.FloatArg(0), true
 		}
-		return v, t == schema.TFloat
-	case string:
-		return v, t == schema.TString
+		return a, t == schema.TFloat
+	default:
+		return a, t == schema.TString
 	}
-	return v, false
 }
 
 // EncodeValue renders a typed value into cell bytes.
 func EncodeValue(v schema.Value) []byte {
-	if v == nil {
+	a := mustArg(v)
+	if a.Kind() == schema.ArgNull {
 		return nil
 	}
-	return AppendValue(make([]byte, 0, encodedLen(v)), v)
+	return AppendArg(make([]byte, 0, encodedLen(a)), a)
 }
 
-// encodedLen is the size of a non-nil value's cell encoding.
-func encodedLen(v schema.Value) int {
-	if s, ok := v.(string); ok {
-		return 1 + len(s)
+// encodedLen is the size of a non-NULL value's cell encoding.
+func encodedLen(a schema.Arg) int {
+	if a.Kind() == schema.ArgString {
+		return 1 + len(a.Str())
 	}
 	return 9
 }
 
 // AppendValue appends a value's cell encoding to buf, nothing for NULL.
-func AppendValue(buf []byte, v schema.Value) []byte {
-	switch x := v.(type) {
-	case nil:
-		return buf
-	case int64:
-		return appendIntCell(buf, x)
-	case int:
-		return appendIntCell(buf, int64(x))
-	case float64:
-		return appendFloatCell(buf, x)
-	case string:
-		return append(append(buf, tagString), x...)
+func AppendValue(buf []byte, v schema.Value) []byte { return AppendArg(buf, mustArg(v)) }
+
+// AppendArg appends a value's cell encoding to buf, nothing for NULL: the one
+// cell encoder, which AppendValue feeds boxed values.
+func AppendArg(buf []byte, a schema.Arg) []byte {
+	switch a.Kind() {
+	case schema.ArgInt:
+		return appendIntCell(buf, a.Int())
+	case schema.ArgFloat:
+		return appendFloatCell(buf, a.Float())
+	case schema.ArgString:
+		return append(append(buf, tagString), a.Str()...)
 	default:
+		return buf
+	}
+}
+
+// mustArg unboxes a value bound for a cell.
+func mustArg(v schema.Value) schema.Arg {
+	a, ok := schema.ArgOf(v)
+	if !ok {
 		panic(fmt.Sprintf("phoenix: unencodable value %T", v))
 	}
+	return a
 }
 
 func appendIntCell(buf []byte, x int64) []byte {
@@ -123,7 +131,7 @@ func RowToCells(row schema.Row) []hbase.Cell {
 	size := 0
 	for _, v := range row {
 		if v != nil {
-			size += encodedLen(v)
+			size += encodedLen(mustArg(v))
 		}
 	}
 	buf := make([]byte, 0, size)

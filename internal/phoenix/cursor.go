@@ -120,12 +120,16 @@ func (e *Engine) QueryStream(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []s
 }
 
 // QueryStreamOpts is QueryStream with explicit execution options: Compile,
-// then Open. A caller running one statement many times compiles it once and
-// opens the plan per execution.
+// then Open with params unboxed. A caller running one statement many times
+// compiles it once and opens the plan per execution.
 func (e *Engine) QueryStreamOpts(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []schema.Value, opts QueryOpts) (RowCursor, error) {
 	p, err := e.Compile(sel)
 	if err != nil {
 		return nil, err
 	}
-	return p.Open(ctx, params, opts)
+	args, err := schema.ArgsOf(params)
+	if err != nil {
+		return nil, err
+	}
+	return p.Open(ctx, args, opts)
 }

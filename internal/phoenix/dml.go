@@ -113,7 +113,11 @@ func (e *Engine) Exec(ctx *sim.Ctx, stmt sqlparser.Statement, params []schema.Va
 	if err != nil {
 		return err
 	}
-	w, err := sh.Bind(params, opts.Scratch)
+	args, err := schema.ArgsOf(params)
+	if err != nil {
+		return err
+	}
+	w, err := sh.Bind(args, opts.Scratch)
 	if err != nil {
 		return err
 	}
@@ -194,7 +198,7 @@ func (e *Engine) ShapeWrite(stmt sqlparser.Statement) (*WriteShape, error) {
 
 // Bind binds the statement to its parameters. With a scratch, the Write and
 // its cell list are the scratch's (see WriteScratch).
-func (sh *WriteShape) Bind(params []schema.Value, sc *WriteScratch) (*Write, error) {
+func (sh *WriteShape) Bind(params []schema.Arg, sc *WriteScratch) (*Write, error) {
 	var w *Write
 	if sc != nil {
 		w = &sc.write
@@ -208,7 +212,7 @@ func (sh *WriteShape) Bind(params []schema.Value, sc *WriteScratch) (*Write, err
 	return w, nil
 }
 
-func (sh *WriteShape) bind(params []schema.Value, sc *WriteScratch) (Write, error) {
+func (sh *WriteShape) bind(params []schema.Arg, sc *WriteScratch) (Write, error) {
 	t := sh.table
 	switch sh.stmt.(type) {
 	case *sqlparser.InsertStmt:
@@ -265,17 +269,20 @@ func (e *Engine) ExecWrite(ctx *sim.Ctx, w *Write, opts WriteOpts) error {
 	return e.DeleteRow(ctx, w.Table, w.Key, old, opts)
 }
 
-func evalConst(e sqlparser.Expr, params []schema.Value) (schema.Value, error) {
+func evalConst(e sqlparser.Expr, params []schema.Arg) (schema.Arg, error) {
 	switch x := e.(type) {
 	case sqlparser.Literal:
-		return x.Value, nil
+		if v, ok := schema.ArgOf(x.Value); ok {
+			return v, nil
+		}
+		return schema.Arg{}, fmt.Errorf("%w: literal %T", ErrUnsupported, x.Value)
 	case sqlparser.Param:
 		if x.Index >= len(params) {
-			return nil, fmt.Errorf("phoenix: missing parameter %d", x.Index)
+			return schema.Arg{}, fmt.Errorf("phoenix: missing parameter %d", x.Index)
 		}
 		return params[x.Index], nil
 	default:
-		return nil, fmt.Errorf("%w: non-constant expression %s", ErrUnsupported, e)
+		return schema.Arg{}, fmt.Errorf("%w: non-constant expression %s", ErrUnsupported, e)
 	}
 }
 
@@ -285,7 +292,7 @@ func evalConst(e sqlparser.Expr, params []schema.Value) (schema.Value, error) {
 // column cannot hold is refused). A NULL is left out of an inserted row; in an
 // assignment it is the column's tombstone, so the update takes the stored
 // value away instead of keeping it. The cell list is cut from sc.
-func encodeCells(t *TableInfo, set []sqlparser.Assignment, params []schema.Value, assignment bool, sc *WriteScratch) ([]hbase.Cell, error) {
+func encodeCells(t *TableInfo, set []sqlparser.Assignment, params []schema.Arg, assignment bool, sc *WriteScratch) ([]hbase.Cell, error) {
 	size := 0
 	for _, a := range set {
 		if !t.HasColumn(a.Column) {
@@ -295,7 +302,7 @@ func encodeCells(t *TableInfo, set []sqlparser.Assignment, params []schema.Value
 		if err != nil {
 			return nil, err
 		}
-		if v != nil {
+		if v.Kind() != schema.ArgNull {
 			size += encodedLen(v)
 		}
 	}
@@ -307,10 +314,10 @@ func encodeCells(t *TableInfo, set []sqlparser.Assignment, params []schema.Value
 		v, ok := coerce(typ, v)
 		switch {
 		case !ok:
-			return nil, fmt.Errorf("phoenix: %s.%s is %s and cannot hold %v", t.Name, a.Column, typ, v)
-		case v != nil:
+			return nil, fmt.Errorf("phoenix: %s.%s is %s and cannot hold %v", t.Name, a.Column, typ, v.Value())
+		case v.Kind() != schema.ArgNull:
 			at := len(buf)
-			buf = AppendValue(buf, v)
+			buf = AppendArg(buf, v)
 			cells = append(cells, hbase.Cell{Qualifier: a.Column, Value: buf[at:len(buf):len(buf)]})
 		case assignment:
 			cells = append(cells, hbase.Cell{Qualifier: a.Column, Type: hbase.TypeDeleteCol})
@@ -325,17 +332,13 @@ func encodeCells(t *TableInfo, set []sqlparser.Assignment, params []schema.Value
 	return cells, nil
 }
 
-// unboundKey marks a key attribute keyFromWhere has seen no equality for.
-type unboundKey struct{}
-
 // keyFromWhere builds the row key a write's WHERE clause names, erroring when
 // any key attribute is unbound (multi-row writes are not supported, §IV).
-func keyFromWhere(t *TableInfo, where []sqlparser.Predicate, params []schema.Value) (string, error) {
-	var arr [4]schema.Value // up to four key attributes stay on the stack
-	vals := append(arr[:0], make([]schema.Value, len(t.Key))...)
-	for i := range vals {
-		vals[i] = unboundKey{}
-	}
+func keyFromWhere(t *TableInfo, where []sqlparser.Predicate, params []schema.Arg) (string, error) {
+	var arr [4]schema.Arg // up to four key attributes stay on the stack
+	var boundArr [4]bool
+	vals := append(arr[:0], make([]schema.Arg, len(t.Key))...)
+	bound := append(boundArr[:0], make([]bool, len(t.Key))...)
 	for _, p := range where {
 		col, ok := p.Left.(sqlparser.ColumnRef)
 		if !ok || p.Op != sqlparser.OpEq {
@@ -348,14 +351,21 @@ func keyFromWhere(t *TableInfo, where []sqlparser.Predicate, params []schema.Val
 		if i := slices.Index(t.Key, col.Column); i >= 0 {
 			typ, _ := t.Col(col.Column)
 			vals[i], _ = coerce(typ, v) // what the column cannot hold keys no stored row
+			bound[i] = true
 		}
 	}
+	var buf [64]byte
+	key := buf[:0]
 	for i, v := range vals {
-		if _, unbound := v.(unboundKey); unbound {
+		if !bound[i] {
 			return "", fmt.Errorf("%w: %s.%s", ErrKeyNotSpecified, t.Name, t.Key[i])
 		}
+		if i > 0 {
+			key = append(key, schema.KeySep)
+		}
+		key = schema.AppendKeyArg(key, v)
 	}
-	return schema.EncodeKey(vals...), nil
+	return string(key), nil
 }
 
 // IndexTouched reports whether an assignment (cells in qualifier order)

@@ -415,13 +415,14 @@ func (c colRef) typ() schema.ColType {
 
 // localPred is a single-binding WHERE conjunct: a column against a constant,
 // or against another column of the same binding. A plan's conjuncts carry a
-// literal's value or, for a parameter, its slot; an execution's carry the
-// parameter's value (see Plan.bind) in the execution's own copy.
+// literal's value, unboxed once as the plan is built, or, for a parameter,
+// its slot; an execution's carry the parameter's value (see Plan.bind) in the
+// execution's own copy.
 type localPred struct {
 	col      string
 	op       sqlparser.CompareOp
-	rcol     string       // right column when colVsCol
-	value    schema.Value // right constant otherwise
+	rcol     string     // right column when colVsCol
+	value    schema.Arg // right constant otherwise
 	colVsCol bool
 	param    int // 1 + the slot of the parameter the constant comes from; 0 for a literal
 }
@@ -642,14 +643,17 @@ func (p *Plan) column(c sqlparser.ColumnRef) (colRef, error) {
 
 // operand classifies a conjunct's constant side: a literal's value, or the
 // 1-based slot of the parameter that supplies it.
-func operand(e sqlparser.Expr) (v schema.Value, param int, err error) {
+func operand(e sqlparser.Expr) (v schema.Arg, param int, err error) {
 	switch x := e.(type) {
 	case sqlparser.Literal:
-		return x.Value, 0, nil
+		if v, ok := schema.ArgOf(x.Value); ok {
+			return v, 0, nil
+		}
+		return v, 0, fmt.Errorf("phoenix: unsupported literal %T", x.Value)
 	case sqlparser.Param:
-		return nil, x.Index + 1, nil
+		return v, x.Index + 1, nil
 	default:
-		return nil, 0, fmt.Errorf("phoenix: unsupported operand %T", e)
+		return v, 0, fmt.Errorf("phoenix: unsupported operand %T", e)
 	}
 }
 
@@ -931,7 +935,6 @@ func (p *Plan) orderSource(c sqlparser.ColumnRef) (src colRef, constant bool, er
 // allocates its rows only where they outgrow the last one's.
 type query struct {
 	*Plan
-	params []schema.Value
 	opts   QueryOpts
 	execs  []bindExec  // by binding.idx
 	locals []localPred // the conjuncts of every binding that takes a parameter, bound
@@ -976,7 +979,7 @@ type bindExec struct {
 // Open runs the plan with params — one per ? of the statement, derived tables'
 // included — under opts: it builds the execution's operator tree, opens it,
 // and returns the cursor that reads it (see QueryStream).
-func (p *Plan) Open(ctx *sim.Ctx, params []schema.Value, opts QueryOpts) (RowCursor, error) {
+func (p *Plan) Open(ctx *sim.Ctx, params []schema.Arg, opts QueryOpts) (RowCursor, error) {
 	q, err := p.bind(ctx, params, opts)
 	if err != nil {
 		return nil, err
@@ -998,7 +1001,7 @@ func (p *Plan) Open(ctx *sim.Ctx, params []schema.Value, opts QueryOpts) (RowCur
 // beside the join's outer input, and hashed as its read handed out its rows
 // (bindExec.at). A statement that fails first, in bind or in its tree, is
 // charged every read it made all the same (chargeReads).
-func (p *Plan) bind(ctx *sim.Ctx, params []schema.Value, opts QueryOpts) (*query, error) {
+func (p *Plan) bind(ctx *sim.Ctx, params []schema.Arg, opts QueryOpts) (*query, error) {
 	q := p.spare.Swap(nil)
 	if q == nil {
 		q = &query{Plan: p}
@@ -1010,7 +1013,7 @@ func (p *Plan) bind(ctx *sim.Ctx, params []schema.Value, opts QueryOpts) (*query
 			q.locals = make([]localPred, 0, p.nlocal) // never grows: execs' locals are windows of it
 		}
 	}
-	q.params, q.opts, q.done, q.closed = params, opts, false, false
+	q.opts, q.done, q.closed = opts, false, false
 	for _, b := range p.bindings {
 		x := &q.execs[b.idx]
 		x.local = b.local
@@ -1056,8 +1059,10 @@ func (q *query) recycle() {
 		q.execs[i] = bindExec{}
 	}
 	q.locals = reuse(q.locals)
-	q.params, q.opts, q.root, q.row = nil, QueryOpts{}, nil, tuple{}
-	q.scan, q.filter, q.agg, q.sort, q.limit = scanNode{}, filterNode{}, aggNode{}, sortNode{}, limitNode{}
+	q.opts, q.root, q.row = QueryOpts{}, nil, tuple{}
+	// The scan keeps its filter's predicate list, emptied.
+	q.scan = scanNode{filter: predFilter{preds: reuse(q.scan.filter.preds)}}
+	q.filter, q.agg, q.sort, q.limit = filterNode{}, aggNode{}, sortNode{}, limitNode{}
 	for i := range q.joins {
 		q.joins[i] = joinNode{table: q.joins[i].table}
 		q.joins[i].table.release()

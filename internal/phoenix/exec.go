@@ -197,13 +197,13 @@ func (q *query) chooseAccess(b *binding, extraEqCols []string) accessPlan {
 }
 
 // localEqValue returns the value a local equality predicate binds col to.
-func localEqValue(local []localPred, col string) (schema.Value, bool) {
+func localEqValue(local []localPred, col string) (schema.Arg, bool) {
 	for _, p := range local {
 		if !p.colVsCol && p.op == sqlparser.OpEq && p.col == col {
 			return p.value, true
 		}
 	}
-	return nil, false
+	return schema.Arg{}, false
 }
 
 // table names the store table the plan reads: the covered index for an index
@@ -234,8 +234,8 @@ func (b *binding) keyBounds(local []localPred, col string) (lo, hi string, rest 
 	absorbed := 0
 	for i, p := range local {
 		v, ok := coerce(typ, p.value)
-		f, _ := v.(float64)
-		if p.col != col || p.colVsCol || p.op == sqlparser.OpEq || p.op == sqlparser.OpNe || !ok || v == nil || math.IsNaN(f) {
+		if p.col != col || p.colVsCol || p.op == sqlparser.OpEq || p.op == sqlparser.OpNe || !ok ||
+			v.Kind() == schema.ArgNull || v.Kind() == schema.ArgFloat && math.IsNaN(v.Float()) {
 			if absorbed > 0 {
 				rest = append(rest, p)
 			}
@@ -245,7 +245,7 @@ func (b *binding) keyBounds(local []localPred, col string) (lo, hi string, rest 
 			rest = local[:i:i] // rest parts from local here: appends copy
 		}
 		var buf [64]byte
-		part := schema.AppendKey(buf[:0], v)
+		part := schema.AppendKeyArg(buf[:0], v)
 		if p.op == sqlparser.OpGt || p.op == sqlparser.OpLe {
 			part = append(part, schema.KeySep, 0xFF)
 		}
@@ -267,7 +267,7 @@ func (b *binding) keyBounds(local []localPred, col string) (lo, hi string, rest 
 // that would walk on to the region's end. A value its key column cannot hold
 // equals no key, and the range is empty (see openScan), as it is under
 // contradictory bounds. Start and Stop are cut from one string (keyWindow).
-func (p accessPlan) keyRange(b *binding, vals []schema.Value, spec *hbase.ScanSpec) {
+func (p accessPlan) keyRange(b *binding, vals []schema.Arg, spec *hbase.ScanSpec) {
 	var small [96]byte
 	buf := small[:0]
 	for i, c := range p.eqCols {
@@ -285,34 +285,35 @@ func (p accessPlan) keyRange(b *binding, vals []schema.Value, spec *hbase.ScanSp
 // appendKeyValue appends key part i — KeySep first, but for the first part —
 // of a key column of kind typ holding v; ok is false for a value the column
 // cannot hold (coerce).
-func appendKeyValue(buf []byte, i int, typ schema.ColType, v schema.Value) (key []byte, ok bool) {
+func appendKeyValue(buf []byte, i int, typ schema.ColType, v schema.Arg) (key []byte, ok bool) {
 	if v, ok = coerce(typ, v); !ok {
 		return buf, false
 	}
 	if i > 0 {
 		buf = append(buf, schema.KeySep)
 	}
-	return schema.AppendKey(buf, v), true
+	return schema.AppendKeyArg(buf, v), true
 }
 
 // appendKeyCell is appendKeyValue of an encoded value: what it appends for
-// DecodeValue(cell), without decoding a string or an integer of the column's
-// own kind.
+// DecodeValue(cell), without decoding the value.
 func appendKeyCell(buf []byte, i int, typ schema.ColType, cell []byte) (key []byte, ok bool) {
-	k := RawCellKind(cell)
-	if k != CellString && k != CellInt || typ != schema.TString && typ != schema.TInt {
-		return appendKeyValue(buf, i, typ, DecodeValue(cell))
-	}
-	if (k == CellString) != (typ == schema.TString) {
-		return buf, false // a number in a string column, or a string in an integer one
-	}
-	if i > 0 {
-		buf = append(buf, schema.KeySep)
-	}
-	if k == CellString {
+	var v schema.Arg
+	switch RawCellKind(cell) {
+	case CellString:
+		if typ != schema.TString {
+			return buf, false // a string in a numeric column
+		}
+		if i > 0 {
+			buf = append(buf, schema.KeySep)
+		}
 		return schema.AppendKeyString(buf, RawCellBytes(cell)), true
+	case CellInt:
+		v = schema.IntArg(RawCellInt(cell))
+	case CellFloat:
+		v = schema.FloatArg(RawCellFloat(cell))
 	}
-	return schema.AppendKeyInt(buf, RawCellInt(cell)), true
+	return appendKeyValue(buf, i, typ, v)
 }
 
 // keyWindow is where a key range's Start and Stop lie in the string its
@@ -507,7 +508,7 @@ func (c *columnSets) of(quals []string) *hbase.ColumnSet {
 func (q *query) scanSpec(b *binding, plan accessPlan, f *predFilter) (string, hbase.ScanSpec, error) {
 	spec := hbase.ScanSpec{Read: q.opts.Read, Filter: f.compile(plan.filter), Reversed: plan.reversed, Columns: q.columnSet(b, plan.filter)}
 	if plan.kind != accessFullScan {
-		var small [8]schema.Value
+		var small [8]schema.Arg
 		vals := small[:0]
 		for _, c := range plan.eqCols {
 			v, ok := localEqValue(q.execs[b.idx].local, c)

@@ -130,7 +130,7 @@ func runFold(t *testing.T, e *Engine, sql string, params []schema.Value, opts Qu
 	}
 	plan.fold = fold
 	ctx := sim.NewCtx()
-	cur, err := plan.Open(ctx, params, opts)
+	cur, err := plan.Open(ctx, args(params...), opts)
 	if err != nil {
 		return foldResult{}, err
 	}

@@ -72,7 +72,7 @@ func joinBranches(t *testing.T, eng *Engine, opts QueryOpts, sql string, params 
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := plan.bind(sim.NewCtx(), params, opts)
+	q, err := plan.bind(sim.NewCtx(), args(params...), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func joinBranches(t *testing.T, eng *Engine, opts QueryOpts, sql string, params 
 	for _, b := range q.bindings {
 		s := side{read: sim.NewCtx()}
 		if b.sub != nil {
-			cur, err := b.sub.Open(s.read, params, opts)
+			cur, err := b.sub.Open(s.read, args(params...), opts)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -90,3 +90,59 @@ func FuzzKeyOfCells(f *testing.F) {
 		checkKeyOfCells(t, vals, present)
 	})
 }
+
+// TestArgCellsMatchBoxed holds the one cell encoder (AppendArg) to the boxed
+// one it replaced, type by type: for every kind, and the edges of each (ints
+// below 256 and at both limits, -0 and both infinities, the empty string,
+// NULL), the Arg's cell is the boxed value's byte for byte and decodes back
+// to it, a float to the bit; and coerce of an Arg gives what the column
+// stores. AppendValue, the boxed front door, writes the same bytes.
+func TestArgCellsMatchBoxed(t *testing.T) {
+	boxed := func(v schema.Value) []byte {
+		switch x := v.(type) {
+		case int64:
+			return appendIntCell(nil, x)
+		case float64:
+			return appendFloatCell(nil, x)
+		case string:
+			return append([]byte{tagString}, x...)
+		}
+		return nil
+	}
+	for _, v := range []schema.Value{
+		int64(0), int64(255), int64(256), int64(-1), int64(math.MinInt64), int64(math.MaxInt64),
+		0.0, math.Copysign(0, -1), 2.5, math.Inf(1), math.Inf(-1), "", "a\x00b", nil,
+	} {
+		a := arg(v)
+		cell := AppendArg(nil, a)
+		if want := boxed(v); string(cell) != string(want) || string(AppendValue(nil, v)) != string(want) {
+			t.Errorf("cell of %#v: Arg %x, AppendValue %x, boxed %x", v, cell, AppendValue(nil, v), want)
+		}
+		back := DecodeValue(cell)
+		if f, ok := v.(float64); ok {
+			if g, _ := back.(float64); math.Float64bits(g) != math.Float64bits(f) {
+				t.Errorf("float %v decodes to %v", f, back)
+			}
+		} else if back != v {
+			t.Errorf("%#v decodes to %#v", v, back)
+		}
+	}
+	for _, tc := range []struct {
+		typ  schema.ColType
+		in   schema.Arg
+		want schema.Arg
+		ok   bool
+	}{
+		{schema.TInt, schema.FloatArg(3), schema.IntArg(3), true},
+		{schema.TInt, schema.FloatArg(3.5), schema.FloatArg(3.5), false},
+		{schema.TFloat, schema.IntArg(3), schema.FloatArg(3), true},
+		{schema.TFloat, schema.FloatArg(math.Copysign(0, -1)), schema.FloatArg(0), true},
+		{schema.TString, schema.IntArg(3), schema.IntArg(3), false},
+		{schema.TInt, schema.StringArg("3"), schema.StringArg("3"), false},
+		{schema.TString, schema.Arg{}, schema.Arg{}, true},
+	} {
+		if got, ok := coerce(tc.typ, tc.in); got != tc.want || ok != tc.ok {
+			t.Errorf("coerce(%v, %#v) = %#v, %v; want %#v, %v", tc.typ, tc.in.Value(), got.Value(), ok, tc.want.Value(), tc.ok)
+		}
+	}
+}

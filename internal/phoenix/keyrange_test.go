@@ -236,7 +236,7 @@ var fuzzKeyShapes = [][]schema.ColType{
 // the boxed comparison of the decoded value (evalLocal's, over a result row).
 func holdsBoxed(row schema.Row, p localPred) bool {
 	l := row[p.col]
-	return l != nil && compareOK(schema.CompareValues(l, p.value), p.op)
+	return l != nil && compareOK(schema.CompareValues(l, p.value.Value()), p.op)
 }
 
 // FuzzKeyRange holds the planner's key bounds to the filter they replace.
@@ -334,10 +334,10 @@ func FuzzKeyRange(f *testing.F) {
 			case pick%8 == 7:
 				dom = []schema.Value{"a", int64(1), 1.5, nil}
 			}
-			p := localPred{col: col, op: allOps[in.next()%len(allOps)], value: dom[in.next()%len(dom)]}
+			p := localPred{col: col, op: allOps[in.next()%len(allOps)], value: arg(dom[in.next()%len(dom)])}
 			preds = append(preds, p)
 			where = append(where, fmt.Sprintf("%s %s ?", p.col, p.op))
-			params = append(params, p.value)
+			params = append(params, p.value.Value())
 		}
 		sql := "FROM T"
 		if len(where) > 0 {
@@ -437,7 +437,7 @@ func FuzzKeyRange(f *testing.F) {
 				set[i] = dom[in.next()%len(dom)]
 			}
 			pctx, octx := sim.NewCtx(), sim.NewCtx()
-			cur, err := plan.Open(pctx, set, QueryOpts{})
+			cur, err := plan.Open(pctx, args(set...), QueryOpts{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -540,7 +540,7 @@ func TestKeyRangeThroughOverlayAndSnapshot(t *testing.T) {
 				}
 				ok := true
 				for _, p := range sel.Where {
-					ok = ok && holdsBoxed(schema.Row{"id": id}, localPred{col: "id", op: p.Op, value: p.Right.(sqlparser.Literal).Value})
+					ok = ok && holdsBoxed(schema.Row{"id": id}, localPred{col: "id", op: p.Op, value: arg(p.Right.(sqlparser.Literal).Value)})
 				}
 				if ok {
 					want = append(want, r)

@@ -546,3 +546,21 @@ func TestRowToCellsPacksAndIndexCellsShare(t *testing.T) {
 		t.Fatalf("key-only index stores %v, want name and id", keyOnly)
 	}
 }
+
+// arg unboxes a test's value, which must be one a Value holds.
+func arg(v schema.Value) schema.Arg {
+	a, ok := schema.ArgOf(v)
+	if !ok {
+		panic(fmt.Sprintf("unsupported test value %T", v))
+	}
+	return a
+}
+
+// args unboxes a test's parameters.
+func args(vals ...schema.Value) []schema.Arg {
+	out := make([]schema.Arg, len(vals))
+	for i, v := range vals {
+		out[i] = arg(v)
+	}
+	return out
+}

@@ -89,7 +89,7 @@ func scanRead(t *testing.T, e *Engine, sql string, params []schema.Value, opts Q
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := plan.bind(sim.NewCtx(), params, opts)
+	q, err := plan.bind(sim.NewCtx(), args(params...), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,7 +54,7 @@ func TestSpareBlockHoldsNothing(t *testing.T) {
 		var last *query
 		for i := range 3 {
 			ctx := sim.NewCtx()
-			cur, err := plan.Open(ctx, []schema.Value{int64(1 + 2*i)}, opts)
+			cur, err := plan.Open(ctx, []schema.Arg{schema.IntArg(int64(1 + 2*i))}, opts)
 			if err != nil {
 				t.Fatal(err)
 			}

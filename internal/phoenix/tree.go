@@ -125,7 +125,8 @@ func (q *query) tree(keep bool) node {
 	}
 	sorts := len(q.sel.OrderBy) > 0 && !path.ordered
 	scan := &q.scan
-	*scan = scanNode{q: q, b: start, path: path, wide: true, keep: keep || sorts || len(q.bindings) > 1}
+	*scan = scanNode{q: q, b: start, path: path, wide: true, keep: keep || sorts || len(q.bindings) > 1,
+		filter: predFilter{preds: scan.filter.preds}} // the list the block's last execution emptied
 	var root node = scan
 	if steps := q.joinOrders[start.idx]; len(steps) > 0 {
 		if q.joins == nil {
@@ -555,7 +556,7 @@ func (j *joinNode) probe(ctx *sim.Ctx, outer []tuple, plan accessPlan) error {
 	// Each key column of the probe takes its value from the outer tuple
 	// (probeSlot >= 0) or, once for all probes, from a local equality.
 	var slotBuf [8]int
-	var valBuf [8]schema.Value
+	var valBuf [8]schema.Arg
 	var typBuf [8]schema.ColType
 	probeSlot, vals, typs := slotBuf[:0], valBuf[:0], typBuf[:0]
 	for _, c := range plan.eqCols {

@@ -10,6 +10,100 @@ import (
 // Value is a typed SQL value: int64, float64, string or nil (SQL NULL).
 type Value = any
 
+// ArgKind is the kind of an Arg: one of the four a Value holds.
+type ArgKind uint8
+
+// The kinds of an Arg. The zero Arg is NULL.
+const (
+	ArgNull ArgKind = iota
+	ArgInt
+	ArgFloat
+	ArgString
+)
+
+// Arg is a Value unboxed: its kind and an int64, a float64 or a string, held
+// by value. Parameters travel as Args from the wire to the key and cell
+// encoders, so binding one allocates nothing; a string Arg shares its bytes
+// with whatever string it was made from. The zero Arg is NULL.
+type Arg struct {
+	kind ArgKind
+	num  uint64 // an int64's bits, or a float64's
+	str  string
+}
+
+// IntArg is an int64 Arg.
+func IntArg(x int64) Arg { return Arg{kind: ArgInt, num: uint64(x)} }
+
+// FloatArg is a float64 Arg.
+func FloatArg(x float64) Arg { return Arg{kind: ArgFloat, num: math.Float64bits(x)} }
+
+// StringArg is a string Arg; it shares s's bytes.
+func StringArg(s string) Arg { return Arg{kind: ArgString, str: s} }
+
+// Kind reports a's kind.
+func (a Arg) Kind() ArgKind { return a.kind }
+
+// Int is an ArgInt's value.
+func (a Arg) Int() int64 { return int64(a.num) }
+
+// Float is an ArgFloat's value.
+func (a Arg) Float() float64 { return math.Float64frombits(a.num) }
+
+// Str is an ArgString's value.
+func (a Arg) Str() string { return a.str }
+
+// ArgOf unboxes v, and an int as an int64. ok is false for any other type,
+// which no encoder takes.
+func ArgOf(v Value) (a Arg, ok bool) {
+	switch x := v.(type) {
+	case nil:
+		return Arg{}, true
+	case int64:
+		return IntArg(x), true
+	case int:
+		return IntArg(int64(x)), true
+	case float64:
+		return FloatArg(x), true
+	case string:
+		return StringArg(x), true
+	}
+	return Arg{}, false
+}
+
+// ArgsOf unboxes vals into a list of their own (nil for none): what an entry
+// point that takes boxed values hands the typed path.
+func ArgsOf(vals []Value) ([]Arg, error) {
+	if len(vals) == 0 {
+		return nil, nil
+	}
+	return AppendArgs(make([]Arg, 0, len(vals)), vals)
+}
+
+// AppendArgs appends vals, unboxed, to dst; a type ArgOf refuses is an error.
+func AppendArgs(dst []Arg, vals []Value) ([]Arg, error) {
+	for _, v := range vals {
+		a, ok := ArgOf(v)
+		if !ok {
+			return dst, fmt.Errorf("schema: unsupported parameter type %T", v)
+		}
+		dst = append(dst, a)
+	}
+	return dst, nil
+}
+
+// Value boxes a: nil, an int64, a float64 or a string.
+func (a Arg) Value() Value {
+	switch a.kind {
+	case ArgInt:
+		return a.Int()
+	case ArgFloat:
+		return a.Float()
+	case ArgString:
+		return a.str
+	}
+	return nil
+}
+
 // Row maps column name to value.
 type Row map[string]Value
 
@@ -97,29 +191,35 @@ func EncodeKey(vals ...Value) string {
 }
 
 // AppendKey appends the key encoding of vals, KeySep between parts, to buf.
-// It and the per-type appenders below are the one key encoding: EncodeKey
-// feeds them boxed values, phoenix.AppendKeyOfCells stored cells.
+// Each part is AppendKeyArg's, the one key encoding: EncodeKey feeds it boxed
+// values, the write and read paths unboxed parameters, and
+// phoenix.AppendKeyOfCells stored cells.
 func AppendKey(buf []byte, vals ...Value) []byte {
 	for i, v := range vals {
 		if i > 0 {
 			buf = append(buf, KeySep)
 		}
-		switch x := v.(type) {
-		case nil:
-			buf = AppendKeyNull(buf)
-		case int64:
-			buf = AppendKeyInt(buf, x)
-		case int:
-			buf = AppendKeyInt(buf, int64(x))
-		case float64:
-			buf = AppendKeyFloat(buf, x)
-		case string:
-			buf = AppendKeyString(buf, x)
-		default:
+		a, ok := ArgOf(v)
+		if !ok {
 			panic(fmt.Sprintf("schema: unencodable key value %T", v))
 		}
+		buf = AppendKeyArg(buf, a)
 	}
 	return buf
+}
+
+// AppendKeyArg appends the key part of one value.
+func AppendKeyArg(buf []byte, a Arg) []byte {
+	switch a.kind {
+	case ArgInt:
+		return AppendKeyInt(buf, a.Int())
+	case ArgFloat:
+		return AppendKeyFloat(buf, a.Float())
+	case ArgString:
+		return AppendKeyString(buf, a.str)
+	default:
+		return AppendKeyNull(buf)
+	}
 }
 
 // AppendKeyNull appends the key part of SQL NULL, which sorts first.

@@ -49,12 +49,15 @@ func TestStreamedScanAllocsFlat(t *testing.T) {
 
 // TestWireRoundTripAllocs pins what one EXECUTE round trip allocates, both
 // ends of the wire and the engine under them counted, on a table of two int
-// and two string columns: a prepared autocommit UPDATE with two int and two string parameters, and a prepared point SELECT
-// whose one row is read as raw bytes. Each is bounded at its measured count
-// plus a little slack: the write measures 17, the point read 6. Of the
-// write's, the server's decoding makes four: one copy of the string
-// parameters, and the boxing of three parameters into schema.Value. The
-// EXECUTE encoder, writing into a warmed scratch, allocates nothing.
+// and two string columns: a prepared autocommit UPDATE with two int and two
+// string parameters, and a prepared point SELECT whose one row is read as raw
+// bytes. Each is bounded at its measured count plus one: the write measures 4,
+// the point read 2. Of the write's, the server's decoding makes one, the copy
+// the string parameters are cut from; the parameters are decoded unboxed
+// (schema.Arg). The write measured 7 when decoding boxed each parameter but
+// an int below 256 into a schema.Value, and 17 and 6 before the write unit
+// recycled its scratch and the plan its block. The EXECUTE encoder, writing
+// into a warmed scratch, allocates nothing.
 func TestWireRoundTripAllocs(t *testing.T) {
 	var rows []schema.Row
 	for i := int64(1); i <= 16; i++ {
@@ -90,8 +93,8 @@ func TestWireRoundTripAllocs(t *testing.T) {
 		bound float64
 		run   func() error
 	}{
-		{"write", 19, func() error { return write.Exec(wargs...) }},
-		{"point-read", 8, func() error {
+		{"write", 5, func() error { return write.Exec(wargs...) }},
+		{"point-read", 3, func() error {
 			rs, err := read.QueryStream(rargs...)
 			if err != nil {
 				return err
@@ -126,5 +129,107 @@ func TestWireRoundTripAllocs(t *testing.T) {
 	b, _ := appendExecute(nil, 1, wargs)
 	if got := testing.AllocsPerRun(100, func() { b, _ = appendExecute(b[:0], 1, wargs) }); got != 0 {
 		t.Errorf("the EXECUTE encoder allocates %.0f into a warmed scratch, want 0", got)
+	}
+}
+
+// TestExecuteAllocsFlatInParams: an EXECUTE's parameters cost it one
+// allocation, the copy its string parameters are cut from, however many it
+// binds. A prepared point SELECT whose extra parameters are filter constants,
+// and a prepared autocommit UPDATE whose extra parameters are assigned values,
+// each run at 1, 4 and 8 parameters — never NULL, ints above 255 (which a
+// boxed schema.Value would allocate), floats and strings, a string at every
+// width — and allocate the same count at every width, both ends of the wire
+// and the engine counted.
+func TestExecuteAllocsFlatInParams(t *testing.T) {
+	var rows []schema.Row
+	for i := int64(1); i <= 16; i++ {
+		rows = append(rows, schema.Row{"K": fmt.Sprintf("key-%02d", i), "N1": 1000 + i, "N2": 2000 + i, "N3": 3000 + i,
+			"F1": float64(i) + 0.5, "F2": float64(i) + 0.25, "S1": fmt.Sprintf("s1-%d", i), "S2": fmt.Sprintf("s2-%d", i)})
+	}
+	cols := []schema.Column{{Name: "K", Type: schema.TString}}
+	for _, c := range []string{"N1", "N2", "N3"} {
+		cols = append(cols, schema.Column{Name: c, Type: schema.TInt})
+	}
+	for _, c := range []string{"F1", "F2"} {
+		cols = append(cols, schema.Column{Name: c, Type: schema.TFloat})
+	}
+	for _, c := range []string{"S1", "S2"} {
+		cols = append(cols, schema.Column{Name: c, Type: schema.TString})
+	}
+	addr := serveTable(t, &schema.Relation{Name: "Wide", Columns: cols, PK: []string{"K"}}, rows)
+	c, err := Dial("inproc", addr, "test", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	// Every filter holds for key-07, so each width reads the same row.
+	reads := []struct {
+		sql  string
+		args []schema.Value
+	}{
+		{"SELECT * FROM Wide WHERE K = ?", []schema.Value{"key-07"}},
+		{"SELECT * FROM Wide WHERE K = ? AND N1 >= ? AND F1 <= ? AND S1 <> ?",
+			[]schema.Value{"key-07", int64(300), 1e9, "none"}},
+		{"SELECT * FROM Wide WHERE K = ? AND N1 >= ? AND F1 <= ? AND S1 <> ? AND N2 < ? AND F2 > ? AND S2 >= ? AND N3 <> ?",
+			[]schema.Value{"key-07", int64(300), 1e9, "none", int64(1 << 40), -2.5, "a", int64(999)}},
+	}
+	writes := []struct {
+		sql  string
+		args []schema.Value
+	}{
+		{"UPDATE Wide SET N1 = 5 WHERE K = ?", []schema.Value{"key-09"}},
+		{"UPDATE Wide SET N1 = ?, F1 = ?, S1 = ? WHERE K = ?",
+			[]schema.Value{int64(4000), 7.25, "renamed", "key-09"}},
+		{"UPDATE Wide SET N1 = ?, N2 = ?, N3 = ?, F1 = ?, F2 = ?, S1 = ?, S2 = ? WHERE K = ?",
+			[]schema.Value{int64(4000), int64(5000), int64(6000), 7.25, 8.5, "renamed", "also renamed", "key-09"}},
+	}
+	measure := func(sql string, args []schema.Value, read bool) float64 {
+		t.Helper()
+		st, err := c.Prepare(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		run := func() {
+			if !read {
+				err = st.Exec(args...)
+				return
+			}
+			rs, qerr := st.QueryStream(args...)
+			if qerr != nil {
+				err = qerr
+				return
+			}
+			n := 0
+			for rs.Next() {
+				n++
+			}
+			if cerr := rs.Close(); cerr != nil || n != 1 {
+				err = fmt.Errorf("%s: %d rows, err %v", sql, n, cerr)
+			}
+		}
+		run() // warm the connection's scratches and the plan's block
+		got := testing.AllocsPerRun(200, run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%d params: %.0f allocations per round trip of %s", len(args), got, sql)
+		return got
+	}
+	for _, kind := range []struct {
+		name  string
+		read  bool
+		cases []struct {
+			sql  string
+			args []schema.Value
+		}
+	}{{"point read", true, reads}, {"write", false, writes}} {
+		base := measure(kind.cases[0].sql, kind.cases[0].args, kind.read)
+		for _, tc := range kind.cases[1:] {
+			if got := measure(tc.sql, tc.args, kind.read); got != base {
+				t.Errorf("%s: %d params allocate %.0f per round trip, 1 param %.0f", kind.name, len(tc.args), got, base)
+			}
+		}
 	}
 }

@@ -683,7 +683,7 @@ func decodeBinaryRowVals(p []byte, types []byte, vals []schema.Value) error {
 		if err != nil {
 			return err
 		}
-		vals[i], off = v, next
+		vals[i], off = v.Value(), next
 	}
 	return nil
 }

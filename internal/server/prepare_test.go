@@ -138,22 +138,30 @@ func TestPreparedSurvivesBackendSwitch(t *testing.T) {
 	}
 }
 
-// TestPreparedParamsSurviveTxn runs one prepared INSERT twice inside
-// BEGIN…COMMIT, on every backend, and reads both rows back after COMMIT — and,
-// where the deployment has a transaction layer, both statements' parameters
-// from the WAL record COMMIT wrote. An open transaction keeps every
-// statement's params until it commits, so the second execute must not write
-// the first one's: not its parameter slice, and not the bytes of its string
-// parameters. The ints are above 255 (Go boxes smaller ones without
-// allocating), and the second string is the longer while both EXECUTE packets
-// are shorter than the PREPARE's, so a string left in the connection's input
-// buffer would be overwritten by the second packet.
+// TestPreparedParamsSurviveTxn runs prepared INSERTs inside one BEGIN…COMMIT,
+// on every backend, and reads every row back after COMMIT — and, where the
+// deployment has a transaction layer, every statement's parameters from the
+// WAL record COMMIT wrote. An open transaction keeps every statement's params
+// until it commits, so no later execute may write an earlier one's: not its
+// window of the connection's parameter block, and not the bytes of its string
+// parameters. Two Root inserts check the strings: the second string is the
+// longer while both EXECUTE packets are shorter than the PREPARE's, so a
+// string left in the connection's input buffer would be overwritten by the
+// second packet. Then 24 Leaf inserts bind an int, a float and a string each,
+// 72 parameters more than one block of paramBlockLen holds, so the
+// transaction's parameters span two blocks. The ints are above 255 (Go boxes
+// smaller ones without allocating); the floats are integral, as an INT column
+// takes them.
 func TestPreparedParamsSurviveTxn(t *testing.T) {
 	env := startServer(t, Config{})
 	for i, mode := range []string{"hier", "mvcc", "occ"} {
 		t.Run(mode, func(t *testing.T) {
 			c := env.dial(t, mode)
 			st, err := c.Prepare("INSERT INTO Root (RID, RVal) VALUES (?, ?)")
+			if err != nil {
+				t.Fatal(err)
+			}
+			leaf, err := c.Prepare("INSERT INTO Leaf (LID, L_RID, LVal) VALUES (?, ?, ?)")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -164,11 +172,28 @@ func TestPreparedParamsSurviveTxn(t *testing.T) {
 				{int64(1000 + 10*i), "v1-" + mode},
 				{int64(1001 + 10*i), "v2-" + mode + "-long"},
 			}
+			type leafRow struct {
+				lid  int64
+				root float64
+				val  string
+			}
+			var leaves []leafRow
+			for k := range 24 {
+				leaves = append(leaves, leafRow{int64(1000 + 100*i + k), float64(1 + k%4), fmt.Sprintf("leaf-%s-%02d%s", mode, k, strings.Repeat("x", k%5))})
+			}
+			if 3*len(leaves) <= paramBlockLen {
+				t.Fatalf("%d parameters fit one block of %d", 3*len(leaves), paramBlockLen)
+			}
 			if err := c.Begin(); err != nil {
 				t.Fatal(err)
 			}
 			for _, r := range rows {
 				if err := st.Exec(r.rid, r.val); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, l := range leaves {
+				if err := leaf.Exec(l.lid, l.root, l.val); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -179,6 +204,7 @@ func TestPreparedParamsSurviveTxn(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			logs := env.systems[mode].Txn != nil
 			wal := walText(t, env.systems[mode])
 			for _, r := range rows {
 				rs, err := read.Query(r.rid)
@@ -189,7 +215,24 @@ func TestPreparedParamsSurviveTxn(t *testing.T) {
 					t.Fatalf("RID %d after COMMIT: %v, want RVal %q", r.rid, rs.Rows, r.val)
 				}
 				logged := fmt.Sprintf(`"params":[{"t":"i","v":"%d"},{"t":"s","v":%q}]`, r.rid, r.val)
-				if env.systems[mode].Txn != nil && !strings.Contains(wal, logged) {
+				if logs && !strings.Contains(wal, logged) {
+					t.Fatalf("the WAL holds no statement with %s:\n%s", logged, wal)
+				}
+			}
+			readLeaf, err := c.Prepare("SELECT L_RID, LVal FROM Leaf WHERE LID = ?")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, l := range leaves {
+				rs, err := readLeaf.Query(l.lid)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(rs.Rows) != 1 || rs.Rows[0]["L_RID"] != int64(l.root) || rs.Rows[0]["LVal"] != l.val {
+					t.Fatalf("LID %d after COMMIT: %v, want L_RID %d and LVal %q", l.lid, rs.Rows, int64(l.root), l.val)
+				}
+				logged := fmt.Sprintf(`"params":[{"t":"i","v":"%d"},{"t":"f","v":"%g"},{"t":"s","v":%q}]`, l.lid, l.root, l.val)
+				if logs && !strings.Contains(wal, logged) {
 					t.Fatalf("the WAL holds no statement with %s:\n%s", logged, wal)
 				}
 			}

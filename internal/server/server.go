@@ -204,12 +204,13 @@ type conn struct {
 	// whatever outlives the command is copied out by its handler: the SQL
 	// text, a statement's bound parameter types, its string parameters.
 	in []byte
-	// params is the block each EXECUTE's parameter slice is cut from, one
-	// window per execute. A window handed out is never written again — an
-	// open transaction's Session keeps every statement's params until
-	// COMMIT — so a full block is left to the windows still holding it and
-	// a fresh one started.
-	params []schema.Value
+	// params is the block each EXECUTE's parameters are decoded into, one
+	// window per execute, unboxed: a string parameter is a window into its
+	// EXECUTE's one copy of the packet. A window handed out is never written
+	// again — an open transaction's Session keeps every statement's params
+	// until COMMIT — so a full block is left to the windows still holding it
+	// and a fresh one started.
+	params []schema.Arg
 	// enc is the encode scratch of every response packet but the prepare
 	// response: row packets, column definitions, EOF, OK and ERR. pc's
 	// buffered writer copies every packet out, so the slice is free for
@@ -557,7 +558,7 @@ func (c *conn) handleQuery(sql string) error {
 // session, writing a result set (SELECT) or an OK packet. A statement runs
 // from its compiled form: COM_STMT_EXECUTE passes the prepared statement's,
 // and for COM_QUERY (ps nil) it is compiled here.
-func (c *conn) execStatement(stmt sqlparser.Statement, ps *prepared, params []schema.Value, binaryRows bool) error {
+func (c *conn) execStatement(stmt sqlparser.Statement, ps *prepared, params []schema.Arg, binaryRows bool) error {
 	queued, err := c.srv.gate.Acquire()
 	if err != nil {
 		return c.writeErrPacket(errConCount, "08004", "admission queue full: server overloaded")
@@ -934,10 +935,10 @@ func (c *conn) handleExecute(payload []byte) error {
 	if !ok {
 		return c.writeErrPacket(errUnknown, "HY000", fmt.Sprintf("unknown prepared statement %d", id))
 	}
-	var params []schema.Value
+	var params []schema.Arg
 	if n := ps.numParams; n > 0 {
 		if cap(c.params)-len(c.params) < n {
-			c.params = make([]schema.Value, 0, max(paramBlockLen, n))
+			c.params = make([]schema.Arg, 0, max(paramBlockLen, n))
 		}
 		used := len(c.params)
 		params = c.params[used : used+n : used+n]

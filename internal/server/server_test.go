@@ -962,12 +962,12 @@ func TestDecodeUnsignedLonglongOverflow(t *testing.T) {
 	// MaxInt64 itself still decodes, signed interpretation is untouched.
 	buf = binary.LittleEndian.AppendUint64(nil, math.MaxInt64)
 	v, _, err := decodeBinaryValue(buf, 0, typeLonglong, true)
-	if err != nil || v != int64(math.MaxInt64) {
+	if err != nil || v != schema.IntArg(math.MaxInt64) {
 		t.Fatalf("MaxInt64 decode = %v, %v", v, err)
 	}
 	buf = binary.LittleEndian.AppendUint64(nil, math.MaxUint64) // -1 signed
 	v, _, err = decodeBinaryValue(buf, 0, typeLonglong, false)
-	if err != nil || v != int64(-1) {
+	if err != nil || v != schema.IntArg(-1) {
 		t.Fatalf("signed -1 decode = %v, %v", v, err)
 	}
 }

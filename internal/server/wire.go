@@ -212,8 +212,8 @@ func appendRow(b []byte, types []byte, binaryRow bool, value func(i int) []byte)
 // appendExecute appends the COM_STMT_EXECUTE payload that runs statement id
 // with args: the header, the NULL bitmap, every argument's wire type (always
 // bound anew) and each non-NULL value. Arguments are int64, float64, string
-// or nil. It appends onto a caller-owned buffer, so a client that reuses one
-// allocates nothing per execute.
+// or nil, each unboxed once (schema.ArgOf). It appends onto a caller-owned
+// buffer, so a client that reuses one allocates nothing per execute.
 func appendExecute(b []byte, id uint32, args []schema.Value) ([]byte, error) {
 	b = append(b, comStmtExecute)
 	b = binary.LittleEndian.AppendUint32(b, id)
@@ -227,29 +227,32 @@ func appendExecute(b []byte, id uint32, args []schema.Value) ([]byte, error) {
 		b = append(b, 0x00)
 	}
 	b = append(b, 1) // new params bound
-	for i, a := range args {
-		switch a.(type) {
-		case nil:
+	for i, v := range args {
+		a, ok := schema.ArgOf(v)
+		if !ok {
+			return b, fmt.Errorf("server: unsupported arg type %T", v)
+		}
+		switch a.Kind() {
+		case schema.ArgNull:
 			b[bitmap+i/8] |= 1 << (i % 8)
 			b = append(b, typeNull, 0)
-		case int64:
+		case schema.ArgInt:
 			b = append(b, typeLonglong, 0)
-		case float64:
+		case schema.ArgFloat:
 			b = append(b, typeDouble, 0)
-		case string:
-			b = append(b, typeVarString, 0)
 		default:
-			return b, fmt.Errorf("server: unsupported arg type %T", a)
+			b = append(b, typeVarString, 0)
 		}
 	}
-	for _, a := range args {
-		switch x := a.(type) {
-		case int64:
-			b = binary.LittleEndian.AppendUint64(b, uint64(x))
-		case float64:
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
-		case string:
-			b = appendLencString(b, x)
+	for _, v := range args {
+		a, _ := schema.ArgOf(v)
+		switch a.Kind() {
+		case schema.ArgInt:
+			b = binary.LittleEndian.AppendUint64(b, uint64(a.Int()))
+		case schema.ArgFloat:
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(a.Float()))
+		case schema.ArgString:
+			b = appendLencString(b, a.Str())
 		}
 	}
 	return b, nil
@@ -267,11 +270,12 @@ var errMalformedExecute = errors.New("malformed COM_STMT_EXECUTE")
 
 // decodeParams decodes the parameter block of a COM_STMT_EXECUTE payload —
 // b is the payload from its NULL bitmap on — into params, one per
-// placeholder. A block that binds types refills pt in place; one that does not
-// is decoded by the types an earlier execute bound. Nothing decoded aliases b:
-// the string parameters are windows of one string, copied out of b at the
-// first of them, so b may be reused as soon as decodeParams returns.
-func decodeParams(b []byte, params []schema.Value, pt *paramTypes) error {
+// placeholder, unboxed. A block that binds types refills pt in place; one that
+// does not is decoded by the types an earlier execute bound. Nothing decoded
+// aliases b: the string parameters are windows of one string, copied out of b
+// at the first of them, so b may be reused as soon as decodeParams returns.
+// That copy is the one allocation decoding makes.
+func decodeParams(b []byte, params []schema.Arg, pt *paramTypes) error {
 	n := len(params)
 	nb := (n + 7) / 8
 	if nb+1 > len(b) {
@@ -305,7 +309,7 @@ func decodeParams(b []byte, params []schema.Value, pt *paramTypes) error {
 	strsAt := 0
 	for i := range n {
 		if nullBits[i/8]&(1<<(i%8)) != 0 {
-			params[i] = nil
+			params[i] = schema.Arg{}
 			continue
 		}
 		switch pt.types[i] {
@@ -318,7 +322,7 @@ func decodeParams(b []byte, params []schema.Value, pt *paramTypes) error {
 				strs, strsAt = string(b[off:]), off
 			}
 			start := next - len(s) - strsAt
-			params[i], off = strs[start:start+len(s)], next
+			params[i], off = schema.StringArg(strs[start:start+len(s)]), next
 		default:
 			v, next, err := decodeBinaryValue(b, off, pt.types[i], pt.unsigned[i])
 			if err != nil {
@@ -330,9 +334,11 @@ func decodeParams(b []byte, params []schema.Value, pt *paramTypes) error {
 	return nil
 }
 
-// decodeBinaryValue decodes one execute-request parameter of the given wire
-// type at b[off], returning a schema.Value (int64, float64 or string).
-func decodeBinaryValue(b []byte, off int, wireType byte, unsigned bool) (schema.Value, int, error) {
+// decodeBinaryValue decodes one binary-protocol value of the given wire type
+// at b[off]: an execute-request parameter (but for a string, which
+// decodeParams cuts from its one copy) or a binary row's cell.
+func decodeBinaryValue(b []byte, off int, wireType byte, unsigned bool) (schema.Arg, int, error) {
+	var null schema.Arg
 	need := func(n int) error {
 		if off+n > len(b) {
 			return errShortPacket
@@ -341,61 +347,61 @@ func decodeBinaryValue(b []byte, off int, wireType byte, unsigned bool) (schema.
 	}
 	switch wireType {
 	case typeNull:
-		return nil, off, nil
+		return null, off, nil
 	case typeTiny:
 		if err := need(1); err != nil {
-			return nil, 0, err
+			return null, 0, err
 		}
 		if unsigned {
-			return int64(b[off]), off + 1, nil
+			return schema.IntArg(int64(b[off])), off + 1, nil
 		}
-		return int64(int8(b[off])), off + 1, nil
+		return schema.IntArg(int64(int8(b[off]))), off + 1, nil
 	case typeShort:
 		if err := need(2); err != nil {
-			return nil, 0, err
+			return null, 0, err
 		}
 		u := binary.LittleEndian.Uint16(b[off:])
 		if unsigned {
-			return int64(u), off + 2, nil
+			return schema.IntArg(int64(u)), off + 2, nil
 		}
-		return int64(int16(u)), off + 2, nil
+		return schema.IntArg(int64(int16(u))), off + 2, nil
 	case typeLong, typeInt24:
 		if err := need(4); err != nil {
-			return nil, 0, err
+			return null, 0, err
 		}
 		u := binary.LittleEndian.Uint32(b[off:])
 		if unsigned {
-			return int64(u), off + 4, nil
+			return schema.IntArg(int64(u)), off + 4, nil
 		}
-		return int64(int32(u)), off + 4, nil
+		return schema.IntArg(int64(int32(u))), off + 4, nil
 	case typeLonglong:
 		if err := need(8); err != nil {
-			return nil, 0, err
+			return null, 0, err
 		}
 		u := binary.LittleEndian.Uint64(b[off:])
 		if unsigned && u > math.MaxInt64 {
-			// schema.Value carries integers as int64; refuse rather than
+			// An Arg carries integers as int64; refuse rather than
 			// silently wrap to a negative parameter.
-			return nil, 0, fmt.Errorf("server: unsigned BIGINT parameter %d out of range (max %d)", u, int64(math.MaxInt64))
+			return null, 0, fmt.Errorf("server: unsigned BIGINT parameter %d out of range (max %d)", u, int64(math.MaxInt64))
 		}
-		return int64(u), off + 8, nil
+		return schema.IntArg(int64(u)), off + 8, nil
 	case typeFloat:
 		if err := need(4); err != nil {
-			return nil, 0, err
+			return null, 0, err
 		}
-		return float64(math.Float32frombits(binary.LittleEndian.Uint32(b[off:]))), off + 4, nil
+		return schema.FloatArg(float64(math.Float32frombits(binary.LittleEndian.Uint32(b[off:])))), off + 4, nil
 	case typeDouble:
 		if err := need(8); err != nil {
-			return nil, 0, err
+			return null, 0, err
 		}
-		return math.Float64frombits(binary.LittleEndian.Uint64(b[off:])), off + 8, nil
+		return schema.FloatArg(math.Float64frombits(binary.LittleEndian.Uint64(b[off:]))), off + 8, nil
 	case typeVarchar, typeVarString, typeString, typeBlob, typeNewDecimal:
 		s, next, err := readLencBytes(b, off)
 		if err != nil {
-			return nil, 0, err
+			return null, 0, err
 		}
-		return string(s), next, nil
+		return schema.StringArg(string(s)), next, nil
 	default:
-		return nil, 0, fmt.Errorf("server: unsupported parameter wire type 0x%02x", wireType)
+		return null, 0, fmt.Errorf("server: unsupported parameter wire type 0x%02x", wireType)
 	}
 }

@@ -167,9 +167,9 @@ func fuzzArgs(data []byte) []schema.Value {
 // FuzzExecuteParams holds the parameter codec to a round trip: the server's
 // decodeParams reads back, from the COM_STMT_EXECUTE payload the client's
 // appendExecute builds, every argument it was given — int64, float64 (bit for
-// bit), string and NULL, any number of them — and binds their types. Seeds
-// cover the NULL bitmap's byte boundary (8 and 9 parameters) and empty
-// strings.
+// bit), string and NULL, any number of them — unboxed into schema.Args, and
+// binds their types. Seeds cover the NULL bitmap's byte boundary (8 and 9
+// parameters) and empty strings.
 //
 //	go test -fuzz FuzzExecuteParams -fuzztime 60s -run '^$' ./internal/server/
 func FuzzExecuteParams(f *testing.F) {
@@ -193,21 +193,17 @@ func FuzzExecuteParams(f *testing.F) {
 		if id := binary.LittleEndian.Uint32(p[1:5]); p[0] != comStmtExecute || id != 7 {
 			t.Fatalf("header %x: command or statement id lost", p[:10])
 		}
-		got := make([]schema.Value, len(args))
+		got := make([]schema.Arg, len(args))
 		var pt paramTypes
 		if len(args) > 0 {
 			if err := decodeParams(p[10:], got, &pt); err != nil {
 				t.Fatalf("decode %v: %v", args, err)
 			}
 		}
-		for i, want := range args {
-			same := got[i] == want
-			if w, ok := want.(float64); ok {
-				g, isFloat := got[i].(float64)
-				same = isFloat && math.Float64bits(g) == math.Float64bits(w)
-			}
-			if !same {
-				t.Fatalf("param %d of %d: got %#v, want %#v", i, len(args), got[i], want)
+		for i, v := range args {
+			// An Arg holds a float's bits, so == compares floats by bits.
+			if want, _ := schema.ArgOf(v); got[i] != want {
+				t.Fatalf("param %d of %d: got %#v, want %#v", i, len(args), got[i].Value(), v)
 			}
 		}
 		if len(pt.types) != len(args) {

@@ -112,7 +112,11 @@ func TestSlaveCommitRecordBesideRelease(t *testing.T) {
 			b := companySystemWith(t, cm.cfg)
 			sb := b.Txn.Slaves()[0]
 			pre, run, rec := sim.NewCtx(), sim.NewCtx(), sim.NewCtx()
-			txid, err := sb.log(pre, b.prepareWrites(stmts), params, false)
+			args, err := argLists(params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			txid, err := sb.log(pre, b.prepareWrites(stmts), args, false)
 			if err != nil {
 				t.Fatal(err)
 			}

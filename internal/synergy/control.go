@@ -34,7 +34,7 @@ type txnControl interface {
 	afterFlush(ctx *sim.Ctx, flushErr error) error
 	abort(ctx *sim.Ctx)
 	// read opens an autocommit read (Session.Open).
-	read(ctx *sim.Ctx, sys *System, p *Prepared, params []schema.Value, reads ViewReadMode) (phoenix.RowCursor, error)
+	read(ctx *sim.Ctx, sys *System, p *Prepared, params []schema.Arg, reads ViewReadMode) (phoenix.RowCursor, error)
 	retries(err error) bool // ExecuteTxn runs the transaction again
 }
 
@@ -55,7 +55,7 @@ func (lockControl) retries(error) bool                     { return false }
 
 // read sees the latest committed state, with the dirty-read restart protocol
 // (§VIII-C) guarding view scans.
-func (lockControl) read(ctx *sim.Ctx, sys *System, p *Prepared, params []schema.Value, reads ViewReadMode) (phoenix.RowCursor, error) {
+func (lockControl) read(ctx *sim.Ctx, sys *System, p *Prepared, params []schema.Arg, reads ViewReadMode) (phoenix.RowCursor, error) {
 	sys.countStale(ctx, p, sys.Store.CurrentTS(), reads)
 	return p.plan.Open(ctx, params, phoenix.QueryOpts{DirtyCheck: true})
 }
@@ -105,7 +105,7 @@ func (c *mvccControl) afterFlush(ctx *sim.Ctx, err error) error {
 
 // read runs in a snapshot transaction the cursor's Close commits
 // (QueryOpts.Commit); one whose statement fails to open is aborted.
-func (c *mvccControl) read(ctx *sim.Ctx, sys *System, p *Prepared, params []schema.Value, reads ViewReadMode) (phoenix.RowCursor, error) {
+func (c *mvccControl) read(ctx *sim.Ctx, sys *System, p *Prepared, params []schema.Arg, reads ViewReadMode) (phoenix.RowCursor, error) {
 	tx := c.srv.Begin(ctx)
 	sys.countStale(ctx, p, tx.ID(), reads)
 	cur, err := p.plan.Open(ctx, params, phoenix.QueryOpts{Read: tx.ReadOpts(), Commit: tx})
@@ -192,7 +192,7 @@ func (c *occControl) release() {
 // read takes a snapshot that registers no transaction: a read-only snapshot
 // read is serializable as of its begin point and hides the stamp blocks of
 // commits still flushing, so it needs neither validation nor dirty marks.
-func (c *occControl) read(ctx *sim.Ctx, sys *System, p *Prepared, params []schema.Value, reads ViewReadMode) (phoenix.RowCursor, error) {
+func (c *occControl) read(ctx *sim.Ctx, sys *System, p *Prepared, params []schema.Arg, reads ViewReadMode) (phoenix.RowCursor, error) {
 	snap, ro := c.v.SnapshotRead(ctx)
 	sys.countStale(ctx, p, snap, reads)
 	return p.plan.Open(ctx, params, phoenix.QueryOpts{Read: ro})

@@ -30,13 +30,13 @@ func TestPreparedExecuteAllocs(t *testing.T) {
 	for _, id := range append(benchQueries, "Q11", "Q5", "Q1") {
 		st, _ := tpcw.StatementByID(id)
 		sel := parseSelect(t, st.SQL)
-		params := st.Params(data, sim.NewRNG(11).Derive(id))
+		args := unbox(t, st.Params(data, sim.NewRNG(11).Derive(id)))
 		sess := sys.NewSession()
 		p, err := sess.Prepare(sel)
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := testing.AllocsPerRun(20, func() { runQuery(t, sess, p, sel, params) })
+		n := testing.AllocsPerRun(20, func() { runQuery(t, sess, p, sel, nil, args) })
 		if n > bound[id] {
 			t.Errorf("%s: %v allocations per prepared execution, want at most %v", id, n, bound[id])
 		}
@@ -58,13 +58,13 @@ func TestMVCCPreparedReadAllocs(t *testing.T) {
 	for _, id := range []string{"Q6", "Q2"} {
 		st, _ := tpcw.StatementByID(id)
 		sel := parseSelect(t, st.SQL)
-		params := st.Params(data, sim.NewRNG(11).Derive(id))
+		args := unbox(t, st.Params(data, sim.NewRNG(11).Derive(id)))
 		sess := sys.NewSession()
 		p, err := sess.Prepare(sel)
 		if err != nil {
 			t.Fatal(err)
 		}
-		n := testing.AllocsPerRun(20, func() { runQuery(t, sess, p, sel, params) })
+		n := testing.AllocsPerRun(20, func() { runQuery(t, sess, p, sel, nil, args) })
 		if n > bound[id] {
 			t.Errorf("%s: %v allocations per MVCC autocommit execution, want at most %v", id, n, bound[id])
 		}

@@ -91,7 +91,7 @@ func TestPreparedMatchesOneShot(t *testing.T) {
 				for i, st := range stmts {
 					params := st.Params(data, draw[st.ID])
 					pctx, octx := sim.NewCtx(), sim.NewCtx()
-					cur, err := sess.Open(pctx, prepared[i], params)
+					cur, err := sess.Open(pctx, prepared[i], unbox(t, params))
 					got, err := drain(pctx, cur, err)
 					if err != nil {
 						t.Fatalf("draw %d, prepared %s %v: %v", d, st.ID, params, err)
@@ -160,7 +160,7 @@ func TestPreparedSharedAcrossSessions(t *testing.T) {
 				for i := range stmts {
 					d := (g + round + i) % len(params[i])
 					ctx := sim.NewCtx()
-					cur, err := sess.Open(ctx, prepared[i], params[i][d])
+					cur, err := sess.Open(ctx, prepared[i], unbox(t, params[i][d]))
 					rs, err := drain(ctx, cur, err)
 					if err != nil {
 						t.Error(err)
@@ -235,14 +235,24 @@ func benchSystem(tb testing.TB) (*synergy.System, *tpcw.Data) {
 	return bench.sys, bench.data
 }
 
-// runQuery runs one of benchQueries through sess: opening the prepared p, or
-// (p == nil) as a one-shot query that compiles it again.
-func runQuery(tb testing.TB, sess *synergy.Session, p *synergy.Prepared, sel *sqlparser.SelectStmt, params []schema.Value) sim.Micros {
+// unbox unboxes a test's parameters for the typed entry points.
+func unbox(tb testing.TB, vals []schema.Value) []schema.Arg {
+	tb.Helper()
+	args, err := schema.ArgsOf(vals)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return args
+}
+
+// runQuery runs one of benchQueries through sess: opening the prepared p with
+// args, or (p == nil) as a one-shot query with params that compiles it again.
+func runQuery(tb testing.TB, sess *synergy.Session, p *synergy.Prepared, sel *sqlparser.SelectStmt, params []schema.Value, args []schema.Arg) sim.Micros {
 	ctx := sim.NewCtx()
 	var cur phoenix.RowCursor
 	var err error
 	if p != nil {
-		cur, err = sess.Open(ctx, p, params)
+		cur, err = sess.Open(ctx, p, args)
 	} else {
 		cur, err = sess.QueryStream(ctx, sel, params)
 	}
@@ -271,6 +281,7 @@ func benchmarkQuery(b *testing.B, prepared bool) {
 			st, _ := tpcw.StatementByID(id)
 			sel := parseSelect(b, st.SQL)
 			params := st.Params(data, sim.NewRNG(11).Derive(id))
+			args := unbox(b, params)
 			sess := sys.NewSession()
 			var p *synergy.Prepared
 			if prepared {
@@ -283,12 +294,12 @@ func benchmarkQuery(b *testing.B, prepared bool) {
 			// before each benchmark, which may empty the store client's
 			// buffer pools, and a timed run that refills them reports their
 			// bytes in B/op only on the runs a collection did.
-			runQuery(b, sess, p, sel, params)
+			runQuery(b, sess, p, sel, params, args)
 			b.ReportAllocs()
 			b.ResetTimer()
 			var simTotal sim.Micros
 			for i := 0; i < b.N; i++ {
-				simTotal += runQuery(b, sess, p, sel, params)
+				simTotal += runQuery(b, sess, p, sel, params, args)
 			}
 			b.ReportMetric(simTotal.Milliseconds()/float64(b.N), "sim-ms/op")
 		})
@@ -354,7 +365,7 @@ func TestPreparedCursorsShareNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 			ctx := sim.NewCtx()
-			cur, err := sys.NewSession().Open(ctx, fresh, params[i])
+			cur, err := sys.NewSession().Open(ctx, fresh, unbox(t, params[i]))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -365,7 +376,7 @@ func TestPreparedCursorsShareNothing(t *testing.T) {
 		}
 		run := func(sess *synergy.Session, i int) (phoenix.RowCursor, *sim.Ctx) {
 			ctx := sim.NewCtx()
-			cur, err := sess.Open(ctx, p, params[i])
+			cur, err := sess.Open(ctx, p, unbox(t, params[i]))
 			if err != nil {
 				t.Error(err)
 				return nil, nil

@@ -43,11 +43,11 @@ func TestPreparedWriteSharedBySessions(t *testing.T) {
 						}
 					}
 					cart := int64(1_000_000 + s*writes + i)
-					if err := sess.ExecPrepared(ctx, w9, []schema.Value{int64(100*s + i), item(s, i%3)}); err != nil {
+					if err := sess.ExecPrepared(ctx, w9, []schema.Arg{schema.IntArg(int64(100*s + i)), schema.IntArg(item(s, i%3))}); err != nil {
 						t.Error(err)
 						return
 					}
-					if err := sess.ExecPrepared(ctx, w6, []schema.Value{cart, int64(19000 + i)}); err != nil {
+					if err := sess.ExecPrepared(ctx, w6, []schema.Arg{schema.IntArg(cart), schema.IntArg(int64(19000 + i))}); err != nil {
 						t.Error(err)
 						return
 					}

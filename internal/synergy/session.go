@@ -32,12 +32,13 @@ type Session struct {
 	reads ViewReadMode
 	tx    *Tx
 	// writes/params accumulate the open transaction's write statements for
-	// the WAL record its commit writes.
+	// the WAL record its commit writes: a statement's params are held, not
+	// copied, so whoever bound them must not rewrite them before the commit.
 	writes []*PreparedWrite
-	params [][]schema.Value
+	params [][]schema.Arg
 	// oneWrite and oneParams hold an autocommit write as a transaction of one.
 	oneWrite  [1]*PreparedWrite
-	oneParams [1][]schema.Value
+	oneParams [1][]schema.Arg
 }
 
 // NewSession opens a session with the deployment's configured freshness
@@ -77,7 +78,7 @@ func (s *Session) Prepare(sel *sqlparser.SelectStmt) (*Prepared, error) {
 // QueryStream). What is left to do per execution is what the parameters and
 // the store's state decide: the key bounds, the access paths and join
 // algorithm, the derived tables, the scans.
-func (s *Session) Open(ctx *sim.Ctx, p *Prepared, params []schema.Value) (phoenix.RowCursor, error) {
+func (s *Session) Open(ctx *sim.Ctx, p *Prepared, params []schema.Arg) (phoenix.RowCursor, error) {
 	if p.sys != s.sys {
 		return nil, fmt.Errorf("synergy: statement prepared for another system")
 	}
@@ -111,13 +112,17 @@ func (s *Session) Query(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []schema
 // error — for autocommit reads under MVCC, Close is what settles the
 // wrapping snapshot transaction. A cursor opened inside a transaction reads
 // through the transaction's buffer: close it before the next statement runs
-// or the transaction ends. It is Prepare, then Open.
+// or the transaction ends. It is Prepare, then Open with params unboxed.
 func (s *Session) QueryStream(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []schema.Value) (phoenix.RowCursor, error) {
 	p, err := s.Prepare(sel)
 	if err != nil {
 		return nil, err
 	}
-	return s.Open(ctx, p, params)
+	args, err := schema.ArgsOf(params)
+	if err != nil {
+		return nil, err
+	}
+	return s.Open(ctx, p, args)
 }
 
 // PrepareWrite compiles a write statement for the session's System: its
@@ -132,14 +137,19 @@ func (s *Session) PrepareWrite(stmt sqlparser.Statement) *PreparedWrite {
 // Exec runs a write statement — buffered into the open transaction when
 // there is one, else as its own autocommitted transaction. A statement error
 // inside an open transaction aborts it (see Session). It is PrepareWrite, then
-// ExecPrepared.
+// ExecPrepared with params unboxed.
 func (s *Session) Exec(ctx *sim.Ctx, stmt sqlparser.Statement, params []schema.Value) error {
-	return s.ExecPrepared(ctx, s.PrepareWrite(stmt), params)
+	args, err := schema.ArgsOf(params)
+	if err != nil {
+		return err
+	}
+	return s.ExecPrepared(ctx, s.PrepareWrite(stmt), args)
 }
 
 // ExecPrepared runs a prepared write statement with params, as Exec runs a
-// statement.
-func (s *Session) ExecPrepared(ctx *sim.Ctx, pw *PreparedWrite, params []schema.Value) error {
+// statement. Inside a transaction the session holds params until the commit
+// logs them: the caller must not rewrite them before then.
+func (s *Session) ExecPrepared(ctx *sim.Ctx, pw *PreparedWrite, params []schema.Arg) error {
 	if pw.sys != s.sys {
 		return fmt.Errorf("synergy: statement prepared for another system")
 	}

@@ -434,7 +434,11 @@ func (sys *System) QueryStream(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params [
 
 // Exec executes a write statement as a transaction of its own (ExecTxn).
 func (sys *System) Exec(ctx *sim.Ctx, stmt sqlparser.Statement, params []schema.Value) error {
-	return sys.ExecTxn(ctx, []sqlparser.Statement{stmt}, [][]schema.Value{params})
+	args, err := schema.ArgsOf(params)
+	if err != nil {
+		return err
+	}
+	return sys.execTxn(ctx, []*PreparedWrite{sys.prepareWrite(stmt)}, [][]schema.Arg{args})
 }
 
 // ExecTxn executes stmts as one multi-statement write transaction: all
@@ -444,11 +448,34 @@ func (sys *System) Exec(ctx *sim.Ctx, stmt sqlparser.Statement, params []schema.
 // the transaction through it, WAL-logged and recoverable; an MVCC deployment
 // has none and runs it here, as the paper's MVCC systems do.
 func (sys *System) ExecTxn(ctx *sim.Ctx, stmts []sqlparser.Statement, paramsList [][]schema.Value) error {
-	return sys.execTxn(ctx, sys.prepareWrites(stmts), paramsList)
+	args, err := argLists(paramsList)
+	if err != nil {
+		return err
+	}
+	return sys.execTxn(ctx, sys.prepareWrites(stmts), args)
+}
+
+// argLists unboxes a transaction's parameter lists, one list each, into one
+// block.
+func argLists(paramsList [][]schema.Value) ([][]schema.Arg, error) {
+	n := 0
+	for _, params := range paramsList {
+		n += len(params)
+	}
+	block, out := make([]schema.Arg, 0, n), make([][]schema.Arg, len(paramsList))
+	for i, params := range paramsList {
+		at := len(block)
+		var err error
+		if block, err = schema.AppendArgs(block, params); err != nil {
+			return nil, err
+		}
+		out[i] = block[at:len(block):len(block)]
+	}
+	return out, nil
 }
 
 // execTxn is ExecTxn for prepared statements.
-func (sys *System) execTxn(ctx *sim.Ctx, writes []*PreparedWrite, paramsList [][]schema.Value) error {
+func (sys *System) execTxn(ctx *sim.Ctx, writes []*PreparedWrite, paramsList [][]schema.Arg) error {
 	if sys.Txn == nil {
 		_, err := sys.executeTxn(ctx, writes, paramsList, loggedTxn{})
 		return err

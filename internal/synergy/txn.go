@@ -39,8 +39,8 @@ type walParam struct {
 	V string `json:"v"`
 }
 
-func decodeParams(ps []walParam) ([]schema.Value, error) {
-	out := make([]schema.Value, len(ps))
+func decodeParams(ps []walParam) ([]schema.Arg, error) {
+	out := make([]schema.Arg, len(ps))
 	for i, p := range ps {
 		switch p.T {
 		case "i":
@@ -48,17 +48,17 @@ func decodeParams(ps []walParam) ([]schema.Value, error) {
 			if err != nil {
 				return nil, err
 			}
-			out[i] = v
+			out[i] = schema.IntArg(v)
 		case "f":
 			v, err := strconv.ParseFloat(p.V, 64)
 			if err != nil {
 				return nil, err
 			}
-			out[i] = v
+			out[i] = schema.FloatArg(v)
 		case "s":
-			out[i] = p.V
+			out[i] = schema.StringArg(p.V)
 		case "n":
-			out[i] = nil
+			out[i] = schema.Arg{}
 		default:
 			return nil, fmt.Errorf("synergy: bad wal param type %q", p.T)
 		}
@@ -124,9 +124,8 @@ func appendJSONString(dst []byte, src string) []byte {
 // appendStatementRecord appends the WAL record of one statement and its
 // newline: byte for byte what json.Marshal makes of a walRecord with the
 // statement's text and parameters. sql arrives as a JSON string already
-// (appendJSONString; PreparedWrite keeps it so). A parameter of a type the
-// log cannot carry is an error.
-func appendStatementRecord(dst []byte, txid int64, sql []byte, params []schema.Value) ([]byte, error) {
+// (appendJSONString; PreparedWrite keeps it so).
+func appendStatementRecord(dst []byte, txid int64, sql []byte, params []schema.Arg) []byte {
 	dst = append(dst, `{"tx":`...)
 	dst = strconv.AppendInt(dst, txid, 10)
 	if len(sql) > len(`""`) { // omitempty
@@ -139,27 +138,25 @@ func appendStatementRecord(dst []byte, txid int64, sql []byte, params []schema.V
 		} else {
 			dst = append(dst, ',')
 		}
-		switch x := p.(type) {
-		case int64:
+		switch p.Kind() {
+		case schema.ArgInt:
 			dst = append(dst, `{"t":"i","v":"`...)
-			dst = append(strconv.AppendInt(dst, x, 10), '"')
-		case float64:
+			dst = append(strconv.AppendInt(dst, p.Int(), 10), '"')
+		case schema.ArgFloat:
 			dst = append(dst, `{"t":"f","v":"`...)
-			dst = append(strconv.AppendFloat(dst, x, 'g', -1, 64), '"')
-		case string:
+			dst = append(strconv.AppendFloat(dst, p.Float(), 'g', -1, 64), '"')
+		case schema.ArgString:
 			dst = append(dst, `{"t":"s","v":`...)
-			dst = appendJSONString(dst, x)
-		case nil:
-			dst = append(dst, `{"t":"n","v":""`...)
+			dst = appendJSONString(dst, p.Str())
 		default:
-			return dst, fmt.Errorf("synergy: unsupported parameter type %T", p)
+			dst = append(dst, `{"t":"n","v":""`...)
 		}
 		dst = append(dst, '}')
 	}
 	if len(params) > 0 {
 		dst = append(dst, ']')
 	}
-	return append(dst, '}', '\n'), nil
+	return append(dst, '}', '\n')
 }
 
 // appendOutcomeRecord appends a transaction's commit record, or its abort
@@ -222,11 +219,15 @@ func (s *Slave) KillBeforeNextExec() { s.killBeforeExec.Store(true) }
 // transaction whose flush did not land gets an abort record here. Recovery
 // replays transactions with neither record as whole transactions.
 func (s *Slave) ExecuteTxn(ctx *sim.Ctx, stmts []sqlparser.Statement, paramsList [][]schema.Value) error {
-	return s.executeTxn(ctx, s.layer.sys.prepareWrites(stmts), paramsList)
+	args, err := argLists(paramsList)
+	if err != nil {
+		return err
+	}
+	return s.executeTxn(ctx, s.layer.sys.prepareWrites(stmts), args)
 }
 
 // executeTxn is ExecuteTxn for prepared statements.
-func (s *Slave) executeTxn(ctx *sim.Ctx, writes []*PreparedWrite, paramsList [][]schema.Value) error {
+func (s *Slave) executeTxn(ctx *sim.Ctx, writes []*PreparedWrite, paramsList [][]schema.Arg) error {
 	txid, err := s.log(ctx, writes, paramsList, false)
 	if err != nil {
 		return err
@@ -259,7 +260,7 @@ func (s *Slave) executeTxn(ctx *sim.Ctx, writes []*PreparedWrite, paramsList [][
 // They travel in one append, one replication-pipeline round instead of one
 // per statement, and so stay contiguous even with concurrent transactions on
 // the same slave. The records are rendered by hand into a recycled buffer.
-func (s *Slave) log(ctx *sim.Ctx, writes []*PreparedWrite, paramsList [][]schema.Value, committed bool) (int64, error) {
+func (s *Slave) log(ctx *sim.Ctx, writes []*PreparedWrite, paramsList [][]schema.Arg, committed bool) (int64, error) {
 	if !s.alive.Load() {
 		return 0, fmt.Errorf("%w: %s is down", ErrNoSlaves, s.ID)
 	}
@@ -271,11 +272,8 @@ func (s *Slave) log(ctx *sim.Ctx, writes []*PreparedWrite, paramsList [][]schema
 	buf := walBufs.Get().(*[]byte)
 	defer walBufs.Put(buf)
 	log := (*buf)[:0]
-	var err error
 	for i, w := range writes {
-		if log, err = appendStatementRecord(log, txid, w.sql, paramsList[i]); err != nil {
-			return txid, err
-		}
+		log = appendStatementRecord(log, txid, w.sql, paramsList[i])
 	}
 	opened := +1
 	if committed {
@@ -399,7 +397,7 @@ func (l *TxnLayer) pickSlave() *Slave {
 // written at commit, binlog-style, beside the lock release (Tx.commit), and
 // recovery always finds the transaction finished. A rolled-back interactive
 // transaction logs nothing: its buffered writes never reached the store.
-func (l *TxnLayer) LogCommitted(ctx *sim.Ctx, writes []*PreparedWrite, paramsList [][]schema.Value) error {
+func (l *TxnLayer) LogCommitted(ctx *sim.Ctx, writes []*PreparedWrite, paramsList [][]schema.Arg) error {
 	s := l.pickSlave()
 	if s == nil {
 		return ErrNoSlaves
@@ -467,7 +465,7 @@ func (l *TxnLayer) replayWAL(ctx *sim.Ctx, d *Slave) error {
 	}
 	type txn struct {
 		stmts      []sqlparser.Statement
-		paramsList [][]schema.Value
+		paramsList [][]schema.Arg
 	}
 	var unfinished []txn
 	for _, txid := range order {
@@ -475,7 +473,7 @@ func (l *TxnLayer) replayWAL(ctx *sim.Ctx, d *Slave) error {
 			continue
 		}
 		recs := grouped[txid]
-		tx := txn{make([]sqlparser.Statement, len(recs)), make([][]schema.Value, len(recs))}
+		tx := txn{make([]sqlparser.Statement, len(recs)), make([][]schema.Arg, len(recs))}
 		for i, rec := range recs {
 			stmt, err := sqlparser.Parse(rec.SQL)
 			if err != nil {
@@ -491,7 +489,7 @@ func (l *TxnLayer) replayWAL(ctx *sim.Ctx, d *Slave) error {
 	}
 	for ; d.replayed < len(unfinished); d.replayed++ {
 		tx := unfinished[d.replayed]
-		if err := d.heir.ExecuteTxn(ctx, tx.stmts, tx.paramsList); err != nil {
+		if err := d.heir.executeTxn(ctx, l.sys.prepareWrites(tx.stmts), tx.paramsList); err != nil {
 			return err
 		}
 	}

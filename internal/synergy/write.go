@@ -284,11 +284,15 @@ func (tx *Tx) locking() bool { return tx.ctl != nil && tx.ctl.locks() }
 // transaction buffer and must not survive. Each statement first passes the
 // mechanism's statement boundary (MVCC checkpoints before all but the first).
 func (tx *Tx) Exec(ctx *sim.Ctx, stmt sqlparser.Statement, params []schema.Value) error {
-	return tx.exec(ctx, tx.sys.prepareWrite(stmt), params)
+	args, err := schema.ArgsOf(params)
+	if err != nil {
+		return err
+	}
+	return tx.exec(ctx, tx.sys.prepareWrite(stmt), args)
 }
 
 // exec is Exec for a prepared statement.
-func (tx *Tx) exec(ctx *sim.Ctx, pw *PreparedWrite, params []schema.Value) error {
+func (tx *Tx) exec(ctx *sim.Ctx, pw *PreparedWrite, params []schema.Arg) error {
 	if tx.done {
 		return fmt.Errorf("synergy: transaction already finished")
 	}
@@ -312,7 +316,7 @@ func (tx *Tx) Query(ctx *sim.Ctx, sel *sqlparser.SelectStmt, params []schema.Val
 // invisible anyway. The cursor holds no transaction state: Close only
 // releases the scanner. Close it before the next statement runs, which may
 // advance the read point (MVCC's checkpoint).
-func (tx *Tx) open(ctx *sim.Ctx, p *Prepared, params []schema.Value, reads ViewReadMode) (phoenix.RowCursor, error) {
+func (tx *Tx) open(ctx *sim.Ctx, p *Prepared, params []schema.Arg, reads ViewReadMode) (phoenix.RowCursor, error) {
 	if tx.done {
 		return nil, fmt.Errorf("synergy: transaction already finished")
 	}
@@ -347,7 +351,7 @@ func (tx *Tx) Commit(ctx *sim.Ctx) error {
 // — and the record is written even if a release fails, since the writes it
 // records are durable. The transaction's scratch goes back to the System
 // when the commit returns.
-func (tx *Tx) commit(ctx *sim.Ctx, writes []*PreparedWrite, params [][]schema.Value) error {
+func (tx *Tx) commit(ctx *sim.Ctx, writes []*PreparedWrite, params [][]schema.Arg) error {
 	if tx.done {
 		return fmt.Errorf("synergy: transaction already finished")
 	}
@@ -601,7 +605,11 @@ const occMaxRetries = 12
 // through executeTxn after WAL-logging them; use System.ExecTxn to route
 // through it.
 func (sys *System) ExecuteTxn(ctx *sim.Ctx, stmts []sqlparser.Statement, paramsList [][]schema.Value) error {
-	_, err := sys.executeTxn(ctx, sys.prepareWrites(stmts), paramsList, loggedTxn{})
+	args, err := argLists(paramsList)
+	if err != nil {
+		return err
+	}
+	_, err = sys.executeTxn(ctx, sys.prepareWrites(stmts), args, loggedTxn{})
 	return err
 }
 
@@ -609,7 +617,7 @@ func (sys *System) ExecuteTxn(ctx *sim.Ctx, stmts []sqlparser.Statement, paramsL
 // writes the commit record beside the lock release. landed reports that the
 // commit flush published the writes, which are then durable whatever err
 // says.
-func (sys *System) executeTxn(ctx *sim.Ctx, writes []*PreparedWrite, paramsList [][]schema.Value, logged loggedTxn) (landed bool, err error) {
+func (sys *System) executeTxn(ctx *sim.Ctx, writes []*PreparedWrite, paramsList [][]schema.Arg, logged loggedTxn) (landed bool, err error) {
 	if len(writes) != len(paramsList) {
 		return false, fmt.Errorf("synergy: %d statements, %d parameter lists", len(writes), len(paramsList))
 	}
@@ -625,7 +633,7 @@ func (sys *System) executeTxn(ctx *sim.Ctx, writes []*PreparedWrite, paramsList 
 }
 
 // executeTxnOnce runs one attempt of the transaction (see executeTxn).
-func (sys *System) executeTxnOnce(ctx *sim.Ctx, writes []*PreparedWrite, paramsList [][]schema.Value, exclusive bool, logged loggedTxn) (landed bool, err error) {
+func (sys *System) executeTxnOnce(ctx *sim.Ctx, writes []*PreparedWrite, paramsList [][]schema.Arg, exclusive bool, logged loggedTxn) (landed bool, err error) {
 	tx := sys.beginTx(ctx, exclusive)
 	tx.logged = logged
 	if sys.postBegin != nil {
@@ -648,7 +656,7 @@ func (sys *System) executeTxnOnce(ctx *sim.Ctx, writes []*PreparedWrite, paramsL
 
 // executeWriteBody is one statement inside tx: the base write, then the
 // maintenance of every view the statement's plan names, in one pass.
-func (sys *System) executeWriteBody(ctx *sim.Ctx, tx *Tx, pw *PreparedWrite, params []schema.Value) error {
+func (sys *System) executeWriteBody(ctx *sim.Ctx, tx *Tx, pw *PreparedWrite, params []schema.Arg) error {
 	opts := tx.opts
 	if pw.shape == nil {
 		return pw.err

@@ -45,15 +45,15 @@ func TestWriteUnitAllocs(t *testing.T) {
 		t.Logf("%s: %v allocations", unit, n)
 	}
 	// Each run's parameters are built before it, so the measure is the unit's.
-	paramsFor := func(build func(run int) []schema.Value) func() []schema.Value {
-		all := make([][]schema.Value, runs+1)
+	paramsFor := func(build func(run int) []schema.Value) func() []schema.Arg {
+		all := make([][]schema.Arg, runs+1)
 		for i := range all {
-			all[i] = build(i)
+			all[i] = unbox(t, build(i))
 		}
 		next := 0
-		return func() []schema.Value { next++; return all[next-1] }
+		return func() []schema.Arg { next++; return all[next-1] }
 	}
-	exec := func(sess *synergy.Session, pw *synergy.PreparedWrite, params []schema.Value) {
+	exec := func(sess *synergy.Session, pw *synergy.PreparedWrite, params []schema.Arg) {
 		if err := sess.ExecPrepared(sim.NewCtx(), pw, params); err != nil {
 			t.Fatal(err)
 		}
@@ -103,25 +103,25 @@ func TestWriteUnitAllocs(t *testing.T) {
 			w[id] = sess.PrepareWrite(stmt(id))
 		}
 		type unit struct {
-			r2, q8, w1, w2, w9, w13 []schema.Value
-			w3                      [3][]schema.Value
+			r2, q8, w1, w2, w9, w13 []schema.Arg
+			w3                      [3][]schema.Arg
 		}
 		units := make([]unit, runs+1)
 		for i := range units {
 			cust, oid := int64(1+i*7%data.Card.Customers), int64(1_000_000+i)
 			items := [3]int64{int64(1 + i*3%data.Card.Items), int64(1 + (i*3+1)%data.Card.Items), int64(1 + (i*3+2)%data.Card.Items)}
 			u := &units[i]
-			u.r2 = []schema.Value{tpcw.Uname(cust)}
-			u.q8 = []schema.Value{int64(1 + i%data.Card.Carts)}
-			u.w1 = []schema.Value{oid, cust, int64(19500), 12.5, 1.0, 13.5, "AIR", int64(19600), int64(3), int64(4), "PENDING"}
+			u.r2 = unbox(t, []schema.Value{tpcw.Uname(cust)})
+			u.q8 = unbox(t, []schema.Value{int64(1 + i%data.Card.Carts)})
+			u.w1 = unbox(t, []schema.Value{oid, cust, int64(19500), 12.5, 1.0, 13.5, "AIR", int64(19600), int64(3), int64(4), "PENDING"})
 			for l, item := range items {
-				u.w3[l] = []schema.Value{oid, int64(l + 1), item, int64(2), 0.1, "comment"}
+				u.w3[l] = unbox(t, []schema.Value{oid, int64(l + 1), item, int64(2), 0.1, "comment"})
 			}
-			u.w2 = []schema.Value{oid, "VISA", "4111111111111111", "name", int64(20001), "auth", 13.5, int64(19500), int64(2)}
-			u.w9 = []schema.Value{int64(10 + i%20), items[2]}
-			u.w13 = []schema.Value{5.0, 6.0, int64(19500), int64(i % 100), cust}
+			u.w2 = unbox(t, []schema.Value{oid, "VISA", "4111111111111111", "name", int64(20001), "auth", 13.5, int64(19500), int64(2)})
+			u.w9 = unbox(t, []schema.Value{int64(10 + i%20), items[2]})
+			u.w13 = unbox(t, []schema.Value{5.0, 6.0, int64(19500), int64(i % 100), cust})
 		}
-		read := func(p *synergy.Prepared, params []schema.Value) {
+		read := func(p *synergy.Prepared, params []schema.Arg) {
 			ctx := sim.NewCtx()
 			cur, err := sess.Open(ctx, p, params)
 			if err != nil {
