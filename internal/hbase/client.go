@@ -328,12 +328,17 @@ func (c *Client) DeleteAt(ctx *sim.Ctx, tbl, key string, ts int64, qualifiers ..
 // leave the lock looking free to the next acquirer. It reports whether the
 // put applied.
 func (c *Client) CheckAndPut(ctx *sim.Ctx, tbl, key, qualifier string, expected []byte, cell Cell) (bool, error) {
-	one := casScratches.Get().(*casScratch)
+	one := spareCAS.Swap(nil)
+	if one == nil {
+		one = casScratches.Get().(*casScratch)
+	}
 	one.cell[0] = cell
 	_, err := c.mutateOne(ctx, Mutation{Table: tbl, Key: key, Cells: one.cell[:], CheckAndPut: true, CheckQualifier: qualifier, CheckExpected: expected, Passed: &one.passed})
 	applied := one.passed
 	*one = casScratch{}
-	casScratches.Put(one)
+	if !spareCAS.CompareAndSwap(nil, one) {
+		casScratches.Put(one)
+	}
 	return applied, err
 }
 
@@ -346,7 +351,14 @@ type casScratch struct {
 	passed bool
 }
 
-var casScratches = sync.Pool{New: func() any { return new(casScratch) }}
+// casScratches recycles the scratches; spareCAS is the one released last,
+// which the next CheckAndPut takes with one atomic swap before it asks the
+// pool, as a scan takes its chunk buffer (spareChunk), since a goroutine that
+// moved to another P would miss the pool's.
+var (
+	casScratches = sync.Pool{New: func() any { return new(casScratch) }}
+	spareCAS     atomic.Pointer[casScratch]
+)
 
 // ScanSpec describes a scan.
 type ScanSpec struct {

@@ -3,6 +3,7 @@ package hbase
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // rowPart is one source's share of a row: a memstore row (mem non-nil) or a
@@ -122,7 +123,22 @@ type rowMerger struct {
 	pairs   Cells         // scratch: a folded row's visible pairs (Region.currentLocked)
 }
 
-var mergerPool = sync.Pool{New: func() any { return new(rowMerger) }}
+// spareMerger is the merger released last, which the next fold or lookup
+// takes with one atomic swap before it asks mergerPool: the pool is per P, so
+// a goroutine that moved to another P would draw a merger whose scratch has
+// not grown to its rows.
+var (
+	mergerPool  = sync.Pool{New: func() any { return new(rowMerger) }}
+	spareMerger atomic.Pointer[rowMerger]
+)
+
+// takeMerger returns the spare merger, or one from the pool.
+func takeMerger() *rowMerger {
+	if m := spareMerger.Swap(nil); m != nil {
+		return m
+	}
+	return mergerPool.Get().(*rowMerger)
+}
 
 // newRowMerger positions every non-empty source at the first key >= from —
 // > from when past — or, for a reversed merge, at the last key < from, with
@@ -131,7 +147,7 @@ var mergerPool = sync.Pool{New: func() any { return new(rowMerger) }}
 // merger comes from the package pool; callers must release() it when the fold
 // is done.
 func newRowMerger(mem *memStore, files []*hfile, from string, past, rev bool, cols *ColumnSet) *rowMerger {
-	m := mergerPool.Get().(*rowMerger)
+	m := takeMerger()
 	m.rev, m.cols = rev, cols
 	// Reserve the source backing array up front: the heap holds pointers
 	// into it, so it must never reallocate while sources are being added.
@@ -183,7 +199,7 @@ func newRowMerger(mem *memStore, files []*hfile, from string, past, rev bool, co
 // obligation and the same column set (nil keeps every cell). The parts live in
 // the merger's scratch.
 func lookupRow(mem *memStore, files []*hfile, key string, cols *ColumnSet) (*rowMerger, []rowPart) {
-	m := mergerPool.Get().(*rowMerger)
+	m := takeMerger()
 	m.cols = cols
 	if rd := mem.rows[key]; rd != nil {
 		m.parts = append(m.parts, rowPart{mem: rd})
@@ -206,7 +222,7 @@ func lookupRow(mem *memStore, files []*hfile, key string, cols *ColumnSet) (*row
 // by release time (reads have copied the visible pairs out; compaction has
 // encoded the row), and keeping the capacity is the point of pooling; what
 // its stale cells can still pin is a few store file blocks until the pool's
-// next GC-driven drain.
+// next GC-driven drain, or, for the spare, until it is next taken.
 func (m *rowMerger) release() {
 	clear(m.srcs[:cap(m.srcs)])
 	m.srcs = m.srcs[:0]
@@ -215,7 +231,9 @@ func (m *rowMerger) release() {
 	clear(m.parts[:cap(m.parts)])
 	m.parts = m.parts[:0]
 	m.cols, m.want = nil, nil
-	mergerPool.Put(m)
+	if !spareMerger.CompareAndSwap(nil, m) {
+		mergerPool.Put(m)
+	}
 }
 
 // fold returns every cell of a row in cellLess order, merged across its

@@ -93,8 +93,10 @@ func TestScanColumnSetAllocs(t *testing.T) {
 // output sized by the outer side's count; so a join of 32 outer rows
 // allocates what a join of one does, give or take the one array the outer
 // scan sizes from its first chunk. The keys are strings, which a probe keys
-// without decoding. At the parent commit an execution of the same join
-// allocated 22 at 1 outer row and 186 at 32; here 10 and 11.
+// without decoding. The outer scan's bounds and the probes' string are cut
+// from the session's block (QueryOpts.Strings), so the join allocates 2 at
+// either count, at most 3; it allocated 4 when each was a string of its own,
+// and before that 10 and 11, and 22 and 186 at first.
 func TestINLJoinAllocsFlat(t *testing.T) {
 	hc := hbase.NewHCluster(nil, nil)
 	cat := NewCatalog(hc)
@@ -135,11 +137,12 @@ func TestINLJoinAllocsFlat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var strs StringBlock
 	allocs := func(outer int64) float64 {
 		params := args(outer)
 		return testing.AllocsPerRun(20, func() {
 			ctx := sim.NewCtx()
-			cur, err := plan.Open(ctx, params, QueryOpts{})
+			cur, err := plan.Open(ctx, params, QueryOpts{Strings: &strs})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -158,6 +161,9 @@ func TestINLJoinAllocsFlat(t *testing.T) {
 	many, one := allocs(32), allocs(1)
 	if many > one+1 {
 		t.Errorf("an index nested-loop join allocates %v at 1 outer row and %v at 32: want at most one more", one, many)
+	}
+	if one > 3 {
+		t.Errorf("an index nested-loop join allocates %v at 1 outer row, want at most 3", one)
 	}
 	t.Logf("%v allocations at 1 outer row, %v at 32", one, many)
 }

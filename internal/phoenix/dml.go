@@ -50,6 +50,10 @@ type WriteOpts struct {
 	// Scratch, when set, is storage the transaction lends its statements for
 	// what they build and drop (see WriteScratch); nil allocates it.
 	Scratch *WriteScratch
+	// Strings, when set, is the session's block the write path cuts the keys
+	// of its parent reads and the bounds of its locates from; nil allocates
+	// them. The keys a write stores are never cut from it.
+	Strings *StringBlock
 }
 
 // WriteScratch is storage a transaction lends every statement it runs

@@ -61,6 +61,9 @@ type QueryOpts struct {
 	// an MVCC autocommit read's snapshot — which the cursor's Close commits,
 	// returning the commit's error.
 	Commit Committer
+	// Strings, when set, is the session's block the execution cuts its key
+	// bounds and probe keys from; nil allocates them.
+	Strings *StringBlock
 }
 
 // Committer is a transaction a statement's cursor commits at its Close

@@ -266,8 +266,9 @@ func (b *binding) keyBounds(local []localPred, col string) (lo, hi string, rest 
 // row [key, key+\x00), which openScan reads with one Get rather than a scan
 // that would walk on to the region's end. A value its key column cannot hold
 // equals no key, and the range is empty (see openScan), as it is under
-// contradictory bounds. Start and Stop are cut from one string (keyWindow).
-func (p accessPlan) keyRange(b *binding, vals []schema.Arg, spec *hbase.ScanSpec) {
+// contradictory bounds. Start and Stop are cut from one string (keyWindow), cut
+// from strs.
+func (p accessPlan) keyRange(b *binding, vals []schema.Arg, strs *StringBlock, spec *hbase.ScanSpec) {
 	var small [96]byte
 	buf := small[:0]
 	for i, c := range p.eqCols {
@@ -279,7 +280,7 @@ func (p accessPlan) keyRange(b *binding, vals []schema.Arg, spec *hbase.ScanSpec
 		}
 	}
 	buf, w := p.closeRange(b, buf, 0)
-	w.set(string(buf), spec)
+	w.set(strs.Cut(buf), spec)
 }
 
 // appendKeyValue appends key part i — KeySep first, but for the first part —
@@ -517,7 +518,7 @@ func (q *query) scanSpec(b *binding, plan accessPlan, f *predFilter) (string, hb
 			}
 			vals = append(vals, v)
 		}
-		plan.keyRange(b, vals, &spec)
+		plan.keyRange(b, vals, q.opts.Strings, &spec)
 	}
 	return plan.table(b), spec, nil
 }

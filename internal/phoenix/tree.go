@@ -549,8 +549,9 @@ func (j *joinNode) hash(ctx *sim.Ctx, outer, inner []tuple, t *hashTable) {
 //
 // The probes share what does not depend on the outer tuple: one filter, one
 // column set and one scanner, the join's. Their key ranges are built back to
-// back first, from the outer tuples' encoded values, into one string that
-// every probe's Start and Stop are cut from.
+// back first, from the outer tuples' encoded values, into one string — cut
+// from the session's block (QueryOpts.Strings) — that every probe's Start and
+// Stop are cut from.
 func (j *joinNode) probe(ctx *sim.Ctx, outer []tuple, plan accessPlan) error {
 	q, b := j.q, j.b
 	// Each key column of the probe takes its value from the outer tuple
@@ -593,7 +594,7 @@ func (j *joinNode) probe(ctx *sim.Ctx, outer []tuple, plan accessPlan) error {
 		}
 		wins = append(wins, w)
 	}
-	keys := string(buf)
+	keys := q.opts.Strings.Cut(buf)
 
 	tbl := plan.table(b)
 	probe := &j.innerScan

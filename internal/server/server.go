@@ -205,8 +205,8 @@ type conn struct {
 	// text, a statement's bound parameter types, its string parameters.
 	in []byte
 	// params is the block each EXECUTE's parameters are decoded into, one
-	// window per execute, unboxed: a string parameter is a window into its
-	// EXECUTE's one copy of the packet. A window handed out is never written
+	// window per execute, unboxed: a string parameter is cut from the
+	// session's string block. A window handed out is never written
 	// again — an open transaction's Session keeps every statement's params
 	// until COMMIT — so a full block is left to the windows still holding it
 	// and a fresh one started.
@@ -943,7 +943,7 @@ func (c *conn) handleExecute(payload []byte) error {
 		used := len(c.params)
 		params = c.params[used : used+n : used+n]
 		// payload[10:] skips the command, id, flags byte and iteration count.
-		if err := decodeParams(payload[10:], params, &ps.paramTypes); err != nil {
+		if err := decodeParams(payload[10:], params, &ps.paramTypes, c.sess.Strings()); err != nil {
 			return c.writeErrPacket(errParse, "HY000", err.Error())
 		}
 		c.params = c.params[:used+n]

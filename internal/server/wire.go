@@ -272,10 +272,10 @@ var errMalformedExecute = errors.New("malformed COM_STMT_EXECUTE")
 // b is the payload from its NULL bitmap on — into params, one per
 // placeholder, unboxed. A block that binds types refills pt in place; one that
 // does not is decoded by the types an earlier execute bound. Nothing decoded
-// aliases b: the string parameters are windows of one string, copied out of b
-// at the first of them, so b may be reused as soon as decodeParams returns.
-// That copy is the one allocation decoding makes.
-func decodeParams(b []byte, params []schema.Arg, pt *paramTypes) error {
+// aliases b: each string parameter is copied out of b into strs, the session's
+// never-rewritten block, so b may be reused as soon as decodeParams returns
+// and the strings live as long as the transaction that keeps them.
+func decodeParams(b []byte, params []schema.Arg, pt *paramTypes, strs *phoenix.StringBlock) error {
 	n := len(params)
 	nb := (n + 7) / 8
 	if nb+1 > len(b) {
@@ -303,10 +303,6 @@ func decodeParams(b []byte, params []schema.Arg, pt *paramTypes) error {
 	if pt.types == nil {
 		return errors.New("COM_STMT_EXECUTE without parameter types")
 	}
-	// strs is b from the first string parameter on (never empty: it holds
-	// that parameter's length), strsAt its offset in b.
-	var strs string
-	strsAt := 0
 	for i := range n {
 		if nullBits[i/8]&(1<<(i%8)) != 0 {
 			params[i] = schema.Arg{}
@@ -318,11 +314,7 @@ func decodeParams(b []byte, params []schema.Arg, pt *paramTypes) error {
 			if err != nil {
 				return err
 			}
-			if strs == "" {
-				strs, strsAt = string(b[off:]), off
-			}
-			start := next - len(s) - strsAt
-			params[i], off = schema.StringArg(strs[start:start+len(s)]), next
+			params[i], off = schema.StringArg(strs.Cut(s)), next
 		default:
 			v, next, err := decodeBinaryValue(b, off, pt.types[i], pt.unsigned[i])
 			if err != nil {
@@ -336,7 +328,7 @@ func decodeParams(b []byte, params []schema.Arg, pt *paramTypes) error {
 
 // decodeBinaryValue decodes one binary-protocol value of the given wire type
 // at b[off]: an execute-request parameter (but for a string, which
-// decodeParams cuts from its one copy) or a binary row's cell.
+// decodeParams cuts from the session's block) or a binary row's cell.
 func decodeBinaryValue(b []byte, off int, wireType byte, unsigned bool) (schema.Arg, int, error) {
 	var null schema.Arg
 	need := func(n int) error {

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"synergy/internal/phoenix"
 	"synergy/internal/schema"
 )
 
@@ -168,46 +169,71 @@ func fuzzArgs(data []byte) []schema.Value {
 // decodeParams reads back, from the COM_STMT_EXECUTE payload the client's
 // appendExecute builds, every argument it was given — int64, float64 (bit for
 // bit), string and NULL, any number of them — unboxed into schema.Args, and
-// binds their types. Seeds cover the NULL bitmap's byte boundary (8 and 9
-// parameters) and empty strings.
+// binds their types. The input is a sequence of packets, each a length byte
+// and that many bytes of arguments (fuzzArgs), built in one reused buffer and
+// decoded through one string block, as a connection decodes its EXECUTEs:
+// after every decode, each earlier packet's string parameters still read what
+// was sent, since neither a later packet nor a later cut rewrites them. Seeds
+// cover the NULL bitmap's byte boundary (8 and 9 parameters), empty strings
+// and strings that fill blocks.
 //
 //	go test -fuzz FuzzExecuteParams -fuzztime 60s -run '^$' ./internal/server/
 func FuzzExecuteParams(f *testing.F) {
-	seed := func(args ...[]byte) []byte { return bytes.Join(args, nil) }
+	seed := func(args ...[]byte) []byte {
+		b := bytes.Join(args, nil)
+		return append([]byte{byte(len(b))}, b...)
+	}
 	null, empty := []byte{0}, []byte{3, 0}
 	i64 := append([]byte{1}, binary.LittleEndian.AppendUint64(nil, 1<<40+7)...)
 	f64 := append([]byte{2}, binary.LittleEndian.AppendUint64(nil, math.Float64bits(-2.5))...)
 	str := []byte{3, 5, 'h', 'e', 'l', 'l', 'o'}
+	long := append([]byte{3, 200}, bytes.Repeat([]byte{'x'}, 200)...)
 	f.Add([]byte{})
 	f.Add(seed(i64, f64, str, null))
 	f.Add(seed(null, null, null, null, null, null, null, null))
 	f.Add(seed(null, null, null, null, null, null, null, null, null))
 	f.Add(seed(str, empty, i64, empty, null, f64, str, empty))
-	f.Add(seed(str, empty, i64, empty, null, f64, str, empty, null))
+	f.Add(append(seed(str, empty, i64, empty, null, f64, str, empty, null), seed(str, str, null)...))
+	f.Add(bytes.Repeat(seed(str, i64, str), 40))
+	f.Add(bytes.Join([][]byte{seed(long), seed(str, long), seed(long), seed(empty, long), seed(long), seed(str)}, nil))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		args := fuzzArgs(data)
-		p, err := appendExecute(nil, 7, args)
-		if err != nil {
-			t.Fatal(err)
+		type decoded struct {
+			args []schema.Value
+			got  []schema.Arg
 		}
-		if id := binary.LittleEndian.Uint32(p[1:5]); p[0] != comStmtExecute || id != 7 {
-			t.Fatalf("header %x: command or statement id lost", p[:10])
-		}
-		got := make([]schema.Arg, len(args))
-		var pt paramTypes
-		if len(args) > 0 {
-			if err := decodeParams(p[10:], got, &pt); err != nil {
-				t.Fatalf("decode %v: %v", args, err)
+		var strs phoenix.StringBlock
+		var done []decoded
+		var p []byte
+		for len(data) > 0 {
+			n := min(int(data[0]), len(data)-1)
+			args := fuzzArgs(data[1 : 1+n])
+			data = data[1+n:]
+			var err error
+			if p, err = appendExecute(p[:0], 7, args); err != nil {
+				t.Fatal(err)
 			}
-		}
-		for i, v := range args {
-			// An Arg holds a float's bits, so == compares floats by bits.
-			if want, _ := schema.ArgOf(v); got[i] != want {
-				t.Fatalf("param %d of %d: got %#v, want %#v", i, len(args), got[i].Value(), v)
+			if id := binary.LittleEndian.Uint32(p[1:5]); p[0] != comStmtExecute || id != 7 {
+				t.Fatalf("header %x: command or statement id lost", p[:10])
 			}
-		}
-		if len(pt.types) != len(args) {
-			t.Fatalf("%d types bound for %d params", len(pt.types), len(args))
+			got := make([]schema.Arg, len(args))
+			var pt paramTypes
+			if len(args) > 0 {
+				if err := decodeParams(p[10:], got, &pt, &strs); err != nil {
+					t.Fatalf("decode %v: %v", args, err)
+				}
+			}
+			if len(pt.types) != len(args) {
+				t.Fatalf("%d types bound for %d params", len(pt.types), len(args))
+			}
+			done = append(done, decoded{args, got})
+			for k, d := range done {
+				for i, v := range d.args {
+					// An Arg holds a float's bits, so == compares floats by bits.
+					if want, _ := schema.ArgOf(v); d.got[i] != want {
+						t.Fatalf("packet %d of %d, param %d of %d: got %#v, want %#v", k, len(done), i, len(d.args), d.got[i].Value(), v)
+					}
+				}
+			}
 		}
 	})
 }

@@ -33,8 +33,9 @@ type txnControl interface {
 	beforeFlush(ctx *sim.Ctx, tx *Tx) error
 	afterFlush(ctx *sim.Ctx, flushErr error) error
 	abort(ctx *sim.Ctx)
-	// read opens an autocommit read (Session.Open).
-	read(ctx *sim.Ctx, sys *System, p *Prepared, params []schema.Arg, reads ViewReadMode) (phoenix.RowCursor, error)
+	// read opens an autocommit read (Session.Open) that cuts its key bounds
+	// from strs.
+	read(ctx *sim.Ctx, sys *System, p *Prepared, params []schema.Arg, reads ViewReadMode, strs *phoenix.StringBlock) (phoenix.RowCursor, error)
 	retries(err error) bool // ExecuteTxn runs the transaction again
 }
 
@@ -55,9 +56,9 @@ func (lockControl) retries(error) bool                     { return false }
 
 // read sees the latest committed state, with the dirty-read restart protocol
 // (§VIII-C) guarding view scans.
-func (lockControl) read(ctx *sim.Ctx, sys *System, p *Prepared, params []schema.Arg, reads ViewReadMode) (phoenix.RowCursor, error) {
+func (lockControl) read(ctx *sim.Ctx, sys *System, p *Prepared, params []schema.Arg, reads ViewReadMode, strs *phoenix.StringBlock) (phoenix.RowCursor, error) {
 	sys.countStale(ctx, p, sys.Store.CurrentTS(), reads)
-	return p.plan.Open(ctx, params, phoenix.QueryOpts{DirtyCheck: true})
+	return p.plan.Open(ctx, params, phoenix.QueryOpts{DirtyCheck: true, Strings: strs})
 }
 
 // mvccControl is the snapshot transaction of the MVCC-A, MVCC-UA and
@@ -105,10 +106,10 @@ func (c *mvccControl) afterFlush(ctx *sim.Ctx, err error) error {
 
 // read runs in a snapshot transaction the cursor's Close commits
 // (QueryOpts.Commit); one whose statement fails to open is aborted.
-func (c *mvccControl) read(ctx *sim.Ctx, sys *System, p *Prepared, params []schema.Arg, reads ViewReadMode) (phoenix.RowCursor, error) {
+func (c *mvccControl) read(ctx *sim.Ctx, sys *System, p *Prepared, params []schema.Arg, reads ViewReadMode, strs *phoenix.StringBlock) (phoenix.RowCursor, error) {
 	tx := c.srv.Begin(ctx)
 	sys.countStale(ctx, p, tx.ID(), reads)
-	cur, err := p.plan.Open(ctx, params, phoenix.QueryOpts{Read: tx.ReadOpts(), Commit: tx})
+	cur, err := p.plan.Open(ctx, params, phoenix.QueryOpts{Read: tx.ReadOpts(), Commit: tx, Strings: strs})
 	if err != nil {
 		c.srv.Abort(ctx, tx)
 		return nil, err
@@ -192,8 +193,8 @@ func (c *occControl) release() {
 // read takes a snapshot that registers no transaction: a read-only snapshot
 // read is serializable as of its begin point and hides the stamp blocks of
 // commits still flushing, so it needs neither validation nor dirty marks.
-func (c *occControl) read(ctx *sim.Ctx, sys *System, p *Prepared, params []schema.Arg, reads ViewReadMode) (phoenix.RowCursor, error) {
+func (c *occControl) read(ctx *sim.Ctx, sys *System, p *Prepared, params []schema.Arg, reads ViewReadMode, strs *phoenix.StringBlock) (phoenix.RowCursor, error) {
 	snap, ro := c.v.SnapshotRead(ctx)
 	sys.countStale(ctx, p, snap, reads)
-	return p.plan.Open(ctx, params, phoenix.QueryOpts{Read: ro})
+	return p.plan.Open(ctx, params, phoenix.QueryOpts{Read: ro, Strings: strs})
 }

@@ -39,6 +39,12 @@ type Session struct {
 	// oneWrite and oneParams hold an autocommit write as a transaction of one.
 	oneWrite  [1]*PreparedWrite
 	oneParams [1][]schema.Arg
+	// strs is the block the session's statements cut the strings that die
+	// with them from (phoenix.StringBlock): their key bounds, probe and
+	// parent-read keys and, on a wire connection, an EXECUTE's string
+	// parameters. It is lent through the options of each read and write, and
+	// nothing the System recycles holds it.
+	strs phoenix.StringBlock
 }
 
 // NewSession opens a session with the deployment's configured freshness
@@ -52,6 +58,11 @@ func (sys *System) NewSession() *Session {
 // contract travels with each read, not through the system.
 func (s *Session) SetReads(m ViewReadMode) { s.reads = m }
 
+// Strings returns the session's string block, for the strings its caller
+// binds that die with their statement or, inside a transaction, with the
+// transaction: an EXECUTE's string parameters (see ExecPrepared).
+func (s *Session) Strings() *phoenix.StringBlock { return &s.strs }
+
 // InTxn reports whether an interactive transaction is open.
 func (s *Session) InTxn() bool { return s.tx != nil }
 
@@ -60,7 +71,7 @@ func (s *Session) Begin(ctx *sim.Ctx) error {
 	if s.tx != nil {
 		return ErrTxnOpen
 	}
-	s.tx = s.sys.BeginTx(ctx)
+	s.tx = s.sys.beginTx(ctx, false, &s.strs)
 	return nil
 }
 
@@ -92,7 +103,7 @@ func (s *Session) Open(ctx *sim.Ctx, p *Prepared, params []schema.Arg) (phoenix.
 			s.sys.Feed.WaitWatermark(ctx, v, arrival)
 		}
 	}
-	return s.sys.cc.read(ctx, s.sys, p, params, s.reads)
+	return s.sys.cc.read(ctx, s.sys, p, params, s.reads, &s.strs)
 }
 
 // Query runs a SELECT — inside the open transaction when there is one
@@ -155,7 +166,7 @@ func (s *Session) ExecPrepared(ctx *sim.Ctx, pw *PreparedWrite, params []schema.
 	}
 	if s.tx == nil {
 		s.oneWrite[0], s.oneParams[0] = pw, params
-		err := s.sys.execTxn(ctx, s.oneWrite[:], s.oneParams[:])
+		err := s.sys.execTxn(ctx, s.oneWrite[:], s.oneParams[:], &s.strs)
 		s.oneWrite[0], s.oneParams[0] = nil, nil
 		return err
 	}

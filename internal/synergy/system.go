@@ -438,7 +438,7 @@ func (sys *System) Exec(ctx *sim.Ctx, stmt sqlparser.Statement, params []schema.
 	if err != nil {
 		return err
 	}
-	return sys.execTxn(ctx, []*PreparedWrite{sys.prepareWrite(stmt)}, [][]schema.Arg{args})
+	return sys.execTxn(ctx, []*PreparedWrite{sys.prepareWrite(stmt)}, [][]schema.Arg{args}, nil)
 }
 
 // ExecTxn executes stmts as one multi-statement write transaction: all
@@ -452,7 +452,7 @@ func (sys *System) ExecTxn(ctx *sim.Ctx, stmts []sqlparser.Statement, paramsList
 	if err != nil {
 		return err
 	}
-	return sys.execTxn(ctx, sys.prepareWrites(stmts), args)
+	return sys.execTxn(ctx, sys.prepareWrites(stmts), args, nil)
 }
 
 // argLists unboxes a transaction's parameter lists, one list each, into one
@@ -474,17 +474,18 @@ func argLists(paramsList [][]schema.Value) ([][]schema.Arg, error) {
 	return out, nil
 }
 
-// execTxn is ExecTxn for prepared statements.
-func (sys *System) execTxn(ctx *sim.Ctx, writes []*PreparedWrite, paramsList [][]schema.Arg) error {
+// execTxn is ExecTxn for prepared statements, cutting their transient keys
+// from strs (nil allocates them).
+func (sys *System) execTxn(ctx *sim.Ctx, writes []*PreparedWrite, paramsList [][]schema.Arg, strs *phoenix.StringBlock) error {
 	if sys.Txn == nil {
-		_, err := sys.executeTxn(ctx, writes, paramsList, loggedTxn{})
+		_, err := sys.executeTxn(ctx, writes, paramsList, loggedTxn{}, strs)
 		return err
 	}
 	s := sys.Txn.pickSlave()
 	if s == nil {
 		return ErrNoSlaves
 	}
-	return s.executeTxn(ctx, writes, paramsList)
+	return s.executeTxn(ctx, writes, paramsList, strs)
 }
 
 // DatabaseBytes reports the total storage footprint (tables + indexes +

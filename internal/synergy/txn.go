@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"unicode/utf8"
 
+	"synergy/internal/phoenix"
 	"synergy/internal/schema"
 	"synergy/internal/sim"
 	"synergy/internal/sqlparser"
@@ -171,8 +172,14 @@ func appendOutcomeRecord(dst []byte, txid int64, commit bool) []byte {
 }
 
 // walBufs recycles the buffers a transaction's statement records are
-// rendered into; the file system copies what it is handed.
-var walBufs = sync.Pool{New: func() any { return new([]byte) }}
+// rendered into; the file system copies what it is handed. spareWALBuf is the
+// buffer released last, which the next log takes with one atomic swap before
+// it asks the pool: the pool is per P, so a log on another P than the last
+// one's would miss its buffer and grow a fresh one.
+var (
+	walBufs     = sync.Pool{New: func() any { return new([]byte) }}
+	spareWALBuf atomic.Pointer[[]byte]
+)
 
 // Slave is one transaction-layer worker: it assigns transaction ids, logs
 // statements to its WAL in the distributed FS, and executes write
@@ -223,11 +230,12 @@ func (s *Slave) ExecuteTxn(ctx *sim.Ctx, stmts []sqlparser.Statement, paramsList
 	if err != nil {
 		return err
 	}
-	return s.executeTxn(ctx, s.layer.sys.prepareWrites(stmts), args)
+	return s.executeTxn(ctx, s.layer.sys.prepareWrites(stmts), args, nil)
 }
 
-// executeTxn is ExecuteTxn for prepared statements.
-func (s *Slave) executeTxn(ctx *sim.Ctx, writes []*PreparedWrite, paramsList [][]schema.Arg) error {
+// executeTxn is ExecuteTxn for prepared statements, cutting their transient
+// keys from strs (nil allocates them).
+func (s *Slave) executeTxn(ctx *sim.Ctx, writes []*PreparedWrite, paramsList [][]schema.Arg, strs *phoenix.StringBlock) error {
 	txid, err := s.log(ctx, writes, paramsList, false)
 	if err != nil {
 		return err
@@ -238,7 +246,7 @@ func (s *Slave) executeTxn(ctx *sim.Ctx, writes []*PreparedWrite, paramsList [][
 		return fmt.Errorf("%w: %s crashed mid-transaction", ErrNoSlaves, s.ID)
 	}
 
-	landed, err := s.layer.sys.executeTxn(ctx, writes, paramsList, loggedTxn{s, txid})
+	landed, err := s.layer.sys.executeTxn(ctx, writes, paramsList, loggedTxn{s, txid}, strs)
 	if err == nil || landed {
 		// The writes are durable and the commit wrote their record, even
 		// if a lock release then failed.
@@ -269,8 +277,15 @@ func (s *Slave) log(ctx *sim.Ctx, writes []*PreparedWrite, paramsList [][]schema
 	}
 	ctx.Charge(s.layer.sys.Store.Costs().TxnLayerHop)
 	txid := s.seq.Add(1)
-	buf := walBufs.Get().(*[]byte)
-	defer walBufs.Put(buf)
+	buf := spareWALBuf.Swap(nil)
+	if buf == nil {
+		buf = walBufs.Get().(*[]byte)
+	}
+	defer func() {
+		if !spareWALBuf.CompareAndSwap(nil, buf) {
+			walBufs.Put(buf)
+		}
+	}()
 	log := (*buf)[:0]
 	for i, w := range writes {
 		log = appendStatementRecord(log, txid, w.sql, paramsList[i])
@@ -489,7 +504,7 @@ func (l *TxnLayer) replayWAL(ctx *sim.Ctx, d *Slave) error {
 	}
 	for ; d.replayed < len(unfinished); d.replayed++ {
 		tx := unfinished[d.replayed]
-		if err := d.heir.executeTxn(ctx, l.sys.prepareWrites(tx.stmts), tx.paramsList); err != nil {
+		if err := d.heir.executeTxn(ctx, l.sys.prepareWrites(tx.stmts), tx.paramsList, nil); err != nil {
 			return err
 		}
 	}

@@ -258,13 +258,15 @@ type markRef struct{ table, key string }
 // layer the caller is normally that layer, which WAL-logs the statements
 // around it; MVCC transactions need no logging.
 func (sys *System) BeginTx(ctx *sim.Ctx) *Tx {
-	return sys.beginTx(ctx, false)
+	return sys.beginTx(ctx, false, nil)
 }
 
 // beginTx is BeginTx; an exclusive transaction runs alone (see ExecuteTxn).
-func (sys *System) beginTx(ctx *sim.Ctx, exclusive bool) *Tx {
+// strs is the block of the session the transaction runs for, which its
+// statements cut their transient keys from (nil allocates them).
+func (sys *System) beginTx(ctx *sim.Ctx, exclusive bool, strs *phoenix.StringBlock) *Tx {
 	tx := &Tx{sys: sys, s: sys.takeScratch(), eager: sys.eagerWrites()}
-	tx.opts.Mutator, tx.opts.Scratch = tx.s.mutator, &tx.s.write
+	tx.opts.Mutator, tx.opts.Scratch, tx.opts.Strings = tx.s.mutator, &tx.s.write, strs
 	tx.ctl = sys.cc.begin(ctx, tx, exclusive)
 	return tx
 }
@@ -328,7 +330,7 @@ func (tx *Tx) open(ctx *sim.Ctx, p *Prepared, params []schema.Arg, reads ViewRea
 		}
 	}
 	sys.countStale(ctx, p, readTS, reads)
-	return p.plan.Open(ctx, params, phoenix.QueryOpts{Read: tx.opts.Read, Reader: sys.Engine.Reader(tx.opts), DirtyCheck: tx.locking()})
+	return p.plan.Open(ctx, params, phoenix.QueryOpts{Read: tx.opts.Read, Reader: sys.Engine.Reader(tx.opts), DirtyCheck: tx.locking(), Strings: tx.opts.Strings})
 }
 
 // Commit flushes every buffered mutation as one region-grouped batch round
@@ -553,9 +555,11 @@ func (tx *Tx) unmark(ctx *sim.Ctx) error {
 // lock on the key of the associated row in the root relation"). key and base
 // are the written row's key and cells; a parent's key is the key of the
 // child's foreign-key cells. Parent lookups go through rd so rows buffered by
-// earlier statements of the same transaction resolve, and read into sc. A
-// root key that a lock of held names is returned as that lock's key.
-func (sys *System) resolveRootKey(ctx *sim.Ctx, rd hbase.Reader, sc *phoenix.WriteScratch, held []lockRef, plan *core.WritePlan, key string, base []hbase.Cell) (string, error) {
+// earlier statements of the same transaction resolve, read into opts.Scratch
+// and, as their keys die with the read, cut those from opts.Strings. A root
+// key that a lock of held names is returned as that lock's key; any other is
+// allocated by itself, since the lock keeps it.
+func (sys *System) resolveRootKey(ctx *sim.Ctx, rd hbase.Reader, opts phoenix.WriteOpts, held []lockRef, plan *core.WritePlan, key string, base []hbase.Cell) (string, error) {
 	if plan.Root == "" {
 		return "", nil
 	}
@@ -580,7 +584,7 @@ func (sys *System) resolveRootKey(ctx *sim.Ctx, rd hbase.Reader, sc *phoenix.Wri
 			return string(fk), nil
 		}
 		var err error
-		if cur, err = phoenix.GetCells(ctx, rd, e.Parent, string(fk), hbase.ReadOpts{}, sc); err != nil || cur == nil {
+		if cur, err = phoenix.GetCells(ctx, rd, e.Parent, opts.Strings.Cut(fk), hbase.ReadOpts{}, opts.Scratch); err != nil || cur == nil {
 			return "", err
 		}
 	}
@@ -609,21 +613,21 @@ func (sys *System) ExecuteTxn(ctx *sim.Ctx, stmts []sqlparser.Statement, paramsL
 	if err != nil {
 		return err
 	}
-	_, err = sys.executeTxn(ctx, sys.prepareWrites(stmts), args, loggedTxn{})
+	_, err = sys.executeTxn(ctx, sys.prepareWrites(stmts), args, loggedTxn{}, nil)
 	return err
 }
 
 // executeTxn is ExecuteTxn for a transaction logged as logged: its commit
 // writes the commit record beside the lock release. landed reports that the
 // commit flush published the writes, which are then durable whatever err
-// says.
-func (sys *System) executeTxn(ctx *sim.Ctx, writes []*PreparedWrite, paramsList [][]schema.Arg, logged loggedTxn) (landed bool, err error) {
+// says. Every attempt cuts its transient keys from strs (see beginTx).
+func (sys *System) executeTxn(ctx *sim.Ctx, writes []*PreparedWrite, paramsList [][]schema.Arg, logged loggedTxn, strs *phoenix.StringBlock) (landed bool, err error) {
 	if len(writes) != len(paramsList) {
 		return false, fmt.Errorf("synergy: %d statements, %d parameter lists", len(writes), len(paramsList))
 	}
 	for attempt := 1; ; attempt++ {
 		last := attempt == occMaxRetries
-		landed, err = sys.executeTxnOnce(ctx, writes, paramsList, last, logged)
+		landed, err = sys.executeTxnOnce(ctx, writes, paramsList, last, logged, strs)
 		if last || !sys.cc.retries(err) {
 			return landed, err
 		}
@@ -633,8 +637,8 @@ func (sys *System) executeTxn(ctx *sim.Ctx, writes []*PreparedWrite, paramsList 
 }
 
 // executeTxnOnce runs one attempt of the transaction (see executeTxn).
-func (sys *System) executeTxnOnce(ctx *sim.Ctx, writes []*PreparedWrite, paramsList [][]schema.Arg, exclusive bool, logged loggedTxn) (landed bool, err error) {
-	tx := sys.beginTx(ctx, exclusive)
+func (sys *System) executeTxnOnce(ctx *sim.Ctx, writes []*PreparedWrite, paramsList [][]schema.Arg, exclusive bool, logged loggedTxn, strs *phoenix.StringBlock) (landed bool, err error) {
+	tx := sys.beginTx(ctx, exclusive, strs)
 	tx.logged = logged
 	if sys.postBegin != nil {
 		sys.postBegin(tx)
@@ -704,7 +708,7 @@ func (sys *System) executeWriteBody(ctx *sim.Ctx, tx *Tx, pw *PreparedWrite, par
 			}
 			chain = base
 		}
-		rootKey, err := sys.resolveRootKey(ctx, rd, opts.Scratch, tx.s.locks, plan, w.Key, chain)
+		rootKey, err := sys.resolveRootKey(ctx, rd, opts, tx.s.locks, plan, w.Key, chain)
 		if err != nil {
 			return err
 		}
@@ -822,7 +826,7 @@ func (sys *System) maintainInsert(ctx *sim.Ctx, tx *Tx, action core.ViewAction, 
 			return nil // dangling FK: no view tuple
 		}
 		var err error
-		if cur, err = readParent(ctx, rd, e.Parent, fk, opts.Read, opts.Scratch, memo); err != nil || cur == nil {
+		if cur, err = readParent(ctx, rd, e.Parent, fk, opts, memo); err != nil || cur == nil {
 			return err
 		}
 		combined = phoenix.MergeCells(opts.Scratch.Cells(len(cur)+len(combined)), cur, combined)
@@ -838,18 +842,19 @@ func (sys *System) maintainInsert(ctx *sim.Ctx, tx *Tx, action core.ViewAction, 
 	return sys.Engine.PutCells(ctx, viewInfo, combined, opts)
 }
 
-// readParent reads the row of table under key into sc, or finds it in memo.
-func readParent(ctx *sim.Ctx, rd hbase.Reader, table string, key []byte, read hbase.ReadOpts, sc *phoenix.WriteScratch, memo *[]parentRow) ([]hbase.Cell, error) {
+// readParent reads the row of table under key into opts.Scratch, or finds it
+// in memo. The key dies with the statement, so it is cut from opts.Strings.
+func readParent(ctx *sim.Ctx, rd hbase.Reader, table string, key []byte, opts phoenix.WriteOpts, memo *[]parentRow) ([]hbase.Cell, error) {
 	if memo == nil {
-		return phoenix.GetCells(ctx, rd, table, string(key), read, sc)
+		return phoenix.GetCells(ctx, rd, table, opts.Strings.Cut(key), opts.Read, opts.Scratch)
 	}
 	for _, p := range *memo {
 		if p.table == table && p.key == string(key) {
 			return p.cells, nil
 		}
 	}
-	k := string(key)
-	cells, err := phoenix.GetCells(ctx, rd, table, k, read, sc)
+	k := opts.Strings.Cut(key)
+	cells, err := phoenix.GetCells(ctx, rd, table, k, opts.Read, opts.Scratch)
 	if err == nil {
 		*memo = append(*memo, parentRow{table, k, cells})
 	}
@@ -1184,9 +1189,9 @@ func (tx *Tx) locateViewRows(ctx *sim.Ctx, rd hbase.Reader, action core.ViewActi
 		// full rows with one multi-get. The entries are the keys that start
 		// with the row key and a separator: [key+"\x00", key+"\x01"). Locator
 		// probes are short prefix reads, so they stay sequential. Both
-		// bounds are cut from one string.
+		// bounds are cut from one string, cut from the session's block.
 		var bbuf [128]byte
-		bounds := string(append(append(append(append(bbuf[:0], parts.Key...), schema.KeySep), parts.Key...), schema.KeySep+1))
+		bounds := tx.opts.Strings.Cut(append(append(append(append(bbuf[:0], parts.Key...), schema.KeySep), parts.Key...), schema.KeySep+1))
 		half := len(bounds) / 2
 		spec := hbase.ScanSpec{Start: bounds[:half], Stop: bounds[half:], Read: read, Sequential: true}
 		rows, err := rd.OpenScan(ctx, action.LocatorIndex.Name(), spec, &tx.locate)

@@ -16,17 +16,20 @@ import (
 // their statements prepared once (Session.PrepareWrite), as the wire server
 // prepares them: autocommit W13 and W4 on a Customer-only system, 5 and 4
 // allocations, and one buy-confirm transaction of the TPC-W ordering mix —
-// R2 and Q8, then W1, W3 three times, W2, W9 and W13 — 138. The bounds give
+// R2 and Q8, then W1, W3 three times, W2, W9 and W13 — 122. The bounds give
 // each about 5 % headroom, and at least one allocation. A unit pays for the
 // keys and values the store keeps, not for their scaffolding: its mutator, its
 // lock and mark lists, its bound statements, the cell lists it hands the
 // mutator and the rows it reads are its transaction's recycled scratch (15, 11
 // and 346 when each unit allocated them), the memstore cuts rows from blocks,
 // the write plan and the WAL text are the prepared statement's, a commit's
-// records are appended by hand into a recycled buffer, and an update keys each
-// view-index entry once. Before, when a write was bound, planned and rendered
-// for the log at every execution, the same units took 42, 40 and 826. (Not
-// built under -race, which makes sync.Pool drop pooled buffers at random.)
+// records are appended by hand into a recycled buffer, an update keys each
+// view-index entry once, and the keys of its parent reads and the bounds of
+// its reads are cut from the session's string block (the buy-confirm measured
+// 139, bound 145, when each was a string of its own). Before, when a write was
+// bound, planned and rendered for the log at every execution, the same units
+// took 42, 40 and 826. (Not built under -race, which makes sync.Pool drop
+// pooled buffers at random.)
 func TestWriteUnitAllocs(t *testing.T) {
 	const runs = 50
 	stmt := func(id string) sqlparser.Statement {
@@ -134,7 +137,7 @@ func TestWriteUnitAllocs(t *testing.T) {
 			}
 		}
 		next := 0
-		check("buy-confirm", 145, func() {
+		check("buy-confirm", 128, func() {
 			u := &units[next]
 			next++
 			if err := sess.Begin(sim.NewCtx()); err != nil {
