@@ -4,8 +4,10 @@ import (
 	"flag"
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -20,8 +22,8 @@ var updatePopulation = flag.Bool("update", false, "rewrite testdata/population.g
 // TestPopulationGolden pins what §IX-D1's population procedure — LoadBase per
 // table, BuildViews — leaves in the store, per table: rows, KeyValue bytes,
 // the region layout (count, and a hash over every region's start key and
-// server) and a hash over every (key, qualifier, value) in scan order. Load
-// stamps are not part of it. The split threshold is a few hundred rows so
+// server), a hash over every (key, qualifier, value) in scan order, the load
+// stamps its cells carry, and the store clock after the procedure. The split threshold is a few hundred rows so
 // that views and indexes split while they load: a daughter's server comes
 // from the cluster-wide round-robin, so the layout hash holds only while
 // tables are installed in one order — run it at -cpu 1,2,4.
@@ -49,7 +51,7 @@ func TestPopulationGolden(t *testing.T) {
 		if err := sys.BuildViews(); err != nil {
 			t.Fatal(err)
 		}
-		fmt.Fprintf(&b, "== %s\n", mode.name)
+		fmt.Fprintf(&b, "== %s clock=%d\n", mode.name, sys.Store.CurrentTS())
 		client, ctx := sys.Store.NewClient(), sim.NewCtx()
 		for _, table := range sys.Store.Tables() {
 			layout := fnv.New64a()
@@ -59,7 +61,10 @@ func TestPopulationGolden(t *testing.T) {
 			}
 			content := fnv.New64a()
 			rows := 0
-			sc, err := client.Scan(ctx, table, hbase.ScanSpec{})
+			stamps := map[int64]bool{}
+			// Excluded sees every cell's stamp and hides none.
+			read := hbase.ReadOpts{Excluded: func(ts int64) bool { stamps[ts] = true; return false }}
+			sc, err := client.Scan(ctx, table, hbase.ScanSpec{Read: read})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -73,8 +78,8 @@ func TestPopulationGolden(t *testing.T) {
 					fmt.Fprintf(content, "%q %q %q\n", r.Key, c.Qualifier, c.Value)
 				}
 			}
-			fmt.Fprintf(&b, "%s rows=%d bytes=%d regions=%d layout=%016x content=%016x\n",
-				table, rows, sys.Store.TableBytes(table), len(regions), layout.Sum64(), content.Sum64())
+			fmt.Fprintf(&b, "%s rows=%d bytes=%d regions=%d layout=%016x content=%016x stamps=%v\n",
+				table, rows, sys.Store.TableBytes(table), len(regions), layout.Sum64(), content.Sum64(), slices.Sorted(maps.Keys(stamps)))
 		}
 	}
 

@@ -1,10 +1,15 @@
 package tpcw
 
 import (
+	"fmt"
+	"hash/fnv"
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 
 	"synergy/internal/core"
+	"synergy/internal/schema"
 	"synergy/internal/sim"
 	"synergy/internal/sqlparser"
 	"synergy/internal/synergy"
@@ -60,14 +65,50 @@ func TestGenerateCardinalities(t *testing.T) {
 	}
 }
 
+// TestGenerateDeterministic pins every generated row, column by column with
+// its Go type, to hashes recorded when each table's stream was drawn on one
+// goroutine: drawing the streams concurrently must change nothing.
 func TestGenerateDeterministic(t *testing.T) {
-	a := Generate(50, 7)
-	b := Generate(50, 7)
-	ra := a.Tables["Item"][25]
-	rb := b.Tables["Item"][25]
-	if ra["i_title"] != rb["i_title"] || ra["i_subject"] != rb["i_subject"] {
-		t.Fatal("generation not deterministic")
+	want := map[string]string{
+		"Address":            "227f75eb694d85c5",
+		"Author":             "259894a0a9a84e63",
+		"CC_Xacts":           "220eedeaa05cc5d6",
+		"Country":            "e33641de854c0f39",
+		"Customer":           "6801d6a2a0ce3576",
+		"Item":               "9e226491a2ff98bc",
+		"Order_line":         "237c5e04136069a5",
+		"Orders":             "654221dd74c0233c",
+		"Shopping_cart":      "3d329a0de93352c2",
+		"Shopping_cart_line": "024e32006d48d7e2",
+		"CartLines":          "ea07771c27d64feb",
+		"GenerateCustomers":  "6801d6a2a0ce3576",
 	}
+	d := Generate(50, 7)
+	got := map[string]string{}
+	for _, table := range d.TableNames() {
+		got[table] = hashRows(d.Tables[table])
+	}
+	cart := fnv.New64a()
+	fmt.Fprint(cart, d.CartLines)
+	got["CartLines"] = fmt.Sprintf("%016x", cart.Sum64())
+	got["GenerateCustomers"] = hashRows(GenerateCustomers(50, 7))
+	if !maps.Equal(got, want) {
+		t.Fatalf("generated rows hash to\n%v\nwant\n%v", got, want)
+	}
+}
+
+// hashRows hashes rows in order, each row's columns in name order with their
+// values' Go types.
+func hashRows(rows []schema.Row) string {
+	h := fnv.New64a()
+	for _, r := range rows {
+		cols := slices.Sorted(maps.Keys(r))
+		for _, c := range cols {
+			fmt.Fprintf(h, "%s=%#v;", c, r[c])
+		}
+		h.Write([]byte{'\n'})
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 func TestFreshIDsDoNotCollide(t *testing.T) {
