@@ -28,12 +28,11 @@ type Client struct {
 	// the write path's dominant per-statement allocation once batching
 	// amortized the RPCs.
 	mutPool sync.Pool
-	// overlayPool and otPool recycle the read-your-writes overlay index
-	// (the per-table map and the overlayTable structs) across transactions
-	// on the same client — the maps were the next allocation hot spot after
-	// Mutation buffers on maintenance-heavy statements.
+	// overlayPool recycles the read-your-writes overlay index (the per-table
+	// map and its overlayTable structs) across transactions on the same
+	// client — the maps were the next allocation hot spot after Mutation
+	// buffers on maintenance-heavy statements.
 	overlayPool sync.Pool
-	otPool      sync.Pool
 
 	// chunkPool recycles scan chunk buffers (rows + cell arena) across the
 	// client's scanners — the read path's dominant allocation once rows
@@ -73,17 +72,11 @@ func (c *Client) getOverlay() map[string]*overlayTable {
 	return make(map[string]*overlayTable, 4)
 }
 
-// getOverlayTable returns an empty per-table overlay, reusing a recycled
-// one (rows map kept allocated, keys slice kept at capacity).
-func (c *Client) getOverlayTable() *overlayTable {
-	if v := c.otPool.Get(); v != nil {
-		return v.(*overlayTable)
-	}
-	return newOverlayTable()
-}
-
 // putOverlay recycles an overlay index, its tables, and the pending rowData
-// structs themselves onto each table's freelist. Recycling the rowDatas is
+// structs themselves onto each table's freelist. A table's overlay stays in
+// the index under its name, emptied, so the next transaction that takes the
+// index and writes that table reuses what this one grew for it, whatever
+// order the tables were written in. Recycling the rowDatas is
 // safe because no returned RowResult aliases a pending cell slice — every
 // overlay read path (ReadView.GetInto, overlayRow, the overlay scanner) copies
 // the visible pairs out of the pending cells before returning, so the only
@@ -92,7 +85,7 @@ func (c *Client) getOverlayTable() *overlayTable {
 // the overlay anymore, which the BufferedMutator contract already
 // guarantees (one request, scans drained before a flush boundary).
 func (c *Client) putOverlay(ov map[string]*overlayTable) {
-	for tbl, ot := range ov {
+	for _, ot := range ov {
 		for _, rd := range ot.rows {
 			clear(rd.cells[:cap(rd.cells)]) // drop value refs; keep capacity
 			rd.cells = rd.cells[:0]
@@ -101,8 +94,6 @@ func (c *Client) putOverlay(ov map[string]*overlayTable) {
 		clear(ot.rows)
 		ot.keys = ot.keys[:0]
 		ot.sorted = false
-		c.otPool.Put(ot)
-		delete(ov, tbl)
 	}
 	c.overlayPool.Put(ov)
 }

@@ -370,23 +370,52 @@ type BulkRow struct {
 
 // BulkLoad writes pre-sorted rows directly as store files, bypassing the WAL
 // and memstore — the standard HBase bulk-load path used to populate the
-// benchmark database. Rows must be sorted by key; cells with zero timestamps
-// receive load-time stamps. A row whose cells arrive in qualifier order, one
-// per qualifier, is appended as it stands; only a cell at or before a
-// qualifier already seen is searched into place (and versions trimmed). The
-// cell slices are read, never written or kept, so rows may share them.
+// benchmark database. It is BuildBulk at the next stamp, then Attach.
 func (hc *HCluster) BulkLoad(name string, rows []BulkRow) error {
-	t, err := hc.lookup(name)
+	f, err := hc.BuildBulk(name, hc.NextTS(), rows)
 	if err != nil {
 		return err
 	}
+	return hc.Attach(f)
+}
+
+// ReserveTS takes n stamps off the clock at once and returns the first; the
+// other n-1 follow it. A loader that builds files at once reserves their
+// stamps up front, so each file's stamp does not depend on which build ends
+// first.
+func (hc *HCluster) ReserveTS(n int) int64 { return hc.ts.Add(int64(n)) - int64(n) + 1 }
+
+// BulkFiles are rows encoded as a table's store files, one per region the
+// rows fall in, that are not part of the table yet: Attach installs them.
+type BulkFiles struct {
+	t       *table
+	gen     int64 // the region layout the files are cut at
+	regions []*Region
+	files   []*hfile
+}
+
+// BuildBulk encodes rows as the store files BulkLoad installs, cut at the
+// table's region boundaries. Rows must be sorted by key; cells with zero
+// timestamps are stamped ts. A row whose cells arrive in qualifier order, one
+// per qualifier, is appended as it stands; only a cell at or before a
+// qualifier already seen is searched into place (and versions trimmed). The
+// cell slices are read, never written or kept, so rows may share them.
+// BuildBulk changes nothing in the cluster, so builds run at once on as many
+// goroutines as their caller starts.
+func (hc *HCluster) BuildBulk(name string, ts int64, rows []BulkRow) (*BulkFiles, error) {
+	t, err := hc.lookup(name)
+	if err != nil {
+		return nil, err
+	}
 	for i := 1; i < len(rows); i++ {
 		if rows[i-1].Key > rows[i].Key {
-			return fmt.Errorf("%w: %q > %q", ErrUnsorted, rows[i-1].Key, rows[i].Key)
+			return nil, fmt.Errorf("%w: %q > %q", ErrUnsorted, rows[i-1].Key, rows[i].Key)
 		}
 	}
-	ts := hc.NextTS()
-	regions := t.regionsInRange("", "")
+	t.mu.RLock()
+	out := &BulkFiles{t: t, gen: t.gen.Load()}
+	regions := t.regions
+	t.mu.RUnlock()
 
 	idx := 0
 	for _, r := range regions {
@@ -434,10 +463,30 @@ func (hc *HCluster) BulkLoad(name string, rows []BulkRow) error {
 			}
 		}
 		b.add(chunk[len(chunk)-1].Key, row.cells)
+		out.regions = append(out.regions, r)
+		out.files = append(out.files, b.finish())
+	}
+	return out, nil
+}
+
+// Attach installs files BuildBulk built, each as the newest file of its
+// region, then splits what outgrew the table's threshold. Attach order is
+// what places regions: a split's right daughter takes the next server in
+// the cluster's round robin. A table that split since the build gets
+// nothing, and an error.
+func (hc *HCluster) Attach(f *BulkFiles) error {
+	t := f.t
+	t.mu.RLock() // no split while the files go in
+	if t.gen.Load() != f.gen {
+		t.mu.RUnlock()
+		return fmt.Errorf("hbase: %s split while its bulk files were built", t.spec.Name)
+	}
+	for i, r := range f.regions {
 		r.mu.Lock()
-		r.files = append([]*hfile{b.finish()}, r.files...)
+		r.files = append([]*hfile{f.files[i]}, r.files...)
 		r.mu.Unlock()
 	}
+	t.mu.RUnlock()
 	hc.splitIfNeeded(t)
 	return nil
 }

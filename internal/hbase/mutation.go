@@ -455,7 +455,7 @@ func (m *BufferedMutator) overlayApply(mut Mutation) {
 	}
 	ot := m.overlay[mut.Table]
 	if ot == nil {
-		ot = m.c.getOverlayTable()
+		ot = newOverlayTable()
 		m.overlay[mut.Table] = ot
 	}
 	rd := ot.upsert(mut.Key)
@@ -483,12 +483,12 @@ func (m *BufferedMutator) overlayApply(mut Mutation) {
 }
 
 // pendingTable returns the overlay index for a table, or nil when nothing
-// is pending there.
+// is pending there (a recycled index keeps emptied tables).
 func (m *BufferedMutator) pendingTable(tbl string) *overlayTable {
-	if m.overlay == nil {
-		return nil
+	if ot := m.overlay[tbl]; ot != nil && len(ot.rows) > 0 {
+		return ot
 	}
-	return m.overlay[tbl]
+	return nil
 }
 
 // pendingRow returns the pending cells of one row, or nil.

@@ -82,7 +82,7 @@ type overlayTable struct {
 	sorted bool
 	// free recycles pending rowData structs (and their cell-slice capacity)
 	// across the transactions that reuse this overlayTable through the
-	// client's otPool. Recycling is safe by the overlay lifetime analysis:
+	// client's overlayPool. Recycling is safe by the overlay lifetime analysis:
 	// no RowResult ever aliases a pending cell slice — ReadView.GetInto and
 	// the overlay scanner materialize through rowData.readInto (which copies
 	// the visible pairs out) and overlayRow's merged() path copies the Cell

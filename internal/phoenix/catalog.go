@@ -58,6 +58,7 @@ package phoenix
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -98,6 +99,9 @@ type TableInfo struct {
 	BaseRelations []string
 
 	colTypes map[string]schema.ColType
+	// quals are the column names sorted: the qualifier order EncodeRows
+	// encodes a row in.
+	quals []string
 }
 
 // IndexInfo describes an index: row key = On ++ table key. By default every
@@ -153,7 +157,9 @@ func buildInfo(name string, cols []schema.Column, key []string) *TableInfo {
 	info := &TableInfo{Name: name, Cols: cols, Key: key, colTypes: map[string]schema.ColType{}}
 	for _, col := range cols {
 		info.colTypes[col.Name] = col.Type
+		info.quals = append(info.quals, col.Name)
 	}
+	slices.Sort(info.quals)
 	for _, k := range key {
 		if !info.HasColumn(k) {
 			panic(fmt.Sprintf("phoenix: table %s key column %q not stored", name, k))

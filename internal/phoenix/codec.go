@@ -3,6 +3,7 @@ package phoenix
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 	"strings"
@@ -126,26 +127,90 @@ func DecodeValue(b []byte) schema.Value {
 // The values of one row are windows into one buffer, each clipped to its own
 // bytes: a stored row costs one value allocation instead of one per column (a
 // 9-byte number alone would occupy a 16-byte block), and like every cell value
-// they are immutable once handed to the store.
+// they are immutable once handed to the store. It sorts the row's own
+// columns; TableInfo.EncodeRows encodes a table's rows in the order the
+// catalog sorted once.
 func RowToCells(row schema.Row) []hbase.Cell {
-	size := 0
-	for _, v := range row {
+	var e rowEncoder
+	return e.encode(slices.Sorted(maps.Keys(row)), row)
+}
+
+// EncodeRows encodes rows of t into dst, dst[i] what RowToCells makes of
+// rows[i], in t's sorted column order; a row that carries a column t lacks is
+// RowToCells' to order. The rows' cells and values are cut from shared
+// blocks, so an encoded row costs no allocation of its own; its cells and
+// values are capped at their own length.
+func (t *TableInfo) EncodeRows(dst [][]hbase.Cell, rows []schema.Row) {
+	e := rowEncoder{block: true}
+	for i, row := range rows {
+		dst[i] = e.encode(t.quals, row)
+	}
+}
+
+// rowEncoder is the one row encoder. Without block it sizes a row's cells
+// and values exactly; with it, rows are cut from blocks of encodeBlockCells
+// cells and encodeBlockBytes value bytes.
+type rowEncoder struct {
+	block bool
+	cells []hbase.Cell
+	buf   []byte
+	vals  []schema.Value // the row being encoded, in qualifier order
+	size  int            // its values' encoded bytes
+}
+
+const (
+	encodeBlockCells = 4096
+	encodeBlockBytes = 64 << 10
+)
+
+// gather reads row's values under quals into vals and reports whether they
+// are all of row's columns.
+func (e *rowEncoder) gather(quals []string, row schema.Row) bool {
+	e.vals, e.size = e.vals[:0], 0
+	present := 0
+	for _, q := range quals {
+		v, ok := row[q]
+		if ok {
+			present++
+		}
+		e.vals = append(e.vals, v)
 		if v != nil {
-			size += encodedLen(mustArg(v))
+			e.size += encodedLen(mustArg(v))
 		}
 	}
-	buf := make([]byte, 0, size)
-	cells := make([]hbase.Cell, 0, len(row))
-	for col, v := range row {
+	return present == len(row)
+}
+
+// encode cuts the cells of row's non-nil values in the order of quals, which
+// are sorted, or in its own sorted column order if quals lack one of them.
+func (e *rowEncoder) encode(quals []string, row schema.Row) []hbase.Cell {
+	if !e.gather(quals, row) {
+		quals = slices.Sorted(maps.Keys(row))
+		e.gather(quals, row)
+	}
+	if n := len(row); cap(e.cells)-len(e.cells) < n {
+		e.cells = make([]hbase.Cell, 0, e.room(n, encodeBlockCells))
+	}
+	if cap(e.buf)-len(e.buf) < e.size {
+		e.buf = make([]byte, 0, e.room(e.size, encodeBlockBytes))
+	}
+	start := len(e.cells)
+	for i, v := range e.vals {
 		if v == nil {
 			continue
 		}
-		at := len(buf)
-		buf = AppendValue(buf, v)
-		cells = append(cells, hbase.Cell{Qualifier: col, Value: buf[at:len(buf):len(buf)]})
+		at := len(e.buf)
+		e.buf = AppendValue(e.buf, v)
+		e.cells = append(e.cells, hbase.Cell{Qualifier: quals[i], Value: e.buf[at:len(e.buf):len(e.buf)]})
 	}
-	slices.SortFunc(cells, func(a, b hbase.Cell) int { return strings.Compare(a.Qualifier, b.Qualifier) })
-	return cells
+	return e.cells[start:len(e.cells):len(e.cells)]
+}
+
+func (e *rowEncoder) room(n, block int) int {
+	if e.block {
+		return max(n, block)
+	}
+	return n
 }
 
 // AppendRowCells is CellsToRow without the decoding: it appends a stored row's

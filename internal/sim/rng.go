@@ -3,6 +3,7 @@ package sim
 import (
 	"hash/fnv"
 	"math/rand"
+	"strings"
 )
 
 // RNG is a deterministic random source with named sub-streams. Experiments
@@ -62,14 +63,25 @@ func (g *RNG) Jitter(v Micros, sd float64) Micros {
 
 const alphanum = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
 
-// String returns a random alphanumeric string with length in [lo, hi].
+// alphanumMax is the largest Int31 draw Intn(len(alphanum)) accepts: above it
+// the draw is rejected and redrawn, so every byte stays uniform.
+const alphanumMax = int32(1<<31 - 1 - 1<<31%len(alphanum))
+
+// String returns a random alphanumeric string with length in [lo, hi]. Each
+// byte makes the same Int31 draws as Intn(len(alphanum)), so the stream stays
+// where Intn would leave it, and the string is built in one allocation.
 func (g *RNG) String(lo, hi int) string {
 	n := g.IntRange(lo, hi)
-	b := make([]byte, n)
-	for i := range b {
-		b[i] = alphanum[g.Intn(len(alphanum))]
+	var b strings.Builder
+	b.Grow(n)
+	for range n {
+		v := g.r.Int31()
+		for v > alphanumMax {
+			v = g.r.Int31()
+		}
+		b.WriteByte(alphanum[v%int32(len(alphanum))])
 	}
-	return string(b)
+	return b.String()
 }
 
 // Perm returns a random permutation of [0, n).

@@ -145,6 +145,28 @@ func TestRNGString(t *testing.T) {
 	}
 }
 
+// TestStringMatchesIntnDraws: String draws what one Intn(62) per byte draws,
+// so it returns the same string and leaves the stream at the same place.
+func TestStringMatchesIntnDraws(t *testing.T) {
+	for seed := int64(0); seed < 200; seed++ {
+		fast, ref := NewRNG(seed).Derive("s"), NewRNG(seed).Derive("s")
+		for lo := 0; lo < 40; lo += 3 {
+			hi := lo + int(seed%17)
+			got := fast.String(lo, hi)
+			b := make([]byte, ref.IntRange(lo, hi))
+			for i := range b {
+				b[i] = alphanum[ref.Intn(len(alphanum))]
+			}
+			if got != string(b) {
+				t.Fatalf("seed %d String(%d, %d) = %q, want %q", seed, lo, hi, got, b)
+			}
+		}
+		if a, b := fast.Int63(), ref.Int63(); a != b {
+			t.Fatalf("seed %d: the streams part after String: %d vs %d", seed, a, b)
+		}
+	}
+}
+
 func TestJitterStaysPositive(t *testing.T) {
 	g := NewRNG(3)
 	for i := 0; i < 10_000; i++ {

@@ -73,12 +73,17 @@ func (lm *LockManager) table(root string) string {
 // BulkCreateEntries creates free lock entries for bulk-loaded root rows,
 // given sorted by key as they were loaded.
 func (lm *LockManager) BulkCreateEntries(root string, rows []hbase.BulkRow) error {
+	return lm.store.BulkLoad(LockTableName(root), freeEntries(rows))
+}
+
+// freeEntries are the free lock entries of rows, in their order.
+func freeEntries(rows []hbase.BulkRow) []hbase.BulkRow {
 	free := []hbase.Cell{{Qualifier: lockQualifier, Value: lockFree}}
 	entries := make([]hbase.BulkRow, len(rows))
 	for i, r := range rows {
 		entries[i] = hbase.BulkRow{Key: r.Key, Cells: free}
 	}
-	return lm.store.BulkLoad(LockTableName(root), entries)
+	return entries
 }
 
 // EnsureEntryDeferred folds the lock-table entry for a freshly inserted

@@ -1,10 +1,13 @@
 package synergy
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
+	"sync/atomic"
 
 	"synergy/internal/core"
 	"synergy/internal/hbase"
@@ -13,74 +16,145 @@ import (
 	"synergy/internal/sim"
 )
 
-// bulkFile is one physical table's rows ready to load, sorted by key.
-type bulkFile struct {
-	table string
-	rows  []hbase.BulkRow
-}
-
 // LoadBase bulk-loads rows into a base table (and its base indexes),
 // creating lock-table entries for root relations. Rows need not be sorted.
+// The rows are encoded in GOMAXPROCS chunks and the table's files built on
+// the worker pool; the files attach in order: the table, its indexes, its
+// lock table, each at the next of the stamps reserved for them up front.
 func (sys *System) LoadBase(table string, rows []schema.Row) error {
 	info, err := sys.Catalog.Table(table)
 	if err != nil {
 		return err
 	}
 	encoded := make([][]hbase.Cell, len(rows))
-	for i, r := range rows {
-		encoded[i] = phoenix.RowToCells(r)
+	width := runtime.GOMAXPROCS(0)
+	chunk := (len(rows) + width - 1) / width
+	var encode []func() error
+	for lo := 0; lo < len(rows); lo += chunk {
+		hi := min(lo+chunk, len(rows))
+		encode = append(encode, func() error {
+			info.EncodeRows(encoded[lo:hi], rows[lo:hi])
+			return nil
+		})
 	}
-	files, err := prepareLoad(info, encoded)
-	if err != nil {
-		return err
-	}
-	if err := sys.install(files); err != nil {
-		return err
-	}
+	runPool(encode)
+
 	// §VIII-A: "a lock table entry is created when a tuple is inserted
 	// into the root relation".
-	if sys.isRoot(table) {
-		return sys.Locks.BulkCreateEntries(table, files[0].rows)
+	root := sys.isRoot(table)
+	files := make([]*hbase.BulkFiles, 1+len(info.Indexes), 2+len(info.Indexes))
+	if root {
+		files = files[:len(files)+1]
 	}
-	return nil
+	ts := sys.Store.ReserveTS(len(files))
+	jobs := make([]func() error, 1+len(info.Indexes))
+	jobs[0] = func() error {
+		keyed, err := keyRows(info, nil, encoded)
+		if err == nil {
+			files[0], err = sys.Store.BuildBulk(info.Name, ts, keyed)
+		}
+		if err == nil && root {
+			files[len(files)-1], err = sys.Store.BuildBulk(LockTableName(table), ts+int64(len(files)-1), freeEntries(keyed))
+		}
+		return err
+	}
+	for i, idx := range info.Indexes {
+		jobs[1+i] = func() error {
+			keyed, err := keyRows(info, idx, encoded)
+			if err == nil {
+				files[1+i], err = sys.Store.BuildBulk(idx.Name, ts+int64(1+i), keyed)
+			}
+			return err
+		}
+	}
+	if err := firstErr(runPool(jobs)); err != nil {
+		return err
+	}
+	return sys.attach(files)
 }
 
 // BuildViews materializes every selected view (and its view-indexes) from
 // the loaded base tables, then major-compacts everything — the population
-// procedure of §IX-D1. Views are prepared on up to GOMAXPROCS goroutines and
-// installed by this one in Design.Views order (see the package comment).
+// procedure of §IX-D1. Every view file's stamp is reserved up front, in
+// Design.Views order; each view's join and files are built on the worker
+// pool, the views with the most base rows to scan first; and the built files
+// attach in Design.Views order, up to the first view that failed (see the
+// package comment).
 func (sys *System) BuildViews() error {
 	if sys.cfg.DisableViews {
 		return sys.MajorCompactAll()
 	}
-	type prepared struct {
-		files []bulkFile
-		err   error
-	}
-	views, width := sys.Design.Views, runtime.GOMAXPROCS(0)
-	ready := make([]chan prepared, len(views))
-	started := 0
+	views := sys.Design.Views
+	infos := make([]*phoenix.TableInfo, len(views))
+	stamps := make([]int64, len(views))
+	weight := make([]int, len(views))
+	order := make([]int, len(views))
+	nfiles := 0
 	for i, v := range views {
-		for ; started < len(views) && started < i+width; started++ {
-			v, ch := views[started], make(chan prepared, 1)
-			ready[started] = ch
-			go func() {
-				files, err := sys.prepareView(v)
-				ch <- prepared{files, err}
-			}()
+		if info, err := sys.Catalog.Table(v.Name()); err == nil {
+			infos[i], stamps[i] = info, int64(nfiles)
+			nfiles += 1 + len(info.Indexes)
 		}
-		p := <-ready[i]
-		if p.err == nil {
-			p.err = sys.install(p.files)
+		for _, rel := range v.Relations {
+			weight[i] += sys.Store.RowEstimate(rel) // the join's work
 		}
-		if p.err != nil {
-			for _, ch := range ready[i+1 : started] {
-				<-ch // wait out what had started
+		order[i] = i
+	}
+	ts := sys.Store.ReserveTS(nfiles)
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(weight[b], weight[a]) })
+
+	built := make([][]*hbase.BulkFiles, len(views))
+	errs := make([]error, len(views))
+	jobs := make([]func() error, len(views))
+	for k, i := range order {
+		jobs[k] = func() error {
+			if infos[i] == nil {
+				_, errs[i] = sys.Catalog.Table(views[i].Name())
+			} else {
+				built[i], errs[i] = sys.buildView(views[i], infos[i], ts+stamps[i])
 			}
-			return fmt.Errorf("synergy: building %s: %w", v.DisplayName(), p.err)
+			return errs[i]
+		}
+	}
+	runPool(jobs)
+	for i, v := range views {
+		if errs[i] != nil {
+			return fmt.Errorf("synergy: building %s: %w", v.DisplayName(), errs[i])
+		}
+		if err := sys.attach(built[i]); err != nil {
+			return err
 		}
 	}
 	return sys.MajorCompactAll()
+}
+
+// runPool runs jobs on up to GOMAXPROCS goroutines, each taking the next job
+// not yet taken, and returns each job's error once all have returned.
+func runPool(jobs []func() error) []error {
+	errs := make([]error, len(jobs))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(runtime.GOMAXPROCS(0), len(jobs)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := next.Add(1) - 1; i < int64(len(jobs)); i = next.Add(1) - 1 {
+				errs[i] = jobs[i]()
+			}
+		}()
+	}
+	wg.Wait()
+	return errs
+}
+
+// firstErr returns the first of errs that is not nil.
+func firstErr(errs []error) error {
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // cellSlab cuts the cell slices of joined rows from blocks of slabCells, so a
@@ -100,15 +174,12 @@ func (s *cellSlab) join(parent, child []hbase.Cell) []hbase.Cell {
 	return (*s)[start:len(*s):len(*s)]
 }
 
-// prepareView computes a view's contents by joining down its path, one scan
-// per relation, and prepares them for loading. A level's joined rows are
-// indexed by the relation's row key and the next relation's rows probe that
-// index with the key of their foreign-key cells.
-func (sys *System) prepareView(v *core.View) ([]bulkFile, error) {
-	info, err := sys.Catalog.Table(v.Name())
-	if err != nil {
-		return nil, err
-	}
+// buildView computes a view's contents by joining down its path, one scan
+// per relation, and builds its files: the view's at stamp ts, then each
+// index's at the stamps after it. A level's joined rows are indexed by the
+// relation's row key and the next relation's rows probe that index with the
+// key of their foreign-key cells.
+func (sys *System) buildView(v *core.View, info *phoenix.TableInfo, ts int64) ([]*hbase.BulkFiles, error) {
 	ctx := sim.NewCtx() // population cost is not a measured response time
 	var parents map[string][]hbase.Cell
 	var rows [][]hbase.Cell
@@ -142,51 +213,64 @@ func (sys *System) prepareView(v *core.View) ([]bulkFile, error) {
 		}
 		parents = joined
 	}
-	return prepareLoad(info, rows)
-}
-
-// prepareLoad keys and sorts encoded rows for a table and, after it, every
-// index on it. The keys of a file are cut from one string and a covered index
-// entry is the row's own cell slice, so a row costs no allocation here.
-func prepareLoad(info *phoenix.TableInfo, rows [][]hbase.Cell) ([]bulkFile, error) {
-	files := make([]bulkFile, 1+len(info.Indexes))
-	ends := make([]int, len(rows))
-	var keys, key []byte
+	files := make([]*hbase.BulkFiles, 1+len(info.Indexes))
 	for f := range files {
-		var idx *phoenix.IndexInfo
-		file := bulkFile{info.Name, make([]hbase.BulkRow, len(rows))}
+		name, idx := info.Name, (*phoenix.IndexInfo)(nil)
 		if f > 0 {
 			idx = info.Indexes[f-1]
-			file.table = idx.Name
+			name = idx.Name
 		}
-		keys = keys[:0]
-		for i, row := range rows {
-			key, file.rows[i].Cells = key[:0], row
-			if idx != nil {
-				key, _ = phoenix.AppendKeyOfCells(key, row, idx.On)
-				file.rows[i].Cells = phoenix.IndexCells(info, idx, row, nil)
-			}
-			var null bool
-			if key, null = phoenix.AppendKeyOfCells(key, row, info.Key); null {
-				return nil, fmt.Errorf("%w: a %s row lacks one of %v", phoenix.ErrKeyNotSpecified, info.Name, info.Key)
-			}
-			keys = append(keys, key...)
-			ends[i] = len(keys)
+		keyed, err := keyRows(info, idx, rows)
+		if err == nil {
+			files[f], err = sys.Store.BuildBulk(name, ts+int64(f), keyed)
 		}
-		all, at := string(keys), 0
-		for i := range file.rows {
-			file.rows[i].Key, at = all[at:ends[i]], ends[i]
+		if err != nil {
+			return nil, err
 		}
-		slices.SortFunc(file.rows, func(a, b hbase.BulkRow) int { return strings.Compare(a.Key, b.Key) })
-		files[f] = file
 	}
 	return files, nil
 }
 
-// install bulk-loads prepared files in order.
-func (sys *System) install(files []bulkFile) error {
+// keyRows keys a table's encoded rows for one of its files, the table's own
+// (idx nil) or an index's, sorted by key. The keys are cut from one string
+// and a covered index entry is the row's own cell slice, so a row costs no
+// allocation here.
+func keyRows(info *phoenix.TableInfo, idx *phoenix.IndexInfo, rows [][]hbase.Cell) ([]hbase.BulkRow, error) {
+	out := make([]hbase.BulkRow, len(rows))
+	ends := make([]int, len(rows))
+	var keys, key []byte
+	for i, row := range rows {
+		key, out[i].Cells = key[:0], row
+		if idx != nil {
+			key, _ = phoenix.AppendKeyOfCells(key, row, idx.On)
+			out[i].Cells = phoenix.IndexCells(info, idx, row, nil)
+		}
+		var null bool
+		if key, null = phoenix.AppendKeyOfCells(key, row, info.Key); null {
+			return nil, fmt.Errorf("%w: a %s row lacks one of %v", phoenix.ErrKeyNotSpecified, info.Name, info.Key)
+		}
+		keys = append(keys, key...)
+		ends[i] = len(keys)
+	}
+	all, at := string(keys), 0
+	for i := range out {
+		out[i].Key, at = all[at:ends[i]], ends[i]
+	}
+	// Rows already in strictly ascending key order, as generated base rows
+	// are, are what the sort would leave; equal keys keep the sort's order.
+	for i := 1; i < len(out); i++ {
+		if out[i-1].Key >= out[i].Key {
+			slices.SortFunc(out, func(a, b hbase.BulkRow) int { return strings.Compare(a.Key, b.Key) })
+			break
+		}
+	}
+	return out, nil
+}
+
+// attach installs built files in order.
+func (sys *System) attach(files []*hbase.BulkFiles) error {
 	for _, f := range files {
-		if err := sys.Store.BulkLoad(f.table, f.rows); err != nil {
+		if err := sys.Store.Attach(f); err != nil {
 			return err
 		}
 	}

@@ -99,11 +99,15 @@ func TestBuildViewSemantics(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	load, err := sys.prepareView(v)
+	info, err := sys.Catalog.Table(v.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.install(load); err != nil {
+	load, err := sys.buildView(v, info, sys.Store.ReserveTS(1+len(info.Indexes)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.attach(load); err != nil {
 		t.Fatal(err)
 	}
 

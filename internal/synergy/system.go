@@ -23,13 +23,18 @@
 // and it is joined, keyed (phoenix.AppendKeyOfCells) and bulk-loaded in that
 // form: a view row is the qualifier-ordered merge of its base rows' cells, the
 // child's where both carry a qualifier, marker cells left out, value bytes
-// shared with the base files. BuildViews prepares views (scan, join, keys,
-// sort) on up to GOMAXPROCS goroutines and installs them from one, in
-// Design.Views order and at most GOMAXPROCS views ahead: everything with an
-// order to it — load stamps, region splits, the round-robin that places a
-// split's daughter — happens at install, so the store comes out the same at
-// any width. A freshly loaded region is compact already, so the major
-// compaction that ends the procedure rewrites only what split.
+// shared with the base files. Population runs on a pool of GOMAXPROCS
+// workers (populate.go): LoadBase encodes its rows in chunks and builds the
+// table's, each index's and the lock table's file at once; BuildViews builds
+// each view's join and files, the views with the most base rows first. The
+// store's half of a build (hbase.HCluster.BuildBulk) touches no table, and
+// everything with an order to it is fixed outside the pool: every file's
+// load stamp is reserved before the builds start, and files attach
+// (HCluster.Attach: install, split, the round-robin that places a split's
+// daughter) in table, index, lock-table and Design.Views order, so the store
+// comes out the same at any width. A freshly loaded region is compact
+// already, so the major compaction that ends the procedure rewrites only
+// what split.
 //
 // The write path (write.go: executeWriteBody and the §VII maintenance
 // procedures) is one pass per statement: the base write, then maintain over

@@ -3,6 +3,7 @@ package tpcw
 import (
 	"fmt"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"synergy/internal/schema"
@@ -88,11 +89,29 @@ func generateCustomers(rng *sim.RNG, card Cardinalities) []schema.Row {
 	return customers
 }
 
-// Generate builds the database deterministically from a seed.
+// Generate builds the database deterministically from a seed. Each table's
+// value stream derives from the seed on its own (sim.RNG.Derive), so the
+// streams are drawn on goroutines of their own and come out the same.
 func Generate(numCust int, seed int64) *Data {
 	card := CardinalitiesFor(numCust)
 	rng := sim.NewRNG(seed)
 	d := &Data{Card: card, Tables: map[string][]schema.Row{}}
+	var authors, addresses, customers, items, orders, orderLines, ccx, carts, cartLines []schema.Row
+	var wg sync.WaitGroup
+	for _, stream := range []func(){
+		func() { authors = generateAuthors(rng, card) },
+		func() { addresses = generateAddresses(rng, card) },
+		func() { customers = generateCustomers(rng, card) },
+		func() { items = generateItems(rng, card) },
+		func() { orders, orderLines, ccx = generateOrders(rng, card) },
+		func() { carts, cartLines, d.CartLines = generateCarts(rng, card) },
+	} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			stream()
+		}()
+	}
 
 	countries := make([]schema.Row, 0, card.Countries)
 	for i := 1; i <= card.Countries; i++ {
@@ -103,8 +122,26 @@ func Generate(numCust int, seed int64) *Data {
 			"co_currency": "CUR",
 		})
 	}
+	wg.Wait()
 	d.Tables["Country"] = countries
+	d.Tables["Author"] = authors
+	d.Tables["Address"] = addresses
+	d.Tables["Customer"] = customers
+	d.Tables["Item"] = items
+	d.Tables["Orders"] = orders
+	d.Tables["Order_line"] = orderLines
+	d.Tables["CC_Xacts"] = ccx
+	d.Tables["Shopping_cart"] = carts
+	d.Tables["Shopping_cart_line"] = cartLines
 
+	d.seqOrder.Store(int64(card.Orders))
+	d.seqCust.Store(int64(card.Customers))
+	d.seqAddr.Store(int64(card.Addresses))
+	d.seqCart.Store(int64(card.Carts))
+	return d
+}
+
+func generateAuthors(rng *sim.RNG, card Cardinalities) []schema.Row {
 	ag := rng.Derive("author")
 	authors := make([]schema.Row, 0, card.Authors)
 	for i := 1; i <= card.Authors; i++ {
@@ -117,8 +154,10 @@ func Generate(numCust int, seed int64) *Data {
 			"a_bio":   ag.String(60, 120),
 		})
 	}
-	d.Tables["Author"] = authors
+	return authors
+}
 
+func generateAddresses(rng *sim.RNG, card Cardinalities) []schema.Row {
 	adg := rng.Derive("address")
 	addresses := make([]schema.Row, 0, card.Addresses)
 	for i := 1; i <= card.Addresses; i++ {
@@ -132,10 +171,10 @@ func Generate(numCust int, seed int64) *Data {
 			"addr_co_id":   int64(adg.IntRange(1, card.Countries)),
 		})
 	}
-	d.Tables["Address"] = addresses
+	return addresses
+}
 
-	d.Tables["Customer"] = generateCustomers(rng, card)
-
+func generateItems(rng *sim.RNG, card Cardinalities) []schema.Row {
 	ig := rng.Derive("item")
 	items := make([]schema.Row, 0, card.Items)
 	for i := 1; i <= card.Items; i++ {
@@ -155,12 +194,15 @@ func Generate(numCust int, seed int64) *Data {
 			"i_backing": "HARDBACK", "i_dimensions": ig.String(10, 20),
 		})
 	}
-	d.Tables["Item"] = items
+	return items
+}
 
+// generateOrders draws Orders, Order_line and CC_Xacts from one stream.
+func generateOrders(rng *sim.RNG, card Cardinalities) (orders, orderLines, ccx []schema.Row) {
 	og := rng.Derive("orders")
-	orders := make([]schema.Row, 0, card.Orders)
-	orderLines := make([]schema.Row, 0, card.Orders*3)
-	ccx := make([]schema.Row, 0, card.Orders)
+	orders = make([]schema.Row, 0, card.Orders)
+	orderLines = make([]schema.Row, 0, card.Orders*3)
+	ccx = make([]schema.Row, 0, card.Orders)
 	for o := 1; o <= card.Orders; o++ {
 		cID := int64(og.IntRange(1, card.Customers))
 		sub := float64(og.IntRange(1000, 99999)) / 100
@@ -191,13 +233,14 @@ func Generate(numCust int, seed int64) *Data {
 			"cx_co_id": int64(og.IntRange(1, card.Countries)),
 		})
 	}
-	d.Tables["Orders"] = orders
-	d.Tables["Order_line"] = orderLines
-	d.Tables["CC_Xacts"] = ccx
+	return orders, orderLines, ccx
+}
 
+// generateCarts draws Shopping_cart and Shopping_cart_line from one stream,
+// and samples the first 1,000 cart lines for the workload's parameters.
+func generateCarts(rng *sim.RNG, card Cardinalities) (carts, cartLines []schema.Row, sample [][2]int64) {
 	sg := rng.Derive("cart")
-	carts := make([]schema.Row, 0, card.Carts)
-	var cartLines []schema.Row
+	carts = make([]schema.Row, 0, card.Carts)
 	for c := 1; c <= card.Carts; c++ {
 		carts = append(carts, schema.Row{"sc_id": int64(c), "sc_time": int64(sg.IntRange(19000, 20000))})
 		n := sg.IntRange(1, 4)
@@ -211,19 +254,12 @@ func Generate(numCust int, seed int64) *Data {
 			cartLines = append(cartLines, schema.Row{
 				"scl_sc_id": int64(c), "scl_i_id": iID, "scl_qty": int64(sg.IntRange(1, 5)),
 			})
-			if len(d.CartLines) < 1000 {
-				d.CartLines = append(d.CartLines, [2]int64{int64(c), iID})
+			if len(sample) < 1000 {
+				sample = append(sample, [2]int64{int64(c), iID})
 			}
 		}
 	}
-	d.Tables["Shopping_cart"] = carts
-	d.Tables["Shopping_cart_line"] = cartLines
-
-	d.seqOrder.Store(int64(card.Orders))
-	d.seqCust.Store(int64(card.Customers))
-	d.seqAddr.Store(int64(card.Addresses))
-	d.seqCart.Store(int64(card.Carts))
-	return d
+	return carts, cartLines, sample
 }
 
 // TableNames lists the generated tables in sorted order — the order loaders
