@@ -31,8 +31,13 @@ type Client struct {
 	// overlayPool recycles the read-your-writes overlay index (the per-table
 	// map and its overlayTable structs) across transactions on the same
 	// client — the maps were the next allocation hot spot after Mutation
-	// buffers on maintenance-heavy statements.
-	overlayPool sync.Pool
+	// buffers on maintenance-heavy statements. spareOverlay is the index
+	// released last, taken with one atomic swap before the pool is asked, as
+	// spareChunk is: a pool's private slot is per P, and the index is one
+	// object, so a transaction whose goroutine moved to another P between
+	// two flushes would otherwise start every table's overlay cold.
+	overlayPool  sync.Pool
+	spareOverlay atomic.Pointer[overlayIndex]
 
 	// chunkPool recycles scan chunk buffers (rows + cell arena) across the
 	// client's scanners — the read path's dominant allocation once rows
@@ -64,12 +69,21 @@ func (c *Client) putMutBuf(box *[]Mutation, buf []Mutation) {
 	c.mutPool.Put(box)
 }
 
+// overlayIndex is a transaction's read-your-writes overlay: one
+// overlayTable per table written.
+type overlayIndex struct {
+	tables map[string]*overlayTable
+}
+
 // getOverlay returns an empty overlay index, reusing a recycled one.
-func (c *Client) getOverlay() map[string]*overlayTable {
-	if v := c.overlayPool.Get(); v != nil {
-		return v.(map[string]*overlayTable)
+func (c *Client) getOverlay() *overlayIndex {
+	if ov := c.spareOverlay.Swap(nil); ov != nil {
+		return ov
 	}
-	return make(map[string]*overlayTable, 4)
+	if v := c.overlayPool.Get(); v != nil {
+		return v.(*overlayIndex)
+	}
+	return &overlayIndex{tables: make(map[string]*overlayTable, 4)}
 }
 
 // putOverlay recycles an overlay index, its tables, and the pending rowData
@@ -84,8 +98,8 @@ func (c *Client) getOverlay() map[string]*overlayTable {
 // immutable, and never cleared here. Safe only once nothing reads through
 // the overlay anymore, which the BufferedMutator contract already
 // guarantees (one request, scans drained before a flush boundary).
-func (c *Client) putOverlay(ov map[string]*overlayTable) {
-	for _, ot := range ov {
+func (c *Client) putOverlay(ov *overlayIndex) {
+	for _, ot := range ov.tables {
 		for _, rd := range ot.rows {
 			clear(rd.cells[:cap(rd.cells)]) // drop value refs; keep capacity
 			rd.cells = rd.cells[:0]
@@ -95,7 +109,9 @@ func (c *Client) putOverlay(ov map[string]*overlayTable) {
 		ot.keys = ot.keys[:0]
 		ot.sorted = false
 	}
-	c.overlayPool.Put(ov)
+	if !c.spareOverlay.CompareAndSwap(nil, ov) {
+		c.overlayPool.Put(ov)
+	}
 }
 
 // getChunkBuf returns an empty chunk buffer, reusing a released one when

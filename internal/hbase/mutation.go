@@ -349,7 +349,7 @@ type BufferedMutator struct {
 	flushAt int
 	muts    []Mutation
 	box     *[]Mutation // the pool box muts came in
-	overlay map[string]*overlayTable
+	overlay *overlayIndex
 	seq     int64 // synthetic overlay timestamps for unstamped mutations
 	// flushTS is the high timestamp across every flush so far — the commit
 	// timestamp a transaction's changefeed deltas are tagged with.
@@ -453,10 +453,10 @@ func (m *BufferedMutator) overlayApply(mut Mutation) {
 	if m.overlay == nil {
 		m.overlay = m.c.getOverlay()
 	}
-	ot := m.overlay[mut.Table]
+	ot := m.overlay.tables[mut.Table]
 	if ot == nil {
 		ot = newOverlayTable()
-		m.overlay[mut.Table] = ot
+		m.overlay.tables[mut.Table] = ot
 	}
 	rd := ot.upsert(mut.Key)
 	ts := mut.TS
@@ -485,7 +485,10 @@ func (m *BufferedMutator) overlayApply(mut Mutation) {
 // pendingTable returns the overlay index for a table, or nil when nothing
 // is pending there (a recycled index keeps emptied tables).
 func (m *BufferedMutator) pendingTable(tbl string) *overlayTable {
-	if ot := m.overlay[tbl]; ot != nil && len(ot.rows) > 0 {
+	if m.overlay == nil {
+		return nil
+	}
+	if ot := m.overlay.tables[tbl]; ot != nil && len(ot.rows) > 0 {
 		return ot
 	}
 	return nil

@@ -42,27 +42,21 @@ func (sys *System) LoadBase(table string, rows []schema.Row) error {
 	// §VIII-A: "a lock table entry is created when a tuple is inserted
 	// into the root relation".
 	root := sys.isRoot(table)
-	files := make([]*hbase.BulkFiles, 1+len(info.Indexes), 2+len(info.Indexes))
+	n := 1 + len(info.Indexes)
+	files := make([]*hbase.BulkFiles, n, n+1)
 	if root {
-		files = files[:len(files)+1]
+		files = files[:n+1]
 	}
 	ts := sys.Store.ReserveTS(len(files))
-	jobs := make([]func() error, 1+len(info.Indexes))
-	jobs[0] = func() error {
-		keyed, err := keyRows(info, nil, encoded)
-		if err == nil {
-			files[0], err = sys.Store.BuildBulk(info.Name, ts, keyed)
-		}
-		if err == nil && root {
-			files[len(files)-1], err = sys.Store.BuildBulk(LockTableName(table), ts+int64(len(files)-1), freeEntries(keyed))
-		}
-		return err
-	}
-	for i, idx := range info.Indexes {
-		jobs[1+i] = func() error {
-			keyed, err := keyRows(info, idx, encoded)
+	jobs := make([]func() error, n)
+	for f := range jobs {
+		jobs[f] = func() error {
+			keyed, err := keyRows(info, f, encoded)
 			if err == nil {
-				files[1+i], err = sys.Store.BuildBulk(idx.Name, ts+int64(1+i), keyed)
+				files[f], err = sys.Store.BuildBulk(fileName(info, f), ts+int64(f), keyed)
+			}
+			if err == nil && f == 0 && root {
+				files[n], err = sys.Store.BuildBulk(LockTableName(table), ts+int64(n), freeEntries(keyed))
 			}
 			return err
 		}
@@ -215,14 +209,9 @@ func (sys *System) buildView(v *core.View, info *phoenix.TableInfo, ts int64) ([
 	}
 	files := make([]*hbase.BulkFiles, 1+len(info.Indexes))
 	for f := range files {
-		name, idx := info.Name, (*phoenix.IndexInfo)(nil)
-		if f > 0 {
-			idx = info.Indexes[f-1]
-			name = idx.Name
-		}
-		keyed, err := keyRows(info, idx, rows)
+		keyed, err := keyRows(info, f, rows)
 		if err == nil {
-			files[f], err = sys.Store.BuildBulk(name, ts+int64(f), keyed)
+			files[f], err = sys.Store.BuildBulk(fileName(info, f), ts+int64(f), keyed)
 		}
 		if err != nil {
 			return nil, err
@@ -231,11 +220,23 @@ func (sys *System) buildView(v *core.View, info *phoenix.TableInfo, ts int64) ([
 	return files, nil
 }
 
-// keyRows keys a table's encoded rows for one of its files, the table's own
-// (idx nil) or an index's, sorted by key. The keys are cut from one string
-// and a covered index entry is the row's own cell slice, so a row costs no
-// allocation here.
-func keyRows(info *phoenix.TableInfo, idx *phoenix.IndexInfo, rows [][]hbase.Cell) ([]hbase.BulkRow, error) {
+// fileName names file f of a table: 0 is the table's own, f > 0 its
+// (f-1)th index.
+func fileName(info *phoenix.TableInfo, f int) string {
+	if f == 0 {
+		return info.Name
+	}
+	return info.Indexes[f-1].Name
+}
+
+// keyRows keys a table's encoded rows for its file f (fileName), sorted by
+// key. The keys are cut from one string and a covered index entry is the
+// row's own cell slice, so a row costs no allocation here.
+func keyRows(info *phoenix.TableInfo, f int, rows [][]hbase.Cell) ([]hbase.BulkRow, error) {
+	var idx *phoenix.IndexInfo
+	if f > 0 {
+		idx = info.Indexes[f-1]
+	}
 	out := make([]hbase.BulkRow, len(rows))
 	ends := make([]int, len(rows))
 	var keys, key []byte
