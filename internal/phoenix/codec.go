@@ -141,21 +141,20 @@ func RowToCells(row schema.Row) []hbase.Cell {
 // blocks, so an encoded row costs no allocation of its own; its cells and
 // values are capped at their own length.
 func (t *TableInfo) EncodeRows(dst [][]hbase.Cell, rows []schema.Row) {
-	e := rowEncoder{block: true}
+	e := rowEncoder{cellBlock: encodeBlockCells, byteBlock: encodeBlockBytes}
 	for i, row := range rows {
 		dst[i] = e.encode(t.quals, row)
 	}
 }
 
-// rowEncoder is the one row encoder. Without block it sizes a row's cells
-// and values exactly; with it, rows are cut from blocks of encodeBlockCells
-// cells and encodeBlockBytes value bytes.
+// rowEncoder is the one row encoder. It cuts rows from blocks of at least
+// cellBlock cells and byteBlock value bytes; at zero, a row's exact size.
 type rowEncoder struct {
-	block bool
-	cells []hbase.Cell
-	buf   []byte
-	vals  []schema.Value // the row being encoded, in qualifier order
-	size  int            // its values' encoded bytes
+	cellBlock, byteBlock int
+	cells                []hbase.Cell
+	buf                  []byte
+	vals                 []schema.Value // the row being encoded, in qualifier order
+	size                 int            // its values' encoded bytes
 }
 
 const (
@@ -189,10 +188,10 @@ func (e *rowEncoder) encode(quals []string, row schema.Row) []hbase.Cell {
 		e.gather(quals, row)
 	}
 	if n := len(row); cap(e.cells)-len(e.cells) < n {
-		e.cells = make([]hbase.Cell, 0, e.room(n, encodeBlockCells))
+		e.cells = make([]hbase.Cell, 0, max(n, e.cellBlock))
 	}
 	if cap(e.buf)-len(e.buf) < e.size {
-		e.buf = make([]byte, 0, e.room(e.size, encodeBlockBytes))
+		e.buf = make([]byte, 0, max(e.size, e.byteBlock))
 	}
 	start := len(e.cells)
 	for i, v := range e.vals {
@@ -204,13 +203,6 @@ func (e *rowEncoder) encode(quals []string, row schema.Row) []hbase.Cell {
 		e.cells = append(e.cells, hbase.Cell{Qualifier: quals[i], Value: e.buf[at:len(e.buf):len(e.buf)]})
 	}
 	return e.cells[start:len(e.cells):len(e.cells)]
-}
-
-func (e *rowEncoder) room(n, block int) int {
-	if e.block {
-		return max(n, block)
-	}
-	return n
 }
 
 // AppendRowCells is CellsToRow without the decoding: it appends a stored row's

@@ -547,6 +547,38 @@ func TestRowToCellsPacksAndIndexCellsShare(t *testing.T) {
 	}
 }
 
+// TestEncodeRowsMatchesRowToCells: a table's rows encode in its column order
+// to what RowToCells makes of each, a NULL left out and a column the table
+// lacks kept in its place, each row's cells and values clipped to its own.
+func TestEncodeRowsMatchesRowToCells(t *testing.T) {
+	info := buildInfo("T", []schema.Column{
+		{Name: "id", Type: schema.TInt}, {Name: "name", Type: schema.TString}, {Name: "score", Type: schema.TFloat},
+	}, []string{"id"})
+	rows := []schema.Row{
+		{"id": int64(1), "name": "one", "score": 1.5},
+		{"id": int64(2), "name": nil, "score": 2.5},
+		{"id": int64(3), "extra": "kept", "score": 3.5},
+		{"id": int64(4)},
+	}
+	got := make([][]hbase.Cell, len(rows))
+	info.EncodeRows(got, rows)
+	for i, row := range rows {
+		if want := RowToCells(row); !slices.EqualFunc(got[i], want, func(a, b hbase.Cell) bool {
+			return a.Qualifier == b.Qualifier && string(a.Value) == string(b.Value)
+		}) {
+			t.Errorf("row %d encodes to %v, want %v", i, got[i], want)
+		}
+		if cap(got[i]) != len(got[i]) {
+			t.Errorf("row %d: cells not clipped (len %d cap %d)", i, len(got[i]), cap(got[i]))
+		}
+		for _, c := range got[i] {
+			if cap(c.Value) != len(c.Value) {
+				t.Errorf("row %d %s: value window not clipped", i, c.Qualifier)
+			}
+		}
+	}
+}
+
 // arg unboxes a test's value, which must be one a Value holds.
 func arg(v schema.Value) schema.Arg {
 	a, ok := schema.ArgOf(v)

@@ -50,18 +50,16 @@ func (sys *System) LoadBase(table string, rows []schema.Row) error {
 	ts := sys.Store.ReserveTS(len(files))
 	jobs := make([]func() error, n)
 	for f := range jobs {
-		jobs[f] = func() error {
-			keyed, err := keyRows(info, f, encoded)
-			if err == nil {
-				files[f], err = sys.Store.BuildBulk(fileName(info, f), ts+int64(f), keyed)
-			}
+		jobs[f] = func() (err error) {
+			var keyed []hbase.BulkRow
+			files[f], keyed, err = sys.buildFile(info, f, encoded, ts+int64(f))
 			if err == nil && f == 0 && root {
 				files[n], err = sys.Store.BuildBulk(LockTableName(table), ts+int64(n), freeEntries(keyed))
 			}
 			return err
 		}
 	}
-	if err := firstErr(runPool(jobs)); err != nil {
+	if err := runPool(jobs); err != nil {
 		return err
 	}
 	return sys.attach(files)
@@ -80,14 +78,15 @@ func (sys *System) BuildViews() error {
 	}
 	views := sys.Design.Views
 	infos := make([]*phoenix.TableInfo, len(views))
+	errs := make([]error, len(views))
 	stamps := make([]int64, len(views))
 	weight := make([]int, len(views))
 	order := make([]int, len(views))
 	nfiles := 0
 	for i, v := range views {
-		if info, err := sys.Catalog.Table(v.Name()); err == nil {
-			infos[i], stamps[i] = info, int64(nfiles)
-			nfiles += 1 + len(info.Indexes)
+		if infos[i], errs[i] = sys.Catalog.Table(v.Name()); errs[i] == nil {
+			stamps[i] = int64(nfiles)
+			nfiles += 1 + len(infos[i].Indexes)
 		}
 		for _, rel := range v.Relations {
 			weight[i] += sys.Store.RowEstimate(rel) // the join's work
@@ -98,13 +97,10 @@ func (sys *System) BuildViews() error {
 	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(weight[b], weight[a]) })
 
 	built := make([][]*hbase.BulkFiles, len(views))
-	errs := make([]error, len(views))
 	jobs := make([]func() error, len(views))
 	for k, i := range order {
 		jobs[k] = func() error {
-			if infos[i] == nil {
-				_, errs[i] = sys.Catalog.Table(views[i].Name())
-			} else {
+			if errs[i] == nil {
 				built[i], errs[i] = sys.buildView(views[i], infos[i], ts+stamps[i])
 			}
 			return errs[i]
@@ -123,8 +119,9 @@ func (sys *System) BuildViews() error {
 }
 
 // runPool runs jobs on up to GOMAXPROCS goroutines, each taking the next job
-// not yet taken, and returns each job's error once all have returned.
-func runPool(jobs []func() error) []error {
+// not yet taken, and returns, once all have returned, the first job's error
+// that is not nil.
+func runPool(jobs []func() error) error {
 	errs := make([]error, len(jobs))
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -138,11 +135,6 @@ func runPool(jobs []func() error) []error {
 		}()
 	}
 	wg.Wait()
-	return errs
-}
-
-// firstErr returns the first of errs that is not nil.
-func firstErr(errs []error) error {
 	for _, err := range errs {
 		if err != nil {
 			return err
@@ -209,34 +201,36 @@ func (sys *System) buildView(v *core.View, info *phoenix.TableInfo, ts int64) ([
 	}
 	files := make([]*hbase.BulkFiles, 1+len(info.Indexes))
 	for f := range files {
-		keyed, err := keyRows(info, f, rows)
-		if err == nil {
-			files[f], err = sys.Store.BuildBulk(fileName(info, f), ts+int64(f), keyed)
-		}
-		if err != nil {
+		var err error
+		if files[f], _, err = sys.buildFile(info, f, rows, ts+int64(f)); err != nil {
 			return nil, err
 		}
 	}
 	return files, nil
 }
 
-// fileName names file f of a table: 0 is the table's own, f > 0 its
-// (f-1)th index.
-func fileName(info *phoenix.TableInfo, f int) string {
-	if f == 0 {
-		return info.Name
-	}
-	return info.Indexes[f-1].Name
-}
-
-// keyRows keys a table's encoded rows for its file f (fileName), sorted by
-// key. The keys are cut from one string and a covered index entry is the
-// row's own cell slice, so a row costs no allocation here.
-func keyRows(info *phoenix.TableInfo, f int, rows [][]hbase.Cell) ([]hbase.BulkRow, error) {
-	var idx *phoenix.IndexInfo
+// buildFile keys a table's encoded rows for its file f, 0 the table's own
+// and f > 0 its (f-1)th index's, and builds the file at stamp ts. It
+// returns the keyed rows too.
+func (sys *System) buildFile(info *phoenix.TableInfo, f int, rows [][]hbase.Cell, ts int64) (*hbase.BulkFiles, []hbase.BulkRow, error) {
+	name, idx := info.Name, (*phoenix.IndexInfo)(nil)
 	if f > 0 {
 		idx = info.Indexes[f-1]
+		name = idx.Name
 	}
+	keyed, err := keyRows(info, idx, rows)
+	if err != nil {
+		return nil, nil, err
+	}
+	file, err := sys.Store.BuildBulk(name, ts, keyed)
+	return file, keyed, err
+}
+
+// keyRows keys a table's encoded rows for one of its files, the table's own
+// (idx nil) or an index's, sorted by key. The keys are cut from one string
+// and a covered index entry is the row's own cell slice, so a row costs no
+// allocation here.
+func keyRows(info *phoenix.TableInfo, idx *phoenix.IndexInfo, rows [][]hbase.Cell) ([]hbase.BulkRow, error) {
 	out := make([]hbase.BulkRow, len(rows))
 	ends := make([]int, len(rows))
 	var keys, key []byte
