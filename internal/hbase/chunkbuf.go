@@ -5,7 +5,7 @@ package hbase
 // window into. The pair is what turns the read path's per-row allocations
 // into per-chunk ones — Region.scanChunk fills one chunkBuf per scanner RPC
 // (the row read kernels append each row's visible pairs to the shared arena),
-// and the buffer cycles through a Client-owned sync.Pool once the consumer
+// and the buffer cycles through the Client's chunkPool once the consumer
 // releases it.
 //
 // Ownership protocol (the release points that make pooling safe under the
@@ -28,8 +28,7 @@ type chunkBuf struct {
 func (b *chunkBuf) wrote() { b.dirty = max(b.dirty, len(b.arena)) }
 
 // reset drops every row and value reference while keeping both backing
-// arrays at capacity, so a pooled buffer never pins row keys or cell
-// values while idle. It clears what the fills since the last reset wrote,
+// arrays at capacity. It clears what the fills since the last reset wrote,
 // not the capacity: a buffer that once served a thousand wide rows costs a
 // point read that borrows it one row's worth of clearing.
 func (b *chunkBuf) reset() {

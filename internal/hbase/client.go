@@ -3,7 +3,7 @@ package hbase
 import (
 	"slices"
 	"sync"
-	"sync/atomic"
+	"unsafe"
 
 	"synergy/internal/sim"
 )
@@ -24,48 +24,36 @@ type Client struct {
 	// invalidation real HBase clients experience as an NSRE retry.
 	metaCache map[string]int64
 
-	// mutPool recycles Mutation buffers across BufferedMutator flushes —
-	// the write path's dominant per-statement allocation once batching
-	// amortized the RPCs.
-	mutPool sync.Pool
-	// overlayPool recycles the read-your-writes overlay index (the per-table
-	// map and its overlayTable structs) across transactions on the same
-	// client — the maps were the next allocation hot spot after Mutation
-	// buffers on maintenance-heavy statements. spareOverlay is the index
-	// released last, taken with one atomic swap before the pool is asked, as
-	// spareChunk is: a pool's private slot is per P, and the index is one
-	// object, so a transaction whose goroutine moved to another P between
-	// two flushes would otherwise start every table's overlay cold.
-	overlayPool  sync.Pool
-	spareOverlay atomic.Pointer[overlayIndex]
-
-	// chunkPool recycles scan chunk buffers (rows + cell arena) across the
-	// client's scanners — the read path's dominant allocation once rows
-	// stopped being materialized one slice at a time. See chunkBuf for the
-	// ownership protocol. spareChunk is the buffer released last, which the
-	// next scan takes with one atomic swap before it asks the pool: the pool
-	// is per P, so a scan that follows another on the same goroutine would
-	// miss its buffer whenever the goroutine moved to another P in between.
-	chunkPool  sync.Pool
-	spareChunk atomic.Pointer[chunkBuf]
+	// The client's recycled storage (see recycle.go): the mutation buffers
+	// its flushes and batches fill, the read-your-writes overlay index of
+	// its transactions, and its scanners' chunk buffers.
+	mutPool     Pool[[]Mutation]
+	overlayPool Pool[overlayIndex]
+	chunkPool   Pool[chunkBuf]
 }
 
 // getMutBuf returns an empty Mutation buffer in its pool box, reusing a
 // flushed one when available.
 func (c *Client) getMutBuf() *[]Mutation {
-	if v := c.mutPool.Get(); v != nil {
-		return v.(*[]Mutation)
+	box := c.mutPool.Get()
+	if *box == nil {
+		*box = make([]Mutation, 0, 16)
 	}
-	buf := make([]Mutation, 0, 16)
-	return &buf
+	return box
 }
+
+// maxMutBufBytes is the most a recycled Mutation buffer keeps: 1,024
+// mutations, above the largest flush of the ordering mixes (113, order-mvcc
+// at seed 1) and of a 16-view maintenance write (513,
+// BenchmarkMaintenanceWrite).
+const maxMutBufBytes = 1024 * int(unsafe.Sizeof(Mutation{}))
 
 // putMutBuf recycles a buffer: buf, grown from the one box held, goes back
 // to the pool in box, so recycling allocates nothing. A flush groups and
 // applies its buffer before it returns, and the regions keep none of it, so
 // the buffer is dead once a flush returns.
 func (c *Client) putMutBuf(box *[]Mutation, buf []Mutation) {
-	*box = buf[:0]
+	*box = Emptied(buf, maxMutBufBytes)
 	c.mutPool.Put(box)
 }
 
@@ -75,55 +63,38 @@ type overlayIndex struct {
 	tables map[string]*overlayTable
 }
 
-// getOverlay returns an empty overlay index, reusing a recycled one.
-func (c *Client) getOverlay() *overlayIndex {
-	if ov := c.spareOverlay.Swap(nil); ov != nil {
-		return ov
-	}
-	if v := c.overlayPool.Get(); v != nil {
-		return v.(*overlayIndex)
-	}
-	return &overlayIndex{tables: make(map[string]*overlayTable, 4)}
-}
+// maxOverlayRows is the most rows a recycled table overlay keeps, and
+// maxOverlayRowCells the most cells one of its rows keeps: above the most the
+// ordering mixes pend in one table between two flushes (28 rows, 35 cells a
+// row, at seed 1). A table whose overlay grew past it leaves the index.
+const (
+	maxOverlayRows     = 256
+	maxOverlayRowCells = 128
+)
 
 // putOverlay recycles an overlay index, its tables, and the pending rowData
 // structs themselves onto each table's freelist. A table's overlay stays in
-// the index under its name, emptied, so the next transaction that takes the
-// index and writes that table reuses what this one grew for it, whatever
-// order the tables were written in. Recycling the rowDatas is
-// safe because no returned RowResult aliases a pending cell slice — every
-// overlay read path (ReadView.GetInto, overlayRow, the overlay scanner) copies
-// the visible pairs out of the pending cells before returning, so the only
-// state a caller can still hold is the Value byte slices, which are shared,
-// immutable, and never cleared here. Safe only once nothing reads through
-// the overlay anymore, which the BufferedMutator contract already
-// guarantees (one request, scans drained before a flush boundary).
+// the index under its name, emptied, so the next transaction that writes that
+// table reuses what this one grew for it; one that outgrew maxOverlayRows is
+// dropped. No returned RowResult aliases a pending cell slice — every overlay
+// read path (ReadView.GetInto, overlayRow, the overlay scanner) copies the
+// visible pairs out — so once a flush or discard retires the overlay, a
+// caller holds only the Value bytes, which are immutable and never cleared.
 func (c *Client) putOverlay(ov *overlayIndex) {
-	for _, ot := range ov.tables {
+	for name, ot := range ov.tables {
+		if len(ot.rows)+len(ot.free) > maxOverlayRows {
+			delete(ov.tables, name)
+			continue
+		}
 		for _, rd := range ot.rows {
-			clear(rd.cells[:cap(rd.cells)]) // drop value refs; keep capacity
-			rd.cells = rd.cells[:0]
+			rd.cells = Emptied(rd.cells, maxOverlayRowCells*int(unsafe.Sizeof(Cell{})))
 			ot.free = append(ot.free, rd)
 		}
 		clear(ot.rows)
-		ot.keys = ot.keys[:0]
+		ot.keys = Emptied(ot.keys, maxOverlayRows*int(unsafe.Sizeof("")))
 		ot.sorted = false
 	}
-	if !c.spareOverlay.CompareAndSwap(nil, ov) {
-		c.overlayPool.Put(ov)
-	}
-}
-
-// getChunkBuf returns an empty chunk buffer, reusing a released one when
-// available.
-func (c *Client) getChunkBuf() *chunkBuf {
-	if b := c.spareChunk.Swap(nil); b != nil {
-		return b
-	}
-	if v := c.chunkPool.Get(); v != nil {
-		return v.(*chunkBuf)
-	}
-	return &chunkBuf{}
+	c.overlayPool.Put(ov)
 }
 
 // putChunkBuf releases a chunk buffer back to the pool. Callers must
@@ -135,9 +106,7 @@ func (c *Client) putChunkBuf(b *chunkBuf) {
 		return
 	}
 	b.reset()
-	if !c.spareChunk.CompareAndSwap(nil, b) {
-		c.chunkPool.Put(b)
-	}
+	c.chunkPool.Put(b)
 }
 
 // NewClient returns a cold client.
@@ -335,17 +304,12 @@ func (c *Client) DeleteAt(ctx *sim.Ctx, tbl, key string, ts int64, qualifiers ..
 // leave the lock looking free to the next acquirer. It reports whether the
 // put applied.
 func (c *Client) CheckAndPut(ctx *sim.Ctx, tbl, key, qualifier string, expected []byte, cell Cell) (bool, error) {
-	one := spareCAS.Swap(nil)
-	if one == nil {
-		one = casScratches.Get().(*casScratch)
-	}
+	one := casScratches.Get()
 	one.cell[0] = cell
 	_, err := c.mutateOne(ctx, Mutation{Table: tbl, Key: key, Cells: one.cell[:], CheckAndPut: true, CheckQualifier: qualifier, CheckExpected: expected, Passed: &one.passed})
 	applied := one.passed
 	*one = casScratch{}
-	if !spareCAS.CompareAndSwap(nil, one) {
-		casScratches.Put(one)
-	}
+	casScratches.Put(one)
 	return applied, err
 }
 
@@ -358,14 +322,7 @@ type casScratch struct {
 	passed bool
 }
 
-// casScratches recycles the scratches; spareCAS is the one released last,
-// which the next CheckAndPut takes with one atomic swap before it asks the
-// pool, as a scan takes its chunk buffer (spareChunk), since a goroutine that
-// moved to another P would miss the pool's.
-var (
-	casScratches = sync.Pool{New: func() any { return new(casScratch) }}
-	spareCAS     atomic.Pointer[casScratch]
-)
+var casScratches Pool[casScratch]
 
 // ScanSpec describes a scan.
 type ScanSpec struct {
@@ -593,7 +550,7 @@ func (s *Scanner) Buffered() int {
 // become invalid. It reports false once every walk is exhausted.
 func (s *Scanner) advance(ctx *sim.Ctx) bool {
 	if s.cur == nil {
-		s.cur = s.client.getChunkBuf()
+		s.cur = s.client.chunkPool.Get()
 	}
 	for {
 		if s.eof {

@@ -2,8 +2,6 @@ package hbase
 
 import (
 	"sort"
-	"sync"
-	"sync/atomic"
 )
 
 // rowPart is one source's share of a row: a memstore row (mem non-nil) or a
@@ -103,13 +101,8 @@ func (s *mergeSource) left(rev bool) int {
 // steps positions down instead of up and flips the heap's key order. Parts of
 // one key still come out in rank order either way.
 //
-// Mergers are pooled: every scan chunk and every compaction fold used to
-// allocate a fresh heap, source set and parts scratch, which made the merger
-// the read path's second allocation hot spot after row materialization.
-// newRowMerger draws from the package pool and release returns the merger;
-// the heap, the source backing array, the parts scratch and the cell scratch
-// a multi-part row decodes and merges into all keep their capacity across
-// folds. Point reads borrow the same scratch through lookupRow.
+// Mergers are pooled (mergerPool): newRowMerger and lookupRow draw one and
+// release returns it, its heap, sources, parts and cell scratch at capacity.
 type rowMerger struct {
 	rev     bool       // descending key order
 	cols    *ColumnSet // what read keeps of a row; nil = every cell
@@ -123,22 +116,7 @@ type rowMerger struct {
 	pairs   Cells         // scratch: a folded row's visible pairs (Region.currentLocked)
 }
 
-// spareMerger is the merger released last, which the next fold or lookup
-// takes with one atomic swap before it asks mergerPool: the pool is per P, so
-// a goroutine that moved to another P would draw a merger whose scratch has
-// not grown to its rows.
-var (
-	mergerPool  = sync.Pool{New: func() any { return new(rowMerger) }}
-	spareMerger atomic.Pointer[rowMerger]
-)
-
-// takeMerger returns the spare merger, or one from the pool.
-func takeMerger() *rowMerger {
-	if m := spareMerger.Swap(nil); m != nil {
-		return m
-	}
-	return mergerPool.Get().(*rowMerger)
-}
+var mergerPool Pool[rowMerger]
 
 // newRowMerger positions every non-empty source at the first key >= from —
 // > from when past — or, for a reversed merge, at the last key < from, with
@@ -147,7 +125,7 @@ func takeMerger() *rowMerger {
 // merger comes from the package pool; callers must release() it when the fold
 // is done.
 func newRowMerger(mem *memStore, files []*hfile, from string, past, rev bool, cols *ColumnSet) *rowMerger {
-	m := takeMerger()
+	m := mergerPool.Get()
 	m.rev, m.cols = rev, cols
 	// Reserve the source backing array up front: the heap holds pointers
 	// into it, so it must never reallocate while sources are being added.
@@ -199,7 +177,7 @@ func newRowMerger(mem *memStore, files []*hfile, from string, past, rev bool, co
 // obligation and the same column set (nil keeps every cell). The parts live in
 // the merger's scratch.
 func lookupRow(mem *memStore, files []*hfile, key string, cols *ColumnSet) (*rowMerger, []rowPart) {
-	m := takeMerger()
+	m := mergerPool.Get()
 	m.cols = cols
 	if rd := mem.rows[key]; rd != nil {
 		m.parts = append(m.parts, rowPart{mem: rd})
@@ -215,14 +193,11 @@ func lookupRow(mem *memStore, files []*hfile, key string, cols *ColumnSet) (*row
 	return m, m.parts
 }
 
-// release returns the merger to the package pool for the next chunk, lookup
-// or compaction fold. Every reference into region data (memstore maps, store
-// files, parts) is dropped first so an idle pooled merger never pins a
-// store. The cell scratch is NOT cleared — rows handed out via fold are dead
-// by release time (reads have copied the visible pairs out; compaction has
-// encoded the row), and keeping the capacity is the point of pooling; what
-// its stale cells can still pin is a few store file blocks until the pool's
-// next GC-driven drain, or, for the spare, until it is next taken.
+// release returns the merger to the pool, dropping every reference into
+// region data (memstore maps, store files, parts) first. The cell scratch is
+// not cleared: rows handed out via fold are dead by now (reads copied the
+// visible pairs out; compaction encoded the row), and its stale cells pin at
+// most a few store file blocks until the merger is next taken.
 func (m *rowMerger) release() {
 	clear(m.srcs[:cap(m.srcs)])
 	m.srcs = m.srcs[:0]
@@ -231,9 +206,7 @@ func (m *rowMerger) release() {
 	clear(m.parts[:cap(m.parts)])
 	m.parts = m.parts[:0]
 	m.cols, m.want = nil, nil
-	if !spareMerger.CompareAndSwap(nil, m) {
-		mergerPool.Put(m)
-	}
+	mergerPool.Put(m)
 }
 
 // fold returns every cell of a row in cellLess order, merged across its

@@ -451,7 +451,10 @@ func (m *BufferedMutator) overlayApply(mut Mutation) {
 		return
 	}
 	if m.overlay == nil {
-		m.overlay = m.c.getOverlay()
+		m.overlay = m.c.overlayPool.Get()
+		if m.overlay.tables == nil {
+			m.overlay.tables = make(map[string]*overlayTable, 4)
+		}
 	}
 	ot := m.overlay.tables[mut.Table]
 	if ot == nil {

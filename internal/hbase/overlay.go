@@ -80,16 +80,7 @@ type overlayTable struct {
 	rows   map[string]*rowData
 	keys   []string
 	sorted bool
-	// free recycles pending rowData structs (and their cell-slice capacity)
-	// across the transactions that reuse this overlayTable through the
-	// client's overlayPool. Recycling is safe by the overlay lifetime analysis:
-	// no RowResult ever aliases a pending cell slice — ReadView.GetInto and
-	// the overlay scanner materialize through rowData.readInto (which copies
-	// the visible pairs out) and overlayRow's merged() path copies the Cell
-	// structs themselves — so once a flush or discard retires the overlay,
-	// the only shared state left is the Value byte slices, which recycling
-	// never touches.
-	free []*rowData
+	free   []*rowData // recycled rows (Client.putOverlay)
 }
 
 func newOverlayTable() *overlayTable {

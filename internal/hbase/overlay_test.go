@@ -2,8 +2,10 @@ package hbase
 
 import (
 	"fmt"
+	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"synergy/internal/sim"
 )
@@ -458,4 +460,49 @@ func TestMutationBufferPooling(t *testing.T) {
 	}
 	c.putMutBuf(box, *box)
 	_ = m
+}
+
+// TestRecycledOverlayKeepsCap flushes a transaction that wrote 10,000 rows of
+// one table: the overlay index the client's next transaction takes keeps at
+// most maxOverlayRows rows of any table and the mutation buffer at most
+// maxMutBufBytes; and the buffer a small flush hands back holds nothing of
+// its mutations.
+func TestRecycledOverlayKeepsCap(t *testing.T) {
+	_, c, m := overlayFixture(t)
+	ctx := sim.NewCtx()
+	for i := 0; i < 10000; i++ {
+		if err := m.Put(ctx, "t", scanKey(i), []Cell{put("v", "x", 0)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	ov := c.overlayPool.Get()
+	for name, ot := range ov.tables {
+		if n := len(ot.rows) + len(ot.free); n > maxOverlayRows {
+			t.Errorf("table %s keeps %d rows, above %d", name, n, maxOverlayRows)
+		}
+	}
+	c.overlayPool.Put(ov)
+	box := c.getMutBuf()
+	if size := cap(*box) * int(unsafe.Sizeof(Mutation{})); size > maxMutBufBytes {
+		t.Errorf("recycled buffer keeps %d bytes, above %d", size, maxMutBufBytes)
+	}
+	c.putMutBuf(box, *box)
+
+	for i := 0; i < 3; i++ {
+		if err := m.Put(ctx, "t", scanKey(i), []Cell{put("v", "y", 0)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	box = c.getMutBuf()
+	for i, mut := range (*box)[:cap(*box)] {
+		if !reflect.ValueOf(mut).IsZero() {
+			t.Fatalf("recycled buffer's mutation %d holds %s/%s", i, mut.Table, mut.Key)
+		}
+	}
 }

@@ -37,21 +37,10 @@ const maxReadBufKept = 128 << 10
 func (b *ReadBuf) Reset() {
 	b.pairs.Reset(maxReadBufKept / int(unsafe.Sizeof(Pair{})))
 	b.rows.Reset(maxReadBufKept / int(unsafe.Sizeof(RowResult{})))
-	b.fetch = emptied(b.fetch)
-	b.at = emptied(b.at)
-	b.regions = emptied(b.regions)
-	b.forks = emptied(b.forks)
-}
-
-// emptied clears s to its capacity and returns it empty, or nil when it is
-// above maxReadBufKept bytes.
-func emptied[T any](s []T) []T {
-	var v T
-	if cap(s)*int(unsafe.Sizeof(v)) > maxReadBufKept {
-		return nil
-	}
-	clear(s[:cap(s)])
-	return s[:0]
+	b.fetch = Emptied(b.fetch, maxReadBufKept)
+	b.at = Emptied(b.at, maxReadBufKept)
+	b.regions = Emptied(b.regions, maxReadBufKept)
+	b.forks = Emptied(b.forks, maxReadBufKept)
 }
 
 // rowRoom is the free room of the buffer's slab a row is read into: with

@@ -48,8 +48,7 @@ var ErrFinished = errors.New("mvcc: transaction already finished")
 
 // Storage limits: the free list holds at most maxFree finished transactions,
 // the record list keeps the storage of about as many pruned records (see
-// gcLocked), and neither keeps a write-set arena past maxKept bytes, so one
-// huge or long transaction pins nothing once it is over.
+// gcLocked), and neither keeps a write-set arena past maxKept bytes.
 const (
 	maxFree = 64
 	maxKept = 64 << 10
@@ -86,7 +85,7 @@ type Server struct {
 	// between its length and its capacity hold pruned records' storage,
 	// which the next commits reuse.
 	committed []commitRecord
-	free      []*Tx // finished transactions' storage, for Begin
+	free      *hbase.FreeList[Tx] // finished transactions' storage, for Begin
 	// stats
 	begun, commits, aborts, conflicts int64
 }
@@ -109,6 +108,7 @@ func NewServerWithOracle(costs *sim.Costs, next func() int64) *Server {
 		costs:   costs,
 		next:    next,
 		invalid: map[int64]struct{}{},
+		free:    hbase.NewFreeList[Tx](maxFree),
 	}
 }
 
@@ -180,11 +180,8 @@ func (s *Server) Begin(ctx *sim.Ctx) *Tx {
 	defer s.mu.Unlock()
 	s.begun++
 	id := s.allocLocked()
-	var t *Tx
-	if n := len(s.free); n > 0 {
-		t, s.free[n-1] = s.free[n-1], nil
-		s.free = s.free[:n-1]
-	} else {
+	t := s.free.Get()
+	if t == nil {
 		t = &Tx{srv: s}
 		t.hidden, t.record = t.hide, t.RecordWrite
 	}
@@ -378,8 +375,8 @@ func (s *Server) Abort(ctx *sim.Ctx, t *Tx) {
 func (s *Server) releaseLocked(t *Tx) {
 	clear(t.notes[:cap(t.notes)])
 	t.notes = t.notes[:0]
-	if len(s.free) < maxFree && cap(t.writes) <= maxKept {
-		s.free = append(s.free, t)
+	if cap(t.writes) <= maxKept {
+		s.free.Put(t)
 	}
 }
 

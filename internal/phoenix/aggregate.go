@@ -182,11 +182,14 @@ func (g *groups) reserve(n int) {
 }
 
 // release empties the groups for the block's next execution: nothing they
-// keep holds a value (see reuse).
+// keep holds a value.
 func (g *groups) release() {
 	g.keys.release()
-	g.states, g.rows, g.out = reuse(g.states), reuse(g.rows), reuse(g.out)
-	g.key, g.buf, g.taken = reuse(g.key), reuse(g.buf), 0
+	g.states = hbase.Emptied(g.states, maxKept)
+	g.rows = hbase.Emptied(g.rows, maxKept)
+	g.out = hbase.Emptied(g.out, maxKept)
+	g.key = hbase.Emptied(g.key, maxKept)
+	g.buf, g.taken = hbase.Emptied(g.buf, maxKept), 0
 	clear(g.vals)
 }
 
@@ -347,10 +350,11 @@ func (q *query) newRegionFold() hbase.Folder {
 	return f
 }
 
-// release empties the fold for the block's next execution (see reuse).
+// release empties the fold for the block's next execution.
 func (f *regionFold) release() {
 	f.groups.release()
-	f.refs, f.out, f.pairs = nil, reuse(f.out), reuse(f.pairs)
+	f.refs = nil
+	f.out, f.pairs = hbase.Emptied(f.out, maxKept), hbase.Emptied(f.pairs, maxKept)
 }
 
 func (f *regionFold) Add(r hbase.RowResult) {

@@ -330,16 +330,6 @@ func (k *kept[T]) release() {
 	k.next = 0
 }
 
-// reuse empties s for a block's next execution: cleared to its capacity, or
-// dropped when that is above maxKept bytes.
-func reuse[T any](s []T) []T {
-	if sizeOf(s) > maxKept {
-		return nil
-	}
-	clear(s[:cap(s)])
-	return s[:0]
-}
-
 type binding struct {
 	name   string
 	idx    int         // position in FROM, and of the binding's state in query.execs
@@ -1061,10 +1051,10 @@ func (q *query) recycle() {
 		}
 		q.execs[i] = bindExec{}
 	}
-	q.locals = reuse(q.locals)
+	q.locals = hbase.Emptied(q.locals, maxKept)
 	q.opts, q.root, q.row = QueryOpts{}, nil, tuple{}
 	// The scan keeps its filter's predicate list, emptied.
-	q.scan = scanNode{filter: predFilter{preds: reuse(q.scan.filter.preds)}}
+	q.scan = scanNode{filter: predFilter{preds: hbase.Emptied(q.scan.filter.preds, maxKept)}}
 	q.filter, q.agg, q.sort, q.limit = filterNode{}, aggNode{}, sortNode{}, limitNode{}
 	for i := range q.joins {
 		q.joins[i] = joinNode{table: q.joins[i].table}

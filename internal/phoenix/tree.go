@@ -468,10 +468,10 @@ type hashTable struct {
 	links      []int32
 }
 
-// release empties the table for its block's next execution (see reuse).
+// release empties the table for its block's next execution.
 func (t *hashTable) release() {
 	t.keys.release()
-	t.head, t.next, t.links = nil, nil, reuse(t.links)
+	t.head, t.next, t.links = nil, nil, hbase.Emptied(t.links, maxKept)
 }
 
 // first returns the first row read with key, -1 for none.

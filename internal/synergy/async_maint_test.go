@@ -381,22 +381,18 @@ func TestAsyncDeltasOutliveScratch(t *testing.T) {
 			scratches := map[*txScratch]bool{}
 			asyncSys.Feed.Pause()
 			run(t, asyncSys, 0, 1)
-			asyncSys.scratchMu.Lock()
-			for _, s := range asyncSys.spare {
+			for _, s := range spareScratches(asyncSys) {
 				scratches[s] = true
 			}
-			asyncSys.scratchMu.Unlock()
 			run(t, asyncSys, 1, rounds/2)
 			if asyncSys.Feed.Applied() != 0 {
 				t.Fatal("the paused feed applied deltas")
 			}
-			asyncSys.scratchMu.Lock()
-			for _, s := range asyncSys.spare {
+			for _, s := range spareScratches(asyncSys) {
 				if !scratches[s] {
 					t.Error("a transaction of the session took a new scratch")
 				}
 			}
-			asyncSys.scratchMu.Unlock()
 			asyncSys.Feed.Resume()
 			run(t, asyncSys, rounds/2, rounds)
 			if err := asyncSys.Feed.Drain(); err != nil {

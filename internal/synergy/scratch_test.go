@@ -3,6 +3,7 @@ package synergy
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -51,12 +52,11 @@ func TestTxScratchHoldsNothing(t *testing.T) {
 					checkFinished(t, unit, tx)
 				}
 				txs = txs[:0]
-				sys.scratchMu.Lock()
-				defer sys.scratchMu.Unlock()
-				if len(sys.spare) == 0 {
+				spare := spareScratches(sys)
+				if len(spare) == 0 {
 					t.Fatalf("%s: no scratch went back to the free list", unit)
 				}
-				for i, s := range sys.spare {
+				for i, s := range spare {
 					checkScratch(t, fmt.Sprintf("%s: spare[%d]", unit, i), s)
 				}
 			}
@@ -171,6 +171,20 @@ func maxKeptBytes(path string) int {
 		return 128 << 10
 	}
 	return maxScratchBytes
+}
+
+// spareScratches returns the scratches on sys's free list, put first to put
+// last, and leaves them on it in that order.
+func spareScratches(sys *System) []*txScratch {
+	var spare []*txScratch
+	for s := sys.spare.Get(); s != nil; s = sys.spare.Get() {
+		spare = append(spare, s)
+	}
+	slices.Reverse(spare)
+	for _, s := range spare {
+		sys.spare.Put(s)
+	}
+	return spare
 }
 
 // checkScratch reports what a reset scratch still holds (see

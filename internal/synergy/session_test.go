@@ -424,3 +424,61 @@ func contractCursorAcrossClose(e *contractEnv) {
 		e.Fatal("Close committed the open transaction")
 	}
 }
+
+// TestUnsupportedParamTypeIsAnError passes a bool and a []byte as a
+// parameter through each entry point that unboxes boxed parameters
+// (schema.ArgsOf and AppendArgs): each returns an "unsupported parameter
+// type" error, and none panics.
+func TestUnsupportedParamTypeIsAnError(t *testing.T) {
+	sys := fanoutSystem(t, 1, 2, Config{})
+	for _, tc := range []struct {
+		name string
+		run  func(ctx *sim.Ctx, bad schema.Value) error
+	}{
+		{"phoenix.Engine.QueryStreamOpts", func(ctx *sim.Ctx, bad schema.Value) error {
+			cur, err := sys.Engine.QueryStreamOpts(ctx, selRoot, []schema.Value{bad}, phoenix.QueryOpts{})
+			if err == nil {
+				cur.Close(ctx)
+			}
+			return err
+		}},
+		{"phoenix.Engine.Exec", func(ctx *sim.Ctx, bad schema.Value) error {
+			return sys.Engine.Exec(ctx, updRoot, []schema.Value{bad, int64(1)}, phoenix.WriteOpts{})
+		}},
+		{"Session.QueryStream", func(ctx *sim.Ctx, bad schema.Value) error {
+			cur, err := sys.NewSession().QueryStream(ctx, selRoot, []schema.Value{bad})
+			if err == nil {
+				cur.Close(ctx)
+			}
+			return err
+		}},
+		{"Session.Exec", func(ctx *sim.Ctx, bad schema.Value) error {
+			return sys.NewSession().Exec(ctx, updRoot, []schema.Value{bad, int64(1)})
+		}},
+		{"Tx.Exec", func(ctx *sim.Ctx, bad schema.Value) error {
+			tx := sys.BeginTx(ctx)
+			defer tx.Abort(ctx)
+			return tx.Exec(ctx, updRoot, []schema.Value{bad, int64(1)})
+		}},
+		{"System.Exec", func(ctx *sim.Ctx, bad schema.Value) error {
+			return sys.Exec(ctx, updRoot, []schema.Value{bad, int64(1)})
+		}},
+		{"System.ExecTxn", func(ctx *sim.Ctx, bad schema.Value) error {
+			return sys.ExecTxn(ctx, []sqlparser.Statement{updRoot}, [][]schema.Value{{bad, int64(1)}})
+		}},
+	} {
+		for _, bad := range []schema.Value{true, []byte("x")} {
+			t.Run(fmt.Sprintf("%s/%T", tc.name, bad), func(t *testing.T) {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("panicked: %v", r)
+					}
+				}()
+				err := tc.run(sim.NewCtx(), bad)
+				if err == nil || !strings.Contains(err.Error(), "unsupported parameter type") {
+					t.Fatalf("err = %v, want an unsupported parameter type error", err)
+				}
+			})
+		}
+	}
+}

@@ -202,10 +202,9 @@ type System struct {
 	// §VIII-B phases or fail the statement there.
 	afterPhase func(phase int) error
 
-	// scratchMu guards spare, the free list of write units' storage
-	// (txScratch): at most maxSpareScratch of them, each reset.
-	scratchMu sync.Mutex
-	spare     []*txScratch
+	// spare is the free list of write units' storage (txScratch), each
+	// reset.
+	spare *hbase.FreeList[txScratch]
 
 	cfg Config
 }
@@ -236,6 +235,8 @@ func New(sch *schema.Schema, roots []string, workloadSQL []string, cfg Config) (
 
 	sys := &System{
 		FS: fs, Store: store, Catalog: cat, Design: design, cfg: cfg,
+		// About the write units that run at once.
+		spare: hbase.NewFreeList[txScratch](8),
 	}
 
 	spec := hbase.TableSpec{MaxVersions: cfg.MaxVersions, SplitThreshold: cfg.SplitThreshold}

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"unicode/utf8"
 
+	"synergy/internal/hbase"
 	"synergy/internal/phoenix"
 	"synergy/internal/schema"
 	"synergy/internal/sim"
@@ -171,15 +172,9 @@ func appendOutcomeRecord(dst []byte, txid int64, commit bool) []byte {
 	return append(dst, `,"abort":true}`+"\n"...)
 }
 
-// walBufs recycles the buffers a transaction's statement records are
-// rendered into; the file system copies what it is handed. spareWALBuf is the
-// buffer released last, which the next log takes with one atomic swap before
-// it asks the pool: the pool is per P, so a log on another P than the last
-// one's would miss its buffer and grow a fresh one.
-var (
-	walBufs     = sync.Pool{New: func() any { return new([]byte) }}
-	spareWALBuf atomic.Pointer[[]byte]
-)
+// walBufs holds the buffers statement records are rendered into; the file
+// system copies what it is handed.
+var walBufs hbase.Pool[[]byte]
 
 // Slave is one transaction-layer worker: it assigns transaction ids, logs
 // statements to its WAL in the distributed FS, and executes write
@@ -277,15 +272,8 @@ func (s *Slave) log(ctx *sim.Ctx, writes []*PreparedWrite, paramsList [][]schema
 	}
 	ctx.Charge(s.layer.sys.Store.Costs().TxnLayerHop)
 	txid := s.seq.Add(1)
-	buf := spareWALBuf.Swap(nil)
-	if buf == nil {
-		buf = walBufs.Get().(*[]byte)
-	}
-	defer func() {
-		if !spareWALBuf.CompareAndSwap(nil, buf) {
-			walBufs.Put(buf)
-		}
-	}()
+	buf := walBufs.Get()
+	defer walBufs.Put(buf)
 	log := (*buf)[:0]
 	for i, w := range writes {
 		log = appendStatementRecord(log, txid, w.sql, paramsList[i])

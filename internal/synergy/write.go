@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"unsafe"
 
 	"synergy/internal/changefeed"
 	"synergy/internal/core"
@@ -127,13 +126,12 @@ type Tx struct {
 // txScratch is the working storage of a write unit: what a transaction — or
 // a changefeed apply, a one-statement unit of its own — builds and drops
 // before it ends. beginTx takes one from the System's free list (takeScratch)
-// and Commit or Abort hands it back reset (recycle), so the next unit
-// allocates none of it once the lists have grown. The ownership rule: nothing
-// may keep what a scratch holds past the Commit or Abort that hands it back.
-// What reaches the store is copied there — a region copies the cells of a
-// mutation as it applies it, the overlay those of one it buffers — and the
-// keys and values a write makes are never the scratch's, for a memstore keeps
-// them; a delta for the changefeed keeps a copy of its statement.
+// and Commit or Abort hands it back reset (recycle), under the rule of
+// hbase/recycle.go. What reaches the store is copied there — a region copies
+// the cells of a mutation as it applies it, the overlay those of one it
+// buffers — and the keys and values a write makes are never the scratch's,
+// for a memstore keeps them; a delta for the changefeed keeps a copy of its
+// statement.
 type txScratch struct {
 	mutator *hbase.BufferedMutator
 	// write is what the statements' cell lists and reads are cut from.
@@ -163,19 +161,9 @@ type txScratch struct {
 	memo []parentRow
 }
 
-// maxSpareScratch bounds the System's free list of scratches: about the
-// write units that run at once.
-const maxSpareScratch = 8
-
 // takeScratch returns a reset scratch, from the free list when it has one.
 func (sys *System) takeScratch() *txScratch {
-	sys.scratchMu.Lock()
-	var s *txScratch
-	if n := len(sys.spare); n > 0 {
-		s, sys.spare[n-1] = sys.spare[n-1], nil
-		sys.spare = sys.spare[:n-1]
-	}
-	sys.scratchMu.Unlock()
+	s := sys.spare.Get()
 	if s == nil {
 		// The paper's client ships every mutation by itself; everyone else's
 		// ships at a barrier.
@@ -191,11 +179,7 @@ func (sys *System) takeScratch() *txScratch {
 // recycle resets s and puts it on the free list, unless the list is full.
 func (sys *System) recycle(s *txScratch) {
 	s.reset()
-	sys.scratchMu.Lock()
-	if len(sys.spare) < maxSpareScratch {
-		sys.spare = append(sys.spare, s)
-	}
-	sys.scratchMu.Unlock()
+	sys.spare.Put(s)
 }
 
 // eagerWrites reports whether a transaction's mutator flushes at every
@@ -211,28 +195,21 @@ func (sys *System) eagerWrites() bool {
 func (s *txScratch) reset() {
 	s.mutator.Reset()
 	s.write.Reset()
-	s.locks, s.deferred = emptied(s.locks), emptied(s.deferred)
-	s.marks, s.spareMarks = emptied(s.marks), emptied(s.spareMarks)
-	s.freed = emptied(s.freed)
-	s.views, s.rows, s.keys = emptied(s.views), emptied(s.rows), emptied(s.keys)
-	s.forks = emptied(s.forks)
-	s.memo = emptied(s.memo)
+	s.locks = hbase.Emptied(s.locks, maxScratchBytes)
+	s.deferred = hbase.Emptied(s.deferred, maxScratchBytes)
+	s.marks = hbase.Emptied(s.marks, maxScratchBytes)
+	s.spareMarks = hbase.Emptied(s.spareMarks, maxScratchBytes)
+	s.freed = hbase.Emptied(s.freed, maxScratchBytes)
+	s.views = hbase.Emptied(s.views, maxScratchBytes)
+	s.rows = hbase.Emptied(s.rows, maxScratchBytes)
+	s.keys = hbase.Emptied(s.keys, maxScratchBytes)
+	s.forks = hbase.Emptied(s.forks, maxScratchBytes)
+	s.memo = hbase.Emptied(s.memo, maxScratchBytes)
 }
 
 // maxScratchBytes is the most bytes a reset scratch keeps of any one list:
 // one large transaction pins nothing for the next.
 const maxScratchBytes = 16 << 10
-
-// emptied clears l to its capacity and returns it empty, or nil when it is
-// above maxScratchBytes.
-func emptied[T any](l []T) []T {
-	var v T
-	if cap(l)*int(unsafe.Sizeof(v)) > maxScratchBytes {
-		return nil
-	}
-	clear(l[:cap(l)])
-	return l[:0]
-}
 
 // loggedTxn names a transaction a slave WAL-logged before running it.
 type loggedTxn struct {
